@@ -5,12 +5,40 @@ feature indices plus a binary click label.  Records are grouped by device;
 the generator plants a logistic ground truth so that (a) models can
 actually learn, (b) per-device click-through rates are controllable, which
 the paper's non-IID experiments (Fig. 9, Fig. 11) rely on.
+
+Random-stream layout
+--------------------
+A dataset is a pure function of the generator's parameters: one
+``Generator`` seeded from ``(seed, 0xA7A2)`` is consumed in this fixed order,
+and every dataset, report digest and paper figure depends on it.
+
+1. ground truth — the active hash buckets (``choice`` without
+   replacement), then their normal weights;
+2. calibration sample — ``n_fields`` rows of 4000 field uniforms;
+3. device biases — ``n_devices`` normals, skipped when the caller passes
+   explicit biases;
+4. sizes — ``n_devices`` Poisson draws, floored at 2;
+5. per device ``i``, in index order, one contiguous run of
+   ``(n_fields + 1) * n_i`` uniforms: ``n_fields`` rows of ``n_i`` field
+   uniforms (field order :data:`AVAZU_FIELDS`), then one row of ``n_i``
+   label uniforms;
+6. the test shard, laid out like one device of ``test_records`` records.
+
+A field uniform ``u`` selects category ``cdf.searchsorted(u, side="right")``
+of that field's Zipf CDF, which is exactly what ``Generator.choice(n, p=p)``
+does with it; a label uniform clicks when it falls below the record's
+planted click probability.  Because consecutive ``rng.random`` calls
+concatenate, the generator draws step 5 for a whole run of devices in one
+call and gathers each field's uniforms by index arithmetic.
+``tests/reference/avazu_reference.py`` keeps the per-device loop that
+defined this layout; the two must stay bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +72,45 @@ _FIELD_CARDINALITIES: dict[str, int] = {
     "C17": 120,
     "C21": 60,
 }
+
+#: Devices are synthesised in consecutive runs of at most this many records
+#: (always at least one device), which bounds the transient uniform, index
+#: and gathered-weight buffers at ~10 MB however many devices a task has.
+#: The stream is sequential, so where the runs are cut does not change the
+#: data; runs of this size also stay cache-resident, which larger ones do not.
+_CHUNK_RECORDS = 1 << 15
+
+
+@functools.lru_cache(maxsize=None)
+def _zipf_cdf(cardinality: int) -> np.ndarray:
+    """CDF of the Zipf-ish category popularity of a ``cardinality``-value field.
+
+    Categorical fields in click logs are heavily skewed toward a few
+    frequent values.  The CDF is normalised the way ``Generator.choice``
+    normalises its ``p``, so ``searchsorted`` on it picks the same ids.
+    """
+    probs = 1.0 / np.arange(1, cardinality + 1, dtype=float)
+    probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf
+
+
+@functools.lru_cache(maxsize=16)
+def _field_tables(feature_dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per field, in :data:`AVAZU_FIELDS` order: ``(zipf_cdf, hash_buckets)``.
+
+    A pure function of ``feature_dim`` (782 SHA hashes), so it is built on
+    the first ``generate`` that needs it, never at import.
+    """
+    encoder = HashingEncoder(feature_dim, AVAZU_FIELDS)
+    tables = []
+    for fld in AVAZU_FIELDS:
+        buckets = encoder.vocabulary_indices(fld, _FIELD_CARDINALITIES[fld])
+        buckets.setflags(write=False)
+        tables.append((_zipf_cdf(len(buckets)), buckets))
+    return tuple(tables)
 
 
 @dataclass
@@ -99,6 +166,9 @@ class FederatedDataset:
     feature_dim: int
     fields: tuple[str, ...] = AVAZU_FIELDS
     device_biases: dict[str, float] = field(default_factory=dict)
+    #: Total training records when the builder knows it (the generator does,
+    #: from its shard offsets); ``None`` means count the shards.
+    _n_records: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_devices(self) -> int:
@@ -108,7 +178,9 @@ class FederatedDataset:
     @property
     def n_records(self) -> int:
         """Total training records across all devices."""
-        return sum(len(shard) for shard in self.devices.values())
+        if self._n_records is None:
+            return sum(len(shard) for shard in self.devices.values())
+        return self._n_records
 
     def device_ids(self) -> list[str]:
         """Sorted device identifiers (stable iteration order)."""
@@ -199,7 +271,6 @@ class SyntheticAvazu:
         self.signal_scale = float(signal_scale)
         self.active_fraction = float(active_fraction)
         self.seed = int(seed)
-        self.encoder = HashingEncoder(feature_dim, AVAZU_FIELDS)
 
     def generate(
         self,
@@ -220,41 +291,37 @@ class SyntheticAvazu:
         """
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0xA7A2)))
         true_weights, _ = self._ground_truth(rng)
-        vocab_for_calibration = {
-            fld: self.encoder.vocabulary_indices(fld, _FIELD_CARDINALITIES[fld])
-            for fld in AVAZU_FIELDS
-        }
-        global_bias = self._calibrate_intercept(rng, true_weights, vocab_for_calibration)
+        tables = _field_tables(self.feature_dim)
+        global_bias = self._calibrate_intercept(rng, true_weights, tables)
         if device_biases is None:
             device_biases = rng.normal(0.0, self.device_bias_std, self.n_devices)
         elif len(device_biases) != self.n_devices:
             raise ValueError(
                 f"device_biases must have length {self.n_devices}, got {len(device_biases)}"
             )
-
-        vocab = vocab_for_calibration
+        device_biases = np.asarray(device_biases, dtype=float)
         sizes = np.maximum(2, rng.poisson(self.records_per_device, self.n_devices))
 
-        devices: dict[str, DeviceDataset] = {}
-        bias_map: dict[str, float] = {}
-        for i in range(self.n_devices):
-            device_id = f"dev-{i:06d}"
-            features = self._draw_features(rng, int(sizes[i]), vocab)
-            labels = self._draw_labels(
-                rng, features, true_weights, global_bias + float(device_biases[i])
-            )
-            devices[device_id] = DeviceDataset(device_id, features, labels)
-            bias_map[device_id] = float(device_biases[i])
-
-        test_features = self._draw_features(rng, test_records, vocab)
-        test_labels = self._draw_labels(rng, test_features, true_weights, global_bias)
-        test = DeviceDataset("test", test_features, test_labels)
-        return FederatedDataset(
-            devices=devices,
-            test=test,
-            feature_dim=self.feature_dim,
-            device_biases=bias_map,
+        features, labels, offsets = self._draw_shards(
+            rng, sizes, global_bias + device_biases, true_weights, tables
         )
+        test_features, test_labels, _ = self._draw_shards(
+            rng, np.array([test_records]), np.array([global_bias]), true_weights, tables
+        )
+
+        device_ids = [f"dev-{i:06d}" for i in range(self.n_devices)]
+        bounds = offsets.tolist()
+        dataset = FederatedDataset(
+            devices={
+                device_id: DeviceDataset(device_id, features[lo:hi], labels[lo:hi])
+                for device_id, lo, hi in zip(device_ids, bounds, bounds[1:])
+            },
+            test=DeviceDataset("test", test_features, test_labels),
+            feature_dim=self.feature_dim,
+            device_biases=dict(zip(device_ids, device_biases.tolist())),
+        )
+        dataset._n_records = bounds[-1]
+        return dataset
 
     # ------------------------------------------------------------------
     def _ground_truth(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
@@ -270,7 +337,7 @@ class SyntheticAvazu:
         self,
         rng: np.random.Generator,
         true_weights: np.ndarray,
-        vocab: dict[str, np.ndarray],
+        tables: Sequence[tuple[np.ndarray, np.ndarray]],
         n_calibration: int = 4000,
     ) -> float:
         """Intercept such that the *population* CTR hits ``base_ctr``.
@@ -279,7 +346,7 @@ class SyntheticAvazu:
         naive log-odds intercept undershoots skewed targets; bisection on
         a calibration sample fixes the realised rate.
         """
-        features = self._draw_features(rng, n_calibration, vocab)
+        features = self._draw_features(rng, n_calibration, tables)
         scores = true_weights[features].sum(axis=1)
         low, high = -15.0, 15.0
         for _ in range(60):
@@ -294,33 +361,62 @@ class SyntheticAvazu:
         self,
         rng: np.random.Generator,
         n_records: int,
-        vocab: dict[str, np.ndarray],
+        tables: Sequence[tuple[np.ndarray, np.ndarray]],
     ) -> np.ndarray:
         """Sample hashed feature index rows, Zipf-skewed per field."""
-        columns = []
-        for fld in AVAZU_FIELDS:
-            table = vocab[fld]
-            cardinality = len(table)
-            # Zipf-ish popularity: categorical fields in click logs are
-            # heavily skewed toward a few frequent values.
-            ranks = np.arange(1, cardinality + 1, dtype=float)
-            probs = 1.0 / ranks
-            probs /= probs.sum()
-            ids = rng.choice(cardinality, size=n_records, p=probs)
-            columns.append(table[ids])
-        return np.stack(columns, axis=1).astype(np.int32)
+        uniforms = rng.random((len(tables), n_records))
+        features = np.empty((n_records, len(tables)), dtype=np.int32)
+        for f, (cdf, buckets) in enumerate(tables):
+            features[:, f] = buckets[cdf.searchsorted(uniforms[f], side="right")]
+        return features
 
-    def _draw_labels(
+    def _draw_shards(
         self,
         rng: np.random.Generator,
-        features: np.ndarray,
+        sizes: np.ndarray,
+        biases: np.ndarray,
         true_weights: np.ndarray,
-        bias: float,
-    ) -> np.ndarray:
-        """Bernoulli labels from the planted logistic model."""
-        logits = true_weights[features].sum(axis=1) + bias
-        probs = _sigmoid(logits)
-        return (rng.random(len(probs)) < probs).astype(np.int8)
+        tables: Sequence[tuple[np.ndarray, np.ndarray]],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Features and Bernoulli labels of consecutive shards, drawn columnwise.
+
+        Shard ``i`` holds ``sizes[i]`` records whose logits are offset by
+        ``biases[i]``.  Returns one read-only ``(total, n_fields)`` int32
+        feature matrix, one read-only int8 label vector and the
+        ``len(sizes) + 1`` row offsets: shard ``i`` is rows
+        ``offsets[i]:offsets[i + 1]`` of both.
+        """
+        n_fields = len(tables)
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        features = np.empty((int(offsets[-1]), n_fields), dtype=np.int32)
+        labels = np.empty(len(features), dtype=np.int8)
+        lo = 0
+        while lo < len(sizes):
+            # The longest run of shards within the record budget, at least one.
+            start = offsets[lo]
+            hi = max(lo + 1, int(offsets.searchsorted(start + _CHUNK_RECORDS, side="right")) - 1)
+            n = sizes[lo:hi]
+            n_rows = offsets[hi] - start
+            rows = slice(start, offsets[hi])
+            uniforms = rng.random((n_fields + 1) * n_rows)
+            # Shard i's run starts (n_fields + 1) * rows-before-it into
+            # ``uniforms``; its record j reads row r of the run at r * n_i + j.
+            stride = np.repeat(n, n)
+            index = np.arange(n_rows) + n_fields * np.repeat(offsets[lo:hi] - start, n)
+            block = features[rows]
+            for f, (cdf, buckets) in enumerate(tables):
+                block[:, f] = buckets[cdf.searchsorted(uniforms[index], side="right")]
+                index += stride
+            logits = true_weights[block].sum(axis=1) + np.repeat(biases[lo:hi], n)
+            labels[rows] = uniforms[index] < _sigmoid(logits)
+            lo = hi
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        return features, labels, offsets
+
+
+_SKEW_KEYS = frozenset({"positive_fraction", "spread"})
 
 
 def make_federated_ctr_data(
@@ -352,10 +448,8 @@ def make_federated_ctr_data(
     )
     biases = None
     if skew is not None:
-        biases = label_skew_device_biases(
-            n_devices,
-            positive_fraction=skew.get("positive_fraction", 0.7),
-            spread=skew.get("spread", 2.5),
-            seed=seed,
-        )
+        unknown = sorted(set(skew) - _SKEW_KEYS)
+        if unknown:
+            raise ValueError(f"unknown skew key(s) {unknown}; allowed: {sorted(_SKEW_KEYS)}")
+        biases = label_skew_device_biases(n_devices, seed=seed, **skew)
     return generator.generate(device_biases=biases, test_records=test_records)

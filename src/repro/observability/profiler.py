@@ -3,12 +3,12 @@
 The ROADMAP's next scaling steps (whole-platform sharding, the 1M-device
 milestone) need the *measured* bottleneck, not the guessed one.  This
 profiler patches a fixed set of synchronous hot-path methods — kernel
-stepping, wave scheduling, numeric block execution, transport routing,
-cloud ingestion, aggregation folds, alarm evaluation — and accounts real
-``perf_counter`` time to each, with *self time* (a method's elapsed time
-minus the profiled calls it made) attributed via an enter/exit stack so
-nested hooks (``step_batch`` → ``_route`` → ``accept``) never
-double-count.
+stepping, dataset synthesis, wave scheduling, numeric block execution,
+transport routing, cloud ingestion, aggregation folds, alarm evaluation —
+and accounts real ``perf_counter`` time to each, with *self time* (a
+method's elapsed time minus the profiled calls it made) attributed via an
+enter/exit stack so nested hooks (``step_batch`` → ``_route`` →
+``accept``) never double-count.
 
 Patching is class-level, so one attached profiler observes every
 instance created while it is active — attach *before* building the
@@ -39,6 +39,7 @@ from typing import Any
 PROFILE_POINTS: tuple[tuple[str, str, str, str], ...] = (
     ("repro.simkernel.simulator", "Simulator", "step", "kernel.step"),
     ("repro.simkernel.simulator", "Simulator", "step_batch", "kernel.step_batch"),
+    ("repro.data.avazu", "SyntheticAvazu", "generate", "data.synthesize"),
     ("repro.cluster.runner", "LogicalSimulation", "_register_batched_plan", "logical.wave_schedule"),
     ("repro.cluster.runner", "LogicalSimulation", "_execute_numeric_waves", "logical.numeric_block"),
     ("repro.phones.phonemgr", "PhoneMgr", "_register_batched_plan", "phones.wave_schedule"),

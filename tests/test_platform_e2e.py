@@ -1,5 +1,6 @@
 """End-to-end platform tests: SimDC tasks through every substrate."""
 
+import pytest
 
 from repro import (
     GradeRequirement,
@@ -11,6 +12,7 @@ from repro import (
     TaskState,
 )
 from repro.cluster import NodeSpec
+from repro.data import make_federated_ctr_data
 from repro.ml import standard_fl_flow
 
 
@@ -61,6 +63,26 @@ class TestEndToEnd:
         # FedAvg over LR on learnable synthetic data: loss must improve.
         assert result.rounds[-1].test_loss <= result.rounds[0].test_loss + 1e-6
         assert result.makespan > 0
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_numeric_task_never_writes_to_its_shards(self, batch):
+        # Shards are read-only views of one shared matrix: a consumer that
+        # mutated its data in place (either tier, either path) would raise.
+        platform = SimDC(
+            PlatformConfig(seed=0, cluster_nodes=[NodeSpec(cpus=20, memory_gb=30)] * 2, batch=batch)
+        )
+        spec = small_task(rounds=2, n_devices=12, n_phones=3)
+        dataset = make_federated_ctr_data(12, records_per_device=10, feature_dim=128, seed=0)
+        assert not dataset.shard("dev-000000").features.flags.writeable
+        before = [(shard.features.copy(), shard.labels.copy()) for shard in dataset.devices.values()]
+        platform.submit(spec, dataset=dataset, fixed_allocation={"High": 9})
+        platform.run_until_idle(max_time=1e7)
+        result = platform.result(spec.task_id)
+        assert result.state is TaskState.COMPLETED
+        assert (result.allocation.grades[0].logical, result.allocation.grades[0].physical) == (9, 3)
+        assert [r.n_updates for r in result.rounds] == [12, 12]
+        for shard, (features, labels) in zip(dataset.devices.values(), before):
+            assert (shard.features == features).all() and (shard.labels == labels).all()
 
     def test_allocation_recorded(self):
         platform = small_platform()

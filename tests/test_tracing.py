@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.data import SyntheticAvazu
 from repro.observability.export import (
     chrome_trace,
     read_spans_jsonl,
@@ -234,6 +235,9 @@ class TestRunProfiler:
         rows = profiler.rows()
         categories = {row.category for row in rows}
         assert "kernel.step_batch" in categories
+        # lossy_uplink has numeric tenants: dataset synthesis is named.
+        assert "data.synthesize" in categories
+        assert not hasattr(SyntheticAvazu.generate, "__profiled_original__")
         for row in rows:
             assert row.calls > 0
             assert 0.0 <= row.self_s <= row.total_s + 1e-9
