@@ -148,17 +148,21 @@ class AggregationService:
       :class:`~repro.deviceflow.messages.Message`, payload fetched from
       storage.
     * :meth:`receive_block` — the columnar endpoint: one
-      :class:`~repro.deviceflow.messages.MessageBlock` folds a whole
-      round via the exact :class:`~repro.ml.fedavg.FedAvgPartial`
-      primitive (bit-identical to the equivalent scalar stream, in any
-      mix, by FedAvg partition invariance).
+      :class:`~repro.deviceflow.messages.MessageBlock` — a whole round
+      from a direct task, or one delivered DeviceFlow chunk — buffers
+      its stacked update rows, which fold via the exact
+      :class:`~repro.ml.fedavg.FedAvgPartial` primitive (bit-identical
+      to the equivalent scalar stream, in any mix, by FedAvg partition
+      invariance).
     * :meth:`receive_update` — direct scalar ingestion bypassing
       DeviceFlow and storage (experiment harnesses).
 
     Triggers observe the buffer only through ``pending_updates`` /
     ``pending_samples`` and fold it only through :meth:`aggregate_now`;
     note a block is buffered atomically, so a threshold trigger fires at
-    block rather than message granularity on the columnar path.
+    block rather than message granularity on the columnar path: after
+    the block (for DeviceFlow traffic, the delivered chunk) that crosses
+    the threshold, with all of that block's rows in the fold.
 
     Parameters
     ----------
@@ -220,10 +224,11 @@ class AggregationService:
         self.receive_log: list[tuple[float, int]] = []
         self._pending_sample_count = 0
         self._contributors: list[str] = []
-        #: Block-path buffer: one exact partial per received block, merged
-        #: with the scalar aggregator's own partial at fold time.
-        self._partials: list[FedAvgPartial] = []
-        self._partial_updates = 0
+        #: Block-path buffer: the stacked ``(weights, biases, n_samples)``
+        #: rows of every received block, folded in one exact pass (and
+        #: merged with the scalar aggregator's partial) at fold time.
+        self._stacked: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._stacked_updates = 0
         self._round = 0
         self._started = False
 
@@ -232,7 +237,7 @@ class AggregationService:
     def pending_updates(self) -> int:
         """Updates buffered since the last aggregation (scalar + block)."""
         if self.model is not None:
-            return len(self.aggregator) + self._partial_updates
+            return len(self.aggregator) + self._stacked_updates
         return len(self._contributors)
 
     @property
@@ -277,14 +282,15 @@ class AggregationService:
         self.trigger.on_update(self)
 
     def receive_block(self, block: MessageBlock) -> None:
-        """Columnar endpoint: buffer a whole round's updates in one fold.
+        """Columnar endpoint: buffer a block of updates for the next fold.
 
         Counters advance in bulk (one ``receive_log`` entry of the
-        block's size), and numeric payloads fold through
+        block's size), and numeric payloads are kept as stacked rows
+        that :meth:`aggregate_now` folds through
         :meth:`FedAvgPartial.from_arrays` — the exact primitive, so the
-        global model after :meth:`aggregate_now` is bit-identical to the
-        same updates streamed through :meth:`receive_message`, in any
-        scalar/block mix.  Empty blocks are ignored.
+        global model is bit-identical to the same updates streamed
+        through :meth:`receive_message`, in any scalar/block mix and
+        however the rows were cut into blocks.  Empty blocks are ignored.
         """
         n = len(block)
         if n == 0:
@@ -298,12 +304,8 @@ class AggregationService:
                     f"block for task {block.task_id!r} carries no stacked update "
                     "arrays but the service aggregates a model"
                 )
-            self._partials.append(
-                FedAvgPartial.from_arrays(
-                    block.update_weights, block.update_biases, block.n_samples
-                )
-            )
-            self._partial_updates += n
+            self._stacked.append((block.update_weights, block.update_biases, block.n_samples))
+            self._stacked_updates += n
         self._contributors.extend(block.device_ids)
         self._pending_sample_count += block.total_samples
         self.trigger.on_update(self)
@@ -335,12 +337,13 @@ class AggregationService:
             n_samples=n_samples,
         )
         if self.model is not None:
-            if self._partials:
-                parts = list(self._partials)
+            if self._stacked:
+                stacked, self._stacked = self._stacked, []
+                self._stacked_updates = 0
+                columns = stacked[0] if len(stacked) == 1 else map(np.concatenate, zip(*stacked))
+                parts = [FedAvgPartial.from_arrays(*columns)]
                 if len(self.aggregator):
                     parts.insert(0, self.aggregator.partial())
-                self._partials = []
-                self._partial_updates = 0
                 weights, bias, _ = FedAvgAggregator.merge(parts)
             else:
                 weights, bias, _ = self.aggregator.aggregate()

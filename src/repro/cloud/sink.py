@@ -6,15 +6,16 @@ the profiled bottleneck onto per-outcome cloud-side Python: one
 and one aggregation fold per simulated device.  SimDC's own cloud design
 treats aggregation as buffer-and-fold over whole rounds (§VI-C), so the
 delivery API mirrors that: an :class:`OutcomeSink` receives either one
-outcome at a time (``accept``) or a whole wave as a columnar block
-(``accept_block``), and :class:`CloudIngestSink` implements the full
-cloud path — storage, messaging, aggregation — for both granularities
-with byte-identical simulated results.
+outcome at a time (``accept``) or a columnar block (``accept_block``) —
+a whole plan's round for direct dispatch, one completion wave at a time
+when the task is shaped by DeviceFlow — and :class:`CloudIngestSink`
+implements the full cloud path — storage, messaging, aggregation — for
+both granularities with byte-identical simulated results.
 
 Scalar → block method map (see README, "Cloud tier"):
 
 ========================  ==============================
-per-device (scalar)       per-round (columnar block)
+per-device (scalar)       per-wave / per-round (block)
 ========================  ==============================
 ``sink.accept``           ``sink.accept_block``
 ``storage.put``           ``storage.put_block``
@@ -36,7 +37,7 @@ import numpy as np
 from repro.cloud.aggregation import AggregationService
 from repro.cloud.storage import ObjectStorage
 from repro.deviceflow.controller import DeviceFlow
-from repro.deviceflow.messages import Message, MessageBlock
+from repro.deviceflow.messages import Message, MessageBlock, payload_ref
 from repro.simkernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,13 +57,18 @@ class OutcomeSink(Protocol):
     * :meth:`accept` — one :class:`DeviceRoundOutcome` at a time, fired
       *as each device completes* (the generator path, benchmark phones,
       and any batched plan whose sink asks for streaming).
-    * :meth:`accept_block` — one :class:`ColumnarOutcomes` block per
-      batched plan, fired once at the block's last completion time.
+    * :meth:`accept_block` — one :class:`ColumnarOutcomes` block: a
+      batched plan's whole round, fired once at the block's last
+      completion time, or one completion wave of it (a zero-copy row
+      view), fired at the wave's time.
 
-    The optional class/instance attribute ``prefers_blocks`` (default
-    ``True`` when absent) tells a tier which granularity to use for
-    plans that support both; sinks that need per-device delivery (e.g.
-    anything feeding DeviceFlow mid-round) set it to ``False``.
+    Two optional class/instance attributes tell a tier which to use for
+    plans that support both: ``prefers_blocks`` (default ``True`` when
+    absent; ``False`` asks for per-device streaming) and
+    ``prefers_waves`` (default ``False``; ``True`` asks a
+    block-preferring tier for one block per wave instead of one per
+    plan — what a sink feeding DeviceFlow mid-round needs, since traffic
+    shaping must see arrivals when they happen).
     """
 
     def accept(self, outcome: DeviceRoundOutcome) -> None:
@@ -70,7 +76,7 @@ class OutcomeSink(Protocol):
         ...  # pragma: no cover - protocol
 
     def accept_block(self, block: ColumnarOutcomes) -> None:
-        """Ingest a whole batched plan's round as one columnar block."""
+        """Ingest a batched plan's round, or one wave of it, as one columnar block."""
         ...  # pragma: no cover - protocol
 
 
@@ -153,22 +159,24 @@ class CloudIngestSink:
     ``service.receive_message``.  Block delivery (:meth:`accept_block`)
     performs the same ingestion wholesale: one ``storage.put_block``
     stamped with the block's per-device completion times, one
-    :class:`MessageBlock`, one ``service.receive_block`` fold — with the
-    global model bit-identical to the scalar path by FedAvg partition
-    invariance.
+    :class:`MessageBlock`, then one ``deviceflow.submit_block`` or one
+    ``service.receive_block`` fold — with the global model bit-identical
+    to the scalar path by FedAvg partition invariance.
 
     Parameters
     ----------
     sim / task_id / storage / service:
         Cloud plumbing and the owning task.
     deviceflow:
-        When set, scalar outcomes are submitted to DeviceFlow instead of
-        delivered directly; traffic shaping samples per-device arrival
-        times mid-round, so a flow-connected sink always requests
-        streaming delivery (``prefers_blocks`` is forced ``False``).
+        When set, outcomes are submitted to DeviceFlow instead of
+        delivered directly, and :meth:`flow_receive` is the endpoint to
+        register as the task's DeviceFlow downstream.  Traffic shaping
+        samples arrival times mid-round, so a flow-connected sink asks
+        the tiers for one block per completion wave (``prefers_waves``)
+        rather than one per plan.
     prefer_blocks:
-        Ask batched plans for whole-round blocks (the default when no
-        DeviceFlow is attached).
+        Ask batched plans for columnar blocks (the default); ``False``
+        streams every outcome through :meth:`accept`.
     dedup:
         Arm the idempotent-ingestion table: every ``(device, round)``
         upload folds exactly once, duplicated/retried deliveries are
@@ -197,7 +205,8 @@ class CloudIngestSink:
         self.storage = storage
         self.service = service
         self.deviceflow = deviceflow
-        self.prefers_blocks = bool(prefer_blocks) and deviceflow is None
+        self.prefers_blocks = bool(prefer_blocks)
+        self.prefers_waves = deviceflow is not None
         self.dedup = bool(dedup)
         # ``trace_devices`` is False when a TransportChannel fronts this
         # sink — the channel records each device completion instead
@@ -246,56 +255,48 @@ class CloudIngestSink:
         self.delivered += 1
         return True
 
-    def _admit_block(self, block: ColumnarOutcomes) -> list[int] | None:
-        """Gate a whole block; ``None`` means every row was admitted."""
-        deadline = self._deadlines.get(block.round_index)
-        if not self.dedup:
-            if deadline is None:
-                self.delivered += len(block)
-                return None
-            late = np.asarray(block.finished_at) >= deadline
-            n_late = int(late.sum())
-            if n_late == 0:
-                self.delivered += len(block)
-                return None
-            self.late_drops += n_late
-            if self.tracer is not None:
-                for position in np.flatnonzero(late):
-                    self.tracer.record_ingest_drop(
-                        self.task_id,
-                        block.plan.assignments[position].device_id,
-                        block.round_index,
-                        float(block.finished_at[position]),
-                        "late",
-                    )
-            keep = np.flatnonzero(~late).tolist()
-            self.delivered += len(keep)
-            return keep
-        keep = []
-        dropped = False
-        for position, assignment in enumerate(block.plan.assignments):
-            when = float(block.finished_at[position])
-            if deadline is not None and when >= deadline:
-                self.late_drops += 1
-                dropped = True
-                if self.tracer is not None:
-                    self.tracer.record_ingest_drop(
-                        self.task_id, assignment.device_id, block.round_index, when, "late"
-                    )
-                continue
-            key = (assignment.device_id, block.round_index)
-            if key in self._seen:
-                self.duplicate_drops += 1
-                dropped = True
-                if self.tracer is not None:
-                    self.tracer.record_ingest_drop(
-                        self.task_id, assignment.device_id, block.round_index, when, "duplicate"
-                    )
-                continue
-            self._seen.add(key)
-            keep.append(position)
-        self.delivered += len(keep)
-        return keep if dropped else None
+    def _admit_rows(self, device_ids, round_index: int, when) -> np.ndarray | None:
+        """Gate a block's rows; ``None`` means every row was admitted.
+
+        ``when`` holds the rows' arrival times: the per-row completion
+        times of a direct block, or the one instant (``sim.now``) a
+        DeviceFlow delivery chunk arrives at — so a chunk's late check is
+        a single comparison.  Dedup runs per row, and only when armed.
+        Otherwise returns the boolean mask of admitted rows.
+        """
+        n = len(device_ids)
+        deadline = self._deadlines.get(round_index)
+        if deadline is None and not self.dedup:
+            self.delivered += n
+            return None
+        times = np.broadcast_to(np.asarray(when, dtype=np.float64), (n,))
+        late = times >= deadline if deadline is not None else np.zeros(n, dtype=bool)
+        duplicate = np.zeros(n, dtype=bool)
+        if self.dedup:
+            seen = self._seen
+            for position in np.flatnonzero(~late).tolist():
+                key = (device_ids[position], round_index)
+                if key in seen:
+                    duplicate[position] = True
+                else:
+                    seen.add(key)
+        dropped = late | duplicate
+        n_dropped = int(np.count_nonzero(dropped))
+        self.delivered += n - n_dropped
+        if n_dropped == 0:
+            return None
+        self.late_drops += int(np.count_nonzero(late))
+        self.duplicate_drops += int(np.count_nonzero(duplicate))
+        if self.tracer is not None:
+            for position in np.flatnonzero(dropped).tolist():
+                self.tracer.record_ingest_drop(
+                    self.task_id,
+                    device_ids[position],
+                    round_index,
+                    float(times[position]),
+                    "late" if late[position] else "duplicate",
+                )
+        return ~dropped
 
     # ------------------------------------------------------------------
     def accept(self, outcome: DeviceRoundOutcome) -> None:
@@ -321,7 +322,7 @@ class CloudIngestSink:
         self._ingest(outcome)
 
     def _ingest(self, outcome: DeviceRoundOutcome) -> None:
-        ref = f"{self.task_id}/{outcome.device_id}/r{outcome.round_index}"
+        ref = payload_ref(self.task_id, outcome.device_id, outcome.round_index)
         if outcome.update is not None:
             self.storage.put(
                 ref, outcome.update, outcome.payload_bytes, now=self.sim.now,
@@ -342,7 +343,12 @@ class CloudIngestSink:
             self.service.receive_message(message)
 
     def accept_block(self, block: ColumnarOutcomes) -> None:
-        """Whole-round ingestion: one put, one message block, one fold."""
+        """Block ingestion: one put, one message block, one submit or fold.
+
+        ``block`` is a batched plan's whole round (direct tasks) or one
+        completion wave of it, delivered at the wave's time (tasks
+        shaped by DeviceFlow).
+        """
         n = len(block)
         if n == 0:
             return
@@ -350,21 +356,22 @@ class CloudIngestSink:
             # O(1): the tracer keeps a reference to the columnar block
             # and expands it to per-device records at assembly time.
             self.tracer.record_block(self.task_id, block)
+        round_index = block.round_index
+        device_ids = block.device_ids
         if self._guarded and self.deviceflow is None:
-            keep = self._admit_block(block)
+            keep = self._admit_rows(device_ids, round_index, block.finished_at)
             if keep is not None:
                 # Rows were dropped: ingest the survivors per device (in
                 # block order).  The exact-sum fold makes the aggregate
                 # bit-identical to a filtered block ingest.
                 outcomes = block.materialize()
-                for position in keep:
+                for position in np.flatnonzero(keep).tolist():
                     self._ingest(outcomes[position])
                 return
-        round_index = block.round_index
-        device_ids = [a.device_id for a in block.plan.assignments]
-        refs = [f"{self.task_id}/{d}/r{round_index}" for d in device_ids]
         has_updates = block.update_weights is not None and block.update_biases is not None
+        refs = None  # time-only traffic stores nothing: the keys stay implicit
         if has_updates:
+            refs = [payload_ref(self.task_id, d, round_index) for d in device_ids]
             self.storage.put_block(
                 refs,
                 _BlockUpdateView(block),
@@ -390,15 +397,26 @@ class CloudIngestSink:
             self.service.receive_block(message_block)
 
     # ------------------------------------------------------------------
-    def flow_receive(self, message: Message) -> None:
+    def flow_receive(self, segment: Message | MessageBlock) -> None:
         """DeviceFlow downstream endpoint with the ingestion gate applied.
 
-        Flow-dispatched messages reach the cloud at dispatcher delivery
-        time, so the late/duplicate check runs against ``sim.now`` here
-        rather than at outcome production.
+        Receives what the dispatcher delivers: the :class:`Message` of a
+        scalar submission, or a :class:`MessageBlock` of rows that were
+        submitted as blocks.  Flow-dispatched traffic reaches the cloud
+        at dispatcher delivery time, so the late/duplicate check runs
+        against ``sim.now`` here rather than at outcome production —
+        once for a whole block, whose rows all arrive at this instant.
         """
-        if self._guarded and not self._admit(
-            message.device_id, message.round_index, self.sim.now
-        ):
+        if isinstance(segment, Message):
+            if not self._guarded or self._admit(
+                segment.device_id, segment.round_index, self.sim.now
+            ):
+                self.service.receive_message(segment)
             return
-        self.service.receive_message(message)
+        if self._guarded:
+            keep = self._admit_rows(segment.device_ids, segment.round_index, self.sim.now)
+            if keep is not None:
+                if not keep.any():
+                    return
+                segment = segment.compress(keep)
+        self.service.receive_block(segment)

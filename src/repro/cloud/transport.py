@@ -255,7 +255,9 @@ class TransportChannel:
         self.task_id = task_id
         self.scope = scope
         self.tracer = tracer
+        # Ask the tiers for whatever granularity the fronted sink wants.
         self.prefers_blocks = bool(getattr(inner, "prefers_blocks", True))
+        self.prefers_waves = bool(getattr(inner, "prefers_waves", False))
         self.pool = TimeoutPool(sim, name=f"transport.{task_id}")
         self.totals = TransportCounters()
         self.round = TransportCounters()

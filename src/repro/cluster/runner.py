@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable, Generator
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +27,30 @@ from repro.ml.operators import BlockOperatorContext, OperatorFlow
 from repro.simkernel import AllOf, RandomStreams, Signal, Simulator, Timeout, TimeoutPool
 
 
+class PlanColumns:
+    """Per-device columns of a plan's ``assignments``, built once on first use.
+
+    Completion waves address devices by row: these are the columns every
+    wave view of a :class:`ColumnarOutcomes` block slices, so no wave
+    walks the assignment objects.  Assignments are fixed once a plan is
+    constructed.
+    """
+
+    assignments: list[DeviceAssignment]
+
+    @cached_property
+    def device_ids(self) -> list[str]:
+        """Device ids in assignment (row) order."""
+        return [assignment.device_id for assignment in self.assignments]
+
+    @cached_property
+    def n_samples(self) -> np.ndarray:
+        """FedAvg sample counts in assignment (row) order."""
+        return np.array([a.n_samples for a in self.assignments], dtype=np.int64)
+
+
 @dataclass
-class GradeExecutionPlan:
+class GradeExecutionPlan(PlanColumns):
     """Everything the logical tier needs to simulate one device grade.
 
     Attributes
@@ -87,24 +110,6 @@ class GradeExecutionPlan:
         return self._dataset_bytes
 
 
-def package_update(
-    plan: GradeExecutionPlan,
-    round_index: int,
-    assignment: DeviceAssignment,
-    weights_row: np.ndarray,
-    bias: float,
-) -> ModelUpdate:
-    """Package one device's trained row exactly as the generator path does."""
-    return ModelUpdate(
-        device_id=assignment.device_id,
-        round_index=round_index,
-        weights=weights_row.copy(),
-        bias=float(bias),
-        n_samples=assignment.n_samples,
-        metadata={"grade": plan.grade, "backend": plan.backend.name},
-    )
-
-
 @dataclass
 class ColumnarOutcomes:
     """Outcomes of one batched plan stored as arrays, not objects.
@@ -119,6 +124,10 @@ class ColumnarOutcomes:
     objects.  Blocks materialize to :class:`DeviceRoundOutcome` objects
     lazily — the 100k scalability sweeps never pay for 100k dataclass
     constructions.
+
+    A *wave* — the rows of the plan that finish at one simulated instant
+    — is a zero-copy :meth:`view` of the plan's block: ``rows`` names the
+    plan rows it covers and every array is a slice of the parent's.
     """
 
     plan: GradeExecutionPlan
@@ -127,13 +136,59 @@ class ColumnarOutcomes:
     finished_at: np.ndarray
     update_weights: np.ndarray | None = None  # (n_devices, feature_dim)
     update_biases: np.ndarray | None = None  # (n_devices,)
+    #: Plan rows this block covers; ``None`` means the whole plan.
+    rows: slice | None = None
 
     def __len__(self) -> int:
         return len(self.finished_at)
 
+    def view(self, rows: slice) -> ColumnarOutcomes:
+        """The block of the plan rows ``rows``, sharing this block's arrays."""
+        if self.rows is not None:
+            raise ValueError("views are taken of a whole-plan block")
+        return ColumnarOutcomes(
+            plan=self.plan,
+            round_index=self.round_index,
+            payload_bytes=self.payload_bytes,
+            finished_at=self.finished_at[rows],
+            update_weights=None if self.update_weights is None else self.update_weights[rows],
+            update_biases=None if self.update_biases is None else self.update_biases[rows],
+            rows=rows,
+        )
+
+    @property
+    def assignments(self) -> list[DeviceAssignment]:
+        """The devices of this block, in block order."""
+        assignments = self.plan.assignments
+        return assignments if self.rows is None else assignments[self.rows]
+
+    # A whole-plan block is asked for its columns once a round, so it
+    # builds them on the spot, as it always has; waves are asked thousands
+    # of times a round and slice the plan's cached columns instead (16
+    # bytes a device, which a plan that never emits waves never pays).
+    @property
+    def device_ids(self) -> list[str]:
+        """Device ids in block order."""
+        if self.rows is None:
+            return [assignment.device_id for assignment in self.plan.assignments]
+        return self.plan.device_ids[self.rows]
+
     def n_samples_array(self) -> np.ndarray:
         """Per-device FedAvg sample counts, in block (assignment) order."""
-        return np.array([a.n_samples for a in self.plan.assignments], dtype=np.int64)
+        if self.rows is None:
+            return np.array([a.n_samples for a in self.plan.assignments], dtype=np.int64)
+        return self.plan.n_samples[self.rows]
+
+    def _package(self, assignment: DeviceAssignment, position: int) -> ModelUpdate:
+        """One device's trained row, packaged exactly as the generator path does."""
+        return ModelUpdate(
+            device_id=assignment.device_id,
+            round_index=self.round_index,
+            weights=self.update_weights[position].copy(),
+            bias=float(self.update_biases[position]),
+            n_samples=assignment.n_samples,
+            metadata={"grade": self.plan.grade, "backend": self.plan.backend.name},
+        )
 
     def update_at(self, position: int) -> ModelUpdate | None:
         """Materialize one device's :class:`ModelUpdate` (``None`` if time-only).
@@ -144,13 +199,9 @@ class ColumnarOutcomes:
         """
         if self.update_weights is None or self.update_biases is None:
             return None
-        return package_update(
-            self.plan,
-            self.round_index,
-            self.plan.assignments[position],
-            self.update_weights[position],
-            self.update_biases[position],
-        )
+        assignments = self.plan.assignments
+        row = position if self.rows is None else range(len(assignments))[self.rows][position]
+        return self._package(assignments[row], position)
 
     def materialize(self) -> list[DeviceRoundOutcome]:
         """Build the outcome objects in block (assignment) order.
@@ -160,6 +211,7 @@ class ColumnarOutcomes:
         times across phones need not be sorted — sort on ``finished_at`` if
         chronology matters.
         """
+        numeric = self.update_weights is not None and self.update_biases is not None
         return [
             DeviceRoundOutcome(
                 device_id=assignment.device_id,
@@ -167,11 +219,11 @@ class ColumnarOutcomes:
                 round_index=self.round_index,
                 n_samples=assignment.n_samples,
                 payload_bytes=self.payload_bytes,
-                update=self.update_at(position),
+                update=self._package(assignment, position) if numeric else None,
                 finished_at=float(time),
             )
             for position, (assignment, time) in enumerate(
-                zip(self.plan.assignments, self.finished_at)
+                zip(self.assignments, self.finished_at)
             )
         ]
 
@@ -360,16 +412,22 @@ class LogicalSimulation:
 
         ``sink`` receives results through the
         :class:`~repro.cloud.sink.OutcomeSink` protocol.  Delivery
-        granularity follows the sink's ``prefers_blocks`` attribute:
+        granularity follows the sink's ``prefers_blocks`` /
+        ``prefers_waves`` attributes:
 
         * block-preferring sinks (the default, e.g.
           :class:`~repro.cloud.sink.CloudIngestSink` without DeviceFlow)
           get one ``accept_block`` per batched plan at its last
           completion time; generator-path plans still stream ``accept``
           per device.
+        * wave-preferring sinks (``prefers_waves = True``: a
+          ``CloudIngestSink`` feeding DeviceFlow) get one ``accept_block``
+          per completion wave *at the wave's time* — a zero-copy row view
+          of the plan's block — so traffic shaping sees arrivals
+          mid-round without any per-device object.
         * streaming sinks (``prefers_blocks = False``, e.g.
           :class:`~repro.cloud.sink.CallbackSink`) get ``accept`` per
-          device *as results complete* — what feeds DeviceFlow mid-round.
+          device *as results complete*.
         * ``sink=None`` records columnar blocks with no delivery at all
           (the 100k-device sweeps: no per-device objects or events).
 
@@ -541,14 +599,16 @@ class LogicalSimulation:
         cumsum uses the model-update payload, exactly as the generator
         path pays ``transfer_duration(update.payload_bytes())`` per device.
 
-        With a ``collect`` callback the sequence drains wave by wave,
-        emitting outcomes in the generator path's order; without one the
-        entire plan becomes a single pooled deadline at its last completion
-        time plus a columnar block — no per-device objects, no per-device
-        events, and (in sharded workers) no per-device Python at all beyond
-        the vectorized wave math.  A ``block_sink`` receives that block via
-        ``accept_block`` the moment it is recorded (the cloud ingests the
-        whole round in one fold).
+        A plan-block ``block_sink`` (or none) turns the entire plan into a
+        single pooled deadline at its last completion time plus a columnar
+        block — no per-device objects, no per-device events, and (in
+        sharded workers) no per-device Python at all beyond the vectorized
+        wave math; the sink receives that block via ``accept_block`` the
+        moment it is recorded (the cloud ingests the whole round in one
+        fold).  Otherwise the sequence drains wave by wave: a
+        wave-preferring ``block_sink`` is handed each wave as a row view
+        of the block at the wave's time, a ``collect`` callback the
+        wave's outcomes one by one in the generator path's order.
         """
         total = len(plan.assignments)
         if total == 0:
@@ -582,20 +642,21 @@ class LogicalSimulation:
             counts[-1] = remainder
         merged = np.repeat(wave_times, counts)
 
+        block = ColumnarOutcomes(
+            plan=plan,
+            round_index=round_index,
+            payload_bytes=upload_bytes,
+            finished_at=merged,
+            update_weights=update_weights,
+            update_biases=update_biases,
+        )
+
         def count_completions() -> None:
             for a, actor in enumerate(actors):
                 actor.devices_completed += full_waves + (1 if a < remainder else 0)
 
-        if collect is None:
+        if collect is None and not getattr(block_sink, "prefers_waves", False):
             def fire_all() -> None:
-                block = ColumnarOutcomes(
-                    plan=plan,
-                    round_index=round_index,
-                    payload_bytes=upload_bytes,
-                    finished_at=merged,
-                    update_weights=update_weights,
-                    update_biases=update_biases,
-                )
                 result.columnar.append(block)
                 count_completions()
                 if block_sink is not None:
@@ -605,29 +666,17 @@ class LogicalSimulation:
             self._pool.add_at(float(merged[-1]), fire_all)
             return
 
-        assignments = plan.assignments
-
         def fire(lo: int, hi: int, _t: float) -> None:
-            for pos in range(lo, hi):
-                assignment = assignments[pos]
-                actors[pos % n_actors].devices_completed += 1
-                update = None
-                if update_weights is not None and update_biases is not None:
-                    update = package_update(
-                        plan, round_index, assignment, update_weights[pos], update_biases[pos]
-                    )
-                collect(
-                    DeviceRoundOutcome(
-                        device_id=assignment.device_id,
-                        grade=assignment.grade,
-                        round_index=round_index,
-                        n_samples=assignment.n_samples,
-                        payload_bytes=upload_bytes,
-                        update=update,
-                        finished_at=float(merged[pos]),
-                    )
-                )
+            wave = block.view(slice(lo, hi))
+            if collect is None:
+                block_sink.accept_block(wave)
+            else:
+                for outcome in wave.materialize():
+                    collect(outcome)
             if hi == total:
+                count_completions()
+                if collect is None:
+                    result.columnar.append(block)
                 plan_done()
 
         self._pool.add_sequence(merged, fire)

@@ -50,11 +50,12 @@ class PlatformConfig:
         paths (default).  ``False`` restores the per-device generator
         processes — bit-identical simulated results, much slower.
     cloud_blocks:
-        Ingest each batched plan's round into the cloud tier as one
-        columnar block (``put_block`` / ``receive_block``) instead of a
-        per-device put + message + fold.  ``None`` (default) follows
-        ``batch``.  Flow tasks always stream per-device regardless;
-        reports are byte-identical either way.
+        Ingest batched plans' rounds into the cloud tier as columnar
+        blocks (``put_block`` / ``receive_block``; one block per
+        completion wave through ``DeviceFlow.submit_block`` for flow
+        tasks) instead of a per-device put + message + fold.  ``None``
+        (default) follows ``batch``; reports are byte-identical either
+        way.
     """
 
     seed: int = 0

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 from repro.deviceflow.dispatcher import Dispatcher
 from repro.deviceflow.messages import Message, MessageBlock
-from repro.deviceflow.shelf import Shelf
+from repro.deviceflow.shelf import Segment, Shelf
 from repro.deviceflow.sorter import Sorter
 from repro.deviceflow.strategy import DispatchStrategy
 from repro.simkernel import RandomStreams, Simulator
@@ -39,7 +39,9 @@ class DeviceFlow:
     """The device behaviour traffic controller.
 
     Tasks register a strategy plus a downstream endpoint; the compute
-    tiers submit messages; the platform signals round boundaries.  Every
+    tiers submit messages — one at a time (:meth:`submit`) or a
+    completion wave at a time (:meth:`submit_block`), through the same
+    shelf and send queue; the platform signals round boundaries.  Every
     task gets an isolated shelf + dispatcher pair, so "the dispatch
     processes of different tasks remain isolated and do not interfere".
 
@@ -55,8 +57,10 @@ class DeviceFlow:
     tracer:
         Optional :class:`~repro.observability.tracing.Tracer`: shelve
         times are recorded at submission and delivery times by wrapping
-        each task's downstream endpoint.  Recording is append-only and
-        draws nothing, so traced flows stay byte-identical.
+        each task's downstream endpoint — one segment reference per
+        submission / delivered segment, expanded to devices when the
+        trace is assembled.  Recording is append-only and draws nothing,
+        so traced flows stay byte-identical.
     """
 
     def __init__(
@@ -82,19 +86,23 @@ class DeviceFlow:
         self,
         task_id: str,
         strategy: DispatchStrategy,
-        downstream: Callable[[Message], None],
+        downstream: Callable[[Segment], None],
     ) -> Dispatcher:
-        """Create the task's shelf + dispatcher; returns the dispatcher."""
+        """Create the task's shelf + dispatcher; returns the dispatcher.
+
+        ``downstream`` is called with every delivered segment: the
+        :class:`Message` of a scalar :meth:`submit`, or a
+        :class:`MessageBlock` of rows that arrived by :meth:`submit_block`
+        (a task fed only scalar messages only ever sees messages).
+        """
         if task_id in self._dispatchers:
             raise ValueError(f"task {task_id!r} already registered with DeviceFlow")
         if self.tracer is not None:
             tracer, sim, inner = self.tracer, self.sim, downstream
 
-            def traced_downstream(message: Message) -> None:
-                tracer.record_flow_delivery(
-                    message.task_id, message.device_id, message.round_index, sim.now
-                )
-                inner(message)
+            def traced_downstream(segment: Segment) -> None:
+                tracer.record_flow_delivery(segment, sim.now)
+                inner(segment)
 
             downstream = traced_downstream
         shelf = Shelf(task_id)
@@ -118,8 +126,7 @@ class DeviceFlow:
             raise RuntimeError(
                 f"task {task_id!r} still has {len(dispatcher.shelf)} shelved messages"
             )
-        self.sorter.unregister_shelf(task_id)
-        del self._dispatchers[task_id]
+        self._forget(task_id)
 
     def force_unregister(self, task_id: str) -> int:
         """Detach a crashed task, discarding shelved messages.
@@ -127,11 +134,17 @@ class DeviceFlow:
         Returns the number of messages discarded.  Already-scheduled
         dispatch callbacks become no-ops (the shelf is empty).
         """
-        dispatcher = self._require(task_id)
-        discarded = len(dispatcher.shelf.take_all())
+        shelf = self._require(task_id).shelf
+        discarded = len(shelf)
+        shelf.take_all()
+        self._forget(task_id)
+        return discarded
+
+    def _forget(self, task_id: str) -> None:
+        """Drop every piece of per-task state the controller holds."""
         self.sorter.unregister_shelf(task_id)
         del self._dispatchers[task_id]
-        return discarded
+        del self._received[task_id]
 
     def discard_shelved(self, task_id: str) -> int:
         """Drop a task's shelved messages (deadline-based round closure).
@@ -141,9 +154,10 @@ class DeviceFlow:
         cloud).  Returns the number of messages discarded.
         """
         dispatcher = self._require(task_id)
-        messages = dispatcher.shelf.take_all()
-        dispatcher.dropped_discard += len(messages)
-        return len(messages)
+        discarded = len(dispatcher.shelf)
+        dispatcher.shelf.take_all()
+        dispatcher.dropped_discard += discarded
+        return discarded
 
     def dispatcher_for(self, task_id: str) -> Dispatcher:
         """The task's dispatcher (for inspection / monitoring)."""
@@ -159,41 +173,32 @@ class DeviceFlow:
     # ------------------------------------------------------------------
     def submit(self, message: Message) -> None:
         """Accept a message from a compute tier (stamps arrival time)."""
-        dispatcher = self._require(message.task_id)
-        message.created_at = self.sim.now
-        if self.tracer is not None:
-            self.tracer.record_flow_submit(
-                message.task_id, message.device_id, message.round_index, self.sim.now
-            )
-        self.sorter.route(message)
-        self._received[message.task_id] += 1
-        dispatcher.on_message(message)
+        self._submit(message)
 
     def submit_block(self, block: MessageBlock) -> int:
-        """Accept a whole round's messages as one columnar block.
+        """Accept a whole completion wave as one columnar block.
 
-        The block materializes to per-device messages (shelving and
-        delivery stay per-device — the cloud endpoint is unchanged), but
-        bookkeeping runs in bulk: one arrival stamp, one shelf extend,
-        one received-counter bump and ONE strategy notification for the
-        whole block.  The shelved messages equal ``block.messages()``
-        submitted back-to-back at this instant; strategies that react per
-        arrival therefore see one burst instead of ``n`` ticks, which is
-        why tiers feeding mid-round traffic shaping keep the scalar
-        :meth:`submit` path.  Returns the number of messages shelved.
+        Exactly ``block.messages()`` submitted back to back at this
+        instant — same shelf order, same dispatch groups, same dropout
+        draws, same delivery times (see the conventions in
+        :mod:`repro.deviceflow.dispatcher`) — but the rows stay columnar
+        all the way: one arrival stamp, one shelf append, one strategy
+        notification, and the registered downstream endpoint receives
+        them as :class:`MessageBlock` row ranges.  Returns the number of
+        messages shelved.
         """
-        dispatcher = self._require(block.task_id)
-        block.created_at = self.sim.now
-        messages = block.messages(created_at=self.sim.now)
+        return self._submit(block)
+
+    def _submit(self, segment: Segment) -> int:
+        dispatcher = self._require(segment.task_id)
+        segment.created_at = self.sim.now
         if self.tracer is not None:
-            for message in messages:
-                self.tracer.record_flow_submit(
-                    message.task_id, message.device_id, message.round_index, self.sim.now
-                )
-        self.sorter.route_block(block.task_id, messages)
-        self._received[block.task_id] += len(messages)
-        dispatcher.on_block(len(messages))
-        return len(messages)
+            self.tracer.record_flow_submit(segment, self.sim.now)
+        rows = self.sorter.route(segment)
+        if rows:
+            self._received[segment.task_id] += rows
+            dispatcher.on_message(segment)
+        return rows
 
     # ------------------------------------------------------------------
     # control plane (round lifecycle from the platform)

@@ -10,17 +10,48 @@ Transmission is single-threaded and rate-limited (the paper's example
 capacity: 700 messages per second), so a burst dispatched "at" one time
 point reaches the cloud spread over the following instants — exactly the
 effect visible in Fig. 10(b).
+
+Conventions (what makes block traffic equal message-by-message traffic)
+-----------------------------------------------------------------------
+The shelf and the send queue hold *segments* — single messages or row
+ranges of :class:`~repro.deviceflow.messages.MessageBlock` — and every
+operation below is defined on rows, so a block of ``n`` rows behaves
+exactly like its ``n`` messages submitted back to back.  The per-message
+semantics are kept executable in ``tests/reference/deviceflow_reference.py``
+and a differential test holds this module to them.
+
+* **Wave-atomic arrival.**  Everything submitted at one simulated
+  instant has arrived before anything else happens at that instant: a
+  strategy that reacts to arrivals sees the post-wave shelf once.  FIFO
+  dispatch groups depend only on shelf order and the strategy's own
+  state, so reacting once after ``n`` rows selects the same groups as
+  reacting after each row; and a transmission chunk's membership is
+  fixed when the sender *starts* it, which is a later kernel event than
+  the arrival callback either way.
+* **Draw order.**  Dropout consumes the dispatcher's generator in FIFO
+  row order: per dispatch group, first one ``rng.choice`` over the
+  group's row indices (``discard_count``), then one uniform per
+  remaining row (``failure_prob``).  ``Generator.random(n)`` equals
+  ``n`` successive single draws, so a burst that crosses ``k``
+  thresholds draws once for the concatenated rows, logs ``k``
+  ``dispatch_log`` rows and is enqueued once (:meth:`Dispatcher.dispatch`
+  with ``group_sizes``).
+* **Delivery.**  The downstream endpoint is called once per segment of a
+  delivered chunk, in FIFO order, after adjacent compatible blocks were
+  coalesced: a ``Message`` for scalar submissions, one ``MessageBlock``
+  per run of block rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.deviceflow.messages import Message
-from repro.deviceflow.shelf import Shelf
+from repro.deviceflow.messages import MessageBlock
+from repro.deviceflow.shelf import Segment, SegmentQueue, Shelf
 from repro.simkernel import Signal, Simulator, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,8 +70,9 @@ class Dispatcher:
     strategy:
         User-defined dispatch behaviour.
     downstream:
-        Callback receiving each delivered :class:`Message` (the cloud
-        service endpoint).
+        The cloud service endpoint, called with each delivered segment:
+        a :class:`Message` per scalar submission, a :class:`MessageBlock`
+        per coalesced run of block rows.
     capacity_per_second:
         Single-threaded transmission capacity.
     rng:
@@ -56,7 +88,7 @@ class Dispatcher:
         sim: Simulator,
         shelf: Shelf,
         strategy: DispatchStrategy,
-        downstream: Callable[[Message], None],
+        downstream: Callable[[Segment], None],
         capacity_per_second: float = 700.0,
         rng: np.random.Generator | None = None,
     ) -> None:
@@ -76,10 +108,7 @@ class Dispatcher:
         self.dropped_discard = 0
         self.dispatch_log: list[tuple[float, int]] = []
         self.delivery_log: list[tuple[float, int]] = []
-        # Batched FIFO: messages append at the tail, transmission consumes
-        # chunk-sized slices from a moving head cursor (no per-message pops).
-        self._send_queue: list[Message] = []
-        self._send_head = 0
+        self._send_queue = SegmentQueue()
         self._sender_busy = False
         self.idle = Signal(name=f"dispatcher.{shelf.task_id}.idle")
         self.idle.fire()  # starts idle
@@ -88,16 +117,11 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # controller-facing lifecycle
     # ------------------------------------------------------------------
-    def on_message(self, message: Message) -> None:
-        """A message just landed on the shelf."""
-        self.strategy.on_message(self)
+    def on_message(self, segment: Segment) -> None:
+        """A message or block just landed on the shelf.
 
-    def on_block(self, count: int) -> None:
-        """A whole block of ``count`` messages just landed on the shelf.
-
-        Strategies are notified once per block rather than once per
-        message — block arrival is atomic, so accumulation-style
-        strategies observe the post-block shelf state directly.
+        Strategies are notified once per arrival, whatever its row
+        count (see "Wave-atomic arrival" in the module docstring).
         """
         self.strategy.on_message(self)
 
@@ -122,11 +146,11 @@ class Dispatcher:
         """Messages currently buffered."""
         return len(self.shelf)
 
-    def take(self, count: int) -> list[Message]:
-        """Pull up to ``count`` oldest messages off the shelf."""
+    def take(self, count: int) -> list[Segment]:
+        """Pull up to ``count`` oldest messages off the shelf, as segments."""
         return self.shelf.take(count)
 
-    def take_all(self) -> list[Message]:
+    def take_all(self) -> list[Segment]:
         """Drain the shelf."""
         return self.shelf.take_all()
 
@@ -140,45 +164,92 @@ class Dispatcher:
 
     def dispatch(
         self,
-        messages: list[Message],
+        batch: list[Segment],
         failure_prob: float = 0.0,
         discard_count: int = 0,
+        group_sizes: list[int] | None = None,
     ) -> tuple[int, int]:
         """Apply dropout and enqueue survivors for transmission.
 
-        Returns ``(sent, dropped)``.  Dropout semantics follow §V-B: a
-        uniformly random selection of ``discard_count`` messages is
-        discarded, then each remaining message independently fails with
-        ``failure_prob``.
+        Returns ``(sent, dropped)`` in messages.  Dropout semantics
+        follow §V-B: a uniformly random selection of ``discard_count``
+        messages is discarded, then each remaining message independently
+        fails with ``failure_prob``.
+
+        ``group_sizes`` splits the batch (in FIFO order) into consecutive
+        dispatch groups that share this instant: each group is logged as
+        its own ``dispatch_log`` row, exactly as if it had been
+        dispatched by its own call, while the failure draws and the
+        enqueue happen once for all of them.
         """
         if not 0.0 <= failure_prob <= 1.0:
             raise ValueError("failure_prob must be in [0, 1]")
         if discard_count < 0:
             raise ValueError("discard_count must be >= 0")
-        if not messages:
+        if not batch:
             return (0, 0)
-        survivors = list(messages)
+        sizes = [segment.rows for segment in batch]
+        total = sent = sum(sizes)
+        if group_sizes is not None and sum(group_sizes) != total:
+            raise ValueError(f"group_sizes cover {sum(group_sizes)} of the batch's {total} messages")
+        keep: np.ndarray | None = None  # per-row survivor mask; None = all survive
         if discard_count > 0:
-            keep = max(0, len(survivors) - discard_count)
-            kept_idx = sorted(self.rng.choice(len(survivors), size=keep, replace=False))
-            self.dropped_discard += len(survivors) - keep
-            survivors = [survivors[i] for i in kept_idx]
-        if failure_prob > 0.0 and survivors:
-            mask = self.rng.random(len(survivors)) >= failure_prob
-            self.dropped_failure += int((~mask).sum())
-            survivors = [m for m, ok in zip(survivors, mask) if ok]
-        dropped = len(messages) - len(survivors)
-        if survivors:
-            self.dispatched += len(survivors)
-            self.dispatch_log.append((self.sim.now, len(survivors)))
-            self._enqueue(survivors)
-        return (len(survivors), dropped)
+            if group_sizes is not None:
+                raise ValueError("discard_count applies to one dispatch group at a time")
+            sent = max(0, total - discard_count)
+            keep = np.zeros(total, dtype=bool)
+            keep[self.rng.choice(total, size=sent, replace=False)] = True
+            self.dropped_discard += total - sent
+        if failure_prob > 0.0 and sent:
+            delivered = self.rng.random(sent) >= failure_prob
+            if keep is None:
+                keep = delivered
+            else:
+                keep[keep] = delivered
+            survivors = int(np.count_nonzero(delivered))
+            self.dropped_failure += sent - survivors
+            sent = survivors
+        if keep is not None:
+            batch = self._select(batch, sizes, keep)
+        if sent:
+            now = self.sim.now
+            if group_sizes is None or len(group_sizes) == 1:
+                self.dispatch_log.append((now, sent))
+            else:
+                counts = group_sizes
+                if keep is not None:
+                    ends = np.array(group_sizes).cumsum()
+                    counts = np.add.reduceat(keep, ends - group_sizes, dtype=np.intp).tolist()
+                self.dispatch_log.extend(zip(repeat(now), filter(None, counts)))
+            self.dispatched += sent
+            self._enqueue(batch, sent)
+        return (sent, total - sent)
+
+    @staticmethod
+    def _select(batch: list[Segment], sizes: list[int], keep: np.ndarray) -> list[Segment]:
+        """The segments of ``batch`` reduced to the rows ``keep`` marks."""
+        survivors: list[Segment] = []
+        flags = keep.tolist()
+        start = 0
+        for segment, rows in zip(batch, sizes):
+            if rows == 1:
+                if flags[start]:
+                    survivors.append(segment)
+            else:
+                mask = keep[start : start + rows]
+                kept = int(np.count_nonzero(mask))
+                if kept == rows:
+                    survivors.append(segment)
+                elif kept:
+                    survivors.append(segment.compress(mask))
+            start += rows
+        return survivors
 
     # ------------------------------------------------------------------
     # rate-limited transmission
     # ------------------------------------------------------------------
-    def _enqueue(self, messages: list[Message]) -> None:
-        self._send_queue.extend(messages)
+    def _enqueue(self, segments: list[Segment], rows: int) -> None:
+        self._send_queue.extend(segments, rows)
         if not self._sender_busy:
             self._sender_busy = True
             self.idle = Signal(name=f"dispatcher.{self.shelf.task_id}.idle")
@@ -187,29 +258,22 @@ class Dispatcher:
     def _sender(self) -> Generator:
         """Rate-limited transmission loop, one chunk per simulated hop.
 
-        Each chunk is extracted as one list slice — batch-aware in the
-        DCSim sense — while keeping the seed semantics exactly: a chunk's
+        Each chunk is extracted as row ranges — batch-aware in the DCSim
+        sense — while keeping the seed semantics exactly: a chunk's
         membership is decided when its transmission *starts*, so messages
         dispatched while a chunk is in flight join the stream right behind
         it.
         """
         chunk_capacity = max(1, int(round(self.capacity_per_second * self.CHUNK_SECONDS)))
-        while self._send_head < len(self._send_queue):
-            head = self._send_head
-            chunk = self._send_queue[head : head + chunk_capacity]
-            self._send_head = head + len(chunk)
-            yield Timeout(len(chunk) / self.capacity_per_second)
-            for message in chunk:
-                self.downstream(message)
-            self.delivered += len(chunk)
-            self.delivery_log.append((self.sim.now, len(chunk)))
-            # Compact the consumed prefix once it dominates the buffer so a
-            # long-lived dispatcher doesn't retain every delivered message.
-            if self._send_head > 4096 and 2 * self._send_head >= len(self._send_queue):
-                del self._send_queue[: self._send_head]
-                self._send_head = 0
-        self._send_queue.clear()
-        self._send_head = 0
+        queue = self._send_queue
+        while len(queue):
+            rows = min(chunk_capacity, len(queue))
+            chunk = queue.take(rows)
+            yield Timeout(rows / self.capacity_per_second)
+            for segment in MessageBlock.coalesce(chunk):
+                self.downstream(segment)
+            self.delivered += rows
+            self.delivery_log.append((self.sim.now, rows))
         self._sender_busy = False
         self.idle.fire()
 

@@ -3,11 +3,63 @@
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
-from repro.deviceflow.messages import Message
+from repro.deviceflow.messages import Message, MessageBlock
+
+#: What shelves and send queues hold: one message, or a row range of a block.
+Segment = Message | MessageBlock
 
 
-class Shelf:
+class SegmentQueue:
+    """A row-counted FIFO of segments.
+
+    The one storage representation behind both the :class:`Shelf` and
+    the Dispatcher's send queue.  ``len`` is the number of *rows*
+    (messages) buffered; :meth:`take` removes the oldest rows as whole
+    segments, splitting a block only where the requested count ends
+    inside it (one-row segments are never split, so a ``Message`` needs
+    no slicing).
+    """
+
+    def __init__(self) -> None:
+        self._segments: deque[Segment] = deque()
+        self._rows = 0
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def extend(self, segments: Iterable[Segment], rows: int) -> None:
+        """Buffer several segments totalling ``rows`` rows."""
+        self._segments.extend(segments)
+        self._rows += rows
+
+    def take(self, count: int) -> list[Segment]:
+        """Remove and return up to ``count`` oldest rows, as segments."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        segments = self._segments
+        need = min(count, self._rows)
+        self._rows -= need
+        taken: list[Segment] = []
+        while need:
+            head = segments[0]
+            rows = head.rows
+            if rows <= need:
+                taken.append(segments.popleft())
+                need -= rows
+            else:
+                taken.append(head[:need])
+                segments[0] = head[need:]
+                need = 0
+        return taken
+
+    def take_all(self) -> list[Segment]:
+        """Drain the queue."""
+        return self.take(self._rows)
+
+
+class Shelf(SegmentQueue):
     """Buffers one task's pending messages until its Dispatcher releases them.
 
     "The Dispatcher modules associated with different Shelf modules operate
@@ -19,45 +71,29 @@ class Shelf:
     def __init__(self, task_id: str) -> None:
         if not task_id:
             raise ValueError("task_id must be non-empty")
+        super().__init__()
         self.task_id = task_id
-        self._messages: deque[Message] = deque()
         self.total_stored = 0
 
-    def __len__(self) -> int:
-        return len(self._messages)
+    def store(self, segment: Segment) -> int:
+        """Append a message or block (validated against the shelf's task).
 
-    def store(self, message: Message) -> None:
-        """Append a message (validated against the shelf's task)."""
-        if message.task_id != self.task_id:
+        Returns the number of messages stored (an empty block stores nothing).
+        """
+        if segment.task_id != self.task_id:
             raise ValueError(
-                f"message for task {message.task_id!r} stored on shelf {self.task_id!r}"
+                f"message for task {segment.task_id!r} stored on shelf {self.task_id!r}"
             )
-        self._messages.append(message)
-        self.total_stored += 1
-
-    def store_block(self, messages: list[Message]) -> None:
-        """Append a whole block's messages: one task check, one extend."""
-        for message in messages:
-            if message.task_id != self.task_id:
-                raise ValueError(
-                    f"message for task {message.task_id!r} stored on shelf {self.task_id!r}"
-                )
-        self._messages.extend(messages)
-        self.total_stored += len(messages)
-
-    def take(self, count: int) -> list[Message]:
-        """Remove and return up to ``count`` oldest messages."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        taken: list[Message] = []
-        while self._messages and len(taken) < count:
-            taken.append(self._messages.popleft())
-        return taken
-
-    def take_all(self) -> list[Message]:
-        """Drain the shelf."""
-        return self.take(len(self._messages))
+        rows = segment.rows
+        if rows:
+            self._segments.append(segment)
+            self._rows += rows
+            self.total_stored += rows
+        return rows
 
     def peek_oldest(self) -> Message | None:
         """Oldest buffered message without removing it."""
-        return self._messages[0] if self._messages else None
+        if not self._segments:
+            return None
+        head = self._segments[0]
+        return head if isinstance(head, Message) else head[:1].messages()[0]

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.deviceflow.messages import Message
-from repro.deviceflow.shelf import Shelf
+from repro.deviceflow.shelf import Segment, Shelf
 
 
 class Sorter:
@@ -16,7 +15,7 @@ class Sorter:
     storage based on the task_id within the messages" (§V-A).
     """
 
-    def __init__(self, on_stored: Callable[[Message], None] | None = None) -> None:
+    def __init__(self, on_stored: Callable[[Segment], None] | None = None) -> None:
         self._shelves: dict[str, Shelf] = {}
         self._on_stored = on_stored
         self.total_routed = 0
@@ -39,29 +38,17 @@ class Sorter:
             raise KeyError(f"no shelf registered for task {task_id!r}")
         return self._shelves[task_id]
 
-    def route(self, message: Message) -> Shelf:
-        """Store a message on its task's shelf; returns that shelf."""
-        shelf = self.shelf_for(message.task_id)
-        shelf.store(message)
-        self.total_routed += 1
-        if self._on_stored is not None:
-            self._on_stored(message)
-        return shelf
+    def route(self, segment: Segment) -> int:
+        """Store a message or block on its task's shelf; returns the messages routed.
 
-    def route_block(self, task_id: str, messages: list[Message]) -> Shelf:
-        """Shelve a whole block's messages with bulk bookkeeping.
-
-        One shelf lookup and one counter bump per block; the per-message
-        ``on_stored`` hook still fires for each message so observers see
-        the same stream either way.
+        One shelf lookup per segment; ``total_routed`` counts messages
+        (rows), and the ``on_stored`` hook sees the segment as routed.
         """
-        shelf = self.shelf_for(task_id)
-        shelf.store_block(messages)
-        self.total_routed += len(messages)
+        rows = self.shelf_for(segment.task_id).store(segment)
+        self.total_routed += rows
         if self._on_stored is not None:
-            for message in messages:
-                self._on_stored(message)
-        return shelf
+            self._on_stored(segment)
+        return rows
 
     @property
     def task_ids(self) -> list[str]:

@@ -35,7 +35,7 @@ class DispatchStrategy:
         """A new round of the task's operator flow began."""
 
     def on_message(self, dispatcher: Dispatcher) -> None:
-        """A message was shelved."""
+        """A message — or a whole block of them, at one instant — was shelved."""
 
     def on_round_complete(self, dispatcher: Dispatcher, round_index: int) -> None:
         """The round's computation finished."""
@@ -84,10 +84,24 @@ class RealTimeAccumulatedStrategy(DispatchStrategy):
         self._cycle = 0
 
     def on_message(self, dispatcher: Dispatcher) -> None:
-        while dispatcher.shelf_size() >= self.current_threshold:
-            batch = dispatcher.take(self.current_threshold)
-            dispatcher.dispatch(batch, failure_prob=self.failure_prob)
-            self._cycle += 1
+        available = dispatcher.shelf_size()
+        if available < self.current_threshold:
+            return
+        # Every threshold the shelf now crosses, in cycle order: whole
+        # cycles first, then as far into the next one as the rest reaches.
+        start = self._cycle % len(self.thresholds)
+        cycle = self.thresholds[start:] + self.thresholds[:start]
+        whole, rest = divmod(available, sum(cycle))
+        groups = cycle * whole
+        for threshold in cycle:
+            if rest < threshold:
+                break
+            groups.append(threshold)
+            rest -= threshold
+        self._cycle += len(groups)
+        dispatcher.dispatch(
+            dispatcher.take(available - rest), failure_prob=self.failure_prob, group_sizes=groups
+        )
 
     def on_round_complete(self, dispatcher: Dispatcher, round_index: int) -> None:
         if self.flush_on_round_complete and dispatcher.shelf_size() > 0:

@@ -4,7 +4,8 @@ The ROADMAP's next scaling steps (whole-platform sharding, the 1M-device
 milestone) need the *measured* bottleneck, not the guessed one.  This
 profiler patches a fixed set of synchronous hot-path methods — kernel
 stepping, dataset synthesis, wave scheduling, numeric block execution,
-transport routing, cloud ingestion, aggregation folds, alarm evaluation —
+DeviceFlow submission and dispatch, transport routing, cloud ingestion,
+aggregation folds, alarm evaluation —
 and accounts real ``perf_counter`` time to each, with *self time* (a
 method's elapsed time minus the profiled calls it made) attributed via an
 enter/exit stack so nested hooks (``step_batch`` → ``_route`` →
@@ -44,9 +45,12 @@ PROFILE_POINTS: tuple[tuple[str, str, str, str], ...] = (
     ("repro.cluster.runner", "LogicalSimulation", "_execute_numeric_waves", "logical.numeric_block"),
     ("repro.phones.phonemgr", "PhoneMgr", "_register_batched_plan", "phones.wave_schedule"),
     ("repro.phones.phonemgr", "PhoneMgr", "_sampler_tick", "phones.sampler"),
+    ("repro.deviceflow.controller", "DeviceFlow", "_submit", "deviceflow.submit"),
+    ("repro.deviceflow.dispatcher", "Dispatcher", "dispatch", "deviceflow.dispatch"),
     ("repro.cloud.transport", "TransportChannel", "_route", "transport.route"),
     ("repro.cloud.sink", "CloudIngestSink", "accept", "cloud.ingest_scalar"),
     ("repro.cloud.sink", "CloudIngestSink", "accept_block", "cloud.ingest_block"),
+    ("repro.cloud.sink", "CloudIngestSink", "flow_receive", "cloud.flow_receive"),
     ("repro.cloud.aggregation", "AggregationService", "receive_message", "cloud.receive_message"),
     ("repro.cloud.aggregation", "AggregationService", "receive_block", "cloud.receive_block"),
     ("repro.cloud.aggregation", "AggregationService", "aggregate_now", "cloud.fold"),

@@ -26,8 +26,9 @@ traces.  Recording is two-phase to keep the simulation hot path clean:
 * :class:`Tracer` — append-only capture.  Instrumentation points in the
   task runner, transport channel, ingestion sink, DeviceFlow and the
   phone manager call ``record_*`` methods that append plain tuples (or,
-  for batched plans, one reference to the whole columnar block); nothing
-  is formatted, sorted or allocated per span while the simulation runs.
+  for batched plans and DeviceFlow traffic, one reference to the
+  columnar block / message segment); nothing is formatted, sorted or
+  allocated per span while the simulation runs.
   Every instrumentation point is guarded by ``tracer is not None``, so
   an untraced run executes exactly the code it executed before tracing
   existed — zero cost when off, and byte-identical reports when on
@@ -51,10 +52,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable
+    from collections.abc import Callable, Sequence
 
     from repro.cloud.monitor import Monitor
     from repro.cluster.runner import ColumnarOutcomes
+    from repro.deviceflow.shelf import Segment
 
 #: Every span kind the assembler can emit, with the tree level it lives
 #: at (documentation + the README reference table; exporters use it to
@@ -177,9 +179,11 @@ class Tracer:
         self.uploads: list[tuple[str, str, int, float, float | None, int, bool, str]] = []
         #: (task, device, round, time, reason) — reason: duplicate | late
         self.ingest_drops: list[tuple[str, str, int, float, str]] = []
-        #: (task, device, round, time)
-        self.flow_submits: list[tuple[str, str, int, float]] = []
-        self.flow_deliveries: list[tuple[str, str, int, float]] = []
+        #: (task, round, devices, time) — one row per submitted / delivered
+        #: segment (a message or a block row range), expanded to one
+        #: record per device at assembly.
+        self.flow_submits: list[tuple[str, int, Sequence[str], float]] = []
+        self.flow_deliveries: list[tuple[str, int, Sequence[str], float]] = []
         #: (task, serial, device, round, stage, start, end)
         self.bench_stages: list[tuple[str, str, str, int, str, float, float]] = []
 
@@ -238,15 +242,15 @@ class Tracer:
     ) -> None:
         self.ingest_drops.append((task_id, device_id, round_index, time, reason))
 
-    def record_flow_submit(
-        self, task_id: str, device_id: str, round_index: int, time: float
-    ) -> None:
-        self.flow_submits.append((task_id, device_id, round_index, time))
+    def record_flow_submit(self, segment: Segment, time: float) -> None:
+        """O(1) capture of one DeviceFlow submission (message or wave)."""
+        self.flow_submits.append((segment.task_id, segment.round_index, segment.device_ids, time))
 
-    def record_flow_delivery(
-        self, task_id: str, device_id: str, round_index: int, time: float
-    ) -> None:
-        self.flow_deliveries.append((task_id, device_id, round_index, time))
+    def record_flow_delivery(self, segment: Segment, time: float) -> None:
+        """O(1) capture of one delivered segment of a transmission chunk."""
+        self.flow_deliveries.append(
+            (segment.task_id, segment.round_index, segment.device_ids, time)
+        )
 
     def record_bench_stage(
         self,
@@ -269,7 +273,7 @@ class Tracer:
             payload = block.payload_bytes
             round_index = block.round_index
             finished = block.finished_at
-            for position, assignment in enumerate(block.plan.assignments):
+            for position, assignment in enumerate(block.assignments):
                 records.append(
                     (
                         task_id,
@@ -287,6 +291,17 @@ class Tracer:
 # ----------------------------------------------------------------------
 # assembly
 # ----------------------------------------------------------------------
+def _per_device(
+    records: list[tuple[str, int, Sequence[str], float]],
+) -> list[tuple[str, str, int, float]]:
+    """Expand flow segment records to ``(task, device, round, time)``."""
+    return [
+        (task, device, round_index, time)
+        for task, round_index, devices, time in records
+        for device in devices
+    ]
+
+
 def _span_id(task_id: str, *parts: Any) -> str:
     return "/".join([f"t:{task_id}", *map(str, parts)])
 
@@ -547,10 +562,10 @@ def assemble_trace(
 
     # -- DeviceFlow shelve → delivery -----------------------------------
     deliveries: dict[tuple[str, str, int], list[float]] = defaultdict(list)
-    for task, device, round_index, time in sorted(tracer.flow_deliveries):
+    for task, device, round_index, time in sorted(_per_device(tracer.flow_deliveries)):
         deliveries[(task, device, round_index)].append(time)
     submit_occurrence: dict[tuple, int] = defaultdict(int)
-    for task, device, round_index, time in sorted(tracer.flow_submits):
+    for task, device, round_index, time in sorted(_per_device(tracer.flow_submits)):
         key = (task, device, round_index)
         position = submit_occurrence[key]
         submit_occurrence[key] += 1

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.cloud.sink import OutcomeSink, coerce_sink
 from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome
-from repro.cluster.runner import ColumnarOutcomes, RoundResult, package_update
+from repro.cluster.runner import ColumnarOutcomes, PlanColumns, RoundResult
 from repro.ml.backends import DEVICE_BACKEND, NumericBackend
 from repro.ml.fedavg import ModelUpdate
 from repro.ml.operators import BlockOperatorContext, OperatorContext, OperatorFlow
@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass
-class PhoneAssignment:
+class PhoneAssignment(PlanColumns):
     """The physical tier's share of one device grade for a task.
 
     Attributes
@@ -343,9 +343,11 @@ class PhoneMgr:
         protocol exactly as on the logical tier: streaming sinks
         (``prefers_blocks = False``) get ``accept`` per device as results
         complete, block-preferring sinks get one ``accept_block`` per
-        batched computing plan at its last completion time, and ``None``
-        records columnar blocks with no delivery (the large phone-tier
-        sweeps).  Benchmarking phones always stream ``accept`` — their
+        batched computing plan at its last completion time — or, when
+        they also set ``prefers_waves``, one per phone completion as a
+        row view of the plan's block — and ``None`` records columnar
+        blocks with no delivery (the large phone-tier sweeps).
+        Benchmarking phones always stream ``accept`` — their
         five-stage protocol emits mid-round regardless of sink kind.
         The returned process resolves with a
         :class:`~repro.cluster.runner.RoundResult`.  A bare callable is
@@ -547,14 +549,16 @@ class PhoneMgr:
         counts) is replayed from the same precomputed times once the
         phone's queue drains.
 
-        With a ``collect`` callback each phone's sequence drains wave by
-        wave through the pool (chronological across phones; ties fire in
-        phone order, matching the lock-step generator interleave of the
-        homogeneous default fleets).  Without one, the entire plan becomes
-        a single pooled deadline at its last completion time plus a
-        columnar block — no per-device events or objects at all; a
-        ``block_sink`` receives that block via ``accept_block`` as it is
-        recorded.
+        A plan-block ``block_sink`` (or none) turns the entire plan into a
+        single pooled deadline at its last completion time plus a
+        columnar block — no per-device events or objects at all; the sink
+        receives that block via ``accept_block`` as it is recorded.
+        Otherwise each phone's sequence drains wave by wave through the
+        pool (chronological across phones; ties fire in phone order,
+        matching the lock-step generator interleave of the homogeneous
+        default fleets): a wave-preferring ``block_sink`` is handed each
+        wave as a strided row view of the block, a ``collect`` callback
+        the wave's outcomes one by one.
         """
         total = len(plan.assignments)
         if total == 0:
@@ -585,7 +589,6 @@ class PhoneMgr:
         now = self.sim.now
         epoch = self._epoch
         finished = np.empty(total, dtype=np.float64)
-        assignments = plan.assignments
         active_phones = [(p, phone) for p, phone in enumerate(phones) if p < total]
         replays: list[tuple[VirtualPhone, np.ndarray]] = []
         for p, phone in active_phones:
@@ -600,25 +603,23 @@ class PhoneMgr:
             finished[p::n_phones] = times[3::3]
             replays.append((phone, times[1::3]))
 
-        def replay_phone_states() -> None:
-            for phone, starts in replays:
-                phone.replay_training_sessions(starts, duration, upload_bytes)
+        block = ColumnarOutcomes(
+            plan=plan,
+            round_index=round_index,
+            payload_bytes=upload_bytes,
+            finished_at=finished,
+            update_weights=update_weights,
+            update_biases=update_biases,
+        )
 
-        if collect is None:
+        if collect is None and not getattr(block_sink, "prefers_waves", False):
 
             def fire_all() -> None:
                 if epoch != self._epoch:
                     return
-                block = ColumnarOutcomes(
-                    plan=plan,
-                    round_index=round_index,
-                    payload_bytes=upload_bytes,
-                    finished_at=finished,
-                    update_weights=update_weights,
-                    update_biases=update_biases,
-                )
                 result.columnar.append(block)
-                replay_phone_states()
+                for phone, starts in replays:
+                    phone.replay_training_sessions(starts, duration, upload_bytes)
                 if block_sink is not None:
                     block_sink.accept_block(block)
                 plan_done()
@@ -628,45 +629,32 @@ class PhoneMgr:
 
         pending = len(active_phones)
 
-        def make_fire(p: int, phone: VirtualPhone, starts: np.ndarray, count: int):
+        def make_fire(p: int, phone: VirtualPhone, starts: np.ndarray):
+            count = len(starts)
+
             def fire(lo: int, hi: int, _t: float) -> None:
                 nonlocal pending
                 if epoch != self._epoch:
                     return
-                for k in range(lo, hi):
-                    position = k * n_phones + p
-                    assignment = assignments[position]
-                    update = None
-                    if update_weights is not None and update_biases is not None:
-                        update = package_update(
-                            plan,
-                            round_index,
-                            assignment,
-                            update_weights[position],
-                            update_biases[position],
-                        )
-                    collect(
-                        DeviceRoundOutcome(
-                            device_id=assignment.device_id,
-                            grade=assignment.grade,
-                            round_index=round_index,
-                            n_samples=assignment.n_samples,
-                            payload_bytes=upload_bytes,
-                            update=update,
-                            finished_at=float(finished[position]),
-                        )
-                    )
+                # Queue entries lo..hi of phone p are plan rows p + k * n_phones.
+                wave = block.view(slice(lo * n_phones + p, (hi - 1) * n_phones + p + 1, n_phones))
+                if collect is None:
+                    block_sink.accept_block(wave)
+                else:
+                    for outcome in wave.materialize():
+                        collect(outcome)
                 if hi == count:
                     phone.replay_training_sessions(starts, duration, upload_bytes)
                     pending -= 1
                     if pending == 0:
+                        if collect is None:
+                            result.columnar.append(block)
                         plan_done()
 
             return fire
 
         for (p, phone), (_, starts) in zip(active_phones, replays):
-            count = len(starts)
-            self._pool.add_sequence(finished[p::n_phones], make_fire(p, phone, starts, count))
+            self._pool.add_sequence(finished[p::n_phones], make_fire(p, phone, starts))
 
     # ------------------------------------------------------------------
     # legacy per-device generator path

@@ -102,12 +102,13 @@ class TaskRunner:
         per-phone samplers — bit-identical simulations either way.
     cloud_blocks:
         Ingest batched plans' rounds into the cloud as columnar blocks
-        (one ``put_block`` / ``receive_block`` per plan) instead of one
-        storage put, message and fold per device.  Defaults to following
-        ``batch``.  Tasks routed through DeviceFlow always stream
-        per-device regardless — traffic shaping samples individual
-        arrivals mid-round.  Reports and aggregation records are
-        byte-identical either way (``tests/test_outcome_sink.py``).
+        instead of one storage put, message and fold per device: one
+        ``put_block`` / ``receive_block`` per plan for direct tasks, one
+        ``put_block`` / ``submit_block`` per completion wave (at the
+        wave's time — traffic shaping samples arrivals mid-round) for
+        tasks routed through DeviceFlow.  Defaults to following
+        ``batch``.  Reports and aggregation records are byte-identical
+        either way (``tests/test_outcome_sink.py``).
     channel / channel_scope:
         Optional device→cloud :class:`~repro.cloud.transport.ChannelModel`
         fronting the ingestion sink, and the tenant scope its windows
@@ -192,9 +193,9 @@ class TaskRunner:
                 self.channel_scope
             )
             gated = channel_active or spec.deadline_s is not None
-            # Flow tasks stream per-device (strategies sample individual
-            # arrivals mid-round); direct tasks hand each batched plan's
-            # round to the cloud as one columnar block.
+            # Direct tasks hand each batched plan's round to the cloud as
+            # one columnar block; flow tasks hand over one block per
+            # completion wave (strategies sample arrivals mid-round).
             self._sink = CloudIngestSink(
                 self.sim,
                 spec.task_id,
@@ -219,11 +220,8 @@ class TaskRunner:
                     tracer=self.tracer,
                 )
             if uses_flow:
-                downstream = (
-                    self._sink.flow_receive if gated else self.service.receive_message
-                )
                 self.deviceflow.register_task(
-                    spec.task_id, spec.deviceflow_strategy, downstream
+                    spec.task_id, spec.deviceflow_strategy, self._sink.flow_receive
                 )
                 self._flow_registered = True
             prepares = []

@@ -245,7 +245,10 @@ class TestSubmitBlock:
             return sim, flow, received
 
         sim_s, flow_s, recv_s = drive(use_block=False)
-        sim_b, flow_b, recv_b = drive(use_block=True)
+        sim_b, flow_b, delivered_b = drive(use_block=True)
+        # Block submissions are delivered as MessageBlock row ranges.
+        assert all(isinstance(segment, MessageBlock) for segment in delivered_b)
+        recv_b = [m for segment in delivered_b for m in segment.messages()]
         stats_s, stats_b = flow_s.stats("t"), flow_b.stats("t")
         assert stats_b.received == stats_s.received == 6
         assert stats_b.delivered == stats_s.delivered
@@ -342,6 +345,27 @@ class TestReceiveBlock:
         service.receive_block(make_block([make_update(f"d{i}", n_samples=10) for i in range(3)]))
         assert service.rounds_completed == 1
         assert service.pending_updates == 0
+
+    def test_threshold_trigger_fires_after_the_chunk_that_crosses_it(self):
+        """Delivery chunks are buffered atomically: the fold takes whole chunks."""
+        sim = Simulator()
+        service = AggregationService(sim, ObjectStorage(), SampleThresholdTrigger(25), model=None)
+
+        def chunk(first, count):
+            ids = [f"d{first + i}" for i in range(count)]
+            return MessageBlock(
+                task_id="t", round_index=1, device_ids=ids, n_samples=np.full(count, 4)
+            )
+
+        service.receive_block(chunk(0, 3))  # 12 samples
+        service.receive_block(chunk(3, 3))  # 24 samples: still below
+        assert service.rounds_completed == 0 and service.pending_updates == 6
+        service.receive_block(chunk(6, 5))  # 44 samples: crosses inside this chunk
+        assert service.rounds_completed == 1
+        record = service.history[0]
+        # ...and the fold holds every row of the crossing chunk, not just 25 samples' worth.
+        assert (record.n_updates, record.n_samples) == (11, 44)
+        assert service.pending_updates == 0 and service.pending_samples == 0
 
     def test_counting_mode_accepts_blocks_without_updates(self):
         sim = Simulator()

@@ -1,10 +1,20 @@
 """Tests for DeviceFlow's sorter, shelf, dispatcher and strategies."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference.deviceflow_reference import (
+    ReferenceDeviceFlow,
+    ReferenceRealTimeAccumulated,
+    ReferenceTimeInterval,
+    ReferenceTimePoints,
+)
 
 from repro.deviceflow import (
     DeviceFlow,
     Message,
+    MessageBlock,
     RealTimeAccumulatedStrategy,
     Shelf,
     Sorter,
@@ -331,3 +341,240 @@ class TestDeviceFlowFacade:
         sim.schedule(5.0, lambda: flow.submit(msg()))
         sim.run()
         assert flow.dispatcher_for("t1").shelf.peek_oldest().created_at == 5.0
+
+
+    def test_unregister_drops_all_per_task_state(self):
+        """A soak of short-lived tasks must not grow the controller."""
+        sim = Simulator()
+        flow = DeviceFlow(sim, streams=RandomStreams(0))
+        for i in range(100):
+            task = f"t{i}"
+            flow.register_task(task, RealTimeAccumulatedStrategy([3]), lambda m: None)
+            flow.round_started(task, 1)
+            flow.submit(msg(task=task))
+            if i % 2:
+                assert flow.force_unregister(task) == 1
+            else:
+                flow.round_completed(task, 1)
+                sim.run()
+                flow.unregister_task(task)
+        assert flow.task_ids == []
+        assert flow.sorter.task_ids == []
+        assert flow._dispatchers == {} and flow._received == {}
+
+
+# ----------------------------------------------------------------------
+# block traffic == message-by-message traffic (the reference oracle)
+# ----------------------------------------------------------------------
+probabilities = st.sampled_from([0.0, 0.0, 0.15, 0.5, 1.0])
+#: (time, rows, as_block): few distinct instants, so waves collide.
+waves = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0, 1.03, 2.0, 7.5]),
+        st.integers(min_value=0, max_value=90),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=8,
+)
+realtime = st.fixed_dictionaries(
+    {
+        "kind": st.just("realtime"),
+        "thresholds": st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),
+        "failure_prob": probabilities,
+        "flush": st.booleans(),
+    }
+)
+points = st.fixed_dictionaries(
+    {
+        "kind": st.just("points"),
+        "points": st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.2, 1.0, 5.0]),
+                st.integers(min_value=1, max_value=120),
+                probabilities,
+                st.integers(min_value=0, max_value=30),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    }
+)
+interval = st.fixed_dictionaries(
+    {
+        "kind": st.just("interval"),
+        "interval_s": st.sampled_from([3.0, 20.0]),
+        "failure_prob": probabilities,
+        "discard_per_tick": st.integers(min_value=0, max_value=3),
+    }
+)
+
+
+def build_strategies(recipe):
+    """The production strategy and its per-message reference twin."""
+    if recipe["kind"] == "realtime":
+        args = (recipe["thresholds"], recipe["failure_prob"], recipe["flush"])
+        return RealTimeAccumulatedStrategy(*args), ReferenceRealTimeAccumulated(*args)
+    if recipe["kind"] == "points":
+        time_points = [TimePoint(*point) for point in recipe["points"]]
+        return TimePointStrategy(time_points), ReferenceTimePoints(time_points)
+    curve = right_tailed_normal(1.0)
+    kwargs = {
+        "failure_prob": recipe["failure_prob"],
+        "discard_per_tick": recipe["discard_per_tick"],
+    }
+    return (
+        TimeIntervalStrategy(curve, recipe["interval_s"], **kwargs),
+        ReferenceTimeInterval(curve, recipe["interval_s"], **kwargs),
+    )
+
+
+def drive_flow(flow, strategy, script, capacity_event, discard_at, use_blocks):
+    """Replay ``script`` (two rounds) into ``flow``; return everything observable."""
+    sim = flow.sim
+    delivered = []
+
+    def downstream(segment):
+        delivered.extend((sim.now, device) for device in segment.device_ids)
+
+    flow.register_task("t", strategy, downstream)
+    dispatcher = flow.dispatcher_for("t")
+
+    def arrive(round_index, wave, rows, as_block):
+        ids = [f"r{round_index}w{wave}d{i}" for i in range(rows)]
+        if use_blocks and as_block:
+            flow.submit_block(
+                MessageBlock(task_id="t", round_index=round_index, device_ids=ids, size_bytes=64)
+            )
+        else:
+            for device in ids:
+                flow.submit(msg(task="t", device=device, round_index=round_index))
+
+    for round_index, offset in ((1, 0.0), (2, 40.0)):
+        sim.schedule_at(offset, flow.round_started, "t", round_index)
+        for wave, (time, rows, as_block) in enumerate(script):
+            sim.schedule_at(offset + time, arrive, round_index, wave, rows, as_block)
+        sim.schedule_at(offset + 8.0, flow.round_completed, "t", round_index)
+    sim.schedule_at(capacity_event[0], flow.set_capacity_scale, capacity_event[1])
+    if discard_at is not None:
+        sim.schedule_at(discard_at, flow.discard_shelved, "t")
+    sim.run()
+    return {
+        "dispatch_log": dispatcher.dispatch_log,
+        "delivery_log": dispatcher.delivery_log,
+        "delivered": delivered,
+        "stats": flow.stats("t"),
+        "rng": dispatcher.rng.bit_generator.state,
+        "idle": dispatcher.idle.fired,
+        "end": sim.now,
+    }
+
+
+class TestBlocksEqualReference:
+    @given(
+        recipe=st.one_of(realtime, points, interval),
+        script=waves,
+        capacity=st.sampled_from([35.0, 700.0, 1e6]),
+        capacity_event=st.tuples(
+            st.sampled_from([0.7, 1.0, 9.0, 41.0]), st.sampled_from([0.2, 1.0, 3.0])
+        ),
+        discard_at=st.sampled_from([None, None, 1.0, 8.5, 47.0]),
+        seed=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_mixed_block_and_scalar_traffic_equals_per_message_oracle(
+        self, recipe, script, capacity, capacity_event, discard_at, seed
+    ):
+        production, reference = build_strategies(recipe)
+        got = drive_flow(
+            DeviceFlow(Simulator(), RandomStreams(seed), capacity_per_second=capacity),
+            production, script, capacity_event, discard_at, use_blocks=True,
+        )
+        want = drive_flow(
+            ReferenceDeviceFlow(Simulator(), RandomStreams(seed), capacity_per_second=capacity),
+            reference, script, capacity_event, discard_at, use_blocks=False,
+        )
+        assert got == want
+        stats = got["stats"]
+        assert stats.received == stats.delivered + stats.dropped + stats.shelved
+
+    def test_burst_over_k_thresholds_is_one_dispatch(self):
+        """One take, one draw, k log rows, one enqueue — and the oracle's numbers."""
+        sim, flow, inbox = build_flow(RealTimeAccumulatedStrategy([2, 3], failure_prob=0.4), seed=4)
+        dispatcher = flow.dispatcher_for("t1")
+        calls = []
+        original = dispatcher.dispatch
+        dispatcher.dispatch = lambda *a, **k: calls.append(k.get("group_sizes")) or original(*a, **k)
+        flow.round_started("t1", 1)
+        ids = [f"d{i}" for i in range(11)]
+        flow.submit_block(MessageBlock(task_id="t1", round_index=1, device_ids=ids))
+        assert calls == [[2, 3, 2, 3]]  # 10 of 11 rows; one stays shelved
+        assert flow.stats("t1").shelved == 1
+
+        ref_sim = Simulator()
+        reference = ReferenceDeviceFlow(ref_sim, RandomStreams(4))
+        reference.register_task("t1", ReferenceRealTimeAccumulated([2, 3], 0.4), lambda m: None)
+        reference.round_started("t1", 1)
+        for device in ids:
+            reference.submit(msg(device=device))
+        assert dispatcher.dispatch_log == reference.dispatcher_for("t1").dispatch_log
+        assert (
+            dispatcher.rng.bit_generator.state
+            == reference.dispatcher_for("t1").rng.bit_generator.state
+        )
+
+    def test_grouped_dispatch_rejects_discard_and_bad_sizes(self):
+        sim, flow, _ = build_flow(RealTimeAccumulatedStrategy([100]))
+        dispatcher = flow.dispatcher_for("t1")
+        batch = [msg(device="a"), msg(device="b")]
+        with pytest.raises(ValueError, match="one dispatch group"):
+            dispatcher.dispatch(batch, discard_count=1, group_sizes=[1, 1])
+        with pytest.raises(ValueError, match="group_sizes cover"):
+            dispatcher.dispatch(batch, group_sizes=[1])
+
+
+class TestSegments:
+    def block(self, n=6, **kwargs):
+        return MessageBlock(
+            task_id="t1", round_index=1, device_ids=[f"d{i}" for i in range(n)],
+            n_samples=np.arange(1, n + 1), finished_at=np.arange(n, dtype=float), **kwargs,
+        )
+
+    def test_shelf_take_splits_blocks_on_row_boundaries(self):
+        shelf = Shelf("t1")
+        shelf.store(msg(device="m0"))
+        shelf.store(self.block(6))
+        shelf.store(msg(device="m1"))
+        assert len(shelf) == 8 and shelf.total_stored == 8
+        first = shelf.take(3)  # the message + the first two block rows
+        assert [list(s.device_ids) for s in first] == [["m0"], ["d0", "d1"]]
+        assert shelf.peek_oldest().device_id == "d2"
+        rest = shelf.take_all()
+        assert [list(s.device_ids) for s in rest] == [["d2", "d3", "d4", "d5"], ["m1"]]
+        assert rest[0].n_samples.tolist() == [3, 4, 5, 6]
+        assert len(shelf) == 0
+
+    def test_row_ranges_are_views_and_compress_copies_survivors(self):
+        weights = np.arange(12, dtype=float).reshape(6, 2)
+        block = self.block(6, update_weights=weights, update_biases=np.zeros(6))
+        view = block[2:5]
+        assert np.shares_memory(view.update_weights, weights)
+        assert view.device_ids == ["d2", "d3", "d4"] and view.total_samples == 12
+        kept = view.compress(np.array([True, False, True]))
+        assert kept.device_ids == ["d2", "d4"]
+        assert kept.update_weights.tolist() == [[4.0, 5.0], [8.0, 9.0]]
+        assert [m.payload_ref for m in kept.messages()] == ["t1/d2/r1", "t1/d4/r1"]
+        with pytest.raises(TypeError):
+            block[0]
+
+    def test_coalesce_joins_only_adjacent_compatible_blocks(self):
+        block = self.block(6)
+        other_round = MessageBlock(task_id="t1", round_index=2, device_ids=["x"])
+        scalar = msg(device="m")
+        joined = MessageBlock.coalesce([block[:2], block[2:3], scalar, block[3:], other_round])
+        assert [list(s.device_ids) for s in joined] == [
+            ["d0", "d1", "d2"], ["m"], ["d3", "d4", "d5"], ["x"],
+        ]
+        assert joined[1] is scalar
+        assert joined[0].finished_at.tolist() == [0.0, 1.0, 2.0]
+        assert joined[0].n_samples.tolist() == [1, 2, 3]

@@ -9,11 +9,11 @@ Three layers of the same guarantee:
    service bit-identical to scalar streaming.
 3. Platform level — a full multi-tenant scenario replayed with
    ``cloud_blocks=True`` and ``cloud_blocks=False`` produces
-   byte-identical reports (including a DeviceFlow tenant, which always
-   streams).
+   byte-identical reports (including a DeviceFlow tenant, which moves
+   one block per completion wave in the first and one message per
+   device in the second).
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -116,17 +116,22 @@ class TestProtocol:
             sim.run()
         logical.teardown()
 
-    def test_flow_connected_sink_always_streams(self):
+    def test_flow_connected_sink_takes_wave_blocks(self):
         sim = Simulator()
         service = AggregationService(sim, ObjectStorage(), AggregationTrigger())
         flow = DeviceFlow(sim)
-        flow.register_task("t", RealTimeAccumulatedStrategy(thresholds=[1]), service.receive_message)
         sink = CloudIngestSink(
             sim, "t", ObjectStorage(), service, deviceflow=flow, prefer_blocks=True
         )
-        assert sink.prefers_blocks is False
+        flow.register_task("t", RealTimeAccumulatedStrategy(thresholds=[1]), sink.flow_receive)
+        # Traffic shaping must see arrivals mid-round: blocks, but per wave.
+        assert sink.prefers_blocks is True and sink.prefers_waves is True
         direct = CloudIngestSink(sim, "t", ObjectStorage(), service)
-        assert direct.prefers_blocks is True
+        assert direct.prefers_blocks is True and direct.prefers_waves is False
+        streaming = CloudIngestSink(
+            sim, "t", ObjectStorage(), service, deviceflow=flow, prefer_blocks=False
+        )
+        assert streaming.prefers_blocks is False
 
 
 # ----------------------------------------------------------------------
@@ -235,12 +240,65 @@ class TestTierDifferential:
         assert [o.finished_at for o in block_seen] == [o.finished_at for o in scalar_seen]
 
 
+    def test_wave_preferring_sink_gets_row_views_at_wave_times(self):
+        """``prefers_waves`` turns one plan block into one zero-copy view per wave."""
+
+        class WaveSink:
+            prefers_waves = True
+
+            def __init__(self, sim):
+                self.sim, self.waves = sim, []
+
+            def accept(self, outcome):  # pragma: no cover - batched plans only
+                raise AssertionError("batched plans deliver blocks")
+
+            def accept_block(self, block):
+                self.waves.append((self.sim.now, block))
+
+        sim = Simulator()
+        logical = LogicalSimulation(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
+        sink = WaveSink(sim)
+        plan = make_plan(n_devices=10, n_actors=4)
+        holder = {}
+
+        def drive():
+            yield sim.process(logical.prepare([plan], task_id="t"))
+            holder["result"] = yield sim.process(
+                logical.run_round(1, np.zeros(FEATURE_DIM), 0.0, MODEL_BYTES, sink)
+            )
+
+        sim.process(drive())
+        sim.run(batch=True)
+        logical.teardown()
+        (whole,) = holder["result"].columnar
+        assert [len(wave) for _, wave in sink.waves] == [4, 4, 2]
+        assert holder["result"].n_devices == 10 and not holder["result"].outcomes
+        row = 0
+        for time, wave in sink.waves:
+            assert np.shares_memory(wave.update_weights, whole.update_weights)
+            assert set(wave.finished_at.tolist()) == {time}
+            assert wave.device_ids == plan.device_ids[row : row + len(wave)]
+            assert wave.n_samples_array().tolist() == plan.n_samples[row : row + len(wave)].tolist()
+            for position, outcome in enumerate(wave.materialize()):
+                expected = whole.update_at(row + position)
+                assert outcome.device_id == expected.device_id == wave.update_at(position).device_id
+                assert np.array_equal(outcome.update.weights, expected.weights)
+            row += len(wave)
+        # Strided views (the phone tier's per-phone queues) address the same rows.
+        strided = whole.view(slice(1, 10, 4))
+        assert strided.device_ids == ["d0001", "d0005", "d0009"]
+        assert strided.update_at(2).device_id == "d0009"
+        assert np.array_equal(strided.update_at(1).weights, whole.update_weights[5])
+        with pytest.raises(ValueError):
+            strided.view(slice(0, 1))
+
+
 # ----------------------------------------------------------------------
 # platform-level differential
 # ----------------------------------------------------------------------
 def sink_scenario() -> ScenarioSpec:
-    """Two tenants: a DeviceFlow (always-streaming) one and a direct
-    numeric one whose rounds take the columnar block path."""
+    """Two tenants: a DeviceFlow one (a block per completion wave) and a
+    direct numeric one (a block per plan and round)."""
     return ScenarioSpec(
         name="sink-differential",
         seed=0,

@@ -224,6 +224,38 @@ class TestScenarioDeterminism:
         assert batched == legacy
 
 
+class TestFlowConservation:
+    """Every message a flow task submits is delivered or dropped, in both paths.
+
+    ``batch=True`` moves whole completion waves through DeviceFlow as
+    blocks; ``batch=False`` moves one message per device.  Neither may
+    lose, duplicate or strand a message, and they must agree on the
+    whole report.
+    """
+
+    @pytest.mark.parametrize(
+        "name", ["flash_crowd", "diurnal_multitenant", "flaky_fleet", "lossy_uplink"]
+    )
+    def test_block_and_message_paths_conserve_and_agree(self, name):
+        reports = {}
+        for batch in (True, False):
+            runner = ScenarioRunner(build_scenario(name, scale=150, seed=3), batch=batch)
+            report = runner.run().to_dict()
+            assert report.pop("batch") is batch
+            reports[batch] = json.dumps(report, sort_keys=True)
+            results = runner.platform.results
+            flows = [r.flow_stats for r in results.values() if r.flow_stats is not None]
+            assert flows, "the scenario has no flow-attached task"
+            for stats in flows:
+                assert stats.shelved == 0
+                assert stats.received == (
+                    stats.delivered + stats.dropped_failure + stats.dropped_discard
+                )
+                assert stats.dispatched == stats.delivered
+            assert runner.platform.deviceflow.task_ids == []
+        assert reports[True] == reports[False]
+
+
 # ----------------------------------------------------------------------
 # KPIs
 # ----------------------------------------------------------------------

@@ -237,6 +237,9 @@ class TestRunProfiler:
         assert "kernel.step_batch" in categories
         # lossy_uplink has numeric tenants: dataset synthesis is named.
         assert "data.synthesize" in categories
+        # ...and flow-attached ones: the traffic controller is named, from
+        # submission (scalar and block share one routine) to cloud delivery.
+        assert {"deviceflow.submit", "deviceflow.dispatch", "cloud.flow_receive"} <= categories
         assert not hasattr(SyntheticAvazu.generate, "__profiled_original__")
         for row in rows:
             assert row.calls > 0
