@@ -2,24 +2,17 @@
 
 The scenario engine is the substrate every future workload plugs into, so
 its end-to-end cost — deferred submissions, fault events, concurrent
-tasks, KPI extraction — must ride the batched fast path.  This sweep
-builds a synthetic grid scenario (a dozen tenants, mixed arrival
-processes and dispatch strategies, a fault plan) and replays it at
-2k→20k total simulated devices (~24 task submissions, ~20 of them
-resident at once at the biggest point), batched vs. legacy.
+tasks, KPI extraction — is what this sweep prices.  It builds a synthetic
+grid scenario (a dozen tenants, mixed arrival processes and dispatch
+strategies, a fault plan) and replays it at 2k→20k total simulated
+devices (~24 task submissions, ~20 of them resident at once at the
+biggest point).
 
-Unlike the tier benchmarks, the end-to-end scenario cost is dominated by
-work both paths share — per-outcome storage/message/aggregation Python,
-DeviceFlow chunking, dataset generation — so the batched/legacy ratio
-hovers near 1.1x rather than the tiers' 5-10x and is *reported*, not
-gated.  ``measure_scenario_ci`` instead exposes what CI protects: total
-scenario throughput (simulated devices per wall second, calibrated
-against the runner's Python speed by ``ci_gate.py``) and the
-report-identity check — the scenario-level extension of the repo's
-differential-test pattern.
+``measure_scenario_ci`` exposes what CI protects: total scenario
+throughput (simulated devices per wall second, calibrated against the
+runner's Python speed by ``ci_gate.py``) and repeat-run report identity.
 """
 
-import json
 import time
 
 from repro.observability.tracing import Tracer, assemble_trace
@@ -146,64 +139,38 @@ def build_grid_scenario(
     )
 
 
-def scenario_run(total_devices: int, batch: bool, n_tenants: int = CI_TENANTS) -> dict:
+def scenario_run(total_devices: int, n_tenants: int = CI_TENANTS) -> dict:
     """Replay the grid scenario once; returns wall time and the report."""
     spec = build_grid_scenario(n_tenants=n_tenants, total_devices=total_devices)
     wall_start = time.perf_counter()
-    report = run_scenario(spec, batch=batch)
+    report = run_scenario(spec)
     wall = time.perf_counter() - wall_start
     return {"wall": wall, "report": report}
-
-
-def _comparable(report) -> str:
-    """Report JSON with the execution-mode tag stripped."""
-    data = report.to_dict()
-    data.pop("batch")
-    return json.dumps(data, sort_keys=True)
-
-
-def measure_scenario_speedup(total_devices: int, n_tenants: int = CI_TENANTS) -> dict:
-    """Batched vs. legacy replay of the grid scenario.
-
-    Returns the wall times, the speedup ratio, the simulated makespan,
-    the batched path's device throughput and ``identical`` — whether the
-    two paths produced byte-identical reports (modulo the mode tag).
-    """
-    legacy = scenario_run(total_devices, batch=False, n_tenants=n_tenants)
-    batched = scenario_run(total_devices, batch=True, n_tenants=n_tenants)
-    report = batched["report"]
-    return {
-        "n_tenants": n_tenants,
-        "total_devices": report.total_devices,
-        "total_tasks": report.total_tasks,
-        "finished_at": report.finished_at,
-        "wall_legacy_s": legacy["wall"],
-        "wall_batched_s": batched["wall"],
-        "batched_speedup": legacy["wall"] / batched["wall"],
-        "devices_per_sec": report.total_devices / batched["wall"],
-        "identical": _comparable(legacy["report"]) == _comparable(report),
-    }
 
 
 def measure_scenario_ci(total_devices: int = 10_000, n_tenants: int = CI_TENANTS) -> dict:
     """The CI point: ``n_tenants`` tenants end-to-end at ``total_devices``.
 
-    ``devices_per_sec`` is the gated throughput (calibrated by the gate);
-    ``identical`` must hold — the batched path may never change what the
-    scenario simulates.
+    ``devices_per_sec`` (best of two trials, which absorbs one-off warmup
+    noise) is the gated throughput, calibrated by the gate; ``identical``
+    must hold — both trials produce the same report.
     """
-    best = None
-    for _ in range(2):  # two trials absorb one-off warmup noise
-        result = measure_scenario_speedup(total_devices, n_tenants=n_tenants)
-        if not result["identical"]:
-            return result
-        if best is None or result["devices_per_sec"] > best["devices_per_sec"]:
-            best = result
-    return best
+    trials = [scenario_run(total_devices, n_tenants=n_tenants) for _ in range(2)]
+    report = trials[0]["report"]
+    wall = min(trial["wall"] for trial in trials)
+    return {
+        "n_tenants": n_tenants,
+        "total_devices": report.total_devices,
+        "total_tasks": report.total_tasks,
+        "finished_at": report.finished_at,
+        "wall_s": wall,
+        "devices_per_sec": report.total_devices / wall,
+        "identical": report.to_json() == trials[1]["report"].to_json(),
+    }
 
 
 def measure_alarm_overhead(total_devices: int = 10_000, n_tenants: int = CI_TENANTS) -> dict:
-    """Live-alarm cost: the alarmed grid vs. the plain grid, batched.
+    """Live-alarm cost: the alarmed grid vs. the plain grid.
 
     The engine evaluates rules per *monitor* event (tasks and rounds),
     never per device, so the alarmed replay must stay within a few
@@ -226,7 +193,7 @@ def measure_alarm_overhead(total_devices: int = 10_000, n_tenants: int = CI_TENA
             n_tenants=n_tenants, total_devices=total_devices, with_alarms=with_alarms
         )
         wall_start = time.perf_counter()
-        report = run_scenario(spec, batch=True)
+        report = run_scenario(spec)
         return time.perf_counter() - wall_start, report
 
     one_run(True)  # warmup: imports, allocator growth, cache fill
@@ -266,7 +233,7 @@ def measure_transport_overhead(
     alarm-overhead gate (see :func:`measure_alarm_overhead` for why).
     ``identical`` re-proves the lossless differential property at the
     gate's scale: the gated report must be byte-identical to the plain
-    one (modulo the mode tag).
+    one.
     """
 
     def one_run(with_transport: bool):
@@ -274,7 +241,7 @@ def measure_transport_overhead(
         if with_transport:
             spec.transport = TransportSpec(deadline_s=1e6)
         wall_start = time.perf_counter()
-        report = run_scenario(spec, batch=True)
+        report = run_scenario(spec)
         return time.perf_counter() - wall_start, report
 
     one_run(True)  # warmup: imports, allocator growth, cache fill
@@ -294,17 +261,17 @@ def measure_transport_overhead(
         "n_tenants": n_tenants,
         "total_devices": gated_report.total_devices,
         **best,
-        "identical": _comparable(plain_report) == _comparable(gated_report),
+        "identical": plain_report.to_json() == gated_report.to_json(),
     }
 
 
 def measure_tracing_overhead(
     total_devices: int = 10_000, n_tenants: int = CI_TENANTS
 ) -> dict:
-    """Span-recording cost: the traced grid vs. the plain grid, batched.
+    """Span-recording cost: the traced grid vs. the plain grid.
 
     An armed :class:`Tracer` appends plain tuples at a handful of
-    per-round / per-outcome instrumentation points; batched plans are
+    per-round / per-outcome instrumentation points; plan rounds are
     captured as O(1) block references and everything expensive (wave
     derivation, span assembly, export) happens *after* the run.  The
     traced replay must therefore stay within a few percent of the plain
@@ -320,7 +287,7 @@ def measure_tracing_overhead(
     def one_run(traced: bool):
         spec = build_grid_scenario(n_tenants=n_tenants, total_devices=total_devices)
         tracer = Tracer() if traced else None
-        runner = ScenarioRunner(spec, batch=True, tracer=tracer)
+        runner = ScenarioRunner(spec, tracer=tracer)
         wall_start = time.perf_counter()
         report = runner.run()
         return time.perf_counter() - wall_start, report, runner
@@ -347,7 +314,7 @@ def measure_tracing_overhead(
         "total_devices": traced_report.total_devices,
         **best,
         "trace_spans": len(trace),
-        "identical": _comparable(plain_report) == _comparable(traced_report),
+        "identical": plain_report.to_json() == traced_report.to_json(),
     }
 
 
@@ -371,7 +338,7 @@ def measure_lossy_grid(total_devices: int = 10_000, n_tenants: int = CI_TENANTS)
         deadline_s=60.0,
     )
     wall_start = time.perf_counter()
-    report = run_scenario(spec, batch=True)
+    report = run_scenario(spec)
     wall = time.perf_counter() - wall_start
     kpis = list(report.tenants.values())
     retries = sum(k.transport_retries for k in kpis)
@@ -396,26 +363,21 @@ def main() -> None:
     sweep = SWEEP if full_scale() else SWEEP[:3]
     rows = []
     for total in sweep:
-        result = measure_scenario_speedup(total)
+        result = measure_scenario_ci(total)
         rows.append(
             (
                 total,
                 result["total_tasks"],
                 round(result["finished_at"], 1),
-                round(result["wall_legacy_s"], 2),
-                round(result["wall_batched_s"], 2),
-                f"{result['batched_speedup']:.2f}x",
+                round(result["wall_s"], 2),
                 int(result["devices_per_sec"]),
                 result["identical"],
             )
         )
     print(
         format_table(
-            f"Scenario engine: {CI_TENANTS}-tenant grid, legacy vs batched (end-to-end)",
-            [
-                "devices", "tasks", "sim end (s)", "legacy (s)", "batched (s)",
-                "speedup", "dev/s", "identical",
-            ],
+            f"Scenario engine: {CI_TENANTS}-tenant grid (end-to-end)",
+            ["devices", "tasks", "sim end (s)", "wall (s)", "dev/s", "identical"],
             rows,
         )
     )

@@ -21,7 +21,7 @@ from repro.cloud.aggregation import (
 )
 from repro.cloud.database import MetricsDatabase
 from repro.cloud.monitor import Monitor, MonitorEvent
-from repro.cloud.sink import CallbackSink, CloudIngestSink, OutcomeSink, coerce_sink
+from repro.cloud.sink import CloudIngestSink, OutcomeSink
 from repro.cloud.storage import ObjectStorage, StoredObject
 from repro.cloud.transport import (
     ChannelModel,
@@ -35,7 +35,6 @@ __all__ = [
     "AggregationRecord",
     "AggregationService",
     "AggregationTrigger",
-    "CallbackSink",
     "ChannelModel",
     "ChannelWindow",
     "CloudIngestSink",
@@ -51,5 +50,4 @@ __all__ = [
     "TransportChannel",
     "TransportCounters",
     "UploadPlan",
-    "coerce_sink",
 ]

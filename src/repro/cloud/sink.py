@@ -1,18 +1,16 @@
 """Outcome sinks: the cloud-side ingestion surface of the compute tiers.
 
-PRs 1-5 batched the kernel, the tiers and the numeric math, which moved
-the profiled bottleneck onto per-outcome cloud-side Python: one
-``ObjectStorage.put``, one :class:`~repro.deviceflow.messages.Message`
-and one aggregation fold per simulated device.  SimDC's own cloud design
-treats aggregation as buffer-and-fold over whole rounds (§VI-C), so the
-delivery API mirrors that: an :class:`OutcomeSink` receives either one
-outcome at a time (``accept``) or a columnar block (``accept_block``) —
-a whole plan's round for direct dispatch, one completion wave at a time
-when the task is shaped by DeviceFlow — and :class:`CloudIngestSink`
-implements the full cloud path — storage, messaging, aggregation — for
-both granularities with byte-identical simulated results.
+SimDC's cloud design treats aggregation as buffer-and-fold over whole
+rounds (§VI-C), and the delivery API mirrors that: an :class:`OutcomeSink`
+receives a columnar block (``accept_block``) — a whole plan's round for
+direct dispatch, one completion wave at a time when the task is shaped by
+DeviceFlow — or one outcome at a time (``accept``: benchmarking phones,
+and uploads a transport channel delivers individually).
+:class:`CloudIngestSink` implements the full cloud path — storage,
+messaging, aggregation — for both granularities with byte-identical
+simulated results.
 
-Scalar → block method map (see README, "Cloud tier"):
+Scalar → block method map (see README, "Execution model"):
 
 ========================  ==============================
 per-device (scalar)       per-wave / per-round (block)
@@ -28,8 +26,6 @@ per-device (scalar)       per-wave / per-round (block)
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Callable
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -41,8 +37,8 @@ from repro.deviceflow.messages import Message, MessageBlock, payload_ref
 from repro.simkernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Imported lazily: cluster.runner imports this module for coerce_sink,
-    # so a runtime import here would be circular.
+    # cluster.runner imports this module for the protocol, so a runtime
+    # import here would be circular.
     from repro.cluster.actor import DeviceRoundOutcome
     from repro.cluster.runner import ColumnarOutcomes
     from repro.observability.tracing import Tracer
@@ -52,23 +48,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class OutcomeSink(Protocol):
     """Receives device-round results from the execution tiers.
 
-    The tiers deliver through exactly one of two granularities:
+    The tiers deliver through two methods:
 
-    * :meth:`accept` — one :class:`DeviceRoundOutcome` at a time, fired
-      *as each device completes* (the generator path, benchmark phones,
-      and any batched plan whose sink asks for streaming).
     * :meth:`accept_block` — one :class:`ColumnarOutcomes` block: a
-      batched plan's whole round, fired once at the block's last
+      computing plan's whole round, fired once at the block's last
       completion time, or one completion wave of it (a zero-copy row
       view), fired at the wave's time.
+    * :meth:`accept` — one :class:`DeviceRoundOutcome`, fired as a
+      benchmarking phone finishes training (and what a transport channel
+      delivers per surviving upload).
 
-    Two optional class/instance attributes tell a tier which to use for
-    plans that support both: ``prefers_blocks`` (default ``True`` when
-    absent; ``False`` asks for per-device streaming) and
-    ``prefers_waves`` (default ``False``; ``True`` asks a
-    block-preferring tier for one block per wave instead of one per
-    plan — what a sink feeding DeviceFlow mid-round needs, since traffic
-    shaping must see arrivals when they happen).
+    One optional class/instance attribute picks the block granularity:
+    ``prefers_waves`` (default ``False``; ``True`` asks for one block per
+    wave instead of one per plan — what a sink feeding DeviceFlow
+    mid-round needs, since traffic shaping must see arrivals when they
+    happen).
     """
 
     def accept(self, outcome: DeviceRoundOutcome) -> None:
@@ -76,57 +70,8 @@ class OutcomeSink(Protocol):
         ...  # pragma: no cover - protocol
 
     def accept_block(self, block: ColumnarOutcomes) -> None:
-        """Ingest a batched plan's round, or one wave of it, as one columnar block."""
+        """Ingest a plan's round, or one wave of it, as one columnar block."""
         ...  # pragma: no cover - protocol
-
-
-class CallbackSink:
-    """Adapter wrapping a bare ``Callable[[DeviceRoundOutcome], None]``.
-
-    This is the compatibility shim behind the deprecated ``on_outcome``
-    callable parameter of the tiers' ``run_round``: callbacks observe
-    devices one at a time, so the sink requests streaming delivery and
-    materializes any block it is handed.
-    """
-
-    prefers_blocks = False
-
-    def __init__(self, callback: Callable[[DeviceRoundOutcome], None]) -> None:
-        if not callable(callback):
-            raise TypeError(f"callback must be callable, got {type(callback).__name__}")
-        self.callback = callback
-
-    def accept(self, outcome: DeviceRoundOutcome) -> None:
-        self.callback(outcome)
-
-    def accept_block(self, block: ColumnarOutcomes) -> None:
-        for outcome in block.materialize():
-            self.callback(outcome)
-
-
-def coerce_sink(sink: OutcomeSink | Callable[[DeviceRoundOutcome], None] | None) -> OutcomeSink | None:
-    """Normalize a ``run_round`` sink argument to an :class:`OutcomeSink`.
-
-    ``None`` passes through (the tiers then record columnar blocks with
-    no delivery at all).  A bare callable is deprecated: it is wrapped in
-    a :class:`CallbackSink` with a :class:`DeprecationWarning`.
-    """
-    if sink is None:
-        return None
-    if isinstance(sink, OutcomeSink):
-        return sink
-    if callable(sink):
-        warnings.warn(
-            "passing a bare callable as on_outcome is deprecated; wrap it in "
-            "repro.cloud.CallbackSink (or implement the OutcomeSink protocol)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return CallbackSink(sink)
-    raise TypeError(
-        f"sink must implement OutcomeSink (accept/accept_block) or be a "
-        f"callable, got {type(sink).__name__}"
-    )
 
 
 class _BlockUpdateView:
@@ -134,8 +79,8 @@ class _BlockUpdateView:
 
     ``ObjectStorage.put_block`` stores the whole sequence behind one
     shared handle; a :class:`~repro.ml.fedavg.ModelUpdate` object is only
-    built if someone actually ``get``\\ s that device's key — the batched
-    aggregation path never does, it folds the stacked arrays directly.
+    built if someone actually ``get``\\ s that device's key — the
+    aggregation fold never does, it reads the stacked arrays directly.
     """
 
     __slots__ = ("_block",)
@@ -153,9 +98,8 @@ class _BlockUpdateView:
 class CloudIngestSink:
     """The production sink: storage + DeviceFlow/aggregation ingestion.
 
-    Scalar delivery (:meth:`accept`) reproduces the legacy per-outcome
-    hot loop exactly: one storage put (numeric runs), one
-    :class:`Message`, then either a DeviceFlow submission or a direct
+    Scalar delivery (:meth:`accept`) is one storage put (numeric runs),
+    one :class:`Message`, then either a DeviceFlow submission or a direct
     ``service.receive_message``.  Block delivery (:meth:`accept_block`)
     performs the same ingestion wholesale: one ``storage.put_block``
     stamped with the block's per-device completion times, one
@@ -174,9 +118,6 @@ class CloudIngestSink:
         samples arrival times mid-round, so a flow-connected sink asks
         the tiers for one block per completion wave (``prefers_waves``)
         rather than one per plan.
-    prefer_blocks:
-        Ask batched plans for columnar blocks (the default); ``False``
-        streams every outcome through :meth:`accept`.
     dedup:
         Arm the idempotent-ingestion table: every ``(device, round)``
         upload folds exactly once, duplicated/retried deliveries are
@@ -195,7 +136,6 @@ class CloudIngestSink:
         storage: ObjectStorage,
         service: AggregationService,
         deviceflow: DeviceFlow | None = None,
-        prefer_blocks: bool = True,
         dedup: bool = False,
         tracer: Tracer | None = None,
         trace_devices: bool = True,
@@ -205,7 +145,6 @@ class CloudIngestSink:
         self.storage = storage
         self.service = service
         self.deviceflow = deviceflow
-        self.prefers_blocks = bool(prefer_blocks)
         self.prefers_waves = deviceflow is not None
         self.dedup = bool(dedup)
         # ``trace_devices`` is False when a TransportChannel fronts this
@@ -300,7 +239,7 @@ class CloudIngestSink:
 
     # ------------------------------------------------------------------
     def accept(self, outcome: DeviceRoundOutcome) -> None:
-        """Per-device ingestion (the legacy ``_handle_outcome`` semantics)."""
+        """Per-device ingestion."""
         if self._trace_devices:
             self.tracer.record_device(
                 self.task_id,
@@ -345,7 +284,7 @@ class CloudIngestSink:
     def accept_block(self, block: ColumnarOutcomes) -> None:
         """Block ingestion: one put, one message block, one submit or fold.
 
-        ``block`` is a batched plan's whole round (direct tasks) or one
+        ``block`` is a plan's whole round (direct tasks) or one
         completion wave of it, delivered at the wave's time (tasks
         shaped by DeviceFlow).
         """

@@ -16,14 +16,15 @@ loop deterministically:
   ``max_attempts`` sends the upload is *abandoned*.
 * :class:`TransportChannel` — the simulation adapter: it fronts any
   :class:`~repro.cloud.sink.OutcomeSink`, plans one upload per device
-  round (columnar blocks are routed per device so batched and legacy
-  runs consume identical draws), and delivers surviving uploads through
-  a :class:`~repro.simkernel.TimeoutPool` at their arrival times.
+  round (columnar blocks are routed per device, in block order), and
+  delivers surviving uploads through a
+  :class:`~repro.simkernel.TimeoutPool` at their arrival times.
 
 Determinism contract: every draw comes from a per-``(task, device)``
 stream keyed only on ids, and the number of draws per upload depends
 only on the *send* times (never on ``sim.now`` at delivery), so repeat
-runs and batched-vs-legacy runs consume identical random sequences.
+runs consume identical random sequences however uploads are grouped
+into blocks.
 Duplicated deliveries share the primary's arrival time, and the
 downstream :class:`~repro.cloud.sink.CloudIngestSink` dedup table folds
 them exactly once; the FedAvg fold is error-free-transformed, so the
@@ -197,8 +198,8 @@ class ChannelModel:
 
         Draw counts depend only on the send times derived from ``t0``,
         never on the caller's clock, so the plan is identical whether
-        the upload is routed per device (legacy) or from a columnar
-        block (batched).
+        the upload arrives as a scalar outcome or as a row of a columnar
+        block.
         """
         t_send = float(t0)
         for attempt in range(1, self.max_attempts + 1):
@@ -228,8 +229,7 @@ class TransportChannel:
     stream and delivers survivors to ``inner`` through a
     :class:`TimeoutPool` at their (possibly retried, possibly late)
     arrival times.  Columnar blocks are materialized and routed per
-    device in assignment order — the same draws, in the same order, as
-    the legacy per-device path.
+    device in block order.
 
     The runner awaits :meth:`finish_round` after the round barrier so
     in-flight deliveries land before aggregation; deliveries scheduled
@@ -256,7 +256,6 @@ class TransportChannel:
         self.scope = scope
         self.tracer = tracer
         # Ask the tiers for whatever granularity the fronted sink wants.
-        self.prefers_blocks = bool(getattr(inner, "prefers_blocks", True))
         self.prefers_waves = bool(getattr(inner, "prefers_waves", False))
         self.pool = TimeoutPool(sim, name=f"transport.{task_id}")
         self.totals = TransportCounters()
@@ -274,9 +273,8 @@ class TransportChannel:
         self._route(outcome)
 
     def accept_block(self, block) -> None:
-        # Per-device routing keeps the draw order identical to the
-        # legacy generator path; the exact-sum fold downstream makes the
-        # delivery order irrelevant to the aggregate.
+        # Draws are keyed per device; the exact-sum fold downstream makes
+        # the delivery order irrelevant to the aggregate.
         for outcome in block.materialize():
             self._route(outcome)
 

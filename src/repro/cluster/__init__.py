@@ -24,12 +24,6 @@ from repro.cluster.runner import (
     LogicalSimulation,
     RoundResult,
 )
-from repro.cluster.sharding import (
-    MergedRound,
-    ShardedLogicalSimulation,
-    ShardedRunResult,
-    partition_plans,
-)
 
 __all__ = [
     "ColumnarOutcomes",
@@ -40,15 +34,11 @@ __all__ = [
     "K8sCluster",
     "LogicalCostModel",
     "LogicalSimulation",
-    "MergedRound",
     "NodeSpec",
     "PlacementGroup",
     "PlacementStrategy",
     "RayJob",
     "ResourceBundle",
     "RoundResult",
-    "ShardedLogicalSimulation",
-    "ShardedRunResult",
     "SimActor",
-    "partition_plans",
 ]

@@ -11,16 +11,12 @@ units per device runs ``f/k`` actors concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 from typing import Any
-
-import numpy as np
 
 from repro.cluster.cost import LogicalCostModel
 from repro.data.avazu import DeviceDataset
-from repro.ml.backends import SERVER_BACKEND, NumericBackend
-from repro.ml.operators import OperatorContext, OperatorFlow
-from repro.simkernel import RandomStreams, Simulator, Timeout
+from repro.simkernel import Simulator, Timeout
 
 
 @dataclass
@@ -63,32 +59,18 @@ class SimActor:
     sim:
         Shared simulator.
     actor_id:
-        Unique id (also names the actor's random stream).
+        Unique id.
     grade:
         Device grade this actor simulates.
     cost_model:
         Simulated-time cost constants.
-    backend:
-        Numeric backend used when flows execute numerically.
-    streams:
-        Deterministic random streams (for local-SGD shuffling).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        actor_id: str,
-        grade: str,
-        cost_model: LogicalCostModel,
-        backend: NumericBackend = SERVER_BACKEND,
-        streams: RandomStreams | None = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, actor_id: str, grade: str, cost_model: LogicalCostModel) -> None:
         self.sim = sim
         self.actor_id = actor_id
         self.grade = grade
         self.cost_model = cost_model
-        self.backend = backend
-        self.streams = streams or RandomStreams(0)
         self.devices_completed = 0
 
     def startup(self) -> Generator:
@@ -98,85 +80,6 @@ class SimActor:
     def download(self, n_bytes: int) -> Generator:
         """Pull data or model bytes from shared storage."""
         yield Timeout(self.cost_model.transfer_duration(n_bytes))
-
-    def run_round(
-        self,
-        assignments: list[DeviceAssignment],
-        round_index: int,
-        flow: OperatorFlow,
-        global_weights: np.ndarray | None,
-        global_bias: float,
-        feature_dim: int,
-        model_bytes: int,
-        numeric: bool,
-        on_outcome: Callable[[DeviceRoundOutcome], None],
-    ) -> Generator:
-        """Process this actor's device queue for one round.
-
-        Per §VI-B4, "each actor in the logical simulation must download the
-        corresponding data and model for its simulated devices" — the model
-        download is paid once per actor per round here, then each queued
-        device advances the clock by its grade's alpha and uploads its
-        result.
-        """
-        if assignments:
-            yield self.sim.process(self.download(model_bytes), name=f"{self.actor_id}.model-dl")
-        for assignment in assignments:
-            duration = self.cost_model.device_round_duration(assignment.grade, flow.total_work)
-            yield Timeout(duration)
-            update = None
-            payload = model_bytes
-            if numeric:
-                update = self._execute_flow(
-                    assignment, round_index, flow, global_weights, global_bias, feature_dim
-                )
-                if update is not None:
-                    payload = update.payload_bytes()
-            # Upload the result to shared storage before messaging the cloud.
-            yield Timeout(self.cost_model.transfer_duration(payload))
-            self.devices_completed += 1
-            on_outcome(
-                DeviceRoundOutcome(
-                    device_id=assignment.device_id,
-                    grade=assignment.grade,
-                    round_index=round_index,
-                    n_samples=assignment.n_samples,
-                    payload_bytes=payload,
-                    update=update,
-                    finished_at=self.sim.now,
-                )
-            )
-
-    def _execute_flow(
-        self,
-        assignment: DeviceAssignment,
-        round_index: int,
-        flow: OperatorFlow,
-        global_weights: np.ndarray | None,
-        global_bias: float,
-        feature_dim: int,
-    ):
-        if assignment.dataset is None:
-            raise RuntimeError(
-                f"device {assignment.device_id} has no dataset but the run is numeric"
-            )
-        # The shuffling stream is keyed by *device*, never by actor or
-        # shard: which actor slot (or worker process) happens to simulate a
-        # device is an execution detail, and seeded results must not change
-        # when the batched or sharded fast paths re-partition the plan.
-        context = OperatorContext(
-            device_id=assignment.device_id,
-            grade=assignment.grade,
-            dataset=assignment.dataset,
-            feature_dim=feature_dim,
-            backend=self.backend,
-            global_weights=global_weights,
-            global_bias=global_bias,
-            round_index=round_index,
-            rng=self.streams.get(f"device.{assignment.device_id}.sgd"),
-        )
-        flow.execute(context)
-        return context.outputs.get("update")
 
     def __repr__(self) -> str:
         return f"SimActor({self.actor_id!r}, grade={self.grade!r})"

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.cloud.sink import OutcomeSink, coerce_sink
+from repro.cloud.sink import OutcomeSink
 from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome, SimActor
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
@@ -87,10 +87,9 @@ class GradeExecutionPlan(PlanColumns):
     def __post_init__(self) -> None:
         if self.n_actors <= 0:
             raise ValueError("n_actors must be positive")
-        # One construction-time pass: validate grade homogeneity (the
-        # tentpole batched path relies on it to broadcast durations without
-        # touching assignment objects) and pre-sum staged bytes so sharded
-        # workers never iterate the device list either.
+        # One construction-time pass: validate grade homogeneity (the wave
+        # schedule relies on it to broadcast durations without touching
+        # assignment objects) and pre-sum the staged bytes.
         total_bytes = 0
         for assignment in self.assignments:
             if assignment.grade != self.grade:
@@ -112,14 +111,14 @@ class GradeExecutionPlan(PlanColumns):
 
 @dataclass
 class ColumnarOutcomes:
-    """Outcomes of one batched plan stored as arrays, not objects.
+    """Outcomes of one plan's round stored as arrays, not objects.
 
-    The batched fast path records a whole plan's round as one block:
+    The tiers record a whole plan's round as one block:
     ``finished_at[pos]`` is the upload-completion time of the device
     ``plan.assignments[pos]`` (emission position equals assignment index
     under the wave-major round-robin layout).  Numeric plans additionally
     carry the stacked model updates (``update_weights[pos]`` /
-    ``update_biases[pos]``), which is what per-shard FedAvg partials fold
+    ``update_biases[pos]``), which is what the cloud's FedAvg fold reads
     without ever constructing :class:`~repro.ml.fedavg.ModelUpdate`
     objects.  Blocks materialize to :class:`DeviceRoundOutcome` objects
     lazily — the 100k scalability sweeps never pay for 100k dataclass
@@ -180,7 +179,7 @@ class ColumnarOutcomes:
         return self.plan.n_samples[self.rows]
 
     def _package(self, assignment: DeviceAssignment, position: int) -> ModelUpdate:
-        """One device's trained row, packaged exactly as the generator path does."""
+        """One device's trained row as the :class:`ModelUpdate` it uploads."""
         return ModelUpdate(
             device_id=assignment.device_id,
             round_index=self.round_index,
@@ -230,12 +229,11 @@ class ColumnarOutcomes:
 
 @dataclass
 class RoundResult:
-    """Summary of one logical-tier round.
+    """Summary of one tier round.
 
-    Outcomes live either in :attr:`outcomes` (eagerly built objects — the
-    generator path, or the batched path when a per-device callback was
-    requested) or in :attr:`columnar` blocks (the batched path without a
-    callback).  :meth:`all_outcomes` unifies the two.
+    Computing devices are recorded as one :attr:`columnar` block per
+    plan; :attr:`outcomes` holds the eagerly built objects of the phone
+    tier's benchmarking devices.  :meth:`all_outcomes` unifies the two.
     """
 
     round_index: int
@@ -263,32 +261,14 @@ class RoundResult:
         Eager outcomes are in emission (chronological) order; columnar
         blocks are in assignment order, which is chronological for
         logical-tier plans but not necessarily for phone-tier plans
-        (per-device push bytes de-sync the phones).  Across mixed
-        eager/columnar plans the groups are concatenated rather than
-        merged — sort on ``finished_at`` when chronology matters.
+        (per-device push bytes de-sync the phones).  The groups are
+        concatenated rather than merged — sort on ``finished_at`` when
+        chronology matters.
         """
         result = list(self.outcomes)
         for block in self.columnar:
             result.extend(block.materialize())
         return result
-
-    def finished_times(self) -> np.ndarray:
-        """All completion times, unsorted, without materializing objects."""
-        parts = [np.array([o.finished_at for o in self.outcomes], dtype=np.float64)]
-        parts.extend(block.finished_at for block in self.columnar)
-        return np.concatenate(parts)
-
-    def payload_bytes_total(self) -> int:
-        """Bytes uploaded this round, without materializing columnar blocks.
-
-        Eager outcomes carry their true per-device payload (numeric runs
-        report the model update's size); columnar blocks are
-        grade-homogeneous, so every device uploaded the block's fixed
-        payload (the model-update size for numeric plans).
-        """
-        total = sum(o.payload_bytes for o in self.outcomes)
-        total += sum(len(block) * block.payload_bytes for block in self.columnar)
-        return total
 
     def fedavg_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Columnar ``(weights, biases, n_samples)`` of every numeric update.
@@ -336,18 +316,19 @@ class LogicalSimulation:
         cluster: K8sCluster,
         cost_model: LogicalCostModel | None = None,
         streams: RandomStreams | None = None,
-        batch: bool = True,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
         self.cost_model = cost_model or LogicalCostModel()
         self.streams = streams or RandomStreams(0)
-        self.batch = batch
         self.plans: list[GradeExecutionPlan] = []
         self.actors: dict[str, list[SimActor]] = {}
         self.placement_group: PlacementGroup | None = None
         self.rounds: list[RoundResult] = []
         self._pool = TimeoutPool(sim, name="logical-tier")
+        # Bumped by teardown: voids the pooled callbacks of a round that was
+        # still in flight when its task failed.
+        self._epoch = 0
 
     def prepare(self, plans: list[GradeExecutionPlan], task_id: str = "task") -> Generator:
         """Allocate the placement group, start actors, stage datasets.
@@ -375,14 +356,7 @@ class LogicalSimulation:
         startups = []
         for plan in self.plans:
             actors = [
-                SimActor(
-                    self.sim,
-                    actor_id=f"{task_id}.{plan.grade}.{i}",
-                    grade=plan.grade,
-                    cost_model=self.cost_model,
-                    backend=plan.backend,
-                    streams=self.streams,
-                )
+                SimActor(self.sim, f"{task_id}.{plan.grade}.{i}", plan.grade, self.cost_model)
                 for i in range(plan.n_actors)
             ]
             self.actors[plan.grade] = actors
@@ -406,102 +380,46 @@ class LogicalSimulation:
         global_weights: np.ndarray | None,
         global_bias: float,
         model_bytes: int,
-        sink: OutcomeSink | Callable[[DeviceRoundOutcome], None] | None = None,
+        sink: OutcomeSink | None = None,
     ) -> Generator:
         """Execute one round across every grade's actors; barrier at end.
 
-        ``sink`` receives results through the
-        :class:`~repro.cloud.sink.OutcomeSink` protocol.  Delivery
-        granularity follows the sink's ``prefers_blocks`` /
-        ``prefers_waves`` attributes:
+        Every plan rides the wave schedule and is recorded as one
+        :class:`ColumnarOutcomes` block.  ``sink`` receives it through
+        :meth:`~repro.cloud.sink.OutcomeSink.accept_block`, at one of two
+        granularities:
 
-        * block-preferring sinks (the default, e.g.
-          :class:`~repro.cloud.sink.CloudIngestSink` without DeviceFlow)
-          get one ``accept_block`` per batched plan at its last
-          completion time; generator-path plans still stream ``accept``
-          per device.
-        * wave-preferring sinks (``prefers_waves = True``: a
-          ``CloudIngestSink`` feeding DeviceFlow) get one ``accept_block``
-          per completion wave *at the wave's time* — a zero-copy row view
-          of the plan's block — so traffic shaping sees arrivals
-          mid-round without any per-device object.
-        * streaming sinks (``prefers_blocks = False``, e.g.
-          :class:`~repro.cloud.sink.CallbackSink`) get ``accept`` per
-          device *as results complete*.
-        * ``sink=None`` records columnar blocks with no delivery at all
-          (the 100k-device sweeps: no per-device objects or events).
+        * one block per plan at its last completion time (the default,
+          e.g. :class:`~repro.cloud.sink.CloudIngestSink` without
+          DeviceFlow);
+        * one block per completion wave *at the wave's time* — a
+          zero-copy row view of the plan's block — when the sink sets
+          ``prefers_waves`` (a ``CloudIngestSink`` feeding DeviceFlow, so
+          traffic shaping sees arrivals mid-round).
 
-        The returned process resolves with a :class:`RoundResult` once
-        every device has finished.  Passing a bare callable is deprecated
-        (it is wrapped in a streaming :class:`CallbackSink` with a
-        ``DeprecationWarning``).
+        ``sink=None`` records the blocks with no delivery at all (the
+        100k-device sweeps: no per-device objects or events).  The
+        returned process resolves with a :class:`RoundResult` once every
+        device has finished.
         """
         if self.placement_group is None and self.plans:
             raise RuntimeError("call prepare() before run_round()")
-        sink = coerce_sink(sink)
-        stream = sink is not None and not getattr(sink, "prefers_blocks", True)
         result = RoundResult(round_index=round_index, started_at=self.sim.now)
-
-        def collect(outcome: DeviceRoundOutcome) -> None:
-            result.outcomes.append(outcome)
-            if sink is not None:
-                sink.accept(outcome)
-
-        actor_processes = []
-        batched_plans: list[GradeExecutionPlan] = []
-        for plan in self.plans:
-            # Per-plan choice: time-only plans always qualify for the
-            # batched wave schedule; numeric plans qualify when every
-            # operator in their flow has a vectorized block implementation
-            # (custom operators without one fall back to the generator
-            # path, so mixed rounds batch exactly the plans they can).
-            if self.batch and (not plan.numeric or plan.flow.supports_block):
-                batched_plans.append(plan)
-                continue
-            queues = self._partition(plan.assignments, plan.n_actors)
-            for actor, queue in zip(self.actors[plan.grade], queues):
-                actor_processes.append(
-                    self.sim.process(
-                        actor.run_round(
-                            queue,
-                            round_index,
-                            plan.flow,
-                            global_weights,
-                            global_bias,
-                            plan.feature_dim,
-                            model_bytes,
-                            plan.numeric,
-                            collect,
-                        ),
-                        name=f"{actor.actor_id}.round{round_index}",
-                    )
-                )
-        barriers: list = list(actor_processes)
-        if batched_plans:
-            remaining = len(batched_plans)
-            batched_done = Signal(name=f"round{round_index}.batched-done")
+        if self.plans:
+            remaining = len(self.plans)
+            plans_done = Signal(name=f"round{round_index}.plans-done")
 
             def plan_done() -> None:
                 nonlocal remaining
                 remaining -= 1
                 if remaining == 0:
-                    batched_done.fire()
+                    plans_done.fire()
 
-            for plan in batched_plans:
+            for plan in self.plans:
                 self._register_batched_plan(
-                    plan,
-                    round_index,
-                    global_weights,
-                    global_bias,
-                    model_bytes,
-                    result,
-                    collect if stream else None,
-                    None if stream else sink,
-                    plan_done,
+                    plan, round_index, global_weights, global_bias, model_bytes, result, sink, plan_done
                 )
-            barriers.append(batched_done)
-        if barriers:
-            yield AllOf(barriers)
+            yield plans_done
         result.finished_at = self.sim.now
         self.rounds.append(result)
         return result
@@ -518,10 +436,10 @@ class LogicalSimulation:
         Wave ``w`` executes devices ``assignments[w * n_actors : (w + 1) *
         n_actors]`` as one :class:`BlockOperatorContext` — a stacked
         ``(wave_size, feature_dim)`` weight matrix refined by the flow's
-        vectorized operators.  Flow execution consumes no simulated time
-        (exactly like the generator path, where the math runs eagerly
-        between two timeouts), and each device draws from its own named
-        random stream, so wave grouping cannot perturb results.
+        vectorized operators (or row by row, for a flow without block
+        support).  Flow execution consumes no simulated time, and each
+        device draws from its own named random stream — keyed by device,
+        never by actor — so wave grouping cannot perturb results.
 
         Returns ``(update_weights, update_biases, payload_bytes)`` stacked
         over the whole plan in assignment order; the weight array is empty
@@ -578,37 +496,32 @@ class LogicalSimulation:
         global_bias: float,
         model_bytes: int,
         result: RoundResult,
-        collect: Callable[[DeviceRoundOutcome], None] | None,
-        block_sink: OutcomeSink | None,
+        sink: OutcomeSink | None,
         plan_done: Callable[[], None],
     ) -> None:
-        """Register one batched plan's whole round in the timeout pool.
+        """Register one plan's whole round in the timeout pool.
 
         Plans are grade-homogeneous (enforced at construction), so every
         actor advances through identical waves: the whole round reduces to
         ONE per-wave completion-time vector (the interleaved cumsum
-        ``((now + model_dl) + duration) + transfer`` chain, bit-identical
-        to the generator path) broadcast over the actors active in each
-        wave.  Emission position maps to assignment index by identity —
-        wave ``w``, actor ``a`` holds ``assignments[w * n_actors + a]``
-        under the round-robin partition.
+        ``((now + model_dl) + duration) + transfer`` chain, the float-add
+        order of one actor working through its queue) broadcast over the
+        actors active in each wave.  Emission position maps to assignment
+        index by identity — wave ``w``, actor ``a`` holds
+        ``assignments[w * n_actors + a]`` (round-robin queues).
 
         Numeric plans run their ML round here as well: client updates are
         evaluated in stacked per-wave blocks
         (:meth:`_execute_numeric_waves`) and the result-upload leg of the
-        cumsum uses the model-update payload, exactly as the generator
-        path pays ``transfer_duration(update.payload_bytes())`` per device.
+        cumsum uses the model-update payload.
 
-        A plan-block ``block_sink`` (or none) turns the entire plan into a
-        single pooled deadline at its last completion time plus a columnar
-        block — no per-device objects, no per-device events, and (in
-        sharded workers) no per-device Python at all beyond the vectorized
-        wave math; the sink receives that block via ``accept_block`` the
-        moment it is recorded (the cloud ingests the whole round in one
-        fold).  Otherwise the sequence drains wave by wave: a
-        wave-preferring ``block_sink`` is handed each wave as a row view
-        of the block at the wave's time, a ``collect`` callback the
-        wave's outcomes one by one in the generator path's order.
+        Without a wave-preferring ``sink`` the entire plan is a single
+        pooled deadline at its last completion time plus a columnar block
+        — no per-device objects or events; the sink (if any) receives
+        that block via ``accept_block`` the moment it is recorded (the
+        cloud ingests the whole round in one fold).  A wave-preferring
+        ``sink`` drains the sequence wave by wave, handed each wave as a
+        row view of the block at the wave's time.
         """
         total = len(plan.assignments)
         if total == 0:
@@ -651,50 +564,41 @@ class LogicalSimulation:
             update_biases=update_biases,
         )
 
-        def count_completions() -> None:
+        epoch = self._epoch
+
+        def finish() -> None:
+            result.columnar.append(block)
             for a, actor in enumerate(actors):
                 actor.devices_completed += full_waves + (1 if a < remainder else 0)
+            plan_done()
 
-        if collect is None and not getattr(block_sink, "prefers_waves", False):
+        if not getattr(sink, "prefers_waves", False):
             def fire_all() -> None:
-                result.columnar.append(block)
-                count_completions()
-                if block_sink is not None:
-                    block_sink.accept_block(block)
-                plan_done()
+                if epoch != self._epoch:
+                    return
+                if sink is not None:
+                    sink.accept_block(block)
+                finish()
 
             self._pool.add_at(float(merged[-1]), fire_all)
             return
 
         def fire(lo: int, hi: int, _t: float) -> None:
-            wave = block.view(slice(lo, hi))
-            if collect is None:
-                block_sink.accept_block(wave)
-            else:
-                for outcome in wave.materialize():
-                    collect(outcome)
+            if epoch != self._epoch:
+                return
+            sink.accept_block(block.view(slice(lo, hi)))
             if hi == total:
-                count_completions()
-                if collect is None:
-                    result.columnar.append(block)
-                plan_done()
+                finish()
 
         self._pool.add_sequence(merged, fire)
 
     def teardown(self) -> None:
         """Release the placement group back to the cluster."""
+        self._epoch += 1
         if self.placement_group is not None:
             self.cluster.release(self.placement_group)
             self.placement_group = None
         self.actors.clear()
-
-    @staticmethod
-    def _partition(assignments: list[DeviceAssignment], n_actors: int) -> list[list[DeviceAssignment]]:
-        """Deterministic round-robin split of devices across actors."""
-        queues: list[list[DeviceAssignment]] = [[] for _ in range(n_actors)]
-        for index, assignment in enumerate(assignments):
-            queues[index % n_actors].append(assignment)
-        return queues
 
     @property
     def total_devices_completed(self) -> int:

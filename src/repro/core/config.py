@@ -45,17 +45,6 @@ class PlatformConfig:
         Benchmarking-device sampling period.
     scheduling_interval:
         Task Manager background tick.
-    batch:
-        Drive both execution tiers through their wave-scheduled fast
-        paths (default).  ``False`` restores the per-device generator
-        processes — bit-identical simulated results, much slower.
-    cloud_blocks:
-        Ingest batched plans' rounds into the cloud tier as columnar
-        blocks (``put_block`` / ``receive_block``; one block per
-        completion wave through ``DeviceFlow.submit_block`` for flow
-        tasks) instead of a per-device put + message + fold.  ``None``
-        (default) follows ``batch``; reports are byte-identical either
-        way.
     """
 
     seed: int = 0
@@ -74,8 +63,6 @@ class PlatformConfig:
     physical_cost: PhysicalCostModel | None = None
     poll_interval: float = 1.0
     scheduling_interval: float = 5.0
-    batch: bool = True
-    cloud_blocks: bool | None = None
     #: Optional device→cloud transport channel fronting every task's
     #: ingestion (loss, retries, duplication, outages).  ``None`` keeps
     #: the ideal lossless exactly-once uplink.

@@ -133,20 +133,13 @@ class SimDC:
             return self.task_manager.submit_at(spec, at)
         return self.task_manager.submit(spec)
 
-    def run(self, until: float | None = None, *, batch: bool = False) -> float:
+    def run(self, until: float | None = None) -> float:
         """Advance simulated time (see :meth:`Simulator.run`)."""
-        return self.sim.run(until=until, batch=batch)
+        return self.sim.run(until=until)
 
-    def run_until_idle(self, max_time: float | None = None, *, batch: bool = False) -> float:
-        """Run until every submitted task reaches a terminal state.
-
-        ``batch=True`` drives the kernel's same-timestamp batch loop (the
-        scenario engine passes the platform's configured mode through);
-        the default per-event loop is kept for drop-in compatibility.
-        """
-        return self.sim.run_until(
-            lambda: self.task_manager.all_idle, max_time=max_time, batch=batch
-        )
+    def run_until_idle(self, max_time: float | None = None) -> float:
+        """Run until every submitted task reaches a terminal state."""
+        return self.sim.run_until(lambda: self.task_manager.all_idle, max_time=max_time)
 
     def result(self, task_id: str) -> TaskResult:
         """Result of a completed task."""
@@ -213,8 +206,6 @@ class SimDC:
             fixed_allocation=options.get("fixed_allocation"),
             dataset=options.get("dataset"),
             unit_bundle=self.config.unit_bundle,
-            batch=self.config.batch,
-            cloud_blocks=self.config.cloud_blocks,
             channel=self.config.channel,
             channel_scope=options.get("channel_scope", ""),
             tracer=self.config.tracer,

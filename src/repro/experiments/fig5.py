@@ -40,13 +40,9 @@ class DeviceTraceResult:
         return out
 
 
-def run_fig5_device_trace(rounds: int = 3, seed: int = 0, batch: bool = True) -> DeviceTraceResult:
-    """Run a 3-round task with one benchmarking phone; return its trace.
-
-    ``batch=False`` polls through the legacy per-phone sampler processes
-    instead of the shared ticker — identical trace either way.
-    """
-    config = PlatformConfig(seed=seed, cluster_nodes=[NodeSpec(20, 30)] * 2, batch=batch)
+def run_fig5_device_trace(rounds: int = 3, seed: int = 0) -> DeviceTraceResult:
+    """Run a 3-round task with one benchmarking phone; return its trace."""
+    config = PlatformConfig(seed=seed, cluster_nodes=[NodeSpec(20, 30)] * 2)
     platform = SimDC(config)
     spec = TaskSpec(
         name="fig5",

@@ -85,7 +85,7 @@ class BlockOperatorContext:
     global_weights: np.ndarray | None = None
     global_bias: float = 0.0
     round_index: int = 1
-    rngs: list[Optional[np.random.Generator]] | None = None
+    rngs: list[np.random.Generator | None] | None = None
     outputs: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -103,8 +103,9 @@ class Operator:
     1.0 ~ one local training epoch over an average shard) and implement
     :meth:`apply`.  Operators that can also execute a whole wave of devices
     against stacked arrays additionally implement :meth:`apply_block` and
-    set :attr:`supports_block`; flows whose operators all do so qualify for
-    the logical tier's vectorized numeric fast path.
+    set :attr:`supports_block`; a flow whose operators all do so executes
+    each block vectorized, any other flow row by row
+    (:meth:`OperatorFlow.execute_block`).
     """
 
     name: str = "operator"
@@ -312,16 +313,38 @@ class OperatorFlow:
     def execute_block(self, block: BlockOperatorContext) -> BlockOperatorContext:
         """Run every operator in order against a stacked device block.
 
-        Raises ``RuntimeError`` when an operator lacks a block
-        implementation — callers gate on :attr:`supports_block` and fall
-        back to per-device :meth:`execute` otherwise.
+        A flow with an operator that lacks a block implementation runs
+        row by row instead: one :class:`OperatorContext` per device with
+        that row's rng, and the rows' ``outputs["update"]`` stacked into
+        ``update_weights`` / ``update_biases`` (left unset when no row
+        produced an update).  Only the parameters of those updates travel
+        on; a block's sample counts come from its plan.
         """
-        for op in self.operators:
-            if not op.supports_block:
-                raise RuntimeError(
-                    f"operator {op.name!r} does not support block execution"
-                )
-            op.apply_block(block)
+        if self.supports_block:
+            for op in self.operators:
+                op.apply_block(block)
+            return block
+        updates = []
+        for row, (device_id, dataset) in enumerate(zip(block.device_ids, block.datasets)):
+            context = OperatorContext(
+                device_id=device_id,
+                grade=block.grade,
+                dataset=dataset,
+                feature_dim=block.feature_dim,
+                backend=block.backend,
+                global_weights=block.global_weights,
+                global_bias=block.global_bias,
+                round_index=block.round_index,
+                rng=None if block.rngs is None else block.rngs[row],
+            )
+            self.execute(context)
+            updates.append(context.outputs.get("update"))
+        uploads = sum(update is not None for update in updates)
+        if uploads:
+            if uploads != len(updates):
+                raise RuntimeError("a flow must upload an update for every device of a block or for none")
+            block.outputs["update_weights"] = np.stack([update.weights for update in updates])
+            block.outputs["update_biases"] = np.array([update.bias for update in updates], dtype=np.float64)
         return block
 
     def describe(self) -> list[str]:

@@ -16,8 +16,8 @@ stream *while the simulation runs*:
   plus a scheduler prod, closing the remediation loop inside the run.
 
 Everything lives on the simulated clock, so alarm histories, SLA
-verdicts and scaling actions are deterministic and bit-identical between
-the batched and legacy event loops.
+verdicts and scaling actions are a deterministic function of spec and
+seed.
 
 PR 10 adds the *post-hoc* observability layer:
 

@@ -9,9 +9,8 @@ subscribes to the monitor, maintains the streaming signals the rules read
 (queue depth, queue-wait percentiles over a sliding window, per-round
 dropout loss, ...) and emits ``alarm_raised`` / ``alarm_cleared`` events
 back onto the same monitor, so alarms live on the simulated clock and are
-exactly as deterministic as the run itself — the batched and legacy event
-loops produce the same event sequence, hence byte-identical alarm
-histories.
+exactly as deterministic as the run itself: the same spec and seed produce
+byte-identical alarm histories.
 
 Evaluation is event-driven: rules are (re)checked when a signal actually
 changes, plus at scheduled hold-expiry instants, never on a wall-clock

@@ -20,8 +20,8 @@ This module assembles that journey as a span tree per task:
 
 Spans live entirely on the *simulated* clock and every span id is a
 deterministic function of ``(task, round, device, kind)``, so two runs
-of the same spec and seed — batched or legacy — produce byte-identical
-traces.  Recording is two-phase to keep the simulation hot path clean:
+of the same spec and seed produce byte-identical traces.  Recording is
+two-phase to keep the simulation hot path clean:
 
 * :class:`Tracer` — append-only capture.  Instrumentation points in the
   task runner, transport channel, ingestion sink, DeviceFlow and the
@@ -38,10 +38,7 @@ traces.  Recording is two-phase to keep the simulation hot path clean:
   lifecycle, per-round transport KPIs) into a sorted :class:`Trace`.
 
 Wave spans are *derived*, not recorded: a wave is the set of a round's
-devices sharing ``(grade, finished_at)``, which is identical whether
-the run computed those times via the wave-scheduled cumsum or the
-per-device generator chain — so batched and legacy span trees agree by
-construction.
+devices sharing ``(grade, finished_at)``.
 """
 
 from __future__ import annotations
@@ -458,9 +455,7 @@ def assemble_trace(
         )
 
     # -- waves (derived) and device spans -------------------------------
-    # A wave is a round's devices sharing (grade, finished_at): equal in
-    # the batched cumsum and the legacy generator chain by the platform's
-    # bit-identity contract, so both paths derive the same wave spans.
+    # A wave is a round's devices sharing (grade, finished_at).
     by_round: dict[tuple[str, int], list[tuple]] = defaultdict(list)
     for record in devices:
         by_round[(record[0], record[3])].append(record)

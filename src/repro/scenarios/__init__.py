@@ -18,8 +18,8 @@ a plain-data description of "a day of traffic on a real deployment" —
 
 and the :class:`ScenarioRunner` replays the whole thing on one simulated
 clock — submissions scheduled as simulator events, faults applied through
-the kernel, everything on the batched fast path — then distils the run
-into a :class:`ScenarioReport` of per-tenant KPIs.
+the kernel — then distils the run into a :class:`ScenarioReport` of
+per-tenant KPIs.
 
 Specs serialize to/from plain dicts, so YAML/JSON configs load trivially;
 ``python -m repro.scenarios run <name>`` runs the built-in library.

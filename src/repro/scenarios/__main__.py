@@ -104,8 +104,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.observability.tracing import Tracer
 
     spec = _load_spec(args)
-    if args.legacy:
-        spec.batch = False
     tracing = args.trace_out is not None or args.trace_jsonl is not None
     tracer = Tracer() if tracing else None
     runner = ScenarioRunner(spec, tracer=tracer)
@@ -173,9 +171,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("name", help=name_help)
     run.add_argument("--scale", type=int, default=None, help="approximate total devices")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument(
-        "--legacy", action="store_true", help="per-device generator path (slow, bit-identical)"
-    )
     run.add_argument(
         "--report-json",
         "--json",  # legacy alias

@@ -104,7 +104,9 @@ class ScenarioReport:
 
     scenario: str
     seed: int
-    batch: bool
+    #: Always true.  Kept, with no way to set it, because the perf ledger's
+    #: pinned report digests hash this key; it goes when those are re-pinned.
+    batch: bool = field(default=True, init=False)
     #: Simulated time when the last task finished.
     finished_at: float = 0.0
     total_tasks: int = 0
@@ -145,8 +147,7 @@ class ScenarioReport:
     def summary_lines(self) -> list[str]:
         """Human-readable report (the CLI's output)."""
         lines = [
-            f"scenario {self.scenario} (seed {self.seed}, "
-            f"{'batched' if self.batch else 'legacy'} path)",
+            f"scenario {self.scenario} (seed {self.seed})",
             f"  {self.total_tasks} tasks / {self.total_devices} simulated devices, "
             f"finished at t={self.finished_at:.0f}s",
             f"  fairness (Jain over tenant slowdowns): {self.fairness:.3f}; "
@@ -214,7 +215,6 @@ def build_report(
     platform: SimDC,
     submissions: dict[str, list[tuple[str, float]]],
     finished_at: float,
-    batch: bool | None = None,
     alarms: AlarmEngine | None = None,
     autoscaler: AutoscalePolicy | None = None,
 ) -> ScenarioReport:
@@ -222,18 +222,11 @@ def build_report(
 
     ``submissions`` maps tenant name to its ``(task_id, submit_time)``
     ledger (the engine records it while scheduling the arrival events).
-    ``batch`` records the execution mode actually used (the runner may
-    override the spec's); it is display metadata, never a KPI input.
     ``alarms`` / ``autoscaler`` are the run's live observability objects
     (their summaries and the authoritative final SLA check land in the
     report).
     """
-    report = ScenarioReport(
-        scenario=spec.name,
-        seed=spec.seed,
-        batch=spec.batch if batch is None else batch,
-        finished_at=finished_at,
-    )
+    report = ScenarioReport(scenario=spec.name, seed=spec.seed, finished_at=finished_at)
     total_bundles = platform.resource_manager.total_bundles()
     phones_by_grade = platform.resource_manager.phones_by_grade()
     results = platform.results  # one snapshot; the property copies the dict

@@ -11,7 +11,7 @@ strategy state and deterministic seeds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -42,6 +42,23 @@ from repro.simkernel.random import stable_hash
 
 #: Named network profiles a :class:`PopulationSpec` can mix.
 NETWORK_PROFILES = {p.name: p for p in (WIFI, LTE, GPRS, FLIGHT_MODE)}
+
+
+def _from_fields(cls, data: dict, path: str = ""):
+    """``cls(**data)``, naming an unknown key by its path in the scenario file.
+
+    ``path`` locates ``data`` in the enclosing document (``tenants[0]``);
+    the error lists the fields the class accepts, so a typo or a key
+    from an older dump fails with a message that says what to fix.
+    """
+    allowed = [f.name for f in fields(cls) if f.init]
+    for key in data:
+        if key not in allowed:
+            where = f"{path}.{key}" if path else key
+            raise ValueError(
+                f"unknown scenario field {where!r}; {cls.__name__} accepts: {', '.join(allowed)}"
+            )
+    return cls(**data)
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +135,7 @@ class PopulationSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> PopulationSpec:
-        return cls(**data)
+        return _from_fields(cls, data)
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +197,7 @@ class ArrivalSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> ArrivalSpec:
-        return cls(**data)
+        return _from_fields(cls, data)
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +252,7 @@ class DispatchSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> DispatchSpec:
-        return cls(**data)
+        return _from_fields(cls, data)
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +285,7 @@ class GradeSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> GradeSpec:
-        return cls(**data)
+        return _from_fields(cls, data)
 
 
 @dataclass
@@ -338,17 +355,23 @@ class TenantSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> TenantSpec:
+    def from_dict(cls, data: dict, path: str = "") -> TenantSpec:
+        """Build from plain data; ``path`` locates it for error messages."""
         data = dict(data)
+        prefix = f"{path}." if path else ""
         if "grades" in data:
-            data["grades"] = [GradeSpec.from_dict(g) for g in data["grades"]]
+            data["grades"] = [
+                _from_fields(GradeSpec, g, f"{prefix}grades[{i}]") for i, g in enumerate(data["grades"])
+            ]
         if "arrival" in data:
-            data["arrival"] = ArrivalSpec.from_dict(data["arrival"])
+            data["arrival"] = _from_fields(ArrivalSpec, data["arrival"], f"{prefix}arrival")
         if "dispatch" in data:
-            data["dispatch"] = DispatchSpec.from_dict(data["dispatch"])
+            data["dispatch"] = _from_fields(DispatchSpec, data["dispatch"], f"{prefix}dispatch")
         if "slas" in data:
-            data["slas"] = [SLASpec.from_dict(s) for s in data["slas"]]
-        return cls(**data)
+            data["slas"] = [
+                _from_fields(SLASpec, sla, f"{prefix}slas[{i}]") for i, sla in enumerate(data["slas"])
+            ]
+        return _from_fields(cls, data, path)
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +461,7 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> FaultSpec:
-        return cls(**data)
+        return _from_fields(cls, data)
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +518,7 @@ class TransportSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> TransportSpec:
-        return cls(**data)
+        return _from_fields(cls, data)
 
 
 # ----------------------------------------------------------------------
@@ -530,9 +553,6 @@ class ScenarioSpec:
     extra_high_phones / extra_low_phones:
         Synthetic MSP phones added on top of the default 30-phone fleet
         for scenarios with heavy physical-tier demand.
-    batch:
-        Drive the run on the wave-scheduled fast paths (default) or the
-        legacy per-device generators — bit-identical results either way.
     alarms:
         Live :class:`~repro.observability.AlarmRule` watches evaluated
         during the run (``alarm_raised`` / ``alarm_cleared`` monitor
@@ -560,7 +580,6 @@ class ScenarioSpec:
     deviceflow_capacity: float = 700.0
     extra_high_phones: int = 0
     extra_low_phones: int = 0
-    batch: bool = True
     transport: TransportSpec | None = None
     alarms: list[AlarmRule] = field(default_factory=list)
     slas: list[SLASpec] = field(default_factory=list)
@@ -620,16 +639,22 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: dict) -> ScenarioSpec:
         data = dict(data)
-        data["tenants"] = [TenantSpec.from_dict(t) for t in data.get("tenants", [])]
+        data["tenants"] = [
+            TenantSpec.from_dict(t, f"tenants[{i}]") for i, t in enumerate(data.get("tenants", []))
+        ]
         if "population" in data:
-            data["population"] = PopulationSpec.from_dict(data["population"])
-        data["faults"] = [FaultSpec.from_dict(f) for f in data.get("faults", [])]
+            data["population"] = _from_fields(PopulationSpec, data["population"], "population")
+        data["faults"] = [
+            _from_fields(FaultSpec, f, f"faults[{i}]") for i, f in enumerate(data.get("faults", []))
+        ]
         if data.get("transport") is not None:
-            data["transport"] = TransportSpec.from_dict(data["transport"])
+            data["transport"] = _from_fields(TransportSpec, data["transport"], "transport")
         if "alarms" in data:
-            data["alarms"] = [AlarmRule.from_dict(a) for a in data["alarms"]]
+            data["alarms"] = [
+                _from_fields(AlarmRule, a, f"alarms[{i}]") for i, a in enumerate(data["alarms"])
+            ]
         if "slas" in data:
-            data["slas"] = [SLASpec.from_dict(s) for s in data["slas"]]
+            data["slas"] = [_from_fields(SLASpec, s, f"slas[{i}]") for i, s in enumerate(data["slas"])]
         if data.get("autoscale") is not None:
-            data["autoscale"] = AutoscaleSpec.from_dict(data["autoscale"])
-        return cls(**data)
+            data["autoscale"] = _from_fields(AutoscaleSpec, data["autoscale"], "autoscale")
+        return _from_fields(cls, data)

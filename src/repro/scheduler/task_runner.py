@@ -96,19 +96,6 @@ class TaskRunner:
     fixed_allocation:
         Optional explicit per-grade logical counts overriding the
         optimizer (the Type 1-5 experiments use this).
-    batch:
-        Drive both tiers through their wave-scheduled fast paths (the
-        default).  ``False`` restores per-device generator processes and
-        per-phone samplers — bit-identical simulations either way.
-    cloud_blocks:
-        Ingest batched plans' rounds into the cloud as columnar blocks
-        instead of one storage put, message and fold per device: one
-        ``put_block`` / ``receive_block`` per plan for direct tasks, one
-        ``put_block`` / ``submit_block`` per completion wave (at the
-        wave's time — traffic shaping samples arrivals mid-round) for
-        tasks routed through DeviceFlow.  Defaults to following
-        ``batch``.  Reports and aggregation records are byte-identical
-        either way (``tests/test_outcome_sink.py``).
     channel / channel_scope:
         Optional device→cloud :class:`~repro.cloud.transport.ChannelModel`
         fronting the ingestion sink, and the tenant scope its windows
@@ -135,8 +122,6 @@ class TaskRunner:
         fixed_allocation: dict[str, int] | None = None,
         dataset: FederatedDataset | None = None,
         unit_bundle: ResourceBundle | None = None,
-        batch: bool = True,
-        cloud_blocks: bool | None = None,
         channel: ChannelModel | None = None,
         channel_scope: str = "",
         tracer: Tracer | None = None,
@@ -154,14 +139,14 @@ class TaskRunner:
         self.fixed_allocation = fixed_allocation
         self.unit_bundle = unit_bundle if unit_bundle is not None else ResourceBundle(cpus=1.0, memory_gb=1.0)
         self._provided_dataset = dataset
-        self.cloud_blocks = batch if cloud_blocks is None else bool(cloud_blocks)
         self.channel = channel
         self.channel_scope = channel_scope
         self.tracer = tracer
         self._sink: CloudIngestSink | None = None
         self._channel: TransportChannel | None = None
         self._open_round: int | None = None
-        self.logical = LogicalSimulation(sim, cluster, self.logical_cost, self.streams, batch=batch)
+        self._flow_registered = False
+        self.logical = LogicalSimulation(sim, cluster, self.logical_cost, self.streams)
         self.phonemgr = PhoneMgr(
             sim,
             adb,
@@ -170,7 +155,6 @@ class TaskRunner:
             streams=self.streams,
             busy_registry=busy_registry,
             on_sample=self._store_sample if db is not None else None,
-            batch=batch,
             tracer=tracer,
         )
         self.service: AggregationService | None = None
@@ -193,8 +177,8 @@ class TaskRunner:
                 self.channel_scope
             )
             gated = channel_active or spec.deadline_s is not None
-            # Direct tasks hand each batched plan's round to the cloud as
-            # one columnar block; flow tasks hand over one block per
+            # Direct tasks hand each plan's round to the cloud as one
+            # columnar block; flow tasks hand over one block per
             # completion wave (strategies sample arrivals mid-round).
             self._sink = CloudIngestSink(
                 self.sim,
@@ -202,7 +186,6 @@ class TaskRunner:
                 self.storage,
                 self.service,
                 deviceflow=self.deviceflow if uses_flow else None,
-                prefer_blocks=self.cloud_blocks,
                 dedup=channel_active,
                 tracer=self.tracer,
                 # With a channel fronting the sink, device completions
@@ -507,7 +490,7 @@ class TaskRunner:
         Already-dispatched late messages are dropped by the sink's gate
         at delivery time.
         """
-        if not getattr(self, "_flow_registered", False) or self._open_round != round_index:
+        if not self._flow_registered or self._open_round != round_index:
             return
         dropped = self.deviceflow.discard_shelved(self.spec.task_id)
         if dropped > 0:
@@ -543,7 +526,7 @@ class TaskRunner:
         """
         self.logical.teardown()
         self.phonemgr.abort()
-        if getattr(self, "_flow_registered", False) and self.deviceflow is not None:
+        if self._flow_registered and self.deviceflow is not None:
             self.deviceflow.force_unregister(self.spec.task_id)
             self._flow_registered = False
 

@@ -104,7 +104,7 @@ class Simulator:
         self._raise_pending()
         return fired
 
-    def run(self, until: float | None = None, *, batch: bool = False) -> float:
+    def run(self, until: float | None = None) -> float:
         """Run until the queue drains or the clock would pass ``until``.
 
         Returns the clock value when the loop stops.  With ``until`` set,
@@ -112,60 +112,40 @@ class Simulator:
         only holds later events), mirroring SimPy semantics so callers can
         chain ``run`` segments.
 
-        With ``batch=True`` the loop drains same-timestamp events in
-        batches (:meth:`step_batch`), which is substantially faster for
-        workloads where many entities act in lock-step waves (the Fig. 8
-        scalability sweeps).  Results are identical for simulations that
-        follow the kernel's priority conventions.
+        The loop drains same-timestamp events in batches
+        (:meth:`step_batch`); firing order is the one repeated
+        :meth:`step` calls produce for simulations that follow the
+        kernel's priority conventions.
         """
         if until is not None and until < self.now:
             raise ValueError(f"until={until!r} is in the past (now={self.now!r})")
         queue = self._queue
-        if batch:
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step_batch()
-        else:
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
+        while True:
+            next_time = queue.peek_time()
+            if next_time is None:
+                break
+            if until is not None and next_time > until:
+                break
+            self.step_batch()
         if until is not None:
             self.now = max(self.now, until)
         return self.now
 
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        max_time: float | None = None,
-        *,
-        batch: bool = False,
-    ) -> float:
+    def run_until(self, predicate: Callable[[], bool], max_time: float | None = None) -> float:
         """Step until ``predicate()`` is true; optionally bound by time.
 
         Raises ``TimeoutError`` if ``max_time`` is exceeded or the queue
-        drains before the predicate holds.  With ``batch=True`` the loop
-        drains same-timestamp events through :meth:`step_batch` (the fast
-        path large scenario runs ride); the predicate is then evaluated at
-        batch boundaries, so it may observe a state a few same-timestamp
-        events later than the per-event loop would — identical simulated
-        results, coarser stopping granularity.
+        drains before the predicate holds.  The predicate is evaluated at
+        :meth:`step_batch` boundaries, i.e. once per distinct
+        ``(time, priority)``, never between same-timestamp events.
         """
-        step = self.step_batch if batch else self.step
         while not predicate():
             next_time = self._queue.peek_time()
             if next_time is None:
                 raise TimeoutError("event queue drained before predicate became true")
             if max_time is not None and next_time > max_time:
                 raise TimeoutError(f"predicate still false at max_time={max_time!r}")
-            step()
+            self.step_batch()
         return self.now
 
     @property

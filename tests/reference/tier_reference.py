@@ -1,0 +1,216 @@
+"""Per-device reference implementation of the two execution tiers.
+
+The round loops as they stood before the tiers kept only the wave
+schedule: one generator per logical actor paying two timeouts per queued
+device, one generator per computing phone paying push / training / upload
+per device, and one polling process per benchmarking phone that issues the
+five raw ADB commands and parses their text.  They define what the
+columnar rounds in ``repro.cluster.runner`` and ``repro.phones.phonemgr``
+must reproduce exactly — outcomes and their order, finish times, sample
+series, Table-I summaries, phone battery / WLAN / session state and the
+final state of every random stream — so the differential suites drive the
+same plans through both and compare bit for bit.  Do not optimise it.
+
+Drive a simulation holding reference tiers one event at a time
+(:func:`run_per_event`), the loop these generators were written against.
+Shared with ``src/``: the kernel, ``prepare`` / ``teardown``, the
+five-stage benchmarking protocol and ``OperatorFlow.execute``.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Generator
+
+from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome
+from repro.cluster.runner import LogicalSimulation, RoundResult
+from repro.ml.operators import OperatorContext
+from repro.phones.metrics import parse_metric_sample, parse_pgrep_pid
+from repro.phones.phonemgr import PhoneMgr, _SampledPhone
+from repro.simkernel import AllOf, Simulator, Timeout
+
+
+def run_per_event(sim: Simulator) -> float:
+    """Drain the queue through the single-event primitive."""
+    while sim.step():
+        pass
+    return sim.now
+
+
+def execute_flow(plan, assignment: DeviceAssignment, round_index: int, global_weights, global_bias, rng):
+    """One device's flow against its own :class:`OperatorContext`."""
+    if assignment.dataset is None:
+        raise RuntimeError(f"device {assignment.device_id} has no dataset but the run is numeric")
+    context = OperatorContext(
+        device_id=assignment.device_id,
+        grade=plan.grade,
+        dataset=assignment.dataset,
+        feature_dim=plan.feature_dim,
+        backend=plan.backend,
+        global_weights=global_weights,
+        global_bias=global_bias,
+        round_index=round_index,
+        rng=rng,
+    )
+    plan.flow.execute(context)
+    return context.outputs.get("update")
+
+
+def _outcome(assignment, plan, round_index, payload, update, now) -> DeviceRoundOutcome:
+    return DeviceRoundOutcome(
+        device_id=assignment.device_id,
+        grade=plan.grade,
+        round_index=round_index,
+        n_samples=assignment.n_samples,
+        payload_bytes=payload,
+        update=update,
+        finished_at=now,
+    )
+
+
+class ReferenceLogicalSimulation(LogicalSimulation):
+    """Logical tier whose actors work through their queues device by device."""
+
+    def run_round(self, round_index, global_weights, global_bias, model_bytes, sink=None) -> Generator:
+        if self.placement_group is None and self.plans:
+            raise RuntimeError("call prepare() before run_round()")
+        result = RoundResult(round_index=round_index, started_at=self.sim.now)
+
+        def collect(outcome: DeviceRoundOutcome) -> None:
+            result.outcomes.append(outcome)
+            if sink is not None:
+                sink.accept(outcome)
+
+        processes = [
+            self.sim.process(
+                self._actor_round(
+                    actor, plan.assignments[a :: plan.n_actors], plan,
+                    round_index, global_weights, global_bias, model_bytes, collect,
+                ),
+                name=f"{actor.actor_id}.round{round_index}",
+            )
+            for plan in self.plans
+            for a, actor in enumerate(self.actors[plan.grade])
+        ]
+        if processes:
+            yield AllOf(processes)
+        result.finished_at = self.sim.now
+        self.rounds.append(result)
+        return result
+
+    def _actor_round(
+        self, actor, queue, plan, round_index, global_weights, global_bias, model_bytes, collect
+    ) -> Generator:
+        """Model download once per actor, then alpha + result upload per device (§VI-B4)."""
+        if queue:
+            yield self.sim.process(actor.download(model_bytes), name=f"{actor.actor_id}.model-dl")
+        for assignment in queue:
+            yield Timeout(self.cost_model.device_round_duration(assignment.grade, plan.flow.total_work))
+            update, payload = None, model_bytes
+            if plan.numeric:
+                # Keyed by device, never by actor: which slot simulates a
+                # device is an execution detail.
+                rng = self.streams.get(f"device.{assignment.device_id}.sgd")
+                update = execute_flow(plan, assignment, round_index, global_weights, global_bias, rng)
+                if update is not None:
+                    payload = update.payload_bytes()
+            yield Timeout(self.cost_model.transfer_duration(payload))
+            actor.devices_completed += 1
+            collect(_outcome(assignment, plan, round_index, payload, update, self.sim.now))
+
+
+class ReferencePhoneMgr(PhoneMgr):
+    """Phone tier with per-device emulation loops and per-phone ADB-text samplers."""
+
+    def run_round(self, round_index, global_weights, global_bias, model_bytes, sink=None) -> Generator:
+        result = RoundResult(round_index=round_index, started_at=self.sim.now)
+        epoch = self._epoch
+
+        def collect(outcome: DeviceRoundOutcome) -> None:
+            result.outcomes.append(outcome)
+            if sink is not None:
+                sink.accept(outcome)
+
+        processes = []
+        for plan in self.plans:
+            n_queues = max(1, plan.n_phones)
+            for p, phone in enumerate(self.computing_phones[plan.grade]):
+                processes.append(
+                    self.sim.process(
+                        self._computing_phone_round(
+                            phone, plan.assignments[p::n_queues], plan,
+                            round_index, global_weights, global_bias, model_bytes, collect,
+                        ),
+                        name=f"{phone.serial}.round{round_index}",
+                    )
+                )
+            for phone, assignment in zip(self.benchmark_phones[plan.grade], plan.benchmarking):
+                processes.append(
+                    self.sim.process(
+                        self._run_benchmark_phone(
+                            phone, assignment, round_index, plan, global_weights, global_bias, model_bytes, collect
+                        ),
+                        name=f"{phone.serial}.bench{round_index}",
+                    )
+                )
+        if processes:
+            yield AllOf(processes)
+        result.finished_at = self.sim.now
+        result.aborted = epoch != self._epoch
+        self.rounds.append(result)
+        return result
+
+    def _computing_phone_round(
+        self, phone, queue, plan, round_index, global_weights, global_bias, model_bytes, collect
+    ) -> Generator:
+        """Sequentially emulate the queued devices on one phone."""
+        for assignment in queue:
+            # `is not None`, not truthiness: a zero-record dataset stages its (zero) real bytes.
+            data_bytes = assignment.dataset.nbytes() if assignment.dataset is not None else 64 * assignment.n_samples
+            yield Timeout(self.adb.push_duration(phone.serial, data_bytes + model_bytes))
+            duration = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
+            update, payload = None, model_bytes
+            if plan.numeric:
+                rng = self.streams.get(f"phone-exec.{assignment.device_id}")
+                update = execute_flow(plan, assignment, round_index, global_weights, global_bias, rng)
+                if update is not None:
+                    payload = update.payload_bytes()
+            yield phone.start_training(duration, upload_bytes=payload)
+            yield Timeout(payload / phone.spec.network_bandwidth_bps)
+            collect(_outcome(assignment, plan, round_index, payload, update, self.sim.now))
+
+    # -- one polling process per benchmarking phone, sampling through ADB text --
+    def _register_sampled_phone(self, phone, record) -> _SampledPhone:
+        entry = _SampledPhone(phone, record)
+        entry.stopped = self.sim.process(self._sample_loop(entry), name=f"{phone.serial}.sampler")
+        return entry
+
+    def _sample_loop(self, entry: _SampledPhone) -> Generator:
+        """Poll the five quoted ADB commands at the configured frequency."""
+        while entry.active:
+            self._record_sample(entry.phone, entry.record)
+            yield Timeout(self.poll_interval)
+
+    def _record_sample(self, phone, record) -> None:
+        package = self.apk.package
+        shell = self.adb.shell
+        current_raw = shell(phone.serial, "cat /sys/class/power_supply/battery/current_now")
+        voltage_raw = shell(phone.serial, "cat /sys/class/power_supply/battery/voltage_now")
+        pid = parse_pgrep_pid(shell(phone.serial, f"pgrep -f {package}")) or 0
+        top_raw = dumpsys_raw = net_raw = ""
+        if pid:
+            top_raw = shell(phone.serial, f"top -b -n 1 -p {pid}")
+            dumpsys_raw = shell(phone.serial, f"dumpsys meminfo {package} | grep PSS")
+            net_raw = shell(phone.serial, f"cat /proc/{pid}/net/dev | grep wlan")
+        sample = parse_metric_sample(
+            timestamp=self.sim.now,
+            serial=phone.serial,
+            current_raw=current_raw,
+            voltage_raw=voltage_raw,
+            top_raw=top_raw,
+            pid=pid,
+            dumpsys_raw=dumpsys_raw,
+            net_dev_raw=net_raw,
+        )
+        record.samples.append(sample)
+        if self.on_sample is not None:
+            self.on_sample(sample)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import CallbackSink
+from reference.tier_reference import ReferenceLogicalSimulation, run_per_event
 
-from repro.cloud import CallbackSink
 from repro.cluster import (
     DeviceAssignment,
     GradeExecutionPlan,
@@ -228,7 +229,7 @@ class TestRayJob:
             job.submit(sim)
 
 
-def build_plan(n_devices, n_actors, grade="High", numeric=False, flow=None):
+def build_plan(n_devices, n_actors, grade="High", numeric=False, flow=None, bundle=None):
     assignments = [
         DeviceAssignment(device_id=f"d{i}", grade=grade, n_samples=10)
         for i in range(n_devices)
@@ -237,7 +238,7 @@ def build_plan(n_devices, n_actors, grade="High", numeric=False, flow=None):
         grade=grade,
         assignments=assignments,
         n_actors=n_actors,
-        bundle=ResourceBundle(cpus=4, memory_gb=12),
+        bundle=bundle or ResourceBundle(cpus=4, memory_gb=12),
         flow=flow or standard_fl_flow(epochs=1),
         numeric=numeric,
     )
@@ -329,13 +330,117 @@ class TestLogicalSimulation:
             list(logical.run_round(1, None, 0.0, 0, CallbackSink(lambda o: None)))
 
     def test_partition_round_robin(self):
-        assignments = [DeviceAssignment(f"d{i}", "High", 1) for i in range(5)]
-        queues = LogicalSimulation._partition(assignments, 2)
-        assert [a.device_id for a in queues[0]] == ["d0", "d2", "d4"]
-        assert [a.device_id for a in queues[1]] == ["d1", "d3"]
+        # 5 devices over 2 actors: actor 0 works rows 0, 2, 4 and actor 1
+        # rows 1, 3 — waves of 2, 2 and 1 devices.
+        sim = Simulator()
+        logical = LogicalSimulation(sim, K8sCluster.default_experiment_cluster())
+        seen = []
+
+        def run():
+            yield sim.process(logical.prepare([build_plan(5, 2)]))
+            yield sim.process(
+                logical.run_round(1, None, 0.0, 0, CallbackSink(lambda o: seen.append((sim.now, o.device_id))))
+            )
+
+        sim.process(run())
+        sim.run()
+        assert [device for _, device in seen] == ["d0", "d1", "d2", "d3", "d4"]
+        assert len({time for time, _ in seen}) == 3
+        assert seen[0][0] == seen[1][0] < seen[2][0] == seen[3][0] < seen[4][0]
+        assert [actor.devices_completed for actor in logical.actors["High"]] == [3, 2]
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             build_plan(4, 0)
         with pytest.raises(ValueError):
             DeviceAssignment("d", "High", n_samples=0)
+
+    def test_mixed_grade_plan_rejected(self):
+        with pytest.raises(ValueError):
+            GradeExecutionPlan(
+                grade="Std",
+                assignments=[DeviceAssignment("d0", "Other", 10)],
+                n_actors=1,
+                bundle=ResourceBundle(cpus=1, memory_gb=1),
+                flow=standard_fl_flow(),
+            )
+
+    def test_dataset_bytes_precomputed(self):
+        assert build_plan(5, 2).dataset_bytes() == 5 * 64 * 10
+
+
+WAVE_NODES = [NodeSpec(cpus=10, memory_gb=20)] * 4
+WAVE_COST = LogicalCostModel(alpha={"Std": 11.0}, actor_startup=0.5, runner_setup=4.0)
+
+
+def run_time_only_round(n_devices: int, reference: bool, with_callback: bool = True):
+    """One prepare + time-only round over 40 actors; returns (round, streamed outcomes).
+
+    ``reference`` runs the per-device oracle, stepped one event at a time.
+    """
+    sim = Simulator()
+    tier = ReferenceLogicalSimulation if reference else LogicalSimulation
+    logical = tier(sim, K8sCluster(WAVE_NODES), WAVE_COST)
+    plan = build_plan(
+        n_devices, 40, grade="Std", flow=standard_fl_flow(), bundle=ResourceBundle(cpus=1, memory_gb=1)
+    )
+    streamed = []
+
+    def driver():
+        yield sim.process(logical.prepare([plan]))
+        yield sim.process(
+            logical.run_round(1, None, 0.0, 4096, CallbackSink(streamed.append) if with_callback else None)
+        )
+
+    sim.process(driver())
+    if reference:
+        run_per_event(sim)
+    else:
+        sim.run()
+    logical.teardown()
+    return logical.rounds[0], streamed, plan
+
+
+class TestWaveScheduleIdentity:
+    def test_outcomes_bit_identical_to_per_device_reference(self):
+        legacy, legacy_streamed, _ = run_time_only_round(403, reference=True)
+        batched, batched_streamed, _ = run_time_only_round(403, reference=False)
+        assert len(legacy_streamed) == len(batched_streamed) == 403
+        for a, b in zip(legacy_streamed, batched_streamed):
+            assert a.device_id == b.device_id
+            assert a.finished_at == b.finished_at  # bit-identical floats
+            assert a.payload_bytes == b.payload_bytes
+        assert legacy.duration == batched.duration
+        assert legacy.finished_at == batched.finished_at
+
+    def test_columnar_materialization_matches_reference(self):
+        legacy, legacy_streamed, _ = run_time_only_round(120, reference=True)
+        columnar, streamed, _ = run_time_only_round(120, reference=False, with_callback=False)
+        assert streamed == []
+        assert not columnar.outcomes and columnar.columnar
+        materialized = columnar.all_outcomes()
+        assert len(materialized) == 120
+        for a, b in zip(legacy_streamed, materialized):
+            assert a.device_id == b.device_id
+            assert a.finished_at == b.finished_at
+        assert columnar.n_devices == 120
+        assert legacy.duration == columnar.duration
+
+    def test_scalar_reference_times_match_wave_schedule(self):
+        """A plain-float re-derivation reproduces the broadcast wave times.
+
+        One actor working through its queue accumulates ``((start +
+        model_dl) + duration) + transfer`` with scalar Python floats;
+        re-deriving that chain and comparing bit-for-bit against a real
+        round pins the interleaved-cumsum implementation from the outside.
+        """
+        batched, streamed, plan = run_time_only_round(97, reference=False)
+        by_device = {o.device_id: o.finished_at for o in streamed}
+        for a in (0, 7, 39):
+            queue = plan.assignments[a::40]  # the round-robin layout
+            t = batched.started_at + WAVE_COST.transfer_duration(4096)
+            assert queue
+            for assignment in queue:
+                t = t + WAVE_COST.device_round_duration(assignment.grade, plan.flow.total_work)
+                t = t + WAVE_COST.transfer_duration(4096)
+                assert by_device[assignment.device_id] == t

@@ -2,8 +2,14 @@
 
 Each test asserts the *shape* claims the corresponding table/figure makes
 in the paper, so a regression in any substrate that would distort an
-experiment fails here before the benchmarks run.
+experiment fails here before the benchmarks run.  Table I and Fig. 5 are
+sampled off the phone tier, so their exact outputs are pinned as well
+(digests taken at the last commit that still had the per-device phone
+path, where both paths produced them).
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -64,6 +70,10 @@ class TestTable1:
         assert "no APK initiated" in text
         assert "33.1" in text
 
+    def test_rows_pinned(self, result):
+        digest = hashlib.sha256(json.dumps(result.rows).encode()).hexdigest()
+        assert digest == "3ede0892c3be52f73379845b81ec2e7636a1c01e9e5a0c3994d0f4f8d2bf21d5"
+
 
 class TestFig5:
     @pytest.fixture(scope="class")
@@ -93,6 +103,11 @@ class TestFig5:
 
     def test_format(self, trace):
         assert "memory MB" in format_fig5(trace)
+
+    def test_trace_pinned(self, trace):
+        series = [trace.serial, trace.times, trace.cpu_percent, trace.memory_mb, trace.round_windows]
+        digest = hashlib.sha256(json.dumps(series).encode()).hexdigest()
+        assert digest == "4964d6918bbcbe82d4ca1ec7e52f85376f5abd43525ae608d9c7dc6475e6e617"
 
 
 class TestFig6:

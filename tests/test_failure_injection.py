@@ -6,9 +6,12 @@ must surface as FAILED results rather than hangs.
 """
 
 
+import pytest
+
 from repro import (
     GradeRequirement,
     PlatformConfig,
+    RealTimeAccumulatedStrategy,
     ResourceBundle,
     SimDC,
     TaskSpec,
@@ -31,6 +34,16 @@ class ExplodingOperator(Operator):
     def apply(self, context) -> None:
         if context.device_id == self.victim_device:
             raise RuntimeError(f"operator crashed on {context.device_id}")
+
+
+class ExplodingBlockOperator(ExplodingOperator):
+    """The same crash from a block-capable operator (stacked execution)."""
+
+    supports_block = True
+
+    def apply_block(self, block) -> None:
+        if self.victim_device in block.device_ids:
+            raise RuntimeError(f"operator crashed on {self.victim_device}")
 
 
 def small_platform():
@@ -119,6 +132,47 @@ class TestOperatorCrash:
         platform.run_until_idle(max_time=1e7)
         assert platform.result(big_crashing.task_id).state is TaskState.FAILED
         assert platform.result(queued.task_id).state is TaskState.COMPLETED
+
+
+class TestOperatorCrashIsolation:
+    """One device's operator failure fails its task and nothing else.
+
+    The victim device is pinned to one tier by a fixed allocation (ids
+    ``dev-000000..2`` run on logical actors, ``dev-000003..5`` on phones),
+    the flow either executes as stacked blocks or through
+    ``execute_block``'s per-row fallback, and the task is flow-attached so
+    all three concrete resources are held when it dies.
+    """
+
+    @pytest.mark.parametrize("operator", [ExplodingBlockOperator, ExplodingOperator])
+    @pytest.mark.parametrize("victim", ["dev-000001", "dev-000004"], ids=["logical", "phone"])
+    def test_failure_stays_inside_the_task(self, victim, operator):
+        platform = small_platform()
+        platform.sim.strict = False
+
+        def task(name, flow):
+            spec = task_with_flow(flow, name=name, n_devices=6, rounds=2)
+            spec.deviceflow_strategy = RealTimeAccumulatedStrategy([2])
+            platform.submit(spec, fixed_allocation={"High": 3})
+            return spec
+
+        flow = OperatorFlow([DownloadModelOp(), operator(victim), TrainOp(epochs=1), UploadUpdateOp()])
+        assert flow.supports_block is (operator is ExplodingBlockOperator)
+        crashing = task("crashy", flow)
+        healthy = task("healthy", standard_fl_flow(epochs=1))
+        platform.run_until_idle(max_time=1e7)
+        platform.run()  # whatever the dead task left scheduled must be harmless
+
+        failed = platform.result(crashing.task_id)
+        assert failed.state is TaskState.FAILED
+        assert f"operator crashed on {victim}" in failed.error
+        assert platform.cluster.free_cpus == platform.cluster.total_cpus
+        assert len(platform._busy_registry) == 0
+        assert platform.deviceflow.task_ids == []
+        assert platform.resource_manager.active_grants == 0
+        survivor = platform.result(healthy.task_id)
+        assert survivor.state is TaskState.COMPLETED
+        assert [r.n_updates for r in survivor.rounds] == [6, 6]
 
 
 class TestImpossibleRequests:

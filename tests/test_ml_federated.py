@@ -1,5 +1,7 @@
 """Unit tests for FedAvg, clients, the synchronous trainer and operators."""
 
+import typing
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.ml import (
     fedavg,
     standard_fl_flow,
 )
-from repro.ml.operators import DownloadModelOp, EvalOp, UploadUpdateOp
+from repro.ml.operators import BlockOperatorContext, DownloadModelOp, EvalOp, UploadUpdateOp
 
 
 def make_update(device_id, weights, bias=0.0, n_samples=10, round_index=1):
@@ -226,3 +228,55 @@ class TestOperatorFlow:
 
     def test_train_work_scales_with_epochs(self):
         assert TrainOp(epochs=5).work == pytest.approx(5.0)
+
+    def test_context_type_hints_resolve(self):
+        for context_class in (OperatorContext, BlockOperatorContext):
+            assert "outputs" in typing.get_type_hints(context_class)
+
+    def test_block_without_block_support_runs_row_by_row(self, federated_data):
+        class RowUpload(UploadUpdateOp):
+            supports_block = False
+
+        stacked = standard_fl_flow(epochs=1)
+        by_row = OperatorFlow(list(stacked.operators[:-1]) + [RowUpload()])
+        assert stacked.supports_block and not by_row.supports_block
+
+        def run(flow):
+            ids = federated_data.device_ids()[:3]
+            block = BlockOperatorContext(
+                device_ids=ids,
+                grade="High",
+                datasets=[federated_data.shard(d) for d in ids],
+                feature_dim=256,
+                global_weights=np.zeros(256),
+                rngs=[np.random.default_rng(i) for i in range(3)],
+            )
+            return flow.execute_block(block).outputs
+
+        rows, block = run(by_row), run(stacked)
+        assert rows["update_weights"].tobytes() == block["update_weights"].tobytes()
+        assert rows["update_biases"].tobytes() == block["update_biases"].tobytes()
+
+    def test_row_fallback_rejects_partial_uploads(self, federated_data):
+        class EveryOtherUpload(UploadUpdateOp):
+            supports_block = False
+
+            def apply(self, context):
+                if context.device_id.endswith(("0", "2", "4", "6", "8")):
+                    super().apply(context)
+
+        ids = federated_data.device_ids()[:2]
+        block = BlockOperatorContext(
+            device_ids=ids,
+            grade="High",
+            datasets=[federated_data.shard(d) for d in ids],
+            feature_dim=256,
+            global_weights=np.zeros(256),
+        )
+        flow = OperatorFlow([DownloadModelOp(), EveryOtherUpload()])
+        with pytest.raises(RuntimeError, match="every device of a block or for none"):
+            flow.execute_block(block)
+        # No uploads at all is fine: the block simply carries no updates.
+        quiet = OperatorFlow([DownloadModelOp(), type("Quiet", (EvalOp,), {"supports_block": False})()])
+        block.outputs.clear()
+        assert "update_weights" not in quiet.execute_block(block).outputs

@@ -1,18 +1,18 @@
-"""Differential suite: every numeric execution strategy is bit-identical.
+"""Differential suite: numeric wave-scheduled rounds equal the per-device oracle.
 
-The logical tier can run a numeric (ML-executing) plan four ways — the
-legacy generator path, the batched wave-schedule path, and the sharded
-tier with 1, 2 or 4 workers.  All of them must produce *bit-identical*
-global weights, per-device outcomes (update weights/biases, sample
-counts, payloads) and completion times for the same seed, across multiple
-rounds with FedAvg feedback between them.  This is the contract that lets
-the fast paths replace the generator path in seeded experiments.
+The logical tier runs a numeric (ML-executing) plan as stacked per-wave
+blocks; ``reference.tier_reference`` keeps the per-actor generator loop it
+replaced.  Both must produce *bit-identical* global weights, per-device
+outcomes (update weights/biases, sample counts, payloads), completion
+times and final random-stream states for the same seed, across multiple
+rounds with FedAvg feedback between them.
 """
 
 import numpy as np
 import pytest
+from helpers import CallbackSink, stream_states
+from reference.tier_reference import ReferenceLogicalSimulation, run_per_event
 
-from repro.cloud import CallbackSink
 from repro.cluster import (
     DeviceAssignment,
     GradeExecutionPlan,
@@ -21,7 +21,6 @@ from repro.cluster import (
     LogicalSimulation,
     NodeSpec,
     ResourceBundle,
-    ShardedLogicalSimulation,
 )
 from repro.data.avazu import DeviceDataset
 from repro.ml import fedavg, standard_fl_flow
@@ -31,7 +30,7 @@ NODES = [NodeSpec(cpus=10, memory_gb=20)] * 4
 COST = LogicalCostModel(alpha={"Std": 11.0, "Bulk": 7.0}, actor_startup=0.5, runner_setup=4.0)
 FEATURE_DIM = 32
 MODEL_BYTES = 4096
-N_DEVICES = 24  # divides evenly by 1, 2 and 4 shards (8 actors -> 3 waves)
+N_DEVICES = 24  # 8 actors -> 3 waves
 N_ACTORS = 8
 N_ROUNDS = 3
 SEED = 5
@@ -59,16 +58,18 @@ def make_numeric_plan(n_devices: int = N_DEVICES, n_actors: int = N_ACTORS) -> G
     )
 
 
-def run_unsharded(batch: bool, n_rounds: int = N_ROUNDS, collect: bool = True):
-    """Drive ``n_rounds`` with FedAvg feedback on one LogicalSimulation.
+def run_tier(reference: bool, n_rounds: int = N_ROUNDS, collect: bool = True):
+    """Drive ``n_rounds`` with FedAvg feedback on one logical tier.
 
-    Returns ``(per_round_outcomes, weights_history, round_results)`` where
-    outcomes are in emission order.
+    ``reference`` picks the per-device oracle (stepped one event at a
+    time) over the production tier.  Returns ``(per_round_outcomes,
+    weights_history, round_results, stream_states)`` where outcomes are in
+    emission order.
     """
     sim = Simulator()
-    logical = LogicalSimulation(
-        sim, K8sCluster(NODES), COST, streams=RandomStreams(SEED), batch=batch
-    )
+    tier = ReferenceLogicalSimulation if reference else LogicalSimulation
+    streams = RandomStreams(SEED)
+    logical = tier(sim, K8sCluster(NODES), COST, streams=streams)
     plan = make_numeric_plan()
     per_round, weights_history = [], []
 
@@ -90,20 +91,12 @@ def run_unsharded(batch: bool, n_rounds: int = N_ROUNDS, collect: bool = True):
             weights_history.append((weights, bias))
 
     sim.process(driver())
-    sim.run(batch=batch)
+    if reference:
+        run_per_event(sim)
+    else:
+        sim.run()
     logical.teardown()
-    return per_round, weights_history, logical.rounds
-
-
-def run_sharded(n_shards: int, n_rounds: int = N_ROUNDS):
-    return ShardedLogicalSimulation(NODES, COST, n_shards=n_shards, seed=SEED).run_rounds(
-        [make_numeric_plan()],
-        n_rounds=n_rounds,
-        model_bytes=MODEL_BYTES,
-        global_weights=np.zeros(FEATURE_DIM),
-        global_bias=0.0,
-        collect_outcomes=True,
-    )
+    return per_round, weights_history, logical.rounds, stream_states(streams)
 
 
 def assert_outcomes_identical(reference, candidate):
@@ -120,13 +113,13 @@ def assert_outcomes_identical(reference, candidate):
 
 @pytest.fixture(scope="module")
 def generator_reference():
-    return run_unsharded(batch=False)
+    return run_tier(reference=True)
 
 
 class TestBatchedNumericEquivalence:
     def test_batched_path_bit_identical(self, generator_reference):
-        ref_rounds, ref_weights, ref_results = generator_reference
-        bat_rounds, bat_weights, bat_results = run_unsharded(batch=True)
+        ref_rounds, ref_weights, ref_results, ref_streams = generator_reference
+        bat_rounds, bat_weights, bat_results, bat_streams = run_tier(reference=False)
         for ref, bat in zip(ref_rounds, bat_rounds):
             assert_outcomes_identical(ref, bat)
         for (rw, rb), (bw, bb) in zip(ref_weights, bat_weights):
@@ -135,10 +128,11 @@ class TestBatchedNumericEquivalence:
         for ref, bat in zip(ref_results, bat_results):
             assert ref.started_at == bat.started_at
             assert ref.finished_at == bat.finished_at
+        assert ref_streams == bat_streams
 
     def test_columnar_blocks_materialize_identically(self, generator_reference):
-        ref_rounds, ref_weights, _ = generator_reference
-        col_rounds, col_weights, col_results = run_unsharded(batch=True, collect=False)
+        ref_rounds, ref_weights, _, _ = generator_reference
+        col_rounds, col_weights, col_results, _ = run_tier(reference=False, collect=False)
         assert all(result.columnar and not result.outcomes for result in col_results)
         for ref, col in zip(ref_rounds, col_rounds):
             assert_outcomes_identical(ref, col)
@@ -147,7 +141,7 @@ class TestBatchedNumericEquivalence:
             assert rb == cb
 
     def test_columnar_fedavg_inputs_match_updates(self):
-        _, _, col_results = run_unsharded(batch=True, collect=False, n_rounds=1)
+        _, _, col_results, _ = run_tier(reference=False, collect=False, n_rounds=1)
         weights, biases, n_samples = col_results[0].fedavg_inputs()
         materialized = col_results[0].all_outcomes()
         assert weights.shape == (N_DEVICES, FEATURE_DIM)
@@ -157,40 +151,12 @@ class TestBatchedNumericEquivalence:
             assert int(n_samples[row]) == outcome.n_samples
 
 
-class TestShardedNumericEquivalence:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_sharded_bit_identical_across_rounds(self, generator_reference, n_shards):
-        ref_rounds, ref_weights, ref_results = generator_reference
-        result = run_sharded(n_shards)
-        assert len(result.rounds) == N_ROUNDS
-        assert len(result.weights_history) == N_ROUNDS
-        for round_pos in range(N_ROUNDS):
-            reference = sorted(
-                ref_rounds[round_pos], key=lambda o: (o.finished_at, o.device_id)
-            )
-            assert_outcomes_identical(reference, result.rounds[round_pos].outcomes)
-            rw, rb = ref_weights[round_pos]
-            sw, sb = result.weights_history[round_pos]
-            assert rw.tobytes() == sw.tobytes()
-            assert np.float64(rb).tobytes() == np.float64(sb).tobytes()
-            assert result.rounds[round_pos].started_at == ref_results[round_pos].started_at
-            assert result.rounds[round_pos].finished_at == ref_results[round_pos].finished_at
-        assert result.global_weights.tobytes() == ref_weights[-1][0].tobytes()
-
-    def test_shard_counts_agree_with_each_other(self):
-        metrics = {
-            n_shards: run_sharded(n_shards, n_rounds=2).metrics() for n_shards in (1, 2, 4)
-        }
-        assert metrics[1] == metrics[2] == metrics[4]
-
-
 class TestMixedPlanRound:
-    """Regression: the batched/pooled choice is made per plan, not per round.
+    """Regression: numeric execution is decided per plan, not per round.
 
     One numeric plan and one time-only plan share a round; the numeric
-    plan must flow through the vectorized wave path (producing updates)
-    while the time-only plan keeps its pooled-deadline columnar path, on
-    both the unsharded and sharded tiers.
+    plan must produce updates while the time-only plan stays a bare
+    pooled-deadline block.
     """
 
     @staticmethod
@@ -209,11 +175,10 @@ class TestMixedPlanRound:
         )
         return [numeric, time_only]
 
-    def _run_unsharded(self, batch: bool):
+    def _run(self, reference: bool):
         sim = Simulator()
-        logical = LogicalSimulation(
-            sim, K8sCluster(NODES), COST, streams=RandomStreams(SEED), batch=batch
-        )
+        tier = ReferenceLogicalSimulation if reference else LogicalSimulation
+        logical = tier(sim, K8sCluster(NODES), COST, streams=RandomStreams(SEED))
 
         def driver():
             yield sim.process(logical.prepare(self._mixed_plans()))
@@ -222,13 +187,16 @@ class TestMixedPlanRound:
             )
 
         sim.process(driver())
-        sim.run(batch=batch)
+        if reference:
+            run_per_event(sim)
+        else:
+            sim.run()
         logical.teardown()
         return logical.rounds[0]
 
     def test_unsharded_mixed_round_matches_generator(self):
-        reference = self._run_unsharded(batch=False)
-        batched = self._run_unsharded(batch=True)
+        reference = self._run(reference=True)
+        batched = self._run(reference=False)
         assert batched.n_devices == reference.n_devices == 20
         # Both plans went columnar, and only the numeric one carries updates.
         assert len(batched.columnar) == 2
@@ -250,29 +218,3 @@ class TestMixedPlanRound:
             if a.update is not None:
                 assert a.update.weights.tobytes() == b.update.weights.tobytes()
         assert reference.finished_at == batched.finished_at
-
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_sharded_mixed_round(self, n_shards):
-        reference = self._run_unsharded(batch=False)
-        result = ShardedLogicalSimulation(NODES, COST, n_shards=n_shards, seed=SEED).run_rounds(
-            self._mixed_plans(),
-            n_rounds=1,
-            model_bytes=MODEL_BYTES,
-            global_weights=np.zeros(FEATURE_DIM),
-            collect_outcomes=True,
-        )
-        merged = result.rounds[0]
-        assert merged.n_devices == 20
-        # The numeric plan's updates fed the merged global model.
-        assert len(result.weights_history) == 1
-        numeric_updates = [o.update for o in merged.outcomes if o.update is not None]
-        assert len(numeric_updates) == 8
-        expected_weights, expected_bias = fedavg(numeric_updates)
-        assert result.global_weights.tobytes() == expected_weights.tobytes()
-        assert result.global_bias == expected_bias
-        ref_sorted = sorted(
-            reference.all_outcomes(), key=lambda o: (o.finished_at, o.device_id)
-        )
-        for a, b in zip(ref_sorted, merged.outcomes):
-            assert a.device_id == b.device_id
-            assert a.finished_at == b.finished_at

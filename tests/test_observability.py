@@ -4,8 +4,7 @@ The property tests pin the two contracts the subsystem is built on: the
 hysteresis state machine never chatters inside the (clear, warn) band,
 and SLA evaluation is a pure, deterministic function of the KPIs.  The
 integration tests close the loop — alarms raised from real platform
-events drive the autoscaler, byte-identically across the batched and
-legacy event loops.
+events drive the autoscaler, byte-identically across repeat runs.
 """
 
 import pytest
@@ -30,7 +29,6 @@ from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
     TenantSpec,
-    run_scenario,
 )
 from repro.scenarios.kpis import StatSummary, TenantKPIs
 from repro.simkernel import Simulator
@@ -419,26 +417,20 @@ class TestAutoscale:
         total_added = sum(len(e.fields["nodes"]) for e in ups)
         assert 0 < total_added <= 2
 
-    def test_loop_identical_across_batch_modes_and_repeats(self):
-        """The acceptance contract: the whole remediation loop is
-        deterministic and bit-identical between the event loops."""
-        batched = run_scenario(autoscale_scenario(), batch=True)
-        legacy = run_scenario(autoscale_scenario(), batch=False)
-        repeat = run_scenario(autoscale_scenario(), batch=True)
-        assert batched.to_json() == repeat.to_json()
-        bat, leg = batched.to_dict(), legacy.to_dict()
-        assert bat.pop("batch") is True and leg.pop("batch") is False
-        assert bat == leg
-        assert batched.alarm_events.get("alarm_raised", 0) >= 1
-
-    def test_alarm_event_timeline_identical_across_modes(self):
-        """Not just the report: the full alarm/autoscale event timeline."""
-        def timeline(batch):
-            runner = ScenarioRunner(autoscale_scenario(), batch=batch)
-            runner.run()
-            return [
+    def test_loop_identical_across_repeats(self):
+        """The acceptance contract: the whole remediation loop — the report
+        and the full alarm/autoscale event timeline — is deterministic."""
+        def run():
+            runner = ScenarioRunner(autoscale_scenario())
+            report = runner.run()
+            timeline = [
                 (e.time, e.kind, dict(e.fields))
                 for e in runner.platform.monitor.events
                 if e.kind.startswith(("alarm_", "autoscale_", "sla_"))
             ]
-        assert timeline(True) == timeline(False)
+            return report, timeline
+
+        (first, first_timeline), (repeat, repeat_timeline) = run(), run()
+        assert first.to_json() == repeat.to_json()
+        assert first_timeline == repeat_timeline
+        assert first.alarm_events.get("alarm_raised", 0) >= 1

@@ -1,30 +1,29 @@
 """The OutcomeSink contract and the block-vs-scalar ingestion differential.
 
-Three layers of the same guarantee:
+Two layers of the same guarantee:
 
-1. Protocol mechanics — structural ``isinstance`` checks, the
-   bare-callable deprecation shim, block materialization.
+1. Protocol mechanics — structural ``isinstance`` checks, the wave /
+   plan granularity a ``CloudIngestSink`` asks for.
 2. Tier level — a ``LogicalSimulation`` round delivered to a
-   ``CloudIngestSink`` in block mode leaves storage and the aggregation
-   service bit-identical to scalar streaming.
-3. Platform level — a full multi-tenant scenario replayed with
-   ``cloud_blocks=True`` and ``cloud_blocks=False`` produces
-   byte-identical reports (including a DeviceFlow tenant, which moves
-   one block per completion wave in the first and one message per
-   device in the second).
+   ``CloudIngestSink`` as one block leaves storage and the aggregation
+   service bit-identical to the per-device reference tier streaming
+   scalar ``accept`` calls into the same sink.
+
+(Platform level: the report digests pinned in ``tests/test_scenarios.py``
+were taken where block and scalar ingestion were proven byte-identical.)
 """
 
 
 import numpy as np
 import pytest
+from helpers import CallbackSink
+from reference.tier_reference import ReferenceLogicalSimulation, run_per_event
 
 from repro.cloud import (
     AggregationService,
-    CallbackSink,
     CloudIngestSink,
     ObjectStorage,
     OutcomeSink,
-    coerce_sink,
 )
 from repro.cloud.aggregation import AggregationTrigger
 from repro.cluster import (
@@ -40,14 +39,6 @@ from repro.data.avazu import DeviceDataset
 from repro.deviceflow import DeviceFlow, RealTimeAccumulatedStrategy
 from repro.ml import standard_fl_flow
 from repro.ml.model import LogisticRegressionModel
-from repro.scenarios import (
-    ArrivalSpec,
-    DispatchSpec,
-    GradeSpec,
-    ScenarioSpec,
-    TenantSpec,
-    run_scenario,
-)
 from repro.simkernel import RandomStreams, Simulator
 
 FEATURE_DIM = 16
@@ -82,56 +73,16 @@ class TestProtocol:
         )
         assert isinstance(sink, OutcomeSink)
 
-    def test_coerce_passes_sinks_and_none_through(self):
-        sink = CallbackSink(lambda o: None)
-        assert coerce_sink(sink) is sink
-        assert coerce_sink(None) is None
-
-    def test_coerce_wraps_bare_callable_with_deprecation(self):
-        seen = []
-        with pytest.warns(DeprecationWarning, match="bare callable"):
-            wrapped = coerce_sink(seen.append)
-        assert isinstance(wrapped, CallbackSink)
-        assert wrapped.prefers_blocks is False
-        wrapped.accept("outcome")
-        assert seen == ["outcome"]
-
-    def test_coerce_rejects_non_callables(self):
-        with pytest.raises(TypeError):
-            coerce_sink(42)
-        with pytest.raises(TypeError):
-            CallbackSink("not-callable")
-
-    def test_run_round_warns_on_bare_callable(self):
-        sim = Simulator()
-        logical = LogicalSimulation(sim, K8sCluster(NODES), COST, streams=RandomStreams(0))
-        plan = make_plan(n_devices=4, numeric=False)
-
-        def drive():
-            yield sim.process(logical.prepare([plan]))
-            yield sim.process(logical.run_round(1, None, 0.0, 0, lambda o: None))
-
-        sim.process(drive())
-        with pytest.warns(DeprecationWarning, match="bare callable"):
-            sim.run()
-        logical.teardown()
-
     def test_flow_connected_sink_takes_wave_blocks(self):
         sim = Simulator()
         service = AggregationService(sim, ObjectStorage(), AggregationTrigger())
         flow = DeviceFlow(sim)
-        sink = CloudIngestSink(
-            sim, "t", ObjectStorage(), service, deviceflow=flow, prefer_blocks=True
-        )
+        sink = CloudIngestSink(sim, "t", ObjectStorage(), service, deviceflow=flow)
         flow.register_task("t", RealTimeAccumulatedStrategy(thresholds=[1]), sink.flow_receive)
         # Traffic shaping must see arrivals mid-round: blocks, but per wave.
-        assert sink.prefers_blocks is True and sink.prefers_waves is True
+        assert sink.prefers_waves is True
         direct = CloudIngestSink(sim, "t", ObjectStorage(), service)
-        assert direct.prefers_blocks is True and direct.prefers_waves is False
-        streaming = CloudIngestSink(
-            sim, "t", ObjectStorage(), service, deviceflow=flow, prefer_blocks=False
-        )
-        assert streaming.prefers_blocks is False
+        assert direct.prefers_waves is False
 
 
 # ----------------------------------------------------------------------
@@ -160,17 +111,20 @@ def make_plan(n_devices=12, n_actors=4, numeric=True):
     )
 
 
-def run_tier_round(prefer_blocks):
-    """One numeric round delivered through a CloudIngestSink."""
+def run_tier_round(reference):
+    """One numeric round delivered through a CloudIngestSink.
+
+    The production tier hands the sink one block; the per-device
+    reference tier streams one scalar ``accept`` per device.
+    """
     sim = Simulator()
-    logical = LogicalSimulation(
-        sim, K8sCluster(NODES), COST, streams=RandomStreams(3), batch=True
-    )
+    tier = ReferenceLogicalSimulation if reference else LogicalSimulation
+    logical = tier(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
     storage = ObjectStorage()
     service = AggregationService(
         sim, storage, AggregationTrigger(), model=LogisticRegressionModel(FEATURE_DIM)
     )
-    sink = CloudIngestSink(sim, "t", storage, service, prefer_blocks=prefer_blocks)
+    sink = CloudIngestSink(sim, "t", storage, service)
     plan = make_plan()
 
     def drive():
@@ -180,7 +134,10 @@ def run_tier_round(prefer_blocks):
         )
 
     sim.process(drive())
-    sim.run(batch=True)
+    if reference:
+        run_per_event(sim)
+    else:
+        sim.run()
     record = service.aggregate_now()
     logical.teardown()
     return storage, service, record
@@ -188,8 +145,8 @@ def run_tier_round(prefer_blocks):
 
 class TestTierDifferential:
     def test_block_and_scalar_ingestion_identical(self):
-        storage_s, service_s, record_s = run_tier_round(prefer_blocks=False)
-        storage_b, service_b, record_b = run_tier_round(prefer_blocks=True)
+        storage_s, service_s, record_s = run_tier_round(reference=True)
+        storage_b, service_b, record_b = run_tier_round(reference=False)
 
         # Aggregation: same fold, bit-identical model.
         assert np.array_equal(service_b.model.weights, service_s.model.weights)
@@ -216,29 +173,25 @@ class TestTierDifferential:
             assert update_b.n_samples == update_s.n_samples
 
     def test_callback_sink_materializes_blocks_in_completion_order(self):
-        # A CallbackSink handed to a batched tier must observe the same
-        # per-device stream the legacy path produced (covered broadly by
-        # test_numeric_equivalence; this pins the block-materialize path).
+        # The CallbackSink helper, handed wave blocks by the production
+        # tier, must observe the same per-device stream the reference tier
+        # hands it one scalar at a time.
         block_seen, scalar_seen = [], []
-        for collect, prefer in ((block_seen, True), (scalar_seen, False)):
+        for collect, tier in ((block_seen, LogicalSimulation), (scalar_seen, ReferenceLogicalSimulation)):
             sim = Simulator()
-            logical = LogicalSimulation(
-                sim, K8sCluster(NODES), COST, streams=RandomStreams(3), batch=True
-            )
+            logical = tier(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
             plan = make_plan(numeric=False)
             sink = CallbackSink(collect.append)
-            assert sink.prefers_blocks is False or prefer
 
             def drive():
                 yield sim.process(logical.prepare([plan], task_id="t"))
                 yield sim.process(logical.run_round(1, None, 0.0, 0, sink))
 
             sim.process(drive())
-            sim.run(batch=True)
+            run_per_event(sim)
             logical.teardown()
         assert [o.device_id for o in block_seen] == [o.device_id for o in scalar_seen]
         assert [o.finished_at for o in block_seen] == [o.finished_at for o in scalar_seen]
-
 
     def test_wave_preferring_sink_gets_row_views_at_wave_times(self):
         """``prefers_waves`` turns one plan block into one zero-copy view per wave."""
@@ -249,8 +202,8 @@ class TestTierDifferential:
             def __init__(self, sim):
                 self.sim, self.waves = sim, []
 
-            def accept(self, outcome):  # pragma: no cover - batched plans only
-                raise AssertionError("batched plans deliver blocks")
+            def accept(self, outcome):  # pragma: no cover - computing plans only
+                raise AssertionError("computing plans deliver blocks")
 
             def accept_block(self, block):
                 self.waves.append((self.sim.now, block))
@@ -268,7 +221,7 @@ class TestTierDifferential:
             )
 
         sim.process(drive())
-        sim.run(batch=True)
+        sim.run()
         logical.teardown()
         (whole,) = holder["result"].columnar
         assert [len(wave) for _, wave in sink.waves] == [4, 4, 2]
@@ -291,50 +244,3 @@ class TestTierDifferential:
         assert np.array_equal(strided.update_at(1).weights, whole.update_weights[5])
         with pytest.raises(ValueError):
             strided.view(slice(0, 1))
-
-
-# ----------------------------------------------------------------------
-# platform-level differential
-# ----------------------------------------------------------------------
-def sink_scenario() -> ScenarioSpec:
-    """Two tenants: a DeviceFlow one (a block per completion wave) and a
-    direct numeric one (a block per plan and round)."""
-    return ScenarioSpec(
-        name="sink-differential",
-        seed=0,
-        horizon_s=600.0,
-        cluster_nodes=2,
-        tenants=[
-            TenantSpec(
-                name="flow",
-                priority=5,
-                rounds=2,
-                grades=[GradeSpec(grade="High", n_devices=8, bundles=8, n_phones=1)],
-                arrival=ArrivalSpec(kind="periodic", count=1, period_s=200.0, offset_s=10.0),
-                dispatch=DispatchSpec(kind="realtime", thresholds=[3], failure_prob=0.1),
-            ),
-            TenantSpec(
-                name="direct",
-                priority=1,
-                numeric=True,
-                feature_dim=32,
-                records_per_device=6,
-                rounds=2,
-                grades=[GradeSpec(grade="Low", n_devices=6, bundles=6)],
-                arrival=ArrivalSpec(kind="trace", times=[20.0]),
-            ),
-        ],
-    )
-
-
-class TestPlatformDifferential:
-    def test_cloud_blocks_report_byte_identical(self):
-        block = run_scenario(sink_scenario(), cloud_blocks=True)
-        scalar = run_scenario(sink_scenario(), cloud_blocks=False)
-        assert block.to_json() == scalar.to_json()
-
-    def test_cloud_blocks_matches_legacy_generator_path(self):
-        block = run_scenario(sink_scenario(), batch=True, cloud_blocks=True).to_dict()
-        legacy = run_scenario(sink_scenario(), batch=False, cloud_blocks=False).to_dict()
-        assert block.pop("batch") is True and legacy.pop("batch") is False
-        assert block == legacy

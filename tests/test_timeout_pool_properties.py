@@ -129,13 +129,12 @@ def test_fire_order_and_counts_match_reference_model(ops, cancel_plan):
 @given(
     ops=op_lists,
     cancel_plan=cancel_plans,
-    batch=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_batch_stepping_is_equivalent(ops, cancel_plan, batch):
+def test_batch_stepping_is_equivalent(ops, cancel_plan):
     """The fire log is identical under step() and step_batch() draining."""
 
-    def run(batch_mode):
+    def run(per_event):
         sim = Simulator()
         pool = TimeoutPool(sim, name="under-test")
         pool._COMPACT_THRESHOLD = 8
@@ -164,10 +163,14 @@ def test_batch_stepping_is_equivalent(ops, cancel_plan, batch):
                         (t, ("seq", op_index, position)) for position in range(lo, hi)
                     ),
                 )
-        sim.run(batch=batch_mode)
+        if per_event:
+            while sim.step():
+                pass
+        else:
+            sim.run()
         return log
 
-    assert run(batch) == run(not batch)
+    assert run(per_event=True) == run(per_event=False)
 
 
 class TestRecurringTimeout:

@@ -5,7 +5,7 @@ guarantees the robustness work leans on:
 
 (a) a lossless :class:`ChannelModel` leaves the scenario report
     byte-identical to running with no channel at all,
-(b) lossy runs are byte-identical batched vs legacy and across repeats,
+(b) lossy runs are byte-identical across repeats,
 (c) duplicated delivery + the ingestion dedup table is fold-equivalent
     to exactly-once delivery, and
 (d) a deadline-closed round aggregates exactly the partial fold over
@@ -48,13 +48,12 @@ from repro.scenarios.__main__ import main as scenarios_main
 from repro.simkernel import RandomStreams, Simulator
 
 
-def transport_scenario(transport=None, faults=(), batch=True, seed=3) -> ScenarioSpec:
+def transport_scenario(transport=None, faults=(), seed=3) -> ScenarioSpec:
     """Two tenants — direct numeric uplink + DeviceFlow background."""
     return ScenarioSpec(
         name="transport-diff",
         seed=seed,
         horizon_s=600.0,
-        batch=batch,
         transport=transport,
         faults=list(faults),
         tenants=[
@@ -93,13 +92,6 @@ LOSSY_FAULTS = (
     FaultSpec(kind="message_loss", at=50.0, until=200.0, factor=0.3),
     FaultSpec(kind="service_outage", at=80.0, until=120.0),
 )
-
-
-def comparable(report) -> dict:
-    """Report as plain data minus the execution-mode marker."""
-    data = report.to_dict()
-    data.pop("batch")
-    return data
 
 
 # ----------------------------------------------------------------------
@@ -328,23 +320,15 @@ class TestTransportDifferential:
         far_deadline = run_scenario(
             transport_scenario(transport=TransportSpec(deadline_s=1e6))
         )
-        assert comparable(lossless) == comparable(plain)
-        assert comparable(far_deadline) == comparable(plain)
+        assert lossless.to_json() == plain.to_json()
+        assert far_deadline.to_json() == plain.to_json()
 
-    def test_lossy_run_identical_batched_vs_legacy_and_across_repeats(self):
-        batched = run_scenario(
-            transport_scenario(transport=LOSSY, faults=LOSSY_FAULTS, batch=True)
-        )
-        legacy = run_scenario(
-            transport_scenario(transport=LOSSY, faults=LOSSY_FAULTS, batch=False)
-        )
-        repeat = run_scenario(
-            transport_scenario(transport=LOSSY, faults=LOSSY_FAULTS, batch=True)
-        )
-        assert comparable(batched) == comparable(legacy)
-        assert batched.to_json() == repeat.to_json()
+    def test_lossy_run_identical_across_repeats(self):
+        first = run_scenario(transport_scenario(transport=LOSSY, faults=LOSSY_FAULTS))
+        repeat = run_scenario(transport_scenario(transport=LOSSY, faults=LOSSY_FAULTS))
+        assert first.to_json() == repeat.to_json()
         # The channel visibly perturbed the run.
-        kpis = batched.tenants["up"]
+        kpis = first.tenants["up"]
         assert kpis.transport_retries > 0
         assert kpis.updates_aggregated < kpis.updates_expected
 
@@ -362,7 +346,7 @@ class TestTransportDifferential:
         # Scoped to the direct tenant: a duplicate through DeviceFlow
         # legitimately perturbs the flow's per-message sampling, so only
         # direct ingestion promises exactly-once equivalence.
-        plain = comparable(run_scenario(transport_scenario()))
+        plain = run_scenario(transport_scenario()).to_dict()
         dup_only = run_scenario(
             transport_scenario(
                 faults=[
@@ -378,7 +362,7 @@ class TestTransportDifferential:
         )
         kpis = dup_only.tenants["up"]
         assert kpis.transport_duplicates > 0
-        data = comparable(dup_only)
+        data = dup_only.to_dict()
         # Zero the duplication artifacts (its KPI counter and the fault
         # event): everything else — the fold, the accuracies, the
         # timings — must match exactly-once delivery.
@@ -559,10 +543,11 @@ class TestSpecRoundTripProperties:
         deadline=st.one_of(st.none(), st.floats(min_value=1.0, max_value=1e4)),
         loss=st.floats(min_value=0.0, max_value=0.99),
         attempts=st.integers(min_value=1, max_value=8),
+        stray=st.sampled_from(["batch", "cloud_blocks", "typo_field"]),
     )
     @settings(max_examples=50, deadline=None)
     def test_scenario_spec_round_trips_through_json(
-        self, faults, seed, deadline, loss, attempts
+        self, faults, seed, deadline, loss, attempts, stray
     ):
         spec = transport_scenario(
             transport=TransportSpec(
@@ -574,6 +559,17 @@ class TestSpecRoundTripProperties:
         data = json.loads(json.dumps(spec.to_dict()))
         rebuilt = ScenarioSpec.from_dict(data)
         assert rebuilt.to_dict() == spec.to_dict()
+        # A key no spec class declares (a typo, or ``batch:`` from an older
+        # dump) fails by its path and lists what is accepted, at every level.
+        places = [("", data, "ScenarioSpec"), ("tenants[1].", data["tenants"][1], "TenantSpec")]
+        if faults:
+            places.append((f"faults[{len(faults) - 1}].", data["faults"][-1], "FaultSpec"))
+        for prefix, target, owner in places:
+            target[stray] = True
+            message = f"unknown scenario field '{prefix}{stray}'; {owner} accepts: "
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ScenarioSpec.from_dict(data)
+            del target[stray]
 
 
 # ----------------------------------------------------------------------
