@@ -16,7 +16,7 @@ import time
 
 from conftest import full_scale
 
-from repro.simkernel import Semaphore, Simulator, Timeout, TimeoutPool
+from repro.simkernel import Simulator, Timeout, TimeoutPool
 
 
 def schedule_and_drain(n_events: int) -> None:
@@ -47,20 +47,6 @@ def process_chains(n_processes: int, hops: int) -> None:
             yield Timeout(1.0)
 
     for _ in range(n_processes):
-        sim.process(worker())
-    sim.run()
-
-
-def contended_semaphore(n_workers: int) -> None:
-    sim = Simulator()
-    sem = Semaphore(sim, capacity=8)
-
-    def worker():
-        yield sem.acquire()
-        yield Timeout(1.0)
-        sem.release()
-
-    for _ in range(n_workers):
         sim.process(worker())
     sim.run()
 
@@ -101,10 +87,6 @@ def test_timeout_pool_throughput(benchmark):
 
 def test_process_switching(benchmark):
     benchmark.pedantic(process_chains, args=(2_000, 20), rounds=3, iterations=1)
-
-
-def test_semaphore_contention(benchmark):
-    benchmark.pedantic(contended_semaphore, args=(5_000,), rounds=3, iterations=1)
 
 
 def test_drain_throughput_report(persist_result):

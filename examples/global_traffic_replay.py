@@ -27,7 +27,7 @@ WINDOW_S = 24 * 60.0  # one simulated "day", 1 minute per hour
 
 
 def main(n_devices: int = N_DEVICES, window_s: float = WINDOW_S) -> None:
-    timezones = TimezoneMixture(seed=3)
+    timezones = TimezoneMixture()
     availability = DiurnalAvailability(night_peak=2.0, evening_peak=21.0)
     curve = population_traffic_curve(timezones, availability)
     print(f"population curve over UTC: {curve.name}, peak-to-trough "

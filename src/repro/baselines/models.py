@@ -1,25 +1,14 @@
 """Execution/cost models of FedScale- and FederatedScope-like simulators.
 
-Each baseline offers two things:
-
-* ``round_time(n_devices)`` — the calibrated single-round wall-time model
-  used by the Fig. 8 scalability sweep, with a :class:`RoundCostBreakdown`
-  explaining where the time goes;
-* ``run_round(clients, model)`` — a *functional* in-memory FedAvg round
-  over real :class:`~repro.ml.client.FLClient` objects, demonstrating that
-  the baselines produce the same learning outcome and differ only in
-  execution architecture (which is the paper's point: FedScale's speed
-  comes from skipping the device-cloud path, not from better math).
+Each baseline offers ``round_time(n_devices)`` — the calibrated
+single-round wall-time model used by the Fig. 8 scalability sweep, with a
+:class:`RoundCostBreakdown` explaining where the time goes (the paper's
+point: FedScale's speed comes from skipping the device-cloud path).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
-
-from repro.ml.client import FLClient
-from repro.ml.fedavg import fedavg
-from repro.ml.model import LogisticRegressionModel
 
 
 @dataclass
@@ -86,19 +75,6 @@ class FedScaleLikeSimulator:
         """Single-round wall time (seconds)."""
         return self.round_breakdown(n_devices).total
 
-    def run_round(
-        self,
-        clients: Sequence[FLClient],
-        model: LogisticRegressionModel,
-        round_index: int = 1,
-    ) -> LogisticRegressionModel:
-        """Functional in-memory round: train every client, fold, return."""
-        weights, bias = model.get_params()
-        updates = [client.local_train(weights, bias, round_index) for client in clients]
-        new_weights, new_bias = fedavg(updates)
-        model.set_params(new_weights, new_bias)
-        return model
-
 
 @dataclass
 class FederatedScopeLikeSimulator:
@@ -143,22 +119,6 @@ class FederatedScopeLikeSimulator:
     def round_time(self, n_devices: int) -> float:
         """Single-round wall time (seconds)."""
         return self.round_breakdown(n_devices).total
-
-    def run_round(
-        self,
-        clients: Sequence[FLClient],
-        model: LogisticRegressionModel,
-        round_index: int = 1,
-    ) -> LogisticRegressionModel:
-        """Functional round with an explicit (in-process) message step."""
-        weights, bias = model.get_params()
-        mailbox = []
-        for client in clients:
-            update = client.local_train(weights, bias, round_index)
-            mailbox.append(update)  # the "device-cloud" hop, in process
-        new_weights, new_bias = fedavg(mailbox)
-        model.set_params(new_weights, new_bias)
-        return model
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Device-behaviour models: timezones, networks, availability, dropout.
+"""Device-behaviour models: timezones, networks, availability.
 
 §V motivates DeviceFlow with real-world phone populations that differ in
 "timezones, environmental networks, user actions, and inherent
@@ -9,7 +9,6 @@ per-device behaviour and population-level traffic shaping.
 """
 
 from repro.behavior.availability import DiurnalAvailability, population_traffic_curve
-from repro.behavior.dropout import DropoutModel
 from repro.behavior.network import (
     FLIGHT_MODE,
     GPRS,
@@ -22,7 +21,6 @@ from repro.behavior.timezone import TimezoneMixture
 
 __all__ = [
     "DiurnalAvailability",
-    "DropoutModel",
     "FLIGHT_MODE",
     "GPRS",
     "LTE",

@@ -56,13 +56,6 @@ class DiurnalAvailability:
         delta = np.abs(hour - peak)
         return np.minimum(delta, 24.0 - delta)
 
-    def is_available(
-        self, local_hour: float, rng: np.random.Generator | None = None
-    ) -> bool:
-        """Bernoulli availability draw for one device at one instant."""
-        rng = rng or np.random.default_rng(0)
-        return bool(rng.random() < float(self.probability(np.array([local_hour]))[0]))
-
 
 def population_traffic_curve(
     timezones: TimezoneMixture,

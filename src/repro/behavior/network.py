@@ -40,19 +40,6 @@ class NetworkProfile:
         if not 0.0 <= self.failure_prob <= 1.0:
             raise ValueError("failure_prob must be in [0, 1]")
 
-    @property
-    def connected(self) -> bool:
-        """Whether any traffic can flow at all."""
-        return self.bandwidth_bps > 0
-
-    def upload_duration(self, n_bytes: int) -> float:
-        """Seconds to upload ``n_bytes`` (``inf`` when disconnected)."""
-        if n_bytes < 0:
-            raise ValueError("n_bytes must be >= 0")
-        if not self.connected:
-            return float("inf")
-        return self.latency_s + n_bytes / self.bandwidth_bps
-
 
 WIFI = NetworkProfile("wifi", bandwidth_bps=40e6 / 8, latency_s=0.02, failure_prob=0.01)
 LTE = NetworkProfile("lte", bandwidth_bps=12e6 / 8, latency_s=0.05, failure_prob=0.05)
@@ -69,13 +56,9 @@ DEFAULT_NETWORK_MIX: tuple[tuple[NetworkProfile, float], ...] = (
 
 
 class NetworkMixture:
-    """Assigns network profiles to a device population."""
+    """A population's distribution over network profiles."""
 
-    def __init__(
-        self,
-        mix: Sequence[tuple[NetworkProfile, float]] = DEFAULT_NETWORK_MIX,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, mix: Sequence[tuple[NetworkProfile, float]] = DEFAULT_NETWORK_MIX) -> None:
         mix = list(mix)
         if not mix:
             raise ValueError("at least one network profile is required")
@@ -84,14 +67,6 @@ class NetworkMixture:
         self.profiles = [p for p, _ in mix]
         weights = np.array([w for _, w in mix], dtype=np.float64)
         self.weights = weights / weights.sum()
-        self._rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4E7)))
-
-    def sample(self, n_devices: int) -> list[NetworkProfile]:
-        """One profile per device."""
-        if n_devices <= 0:
-            raise ValueError("n_devices must be positive")
-        indices = self._rng.choice(len(self.profiles), size=n_devices, p=self.weights)
-        return [self.profiles[i] for i in indices]
 
     def expected_failure_prob(self) -> float:
         """Population-average upload failure probability.

@@ -17,21 +17,15 @@ DEFAULT_OFFSET_WEIGHTS: tuple[tuple[int, float], ...] = (
 
 
 class TimezoneMixture:
-    """Draws per-device UTC offsets from a population distribution.
+    """A population's distribution over UTC offsets.
 
     Parameters
     ----------
     offset_weights:
         ``(utc_offset_hours, weight)`` pairs; weights are normalised.
-    seed:
-        Draw reproducibility.
     """
 
-    def __init__(
-        self,
-        offset_weights: Sequence[tuple[int, float]] = DEFAULT_OFFSET_WEIGHTS,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, offset_weights: Sequence[tuple[int, float]] = DEFAULT_OFFSET_WEIGHTS) -> None:
         offset_weights = list(offset_weights)
         if not offset_weights:
             raise ValueError("at least one timezone is required")
@@ -40,17 +34,6 @@ class TimezoneMixture:
         self.offsets = np.array([o for o, _ in offset_weights], dtype=np.int32)
         weights = np.array([w for _, w in offset_weights], dtype=np.float64)
         self.weights = weights / weights.sum()
-        self._rng = np.random.default_rng(np.random.SeedSequence((seed, 0x72)))
-
-    def sample(self, n_devices: int) -> np.ndarray:
-        """UTC offsets (hours) for ``n_devices``."""
-        if n_devices <= 0:
-            raise ValueError("n_devices must be positive")
-        return self._rng.choice(self.offsets, size=n_devices, p=self.weights)
-
-    def local_hour(self, utc_hour: float, offset: int) -> float:
-        """Local wall-clock hour in ``[0, 24)`` for a device."""
-        return (utc_hour + offset) % 24.0
 
     def offset_fractions(self) -> dict[int, float]:
         """The normalised population share per UTC offset."""

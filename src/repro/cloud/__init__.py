@@ -15,7 +15,6 @@ from repro.cloud.aggregation import (
     AggregationRecord,
     AggregationService,
     AggregationTrigger,
-    DeadlineTrigger,
     SampleThresholdTrigger,
     ScheduledTrigger,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "ChannelModel",
     "ChannelWindow",
     "CloudIngestSink",
-    "DeadlineTrigger",
     "MetricsDatabase",
     "Monitor",
     "MonitorEvent",

@@ -106,36 +106,6 @@ class ScheduledTrigger(AggregationTrigger):
         self._schedule_next(service)
 
 
-class DeadlineTrigger(AggregationTrigger):
-    """Fold whatever arrived once, ``deadline_s`` after the service starts.
-
-    The deadline-based round closure primitive: production FL rounds
-    close on a clock with the partial fold over on-time reports.  An
-    empty buffer at the deadline is a no-op — the round degrades
-    gracefully instead of raising on a fully-lost cohort.
-    """
-
-    def __init__(self, deadline_s: float) -> None:
-        if deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s!r}")
-        self.deadline_s = float(deadline_s)
-        self._fired = False
-        self._stopped = False
-
-    def start(self, service: AggregationService) -> None:
-        service.sim.schedule(self.deadline_s, self._fire, service)
-
-    def stop(self, service: AggregationService) -> None:
-        self._stopped = True
-
-    def _fire(self, service: AggregationService) -> None:
-        if self._stopped or self._fired:
-            return
-        self._fired = True
-        if service.pending_updates > 0:
-            service.aggregate_now()
-
-
 class AggregationService:
     """Receives update messages, folds them with FedAvg, tracks metrics.
 

@@ -10,7 +10,7 @@ monitoring views and the experiment harness.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import Any
 
 
@@ -27,14 +27,6 @@ class MetricsDatabase:
         if not isinstance(record, dict):
             raise TypeError(f"record must be a dict, got {type(record).__name__}")
         self._tables[table].append(dict(record))
-
-    def insert_many(self, table: str, records: Iterable[dict[str, Any]]) -> int:
-        """Append several records; returns how many."""
-        count = 0
-        for record in records:
-            self.insert(table, record)
-            count += 1
-        return count
 
     def query(
         self,
@@ -60,18 +52,3 @@ class MetricsDatabase:
     def count(self, table: str, **equals: Any) -> int:
         """Number of matching records."""
         return len(self.query(table, **equals))
-
-    def tables(self) -> list[str]:
-        """Non-empty table names, sorted."""
-        return sorted(name for name, rows in self._tables.items() if rows)
-
-    def column(self, table: str, field: str, **equals: Any) -> list[Any]:
-        """One field across matching records (missing fields skipped)."""
-        return [row[field] for row in self.query(table, **equals) if field in row]
-
-    def clear(self, table: str | None = None) -> None:
-        """Drop one table, or everything."""
-        if table is None:
-            self._tables.clear()
-        else:
-            self._tables.pop(table, None)

@@ -9,7 +9,6 @@ counters.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -56,17 +55,6 @@ class EventsView(Sequence):
             return EventsView(self._events[index])
         return self._events[index]
 
-    def between(self, start: float, end: float) -> EventsView:
-        """Events with ``start <= time <= end`` as a view.
-
-        Event buckets are chronological (events are logged at the
-        simulator's current time), so the window is located by bisection
-        — O(log n) instead of a full scan.
-        """
-        lo = bisect_left(self._events, start, key=lambda e: e.time)
-        hi = bisect_right(self._events, end, key=lambda e: e.time)
-        return EventsView(self._events[lo:hi])
-
     def __iter__(self) -> Iterator[MonitorEvent]:
         return iter(self._events)
 
@@ -81,9 +69,6 @@ class EventsView(Sequence):
 
     def __hash__(self) -> None:  # pragma: no cover - mutable view
         raise TypeError("EventsView is unhashable (it reflects a live bucket)")
-
-    def __repr__(self) -> str:
-        return f"EventsView({list(self._events)!r})"
 
 
 _EMPTY: tuple[MonitorEvent, ...] = ()
@@ -111,9 +96,11 @@ class Monitor:
         Subscribers run synchronously inside :meth:`log`, in subscription
         order, *after* the event is indexed — a subscriber that logs
         further events (the alarm engine does) re-enters :meth:`log`
-        safely, and those nested events are dispatched too.  Subscribers
-        must not raise: an exception propagates to whatever platform code
-        logged the event.  Returns ``callback`` (handy for tests).
+        safely, and those nested events are dispatched too.  A subscriber
+        that raises is contained: it is detached, one ``subscriber_failed``
+        event (``event_kind``, ``error=repr(exc)``) is logged for the
+        subscribers that remain, and the platform code that logged the
+        event carries on.  Returns ``callback`` (handy for tests).
         """
         self._subscribers.append(callback)
         return callback
@@ -136,7 +123,14 @@ class Monitor:
         # Late subscribers see the *next* event; a same-dispatch
         # unsubscribee still receives this one.
         for subscriber in tuple(self._subscribers):
-            subscriber(event)
+            try:
+                subscriber(event)
+            except Exception as error:
+                # A failing consumer degrades itself, never the platform
+                # code that happened to log: detach it and say why.
+                if subscriber in self._subscribers:
+                    self.unsubscribe(subscriber)
+                self.log("subscriber_failed", event_kind=kind, error=repr(error))
         return event
 
     def of_kind(self, kind: str) -> Sequence[MonitorEvent]:
@@ -152,21 +146,6 @@ class Monitor:
         """How many events of one kind were logged — O(1), no view built."""
         return self.counters.get(kind, 0)
 
-    def last(self, kind: str) -> MonitorEvent | None:
-        """Most recent event of one kind."""
-        bucket = self._by_kind.get(kind)
-        return bucket[-1] if bucket else None
-
-    def between(self, start: float, end: float) -> list[MonitorEvent]:
-        """Events with ``start <= time <= end``."""
-        return [e for e in self.events if start <= e.time <= end]
-
     def summary(self) -> dict[str, int]:
         """Event counts by kind."""
         return dict(self.counters)
-
-    def timeline(self, kind: str, value_field: str) -> list[tuple[float, Any]]:
-        """``(time, fields[value_field])`` series for plotting."""
-        return [
-            (e.time, e.fields[value_field]) for e in self.of_kind(kind) if value_field in e.fields
-        ]

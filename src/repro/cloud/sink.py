@@ -20,7 +20,6 @@ per-device (scalar)       per-wave / per-round (block)
 ``Message``               ``MessageBlock``
 ``deviceflow.submit``     ``deviceflow.submit_block``
 ``service.receive_message``  ``service.receive_block``
-``db.insert``             ``db.insert_many``
 ========================  ==============================
 """
 

@@ -52,28 +52,21 @@ class _BlockSlot:
 
 
 class ObjectStorage:
-    """A keyed blob store with transfer-time accounting.
+    """A keyed blob store with byte accounting.
 
     Values are arbitrary Python objects (serialized updates, model
-    parameters, dataset shards); ``size_bytes`` drives the simulated
-    transfer costs charged by the tiers that move the data.  The store
-    itself is instantaneous — durability and placement are out of the
-    paper's scope.
+    parameters, dataset shards); ``size_bytes`` feeds the read/write
+    counters.  The store itself is instantaneous — the tiers that move
+    the data charge the transfer time; durability and placement are out
+    of the paper's scope.
 
     Two write granularities share the same keyspace and counters:
     :meth:`put` stores one payload, :meth:`put_block` stores a whole
     columnar round (one dict update, vectorized byte accounting) with
-    per-key reads, heads and deletes indistinguishable from ``n``
-    scalar puts.
+    per-key reads and heads indistinguishable from ``n`` scalar puts.
     """
 
-    def __init__(self, bandwidth_bps: float = 1e9, latency_s: float = 0.01) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth_bps must be positive")
-        if latency_s < 0:
-            raise ValueError("latency_s must be >= 0")
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.latency_s = float(latency_s)
+    def __init__(self) -> None:
         self._objects: dict[str, StoredObject | _BlockSlot] = {}
         self.total_bytes_written = 0
         self.total_bytes_read = 0
@@ -168,18 +161,6 @@ class ObjectStorage:
                 writer=block.writer_at(position),
             )
         return record
-
-    def delete(self, key: str) -> None:
-        """Remove a payload."""
-        if key not in self._objects:
-            raise KeyError(f"no object stored under {key!r}")
-        del self._objects[key]
-
-    def transfer_duration(self, size_bytes: int) -> float:
-        """Seconds to move ``size_bytes`` over the storage link."""
-        if size_bytes < 0:
-            raise ValueError("size_bytes must be >= 0")
-        return self.latency_s + size_bytes / self.bandwidth_bps
 
     def keys(self) -> list[str]:
         """All stored keys, sorted."""

@@ -8,14 +8,12 @@ sequentially simulating multiple devices" (§IV-A).
 This package rebuilds that substrate over the discrete-event kernel: nodes
 with CPU/memory/GPU capacity, placement groups packed or spread across
 nodes, actors that execute operator flows for a queue of simulated devices
-while advancing simulated time according to a calibrated cost model, and a
-job-submission lifecycle.
+while advancing simulated time according to a calibrated cost model.
 """
 
 from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome, SimActor
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
-from repro.cluster.job import JobState, RayJob
 from repro.cluster.placement import PlacementGroup, PlacementStrategy
 from repro.cluster.resources import NodeSpec, ResourceBundle
 from repro.cluster.runner import (
@@ -30,14 +28,12 @@ __all__ = [
     "DeviceAssignment",
     "DeviceRoundOutcome",
     "GradeExecutionPlan",
-    "JobState",
     "K8sCluster",
     "LogicalCostModel",
     "LogicalSimulation",
     "NodeSpec",
     "PlacementGroup",
     "PlacementStrategy",
-    "RayJob",
     "ResourceBundle",
     "RoundResult",
     "SimActor",

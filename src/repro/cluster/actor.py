@@ -80,6 +80,3 @@ class SimActor:
     def download(self, n_bytes: int) -> Generator:
         """Pull data or model bytes from shared storage."""
         yield Timeout(self.cost_model.transfer_duration(n_bytes))
-
-    def __repr__(self) -> str:
-        return f"SimActor({self.actor_id!r}, grade={self.grade!r})"

@@ -19,8 +19,8 @@ class K8sCluster:
     Parameters
     ----------
     nodes:
-        Initial node specs.  :meth:`default_experiment_cluster` builds the
-        paper's 200-core/300-GB configuration.
+        Initial node specs (``PlatformConfig.cluster_nodes`` defaults to the
+        paper's 200-core/300-GB configuration).
     """
 
     def __init__(self, nodes: Sequence[NodeSpec] = ()) -> None:
@@ -29,15 +29,6 @@ class K8sCluster:
         self._group_nodes: dict[str, list[tuple[WorkerNode, ResourceBundle]]] = {}
         for spec in nodes:
             self.add_node(spec)
-
-    @classmethod
-    def default_experiment_cluster(cls) -> K8sCluster:
-        """The paper's Ray cluster: 200 CPU cores, 300 GB memory.
-
-        Modelled as 10 nodes of 20 cores / 30 GB each, a typical k8s
-        worker shape.
-        """
-        return cls([NodeSpec(cpus=20, memory_gb=30)] * 10)
 
     # ------------------------------------------------------------------
     # elastic scaling
@@ -70,21 +61,6 @@ class K8sCluster:
         """Currently unallocated CPU cores."""
         return sum(node.free_cpus for node in self.nodes.values())
 
-    @property
-    def total_memory_gb(self) -> float:
-        """Provisioned memory across all nodes."""
-        return sum(node.spec.memory_gb for node in self.nodes.values())
-
-    @property
-    def free_memory_gb(self) -> float:
-        """Currently unallocated memory."""
-        return sum(node.free_memory_gb for node in self.nodes.values())
-
-    def can_allocate(self, bundles: Sequence[ResourceBundle]) -> bool:
-        """Feasibility check without committing (uses a trial placement)."""
-        trial = self._place(bundles, PlacementStrategy.PACK, commit=False)
-        return trial is not None
-
     # ------------------------------------------------------------------
     # gang allocation
     # ------------------------------------------------------------------
@@ -94,7 +70,7 @@ class K8sCluster:
         strategy: PlacementStrategy = PlacementStrategy.PACK,
     ) -> PlacementGroup | None:
         """Atomically place every bundle, or place nothing and return None."""
-        placements = self._place(bundles, strategy, commit=True)
+        placements = self._place(bundles, strategy)
         if placements is None:
             return None
         group = PlacementGroup(
@@ -116,12 +92,9 @@ class K8sCluster:
 
     # ------------------------------------------------------------------
     def _place(
-        self,
-        bundles: Sequence[ResourceBundle],
-        strategy: PlacementStrategy,
-        commit: bool,
+        self, bundles: Sequence[ResourceBundle], strategy: PlacementStrategy
     ) -> list[tuple[WorkerNode, ResourceBundle]] | None:
-        """Find (and optionally commit) a node for every bundle.
+        """Find and commit a node for every bundle, or commit nothing.
 
         Placement works against shadow free-capacity counters so a failed
         gang attempt leaves the cluster untouched.
@@ -162,7 +135,6 @@ class K8sCluster:
             shadow_take(target, bundle)
             chosen.append((self.nodes[target], bundle))
 
-        if commit:
-            for node, bundle in chosen:
-                node.allocate(bundle)
+        for node, bundle in chosen:
+            node.allocate(bundle)
         return chosen

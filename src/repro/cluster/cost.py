@@ -77,25 +77,3 @@ class LogicalCostModel:
         if n_bytes < 0:
             raise ValueError("n_bytes must be >= 0")
         return self.download_latency + n_bytes / self.download_bandwidth_bps
-
-    def waves(self, n_devices: int, n_actors: int) -> int:
-        """Sequential waves needed: ``ceil(n_devices / n_actors)``.
-
-        This is the ``ceil(k_i x_i / f_i)`` term of the allocation model —
-        with ``n_actors = f_i / k_i`` concurrent device slots.
-        """
-        if n_actors <= 0:
-            raise ValueError("n_actors must be positive")
-        if n_devices < 0:
-            raise ValueError("n_devices must be >= 0")
-        return -(-n_devices // n_actors)
-
-    def tier_duration(self, grade: str, n_devices: int, n_actors: int) -> float:
-        """Closed-form tier makespan: ``waves * alpha`` (no overheads).
-
-        The allocation optimizer uses this closed form; the event-driven
-        execution adds startup and transfer overheads on top, which the
-        optimizer's lambda/startup terms absorb for the physical tier and
-        which stay second-order for the logical tier.
-        """
-        return self.waves(n_devices, n_actors) * self.device_round_duration(grade)

@@ -46,23 +46,10 @@ class PlacementGroup:
         self.strategy = strategy
         self.released = False
 
-    def __len__(self) -> int:
-        return len(self.placements)
-
     @property
     def node_ids(self) -> list[str]:
         """Node of each bundle, aligned with :attr:`placements`."""
         return [placement.node_id for placement in self.placements]
-
-    @property
-    def total_cpus(self) -> float:
-        """Sum of CPUs across all bundles."""
-        return sum(p.bundle.cpus for p in self.placements)
-
-    @property
-    def total_memory_gb(self) -> float:
-        """Sum of memory across all bundles."""
-        return sum(p.bundle.memory_gb for p in self.placements)
 
     def __repr__(self) -> str:
         return (

@@ -44,12 +44,6 @@ class ResourceBundle:
 
         return max(1, math.ceil(max(ratios)))
 
-    def scaled(self, factor: float) -> ResourceBundle:
-        """A bundle ``factor`` times this one's size."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return ResourceBundle(self.cpus * factor, self.memory_gb * factor, self.gpus * factor)
-
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -62,14 +56,6 @@ class NodeSpec:
     def __post_init__(self) -> None:
         if self.cpus <= 0 or self.memory_gb <= 0 or self.gpus < 0:
             raise ValueError(f"invalid node spec: {self}")
-
-    def fits(self, bundle: ResourceBundle) -> bool:
-        """Whether an empty node of this spec could host ``bundle``."""
-        return (
-            bundle.cpus <= self.cpus
-            and bundle.memory_gb <= self.memory_gb
-            and bundle.gpus <= self.gpus
-        )
 
 
 class WorkerNode:
@@ -121,10 +107,4 @@ class WorkerNode:
             abs(self.free_cpus - self.spec.cpus) < 1e-9
             and abs(self.free_memory_gb - self.spec.memory_gb) < 1e-9
             and abs(self.free_gpus - self.spec.gpus) < 1e-9
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"WorkerNode({self.node_id!r}, free={self.free_cpus:g}c/"
-            f"{self.free_memory_gb:g}GB/{self.free_gpus:g}g)"
         )

@@ -599,8 +599,3 @@ class LogicalSimulation:
             self.cluster.release(self.placement_group)
             self.placement_group = None
         self.actors.clear()
-
-    @property
-    def total_devices_completed(self) -> int:
-        """Devices completed across all rounds so far."""
-        return sum(r.n_devices for r in self.rounds)

@@ -150,43 +150,6 @@ class SimDC:
         """All finished task results keyed by task id."""
         return dict(self.task_manager.results)
 
-    # ------------------------------------------------------------------
-    # monitoring (the GUI's data source)
-    # ------------------------------------------------------------------
-    def status_report(self) -> str:
-        """A human-readable snapshot of the whole deployment.
-
-        The paper's users watch "various computational metrics, edge
-        device performance, and updates to cloud services" via a GUI
-        (§III-C); this is the equivalent text view.
-        """
-        snapshot = self.resource_manager.snapshot()
-        lines = [
-            f"simulated time: {self.sim.now:.1f}s",
-            (
-                f"cluster: {self.cluster.free_cpus:g}/{self.cluster.total_cpus:g} CPUs free, "
-                f"{snapshot.free_bundles} unit bundles unfrozen"
-            ),
-            "phones free by grade: "
-            + ", ".join(f"{g}={n}" for g, n in sorted(snapshot.free_phones.items())),
-            (
-                f"tasks: {len(self.task_manager.queue)} queued, "
-                f"{self.task_manager.active_tasks} running, "
-                f"{len(self.task_manager.results)} finished"
-            ),
-        ]
-        for task_id, result in sorted(self.task_manager.results.items()):
-            summary = f"  {task_id}: {result.state.value}, makespan {result.makespan:.0f}s"
-            if result.rounds and result.rounds[-1].test_accuracy is not None:
-                summary += f", final test acc {result.rounds[-1].test_accuracy:.4f}"
-            lines.append(summary)
-        counters = self.monitor.summary()
-        if counters:
-            lines.append(
-                "events: " + ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
-            )
-        return "\n".join(lines)
-
     def _make_runner(self, spec: TaskSpec) -> TaskRunner:
         options = self._runner_options.pop(spec.task_id, {})
         return TaskRunner(

@@ -17,11 +17,7 @@ from repro.data.avazu import (
     make_federated_ctr_data,
 )
 from repro.data.features import HashingEncoder
-from repro.data.partition import (
-    assign_delay_profiles,
-    label_skew_device_biases,
-    split_by_device_column,
-)
+from repro.data.partition import assign_delay_profiles, label_skew_device_biases
 
 __all__ = [
     "AVAZU_FIELDS",
@@ -32,5 +28,4 @@ __all__ = [
     "assign_delay_profiles",
     "label_skew_device_biases",
     "make_federated_ctr_data",
-    "split_by_device_column",
 ]

@@ -43,11 +43,6 @@ class HashingEncoder:
         self.fields = tuple(fields)
         self._cache: dict[tuple[str, str], int] = {}
 
-    @property
-    def n_fields(self) -> int:
-        """Number of categorical fields per record."""
-        return len(self.fields)
-
     def index_of(self, field: str, value: str) -> int:
         """Hash one ``(field, value)`` pair to its bucket index."""
         key = (field, value)
@@ -55,17 +50,6 @@ class HashingEncoder:
             words = stable_hash(f"{field}={value}")
             self._cache[key] = words[0] % self.dim
         return self._cache[key]
-
-    def encode_record(self, values: Sequence[str]) -> np.ndarray:
-        """Encode one record (one value per field) to an index vector."""
-        if len(values) != self.n_fields:
-            raise ValueError(
-                f"expected {self.n_fields} values ({self.fields}), got {len(values)}"
-            )
-        return np.array(
-            [self.index_of(field, value) for field, value in zip(self.fields, values)],
-            dtype=np.int32,
-        )
 
     def encode_column(self, field: str, values: Sequence[str]) -> np.ndarray:
         """Vector-encode many values of a single field."""

@@ -1,18 +1,14 @@
 """Device partitioning and distribution-shift helpers.
 
-Three concerns live here:
+Two concerns live here:
 
 * planting the paper's "differentially distributed" label skew (70% of
   devices positive-heavy, 30% negative-heavy — Fig. 11b);
 * mapping device CTR to upload delay profiles (the Fig. 9 scenario where
-  high-CTR clients respond faster than low-CTR clients);
-* slicing a flat record table by a device-id column, mirroring how the
-  paper carves the real Avazu CSV into per-device shards.
+  high-CTR clients respond faster than low-CTR clients).
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -83,43 +79,3 @@ def assign_delay_profiles(
     delays = sigma * np.sqrt(2.0) * erfinv(quantiles)
     delays = np.minimum(delays, max_delay)
     return {device_id: float(delay) for device_id, delay in zip(ids, delays)}
-
-
-def split_by_device_column(
-    features: np.ndarray,
-    labels: np.ndarray,
-    device_ids: Sequence[str],
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Group a flat record table into per-device shards.
-
-    Mirrors the paper's preparation step of grouping the Avazu CSV by its
-    ``device_id`` column.  Rows keep their original relative order within
-    each shard.
-
-    Returns ``device_id -> (features, labels)``.
-    """
-    if len(features) != len(labels) or len(labels) != len(device_ids):
-        raise ValueError("features, labels and device_ids must align")
-    ids = np.asarray(device_ids)
-    shards: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for device_id in np.unique(ids):
-        mask = ids == device_id
-        shards[str(device_id)] = (features[mask], labels[mask])
-    return shards
-
-
-def iid_sample_counts(
-    n_devices: int, total_records: int, seed: int = 0
-) -> np.ndarray:
-    """Near-uniform record counts summing exactly to ``total_records``."""
-    if n_devices <= 0:
-        raise ValueError("n_devices must be positive")
-    if total_records < n_devices:
-        raise ValueError("need at least one record per device")
-    base = total_records // n_devices
-    counts = np.full(n_devices, base)
-    remainder = total_records - base * n_devices
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x11D)))
-    extra = rng.choice(n_devices, size=remainder, replace=False)
-    counts[extra] += 1
-    return counts

@@ -91,9 +91,6 @@ class TrafficCurve:
 
         return rate
 
-    def __repr__(self) -> str:
-        return f"TrafficCurve({self.name!r}, domain={self.domain})"
-
 
 # ----------------------------------------------------------------------
 # the paper's curve families
@@ -139,25 +136,6 @@ def exponential_curve(base: float, domain: tuple[float, float] = (0.0, 3.0)) -> 
     if base <= 0:
         raise ValueError("base must be positive")
     return TrafficCurve(lambda t: np.power(base, t), domain, name=f"{base:g}^t")
-
-
-def diurnal_curve(peak_hour: float = 20.0, base_level: float = 0.15) -> TrafficCurve:
-    """A 24-hour activity curve peaking in the evening.
-
-    Not from Table II, but the natural input for the paper's Fig. 10(c-d)
-    day-scale scenario (dispatch bursts at 10:00 and 18:00-22:00 local
-    time) and for timezone-mixture experiments.
-    """
-    if not 0 <= peak_hour < 24:
-        raise ValueError("peak_hour must be within [0, 24)")
-    if base_level < 0:
-        raise ValueError("base_level must be >= 0")
-
-    def fn(t: np.ndarray) -> np.ndarray:
-        phase = 2.0 * math.pi * (np.asarray(t) - peak_hour) / 24.0
-        return base_level + (1.0 + np.cos(phase)) / 2.0
-
-    return TrafficCurve(fn, (0.0, 24.0), name=f"diurnal(peak={peak_hour:g}h)")
 
 
 #: The exact rows of Table II: (curve, paper-stated domain).

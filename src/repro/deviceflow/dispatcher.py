@@ -154,10 +154,6 @@ class Dispatcher:
         """Drain the shelf."""
         return self.shelf.take_all()
 
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after ``delay`` seconds of simulated time."""
-        self.sim.schedule(delay, callback)
-
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at an absolute simulated time."""
         self.sim.schedule_at(max(time, self.sim.now), callback)
@@ -276,9 +272,3 @@ class Dispatcher:
             self.delivery_log.append((self.sim.now, rows))
         self._sender_busy = False
         self.idle.fire()
-
-    def __repr__(self) -> str:
-        return (
-            f"Dispatcher(task={self.shelf.task_id!r}, shelf={len(self.shelf)}, "
-            f"dispatched={self.dispatched}, delivered={self.delivered})"
-        )

@@ -49,13 +49,6 @@ class TrafficImpactResult:
     scheduled_accuracy: dict[float, list[tuple[int, float]]] = field(default_factory=dict)
     participation: dict[float, list[int]] = field(default_factory=dict)
 
-    def final_threshold_loss(self, sigma: float) -> float:
-        """Loss after the last threshold aggregation for one sigma."""
-        series = self.threshold_loss[sigma]
-        if not series:
-            raise ValueError(f"no aggregations completed for sigma={sigma}")
-        return series[-1][1]
-
     def loss_at(self, sigma: float, minute: float) -> float:
         """Loss of the latest aggregation at/before ``minute``."""
         last = None

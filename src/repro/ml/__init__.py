@@ -26,7 +26,6 @@ from repro.ml.operators import (
     standard_fl_flow,
 )
 from repro.ml.optimizer import SGD
-from repro.ml.server import RoundRecord, SynchronousTrainer
 
 __all__ = [
     "BlockOperatorContext",
@@ -43,10 +42,8 @@ __all__ = [
     "Operator",
     "OperatorContext",
     "OperatorFlow",
-    "RoundRecord",
     "SERVER_BACKEND",
     "SGD",
-    "SynchronousTrainer",
     "TrainOp",
     "UploadUpdateOp",
     "accuracy",

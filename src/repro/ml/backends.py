@@ -104,12 +104,3 @@ SERVER_BACKEND = NumericBackend(name="pymnn-server", dtype=np.dtype(np.float64))
 DEVICE_BACKEND = NumericBackend(
     name="mnn-device", dtype=np.dtype(np.float32), reverse_reduction=True
 )
-
-_REGISTRY = {backend.name: backend for backend in (SERVER_BACKEND, DEVICE_BACKEND)}
-
-
-def backend_by_name(name: str) -> NumericBackend:
-    """Look up a registered backend; raises ``KeyError`` for unknown names."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown backend {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name]

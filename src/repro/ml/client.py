@@ -91,12 +91,6 @@ class FLClient:
             metadata={"backend": self.backend.name},
         )
 
-    def evaluate(self, weights: np.ndarray, bias: float) -> dict[str, float]:
-        """Local-shard metrics for a given global model."""
-        model = LogisticRegressionModel(self.feature_dim, self.backend)
-        model.set_params(weights, bias)
-        return model.evaluate(self.dataset.features, self.dataset.labels)
-
 
 class BlockTrainer:
     """Vectorized local-SGD over a block of devices (one wave of actors).
@@ -132,7 +126,7 @@ class BlockTrainer:
         weights: np.ndarray,
         biases: np.ndarray,
         datasets: Sequence[DeviceDataset],
-        rngs: Sequence[Optional[np.random.Generator]] | None = None,
+        rngs: Sequence[np.random.Generator | None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Refine per-device parameters in place of the per-device loop.
 
@@ -164,20 +158,3 @@ class BlockTrainer:
             weights[positions] = trained_weights
             biases[positions] = trained_biases
         return weights, biases
-
-    def train_from_global(
-        self,
-        global_weights: np.ndarray,
-        global_bias: float,
-        datasets: Sequence[DeviceDataset],
-        rngs: Sequence[Optional[np.random.Generator]] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Broadcast one global model over the block, then :meth:`train`."""
-        global_weights = np.asarray(global_weights, dtype=np.float64)
-        if global_weights.shape != (self.feature_dim,):
-            raise ValueError(
-                f"weights shape {global_weights.shape} != ({self.feature_dim},)"
-            )
-        stacked = np.tile(global_weights, (len(datasets), 1))
-        biases = np.full(len(datasets), float(global_bias), dtype=np.float64)
-        return self.train(stacked, biases, datasets, rngs)

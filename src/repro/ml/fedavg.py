@@ -386,7 +386,3 @@ class FedAvgAggregator:
         merged = FedAvgPartial.merge(partials)
         weights, bias = merged.finalize()
         return weights, bias, merged.n_updates
-
-    def clear(self) -> None:
-        """Drop buffered updates without aggregating."""
-        self._pending.clear()

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from repro.ml.backends import SERVER_BACKEND, NumericBackend
 from repro.ml.metrics import accuracy, log_loss, roc_auc
 from repro.ml.optimizer import SGD
 
-#: Serialization header: magic, version, feature dim.
-_HEADER = struct.Struct("<4sII")
-_MAGIC = b"SDLR"
+#: Wire header in front of the float64 weights and bias: 4-byte magic, uint32 version, uint32 feature dim.
+_HEADER_BYTES = 12
 
 
 class LogisticRegressionModel:
@@ -78,7 +75,7 @@ class LogisticRegressionModel:
         )
 
     # ------------------------------------------------------------------
-    # parameters and serialization
+    # parameters
     # ------------------------------------------------------------------
     def get_params(self) -> tuple[np.ndarray, float]:
         """Copy of ``(weights, bias)``."""
@@ -94,41 +91,11 @@ class LogisticRegressionModel:
         self.weights = weights.copy()
         self.bias = float(bias)
 
-    def clone(self, backend: NumericBackend | None = None) -> LogisticRegressionModel:
-        """A deep copy, optionally re-targeted at another backend."""
-        other = LogisticRegressionModel(self.feature_dim, backend or self.backend)
-        other.set_params(self.weights, self.bias)
-        return other
-
-    def serialize(self) -> bytes:
-        """Binary wire format used for storage uploads and message sizing.
-
-        A 4096-dim float64 model serialises to 32 780 bytes — together
-        with the message envelope this lands on the ~33 KB per-round
-        communication volume Table I reports.
-        """
-        header = _HEADER.pack(_MAGIC, 1, self.feature_dim)
-        return header + self.weights.tobytes() + struct.pack("<d", self.bias)
-
-    @classmethod
-    def deserialize(
-        cls, payload: bytes, backend: NumericBackend = SERVER_BACKEND
-    ) -> LogisticRegressionModel:
-        """Inverse of :meth:`serialize`."""
-        magic, version, feature_dim = _HEADER.unpack_from(payload)
-        if magic != _MAGIC:
-            raise ValueError("not a serialized LogisticRegressionModel")
-        if version != 1:
-            raise ValueError(f"unsupported model version {version}")
-        offset = _HEADER.size
-        weights = np.frombuffer(
-            payload, dtype=np.float64, count=feature_dim, offset=offset
-        ).copy()
-        (bias,) = struct.unpack_from("<d", payload, offset + feature_dim * 8)
-        model = cls(feature_dim, backend)
-        model.set_params(weights, bias)
-        return model
-
     def payload_size(self) -> int:
-        """Size in bytes of the serialized model."""
-        return _HEADER.size + self.feature_dim * 8 + 8
+        """Size in bytes of the model on the wire.
+
+        A 4096-dim float64 model is 32 788 bytes — together with the
+        message envelope this lands on the ~33 KB per-round communication
+        volume Table I reports.
+        """
+        return _HEADER_BYTES + self.feature_dim * 8 + 8

@@ -125,9 +125,6 @@ class Operator:
         """
         raise NotImplementedError(f"{type(self).__name__} has no block implementation")
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(work={self.work})"
-
 
 class DownloadModelOp(Operator):
     """Fetch the round's global model into the context.
@@ -287,12 +284,6 @@ class OperatorFlow:
             if not isinstance(op, Operator):
                 raise TypeError(f"flow items must be Operators, got {type(op).__name__}")
         self.operators = list(operators)
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-    def __iter__(self):
-        return iter(self.operators)
 
     @property
     def total_work(self) -> float:

@@ -97,7 +97,7 @@ class SGD:
         features: np.ndarray,
         labels: np.ndarray,
         epochs: int,
-        rngs: list[Optional[np.random.Generator]] | None = None,
+        rngs: list[np.random.Generator | None] | None = None,
         backend: NumericBackend = SERVER_BACKEND,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Train a stacked block of devices in lock-step.

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING
 
@@ -167,13 +167,6 @@ class AlarmRule:
             return "ok"
         return None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> AlarmRule:
-        return cls(**data)
-
 
 class _Series:
     """One sliding-window sample series (parallel time/value lists)."""
@@ -308,11 +301,6 @@ class AlarmEngine:
         self._rules[rule.name] = runtime
         self._watchers.setdefault((rule.tenant, _base_signal(rule.signal)), []).append(runtime)
         return rule
-
-    @property
-    def rules(self) -> list[AlarmRule]:
-        """The armed rules, in arming order."""
-        return [rt.rule for rt in self._rules.values()]
 
     def state_of(self, name: str) -> str:
         """Current state of one rule: ``ok`` / ``warning`` / ``critical``."""

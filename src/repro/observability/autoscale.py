@@ -18,7 +18,7 @@ replayable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.resources import NodeSpec
@@ -76,13 +76,6 @@ class AutoscaleSpec:
 
     def node_spec(self) -> NodeSpec:
         return NodeSpec(cpus=self.node_cpus, memory_gb=self.node_memory_gb)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> AutoscaleSpec:
-        return cls(**data)
 
 
 class AutoscalePolicy:

@@ -2,8 +2,8 @@
 
 The ROADMAP's next scaling steps (whole-platform sharding, the 1M-device
 milestone) need the *measured* bottleneck, not the guessed one.  This
-profiler patches a fixed set of synchronous hot-path methods — kernel
-stepping, dataset synthesis, wave scheduling, numeric block execution,
+profiler patches a fixed set of synchronous hot-path methods — the
+kernel's ``step_batch`` loop, dataset synthesis, wave scheduling, numeric block execution,
 DeviceFlow submission and dispatch, transport routing, cloud ingestion,
 aggregation folds, alarm evaluation —
 and accounts real ``perf_counter`` time to each, with *self time* (a
@@ -32,13 +32,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import import_module
 from time import perf_counter
-from typing import Any
 
 #: The profiled subsystem hooks: (module, class, method, category).
 #: Every target is a plain synchronous method (never a generator — timing
 #: a generator function would measure only its instantiation).
 PROFILE_POINTS: tuple[tuple[str, str, str, str], ...] = (
-    ("repro.simkernel.simulator", "Simulator", "step", "kernel.step"),
     ("repro.simkernel.simulator", "Simulator", "step_batch", "kernel.step_batch"),
     ("repro.data.avazu", "SyntheticAvazu", "generate", "data.synthesize"),
     ("repro.cluster.runner", "LogicalSimulation", "_register_batched_plan", "logical.wave_schedule"),
@@ -67,14 +65,6 @@ class HotspotRow:
     total_s: float
     self_s: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "category": self.category,
-            "calls": self.calls,
-            "total_s": self.total_s,
-            "self_s": self.self_s,
-        }
-
 
 class RunProfiler:
     """Patch-based wall-clock profiler over :data:`PROFILE_POINTS`.
@@ -92,11 +82,6 @@ class RunProfiler:
         #: live call stack: [category, accumulated_child_seconds]
         self._stack: list[list] = []
         self._originals: list[tuple[type, str, Callable]] = []
-        self._sections: dict[str, list[float]] = {}
-
-    @property
-    def attached(self) -> bool:
-        return bool(self._originals)
 
     # ------------------------------------------------------------------
     def _wrap(self, func: Callable, category: str) -> Callable:
@@ -156,31 +141,12 @@ class RunProfiler:
         self.detach()
 
     # ------------------------------------------------------------------
-    def section(self, name: str):
-        """Manually time a named non-patched block (e.g. report build)."""
-        profiler = self
-
-        class _Section:
-            def __enter__(self) -> None:
-                self._start = perf_counter()
-
-            def __exit__(self, *exc_info) -> None:
-                elapsed = perf_counter() - self._start
-                record = profiler._sections.setdefault(name, [0, 0.0])
-                record[0] += 1
-                record[1] += elapsed
-
-        return _Section()
-
-    # ------------------------------------------------------------------
     def rows(self) -> list[HotspotRow]:
         """Hotspots ranked by self time, descending (ties by name)."""
         rows = [
             HotspotRow(category, int(calls), total, self_s)
             for category, (calls, total, self_s) in self._stats.items()
         ]
-        for name, (calls, total) in self._sections.items():
-            rows.append(HotspotRow(f"section.{name}", int(calls), total, total))
         rows.sort(key=lambda row: (-row.self_s, row.category))
         return rows
 
@@ -204,6 +170,3 @@ class RunProfiler:
             + (f" of {total:.3f}s wall" if wall_s is not None else "")
         )
         return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"hotspots": [row.to_dict() for row in self.rows()]}

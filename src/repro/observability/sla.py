@@ -16,7 +16,7 @@ bound, per tenant or platform-wide.  SLAs are checked twice:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.observability.alarms import AlarmEngine, AlarmRule, signal_exists
 
@@ -124,13 +124,6 @@ class SLASpec:
             window_s=self.window_s,
             tenant=self.tenant,
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> SLASpec:
-        return cls(**data)
 
 
 def attach_live_slas(engine: AlarmEngine, slas: list[SLASpec]) -> int:

@@ -74,17 +74,3 @@ class PhysicalCostModel:
         if grade not in self.framework_startup:
             raise KeyError(f"no lambda calibrated for grade {grade!r}")
         return self.framework_startup[grade]
-
-    def waves(self, n_devices: int, n_phones: int) -> int:
-        """Sequential emulation waves: ``ceil(n_devices / n_phones)``."""
-        if n_phones <= 0:
-            raise ValueError("n_phones must be positive")
-        if n_devices < 0:
-            raise ValueError("n_devices must be >= 0")
-        return -(-n_devices // n_phones)
-
-    def tier_duration(self, grade: str, n_devices: int, n_phones: int) -> float:
-        """Closed-form makespan ``ceil(n/m) * beta + lambda`` from §IV-B."""
-        if n_devices == 0:
-            return 0.0
-        return self.waves(n_devices, n_phones) * self.training_duration(grade) + self.startup_duration(grade)

@@ -51,10 +51,6 @@ class StageSummary:
     duration_min: float
     comm_kb: float
 
-    def as_row(self) -> tuple[int, str, float, float, float]:
-        """Tuple form for table rendering."""
-        return (self.stage, self.label, self.power_mah, self.duration_min, self.comm_kb)
-
 
 # ----------------------------------------------------------------------
 # raw-output parsers

@@ -77,7 +77,3 @@ class MobileServicePlatform:
         for phone in self.phones:
             self.adb.unregister(phone.serial)
         self.phones.clear()
-
-    def by_grade(self, grade: str) -> list[VirtualPhone]:
-        """Provisioned remote phones of one grade."""
-        return [phone for phone in self.phones if phone.spec.grade == grade]

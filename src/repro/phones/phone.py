@@ -331,7 +331,3 @@ class VirtualPhone:
     def exact_stage_energy(self, stage: ApkStage) -> float:
         """Ground-truth mAh consumed in ``stage`` (for measurement tests)."""
         return self.stage_energy_mah.get(stage, 0.0)
-
-    def __repr__(self) -> str:
-        tier = "msp" if self.is_msp else "local"
-        return f"VirtualPhone({self.serial!r}, {self.spec.model}, {self.spec.grade}, {tier})"

@@ -146,7 +146,7 @@ def flash_crowd(scale: int = 2000, seed: int = 0) -> ScenarioSpec:
 
 
 def flaky_fleet(scale: int = 1000, seed: int = 0) -> ScenarioSpec:
-    """An unreliable deployment: churn, bad networks, sticky dropout.
+    """An unreliable deployment: churn, bad networks, dropout.
 
     The population skews toward cellular links with a flight-mode sliver,
     phones crash and recover in two waves, and mid-run the network tier
@@ -156,13 +156,12 @@ def flaky_fleet(scale: int = 1000, seed: int = 0) -> ScenarioSpec:
     u = _unit(scale, 54)
     return ScenarioSpec(
         name="flaky_fleet",
-        description="phone churn + degraded cellular networks + sticky dropout",
+        description="phone churn + degraded cellular networks + dropout",
         seed=seed,
         horizon_s=2400.0,
         population=PopulationSpec(
             network_mix=[["wifi", 0.35], ["lte", 0.30], ["gprs", 0.25], ["flight-mode", 0.10]],
             dropout_prob=0.10,
-            dropout_stickiness=0.30,
         ),
         tenants=[
             TenantSpec(

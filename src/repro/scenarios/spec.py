@@ -1,8 +1,8 @@
 """Scenario specifications: plain-data descriptions of platform workloads.
 
-Every spec class here is a dataclass of JSON-friendly fields with a
-``to_dict`` / ``from_dict`` pair, so scenarios round-trip through plain
-dicts (and therefore YAML/JSON files) without any custom serializer.  The
+Every spec class here is a dataclass of JSON-friendly fields, so a
+:class:`ScenarioSpec` round-trips through plain dicts (``to_dict`` /
+``from_dict``, and therefore YAML/JSON files) without any custom serializer.  The
 specs are *descriptions*; the live objects (behaviour models, dispatch
 strategies, :class:`~repro.scheduler.task.TaskSpec` instances) are built
 on demand by the factory methods so that every task gets fresh, unshared
@@ -22,7 +22,6 @@ from repro.behavior import (
     LTE,
     WIFI,
     DiurnalAvailability,
-    DropoutModel,
     NetworkMixture,
     TimezoneMixture,
     population_traffic_curve,
@@ -70,7 +69,7 @@ class PopulationSpec:
 
     Composes the :mod:`repro.behavior` models: a timezone mixture, a
     diurnal availability curve (in local time), a network-condition
-    mixture, and a per-round dropout model.  The aggregate upload-rate
+    mixture, and a per-round dropout probability.  The aggregate upload-rate
     curve of the population doubles as the rate curve for interval-based
     DeviceFlow dispatch (:meth:`traffic_curve`).
     """
@@ -85,7 +84,6 @@ class PopulationSpec:
         default_factory=lambda: [["wifi", 0.62], ["lte", 0.28], ["gprs", 0.07], ["flight-mode", 0.03]]
     )
     dropout_prob: float = 0.0
-    dropout_stickiness: float = 0.0
 
     def __post_init__(self) -> None:
         for name, _weight in self.network_mix:
@@ -97,24 +95,18 @@ class PopulationSpec:
             raise ValueError("dropout_prob must be in [0, 1]")
 
     # live-object factories -------------------------------------------
-    def timezones(self, seed: int = 0) -> TimezoneMixture:
+    def timezones(self) -> TimezoneMixture:
         """The population's timezone mixture."""
-        return TimezoneMixture([(int(o), float(w)) for o, w in self.timezone_offsets], seed=seed)
+        return TimezoneMixture([(int(o), float(w)) for o, w in self.timezone_offsets])
 
     def availability(self) -> DiurnalAvailability:
         """Per-device diurnal availability in local time."""
         return DiurnalAvailability(self.night_peak, self.evening_peak, self.base_level)
 
-    def networks(self, seed: int = 0) -> NetworkMixture:
+    def networks(self) -> NetworkMixture:
         """Network-profile assignment for the population."""
         mix = [(NETWORK_PROFILES[name], float(w)) for name, w in self.network_mix]
-        return NetworkMixture(mix, seed=seed)
-
-    def dropout(self, seed: int = 0) -> DropoutModel | None:
-        """Per-round dropout model, or ``None`` when dropout is off."""
-        if self.dropout_prob <= 0.0:
-            return None
-        return DropoutModel(self.dropout_prob, self.dropout_stickiness, seed=seed)
+        return NetworkMixture(mix)
 
     def upload_failure_prob(self) -> float:
         """Population-average transmission-failure probability.
@@ -129,13 +121,6 @@ class PopulationSpec:
     def traffic_curve(self, name: str = "population-diurnal") -> TrafficCurve:
         """Aggregate upload-rate curve over UTC (feeds interval dispatch)."""
         return population_traffic_curve(self.timezones(), self.availability(), name=name)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> PopulationSpec:
-        return _from_fields(cls, data)
 
 
 # ----------------------------------------------------------------------
@@ -192,13 +177,6 @@ class ArrivalSpec:
         gaps = rng.exponential(3600.0 / self.rate_per_hour, size=self.count)
         return (self.offset_s + np.cumsum(gaps)).tolist()
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ArrivalSpec:
-        return _from_fields(cls, data)
-
 
 # ----------------------------------------------------------------------
 # deviceflow dispatch recipe
@@ -247,13 +225,6 @@ class DispatchSpec:
             population.traffic_curve(), interval_seconds=float(self.interval_s), failure_prob=p
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> DispatchSpec:
-        return _from_fields(cls, data)
-
 
 # ----------------------------------------------------------------------
 # tenants
@@ -279,13 +250,6 @@ class GradeSpec:
             n_benchmark=self.n_benchmark,
             device_bundle=ResourceBundle(cpus=self.device_cpus, memory_gb=self.device_memory_gb),
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> GradeSpec:
-        return _from_fields(cls, data)
 
 
 @dataclass
@@ -350,9 +314,6 @@ class TenantSpec:
             % (2**31),
             records_per_device=self.records_per_device,
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> TenantSpec:
@@ -456,13 +417,6 @@ class FaultSpec:
         assert self.until is not None
         return self.at <= time < self.until
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> FaultSpec:
-        return _from_fields(cls, data)
-
 
 # ----------------------------------------------------------------------
 # device→cloud transport
@@ -512,13 +466,6 @@ class TransportSpec:
             raise ValueError(f"transport max_attempts must be >= 1, got {self.max_attempts!r}")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(f"transport deadline_s must be > 0, got {self.deadline_s!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> TransportSpec:
-        return _from_fields(cls, data)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Every SimDC subsystem (the logical Ray-like cluster, the virtual phone
 cluster, DeviceFlow, the cloud services and the task manager) advances a
 single shared simulated clock owned by a :class:`Simulator`.  The kernel is
-deliberately small: an event heap, generator-based processes, a handful of
-synchronisation primitives, and named deterministic random streams.
+deliberately small: an event heap, generator-based processes, a vectorized
+timeout pool, and named deterministic random streams.
 
 Example
 -------
@@ -22,35 +22,22 @@ Example
 """
 
 from repro.simkernel.events import Event, EventQueue
-from repro.simkernel.processes import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    Process,
-    ProcessError,
-    Signal,
-    Timeout,
-)
+from repro.simkernel.processes import AllOf, Process, ProcessError, Signal, Timeout
 from repro.simkernel.random import RandomStreams, stable_hash
-from repro.simkernel.resources import Semaphore, Store
 from repro.simkernel.simulator import Simulator
 from repro.simkernel.timeout_pool import PooledTimeout, RecurringTimeout, TimeoutPool
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "EventQueue",
-    "Interrupt",
     "PooledTimeout",
     "Process",
     "ProcessError",
     "RandomStreams",
     "RecurringTimeout",
-    "Semaphore",
     "Signal",
     "Simulator",
-    "Store",
     "Timeout",
     "TimeoutPool",
     "stable_hash",

@@ -12,8 +12,7 @@ Two hot-path design points:
   Python ``__lt__``.  At the Fig. 8 scales (~10^6 events per round) the
   sift comparisons dominate kernel time otherwise.
 * An :class:`Event` stores ``(callback, args)`` instead of a closure, so
-  scheduling never allocates a lambda per event.  Fire one with
-  :meth:`Event.fire`.
+  scheduling never allocates a lambda per event.
 """
 
 from __future__ import annotations
@@ -67,17 +66,9 @@ class Event:
         self.cancelled = False
         self.popped = False
 
-    def fire(self) -> Any:
-        """Invoke the stored callback with its stored arguments."""
-        return self.callback(*self.args)
-
     def cancel(self) -> None:
         """Mark the event so the queue skips it.  Idempotent."""
         self.cancelled = True
-
-    def __repr__(self) -> str:
-        state = ", cancelled" if self.cancelled else ""
-        return f"Event(t={self.time!r}, prio={self.priority}, seq={self.seq}{state})"
 
 
 class EventQueue:
@@ -90,9 +81,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
 
     def push(
         self,
@@ -170,10 +158,3 @@ class EventQueue:
             event.cancel()
             if not event.popped:
                 self._live -= 1
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for entry in self._heap:
-            entry[3].popped = True
-        self._heap.clear()
-        self._live = 0

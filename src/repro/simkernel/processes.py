@@ -14,8 +14,8 @@ describing what the process is waiting for:
     Resume when the child process finishes; its return value becomes the
     ``yield`` value.  If the child failed, the child's exception is raised
     inside the waiter.
-``AllOf([...])`` / ``AnyOf([...])``
-    Barrier / first-completed combinators over other waitables.
+``AllOf([...])``
+    Barrier over other waitables.
 """
 
 from __future__ import annotations
@@ -29,17 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 class ProcessError(RuntimeError):
     """An unhandled exception escaped a process that nobody was awaiting."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Waitable:
@@ -63,9 +52,6 @@ class Timeout(Waitable):
 
     def subscribe(self, sim: Simulator, callback: Callable[[Any, BaseException | None], None]) -> None:
         sim.schedule(self.delay, callback, self.value, None)
-
-    def __repr__(self) -> str:
-        return f"Timeout({self.delay!r})"
 
 
 class Signal(Waitable):
@@ -125,18 +111,11 @@ class Signal(Waitable):
         else:
             self._waiters.append((sim, callback))
 
-    def __repr__(self) -> str:
-        state = "fired" if self._fired else "pending"
-        return f"Signal({self.name!r}, {state})"
-
 
 class Process(Waitable):
     """A running generator, itself waitable by other processes."""
 
-    __slots__ = (
-        "sim", "name", "_generator", "_done", "_result", "_error",
-        "_waiters", "_interrupted", "_current_resume",
-    )
+    __slots__ = ("sim", "name", "_generator", "_done", "_result", "_error", "_waiters")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = "") -> None:
         self.sim = sim
@@ -146,8 +125,6 @@ class Process(Waitable):
         self._result: Any = None
         self._error: BaseException | None = None
         self._waiters: list[Callable[[Any, BaseException | None], None]] = []
-        self._interrupted = False
-        self._current_resume: Any | None = None
 
     @property
     def done(self) -> bool:
@@ -163,24 +140,6 @@ class Process(Waitable):
     def error(self) -> BaseException | None:
         """Exception that terminated the process, if any."""
         return self._error
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the next step."""
-        if self._done:
-            return
-        self._interrupted = True
-        self.sim.schedule(0.0, self._step_throw, Interrupt(cause))
-
-    def _step_throw(self, exc: BaseException, _err: BaseException | None = None) -> None:
-        if self._done:
-            return
-        try:
-            target = self._generator.throw(exc)
-            self._wait_on(target)
-        except StopIteration as stop:
-            self._finish(stop.value, None)
-        except BaseException as error:  # noqa: BLE001 - must capture to deliver to waiters
-            self._finish(None, error)
 
     def _start(self) -> None:
         self._advance(None, None)
@@ -204,7 +163,7 @@ class Process(Waitable):
         if not isinstance(target, Waitable):
             raise TypeError(
                 f"Process {self.name!r} yielded {target!r}; processes must yield "
-                "Timeout, Signal, Process, AllOf or AnyOf"
+                "Timeout, Signal, Process or AllOf"
             )
         target.subscribe(self.sim, self._advance)
 
@@ -223,10 +182,6 @@ class Process(Waitable):
             sim.schedule(0.0, callback, self._result, self._error)
         else:
             self._waiters.append(callback)
-
-    def __repr__(self) -> str:
-        state = "done" if self._done else "running"
-        return f"Process({self.name!r}, {state})"
 
 
 class AllOf(Waitable):
@@ -258,33 +213,6 @@ class AllOf(Waitable):
                 state["remaining"] -= 1
                 if state["remaining"] == 0:
                     callback(results, None)
-
-            return child_done
-
-        for i, child in enumerate(self.children):
-            child.subscribe(sim, make_child_callback(i))
-
-
-class AnyOf(Waitable):
-    """Resolve when the first child resolves; value is ``(index, value)``."""
-
-    def __init__(self, children: Iterable[Waitable]) -> None:
-        self.children = list(children)
-        if not self.children:
-            raise ValueError("AnyOf requires at least one child waitable")
-
-    def subscribe(self, sim: Simulator, callback: Callable[[Any, BaseException | None], None]) -> None:
-        state = {"resolved": False}
-
-        def make_child_callback(index: int) -> Callable[[Any, BaseException | None], None]:
-            def child_done(value: Any, error: BaseException | None) -> None:
-                if state["resolved"]:
-                    return
-                state["resolved"] = True
-                if error is not None:
-                    callback(None, error)
-                else:
-                    callback((index, value), None)
 
             return child_done
 

@@ -61,11 +61,3 @@ class RandomStreams:
         words = stable_hash(name)
         sequence = np.random.SeedSequence(entropy=(self.seed, *words))
         return np.random.default_rng(sequence)
-
-    def spawn(self, prefix: str, count: int) -> list[np.random.Generator]:
-        """Create ``count`` generators named ``{prefix}.{i}``."""
-        return [self.get(f"{prefix}.{i}") for i in range(count)]
-
-    def reset(self) -> None:
-        """Forget all cached generators (streams restart on next use)."""
-        self._cache.clear()

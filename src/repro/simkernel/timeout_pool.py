@@ -343,6 +343,3 @@ class TimeoutPool:
         next_deadline = self.next_deadline()
         if next_deadline is not None:
             self._arm(next_deadline)
-
-    def __repr__(self) -> str:
-        return f"TimeoutPool({self.name!r}, pending={self._live})"

@@ -1,6 +1,5 @@
 """Tests for the FedScale/FederatedScope-like comparator models."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -8,8 +7,6 @@ from repro.baselines import (
     FederatedScopeLikeSimulator,
     SimDCRoundModel,
 )
-from repro.data import SyntheticAvazu
-from repro.ml import FLClient, LogisticRegressionModel
 
 
 class TestCostModels:
@@ -66,44 +63,3 @@ class TestCostModels:
             SimDCRoundModel(device_round_s=0)
         with pytest.raises(ValueError):
             FedScaleLikeSimulator().round_time(0)
-
-
-class TestFunctionalEquivalence:
-    def test_baselines_match_each_other_numerically(self):
-        """Same clients + same seed: both baselines learn the same model.
-
-        Their difference is execution architecture (Fig. 8), not the
-        mathematics of the round.
-        """
-        data = SyntheticAvazu(
-            n_devices=10, records_per_device=20, feature_dim=128, seed=4
-        ).generate(test_records=400)
-        ids = data.device_ids()
-
-        def fresh_clients():
-            return [
-                FLClient(data.shard(d), 128, epochs=2, learning_rate=0.05)
-                for d in ids
-            ]
-
-        fedscale_model = LogisticRegressionModel(128)
-        FedScaleLikeSimulator().run_round(fresh_clients(), fedscale_model)
-        fscope_model = LogisticRegressionModel(128)
-        FederatedScopeLikeSimulator().run_round(fresh_clients(), fscope_model)
-        assert np.allclose(fedscale_model.weights, fscope_model.weights)
-        assert fedscale_model.bias == pytest.approx(fscope_model.bias)
-
-    def test_round_improves_model(self):
-        data = SyntheticAvazu(
-            n_devices=10, records_per_device=30, feature_dim=128, seed=4
-        ).generate(test_records=400)
-        clients = [
-            FLClient(data.shard(d), 128, epochs=3, learning_rate=0.05)
-            for d in data.device_ids()
-        ]
-        model = LogisticRegressionModel(128)
-        before = model.evaluate(data.test.features, data.test.labels)["log_loss"]
-        for round_index in range(1, 4):
-            FedScaleLikeSimulator().run_round(clients, model, round_index)
-        after = model.evaluate(data.test.features, data.test.labels)["log_loss"]
-        assert after < before

@@ -1,5 +1,5 @@
 """Unit tests for the columnar cloud path: put_block, MessageBlock,
-submit_block, receive_block and insert_many.
+submit_block and receive_block.
 
 The contract under test everywhere: the block variant of each cloud
 operation is *observably equivalent* to its n scalar counterparts —
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.cloud import (
     AggregationService,
-    MetricsDatabase,
     ObjectStorage,
     SampleThresholdTrigger,
 )
@@ -79,11 +78,9 @@ class TestPutBlock:
         head = storage.head("b")
         assert head.size_bytes == 50 and head.stored_at == 3.0 and head.writer == "shared"
 
-    def test_block_keys_support_delete_and_overwrite(self):
+    def test_block_keys_support_overwrite(self):
         storage = ObjectStorage()
         storage.put_block(["a", "b"], [1, 2], 10)
-        storage.delete("a")
-        assert "a" not in storage and "b" in storage
         storage.put("b", 99, 20, now=7.0)
         assert storage.get("b") == 99
         assert storage.head("b").stored_at == 7.0
@@ -136,29 +133,6 @@ class TestPutBlock:
                 sh.value, sh.size_bytes, sh.stored_at, sh.writer,
             )
         assert block.total_bytes_read == scalar.total_bytes_read
-
-
-# ----------------------------------------------------------------------
-# MetricsDatabase.insert_many
-# ----------------------------------------------------------------------
-class TestInsertMany:
-    def test_appends_in_order_and_counts(self):
-        db = MetricsDatabase()
-        inserted = db.insert_many("rows", ({"i": i} for i in range(4)))
-        assert inserted == 4
-        assert db.column("rows", "i") == [0, 1, 2, 3]
-
-    def test_records_are_copied(self):
-        db = MetricsDatabase()
-        record = {"a": 1}
-        db.insert_many("t", [record])
-        record["a"] = 99
-        assert db.query("t") == [{"a": 1}]
-
-    def test_rejects_bad_records(self):
-        db = MetricsDatabase()
-        with pytest.raises(TypeError):
-            db.insert_many("t", [{"ok": 1}, "nope"])
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,9 @@ from repro.data import (
     SyntheticAvazu,
     label_skew_device_biases,
     make_federated_ctr_data,
-    split_by_device_column,
 )
 from repro.data import avazu
-from repro.data.partition import assign_delay_profiles, iid_sample_counts
+from repro.data.partition import assign_delay_profiles
 
 
 def assert_same_dataset(new, ref):
@@ -66,18 +65,6 @@ class TestHashingEncoder:
     def test_field_name_participates_in_hash(self):
         encoder = HashingEncoder(dim=2**20, fields=["a", "b"])
         assert encoder.index_of("a", "v") != encoder.index_of("b", "v")
-
-    def test_encode_record_shape_and_order(self):
-        encoder = HashingEncoder(dim=128, fields=["a", "b", "c"])
-        row = encoder.encode_record(["1", "2", "3"])
-        assert row.shape == (3,)
-        assert row[0] == encoder.index_of("a", "1")
-        assert row[2] == encoder.index_of("c", "3")
-
-    def test_encode_record_wrong_arity(self):
-        encoder = HashingEncoder(dim=128, fields=["a", "b"])
-        with pytest.raises(ValueError):
-            encoder.encode_record(["only-one"])
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -320,31 +307,6 @@ class TestPartitioners:
             assign_delay_profiles({"a": 0.0}, sigma=0.0, max_delay=10.0)
         with pytest.raises(ValueError):
             assign_delay_profiles({"a": 0.0}, sigma=1.0, max_delay=0.0)
-
-    def test_split_by_device_column(self):
-        features = np.arange(12).reshape(6, 2)
-        labels = np.array([0, 1, 0, 1, 0, 1])
-        ids = ["a", "b", "a", "c", "b", "a"]
-        shards = split_by_device_column(features, labels, ids)
-        assert sorted(shards) == ["a", "b", "c"]
-        shard_features, shard_labels = shards["a"]
-        assert shard_features.shape == (3, 2)
-        assert list(shard_labels) == [0, 0, 1]
-
-    def test_split_misaligned(self):
-        with pytest.raises(ValueError):
-            split_by_device_column(np.zeros((2, 2)), np.zeros(2), ["a"])
-
-    def test_iid_sample_counts_sum(self):
-        counts = iid_sample_counts(7, 100, seed=0)
-        assert counts.sum() == 100
-        assert counts.min() >= 100 // 7
-
-    def test_iid_sample_counts_validation(self):
-        with pytest.raises(ValueError):
-            iid_sample_counts(0, 10)
-        with pytest.raises(ValueError):
-            iid_sample_counts(10, 5)
 
 
 class TestMakeFederatedCtrData:

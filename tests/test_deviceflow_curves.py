@@ -16,7 +16,6 @@ from repro.deviceflow import (
     right_tailed_normal,
     sin_plus_one,
 )
-from repro.deviceflow.curves import diurnal_curve
 from repro.deviceflow.discretize import DispatchTick, choose_tick_width, schedule_correlation
 
 
@@ -69,8 +68,6 @@ class TestTrafficCurveValidation:
             right_tailed_normal(-1.0)
         with pytest.raises(ValueError):
             exponential_curve(0.0)
-        with pytest.raises(ValueError):
-            diurnal_curve(peak_hour=25)
 
 
 class TestDiscretization:

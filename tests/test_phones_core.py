@@ -96,12 +96,6 @@ class TestPhysicalCostModel:
         assert model.training_duration("High") / 60 == pytest.approx(0.27)
         assert model.training_duration("Low") / 60 == pytest.approx(0.36)
 
-    def test_tier_duration_formula(self):
-        model = PhysicalCostModel(beta={"High": 10.0}, framework_startup={"High": 45.0})
-        # ceil(25/10) * 10 + 45
-        assert model.tier_duration("High", 25, 10) == pytest.approx(75.0)
-        assert model.tier_duration("High", 0, 10) == 0.0
-
     def test_unknown_grade(self):
         with pytest.raises(KeyError):
             PhysicalCostModel().training_duration("Ultra")

@@ -143,22 +143,3 @@ class TestSkewThroughPlatform:
         platform.submit(spec)
         platform.run_until_idle(max_time=1e7)
         assert platform.result(spec.task_id).state is TaskState.COMPLETED
-
-
-class TestStatusReport:
-    def test_report_contains_key_sections(self):
-        platform = SimDC(PlatformConfig(seed=0, cluster_nodes=[NodeSpec(20, 30)] * 2))
-        spec = two_grade_task()
-        platform.submit(spec)
-        platform.run_until_idle(max_time=1e7)
-        report = platform.status_report()
-        assert "cluster:" in report
-        assert "phones free by grade" in report
-        assert spec.task_id in report
-        assert "COMPLETED" in report
-        assert "task_completed=1" in report
-
-    def test_report_before_any_tasks(self):
-        platform = SimDC(PlatformConfig(seed=0, cluster_nodes=[NodeSpec(20, 30)]))
-        report = platform.status_report()
-        assert "0 queued, 0 running, 0 finished" in report

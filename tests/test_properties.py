@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.deviceflow import Message, RealTimeAccumulatedStrategy, Shelf
 from repro.deviceflow.curves import TrafficCurve
-from repro.ml import LogisticRegressionModel, ModelUpdate, fedavg, roc_auc
+from repro.ml import ModelUpdate, fedavg, roc_auc
 from repro.phones import BatteryModel
 from repro.scheduler.allocation import (
     AllocationProblem,
@@ -162,19 +162,6 @@ class TestFedAvgProperties:
         assert np.all(weights <= stacked.max(axis=0) + 1e-12)
         biases = [u.bias for u in updates]
         assert min(biases) - 1e-12 <= bias <= max(biases) + 1e-12
-
-    @given(
-        dim=st.integers(min_value=1, max_value=256),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_model_serialization_round_trip(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        model = LogisticRegressionModel(dim)
-        model.set_params(rng.normal(size=dim), float(rng.normal()))
-        restored = LogisticRegressionModel.deserialize(model.serialize())
-        assert np.array_equal(restored.weights, model.weights)
-        assert restored.bias == model.bias
 
     @given(
         n=st.integers(min_value=2, max_value=200),

@@ -17,13 +17,6 @@ class TestEventArgs:
         sim.run()
         assert seen == ["payload"]
 
-    def test_event_fire_invokes_with_args(self):
-        queue = EventQueue()
-        seen = []
-        event = queue.push(1.0, lambda a, b: seen.append(a + b), (1, 2))
-        event.fire()
-        assert seen == [3]
-
 
 class TestPopBatch:
     def test_drains_one_time_priority_run(self):

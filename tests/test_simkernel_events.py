@@ -51,13 +51,6 @@ class TestEventQueue:
         queue.cancel(a)
         assert len(queue) == 1
 
-    def test_clear(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.clear()
-        assert not queue
-        assert queue.peek_time() is None
-
 
 class TestSimulatorScheduling:
     def test_schedule_advances_clock(self):

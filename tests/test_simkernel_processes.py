@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import AllOf, AnyOf, Interrupt, Signal, Simulator, Timeout
+from repro.simkernel import AllOf, Signal, Simulator, Timeout
 
 
 class TestProcessBasics:
@@ -212,57 +212,3 @@ class TestCombinators:
         sim.process(parent())
         sim.run()
         assert caught == [1.0]
-
-    def test_any_of_returns_index_and_value(self):
-        sim = Simulator()
-        seen = []
-
-        def slow():
-            yield Timeout(9.0)
-            return "slow"
-
-        def fast():
-            yield Timeout(2.0)
-            return "fast"
-
-        def parent():
-            index, value = yield AnyOf([sim.process(slow()), sim.process(fast())])
-            seen.append((index, value, sim.now))
-
-        sim.process(parent())
-        sim.run()
-        assert seen == [(1, "fast", 2.0)]
-
-    def test_any_of_empty_rejected(self):
-        with pytest.raises(ValueError):
-            AnyOf([])
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self):
-        sim = Simulator()
-        seen = []
-
-        def sleeper():
-            try:
-                yield Timeout(100.0)
-            except Interrupt as exc:
-                seen.append((exc.cause, sim.now))
-
-        proc = sim.process(sleeper())
-        sim.schedule(3.0, proc.interrupt, "wake up")
-        sim.run()
-        assert seen == [("wake up", 3.0)]
-
-    def test_interrupt_after_done_is_noop(self):
-        sim = Simulator()
-
-        def quick():
-            yield Timeout(1.0)
-            return "ok"
-
-        proc = sim.process(quick())
-        sim.run()
-        proc.interrupt("late")
-        sim.run()
-        assert proc.result == "ok"

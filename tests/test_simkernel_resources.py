@@ -1,188 +1,8 @@
-"""Unit tests for Semaphore, Store and RandomStreams."""
+"""Unit tests for RandomStreams."""
 
 import numpy as np
-import pytest
 
-from repro.simkernel import RandomStreams, Semaphore, Simulator, Store, Timeout, stable_hash
-
-
-class TestSemaphore:
-    def test_acquire_release_cycle(self):
-        sim = Simulator()
-        sem = Semaphore(sim, capacity=2, name="cpus")
-        trace = []
-
-        def worker(tag, hold):
-            yield sem.acquire()
-            trace.append((tag, "got", sim.now))
-            yield Timeout(hold)
-            sem.release()
-            trace.append((tag, "put", sim.now))
-
-        sim.process(worker("a", 5.0))
-        sim.process(worker("b", 5.0))
-        sim.process(worker("c", 5.0))
-        sim.run()
-        assert trace == [
-            ("a", "got", 0.0),
-            ("b", "got", 0.0),
-            ("a", "put", 5.0),
-            ("b", "put", 5.0),
-            ("c", "got", 5.0),
-            ("c", "put", 10.0),
-        ]
-        assert sem.available == 2
-
-    def test_fifo_large_request_blocks_later_small_ones(self):
-        sim = Simulator()
-        sem = Semaphore(sim, capacity=4, name="pool")
-        order = []
-
-        def holder():
-            yield sem.acquire(3)
-            order.append("holder")
-            yield Timeout(10.0)
-            sem.release(3)
-
-        def big():
-            yield Timeout(1.0)
-            yield sem.acquire(4)
-            order.append("big")
-            sem.release(4)
-
-        def small():
-            yield Timeout(2.0)
-            yield sem.acquire(1)
-            order.append("small")
-            sem.release(1)
-
-        sim.process(holder())
-        sim.process(big())
-        sim.process(small())
-        sim.run()
-        # 1 unit is free at t=2 but "big" is at the head of the queue.
-        assert order == ["holder", "big", "small"]
-
-    def test_over_release_detected(self):
-        sim = Simulator()
-        sem = Semaphore(sim, capacity=1)
-        with pytest.raises(RuntimeError):
-            sem.release()
-
-    def test_request_exceeding_capacity_rejected(self):
-        sim = Simulator()
-        sem = Semaphore(sim, capacity=2)
-        with pytest.raises(ValueError):
-            sem.acquire(3)
-
-    def test_resize_grows_and_wakes_waiters(self):
-        sim = Simulator()
-        sem = Semaphore(sim, capacity=1)
-        got = []
-
-        def worker():
-            yield sem.acquire()
-            yield sem.acquire()  # queue is empty so this waits
-            got.append(sim.now)
-
-        sim.process(worker())
-        sim.schedule(5.0, sem.resize, 2)
-        sim.run()
-        assert got == [5.0]
-
-    def test_resize_shrink_does_not_revoke(self):
-        sim = Simulator()
-        sem = Semaphore(sim, capacity=3)
-
-        def worker():
-            yield sem.acquire(3)
-            sem.resize(1)
-            sem.release(3)
-
-        sim.process(worker())
-        sim.run()
-        # After releasing 3 into a capacity-1 pool... the pool absorbed the
-        # overshoot created by the shrink.
-        assert sem.capacity == 1
-        assert sem.available == 1
-
-    def test_queued_count(self):
-        sim = Simulator()
-        sem = Semaphore(sim, capacity=1)
-
-        def holder():
-            yield sem.acquire()
-            yield Timeout(10.0)
-            sem.release()
-
-        def waiter():
-            yield Timeout(1.0)
-            yield sem.acquire()
-            sem.release()
-
-        sim.process(holder())
-        sim.process(waiter())
-        sim.run(until=2.0)
-        assert sem.queued == 1
-        sim.run()
-        assert sem.queued == 0
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        store.put("x")
-        sim.process(consumer())
-        sim.run()
-        assert got == [("x", 0.0)]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        sim.process(consumer())
-        sim.schedule(4.0, store.put, "late")
-        sim.run()
-        assert got == [("late", 4.0)]
-
-    def test_fifo_matching(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer(tag):
-            item = yield store.get()
-            got.append((tag, item))
-
-        sim.process(consumer("first"))
-        sim.process(consumer("second"))
-        sim.schedule(1.0, store.put, "A")
-        sim.schedule(2.0, store.put, "B")
-        sim.run()
-        assert got == [("first", "A"), ("second", "B")]
-
-    def test_get_nowait_and_drain(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        store.put(3)
-        assert store.get_nowait() == 1
-        assert store.drain() == [2, 3]
-        assert store.get_nowait() is None
-        assert len(store) == 0
+from repro.simkernel import RandomStreams, stable_hash
 
 
 class TestRandomStreams:
@@ -211,19 +31,6 @@ class TestRandomStreams:
         first = streams.get("s").random(3)
         restarted = streams.fresh("s").random(3)
         assert np.allclose(first, restarted)
-
-    def test_spawn_names(self):
-        streams = RandomStreams(0)
-        gens = streams.spawn("dev", 3)
-        assert len(gens) == 3
-        assert gens[0] is streams.get("dev.0")
-
-    def test_reset_clears_cache(self):
-        streams = RandomStreams(0)
-        first = streams.get("s").random(3)
-        streams.reset()
-        again = streams.get("s").random(3)
-        assert np.allclose(first, again)
 
     def test_stable_hash_is_stable(self):
         assert stable_hash("abc") == stable_hash("abc")

@@ -257,17 +257,6 @@ class TestRunProfiler:
             profiled.to_dict(), sort_keys=True
         )
 
-    def test_section_accumulates(self):
-        profiler = RunProfiler()
-        with profiler.section("report"):
-            sum(range(1000))
-        with profiler.section("report"):
-            sum(range(1000))
-        rows = {row.category: row for row in profiler.rows()}
-        assert rows["section.report"].calls == 2
-        assert rows["section.report"].total_s >= 0.0
-        assert any(h["category"] == "section.report" for h in profiler.to_dict()["hotspots"])
-
 
 # ----------------------------------------------------------------------
 # CLI flags
