@@ -11,8 +11,9 @@ import numpy as np
 from conftest import full_scale
 
 from repro.data import SyntheticAvazu
+from repro.data.avazu import DeviceDataset
 from repro.experiments.render import format_table
-from repro.ml import DEVICE_BACKEND, SERVER_BACKEND, LogisticRegressionModel
+from repro.ml import DEVICE_BACKEND, SERVER_BACKEND, BlockTrainer, LogisticRegressionModel
 
 
 def backend_divergence(dims=(128, 512, 2048), seed=0):
@@ -21,13 +22,19 @@ def backend_divergence(dims=(128, 512, 2048), seed=0):
         data = SyntheticAvazu(
             n_devices=40, records_per_device=30, feature_dim=dim, base_ctr=0.5, seed=seed
         ).generate(test_records=1500)
-        features = np.concatenate([data.shard(d).features for d in data.device_ids()])
-        labels = np.concatenate([data.shard(d).labels for d in data.device_ids()])
+        # The pooled training set as one client: a block of one row.
+        pooled = DeviceDataset(
+            "pooled",
+            np.concatenate([data.shard(d).features for d in data.device_ids()]),
+            np.concatenate([data.shard(d).labels for d in data.device_ids()]),
+        )
         metrics = {}
         params = {}
         for backend in (SERVER_BACKEND, DEVICE_BACKEND):
+            trainer = BlockTrainer(dim, backend, epochs=5, learning_rate=0.05, batch_size=64)
+            weights, biases = trainer.train(np.zeros((1, dim)), np.zeros(1), [pooled])
             model = LogisticRegressionModel(dim, backend)
-            model.fit_local(features, labels, epochs=5, learning_rate=0.05, batch_size=64)
+            model.set_params(weights[0], biases[0])
             metrics[backend.name] = model.evaluate(data.test.features, data.test.labels)
             params[backend.name] = model.weights
         weight_gap = float(

@@ -63,8 +63,8 @@ def build_grid_scenario(
     if n_tenants < 2:
         raise ValueError("the grid scenario needs at least 2 tenants")
     # One small fixed-size numeric tenant keeps the ML path covered; the
-    # scaled load is time-only (the numeric kernels have their own gated
-    # benchmark in bench_fig8_scalability).
+    # scaled load is time-only (the numeric kernels are timed by the perf
+    # ledger's diurnal_mixed workload).
     per_task = max(1, total_devices // (2 * (n_tenants - 1)))
     tenants = []
     for i in range(n_tenants):

@@ -1,12 +1,13 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures, times
-the regeneration with pytest-benchmark, and persists the rendered rows to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can cite them.
+The ablation, kernel-throughput and scenario benches time their sweep
+with pytest-benchmark and persist the rendered rows to
+``benchmarks/results/<name>.txt``.  (The paper's tables and figures
+regenerate through ``python -m repro.experiments <name> --scale paper``;
+``tests/test_experiments.py`` holds their shape bands.)
 
 Scale knobs: benches default to *medium* scale so the whole harness
-finishes in minutes.  Set ``SIMDC_BENCH_FULL=1`` to run the paper-scale
-parameters (500+500 devices, 1000-device dropout runs, ...).
+finishes in minutes.  Set ``SIMDC_BENCH_FULL=1`` for the wider sweeps.
 """
 
 import os

@@ -436,8 +436,7 @@ class LogicalSimulation:
         Wave ``w`` executes devices ``assignments[w * n_actors : (w + 1) *
         n_actors]`` as one :class:`BlockOperatorContext` — a stacked
         ``(wave_size, feature_dim)`` weight matrix refined by the flow's
-        vectorized operators (or row by row, for a flow without block
-        support).  Flow execution consumes no simulated time, and each
+        operators.  Flow execution consumes no simulated time, and each
         device draws from its own named random stream — keyed by device,
         never by actor — so wave grouping cannot perturb results.
 

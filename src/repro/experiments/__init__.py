@@ -1,9 +1,9 @@
 """Experiment harness: one module per table/figure of the paper.
 
 Every module exposes ``run_*`` (returns a structured result object) and
-``format_*`` (renders the same rows/series the paper reports).  Benchmarks
-under ``benchmarks/`` call these with paper-scale parameters; tests call
-them scaled down; EXPERIMENTS.md records paper-vs-measured values.
+``format_*`` (renders the same rows/series the paper reports).  ``python -m
+repro.experiments <name> --scale paper`` calls these with paper-scale
+parameters; tests call them scaled down.
 """
 
 from repro.experiments.fig5 import DeviceTraceResult, format_fig5, run_fig5_device_trace

@@ -23,7 +23,7 @@ from repro.cloud.storage import ObjectStorage
 from repro.data import make_federated_ctr_data
 from repro.deviceflow import DeviceFlow, Message, RealTimeAccumulatedStrategy
 from repro.experiments.render import format_table
-from repro.ml import FLClient, LogisticRegressionModel
+from repro.ml import BlockTrainer, LogisticRegressionModel, ModelUpdate
 from repro.simkernel import RandomStreams, Simulator, Timeout
 
 
@@ -84,20 +84,26 @@ def _run_setting(
         service.receive_message,
     )
     ids = dataset.device_ids()
-    clients = {
-        d: FLClient(
-            dataset.shard(d), feature_dim, epochs=10, learning_rate=0.3,
-            rng=streams.get(f"client.{d}"),
-        )
-        for d in ids
-    }
+    shards = [dataset.shard(d) for d in ids]
+    rngs = [streams.get(f"client.{d}") for d in ids]
+    trainer = BlockTrainer(feature_dim, epochs=10, learning_rate=0.3)
 
     def round_loop():
         for round_index in range(1, rounds + 1):
             flow.round_started("fig11", round_index)
             weights, bias = service.model.get_params()
-            for device_id in ids:
-                update = clients[device_id].local_train(weights, bias, round_index)
+            # Every device trains on the round's global model: one block.
+            trained_weights, trained_biases = trainer.train(
+                np.tile(weights, (len(ids), 1)), np.full(len(ids), bias), shards, rngs
+            )
+            for row, device_id in enumerate(ids):
+                update = ModelUpdate(
+                    device_id=device_id,
+                    round_index=round_index,
+                    weights=trained_weights[row],
+                    bias=float(trained_biases[row]),
+                    n_samples=shards[row].n_samples,
+                )
                 ref = f"fig11/{device_id}/r{round_index}"
                 storage.put(ref, update, update.payload_bytes(), now=sim.now)
                 flow.submit(

@@ -9,7 +9,9 @@ computing" run at every scale from (4,4) to (500,500) devices per grade.
 Accuracy differences are a pure function of *which backend trains which
 client* — the timing layers cannot change the aggregated mathematics of a
 synchronous round — so this experiment runs at the client level with the
-two numeric backends, keeping the full (500,500) sweep tractable.
+two numeric backends, keeping the full (500,500) sweep tractable.  Each
+tier's clients train as one stacked block through the
+:class:`~repro.ml.BlockTrainer` the execution tiers run.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ import numpy as np
 
 from repro.data import make_federated_ctr_data
 from repro.experiments.render import format_table
-from repro.ml import DEVICE_BACKEND, SERVER_BACKEND, FLClient, LogisticRegressionModel, fedavg
+from repro.ml import (
+    DEVICE_BACKEND,
+    SERVER_BACKEND,
+    BlockTrainer,
+    FedAvgPartial,
+    LogisticRegressionModel,
+)
 
 #: The paper's five allocation ratios (logical-tier fraction).
 TYPE_RATIOS: tuple[tuple[str, float], ...] = (
@@ -60,25 +68,23 @@ def _train_hybrid(
     """
     ids = dataset.device_ids()
     n_logical = int(round(logical_fraction * len(ids)))
-    clients = []
-    for index, device_id in enumerate(ids):
-        backend = SERVER_BACKEND if index < n_logical else DEVICE_BACKEND
-        shuffle_words = (seed, index, sum(backend.name.encode()))
-        clients.append(
-            FLClient(
-                dataset.shard(device_id),
-                feature_dim,
-                backend=backend,
-                epochs=10,
-                learning_rate=0.05,
-                rng=np.random.default_rng(np.random.SeedSequence(shuffle_words)),
-            )
-        )
+    shards = [dataset.shard(device_id) for device_id in ids]
+    n_samples = [shard.n_samples for shard in shards]
+    tiers = [(SERVER_BACKEND, slice(0, n_logical)), (DEVICE_BACKEND, slice(n_logical, len(ids)))]
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence((seed, index, sum(backend.name.encode()))))
+        for backend, tier in tiers
+        for index in range(len(ids))[tier]
+    ]
     model = LogisticRegressionModel(feature_dim)
-    for round_index in range(1, rounds + 1):
-        weights, bias = model.get_params()
-        updates = [client.local_train(weights, bias, round_index) for client in clients]
-        model.set_params(*fedavg(updates))
+    for _ in range(rounds):
+        global_weights, global_bias = model.get_params()
+        weights = np.tile(global_weights, (len(ids), 1))
+        biases = np.full(len(ids), global_bias)
+        for backend, tier in tiers:
+            trainer = BlockTrainer(feature_dim, backend, epochs=10, learning_rate=0.05)
+            weights[tier], biases[tier] = trainer.train(weights[tier], biases[tier], shards[tier], rngs[tier])
+        model.set_params(*FedAvgPartial.from_arrays(weights, biases, n_samples).finalize())
     return model.evaluate(dataset.test.features, dataset.test.labels)["accuracy"]
 
 

@@ -28,7 +28,7 @@ from repro.cloud.storage import ObjectStorage
 from repro.data import make_federated_ctr_data
 from repro.data.partition import assign_delay_profiles
 from repro.experiments.render import format_table
-from repro.ml import FLClient, LogisticRegressionModel, fedavg
+from repro.ml import BlockTrainer, FedAvgPartial, LogisticRegressionModel, ModelUpdate
 from repro.simkernel import Simulator
 
 #: Local-training recipe strong enough for visible convergence dynamics on
@@ -60,12 +60,10 @@ class TrafficImpactResult:
         return last
 
 
-def _make_clients(dataset, feature_dim: int, seed: int) -> dict[str, FLClient]:
+def _client_rngs(dataset, seed: int) -> dict[str, np.random.Generator]:
+    """Each client's shuffling stream, kept across the rounds it joins."""
     return {
-        d: FLClient(
-            dataset.shard(d), feature_dim, epochs=_EPOCHS, learning_rate=_LEARNING_RATE,
-            rng=np.random.default_rng(np.random.SeedSequence((seed, i))),
-        )
+        d: np.random.default_rng(np.random.SeedSequence((seed, i)))
         for i, d in enumerate(dataset.device_ids())
     }
 
@@ -95,14 +93,27 @@ def _run_threshold(
         name=f"fig9a-sigma{sigma}",
     )
     service.start()
-    clients = _make_clients(dataset, feature_dim, seed)
+    trainer = BlockTrainer(feature_dim, epochs=_EPOCHS, learning_rate=_LEARNING_RATE)
+    rngs = _client_rngs(dataset, seed)
     arrivals = {"n": 0}
 
     def arrival(device_id: str) -> None:
+        # Each arrival trains against the model of its own instant: a
+        # block of one row.
         arrivals["n"] += 1
         weights, bias = service.model.get_params()
+        shard = dataset.shard(device_id)
+        trained_weights, trained_biases = trainer.train(
+            weights[None], [bias], [shard], [rngs[device_id]]
+        )
         service.receive_update(
-            clients[device_id].local_train(weights, bias, service.rounds_completed + 1)
+            ModelUpdate(
+                device_id=device_id,
+                round_index=service.rounds_completed + 1,
+                weights=trained_weights[0],
+                bias=float(trained_biases[0]),
+                n_samples=shard.n_samples,
+            )
         )
 
     for device_id, delay in delays.items():
@@ -127,7 +138,8 @@ def _run_scheduled(
     delays = assign_delay_profiles(
         dataset.device_biases, sigma=sigma_seconds, max_delay=10.0 * period, seed=seed
     )
-    clients = _make_clients(dataset, feature_dim, seed)
+    trainer = BlockTrainer(feature_dim, epochs=_EPOCHS, learning_rate=_LEARNING_RATE)
+    rngs = _client_rngs(dataset, seed)
     model = LogisticRegressionModel(feature_dim)
     shards = {d: dataset.shard(d) for d in dataset.device_ids()}
     all_features = np.concatenate([s.features for s in shards.values()])
@@ -138,14 +150,25 @@ def _run_scheduled(
     participation: list[int] = []
     for round_index in range(1, rounds + 1):
         weights, bias = model.get_params()
-        updates = []
-        for device_id, delay in delays.items():
-            effective = delay * jitter_rng.lognormal(0.0, 0.15)
-            if effective <= period:
-                updates.append(clients[device_id].local_train(weights, bias, round_index))
-        participation.append(len(updates))
-        if updates:
-            model.set_params(*fedavg(updates))
+        responders = [
+            device_id
+            for device_id, delay in delays.items()
+            if delay * jitter_rng.lognormal(0.0, 0.15) <= period
+        ]
+        participation.append(len(responders))
+        if responders:
+            # The round's responders share the global model: one block.
+            trained_weights, trained_biases = trainer.train(
+                np.tile(weights, (len(responders), 1)),
+                np.full(len(responders), bias),
+                [shards[d] for d in responders],
+                [rngs[d] for d in responders],
+            )
+            model.set_params(
+                *FedAvgPartial.from_arrays(
+                    trained_weights, trained_biases, [shards[d].n_samples for d in responders]
+                ).finalize()
+            )
         train_accuracy = model.evaluate(all_features, all_labels)["accuracy"]
         accuracy_by_round.append((round_index, train_accuracy))
     return accuracy_by_round, participation

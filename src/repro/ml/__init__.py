@@ -7,19 +7,22 @@ backends* that stand in for the paper's PyMNN (server-side) and C++ MNN
 (device-side) operator implementations: identical math with different
 floating-point precision and accumulation order, producing the small
 (<0.5%) accuracy deviations the paper studies in Fig. 6.
+
+There is one numeric kernel: every routine acts on a stacked block of
+devices, and one device is a block of one row.  The per-device oracle the
+kernel equals row by row lives in ``tests/reference/ml_reference.py``.
 """
 
 from repro.ml.backends import DEVICE_BACKEND, SERVER_BACKEND, NumericBackend
-from repro.ml.client import BlockTrainer, FLClient
+from repro.ml.client import BlockTrainer
 from repro.ml.fedavg import FedAvgAggregator, FedAvgPartial, ModelUpdate, fedavg
-from repro.ml.metrics import accuracy, block_metrics, log_loss, roc_auc
+from repro.ml.metrics import block_metrics
 from repro.ml.model import LogisticRegressionModel
 from repro.ml.operators import (
     BlockOperatorContext,
     DownloadModelOp,
     EvalOp,
     Operator,
-    OperatorContext,
     OperatorFlow,
     TrainOp,
     UploadUpdateOp,
@@ -33,23 +36,18 @@ __all__ = [
     "DEVICE_BACKEND",
     "DownloadModelOp",
     "EvalOp",
-    "FLClient",
     "FedAvgAggregator",
     "FedAvgPartial",
     "LogisticRegressionModel",
     "ModelUpdate",
     "NumericBackend",
     "Operator",
-    "OperatorContext",
     "OperatorFlow",
     "SERVER_BACKEND",
     "SGD",
     "TrainOp",
     "UploadUpdateOp",
-    "accuracy",
     "block_metrics",
     "fedavg",
-    "log_loss",
-    "roc_auc",
     "standard_fl_flow",
 ]

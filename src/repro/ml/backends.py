@@ -48,33 +48,19 @@ class NumericBackend:
         """Bring an array into this backend's working precision."""
         return np.asarray(array, dtype=self.dtype)
 
-    def gather_scores(self, weights: np.ndarray, bias: float, features: np.ndarray) -> np.ndarray:
-        """Compute per-record logits ``sum_f w[features[:, f]] + bias``.
-
-        ``features`` is an ``(n, n_fields)`` int array of hash indices.
-        The reduction runs field-by-field in this backend's precision and
-        order so rounding behaviour is faithful to the implementation.
-        """
-        working = self.cast(weights)
-        gathered = working[features]  # (n, n_fields)
-        if self.reverse_reduction:
-            gathered = gathered[:, ::-1]
-        scores = np.zeros(len(features), dtype=self.dtype)
-        for column in range(gathered.shape[1]):
-            scores = (scores + gathered[:, column]).astype(self.dtype)
-        return (scores + self.dtype.type(bias)).astype(self.dtype)
-
     def gather_scores_block(
         self, weights: np.ndarray, biases: np.ndarray, features: np.ndarray
     ) -> np.ndarray:
-        """Stacked :meth:`gather_scores` over a block of devices.
+        """Per-record logits ``sum_f w[features[..., f]] + bias`` of a device block.
 
         ``weights`` is ``(n_devices, dim)``, ``biases`` ``(n_devices,)``
-        and ``features`` ``(n_devices, n_records, n_fields)``; the result
-        is ``(n_devices, n_records)``.  Every floating-point operation is
-        elementwise over the device axis in the same per-device order as
-        :meth:`gather_scores`, so each row is bit-identical to a scalar
-        call with that device's weights.
+        and ``features`` ``(n_devices, n_records, n_fields)`` hash indices;
+        the result is ``(n_devices, n_records)``.  The reduction runs
+        field-by-field in this backend's precision and order so rounding
+        behaviour is faithful to the implementation, and every
+        floating-point operation is elementwise over the device axis, so
+        a row does not depend on what it is stacked with (one device is a
+        block of one row).
         """
         n_devices, n_records, n_fields = features.shape
         working = self.cast(weights)

@@ -1,8 +1,8 @@
 """Federated-learning clients: local training on device shards.
 
-:class:`FLClient` runs one device's local loop; :class:`BlockTrainer`
-runs a whole block of devices (one logical-tier wave) through the same
-loop as stacked NumPy matrices, bit-identical per device.
+:class:`BlockTrainer` runs the paper's local loop for a whole block of
+devices (one logical-tier wave, one phone plan, a figure's population)
+as stacked NumPy matrices; one client is a block of one row.
 """
 
 from __future__ import annotations
@@ -13,96 +13,31 @@ import numpy as np
 
 from repro.data.avazu import DeviceDataset
 from repro.ml.backends import SERVER_BACKEND, NumericBackend
-from repro.ml.fedavg import ModelUpdate
-from repro.ml.model import LogisticRegressionModel
 from repro.ml.optimizer import SGD
 
 
-class FLClient:
-    """Runs the paper's local-training loop for one device.
-
-    Parameters
-    ----------
-    dataset:
-        The device's local shard (never leaves the client, per FL).
-    feature_dim:
-        Model dimensionality, must match the shard's encoder.
-    backend:
-        Numeric backend — ``SERVER_BACKEND`` when this client is emulated
-        by the logical simulation, ``DEVICE_BACKEND`` when it represents a
-        physical phone.
-    epochs / learning_rate / batch_size:
-        Local-SGD recipe (paper defaults: 10 epochs, lr 1e-3).
-    rng:
-        Shuffling source; pass a seeded generator for reproducibility.
-    """
-
-    def __init__(
-        self,
-        dataset: DeviceDataset,
-        feature_dim: int,
-        backend: NumericBackend = SERVER_BACKEND,
-        epochs: int = 10,
-        learning_rate: float = 1e-3,
-        batch_size: int = 32,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        self.dataset = dataset
-        self.feature_dim = int(feature_dim)
-        self.backend = backend
-        self.epochs = int(epochs)
-        self.learning_rate = float(learning_rate)
-        self.batch_size = int(batch_size)
-        self.rng = rng
-
-    @property
-    def device_id(self) -> str:
-        """Identifier of the device this client runs on."""
-        return self.dataset.device_id
-
-    @property
-    def n_samples(self) -> int:
-        """Local dataset size (the FedAvg weight)."""
-        return self.dataset.n_samples
-
-    def local_train(
-        self, global_weights: np.ndarray, global_bias: float, round_index: int
-    ) -> ModelUpdate:
-        """Refine the global model on local data; return the update."""
-        model = LogisticRegressionModel(self.feature_dim, self.backend)
-        model.set_params(global_weights, global_bias)
-        model.fit_local(
-            self.dataset.features,
-            self.dataset.labels,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            rng=self.rng,
-        )
-        weights, bias = model.get_params()
-        return ModelUpdate(
-            device_id=self.device_id,
-            round_index=round_index,
-            weights=weights,
-            bias=bias,
-            n_samples=self.n_samples,
-            metadata={"backend": self.backend.name},
-        )
-
-
 class BlockTrainer:
-    """Vectorized local-SGD over a block of devices (one wave of actors).
+    """The paper's local-training loop over a block of devices.
 
     Devices are grouped by shard size so each group trains as one stacked
     ``(n_devices, dim)`` weight matrix through
     :meth:`~repro.ml.optimizer.SGD.run_epochs_block`; results land back in
-    block order.  Per device the math is bit-identical to
-    :meth:`FLClient.local_train` with the same generator — the vectorized
-    path is a pure execution-strategy change, which is what lets the
-    logical tier swap it in under the batched kernel without perturbing
-    seeded experiments.
+    block order.  A device's result depends on its own shard, starting
+    parameters and generator only — never on what it is stacked with —
+    so a tier may group devices into waves, and a figure into whole
+    populations, without perturbing seeded experiments
+    (``tests/reference/ml_reference.py`` holds the per-device oracle).
+
+    Parameters
+    ----------
+    feature_dim:
+        Model dimensionality, must match the shards' encoder.
+    backend:
+        Numeric backend — ``SERVER_BACKEND`` when the clients are emulated
+        by the logical simulation, ``DEVICE_BACKEND`` when they represent
+        physical phones.
+    epochs / learning_rate / batch_size:
+        Local-SGD recipe (paper defaults: 10 epochs, lr 1e-3).
     """
 
     def __init__(
@@ -128,11 +63,13 @@ class BlockTrainer:
         datasets: Sequence[DeviceDataset],
         rngs: Sequence[np.random.Generator | None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Refine per-device parameters in place of the per-device loop.
+        """Refine each device's parameters on its local shard.
 
         ``weights`` is ``(n_devices, feature_dim)`` and ``biases``
-        ``(n_devices,)`` — usually the broadcast global model.  Returns the
-        updated ``(weights, biases)`` pair in the same device order.
+        ``(n_devices,)`` — usually the broadcast global model — and
+        ``rngs`` the per-device shuffling sources (pass seeded generators
+        for reproducibility).  Returns the updated ``(weights, biases)``
+        pair in the same device order.
         """
         weights = np.array(weights, dtype=np.float64, copy=True)
         biases = np.array(biases, dtype=np.float64, copy=True)

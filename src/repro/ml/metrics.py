@@ -5,37 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def accuracy(labels: np.ndarray, probabilities: np.ndarray, threshold: float = 0.5) -> float:
-    """Fraction of records whose thresholded probability matches the label."""
-    labels = np.asarray(labels)
-    probabilities = np.asarray(probabilities)
-    if labels.shape != probabilities.shape:
-        raise ValueError("labels and probabilities must have the same shape")
-    if len(labels) == 0:
-        raise ValueError("cannot compute accuracy of an empty batch")
-    predictions = (probabilities >= threshold).astype(labels.dtype)
-    return float((predictions == labels).mean())
-
-
-def log_loss(labels: np.ndarray, probabilities: np.ndarray, eps: float = 1e-12) -> float:
-    """Mean binary cross-entropy with probability clipping."""
-    labels = np.asarray(labels, dtype=np.float64)
-    probs = np.clip(np.asarray(probabilities, dtype=np.float64), eps, 1.0 - eps)
-    if labels.shape != probs.shape:
-        raise ValueError("labels and probabilities must have the same shape")
-    if len(labels) == 0:
-        raise ValueError("cannot compute log loss of an empty batch")
-    losses = -(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs))
-    return float(losses.mean())
-
-
 def block_metrics(labels: np.ndarray, probabilities: np.ndarray) -> list[dict[str, float]]:
     """Per-device metric dicts for stacked ``(n_devices, n_records)`` batches.
 
-    Accuracy and log-loss reduce rowwise in one shot; AUC needs per-row
-    tie handling and falls back to :func:`roc_auc` per device.  Each row's
-    dict matches what :meth:`LogisticRegressionModel.evaluate` reports for
-    that device alone.
+    Accuracy (fraction of records whose probability thresholded at 0.5
+    matches the label), log-loss (mean binary cross-entropy, probabilities
+    clipped to ``[1e-12, 1 - 1e-12]``) and AUC (:func:`roc_auc_block`)
+    reduce rowwise, so a row's dict does not depend on what it is stacked
+    with; one labelled batch is a block of one row
+    (:meth:`LogisticRegressionModel.evaluate`).
     """
     labels = np.asarray(labels)
     probabilities = np.asarray(probabilities)
@@ -62,13 +40,13 @@ def block_metrics(labels: np.ndarray, probabilities: np.ndarray) -> list[dict[st
 
 
 def roc_auc_block(labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Rowwise :func:`roc_auc` over stacked ``(n_devices, n_records)`` batches.
+    """Rowwise area under the ROC curve via the rank-sum (Mann-Whitney) identity.
 
-    One ``argsort`` and a handful of accumulate passes replace the
-    per-device Python tie loop; every row's value is bit-identical to the
-    scalar function (average tie ranks are the same exact dyadic
-    ``(i + j + 2) / 2`` midpoints, and the positive-rank sum reduces over
-    the same compacted array).
+    Ties receive average ranks — the exact dyadic ``(i + j + 2) / 2``
+    midpoint of a tie group spanning sorted positions ``i..j`` — found
+    with one stable ``argsort`` and a handful of accumulate passes.  A row
+    with one class absent scores 0.5, which keeps round-by-round
+    evaluation robust on tiny shards.
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
@@ -101,35 +79,3 @@ def roc_auc_block(labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
         u_statistic = positive_rank_sum - n_positive[row] * (n_positive[row] + 1) / 2.0
         result[row] = u_statistic / (n_positive[row] * n_negative[row])
     return result
-
-
-def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Area under the ROC curve via the rank-sum (Mann-Whitney) identity.
-
-    Ties receive average ranks.  Returns 0.5 when one class is absent,
-    which keeps round-by-round evaluation robust on tiny shards.
-    """
-    labels = np.asarray(labels)
-    scores = np.asarray(scores, dtype=np.float64)
-    if labels.shape != scores.shape:
-        raise ValueError("labels and scores must have the same shape")
-    n_positive = int((labels == 1).sum())
-    n_negative = int((labels == 0).sum())
-    if n_positive == 0 or n_negative == 0:
-        return 0.5
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # Average ranks over tied score groups.
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
-    positive_rank_sum = ranks[labels == 1].sum()
-    u_statistic = positive_rank_sum - n_positive * (n_positive + 1) / 2.0
-    return float(u_statistic / (n_positive * n_negative))

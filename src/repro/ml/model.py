@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.backends import SERVER_BACKEND, NumericBackend
-from repro.ml.metrics import accuracy, log_loss, roc_auc
-from repro.ml.optimizer import SGD
+from repro.ml.metrics import block_metrics
 
 #: Wire header in front of the float64 weights and bias: 4-byte magic, uint32 version, uint32 feature dim.
 _HEADER_BYTES = 12
@@ -18,6 +17,8 @@ class LogisticRegressionModel:
     Parameters are kept as float64 master copies; the forward pass runs in
     the configured :class:`~repro.ml.backends.NumericBackend`, which is how
     the "same operator, different implementation" effect of §VI-B2 enters.
+    This is the global model the cloud folds into and evaluates; devices
+    train stacked copies of it (:class:`~repro.ml.client.BlockTrainer`).
 
     Parameters
     ----------
@@ -36,11 +37,13 @@ class LogisticRegressionModel:
         self.bias = 0.0
 
     # ------------------------------------------------------------------
-    # inference
+    # inference (one model = a one-row block of the stacked kernels)
     # ------------------------------------------------------------------
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
         """Raw logits for an ``(n, n_fields)`` index batch."""
-        return self.backend.gather_scores(self.weights, self.bias, features)
+        return self.backend.gather_scores_block(
+            self.weights[None], np.array([self.bias]), features[None]
+        )[0]
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Click probabilities in ``[0, 1]``."""
@@ -48,31 +51,7 @@ class LogisticRegressionModel:
 
     def evaluate(self, features: np.ndarray, labels: np.ndarray) -> dict[str, float]:
         """Accuracy, log-loss and AUC on a labelled batch."""
-        probabilities = self.predict_proba(features)
-        return {
-            "accuracy": accuracy(labels, probabilities),
-            "log_loss": log_loss(labels, probabilities),
-            "auc": roc_auc(labels, probabilities),
-        }
-
-    # ------------------------------------------------------------------
-    # training
-    # ------------------------------------------------------------------
-    def fit_local(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        epochs: int = 10,
-        learning_rate: float = 1e-3,
-        batch_size: int = 32,
-        l2: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        """Train in place with the paper's local-SGD recipe."""
-        optimizer = SGD(learning_rate=learning_rate, l2=l2, batch_size=batch_size)
-        self.weights, self.bias = optimizer.run_epochs(
-            self.weights, self.bias, features, labels, epochs, rng=rng, backend=self.backend
-        )
+        return block_metrics(np.asarray(labels)[None], self.predict_proba(features)[None])[0]
 
     # ------------------------------------------------------------------
     # parameters

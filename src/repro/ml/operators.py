@@ -19,61 +19,26 @@ import numpy as np
 from repro.data.avazu import DeviceDataset
 from repro.ml.backends import SERVER_BACKEND, NumericBackend
 from repro.ml.client import BlockTrainer
-from repro.ml.fedavg import ModelUpdate
 from repro.ml.metrics import block_metrics
-from repro.ml.model import LogisticRegressionModel
-
-
-@dataclass
-class OperatorContext:
-    """Mutable state threaded through one device's flow execution.
-
-    Attributes
-    ----------
-    device_id / grade:
-        Identity of the simulated device.
-    dataset:
-        The device's local shard.
-    feature_dim:
-        Model dimensionality.
-    backend:
-        Numeric backend of the executing tier.
-    global_weights / global_bias:
-        Parameters downloaded at the start of the round.
-    round_index:
-        Current collaboration round (1-based).
-    rng:
-        Seeded generator for local shuffling.
-    outputs:
-        Results produced by operators (e.g. ``outputs["update"]``).
-    """
-
-    device_id: str
-    grade: str
-    dataset: DeviceDataset
-    feature_dim: int
-    backend: NumericBackend = SERVER_BACKEND
-    global_weights: np.ndarray | None = None
-    global_bias: float = 0.0
-    round_index: int = 1
-    rng: np.random.Generator | None = None
-    outputs: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
 class BlockOperatorContext:
-    """Mutable state threaded through one *block's* vectorized execution.
+    """Mutable state threaded through one block's flow execution.
 
-    A block is one wave of the batched logical tier: every device in it
-    shares the grade, backend and global model, so operators can act on
-    stacked arrays instead of per-device objects.  Block-capable operators
-    read and write:
+    A block is a run of devices that share the grade, backend, round and
+    global model — a wave of logical actors, a phone plan, or the single
+    device of a benchmarking phone (a block of one row) — so operators act
+    on stacked arrays instead of per-device objects.  ``device_ids``,
+    ``datasets`` (the local shards) and ``rngs`` (seeded generators for
+    local shuffling) are aligned per device; ``global_weights`` /
+    ``global_bias`` are the parameters downloaded at the start of round
+    ``round_index`` (1-based).  The built-in operators read and write:
 
     * ``outputs["weights"]`` / ``outputs["biases"]`` — the stacked
       ``(n_devices, feature_dim)`` / ``(n_devices,)`` working parameters;
     * ``outputs["update_weights"]`` / ``outputs["update_biases"]`` — the
-      packaged per-device results (columnar stand-in for
-      ``OperatorContext.outputs["update"]``);
+      packaged per-device parameters the platform uploads;
     * ``outputs["local_metrics"]`` — per-device metric dicts in block order.
     """
 
@@ -101,29 +66,20 @@ class Operator:
 
     Subclasses set :attr:`name`, declare :attr:`work` (abstract cost units;
     1.0 ~ one local training epoch over an average shard) and implement
-    :meth:`apply`.  Operators that can also execute a whole wave of devices
-    against stacked arrays additionally implement :meth:`apply_block` and
-    set :attr:`supports_block`; a flow whose operators all do so executes
-    each block vectorized, any other flow row by row
-    (:meth:`OperatorFlow.execute_block`).
+    :meth:`apply_block`.
     """
 
     name: str = "operator"
     work: float = 0.0
-    supports_block: bool = False
-
-    def apply(self, context: OperatorContext) -> None:
-        """Execute the operator's effect against the context."""
-        raise NotImplementedError
 
     def apply_block(self, block: BlockOperatorContext) -> None:
-        """Execute the operator against a whole block at once.
+        """Execute the operator's effect against a whole block of devices.
 
-        Must be bit-identical, per device, to :meth:`apply` over the
-        equivalent :class:`OperatorContext`.  Only called when
-        :attr:`supports_block` is true.
+        The built-in operators act on the stacked arrays in
+        ``block.outputs``; an operator with per-device logic loops over
+        ``range(len(block))`` itself.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no block implementation")
+        raise NotImplementedError
 
 
 class DownloadModelOp(Operator):
@@ -135,15 +91,6 @@ class DownloadModelOp(Operator):
 
     name = "download_model"
     work = 0.1
-    supports_block = True
-
-    def apply(self, context: OperatorContext) -> None:
-        if context.global_weights is None:
-            raise RuntimeError(
-                f"device {context.device_id}: global model was not staged before the flow ran"
-            )
-        context.outputs["model"] = LogisticRegressionModel(context.feature_dim, context.backend)
-        context.outputs["model"].set_params(context.global_weights, context.global_bias)
 
     def apply_block(self, block: BlockOperatorContext) -> None:
         if block.global_weights is None:
@@ -170,21 +117,6 @@ class TrainOp(Operator):
         self.batch_size = int(batch_size)
         self.work = float(epochs)
 
-    supports_block = True
-
-    def apply(self, context: OperatorContext) -> None:
-        model = context.outputs.get("model")
-        if model is None:
-            raise RuntimeError("TrainOp requires DownloadModelOp earlier in the flow")
-        model.fit_local(
-            context.dataset.features,
-            context.dataset.labels,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            rng=context.rng,
-        )
-
     def apply_block(self, block: BlockOperatorContext) -> None:
         weights = block.outputs.get("weights")
         if weights is None:
@@ -206,15 +138,6 @@ class EvalOp(Operator):
 
     name = "evaluate"
     work = 0.2
-    supports_block = True
-
-    def apply(self, context: OperatorContext) -> None:
-        model = context.outputs.get("model")
-        if model is None:
-            raise RuntimeError("EvalOp requires DownloadModelOp earlier in the flow")
-        context.outputs["local_metrics"] = model.evaluate(
-            context.dataset.features, context.dataset.labels
-        )
 
     def apply_block(self, block: BlockOperatorContext) -> None:
         weights = block.outputs.get("weights")
@@ -238,36 +161,22 @@ class EvalOp(Operator):
 
 
 class UploadUpdateOp(Operator):
-    """Package the trained parameters as a :class:`ModelUpdate`.
+    """Package the trained parameters for upload.
 
-    The platform layer turns ``outputs["update"]`` into a storage upload
-    plus a DeviceFlow message.
+    The platform layer turns ``outputs["update_weights"]`` /
+    ``outputs["update_biases"]`` into a storage upload plus DeviceFlow
+    messages.
     """
 
     name = "upload_update"
     work = 0.1
-    supports_block = True
-
-    def apply(self, context: OperatorContext) -> None:
-        model = context.outputs.get("model")
-        if model is None:
-            raise RuntimeError("UploadUpdateOp requires a trained model in the flow")
-        weights, bias = model.get_params()
-        context.outputs["update"] = ModelUpdate(
-            device_id=context.device_id,
-            round_index=context.round_index,
-            weights=weights,
-            bias=bias,
-            n_samples=context.dataset.n_samples,
-            metadata={"grade": context.grade, "backend": context.backend.name},
-        )
 
     def apply_block(self, block: BlockOperatorContext) -> None:
         weights = block.outputs.get("weights")
         if weights is None:
             raise RuntimeError("UploadUpdateOp requires a trained model in the flow")
-        # Columnar counterpart of outputs["update"]: stacked copies so later
-        # operators mutating the working parameters can't corrupt uploads.
+        # Stacked copies, so later operators mutating the working
+        # parameters can't corrupt uploads.
         block.outputs["update_weights"] = np.array(weights, dtype=np.float64, copy=True)
         block.outputs["update_biases"] = np.array(
             block.outputs["biases"], dtype=np.float64, copy=True
@@ -290,52 +199,21 @@ class OperatorFlow:
         """Sum of operator work units — the tier cost models scale this."""
         return sum(op.work for op in self.operators)
 
-    @property
-    def supports_block(self) -> bool:
-        """Whether every operator can execute stacked device blocks."""
-        return all(op.supports_block for op in self.operators)
-
-    def execute(self, context: OperatorContext) -> OperatorContext:
-        """Run every operator in order against ``context``."""
-        for op in self.operators:
-            op.apply(context)
-        return context
-
     def execute_block(self, block: BlockOperatorContext) -> BlockOperatorContext:
         """Run every operator in order against a stacked device block.
 
-        A flow with an operator that lacks a block implementation runs
-        row by row instead: one :class:`OperatorContext` per device with
-        that row's rng, and the rows' ``outputs["update"]`` stacked into
-        ``update_weights`` / ``update_biases`` (left unset when no row
-        produced an update).  Only the parameters of those updates travel
-        on; a block's sample counts come from its plan.
+        A flow uploads for every device of a block or for none: only the
+        stacked update parameters travel on, and a block's sample counts
+        come from its plan.
         """
-        if self.supports_block:
-            for op in self.operators:
-                op.apply_block(block)
-            return block
-        updates = []
-        for row, (device_id, dataset) in enumerate(zip(block.device_ids, block.datasets)):
-            context = OperatorContext(
-                device_id=device_id,
-                grade=block.grade,
-                dataset=dataset,
-                feature_dim=block.feature_dim,
-                backend=block.backend,
-                global_weights=block.global_weights,
-                global_bias=block.global_bias,
-                round_index=block.round_index,
-                rng=None if block.rngs is None else block.rngs[row],
-            )
-            self.execute(context)
-            updates.append(context.outputs.get("update"))
-        uploads = sum(update is not None for update in updates)
-        if uploads:
-            if uploads != len(updates):
-                raise RuntimeError("a flow must upload an update for every device of a block or for none")
-            block.outputs["update_weights"] = np.stack([update.weights for update in updates])
-            block.outputs["update_biases"] = np.array([update.bias for update in updates], dtype=np.float64)
+        for op in self.operators:
+            op.apply_block(block)
+        for key in ("update_weights", "update_biases"):
+            rows = block.outputs.get(key)
+            if rows is not None and len(rows) != len(block):
+                raise RuntimeError(
+                    "a flow must upload an update for every device of a block or for none"
+                )
         return block
 
     def describe(self) -> list[str]:

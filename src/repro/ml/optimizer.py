@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.ml.backends import SERVER_BACKEND, NumericBackend
@@ -34,62 +33,6 @@ class SGD:
         self.l2 = float(l2)
         self.batch_size = int(batch_size)
 
-    def run_epoch(
-        self,
-        weights: np.ndarray,
-        bias: float,
-        features: np.ndarray,
-        labels: np.ndarray,
-        rng: np.random.Generator | None = None,
-        backend: NumericBackend = SERVER_BACKEND,
-    ) -> tuple[np.ndarray, float]:
-        """One pass over the data; returns updated ``(weights, bias)``.
-
-        The forward pass (scores, sigmoid) runs in the backend's precision
-        so that server/device implementations diverge realistically, while
-        the parameter update accumulates in float64 master weights — the
-        standard mixed-precision training recipe.
-        """
-        if len(features) != len(labels):
-            raise ValueError("features and labels must align")
-        n_records = len(labels)
-        weights = np.array(weights, dtype=np.float64, copy=True)
-        bias = float(bias)
-        order = np.arange(n_records) if rng is None else rng.permutation(n_records)
-        for start in range(0, n_records, self.batch_size):
-            batch = order[start : start + self.batch_size]
-            batch_features = features[batch]
-            batch_labels = labels[batch].astype(np.float64)
-            scores = backend.gather_scores(weights, bias, batch_features)
-            probabilities = backend.sigmoid(scores).astype(np.float64)
-            errors = probabilities - batch_labels  # dL/dscore
-            # Scatter-add gradients to the touched hash buckets.
-            gradient = np.zeros_like(weights)
-            np.add.at(gradient, batch_features.ravel(), np.repeat(errors, batch_features.shape[1]))
-            gradient /= len(batch)
-            if self.l2 > 0.0:
-                gradient += self.l2 * weights
-            weights -= self.learning_rate * gradient
-            bias -= self.learning_rate * float(errors.mean())
-        return weights, bias
-
-    def run_epochs(
-        self,
-        weights: np.ndarray,
-        bias: float,
-        features: np.ndarray,
-        labels: np.ndarray,
-        epochs: int,
-        rng: np.random.Generator | None = None,
-        backend: NumericBackend = SERVER_BACKEND,
-    ) -> tuple[np.ndarray, float]:
-        """Run ``epochs`` sequential epochs (the paper's local loop of 10)."""
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        for _ in range(epochs):
-            weights, bias = self.run_epoch(weights, bias, features, labels, rng=rng, backend=backend)
-        return weights, bias
-
     def run_epochs_block(
         self,
         weights: np.ndarray,
@@ -107,16 +50,20 @@ class SGD:
         ``(n_devices, n_records)`` — every device in the block holds the
         same number of records, which is what lets the whole mini-batch
         loop run as a handful of array operations per step instead of a
-        Python loop per device.
+        Python loop per device.  One device is a block of one row.
 
-        Device ``d``'s result is bit-identical to
-        ``run_epochs(weights[d], biases[d], features[d], labels[d], ...,
-        rng=rngs[d])``: shuffles come from the same per-device generators
-        in the same order, the forward pass reduces field-by-field in the
-        backend's precision exactly as the scalar path does, and the
-        scatter-add accumulates each device's gradient contributions in
-        the same element order (devices occupy disjoint slices of one flat
-        gradient buffer).
+        The forward pass (scores, sigmoid) runs in the backend's precision
+        so that server/device implementations diverge realistically, while
+        the parameter update accumulates in float64 master weights — the
+        standard mixed-precision training recipe.
+
+        Device ``d``'s result depends on its own row and ``rngs[d]`` only
+        (``tests/reference/ml_reference.py`` is the per-device oracle it
+        equals bit for bit): shuffles come from the per-device generators,
+        one permutation per epoch, the forward pass reduces field-by-field
+        in the backend's precision, and the scatter-add accumulates each
+        device's gradient contributions in record-then-field order
+        (devices occupy disjoint slices of one flat gradient buffer).
         """
         if epochs <= 0:
             raise ValueError("epochs must be positive")
@@ -150,7 +97,7 @@ class SGD:
                 probabilities = backend.sigmoid(scores).astype(np.float64)
                 errors = probabilities - batch_labels  # (n_devices, batch)
                 # One flat scatter-add; device d's contributions land in its
-                # own dim-sized slice, in the scalar path's element order.
+                # own dim-sized slice, in record-then-field order.
                 gradient = np.zeros(n_devices * dim, dtype=np.float64)
                 flat_indices = (batch_features.reshape(n_devices, -1) + row_offsets).ravel()
                 np.add.at(gradient, flat_indices, np.repeat(errors, n_fields, axis=1).ravel())

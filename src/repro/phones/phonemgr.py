@@ -46,7 +46,7 @@ from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome
 from repro.cluster.runner import ColumnarOutcomes, PlanColumns, RoundResult
 from repro.ml.backends import DEVICE_BACKEND, NumericBackend
 from repro.ml.fedavg import ModelUpdate
-from repro.ml.operators import BlockOperatorContext, OperatorContext, OperatorFlow
+from repro.ml.operators import BlockOperatorContext, OperatorFlow
 from repro.phones.adb import SimulatedAdb
 from repro.phones.apk import ApkStage, TrainingApk
 from repro.phones.cost import PhysicalCostModel
@@ -438,18 +438,19 @@ class PhoneMgr:
     def _execute_numeric_block(
         self,
         plan: PhoneAssignment,
+        assignments: list[DeviceAssignment],
         round_index: int,
         global_weights: np.ndarray | None,
         global_bias: float,
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Run a numeric plan's flow as one stacked block over every device.
+        """Run a numeric plan's flow as one stacked block over ``assignments``.
 
-        Devices queued on the plan's phones share grade, backend and the
-        round's global model, so the whole plan evaluates as a single
+        Devices of a plan share grade, backend and the round's global
+        model, so its computing devices evaluate as a single
         :class:`BlockOperatorContext` — one stacked weight matrix refined
-        by the flow's vectorized operators (or row by row, for a flow
-        without block support).  Flow execution consumes no simulated
-        time, and each device draws from its own named random stream
+        by the flow's operators — and a benchmarking phone's device as a
+        block of one row.  Flow execution consumes no simulated time, and
+        each device draws from its own named random stream
         (``phone-exec.{device_id}``, the same cached generator round after
         round), so block grouping cannot perturb results.
 
@@ -457,21 +458,21 @@ class PhoneMgr:
         assignment order; the weight array is empty when the flow produces
         no uploads.
         """
-        for assignment in plan.assignments:
+        for assignment in assignments:
             if assignment.dataset is None:
                 raise RuntimeError(
                     f"device {assignment.device_id} has no dataset but the run is numeric"
                 )
         block = BlockOperatorContext(
-            device_ids=[a.device_id for a in plan.assignments],
+            device_ids=[a.device_id for a in assignments],
             grade=plan.grade,
-            datasets=[a.dataset for a in plan.assignments],
+            datasets=[a.dataset for a in assignments],
             feature_dim=plan.feature_dim,
             backend=plan.backend,
             global_weights=global_weights,
             global_bias=global_bias,
             round_index=round_index,
-            rngs=[self.streams.get(f"phone-exec.{a.device_id}") for a in plan.assignments],
+            rngs=[self.streams.get(f"phone-exec.{a.device_id}") for a in assignments],
         )
         plan.flow.execute_block(block)
         update_weights = block.outputs.get("update_weights")
@@ -524,7 +525,7 @@ class PhoneMgr:
         upload_bytes = model_bytes
         if plan.numeric:
             update_weights, update_biases, payload = self._execute_numeric_block(
-                plan, round_index, global_weights, global_bias
+                plan, plan.assignments, round_index, global_weights, global_bias
             )
             if len(update_weights):
                 upload_bytes = payload
@@ -658,9 +659,19 @@ class PhoneMgr:
         update = None
         payload = model_bytes
         if plan.numeric:
-            update = self._execute_flow(assignment, round_index, plan, global_weights, global_bias)
-            if update is not None:
-                payload = update.payload_bytes()
+            weights, biases, update_bytes = self._execute_numeric_block(
+                plan, [assignment], round_index, global_weights, global_bias
+            )
+            if len(weights):
+                payload = update_bytes
+                update = ModelUpdate(
+                    device_id=assignment.device_id,
+                    round_index=round_index,
+                    weights=weights[0],
+                    bias=float(biases[0]),
+                    n_samples=assignment.n_samples,
+                    metadata={"grade": plan.grade, "backend": plan.backend.name},
+                )
         start = self.sim.now
         done = phone.start_training(duration, upload_bytes=payload)
         yield done
@@ -740,29 +751,3 @@ class PhoneMgr:
         record.samples.append(sample)
         if self.on_sample is not None:
             self.on_sample(sample)
-
-    def _execute_flow(
-        self,
-        assignment: DeviceAssignment,
-        round_index: int,
-        plan: PhoneAssignment,
-        global_weights: np.ndarray | None,
-        global_bias: float,
-    ):
-        if assignment.dataset is None:
-            raise RuntimeError(
-                f"device {assignment.device_id} has no dataset but the run is numeric"
-            )
-        context = OperatorContext(
-            device_id=assignment.device_id,
-            grade=plan.grade,
-            dataset=assignment.dataset,
-            feature_dim=plan.feature_dim,
-            backend=plan.backend,
-            global_weights=global_weights,
-            global_bias=global_bias,
-            round_index=round_index,
-            rng=self.streams.get(f"phone-exec.{assignment.device_id}"),
-        )
-        plan.flow.execute(context)
-        return context.outputs.get("update")

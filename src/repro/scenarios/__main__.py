@@ -16,10 +16,11 @@ Examples::
 
 With ``--sla`` the exit code becomes part of the contract: 0 when every
 service-level objective in the scenario holds against the final report,
-2 when any is violated (CI gates on it).  ``--trace-out`` writes a
-Chrome/Perfetto-loadable span timeline of the run (``--trace-jsonl`` the
-archival one-span-per-line dump), and ``--profile`` prints a ranked
-wall-clock hotspot table over the simulator's subsystems.
+2 when any is violated (CI gates on it).  A run that reaches the spec's
+``max_time`` with tasks unfinished exits 3 and lists them on stderr.
+``--trace-out`` writes a Chrome/Perfetto-loadable span timeline of the run
+(``--trace-jsonl`` the archival one-span-per-line dump), and ``--profile``
+prints a ranked wall-clock hotspot table over the simulator's subsystems.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from pathlib import Path
 from repro.scenarios.engine import ScenarioRunner
 from repro.scenarios.library import SCENARIOS, build_scenario
 from repro.scenarios.spec import ScenarioSpec
+from repro.scheduler.task import TaskState
 
 _FILE_SUFFIXES = (".json", ".yaml", ".yml")
 
@@ -115,6 +117,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     wall_start = time.perf_counter()
     try:
         report = runner.run()
+    except TimeoutError as horizon:
+        # The run hit spec.max_time (or drained its queue) with tasks
+        # unfinished: name them instead of dumping a traceback.
+        manager = runner.platform.task_manager
+        states = {task.task_id: task.state for task in manager.queue.snapshot()}
+        states.update((task_id, active.spec.state) for task_id, active in manager.running.items())
+        print(f"scenario {spec.name!r} did not finish: {horizon}", file=sys.stderr)
+        for ledger in runner.submissions.values():
+            for task_id, submit_time in ledger:
+                if task_id not in manager.results:
+                    state = states.get(task_id, TaskState.PENDING)  # not yet arrived
+                    print(f"  {task_id}: {state.value} (submitted at t={submit_time:g})", file=sys.stderr)
+        return 3
     finally:
         wall = time.perf_counter() - wall_start
         if profiler is not None:

@@ -261,7 +261,7 @@ def build_report(
             kpis.updates_expected += tenant.devices_per_task * tenant.rounds
             if result.flow_stats is not None:
                 kpis.dropout_lost += result.flow_stats.dropped
-            transport = getattr(result, "transport", None)
+            transport = result.transport
             if transport is not None:
                 kpis.transport_retries += transport["retries"]
                 kpis.transport_duplicates += transport["duplicate_drops"]

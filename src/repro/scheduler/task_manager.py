@@ -17,7 +17,7 @@ from repro.scheduler.resource_manager import ResourceManager
 from repro.scheduler.task import TaskSpec, TaskState
 from repro.scheduler.task_runner import TaskResult, TaskRunner
 from repro.scheduler.task_scheduler import GreedyTaskScheduler
-from repro.simkernel import Simulator
+from repro.simkernel import Simulator, Timeout
 
 
 class TaskManager:
@@ -146,8 +146,6 @@ class TaskManager:
         self.sim.process(self._tick_loop(), name="task-manager.tick")
 
     def _tick_loop(self) -> Generator:
-        from repro.simkernel import Timeout
-
         # Only queued/running work needs the periodic pass; deferred
         # submissions re-arm the tick when they land, so an otherwise idle
         # platform does not spin through a long arrival gap.

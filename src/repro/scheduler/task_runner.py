@@ -44,6 +44,7 @@ from repro.scheduler.allocation import (
     AllocationProblem,
     AllocationResult,
     GradeAllocationParams,
+    evaluate_allocation,
     solve_allocation,
 )
 from repro.scheduler.task import TaskSpec, TaskState
@@ -170,8 +171,8 @@ class TaskRunner:
         try:
             dataset = self._build_dataset()
             allocation = self._solve_allocation()
-            logical_plans, phone_plans, grade_devices = self._build_plans(dataset, allocation)
-            self.service = self._build_service(dataset, grade_devices)
+            logical_plans, phone_plans = self._build_plans(dataset, allocation)
+            self.service = self._build_service(dataset)
             uses_flow = self.deviceflow is not None and spec.deviceflow_strategy is not None
             channel_active = self.channel is not None and self.channel.active_for(
                 self.channel_scope
@@ -293,8 +294,6 @@ class TaskRunner:
             )
         problem = AllocationProblem(params)
         if self.fixed_allocation is not None:
-            from repro.scheduler.allocation import evaluate_allocation
-
             x = [self.fixed_allocation[g.grade] for g in params]
             result = evaluate_allocation(problem, x)
             result.solver = "fixed"
@@ -303,13 +302,12 @@ class TaskRunner:
 
     def _build_plans(
         self, dataset: FederatedDataset | None, allocation: AllocationResult
-    ) -> tuple[list[GradeExecutionPlan], list[PhoneAssignment], dict[str, list[str]]]:
+    ) -> tuple[list[GradeExecutionPlan], list[PhoneAssignment]]:
         """Split each grade's device ids across tiers per the allocation."""
         available_ids = dataset.device_ids() if dataset is not None else None
         cursor = 0
         logical_plans: list[GradeExecutionPlan] = []
         phone_plans: list[PhoneAssignment] = []
-        grade_devices: dict[str, list[str]] = {}
 
         def make_assignment(device_id: str, grade: str) -> DeviceAssignment:
             if dataset is not None:
@@ -326,7 +324,6 @@ class TaskRunner:
                     f"{self.spec.task_id}-{grade_req.grade}-{i:06d}"
                     for i in range(grade_req.n_devices)
                 ]
-            grade_devices[grade_req.grade] = list(ids)
             bench_ids = ids[: grade_req.n_benchmark]
             split_ids = ids[grade_req.n_benchmark :]
             logical_ids = split_ids[: grade_alloc.logical]
@@ -360,11 +357,9 @@ class TaskRunner:
                         numeric=self.spec.numeric,
                     )
                 )
-        return logical_plans, phone_plans, grade_devices
+        return logical_plans, phone_plans
 
-    def _build_service(
-        self, dataset: FederatedDataset | None, grade_devices: dict[str, list[str]]
-    ) -> AggregationService:
+    def _build_service(self, dataset: FederatedDataset | None) -> AggregationService:
         model = LogisticRegressionModel(self.spec.feature_dim) if self.spec.numeric else None
         test_set = dataset.test if dataset is not None else None
         return AggregationService(

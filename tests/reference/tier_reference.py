@@ -13,8 +13,9 @@ same plans through both and compare bit for bit.  Do not optimise it.
 
 Drive a simulation holding reference tiers one event at a time
 (:func:`run_per_event`), the loop these generators were written against.
-Shared with ``src/``: the kernel, ``prepare`` / ``teardown``, the
-five-stage benchmarking protocol and ``OperatorFlow.execute``.
+Shared with ``src/``: the kernel, ``prepare`` / ``teardown`` and the
+five-stage benchmarking protocol.  A device's flow runs through the
+per-device numeric oracle, ``reference.ml_reference``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from collections.abc import Generator
 
 from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome
 from repro.cluster.runner import LogicalSimulation, RoundResult
-from repro.ml.operators import OperatorContext
 from repro.phones.metrics import parse_metric_sample, parse_pgrep_pid
 from repro.phones.phonemgr import PhoneMgr, _SampledPhone
 from repro.simkernel import AllOf, Simulator, Timeout
+
+from reference.ml_reference import OperatorContext, execute
 
 
 def run_per_event(sim: Simulator) -> float:
@@ -51,7 +53,7 @@ def execute_flow(plan, assignment: DeviceAssignment, round_index: int, global_we
         round_index=round_index,
         rng=rng,
     )
-    plan.flow.execute(context)
+    execute(plan.flow, context)
     return context.outputs.get("update")
 
 

@@ -5,7 +5,9 @@ in the paper, so a regression in any substrate that would distort an
 experiment fails here before the benchmarks run.  Table I and Fig. 5 are
 sampled off the phone tier, so their exact outputs are pinned as well
 (digests taken at the last commit that still had the per-device phone
-path, where both paths produced them).
+path, where both paths produced them).  Fig. 6 / 9 / 11 train client
+models, so their result objects are pinned too (digests taken at the last
+commit whose figures trained on the per-device scalar ML path).
 """
 
 import hashlib
@@ -13,6 +15,16 @@ import json
 
 import pytest
 
+from repro.baselines import SimDCRoundModel
+from repro.cluster import (
+    DeviceAssignment,
+    GradeExecutionPlan,
+    K8sCluster,
+    LogicalCostModel,
+    LogicalSimulation,
+    NodeSpec,
+    ResourceBundle,
+)
 from repro.experiments import (
     format_fig5,
     format_fig6,
@@ -33,6 +45,17 @@ from repro.experiments import (
     run_table1_stage_metrics,
     run_table2_curve_fidelity,
 )
+from repro.ml import standard_fl_flow
+from repro.simkernel import Simulator
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _items(mapping) -> list:
+    """A dict with tuple or float keys as a JSON-able sorted item list."""
+    return sorted((list(k) if isinstance(k, tuple) else k, v) for k, v in mapping.items())
 
 
 class TestTable1:
@@ -130,6 +153,10 @@ class TestFig6:
     def test_format(self, result):
         assert "max |ACC diff|" in format_fig6(result)
 
+    def test_result_pinned(self, result):
+        digest = _digest([result.scales, _items(result.diffs), _items(result.benchmark_accuracy)])
+        assert digest == "028ad1593ab731157e4e1ec3400e82a4dab905c1599097775b03513da1800ac9"
+
 
 class TestFig7:
     @pytest.fixture(scope="class")
@@ -187,6 +214,45 @@ class TestFig8:
     def test_format(self, result):
         assert "FederatedScope" in format_fig8(result)
 
+    def test_event_driven_anchor(self):
+        """The closed-form SimDC model matches the executable logical tier.
+
+        One actual simulated round at a mid scale, so the sweep's numbers
+        are anchored to the platform rather than free-floating constants.
+        """
+        n_devices, total_cores = 2_000, 200
+        model = SimDCRoundModel(total_cores=total_cores)
+        cost = LogicalCostModel(
+            alpha={"Std": model.device_round_s},
+            actor_startup=0.0,
+            runner_setup=model.runner_setup_s,
+            download_latency=model.download_s / 2,
+            download_bandwidth_bps=1e18,
+        )
+        plan = GradeExecutionPlan(
+            grade="Std",
+            assignments=[DeviceAssignment(f"d{i}", "Std", 10) for i in range(n_devices)],
+            n_actors=total_cores,
+            bundle=ResourceBundle(cpus=1, memory_gb=1),
+            flow=standard_fl_flow(),
+            numeric=False,
+        )
+        sim = Simulator()
+        nodes = [NodeSpec(cpus=20, memory_gb=30)] * (total_cores // 20)
+        logical = LogicalSimulation(sim, K8sCluster(nodes), cost)
+
+        def run():
+            start = sim.now
+            yield sim.process(logical.prepare([plan]))
+            yield sim.process(logical.run_round(1, None, 0.0, 0, None))
+            return sim.now - start
+
+        proc = sim.process(run())
+        sim.run()
+        logical.teardown()
+        predicted = SimDCRoundModel().round_time(n_devices)
+        assert abs(proc.result - predicted) / predicted < 0.25
+
 
 class TestFig9:
     @pytest.fixture(scope="class")
@@ -218,6 +284,11 @@ class TestFig9:
 
     def test_format(self, result):
         assert "sample-threshold" in format_fig9(result)
+
+    def test_result_pinned(self, result):
+        fields = ("threshold_loss", "threshold_rounds", "arrivals_in_window", "scheduled_accuracy", "participation")
+        digest = _digest([result.window_s] + [_items(getattr(result, name)) for name in fields])
+        assert digest == "bdd9bcd375f5dd9ba8ae21e571700d9b512aebe7bda04960feee86e551581b62"
 
 
 class TestFig10:
@@ -289,3 +360,7 @@ class TestFig11:
         text = format_fig11(result)
         assert "identically distributed" in text
         assert "volatility" in text
+
+    def test_result_pinned(self, result):
+        digest = _digest([result.rounds, _items(result.accuracy)])
+        assert digest == "e1b6567967457fa32925a9e1ec1e2d5c65445b0b73146559f8931aca639f428e"

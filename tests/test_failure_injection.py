@@ -33,16 +33,6 @@ class ExplodingOperator(Operator):
     def __init__(self, victim_device: str) -> None:
         self.victim_device = victim_device
 
-    def apply(self, context) -> None:
-        if context.device_id == self.victim_device:
-            raise RuntimeError(f"operator crashed on {context.device_id}")
-
-
-class ExplodingBlockOperator(ExplodingOperator):
-    """The same crash from a block-capable operator (stacked execution)."""
-
-    supports_block = True
-
     def apply_block(self, block) -> None:
         if self.victim_device in block.device_ids:
             raise RuntimeError(f"operator crashed on {self.victim_device}")
@@ -140,15 +130,13 @@ class TestOperatorCrashIsolation:
     """One device's operator failure fails its task and nothing else.
 
     The victim device is pinned to one tier by a fixed allocation (ids
-    ``dev-000000..2`` run on logical actors, ``dev-000003..5`` on phones),
-    the flow either executes as stacked blocks or through
-    ``execute_block``'s per-row fallback, and the task is flow-attached so
-    all three concrete resources are held when it dies.
+    ``dev-000000..2`` run on logical actors, ``dev-000003..5`` on phones)
+    and the task is flow-attached so all three concrete resources are held
+    when it dies.
     """
 
-    @pytest.mark.parametrize("operator", [ExplodingBlockOperator, ExplodingOperator])
     @pytest.mark.parametrize("victim", ["dev-000001", "dev-000004"], ids=["logical", "phone"])
-    def test_failure_stays_inside_the_task(self, victim, operator):
+    def test_failure_stays_inside_the_task(self, victim):
         platform = small_platform()
         platform.sim.strict = False
 
@@ -158,8 +146,7 @@ class TestOperatorCrashIsolation:
             platform.submit(spec, fixed_allocation={"High": 3})
             return spec
 
-        flow = OperatorFlow([DownloadModelOp(), operator(victim), TrainOp(epochs=1), UploadUpdateOp()])
-        assert flow.supports_block is (operator is ExplodingBlockOperator)
+        flow = OperatorFlow([DownloadModelOp(), ExplodingOperator(victim), TrainOp(epochs=1), UploadUpdateOp()])
         crashing = task("crashy", flow)
         healthy = task("healthy", standard_fl_flow(epochs=1))
         platform.run_until_idle(max_time=1e7)

@@ -10,16 +10,17 @@ import repro.ml
 from repro.data import SyntheticAvazu
 from repro.ml import (
     DEVICE_BACKEND,
-    FLClient,
+    SERVER_BACKEND,
+    BlockOperatorContext,
+    BlockTrainer,
     FedAvgAggregator,
     ModelUpdate,
-    OperatorContext,
     OperatorFlow,
     TrainOp,
     fedavg,
     standard_fl_flow,
 )
-from repro.ml.operators import BlockOperatorContext, DownloadModelOp, EvalOp, UploadUpdateOp
+from repro.ml.operators import DownloadModelOp, EvalOp, UploadUpdateOp
 
 
 def make_update(device_id, weights, bias=0.0, n_samples=10, round_index=1):
@@ -103,50 +104,48 @@ def federated_data():
 
 
 class TestFLClient:
+    """One federated-learning client = a one-row block through :class:`BlockTrainer`."""
+
     def test_local_train_produces_update(self, federated_data):
         shard = federated_data.shard(federated_data.device_ids()[0])
-        client = FLClient(shard, feature_dim=256, epochs=2, learning_rate=0.05)
-        update = client.local_train(np.zeros(256), 0.0, round_index=3)
-        assert update.device_id == shard.device_id
-        assert update.round_index == 3
-        assert update.n_samples == shard.n_samples
-        assert update.weights.shape == (256,)
-        assert np.abs(update.weights).sum() > 0
+        trainer = BlockTrainer(feature_dim=256, epochs=2, learning_rate=0.05)
+        weights, biases = trainer.train(np.zeros((1, 256)), np.zeros(1), [shard])
+        assert weights.shape == (1, 256) and biases.shape == (1,)
+        assert np.abs(weights).sum() > 0
 
-    def test_backend_recorded_in_metadata(self, federated_data):
+    def test_backend_shapes_the_update(self, federated_data):
         shard = federated_data.shard(federated_data.device_ids()[0])
-        client = FLClient(shard, feature_dim=256, backend=DEVICE_BACKEND, epochs=1)
-        update = client.local_train(np.zeros(256), 0.0, round_index=1)
-        assert update.metadata["backend"] == "mnn-device"
+        server, device = (
+            BlockTrainer(256, backend, epochs=3, learning_rate=0.05).train(np.zeros((1, 256)), np.zeros(1), [shard])
+            for backend in (SERVER_BACKEND, DEVICE_BACKEND)
+        )
+        assert np.allclose(server[0], device[0], atol=1e-4)
+        assert not np.array_equal(server[0], device[0])
 
     def test_invalid_epochs(self, federated_data):
-        shard = federated_data.shard(federated_data.device_ids()[0])
         with pytest.raises(ValueError):
-            FLClient(shard, feature_dim=256, epochs=0)
+            BlockTrainer(feature_dim=256, epochs=0)
 
 
 class TestOperatorFlow:
-    def make_context(self, federated_data, with_model=True):
-        shard = federated_data.shard(federated_data.device_ids()[0])
-        context = OperatorContext(
-            device_id=shard.device_id,
+    def make_block(self, federated_data, with_model=True, n_devices=1):
+        ids = federated_data.device_ids()[:n_devices]
+        return BlockOperatorContext(
+            device_ids=ids,
             grade="High",
-            dataset=shard,
+            datasets=[federated_data.shard(d) for d in ids],
             feature_dim=256,
+            global_weights=np.zeros(256) if with_model else None,
         )
-        if with_model:
-            context.global_weights = np.zeros(256)
-            context.global_bias = 0.0
-        return context
 
     def test_standard_flow_round_trip(self, federated_data):
         flow = standard_fl_flow(epochs=2, learning_rate=0.05)
-        context = self.make_context(federated_data)
-        flow.execute(context)
-        update = context.outputs["update"]
-        assert update.device_id == context.device_id
-        assert "local_metrics" in context.outputs
-        assert update.metadata["grade"] == "High"
+        block = self.make_block(federated_data, n_devices=3)
+        outputs = flow.execute_block(block).outputs
+        assert outputs["update_weights"].shape == (3, 256)
+        assert outputs["update_biases"].shape == (3,)
+        assert len(outputs["local_metrics"]) == 3
+        assert np.abs(outputs["update_weights"]).sum(axis=1).all()
 
     def test_flow_names(self):
         flow = standard_fl_flow()
@@ -155,25 +154,21 @@ class TestOperatorFlow:
 
     def test_download_requires_staged_model(self, federated_data):
         flow = OperatorFlow([DownloadModelOp()])
-        context = self.make_context(federated_data, with_model=False)
         with pytest.raises(RuntimeError):
-            flow.execute(context)
+            flow.execute_block(self.make_block(federated_data, with_model=False))
 
     def test_train_requires_download(self, federated_data):
         flow = OperatorFlow([TrainOp(epochs=1)])
-        context = self.make_context(federated_data)
         with pytest.raises(RuntimeError):
-            flow.execute(context)
+            flow.execute_block(self.make_block(federated_data))
 
     def test_eval_requires_download(self, federated_data):
-        context = self.make_context(federated_data)
         with pytest.raises(RuntimeError):
-            OperatorFlow([EvalOp()]).execute(context)
+            OperatorFlow([EvalOp()]).execute_block(self.make_block(federated_data))
 
     def test_upload_requires_model(self, federated_data):
-        context = self.make_context(federated_data)
         with pytest.raises(RuntimeError):
-            OperatorFlow([UploadUpdateOp()]).execute(context)
+            OperatorFlow([UploadUpdateOp()]).execute_block(self.make_block(federated_data))
 
     def test_empty_flow_rejected(self):
         with pytest.raises(ValueError):
@@ -187,8 +182,7 @@ class TestOperatorFlow:
         assert TrainOp(epochs=5).work == pytest.approx(5.0)
 
     def test_context_type_hints_resolve(self):
-        for context_class in (OperatorContext, BlockOperatorContext):
-            assert "outputs" in typing.get_type_hints(context_class)
+        assert "outputs" in typing.get_type_hints(BlockOperatorContext)
         # Every annotation on the package's public surface must name
         # something importable: classes, their public methods, functions.
         for name in repro.ml.__all__:
@@ -202,50 +196,20 @@ class TestOperatorFlow:
             elif inspect.isfunction(public):
                 typing.get_type_hints(public)
 
-    def test_block_without_block_support_runs_row_by_row(self, federated_data):
-        class RowUpload(UploadUpdateOp):
-            supports_block = False
-
-        stacked = standard_fl_flow(epochs=1)
-        by_row = OperatorFlow(list(stacked.operators[:-1]) + [RowUpload()])
-        assert stacked.supports_block and not by_row.supports_block
-
-        def run(flow):
-            ids = federated_data.device_ids()[:3]
-            block = BlockOperatorContext(
-                device_ids=ids,
-                grade="High",
-                datasets=[federated_data.shard(d) for d in ids],
-                feature_dim=256,
-                global_weights=np.zeros(256),
-                rngs=[np.random.default_rng(i) for i in range(3)],
-            )
-            return flow.execute_block(block).outputs
-
-        rows, block = run(by_row), run(stacked)
-        assert rows["update_weights"].tobytes() == block["update_weights"].tobytes()
-        assert rows["update_biases"].tobytes() == block["update_biases"].tobytes()
-
     def test_row_fallback_rejects_partial_uploads(self, federated_data):
+        # A user operator may loop over the rows itself, but a flow uploads
+        # for every device of a block or for none.
         class EveryOtherUpload(UploadUpdateOp):
-            supports_block = False
+            def apply_block(self, block):
+                rows = [row for row, device_id in enumerate(block.device_ids) if int(device_id[-1]) % 2 == 0]
+                block.outputs["update_weights"] = block.outputs["weights"][rows]
+                block.outputs["update_biases"] = block.outputs["biases"][rows]
 
-            def apply(self, context):
-                if context.device_id.endswith(("0", "2", "4", "6", "8")):
-                    super().apply(context)
-
-        ids = federated_data.device_ids()[:2]
-        block = BlockOperatorContext(
-            device_ids=ids,
-            grade="High",
-            datasets=[federated_data.shard(d) for d in ids],
-            feature_dim=256,
-            global_weights=np.zeros(256),
-        )
+        block = self.make_block(federated_data, n_devices=2)
         flow = OperatorFlow([DownloadModelOp(), EveryOtherUpload()])
         with pytest.raises(RuntimeError, match="every device of a block or for none"):
             flow.execute_block(block)
         # No uploads at all is fine: the block simply carries no updates.
-        quiet = OperatorFlow([DownloadModelOp(), type("Quiet", (EvalOp,), {"supports_block": False})()])
+        quiet = OperatorFlow([DownloadModelOp(), EvalOp()])
         block.outputs.clear()
         assert "update_weights" not in quiet.execute_block(block).outputs

@@ -20,7 +20,6 @@ from reference.tier_reference import ReferencePhoneMgr, run_per_event
 from repro.cluster.actor import DeviceAssignment
 from repro.data import SyntheticAvazu
 from repro.ml import standard_fl_flow
-from repro.ml.operators import OperatorFlow, UploadUpdateOp
 from repro.phones import (
     MobileServicePlatform,
     PhoneAssignment,
@@ -244,34 +243,6 @@ class TestNumericEquivalence:
         assert_equivalent(
             run_session(ORACLE, [numeric_plan("Low", 6, 2, 1)], 6, numeric=True, rounds=3),
             run_session(PRODUCTION, [numeric_plan("Low", 6, 2, 1)], 6, numeric=True, rounds=3),
-        )
-
-    def test_custom_flow_without_block_support_falls_back(self):
-        # UploadUpdateOp alone requires trained weights, so build a flow
-        # whose operator lacks apply_block: the plan rides the same wave
-        # schedule through execute_block's per-row fallback.
-        class NoBlockUpload(UploadUpdateOp):
-            supports_block = False
-
-        def plans():
-            plan = numeric_plan("High", 5, 2, 0)
-            flow = standard_fl_flow(epochs=1)
-            return [
-                PhoneAssignment(
-                    grade=plan.grade,
-                    assignments=plan.assignments,
-                    benchmarking=[],
-                    n_phones=2,
-                    flow=OperatorFlow(list(flow.operators[:-1]) + [NoBlockUpload()]),
-                    feature_dim=FEATURE_DIM,
-                    numeric=True,
-                )
-            ]
-
-        assert not plans()[0].flow.supports_block
-        assert_equivalent(
-            run_session(ORACLE, plans(), 4, numeric=True),
-            run_session(PRODUCTION, plans(), 4, numeric=True),
         )
 
 

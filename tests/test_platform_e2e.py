@@ -13,8 +13,7 @@ from repro import (
 )
 from repro.cluster import NodeSpec
 from repro.data import make_federated_ctr_data
-from repro.ml import OperatorFlow, standard_fl_flow
-from repro.ml.operators import UploadUpdateOp
+from repro.ml import standard_fl_flow
 
 
 def small_platform(seed=0):
@@ -65,20 +64,14 @@ class TestEndToEnd:
         assert result.rounds[-1].test_loss <= result.rounds[0].test_loss + 1e-6
         assert result.makespan > 0
 
-    @pytest.mark.parametrize("block_flow", [True, False])
-    def test_numeric_task_never_writes_to_its_shards(self, block_flow):
+    @pytest.mark.parametrize("flow_attached", [True, False])
+    def test_numeric_task_never_writes_to_its_shards(self, flow_attached):
         # Shards are read-only views of one shared matrix: a consumer that
-        # mutated its data in place (either tier; stacked blocks or the
-        # per-row fallback of a flow without block support) would raise.
+        # mutated its data in place (either tier; delivered per wave through
+        # DeviceFlow or per plan) would raise.
         platform = small_platform()
-        spec = small_task(rounds=2, n_devices=12, n_phones=3)
-        if not block_flow:
-
-            class RowUpload(UploadUpdateOp):
-                supports_block = False
-
-            spec.flow = OperatorFlow(list(spec.flow.operators[:-1]) + [RowUpload()])
-            assert not spec.flow.supports_block
+        strategy = RealTimeAccumulatedStrategy([3]) if flow_attached else None
+        spec = small_task(rounds=2, n_devices=12, n_phones=3, strategy=strategy)
         dataset = make_federated_ctr_data(12, records_per_device=10, feature_dim=128, seed=0)
         assert not dataset.shard("dev-000000").features.flags.writeable
         before = [(shard.features.copy(), shard.labels.copy()) for shard in dataset.devices.values()]

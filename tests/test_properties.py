@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.deviceflow import Message, RealTimeAccumulatedStrategy, Shelf
 from repro.deviceflow.curves import TrafficCurve
-from repro.ml import ModelUpdate, fedavg, roc_auc
+from repro.ml import ModelUpdate, fedavg
+from repro.ml.metrics import roc_auc_block
 from repro.phones import BatteryModel
 from repro.scheduler.allocation import (
     AllocationProblem,
@@ -172,8 +173,7 @@ class TestFedAvgProperties:
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 2, n)
         scores = rng.normal(size=n)
-        direct = roc_auc(labels, scores)
-        squashed = roc_auc(labels, 1.0 / (1.0 + np.exp(-scores)))
+        direct, squashed = roc_auc_block(np.stack([labels, labels]), np.stack([scores, 1.0 / (1.0 + np.exp(-scores))]))
         assert direct == pytest.approx(squashed)
 
 

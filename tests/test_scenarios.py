@@ -453,3 +453,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert "VIOLATED" in captured.out
         assert "SLA check failed" in captured.err
+
+    def test_run_past_its_horizon_exits_3_and_names_unfinished_tasks(self, capsys, tmp_path):
+        from repro.scenarios.__main__ import main
+
+        # flash_crowd's burst lands at t=300 and the run ends near t=1250:
+        # a horizon inside the burst leaves tasks running and not yet arrived.
+        assert main(["show", "flash_crowd", "--scale", "100"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        shown["max_time"] = 305.0
+        spec_path = tmp_path / "short_horizon.json"
+        spec_path.write_text(json.dumps(shown))
+        assert main(["run", str(spec_path)]) == 3
+        captured = capsys.readouterr()
+        assert "did not finish" in captured.err and "max_time=305.0" in captured.err
+        assert "flash_crowd.crowd.0000: RUNNING" in captured.err
+        assert "flash_crowd.crowd.0009: PENDING" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
