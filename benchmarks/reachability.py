@@ -107,7 +107,11 @@ def main() -> int:
     for label in sorted(never):
         print(f"{never[label]:5d}  {label}  [{allowed.get(label, 'NOT ALLOWLISTED')}]")
     total = sum(lines for _, lines in defs.values())
-    print(f"{len(never)} of {len(defs)} functions never run: {sum(never.values())} of {total} function-body lines")
+    package_lines = sum(path.read_text(encoding="utf-8").count("\n") for path in PACKAGE.rglob("*.py"))
+    print(
+        f"{len(never)} of {len(defs)} functions never run: {sum(never.values())} of {total} function-body lines; "
+        f"src/repro is {package_lines} *.py lines"
+    )
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

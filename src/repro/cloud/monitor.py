@@ -29,13 +29,12 @@ class MonitorEvent:
 class EventsView(Sequence):
     """A read-only, zero-copy view over one kind's event bucket.
 
-    :meth:`Monitor.of_kind` used to copy the full per-kind list on every
-    call — hot in KPI extraction and in live alarm evaluation, where the
-    same kinds are queried per event over logs with hundreds of
-    thousands of entries.  This view wraps the live bucket instead:
-    indexing, slicing, iteration and equality against any sequence work,
-    mutation does not.  The view is *live* — events logged after it was
-    taken are visible through it.
+    What :meth:`Monitor.of_kind` returns — hot in KPI extraction and in
+    live alarm evaluation, where the same kinds are queried per event
+    over logs with hundreds of thousands of entries.  Indexing, slicing,
+    iteration and equality against any sequence work, mutation does not.
+    The view is *live* — events logged after it was taken are visible
+    through it.
     """
 
     __slots__ = ("_events",)
@@ -77,10 +76,10 @@ _EMPTY: tuple[MonitorEvent, ...] = ()
 class Monitor:
     """Chronological event log with per-kind counters and summaries.
 
-    Events are indexed by kind as they arrive, so :meth:`of_kind` and
-    :meth:`last` cost O(matches) / O(1) instead of rescanning the whole
-    log — scenario KPI extraction queries a handful of kinds out of logs
-    with hundreds of thousands of entries.
+    Events are indexed by kind as they arrive, so :meth:`of_kind` is an
+    O(1) view of its bucket instead of a rescan of the whole log —
+    scenario KPI extraction queries a handful of kinds out of logs with
+    hundreds of thousands of entries.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -136,9 +135,8 @@ class Monitor:
     def of_kind(self, kind: str) -> Sequence[MonitorEvent]:
         """All events of one kind, in order, as a read-only live view.
 
-        The view is zero-copy (the old list copy dominated KPI
-        extraction); callers that need an independent snapshot take
-        ``list(monitor.of_kind(kind))`` explicitly.
+        The view is zero-copy; callers that need an independent
+        snapshot take ``list(monitor.of_kind(kind))`` explicitly.
         """
         return EventsView(self._by_kind.get(kind, _EMPTY))
 

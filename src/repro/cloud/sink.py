@@ -36,10 +36,10 @@ from repro.deviceflow.messages import Message, MessageBlock, payload_ref
 from repro.simkernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    # cluster.runner imports this module for the protocol, so a runtime
+    # cluster.rounds imports this module for the protocol, so a runtime
     # import here would be circular.
     from repro.cluster.actor import DeviceRoundOutcome
-    from repro.cluster.runner import ColumnarOutcomes
+    from repro.cluster.rounds import ColumnarOutcomes
     from repro.observability.tracing import Tracer
 
 

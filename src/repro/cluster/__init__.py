@@ -11,21 +11,17 @@ nodes, actors that execute operator flows for a queue of simulated devices
 while advancing simulated time according to a calibrated cost model.
 """
 
-from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome, SimActor
+from repro.cluster.actor import DeviceRoundOutcome, SimActor
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.placement import PlacementGroup, PlacementStrategy
 from repro.cluster.resources import NodeSpec, ResourceBundle
-from repro.cluster.runner import (
-    ColumnarOutcomes,
-    GradeExecutionPlan,
-    LogicalSimulation,
-    RoundResult,
-)
+from repro.cluster.rounds import ColumnarOutcomes, DeviceColumns, RoundResult
+from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 
 __all__ = [
     "ColumnarOutcomes",
-    "DeviceAssignment",
+    "DeviceColumns",
     "DeviceRoundOutcome",
     "GradeExecutionPlan",
     "K8sCluster",

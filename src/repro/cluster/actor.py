@@ -15,27 +15,7 @@ from collections.abc import Generator
 from typing import Any
 
 from repro.cluster.cost import LogicalCostModel
-from repro.data.avazu import DeviceDataset
 from repro.simkernel import Simulator, Timeout
-
-
-@dataclass
-class DeviceAssignment:
-    """One simulated device queued on an actor.
-
-    ``dataset`` may be ``None`` for *time-only* runs (the large-scale
-    scalability experiments), in which case ``n_samples`` still feeds the
-    dummy update so aggregation triggers behave realistically.
-    """
-
-    device_id: str
-    grade: str
-    n_samples: int
-    dataset: DeviceDataset | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_samples <= 0:
-            raise ValueError("n_samples must be positive")
 
 
 @dataclass

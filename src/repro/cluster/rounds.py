@@ -1,0 +1,488 @@
+"""The round both execution tiers run, and the columns it runs over.
+
+The paper's two tiers are one queueing structure — "each actor sequentially
+simulating multiple devices" (§IV-A), computing phones "repeatedly
+emulating simulated devices" (§IV-C): a plan's devices are dealt round-robin
+onto slots and each slot works through its queue.  A plan is therefore a
+struct of per-device columns (:class:`DeviceColumns`) plus what the whole
+grade shares (:class:`TierPlan`), a round's outcomes are columns over the
+same rows (:class:`ColumnarOutcomes`), and :class:`TierRounds` is the one
+engine that executes, schedules, delivers and closes a round.  A tier
+contributes only its completion-time kernel.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Generator, Sequence
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.cloud.sink import OutcomeSink
+from repro.cluster.actor import DeviceRoundOutcome
+from repro.data.avazu import DeviceDataset
+from repro.ml.backends import NumericBackend
+from repro.ml.fedavg import ModelUpdate
+from repro.ml.operators import BlockOperatorContext, OperatorFlow
+from repro.simkernel import AllOf, RandomStreams, Signal, Simulator, TimeoutPool
+
+
+@dataclass
+class DeviceColumns:
+    """The devices of a plan, one row each.
+
+    ``datasets`` is ``None`` for *time-only* runs (the large-scale
+    scalability experiments); ``n_samples`` still feeds the FedAvg weights
+    and the staged-bytes estimate so aggregation triggers behave
+    realistically.  Plans validate their columns at construction.
+    """
+
+    device_ids: list[str]
+    n_samples: np.ndarray
+    datasets: list[DeviceDataset] | None = None
+
+    def __post_init__(self) -> None:
+        self.n_samples = np.asarray(self.n_samples, dtype=np.int64)
+
+    @classmethod
+    def of_shards(cls, shards: Sequence[DeviceDataset]) -> DeviceColumns:
+        """Columns of devices that each hold one local dataset shard."""
+        return cls([s.device_id for s in shards], [len(s) for s in shards], list(shards))
+
+    def __len__(self) -> int:
+        return len(self.device_ids)
+
+    def __getitem__(self, rows: slice) -> DeviceColumns:
+        return DeviceColumns(
+            self.device_ids[rows],
+            self.n_samples[rows],
+            None if self.datasets is None else self.datasets[rows],
+        )
+
+    def staged_bytes(self) -> np.ndarray:
+        """Bytes of local data staged per device (64 a record when time-only)."""
+        if self.datasets is None:
+            return 64 * self.n_samples
+        return np.fromiter((d.nbytes() for d in self.datasets), dtype=np.int64, count=len(self))
+
+
+@dataclass(kw_only=True)
+class TierPlan:
+    """What a tier needs to simulate one device grade, whichever tier it is.
+
+    Attributes
+    ----------
+    grade:
+        Grade label ("High"/"Low" in the paper's experiments); a plan has
+        one grade by construction.
+    devices:
+        The grade's devices allocated to this tier, in row order.
+    flow:
+        The task's operator flow.
+    feature_dim:
+        Model dimensionality for numeric runs.
+    backend:
+        Numeric backend of the tier.
+    numeric:
+        When false, flows advance simulated time but skip the ML math —
+        used for the 100k-device scalability sweeps.
+    """
+
+    grade: str
+    devices: DeviceColumns
+    flow: OperatorFlow
+    feature_dim: int = 4096
+    backend: NumericBackend
+    numeric: bool = True
+
+    def __post_init__(self) -> None:
+        self._check_columns("devices", self.devices)
+
+    def _check_columns(self, name: str, columns: DeviceColumns) -> None:
+        """The one place a plan's per-device input is validated."""
+        n = len(columns)
+        for column, values in (("n_samples", columns.n_samples), ("datasets", columns.datasets)):
+            if values is not None and len(values) != n:
+                raise ValueError(f"{self.grade!r} plan: {name}.{column} has {len(values)} rows for {n} device_ids")
+        if n and columns.n_samples.min() <= 0:
+            raise ValueError(f"{self.grade!r} plan: {name}.n_samples must be positive")
+        if n and self.numeric and columns.datasets is None:
+            raise ValueError(f"{self.grade!r} plan: numeric=True needs {name}.datasets")
+
+
+@dataclass
+class ColumnarOutcomes:
+    """Outcomes of one plan's round stored as arrays, not objects.
+
+    The tiers record a whole plan's round as one block:
+    ``finished_at[pos]`` is the upload-completion time of the device in
+    row ``pos`` of ``plan.devices``.  Numeric plans additionally carry the
+    stacked model updates (``update_weights[pos]`` /
+    ``update_biases[pos]``), which is what the cloud's FedAvg fold reads
+    without ever constructing :class:`~repro.ml.fedavg.ModelUpdate`
+    objects.  Blocks materialize to :class:`DeviceRoundOutcome` objects
+    lazily — the 100k scalability sweeps never pay for 100k dataclass
+    constructions.
+
+    A *wave* — the rows of the plan that finish at one simulated instant
+    — is a zero-copy :meth:`view` of the plan's block: ``rows`` names the
+    plan rows it covers and every array is a slice of the parent's.
+    """
+
+    plan: TierPlan
+    round_index: int
+    payload_bytes: int
+    finished_at: np.ndarray
+    update_weights: np.ndarray | None = None  # (n_devices, feature_dim)
+    update_biases: np.ndarray | None = None  # (n_devices,)
+    #: Plan rows this block covers; ``None`` means the whole plan.
+    rows: slice | None = None
+
+    def __len__(self) -> int:
+        return len(self.finished_at)
+
+    def view(self, rows: slice) -> ColumnarOutcomes:
+        """The block of the plan rows ``rows``, sharing this block's arrays."""
+        if self.rows is not None:
+            raise ValueError("views are taken of a whole-plan block")
+        return ColumnarOutcomes(
+            plan=self.plan,
+            round_index=self.round_index,
+            payload_bytes=self.payload_bytes,
+            finished_at=self.finished_at[rows],
+            update_weights=None if self.update_weights is None else self.update_weights[rows],
+            update_biases=None if self.update_biases is None else self.update_biases[rows],
+            rows=rows,
+        )
+
+    @property
+    def device_ids(self) -> list[str]:
+        """Device ids in block order (the plan's own list for a whole-plan block)."""
+        ids = self.plan.devices.device_ids
+        return ids if self.rows is None else ids[self.rows]
+
+    def n_samples_array(self) -> np.ndarray:
+        """Per-device FedAvg sample counts, in block order."""
+        n_samples = self.plan.devices.n_samples
+        return n_samples if self.rows is None else n_samples[self.rows]
+
+    def _package(self, device_id: str, n_samples: int, position: int) -> ModelUpdate:
+        """One device's trained row as the :class:`ModelUpdate` it uploads."""
+        return ModelUpdate(
+            device_id=device_id,
+            round_index=self.round_index,
+            weights=self.update_weights[position].copy(),
+            bias=float(self.update_biases[position]),
+            n_samples=n_samples,
+            metadata={"grade": self.plan.grade, "backend": self.plan.backend.name},
+        )
+
+    def update_at(self, position: int) -> ModelUpdate | None:
+        """Materialize one device's :class:`ModelUpdate` (``None`` if time-only).
+
+        This is what lazy block-storage views call when a single stored
+        payload is actually read — the block path never builds the other
+        ``n - 1`` objects.
+        """
+        if self.update_weights is None or self.update_biases is None:
+            return None
+        devices = self.plan.devices
+        row = position if self.rows is None else range(len(devices))[self.rows][position]
+        return self._package(devices.device_ids[row], int(devices.n_samples[row]), position)
+
+    def materialize(self) -> list[DeviceRoundOutcome]:
+        """Build the outcome objects in block (row) order.
+
+        For logical-tier plans this is also chronological (one shared wave
+        clock); phone-tier plans stage per-device push bytes, so completion
+        times across phones need not be sorted — sort on ``finished_at`` if
+        chronology matters.
+        """
+        numeric = self.update_weights is not None and self.update_biases is not None
+        return [
+            DeviceRoundOutcome(
+                device_id=device_id,
+                grade=self.plan.grade,
+                round_index=self.round_index,
+                n_samples=n_samples,
+                payload_bytes=self.payload_bytes,
+                update=self._package(device_id, n_samples, position) if numeric else None,
+                finished_at=time,
+            )
+            for position, (device_id, n_samples, time) in enumerate(
+                zip(self.device_ids, self.n_samples_array().tolist(), self.finished_at.tolist())
+            )
+        ]
+
+
+@dataclass
+class RoundResult:
+    """Summary of one tier round.
+
+    Computing devices are recorded as one :attr:`columnar` block per
+    plan; :attr:`outcomes` holds the eagerly built objects of the phone
+    tier's benchmarking devices.  :meth:`all_outcomes` unifies the two.
+    """
+
+    round_index: int
+    outcomes: list[DeviceRoundOutcome] = field(default_factory=list)
+    columnar: list[ColumnarOutcomes] = field(default_factory=list)
+    started_at: float = 0.0
+    finished_at: float = 0.0
+    #: True when the owning tier was torn down mid-round: the recorded
+    #: outcomes are the partial prefix collected before that.
+    aborted: bool = False
+
+    @property
+    def duration(self) -> float:
+        """Simulated seconds from round start to last device completion."""
+        return self.finished_at - self.started_at
+
+    @property
+    def n_devices(self) -> int:
+        """Devices that completed the round."""
+        return len(self.outcomes) + sum(len(block) for block in self.columnar)
+
+    def all_outcomes(self) -> list[DeviceRoundOutcome]:
+        """Eager outcomes (in emission order) followed by materialized columnar blocks.
+
+        The groups are concatenated rather than merged, and a phone-tier
+        block is not chronological (see :meth:`ColumnarOutcomes.materialize`)
+        — sort on ``finished_at`` when chronology matters.
+        """
+        result = list(self.outcomes)
+        for block in self.columnar:
+            result.extend(block.materialize())
+        return result
+
+    def fedavg_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columnar ``(weights, biases, n_samples)`` of every numeric update.
+
+        Concatenates eager outcomes' updates with numeric columnar blocks'
+        stacked arrays — the input
+        :meth:`repro.ml.fedavg.FedAvgPartial.from_arrays` folds without
+        materializing update objects.  Returns empty arrays when the round
+        produced no updates.
+        """
+        weight_parts: list[np.ndarray] = []
+        bias_parts: list[np.ndarray] = []
+        sample_parts: list[np.ndarray] = []
+        eager = [o.update for o in self.outcomes if o.update is not None]
+        if eager:
+            weight_parts.append(np.stack([u.weights for u in eager]))
+            bias_parts.append(np.array([u.bias for u in eager], dtype=np.float64))
+            sample_parts.append(np.array([u.n_samples for u in eager], dtype=np.int64))
+        for block in self.columnar:
+            if block.update_weights is not None and block.update_biases is not None:
+                weight_parts.append(block.update_weights)
+                bias_parts.append(block.update_biases)
+                sample_parts.append(block.n_samples_array())
+        if not weight_parts:
+            empty = np.empty(0, dtype=np.float64)
+            return np.empty((0, 0), dtype=np.float64), empty, np.empty(0, dtype=np.int64)
+        return (
+            np.concatenate(weight_parts),
+            np.concatenate(bias_parts),
+            np.concatenate(sample_parts),
+        )
+
+
+#: One slot's queue in a plan's schedule: the plan rows it works through, in
+#: completion order, and the tier's hook for when the queue has drained.
+SlotQueue = tuple[slice, Callable[[], None]]
+
+
+class TierRounds:
+    """One round engine for both tiers.
+
+    A tier subclass supplies :attr:`rng_stream`, :meth:`_numeric_block_size`
+    and its completion-time kernel :meth:`_completion_times`; the engine
+    owns everything else about a round.  Numeric plans execute up front as
+    stacked blocks; every plan is recorded as one :class:`ColumnarOutcomes`
+    block and delivered as :class:`~repro.cloud.sink.OutcomeSink`
+    describes: whole, at its last completion time — a single pooled
+    deadline, no per-device objects or events — or, for a sink that sets
+    ``prefers_waves``, as one zero-copy row view per completion wave at
+    the wave's time.  ``sink=None`` records the blocks with no delivery at
+    all (the 100k-device sweeps).  An epoch guard voids the pooled
+    callbacks of a torn-down task, and :meth:`_void_rounds` releases the
+    plans-done barrier so a round in flight resolves as ``aborted``
+    instead of leaking.
+    """
+
+    #: ``str.format`` template of a device's numeric random stream, keyed by
+    #: device — never by slot — so grouping cannot perturb results.
+    rng_stream: str
+
+    def __init__(self, sim: Simulator, streams: RandomStreams | None, pool_name: str) -> None:
+        self.sim = sim
+        self.streams = streams or RandomStreams(0)
+        self.plans: list = []
+        self.rounds: list[RoundResult] = []
+        self._pool = TimeoutPool(sim, name=pool_name)
+        self._epoch = 0
+        self._round_barriers: list[Signal] = []
+
+    # -- what a tier supplies -------------------------------------------
+    def _numeric_block_size(self, plan: TierPlan) -> int:
+        """Devices stacked into one :class:`BlockOperatorContext`."""
+        raise NotImplementedError
+
+    def _completion_times(
+        self, plan: TierPlan, model_bytes: int, upload_bytes: int
+    ) -> tuple[np.ndarray, list[SlotQueue]]:
+        """``finished_at`` per plan row, and the slot queues it decomposes into.
+
+        Every queue's rows must be ascending in ``finished_at`` and the
+        queues must partition the plan.
+        """
+        raise NotImplementedError
+
+    # -- the round --------------------------------------------------------
+    def _drive_round(
+        self,
+        result: RoundResult,
+        barriers: list,
+        global_weights: np.ndarray | None,
+        global_bias: float,
+        model_bytes: int,
+        sink: OutcomeSink | None,
+    ) -> Generator:
+        """Register every plan, wait for them (and ``barriers``), close ``result``."""
+        epoch = self._epoch
+        if self.plans:
+            remaining = len(self.plans)
+            plans_done = Signal(name=f"{self._pool.name}.round{result.round_index}.plans-done")
+            self._round_barriers.append(plans_done)
+
+            def plan_done() -> None:
+                nonlocal remaining
+                remaining -= 1
+                if remaining == 0:
+                    self._round_barriers.remove(plans_done)
+                    plans_done.fire()
+
+            for plan in self.plans:
+                self._register_plan(plan, result, global_weights, global_bias, model_bytes, sink, plan_done)
+            barriers = [*barriers, plans_done]
+        if barriers:
+            yield AllOf(barriers)
+        result.finished_at = self.sim.now
+        result.aborted = epoch != self._epoch
+        self.rounds.append(result)
+        return result
+
+    def _void_rounds(self) -> None:
+        """Void the pooled callbacks of rounds in flight and release their barriers."""
+        self._epoch += 1
+        for barrier in self._round_barriers:
+            barrier.fire()
+        self._round_barriers = []
+
+    def _execute_numeric(
+        self,
+        plan: TierPlan,
+        devices: DeviceColumns,
+        round_index: int,
+        global_weights: np.ndarray | None,
+        global_bias: float,
+        block_size: int,
+    ) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
+        """Run the plan's flow over ``devices`` in stacked blocks of ``block_size``.
+
+        Devices of a plan share grade, backend and the round's global
+        model, so each block is one ``(rows, feature_dim)`` weight matrix
+        refined by the flow's operators.  Flow execution consumes no
+        simulated time.  Returns the stacked ``(update_weights,
+        update_biases)`` in row order, or ``(None, None)`` when the flow
+        produces no uploads.
+        """
+        total = len(devices)
+        update_weights = update_biases = None
+        for start in range(0, total, block_size):
+            rows = devices[start : start + block_size]
+            block = BlockOperatorContext(
+                device_ids=rows.device_ids,
+                grade=plan.grade,
+                datasets=rows.datasets,
+                feature_dim=plan.feature_dim,
+                backend=plan.backend,
+                global_weights=global_weights,
+                global_bias=global_bias,
+                round_index=round_index,
+                rngs=[self.streams.get(self.rng_stream.format(d)) for d in rows.device_ids],
+            )
+            plan.flow.execute_block(block)
+            block_weights = block.outputs.get("update_weights")
+            if block_weights is None:
+                continue  # the flow uploads nothing; later blocks still take their rng draws
+            if update_weights is None:
+                update_weights = np.empty((total, plan.feature_dim), dtype=np.float64)
+                update_biases = np.empty(total, dtype=np.float64)
+            update_weights[start : start + len(rows)] = block_weights
+            update_biases[start : start + len(rows)] = block.outputs["update_biases"]
+        return update_weights, update_biases
+
+    def _register_plan(
+        self,
+        plan: TierPlan,
+        result: RoundResult,
+        global_weights: np.ndarray | None,
+        global_bias: float,
+        model_bytes: int,
+        sink: OutcomeSink | None,
+        plan_done: Callable[[], None],
+    ) -> None:
+        """Register one plan's whole round in the timeout pool.
+
+        Numeric plans run their ML round here, up front (the upload leg of
+        the tier's schedule then carries the model-update payload); the
+        tier's kernel turns the plan into completion times; the block is
+        recorded and delivered when those times come due.
+        """
+        total = len(plan.devices)
+        if total == 0:
+            plan_done()
+            return
+        update_weights = update_biases = None
+        upload_bytes = model_bytes
+        if plan.numeric:
+            update_weights, update_biases = self._execute_numeric(
+                plan, plan.devices, result.round_index, global_weights, global_bias,
+                self._numeric_block_size(plan),
+            )
+            if update_weights is not None:
+                upload_bytes = ModelUpdate.wire_size(plan.feature_dim)
+        finished, queues = self._completion_times(plan, model_bytes, upload_bytes)
+        block = ColumnarOutcomes(
+            plan, result.round_index, upload_bytes, finished, update_weights, update_biases
+        )
+        epoch = self._epoch
+        pending = len(queues)
+
+        def deliver(rows: slice | None, drained: list[Callable[[], None]]) -> None:
+            nonlocal pending
+            if epoch != self._epoch:
+                return
+            if sink is not None:
+                sink.accept_block(block if rows is None else block.view(rows))
+            for queue_drained in drained:
+                queue_drained()
+            pending -= len(drained)
+            if pending == 0:
+                result.columnar.append(block)
+                plan_done()
+
+        if not getattr(sink, "prefers_waves", False):
+            self._pool.add_at(float(finished.max()), deliver, None, [hook for _, hook in queues])
+            return
+        for rows, hook in queues:
+            queue = range(total)[rows]
+
+            # Entries lo..hi of a queue are the plan rows queue[lo:hi]; queues
+            # drain chronologically across slots, ties in slot order.
+            def fire(lo: int, hi: int, _t: float, queue=queue, hook=hook) -> None:
+                wave = slice(queue[lo], queue[hi - 1] + 1, queue.step)
+                deliver(wave, [hook] if hi == len(queue) else [])
+
+            self._pool.add_sequence(finished[rows], fire)

@@ -39,9 +39,9 @@ from time import perf_counter
 PROFILE_POINTS: tuple[tuple[str, str, str, str], ...] = (
     ("repro.simkernel.simulator", "Simulator", "step_batch", "kernel.step_batch"),
     ("repro.data.avazu", "SyntheticAvazu", "generate", "data.synthesize"),
-    ("repro.cluster.runner", "LogicalSimulation", "_register_batched_plan", "logical.wave_schedule"),
-    ("repro.cluster.runner", "LogicalSimulation", "_execute_numeric_waves", "logical.numeric_block"),
-    ("repro.phones.phonemgr", "PhoneMgr", "_register_batched_plan", "phones.wave_schedule"),
+    ("repro.cluster.runner", "LogicalSimulation", "_register_plan", "logical.wave_schedule"),
+    ("repro.cluster.runner", "LogicalSimulation", "_execute_numeric", "logical.numeric_block"),
+    ("repro.phones.phonemgr", "PhoneMgr", "_register_plan", "phones.wave_schedule"),
     ("repro.phones.phonemgr", "PhoneMgr", "_sampler_tick", "phones.sampler"),
     ("repro.deviceflow.controller", "DeviceFlow", "_submit", "deviceflow.submit"),
     ("repro.deviceflow.dispatcher", "Dispatcher", "dispatch", "deviceflow.dispatch"),

@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable, Sequence
 
     from repro.cloud.monitor import Monitor
-    from repro.cluster.runner import ColumnarOutcomes
+    from repro.cluster.rounds import ColumnarOutcomes
     from repro.deviceflow.shelf import Segment
 
 #: Every span kind the assembler can emit, with the tree level it lives
@@ -269,19 +269,10 @@ class Tracer:
             grade = block.plan.grade
             payload = block.payload_bytes
             round_index = block.round_index
-            finished = block.finished_at
-            for position, assignment in enumerate(block.assignments):
-                records.append(
-                    (
-                        task_id,
-                        assignment.device_id,
-                        grade,
-                        round_index,
-                        assignment.n_samples,
-                        payload,
-                        float(finished[position]),
-                    )
-                )
+            for device_id, n_samples, finished in zip(
+                block.device_ids, block.n_samples_array().tolist(), block.finished_at.tolist()
+            ):
+                records.append((task_id, device_id, grade, round_index, n_samples, payload, finished))
         return records
 
 

@@ -8,21 +8,18 @@ Devices* (running the five-stage measured protocol of Table I), polls the
 latter "at a certain frequency, organizes [the data] in real-time, and
 uploads it to the cloud database".
 
-Execution strategy (mirroring the logical tier's wave schedule):
+Execution strategy:
 
-* **Wave-scheduled computing phones** — a plan's emulation queues are
-  laid out columnar: per-phone push / training / upload legs become one
-  interleaved cumsum per phone, registered as ascending sequences in a
-  :class:`~repro.simkernel.TimeoutPool` instead of one generator plus
-  three heap events per emulated device.  Numeric flows execute as ONE
-  stacked block across every device queued on the plan's phones
-  (:meth:`~repro.ml.operators.OperatorFlow.execute_block`), and
+* **Wave-scheduled computing phones** — the round is the shared engine's
+  (:class:`~repro.cluster.rounds.TierRounds`, the one the logical tier
+  runs); this tier supplies the completion-time kernel: per-phone push /
+  training / upload legs become one interleaved cumsum per phone instead
+  of one generator plus three heap events per emulated device, and
   phone-side state (battery accounts, WLAN counters, session counts) is
   replayed from the precomputed wave times
   (:meth:`~repro.phones.phone.VirtualPhone.replay_training_sessions`).
   Outcomes, finish times and phone state equal the per-device loops of
-  ``tests/reference/tier_reference.py`` bit for bit
-  (``tests/test_phone_tier_equivalence.py``).
+  ``tests/reference/tier_reference.py`` bit for bit.
 * **Shared benchmark sampler ticker** — one recurring pooled tick per
   PhoneMgr samples every active benchmarking phone, with timestamps and
   sample contents (including tie-breaking against stage boundaries)
@@ -35,18 +32,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
 from collections.abc import Callable, Generator
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cloud.sink import OutcomeSink
-from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome
-from repro.cluster.runner import ColumnarOutcomes, PlanColumns, RoundResult
+from repro.cluster.actor import DeviceRoundOutcome
+from repro.cluster.rounds import DeviceColumns, RoundResult, SlotQueue, TierPlan, TierRounds
 from repro.ml.backends import DEVICE_BACKEND, NumericBackend
 from repro.ml.fedavg import ModelUpdate
-from repro.ml.operators import BlockOperatorContext, OperatorFlow
 from repro.phones.adb import SimulatedAdb
 from repro.phones.apk import ApkStage, TrainingApk
 from repro.phones.cost import PhysicalCostModel
@@ -63,15 +59,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.tracing import Tracer
 
 
-@dataclass
-class PhoneAssignment(PlanColumns):
-    """The physical tier's share of one device grade for a task.
+@dataclass(kw_only=True)
+class PhoneAssignment(TierPlan):
+    """The physical tier's share of one device grade (see :class:`TierPlan`).
 
     Attributes
     ----------
-    grade:
-        Device grade.
-    assignments:
+    devices:
         Computing devices emulated on phones (``N - q - x`` of them).
     benchmarking:
         Devices reserved for performance measurement (``q`` of them);
@@ -79,33 +73,19 @@ class PhoneAssignment(PlanColumns):
         round" (§VI-B1).
     n_phones:
         Computing phones requested (the allocation model's ``m``).
-    flow / feature_dim / backend / numeric:
-        Execution parameters, mirroring the logical tier's plan.
     """
 
-    grade: str
-    assignments: list[DeviceAssignment]
-    benchmarking: list[DeviceAssignment]
+    benchmarking: DeviceColumns
     n_phones: int
-    flow: OperatorFlow
-    feature_dim: int = 4096
     backend: NumericBackend = DEVICE_BACKEND
-    numeric: bool = True
 
     def __post_init__(self) -> None:
         if self.n_phones < 0:
-            raise ValueError("n_phones must be >= 0")
-        if self.assignments and self.n_phones == 0:
-            raise ValueError("computing devices require at least one phone")
-        # Grade homogeneity, mirroring GradeExecutionPlan: the wave schedule
-        # broadcasts one training duration per plan and the block executor
-        # stacks every queued device, both of which assume a single grade.
-        for assignment in chain(self.assignments, self.benchmarking):
-            if assignment.grade != self.grade:
-                raise ValueError(
-                    f"assignment {assignment.device_id!r} has grade "
-                    f"{assignment.grade!r} but the plan is for grade {self.grade!r}"
-                )
+            raise ValueError(f"{self.grade!r} plan: n_phones must be >= 0")
+        if len(self.devices) and self.n_phones == 0:
+            raise ValueError(f"{self.grade!r} plan: computing devices require at least one phone")
+        super().__post_init__()
+        self._check_columns("benchmarking", self.benchmarking)
 
 
 @dataclass
@@ -162,7 +142,7 @@ class _SampledPhone:
         self.stopped = Signal(name=f"{phone.serial}.sampler")
 
 
-class PhoneMgr:
+class PhoneMgr(TierRounds):
     """Manages the physical devices cluster for one SimDC deployment.
 
     Parameters
@@ -182,6 +162,9 @@ class PhoneMgr:
         this to the cloud metrics database upload.
     """
 
+    # The same cached generator round after round, on whichever phone.
+    rng_stream = "phone-exec.{}"
+
     def __init__(
         self,
         sim: Simulator,
@@ -197,12 +180,11 @@ class PhoneMgr:
     ) -> None:
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
-        self.sim = sim
+        super().__init__(sim, streams, pool_name="phone-tier")
         self.adb = adb
         self.phones = list(phones)
         self.cost_model = cost_model or PhysicalCostModel()
         self.apk = apk or TrainingApk()
-        self.streams = streams or RandomStreams(0)
         self.poll_interval = float(poll_interval)
         self.on_sample = on_sample
         self.tracer = tracer
@@ -211,19 +193,13 @@ class PhoneMgr:
         self.computing_phones: dict[str, list[VirtualPhone]] = {}
         self.benchmark_phones: dict[str, list[VirtualPhone]] = {}
         self.benchmark_records: list[BenchmarkRecord] = []
-        self.rounds: list[RoundResult] = []
         # Reservation registry; pass a shared set so several PhoneMgr
         # sessions (one per concurrent task) never double-book a phone.
         self._busy: set[str] = busy_registry if busy_registry is not None else set()
-        # Wave-schedule plumbing: pooled emulation legs, the shared sampler
-        # ticker, and an epoch counter that voids pooled callbacks from a
-        # task that was aborted mid-round.
-        self._pool = TimeoutPool(sim, name="phone-tier")
+        # The shared benchmark sampler ticker.
         self._sampler_pool = TimeoutPool(sim, name="phone-sampler")
         self._sampler_entries: list[_SampledPhone] = []
         self._sampler_handle: RecurringTimeout | None = None
-        self._round_barriers: list[Signal] = []
-        self._epoch = 0
 
     # ------------------------------------------------------------------
     # device selection
@@ -279,7 +255,7 @@ class PhoneMgr:
         reserved: list[VirtualPhone] = []
         try:
             for plan in self.plans:
-                computing = self.select_phones(plan.grade, plan.n_phones) if plan.assignments else []
+                computing = self.select_phones(plan.grade, plan.n_phones) if len(plan.devices) else []
                 reserved.extend(computing)
                 benchmarking = self.select_phones(plan.grade, len(plan.benchmarking))
                 reserved.extend(benchmarking)
@@ -330,61 +306,31 @@ class PhoneMgr:
     ) -> Generator:
         """Execute one round on computing + benchmarking phones.
 
-        ``sink`` follows the :class:`~repro.cloud.sink.OutcomeSink`
-        protocol exactly as on the logical tier: one ``accept_block``
-        per computing plan at its last completion time — or, when the
-        sink sets ``prefers_waves``, one per phone completion as a row
-        view of the plan's block — and ``None`` records columnar blocks
-        with no delivery (the large phone-tier sweeps).  Benchmarking
-        phones always stream scalar ``accept`` — their five-stage
-        protocol emits mid-round regardless of sink kind.  The returned
-        process resolves with a
-        :class:`~repro.cluster.runner.RoundResult`.
+        ``sink`` is served exactly as on the logical tier
+        (:class:`~repro.cluster.rounds.TierRounds`); a wave here is one
+        phone completion.  Benchmarking phones always stream scalar
+        ``accept`` — their five-stage protocol emits mid-round regardless
+        of sink kind.  The returned process resolves with a
+        :class:`~repro.cluster.rounds.RoundResult`.
         """
         result = RoundResult(round_index=round_index, started_at=self.sim.now)
-        epoch = self._epoch
 
         def collect(outcome: DeviceRoundOutcome) -> None:
             result.outcomes.append(outcome)
             if sink is not None:
                 sink.accept(outcome)
 
-        barriers: list = [
+        benchmarks = [
             self.sim.process(
                 self._run_benchmark_phone(
-                    phone, assignment, round_index, plan, global_weights, global_bias, model_bytes, collect
+                    phone, plan, row, round_index, global_weights, global_bias, model_bytes, collect
                 ),
                 name=f"{phone.serial}.bench{round_index}",
             )
             for plan in self.plans
-            for phone, assignment in zip(self.benchmark_phones[plan.grade], plan.benchmarking)
+            for row, phone in enumerate(self.benchmark_phones[plan.grade])
         ]
-        if self.plans:
-            remaining = len(self.plans)
-            plans_done = Signal(name=f"phones.round{round_index}.plans-done")
-            self._round_barriers.append(plans_done)
-
-            def plan_done() -> None:
-                nonlocal remaining
-                remaining -= 1
-                if remaining == 0:
-                    if plans_done in self._round_barriers:
-                        self._round_barriers.remove(plans_done)
-                    plans_done.fire()
-
-            for plan in self.plans:
-                self._register_batched_plan(
-                    plan, round_index, global_weights, global_bias, model_bytes, result, sink, plan_done
-                )
-            barriers.append(plans_done)
-        if barriers:
-            yield AllOf(barriers)
-        result.finished_at = self.sim.now
-        # abort() mid-round releases the barrier early; mark the partial
-        # result so consumers never mistake it for a completed round.
-        result.aborted = epoch != self._epoch
-        self.rounds.append(result)
-        return result
+        return (yield from self._drive_round(result, benchmarks, global_weights, global_bias, model_bytes, sink))
 
     def teardown(self) -> Generator:
         """Stop APKs, idle every phone, release reservations."""
@@ -394,10 +340,7 @@ class PhoneMgr:
                 self.adb.shell(phone.serial, f"am force-stop {self.apk.package}")
                 phone.set_idle()
                 self.release_phones([phone])
-        self._epoch += 1
-        self.plans = []
-        self.computing_phones.clear()
-        self.benchmark_phones.clear()
+        self._forget_task()
 
     def abort(self) -> None:
         """Synchronous emergency teardown after a task failure.
@@ -413,7 +356,6 @@ class PhoneMgr:
                     self.adb.shell(phone.serial, f"am force-stop {self.apk.package}")
                 phone.set_idle()
                 self.release_phones([phone])
-        self._epoch += 1
         for entry in self._sampler_entries:
             if not entry.stopped.fired:
                 entry.stopped.fire(entry.phone.serial)
@@ -421,187 +363,55 @@ class PhoneMgr:
         if self._sampler_handle is not None:
             self._sampler_handle.cancel()
             self._sampler_handle = None
-        # The epoch bump voided the pooled callbacks that would have fired
-        # these barriers; release any round process still blocked on one so
-        # an aborted task's in-flight round unwinds instead of leaking.
-        for barrier in self._round_barriers:
-            if not barrier.fired:
-                barrier.fire()
-        self._round_barriers = []
+        self._forget_task()
+
+    def _forget_task(self) -> None:
+        self._void_rounds()
         self.plans = []
         self.computing_phones.clear()
         self.benchmark_phones.clear()
 
     # ------------------------------------------------------------------
-    # wave-scheduled computing phones
+    # wave-scheduled computing phones (the engine's two tier hooks)
     # ------------------------------------------------------------------
-    def _execute_numeric_block(
-        self,
-        plan: PhoneAssignment,
-        assignments: list[DeviceAssignment],
-        round_index: int,
-        global_weights: np.ndarray | None,
-        global_bias: float,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Run a numeric plan's flow as one stacked block over ``assignments``.
+    def _numeric_block_size(self, plan: PhoneAssignment) -> int:
+        """ONE stacked block across every device queued on the plan's phones."""
+        return len(plan.devices)
 
-        Devices of a plan share grade, backend and the round's global
-        model, so its computing devices evaluate as a single
-        :class:`BlockOperatorContext` — one stacked weight matrix refined
-        by the flow's operators — and a benchmarking phone's device as a
-        block of one row.  Flow execution consumes no simulated time, and
-        each device draws from its own named random stream
-        (``phone-exec.{device_id}``, the same cached generator round after
-        round), so block grouping cannot perturb results.
+    def _completion_times(
+        self, plan: PhoneAssignment, model_bytes: int, upload_bytes: int
+    ) -> tuple[np.ndarray, list[SlotQueue]]:
+        """One clock per computing phone.
 
-        Returns ``(update_weights, update_biases, payload_bytes)`` in
-        assignment order; the weight array is empty when the flow produces
-        no uploads.
+        Each phone's queue (round-robin: wave ``w`` on phone ``p`` holds
+        row ``w * n_phones + p``) reduces to one interleaved cumsum
+        ``((now + push) + training) + upload`` — the float-add chain of
+        one phone working through its queue with ``now + delay``
+        scheduling.  Pushes vary per device (dataset size), so the chain
+        is per phone rather than per plan; phone state (battery, WLAN
+        counters, session counts) is replayed from the same precomputed
+        times once the phone's queue drains.
         """
-        for assignment in assignments:
-            if assignment.dataset is None:
-                raise RuntimeError(
-                    f"device {assignment.device_id} has no dataset but the run is numeric"
-                )
-        block = BlockOperatorContext(
-            device_ids=[a.device_id for a in assignments],
-            grade=plan.grade,
-            datasets=[a.dataset for a in assignments],
-            feature_dim=plan.feature_dim,
-            backend=plan.backend,
-            global_weights=global_weights,
-            global_bias=global_bias,
-            round_index=round_index,
-            rngs=[self.streams.get(f"phone-exec.{a.device_id}") for a in assignments],
-        )
-        plan.flow.execute_block(block)
-        update_weights = block.outputs.get("update_weights")
-        if update_weights is None:
-            return np.empty((0, plan.feature_dim)), np.empty(0), 0
-        update_biases = block.outputs["update_biases"]
-        payload = ModelUpdate.wire_size(plan.feature_dim)
-        return update_weights, update_biases, payload
-
-    def _register_batched_plan(
-        self,
-        plan: PhoneAssignment,
-        round_index: int,
-        global_weights: np.ndarray | None,
-        global_bias: float,
-        model_bytes: int,
-        result: RoundResult,
-        sink: OutcomeSink | None,
-        plan_done: Callable[[], None],
-    ) -> None:
-        """Register one plan's whole emulation round in the timeout pool.
-
-        Each computing phone's queue (round-robin: wave ``w`` on phone
-        ``p`` holds ``assignments[w * n_phones + p]``) reduces to one
-        interleaved cumsum ``((now + push) + training) + upload`` — the
-        float-add chain of one phone working through its queue with
-        ``now + delay`` scheduling.  Pushes vary per device (dataset
-        size), so the chain is per phone rather than per plan; phone
-        state (battery, WLAN counters, session counts) is replayed from
-        the same precomputed times once the phone's queue drains.
-
-        Without a wave-preferring ``sink`` the entire plan is a single
-        pooled deadline at its last completion time plus a columnar
-        block — no per-device events or objects at all; the sink (if
-        any) receives that block via ``accept_block`` as it is recorded.
-        A wave-preferring ``sink`` drains each phone's sequence wave by
-        wave through the pool (chronological across phones; ties fire in
-        phone order), handed each wave as a strided row view of the
-        block.
-        """
-        total = len(plan.assignments)
-        if total == 0:
-            plan_done()
-            return
+        total = len(plan.devices)
         phones = self.computing_phones[plan.grade]
         n_phones = len(phones)
         duration = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
-        update_weights: np.ndarray | None = None
-        update_biases: np.ndarray | None = None
-        upload_bytes = model_bytes
-        if plan.numeric:
-            update_weights, update_biases, payload = self._execute_numeric_block(
-                plan, plan.assignments, round_index, global_weights, global_bias
-            )
-            if len(update_weights):
-                upload_bytes = payload
-            else:
-                update_weights = update_biases = None
-        data_bytes = np.fromiter(
-            (
-                a.dataset.nbytes() if a.dataset is not None else 64 * a.n_samples
-                for a in plan.assignments
-            ),
-            dtype=np.float64,
-            count=total,
-        )
+        data_bytes = plan.devices.staged_bytes()
         now = self.sim.now
-        epoch = self._epoch
         finished = np.empty(total, dtype=np.float64)
-        active_phones = [(p, phone) for p, phone in enumerate(phones) if p < total]
-        replays: list[tuple[VirtualPhone, np.ndarray]] = []
-        for p, phone in active_phones:
+        queues: list[SlotQueue] = []
+        for p, phone in enumerate(phones[:total]):
             pushes = self.adb.push_durations(phone.serial, data_bytes[p::n_phones] + model_bytes)
-            count = len(pushes)
-            steps = np.empty(3 * count + 1, dtype=np.float64)
+            steps = np.empty(3 * len(pushes) + 1, dtype=np.float64)
             steps[0] = now
             steps[1::3] = pushes
             steps[2::3] = duration
             steps[3::3] = upload_bytes / phone.spec.network_bandwidth_bps
             times = np.cumsum(steps)
             finished[p::n_phones] = times[3::3]
-            replays.append((phone, times[1::3]))
-
-        block = ColumnarOutcomes(
-            plan=plan,
-            round_index=round_index,
-            payload_bytes=upload_bytes,
-            finished_at=finished,
-            update_weights=update_weights,
-            update_biases=update_biases,
-        )
-
-        if not getattr(sink, "prefers_waves", False):
-
-            def fire_all() -> None:
-                if epoch != self._epoch:
-                    return
-                result.columnar.append(block)
-                for phone, starts in replays:
-                    phone.replay_training_sessions(starts, duration, upload_bytes)
-                if sink is not None:
-                    sink.accept_block(block)
-                plan_done()
-
-            self._pool.add_at(float(finished.max()), fire_all)
-            return
-
-        pending = len(active_phones)
-
-        def make_fire(p: int, phone: VirtualPhone, starts: np.ndarray):
-            count = len(starts)
-
-            def fire(lo: int, hi: int, _t: float) -> None:
-                nonlocal pending
-                if epoch != self._epoch:
-                    return
-                # Queue entries lo..hi of phone p are plan rows p + k * n_phones.
-                sink.accept_block(block.view(slice(lo * n_phones + p, (hi - 1) * n_phones + p + 1, n_phones)))
-                if hi == count:
-                    phone.replay_training_sessions(starts, duration, upload_bytes)
-                    pending -= 1
-                    if pending == 0:
-                        result.columnar.append(block)
-                        plan_done()
-
-            return fire
-
-        for (p, phone), (_, starts) in zip(active_phones, replays):
-            self._pool.add_sequence(finished[p::n_phones], make_fire(p, phone, starts))
+            replay = partial(phone.replay_training_sessions, times[1::3], duration, upload_bytes)
+            queues.append((slice(p, total, n_phones), replay))
+        return finished, queues
 
     # ------------------------------------------------------------------
     # benchmarking phones (Table I five-stage protocol)
@@ -609,15 +419,20 @@ class PhoneMgr:
     def _run_benchmark_phone(
         self,
         phone: VirtualPhone,
-        assignment: DeviceAssignment,
-        round_index: int,
         plan: PhoneAssignment,
+        row: int,
+        round_index: int,
         global_weights: np.ndarray | None,
         global_bias: float,
         model_bytes: int,
         on_outcome: Callable[[DeviceRoundOutcome], None],
     ) -> Generator:
-        """The measured five-stage protocol of Table I on one phone."""
+        """The measured five-stage protocol of Table I on one phone.
+
+        The phone emulates row ``row`` of ``plan.benchmarking``.
+        """
+        device = plan.benchmarking[row : row + 1]
+        device_id, n_samples = device.device_ids[0], int(device.n_samples[0])
         record = BenchmarkRecord(serial=phone.serial, round_index=round_index)
         self.benchmark_records.append(record)
         window = self.cost_model.stage_window
@@ -633,7 +448,7 @@ class PhoneMgr:
                 self.tracer.record_bench_stage(
                     self._task_id,
                     phone.serial,
-                    assignment.device_id,
+                    device_id,
                     round_index,
                     stage.label,
                     start,
@@ -659,17 +474,17 @@ class PhoneMgr:
         update = None
         payload = model_bytes
         if plan.numeric:
-            weights, biases, update_bytes = self._execute_numeric_block(
-                plan, [assignment], round_index, global_weights, global_bias
+            weights, biases = self._execute_numeric(
+                plan, device, round_index, global_weights, global_bias, block_size=1
             )
-            if len(weights):
-                payload = update_bytes
+            if weights is not None:
+                payload = ModelUpdate.wire_size(plan.feature_dim)
                 update = ModelUpdate(
-                    device_id=assignment.device_id,
+                    device_id=device_id,
                     round_index=round_index,
                     weights=weights[0],
                     bias=float(biases[0]),
-                    n_samples=assignment.n_samples,
+                    n_samples=n_samples,
                     metadata={"grade": plan.grade, "backend": plan.backend.name},
                 )
         start = self.sim.now
@@ -678,10 +493,10 @@ class PhoneMgr:
         boundary(ApkStage.TRAINING, start)
         on_outcome(
             DeviceRoundOutcome(
-                device_id=assignment.device_id,
+                device_id=device_id,
                 grade=plan.grade,
                 round_index=round_index,
-                n_samples=assignment.n_samples,
+                n_samples=n_samples,
                 payload_bytes=payload,
                 update=update,
                 finished_at=self.sim.now,

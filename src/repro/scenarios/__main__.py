@@ -188,8 +188,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument(
         "--report-json",
-        "--json",  # legacy alias
-        dest="report_json",
         type=Path,
         default=None,
         help="also write the full ScenarioReport as JSON",

@@ -36,7 +36,7 @@ from repro.deviceflow.strategy import (
 )
 from repro.ml.operators import standard_fl_flow
 from repro.observability import AlarmRule, AutoscaleSpec, SLASpec
-from repro.scheduler.task import GradeRequirement, TaskSpec
+from repro.scheduler.task import GradeRequirement, TaskSpec, check_records_per_device
 from repro.simkernel.random import stable_hash
 
 #: Named network profiles a :class:`PopulationSpec` can mix.
@@ -48,7 +48,9 @@ def _from_fields(cls, data: dict, path: str = ""):
 
     ``path`` locates ``data`` in the enclosing document (``tenants[0]``);
     the error lists the fields the class accepts, so a typo or a key
-    from an older dump fails with a message that says what to fix.
+    from an older dump fails with a message that says what to fix.  A
+    constructor error that opens with a field name gets the path as well
+    (``tenants[0].records_per_device must be >= 1, got 0``).
     """
     allowed = [f.name for f in fields(cls) if f.init]
     for key in data:
@@ -57,7 +59,12 @@ def _from_fields(cls, data: dict, path: str = ""):
             raise ValueError(
                 f"unknown scenario field {where!r}; {cls.__name__} accepts: {', '.join(allowed)}"
             )
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ValueError as exc:
+        if path and str(exc).split(" ", 1)[0] in allowed:
+            raise ValueError(f"{path}.{exc}") from None
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +293,7 @@ class TenantSpec:
             raise ValueError("tenant name must be non-empty")
         if not self.grades:
             raise ValueError(f"tenant {self.name!r} needs at least one grade")
+        check_records_per_device(self.records_per_device, self.numeric)
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(
                 f"tenant {self.name!r} deadline_s must be > 0, got {self.deadline_s!r}"

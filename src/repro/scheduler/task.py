@@ -76,6 +76,13 @@ class GradeRequirement:
             )
 
 
+def check_records_per_device(records_per_device: int, numeric: bool) -> None:
+    """A shard needs a record; dataset synthesis needs two to train on."""
+    floor = 2 if numeric else 1
+    if records_per_device < floor:
+        raise ValueError(f"records_per_device must be >= {floor} (numeric={numeric}), got {records_per_device!r}")
+
+
 @dataclass
 class TaskSpec:
     """Everything needed to run one device-cloud collaboration task.
@@ -136,6 +143,7 @@ class TaskSpec:
             raise ValueError("rounds must be positive")
         if self.feature_dim <= 0:
             raise ValueError("feature_dim must be positive")
+        check_records_per_device(self.records_per_device, self.numeric)
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s!r}")
         if not self.task_id:

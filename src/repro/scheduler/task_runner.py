@@ -19,7 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Generator
+from functools import partial
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.cloud.aggregation import AggregationRecord, AggregationService, AggregationTrigger
 from repro.cloud.database import MetricsDatabase
@@ -27,14 +30,13 @@ from repro.cloud.monitor import Monitor
 from repro.cloud.sink import CloudIngestSink
 from repro.cloud.storage import ObjectStorage
 from repro.cloud.transport import ChannelModel, TransportChannel, TransportCounters
-from repro.cluster.actor import DeviceAssignment
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.resources import ResourceBundle
+from repro.cluster.rounds import DeviceColumns
 from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 from repro.data.avazu import FederatedDataset, make_federated_ctr_data
 from repro.deviceflow.controller import DeviceFlow
-from repro.ml.backends import DEVICE_BACKEND, SERVER_BACKEND
 from repro.ml.model import LogisticRegressionModel
 from repro.phones.adb import SimulatedAdb
 from repro.phones.cost import PhysicalCostModel
@@ -75,6 +77,24 @@ class TaskResult:
     def makespan(self) -> float:
         """Simulated seconds from start to completion."""
         return self.finished_at - self.started_at
+
+
+def _store_sample(db: MetricsDatabase, task_id: str, sample) -> None:
+    """Upload one benchmarking sample to the cloud metrics database."""
+    db.insert(
+        "device_samples",
+        {
+            "task_id": task_id,
+            "serial": sample.serial,
+            "time": sample.timestamp,
+            "current_ua": sample.current_ua,
+            "voltage_mv": sample.voltage_mv,
+            "cpu_percent": sample.cpu_percent,
+            "memory_kb": sample.memory_kb,
+            "rx_bytes": sample.rx_bytes,
+            "tx_bytes": sample.tx_bytes,
+        },
+    )
 
 
 class TaskRunner:
@@ -155,7 +175,9 @@ class TaskRunner:
             cost_model=self.physical_cost,
             streams=self.streams,
             busy_registry=busy_registry,
-            on_sample=self._store_sample if db is not None else None,
+            # Not a bound method: the runner must not sit in a reference cycle with
+            # its tier, or a finished task's plans wait for the cyclic collector.
+            on_sample=partial(_store_sample, db, spec.task_id) if db is not None else None,
             tracer=tracer,
         )
         self.service: AggregationService | None = None
@@ -208,17 +230,11 @@ class TaskRunner:
                     spec.task_id, spec.deviceflow_strategy, self._sink.flow_receive
                 )
                 self._flow_registered = True
-            prepares = []
-            if logical_plans:
-                prepares.append(
-                    self.sim.process(
-                        self.logical.prepare(logical_plans, task_id=spec.task_id)
-                    )
-                )
-            if phone_plans:
-                prepares.append(
-                    self.sim.process(self.phonemgr.prepare(phone_plans, task_id=spec.task_id))
-                )
+            prepares = [
+                self.sim.process(tier.prepare(plans, task_id=spec.task_id))
+                for tier, plans in ((self.logical, logical_plans), (self.phonemgr, phone_plans))
+                if plans
+            ]
             if prepares:
                 yield AllOf(prepares)
 
@@ -308,53 +324,42 @@ class TaskRunner:
         cursor = 0
         logical_plans: list[GradeExecutionPlan] = []
         phone_plans: list[PhoneAssignment] = []
-
-        def make_assignment(device_id: str, grade: str) -> DeviceAssignment:
-            if dataset is not None:
-                shard = dataset.shard(device_id)
-                return DeviceAssignment(device_id, grade, shard.n_samples, dataset=shard)
-            return DeviceAssignment(device_id, grade, self.spec.records_per_device)
-
         for grade_req, grade_alloc in zip(self.spec.grades, allocation.grades):
+            n = grade_req.n_devices
             if available_ids is not None:
-                ids = available_ids[cursor : cursor + grade_req.n_devices]
-                cursor += grade_req.n_devices
+                ids = available_ids[cursor : cursor + n]
+                cursor += n
+                devices = DeviceColumns.of_shards([dataset.shard(d) for d in ids])
             else:
-                ids = [
-                    f"{self.spec.task_id}-{grade_req.grade}-{i:06d}"
-                    for i in range(grade_req.n_devices)
-                ]
-            bench_ids = ids[: grade_req.n_benchmark]
-            split_ids = ids[grade_req.n_benchmark :]
-            logical_ids = split_ids[: grade_alloc.logical]
-            physical_ids = split_ids[grade_alloc.logical :]
-
-            if logical_ids:
+                ids = [f"{self.spec.task_id}-{grade_req.grade}-{i:06d}" for i in range(n)]
+                devices = DeviceColumns(ids, np.full(n, self.spec.records_per_device, dtype=np.int64))
+            # Rows in order: the benchmarking devices, the logical share, the phones' share.
+            n_bench = grade_req.n_benchmark
+            split = n_bench + grade_alloc.logical
+            benchmarking, logical, physical = devices[:n_bench], devices[n_bench:split], devices[split:]
+            shared = {
+                "grade": grade_req.grade,
+                "flow": self.spec.flow,
+                "feature_dim": self.spec.feature_dim,
+                "numeric": self.spec.numeric,
+            }
+            if len(logical):
                 k = grade_req.device_bundle.units_relative_to(self.unit_bundle)
-                n_actors = max(1, grade_req.bundles // k)
                 logical_plans.append(
                     GradeExecutionPlan(
-                        grade=grade_req.grade,
-                        assignments=[make_assignment(d, grade_req.grade) for d in logical_ids],
-                        n_actors=n_actors,
+                        devices=logical,
+                        n_actors=max(1, grade_req.bundles // k),
                         bundle=grade_req.device_bundle,
-                        flow=self.spec.flow,
-                        feature_dim=self.spec.feature_dim,
-                        backend=SERVER_BACKEND,
-                        numeric=self.spec.numeric,
+                        **shared,
                     )
                 )
-            if physical_ids or bench_ids:
+            if len(physical) or len(benchmarking):
                 phone_plans.append(
                     PhoneAssignment(
-                        grade=grade_req.grade,
-                        assignments=[make_assignment(d, grade_req.grade) for d in physical_ids],
-                        benchmarking=[make_assignment(d, grade_req.grade) for d in bench_ids],
-                        n_phones=grade_req.n_phones if physical_ids else 0,
-                        flow=self.spec.flow,
-                        feature_dim=self.spec.feature_dim,
-                        backend=DEVICE_BACKEND,
-                        numeric=self.spec.numeric,
+                        devices=physical,
+                        benchmarking=benchmarking,
+                        n_phones=grade_req.n_phones if len(physical) else 0,
+                        **shared,
                     )
                 )
         return logical_plans, phone_plans
@@ -407,19 +412,11 @@ class TaskRunner:
             self.sim.schedule_at(round_deadline, self._close_flow_round, round_index)
 
         sink = self._channel if self._channel is not None else self._sink
-        tier_processes = []
-        if self.logical.plans:
-            tier_processes.append(
-                self.sim.process(
-                    self.logical.run_round(round_index, weights, bias, model_bytes, sink)
-                )
-            )
-        if self.phonemgr.plans:
-            tier_processes.append(
-                self.sim.process(
-                    self.phonemgr.run_round(round_index, weights, bias, model_bytes, sink)
-                )
-            )
+        tier_processes = [
+            self.sim.process(tier.run_round(round_index, weights, bias, model_bytes, sink))
+            for tier in (self.logical, self.phonemgr)
+            if tier.plans
+        ]
         if tier_processes:
             yield AllOf(tier_processes)
         counters: TransportCounters | None = None
@@ -524,24 +521,6 @@ class TaskRunner:
         if self._flow_registered and self.deviceflow is not None:
             self.deviceflow.force_unregister(self.spec.task_id)
             self._flow_registered = False
-
-    # ------------------------------------------------------------------
-    def _store_sample(self, sample) -> None:
-        assert self.db is not None
-        self.db.insert(
-            "device_samples",
-            {
-                "task_id": self.spec.task_id,
-                "serial": sample.serial,
-                "time": sample.timestamp,
-                "current_ua": sample.current_ua,
-                "voltage_mv": sample.voltage_mv,
-                "cpu_percent": sample.cpu_percent,
-                "memory_kb": sample.memory_kb,
-                "rx_bytes": sample.rx_bytes,
-                "tx_bytes": sample.tx_bytes,
-            },
-        )
 
     def _log(self, kind: str, **fields) -> None:
         if self.monitor is not None:

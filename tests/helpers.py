@@ -22,6 +22,12 @@ class CallbackSink:
             self.callback(outcome)
 
 
+class WholePlanSink(CallbackSink):
+    """The same, served one block per plan at the plan's last completion time."""
+
+    prefers_waves = False
+
+
 def stream_states(streams) -> dict:
     """Final bit-generator state of every named stream ``streams`` handed out."""
     return {name: rng.bit_generator.state for name, rng in sorted(streams._cache.items())}

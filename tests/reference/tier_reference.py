@@ -21,9 +21,11 @@ per-device numeric oracle, ``reference.ml_reference``.
 from __future__ import annotations
 
 from collections.abc import Generator
+from types import SimpleNamespace
 
-from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome
-from repro.cluster.runner import LogicalSimulation, RoundResult
+from repro.cluster.actor import DeviceRoundOutcome
+from repro.cluster.rounds import DeviceColumns, RoundResult
+from repro.cluster.runner import LogicalSimulation
 from repro.phones.metrics import parse_metric_sample, parse_pgrep_pid
 from repro.phones.phonemgr import PhoneMgr, _SampledPhone
 from repro.simkernel import AllOf, Simulator, Timeout
@@ -38,7 +40,16 @@ def run_per_event(sim: Simulator) -> float:
     return sim.now
 
 
-def execute_flow(plan, assignment: DeviceAssignment, round_index: int, global_weights, global_bias, rng):
+def rows(plan, columns: DeviceColumns) -> list[SimpleNamespace]:
+    """The materialised view of a plan's columns: one record per device."""
+    datasets = columns.datasets or [None] * len(columns)
+    return [
+        SimpleNamespace(device_id=device_id, grade=plan.grade, n_samples=n_samples, dataset=dataset)
+        for device_id, n_samples, dataset in zip(columns.device_ids, columns.n_samples.tolist(), datasets)
+    ]
+
+
+def execute_flow(plan, assignment: SimpleNamespace, round_index: int, global_weights, global_bias, rng):
     """One device's flow against its own :class:`OperatorContext`."""
     if assignment.dataset is None:
         raise RuntimeError(f"device {assignment.device_id} has no dataset but the run is numeric")
@@ -85,7 +96,7 @@ class ReferenceLogicalSimulation(LogicalSimulation):
         processes = [
             self.sim.process(
                 self._actor_round(
-                    actor, plan.assignments[a :: plan.n_actors], plan,
+                    actor, rows(plan, plan.devices)[a :: plan.n_actors], plan,
                     round_index, global_weights, global_bias, model_bytes, collect,
                 ),
                 name=f"{actor.actor_id}.round{round_index}",
@@ -139,17 +150,17 @@ class ReferencePhoneMgr(PhoneMgr):
                 processes.append(
                     self.sim.process(
                         self._computing_phone_round(
-                            phone, plan.assignments[p::n_queues], plan,
+                            phone, rows(plan, plan.devices)[p::n_queues], plan,
                             round_index, global_weights, global_bias, model_bytes, collect,
                         ),
                         name=f"{phone.serial}.round{round_index}",
                     )
                 )
-            for phone, assignment in zip(self.benchmark_phones[plan.grade], plan.benchmarking):
+            for row, phone in enumerate(self.benchmark_phones[plan.grade]):
                 processes.append(
                     self.sim.process(
                         self._run_benchmark_phone(
-                            phone, assignment, round_index, plan, global_weights, global_bias, model_bytes, collect
+                            phone, plan, row, round_index, global_weights, global_bias, model_bytes, collect
                         ),
                         name=f"{phone.serial}.bench{round_index}",
                     )

@@ -6,7 +6,7 @@ from helpers import CallbackSink
 from reference.tier_reference import ReferenceLogicalSimulation, run_per_event
 
 from repro.cluster import (
-    DeviceAssignment,
+    DeviceColumns,
     GradeExecutionPlan,
     K8sCluster,
     LogicalCostModel,
@@ -157,13 +157,9 @@ def paper_cluster():
 
 
 def build_plan(n_devices, n_actors, grade="High", numeric=False, flow=None, bundle=None):
-    assignments = [
-        DeviceAssignment(device_id=f"d{i}", grade=grade, n_samples=10)
-        for i in range(n_devices)
-    ]
     return GradeExecutionPlan(
         grade=grade,
-        assignments=assignments,
+        devices=DeviceColumns([f"d{i}" for i in range(n_devices)], [10] * n_devices),
         n_actors=n_actors,
         bundle=bundle or ResourceBundle(cpus=4, memory_gb=12),
         flow=flow or standard_fl_flow(epochs=1),
@@ -204,14 +200,9 @@ class TestLogicalSimulation:
         cluster = paper_cluster()
         logical = LogicalSimulation(sim, cluster, streams=RandomStreams(3))
         data = SyntheticAvazu(n_devices=6, records_per_device=15, feature_dim=128, seed=1).generate()
-        assignments = [
-            DeviceAssignment(device_id=d, grade="High", n_samples=data.shard(d).n_samples,
-                             dataset=data.shard(d))
-            for d in data.device_ids()
-        ]
         plan = GradeExecutionPlan(
             grade="High",
-            assignments=assignments,
+            devices=DeviceColumns.of_shards([data.shard(d) for d in data.device_ids()]),
             n_actors=2,
             bundle=ResourceBundle(cpus=4, memory_gb=12),
             flow=standard_fl_flow(epochs=1),
@@ -277,20 +268,25 @@ class TestLogicalSimulation:
         assert [actor.devices_completed for actor in logical.actors["High"]] == [3, 2]
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
+        """One place, at construction, naming the plan's grade and the field."""
+        with pytest.raises(ValueError, match=r"'High' plan: n_actors"):
             build_plan(4, 0)
-        with pytest.raises(ValueError):
-            DeviceAssignment("d", "High", n_samples=0)
 
-    def test_mixed_grade_plan_rejected(self):
-        with pytest.raises(ValueError):
-            GradeExecutionPlan(
-                grade="Std",
-                assignments=[DeviceAssignment("d0", "Other", 10)],
-                n_actors=1,
-                bundle=ResourceBundle(cpus=1, memory_gb=1),
-                flow=standard_fl_flow(),
+        def plan(devices, **kwargs):
+            return GradeExecutionPlan(
+                grade="Std", devices=devices, n_actors=1,
+                bundle=ResourceBundle(cpus=1, memory_gb=1), flow=standard_fl_flow(), **kwargs,
             )
+
+        with pytest.raises(ValueError, match=r"'Std' plan: devices\.n_samples must be positive"):
+            plan(DeviceColumns(["d0", "d1"], [10, 0]), numeric=False)
+        with pytest.raises(ValueError, match=r"'Std' plan: devices\.n_samples has 1 rows for 2"):
+            plan(DeviceColumns(["d0", "d1"], [10]), numeric=False)
+        with pytest.raises(ValueError, match=r"'Std' plan: devices\.datasets has 0 rows for 1"):
+            plan(DeviceColumns(["d0"], [10], datasets=[]), numeric=False)
+        with pytest.raises(ValueError, match=r"'Std' plan: numeric=True needs devices\.datasets"):
+            plan(DeviceColumns(["d0"], [10]))
+        plan(DeviceColumns([], []))  # nothing to train on, nothing to reject
 
     def test_dataset_bytes_precomputed(self):
         assert build_plan(5, 2).dataset_bytes() == 5 * 64 * 10
@@ -364,10 +360,10 @@ class TestWaveScheduleIdentity:
         batched, streamed, plan = run_time_only_round(97, reference=False)
         by_device = {o.device_id: o.finished_at for o in streamed}
         for a in (0, 7, 39):
-            queue = plan.assignments[a::40]  # the round-robin layout
+            queue = plan.devices.device_ids[a::40]  # the round-robin layout
             t = batched.started_at + WAVE_COST.transfer_duration(4096)
             assert queue
-            for assignment in queue:
-                t = t + WAVE_COST.device_round_duration(assignment.grade, plan.flow.total_work)
+            for device_id in queue:
+                t = t + WAVE_COST.device_round_duration(plan.grade, plan.flow.total_work)
                 t = t + WAVE_COST.transfer_duration(4096)
-                assert by_device[assignment.device_id] == t
+                assert by_device[device_id] == t

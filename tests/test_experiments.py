@@ -17,7 +17,7 @@ import pytest
 
 from repro.baselines import SimDCRoundModel
 from repro.cluster import (
-    DeviceAssignment,
+    DeviceColumns,
     GradeExecutionPlan,
     K8sCluster,
     LogicalCostModel,
@@ -231,7 +231,7 @@ class TestFig8:
         )
         plan = GradeExecutionPlan(
             grade="Std",
-            assignments=[DeviceAssignment(f"d{i}", "Std", 10) for i in range(n_devices)],
+            devices=DeviceColumns([f"d{i}" for i in range(n_devices)], [10] * n_devices),
             n_actors=total_cores,
             bundle=ResourceBundle(cpus=1, memory_gb=1),
             flow=standard_fl_flow(),

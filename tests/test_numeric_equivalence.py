@@ -10,11 +10,13 @@ rounds with FedAvg feedback between them.
 
 import numpy as np
 import pytest
-from helpers import CallbackSink, stream_states
+from helpers import CallbackSink, WholePlanSink, stream_states
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference.tier_reference import ReferenceLogicalSimulation, run_per_event
 
 from repro.cluster import (
-    DeviceAssignment,
+    DeviceColumns,
     GradeExecutionPlan,
     K8sCluster,
     LogicalCostModel,
@@ -38,18 +40,14 @@ SEED = 5
 
 def make_numeric_plan(n_devices: int = N_DEVICES, n_actors: int = N_ACTORS) -> GradeExecutionPlan:
     rng = np.random.default_rng(99)
-    assignments = []
+    shards = []
     for i in range(n_devices):
         features = rng.integers(0, FEATURE_DIM, size=(12, 4)).astype(np.int32)
         labels = rng.integers(0, 2, size=12).astype(np.int8)
-        assignments.append(
-            DeviceAssignment(
-                f"d{i:04d}", "Std", 12, dataset=DeviceDataset(f"d{i:04d}", features, labels)
-            )
-        )
+        shards.append(DeviceDataset(f"d{i:04d}", features, labels))
     return GradeExecutionPlan(
         grade="Std",
-        assignments=assignments,
+        devices=DeviceColumns.of_shards(shards),
         n_actors=n_actors,
         bundle=ResourceBundle(cpus=1, memory_gb=1),
         flow=standard_fl_flow(epochs=2, batch_size=8),
@@ -58,19 +56,21 @@ def make_numeric_plan(n_devices: int = N_DEVICES, n_actors: int = N_ACTORS) -> G
     )
 
 
-def run_tier(reference: bool, n_rounds: int = N_ROUNDS, collect: bool = True):
+def run_tier(reference: bool, n_rounds: int = N_ROUNDS, collect: bool = True,
+             n_devices: int = N_DEVICES, n_actors: int = N_ACTORS, sink_class=CallbackSink):
     """Drive ``n_rounds`` with FedAvg feedback on one logical tier.
 
     ``reference`` picks the per-device oracle (stepped one event at a
     time) over the production tier.  Returns ``(per_round_outcomes,
     weights_history, round_results, stream_states)`` where outcomes are in
-    emission order.
+    emission order.  ``collect=False`` runs with ``sink=None`` and reads
+    the recorded blocks instead.
     """
     sim = Simulator()
     tier = ReferenceLogicalSimulation if reference else LogicalSimulation
     streams = RandomStreams(SEED)
     logical = tier(sim, K8sCluster(NODES), COST, streams=streams)
-    plan = make_numeric_plan()
+    plan = make_numeric_plan(n_devices, n_actors)
     per_round, weights_history = [], []
 
     def driver():
@@ -80,7 +80,7 @@ def run_tier(reference: bool, n_rounds: int = N_ROUNDS, collect: bool = True):
             outcomes = []
             yield sim.process(
                 logical.run_round(
-                    round_index, weights, bias, MODEL_BYTES, CallbackSink(outcomes.append) if collect else None
+                    round_index, weights, bias, MODEL_BYTES, sink_class(outcomes.append) if collect else None
                 )
             )
             round_result = logical.rounds[-1]
@@ -151,6 +151,37 @@ class TestBatchedNumericEquivalence:
             assert int(n_samples[row]) == outcome.n_samples
 
 
+class TestOneEngineAnyShape:
+    """The shared round engine against the oracle, whatever the plan's shape.
+
+    More actors than devices (idle slots), a short last wave, and all three
+    deliveries: a ``prefers_waves`` sink, a whole-plan sink, ``sink=None``.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_devices=st.integers(min_value=1, max_value=13),
+        n_actors=st.integers(min_value=1, max_value=16),
+        delivery=st.sampled_from([CallbackSink, WholePlanSink, None]),
+    )
+    def test_logical_rounds_equal_the_oracle(self, n_devices, n_actors, delivery):
+        shape = {"n_rounds": 2, "n_devices": n_devices, "n_actors": n_actors}
+        ref_rounds, ref_weights, ref_results, ref_streams = run_tier(reference=True, **shape)
+        got_rounds, got_weights, got_results, got_streams = run_tier(
+            reference=False, collect=delivery is not None, sink_class=delivery, **shape
+        )
+        for ref, got in zip(ref_rounds, got_rounds):
+            assert_outcomes_identical(ref, got)
+        for (rw, rb), (gw, gb) in zip(ref_weights, got_weights):
+            assert rw.tobytes() == gw.tobytes() and rb == gb
+        for ref, got in zip(ref_results, got_results):
+            assert (ref.started_at, ref.finished_at, ref.n_devices) == (
+                got.started_at, got.finished_at, got.n_devices
+            )
+            assert not got.aborted
+        assert ref_streams == got_streams
+
+
 class TestMixedPlanRound:
     """Regression: numeric execution is decided per plan, not per round.
 
@@ -162,12 +193,9 @@ class TestMixedPlanRound:
     @staticmethod
     def _mixed_plans():
         numeric = make_numeric_plan(n_devices=8, n_actors=4)
-        time_only_assignments = [
-            DeviceAssignment(f"t{i:04d}", "Bulk", 10) for i in range(12)
-        ]
         time_only = GradeExecutionPlan(
             grade="Bulk",
-            assignments=time_only_assignments,
+            devices=DeviceColumns([f"t{i:04d}" for i in range(12)], [10] * 12),
             n_actors=4,
             bundle=ResourceBundle(cpus=1, memory_gb=1),
             flow=standard_fl_flow(),

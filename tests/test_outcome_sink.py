@@ -27,7 +27,7 @@ from repro.cloud import (
 )
 from repro.cloud.aggregation import AggregationTrigger
 from repro.cluster import (
-    DeviceAssignment,
+    DeviceColumns,
     GradeExecutionPlan,
     K8sCluster,
     LogicalCostModel,
@@ -90,19 +90,15 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 def make_plan(n_devices=12, n_actors=4, numeric=True):
     rng = np.random.default_rng(17)
-    assignments = []
+    shards = []
     for i in range(n_devices):
         features = rng.integers(0, FEATURE_DIM, size=(10, 4)).astype(np.int32)
         labels = rng.integers(0, 2, size=10).astype(np.int8)
-        assignments.append(
-            DeviceAssignment(
-                f"d{i:04d}", "Std", 10,
-                dataset=DeviceDataset(f"d{i:04d}", features, labels) if numeric else None,
-            )
-        )
+        shards.append(DeviceDataset(f"d{i:04d}", features, labels))
+    devices = DeviceColumns.of_shards(shards)
     return GradeExecutionPlan(
         grade="Std",
-        assignments=assignments,
+        devices=devices if numeric else DeviceColumns(devices.device_ids, devices.n_samples),
         n_actors=n_actors,
         bundle=ResourceBundle(cpus=1, memory_gb=1),
         flow=standard_fl_flow(epochs=1, batch_size=8),
@@ -230,8 +226,8 @@ class TestTierDifferential:
         for time, wave in sink.waves:
             assert np.shares_memory(wave.update_weights, whole.update_weights)
             assert set(wave.finished_at.tolist()) == {time}
-            assert wave.device_ids == plan.device_ids[row : row + len(wave)]
-            assert wave.n_samples_array().tolist() == plan.n_samples[row : row + len(wave)].tolist()
+            assert wave.device_ids == plan.devices.device_ids[row : row + len(wave)]
+            assert wave.n_samples_array().tolist() == plan.devices.n_samples[row : row + len(wave)].tolist()
             for position, outcome in enumerate(wave.materialize()):
                 expected = whole.update_at(row + position)
                 assert outcome.device_id == expected.device_id == wave.update_at(position).device_id

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.tier_reference import ReferencePhoneMgr, run_per_event
 
-from repro.cluster.actor import DeviceAssignment
+from repro.cluster import DeviceColumns
 from repro.ml import standard_fl_flow
 from repro.phones import (
     PhoneAssignment,
@@ -48,8 +48,8 @@ def run_benchmark_session(reference: bool, poll: float, window: float, n_bench: 
     )
     plan = PhoneAssignment(
         grade="High",
-        assignments=[],
-        benchmarking=[DeviceAssignment(f"b{i}", "High", 10) for i in range(n_bench)],
+        devices=DeviceColumns([], []),
+        benchmarking=DeviceColumns([f"b{i}" for i in range(n_bench)], [10] * n_bench),
         n_phones=0,
         flow=standard_fl_flow(),
         numeric=False,
@@ -117,8 +117,10 @@ def test_partition_round_robin_exactly_once(n_assignments, n_phones):
     mgr = PhoneMgr(sim, adb, phones, streams=streams)
     plan = PhoneAssignment(
         grade="High",
-        assignments=[DeviceAssignment(f"d{i}", "High", 1 + i % 5) for i in range(n_assignments)],
-        benchmarking=[],
+        devices=DeviceColumns(
+            [f"d{i}" for i in range(n_assignments)], [1 + i % 5 for i in range(n_assignments)]
+        ),
+        benchmarking=DeviceColumns([], []),
         n_phones=n_phones,
         flow=standard_fl_flow(),
         numeric=False,

@@ -14,10 +14,19 @@ numeric and time-only plans, mixed grades and MSP control latency.
 
 import numpy as np
 import pytest
-from helpers import CallbackSink, stream_states
+from helpers import CallbackSink, WholePlanSink, stream_states
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference.tier_reference import ReferencePhoneMgr, run_per_event
 
-from repro.cluster.actor import DeviceAssignment
+from repro.cluster import (
+    DeviceColumns,
+    GradeExecutionPlan,
+    K8sCluster,
+    LogicalSimulation,
+    NodeSpec,
+    ResourceBundle,
+)
 from repro.data import SyntheticAvazu
 from repro.ml import standard_fl_flow
 from repro.phones import (
@@ -71,8 +80,10 @@ def time_only_plan(grade: str, n_devices: int, n_phones: int, n_bench: int) -> P
         grade=grade,
         # Varying n_samples -> varying push durations, so waves de-sync and
         # the cumsum chains are exercised per phone, not per plan.
-        assignments=[DeviceAssignment(f"{grade}-d{i}", grade, 10 + (i % 7)) for i in range(n_devices)],
-        benchmarking=[DeviceAssignment(f"{grade}-b{i}", grade, 10) for i in range(n_bench)],
+        devices=DeviceColumns(
+            [f"{grade}-d{i}" for i in range(n_devices)], [10 + (i % 7) for i in range(n_devices)]
+        ),
+        benchmarking=DeviceColumns([f"{grade}-b{i}" for i in range(n_bench)], [10] * n_bench),
         n_phones=n_phones,
         flow=standard_fl_flow(),
         numeric=False,
@@ -83,16 +94,11 @@ def numeric_plan(grade: str, n_devices: int, n_phones: int, n_bench: int, seed: 
     data = SyntheticAvazu(
         n_devices=n_devices + n_bench, records_per_device=9, feature_dim=FEATURE_DIM, seed=seed
     ).generate()
-    ids = data.device_ids()
-
-    def make(device_id: str) -> DeviceAssignment:
-        shard = data.shard(device_id)
-        return DeviceAssignment(device_id, grade, shard.n_samples, dataset=shard)
-
+    shards = [data.shard(d) for d in data.device_ids()]
     return PhoneAssignment(
         grade=grade,
-        assignments=[make(d) for d in ids[:n_devices]],
-        benchmarking=[make(d) for d in ids[n_devices:]],
+        devices=DeviceColumns.of_shards(shards[:n_devices]),
+        benchmarking=DeviceColumns.of_shards(shards[n_devices:]),
         n_phones=n_phones,
         flow=standard_fl_flow(epochs=2),
         feature_dim=FEATURE_DIM,
@@ -101,10 +107,13 @@ def numeric_plan(grade: str, n_devices: int, n_phones: int, n_bench: int, seed: 
 
 
 def run_session(reference: bool, plans, n_phones: int, rounds: int = 2, numeric: bool = False,
-                poll: float = 1.0, window: float = 15.0, msp: bool = False, seed: int = SEED):
+                poll: float = 1.0, window: float = 15.0, msp: bool = False, seed: int = SEED,
+                sink_class=CallbackSink):
     """Drive prepare -> rounds -> teardown; return everything observable.
 
     ``reference`` runs the per-device oracle, stepped one event at a time.
+    ``sink_class=None`` runs with ``sink=None`` and reads the outcomes off
+    the recorded rounds.
     """
     sim, mgr, phones, samples, streams = build_rig(reference, n_phones, seed=seed, poll=poll,
                                                    window=window, msp=msp)
@@ -115,9 +124,10 @@ def run_session(reference: bool, plans, n_phones: int, rounds: int = 2, numeric:
     def drive():
         yield sim.process(mgr.prepare(plans, task_id="task"))
         for round_index in range(1, rounds + 1):
-            yield sim.process(
-                mgr.run_round(round_index, weights, 0.0, model_bytes, CallbackSink(outcomes.append))
-            )
+            sink = sink_class(outcomes.append) if sink_class is not None else None
+            yield sim.process(mgr.run_round(round_index, weights, 0.0, model_bytes, sink))
+            if sink is None:
+                outcomes.extend(mgr.rounds[-1].all_outcomes())
         yield sim.process(mgr.teardown())
 
     sim.process(drive())
@@ -246,6 +256,38 @@ class TestNumericEquivalence:
         )
 
 
+class TestOneEngineAnyShape:
+    """The shared round engine against the oracle, whatever the plan's shape.
+
+    More phones than devices (idle slots), ragged queues, numeric or not,
+    and all three deliveries: a ``prefers_waves`` sink, a whole-plan sink,
+    ``sink=None``.  Only a wave sink sees completions in the oracle's
+    (chronological) order, so the other two compare the same outcomes
+    sorted by round, time and device.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_devices=st.integers(min_value=1, max_value=11),
+        n_phones=st.integers(min_value=1, max_value=6),
+        n_bench=st.integers(min_value=0, max_value=1),
+        numeric=st.booleans(),
+        delivery=st.sampled_from([CallbackSink, WholePlanSink, None]),
+    )
+    def test_phone_rounds_equal_the_oracle(self, n_devices, n_phones, n_bench, numeric, delivery):
+        def plans():
+            make = numeric_plan if numeric else time_only_plan
+            return [make("High", n_devices, n_phones, n_bench)]
+
+        oracle = run_session(ORACLE, plans(), 8, numeric=numeric)
+        engine = run_session(PRODUCTION, plans(), 8, numeric=numeric, sink_class=delivery)
+        if delivery is not CallbackSink:
+            for session in (oracle, engine):
+                session["outcomes"].sort(key=lambda o: (o.round_index, o.finished_at, o.device_id))
+        assert_equivalent(oracle, engine)
+        assert not any(result.aborted for result in engine["rounds"])
+
+
 class TestAbortMidRound:
     def test_abort_releases_in_flight_batched_round(self):
         # A sibling failure (e.g. the logical tier crashing) triggers
@@ -277,6 +319,47 @@ class TestAbortMidRound:
         # Epoch-voided callbacks did not replay sessions after the abort.
         for phone in phones:
             assert phone.sessions_completed == sessions_at_abort[phone.serial]
+
+
+    def test_both_tiers_unwind_as_aborted(self):
+        # One engine, one teardown contract: a round in flight on either
+        # tier resolves as ``aborted`` when its tier is torn down, and the
+        # voided pooled callbacks deliver nothing afterwards.
+        sim, mgr, phones, _, _ = build_rig(PRODUCTION, 6)
+        logical = LogicalSimulation(sim, K8sCluster([NodeSpec(cpus=10, memory_gb=20)]))
+        logical_plan = GradeExecutionPlan(
+            grade="High",
+            devices=DeviceColumns([f"l{i}" for i in range(12)], [10] * 12),
+            n_actors=3,
+            bundle=ResourceBundle(cpus=1, memory_gb=1),
+            flow=standard_fl_flow(),
+            numeric=False,
+        )
+        delivered = []
+        after_teardown = []
+
+        def drive():
+            yield sim.process(logical.prepare([logical_plan], task_id="t"))
+            yield sim.process(mgr.prepare([time_only_plan("High", 12, 3, 0)], task_id="t"))
+            sink = CallbackSink(delivered.append)
+            rounds = [sim.process(tier.run_round(1, None, 0.0, 33000, sink)) for tier in (logical, mgr)]
+            yield Timeout(20.0)  # mid-round on both tiers
+            logical.teardown()
+            mgr.abort()
+            after_teardown.append(len(delivered))
+            for round_proc in rounds:
+                yield round_proc  # must resolve instead of leaking forever
+
+        proc = sim.process(drive())
+        sim.run()
+        assert proc.done and proc.error is None
+        assert sim.pending_events == 0
+        assert 0 < after_teardown[0] < 24
+        assert {o.device_id[0] for o in delivered} == {"l", "H"}  # both tiers were mid-round
+        assert len(delivered) == after_teardown[0]  # nothing fired after teardown
+        for tier in (logical, mgr):
+            assert [result.aborted for result in tier.rounds] == [True]
+            assert tier.rounds[0].columnar == []
 
 
 class TestColumnarRounds:
@@ -327,8 +410,8 @@ class TestColumnarRounds:
         by_device = {o.device_id: o for o in eager["outcomes"] if o.update is not None}
         # Columnar arrays are in assignment order; compare per device.
         block = mgr.rounds[0].columnar[0]
-        for position, assignment in enumerate(block.plan.assignments):
-            reference = by_device[assignment.device_id]
+        for position, device_id in enumerate(block.plan.devices.device_ids):
+            reference = by_device[device_id]
             assert weights[position].tobytes() == reference.update.weights.tobytes()
             assert biases[position] == reference.update.bias
             assert n_samples[position] == reference.n_samples

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import CallbackSink
 
-from repro.cluster.actor import DeviceAssignment
+from repro.cluster import DeviceColumns
 from repro.data import SyntheticAvazu
 from repro.ml import standard_fl_flow
 from repro.phones import (
@@ -44,12 +44,32 @@ def build_rig(n_local=10, poll_interval=1.0, on_sample=None, cost_model=None):
 def time_only_plan(grade, n_devices, n_phones, n_bench=0):
     return PhoneAssignment(
         grade=grade,
-        assignments=[DeviceAssignment(f"{grade}-d{i}", grade, 10) for i in range(n_devices)],
-        benchmarking=[DeviceAssignment(f"{grade}-bench{i}", grade, 10) for i in range(n_bench)],
+        devices=DeviceColumns([f"{grade}-d{i}" for i in range(n_devices)], [10] * n_devices),
+        benchmarking=DeviceColumns([f"{grade}-bench{i}" for i in range(n_bench)], [10] * n_bench),
         n_phones=n_phones,
         flow=standard_fl_flow(),
         numeric=False,
     )
+
+
+class TestPlanValidation:
+    def test_both_column_sets_fail_at_construction_naming_grade_and_field(self):
+        def plan(devices, benchmarking, n_phones=1, numeric=False):
+            return PhoneAssignment(
+                grade="Low", devices=devices, benchmarking=benchmarking,
+                n_phones=n_phones, flow=standard_fl_flow(), numeric=numeric,
+            )
+
+        none, one = DeviceColumns([], []), DeviceColumns(["d0"], [10])
+        with pytest.raises(ValueError, match="'Low' plan: computing devices require at least one phone"):
+            plan(one, none, n_phones=0)
+        with pytest.raises(ValueError, match=r"'Low' plan: benchmarking\.n_samples must be positive"):
+            plan(one, DeviceColumns(["b0"], [0]))
+        with pytest.raises(ValueError, match=r"'Low' plan: benchmarking\.n_samples has 2 rows for 1"):
+            plan(one, DeviceColumns(["b0"], [10, 10]))
+        with pytest.raises(ValueError, match=r"'Low' plan: numeric=True needs benchmarking\.datasets"):
+            plan(none, one, n_phones=0, numeric=True)
+        plan(none, one, n_phones=0)  # a benchmarking-only plan needs no computing phone
 
 
 class TestSelection:
@@ -169,11 +189,8 @@ class TestRoundExecution:
         ids = data.device_ids()
         plan = PhoneAssignment(
             grade="Low",
-            assignments=[
-                DeviceAssignment(d, "Low", data.shard(d).n_samples, dataset=data.shard(d))
-                for d in ids
-            ],
-            benchmarking=[],
+            devices=DeviceColumns.of_shards([data.shard(d) for d in ids]),
+            benchmarking=DeviceColumns([], []),
             n_phones=2,
             flow=standard_fl_flow(epochs=1),
             feature_dim=64,

@@ -5,6 +5,7 @@ same spec + seed must produce byte-identical reports across runs, equal
 to the digests pinned below.
 """
 
+import gc
 import hashlib
 import json
 
@@ -253,6 +254,25 @@ class TestFlowConservation:
 # ----------------------------------------------------------------------
 # KPIs
 # ----------------------------------------------------------------------
+class TestFinishedTasksAreReleased:
+    def test_no_task_runner_waits_for_the_cyclic_collector(self):
+        # Columnar plans allocate few gc-tracked objects, so the collector
+        # runs rarely: a finished task caught in a reference cycle (the
+        # runner used to hand its tier a bound method of itself) would keep
+        # its plans alive and peak memory would grow with the task count.
+        from repro.scheduler.task_runner import TaskRunner
+
+        gc.collect()
+        gc.disable()
+        try:
+            runner = ScenarioRunner(tiny_scenario())
+            runner.run()
+            alive = [o for o in gc.get_objects() if isinstance(o, TaskRunner)]
+        finally:
+            gc.enable()
+        assert alive == []
+
+
 class TestScenarioReport:
     def test_report_counts_and_kpis(self):
         report = run_scenario(tiny_scenario())
@@ -420,7 +440,7 @@ class TestCli:
         shown = json.loads(capsys.readouterr().out)
         assert shown["name"] == "flash_crowd"
         out_path = tmp_path / "report.json"
-        assert main(["run", "flash_crowd", "--scale", "100", "--json", str(out_path)]) == 0
+        assert main(["run", "flash_crowd", "--scale", "100", "--report-json", str(out_path)]) == 0
         assert "flash_crowd" in capsys.readouterr().out
         written = json.loads(out_path.read_text())
         assert written["total_tasks"] == 16

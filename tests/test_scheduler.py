@@ -72,6 +72,16 @@ class TestTaskSpec:
             )
 
 
+    @pytest.mark.parametrize(("numeric", "records", "floor"), [(False, 0, 1), (True, 1, 2), (True, 0, 2)])
+    def test_records_per_device_fails_at_construction_naming_the_field(self, numeric, records, floor):
+        # It used to be accepted, scheduled, and fail mid-run inside plan
+        # building (time-only) or dataset synthesis (numeric).
+        grades = [GradeRequirement("High", n_devices=4, bundles=4)]
+        with pytest.raises(ValueError, match=rf"records_per_device must be >= {floor} .*got {records}"):
+            TaskSpec(name="x", grades=grades, numeric=numeric, records_per_device=records)
+        TaskSpec(name="x", grades=grades, numeric=numeric, records_per_device=floor)
+
+
 class TestTaskQueue:
     def test_priority_then_fifo(self):
         queue = TaskQueue()

@@ -288,10 +288,9 @@ class TestCli:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["scenario"] == "lossy_uplink"
 
-    def test_json_flag_is_report_json_alias(self, tmp_path):
+    def test_report_json_has_one_spelling(self, tmp_path):
         path = tmp_path / "report.json"
-        code = scenarios_main(
-            ["run", "lossy_uplink", "--scale", "60", "--json", str(path)]
-        )
-        assert code == 0
-        assert json.loads(path.read_text(encoding="utf-8"))["scenario"] == "lossy_uplink"
+        with pytest.raises(SystemExit) as usage:
+            scenarios_main(["run", "lossy_uplink", "--scale", "60", "--json", str(path)])
+        assert usage.value.code == 2
+        assert not path.exists()

@@ -552,6 +552,17 @@ class TestSpecRoundTripProperties:
             del target[stray]
 
 
+    def test_tenant_records_per_device_error_is_path_qualified(self):
+        data = transport_scenario(transport=TransportSpec()).to_dict()
+        for numeric, records, floor in ((False, 0, 1), (True, 1, 2)):
+            data["tenants"][0].update(numeric=numeric, records_per_device=records)
+            message = f"tenants[0].records_per_device must be >= {floor}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ScenarioSpec.from_dict(data)
+        with pytest.raises(ValueError, match=r"^records_per_device must be >= 1"):
+            TenantSpec(name="direct", records_per_device=0)
+
+
 # ----------------------------------------------------------------------
 # SLA metrics + live alarms over transport signals
 # ----------------------------------------------------------------------
