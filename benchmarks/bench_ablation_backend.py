@@ -32,7 +32,7 @@ def backend_divergence(dims=(128, 512, 2048), seed=0):
         params = {}
         for backend in (SERVER_BACKEND, DEVICE_BACKEND):
             trainer = BlockTrainer(dim, backend, epochs=5, learning_rate=0.05, batch_size=64)
-            weights, biases = trainer.train(np.zeros((1, dim)), np.zeros(1), [pooled])
+            weights, biases = trainer.train(np.zeros((1, dim)), np.zeros(1), [pooled], None)
             model = LogisticRegressionModel(dim, backend)
             model.set_params(weights[0], biases[0])
             metrics[backend.name] = model.evaluate(data.test.features, data.test.labels)

@@ -29,7 +29,7 @@ def schedule_and_drain(n_events: int) -> None:
 def pooled_timeouts(n_entries: int) -> None:
     """The TimeoutPool counterpart of ``schedule_and_drain``."""
     sim = Simulator()
-    pool = TimeoutPool(sim)
+    pool = TimeoutPool(sim, name="pool")
 
     def noop() -> None:
         return None

@@ -15,7 +15,7 @@ runner's Python speed by ``ci_gate.py``) and repeat-run report identity.
 
 import time
 
-from repro.observability.tracing import Tracer, assemble_trace
+from repro.observability.tracing import Tracer
 from repro.scenarios import (
     AlarmRule,
     ArrivalSpec,
@@ -306,9 +306,7 @@ def measure_tracing_overhead(
         }
         if best is None or pair["tracing_overhead_ratio"] > best["tracing_overhead_ratio"]:
             best = pair
-    trace = assemble_trace(
-        traced_runner.platform.monitor, traced_runner.tracer, name="bench_grid"
-    )
+    trace = traced_runner.trace()
     return {
         "n_tenants": n_tenants,
         "total_devices": traced_report.total_devices,

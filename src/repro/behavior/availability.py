@@ -57,11 +57,7 @@ class DiurnalAvailability:
         return np.minimum(delta, 24.0 - delta)
 
 
-def population_traffic_curve(
-    timezones: TimezoneMixture,
-    availability: DiurnalAvailability | None = None,
-    name: str = "population-diurnal",
-) -> TrafficCurve:
+def population_traffic_curve(timezones: TimezoneMixture, availability: DiurnalAvailability) -> TrafficCurve:
     """Aggregate upload-rate curve of a timezone-mixed population over UTC.
 
     For each UTC hour, sums each timezone cluster's availability at its
@@ -70,7 +66,6 @@ def population_traffic_curve(
     :class:`~repro.deviceflow.strategy.TimeIntervalStrategy` to replay a
     realistic global day of device traffic against cloud services.
     """
-    availability = availability or DiurnalAvailability()
     fractions = timezones.offset_fractions()
 
     def fn(utc_hour: np.ndarray) -> np.ndarray:
@@ -80,4 +75,4 @@ def population_traffic_curve(
             total += share * availability.probability((utc_hour + offset) % 24.0)
         return total
 
-    return TrafficCurve(fn, (0.0, 24.0), name=name)
+    return TrafficCurve(fn, (0.0, 24.0), name="population-diurnal")

@@ -46,19 +46,11 @@ LTE = NetworkProfile("lte", bandwidth_bps=12e6 / 8, latency_s=0.05, failure_prob
 GPRS = NetworkProfile("gprs", bandwidth_bps=56e3 / 8, latency_s=0.6, failure_prob=0.20)
 FLIGHT_MODE = NetworkProfile("flight-mode", bandwidth_bps=0.0, latency_s=0.0, failure_prob=1.0)
 
-#: Default population mix: mostly wifi, some cellular, a sliver offline.
-DEFAULT_NETWORK_MIX: tuple[tuple[NetworkProfile, float], ...] = (
-    (WIFI, 0.62),
-    (LTE, 0.28),
-    (GPRS, 0.07),
-    (FLIGHT_MODE, 0.03),
-)
-
 
 class NetworkMixture:
     """A population's distribution over network profiles."""
 
-    def __init__(self, mix: Sequence[tuple[NetworkProfile, float]] = DEFAULT_NETWORK_MIX) -> None:
+    def __init__(self, mix: Sequence[tuple[NetworkProfile, float]]) -> None:
         mix = list(mix)
         if not mix:
             raise ValueError("at least one network profile is required")

@@ -10,9 +10,7 @@ implemented here and drive Figs. 9 and 11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Callable
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +34,6 @@ class AggregationRecord:
     test_loss: float | None = None
     test_accuracy: float | None = None
     test_auc: float | None = None
-    train_loss: float | None = None
-    train_accuracy: float | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
 
 
 class AggregationTrigger:
@@ -70,15 +65,16 @@ class SampleThresholdTrigger(AggregationTrigger):
 class ScheduledTrigger(AggregationTrigger):
     """Aggregate at a fixed period (the paper's "scheduled aggregation").
 
-    Rounds with an empty buffer are skipped (nothing to fold), matching
-    timed-aggregation deployments that no-op on idle periods.
+    The timer fires ``max_rounds`` times.  Rounds with an empty buffer are
+    skipped (nothing to fold), matching timed-aggregation deployments that
+    no-op on idle periods.
     """
 
-    def __init__(self, period_s: float, max_rounds: int | None = None) -> None:
+    def __init__(self, period_s: float, max_rounds: int) -> None:
         if period_s <= 0:
             raise ValueError("period_s must be positive")
-        if max_rounds is not None and max_rounds <= 0:
-            raise ValueError("max_rounds must be positive when set")
+        if max_rounds <= 0:
+            raise ValueError("max_rounds must be positive")
         self.period_s = float(period_s)
         self.max_rounds = max_rounds
         self._fired = 0
@@ -91,9 +87,7 @@ class ScheduledTrigger(AggregationTrigger):
         self._stopped = True
 
     def _schedule_next(self, service: AggregationService) -> None:
-        if self._stopped:
-            return
-        if self.max_rounds is not None and self._fired >= self.max_rounds:
+        if self._stopped or self._fired >= self.max_rounds:
             return
         service.sim.schedule(self.period_s, self._fire, service)
 
@@ -147,20 +141,10 @@ class AggregationService:
         (large-scale scalability sweeps with no numeric training).
     test_set:
         Optional held-out shard evaluated after every aggregation.
-    train_eval_shards:
-        Optional ``device_id -> shard`` map; when present, each
-        aggregation also reports the aggregated model's metrics over the
-        union of *contributing* devices' data, or — with
-        ``train_eval_full`` — over the whole population (Fig. 9b's train
-        accuracy, measuring how representative the aggregate is of the
-        true distribution).
-    train_eval_full:
-        Evaluate train metrics over every shard instead of contributors.
-    on_global_model:
-        Callback ``(round_index, weights, bias)`` after each aggregation —
-        the platform redistributes the model to devices with it.
     db:
         Optional metrics database receiving one row per aggregation.
+    name:
+        Service label on those rows (the task id on the platform).
     """
 
     def __init__(
@@ -171,20 +155,14 @@ class AggregationService:
         *,
         model: LogisticRegressionModel | None = None,
         test_set: DeviceDataset | None = None,
-        train_eval_shards: dict[str, DeviceDataset] | None = None,
-        train_eval_full: bool = False,
-        on_global_model: Callable[[int, np.ndarray, float], None] | None = None,
         db: MetricsDatabase | None = None,
-        name: str = "aggregation",
+        name: str,
     ) -> None:
         self.sim = sim
         self.storage = storage
         self.trigger = trigger
         self.model = model
         self.test_set = test_set
-        self.train_eval_shards = train_eval_shards or {}
-        self.train_eval_full = train_eval_full
-        self.on_global_model = on_global_model
         self.db = db
         self.name = name
         self.aggregator = FedAvgAggregator()
@@ -193,12 +171,11 @@ class AggregationService:
         self.bytes_received = 0
         self.receive_log: list[tuple[float, int]] = []
         self._pending_sample_count = 0
-        self._contributors: list[str] = []
+        self._pending_update_count = 0
         #: Block-path buffer: the stacked ``(weights, biases, n_samples)``
         #: rows of every received block, folded in one exact pass (and
         #: merged with the scalar aggregator's partial) at fold time.
         self._stacked: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._stacked_updates = 0
         self._round = 0
         self._started = False
 
@@ -206,9 +183,7 @@ class AggregationService:
     @property
     def pending_updates(self) -> int:
         """Updates buffered since the last aggregation (scalar + block)."""
-        if self.model is not None:
-            return len(self.aggregator) + self._stacked_updates
-        return len(self._contributors)
+        return self._pending_update_count
 
     @property
     def pending_samples(self) -> int:
@@ -247,7 +222,7 @@ class AggregationService:
                     f"storage object {message.payload_ref!r} is not a ModelUpdate"
                 )
             self.aggregator.add(payload)
-        self._contributors.append(message.device_id)
+        self._pending_update_count += 1
         self._pending_sample_count += message.n_samples
         self.trigger.on_update(self)
 
@@ -275,8 +250,7 @@ class AggregationService:
                     "arrays but the service aggregates a model"
                 )
             self._stacked.append((block.update_weights, block.update_biases, block.n_samples))
-            self._stacked_updates += n
-        self._contributors.extend(block.device_ids)
+        self._pending_update_count += n
         self._pending_sample_count += block.total_samples
         self.trigger.on_update(self)
 
@@ -286,7 +260,7 @@ class AggregationService:
         self.receive_log.append((self.sim.now, 1))
         if self.model is not None:
             self.aggregator.add(update)
-        self._contributors.append(update.device_id)
+        self._pending_update_count += 1
         self._pending_sample_count += update.n_samples
         self.trigger.on_update(self)
 
@@ -298,18 +272,12 @@ class AggregationService:
         if self.pending_updates == 0:
             raise RuntimeError("nothing buffered to aggregate")
         self._round += 1
-        contributors, self._contributors = self._contributors, []
+        n_updates, self._pending_update_count = self._pending_update_count, 0
         n_samples, self._pending_sample_count = self._pending_sample_count, 0
-        record = AggregationRecord(
-            round_index=self._round,
-            time=self.sim.now,
-            n_updates=len(contributors),
-            n_samples=n_samples,
-        )
+        record = AggregationRecord(round_index=self._round, time=self.sim.now, n_updates=n_updates, n_samples=n_samples)
         if self.model is not None:
             if self._stacked:
                 stacked, self._stacked = self._stacked, []
-                self._stacked_updates = 0
                 columns = stacked[0] if len(stacked) == 1 else map(np.concatenate, zip(*stacked))
                 parts = [FedAvgPartial.from_arrays(*columns)]
                 if len(self.aggregator):
@@ -318,11 +286,11 @@ class AggregationService:
             else:
                 weights, bias, _ = self.aggregator.aggregate()
             self.model.set_params(weights, bias)
-            self._evaluate(record, contributors)
-            if self.on_global_model is not None:
-                self.on_global_model(self._round, weights, bias)
-        elif self.on_global_model is not None:
-            self.on_global_model(self._round, np.zeros(1), 0.0)
+            if self.test_set is not None:
+                metrics = self.model.evaluate(self.test_set.features, self.test_set.labels)
+                record.test_loss = metrics["log_loss"]
+                record.test_accuracy = metrics["accuracy"]
+                record.test_auc = metrics["auc"]
         self.history.append(record)
         if self.db is not None:
             self.db.insert(
@@ -338,26 +306,3 @@ class AggregationService:
                 },
             )
         return record
-
-    def _evaluate(self, record: AggregationRecord, contributors: list[str]) -> None:
-        assert self.model is not None
-        if self.test_set is not None:
-            metrics = self.model.evaluate(self.test_set.features, self.test_set.labels)
-            record.test_loss = metrics["log_loss"]
-            record.test_accuracy = metrics["accuracy"]
-            record.test_auc = metrics["auc"]
-        shards = (
-            list(self.train_eval_shards.values())
-            if self.train_eval_full
-            else [
-                self.train_eval_shards[d]
-                for d in set(contributors)
-                if d in self.train_eval_shards
-            ]
-        )
-        if shards:
-            features = np.concatenate([s.features for s in shards])
-            labels = np.concatenate([s.labels for s in shards])
-            metrics = self.model.evaluate(features, labels)
-            record.train_loss = metrics["log_loss"]
-            record.train_accuracy = metrics["accuracy"]

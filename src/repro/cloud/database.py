@@ -10,12 +10,11 @@ monitoring views and the experiment harness.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable
 from typing import Any
 
 
 class MetricsDatabase:
-    """Append-only dict-record tables with filtered queries."""
+    """Append-only dict-record tables with field-equality queries."""
 
     def __init__(self) -> None:
         self._tables: dict[str, list[dict[str, Any]]] = defaultdict(list)
@@ -28,26 +27,10 @@ class MetricsDatabase:
             raise TypeError(f"record must be a dict, got {type(record).__name__}")
         self._tables[table].append(dict(record))
 
-    def query(
-        self,
-        table: str,
-        where: Callable[[dict[str, Any]], bool] | None = None,
-        **equals: Any,
-    ) -> list[dict[str, Any]]:
-        """Records matching the predicate and/or field-equality filters.
-
-        ``db.query("device_samples", serial="local-00")`` filters on
-        equality; ``where`` adds an arbitrary predicate.
-        """
+    def query(self, table: str, **equals: Any) -> list[dict[str, Any]]:
+        """Records matching every field-equality filter, e.g. ``db.query("device_samples", serial="local-00")``."""
         rows = self._tables.get(table, [])
-        out = []
-        for row in rows:
-            if equals and any(row.get(k) != v for k, v in equals.items()):
-                continue
-            if where is not None and not where(row):
-                continue
-            out.append(row)
-        return out
+        return [row for row in rows if all(row.get(k) == v for k, v in equals.items())]
 
     def count(self, table: str, **equals: Any) -> int:
         """Number of matching records."""

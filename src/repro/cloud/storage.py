@@ -100,8 +100,8 @@ class ObjectStorage:
         values: Sequence[Any],
         size_bytes: int | np.ndarray,
         *,
-        now: float | np.ndarray = 0.0,
-        writers: Sequence[str] | str = "",
+        now: float | np.ndarray,
+        writers: Sequence[str] | str,
     ) -> int:
         """Store a whole block of payloads in one call; returns the count.
 

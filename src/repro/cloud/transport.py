@@ -193,7 +193,7 @@ class ChannelModel:
             return True
         return any(not window.tenant or window.tenant == scope for window in self.windows)
 
-    def plan_upload(self, rng, t0: float, scope: str = "") -> UploadPlan:
+    def plan_upload(self, rng, t0: float, scope: str) -> UploadPlan:
         """Plan one upload that first becomes ready at time ``t0``.
 
         Draw counts depend only on the send times derived from ``t0``,
@@ -245,7 +245,7 @@ class TransportChannel:
         inner,
         streams: RandomStreams,
         task_id: str,
-        scope: str = "",
+        scope: str,
         tracer: Tracer | None = None,
     ) -> None:
         self.sim = sim

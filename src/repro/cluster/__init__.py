@@ -6,15 +6,15 @@ launches placement groups of actors on worker nodes, "with each actor
 sequentially simulating multiple devices" (§IV-A).
 
 This package rebuilds that substrate over the discrete-event kernel: nodes
-with CPU/memory/GPU capacity, placement groups packed or spread across
-nodes, actors that execute operator flows for a queue of simulated devices
-while advancing simulated time according to a calibrated cost model.
+with CPU/memory/GPU capacity, placement groups packed onto nodes, actors
+that execute operator flows for a queue of simulated devices while
+advancing simulated time according to a calibrated cost model.
 """
 
 from repro.cluster.actor import DeviceRoundOutcome, SimActor
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
-from repro.cluster.placement import PlacementGroup, PlacementStrategy
+from repro.cluster.placement import PlacementGroup
 from repro.cluster.resources import NodeSpec, ResourceBundle
 from repro.cluster.rounds import ColumnarOutcomes, DeviceColumns, RoundResult
 from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
@@ -29,7 +29,6 @@ __all__ = [
     "LogicalSimulation",
     "NodeSpec",
     "PlacementGroup",
-    "PlacementStrategy",
     "ResourceBundle",
     "RoundResult",
     "SimActor",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
-from repro.cluster.placement import BundlePlacement, PlacementGroup, PlacementStrategy
+from repro.cluster.placement import BundlePlacement, PlacementGroup
 from repro.cluster.resources import NodeSpec, ResourceBundle, WorkerNode
 
 
@@ -23,7 +23,7 @@ class K8sCluster:
         paper's 200-core/300-GB configuration).
     """
 
-    def __init__(self, nodes: Sequence[NodeSpec] = ()) -> None:
+    def __init__(self, nodes: Sequence[NodeSpec]) -> None:
         self._node_counter = itertools.count()
         self.nodes: dict[str, WorkerNode] = {}
         self._group_nodes: dict[str, list[tuple[WorkerNode, ResourceBundle]]] = {}
@@ -64,18 +64,12 @@ class K8sCluster:
     # ------------------------------------------------------------------
     # gang allocation
     # ------------------------------------------------------------------
-    def allocate(
-        self,
-        bundles: Sequence[ResourceBundle],
-        strategy: PlacementStrategy = PlacementStrategy.PACK,
-    ) -> PlacementGroup | None:
+    def allocate(self, bundles: Sequence[ResourceBundle]) -> PlacementGroup | None:
         """Atomically place every bundle, or place nothing and return None."""
-        placements = self._place(bundles, strategy)
+        placements = self._place(bundles)
         if placements is None:
             return None
-        group = PlacementGroup(
-            [BundlePlacement(node.node_id, bundle) for node, bundle in placements], strategy
-        )
+        group = PlacementGroup([BundlePlacement(node.node_id, bundle) for node, bundle in placements])
         self._group_nodes[group.group_id] = placements
         return group
 
@@ -91,10 +85,8 @@ class K8sCluster:
         group.released = True
 
     # ------------------------------------------------------------------
-    def _place(
-        self, bundles: Sequence[ResourceBundle], strategy: PlacementStrategy
-    ) -> list[tuple[WorkerNode, ResourceBundle]] | None:
-        """Find and commit a node for every bundle, or commit nothing.
+    def _place(self, bundles: Sequence[ResourceBundle]) -> list[tuple[WorkerNode, ResourceBundle]] | None:
+        """Find and commit the first node (in id order) that fits each bundle, or commit nothing.
 
         Placement works against shadow free-capacity counters so a failed
         gang attempt leaves the cluster untouched.
@@ -123,13 +115,7 @@ class K8sCluster:
         chosen: list[tuple[WorkerNode, ResourceBundle]] = []
         node_ids = sorted(self.nodes)
         for bundle in bundles:
-            # SPREAD: most free CPUs first (stable by id for determinism).
-            candidates = (
-                sorted(node_ids, key=lambda n: (-shadow[n][0], n))
-                if strategy is PlacementStrategy.SPREAD
-                else node_ids
-            )
-            target = next((n for n in candidates if shadow_fits(n, bundle)), None)
+            target = next((n for n in node_ids if shadow_fits(n, bundle)), None)
             if target is None:
                 return None
             shadow_take(target, bundle)

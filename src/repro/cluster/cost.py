@@ -61,16 +61,13 @@ class LogicalCostModel:
         if self.download_bandwidth_bps <= 0:
             raise ValueError("download_bandwidth_bps must be positive")
 
-    def device_round_duration(self, grade: str, flow_work: float | None = None) -> float:
-        """Seconds one actor spends simulating one device's round."""
+    def device_round_duration(self, grade: str, flow_work: float) -> float:
+        """Seconds one actor spends simulating one device's round of ``flow_work`` units."""
         if grade not in self.alpha:
             raise KeyError(f"no alpha calibrated for grade {grade!r}; known: {sorted(self.alpha)}")
-        base = self.alpha[grade]
-        if flow_work is None:
-            return base
         if flow_work <= 0:
             raise ValueError("flow_work must be positive")
-        return base * (flow_work / self.flow_reference_work)
+        return self.alpha[grade] * (flow_work / self.flow_reference_work)
 
     def transfer_duration(self, n_bytes: int) -> float:
         """Storage transfer time for a payload of ``n_bytes``."""

@@ -2,25 +2,12 @@
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 
 from repro.cluster.resources import ResourceBundle
 
 _group_counter = itertools.count()
-
-
-class PlacementStrategy(enum.Enum):
-    """How a group's bundles are spread over nodes.
-
-    ``PACK`` fills nodes in order, minimising fragmentation (Ray's default
-    for data-local actors); ``SPREAD`` round-robins across the nodes with
-    the most free CPU to maximise failure isolation.
-    """
-
-    PACK = "pack"
-    SPREAD = "spread"
 
 
 @dataclass(frozen=True)
@@ -36,14 +23,15 @@ class PlacementGroup:
 
     Mirrors Ray placement groups: a task that needs N actor slots reserves
     them together so partially-scheduled tasks never deadlock the pool.
+    Bundles are packed: nodes fill in id order, minimising fragmentation
+    (Ray's default for data-local actors).
     """
 
-    def __init__(self, placements: list[BundlePlacement], strategy: PlacementStrategy) -> None:
+    def __init__(self, placements: list[BundlePlacement]) -> None:
         if not placements:
             raise ValueError("a placement group needs at least one bundle")
         self.group_id = f"pg-{next(_group_counter):05d}"
         self.placements = list(placements)
-        self.strategy = strategy
         self.released = False
 
     @property
@@ -52,7 +40,4 @@ class PlacementGroup:
         return [placement.node_id for placement in self.placements]
 
     def __repr__(self) -> str:
-        return (
-            f"PlacementGroup({self.group_id}, {len(self.placements)} bundles, "
-            f"{self.strategy.value})"
-        )
+        return f"PlacementGroup({self.group_id}, {len(self.placements)} bundles)"

@@ -314,9 +314,9 @@ class TierRounds:
     #: device — never by slot — so grouping cannot perturb results.
     rng_stream: str
 
-    def __init__(self, sim: Simulator, streams: RandomStreams | None, pool_name: str) -> None:
+    def __init__(self, sim: Simulator, streams: RandomStreams, pool_name: str) -> None:
         self.sim = sim
-        self.streams = streams or RandomStreams(0)
+        self.streams = streams
         self.plans: list = []
         self.rounds: list[RoundResult] = []
         self._pool = TimeoutPool(sim, name=pool_name)

@@ -18,7 +18,7 @@ from repro.cloud.sink import OutcomeSink
 from repro.cluster.actor import SimActor
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
-from repro.cluster.placement import PlacementGroup, PlacementStrategy
+from repro.cluster.placement import PlacementGroup
 from repro.cluster.resources import ResourceBundle
 from repro.cluster.rounds import RoundResult, SlotQueue, TierPlan, TierRounds
 from repro.ml.backends import SERVER_BACKEND, NumericBackend
@@ -64,20 +64,16 @@ class LogicalSimulation(TierRounds):
     rng_stream = "device.{}.sgd"
 
     def __init__(
-        self,
-        sim: Simulator,
-        cluster: K8sCluster,
-        cost_model: LogicalCostModel | None = None,
-        streams: RandomStreams | None = None,
+        self, sim: Simulator, cluster: K8sCluster, cost_model: LogicalCostModel, streams: RandomStreams
     ) -> None:
         super().__init__(sim, streams, pool_name="logical-tier")
         self.cluster = cluster
-        self.cost_model = cost_model or LogicalCostModel()
+        self.cost_model = cost_model
         self.plans: list[GradeExecutionPlan] = []
         self.actors: dict[str, list[SimActor]] = {}
         self.placement_group: PlacementGroup | None = None
 
-    def prepare(self, plans: list[GradeExecutionPlan], task_id: str = "task") -> Generator:
+    def prepare(self, plans: list[GradeExecutionPlan], task_id: str) -> Generator:
         """Allocate the placement group, start actors, stage datasets.
 
         Raises ``RuntimeError`` if the cluster cannot host the requested
@@ -91,7 +87,7 @@ class LogicalSimulation(TierRounds):
             bundles.extend([plan.bundle] * plan.n_actors)
         if not bundles:
             return
-        group = self.cluster.allocate(bundles, PlacementStrategy.PACK)
+        group = self.cluster.allocate(bundles)
         if group is None:
             raise RuntimeError(
                 f"cluster cannot host {len(bundles)} bundles for task {task_id!r}"
@@ -127,7 +123,7 @@ class LogicalSimulation(TierRounds):
         global_weights: np.ndarray | None,
         global_bias: float,
         model_bytes: int,
-        sink: OutcomeSink | None = None,
+        sink: OutcomeSink | None,
     ) -> Generator:
         """Execute one round across every grade's actors; barrier at end.
 

@@ -68,7 +68,6 @@ class SimDC:
             self.adb,
             self.config.msp_fleet,
             streams=self.streams,
-            control_latency=self.config.msp_control_latency,
             availability=self.config.msp_availability,
         )
         self.phones.extend(self.msp.provision())
@@ -116,26 +115,56 @@ class SimDC:
         task only (straggler injection slows a tenant down with scaled
         copies).  ``channel_scope`` is the tenant name the configured
         transport channel's per-tenant windows match against.
+
+        Raises ``ValueError`` for a grade the task's cost models hold no
+        constants for, and for a ``fixed_allocation`` that does not give
+        each of the task's grades a count the grade can host.
         """
-        options: dict[str, Any] = {}
-        if fixed_allocation is not None:
-            options["fixed_allocation"] = dict(fixed_allocation)
-        if dataset is not None:
-            options["dataset"] = dataset
-        if logical_cost is not None:
-            options["logical_cost"] = logical_cost
-        if physical_cost is not None:
-            options["physical_cost"] = physical_cost
-        if channel_scope:
-            options["channel_scope"] = channel_scope
-        self._runner_options[spec.task_id] = options
+        logical_cost = logical_cost or self.config.logical_cost
+        physical_cost = physical_cost or self.config.physical_cost
+        self._check_submission(spec, logical_cost, physical_cost, fixed_allocation)
+        self._runner_options[spec.task_id] = {
+            "fixed_allocation": dict(fixed_allocation) if fixed_allocation is not None else None,
+            "dataset": dataset,
+            "logical_cost": logical_cost,
+            "physical_cost": physical_cost,
+            "channel_scope": channel_scope,
+        }
         if at is not None:
             return self.task_manager.submit_at(spec, at)
         return self.task_manager.submit(spec)
 
-    def run(self, until: float | None = None) -> float:
-        """Advance simulated time (see :meth:`Simulator.run`)."""
-        return self.sim.run(until=until)
+    @staticmethod
+    def _check_submission(
+        spec: TaskSpec, logical: LogicalCostModel, physical: PhysicalCostModel, fixed_allocation: dict[str, int] | None
+    ) -> None:
+        known = sorted(set(logical.alpha) & set(physical.beta) & set(physical.framework_startup))
+        for requirement in spec.grades:
+            if requirement.grade not in known:
+                raise ValueError(
+                    f"grade {requirement.grade!r} of task {spec.name!r} has no calibrated cost constants "
+                    f"(alpha, beta and lambda); known grades: {known}"
+                )
+        if fixed_allocation is None:
+            return
+        grades = [requirement.grade for requirement in spec.grades]
+        if sorted(fixed_allocation) != sorted(grades):
+            raise ValueError(
+                f"fixed_allocation of task {spec.name!r} names grades {sorted(fixed_allocation)}; "
+                f"the task's grades are {grades}"
+            )
+        for requirement in spec.grades:
+            logical_count = fixed_allocation[requirement.grade]
+            computable = requirement.n_devices - requirement.n_benchmark
+            if not 0 <= logical_count <= computable:
+                raise ValueError(
+                    f"fixed_allocation[{requirement.grade!r}]={logical_count!r} of task {spec.name!r} "
+                    f"is outside [0, {computable}] (known grades: {grades})"
+                )
+
+    def run(self) -> float:
+        """Run until the event queue drains (see :meth:`Simulator.run`)."""
+        return self.sim.run()
 
     def run_until_idle(self, max_time: float | None = None) -> float:
         """Run until every submitted task reaches a terminal state."""
@@ -151,7 +180,6 @@ class SimDC:
         return dict(self.task_manager.results)
 
     def _make_runner(self, spec: TaskSpec) -> TaskRunner:
-        options = self._runner_options.pop(spec.task_id, {})
         return TaskRunner(
             sim=self.sim,
             spec=spec,
@@ -160,16 +188,13 @@ class SimDC:
             adb=self.adb,
             storage=self.storage,
             deviceflow=self.deviceflow,
-            logical_cost=options.get("logical_cost") or self.config.logical_cost,
-            physical_cost=options.get("physical_cost") or self.config.physical_cost,
             streams=self.streams,
             busy_registry=self._busy_registry,
             db=self.db,
             monitor=self.monitor,
-            fixed_allocation=options.get("fixed_allocation"),
-            dataset=options.get("dataset"),
             unit_bundle=self.config.unit_bundle,
+            poll_interval=self.config.poll_interval,
             channel=self.config.channel,
-            channel_scope=options.get("channel_scope", ""),
             tracer=self.config.tracer,
+            **self._runner_options.pop(spec.task_id),
         )

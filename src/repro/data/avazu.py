@@ -229,18 +229,21 @@ class SyntheticAvazu:
         Hash-bucket count (model dimensionality).
     base_ctr:
         Population click-through rate before device bias.
-    device_bias_std:
-        Standard deviation of benign device-level logit noise.
-    signal_scale / active_fraction:
-        Strength of the planted logistic signal: standard deviation of
-        the active weights and the fraction of hash buckets that carry
-        signal.  The defaults make the task genuinely learnable (test
-        accuracy climbs well above the majority rate within a few
-        FedAvg rounds), which the aggregation-dynamics experiments
-        (Figs. 6, 9, 11) rely on.
     seed:
         Reproducibility seed (independent of any simulator seed).
     """
+
+    #: Standard deviation of benign device-level logit noise.
+    DEVICE_BIAS_STD = 0.3
+    #: Strength of the planted logistic signal: standard deviation of the
+    #: active weights and the fraction of hash buckets that carry signal.
+    #: These make the task genuinely learnable (test accuracy climbs well
+    #: above the majority rate within a few FedAvg rounds), which the
+    #: aggregation-dynamics experiments (Figs. 6, 9, 11) rely on.
+    SIGNAL_SCALE = 1.5
+    ACTIVE_FRACTION = 0.5
+    #: Records drawn to calibrate the intercept.
+    N_CALIBRATION = 4000
 
     def __init__(
         self,
@@ -248,9 +251,6 @@ class SyntheticAvazu:
         records_per_device: int = 20,
         feature_dim: int = 4096,
         base_ctr: float = 0.17,
-        device_bias_std: float = 0.3,
-        signal_scale: float = 1.5,
-        active_fraction: float = 0.5,
         seed: int = 0,
     ) -> None:
         if n_devices <= 0:
@@ -259,17 +259,10 @@ class SyntheticAvazu:
             raise ValueError("records_per_device must be >= 2")
         if not 0.0 < base_ctr < 1.0:
             raise ValueError("base_ctr must be in (0, 1)")
-        if signal_scale <= 0:
-            raise ValueError("signal_scale must be positive")
-        if not 0.0 < active_fraction <= 1.0:
-            raise ValueError("active_fraction must be in (0, 1]")
         self.n_devices = int(n_devices)
         self.records_per_device = int(records_per_device)
         self.feature_dim = int(feature_dim)
         self.base_ctr = float(base_ctr)
-        self.device_bias_std = float(device_bias_std)
-        self.signal_scale = float(signal_scale)
-        self.active_fraction = float(active_fraction)
         self.seed = int(seed)
 
     def generate(
@@ -294,7 +287,7 @@ class SyntheticAvazu:
         tables = _field_tables(self.feature_dim)
         global_bias = self._calibrate_intercept(rng, true_weights, tables)
         if device_biases is None:
-            device_biases = rng.normal(0.0, self.device_bias_std, self.n_devices)
+            device_biases = rng.normal(0.0, self.DEVICE_BIAS_STD, self.n_devices)
         elif len(device_biases) != self.n_devices:
             raise ValueError(
                 f"device_biases must have length {self.n_devices}, got {len(device_biases)}"
@@ -327,9 +320,9 @@ class SyntheticAvazu:
     def _ground_truth(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
         """Sparse true weights plus the naive (uncalibrated) intercept."""
         weights = np.zeros(self.feature_dim)
-        n_active = max(8, int(self.active_fraction * self.feature_dim))
+        n_active = max(8, int(self.ACTIVE_FRACTION * self.feature_dim))
         active = rng.choice(self.feature_dim, size=n_active, replace=False)
-        weights[active] = rng.normal(0.0, self.signal_scale, n_active)
+        weights[active] = rng.normal(0.0, self.SIGNAL_SCALE, n_active)
         intercept = float(np.log(self.base_ctr / (1.0 - self.base_ctr)))
         return weights, intercept
 
@@ -338,7 +331,6 @@ class SyntheticAvazu:
         rng: np.random.Generator,
         true_weights: np.ndarray,
         tables: Sequence[tuple[np.ndarray, np.ndarray]],
-        n_calibration: int = 4000,
     ) -> float:
         """Intercept such that the *population* CTR hits ``base_ctr``.
 
@@ -346,7 +338,7 @@ class SyntheticAvazu:
         naive log-odds intercept undershoots skewed targets; bisection on
         a calibration sample fixes the realised rate.
         """
-        features = self._draw_features(rng, n_calibration, tables)
+        features = self._draw_features(rng, self.N_CALIBRATION, tables)
         scores = true_weights[features].sum(axis=1)
         low, high = -15.0, 15.0
         for _ in range(60):

@@ -41,10 +41,7 @@ def label_skew_device_biases(
 
 
 def assign_delay_profiles(
-    device_biases: dict[str, float],
-    sigma: float,
-    max_delay: float,
-    seed: int = 0,
+    device_biases: dict[str, float], sigma: float, max_delay: float, seed: int
 ) -> dict[str, float]:
     """Map device label bias (a CTR proxy) to an upload delay.
 

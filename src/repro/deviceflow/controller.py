@@ -66,12 +66,12 @@ class DeviceFlow:
     def __init__(
         self,
         sim: Simulator,
-        streams: RandomStreams | None = None,
+        streams: RandomStreams,
         capacity_per_second: float = 700.0,
         tracer: Tracer | None = None,
     ) -> None:
         self.sim = sim
-        self.streams = streams or RandomStreams(0)
+        self.streams = streams
         self.capacity_per_second = float(capacity_per_second)
         self.tracer = tracer
         self.sorter = Sorter()

@@ -46,15 +46,14 @@ def choose_tick_width(
     interval_seconds: float,
     total_messages: int,
     capacity_per_second: float,
-    max_tick: float = 1.0,
-    min_ticks: int = 24,
 ) -> float:
     """Pick the discrete transmission interval (step 2 of the recipe).
 
     The tick must be small enough that (a) no single tick's quantity
     exceeds the single-point capacity limit and (b) the curve is sampled
-    finely ("the interval is sufficiently small"), but not so small that
-    every tick rounds to zero messages.
+    finely ("the interval is sufficiently small": at most one second, at
+    least 24 ticks per window), but not so small that every tick rounds
+    to zero messages.
     """
     if interval_seconds <= 0:
         raise ValueError("interval_seconds must be positive")
@@ -69,7 +68,7 @@ def choose_tick_width(
     # Peak dispatch rate in messages per actual second after scaling the
     # AUC to total_messages and the domain to the window.
     peak_rate = total_messages * peak * curve.width / (area * interval_seconds)
-    tick = min(max_tick, interval_seconds / min_ticks)
+    tick = min(1.0, interval_seconds / 24)
     if peak_rate > 0:
         # Single-point quantity peak_rate * tick must stay within capacity.
         tick = min(tick, capacity_per_second / peak_rate)
@@ -81,10 +80,13 @@ def discretize_curve(
     curve: TrafficCurve,
     interval_seconds: float,
     total_messages: int,
-    capacity_per_second: float = 700.0,
-    tick_width: float | None = None,
+    capacity_per_second: float,
+    tick_width: float | None,
 ) -> list[DispatchTick]:
     """Turn a rate curve into exact-integer dispatch ticks.
+
+    ``tick_width`` of ``None`` derives the step from ``capacity_per_second``
+    (:func:`choose_tick_width`); a strategy's manual step overrides it.
 
     Message conservation is exact: tick counts are produced by cumulative
     rounding of the scaled AUC, so ``sum(counts) == total_messages``

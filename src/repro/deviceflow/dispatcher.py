@@ -89,8 +89,8 @@ class Dispatcher:
         shelf: Shelf,
         strategy: DispatchStrategy,
         downstream: Callable[[Segment], None],
-        capacity_per_second: float = 700.0,
-        rng: np.random.Generator | None = None,
+        capacity_per_second: float,
+        rng: np.random.Generator,
     ) -> None:
         if capacity_per_second <= 0:
             raise ValueError("capacity_per_second must be positive")
@@ -99,7 +99,7 @@ class Dispatcher:
         self.strategy = strategy
         self.downstream = downstream
         self.capacity_per_second = float(capacity_per_second)
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = rng
         self.current_round = 0
         # Counters and logs for monitoring / figure regeneration.
         self.dispatched = 0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.deviceflow.shelf import Segment, Shelf
 
 
@@ -15,9 +13,8 @@ class Sorter:
     storage based on the task_id within the messages" (§V-A).
     """
 
-    def __init__(self, on_stored: Callable[[Segment], None] | None = None) -> None:
+    def __init__(self) -> None:
         self._shelves: dict[str, Shelf] = {}
-        self._on_stored = on_stored
         self.total_routed = 0
 
     def register_shelf(self, shelf: Shelf) -> None:
@@ -42,12 +39,10 @@ class Sorter:
         """Store a message or block on its task's shelf; returns the messages routed.
 
         One shelf lookup per segment; ``total_routed`` counts messages
-        (rows), and the ``on_stored`` hook sees the segment as routed.
+        (rows).
         """
         rows = self.shelf_for(segment.task_id).store(segment)
         self.total_routed += rows
-        if self._on_stored is not None:
-            self._on_stored(segment)
         return rows
 
     @property

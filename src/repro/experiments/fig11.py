@@ -23,7 +23,7 @@ from repro.cloud.storage import ObjectStorage
 from repro.data import make_federated_ctr_data
 from repro.deviceflow import DeviceFlow, Message, RealTimeAccumulatedStrategy
 from repro.experiments.render import format_table
-from repro.ml import BlockTrainer, LogisticRegressionModel, ModelUpdate
+from repro.ml import SERVER_BACKEND, BlockTrainer, LogisticRegressionModel, ModelUpdate
 from repro.simkernel import RandomStreams, Simulator, Timeout
 
 
@@ -72,7 +72,7 @@ def _run_setting(
         sim,
         storage,
         ScheduledTrigger(period, max_rounds=rounds),
-        model=LogisticRegressionModel(feature_dim),
+        model=LogisticRegressionModel(feature_dim, SERVER_BACKEND),
         test_set=dataset.test,
         name=f"fig11-p{dropout}",
     )
@@ -86,7 +86,7 @@ def _run_setting(
     ids = dataset.device_ids()
     shards = [dataset.shard(d) for d in ids]
     rngs = [streams.get(f"client.{d}") for d in ids]
-    trainer = BlockTrainer(feature_dim, epochs=10, learning_rate=0.3)
+    trainer = BlockTrainer(feature_dim, SERVER_BACKEND, epochs=10, learning_rate=0.3)
 
     def round_loop():
         for round_index in range(1, rounds + 1):

@@ -80,11 +80,11 @@ def run_fig5_device_trace(rounds: int = 3, seed: int = 0) -> DeviceTraceResult:
     return trace
 
 
-def format_fig5(trace: DeviceTraceResult, bins: int = 12) -> str:
-    """Render a down-sampled view of the trace plus the inter-round gaps."""
+def format_fig5(trace: DeviceTraceResult) -> str:
+    """Render a view of the trace down-sampled to a dozen rows, plus the inter-round gaps."""
     if trace.n_samples == 0:
         return "Fig. 5: no samples collected"
-    step = max(1, trace.n_samples // bins)
+    step = max(1, trace.n_samples // 12)
     rows = [
         (round(trace.times[i], 1), round(trace.cpu_percent[i], 2), round(trace.memory_mb[i], 2))
         for i in range(0, trace.n_samples, step)

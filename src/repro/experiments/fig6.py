@@ -76,7 +76,7 @@ def _train_hybrid(
         for backend, tier in tiers
         for index in range(len(ids))[tier]
     ]
-    model = LogisticRegressionModel(feature_dim)
+    model = LogisticRegressionModel(feature_dim, SERVER_BACKEND)
     for _ in range(rounds):
         global_weights, global_bias = model.get_params()
         weights = np.tile(global_weights, (len(ids), 1))

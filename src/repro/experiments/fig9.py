@@ -28,7 +28,7 @@ from repro.cloud.storage import ObjectStorage
 from repro.data import make_federated_ctr_data
 from repro.data.partition import assign_delay_profiles
 from repro.experiments.render import format_table
-from repro.ml import BlockTrainer, FedAvgPartial, LogisticRegressionModel, ModelUpdate
+from repro.ml import SERVER_BACKEND, BlockTrainer, FedAvgPartial, LogisticRegressionModel, ModelUpdate
 from repro.simkernel import Simulator
 
 #: Local-training recipe strong enough for visible convergence dynamics on
@@ -88,12 +88,12 @@ def _run_threshold(
         sim,
         ObjectStorage(),
         SampleThresholdTrigger(max(1, dataset.n_records // 8)),
-        model=LogisticRegressionModel(feature_dim),
+        model=LogisticRegressionModel(feature_dim, SERVER_BACKEND),
         test_set=dataset.test,
         name=f"fig9a-sigma{sigma}",
     )
     service.start()
-    trainer = BlockTrainer(feature_dim, epochs=_EPOCHS, learning_rate=_LEARNING_RATE)
+    trainer = BlockTrainer(feature_dim, SERVER_BACKEND, epochs=_EPOCHS, learning_rate=_LEARNING_RATE)
     rngs = _client_rngs(dataset, seed)
     arrivals = {"n": 0}
 
@@ -138,9 +138,9 @@ def _run_scheduled(
     delays = assign_delay_profiles(
         dataset.device_biases, sigma=sigma_seconds, max_delay=10.0 * period, seed=seed
     )
-    trainer = BlockTrainer(feature_dim, epochs=_EPOCHS, learning_rate=_LEARNING_RATE)
+    trainer = BlockTrainer(feature_dim, SERVER_BACKEND, epochs=_EPOCHS, learning_rate=_LEARNING_RATE)
     rngs = _client_rngs(dataset, seed)
-    model = LogisticRegressionModel(feature_dim)
+    model = LogisticRegressionModel(feature_dim, SERVER_BACKEND)
     shards = {d: dataset.shard(d) for d in dataset.device_ids()}
     all_features = np.concatenate([s.features for s in shards.values()])
     all_labels = np.concatenate([s.labels for s in shards.values()])

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.data.avazu import DeviceDataset
-from repro.ml.backends import SERVER_BACKEND, NumericBackend
+from repro.ml.backends import NumericBackend
 from repro.ml.optimizer import SGD
 
 
@@ -43,9 +43,9 @@ class BlockTrainer:
     def __init__(
         self,
         feature_dim: int,
-        backend: NumericBackend = SERVER_BACKEND,
-        epochs: int = 10,
-        learning_rate: float = 1e-3,
+        backend: NumericBackend,
+        epochs: int,
+        learning_rate: float,
         batch_size: int = 32,
     ) -> None:
         if epochs <= 0:
@@ -61,14 +61,14 @@ class BlockTrainer:
         weights: np.ndarray,
         biases: np.ndarray,
         datasets: Sequence[DeviceDataset],
-        rngs: Sequence[np.random.Generator | None] | None = None,
+        rngs: Sequence[np.random.Generator | None] | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Refine each device's parameters on its local shard.
 
         ``weights`` is ``(n_devices, feature_dim)`` and ``biases``
         ``(n_devices,)`` — usually the broadcast global model — and
-        ``rngs`` the per-device shuffling sources (pass seeded generators
-        for reproducibility).  Returns the updated ``(weights, biases)``
+        ``rngs`` the per-device shuffling sources (seeded generators;
+        ``None``, for the block or for a device, trains in shard order).  Returns the updated ``(weights, biases)``
         pair in the same device order.
         """
         weights = np.array(weights, dtype=np.float64, copy=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.backends import SERVER_BACKEND, NumericBackend
+from repro.ml.backends import NumericBackend
 from repro.ml.metrics import block_metrics
 
 #: Wire header in front of the float64 weights and bias: 4-byte magic, uint32 version, uint32 feature dim.
@@ -28,7 +28,7 @@ class LogisticRegressionModel:
         Numeric backend used for forward passes and training.
     """
 
-    def __init__(self, feature_dim: int, backend: NumericBackend = SERVER_BACKEND) -> None:
+    def __init__(self, feature_dim: int, backend: NumericBackend) -> None:
         if feature_dim <= 0:
             raise ValueError("feature_dim must be positive")
         self.feature_dim = int(feature_dim)

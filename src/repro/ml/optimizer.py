@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.backends import SERVER_BACKEND, NumericBackend
+from repro.ml.backends import NumericBackend
 
 
 class SGD:
@@ -14,23 +14,17 @@ class SGD:
     ----------
     learning_rate:
         Step size (the paper uses 1e-3).
-    l2:
-        Weight-decay coefficient applied to the weight vector (not the
-        intercept).
     batch_size:
         Mini-batch size; batches beyond the final full one keep the
         remainder (no records are dropped).
     """
 
-    def __init__(self, learning_rate: float = 1e-3, l2: float = 0.0, batch_size: int = 32) -> None:
+    def __init__(self, learning_rate: float, batch_size: int = 32) -> None:
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if l2 < 0:
-            raise ValueError("l2 must be >= 0")
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.learning_rate = float(learning_rate)
-        self.l2 = float(l2)
         self.batch_size = int(batch_size)
 
     def run_epochs_block(
@@ -40,8 +34,8 @@ class SGD:
         features: np.ndarray,
         labels: np.ndarray,
         epochs: int,
-        rngs: list[np.random.Generator | None] | None = None,
-        backend: NumericBackend = SERVER_BACKEND,
+        rngs: list[np.random.Generator | None] | None,
+        backend: NumericBackend,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Train a stacked block of devices in lock-step.
 
@@ -103,8 +97,6 @@ class SGD:
                 np.add.at(gradient, flat_indices, np.repeat(errors, n_fields, axis=1).ravel())
                 gradient = gradient.reshape(n_devices, dim)
                 gradient /= batch.shape[1]
-                if self.l2 > 0.0:
-                    gradient += self.l2 * weights
                 weights -= self.learning_rate * gradient
                 biases -= self.learning_rate * errors.mean(axis=1)
         return weights, biases

@@ -256,9 +256,9 @@ class AlarmEngine:
     rules:
         Initial rule set (more can be added via :meth:`add_rule`).
     scope_of:
-        Optional ``task_id -> tenant`` mapping; when provided, signals
-        are additionally tracked per tenant so rules with a ``tenant``
-        field see only that tenant's events.
+        ``task_id -> tenant`` mapping: signals are additionally tracked
+        per tenant so rules with a ``tenant`` field see only that
+        tenant's events.
     """
 
     #: Default sample-window ceiling when a custom signal has no rule yet.
@@ -267,8 +267,8 @@ class AlarmEngine:
     def __init__(
         self,
         monitor: Monitor,
-        rules: Iterable[AlarmRule] = (),
-        scope_of: Callable[[str], str] | None = None,
+        rules: Iterable[AlarmRule],
+        scope_of: Callable[[str], str],
     ) -> None:
         self.monitor = monitor
         self.sim = monitor.sim
@@ -374,8 +374,6 @@ class AlarmEngine:
     # event consumption
     # ------------------------------------------------------------------
     def _tenant_of(self, fields: dict) -> str:
-        if self.scope_of is None:
-            return ""
         task_id = fields.get("task_id")
         return self.scope_of(task_id) if task_id else ""
 

@@ -22,7 +22,7 @@ Usage::
     profiler = RunProfiler()
     with profiler:
         report = ScenarioRunner(spec).run()
-    print(profiler.table())
+    print(profiler.table(wall_s))
 """
 
 from __future__ import annotations
@@ -150,23 +150,19 @@ class RunProfiler:
         rows.sort(key=lambda row: (-row.self_s, row.category))
         return rows
 
-    def table(self, wall_s: float | None = None) -> str:
-        """The ranked hotspot table as printable text."""
+    def table(self, wall_s: float) -> str:
+        """The ranked hotspot table as printable text, against the run's wall clock."""
         rows = self.rows()
         accounted = sum(row.self_s for row in rows)
-        total = wall_s if wall_s is not None else accounted
         lines = [
             f"{'#':>3} {'subsystem':<26} {'calls':>9} {'total s':>9} "
             f"{'self s':>9} {'self %':>7}"
         ]
         for rank, row in enumerate(rows, start=1):
-            share = (row.self_s / total * 100.0) if total > 0 else 0.0
+            share = (row.self_s / wall_s * 100.0) if wall_s > 0 else 0.0
             lines.append(
                 f"{rank:>3} {row.category:<26} {row.calls:>9} {row.total_s:>9.3f} "
                 f"{row.self_s:>9.3f} {share:>6.1f}%"
             )
-        lines.append(
-            f"    {'accounted':<26} {'':>9} {'':>9} {accounted:>9.3f}"
-            + (f" of {total:.3f}s wall" if wall_s is not None else "")
-        )
+        lines.append(f"    {'accounted':<26} {'':>9} {'':>9} {accounted:>9.3f} of {wall_s:.3f}s wall")
         return "\n".join(lines)

@@ -297,8 +297,8 @@ def _span_id(task_id: str, *parts: Any) -> str:
 def assemble_trace(
     monitor: Monitor,
     tracer: Tracer,
-    name: str = "run",
-    tenant_of: Callable[[str], str] | None = None,
+    name: str,
+    tenant_of: Callable[[str], str],
 ) -> Trace:
     """Distil a finished run's capture into a :class:`Trace`.
 
@@ -362,9 +362,7 @@ def assemble_trace(
         root_id = _span_id(task)
         task_span_ids[task] = root_id
         status = "failed" if task in failed else ("completed" if task in completed else "open")
-        attrs: dict[str, Any] = {"task": task, "status": status}
-        if tenant_of is not None:
-            attrs["tenant"] = tenant_of(task)
+        attrs: dict[str, Any] = {"task": task, "status": status, "tenant": tenant_of(task)}
         spans.append(
             Span(root_id, None, task, "task", first, t_end, attrs)
         )

@@ -24,28 +24,20 @@ class BatteryModel:
         ~92% of nominal as the pack empties and with load.
     rng:
         Seeded generator for sensor noise.
-    noise_fraction:
-        Relative standard deviation of current readings (sensor ripple).
     """
 
-    def __init__(
-        self,
-        capacity_mah: float,
-        nominal_voltage_mv: float = 3850.0,
-        rng: np.random.Generator | None = None,
-        noise_fraction: float = 0.05,
-    ) -> None:
+    #: Relative standard deviation of current readings (sensor ripple).
+    NOISE_FRACTION = 0.05
+
+    def __init__(self, capacity_mah: float, nominal_voltage_mv: float, rng: np.random.Generator) -> None:
         if capacity_mah <= 0:
             raise ValueError("capacity_mah must be positive")
         if nominal_voltage_mv <= 0:
             raise ValueError("nominal_voltage_mv must be positive")
-        if not 0 <= noise_fraction < 1:
-            raise ValueError("noise_fraction must be in [0, 1)")
         self.capacity_mah = float(capacity_mah)
         self.nominal_voltage_mv = float(nominal_voltage_mv)
         self.consumed_mah = 0.0
-        self.noise_fraction = float(noise_fraction)
-        self._rng = rng or np.random.default_rng(0)
+        self._rng = rng
 
     @property
     def state_of_charge(self) -> float:
@@ -71,7 +63,7 @@ class BatteryModel:
         """
         if mean_current_ma < 0:
             raise ValueError("mean_current_ma must be >= 0")
-        noisy = self._rng.normal(mean_current_ma, self.noise_fraction * mean_current_ma)
+        noisy = self._rng.normal(mean_current_ma, self.NOISE_FRACTION * mean_current_ma)
         return -int(round(max(0.0, noisy) * 1000.0))
 
     def voltage_now_uv(self) -> int:

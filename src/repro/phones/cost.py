@@ -58,16 +58,13 @@ class PhysicalCostModel:
         if self.stage_window <= 0:
             raise ValueError("stage_window must be positive")
 
-    def training_duration(self, grade: str, flow_work: float | None = None) -> float:
-        """Seconds one phone spends in the training stage per device."""
+    def training_duration(self, grade: str, flow_work: float) -> float:
+        """Seconds one phone spends in the training stage per device, for a flow of ``flow_work`` units."""
         if grade not in self.beta:
             raise KeyError(f"no beta calibrated for grade {grade!r}; known: {sorted(self.beta)}")
-        base = self.beta[grade]
-        if flow_work is None:
-            return base
         if flow_work <= 0:
             raise ValueError("flow_work must be positive")
-        return base * (flow_work / self.flow_reference_work)
+        return self.beta[grade] * (flow_work / self.flow_reference_work)
 
     def startup_duration(self, grade: str) -> float:
         """The lambda term: one-off framework startup on a phone."""

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 from repro.phones.adb import SimulatedAdb
 from repro.phones.phone import VirtualPhone
-from repro.phones.specs import DEFAULT_MSP_FLEET, PhoneSpec
+from repro.phones.specs import PhoneSpec
 from repro.simkernel import RandomStreams, Simulator
 
 
@@ -25,10 +25,8 @@ class MobileServicePlatform:
     sim / adb / streams:
         Shared simulation plumbing.
     specs:
-        Hardware of the remote fleet (defaults to the paper's 13 High +
-        7 Low devices).
-    control_latency:
-        Extra seconds per remote ADB control command.
+        Hardware of the remote fleet (``PlatformConfig.msp_fleet`` defaults
+        to the paper's 13 High + 7 Low devices).
     availability:
         Probability a phone is free when provisioning is attempted.
     """
@@ -37,20 +35,16 @@ class MobileServicePlatform:
         self,
         sim: Simulator,
         adb: SimulatedAdb,
-        specs: Sequence[PhoneSpec] = DEFAULT_MSP_FLEET,
-        streams: RandomStreams | None = None,
-        control_latency: float = 0.8,
+        specs: Sequence[PhoneSpec],
+        streams: RandomStreams,
         availability: float = 1.0,
     ) -> None:
-        if control_latency < 0:
-            raise ValueError("control_latency must be >= 0")
         if not 0.0 <= availability <= 1.0:
             raise ValueError("availability must be in [0, 1]")
         self.sim = sim
         self.adb = adb
         self.specs = list(specs)
-        self.streams = streams or RandomStreams(0)
-        self.control_latency = control_latency
+        self.streams = streams
         self.availability = availability
         self.phones: list[VirtualPhone] = []
 

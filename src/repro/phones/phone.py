@@ -48,14 +48,13 @@ class VirtualPhone:
         sim: Simulator,
         serial: str,
         spec: PhoneSpec,
-        streams: RandomStreams | None = None,
+        streams: RandomStreams,
         is_msp: bool = False,
     ) -> None:
         self.sim = sim
         self.serial = serial
         self.spec = spec
         self.is_msp = is_msp
-        streams = streams or RandomStreams(0)
         self._noise = streams.get(f"phone.{serial}.noise")
         self.battery = BatteryModel(
             spec.battery_mah,

@@ -153,13 +153,15 @@ class PhoneMgr(TierRounds):
         The full physical fleet (local + provisioned MSP phones).
     cost_model:
         beta/lambda/stage-window constants.
-    apk:
-        Training APK installed on participating phones.
     poll_interval:
-        Benchmarking sampling period in seconds (1 Hz default).
+        Benchmarking sampling period in seconds (1 Hz default;
+        ``PlatformConfig.poll_interval``).
     on_sample:
-        Optional hook invoked per collected sample — the platform wires
-        this to the cloud metrics database upload.
+        Hook invoked per collected sample — the platform wires this to
+        the cloud metrics database upload.
+    busy_registry:
+        Reservation registry, shared by the PhoneMgr sessions of
+        concurrent tasks so they never double-book a phone.
     """
 
     # The same cached generator round after round, on whichever phone.
@@ -170,12 +172,11 @@ class PhoneMgr(TierRounds):
         sim: Simulator,
         adb: SimulatedAdb,
         phones: list[VirtualPhone],
-        cost_model: PhysicalCostModel | None = None,
-        apk: TrainingApk | None = None,
-        streams: RandomStreams | None = None,
+        cost_model: PhysicalCostModel,
+        streams: RandomStreams,
+        on_sample: Callable[[DeviceMetricSample], None],
+        busy_registry: set[str],
         poll_interval: float = 1.0,
-        on_sample: Callable[[DeviceMetricSample], None] | None = None,
-        busy_registry: set[str] | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         if poll_interval <= 0:
@@ -183,19 +184,17 @@ class PhoneMgr(TierRounds):
         super().__init__(sim, streams, pool_name="phone-tier")
         self.adb = adb
         self.phones = list(phones)
-        self.cost_model = cost_model or PhysicalCostModel()
-        self.apk = apk or TrainingApk()
+        self.cost_model = cost_model
+        self.apk = TrainingApk()
         self.poll_interval = float(poll_interval)
         self.on_sample = on_sample
         self.tracer = tracer
-        self._task_id = "task"
+        self._task_id = ""
         self.plans: list[PhoneAssignment] = []
         self.computing_phones: dict[str, list[VirtualPhone]] = {}
         self.benchmark_phones: dict[str, list[VirtualPhone]] = {}
         self.benchmark_records: list[BenchmarkRecord] = []
-        # Reservation registry; pass a shared set so several PhoneMgr
-        # sessions (one per concurrent task) never double-book a phone.
-        self._busy: set[str] = busy_registry if busy_registry is not None else set()
+        self._busy = busy_registry
         # The shared benchmark sampler ticker.
         self._sampler_pool = TimeoutPool(sim, name="phone-sampler")
         self._sampler_entries: list[_SampledPhone] = []
@@ -235,7 +234,7 @@ class PhoneMgr(TierRounds):
     # ------------------------------------------------------------------
     # task lifecycle
     # ------------------------------------------------------------------
-    def prepare(self, plans: list[PhoneAssignment], task_id: str = "task") -> Generator:
+    def prepare(self, plans: list[PhoneAssignment], task_id: str) -> Generator:
         """Select phones, install the APK, start the compute framework.
 
         Computing phones pay the framework-startup lambda here (once per
@@ -302,7 +301,7 @@ class PhoneMgr(TierRounds):
         global_weights: np.ndarray | None,
         global_bias: float,
         model_bytes: int,
-        sink: OutcomeSink | None = None,
+        sink: OutcomeSink | None,
     ) -> Generator:
         """Execute one round on computing + benchmarking phones.
 
@@ -564,5 +563,4 @@ class PhoneMgr(TierRounds):
         """
         sample = direct_metric_sample(self.sim.now, phone, self.apk.package)
         record.samples.append(sample)
-        if self.on_sample is not None:
-            self.on_sample(sample)
+        self.on_sample(sample)

@@ -137,7 +137,7 @@ DEFAULT_MSP_FLEET: tuple[PhoneSpec, ...] = tuple(
 )
 
 
-def build_fleet(n_high: int, n_low: int, prefix: str = "SIM") -> list[PhoneSpec]:
+def build_fleet(n_high: int, n_low: int, prefix: str) -> list[PhoneSpec]:
     """Synthesize an arbitrary fleet (for scaled-up cluster experiments)."""
     if n_high < 0 or n_low < 0:
         raise ValueError("fleet sizes must be >= 0")

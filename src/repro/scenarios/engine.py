@@ -274,7 +274,7 @@ class ScenarioRunner:
         spec = self.spec
         default_deadline = spec.transport.deadline_s if spec.transport is not None else None
         n_tasks = 0
-        for tenant in spec.tenants:
+        for position, tenant in enumerate(spec.tenants):
             ledger: list[tuple[str, float]] = []
             arrival_rng = self.platform.streams.get(f"scenario.arrival.{tenant.name}")
             times = tenant.arrival.submission_times(arrival_rng)
@@ -288,7 +288,14 @@ class ScenarioRunner:
                     logical, physical = self._slowed_costs(slowdown)
                     options["logical_cost"] = logical
                     options["physical_cost"] = physical
-                self.platform.submit(task, at=submit_time, **options)
+                try:
+                    self.platform.submit(task, at=submit_time, **options)
+                except ValueError as exc:
+                    # An error that opens with a grade gets that grade's path in the scenario file.
+                    for row, grade in enumerate(tenant.grades):
+                        if str(exc).startswith(f"grade {grade.grade!r} "):
+                            raise ValueError(f"tenants[{position}].grades[{row}].{exc}") from None
+                    raise
                 ledger.append((task.task_id, submit_time))
                 n_tasks += 1
             self.submissions[tenant.name] = ledger
@@ -326,6 +333,6 @@ class ScenarioRunner:
         )
 
 
-def run_scenario(spec: ScenarioSpec, tracer: Tracer | None = None) -> ScenarioReport:
+def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """One-call convenience: build, replay, report."""
-    return ScenarioRunner(spec, tracer=tracer).run()
+    return ScenarioRunner(spec).run()

@@ -215,16 +215,16 @@ def build_report(
     platform: SimDC,
     submissions: dict[str, list[tuple[str, float]]],
     finished_at: float,
-    alarms: AlarmEngine | None = None,
-    autoscaler: AutoscalePolicy | None = None,
+    alarms: AlarmEngine,
+    autoscaler: AutoscalePolicy | None,
 ) -> ScenarioReport:
     """Aggregate one finished run into a :class:`ScenarioReport`.
 
     ``submissions`` maps tenant name to its ``(task_id, submit_time)``
     ledger (the engine records it while scheduling the arrival events).
-    ``alarms`` / ``autoscaler`` are the run's live observability objects
-    (their summaries and the authoritative final SLA check land in the
-    report).
+    ``alarms`` / ``autoscaler`` (``None`` when the spec configures no
+    autoscaling) are the run's live observability objects (their summaries
+    and the authoritative final SLA check land in the report).
     """
     report = ScenarioReport(scenario=spec.name, seed=spec.seed, finished_at=finished_at)
     total_bundles = platform.resource_manager.total_bundles()
@@ -303,8 +303,7 @@ def build_report(
             report.fault_events[kind] = count
         elif kind in OBSERVABILITY_KINDS:
             report.alarm_events[kind] = count
-    if alarms is not None:
-        report.alarms = alarms.summary()
+    report.alarms = alarms.summary()
     if autoscaler is not None:
         report.autoscale = autoscaler.summary()
     report.slas = evaluate_slas(spec.all_slas(), report.tenants)

@@ -125,9 +125,9 @@ class PopulationSpec:
         network = self.networks().expected_failure_prob()
         return 1.0 - (1.0 - network) * (1.0 - self.dropout_prob)
 
-    def traffic_curve(self, name: str = "population-diurnal") -> TrafficCurve:
+    def traffic_curve(self) -> TrafficCurve:
         """Aggregate upload-rate curve over UTC (feeds interval dispatch)."""
-        return population_traffic_curve(self.timezones(), self.availability(), name=name)
+        return population_traffic_curve(self.timezones(), self.availability())
 
 
 # ----------------------------------------------------------------------
@@ -324,10 +324,10 @@ class TenantSpec:
         )
 
     @classmethod
-    def from_dict(cls, data: dict, path: str = "") -> TenantSpec:
-        """Build from plain data; ``path`` locates it for error messages."""
+    def from_dict(cls, data: dict, path: str) -> TenantSpec:
+        """Build from plain data; ``path`` (``tenants[i]``) locates it for error messages."""
         data = dict(data)
-        prefix = f"{path}." if path else ""
+        prefix = f"{path}."
         if "grades" in data:
             data["grades"] = [
                 _from_fields(GradeSpec, g, f"{prefix}grades[{i}]") for i, g in enumerate(data["grades"])

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 from collections.abc import Sequence
-from typing import Literal
 
 import numpy as np
 
@@ -221,18 +220,15 @@ def _candidate_times(problem: AllocationProblem) -> list[float]:
     return sorted(candidates)
 
 
-def solve_allocation(
-    problem: AllocationProblem,
-    prefer: Literal["logical", "physical"] = "logical",
-) -> AllocationResult:
+def solve_allocation(problem: AllocationProblem) -> AllocationResult:
     """Exact min-makespan solver via binary search over candidate times.
 
     ``T*`` must coincide with some grade's tier completing an integral
     number of waves, so the candidate set ``{w*alpha_i} ∪ {w*beta_i +
     lambda_i}`` contains the optimum; feasibility at a deadline is an
-    independent per-grade interval check.  Among optimal solutions,
-    ``prefer="logical"`` maximises ``sum x_i`` (the paper's secondary
-    objective) and ``prefer="physical"`` minimises it.
+    independent per-grade interval check.  Among optimal solutions the
+    one that maximises ``sum x_i`` is returned (the paper's secondary
+    objective).
     """
     candidates = _candidate_times(problem)
     lo, hi = 0, len(candidates) - 1
@@ -251,8 +247,7 @@ def solve_allocation(
     for params in problem.grades:
         interval = _feasible_range(params, best)
         assert interval is not None
-        x_min, x_max = interval
-        x.append(x_max if prefer == "logical" else x_min)
+        x.append(interval[1])
     result = evaluate_allocation(problem, x)
     result.solver = "search"
     return result

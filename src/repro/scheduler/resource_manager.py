@@ -70,15 +70,10 @@ class ResourceManager:
         1 CPU + 1 GB).
     """
 
-    def __init__(
-        self,
-        cluster: K8sCluster,
-        phones: list[VirtualPhone],
-        unit_bundle: ResourceBundle | None = None,
-    ) -> None:
+    def __init__(self, cluster: K8sCluster, phones: list[VirtualPhone], unit_bundle: ResourceBundle) -> None:
         self.cluster = cluster
         self.phones = list(phones)
-        self.unit_bundle = unit_bundle if unit_bundle is not None else ResourceBundle(cpus=1.0, memory_gb=1.0)
+        self.unit_bundle = unit_bundle
         self._frozen_bundles = 0
         self._frozen_phones: dict[str, int] = {}
         self._grants: dict[str, ResourceGrant] = {}
@@ -159,7 +154,7 @@ class ResourceManager:
     # ------------------------------------------------------------------
     # dynamic scaling
     # ------------------------------------------------------------------
-    def scale_up(self, spec: NodeSpec, count: int = 1) -> list[str]:
+    def scale_up(self, spec: NodeSpec, count: int) -> list[str]:
         """Add cluster nodes; returns their ids."""
         if count <= 0:
             raise ValueError("count must be positive")

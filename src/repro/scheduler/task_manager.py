@@ -34,7 +34,7 @@ class TaskManager:
         shared substrates (the Task Runner "supports multi-threaded
         concurrent processing" — here, concurrent simulation processes).
     monitor:
-        Optional event log.
+        The platform's event log.
     scheduling_interval:
         Period of the background scheduling tick (seconds, simulated).
     """
@@ -44,7 +44,7 @@ class TaskManager:
         sim: Simulator,
         resource_manager: ResourceManager,
         runner_factory: Callable[[TaskSpec], TaskRunner],
-        monitor: Monitor | None = None,
+        monitor: Monitor,
         scheduling_interval: float = 5.0,
     ) -> None:
         if scheduling_interval <= 0:
@@ -65,7 +65,7 @@ class TaskManager:
     def submit(self, spec: TaskSpec) -> TaskSpec:
         """Queue a task and trigger an immediate scheduling pass."""
         self.queue.submit(spec)
-        self._log("task_submitted", task_id=spec.task_id, priority=spec.priority)
+        self.monitor.log("task_submitted", task_id=spec.task_id, priority=spec.priority)
         self._schedule_pass()
         self._arm_tick()
         return spec
@@ -81,7 +81,7 @@ class TaskManager:
         if time < self.sim.now:
             raise ValueError(f"cannot submit in the past: {time!r} < now {self.sim.now!r}")
         self._deferred += 1
-        self._log("task_deferred", task_id=spec.task_id, submit_at=time)
+        self.monitor.log("task_deferred", task_id=spec.task_id, submit_at=time)
         self.sim.schedule_at(time, self._submit_deferred, spec)
         return spec
 
@@ -123,7 +123,7 @@ class TaskManager:
             spec.state = TaskState.SCHEDULED
             runner = self.runner_factory(spec)
             self.running[spec.task_id] = runner
-            self._log("task_scheduled", task_id=spec.task_id)
+            self.monitor.log("task_scheduled", task_id=spec.task_id)
             self.sim.process(self._supervise(spec, runner), name=f"supervise.{spec.task_id}")
 
     def _supervise(self, spec: TaskSpec, runner: TaskRunner) -> Generator:
@@ -154,7 +154,3 @@ class TaskManager:
             if self.queue:
                 self._schedule_pass()
         self._tick_scheduled = False
-
-    def _log(self, kind: str, **fields) -> None:
-        if self.monitor is not None:
-            self.monitor.log(kind, **fields)

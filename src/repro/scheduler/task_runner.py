@@ -37,6 +37,7 @@ from repro.cluster.rounds import DeviceColumns
 from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 from repro.data.avazu import FederatedDataset, make_federated_ctr_data
 from repro.deviceflow.controller import DeviceFlow
+from repro.ml.backends import SERVER_BACKEND
 from repro.ml.model import LogisticRegressionModel
 from repro.phones.adb import SimulatedAdb
 from repro.phones.cost import PhysicalCostModel
@@ -108,15 +109,19 @@ class TaskRunner:
         The task to run.
     cluster / logical_cost:
         Logical tier.
-    phones / adb / physical_cost / busy_registry:
-        Physical tier (the busy registry is shared across runners).
+    phones / adb / physical_cost / busy_registry / poll_interval:
+        Physical tier (the busy registry is shared across runners;
+        ``poll_interval`` is the benchmarking-phone sampling period).
     storage / db / monitor:
         Cloud substrates.
     deviceflow:
         Shared traffic controller (used when the spec carries a strategy).
-    fixed_allocation:
+    unit_bundle:
+        The indivisible logical allocation unit.
+    fixed_allocation / dataset:
         Optional explicit per-grade logical counts overriding the
-        optimizer (the Type 1-5 experiments use this).
+        optimizer (the Type 1-5 experiments use this), and an optional
+        pre-built federated dataset replacing the spec-derived one.
     channel / channel_scope:
         Optional device→cloud :class:`~repro.cloud.transport.ChannelModel`
         fronting the ingestion sink, and the tenant scope its windows
@@ -133,32 +138,32 @@ class TaskRunner:
         phones: list[VirtualPhone],
         adb: SimulatedAdb,
         storage: ObjectStorage,
-        deviceflow: DeviceFlow | None = None,
-        logical_cost: LogicalCostModel | None = None,
-        physical_cost: PhysicalCostModel | None = None,
-        streams: RandomStreams | None = None,
-        busy_registry: set | None = None,
-        db: MetricsDatabase | None = None,
-        monitor: Monitor | None = None,
+        deviceflow: DeviceFlow,
+        logical_cost: LogicalCostModel,
+        physical_cost: PhysicalCostModel,
+        streams: RandomStreams,
+        busy_registry: set,
+        db: MetricsDatabase,
+        monitor: Monitor,
+        unit_bundle: ResourceBundle,
+        poll_interval: float,
         fixed_allocation: dict[str, int] | None = None,
         dataset: FederatedDataset | None = None,
-        unit_bundle: ResourceBundle | None = None,
         channel: ChannelModel | None = None,
         channel_scope: str = "",
         tracer: Tracer | None = None,
     ) -> None:
         self.sim = sim
         self.spec = spec
-        self.cluster = cluster
         self.storage = storage
         self.deviceflow = deviceflow
-        self.logical_cost = logical_cost or LogicalCostModel()
-        self.physical_cost = physical_cost or PhysicalCostModel()
-        self.streams = streams or RandomStreams(0)
+        self.logical_cost = logical_cost
+        self.physical_cost = physical_cost
+        self.streams = streams
         self.db = db
         self.monitor = monitor
         self.fixed_allocation = fixed_allocation
-        self.unit_bundle = unit_bundle if unit_bundle is not None else ResourceBundle(cpus=1.0, memory_gb=1.0)
+        self.unit_bundle = unit_bundle
         self._provided_dataset = dataset
         self.channel = channel
         self.channel_scope = channel_scope
@@ -174,10 +179,11 @@ class TaskRunner:
             phones,
             cost_model=self.physical_cost,
             streams=self.streams,
-            busy_registry=busy_registry,
             # Not a bound method: the runner must not sit in a reference cycle with
             # its tier, or a finished task's plans wait for the cyclic collector.
-            on_sample=partial(_store_sample, db, spec.task_id) if db is not None else None,
+            on_sample=partial(_store_sample, db, spec.task_id),
+            busy_registry=busy_registry,
+            poll_interval=poll_interval,
             tracer=tracer,
         )
         self.service: AggregationService | None = None
@@ -189,13 +195,13 @@ class TaskRunner:
         spec = self.spec
         spec.state = TaskState.RUNNING
         started = self.sim.now
-        self._log("task_started", task_id=spec.task_id)
+        self.monitor.log("task_started", task_id=spec.task_id)
         try:
             dataset = self._build_dataset()
             allocation = self._solve_allocation()
             logical_plans, phone_plans = self._build_plans(dataset, allocation)
             self.service = self._build_service(dataset)
-            uses_flow = self.deviceflow is not None and spec.deviceflow_strategy is not None
+            uses_flow = spec.deviceflow_strategy is not None
             channel_active = self.channel is not None and self.channel.active_for(
                 self.channel_scope
             )
@@ -238,7 +244,7 @@ class TaskRunner:
             if prepares:
                 yield AllOf(prepares)
 
-            model_bytes = LogisticRegressionModel(spec.feature_dim).payload_size()
+            model_bytes = LogisticRegressionModel(spec.feature_dim, SERVER_BACKEND).payload_size()
             for round_index in range(1, spec.rounds + 1):
                 yield self.sim.process(
                     self._run_round(round_index, model_bytes, uses_flow),
@@ -270,9 +276,9 @@ class TaskRunner:
                 finished_at=self.sim.now,
                 error=repr(exc),
             )
-            self._log("task_failed", task_id=spec.task_id, error=repr(exc))
+            self.monitor.log("task_failed", task_id=spec.task_id, error=repr(exc))
             raise
-        self._log("task_completed", task_id=spec.task_id, makespan=self.result.makespan)
+        self.monitor.log("task_completed", task_id=spec.task_id, makespan=self.result.makespan)
         return self.result
 
     # ------------------------------------------------------------------
@@ -365,7 +371,7 @@ class TaskRunner:
         return logical_plans, phone_plans
 
     def _build_service(self, dataset: FederatedDataset | None) -> AggregationService:
-        model = LogisticRegressionModel(self.spec.feature_dim) if self.spec.numeric else None
+        model = LogisticRegressionModel(self.spec.feature_dim, SERVER_BACKEND) if self.spec.numeric else None
         test_set = dataset.test if dataset is not None else None
         return AggregationService(
             self.sim,
@@ -426,7 +432,7 @@ class TaskRunner:
             self.deviceflow.round_completed(spec.task_id, round_index)
             yield self.sim.process(self._await_deliveries(), name=f"{spec.task_id}.drain")
         if counters is not None:
-            self._log(
+            self.monitor.log(
                 "transport_round",
                 task_id=spec.task_id,
                 round=round_index,
@@ -441,7 +447,7 @@ class TaskRunner:
         self._open_round = None
         if self.service.pending_updates > 0:
             record = self.service.aggregate_now()
-            self._log(
+            self.monitor.log(
                 "round_aggregated",
                 task_id=spec.task_id,
                 round=round_index,
@@ -467,7 +473,6 @@ class TaskRunner:
         the drain condition is monotone and this loop terminates for any
         bounded strategy schedule.
         """
-        assert self.deviceflow is not None
         while True:
             stats = self.deviceflow.stats(self.spec.task_id)
             if stats.shelved == 0 and stats.delivered + stats.dropped >= stats.received:
@@ -486,7 +491,7 @@ class TaskRunner:
             return
         dropped = self.deviceflow.discard_shelved(self.spec.task_id)
         if dropped > 0:
-            self._log(
+            self.monitor.log(
                 "round_deadline_closed",
                 task_id=self.spec.task_id,
                 round=round_index,
@@ -518,10 +523,6 @@ class TaskRunner:
         """
         self.logical.teardown()
         self.phonemgr.abort()
-        if self._flow_registered and self.deviceflow is not None:
+        if self._flow_registered:
             self.deviceflow.force_unregister(self.spec.task_id)
             self._flow_registered = False
-
-    def _log(self, kind: str, **fields) -> None:
-        if self.monitor is not None:
-            self.monitor.log(kind, **fields)

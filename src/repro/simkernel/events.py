@@ -1,13 +1,13 @@
 """Event heap for the simulation kernel.
 
-Events are ordered by ``(time, priority, sequence)``: earlier simulated time
-first, then lower priority number, then insertion order.  The sequence
-counter makes ordering fully deterministic, which in turn makes every SimDC
-run reproducible for a fixed seed.
+Events are ordered by ``(time, sequence)``: earlier simulated time first,
+then insertion order.  The sequence counter makes ordering fully
+deterministic, which in turn makes every SimDC run reproducible for a fixed
+seed.
 
 Two hot-path design points:
 
-* Heap entries are plain ``(time, priority, seq, event)`` tuples so sift
+* Heap entries are plain ``(time, seq, event)`` tuples so sift
   comparisons stay in C (tuple comparison) instead of calling back into a
   Python ``__lt__``.  At the Fig. 8 scales (~10^6 events per round) the
   sift comparisons dominate kernel time otherwise.
@@ -30,13 +30,6 @@ class Event:
     ----------
     time:
         Absolute simulated time at which the callback fires.
-    priority:
-        Tie-break within one timestamp; lower fires first.  The kernel
-        reserves priority ``0`` for ordinary events; resumptions of
-        processes use the same default so ordering falls back to insertion
-        order.
-    seq:
-        Monotonic insertion index (assigned by :class:`EventQueue`).
     callback / args:
         The callable and the positional arguments it fires with.
     cancelled:
@@ -48,19 +41,10 @@ class Event:
         marks it skipped but no longer affects the queue's live count.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled", "popped")
+    __slots__ = ("time", "callback", "args", "cancelled", "popped")
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple = (),
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[..., Any], args: tuple) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -75,23 +59,17 @@ class EventQueue:
     """A deterministic priority queue of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
     def __len__(self) -> int:
         return self._live
 
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        priority: int = 0,
-    ) -> Event:
+    def push(self, time: float, callback: Callable[..., Any], args: tuple) -> Event:
         """Insert ``callback(*args)`` to fire at absolute ``time``; return its handle."""
-        event = Event(time, priority, next(self._counter), callback, args)
-        heapq.heappush(self._heap, (time, priority, event.seq, event))
+        event = Event(time, callback, args)
+        heapq.heappush(self._heap, (time, next(self._counter), event))
         self._live += 1
         return event
 
@@ -99,7 +77,7 @@ class EventQueue:
         """Remove and return the earliest non-cancelled event, or ``None``."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[3]
+            event = heapq.heappop(heap)[2]
             event.popped = True
             if event.cancelled:
                 continue
@@ -108,30 +86,27 @@ class EventQueue:
         return None
 
     def pop_batch(self) -> list[Event]:
-        """Drain the maximal run of events sharing the head's ``(time, priority)``.
+        """Drain the maximal run of events sharing the head's time.
 
         Returns the events in deterministic ``seq`` order (which equals
-        insertion order within one ``(time, priority)`` run).  Returns an
-        empty list when the queue is empty.
+        insertion order).  Returns an empty list when the queue is empty.
 
         Semantics note: a callback that fires during the batch may cancel a
         later event of the same batch — callers must re-check
         ``event.cancelled`` before firing each event (``Simulator.step_batch``
         does).  A callback that schedules a *new* event at the current
         timestamp sees it land in a subsequent batch, which matches
-        one-at-a-time ordering except for the exotic case of scheduling at
-        the current timestamp with a strictly lower priority number than the
-        batch being drained.
+        one-at-a-time ordering.
         """
         heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)[3].popped = True
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)[2].popped = True
         if not heap:
             return []
-        head_time, head_priority = heap[0][0], heap[0][1]
+        head_time = heap[0][0]
         batch: list[Event] = []
-        while heap and heap[0][0] == head_time and heap[0][1] == head_priority:
-            event = heapq.heappop(heap)[3]
+        while heap and heap[0][0] == head_time:
+            event = heapq.heappop(heap)[2]
             event.popped = True
             if not event.cancelled:
                 batch.append(event)
@@ -141,8 +116,8 @@ class EventQueue:
     def peek_time(self) -> float | None:
         """Time of the earliest pending event without removing it."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)[3].popped = True
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)[2].popped = True
         if not heap:
             return None
         return heap[0][0]

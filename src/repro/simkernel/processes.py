@@ -42,16 +42,15 @@ class Waitable:
 class Timeout(Waitable):
     """Resume the yielding process after ``delay`` simulated time units."""
 
-    __slots__ = ("delay", "value")
+    __slots__ = ("delay",)
 
-    def __init__(self, delay: float, value: Any = None) -> None:
+    def __init__(self, delay: float) -> None:
         if delay < 0:
             raise ValueError(f"Timeout delay must be >= 0, got {delay!r}")
         self.delay = float(delay)
-        self.value = value
 
     def subscribe(self, sim: Simulator, callback: Callable[[Any, BaseException | None], None]) -> None:
-        sim.schedule(self.delay, callback, self.value, None)
+        sim.schedule(self.delay, callback, None, None)
 
 
 class Signal(Waitable):
@@ -65,7 +64,7 @@ class Signal(Waitable):
 
     __slots__ = ("name", "_fired", "_value", "_error", "_waiters")
 
-    def __init__(self, name: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self._fired = False
         self._value: Any = None

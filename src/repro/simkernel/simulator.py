@@ -14,29 +14,20 @@ class Simulator:
 
     All SimDC components share one ``Simulator``; simulated time only
     advances inside :meth:`run` / :meth:`run_until` / :meth:`step` /
-    :meth:`step_batch`.
-
-    Parameters
-    ----------
-    start_time:
-        Initial clock value (seconds by convention throughout SimDC).
-    strict:
-        When true (default), an exception escaping a process that no other
-        process is waiting on aborts the run with :class:`ProcessError`.
-        When false such failures are recorded in :attr:`orphan_failures`.
+    :meth:`step_batch`.  The clock starts at 0.0 (seconds by convention
+    throughout SimDC).  An exception escaping a process that no other
+    process is waiting on aborts the run with :class:`ProcessError`.
     """
 
-    def __init__(self, start_time: float = 0.0, strict: bool = True) -> None:
-        self.now = float(start_time)
-        self.strict = strict
-        self.orphan_failures: list[tuple[Process, BaseException]] = []
+    def __init__(self) -> None:
+        self.now = 0.0
         self._queue = EventQueue()
         self._pending_error: ProcessError | None = None
 
     # ------------------------------------------------------------------
     # scheduling primitives
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any, priority: int = 0) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` time units.
 
         The callback and its arguments are stored as a ``(callback, args)``
@@ -44,13 +35,13 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay!r}")
-        return self._queue.push(self.now + delay, callback, args, priority=priority)
+        return self._queue.push(self.now + delay, callback, args)
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, priority: int = 0) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time!r} < now {self.now!r}")
-        return self._queue.push(time, callback, args, priority=priority)
+        return self._queue.push(time, callback, args)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event."""
@@ -78,15 +69,14 @@ class Simulator:
         return True
 
     def step_batch(self) -> int:
-        """Drain every event sharing the earliest ``(time, priority)`` at once.
+        """Drain every event sharing the earliest timestamp at once.
 
         Returns the number of events fired (0 when the queue is empty).
         Firing order within the batch is identical to repeated :meth:`step`
         calls; events cancelled by an earlier callback of the same batch
         are skipped.  Events that a callback schedules at the current
         timestamp land in the *next* batch, which preserves one-at-a-time
-        ordering for same-or-higher priority numbers (the kernel-wide
-        convention; see ``EventQueue.pop_batch``).
+        ordering.
         """
         batch = self._queue.pop_batch()
         if not batch:
@@ -114,8 +104,7 @@ class Simulator:
 
         The loop drains same-timestamp events in batches
         (:meth:`step_batch`); firing order is the one repeated
-        :meth:`step` calls produce for simulations that follow the
-        kernel's priority conventions.
+        :meth:`step` calls produce.
         """
         if until is not None and until < self.now:
             raise ValueError(f"until={until!r} is in the past (now={self.now!r})")
@@ -136,8 +125,8 @@ class Simulator:
 
         Raises ``TimeoutError`` if ``max_time`` is exceeded or the queue
         drains before the predicate holds.  The predicate is evaluated at
-        :meth:`step_batch` boundaries, i.e. once per distinct
-        ``(time, priority)``, never between same-timestamp events.
+        :meth:`step_batch` boundaries, never between events that were
+        queued for the same timestamp together.
         """
         while not predicate():
             next_time = self._queue.peek_time()
@@ -157,11 +146,9 @@ class Simulator:
     # failure handling
     # ------------------------------------------------------------------
     def _report_orphan_failure(self, process: Process, error: BaseException) -> None:
-        self.orphan_failures.append((process, error))
-        if self.strict:
-            wrapped = ProcessError(f"process {process.name!r} failed with {error!r}")
-            wrapped.__cause__ = error
-            self._pending_error = wrapped
+        wrapped = ProcessError(f"process {process.name!r} failed with {error!r}")
+        wrapped.__cause__ = error
+        self._pending_error = wrapped
 
     def _raise_pending(self) -> None:
         if self._pending_error is not None:

@@ -19,7 +19,7 @@ insertion order), then singleton entries (in insertion order).  Entries
 never fire before their deadline, and the pool never holds the clock back:
 the sentinel is an ordinary kernel event, so pooled callbacks interleave
 with heap events at the same timestamp according to the sentinel's own
-``(priority, seq)`` position.
+``seq`` position.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class TimeoutPool:
     #: half the slots are dead (fired or cancelled).
     _COMPACT_THRESHOLD = 256
 
-    def __init__(self, sim: Simulator, name: str = "timeout-pool") -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
         # Singleton entries: parallel NumPy buffers + payload/handle lists.
@@ -217,19 +217,19 @@ class TimeoutPool:
         interval: float,
         callback: Callable[..., Any],
         *args: Any,
-        first_at: float | None = None,
+        first_at: float,
     ) -> RecurringTimeout:
         """Fire ``callback(*args)`` every ``interval`` until cancelled.
 
-        The first fire is at ``first_at`` (default ``now + interval``);
-        subsequent ticks accumulate as ``fire_time + interval``.  Returns a
+        The first fire is at absolute time ``first_at``; subsequent ticks
+        accumulate as ``fire_time + interval``.  Returns a
         :class:`RecurringTimeout` handle whose ``cancel()`` stops the
         recurrence — including from within the callback itself.
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval!r}")
         handle = RecurringTimeout(self, interval, callback, args)
-        handle._arm(self.sim.now + interval if first_at is None else float(first_at))
+        handle._arm(float(first_at))
         return handle
 
     # ------------------------------------------------------------------

@@ -48,7 +48,7 @@ class ReferenceSyntheticAvazu(SyntheticAvazu):
         }
         global_bias = self._calibrate_intercept(rng, true_weights, vocab_for_calibration)
         if device_biases is None:
-            device_biases = rng.normal(0.0, self.device_bias_std, self.n_devices)
+            device_biases = rng.normal(0.0, self.DEVICE_BIAS_STD, self.n_devices)
         elif len(device_biases) != self.n_devices:
             raise ValueError(
                 f"device_biases must have length {self.n_devices}, got {len(device_biases)}"
@@ -82,9 +82,9 @@ class ReferenceSyntheticAvazu(SyntheticAvazu):
     def _ground_truth(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
         """Sparse true weights plus the naive (uncalibrated) intercept."""
         weights = np.zeros(self.feature_dim)
-        n_active = max(8, int(self.active_fraction * self.feature_dim))
+        n_active = max(8, int(self.ACTIVE_FRACTION * self.feature_dim))
         active = rng.choice(self.feature_dim, size=n_active, replace=False)
-        weights[active] = rng.normal(0.0, self.signal_scale, n_active)
+        weights[active] = rng.normal(0.0, self.SIGNAL_SCALE, n_active)
         intercept = float(np.log(self.base_ctr / (1.0 - self.base_ctr)))
         return weights, intercept
 
@@ -93,9 +93,8 @@ class ReferenceSyntheticAvazu(SyntheticAvazu):
         rng: np.random.Generator,
         true_weights: np.ndarray,
         vocab: dict[str, np.ndarray],
-        n_calibration: int = 4000,
     ) -> float:
-        features = self._draw_features(rng, n_calibration, vocab)
+        features = self._draw_features(rng, self.N_CALIBRATION, vocab)
         scores = true_weights[features].sum(axis=1)
         low, high = -15.0, 15.0
         for _ in range(60):

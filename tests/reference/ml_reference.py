@@ -86,8 +86,6 @@ def run_epoch(
         gradient = np.zeros_like(weights)
         np.add.at(gradient, batch_features.ravel(), np.repeat(errors, batch_features.shape[1]))
         gradient /= len(batch)
-        if optimizer.l2 > 0.0:
-            gradient += optimizer.l2 * weights
         weights -= optimizer.learning_rate * gradient
         bias -= optimizer.learning_rate * float(errors.mean())
     return weights, bias
@@ -207,11 +205,10 @@ class ScalarLogisticRegressionModel:
         epochs: int = 10,
         learning_rate: float = 1e-3,
         batch_size: int = 32,
-        l2: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> None:
         """Train in place with the paper's local-SGD recipe."""
-        optimizer = SGD(learning_rate=learning_rate, l2=l2, batch_size=batch_size)
+        optimizer = SGD(learning_rate=learning_rate, batch_size=batch_size)
         self.weights, self.bias = run_epochs(
             optimizer, self.weights, self.bias, features, labels, epochs, rng=rng, backend=self.backend
         )

@@ -68,7 +68,7 @@ class TestDiurnalAvailability:
 class TestPopulationTrafficCurve:
     def test_curve_is_valid_and_feeds_deviceflow(self):
         mixture = TimezoneMixture()
-        curve = population_traffic_curve(mixture)
+        curve = population_traffic_curve(mixture, DiurnalAvailability())
         assert curve.domain == (0.0, 24.0)
         assert curve.area() > 0
         # The whole point: it can drive a TimeIntervalStrategy directly.
@@ -77,7 +77,7 @@ class TestPopulationTrafficCurve:
 
     def test_timezone_mixing_flattens_curve(self):
         """Many timezones smooth the global arrival curve (Fig. 3's point)."""
-        single = population_traffic_curve(TimezoneMixture([(8, 1.0)]))
-        spread = population_traffic_curve(TimezoneMixture())
+        single = population_traffic_curve(TimezoneMixture([(8, 1.0)]), DiurnalAvailability())
+        spread = population_traffic_curve(TimezoneMixture(), DiurnalAvailability())
         hours = np.linspace(0, 24, 200)
         assert np.std(spread(hours)) < np.std(single(hours))

@@ -13,7 +13,7 @@ from repro.cloud import (
 )
 from repro.data import SyntheticAvazu
 from repro.deviceflow import Message
-from repro.ml import LogisticRegressionModel, ModelUpdate
+from repro.ml import SERVER_BACKEND, LogisticRegressionModel, ModelUpdate
 from repro.simkernel import Simulator
 
 
@@ -62,13 +62,6 @@ class TestMetricsDatabase:
         assert db.count("samples") == 2
         assert db.query("samples", serial="a")[0]["cpu"] == 5.0
 
-    def test_query_predicate(self):
-        db = MetricsDatabase()
-        for i in range(10):
-            db.insert("t", {"x": i})
-        hot = db.query("t", where=lambda r: r["x"] > 7)
-        assert [r["x"] for r in hot] == [8, 9]
-
     def test_records_copied_on_insert(self):
         db = MetricsDatabase()
         record = {"x": 1}
@@ -99,7 +92,7 @@ class TestSampleThresholdTrigger:
         sim = Simulator()
         storage = ObjectStorage()
         service = AggregationService(
-            sim, storage, SampleThresholdTrigger(25), model=LogisticRegressionModel(64)
+            sim, storage, SampleThresholdTrigger(25), model=LogisticRegressionModel(64, SERVER_BACKEND), name="agg"
         )
         service.start()
         for i in range(5):
@@ -121,7 +114,8 @@ class TestScheduledTrigger:
         storage = ObjectStorage()
         service = AggregationService(
             sim, storage, ScheduledTrigger(60.0, max_rounds=3),
-            model=LogisticRegressionModel(16),
+            model=LogisticRegressionModel(16, SERVER_BACKEND),
+            name="agg",
         )
         service.start()
         for t, device in ((10.0, "a"), (70.0, "b"), (130.0, "c")):
@@ -135,7 +129,8 @@ class TestScheduledTrigger:
         sim = Simulator()
         service = AggregationService(
             sim, ObjectStorage(), ScheduledTrigger(30.0, max_rounds=4),
-            model=LogisticRegressionModel(16),
+            model=LogisticRegressionModel(16, SERVER_BACKEND),
+            name="agg",
         )
         service.start()
         sim.schedule(100.0, service.receive_update, make_update("only", dim=16))
@@ -145,7 +140,8 @@ class TestScheduledTrigger:
     def test_stop_disarms(self):
         sim = Simulator()
         service = AggregationService(
-            sim, ObjectStorage(), ScheduledTrigger(10.0), model=LogisticRegressionModel(16)
+            sim, ObjectStorage(), ScheduledTrigger(10.0, max_rounds=3),
+            model=LogisticRegressionModel(16, SERVER_BACKEND), name="agg",
         )
         service.start()
         service.receive_update(make_update("a", dim=16))
@@ -155,7 +151,7 @@ class TestScheduledTrigger:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ScheduledTrigger(0)
+            ScheduledTrigger(0, max_rounds=1)
         with pytest.raises(ValueError):
             ScheduledTrigger(10.0, max_rounds=0)
 
@@ -167,7 +163,7 @@ class TestAggregationService:
         update = make_update("d0", dim=32)
         storage.put("u/d0", update, update.payload_bytes())
         service = AggregationService(
-            sim, storage, SampleThresholdTrigger(5), model=LogisticRegressionModel(32)
+            sim, storage, SampleThresholdTrigger(5), model=LogisticRegressionModel(32, SERVER_BACKEND), name="agg"
         )
         message = Message(
             task_id="t", device_id="d0", round_index=1, payload_ref="u/d0",
@@ -183,7 +179,7 @@ class TestAggregationService:
         storage = ObjectStorage()
         storage.put("junk", {"not": "an update"}, 10)
         service = AggregationService(
-            sim, storage, SampleThresholdTrigger(5), model=LogisticRegressionModel(32)
+            sim, storage, SampleThresholdTrigger(5), model=LogisticRegressionModel(32, SERVER_BACKEND), name="agg"
         )
         message = Message(task_id="t", device_id="d", round_index=1, payload_ref="junk")
         with pytest.raises(TypeError):
@@ -191,8 +187,8 @@ class TestAggregationService:
 
     def test_fedavg_applied_to_global_model(self):
         sim = Simulator()
-        model = LogisticRegressionModel(8)
-        service = AggregationService(sim, ObjectStorage(), SampleThresholdTrigger(20), model=model)
+        model = LogisticRegressionModel(8, SERVER_BACKEND)
+        service = AggregationService(sim, ObjectStorage(), SampleThresholdTrigger(20), model=model, name="agg")
         service.receive_update(make_update("a", dim=8, n_samples=10, value=1.0))
         service.receive_update(make_update("b", dim=8, n_samples=10, value=3.0))
         assert np.allclose(model.weights, 2.0)
@@ -200,17 +196,13 @@ class TestAggregationService:
 
     def test_counting_mode_without_model(self):
         sim = Simulator()
-        rounds = []
-        service = AggregationService(
-            sim, ObjectStorage(), SampleThresholdTrigger(30), model=None,
-            on_global_model=lambda r, w, b: rounds.append(r),
-        )
+        service = AggregationService(sim, ObjectStorage(), SampleThresholdTrigger(30), model=None, name="agg")
         for i in range(6):
             message = Message(task_id="t", device_id=f"d{i}", round_index=1,
                               payload_ref="none", n_samples=10)
             service.receive_message(message)
         assert service.rounds_completed == 2
-        assert rounds == [1, 2]
+        assert [record.round_index for record in service.history] == [1, 2]
 
     def test_test_set_evaluation_recorded(self):
         sim = Simulator()
@@ -219,33 +211,19 @@ class TestAggregationService:
         )
         service = AggregationService(
             sim, ObjectStorage(), SampleThresholdTrigger(5),
-            model=LogisticRegressionModel(32), test_set=data.test,
+            model=LogisticRegressionModel(32, SERVER_BACKEND), test_set=data.test,
+            name="agg",
         )
         service.receive_update(make_update("a", dim=32, value=0.0))
         record = service.history[0]
         assert record.test_loss is not None
         assert 0.0 <= record.test_accuracy <= 1.0
 
-    def test_train_eval_over_contributors(self):
-        sim = Simulator()
-        data = SyntheticAvazu(n_devices=3, records_per_device=10, feature_dim=32, seed=0).generate()
-        ids = data.device_ids()
-        service = AggregationService(
-            sim, ObjectStorage(), SampleThresholdTrigger(5),
-            model=LogisticRegressionModel(32),
-            train_eval_shards={d: data.shard(d) for d in ids},
-        )
-        service.receive_update(
-            ModelUpdate(device_id=ids[0], round_index=1, weights=np.zeros(32),
-                        bias=0.0, n_samples=10)
-        )
-        record = service.history[0]
-        assert record.train_accuracy is not None
-
     def test_aggregate_empty_rejected(self):
         sim = Simulator()
         service = AggregationService(
-            sim, ObjectStorage(), SampleThresholdTrigger(5), model=LogisticRegressionModel(8)
+            sim, ObjectStorage(), SampleThresholdTrigger(5),
+            model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg",
         )
         with pytest.raises(RuntimeError):
             service.aggregate_now()
@@ -255,7 +233,8 @@ class TestAggregationService:
         db = MetricsDatabase()
         service = AggregationService(
             sim, ObjectStorage(), SampleThresholdTrigger(10),
-            model=LogisticRegressionModel(8), db=db,
+            model=LogisticRegressionModel(8, SERVER_BACKEND), db=db,
+            name="agg",
         )
         service.receive_update(make_update("a", dim=8))
         assert db.count("aggregations") == 1

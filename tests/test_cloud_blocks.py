@@ -19,6 +19,7 @@ from repro.cloud import (
 )
 from repro.cloud.aggregation import AggregationTrigger
 from repro.deviceflow import DeviceFlow, Message, MessageBlock, RealTimeAccumulatedStrategy
+from repro.ml.backends import SERVER_BACKEND
 from repro.ml.fedavg import ModelUpdate
 from repro.ml.model import LogisticRegressionModel
 from repro.simkernel import RandomStreams, Simulator
@@ -80,7 +81,7 @@ class TestPutBlock:
 
     def test_block_keys_support_overwrite(self):
         storage = ObjectStorage()
-        storage.put_block(["a", "b"], [1, 2], 10)
+        storage.put_block(["a", "b"], [1, 2], 10, now=0.0, writers="")
         storage.put("b", 99, 20, now=7.0)
         assert storage.get("b") == 99
         assert storage.head("b").stored_at == 7.0
@@ -88,12 +89,12 @@ class TestPutBlock:
     def test_validation(self):
         storage = ObjectStorage()
         with pytest.raises(ValueError):
-            storage.put_block(["a"], [1, 2], 10)
+            storage.put_block(["a"], [1, 2], 10, now=0.0, writers="")
         with pytest.raises(ValueError):
-            storage.put_block(["a", "b"], [1, 2], 10, writers=["only-one"])
+            storage.put_block(["a", "b"], [1, 2], 10, now=0.0, writers=["only-one"])
         with pytest.raises(ValueError):
-            storage.put_block(["a"], [1], -5)
-        assert storage.put_block([], [], 10) == 0
+            storage.put_block(["a"], [1], -5, now=0.0, writers="")
+        assert storage.put_block([], [], 10, now=0.0, writers="") == 0
         assert len(storage) == 0 and storage.put_count == 0
 
     @settings(max_examples=40, deadline=None)
@@ -233,7 +234,7 @@ class TestSubmitBlock:
 
     def test_unregistered_task_raises(self):
         sim = Simulator()
-        flow = DeviceFlow(sim)
+        flow = DeviceFlow(sim, RandomStreams(0))
         with pytest.raises(KeyError):
             flow.submit_block(
                 MessageBlock(task_id="ghost", round_index=1, device_ids=["a"], payload_refs=["r"])
@@ -259,7 +260,7 @@ def make_block(updates, task_id="t", round_index=1, size_bytes=64):
 def scalar_service(sim, updates, trigger=None):
     storage = ObjectStorage()
     service = AggregationService(
-        sim, storage, trigger or AggregationTrigger(), model=LogisticRegressionModel(8)
+        sim, storage, trigger or AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg"
     )
     for update in updates:
         ref = f"t/{update.device_id}/r1"
@@ -279,7 +280,7 @@ class TestReceiveBlock:
         scalar_record = scalar.aggregate_now()
 
         block_service = AggregationService(
-            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8)
+            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg"
         )
         block_service.receive_block(make_block(updates))
         block_record = block_service.aggregate_now()
@@ -298,7 +299,7 @@ class TestReceiveBlock:
         scalar.aggregate_now()
 
         mixed = AggregationService(
-            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8)
+            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg"
         )
         # scalar head, block middle, scalar tail — any mix must fold exactly.
         mixed.receive_update(updates[0])
@@ -314,7 +315,8 @@ class TestReceiveBlock:
     def test_sample_threshold_trigger_fires_on_block(self):
         sim = Simulator()
         service = AggregationService(
-            sim, ObjectStorage(), SampleThresholdTrigger(25), model=LogisticRegressionModel(8)
+            sim, ObjectStorage(), SampleThresholdTrigger(25),
+            model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg",
         )
         service.receive_block(make_block([make_update(f"d{i}", n_samples=10) for i in range(3)]))
         assert service.rounds_completed == 1
@@ -323,7 +325,7 @@ class TestReceiveBlock:
     def test_threshold_trigger_fires_after_the_chunk_that_crosses_it(self):
         """Delivery chunks are buffered atomically: the fold takes whole chunks."""
         sim = Simulator()
-        service = AggregationService(sim, ObjectStorage(), SampleThresholdTrigger(25), model=None)
+        service = AggregationService(sim, ObjectStorage(), SampleThresholdTrigger(25), model=None, name="agg")
 
         def chunk(first, count):
             ids = [f"d{first + i}" for i in range(count)]
@@ -343,7 +345,7 @@ class TestReceiveBlock:
 
     def test_counting_mode_accepts_blocks_without_updates(self):
         sim = Simulator()
-        service = AggregationService(sim, ObjectStorage(), AggregationTrigger(), model=None)
+        service = AggregationService(sim, ObjectStorage(), AggregationTrigger(), model=None, name="agg")
         service.receive_block(
             MessageBlock(task_id="t", round_index=1, device_ids=["a", "b"],
                          payload_refs=["r1", "r2"], size_bytes=10,
@@ -357,7 +359,7 @@ class TestReceiveBlock:
     def test_model_mode_rejects_blocks_without_updates(self):
         sim = Simulator()
         service = AggregationService(
-            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8)
+            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg"
         )
         with pytest.raises(TypeError):
             service.receive_block(
@@ -367,7 +369,7 @@ class TestReceiveBlock:
     def test_empty_block_is_ignored(self):
         sim = Simulator()
         service = AggregationService(
-            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8)
+            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg"
         )
         service.receive_block(
             MessageBlock(task_id="t", round_index=1, device_ids=[], payload_refs=[])

@@ -12,7 +12,6 @@ from repro.cluster import (
     LogicalCostModel,
     LogicalSimulation,
     NodeSpec,
-    PlacementStrategy,
     ResourceBundle,
 )
 from repro.cluster.resources import WorkerNode
@@ -95,17 +94,8 @@ class TestK8sCluster:
 
     def test_pack_fills_first_node(self):
         cluster = K8sCluster([NodeSpec(8, 16), NodeSpec(8, 16)])
-        group = cluster.allocate(
-            [ResourceBundle(cpus=2, memory_gb=2)] * 3, PlacementStrategy.PACK
-        )
+        group = cluster.allocate([ResourceBundle(cpus=2, memory_gb=2)] * 3)
         assert len(set(group.node_ids)) == 1
-
-    def test_spread_uses_both_nodes(self):
-        cluster = K8sCluster([NodeSpec(8, 16), NodeSpec(8, 16)])
-        group = cluster.allocate(
-            [ResourceBundle(cpus=2, memory_gb=2)] * 2, PlacementStrategy.SPREAD
-        )
-        assert len(set(group.node_ids)) == 2
 
     def test_release_returns_capacity(self):
         cluster = K8sCluster([NodeSpec(8, 16)])
@@ -130,12 +120,12 @@ class TestK8sCluster:
 class TestLogicalCostModel:
     def test_device_round_duration_scales_with_work(self):
         model = LogicalCostModel(alpha={"High": 10.0})
-        assert model.device_round_duration("High") == 10.0
+        assert model.device_round_duration("High", model.flow_reference_work) == 10.0
         assert model.device_round_duration("High", model.flow_reference_work * 2) == 20.0
 
     def test_unknown_grade(self):
         with pytest.raises(KeyError):
-            LogicalCostModel().device_round_duration("Ultra")
+            LogicalCostModel().device_round_duration("Ultra", 10.4)
 
     def test_transfer_duration(self):
         model = LogicalCostModel()
@@ -173,7 +163,7 @@ class TestLogicalSimulation:
         cluster = paper_cluster()
         cost = LogicalCostModel(alpha={"High": 10.0}, actor_startup=0.0, runner_setup=0.0,
                                 download_latency=0.0, download_bandwidth_bps=1e18)
-        logical = LogicalSimulation(sim, cluster, cost)
+        logical = LogicalSimulation(sim, cluster, cost, RandomStreams(0))
         flow = standard_fl_flow()  # total_work == reference -> alpha as-is
         plan = build_plan(25, 10, flow=flow)
         outcomes = []
@@ -198,7 +188,7 @@ class TestLogicalSimulation:
     def test_numeric_round_produces_updates(self):
         sim = Simulator()
         cluster = paper_cluster()
-        logical = LogicalSimulation(sim, cluster, streams=RandomStreams(3))
+        logical = LogicalSimulation(sim, cluster, LogicalCostModel(), RandomStreams(3))
         data = SyntheticAvazu(n_devices=6, records_per_device=15, feature_dim=128, seed=1).generate()
         plan = GradeExecutionPlan(
             grade="High",
@@ -212,7 +202,7 @@ class TestLogicalSimulation:
         updates = []
 
         def run():
-            yield sim.process(logical.prepare([plan]))
+            yield sim.process(logical.prepare([plan], task_id="task"))
             yield sim.process(
                 logical.run_round(
                     1, np.zeros(128), 0.0, model_bytes=1024,
@@ -229,20 +219,20 @@ class TestLogicalSimulation:
     def test_insufficient_cluster_rejected(self):
         sim = Simulator()
         cluster = K8sCluster([NodeSpec(2, 2)])
-        logical = LogicalSimulation(sim, cluster)
+        logical = LogicalSimulation(sim, cluster, LogicalCostModel(), RandomStreams(0))
         plan = build_plan(4, 4)
 
         def run():
-            yield sim.process(logical.prepare([plan]))
+            yield sim.process(logical.prepare([plan], task_id="task"))
 
         proc = sim.process(run())
         with pytest.raises(ProcessError):
             sim.run()
-        assert proc.error is not None or sim.orphan_failures
+        assert proc.error is not None
 
     def test_round_before_prepare_rejected(self):
         sim = Simulator()
-        logical = LogicalSimulation(sim, K8sCluster([NodeSpec(8, 16)]))
+        logical = LogicalSimulation(sim, K8sCluster([NodeSpec(8, 16)]), LogicalCostModel(), RandomStreams(0))
         logical.plans = [build_plan(2, 1)]
         with pytest.raises(RuntimeError):
             list(logical.run_round(1, None, 0.0, 0, CallbackSink(lambda o: None)))
@@ -251,11 +241,11 @@ class TestLogicalSimulation:
         # 5 devices over 2 actors: actor 0 works rows 0, 2, 4 and actor 1
         # rows 1, 3 — waves of 2, 2 and 1 devices.
         sim = Simulator()
-        logical = LogicalSimulation(sim, paper_cluster())
+        logical = LogicalSimulation(sim, paper_cluster(), LogicalCostModel(), RandomStreams(0))
         seen = []
 
         def run():
-            yield sim.process(logical.prepare([build_plan(5, 2)]))
+            yield sim.process(logical.prepare([build_plan(5, 2)], task_id="task"))
             yield sim.process(
                 logical.run_round(1, None, 0.0, 0, CallbackSink(lambda o: seen.append((sim.now, o.device_id))))
             )
@@ -303,14 +293,14 @@ def run_time_only_round(n_devices: int, reference: bool, with_callback: bool = T
     """
     sim = Simulator()
     tier = ReferenceLogicalSimulation if reference else LogicalSimulation
-    logical = tier(sim, K8sCluster(WAVE_NODES), WAVE_COST)
+    logical = tier(sim, K8sCluster(WAVE_NODES), WAVE_COST, RandomStreams(0))
     plan = build_plan(
         n_devices, 40, grade="Std", flow=standard_fl_flow(), bundle=ResourceBundle(cpus=1, memory_gb=1)
     )
     streamed = []
 
     def driver():
-        yield sim.process(logical.prepare([plan]))
+        yield sim.process(logical.prepare([plan], task_id="task"))
         yield sim.process(
             logical.run_round(1, None, 0.0, 4096, CallbackSink(streamed.append) if with_callback else None)
         )

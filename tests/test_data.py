@@ -127,9 +127,9 @@ class TestSyntheticAvazu:
             assert features.max() < 256
 
     def test_base_ctr_roughly_respected(self):
-        data = SyntheticAvazu(
-            n_devices=200, records_per_device=50, base_ctr=0.2, device_bias_std=0.0, seed=0
-        ).generate()
+        data = SyntheticAvazu(n_devices=200, records_per_device=50, base_ctr=0.2, seed=0).generate(
+            device_biases=np.zeros(200)
+        )
         labels = np.concatenate([data.shard(d).labels for d in data.device_ids()])
         # Planted weights add variance; the population CTR should stay in a
         # generous band around the intercept-implied rate.
@@ -304,9 +304,9 @@ class TestPartitioners:
 
     def test_delay_profiles_validation(self):
         with pytest.raises(ValueError):
-            assign_delay_profiles({"a": 0.0}, sigma=0.0, max_delay=10.0)
+            assign_delay_profiles({"a": 0.0}, sigma=0.0, max_delay=10.0, seed=0)
         with pytest.raises(ValueError):
-            assign_delay_profiles({"a": 0.0}, sigma=1.0, max_delay=0.0)
+            assign_delay_profiles({"a": 0.0}, sigma=1.0, max_delay=0.0, seed=0)
 
 
 class TestMakeFederatedCtrData:

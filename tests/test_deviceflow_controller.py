@@ -296,14 +296,14 @@ class TestDeviceFlowFacade:
 
     def test_duplicate_registration_rejected(self):
         sim = Simulator()
-        flow = DeviceFlow(sim)
+        flow = DeviceFlow(sim, RandomStreams(0))
         flow.register_task("t1", RealTimeAccumulatedStrategy([1]), lambda m: None)
         with pytest.raises(ValueError):
             flow.register_task("t1", RealTimeAccumulatedStrategy([1]), lambda m: None)
 
     def test_unknown_task_rejected(self):
         sim = Simulator()
-        flow = DeviceFlow(sim)
+        flow = DeviceFlow(sim, RandomStreams(0))
         with pytest.raises(KeyError):
             flow.submit(msg(task="ghost"))
         with pytest.raises(KeyError):
@@ -311,7 +311,7 @@ class TestDeviceFlowFacade:
 
     def test_unregister_requires_empty_shelf(self):
         sim = Simulator()
-        flow = DeviceFlow(sim)
+        flow = DeviceFlow(sim, RandomStreams(0))
         flow.register_task("t1", RealTimeAccumulatedStrategy([100]), lambda m: None)
         flow.round_started("t1", 1)
         flow.submit(msg())

@@ -72,11 +72,11 @@ class TestTrafficCurveValidation:
 
 class TestDiscretization:
     def test_conservation_exact(self):
-        ticks = discretize_curve(gaussian_pdf(1.0), 60.0, 10_000)
+        ticks = discretize_curve(gaussian_pdf(1.0), 60.0, 10_000, 700.0, None)
         assert sum(t.count for t in ticks) == 10_000
 
     def test_offsets_within_window_and_sorted(self):
-        ticks = discretize_curve(sin_plus_one(), 120.0, 5_000)
+        ticks = discretize_curve(sin_plus_one(), 120.0, 5_000, 700.0, None)
         offsets = [t.offset for t in ticks]
         assert offsets == sorted(offsets)
         assert offsets[0] >= 0.0
@@ -84,7 +84,7 @@ class TestDiscretization:
 
     def test_capacity_respected_per_tick(self):
         capacity = 700.0
-        ticks = discretize_curve(gaussian_pdf(1.0), 60.0, 10_000, capacity_per_second=capacity)
+        ticks = discretize_curve(gaussian_pdf(1.0), 60.0, 10_000, capacity, None)
         widths = np.diff([t.offset for t in ticks])
         max_width = widths.max() if len(widths) else 60.0
         for tick in ticks:
@@ -96,17 +96,17 @@ class TestDiscretization:
         assert peaky < wide
 
     def test_manual_tick_width(self):
-        ticks = discretize_curve(sin_plus_one(), 60.0, 600, tick_width=1.0)
+        ticks = discretize_curve(sin_plus_one(), 60.0, 600, 700.0, tick_width=1.0)
         assert len(ticks) <= 60
         assert sum(t.count for t in ticks) == 600
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            discretize_curve(sin_plus_one(), -1.0, 100)
+            discretize_curve(sin_plus_one(), -1.0, 100, 700.0, None)
         with pytest.raises(ValueError):
-            discretize_curve(sin_plus_one(), 60.0, 0)
+            discretize_curve(sin_plus_one(), 60.0, 0, 700.0, None)
         with pytest.raises(ValueError):
-            discretize_curve(sin_plus_one(), 60.0, 100, tick_width=-0.1)
+            discretize_curve(sin_plus_one(), 60.0, 100, 700.0, tick_width=-0.1)
         with pytest.raises(ValueError):
             DispatchTick(offset=-1.0, count=5)
         with pytest.raises(ValueError):
@@ -115,7 +115,7 @@ class TestDiscretization:
     def test_table2_correlations_above_99(self):
         """Table II: Pearson r > 0.99 for every evaluated curve."""
         for curve in TABLE2_CURVES:
-            ticks = discretize_curve(curve, 60.0, 10_000, capacity_per_second=700.0)
+            ticks = discretize_curve(curve, 60.0, 10_000, 700.0, None)
             r = schedule_correlation(curve, ticks, 60.0)
             assert r > 0.99, f"{curve.name}: r={r:.4f}"
 
@@ -131,7 +131,7 @@ class TestDiscretization:
     @settings(max_examples=40, deadline=None)
     def test_conservation_property(self, total, interval, sigma):
         """Message conservation holds for any total/window/shape combo."""
-        ticks = discretize_curve(gaussian_pdf(sigma), interval, total)
+        ticks = discretize_curve(gaussian_pdf(sigma), interval, total, 700.0, None)
         assert sum(t.count for t in ticks) == total
         assert all(t.count > 0 for t in ticks)
         assert all(0.0 <= t.offset < interval for t in ticks)
@@ -143,7 +143,7 @@ class TestDiscretization:
     @settings(max_examples=25, deadline=None)
     def test_exponential_monotone_schedule(self, base, total):
         """For a growing curve, later ticks carry (weakly) more traffic."""
-        ticks = discretize_curve(exponential_curve(base), 60.0, total, tick_width=2.0)
+        ticks = discretize_curve(exponential_curve(base), 60.0, total, 700.0, tick_width=2.0)
         counts = [t.count for t in ticks]
         # Allow rounding jitter of one message between adjacent ticks.
         assert all(b >= a - 1 for a, b in zip(counts, counts[1:]))

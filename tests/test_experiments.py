@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro import GradeRequirement, PlatformConfig, SimDC, TaskSpec
 from repro.baselines import SimDCRoundModel
 from repro.cluster import (
     DeviceColumns,
@@ -46,7 +47,7 @@ from repro.experiments import (
     run_table2_curve_fidelity,
 )
 from repro.ml import standard_fl_flow
-from repro.simkernel import Simulator
+from repro.simkernel import RandomStreams, Simulator
 
 
 def _digest(obj) -> str:
@@ -126,6 +127,19 @@ class TestFig5:
 
     def test_format(self, trace):
         assert "memory MB" in format_fig5(trace)
+
+    def test_poll_interval_sets_the_sampling_rate(self, trace):
+        """``PlatformConfig.poll_interval`` reaches the sampler: at 2 Hz the task records about twice the samples."""
+        platform = SimDC(PlatformConfig(seed=0, cluster_nodes=[NodeSpec(20, 30)] * 2, poll_interval=0.5))
+        benchmarked = GradeRequirement(
+            grade="High", n_devices=8, n_benchmark=1, bundles=8, n_phones=2,
+            device_bundle=ResourceBundle(cpus=4, memory_gb=12),
+        )
+        spec = TaskSpec(name="fig5", grades=[benchmarked], rounds=3, numeric=False)
+        platform.submit(spec)
+        platform.run_until_idle(max_time=1e8)
+        samples = platform.db.count("device_samples", task_id=spec.task_id)
+        assert samples == pytest.approx(2 * trace.n_samples, rel=0.05)
 
     def test_trace_pinned(self, trace):
         series = [trace.serial, trace.times, trace.cpu_percent, trace.memory_mb, trace.round_windows]
@@ -239,11 +253,11 @@ class TestFig8:
         )
         sim = Simulator()
         nodes = [NodeSpec(cpus=20, memory_gb=30)] * (total_cores // 20)
-        logical = LogicalSimulation(sim, K8sCluster(nodes), cost)
+        logical = LogicalSimulation(sim, K8sCluster(nodes), cost, RandomStreams(0))
 
         def run():
             start = sim.now
-            yield sim.process(logical.prepare([plan]))
+            yield sim.process(logical.prepare([plan], task_id="task"))
             yield sim.process(logical.run_round(1, None, 0.0, 0, None))
             return sim.now - start
 

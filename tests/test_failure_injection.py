@@ -66,7 +66,6 @@ class TestOperatorCrash:
         )
         spec = task_with_flow(flow)
         platform.submit(spec)
-        platform.sim.strict = False  # let the supervisor absorb the crash
         platform.run_until_idle(max_time=1e7)
         result = platform.result(spec.task_id)
         assert result.state is TaskState.FAILED
@@ -77,7 +76,6 @@ class TestOperatorCrash:
 
     def test_sibling_task_survives_a_crash(self):
         platform = small_platform()
-        platform.sim.strict = False
         crashing = task_with_flow(
             OperatorFlow([DownloadModelOp(), ExplodingOperator("dev-000000"), UploadUpdateOp()]),
             name="crashy",
@@ -92,7 +90,6 @@ class TestOperatorCrash:
     def test_queued_task_runs_after_predecessor_crashes(self):
         """Freed capacity from a failed task must unblock the queue."""
         platform = small_platform()  # 40 bundles
-        platform.sim.strict = False
         big_crashing = TaskSpec(
             name="big-crashy",
             priority=5,
@@ -138,7 +135,6 @@ class TestOperatorCrashIsolation:
     @pytest.mark.parametrize("victim", ["dev-000001", "dev-000004"], ids=["logical", "phone"])
     def test_failure_stays_inside_the_task(self, victim):
         platform = small_platform()
-        platform.sim.strict = False
 
         def task(name, flow):
             spec = task_with_flow(flow, name=name, n_devices=6, rounds=2)
@@ -178,14 +174,13 @@ class TestImpossibleRequests:
             feature_dim=64,
         )
         platform.submit(oversized)
-        platform.run(until=200.0)
+        platform.sim.run(until=200.0)
         # Still queued: the scheduler keeps skipping it but must not crash.
         assert oversized.state is TaskState.QUEUED
         assert platform.task_manager.active_tasks == 0
 
     def test_unknown_grade_fails_cleanly(self):
         platform = small_platform()
-        platform.sim.strict = False
         spec = TaskSpec(
             name="bad-grade",
             grades=[
@@ -196,11 +191,10 @@ class TestImpossibleRequests:
             ],
             feature_dim=64,
         )
-        platform.submit(spec)
-        platform.run_until_idle(max_time=1e7)
-        result = platform.result(spec.task_id)
-        assert result.state is TaskState.FAILED
-        assert "Quantum" in result.error
+        with pytest.raises(ValueError, match="grade 'Quantum' of task 'bad-grade'"):
+            platform.submit(spec)
+        # Rejected at the door: nothing was queued, scheduled or reserved.
+        assert platform.task_manager.all_idle
         assert platform.resource_manager.active_grants == 0
 
     def test_phone_shortage_blocks_at_freeze_not_midway(self):
@@ -216,7 +210,7 @@ class TestImpossibleRequests:
             feature_dim=64,
         )
         platform.submit(spec)
-        platform.run(until=100.0)
+        platform.sim.run(until=100.0)
         assert spec.state is TaskState.QUEUED  # never started, nothing leaked
         assert platform.resource_manager.active_grants == 0
 
@@ -225,7 +219,6 @@ class TestDeterminismUnderFailure:
     def test_failed_runs_reproducible(self):
         def run_once():
             platform = small_platform()
-            platform.sim.strict = False
             spec = task_with_flow(
                 OperatorFlow([DownloadModelOp(), ExplodingOperator("dev-000002")]),
             )

@@ -108,15 +108,17 @@ class TestFLClient:
 
     def test_local_train_produces_update(self, federated_data):
         shard = federated_data.shard(federated_data.device_ids()[0])
-        trainer = BlockTrainer(feature_dim=256, epochs=2, learning_rate=0.05)
-        weights, biases = trainer.train(np.zeros((1, 256)), np.zeros(1), [shard])
+        trainer = BlockTrainer(256, SERVER_BACKEND, epochs=2, learning_rate=0.05)
+        weights, biases = trainer.train(np.zeros((1, 256)), np.zeros(1), [shard], None)
         assert weights.shape == (1, 256) and biases.shape == (1,)
         assert np.abs(weights).sum() > 0
 
     def test_backend_shapes_the_update(self, federated_data):
         shard = federated_data.shard(federated_data.device_ids()[0])
         server, device = (
-            BlockTrainer(256, backend, epochs=3, learning_rate=0.05).train(np.zeros((1, 256)), np.zeros(1), [shard])
+            BlockTrainer(256, backend, epochs=3, learning_rate=0.05).train(
+                np.zeros((1, 256)), np.zeros(1), [shard], None
+            )
             for backend in (SERVER_BACKEND, DEVICE_BACKEND)
         )
         assert np.allclose(server[0], device[0], atol=1e-4)
@@ -124,7 +126,7 @@ class TestFLClient:
 
     def test_invalid_epochs(self, federated_data):
         with pytest.raises(ValueError):
-            BlockTrainer(feature_dim=256, epochs=0)
+            BlockTrainer(256, SERVER_BACKEND, epochs=0, learning_rate=0.05)
 
 
 class TestOperatorFlow:

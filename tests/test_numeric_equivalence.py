@@ -74,7 +74,7 @@ def run_tier(reference: bool, n_rounds: int = N_ROUNDS, collect: bool = True,
     per_round, weights_history = [], []
 
     def driver():
-        yield sim.process(logical.prepare([plan]))
+        yield sim.process(logical.prepare([plan], task_id="task"))
         weights, bias = np.zeros(FEATURE_DIM), 0.0
         for round_index in range(1, n_rounds + 1):
             outcomes = []
@@ -209,7 +209,7 @@ class TestMixedPlanRound:
         logical = tier(sim, K8sCluster(NODES), COST, streams=RandomStreams(SEED))
 
         def driver():
-            yield sim.process(logical.prepare(self._mixed_plans()))
+            yield sim.process(logical.prepare(self._mixed_plans(), task_id="task"))
             yield sim.process(
                 logical.run_round(1, np.zeros(FEATURE_DIM), 0.0, MODEL_BYTES, None)
             )

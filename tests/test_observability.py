@@ -38,6 +38,7 @@ from repro.simkernel import Simulator
 
 def make_engine(*rules, **kwargs):
     monitor = Monitor(Simulator())
+    kwargs.setdefault("scope_of", lambda task_id: "")
     return AlarmEngine(monitor, rules=rules, **kwargs), monitor
 
 

@@ -37,7 +37,7 @@ from repro.cluster import (
 )
 from repro.data.avazu import DeviceDataset
 from repro.deviceflow import DeviceFlow, RealTimeAccumulatedStrategy
-from repro.ml import standard_fl_flow
+from repro.ml import SERVER_BACKEND, standard_fl_flow
 from repro.ml.model import LogisticRegressionModel
 from repro.simkernel import RandomStreams, Simulator
 
@@ -69,14 +69,14 @@ class TestProtocol:
         sim = Simulator()
         sink = CloudIngestSink(
             sim, "t", ObjectStorage(),
-            AggregationService(sim, ObjectStorage(), AggregationTrigger()),
+            AggregationService(sim, ObjectStorage(), AggregationTrigger(), name="agg"),
         )
         assert isinstance(sink, OutcomeSink)
 
     def test_flow_connected_sink_takes_wave_blocks(self):
         sim = Simulator()
-        service = AggregationService(sim, ObjectStorage(), AggregationTrigger())
-        flow = DeviceFlow(sim)
+        service = AggregationService(sim, ObjectStorage(), AggregationTrigger(), name="agg")
+        flow = DeviceFlow(sim, RandomStreams(0))
         sink = CloudIngestSink(sim, "t", ObjectStorage(), service, deviceflow=flow)
         flow.register_task("t", RealTimeAccumulatedStrategy(thresholds=[1]), sink.flow_receive)
         # Traffic shaping must see arrivals mid-round: blocks, but per wave.
@@ -118,7 +118,7 @@ def run_tier_round(reference):
     logical = tier(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
     storage = ObjectStorage()
     service = AggregationService(
-        sim, storage, AggregationTrigger(), model=LogisticRegressionModel(FEATURE_DIM)
+        sim, storage, AggregationTrigger(), model=LogisticRegressionModel(FEATURE_DIM, SERVER_BACKEND), name="agg"
     )
     sink = CloudIngestSink(sim, "t", storage, service)
     plan = make_plan()

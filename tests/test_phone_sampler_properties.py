@@ -35,7 +35,7 @@ def run_benchmark_session(reference: bool, poll: float, window: float, n_bench: 
     adb = SimulatedAdb()
     streams = RandomStreams(seed)
     phones = []
-    for i, spec in enumerate(build_fleet(n_bench, 0)):
+    for i, spec in enumerate(build_fleet(n_bench, 0, "SIM")):
         phone = VirtualPhone(sim, f"ph-{i:02d}", spec, streams=streams)
         adb.register(phone)
         phones.append(phone)
@@ -44,7 +44,7 @@ def run_benchmark_session(reference: bool, poll: float, window: float, n_bench: 
         sim, adb, phones,
         cost_model=PhysicalCostModel(stage_window=window),
         streams=streams, poll_interval=poll,
-        on_sample=samples.append,
+        on_sample=samples.append, busy_registry=set(),
     )
     plan = PhoneAssignment(
         grade="High",
@@ -110,11 +110,11 @@ def test_partition_round_robin_exactly_once(n_assignments, n_phones):
     adb = SimulatedAdb()
     streams = RandomStreams(0)
     phones = []
-    for i, spec in enumerate(build_fleet(n_phones, 0)):
+    for i, spec in enumerate(build_fleet(n_phones, 0, "SIM")):
         phone = VirtualPhone(sim, f"ph-{i:02d}", spec, streams=streams)
         adb.register(phone)
         phones.append(phone)
-    mgr = PhoneMgr(sim, adb, phones, streams=streams)
+    mgr = PhoneMgr(sim, adb, phones, PhysicalCostModel(), streams, on_sample=lambda sample: None, busy_registry=set())
     plan = PhoneAssignment(
         grade="High",
         devices=DeviceColumns(

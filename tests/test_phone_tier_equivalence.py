@@ -23,6 +23,7 @@ from repro.cluster import (
     DeviceColumns,
     GradeExecutionPlan,
     K8sCluster,
+    LogicalCostModel,
     LogicalSimulation,
     NodeSpec,
     ResourceBundle,
@@ -55,12 +56,10 @@ def build_rig(reference: bool, n_phones: int, seed: int = SEED, poll: float = 1.
     streams = RandomStreams(seed)
     phones = []
     if msp:
-        platform = MobileServicePlatform(
-            sim, adb, DEFAULT_MSP_FLEET[:n_phones], streams=streams, control_latency=0.8
-        )
+        platform = MobileServicePlatform(sim, adb, DEFAULT_MSP_FLEET[:n_phones], streams=streams)
         phones = platform.provision()
     else:
-        for i, spec in enumerate(build_fleet(n_phones, n_phones)):
+        for i, spec in enumerate(build_fleet(n_phones, n_phones, "SIM")):
             phone = VirtualPhone(sim, f"ph-{i:03d}", spec, streams=streams)
             adb.register(phone)
             phones.append(phone)
@@ -70,7 +69,7 @@ def build_rig(reference: bool, n_phones: int, seed: int = SEED, poll: float = 1.
     )
     mgr = (ReferencePhoneMgr if reference else PhoneMgr)(
         sim, adb, phones, cost_model=cost, streams=streams,
-        poll_interval=poll, on_sample=samples.append,
+        poll_interval=poll, on_sample=samples.append, busy_registry=set(),
     )
     return sim, mgr, phones, samples, streams
 
@@ -326,7 +325,9 @@ class TestAbortMidRound:
         # tier resolves as ``aborted`` when its tier is torn down, and the
         # voided pooled callbacks deliver nothing afterwards.
         sim, mgr, phones, _, _ = build_rig(PRODUCTION, 6)
-        logical = LogicalSimulation(sim, K8sCluster([NodeSpec(cpus=10, memory_gb=20)]))
+        logical = LogicalSimulation(
+            sim, K8sCluster([NodeSpec(cpus=10, memory_gb=20)]), LogicalCostModel(), RandomStreams(0)
+        )
         logical_plan = GradeExecutionPlan(
             grade="High",
             devices=DeviceColumns([f"l{i}" for i in range(12)], [10] * 12),

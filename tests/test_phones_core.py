@@ -1,5 +1,6 @@
 """Unit tests for phone specs, battery, APK model and the virtual phone."""
 
+import numpy as np
 import pytest
 
 from repro.phones import ApkStage, BatteryModel, PhysicalCostModel, TrainingApk, VirtualPhone
@@ -29,13 +30,13 @@ class TestSpecs:
         assert high.stage_current(ApkStage.TRAINING) < low.stage_current(ApkStage.TRAINING)
 
     def test_build_fleet(self):
-        fleet = build_fleet(3, 2)
+        fleet = build_fleet(3, 2, "SIM")
         assert len(fleet) == 5
         assert sum(1 for s in fleet if s.grade == "High") == 3
 
     def test_build_fleet_validation(self):
         with pytest.raises(ValueError):
-            build_fleet(-1, 0)
+            build_fleet(-1, 0, "SIM")
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -46,28 +47,28 @@ class TestSpecs:
 
 class TestBatteryModel:
     def test_accumulate_and_soc(self):
-        battery = BatteryModel(capacity_mah=1000)
+        battery = BatteryModel(1000, 3850.0, np.random.default_rng(0))
         consumed = battery.accumulate(current_ma=100, duration_s=3600)
         assert consumed == pytest.approx(100.0)
         assert battery.state_of_charge == pytest.approx(0.9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BatteryModel(capacity_mah=0)
-        battery = BatteryModel(1000)
+            BatteryModel(0, 3850.0, np.random.default_rng(0))
+        battery = BatteryModel(1000, 3850.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             battery.accumulate(-1, 10)
         with pytest.raises(ValueError):
             battery.accumulate(1, -10)
 
     def test_current_now_is_negative_microamps(self):
-        battery = BatteryModel(1000, rng=RandomStreams(0).get("b"))
+        battery = BatteryModel(1000, 3850.0, RandomStreams(0).get("b"))
         reading = battery.current_now_ua(mean_current_ma=50)
         assert reading < 0
         assert abs(reading) == pytest.approx(50_000, rel=0.3)
 
     def test_voltage_sags_with_discharge(self):
-        battery = BatteryModel(1000, nominal_voltage_mv=3850, rng=RandomStreams(0).get("b"))
+        battery = BatteryModel(1000, 3850.0, RandomStreams(0).get("b"))
         fresh = battery.voltage_now_uv()
         battery.accumulate(1000, 3600)  # fully drain
         drained = battery.voltage_now_uv()
@@ -90,15 +91,15 @@ class TestTrainingApk:
 class TestPhysicalCostModel:
     def test_table1_durations(self):
         model = PhysicalCostModel()
-        assert model.training_duration("High") == pytest.approx(16.2)
-        assert model.training_duration("Low") == pytest.approx(21.6)
+        assert model.training_duration("High", 10.4) == pytest.approx(16.2)
+        assert model.training_duration("Low", 10.4) == pytest.approx(21.6)
         # Table I: 0.27 and 0.36 minutes.
-        assert model.training_duration("High") / 60 == pytest.approx(0.27)
-        assert model.training_duration("Low") / 60 == pytest.approx(0.36)
+        assert model.training_duration("High", 10.4) / 60 == pytest.approx(0.27)
+        assert model.training_duration("Low", 10.4) / 60 == pytest.approx(0.36)
 
     def test_unknown_grade(self):
         with pytest.raises(KeyError):
-            PhysicalCostModel().training_duration("Ultra")
+            PhysicalCostModel().training_duration("Ultra", 10.4)
         with pytest.raises(KeyError):
             PhysicalCostModel().startup_duration("Ultra")
 

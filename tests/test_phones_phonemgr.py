@@ -36,7 +36,8 @@ def build_rig(n_local=10, poll_interval=1.0, on_sample=None, cost_model=None):
         cost_model=cost_model or PhysicalCostModel(),
         streams=streams,
         poll_interval=poll_interval,
-        on_sample=on_sample,
+        on_sample=on_sample or (lambda sample: None),
+        busy_registry=set(),
     )
     return sim, adb, mgr, phones
 
@@ -113,7 +114,7 @@ class TestPrepareReservationLeak:
         sim, _, mgr, phones = build_rig(n_local=10)
         free_high = len(mgr.available_phones("High"))
         free_low = len(mgr.available_phones("Low"))
-        proc = sim.process(mgr.prepare(self.plans_with_failing_second()))
+        proc = sim.process(mgr.prepare(self.plans_with_failing_second(), task_id="task"))
         with pytest.raises(ProcessError):
             sim.run()
         assert proc.error is not None
@@ -133,9 +134,12 @@ class TestPrepareReservationLeak:
 
     def test_failed_prepare_leaves_shared_registry_clean(self):
         sim, adb, mgr, phones = build_rig(n_local=10)
-        sibling = PhoneMgr(sim, adb, phones, streams=RandomStreams(6), busy_registry=mgr._busy)
+        sibling = PhoneMgr(
+            sim, adb, phones, PhysicalCostModel(), RandomStreams(6),
+            on_sample=lambda sample: None, busy_registry=mgr._busy,
+        )
         with pytest.raises(RuntimeError):
-            list(mgr.prepare(self.plans_with_failing_second()))
+            list(mgr.prepare(self.plans_with_failing_second(), task_id="task"))
         # A sibling task sharing the registry can still book every phone.
         assert len(sibling.available_phones("High")) == 4
         assert len(sibling.available_phones("Low")) == 6
@@ -143,11 +147,11 @@ class TestPrepareReservationLeak:
     def test_successful_prepare_after_failed_one(self):
         sim, _, mgr, _ = build_rig(n_local=10)
         with pytest.raises(RuntimeError):
-            list(mgr.prepare(self.plans_with_failing_second()))
+            list(mgr.prepare(self.plans_with_failing_second(), task_id="task"))
         plan = time_only_plan("High", n_devices=4, n_phones=2)
 
         def run():
-            yield sim.process(mgr.prepare([plan]))
+            yield sim.process(mgr.prepare([plan], task_id="task"))
             yield sim.process(mgr.run_round(1, None, 0.0, 0, CallbackSink(lambda o: None)))
             yield sim.process(mgr.teardown())
 
@@ -199,7 +203,7 @@ class TestRoundExecution:
         updates = []
 
         def run():
-            yield sim.process(mgr.prepare([plan]))
+            yield sim.process(mgr.prepare([plan], task_id="task"))
             yield sim.process(
                 mgr.run_round(
                     1, np.zeros(64), 0.0, model_bytes=584,
@@ -217,19 +221,19 @@ class TestRoundExecution:
         plan = time_only_plan("High", 2, 2)
 
         def run():
-            yield sim.process(mgr.prepare([plan]))
+            yield sim.process(mgr.prepare([plan], task_id="task"))
 
         sim.process(run())
         sim.run()
         with pytest.raises(RuntimeError):
-            list(mgr.prepare([plan]))
+            list(mgr.prepare([plan], task_id="task"))
 
     def test_teardown_releases_phones(self):
         sim, _, mgr, _ = build_rig()
         plan = time_only_plan("High", 2, 2)
 
         def run():
-            yield sim.process(mgr.prepare([plan]))
+            yield sim.process(mgr.prepare([plan], task_id="task"))
             yield sim.process(mgr.run_round(1, None, 0.0, 0, CallbackSink(lambda o: None)))
             yield sim.process(mgr.teardown())
 
@@ -249,7 +253,7 @@ class TestBenchmarking:
         plan = time_only_plan("High", n_devices=0, n_phones=0, n_bench=1)
 
         def run():
-            yield sim.process(mgr.prepare([plan]))
+            yield sim.process(mgr.prepare([plan], task_id="task"))
             for round_index in range(1, n_rounds + 1):
                 yield sim.process(mgr.run_round(round_index, None, 0.0, 33000, CallbackSink(lambda o: None)))
 
@@ -356,24 +360,21 @@ class TestMsp:
         sim = Simulator()
         adb = SimulatedAdb()
         with pytest.raises(ValueError):
-            MobileServicePlatform(sim, adb, control_latency=-1)
-        with pytest.raises(ValueError):
-            MobileServicePlatform(sim, adb, availability=1.5)
+            MobileServicePlatform(sim, adb, DEFAULT_MSP_FLEET, RandomStreams(0), availability=1.5)
 
     def test_msp_control_latency_delays_round(self):
         sim = Simulator()
         adb = SimulatedAdb()
         streams = RandomStreams(2)
-        msp = MobileServicePlatform(sim, adb, DEFAULT_MSP_FLEET[:2], streams=streams,
-                                    control_latency=0.8)
+        msp = MobileServicePlatform(sim, adb, DEFAULT_MSP_FLEET[:2], streams=streams)
         phones = msp.provision()
         cost = PhysicalCostModel(msp_control_latency=0.8)
-        mgr = PhoneMgr(sim, adb, phones, cost_model=cost, streams=streams)
+        mgr = PhoneMgr(sim, adb, phones, cost, streams, on_sample=lambda sample: None, busy_registry=set())
         plan = time_only_plan("High", n_devices=2, n_phones=2)
 
         def run():
             start = sim.now
-            yield sim.process(mgr.prepare([plan]))
+            yield sim.process(mgr.prepare([plan], task_id="task"))
             # lambda (45s) + one control-latency hit per remote phone.
             assert sim.now - start == pytest.approx(45.0 + 0.8)
 

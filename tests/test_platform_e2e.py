@@ -1,5 +1,7 @@
 """End-to-end platform tests: SimDC tasks through every substrate."""
 
+import re
+
 import pytest
 
 from repro import (
@@ -133,6 +135,30 @@ class TestEndToEnd:
         allocation = platform.result(spec.task_id).allocation
         assert allocation.solver == "fixed"
         assert allocation.x["High"] == 8
+
+    def test_submit_rejects_a_grade_without_cost_constants(self):
+        spec = small_task()
+        spec.grades[0].grade = "Mid"
+        message = (
+            "grade 'Mid' of task 'e2e' has no calibrated cost constants (alpha, beta and lambda); "
+            "known grades: ['High', 'Low']"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_platform().submit(spec)
+
+    def test_submit_rejects_a_fixed_allocation_that_misses_the_grades(self):
+        low = GradeRequirement(
+            grade="Low", n_devices=4, bundles=4, n_phones=1, device_bundle=ResourceBundle(cpus=2, memory_gb=2)
+        )
+        spec = small_task()
+        spec.grades.append(low)
+        platform = small_platform()
+        message = "fixed_allocation of task 'e2e' names grades ['High']; the task's grades are ['High', 'Low']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            platform.submit(spec, fixed_allocation={"High": 8})
+        message = "fixed_allocation['Low']=5 of task 'e2e' is outside [0, 4] (known grades: ['High', 'Low'])"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            platform.submit(spec, fixed_allocation={"High": 8, "Low": 5})
 
     def test_time_only_task(self):
         platform = small_platform()

@@ -12,7 +12,7 @@ from repro import (
     TimePoint,
     TimePointStrategy,
 )
-from repro.cluster import NodeSpec, PlacementStrategy
+from repro.cluster import NodeSpec
 from repro.deviceflow import right_tailed_normal
 from repro.ml import standard_fl_flow
 
@@ -85,7 +85,7 @@ class TestDynamicScaling:
             records_per_device=8,
         )
         platform.submit(spec)
-        platform.run(until=50.0)
+        platform.sim.run(until=50.0)
         assert spec.state is TaskState.QUEUED  # 30 bundles > 10 available
         platform.resource_manager.scale_up(NodeSpec(cpus=20, memory_gb=30), count=2)
         platform.run_until_idle(max_time=1e7)
@@ -93,22 +93,12 @@ class TestDynamicScaling:
 
     def test_scale_down_idle_nodes_after_completion(self):
         platform = SimDC(PlatformConfig(seed=0, cluster_nodes=[NodeSpec(20, 30)] * 2))
-        added = platform.resource_manager.scale_up(NodeSpec(10, 10))
+        added = platform.resource_manager.scale_up(NodeSpec(10, 10), count=1)
         spec = two_grade_task()
         platform.submit(spec)
         platform.run_until_idle(max_time=1e7)
         platform.resource_manager.scale_down(added)
         assert platform.cluster.total_cpus == 40
-
-
-class TestPlacementStrategies:
-    def test_spread_places_across_nodes(self):
-        from repro.cluster import K8sCluster, ResourceBundle as RB
-
-        cluster = K8sCluster([NodeSpec(8, 16)] * 4)
-        group = cluster.allocate([RB(cpus=2, memory_gb=2)] * 4, PlacementStrategy.SPREAD)
-        assert len(set(group.node_ids)) == 4
-        cluster.release(group)
 
 
 class TestRuleBasedStrategiesThroughPlatform:

@@ -132,7 +132,7 @@ class TestBatteryProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_energy_accounting_additive(self, draws):
-        battery = BatteryModel(capacity_mah=5000)
+        battery = BatteryModel(5000, 3850.0, np.random.default_rng(0))
         total = 0.0
         for current, duration in draws:
             total += battery.accumulate(current, duration)

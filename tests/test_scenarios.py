@@ -117,6 +117,13 @@ class TestSpecSerialization:
         with pytest.raises(ValueError):
             tiny_scenario(tenants=[])
 
+    def test_uncalibrated_grade_fails_at_schedule_naming_its_path(self):
+        spec = tiny_scenario()
+        spec.tenants[1].grades.append(GradeSpec(grade="Mid"))
+        message = r"^tenants\[1\]\.grades\[1\]\.grade 'Mid' of task .* known grades: \['High', 'Low'\]$"
+        with pytest.raises(ValueError, match=message):
+            ScenarioRunner(spec).schedule()
+
     def test_arrival_processes(self):
         rng = RandomStreams(0).get("test.arrivals")
         assert ArrivalSpec(kind="trace", times=[5.0, 1.0]).submission_times(rng) == [1.0, 5.0]
@@ -130,7 +137,7 @@ class TestSpecSerialization:
         assert 30.0 < times[-1] / 50 < 120.0
 
     def test_from_dict_respects_field_defaults(self):
-        tenant = TenantSpec.from_dict({"name": "defaults-only"})
+        tenant = TenantSpec.from_dict({"name": "defaults-only"}, "tenants[0]")
         assert len(tenant.grades) == 1  # the documented default grade
 
     def test_same_length_tenant_names_get_distinct_datasets(self):
@@ -174,7 +181,7 @@ class TestDeferredSubmission:
         platform.submit(spec, at=50.0)
         assert platform.task_manager.pending_submissions == 1
         assert not platform.task_manager.all_idle
-        platform.run(until=49.0)
+        platform.sim.run(until=49.0)
         assert spec.state is TaskState.PENDING
         platform.run_until_idle(max_time=1e6)
         result = platform.result(spec.task_id)
@@ -184,7 +191,7 @@ class TestDeferredSubmission:
 
     def test_submit_in_the_past_rejected(self):
         platform = _small_platform()
-        platform.run(until=100.0)
+        platform.sim.run(until=100.0)
         with pytest.raises(ValueError):
             platform.submit(_small_task(), at=50.0)
 

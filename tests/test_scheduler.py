@@ -118,9 +118,9 @@ def make_rm(n_high=4, n_low=4, cores=40):
     streams = RandomStreams(0)
     phones = [
         VirtualPhone(sim, f"p{i}", spec, streams=streams)
-        for i, spec in enumerate(build_fleet(n_high, n_low))
+        for i, spec in enumerate(build_fleet(n_high, n_low, "SIM"))
     ]
-    return ResourceManager(cluster, phones)
+    return ResourceManager(cluster, phones, ResourceBundle(cpus=1.0, memory_gb=1.0))
 
 
 class TestResourceManager:

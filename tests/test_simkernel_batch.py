@@ -19,35 +19,24 @@ class TestEventArgs:
 
 
 class TestPopBatch:
-    def test_drains_one_time_priority_run(self):
+    def test_drains_one_timestamp_run(self):
         queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.push(1.0, lambda: None)
-        queue.push(1.0, lambda: None, priority=5)
-        queue.push(2.0, lambda: None)
+        queue.push(1.0, lambda: None, ())
+        queue.push(1.0, lambda: None, ())
+        queue.push(2.0, lambda: None, ())
         batch = queue.pop_batch()
         assert [e.time for e in batch] == [1.0, 1.0]
-        assert [e.priority for e in batch] == [0, 0]
-        assert len(queue) == 2
-
-    def test_batches_split_by_priority(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, priority=1)
-        queue.push(1.0, lambda: None, priority=0)
-        first = queue.pop_batch()
-        second = queue.pop_batch()
-        assert [e.priority for e in first] == [0]
-        assert [e.priority for e in second] == [1]
+        assert len(queue) == 1
 
     def test_insertion_order_within_batch(self):
         queue = EventQueue()
-        events = [queue.push(3.0, lambda: None) for _ in range(5)]
+        events = [queue.push(3.0, lambda: None, ()) for _ in range(5)]
         assert queue.pop_batch() == events
 
     def test_skips_cancelled(self):
         queue = EventQueue()
-        keep = queue.push(1.0, lambda: None)
-        drop = queue.push(1.0, lambda: None)
+        keep = queue.push(1.0, lambda: None, ())
+        drop = queue.push(1.0, lambda: None, ())
         queue.cancel(drop)
         assert queue.pop_batch() == [keep]
         assert len(queue) == 0
@@ -59,8 +48,8 @@ class TestPopBatch:
 class TestStepBatch:
     def test_same_order_as_single_stepping(self):
         def build(sim, order):
-            for tag, time, prio in [("a", 1.0, 0), ("b", 1.0, 0), ("c", 1.0, 2), ("d", 2.0, 0)]:
-                sim.schedule(time, order.append, tag, priority=prio)
+            for tag, time in [("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 2.0)]:
+                sim.schedule(time, order.append, tag)
 
         single = Simulator()
         order_single = []
@@ -116,7 +105,7 @@ class TestStepBatch:
 class TestTimeoutPool:
     def test_fires_at_deadline_in_insertion_order(self):
         sim = Simulator()
-        pool = TimeoutPool(sim)
+        pool = TimeoutPool(sim, name="pool")
         order = []
         pool.add(2.0, order.append, "b1")
         pool.add(1.0, order.append, "a")
@@ -128,7 +117,7 @@ class TestTimeoutPool:
 
     def test_cancellation_before_fire(self):
         sim = Simulator()
-        pool = TimeoutPool(sim)
+        pool = TimeoutPool(sim, name="pool")
         fired = []
         keep = pool.add(1.0, fired.append, "keep")
         drop = pool.add(1.0, fired.append, "drop")
@@ -141,7 +130,7 @@ class TestTimeoutPool:
 
     def test_cancel_is_idempotent_and_noop_after_fire(self):
         sim = Simulator()
-        pool = TimeoutPool(sim)
+        pool = TimeoutPool(sim, name="pool")
         fired = []
         handle = pool.add(1.0, fired.append, "x")
         sim.run()
@@ -152,7 +141,7 @@ class TestTimeoutPool:
 
     def test_callback_can_cancel_sibling_same_deadline(self):
         sim = Simulator()
-        pool = TimeoutPool(sim)
+        pool = TimeoutPool(sim, name="pool")
         fired = []
         handles = {}
 
@@ -167,7 +156,7 @@ class TestTimeoutPool:
 
     def test_earlier_add_rearms_sentinel(self):
         sim = Simulator()
-        pool = TimeoutPool(sim)
+        pool = TimeoutPool(sim, name="pool")
         order = []
         pool.add(5.0, order.append, "late")
         pool.add(1.0, order.append, "early")
@@ -176,8 +165,9 @@ class TestTimeoutPool:
         assert order == ["early", "late"]
 
     def test_rejects_past_and_negative(self):
-        sim = Simulator(start_time=10.0)
-        pool = TimeoutPool(sim)
+        sim = Simulator()
+        sim.run(until=10.0)
+        pool = TimeoutPool(sim, name="pool")
         with pytest.raises(ValueError):
             pool.add(-1.0, lambda: None)
         with pytest.raises(ValueError):
@@ -185,7 +175,7 @@ class TestTimeoutPool:
 
     def test_add_sequence_drains_in_slices(self):
         sim = Simulator()
-        pool = TimeoutPool(sim)
+        pool = TimeoutPool(sim, name="pool")
         times = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 4.0])
         slices = []
         pool.add_sequence(times, lambda lo, hi, t: slices.append((lo, hi, t)))
@@ -195,8 +185,9 @@ class TestTimeoutPool:
         assert pool.pending == 0
 
     def test_add_sequence_validation(self):
-        sim = Simulator(start_time=3.0)
-        pool = TimeoutPool(sim)
+        sim = Simulator()
+        sim.run(until=3.0)
+        pool = TimeoutPool(sim, name="pool")
         with pytest.raises(ValueError):
             pool.add_sequence(np.array([2.0, 1.0]), lambda lo, hi, t: None)
         with pytest.raises(ValueError):
@@ -206,7 +197,7 @@ class TestTimeoutPool:
 
     def test_interleaves_with_heap_events(self):
         sim = Simulator()
-        pool = TimeoutPool(sim)
+        pool = TimeoutPool(sim, name="pool")
         order = []
         sim.schedule(1.5, order.append, "heap-1.5")
         pool.add(1.0, order.append, "pool-1.0")
@@ -217,7 +208,7 @@ class TestTimeoutPool:
 
     def test_growth_beyond_initial_capacity(self):
         sim = Simulator()
-        pool = TimeoutPool(sim)
+        pool = TimeoutPool(sim, name="pool")
         fired = []
         for i in range(200):
             pool.add(float(i % 7) + 1.0, fired.append, i)
@@ -229,7 +220,7 @@ class TestTimeoutPool:
         # threshold (count >= 256, half dead); the survivors' handles must
         # keep working after their slots are remapped.
         sim = Simulator()
-        pool = TimeoutPool(sim)
+        pool = TimeoutPool(sim, name="pool")
         fired = []
         for i in range(300):
             pool.add(1.0, fired.append, i)
@@ -247,7 +238,7 @@ class TestTimeoutPool:
 
     def test_works_under_batched_stepping(self):
         sim = Simulator()
-        pool = TimeoutPool(sim)
+        pool = TimeoutPool(sim, name="pool")
         fired = []
         for i in range(50):
             pool.add(1.0 + (i % 5), fired.append, i)

@@ -10,27 +10,28 @@ class TestEventQueue:
     def test_orders_by_time(self):
         queue = EventQueue()
         order = []
-        queue.push(3.0, lambda: order.append("c"))
-        queue.push(1.0, lambda: order.append("a"))
-        queue.push(2.0, lambda: order.append("b"))
+        queue.push(3.0, lambda: order.append("c"), ())
+        queue.push(1.0, lambda: order.append("a"), ())
+        queue.push(2.0, lambda: order.append("b"), ())
         while queue:
             queue.pop().callback()
         assert order == ["a", "b", "c"]
 
-    def test_ties_broken_by_priority_then_insertion(self):
+    def test_ties_broken_by_insertion(self):
         queue = EventQueue()
         order = []
-        queue.push(1.0, lambda: order.append("third"), priority=5)
-        queue.push(1.0, lambda: order.append("first"), priority=0)
-        queue.push(1.0, lambda: order.append("second"), priority=0)
+        queue.push(1.0, order.append, ("first",))
+        queue.push(1.0, order.append, ("second",))
+        queue.push(0.5, order.append, ("earlier",))
         while queue:
-            queue.pop().callback()
-        assert order == ["first", "second", "third"]
+            event = queue.pop()
+            event.callback(*event.args)
+        assert order == ["earlier", "first", "second"]
 
     def test_cancel_skips_event(self):
         queue = EventQueue()
         fired = []
-        handle = queue.push(1.0, lambda: fired.append(1))
+        handle = queue.push(1.0, lambda: fired.append(1), ())
         queue.cancel(handle)
         assert queue.pop() is None
         assert fired == []
@@ -38,15 +39,15 @@ class TestEventQueue:
 
     def test_peek_time_skips_cancelled(self):
         queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
+        first = queue.push(1.0, lambda: None, ())
+        queue.push(2.0, lambda: None, ())
         queue.cancel(first)
         assert queue.peek_time() == 2.0
 
     def test_len_counts_live_events(self):
         queue = EventQueue()
-        a = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
+        a = queue.push(1.0, lambda: None, ())
+        queue.push(2.0, lambda: None, ())
         assert len(queue) == 2
         queue.cancel(a)
         assert len(queue) == 1
@@ -63,7 +64,8 @@ class TestSimulatorScheduling:
         assert sim.now == 5.0
 
     def test_schedule_at_absolute(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run(until=10.0)
         seen = []
         sim.schedule_at(12.5, lambda: seen.append(sim.now))
         sim.run()
@@ -75,7 +77,8 @@ class TestSimulatorScheduling:
             sim.schedule(-1.0, lambda: None)
 
     def test_schedule_at_past_rejected(self):
-        sim = Simulator(start_time=5.0)
+        sim = Simulator()
+        sim.run(until=5.0)
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda: None)
 
@@ -139,7 +142,7 @@ class TestSimulatorScheduling:
 
 class TestFailurePropagation:
     def test_orphan_process_failure_raises_in_strict_mode(self):
-        sim = Simulator(strict=True)
+        sim = Simulator()
 
         def boom():
             yield Timeout(1.0)
@@ -148,16 +151,3 @@ class TestFailurePropagation:
         sim.process(boom())
         with pytest.raises(ProcessError):
             sim.run()
-
-    def test_orphan_failure_recorded_when_not_strict(self):
-        sim = Simulator(strict=False)
-
-        def boom():
-            yield Timeout(1.0)
-            raise ValueError("bang")
-
-        sim.process(boom())
-        sim.run()
-        assert len(sim.orphan_failures) == 1
-        _, error = sim.orphan_failures[0]
-        assert isinstance(error, ValueError)

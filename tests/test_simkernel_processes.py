@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import AllOf, Signal, Simulator, Timeout
+from repro.simkernel import AllOf, ProcessError, Signal, Simulator, Timeout
 
 
 class TestProcessBasics:
@@ -25,30 +25,19 @@ class TestProcessBasics:
         assert proc.result == "done"
         assert proc.error is None
 
-    def test_timeout_carries_value(self):
-        sim = Simulator()
-        got = []
-
-        def worker():
-            value = yield Timeout(1.0, value="payload")
-            got.append(value)
-
-        sim.process(worker())
-        sim.run()
-        assert got == ["payload"]
-
     def test_negative_timeout_rejected(self):
         with pytest.raises(ValueError):
             Timeout(-0.5)
 
     def test_yielding_non_waitable_is_type_error(self):
-        sim = Simulator(strict=False)
+        sim = Simulator()
 
         def bad():
             yield 42
 
         proc = sim.process(bad())
-        sim.run()
+        with pytest.raises(ProcessError):
+            sim.run()
         assert isinstance(proc.error, TypeError)
 
     def test_process_waits_on_child_process(self):
@@ -124,7 +113,7 @@ class TestSignals:
 
     def test_wait_on_already_fired_signal(self):
         sim = Simulator()
-        signal = Signal()
+        signal = Signal(name="s")
         signal.fire("early")
         got = []
 
@@ -137,14 +126,14 @@ class TestSignals:
         assert got == ["early"]
 
     def test_double_fire_is_error(self):
-        signal = Signal()
+        signal = Signal(name="s")
         signal.fire()
         with pytest.raises(RuntimeError):
             signal.fire()
 
     def test_fail_raises_in_waiter(self):
         sim = Simulator()
-        signal = Signal()
+        signal = Signal(name="s")
         caught = []
 
         def waiter():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cloud import Monitor
 from repro.cluster import K8sCluster, NodeSpec, ResourceBundle
 from repro.scheduler import GradeRequirement, ResourceManager, TaskManager, TaskSpec, TaskState
 from repro.scheduler.task_runner import TaskResult
@@ -38,9 +39,9 @@ class FakeRunner:
 
 
 def build(durations=None, failures=(), bundles_capacity=20):
-    sim = Simulator(strict=False)
+    sim = Simulator()
     cluster = K8sCluster([NodeSpec(cpus=bundles_capacity, memory_gb=bundles_capacity)])
-    rm = ResourceManager(cluster, phones=[])
+    rm = ResourceManager(cluster, [], ResourceBundle(cpus=1.0, memory_gb=1.0))
     durations = durations or {}
 
     def factory(spec):
@@ -50,7 +51,7 @@ def build(durations=None, failures=(), bundles_capacity=20):
             fail=spec.name in failures,
         )
 
-    manager = TaskManager(sim, rm, factory, scheduling_interval=5.0)
+    manager = TaskManager(sim, rm, factory, Monitor(sim), scheduling_interval=5.0)
     return sim, rm, manager
 
 
@@ -128,9 +129,9 @@ class TestTaskManagerLifecycle:
     def test_validation(self):
         sim = Simulator()
         cluster = K8sCluster([NodeSpec(4, 4)])
-        rm = ResourceManager(cluster, phones=[])
+        rm = ResourceManager(cluster, [], ResourceBundle(cpus=1.0, memory_gb=1.0))
         with pytest.raises(ValueError):
-            TaskManager(sim, rm, lambda s: None, scheduling_interval=0)
+            TaskManager(sim, rm, lambda s: None, Monitor(sim), scheduling_interval=0)
 
 
 class TestExperimentsCli:

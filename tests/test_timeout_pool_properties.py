@@ -205,7 +205,9 @@ class TestRecurringTimeout:
         sim = Simulator()
         pool = TimeoutPool(sim, name="ticker")
         fired = []
-        handle = pool.add_recurring(1.0, lambda: (fired.append(sim.now), fired and len(fired) >= 3 and handle.cancel()))
+        handle = pool.add_recurring(
+            1.0, lambda: (fired.append(sim.now), fired and len(fired) >= 3 and handle.cancel()), first_at=1.0
+        )
         sim.run(until=10.0)
         assert fired == [1.0, 2.0, 3.0]
         assert handle.cancelled
@@ -215,7 +217,7 @@ class TestRecurringTimeout:
         sim = Simulator()
         pool = TimeoutPool(sim, name="ticker")
         fired = []
-        handle = pool.add_recurring(2.0, lambda: fired.append(sim.now))
+        handle = pool.add_recurring(2.0, lambda: fired.append(sim.now), first_at=2.0)
         sim.run(until=5.0)
         handle.cancel()
         assert fired == [2.0, 4.0]
@@ -226,4 +228,4 @@ class TestRecurringTimeout:
         sim = Simulator()
         pool = TimeoutPool(sim, name="ticker")
         with pytest.raises(ValueError):
-            pool.add_recurring(0.0, lambda: None)
+            pool.add_recurring(0.0, lambda: None, first_at=0.0)

@@ -30,6 +30,7 @@ from repro.cloud import (
 )
 from repro.cloud.aggregation import AggregationTrigger
 from repro.cluster.actor import DeviceRoundOutcome
+from repro.ml.backends import SERVER_BACKEND
 from repro.ml.fedavg import ModelUpdate, fedavg
 from repro.ml.model import LogisticRegressionModel
 from repro.observability.sla import known_metrics, metric_value
@@ -109,7 +110,7 @@ class TestChannelModel:
     def test_lossless_channel_delivers_at_latency_without_draws(self):
         model = ChannelModel(latency_s=3.0)
         rng = RandomStreams(0).get("s")
-        plan = model.plan_upload(rng, 10.0)
+        plan = model.plan_upload(rng, 10.0, "")
         assert plan.arrival == 13.0
         assert plan.retries == 0
         assert not plan.duplicate
@@ -121,7 +122,7 @@ class TestChannelModel:
             windows=[ChannelWindow(kind="loss", at=0.0, until=1e9, prob=1.0)],
         )
         rng = RandomStreams(0).get("s")
-        plan = model.plan_upload(rng, 5.0)
+        plan = model.plan_upload(rng, 5.0, "")
         assert plan.arrival is None
         assert plan.retries == model.max_attempts - 1
         assert not plan.duplicate
@@ -134,7 +135,7 @@ class TestChannelModel:
             windows=[ChannelWindow(kind="outage", at=0.0, until=10.0)],
         )
         rng = RandomStreams(0).get("s")
-        plan = model.plan_upload(rng, 0.0)
+        plan = model.plan_upload(rng, 0.0, "")
         assert plan.arrival is not None and plan.arrival > 10.0
         assert plan.retries >= 1
 
@@ -156,10 +157,10 @@ class TestChannelModel:
             windows=[ChannelWindow(kind="loss", at=0.0, until=16.1, prob=1.0)],
         )
         rng = RandomStreams(1).get("s")
-        plan = model.plan_upload(rng, 0.0)
+        plan = model.plan_upload(rng, 0.0, "")
         assert plan.arrival is None
         rng = RandomStreams(1).get("s")
-        plan2 = model2.plan_upload(rng, 0.0)
+        plan2 = model2.plan_upload(rng, 0.0, "")
         if plan2.arrival is not None:
             assert plan2.arrival <= 16.1
 
@@ -211,8 +212,8 @@ class TestChannelModel:
 # ----------------------------------------------------------------------
 def make_numeric_sink(dedup=True):
     sim = Simulator()
-    model = LogisticRegressionModel(feature_dim=4)
-    service = AggregationService(sim, ObjectStorage(), AggregationTrigger(), model=model)
+    model = LogisticRegressionModel(4, SERVER_BACKEND)
+    service = AggregationService(sim, ObjectStorage(), AggregationTrigger(), model=model, name="agg")
     sink = CloudIngestSink(sim, "t", service.storage, service, dedup=dedup)
     return sim, service, sink, model
 
@@ -382,7 +383,7 @@ class TestMessageBlockDedup:
 
         def run(stream):
             sim = Simulator()
-            service = AggregationService(sim, ObjectStorage(), AggregationTrigger())
+            service = AggregationService(sim, ObjectStorage(), AggregationTrigger(), name="agg")
             sink = CloudIngestSink(sim, "t", service.storage, service, dedup=True)
             for message in stream:
                 sink.flow_receive(message)
