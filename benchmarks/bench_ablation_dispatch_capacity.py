@@ -8,7 +8,7 @@ while higher caps approach the ideal curve.
 
 from repro.deviceflow import (
     DeviceFlow,
-    Message,
+    MessageBlock,
     TimeIntervalStrategy,
     right_tailed_normal,
 )
@@ -31,9 +31,9 @@ def capacity_sweep(capacities=(100.0, 300.0, 700.0, 2000.0), n_messages=10_000):
 
         flow.register_task("cap", TimeIntervalStrategy(curve, interval), downstream)
         flow.round_started("cap", 1)
-        for i in range(n_messages):
-            flow.submit(Message(task_id="cap", device_id=f"d{i}", round_index=1,
-                                payload_ref=f"p{i}"))
+        flow.submit_block(
+            MessageBlock(task_id="cap", round_index=1, device_ids=[f"d{i}" for i in range(n_messages)])
+        )
         flow.round_completed("cap", 1)
         base = sim.now
         sim.run()

@@ -18,8 +18,8 @@ Run:  python examples/global_traffic_replay.py
 import numpy as np
 
 from repro.behavior import DiurnalAvailability, TimezoneMixture, population_traffic_curve
-from repro.cloud import AggregationService, ObjectStorage, SampleThresholdTrigger
-from repro.deviceflow import DeviceFlow, Message, TimeIntervalStrategy
+from repro.cloud import AggregationService, SampleThresholdTrigger
+from repro.deviceflow import DeviceFlow, MessageBlock, TimeIntervalStrategy
 from repro.simkernel import RandomStreams, Simulator
 
 N_DEVICES = 100_000
@@ -34,10 +34,8 @@ def main(n_devices: int = N_DEVICES, window_s: float = WINDOW_S) -> None:
           f"{curve(np.linspace(0, 24, 200)).max() / curve(np.linspace(0, 24, 200)).min():.2f}x")
 
     sim = Simulator()
-    storage = ObjectStorage()
     service = AggregationService(
         sim,
-        storage,
         SampleThresholdTrigger(threshold_samples=max(100, n_devices // 10)),
         model=None,  # counting mode: the interest here is load, not ML
         name="global-agg",
@@ -48,14 +46,13 @@ def main(n_devices: int = N_DEVICES, window_s: float = WINDOW_S) -> None:
     flow.register_task(
         "day-replay",
         TimeIntervalStrategy(curve, interval_seconds=window_s, failure_prob=0.02),
-        service.receive_message,
+        service.receive_block,
     )
     flow.round_started("day-replay", 1)
-    for i in range(n_devices):
-        flow.submit(
-            Message(task_id="day-replay", device_id=f"dev-{i}", round_index=1,
-                    payload_ref=f"u/{i}", n_samples=1)
-        )
+    flow.submit_block(
+        MessageBlock(task_id="day-replay", round_index=1,
+                     device_ids=[f"dev-{i}" for i in range(n_devices)])
+    )
     flow.round_completed("day-replay", 1)
     sim.run()
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cloud.database import MetricsDatabase
-from repro.cloud.storage import ObjectStorage
 from repro.data.avazu import DeviceDataset
-from repro.deviceflow.messages import Message, MessageBlock
-from repro.ml.fedavg import FedAvgAggregator, FedAvgPartial, ModelUpdate
+from repro.deviceflow.messages import MessageBlock
+from repro.ml.fedavg import FedAvgPartial
 from repro.ml.model import LogisticRegressionModel
 from repro.simkernel import Simulator
 
@@ -105,35 +104,27 @@ class AggregationService:
 
     Ingestion surface
     -----------------
-    Exactly three entry points buffer work, and everything else (the
-    triggers, :meth:`aggregate_now`, the counters) is downstream of them:
-
-    * :meth:`receive_message` — the scalar DeviceFlow endpoint: one
-      :class:`~repro.deviceflow.messages.Message`, payload fetched from
-      storage.
-    * :meth:`receive_block` — the columnar endpoint: one
-      :class:`~repro.deviceflow.messages.MessageBlock` — a whole round
-      from a direct task, or one delivered DeviceFlow chunk — buffers
-      its stacked update rows, which fold via the exact
-      :class:`~repro.ml.fedavg.FedAvgPartial` primitive (bit-identical
-      to the equivalent scalar stream, in any mix, by FedAvg partition
-      invariance).
-    * :meth:`receive_update` — direct scalar ingestion bypassing
-      DeviceFlow and storage (experiment harnesses).
+    One entry point buffers work, and everything else (the triggers,
+    :meth:`aggregate_now`, the counters) is downstream of it:
+    :meth:`receive_block` takes one
+    :class:`~repro.deviceflow.messages.MessageBlock` — a whole round from
+    a direct task, one delivered DeviceFlow chunk, or a single upload as
+    a block of one row — and buffers its stacked update rows, which fold
+    via the exact :class:`~repro.ml.fedavg.FedAvgPartial` primitive
+    (bit-identical however the rows were cut into blocks, by FedAvg
+    partition invariance).
 
     Triggers observe the buffer only through ``pending_updates`` /
     ``pending_samples`` and fold it only through :meth:`aggregate_now`;
     note a block is buffered atomically, so a threshold trigger fires at
-    block rather than message granularity on the columnar path: after
-    the block (for DeviceFlow traffic, the delivered chunk) that crosses
-    the threshold, with all of that block's rows in the fold.
+    block granularity: after the block (for DeviceFlow traffic, the
+    delivered chunk) that crosses the threshold, with all of that
+    block's rows in the fold.
 
     Parameters
     ----------
     sim:
         Shared simulator.
-    storage:
-        Shared object storage messages point into.
     trigger:
         Aggregation condition.
     model:
@@ -150,7 +141,6 @@ class AggregationService:
     def __init__(
         self,
         sim: Simulator,
-        storage: ObjectStorage,
         trigger: AggregationTrigger,
         *,
         model: LogisticRegressionModel | None = None,
@@ -159,22 +149,19 @@ class AggregationService:
         name: str,
     ) -> None:
         self.sim = sim
-        self.storage = storage
         self.trigger = trigger
         self.model = model
         self.test_set = test_set
         self.db = db
         self.name = name
-        self.aggregator = FedAvgAggregator()
         self.history: list[AggregationRecord] = []
         self.messages_received = 0
         self.bytes_received = 0
         self.receive_log: list[tuple[float, int]] = []
         self._pending_sample_count = 0
         self._pending_update_count = 0
-        #: Block-path buffer: the stacked ``(weights, biases, n_samples)``
-        #: rows of every received block, folded in one exact pass (and
-        #: merged with the scalar aggregator's partial) at fold time.
+        #: The stacked ``(weights, biases, n_samples)`` rows of every
+        #: received block, folded in one exact pass at fold time.
         self._stacked: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._round = 0
         self._started = False
@@ -182,7 +169,7 @@ class AggregationService:
     # ------------------------------------------------------------------
     @property
     def pending_updates(self) -> int:
-        """Updates buffered since the last aggregation (scalar + block)."""
+        """Updates buffered since the last aggregation."""
         return self._pending_update_count
 
     @property
@@ -210,32 +197,15 @@ class AggregationService:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def receive_message(self, message: Message) -> None:
-        """DeviceFlow downstream endpoint: fetch and buffer the update."""
-        self.messages_received += 1
-        self.bytes_received += message.size_bytes
-        self.receive_log.append((self.sim.now, 1))
-        if self.model is not None:
-            payload = self.storage.get(message.payload_ref)
-            if not isinstance(payload, ModelUpdate):
-                raise TypeError(
-                    f"storage object {message.payload_ref!r} is not a ModelUpdate"
-                )
-            self.aggregator.add(payload)
-        self._pending_update_count += 1
-        self._pending_sample_count += message.n_samples
-        self.trigger.on_update(self)
-
     def receive_block(self, block: MessageBlock) -> None:
-        """Columnar endpoint: buffer a block of updates for the next fold.
+        """Buffer a block of updates for the next fold.
 
         Counters advance in bulk (one ``receive_log`` entry of the
         block's size), and numeric payloads are kept as stacked rows
         that :meth:`aggregate_now` folds through
         :meth:`FedAvgPartial.from_arrays` — the exact primitive, so the
-        global model is bit-identical to the same updates streamed
-        through :meth:`receive_message`, in any scalar/block mix and
-        however the rows were cut into blocks.  Empty blocks are ignored.
+        global model is bit-identical however the rows were cut into
+        blocks.  Empty blocks are ignored.
         """
         n = len(block)
         if n == 0:
@@ -254,16 +224,6 @@ class AggregationService:
         self._pending_sample_count += block.total_samples
         self.trigger.on_update(self)
 
-    def receive_update(self, update: ModelUpdate) -> None:
-        """Direct ingestion path (bypassing DeviceFlow and storage)."""
-        self.messages_received += 1
-        self.receive_log.append((self.sim.now, 1))
-        if self.model is not None:
-            self.aggregator.add(update)
-        self._pending_update_count += 1
-        self._pending_sample_count += update.n_samples
-        self.trigger.on_update(self)
-
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
@@ -276,16 +236,9 @@ class AggregationService:
         n_samples, self._pending_sample_count = self._pending_sample_count, 0
         record = AggregationRecord(round_index=self._round, time=self.sim.now, n_updates=n_updates, n_samples=n_samples)
         if self.model is not None:
-            if self._stacked:
-                stacked, self._stacked = self._stacked, []
-                columns = stacked[0] if len(stacked) == 1 else map(np.concatenate, zip(*stacked))
-                parts = [FedAvgPartial.from_arrays(*columns)]
-                if len(self.aggregator):
-                    parts.insert(0, self.aggregator.partial())
-                weights, bias, _ = FedAvgAggregator.merge(parts)
-            else:
-                weights, bias, _ = self.aggregator.aggregate()
-            self.model.set_params(weights, bias)
+            stacked, self._stacked = self._stacked, []
+            columns = stacked[0] if len(stacked) == 1 else map(np.concatenate, zip(*stacked))
+            self.model.set_params(*FedAvgPartial.from_arrays(*columns).finalize())
             if self.test_set is not None:
                 metrics = self.model.evaluate(self.test_set.features, self.test_set.labels)
                 record.test_loss = metrics["log_loss"]

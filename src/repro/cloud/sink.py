@@ -2,25 +2,11 @@
 
 SimDC's cloud design treats aggregation as buffer-and-fold over whole
 rounds (§VI-C), and the delivery API mirrors that: an :class:`OutcomeSink`
-receives a columnar block (``accept_block``) — a whole plan's round for
+receives columnar blocks (``accept_block``) — a whole plan's round for
 direct dispatch, one completion wave at a time when the task is shaped by
-DeviceFlow — or one outcome at a time (``accept``: benchmarking phones,
-and uploads a transport channel delivers individually).
-:class:`CloudIngestSink` implements the full cloud path — storage,
-messaging, aggregation — for both granularities with byte-identical
-simulated results.
-
-Scalar → block method map (see README, "Execution model"):
-
-========================  ==============================
-per-device (scalar)       per-wave / per-round (block)
-========================  ==============================
-``sink.accept``           ``sink.accept_block``
-``storage.put``           ``storage.put_block``
-``Message``               ``MessageBlock``
-``deviceflow.submit``     ``deviceflow.submit_block``
-``service.receive_message``  ``service.receive_block``
-========================  ==============================
+DeviceFlow, and a block of one row for a benchmarking phone or an upload a
+transport channel delivers.  :class:`CloudIngestSink` implements the cloud
+path — storage, messaging, aggregation — for any of them.
 """
 
 from __future__ import annotations
@@ -32,13 +18,13 @@ import numpy as np
 from repro.cloud.aggregation import AggregationService
 from repro.cloud.storage import ObjectStorage
 from repro.deviceflow.controller import DeviceFlow
-from repro.deviceflow.messages import Message, MessageBlock, payload_ref
+from repro.deviceflow.messages import MessageBlock, payload_ref
+from repro.ml.fedavg import ModelUpdate
 from repro.simkernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # cluster.rounds imports this module for the protocol, so a runtime
     # import here would be circular.
-    from repro.cluster.actor import DeviceRoundOutcome
     from repro.cluster.rounds import ColumnarOutcomes
     from repro.observability.tracing import Tracer
 
@@ -47,34 +33,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class OutcomeSink(Protocol):
     """Receives device-round results from the execution tiers.
 
-    The tiers deliver through two methods:
+    The tiers deliver through :meth:`accept_block`, one
+    :class:`ColumnarOutcomes` block a call: a computing plan's whole
+    round, fired once at the block's last completion time; one completion
+    wave of it (a row range), fired at the wave's time; or the one-row
+    block of a benchmarking phone, fired as it finishes training.
 
-    * :meth:`accept_block` — one :class:`ColumnarOutcomes` block: a
-      computing plan's whole round, fired once at the block's last
-      completion time, or one completion wave of it (a zero-copy row
-      view), fired at the wave's time.
-    * :meth:`accept` — one :class:`DeviceRoundOutcome`, fired as a
-      benchmarking phone finishes training (and what a transport channel
-      delivers per surviving upload).
-
-    One optional class/instance attribute picks the block granularity:
-    ``prefers_waves`` (default ``False``; ``True`` asks for one block per
-    wave instead of one per plan — what a sink feeding DeviceFlow
-    mid-round needs, since traffic shaping must see arrivals when they
-    happen).
+    One optional class/instance attribute picks the granularity for
+    computing plans: ``prefers_waves`` (default ``False``; ``True`` asks
+    for one block per wave instead of one per plan — what a sink feeding
+    DeviceFlow mid-round needs, since traffic shaping must see arrivals
+    when they happen).
     """
 
-    def accept(self, outcome: DeviceRoundOutcome) -> None:
-        """Ingest one device's round result."""
-        ...  # pragma: no cover - protocol
-
     def accept_block(self, block: ColumnarOutcomes) -> None:
-        """Ingest a plan's round, or one wave of it, as one columnar block."""
+        """Ingest a plan's round, or a row range of it, as one columnar block."""
         ...  # pragma: no cover - protocol
 
 
 class _BlockUpdateView:
-    """Lazy per-device view of a block's stacked model updates.
+    """Lazy per-device view of a message block's stacked model updates.
 
     ``ObjectStorage.put_block`` stores the whole sequence behind one
     shared handle; a :class:`~repro.ml.fedavg.ModelUpdate` object is only
@@ -84,27 +62,33 @@ class _BlockUpdateView:
 
     __slots__ = ("_block",)
 
-    def __init__(self, block: ColumnarOutcomes) -> None:
+    def __init__(self, block: MessageBlock) -> None:
         self._block = block
 
     def __len__(self) -> int:
         return len(self._block)
 
-    def __getitem__(self, position: int):
-        return self._block.update_at(position)
+    def __getitem__(self, position: int) -> ModelUpdate:
+        block = self._block
+        return ModelUpdate(
+            device_id=block.device_ids[position],
+            round_index=block.round_index,
+            weights=block.update_weights[position].copy(),
+            bias=float(block.update_biases[position]),
+            n_samples=int(block.n_samples[position]),
+            metadata=dict(block.metadata),
+        )
 
 
 class CloudIngestSink:
     """The production sink: storage + DeviceFlow/aggregation ingestion.
 
-    Scalar delivery (:meth:`accept`) is one storage put (numeric runs),
-    one :class:`Message`, then either a DeviceFlow submission or a direct
-    ``service.receive_message``.  Block delivery (:meth:`accept_block`)
-    performs the same ingestion wholesale: one ``storage.put_block``
-    stamped with the block's per-device completion times, one
-    :class:`MessageBlock`, then one ``deviceflow.submit_block`` or one
-    ``service.receive_block`` fold — with the global model bit-identical
-    to the scalar path by FedAvg partition invariance.
+    A delivery (:meth:`accept_block`) is one :class:`MessageBlock`, one
+    ``storage.put_block`` stamped with the block's per-device completion
+    times (numeric runs), then one ``deviceflow.submit_block`` or one
+    ``service.receive_block`` — with the global model bit-identical
+    however a round's rows were cut into blocks, by FedAvg partition
+    invariance.
 
     Parameters
     ----------
@@ -164,131 +148,67 @@ class CloudIngestSink:
     def begin_round(self, round_index: int, deadline: float | None = None) -> None:
         """Arm the ingestion gate for one round.
 
-        ``deadline`` is an absolute simulated time: scalar deliveries at
-        or after it (and block rows finishing at or after it) are
-        dropped as late instead of folded.
+        ``deadline`` is an absolute simulated time: rows finishing
+        (arriving, for DeviceFlow chunks) at or after it are dropped as
+        late instead of folded.
         """
         if deadline is not None:
             self._deadlines[round_index] = float(deadline)
             self._guarded = True
 
-    def _admit(self, device_id: str, round_index: int, when: float) -> bool:
-        """Late/duplicate gate for one upload; updates the counters."""
-        deadline = self._deadlines.get(round_index)
-        if deadline is not None and when >= deadline:
-            self.late_drops += 1
-            if self.tracer is not None:
-                self.tracer.record_ingest_drop(self.task_id, device_id, round_index, when, "late")
-            return False
-        if self.dedup:
-            key = (device_id, round_index)
-            if key in self._seen:
-                self.duplicate_drops += 1
-                if self.tracer is not None:
-                    self.tracer.record_ingest_drop(
-                        self.task_id, device_id, round_index, when, "duplicate"
-                    )
-                return False
-            self._seen.add(key)
-        self.delivered += 1
-        return True
-
-    def _admit_rows(self, device_ids, round_index: int, when) -> np.ndarray | None:
+    def _admit_rows(self, device_ids, round_index: int, when: np.ndarray | float) -> np.ndarray | None:
         """Gate a block's rows; ``None`` means every row was admitted.
 
         ``when`` holds the rows' arrival times: the per-row completion
         times of a direct block, or the one instant (``sim.now``) a
         DeviceFlow delivery chunk arrives at — so a chunk's late check is
-        a single comparison.  Dedup runs per row, and only when armed.
-        Otherwise returns the boolean mask of admitted rows.
+        a single comparison.  Dedup runs per row, in block order, and only
+        when armed.  Otherwise returns the boolean mask of admitted rows.
         """
         n = len(device_ids)
         deadline = self._deadlines.get(round_index)
-        if deadline is None and not self.dedup:
-            self.delivered += n
-            return None
-        times = np.broadcast_to(np.asarray(when, dtype=np.float64), (n,))
-        late = times >= deadline if deadline is not None else np.zeros(n, dtype=bool)
-        duplicate = np.zeros(n, dtype=bool)
+        dropped: dict[int, str] = {}  # row -> reason
+        if deadline is not None:
+            if isinstance(when, float):
+                late = range(n) if when >= deadline else ()
+            else:
+                late = np.flatnonzero(when >= deadline).tolist()
+            dropped = dict.fromkeys(late, "late")
         if self.dedup:
             seen = self._seen
-            for position in np.flatnonzero(~late).tolist():
-                key = (device_ids[position], round_index)
-                if key in seen:
-                    duplicate[position] = True
-                else:
-                    seen.add(key)
-        dropped = late | duplicate
-        n_dropped = int(np.count_nonzero(dropped))
-        self.delivered += n - n_dropped
-        if n_dropped == 0:
+            for position, device_id in enumerate(device_ids):
+                if position not in dropped:
+                    key = (device_id, round_index)
+                    if key in seen:
+                        dropped[position] = "duplicate"
+                    else:
+                        seen.add(key)
+        self.delivered += n - len(dropped)
+        if not dropped:
             return None
-        self.late_drops += int(np.count_nonzero(late))
-        self.duplicate_drops += int(np.count_nonzero(duplicate))
-        if self.tracer is not None:
-            for position in np.flatnonzero(dropped).tolist():
-                self.tracer.record_ingest_drop(
-                    self.task_id,
-                    device_ids[position],
-                    round_index,
-                    float(times[position]),
-                    "late" if late[position] else "duplicate",
-                )
-        return ~dropped
+        keep = np.ones(n, dtype=bool)
+        for position in sorted(dropped):
+            reason = dropped[position]
+            keep[position] = False
+            if reason == "late":
+                self.late_drops += 1
+            else:
+                self.duplicate_drops += 1
+            if self.tracer is not None:
+                time = when if isinstance(when, float) else float(when[position])
+                self.tracer.record_ingest_drop(self.task_id, device_ids[position], round_index, time, reason)
+        return keep
 
     # ------------------------------------------------------------------
-    def accept(self, outcome: DeviceRoundOutcome) -> None:
-        """Per-device ingestion."""
-        if self._trace_devices:
-            self.tracer.record_device(
-                self.task_id,
-                outcome.device_id,
-                outcome.grade,
-                outcome.round_index,
-                outcome.n_samples,
-                outcome.payload_bytes,
-                float(outcome.finished_at),
-            )
-        # Flow-connected sinks gate at dispatcher delivery instead
-        # (:meth:`flow_receive`): a submission is not an ingestion yet.
-        if (
-            self._guarded
-            and self.deviceflow is None
-            and not self._admit(outcome.device_id, outcome.round_index, self.sim.now)
-        ):
-            return
-        self._ingest(outcome)
-
-    def _ingest(self, outcome: DeviceRoundOutcome) -> None:
-        ref = payload_ref(self.task_id, outcome.device_id, outcome.round_index)
-        if outcome.update is not None:
-            self.storage.put(
-                ref, outcome.update, outcome.payload_bytes, now=self.sim.now,
-                writer=outcome.device_id,
-            )
-        message = Message(
-            task_id=self.task_id,
-            device_id=outcome.device_id,
-            round_index=outcome.round_index,
-            payload_ref=ref,
-            size_bytes=outcome.payload_bytes,
-            n_samples=outcome.n_samples,
-            metadata={"grade": outcome.grade},
-        )
-        if self.deviceflow is not None:
-            self.deviceflow.submit(message)
-        else:
-            self.service.receive_message(message)
-
     def accept_block(self, block: ColumnarOutcomes) -> None:
-        """Block ingestion: one put, one message block, one submit or fold.
+        """Block ingestion: one message block, one put, one submit or fold.
 
-        ``block`` is a plan's whole round (direct tasks) or one
-        completion wave of it, delivered at the wave's time (tasks
-        shaped by DeviceFlow).
+        ``block`` is a plan's whole round (direct tasks), one completion
+        wave of it delivered at the wave's time (tasks shaped by
+        DeviceFlow), or a single upload (a benchmarking phone; a channel
+        delivery, whose time column is its arrival).
         """
-        n = len(block)
-        if n == 0:
+        if len(block) == 0:
             return
         if self._trace_devices:
             # O(1): the tracer keeps a reference to the columnar block
@@ -296,61 +216,53 @@ class CloudIngestSink:
             self.tracer.record_block(self.task_id, block)
         round_index = block.round_index
         device_ids = block.device_ids
+        # Flow-connected sinks gate at dispatcher delivery instead
+        # (:meth:`flow_receive`): a submission is not an ingestion yet.
+        keep = None
         if self._guarded and self.deviceflow is None:
             keep = self._admit_rows(device_ids, round_index, block.finished_at)
-            if keep is not None:
-                # Rows were dropped: ingest the survivors per device (in
-                # block order).  The exact-sum fold makes the aggregate
-                # bit-identical to a filtered block ingest.
-                outcomes = block.materialize()
-                for position in np.flatnonzero(keep).tolist():
-                    self._ingest(outcomes[position])
+            if keep is not None and not keep.any():
                 return
         has_updates = block.update_weights is not None and block.update_biases is not None
         refs = None  # time-only traffic stores nothing: the keys stay implicit
         if has_updates:
             refs = [payload_ref(self.task_id, d, round_index) for d in device_ids]
-            self.storage.put_block(
-                refs,
-                _BlockUpdateView(block),
-                block.payload_bytes,
-                now=block.finished_at,
-                writers=device_ids,
-            )
         message_block = MessageBlock(
             task_id=self.task_id,
             round_index=round_index,
             device_ids=device_ids,
             payload_refs=refs,
             size_bytes=block.payload_bytes,
-            n_samples=block.n_samples_array(),
-            finished_at=block.finished_at,
-            metadata={"grade": block.plan.grade},
+            n_samples=block.devices.n_samples,
+            metadata={"grade": block.grade},
             update_weights=block.update_weights if has_updates else None,
             update_biases=block.update_biases if has_updates else None,
         )
+        if keep is not None:
+            message_block = message_block.compress(keep)
+        if has_updates:
+            self.storage.put_block(
+                message_block.payload_refs,
+                _BlockUpdateView(message_block),
+                block.payload_bytes,
+                now=block.finished_at if keep is None else block.finished_at[keep],
+                writers=message_block.device_ids,
+            )
         if self.deviceflow is not None:
             self.deviceflow.submit_block(message_block)
         else:
             self.service.receive_block(message_block)
 
     # ------------------------------------------------------------------
-    def flow_receive(self, segment: Message | MessageBlock) -> None:
+    def flow_receive(self, segment: MessageBlock) -> None:
         """DeviceFlow downstream endpoint with the ingestion gate applied.
 
-        Receives what the dispatcher delivers: the :class:`Message` of a
-        scalar submission, or a :class:`MessageBlock` of rows that were
-        submitted as blocks.  Flow-dispatched traffic reaches the cloud
-        at dispatcher delivery time, so the late/duplicate check runs
-        against ``sim.now`` here rather than at outcome production —
-        once for a whole block, whose rows all arrive at this instant.
+        Receives what the dispatcher delivers: :class:`MessageBlock` row
+        ranges.  Flow-dispatched traffic reaches the cloud at dispatcher
+        delivery time, so the late/duplicate check runs against
+        ``sim.now`` here rather than at outcome production — once for a
+        whole chunk, whose rows all arrive at this instant.
         """
-        if isinstance(segment, Message):
-            if not self._guarded or self._admit(
-                segment.device_id, segment.round_index, self.sim.now
-            ):
-                self.service.receive_message(segment)
-            return
         if self._guarded:
             keep = self._admit_rows(segment.device_ids, segment.round_index, self.sim.now)
             if keep is not None:

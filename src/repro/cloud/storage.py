@@ -60,14 +60,13 @@ class ObjectStorage:
     the data charge the transfer time; durability and placement are out
     of the paper's scope.
 
-    Two write granularities share the same keyspace and counters:
-    :meth:`put` stores one payload, :meth:`put_block` stores a whole
-    columnar round (one dict update, vectorized byte accounting) with
-    per-key reads and heads indistinguishable from ``n`` scalar puts.
+    :meth:`put_block` is the one write: a whole columnar round, a wave, or
+    one upload as a block of one key (one dict update, vectorized byte
+    accounting); reads and heads are per key.
     """
 
     def __init__(self) -> None:
-        self._objects: dict[str, StoredObject | _BlockSlot] = {}
+        self._objects: dict[str, _BlockSlot] = {}
         self.total_bytes_written = 0
         self.total_bytes_read = 0
         self.put_count = 0
@@ -78,21 +77,6 @@ class ObjectStorage:
 
     def __contains__(self, key: str) -> bool:
         return key in self._objects
-
-    def put(self, key: str, value: Any, size_bytes: int, *, now: float = 0.0, writer: str = "") -> StoredObject:
-        """Store (or overwrite) a payload under ``key``.
-
-        ``now`` and ``writer`` are record-shaping metadata and therefore
-        keyword-only — a positional float after ``size_bytes`` was too
-        easy to misread as another size.
-        """
-        if size_bytes < 0:
-            raise ValueError("size_bytes must be >= 0")
-        record = StoredObject(key=key, value=value, size_bytes=int(size_bytes), stored_at=now, writer=writer)
-        self._objects[key] = record
-        self.total_bytes_written += int(size_bytes)
-        self.put_count += 1
-        return record
 
     def put_block(
         self,
@@ -105,11 +89,11 @@ class ObjectStorage:
     ) -> int:
         """Store a whole block of payloads in one call; returns the count.
 
-        Accounting is equivalent to ``n`` scalar :meth:`put` calls
-        (``put_count += n``, ``total_bytes_written += sum(sizes)``), but
-        the store performs ONE dict update and allocates one shared
-        metadata object plus a two-field slot per key — no per-key
-        :class:`StoredObject` until someone reads it.  ``size_bytes``,
+        Accounting is per key (``put_count += n``,
+        ``total_bytes_written += sum(sizes)``), but the store performs ONE
+        dict update and allocates one shared metadata object plus a
+        two-field slot per key — no per-key :class:`StoredObject` until
+        someone asks for a :meth:`head`.  ``size_bytes``,
         ``now`` and ``writers`` each accept either one broadcast value or
         a per-key sequence; ``values`` may be any lazy sequence (indexed
         only on :meth:`get`/:meth:`head`).
@@ -138,29 +122,23 @@ class ObjectStorage:
         record = self._objects.get(key)
         if record is None:
             raise KeyError(f"no object stored under {key!r}")
-        if type(record) is _BlockSlot:
-            self.total_bytes_read += int(record.block.sizes[record.position])
-            self.get_count += 1
-            return record.block.values[record.position]
-        self.total_bytes_read += record.size_bytes
+        self.total_bytes_read += int(record.block.sizes[record.position])
         self.get_count += 1
-        return record.value
+        return record.block.values[record.position]
 
     def head(self, key: str) -> StoredObject:
         """Metadata of a stored object without a read charge."""
         record = self._objects.get(key)
         if record is None:
             raise KeyError(f"no object stored under {key!r}")
-        if type(record) is _BlockSlot:
-            block, position = record.block, record.position
-            return StoredObject(
-                key=key,
-                value=block.values[position],
-                size_bytes=int(block.sizes[position]),
-                stored_at=float(block.times[position]),
-                writer=block.writer_at(position),
-            )
-        return record
+        block, position = record.block, record.position
+        return StoredObject(
+            key=key,
+            value=block.values[position],
+            size_bytes=int(block.sizes[position]),
+            stored_at=float(block.times[position]),
+            writer=block.writer_at(position),
+        )
 
     def keys(self) -> list[str]:
         """All stored keys, sorted."""

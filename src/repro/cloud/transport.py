@@ -16,9 +16,9 @@ loop deterministically:
   ``max_attempts`` sends the upload is *abandoned*.
 * :class:`TransportChannel` — the simulation adapter: it fronts any
   :class:`~repro.cloud.sink.OutcomeSink`, plans one upload per device
-  round (columnar blocks are routed per device, in block order), and
-  delivers surviving uploads through a
-  :class:`~repro.simkernel.TimeoutPool` at their arrival times.
+  round (a block's rows are routed per device, in block order), and
+  delivers each surviving upload as a block of one row through a
+  :class:`~repro.simkernel.TimeoutPool` at its arrival time.
 
 Determinism contract: every draw comes from a per-``(task, device)``
 stream keyed only on ids, and the number of draws per upload depends
@@ -34,18 +34,37 @@ aggregate is bit-identical no matter the delivery order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.simkernel import Signal, TimeoutPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.actor import DeviceRoundOutcome
+    from repro.cluster.rounds import ColumnarOutcomes
     from repro.observability.tracing import Tracer
     from repro.simkernel import RandomStreams, Simulator
 
 #: Impairment kinds a window can schedule (mirrors the FaultSpec kinds
 #: ``message_loss`` / ``message_duplication`` / ``service_outage``).
 WINDOW_KINDS = ("loss", "duplication", "outage")
+
+
+def check_channel_numbers(spec, prefix: str = "") -> None:
+    """Reject a non-numeric channel field or a non-integer ``max_attempts``, naming it.
+
+    Shared by :class:`ChannelModel` and the scenario file's ``TransportSpec``
+    (``prefix="transport."``): a string where a probability belongs, or
+    ``max_attempts=2.5``, fails at construction instead of mid-run inside
+    :meth:`ChannelModel.plan_upload`.
+    """
+    for name in ("latency_s", "jitter_s", "loss_prob", "dup_prob", "retry_base_s", "retry_cap_s"):
+        value = getattr(spec, name)
+        if not isinstance(value, Real):
+            raise ValueError(f"{prefix}{name} must be a number, got {value!r}")
+    if not isinstance(spec.max_attempts, Integral) or spec.max_attempts < 1:
+        raise ValueError(f"{prefix}max_attempts must be an integer >= 1, got {spec.max_attempts!r}")
 
 
 @dataclass
@@ -141,6 +160,7 @@ class ChannelModel:
     windows: list[ChannelWindow] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        check_channel_numbers(self)
         if self.latency_s < 0.0 or self.jitter_s < 0.0:
             raise ValueError(
                 f"channel latency/jitter must be >= 0, got "
@@ -155,8 +175,6 @@ class ChannelModel:
                 f"retry backoff must be > 0, got base={self.retry_base_s!r}, "
                 f"cap={self.retry_cap_s!r}"
             )
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
 
     def loss_prob_at(self, time: float, scope: str) -> float:
         """Combined loss probability at ``time`` (independent sources)."""
@@ -197,9 +215,8 @@ class ChannelModel:
         """Plan one upload that first becomes ready at time ``t0``.
 
         Draw counts depend only on the send times derived from ``t0``,
-        never on the caller's clock, so the plan is identical whether
-        the upload arrives as a scalar outcome or as a row of a columnar
-        block.
+        never on the caller's clock, so the plan is identical however
+        the round's rows were cut into blocks.
         """
         t_send = float(t0)
         for attempt in range(1, self.max_attempts + 1):
@@ -228,8 +245,9 @@ class TransportChannel:
     execution tiers; plans each device's upload with a device-keyed rng
     stream and delivers survivors to ``inner`` through a
     :class:`TimeoutPool` at their (possibly retried, possibly late)
-    arrival times.  Columnar blocks are materialized and routed per
-    device in block order.
+    arrival times: each delivery is the upload's row of the block with
+    the arrival as its time column.  A block's rows are routed per device
+    in block order.
 
     The runner awaits :meth:`finish_round` after the round barrier so
     in-flight deliveries land before aggregation; deliveries scheduled
@@ -269,72 +287,55 @@ class TransportChannel:
         self.round = TransportCounters()
         self._deadline = deadline
 
-    def accept(self, outcome: DeviceRoundOutcome) -> None:
-        self._route(outcome)
-
-    def accept_block(self, block) -> None:
+    def accept_block(self, block: ColumnarOutcomes) -> None:
         # Draws are keyed per device; the exact-sum fold downstream makes
         # the delivery order irrelevant to the aggregate.
-        for outcome in block.materialize():
-            self._route(outcome)
+        if self.tracer is not None:
+            # The channel is the transport boundary: record the devices'
+            # completions here (the fronted sink skips its own record) and
+            # each upload's planned fate.  Pure appends — no draws, no
+            # kernel events — so the traced run stays byte-identical.
+            self.tracer.record_block(self.task_id, block)
+        for row, (device_id, t0) in enumerate(zip(block.device_ids, block.finished_at.tolist())):
+            self._route(block, row, device_id, t0)
 
-    def _route(self, outcome: DeviceRoundOutcome) -> None:
+    def _route(self, block: ColumnarOutcomes, row: int, device_id: str, t0: float) -> None:
         self.round.uploads += 1
-        rng = self.streams.get(f"transport.{self.task_id}.{outcome.device_id}")
-        t0 = float(outcome.finished_at)
+        rng = self.streams.get(f"transport.{self.task_id}.{device_id}")
         plan = self.model.plan_upload(rng, t0, self.scope)
         self.round.retries += plan.retries
-        tracer = self.tracer
-        if tracer is not None:
-            # The channel is the transport boundary: record the device's
-            # completion here (the fronted sink skips its own record) and
-            # the upload's planned fate.  Pure appends — no draws, no
-            # kernel events — so the traced run stays byte-identical.
-            tracer.record_device(
-                self.task_id,
-                outcome.device_id,
-                outcome.grade,
-                outcome.round_index,
-                outcome.n_samples,
-                outcome.payload_bytes,
-                t0,
-            )
+        status = "delivered"
         if plan.arrival is None:
             self.round.abandoned += 1
-            if tracer is not None:
-                tracer.record_upload(
-                    self.task_id, outcome.device_id, outcome.round_index,
-                    t0, None, plan.retries, False, "abandoned",
-                )
-            return
-        if self._deadline is not None and plan.arrival >= self._deadline:
+            status = "abandoned"
+        elif self._deadline is not None and plan.arrival >= self._deadline:
             # Late primaries are dropped before duplication: a copy of a
             # late upload would be deduplicated against nothing.
             self.round.late_drops += 1
-            if tracer is not None:
-                tracer.record_upload(
-                    self.task_id, outcome.device_id, outcome.round_index,
-                    t0, plan.arrival, plan.retries, False, "late",
-                )
+            status = "late"
+        delivered = status == "delivered"
+        if self.tracer is not None:
+            self.tracer.record_upload(
+                self.task_id, device_id, block.round_index,
+                t0, plan.arrival, plan.retries, delivered and plan.duplicate, status,
+            )
+        if not delivered:
             return
         self.round.delivered += 1
-        if tracer is not None:
-            tracer.record_upload(
-                self.task_id, outcome.device_id, outcome.round_index,
-                t0, plan.arrival, plan.retries, plan.duplicate, "delivered",
-            )
-        self._schedule(plan.arrival, outcome)
+        # Arrivals in the past (rows whose wave already completed) land now.
+        arrival = max(plan.arrival, self.sim.now)
+        upload = block[row : row + 1]
+        upload.finished_at = np.array([arrival])  # an upload's time column is its arrival
+        self._pending += 1
+        self.pool.add_at(arrival, self._deliver, upload)
         if plan.duplicate:
             self.round.duplicates += 1
-            self._schedule(plan.arrival, outcome)
+            self._pending += 1
+            self.pool.add_at(arrival, self._deliver, upload)
 
-    def _schedule(self, arrival: float, outcome: DeviceRoundOutcome) -> None:
-        self._pending += 1
-        self.pool.add_at(max(arrival, self.sim.now), self._deliver, outcome)
-
-    def _deliver(self, outcome: DeviceRoundOutcome) -> None:
+    def _deliver(self, upload: ColumnarOutcomes) -> None:
         try:
-            self.inner.accept(outcome)
+            self.inner.accept_block(upload)
         finally:
             self._pending -= 1
             if self._pending == 0 and self._drained is not None:

@@ -11,7 +11,7 @@ that execute operator flows for a queue of simulated devices while
 advancing simulated time according to a calibrated cost model.
 """
 
-from repro.cluster.actor import DeviceRoundOutcome, SimActor
+from repro.cluster.actor import SimActor
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.placement import PlacementGroup
@@ -22,7 +22,6 @@ from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 __all__ = [
     "ColumnarOutcomes",
     "DeviceColumns",
-    "DeviceRoundOutcome",
     "GradeExecutionPlan",
     "K8sCluster",
     "LogicalCostModel",

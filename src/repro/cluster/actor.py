@@ -10,25 +10,10 @@ units per device runs ``f/k`` actors concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Generator
-from typing import Any
 
 from repro.cluster.cost import LogicalCostModel
 from repro.simkernel import Simulator, Timeout
-
-
-@dataclass
-class DeviceRoundOutcome:
-    """What one device produced in one round."""
-
-    device_id: str
-    grade: str
-    round_index: int
-    n_samples: int
-    payload_bytes: int
-    update: Any | None  # ModelUpdate when the run is numeric
-    finished_at: float
 
 
 class SimActor:

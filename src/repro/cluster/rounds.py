@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cloud.sink import OutcomeSink
-from repro.cluster.actor import DeviceRoundOutcome
 from repro.data.avazu import DeviceDataset
 from repro.ml.backends import NumericBackend
 from repro.ml.fedavg import ModelUpdate
@@ -112,120 +111,59 @@ class TierPlan:
 
 @dataclass
 class ColumnarOutcomes:
-    """Outcomes of one plan's round stored as arrays, not objects.
+    """Outcomes of one round stored as arrays over a slice of a plan's devices.
 
-    The tiers record a whole plan's round as one block:
-    ``finished_at[pos]`` is the upload-completion time of the device in
-    row ``pos`` of ``plan.devices``.  Numeric plans additionally carry the
-    stacked model updates (``update_weights[pos]`` /
-    ``update_biases[pos]``), which is what the cloud's FedAvg fold reads
-    without ever constructing :class:`~repro.ml.fedavg.ModelUpdate`
-    objects.  Blocks materialize to :class:`DeviceRoundOutcome` objects
-    lazily — the 100k scalability sweeps never pay for 100k dataclass
-    constructions.
+    The tiers record a whole plan's round as one block: ``finished_at[pos]``
+    is the upload-completion time of the device in row ``pos`` of
+    ``devices``.  Numeric plans additionally carry the stacked model
+    updates (``update_weights[pos]`` / ``update_biases[pos]``), which is
+    what the cloud's FedAvg fold reads.  No per-device object is ever
+    built — the 100k scalability sweeps stay arrays end to end.
 
-    A *wave* — the rows of the plan that finish at one simulated instant
-    — is a zero-copy :meth:`view` of the plan's block: ``rows`` names the
-    plan rows it covers and every array is a slice of the parent's.
+    Everything smaller is a row range of it sharing its arrays
+    (``block[lo:hi]``): a *wave* — the rows of the plan that finish at one
+    simulated instant — one upload a transport channel delivers, and the
+    one-row block a benchmarking phone emits.
     """
 
-    plan: TierPlan
+    grade: str
+    devices: DeviceColumns
     round_index: int
     payload_bytes: int
     finished_at: np.ndarray
     update_weights: np.ndarray | None = None  # (n_devices, feature_dim)
     update_biases: np.ndarray | None = None  # (n_devices,)
-    #: Plan rows this block covers; ``None`` means the whole plan.
-    rows: slice | None = None
 
     def __len__(self) -> int:
         return len(self.finished_at)
 
-    def view(self, rows: slice) -> ColumnarOutcomes:
-        """The block of the plan rows ``rows``, sharing this block's arrays."""
-        if self.rows is not None:
-            raise ValueError("views are taken of a whole-plan block")
+    def __getitem__(self, rows: slice) -> ColumnarOutcomes:
+        """The block of the rows ``rows``, sharing this block's arrays."""
         return ColumnarOutcomes(
-            plan=self.plan,
-            round_index=self.round_index,
-            payload_bytes=self.payload_bytes,
-            finished_at=self.finished_at[rows],
-            update_weights=None if self.update_weights is None else self.update_weights[rows],
-            update_biases=None if self.update_biases is None else self.update_biases[rows],
-            rows=rows,
+            self.grade,
+            self.devices[rows],
+            self.round_index,
+            self.payload_bytes,
+            self.finished_at[rows],
+            None if self.update_weights is None else self.update_weights[rows],
+            None if self.update_biases is None else self.update_biases[rows],
         )
 
     @property
     def device_ids(self) -> list[str]:
-        """Device ids in block order (the plan's own list for a whole-plan block)."""
-        ids = self.plan.devices.device_ids
-        return ids if self.rows is None else ids[self.rows]
-
-    def n_samples_array(self) -> np.ndarray:
-        """Per-device FedAvg sample counts, in block order."""
-        n_samples = self.plan.devices.n_samples
-        return n_samples if self.rows is None else n_samples[self.rows]
-
-    def _package(self, device_id: str, n_samples: int, position: int) -> ModelUpdate:
-        """One device's trained row as the :class:`ModelUpdate` it uploads."""
-        return ModelUpdate(
-            device_id=device_id,
-            round_index=self.round_index,
-            weights=self.update_weights[position].copy(),
-            bias=float(self.update_biases[position]),
-            n_samples=n_samples,
-            metadata={"grade": self.plan.grade, "backend": self.plan.backend.name},
-        )
-
-    def update_at(self, position: int) -> ModelUpdate | None:
-        """Materialize one device's :class:`ModelUpdate` (``None`` if time-only).
-
-        This is what lazy block-storage views call when a single stored
-        payload is actually read — the block path never builds the other
-        ``n - 1`` objects.
-        """
-        if self.update_weights is None or self.update_biases is None:
-            return None
-        devices = self.plan.devices
-        row = position if self.rows is None else range(len(devices))[self.rows][position]
-        return self._package(devices.device_ids[row], int(devices.n_samples[row]), position)
-
-    def materialize(self) -> list[DeviceRoundOutcome]:
-        """Build the outcome objects in block (row) order.
-
-        For logical-tier plans this is also chronological (one shared wave
-        clock); phone-tier plans stage per-device push bytes, so completion
-        times across phones need not be sorted — sort on ``finished_at`` if
-        chronology matters.
-        """
-        numeric = self.update_weights is not None and self.update_biases is not None
-        return [
-            DeviceRoundOutcome(
-                device_id=device_id,
-                grade=self.plan.grade,
-                round_index=self.round_index,
-                n_samples=n_samples,
-                payload_bytes=self.payload_bytes,
-                update=self._package(device_id, n_samples, position) if numeric else None,
-                finished_at=time,
-            )
-            for position, (device_id, n_samples, time) in enumerate(
-                zip(self.device_ids, self.n_samples_array().tolist(), self.finished_at.tolist())
-            )
-        ]
+        """Device ids in block order."""
+        return self.devices.device_ids
 
 
 @dataclass
 class RoundResult:
     """Summary of one tier round.
 
-    Computing devices are recorded as one :attr:`columnar` block per
-    plan; :attr:`outcomes` holds the eagerly built objects of the phone
-    tier's benchmarking devices.  :meth:`all_outcomes` unifies the two.
+    :attr:`columnar` holds one block per plan plus the one-row block of
+    each benchmarking phone, in completion order.
     """
 
     round_index: int
-    outcomes: list[DeviceRoundOutcome] = field(default_factory=list)
     columnar: list[ColumnarOutcomes] = field(default_factory=list)
     started_at: float = 0.0
     finished_at: float = 0.0
@@ -241,49 +179,23 @@ class RoundResult:
     @property
     def n_devices(self) -> int:
         """Devices that completed the round."""
-        return len(self.outcomes) + sum(len(block) for block in self.columnar)
-
-    def all_outcomes(self) -> list[DeviceRoundOutcome]:
-        """Eager outcomes (in emission order) followed by materialized columnar blocks.
-
-        The groups are concatenated rather than merged, and a phone-tier
-        block is not chronological (see :meth:`ColumnarOutcomes.materialize`)
-        — sort on ``finished_at`` when chronology matters.
-        """
-        result = list(self.outcomes)
-        for block in self.columnar:
-            result.extend(block.materialize())
-        return result
+        return sum(len(block) for block in self.columnar)
 
     def fedavg_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Columnar ``(weights, biases, n_samples)`` of every numeric update.
 
-        Concatenates eager outcomes' updates with numeric columnar blocks'
-        stacked arrays — the input
-        :meth:`repro.ml.fedavg.FedAvgPartial.from_arrays` folds without
-        materializing update objects.  Returns empty arrays when the round
-        produced no updates.
+        The concatenated stacked arrays of the numeric blocks — the input
+        :meth:`repro.ml.fedavg.FedAvgPartial.from_arrays` folds.  Returns
+        empty arrays when the round produced no updates.
         """
-        weight_parts: list[np.ndarray] = []
-        bias_parts: list[np.ndarray] = []
-        sample_parts: list[np.ndarray] = []
-        eager = [o.update for o in self.outcomes if o.update is not None]
-        if eager:
-            weight_parts.append(np.stack([u.weights for u in eager]))
-            bias_parts.append(np.array([u.bias for u in eager], dtype=np.float64))
-            sample_parts.append(np.array([u.n_samples for u in eager], dtype=np.int64))
-        for block in self.columnar:
-            if block.update_weights is not None and block.update_biases is not None:
-                weight_parts.append(block.update_weights)
-                bias_parts.append(block.update_biases)
-                sample_parts.append(block.n_samples_array())
-        if not weight_parts:
+        numeric = [block for block in self.columnar if block.update_weights is not None]
+        if not numeric:
             empty = np.empty(0, dtype=np.float64)
             return np.empty((0, 0), dtype=np.float64), empty, np.empty(0, dtype=np.int64)
         return (
-            np.concatenate(weight_parts),
-            np.concatenate(bias_parts),
-            np.concatenate(sample_parts),
+            np.concatenate([block.update_weights for block in numeric]),
+            np.concatenate([block.update_biases for block in numeric]),
+            np.concatenate([block.devices.n_samples for block in numeric]),
         )
 
 
@@ -302,8 +214,8 @@ class TierRounds:
     block and delivered as :class:`~repro.cloud.sink.OutcomeSink`
     describes: whole, at its last completion time — a single pooled
     deadline, no per-device objects or events — or, for a sink that sets
-    ``prefers_waves``, as one zero-copy row view per completion wave at
-    the wave's time.  ``sink=None`` records the blocks with no delivery at
+    ``prefers_waves``, as one row range per completion wave at the wave's
+    time.  ``sink=None`` records the blocks with no delivery at
     all (the 100k-device sweeps).  An epoch guard voids the pooled
     callbacks of a torn-down task, and :meth:`_void_rounds` releases the
     plans-done barrier so a round in flight resolves as ``aborted``
@@ -455,7 +367,7 @@ class TierRounds:
                 upload_bytes = ModelUpdate.wire_size(plan.feature_dim)
         finished, queues = self._completion_times(plan, model_bytes, upload_bytes)
         block = ColumnarOutcomes(
-            plan, result.round_index, upload_bytes, finished, update_weights, update_biases
+            plan.grade, plan.devices, result.round_index, upload_bytes, finished, update_weights, update_biases
         )
         epoch = self._epoch
         pending = len(queues)
@@ -465,7 +377,7 @@ class TierRounds:
             if epoch != self._epoch:
                 return
             if sink is not None:
-                sink.accept_block(block if rows is None else block.view(rows))
+                sink.accept_block(block if rows is None else block[rows])
             for queue_drained in drained:
                 queue_drained()
             pending -= len(drained)

@@ -27,7 +27,7 @@ from repro.deviceflow.curves import (
 )
 from repro.deviceflow.discretize import DispatchTick, discretize_curve
 from repro.deviceflow.dispatcher import Dispatcher
-from repro.deviceflow.messages import Message, MessageBlock
+from repro.deviceflow.messages import MessageBlock
 from repro.deviceflow.shelf import Shelf
 from repro.deviceflow.sorter import Sorter
 from repro.deviceflow.strategy import (
@@ -43,7 +43,6 @@ __all__ = [
     "DispatchStrategy",
     "DispatchTick",
     "Dispatcher",
-    "Message",
     "MessageBlock",
     "RealTimeAccumulatedStrategy",
     "Shelf",

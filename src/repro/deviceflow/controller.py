@@ -7,8 +7,8 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.deviceflow.dispatcher import Dispatcher
-from repro.deviceflow.messages import Message, MessageBlock
-from repro.deviceflow.shelf import Segment, Shelf
+from repro.deviceflow.messages import MessageBlock
+from repro.deviceflow.shelf import Shelf
 from repro.deviceflow.sorter import Sorter
 from repro.deviceflow.strategy import DispatchStrategy
 from repro.simkernel import RandomStreams, Simulator
@@ -39,9 +39,9 @@ class DeviceFlow:
     """The device behaviour traffic controller.
 
     Tasks register a strategy plus a downstream endpoint; the compute
-    tiers submit messages — one at a time (:meth:`submit`) or a
-    completion wave at a time (:meth:`submit_block`), through the same
-    shelf and send queue; the platform signals round boundaries.  Every
+    tiers submit messages a block at a time (:meth:`submit_block`: a
+    completion wave, or one upload as a block of one row); the platform
+    signals round boundaries.  Every
     task gets an isolated shelf + dispatcher pair, so "the dispatch
     processes of different tasks remain isolated and do not interfere".
 
@@ -86,21 +86,19 @@ class DeviceFlow:
         self,
         task_id: str,
         strategy: DispatchStrategy,
-        downstream: Callable[[Segment], None],
+        downstream: Callable[[MessageBlock], None],
     ) -> Dispatcher:
         """Create the task's shelf + dispatcher; returns the dispatcher.
 
-        ``downstream`` is called with every delivered segment: the
-        :class:`Message` of a scalar :meth:`submit`, or a
-        :class:`MessageBlock` of rows that arrived by :meth:`submit_block`
-        (a task fed only scalar messages only ever sees messages).
+        ``downstream`` is called with every delivered segment: a
+        :class:`MessageBlock` of rows that arrived by :meth:`submit_block`.
         """
         if task_id in self._dispatchers:
             raise ValueError(f"task {task_id!r} already registered with DeviceFlow")
         if self.tracer is not None:
             tracer, sim, inner = self.tracer, self.sim, downstream
 
-            def traced_downstream(segment: Segment) -> None:
+            def traced_downstream(segment: MessageBlock) -> None:
                 tracer.record_flow_delivery(segment, sim.now)
                 inner(segment)
 
@@ -171,33 +169,26 @@ class DeviceFlow:
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def submit(self, message: Message) -> None:
-        """Accept a message from a compute tier (stamps arrival time)."""
-        self._submit(message)
-
     def submit_block(self, block: MessageBlock) -> int:
-        """Accept a whole completion wave as one columnar block.
+        """Accept a completion wave (or a single upload) as one columnar block.
 
-        Exactly ``block.messages()`` submitted back to back at this
-        instant — same shelf order, same dispatch groups, same dropout
-        draws, same delivery times (see the conventions in
-        :mod:`repro.deviceflow.dispatcher`) — but the rows stay columnar
+        Exactly the block's rows submitted back to back at this instant —
+        same shelf order, same dispatch groups, same dropout draws, same
+        delivery times (see the conventions in
+        :mod:`repro.deviceflow.dispatcher`) — and the rows stay columnar
         all the way: one arrival stamp, one shelf append, one strategy
         notification, and the registered downstream endpoint receives
         them as :class:`MessageBlock` row ranges.  Returns the number of
         messages shelved.
         """
-        return self._submit(block)
-
-    def _submit(self, segment: Segment) -> int:
-        dispatcher = self._require(segment.task_id)
-        segment.created_at = self.sim.now
+        dispatcher = self._require(block.task_id)
+        block.created_at = self.sim.now
         if self.tracer is not None:
-            self.tracer.record_flow_submit(segment, self.sim.now)
-        rows = self.sorter.route(segment)
+            self.tracer.record_flow_submit(block, self.sim.now)
+        rows = self.sorter.route(block)
         if rows:
-            self._received[segment.task_id] += rows
-            dispatcher.on_message(segment)
+            self._received[block.task_id] += rows
+            dispatcher.on_message(block)
         return rows
 
     # ------------------------------------------------------------------

@@ -13,10 +13,10 @@ effect visible in Fig. 10(b).
 
 Conventions (what makes block traffic equal message-by-message traffic)
 -----------------------------------------------------------------------
-The shelf and the send queue hold *segments* — single messages or row
-ranges of :class:`~repro.deviceflow.messages.MessageBlock` — and every
-operation below is defined on rows, so a block of ``n`` rows behaves
-exactly like its ``n`` messages submitted back to back.  The per-message
+The shelf and the send queue hold *segments* — row ranges of
+:class:`~repro.deviceflow.messages.MessageBlock` — and every operation
+below is defined on rows, so a block of ``n`` rows behaves exactly like
+``n`` one-row blocks submitted back to back.  The per-message
 semantics are kept executable in ``tests/reference/deviceflow_reference.py``
 and a differential test holds this module to them.
 
@@ -38,8 +38,7 @@ and a differential test holds this module to them.
   with ``group_sizes``).
 * **Delivery.**  The downstream endpoint is called once per segment of a
   delivered chunk, in FIFO order, after adjacent compatible blocks were
-  coalesced: a ``Message`` for scalar submissions, one ``MessageBlock``
-  per run of block rows.
+  coalesced: one ``MessageBlock`` per run of joinable rows.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.deviceflow.messages import MessageBlock
-from repro.deviceflow.shelf import Segment, SegmentQueue, Shelf
+from repro.deviceflow.shelf import SegmentQueue, Shelf
 from repro.simkernel import Signal, Simulator, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,8 +70,7 @@ class Dispatcher:
         User-defined dispatch behaviour.
     downstream:
         The cloud service endpoint, called with each delivered segment:
-        a :class:`Message` per scalar submission, a :class:`MessageBlock`
-        per coalesced run of block rows.
+        a :class:`MessageBlock` per coalesced run of rows.
     capacity_per_second:
         Single-threaded transmission capacity.
     rng:
@@ -88,7 +86,7 @@ class Dispatcher:
         sim: Simulator,
         shelf: Shelf,
         strategy: DispatchStrategy,
-        downstream: Callable[[Segment], None],
+        downstream: Callable[[MessageBlock], None],
         capacity_per_second: float,
         rng: np.random.Generator,
     ) -> None:
@@ -117,8 +115,8 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # controller-facing lifecycle
     # ------------------------------------------------------------------
-    def on_message(self, segment: Segment) -> None:
-        """A message or block just landed on the shelf.
+    def on_message(self, segment: MessageBlock) -> None:
+        """A block just landed on the shelf.
 
         Strategies are notified once per arrival, whatever its row
         count (see "Wave-atomic arrival" in the module docstring).
@@ -146,11 +144,11 @@ class Dispatcher:
         """Messages currently buffered."""
         return len(self.shelf)
 
-    def take(self, count: int) -> list[Segment]:
+    def take(self, count: int) -> list[MessageBlock]:
         """Pull up to ``count`` oldest messages off the shelf, as segments."""
         return self.shelf.take(count)
 
-    def take_all(self) -> list[Segment]:
+    def take_all(self) -> list[MessageBlock]:
         """Drain the shelf."""
         return self.shelf.take_all()
 
@@ -160,7 +158,7 @@ class Dispatcher:
 
     def dispatch(
         self,
-        batch: list[Segment],
+        batch: list[MessageBlock],
         failure_prob: float = 0.0,
         discard_count: int = 0,
         group_sizes: list[int] | None = None,
@@ -222,13 +220,13 @@ class Dispatcher:
         return (sent, total - sent)
 
     @staticmethod
-    def _select(batch: list[Segment], sizes: list[int], keep: np.ndarray) -> list[Segment]:
+    def _select(batch: list[MessageBlock], sizes: list[int], keep: np.ndarray) -> list[MessageBlock]:
         """The segments of ``batch`` reduced to the rows ``keep`` marks."""
-        survivors: list[Segment] = []
+        survivors: list[MessageBlock] = []
         flags = keep.tolist()
         start = 0
         for segment, rows in zip(batch, sizes):
-            if rows == 1:
+            if rows == 1:  # a single upload survives whole or not at all
                 if flags[start]:
                     survivors.append(segment)
             else:
@@ -244,7 +242,7 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # rate-limited transmission
     # ------------------------------------------------------------------
-    def _enqueue(self, segments: list[Segment], rows: int) -> None:
+    def _enqueue(self, segments: list[MessageBlock], rows: int) -> None:
         self._send_queue.extend(segments, rows)
         if not self._sender_busy:
             self._sender_busy = True

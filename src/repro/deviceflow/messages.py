@@ -8,14 +8,12 @@ storage, not the payload itself.
 
 Segments
 --------
-DeviceFlow's shelves and send queues hold *segments*: a segment is either
-one :class:`Message` or a row range of a :class:`MessageBlock`.  All the
-traffic controller needs of a segment is ``task_id``, ``round_index``,
-``rows`` (how many messages it stands for), ``device_ids``, and — for
-segments longer than one row — slicing (``segment[lo:hi]``) and
-:meth:`MessageBlock.compress`.  A ``Message`` is its own one-row segment
-(``rows`` is a class constant), so the scalar entry points pay for no
-wrapper object and no method call to learn their size.
+The compute tiers submit a :class:`MessageBlock` at a time — a completion
+wave, a whole round, or one upload as a block of one row — and DeviceFlow's
+shelves and send queues hold *segments*: row ranges of those blocks.  All
+the traffic controller needs of a segment is ``task_id``, ``round_index``,
+``rows`` (how many messages it stands for), ``device_ids``, slicing
+(``segment[lo:hi]``) and :meth:`MessageBlock.compress`.
 """
 
 from __future__ import annotations
@@ -27,10 +25,8 @@ from typing import Any
 
 import numpy as np
 
-_message_counter = itertools.count()
-
 #: The per-row array columns of a :class:`MessageBlock`.
-_ARRAY_COLUMNS = ("n_samples", "finished_at", "update_weights", "update_biases")
+_ARRAY_COLUMNS = ("n_samples", "update_weights", "update_biases")
 
 
 def payload_ref(task_id: str, device_id: str, round_index: int) -> str:
@@ -39,75 +35,22 @@ def payload_ref(task_id: str, device_id: str, round_index: int) -> str:
 
 
 @dataclass
-class Message:
-    """One device-to-cloud notification.
-
-    Attributes
-    ----------
-    task_id:
-        Owning task; the Sorter routes on this.
-    device_id:
-        Producing simulated device.
-    round_index:
-        Collaboration round of the enclosed result.
-    payload_ref:
-        Key into shared object storage where the result bytes live.
-    size_bytes:
-        Size of the referenced payload (for bandwidth accounting).
-    created_at:
-        Simulated time the message entered DeviceFlow.
-    n_samples:
-        Training samples behind the result (drives sample-threshold
-        aggregation without a storage round-trip).
-    metadata:
-        Free-form extras (grade, tier, backend ...).
-    """
-
-    task_id: str
-    device_id: str
-    round_index: int
-    payload_ref: str
-    size_bytes: int = 0
-    created_at: float = 0.0
-    n_samples: int = 1
-    metadata: dict[str, Any] = field(default_factory=dict)
-    message_id: int = field(default_factory=lambda: next(_message_counter))
-
-    def __post_init__(self) -> None:
-        if not self.task_id:
-            raise ValueError("task_id must be non-empty")
-        if self.size_bytes < 0:
-            raise ValueError("size_bytes must be >= 0")
-        if self.n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-
-    #: A message is a one-row segment.
-    rows = 1
-
-    @property
-    def device_ids(self) -> tuple[str]:
-        """The producing device as a one-row column (segment access)."""
-        return (self.device_id,)
-
-
-@dataclass
 class MessageBlock:
-    """A wave's (or a whole round's) notifications as one struct-of-arrays block.
+    """Device-to-cloud notifications as one struct-of-arrays block, one row a device.
 
-    The columnar counterpart of :class:`Message`: one block carries every
-    device of one completion wave of a batched plan (or the whole plan,
-    for direct dispatch), so DeviceFlow and the cloud services shelve,
+    One block carries every device of one completion wave of a plan (or
+    the whole plan, for direct dispatch; or the single upload a transport
+    channel delivers), so DeviceFlow and the cloud services shelve,
     dispatch, transmit and fold the traffic as row ranges — one counter
     bump, one dropout draw, one FedAvg fold — without ever building a
-    per-device object.  :meth:`messages` materializes the equivalent
-    scalar messages for consumers that want them.
+    per-device object.
 
-    A scalar :class:`Message` carries only a *reference* into shared
-    storage; the block variant additionally inlines the stacked update
-    arrays (``update_weights`` / ``update_biases``) when the producing
-    plan was numeric — eliding per-device storage round-trips is exactly
-    the point of block ingestion, and the referenced payloads remain
-    stored (one ``put_block``) for any consumer that wants them.
+    A row is a *reference* into shared storage (§V-A); the block
+    additionally inlines the stacked update arrays (``update_weights`` /
+    ``update_biases``) when the producing plan was numeric — eliding
+    per-device storage round-trips is exactly the point of block
+    ingestion, and the referenced payloads remain stored (one
+    ``put_block``) for any consumer that wants them.
 
     Row ranges (``block[lo:hi]``) share the parent's arrays; survivor
     selections (:meth:`compress`) and delivery chunks (:meth:`coalesce`)
@@ -117,7 +60,7 @@ class MessageBlock:
     ----------
     task_id / round_index:
         Owning task and collaboration round (one block never spans
-        rounds — batched plans emit per round).
+        rounds — plans emit per round).
     device_ids:
         Producing devices, in block (assignment) order.
     payload_refs:
@@ -129,10 +72,6 @@ class MessageBlock:
         number covers every device).
     n_samples:
         Per-device training-sample counts (``(n,)`` int array).
-    finished_at:
-        Per-device completion times; :meth:`messages` stamps these as the
-        materialized messages' ``created_at`` when no explicit arrival
-        time is given.
     created_at:
         Simulated time the block entered DeviceFlow (stamped by
         ``DeviceFlow.submit_block``; a coalesced delivery chunk keeps its
@@ -150,18 +89,20 @@ class MessageBlock:
     payload_refs: Sequence[str] | None = None
     size_bytes: int = 0
     n_samples: np.ndarray | None = None
-    finished_at: np.ndarray | None = None
     created_at: float = 0.0
     metadata: dict[str, Any] = field(default_factory=dict)
     update_weights: np.ndarray | None = None
     update_biases: np.ndarray | None = None
+    #: Messages this segment stands for (``len(device_ids)``, kept as a plain
+    #: attribute: the shelf and the dispatcher read it per segment).
+    rows: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.task_id:
             raise ValueError("task_id must be non-empty")
         if self.size_bytes < 0:
             raise ValueError("size_bytes must be >= 0")
-        n = len(self.device_ids)
+        n = self.rows = len(self.device_ids)
         if self.payload_refs is not None and len(self.payload_refs) != n:
             raise ValueError(f"got {n} device_ids but {len(self.payload_refs)} payload_refs")
         if self.n_samples is None:
@@ -172,30 +113,23 @@ class MessageBlock:
                 raise ValueError(f"got {n} device_ids but {len(self.n_samples)} n_samples")
             if n and self.n_samples.min() <= 0:
                 raise ValueError("n_samples must be positive")
-        if self.finished_at is not None and len(self.finished_at) != n:
-            raise ValueError(f"got {n} device_ids but {len(self.finished_at)} finished_at")
         if self.update_weights is not None and len(self.update_weights) != n:
             raise ValueError(f"got {n} device_ids but {len(self.update_weights)} update rows")
         if self.update_biases is not None and len(self.update_biases) != n:
             raise ValueError(f"got {n} device_ids but {len(self.update_biases)} update biases")
 
     def __len__(self) -> int:
-        return len(self.device_ids)
-
-    @property
-    def rows(self) -> int:
-        """Messages this segment stands for (segment access; same as ``len``)."""
-        return len(self.device_ids)
+        return self.rows
 
     @property
     def total_bytes(self) -> int:
         """Bytes represented by the whole block (bulk accounting)."""
-        return self.size_bytes * len(self.device_ids)
+        return self.size_bytes * self.rows
 
     @property
     def total_samples(self) -> int:
         """Training samples represented by the whole block."""
-        return int(self.n_samples.sum()) if len(self.device_ids) else 0
+        return int(self.n_samples.sum()) if self.rows else 0
 
     # ------------------------------------------------------------------
     # row selection (validated columns are reused, never re-validated)
@@ -206,6 +140,7 @@ class MessageBlock:
         fields = block.__dict__
         fields.update(self.__dict__)
         fields["device_ids"] = device_ids
+        fields["rows"] = len(device_ids)
         fields["payload_refs"] = payload_refs
         if select is not None:
             for column in _ARRAY_COLUMNS:
@@ -217,7 +152,7 @@ class MessageBlock:
     def __getitem__(self, rows: slice) -> MessageBlock:
         """Zero-copy row range: array columns are views of this block's."""
         if not isinstance(rows, slice):
-            raise TypeError("a MessageBlock is sliced by row range; use messages() for one row")
+            raise TypeError("a MessageBlock is sliced by row range; one row is block[i : i + 1]")
         refs = self.payload_refs
         return self._derive(
             self.device_ids[rows], None if refs is None else refs[rows], lambda values: values[rows]
@@ -233,91 +168,44 @@ class MessageBlock:
             lambda values: values[keep],
         )
 
-    def _joins(self, other: MessageBlock) -> bool:
-        """Whether ``other``'s rows can be appended to this block's columns."""
+    def _layout(self) -> tuple:
+        """What two blocks must share for their rows to sit in one block's columns."""
         return (
-            self.task_id == other.task_id
-            and self.round_index == other.round_index
-            and self.size_bytes == other.size_bytes
-            and self.metadata == other.metadata
-            and (self.payload_refs is None) == (other.payload_refs is None)
-            and all(
-                (getattr(self, column) is None) == (getattr(other, column) is None)
-                for column in _ARRAY_COLUMNS
-            )
+            self.task_id,
+            self.round_index,
+            self.size_bytes,
+            self.metadata,
+            self.payload_refs is None,
+            self.update_weights is None,
+            self.update_biases is None,
         )
 
     @staticmethod
-    def coalesce(segments: list[Message | MessageBlock]) -> list[Message | MessageBlock]:
+    def coalesce(segments: list[MessageBlock]) -> list[MessageBlock]:
         """Join each run of adjacent compatible blocks into one block.
 
-        FIFO order is preserved: scalar messages, and blocks that differ
-        in round, payload size, metadata or column layout, pass through
-        where they stand.  This is what lets a rate-limited delivery
-        chunk that spans several waves reach the cloud as ONE block.
+        FIFO order is preserved: blocks that differ in round, payload
+        size, metadata or column layout pass through where they stand.
+        This is what lets a rate-limited delivery chunk that spans several
+        waves (or many one-row uploads) reach the cloud as ONE block.
         """
         if len(segments) < 2:
             return segments
-        joined: list[Message | MessageBlock] = []
-        run: list[MessageBlock] = []
-
-        def flush() -> None:
+        joined: list[MessageBlock] = []
+        for _, group in itertools.groupby(segments, key=MessageBlock._layout):
+            run = list(group)
+            head = run[0]
             if len(run) > 1:
-                head = run[0]
                 chain = itertools.chain.from_iterable
-                block = head._derive(
+                head = head._derive(
                     list(chain(part.device_ids for part in run)),
                     None
                     if head.payload_refs is None
                     else list(chain(part.payload_refs for part in run)),
                 )
+                fields = head.__dict__
                 for column in _ARRAY_COLUMNS:
-                    if getattr(head, column) is not None:
-                        setattr(block, column, np.concatenate([getattr(part, column) for part in run]))
-                joined.append(block)
-            else:
-                joined.extend(run)
-            run.clear()
-
-        for segment in segments:
-            if type(segment) is MessageBlock:
-                if run and not run[0]._joins(segment):
-                    flush()
-                run.append(segment)
-            else:
-                if run:
-                    flush()
-                joined.append(segment)
-        flush()
+                    if fields[column] is not None:
+                        fields[column] = np.concatenate([part.__dict__[column] for part in run])
+            joined.append(head)
         return joined
-
-    def messages(self, created_at: float | None = None) -> list[Message]:
-        """Materialize per-device :class:`Message` objects, in block order.
-
-        ``created_at`` overrides every message's arrival stamp; otherwise
-        each message inherits its device's ``finished_at`` (falling back
-        to the block's own ``created_at``).
-        """
-        times = self.finished_at
-        refs = self.payload_refs
-        return [
-            Message(
-                task_id=self.task_id,
-                device_id=device_id,
-                round_index=self.round_index,
-                payload_ref=(
-                    refs[position]
-                    if refs is not None
-                    else payload_ref(self.task_id, device_id, self.round_index)
-                ),
-                size_bytes=self.size_bytes,
-                created_at=(
-                    created_at
-                    if created_at is not None
-                    else (float(times[position]) if times is not None else self.created_at)
-                ),
-                n_samples=int(self.n_samples[position]),
-                metadata=dict(self.metadata),
-            )
-            for position, device_id in enumerate(self.device_ids)
-        ]

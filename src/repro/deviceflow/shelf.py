@@ -5,43 +5,39 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 
-from repro.deviceflow.messages import Message, MessageBlock
-
-#: What shelves and send queues hold: one message, or a row range of a block.
-Segment = Message | MessageBlock
+from repro.deviceflow.messages import MessageBlock
 
 
 class SegmentQueue:
-    """A row-counted FIFO of segments.
+    """A row-counted FIFO of segments (:class:`MessageBlock` row ranges).
 
     The one storage representation behind both the :class:`Shelf` and
     the Dispatcher's send queue.  ``len`` is the number of *rows*
     (messages) buffered; :meth:`take` removes the oldest rows as whole
     segments, splitting a block only where the requested count ends
-    inside it (one-row segments are never split, so a ``Message`` needs
-    no slicing).
+    inside it.
     """
 
     def __init__(self) -> None:
-        self._segments: deque[Segment] = deque()
+        self._segments: deque[MessageBlock] = deque()
         self._rows = 0
 
     def __len__(self) -> int:
         return self._rows
 
-    def extend(self, segments: Iterable[Segment], rows: int) -> None:
+    def extend(self, segments: Iterable[MessageBlock], rows: int) -> None:
         """Buffer several segments totalling ``rows`` rows."""
         self._segments.extend(segments)
         self._rows += rows
 
-    def take(self, count: int) -> list[Segment]:
+    def take(self, count: int) -> list[MessageBlock]:
         """Remove and return up to ``count`` oldest rows, as segments."""
         if count < 0:
             raise ValueError("count must be >= 0")
         segments = self._segments
         need = min(count, self._rows)
         self._rows -= need
-        taken: list[Segment] = []
+        taken: list[MessageBlock] = []
         while need:
             head = segments[0]
             rows = head.rows
@@ -54,7 +50,7 @@ class SegmentQueue:
                 need = 0
         return taken
 
-    def take_all(self) -> list[Segment]:
+    def take_all(self) -> list[MessageBlock]:
         """Drain the queue."""
         return self.take(self._rows)
 
@@ -75,8 +71,8 @@ class Shelf(SegmentQueue):
         self.task_id = task_id
         self.total_stored = 0
 
-    def store(self, segment: Segment) -> int:
-        """Append a message or block (validated against the shelf's task).
+    def store(self, segment: MessageBlock) -> int:
+        """Append a block (validated against the shelf's task).
 
         Returns the number of messages stored (an empty block stores nothing).
         """
@@ -91,9 +87,6 @@ class Shelf(SegmentQueue):
             self.total_stored += rows
         return rows
 
-    def peek_oldest(self) -> Message | None:
-        """Oldest buffered message without removing it."""
-        if not self._segments:
-            return None
-        head = self._segments[0]
-        return head if isinstance(head, Message) else head[:1].messages()[0]
+    def peek_oldest(self) -> MessageBlock | None:
+        """Oldest buffered message (a one-row block) without removing it."""
+        return self._segments[0][:1] if self._segments else None

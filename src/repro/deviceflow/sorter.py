@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.deviceflow.shelf import Segment, Shelf
+from repro.deviceflow.messages import MessageBlock
+from repro.deviceflow.shelf import Shelf
 
 
 class Sorter:
@@ -35,8 +36,8 @@ class Sorter:
             raise KeyError(f"no shelf registered for task {task_id!r}")
         return self._shelves[task_id]
 
-    def route(self, segment: Segment) -> int:
-        """Store a message or block on its task's shelf; returns the messages routed.
+    def route(self, segment: MessageBlock) -> int:
+        """Store a block on its task's shelf; returns the messages routed.
 
         One shelf lookup per segment; ``total_routed`` counts messages
         (rows).

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.deviceflow import (
     DeviceFlow,
-    Message,
+    MessageBlock,
     TimeIntervalStrategy,
     TimePoint,
     TimePointStrategy,
@@ -48,18 +48,17 @@ def _run_flow(strategy, n_messages: int, capacity: float, seed: int):
     sim = Simulator()
     flow = DeviceFlow(sim, streams=RandomStreams(seed), capacity_per_second=capacity)
     received: list[tuple[float, int]] = []
-    counter = {"n": 0}
 
-    def downstream(message: Message) -> None:
-        counter["n"] += 1
-        received.append((sim.now, counter["n"]))
+    def downstream(segment: MessageBlock) -> None:
+        # One point of the cumulative series per message of the delivered chunk.
+        count = len(received)
+        received.extend((sim.now, count + row) for row in range(1, len(segment) + 1))
 
     flow.register_task("demo", strategy, downstream)
     flow.round_started("demo", 1)
-    for i in range(n_messages):
-        flow.submit(
-            Message(task_id="demo", device_id=f"d{i}", round_index=1, payload_ref=f"p{i}")
-        )
+    flow.submit_block(
+        MessageBlock(task_id="demo", round_index=1, device_ids=[f"d{i}" for i in range(n_messages)])
+    )
     flow.round_completed("demo", 1)
     base = sim.now
     sim.run()

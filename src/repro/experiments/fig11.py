@@ -21,7 +21,8 @@ import numpy as np
 from repro.cloud.aggregation import AggregationService, ScheduledTrigger
 from repro.cloud.storage import ObjectStorage
 from repro.data import make_federated_ctr_data
-from repro.deviceflow import DeviceFlow, Message, RealTimeAccumulatedStrategy
+from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
+from repro.deviceflow.messages import payload_ref
 from repro.experiments.render import format_table
 from repro.ml import SERVER_BACKEND, BlockTrainer, LogisticRegressionModel, ModelUpdate
 from repro.simkernel import RandomStreams, Simulator, Timeout
@@ -70,7 +71,6 @@ def _run_setting(
     period = 60.0
     service = AggregationService(
         sim,
-        storage,
         ScheduledTrigger(period, max_rounds=rounds),
         model=LogisticRegressionModel(feature_dim, SERVER_BACKEND),
         test_set=dataset.test,
@@ -81,11 +81,13 @@ def _run_setting(
     flow.register_task(
         "fig11",
         RealTimeAccumulatedStrategy([1], failure_prob=dropout),
-        service.receive_message,
+        service.receive_block,
     )
     ids = dataset.device_ids()
     shards = [dataset.shard(d) for d in ids]
     rngs = [streams.get(f"client.{d}") for d in ids]
+    n_samples = [shard.n_samples for shard in shards]
+    payload_bytes = ModelUpdate.wire_size(feature_dim)
     trainer = BlockTrainer(feature_dim, SERVER_BACKEND, epochs=10, learning_rate=0.3)
 
     def round_loop():
@@ -96,23 +98,17 @@ def _run_setting(
             trained_weights, trained_biases = trainer.train(
                 np.tile(weights, (len(ids), 1)), np.full(len(ids), bias), shards, rngs
             )
-            for row, device_id in enumerate(ids):
-                update = ModelUpdate(
-                    device_id=device_id,
-                    round_index=round_index,
-                    weights=trained_weights[row],
-                    bias=float(trained_biases[row]),
-                    n_samples=shards[row].n_samples,
+            # ...stored and submitted as one block; the unit threshold
+            # dispatches (and draws dropout for) each row on its own.
+            refs = [payload_ref("fig11", device_id, round_index) for device_id in ids]
+            storage.put_block(refs, trained_weights, payload_bytes, now=sim.now, writers=ids)
+            flow.submit_block(
+                MessageBlock(
+                    task_id="fig11", round_index=round_index, device_ids=ids,
+                    payload_refs=refs, size_bytes=payload_bytes, n_samples=n_samples,
+                    update_weights=trained_weights, update_biases=trained_biases,
                 )
-                ref = f"fig11/{device_id}/r{round_index}"
-                storage.put(ref, update, update.payload_bytes(), now=sim.now)
-                flow.submit(
-                    Message(
-                        task_id="fig11", device_id=device_id, round_index=round_index,
-                        payload_ref=ref, size_bytes=update.payload_bytes(),
-                        n_samples=update.n_samples,
-                    )
-                )
+            )
             flow.round_completed("fig11", round_index)
             yield Timeout(period)
 

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cloud.aggregation import AggregationService, SampleThresholdTrigger
-from repro.cloud.storage import ObjectStorage
 from repro.data import make_federated_ctr_data
 from repro.data.partition import assign_delay_profiles
+from repro.deviceflow import MessageBlock
 from repro.experiments.render import format_table
-from repro.ml import SERVER_BACKEND, BlockTrainer, FedAvgPartial, LogisticRegressionModel, ModelUpdate
+from repro.ml import SERVER_BACKEND, BlockTrainer, FedAvgPartial, LogisticRegressionModel
 from repro.simkernel import Simulator
 
 #: Local-training recipe strong enough for visible convergence dynamics on
@@ -86,7 +86,6 @@ def _run_threshold(
     sim = Simulator()
     service = AggregationService(
         sim,
-        ObjectStorage(),
         SampleThresholdTrigger(max(1, dataset.n_records // 8)),
         model=LogisticRegressionModel(feature_dim, SERVER_BACKEND),
         test_set=dataset.test,
@@ -106,13 +105,14 @@ def _run_threshold(
         trained_weights, trained_biases = trainer.train(
             weights[None], [bias], [shard], [rngs[device_id]]
         )
-        service.receive_update(
-            ModelUpdate(
-                device_id=device_id,
+        service.receive_block(
+            MessageBlock(
+                task_id="fig9a",
                 round_index=service.rounds_completed + 1,
-                weights=trained_weights[0],
-                bias=float(trained_biases[0]),
-                n_samples=shard.n_samples,
+                device_ids=[device_id],
+                n_samples=[shard.n_samples],
+                update_weights=trained_weights,
+                update_biases=trained_biases,
             )
         )
 

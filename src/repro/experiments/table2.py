@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.deviceflow import (
     DeviceFlow,
-    Message,
+    MessageBlock,
     TABLE2_CURVES,
     TimeIntervalStrategy,
 )
@@ -59,10 +59,9 @@ def run_table2_curve_fidelity(
         flow = DeviceFlow(sim, streams=RandomStreams(seed), capacity_per_second=capacity)
         flow.register_task("t2", TimeIntervalStrategy(curve, interval_seconds), lambda m: None)
         flow.round_started("t2", 1)
-        for i in range(n_messages):
-            flow.submit(
-                Message(task_id="t2", device_id=f"d{i}", round_index=1, payload_ref=f"p{i}")
-            )
+        flow.submit_block(
+            MessageBlock(task_id="t2", round_index=1, device_ids=[f"d{i}" for i in range(n_messages)])
+        )
         flow.round_completed("t2", 1)
         base = sim.now
         sim.run()

@@ -15,7 +15,7 @@ kernel equals row by row lives in ``tests/reference/ml_reference.py``.
 
 from repro.ml.backends import DEVICE_BACKEND, SERVER_BACKEND, NumericBackend
 from repro.ml.client import BlockTrainer
-from repro.ml.fedavg import FedAvgAggregator, FedAvgPartial, ModelUpdate, fedavg
+from repro.ml.fedavg import FedAvgPartial, ModelUpdate
 from repro.ml.metrics import block_metrics
 from repro.ml.model import LogisticRegressionModel
 from repro.ml.operators import (
@@ -36,7 +36,6 @@ __all__ = [
     "DEVICE_BACKEND",
     "DownloadModelOp",
     "EvalOp",
-    "FedAvgAggregator",
     "FedAvgPartial",
     "LogisticRegressionModel",
     "ModelUpdate",
@@ -48,6 +47,5 @@ __all__ = [
     "TrainOp",
     "UploadUpdateOp",
     "block_metrics",
-    "fedavg",
     "standard_fl_flow",
 ]

@@ -1,21 +1,19 @@
 """FedAvg aggregation (McMahan et al., 2017) as used by the paper.
 
-Besides the flat :func:`fedavg`, this module implements *partial*
-aggregation for sharded execution: each worker folds its devices' updates
-into a compact :class:`FedAvgPartial` — a ``(weighted_sum, total_samples)``
-pair — and the parent merges partials into the new global model.
+:class:`FedAvgPartial` folds stacked update rows into the sample-weighted
+average ``w = sum_k p_k w_k`` with ``p_k`` proportional to each client's
+dataset size, the optimisation objective of §II-A.
 
 Partition invariance
 --------------------
-Floating-point addition is not associative, so naively summing per-shard
-sums would make the global weights depend on the shard layout.  The
-weighted sum here is therefore accumulated *exactly*: every per-update
-product ``n_k * w_k`` is folded into a small error-free expansion of
-float64 components (Knuth two-sum, after Shewchuk's adaptive-precision
-arithmetic), merging partials concatenates exact values, and the final
+Floating-point addition is not associative, so a naive running sum would
+make the global weights depend on the order uploads reach the cloud and
+on how they were cut into blocks.  The weighted sum here is therefore
+accumulated *exactly*: every per-update product ``n_k * w_k`` is folded
+into a small error-free expansion of float64 components (Knuth two-sum,
+after Shewchuk's adaptive-precision arithmetic), and the final
 per-dimension rounding happens once via ``math.fsum`` (correctly rounded).
-Any partition of the same update set — including the trivial one-shard
-partition used by the flat :func:`fedavg` — therefore produces
+Any ordering and any grouping of the same update rows therefore produces
 bit-identical global weights.
 """
 
@@ -23,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
 from typing import Any
 
 import numpy as np
@@ -61,17 +58,13 @@ class ModelUpdate:
             raise ValueError("n_samples must be >= 0")
         self.weights = np.asarray(self.weights, dtype=np.float64)
 
-    def payload_bytes(self) -> int:
-        """Wire size of this update (weights + bias + small envelope)."""
-        return int(self.weights.nbytes + 8 + 64)
-
     @staticmethod
     def wire_size(feature_dim: int) -> int:
-        """:meth:`payload_bytes` of an update with ``feature_dim`` weights.
+        """Wire size of an update with ``feature_dim`` weights.
 
-        The batched execution tiers size their uploads from the plan's
-        dimensionality without materializing update objects; this is the
-        single source of truth for the float64-weights + bias + envelope
+        The execution tiers size their uploads from the plan's
+        dimensionality without building update objects; this is the single
+        source of truth for the float64-weights + bias + small-envelope
         wire format.
         """
         return int(feature_dim * 8 + 8 + 64)
@@ -93,7 +86,7 @@ class _ExactVectorSum:
     so far — each :meth:`add` threads the new vector through the existing
     components with TwoSum, which never loses a bit.  Because the value is
     exact, it is independent of insertion order and of how the summands
-    were grouped, which is what makes sharded FedAvg partition-invariant.
+    were grouped, which is what makes FedAvg partition-invariant.
     """
 
     __slots__ = ("components",)
@@ -174,11 +167,6 @@ class _ExactVectorSum:
         for component in components:
             self.add(component)
 
-    def merge(self, other: _ExactVectorSum) -> None:
-        """Fold another exact sum in (still exact)."""
-        for component in other.components:
-            self.add(component)
-
     def round_to_float64(self, dim: int) -> np.ndarray:
         """The correctly-rounded float64 value of the exact sum."""
         if not self.components:
@@ -192,12 +180,10 @@ class _ExactVectorSum:
 
 @dataclass
 class FedAvgPartial:
-    """Per-shard fold of a set of updates: exact weighted sum + counters.
+    """Fold of a set of updates: exact weighted sum + counters.
 
     ``components`` is an ``(m, dim + 1)`` float64 array — the error-free
     expansion of ``sum_k n_k * [w_k | b_k]`` (bias in the last column).
-    ``dim`` is ``-1`` for an empty partial (no updates seen yet), so empty
-    shards merge cleanly with any weight shape.
     """
 
     components: np.ndarray
@@ -206,60 +192,19 @@ class FedAvgPartial:
     dim: int
 
     @classmethod
-    def empty(cls) -> FedAvgPartial:
-        """The identity element of :meth:`merge`."""
-        return cls(components=np.zeros((0, 0)), total_samples=0, n_updates=0, dim=-1)
-
-    @classmethod
-    def from_updates(cls, updates: Iterable[ModelUpdate]) -> FedAvgPartial:
-        """Fold an update iterable; shape-checks like flat :func:`fedavg`."""
-        updates = list(updates)
-        if not updates:
-            return cls.empty()
-        dims = {update.weights.shape for update in updates}
-        if len(dims) != 1:
-            raise ValueError(f"updates disagree on weight shape: {dims}")
-        shape = dims.pop()
-        if len(shape) != 1:
-            raise ValueError(f"update weights must be 1-D, got shape {shape}")
-        (dim,) = shape
-        stacked = np.empty((len(updates), dim + 1), dtype=np.float64)
-        samples = np.empty(len(updates), dtype=np.float64)
-        for row, update in enumerate(updates):
-            stacked[row, :dim] = update.weights
-            stacked[row, dim] = update.bias
-            samples[row] = float(update.n_samples)
-        return cls._from_stacked(
-            stacked, samples, int(sum(u.n_samples for u in updates)), len(updates)
-        )
-
-    @classmethod
     def from_arrays(
         cls, weights: np.ndarray, biases: np.ndarray, n_samples: np.ndarray
     ) -> FedAvgPartial:
-        """Fold columnar updates: ``weights (k, dim)``, ``biases (k,)``, ``n_samples (k,)``.
-
-        Produces the same partial as :meth:`from_updates` over the
-        row-by-row :class:`ModelUpdate` equivalents.
-        """
+        """Fold columnar updates: ``weights (k, dim)``, ``biases (k,)``, ``n_samples (k,)``."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ValueError("weights must be 2-D (updates x dim)")
-        if len(weights) == 0:
-            return cls.empty()
         if np.any(np.asarray(n_samples) < 0):
             raise ValueError("n_samples must be >= 0")
         stacked = np.column_stack([weights, np.asarray(biases, dtype=np.float64)])
-        samples = np.asarray(n_samples, dtype=np.float64)
-        return cls._from_stacked(stacked, samples, int(np.sum(n_samples)), len(weights))
-
-    @classmethod
-    def _from_stacked(
-        cls, stacked: np.ndarray, samples: np.ndarray, total: int, count: int
-    ) -> FedAvgPartial:
         # The per-update product rounds once (elementwise, so identical for
-        # any grouping of updates into partials); the running sum is exact.
-        products = stacked * samples[:, None]
+        # any grouping of updates into blocks); the running sum is exact.
+        products = stacked * np.asarray(n_samples, dtype=np.float64)[:, None]
         accumulator = _ExactVectorSum()
         accumulator.add_rows(products)
         components = (
@@ -269,33 +214,9 @@ class FedAvgPartial:
         )
         return cls(
             components=components,
-            total_samples=total,
-            n_updates=count,
-            dim=stacked.shape[1] - 1,
-        )
-
-    @staticmethod
-    def merge(partials: Sequence["FedAvgPartial"]) -> FedAvgPartial:
-        """Fold shard partials into one (exact, hence order-independent)."""
-        filled = [p for p in partials if p.dim >= 0]
-        if not filled:
-            return FedAvgPartial.empty()
-        dims = {p.dim for p in filled}
-        if len(dims) != 1:
-            raise ValueError(f"partials disagree on weight dimension: {dims}")
-        accumulator = _ExactVectorSum()
-        for partial in filled:
-            accumulator.merge(_ExactVectorSum(list(partial.components)))
-        components = (
-            np.stack(accumulator.components)
-            if accumulator.components
-            else np.zeros((0, filled[0].dim + 1))
-        )
-        return FedAvgPartial(
-            components=components,
-            total_samples=sum(p.total_samples for p in filled),
-            n_updates=sum(p.n_updates for p in filled),
-            dim=filled[0].dim,
+            total_samples=int(np.sum(n_samples)),
+            n_updates=len(weights),
+            dim=weights.shape[1],
         )
 
     def finalize(self) -> tuple[np.ndarray, float]:
@@ -307,82 +228,3 @@ class FedAvgPartial:
         summed = _ExactVectorSum(list(self.components)).round_to_float64(self.dim + 1)
         averaged = summed / float(self.total_samples)
         return averaged[:-1], float(averaged[-1])
-
-
-def fedavg(updates: Iterable[ModelUpdate]) -> tuple[np.ndarray, float]:
-    """Sample-weighted average of model updates.
-
-    Implements ``w = sum_k p_k w_k`` with ``p_k`` proportional to each
-    client's dataset size, the exact optimisation objective of §II-A.
-    Computed through :class:`FedAvgPartial`, so a flat call is bit-identical
-    to merging per-shard partials over any partition of ``updates``.
-    """
-    updates = list(updates)
-    if not updates:
-        raise ValueError("fedavg requires at least one update")
-    return FedAvgPartial.from_updates(updates).finalize()
-
-
-class FedAvgAggregator:
-    """Stateful accumulator used by the cloud aggregation service.
-
-    Updates stream in (possibly shaped by DeviceFlow); :meth:`aggregate`
-    folds everything received so far into a new global model and resets
-    the buffer for the next round.  Sharded workers call :meth:`partial`
-    instead and ship the compact result to the parent, which folds shard
-    partials with :meth:`merge`.
-    """
-
-    def __init__(self) -> None:
-        self._pending: list[ModelUpdate] = []
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def pending_samples(self) -> int:
-        """Total training samples represented by buffered updates."""
-        return sum(update.n_samples for update in self._pending)
-
-    @property
-    def pending_devices(self) -> list[str]:
-        """Device ids with a buffered update, in arrival order."""
-        return [update.device_id for update in self._pending]
-
-    def add(self, update: ModelUpdate) -> None:
-        """Buffer one incoming update."""
-        if not isinstance(update, ModelUpdate):
-            raise TypeError(f"expected ModelUpdate, got {type(update).__name__}")
-        self._pending.append(update)
-
-    def aggregate(self) -> tuple[np.ndarray, float, int]:
-        """Fold the buffer; returns ``(weights, bias, n_updates)``.
-
-        Raises ``ValueError`` when nothing is buffered — callers (the
-        aggregation triggers) are expected to check :meth:`__len__` first.
-        """
-        weights, bias = fedavg(self._pending)
-        count = len(self._pending)
-        self._pending.clear()
-        return weights, bias, count
-
-    def partial(self) -> FedAvgPartial:
-        """Fold the buffer into a shippable partial and clear it.
-
-        Unlike :meth:`aggregate` this is total: an empty buffer yields the
-        empty partial, so shards without numeric devices merge cleanly.
-        """
-        result = FedAvgPartial.from_updates(self._pending)
-        self._pending.clear()
-        return result
-
-    @staticmethod
-    def merge(partials: Sequence[FedAvgPartial]) -> tuple[np.ndarray, float, int]:
-        """Merge shard partials; returns ``(weights, bias, n_updates)``.
-
-        Bit-identical to :meth:`aggregate` over the concatenated update
-        set, for *any* partition of the updates into partials.
-        """
-        merged = FedAvgPartial.merge(partials)
-        weights, bias = merged.finalize()
-        return weights, bias, merged.n_updates

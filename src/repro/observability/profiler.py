@@ -8,8 +8,8 @@ DeviceFlow submission and dispatch, transport routing, cloud ingestion,
 aggregation folds, alarm evaluation —
 and accounts real ``perf_counter`` time to each, with *self time* (a
 method's elapsed time minus the profiled calls it made) attributed via an
-enter/exit stack so nested hooks (``step_batch`` → ``_route`` →
-``accept``) never double-count.
+enter/exit stack so nested hooks (``step_batch`` → ``accept_block`` →
+``receive_block``) never double-count.
 
 Patching is class-level, so one attached profiler observes every
 instance created while it is active — attach *before* building the
@@ -43,13 +43,11 @@ PROFILE_POINTS: tuple[tuple[str, str, str, str], ...] = (
     ("repro.cluster.runner", "LogicalSimulation", "_execute_numeric", "logical.numeric_block"),
     ("repro.phones.phonemgr", "PhoneMgr", "_register_plan", "phones.wave_schedule"),
     ("repro.phones.phonemgr", "PhoneMgr", "_sampler_tick", "phones.sampler"),
-    ("repro.deviceflow.controller", "DeviceFlow", "_submit", "deviceflow.submit"),
+    ("repro.deviceflow.controller", "DeviceFlow", "submit_block", "deviceflow.submit"),
     ("repro.deviceflow.dispatcher", "Dispatcher", "dispatch", "deviceflow.dispatch"),
     ("repro.cloud.transport", "TransportChannel", "_route", "transport.route"),
-    ("repro.cloud.sink", "CloudIngestSink", "accept", "cloud.ingest_scalar"),
     ("repro.cloud.sink", "CloudIngestSink", "accept_block", "cloud.ingest_block"),
     ("repro.cloud.sink", "CloudIngestSink", "flow_receive", "cloud.flow_receive"),
-    ("repro.cloud.aggregation", "AggregationService", "receive_message", "cloud.receive_message"),
     ("repro.cloud.aggregation", "AggregationService", "receive_block", "cloud.receive_block"),
     ("repro.cloud.aggregation", "AggregationService", "aggregate_now", "cloud.fold"),
     ("repro.observability.alarms", "AlarmEngine", "_on_event", "observability.alarms"),

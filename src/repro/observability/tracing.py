@@ -26,7 +26,7 @@ two-phase to keep the simulation hot path clean:
 * :class:`Tracer` — append-only capture.  Instrumentation points in the
   task runner, transport channel, ingestion sink, DeviceFlow and the
   phone manager call ``record_*`` methods that append plain tuples (or,
-  for batched plans and DeviceFlow traffic, one reference to the
+  for device rounds and DeviceFlow traffic, one reference to the
   columnar block / message segment); nothing is formatted, sorted or
   allocated per span while the simulation runs.
   Every instrumentation point is guarded by ``tracer is not None``, so
@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.cloud.monitor import Monitor
     from repro.cluster.rounds import ColumnarOutcomes
-    from repro.deviceflow.shelf import Segment
+    from repro.deviceflow.messages import MessageBlock
 
 #: Every span kind the assembler can emit, with the tree level it lives
 #: at (documentation + the README reference table; exporters use it to
@@ -163,9 +163,8 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        #: (task, device, grade, round, n_samples, payload_bytes, finished_at)
-        self.devices: list[tuple[str, str, str, int, int, int, float]] = []
-        #: (task, block) — whole batched plans, expanded at assembly.
+        #: (task, block) — a plan's round, a wave of it or one benchmarking
+        #: phone's row, expanded to per-device records at assembly.
         self.device_blocks: list[tuple[str, ColumnarOutcomes]] = []
         #: (task, round, time)
         self.round_starts: list[tuple[str, int, float]] = []
@@ -177,30 +176,16 @@ class Tracer:
         #: (task, device, round, time, reason) — reason: duplicate | late
         self.ingest_drops: list[tuple[str, str, int, float, str]] = []
         #: (task, round, devices, time) — one row per submitted / delivered
-        #: segment (a message or a block row range), expanded to one
-        #: record per device at assembly.
+        #: segment (a block row range), expanded to one record per device
+        #: at assembly.
         self.flow_submits: list[tuple[str, int, Sequence[str], float]] = []
         self.flow_deliveries: list[tuple[str, int, Sequence[str], float]] = []
         #: (task, serial, device, round, stage, start, end)
         self.bench_stages: list[tuple[str, str, str, int, str, float, float]] = []
 
     # -- hot-path record methods (append one tuple each) ----------------
-    def record_device(
-        self,
-        task_id: str,
-        device_id: str,
-        grade: str,
-        round_index: int,
-        n_samples: int,
-        payload_bytes: int,
-        finished_at: float,
-    ) -> None:
-        self.devices.append(
-            (task_id, device_id, grade, round_index, n_samples, payload_bytes, finished_at)
-        )
-
     def record_block(self, task_id: str, block: ColumnarOutcomes) -> None:
-        """O(1) capture of a whole batched plan's round."""
+        """O(1) capture of the device rounds a block holds."""
         self.device_blocks.append((task_id, block))
 
     def record_round_start(self, task_id: str, round_index: int, time: float) -> None:
@@ -239,11 +224,11 @@ class Tracer:
     ) -> None:
         self.ingest_drops.append((task_id, device_id, round_index, time, reason))
 
-    def record_flow_submit(self, segment: Segment, time: float) -> None:
-        """O(1) capture of one DeviceFlow submission (message or wave)."""
+    def record_flow_submit(self, segment: MessageBlock, time: float) -> None:
+        """O(1) capture of one DeviceFlow submission (a wave, or one upload)."""
         self.flow_submits.append((segment.task_id, segment.round_index, segment.device_ids, time))
 
-    def record_flow_delivery(self, segment: Segment, time: float) -> None:
+    def record_flow_delivery(self, segment: MessageBlock, time: float) -> None:
         """O(1) capture of one delivered segment of a transmission chunk."""
         self.flow_deliveries.append(
             (segment.task_id, segment.round_index, segment.device_ids, time)
@@ -263,14 +248,18 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def all_devices(self) -> list[tuple[str, str, str, int, int, int, float]]:
-        """Scalar device records plus expanded columnar blocks."""
-        records = list(self.devices)
+        """The captured blocks expanded to one record per device.
+
+        A record is ``(task, device, grade, round, n_samples,
+        payload_bytes, finished_at)``.
+        """
+        records = []
         for task_id, block in self.device_blocks:
-            grade = block.plan.grade
+            grade = block.grade
             payload = block.payload_bytes
             round_index = block.round_index
             for device_id, n_samples, finished in zip(
-                block.device_ids, block.n_samples_array().tolist(), block.finished_at.tolist()
+                block.device_ids, block.devices.n_samples.tolist(), block.finished_at.tolist()
             ):
                 records.append((task_id, device_id, grade, round_index, n_samples, payload, finished))
         return records

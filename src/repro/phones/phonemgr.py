@@ -39,8 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cloud.sink import OutcomeSink
-from repro.cluster.actor import DeviceRoundOutcome
-from repro.cluster.rounds import DeviceColumns, RoundResult, SlotQueue, TierPlan, TierRounds
+from repro.cluster.rounds import ColumnarOutcomes, DeviceColumns, RoundResult, SlotQueue, TierPlan, TierRounds
 from repro.ml.backends import DEVICE_BACKEND, NumericBackend
 from repro.ml.fedavg import ModelUpdate
 from repro.phones.adb import SimulatedAdb
@@ -307,17 +306,17 @@ class PhoneMgr(TierRounds):
 
         ``sink`` is served exactly as on the logical tier
         (:class:`~repro.cluster.rounds.TierRounds`); a wave here is one
-        phone completion.  Benchmarking phones always stream scalar
-        ``accept`` — their five-stage protocol emits mid-round regardless
-        of sink kind.  The returned process resolves with a
-        :class:`~repro.cluster.rounds.RoundResult`.
+        phone completion.  A benchmarking phone always delivers its own
+        one-row block as it finishes training — the five-stage protocol
+        emits mid-round regardless of sink kind.  The returned process
+        resolves with a :class:`~repro.cluster.rounds.RoundResult`.
         """
         result = RoundResult(round_index=round_index, started_at=self.sim.now)
 
-        def collect(outcome: DeviceRoundOutcome) -> None:
-            result.outcomes.append(outcome)
+        def collect(block: ColumnarOutcomes) -> None:
+            result.columnar.append(block)
             if sink is not None:
-                sink.accept(outcome)
+                sink.accept_block(block)
 
         benchmarks = [
             self.sim.process(
@@ -424,14 +423,15 @@ class PhoneMgr(TierRounds):
         global_weights: np.ndarray | None,
         global_bias: float,
         model_bytes: int,
-        on_outcome: Callable[[DeviceRoundOutcome], None],
+        on_outcome: Callable[[ColumnarOutcomes], None],
     ) -> Generator:
         """The measured five-stage protocol of Table I on one phone.
 
-        The phone emulates row ``row`` of ``plan.benchmarking``.
+        The phone emulates row ``row`` of ``plan.benchmarking`` and hands
+        ``on_outcome`` that device's round as a one-row block.
         """
         device = plan.benchmarking[row : row + 1]
-        device_id, n_samples = device.device_ids[0], int(device.n_samples[0])
+        device_id = device.device_ids[0]
         record = BenchmarkRecord(serial=phone.serial, round_index=round_index)
         self.benchmark_records.append(record)
         window = self.cost_model.stage_window
@@ -470,7 +470,7 @@ class PhoneMgr(TierRounds):
 
         # Stage 3: training.
         duration = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
-        update = None
+        weights = biases = None
         payload = model_bytes
         if plan.numeric:
             weights, biases = self._execute_numeric(
@@ -478,27 +478,13 @@ class PhoneMgr(TierRounds):
             )
             if weights is not None:
                 payload = ModelUpdate.wire_size(plan.feature_dim)
-                update = ModelUpdate(
-                    device_id=device_id,
-                    round_index=round_index,
-                    weights=weights[0],
-                    bias=float(biases[0]),
-                    n_samples=n_samples,
-                    metadata={"grade": plan.grade, "backend": plan.backend.name},
-                )
         start = self.sim.now
         done = phone.start_training(duration, upload_bytes=payload)
         yield done
         boundary(ApkStage.TRAINING, start)
         on_outcome(
-            DeviceRoundOutcome(
-                device_id=device_id,
-                grade=plan.grade,
-                round_index=round_index,
-                n_samples=n_samples,
-                payload_bytes=payload,
-                update=update,
-                finished_at=self.sim.now,
+            ColumnarOutcomes(
+                plan.grade, device, round_index, payload, np.array([self.sim.now]), weights, biases
             )
         )
 

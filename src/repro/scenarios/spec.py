@@ -27,6 +27,7 @@ from repro.behavior import (
     population_traffic_curve,
 )
 from repro.behavior.timezone import DEFAULT_OFFSET_WEIGHTS
+from repro.cloud.transport import check_channel_numbers
 from repro.cluster.resources import ResourceBundle
 from repro.deviceflow.curves import TrafficCurve
 from repro.deviceflow.strategy import (
@@ -456,6 +457,7 @@ class TransportSpec:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
+        check_channel_numbers(self, "transport.")
         if self.latency_s < 0 or self.jitter_s < 0:
             raise ValueError(
                 f"transport latency/jitter must be >= 0, got "
@@ -470,8 +472,6 @@ class TransportSpec:
                 f"transport retry backoff must be > 0, got "
                 f"retry_base_s={self.retry_base_s!r}, retry_cap_s={self.retry_cap_s!r}"
             )
-        if self.max_attempts < 1:
-            raise ValueError(f"transport max_attempts must be >= 1, got {self.max_attempts!r}")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(f"transport deadline_s must be > 0, got {self.deadline_s!r}")
 

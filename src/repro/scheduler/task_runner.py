@@ -120,8 +120,8 @@ class TaskRunner:
         The indivisible logical allocation unit.
     fixed_allocation / dataset:
         Optional explicit per-grade logical counts overriding the
-        optimizer (the Type 1-5 experiments use this), and an optional
-        pre-built federated dataset replacing the spec-derived one.
+        optimizer, and an optional pre-built federated dataset replacing
+        the spec-derived one.
     channel / channel_scope:
         Optional device→cloud :class:`~repro.cloud.transport.ChannelModel`
         fronting the ingestion sink, and the tenant scope its windows
@@ -375,7 +375,6 @@ class TaskRunner:
         test_set = dataset.test if dataset is not None else None
         return AggregationService(
             self.sim,
-            self.storage,
             trigger=AggregationTrigger(),  # runner-driven round-end aggregation
             model=model,
             test_set=test_set,

@@ -1,12 +1,36 @@
 """Helpers shared by the test modules (import as ``helpers``)."""
 
+import numpy as np
+from reference.tier_reference import materialize
+
+from repro.deviceflow import MessageBlock
+
+
+def one_row(device_id, *, task_id="t", round_index=1, n_samples=1, size_bytes=0, update=None, payload_ref=None):
+    """One device's message as a block of one row.
+
+    ``update`` is a ``ModelUpdate`` whose parameters ride along as the
+    row's stacked arrays (and whose sample count wins over ``n_samples``).
+    """
+    return MessageBlock(
+        task_id=task_id,
+        round_index=round_index,
+        device_ids=[device_id],
+        payload_refs=None if payload_ref is None else [payload_ref],
+        size_bytes=size_bytes,
+        n_samples=[n_samples if update is None else update.n_samples],
+        update_weights=None if update is None else update.weights[None],
+        update_biases=None if update is None else np.array([update.bias]),
+    )
+
 
 class CallbackSink:
     """An ``OutcomeSink`` that hands every outcome to ``callback``, one device at a time.
 
     It asks the tiers for one block per completion wave and materialises
     whatever it is handed, so the callback observes devices in completion
-    order, at their completion times.
+    order, at their completion times.  ``accept`` is what the per-device
+    reference tiers call.
     """
 
     prefers_waves = True
@@ -18,7 +42,7 @@ class CallbackSink:
         self.callback(outcome)
 
     def accept_block(self, block) -> None:
-        for outcome in block.materialize():
+        for outcome in materialize(block):
             self.callback(outcome)
 
 

@@ -13,23 +13,51 @@ differential test in ``tests/test_deviceflow_controller.py`` compares
 final random state against it.  Do not optimise it.
 
 Only the kernel (``Simulator`` / ``Signal`` / ``Timeout`` / ``RandomStreams``),
-the ``Message`` / ``TimePoint`` records and the pure ``discretize_curve``
-function are shared with ``src/``.
+the ``TimePoint`` / ``TaskFlowStats`` records and the pure
+``discretize_curve`` function are shared with ``src/``; the per-device
+:class:`Message` lives here.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from collections.abc import Callable, Generator, Sequence
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.deviceflow.controller import TaskFlowStats
 from repro.deviceflow.curves import TrafficCurve
 from repro.deviceflow.discretize import DispatchTick, discretize_curve
-from repro.deviceflow.messages import Message
 from repro.deviceflow.strategy import TimePoint
 from repro.simkernel import RandomStreams, Signal, Simulator, Timeout
+
+_message_counter = itertools.count()
+
+
+@dataclass
+class Message:
+    """One device-to-cloud notification: a reference into shared storage (§V-A)."""
+
+    task_id: str
+    device_id: str
+    round_index: int
+    payload_ref: str
+    size_bytes: int = 0
+    created_at: float = 0.0  # simulated time the message entered DeviceFlow
+    n_samples: int = 1
+    metadata: dict[str, Any] = field(default_factory=dict)
+    message_id: int = field(default_factory=lambda: next(_message_counter))
+
+    def __post_init__(self) -> None:
+        if not self.task_id:
+            raise ValueError("task_id must be non-empty")
+        if self.size_bytes < 0:
+            raise ValueError("size_bytes must be >= 0")
+        if self.n_samples <= 0:
+            raise ValueError("n_samples must be positive")
 
 
 class ReferenceShelf:

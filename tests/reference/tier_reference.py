@@ -16,21 +16,98 @@ Drive a simulation holding reference tiers one event at a time
 Shared with ``src/``: the kernel, ``prepare`` / ``teardown`` and the
 five-stage benchmarking protocol.  A device's flow runs through the
 per-device numeric oracle, ``reference.ml_reference``.
+
+The per-device records live here too: :class:`DeviceRoundOutcome` is what
+one device produced in one round, :class:`ReferenceRoundResult` collects
+them, a reference tier hands them one at a time to ``sink.accept`` (a
+test-side method — production sinks only take blocks), and
+:func:`materialize` is the per-device view of a production block.
 """
 
 from __future__ import annotations
 
 from collections.abc import Generator
+from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import Any
 
-from repro.cluster.actor import DeviceRoundOutcome
-from repro.cluster.rounds import DeviceColumns, RoundResult
+from repro.cluster.rounds import ColumnarOutcomes, DeviceColumns
 from repro.cluster.runner import LogicalSimulation
+from repro.ml.fedavg import ModelUpdate
 from repro.phones.metrics import parse_metric_sample, parse_pgrep_pid
 from repro.phones.phonemgr import PhoneMgr, _SampledPhone
 from repro.simkernel import AllOf, Simulator, Timeout
 
 from reference.ml_reference import OperatorContext, execute
+
+
+@dataclass
+class DeviceRoundOutcome:
+    """What one device produced in one round."""
+
+    device_id: str
+    grade: str
+    round_index: int
+    n_samples: int
+    payload_bytes: int
+    update: Any | None  # ModelUpdate when the run is numeric
+    finished_at: float
+
+
+@dataclass
+class ReferenceRoundResult:
+    """One tier round as the per-device loops record it."""
+
+    round_index: int
+    outcomes: list[DeviceRoundOutcome] = field(default_factory=list)
+    started_at: float = 0.0
+    finished_at: float = 0.0
+    aborted: bool = False
+
+    @property
+    def duration(self) -> float:
+        return self.finished_at - self.started_at
+
+    @property
+    def n_devices(self) -> int:
+        return len(self.outcomes)
+
+
+def materialize(block: ColumnarOutcomes) -> list[DeviceRoundOutcome]:
+    """A production block's rows as outcome records, in block (row) order.
+
+    For logical-tier plans this is also chronological (one shared wave
+    clock); phone-tier plans stage per-device push bytes, so completion
+    times across phones need not be sorted.
+    """
+    numeric = block.update_weights is not None
+    return [
+        DeviceRoundOutcome(
+            device_id=device_id,
+            grade=block.grade,
+            round_index=block.round_index,
+            n_samples=n_samples,
+            payload_bytes=block.payload_bytes,
+            update=ModelUpdate(
+                device_id=device_id,
+                round_index=block.round_index,
+                weights=block.update_weights[row].copy(),
+                bias=float(block.update_biases[row]),
+                n_samples=n_samples,
+            )
+            if numeric
+            else None,
+            finished_at=time,
+        )
+        for row, (device_id, n_samples, time) in enumerate(
+            zip(block.device_ids, block.devices.n_samples.tolist(), block.finished_at.tolist())
+        )
+    ]
+
+
+def all_outcomes(result) -> list[DeviceRoundOutcome]:
+    """Every device of a production ``RoundResult``, block after block."""
+    return [outcome for block in result.columnar for outcome in materialize(block)]
 
 
 def run_per_event(sim: Simulator) -> float:
@@ -86,7 +163,7 @@ class ReferenceLogicalSimulation(LogicalSimulation):
     def run_round(self, round_index, global_weights, global_bias, model_bytes, sink=None) -> Generator:
         if self.placement_group is None and self.plans:
             raise RuntimeError("call prepare() before run_round()")
-        result = RoundResult(round_index=round_index, started_at=self.sim.now)
+        result = ReferenceRoundResult(round_index=round_index, started_at=self.sim.now)
 
         def collect(outcome: DeviceRoundOutcome) -> None:
             result.outcomes.append(outcome)
@@ -125,7 +202,7 @@ class ReferenceLogicalSimulation(LogicalSimulation):
                 rng = self.streams.get(f"device.{assignment.device_id}.sgd")
                 update = execute_flow(plan, assignment, round_index, global_weights, global_bias, rng)
                 if update is not None:
-                    payload = update.payload_bytes()
+                    payload = update.wire_size(update.weights.size)
             yield Timeout(self.cost_model.transfer_duration(payload))
             actor.devices_completed += 1
             collect(_outcome(assignment, plan, round_index, payload, update, self.sim.now))
@@ -135,13 +212,18 @@ class ReferencePhoneMgr(PhoneMgr):
     """Phone tier with per-device emulation loops and per-phone ADB-text samplers."""
 
     def run_round(self, round_index, global_weights, global_bias, model_bytes, sink=None) -> Generator:
-        result = RoundResult(round_index=round_index, started_at=self.sim.now)
+        result = ReferenceRoundResult(round_index=round_index, started_at=self.sim.now)
         epoch = self._epoch
 
         def collect(outcome: DeviceRoundOutcome) -> None:
             result.outcomes.append(outcome)
             if sink is not None:
                 sink.accept(outcome)
+
+        def collect_block(block: ColumnarOutcomes) -> None:
+            # The shared five-stage protocol emits its device as a one-row block.
+            for outcome in materialize(block):
+                collect(outcome)
 
         processes = []
         for plan in self.plans:
@@ -160,7 +242,7 @@ class ReferencePhoneMgr(PhoneMgr):
                 processes.append(
                     self.sim.process(
                         self._run_benchmark_phone(
-                            phone, plan, row, round_index, global_weights, global_bias, model_bytes, collect
+                            phone, plan, row, round_index, global_weights, global_bias, model_bytes, collect_block
                         ),
                         name=f"{phone.serial}.bench{round_index}",
                     )
@@ -186,7 +268,7 @@ class ReferencePhoneMgr(PhoneMgr):
                 rng = self.streams.get(f"phone-exec.{assignment.device_id}")
                 update = execute_flow(plan, assignment, round_index, global_weights, global_bias, rng)
                 if update is not None:
-                    payload = update.payload_bytes()
+                    payload = update.wire_size(update.weights.size)
             yield phone.start_training(duration, upload_bytes=payload)
             yield Timeout(payload / phone.spec.network_bandwidth_bps)
             collect(_outcome(assignment, plan, round_index, payload, update, self.sim.now))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import one_row
 
 from repro.cloud import (
     AggregationService,
@@ -12,7 +13,6 @@ from repro.cloud import (
     ScheduledTrigger,
 )
 from repro.data import SyntheticAvazu
-from repro.deviceflow import Message
 from repro.ml import SERVER_BACKEND, LogisticRegressionModel, ModelUpdate
 from repro.simkernel import Simulator
 
@@ -20,7 +20,7 @@ from repro.simkernel import Simulator
 class TestObjectStorage:
     def test_put_get_round_trip(self):
         storage = ObjectStorage()
-        storage.put("k", {"a": 1}, size_bytes=100, now=5.0, writer="w")
+        storage.put_block(["k"], [{"a": 1}], 100, now=5.0, writers="w")
         assert storage.get("k") == {"a": 1}
         assert storage.head("k").stored_at == 5.0
         assert "k" in storage
@@ -28,8 +28,8 @@ class TestObjectStorage:
 
     def test_accounting(self):
         storage = ObjectStorage()
-        storage.put("a", b"x", 10)
-        storage.put("b", b"y", 20)
+        storage.put_block(["a"], [b"x"], 10, now=0.0, writers="")
+        storage.put_block(["b"], [b"y"], 20, now=0.0, writers="")
         storage.get("a")
         assert storage.total_bytes_written == 30
         assert storage.total_bytes_read == 10
@@ -43,15 +43,15 @@ class TestObjectStorage:
 
     def test_overwrite(self):
         storage = ObjectStorage()
-        storage.put("k", 1, 8)
-        storage.put("k", 2, 8)
+        storage.put_block(["k"], [1], 8, now=0.0, writers="")
+        storage.put_block(["k"], [2], 8, now=0.0, writers="")
         assert storage.get("k") == 2
         assert len(storage) == 1
 
     def test_validation(self):
         storage = ObjectStorage()
         with pytest.raises(ValueError):
-            storage.put("k", 1, -1)
+            storage.put_block(["k"], [1], -1, now=0.0, writers="")
 
 
 class TestMetricsDatabase:
@@ -87,16 +87,20 @@ def make_update(device_id, dim=64, n_samples=10, value=1.0):
     )
 
 
+def update_row(device_id, **kwargs):
+    """The update as the one-row block a single upload delivers."""
+    return one_row(device_id, update=make_update(device_id, **kwargs))
+
+
 class TestSampleThresholdTrigger:
     def test_aggregates_at_threshold(self):
         sim = Simulator()
-        storage = ObjectStorage()
         service = AggregationService(
-            sim, storage, SampleThresholdTrigger(25), model=LogisticRegressionModel(64, SERVER_BACKEND), name="agg"
+            sim, SampleThresholdTrigger(25), model=LogisticRegressionModel(64, SERVER_BACKEND), name="agg"
         )
         service.start()
         for i in range(5):
-            service.receive_update(make_update(f"d{i}", n_samples=10))
+            service.receive_block(update_row(f"d{i}", n_samples=10))
         # Thresholds of 25 samples: aggregation after 3 updates (30) and
         # the remaining 2 updates stay buffered.
         assert service.rounds_completed == 1
@@ -111,15 +115,14 @@ class TestSampleThresholdTrigger:
 class TestScheduledTrigger:
     def test_periodic_aggregation(self):
         sim = Simulator()
-        storage = ObjectStorage()
         service = AggregationService(
-            sim, storage, ScheduledTrigger(60.0, max_rounds=3),
+            sim, ScheduledTrigger(60.0, max_rounds=3),
             model=LogisticRegressionModel(16, SERVER_BACKEND),
             name="agg",
         )
         service.start()
         for t, device in ((10.0, "a"), (70.0, "b"), (130.0, "c")):
-            sim.schedule(t, service.receive_update, make_update(device, dim=16))
+            sim.schedule(t, service.receive_block, update_row(device, dim=16))
         sim.run()
         assert service.rounds_completed == 3
         assert [r.time for r in service.history] == [60.0, 120.0, 180.0]
@@ -128,23 +131,23 @@ class TestScheduledTrigger:
     def test_empty_periods_skipped(self):
         sim = Simulator()
         service = AggregationService(
-            sim, ObjectStorage(), ScheduledTrigger(30.0, max_rounds=4),
+            sim, ScheduledTrigger(30.0, max_rounds=4),
             model=LogisticRegressionModel(16, SERVER_BACKEND),
             name="agg",
         )
         service.start()
-        sim.schedule(100.0, service.receive_update, make_update("only", dim=16))
+        sim.schedule(100.0, service.receive_block, update_row("only", dim=16))
         sim.run()
         assert service.rounds_completed == 1
 
     def test_stop_disarms(self):
         sim = Simulator()
         service = AggregationService(
-            sim, ObjectStorage(), ScheduledTrigger(10.0, max_rounds=3),
+            sim, ScheduledTrigger(10.0, max_rounds=3),
             model=LogisticRegressionModel(16, SERVER_BACKEND), name="agg",
         )
         service.start()
-        service.receive_update(make_update("a", dim=16))
+        service.receive_block(update_row("a", dim=16))
         service.stop()
         sim.run()
         assert service.rounds_completed == 0
@@ -158,49 +161,42 @@ class TestScheduledTrigger:
 
 class TestAggregationService:
     def test_message_path_fetches_from_storage(self):
+        # One upload is a block of one row; its payload rides along as the
+        # row's stacked arrays, so the fold needs no storage round-trip.
         sim = Simulator()
-        storage = ObjectStorage()
         update = make_update("d0", dim=32)
-        storage.put("u/d0", update, update.payload_bytes())
-        service = AggregationService(
-            sim, storage, SampleThresholdTrigger(5), model=LogisticRegressionModel(32, SERVER_BACKEND), name="agg"
+        model = LogisticRegressionModel(32, SERVER_BACKEND)
+        service = AggregationService(sim, SampleThresholdTrigger(5), model=model, name="agg")
+        service.receive_block(
+            one_row("d0", payload_ref="u/d0", size_bytes=ModelUpdate.wire_size(32), update=update)
         )
-        message = Message(
-            task_id="t", device_id="d0", round_index=1, payload_ref="u/d0",
-            size_bytes=update.payload_bytes(), n_samples=update.n_samples,
-        )
-        service.receive_message(message)
         assert service.rounds_completed == 1
         assert service.messages_received == 1
-        assert service.bytes_received == update.payload_bytes()
+        assert service.bytes_received == ModelUpdate.wire_size(32)
+        assert np.array_equal(model.weights, update.weights)
 
     def test_message_with_non_update_payload_rejected(self):
         sim = Simulator()
-        storage = ObjectStorage()
-        storage.put("junk", {"not": "an update"}, 10)
         service = AggregationService(
-            sim, storage, SampleThresholdTrigger(5), model=LogisticRegressionModel(32, SERVER_BACKEND), name="agg"
+            sim, SampleThresholdTrigger(5), model=LogisticRegressionModel(32, SERVER_BACKEND), name="agg"
         )
-        message = Message(task_id="t", device_id="d", round_index=1, payload_ref="junk")
         with pytest.raises(TypeError):
-            service.receive_message(message)
+            service.receive_block(one_row("d", payload_ref="junk"))
 
     def test_fedavg_applied_to_global_model(self):
         sim = Simulator()
         model = LogisticRegressionModel(8, SERVER_BACKEND)
-        service = AggregationService(sim, ObjectStorage(), SampleThresholdTrigger(20), model=model, name="agg")
-        service.receive_update(make_update("a", dim=8, n_samples=10, value=1.0))
-        service.receive_update(make_update("b", dim=8, n_samples=10, value=3.0))
+        service = AggregationService(sim, SampleThresholdTrigger(20), model=model, name="agg")
+        service.receive_block(update_row("a", dim=8, n_samples=10, value=1.0))
+        service.receive_block(update_row("b", dim=8, n_samples=10, value=3.0))
         assert np.allclose(model.weights, 2.0)
         assert model.bias == pytest.approx(2.0)
 
     def test_counting_mode_without_model(self):
         sim = Simulator()
-        service = AggregationService(sim, ObjectStorage(), SampleThresholdTrigger(30), model=None, name="agg")
+        service = AggregationService(sim, SampleThresholdTrigger(30), model=None, name="agg")
         for i in range(6):
-            message = Message(task_id="t", device_id=f"d{i}", round_index=1,
-                              payload_ref="none", n_samples=10)
-            service.receive_message(message)
+            service.receive_block(one_row(f"d{i}", n_samples=10))
         assert service.rounds_completed == 2
         assert [record.round_index for record in service.history] == [1, 2]
 
@@ -210,11 +206,11 @@ class TestAggregationService:
             test_records=200
         )
         service = AggregationService(
-            sim, ObjectStorage(), SampleThresholdTrigger(5),
+            sim, SampleThresholdTrigger(5),
             model=LogisticRegressionModel(32, SERVER_BACKEND), test_set=data.test,
             name="agg",
         )
-        service.receive_update(make_update("a", dim=32, value=0.0))
+        service.receive_block(update_row("a", dim=32, value=0.0))
         record = service.history[0]
         assert record.test_loss is not None
         assert 0.0 <= record.test_accuracy <= 1.0
@@ -222,7 +218,7 @@ class TestAggregationService:
     def test_aggregate_empty_rejected(self):
         sim = Simulator()
         service = AggregationService(
-            sim, ObjectStorage(), SampleThresholdTrigger(5),
+            sim, SampleThresholdTrigger(5),
             model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg",
         )
         with pytest.raises(RuntimeError):
@@ -232,11 +228,11 @@ class TestAggregationService:
         sim = Simulator()
         db = MetricsDatabase()
         service = AggregationService(
-            sim, ObjectStorage(), SampleThresholdTrigger(10),
+            sim, SampleThresholdTrigger(10),
             model=LogisticRegressionModel(8, SERVER_BACKEND), db=db,
             name="agg",
         )
-        service.receive_update(make_update("a", dim=8))
+        service.receive_block(update_row("a", dim=8))
         assert db.count("aggregations") == 1
         assert db.query("aggregations")[0]["n_updates"] == 1
 

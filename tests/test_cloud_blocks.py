@@ -1,27 +1,43 @@
-"""Unit tests for the columnar cloud path: put_block, MessageBlock,
-submit_block and receive_block.
+"""Unit tests for the cloud delivery path: put_block, MessageBlock,
+submit_block and receive_block — and the differential that holds all of
+it, end to end through ``CloudIngestSink``, to the per-upload oracle.
 
-The contract under test everywhere: the block variant of each cloud
-operation is *observably equivalent* to its n scalar counterparts —
-same counters, same reads, same folded model bits — while performing a
-constant number of Python-level bookkeeping operations per block.
+The contract under test everywhere: however a round's rows are cut into
+blocks — one block, any partition, one row per block — every cloud
+operation is *observably equivalent* to the per-upload semantics kept in
+``tests/reference/cloud_reference.py``: same counters, same reads, same
+folded model bits.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.cloud_reference import (
+    ReferenceAggregationService,
+    ReferenceIngestSink,
+    ReferenceStorage,
+    ReferenceTracer,
+    ReferenceTransportChannel,
+)
+from reference.deviceflow_reference import Message, ReferenceDeviceFlow, ReferenceRealTimeAccumulated
+from reference.tier_reference import materialize
 
 from repro.cloud import (
     AggregationService,
+    ChannelModel,
+    CloudIngestSink,
     ObjectStorage,
     SampleThresholdTrigger,
+    TransportChannel,
 )
 from repro.cloud.aggregation import AggregationTrigger
-from repro.deviceflow import DeviceFlow, Message, MessageBlock, RealTimeAccumulatedStrategy
+from repro.cluster import ColumnarOutcomes, DeviceColumns
+from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
 from repro.ml.backends import SERVER_BACKEND
 from repro.ml.fedavg import ModelUpdate
 from repro.ml.model import LogisticRegressionModel
+from repro.observability.tracing import Tracer, _per_device
 from repro.simkernel import RandomStreams, Simulator
 
 
@@ -40,7 +56,7 @@ def make_update(device_id, dim=8, value=1.0, n_samples=10, round_index=1):
 # ----------------------------------------------------------------------
 class TestPutBlock:
     def test_accounting_equivalent_to_scalar_puts(self):
-        scalar, block = ObjectStorage(), ObjectStorage()
+        scalar, block, rows = ReferenceStorage(), ObjectStorage(), ObjectStorage()
         keys = [f"t/d{i}/r1" for i in range(7)]
         values = [{"i": i} for i in range(7)]
         sizes = [100 + i for i in range(7)]
@@ -48,15 +64,18 @@ class TestPutBlock:
         writers = [f"d{i}" for i in range(7)]
         for k, v, s, t, w in zip(keys, values, sizes, times, writers):
             scalar.put(k, v, s, now=t, writer=w)
+            rows.put_block([k], [v], s, now=t, writers=w)  # one upload: a block of one key
         block.put_block(keys, values, np.array(sizes), now=np.array(times), writers=writers)
 
-        assert block.put_count == scalar.put_count == 7
-        assert block.total_bytes_written == scalar.total_bytes_written
-        assert len(block) == len(scalar) == 7
-        assert block.keys() == scalar.keys()
+        for storage in (block, rows):
+            assert storage.put_count == scalar.put_count == 7
+            assert storage.total_bytes_written == scalar.total_bytes_written
+            assert len(storage) == len(scalar) == 7
+            assert storage.keys() == scalar.keys()
+            assert [storage.head(k) for k in keys] == [scalar.head(k) for k in keys]
 
     def test_reads_and_heads_indistinguishable_from_scalar(self):
-        scalar, block = ObjectStorage(), ObjectStorage()
+        scalar, block = ReferenceStorage(), ObjectStorage()
         keys = [f"k{i}" for i in range(5)]
         values = list(range(5))
         for i, key in enumerate(keys):
@@ -82,7 +101,7 @@ class TestPutBlock:
     def test_block_keys_support_overwrite(self):
         storage = ObjectStorage()
         storage.put_block(["a", "b"], [1, 2], 10, now=0.0, writers="")
-        storage.put("b", 99, 20, now=7.0)
+        storage.put_block(["b"], [99], 20, now=7.0, writers="")
         assert storage.get("b") == 99
         assert storage.head("b").stored_at == 7.0
 
@@ -113,7 +132,7 @@ class TestPutBlock:
         times = 1.5 if scalar_time else np.arange(n, dtype=np.float64) / 2
         writers = "w" if shared_writer else [f"w{i}" for i in range(n)]
 
-        scalar, block = ObjectStorage(), ObjectStorage()
+        scalar, block = ReferenceStorage(), ObjectStorage()
         for i, key in enumerate(keys):
             scalar.put(
                 key,
@@ -148,19 +167,28 @@ class TestMessageBlock:
             payload_refs=["t/a/r3", "t/b/r3"],
             size_bytes=128,
             n_samples=np.array([5, 7]),
-            finished_at=np.array([10.0, 12.0]),
             metadata={"grade": "High"},
         )
         assert len(block) == 2
         assert block.total_bytes == 256
         assert block.total_samples == 12
-        messages = block.messages()
-        assert [m.device_id for m in messages] == ["a", "b"]
-        assert [m.created_at for m in messages] == [10.0, 12.0]
-        assert [m.n_samples for m in messages] == [5, 7]
-        assert all(m.metadata == {"grade": "High"} and m.task_id == "t" for m in messages)
-        # explicit arrival stamp (what DeviceFlow.submit_block uses)
-        assert [m.created_at for m in block.messages(created_at=42.0)] == [42.0, 42.0]
+        # One message is a block of one row: each row range carries exactly
+        # what the per-message record of the oracle carries.
+        messages = [
+            Message(task_id="t", device_id=d, round_index=3, payload_ref=f"t/{d}/r3",
+                    size_bytes=128, n_samples=n, metadata={"grade": "High"})
+            for d, n in (("a", 5), ("b", 7))
+        ]
+        for row, message in enumerate(messages):
+            one = block[row : row + 1]
+            assert len(one) == one.rows == 1
+            assert (one.task_id, one.round_index, one.size_bytes, one.metadata) == (
+                message.task_id, message.round_index, message.size_bytes, message.metadata,
+            )
+            assert one.device_ids == [message.device_id]
+            assert one.payload_refs == [message.payload_ref]
+            assert one.n_samples.tolist() == [message.n_samples]
+            assert one.total_bytes == message.size_bytes
 
     def test_defaults_and_validation(self):
         block = MessageBlock(task_id="t", round_index=1, device_ids=["a"], payload_refs=["r"])
@@ -192,45 +220,56 @@ def build_flow(sim, received):
 
 class TestSubmitBlock:
     def test_equivalent_delivery_to_scalar_submits(self):
-        def drive(use_block):
-            sim = Simulator()
-            received = []
-            flow = build_flow(sim, received)
-            refs = [f"t/d{i}/r1" for i in range(6)]
-            ids = [f"d{i}" for i in range(6)]
+        refs = [f"t/d{i}/r1" for i in range(6)]
+        ids = [f"d{i}" for i in range(6)]
 
-            def feed():
-                if use_block:
-                    flow.submit_block(
-                        MessageBlock(
-                            task_id="t", round_index=1, device_ids=ids,
-                            payload_refs=refs, size_bytes=64,
-                            n_samples=np.full(6, 3, dtype=np.int64),
-                        )
+        def per_message(flow):
+            for device_id, ref in zip(ids, refs):
+                flow.submit(
+                    Message(task_id="t", device_id=device_id, round_index=1,
+                            payload_ref=ref, size_bytes=64, n_samples=3)
+                )
+
+        def one_block(flow):
+            flow.submit_block(
+                MessageBlock(
+                    task_id="t", round_index=1, device_ids=ids,
+                    payload_refs=refs, size_bytes=64,
+                    n_samples=np.full(6, 3, dtype=np.int64),
+                )
+            )
+
+        def one_row_blocks(flow):
+            for row in range(6):
+                flow.submit_block(
+                    MessageBlock(
+                        task_id="t", round_index=1, device_ids=ids[row : row + 1],
+                        payload_refs=refs[row : row + 1], size_bytes=64, n_samples=[3],
                     )
-                else:
-                    for device_id, ref in zip(ids, refs):
-                        flow.submit(
-                            Message(task_id="t", device_id=device_id, round_index=1,
-                                    payload_ref=ref, size_bytes=64, n_samples=3)
-                        )
+                )
 
-            sim.schedule(5.0, feed)
-            sim.run()
-            return sim, flow, received
+        sim_s = Simulator()
+        recv_s = []
+        flow_s = ReferenceDeviceFlow(sim_s, streams=RandomStreams(7))
+        flow_s.register_task("t", ReferenceRealTimeAccumulated(thresholds=[2]), recv_s.append)
+        sim_s.schedule(5.0, per_message, flow_s)
+        sim_s.run()
+        stats_s = flow_s.stats("t")
 
-        sim_s, flow_s, recv_s = drive(use_block=False)
-        sim_b, flow_b, delivered_b = drive(use_block=True)
-        # Block submissions are delivered as MessageBlock row ranges.
-        assert all(isinstance(segment, MessageBlock) for segment in delivered_b)
-        recv_b = [m for segment in delivered_b for m in segment.messages()]
-        stats_s, stats_b = flow_s.stats("t"), flow_b.stats("t")
-        assert stats_b.received == stats_s.received == 6
-        assert stats_b.delivered == stats_s.delivered
-        assert stats_b.shelved == stats_s.shelved == 0
-        assert [m.device_id for m in recv_b] == [m.device_id for m in recv_s]
-        assert [m.payload_ref for m in recv_b] == [m.payload_ref for m in recv_s]
-        assert all(m.created_at == 5.0 for m in recv_b)
+        for feed in (one_block, one_row_blocks):
+            sim_b = Simulator()
+            delivered_b = []
+            flow_b = build_flow(sim_b, delivered_b)
+            sim_b.schedule(5.0, feed, flow_b)
+            sim_b.run()
+            # Whatever was submitted, rows are delivered as MessageBlock row ranges.
+            assert all(isinstance(segment, MessageBlock) for segment in delivered_b)
+            assert flow_b.stats("t") == stats_s
+            assert stats_s.received == stats_s.delivered == 6 and stats_s.shelved == 0
+            assert [d for segment in delivered_b for d in segment.device_ids] == [m.device_id for m in recv_s]
+            assert [r for segment in delivered_b for r in segment.payload_refs] == [m.payload_ref for m in recv_s]
+            assert all(segment.created_at == 5.0 for segment in delivered_b)
+            assert sim_b.now == sim_s.now
 
     def test_unregistered_task_raises(self):
         sim = Simulator()
@@ -258,18 +297,26 @@ def make_block(updates, task_id="t", round_index=1, size_bytes=64):
 
 
 def scalar_service(sim, updates, trigger=None):
-    storage = ObjectStorage()
-    service = AggregationService(
-        sim, storage, trigger or AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg"
+    """The per-upload oracle fed one stored payload + one message per update."""
+    storage = ReferenceStorage()
+    service = ReferenceAggregationService(
+        sim, storage, trigger or AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND)
     )
     for update in updates:
         ref = f"t/{update.device_id}/r1"
-        storage.put(ref, update, update.payload_bytes(), now=sim.now, writer=update.device_id)
+        storage.put(ref, update, ModelUpdate.wire_size(8), now=sim.now, writer=update.device_id)
         service.receive_message(
             Message(task_id="t", device_id=update.device_id, round_index=1,
                     payload_ref=ref, size_bytes=64, n_samples=update.n_samples)
         )
     return service
+
+
+def block_service(sim, trigger=None, model=True):
+    return AggregationService(
+        sim, trigger or AggregationTrigger(),
+        model=LogisticRegressionModel(8, SERVER_BACKEND) if model else None, name="agg",
+    )
 
 
 class TestReceiveBlock:
@@ -279,18 +326,15 @@ class TestReceiveBlock:
         scalar = scalar_service(sim, updates)
         scalar_record = scalar.aggregate_now()
 
-        block_service = AggregationService(
-            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg"
-        )
-        block_service.receive_block(make_block(updates))
-        block_record = block_service.aggregate_now()
+        service = block_service(sim)
+        service.receive_block(make_block(updates))
+        block_record = service.aggregate_now()
 
-        assert np.array_equal(block_service.model.weights, scalar.model.weights)
-        assert block_service.model.bias == scalar.model.bias
-        assert block_record.n_updates == scalar_record.n_updates == 9
-        assert block_record.n_samples == scalar_record.n_samples
-        assert block_service.messages_received == scalar.messages_received
-        assert block_service.bytes_received == scalar.bytes_received
+        assert np.array_equal(service.model.weights, scalar.model.weights)
+        assert service.model.bias == scalar.model.bias
+        assert block_record == scalar_record and block_record.n_updates == 9
+        assert service.messages_received == scalar.messages_received
+        assert service.bytes_received == scalar.bytes_received
 
     def test_mixed_scalar_and_block_ingestion_is_exact(self):
         updates = [make_update(f"d{i}", value=1.0 / (i + 1), n_samples=2 + i) for i in range(8)]
@@ -298,14 +342,12 @@ class TestReceiveBlock:
         scalar = scalar_service(sim, updates)
         scalar.aggregate_now()
 
-        mixed = AggregationService(
-            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg"
-        )
-        # scalar head, block middle, scalar tail — any mix must fold exactly.
-        mixed.receive_update(updates[0])
+        mixed = block_service(sim)
+        # one-row head, block middle, one-row tail — any mix must fold exactly.
+        mixed.receive_block(make_block(updates[:1]))
         mixed.receive_block(make_block(updates[1:6]))
-        mixed.receive_update(updates[6])
-        mixed.receive_update(updates[7])
+        mixed.receive_block(make_block(updates[6:7]))
+        mixed.receive_block(make_block(updates[7:]))
         assert mixed.pending_updates == 8
         mixed.aggregate_now()
 
@@ -314,10 +356,7 @@ class TestReceiveBlock:
 
     def test_sample_threshold_trigger_fires_on_block(self):
         sim = Simulator()
-        service = AggregationService(
-            sim, ObjectStorage(), SampleThresholdTrigger(25),
-            model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg",
-        )
+        service = block_service(sim, SampleThresholdTrigger(25))
         service.receive_block(make_block([make_update(f"d{i}", n_samples=10) for i in range(3)]))
         assert service.rounds_completed == 1
         assert service.pending_updates == 0
@@ -325,7 +364,7 @@ class TestReceiveBlock:
     def test_threshold_trigger_fires_after_the_chunk_that_crosses_it(self):
         """Delivery chunks are buffered atomically: the fold takes whole chunks."""
         sim = Simulator()
-        service = AggregationService(sim, ObjectStorage(), SampleThresholdTrigger(25), model=None, name="agg")
+        service = block_service(sim, SampleThresholdTrigger(25), model=False)
 
         def chunk(first, count):
             ids = [f"d{first + i}" for i in range(count)]
@@ -345,7 +384,7 @@ class TestReceiveBlock:
 
     def test_counting_mode_accepts_blocks_without_updates(self):
         sim = Simulator()
-        service = AggregationService(sim, ObjectStorage(), AggregationTrigger(), model=None, name="agg")
+        service = block_service(sim, model=False)
         service.receive_block(
             MessageBlock(task_id="t", round_index=1, device_ids=["a", "b"],
                          payload_refs=["r1", "r2"], size_bytes=10,
@@ -358,9 +397,7 @@ class TestReceiveBlock:
 
     def test_model_mode_rejects_blocks_without_updates(self):
         sim = Simulator()
-        service = AggregationService(
-            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg"
-        )
+        service = block_service(sim)
         with pytest.raises(TypeError):
             service.receive_block(
                 MessageBlock(task_id="t", round_index=1, device_ids=["a"], payload_refs=["r"])
@@ -368,11 +405,176 @@ class TestReceiveBlock:
 
     def test_empty_block_is_ignored(self):
         sim = Simulator()
-        service = AggregationService(
-            sim, ObjectStorage(), AggregationTrigger(), model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg"
-        )
+        service = block_service(sim)
         service.receive_block(
             MessageBlock(task_id="t", round_index=1, device_ids=[], payload_refs=[])
         )
         assert service.messages_received == 0
         assert service.pending_updates == 0
+
+
+# ----------------------------------------------------------------------
+# any partition of a round == the whole block == the per-upload oracle
+# ----------------------------------------------------------------------
+DIM = 3
+WAVE_TIMES = (2.0, 2.5, 4.0, 7.0)
+CHANNEL = ChannelModel(
+    latency_s=0.4, jitter_s=0.8, loss_prob=0.25, dup_prob=0.5, retry_base_s=0.5, retry_cap_s=2.0, max_attempts=3
+)
+THRESHOLDS, FAILURE_PROB, CAPACITY = [3, 1, 2], 0.2, 20.0
+
+
+def make_round(wave_sizes, numeric, seed):
+    """One round's rows as a whole-plan block; rows of a wave share a completion time."""
+    rng = np.random.default_rng(seed)
+    n = sum(wave_sizes)
+    return ColumnarOutcomes(
+        grade="High",
+        devices=DeviceColumns([f"d{i:02d}" for i in range(n)], rng.integers(1, 10, size=n)),
+        round_index=1,
+        payload_bytes=96,
+        finished_at=np.repeat(WAVE_TIMES[: len(wave_sizes)], wave_sizes),
+        update_weights=rng.normal(size=(n, DIM)) * 10.0 ** rng.integers(-6, 7, size=(n, 1)) if numeric else None,
+        update_biases=rng.normal(size=n) if numeric else None,
+    )
+
+
+def delivery_units(block, wave_sizes, flow_attached):
+    """``(time, block)`` per delivery, as the tiers make them: a flow-attached
+    sink gets one block per wave at the wave's time, a direct one the whole
+    plan at its last completion."""
+    if not flow_attached:
+        return [(float(block.finished_at.max()), block)]
+    edges = np.cumsum([0, *wave_sizes])
+    return [(WAVE_TIMES[w], block[edges[w] : edges[w + 1]]) for w in range(len(wave_sizes))]
+
+
+def cut(block, cuts):
+    """``block`` partitioned at ``cuts`` (``None``: one row per part)."""
+    edges = range(len(block) + 1) if cuts is None else sorted({0, len(block), *(c % (len(block) + 1) for c in cuts)})
+    return [block[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def returned(generator):
+    """The return value of a generator that has nothing left to wait for."""
+    try:
+        next(generator)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("the round still had deliveries in flight")
+
+
+def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
+    """Deliver ``units`` through the cloud path; return everything observable.
+
+    ``units`` holds ``(time, deliveries)``: blocks for production, one
+    outcome record per upload for the ``oracle``.  The gates are armed the
+    way ``TaskRunner._run_round`` arms them.
+    """
+    sim, streams = Simulator(), RandomStreams(seed)
+    model = LogisticRegressionModel(DIM, SERVER_BACKEND) if numeric else None
+    channelled = gate == "channel"
+    flow = channel = None
+    if oracle:
+        tracer, storage = ReferenceTracer(), ReferenceStorage()
+        service = ReferenceAggregationService(sim, storage, AggregationTrigger(), model=model)
+        if flow_attached:
+            flow = ReferenceDeviceFlow(sim, streams, capacity_per_second=CAPACITY)
+            strategy = ReferenceRealTimeAccumulated(THRESHOLDS, FAILURE_PROB)
+        sink = ReferenceIngestSink(
+            sim, "t", storage, service, deviceflow=flow, dedup=channelled, tracer=tracer, trace_devices=not channelled
+        )
+        if channelled:
+            channel = ReferenceTransportChannel(sim, CHANNEL, sink, streams, "t", scope="", tracer=tracer)
+    else:
+        tracer, storage = Tracer(), ObjectStorage()
+        service = AggregationService(sim, AggregationTrigger(), model=model, name="agg")
+        if flow_attached:
+            flow = DeviceFlow(sim, streams, capacity_per_second=CAPACITY, tracer=tracer)
+            strategy = RealTimeAccumulatedStrategy(THRESHOLDS, FAILURE_PROB)
+        sink = CloudIngestSink(
+            sim, "t", storage, service, deviceflow=flow, dedup=channelled, tracer=tracer, trace_devices=not channelled
+        )
+        if channelled:
+            channel = TransportChannel(sim, CHANNEL, sink, streams, "t", scope="", tracer=tracer)
+    if flow_attached:
+        flow.register_task("t", strategy, sink.flow_receive)
+        flow.round_started("t", 1)
+    if channelled:
+        channel.begin_round(1, deadline=None if flow_attached else deadline)
+    sink.begin_round(1, deadline=deadline if (flow_attached or not channelled) else None)
+    front = channel or sink
+    accept = front.accept if oracle else front.accept_block
+    for time, deliveries in units:
+        for delivery in deliveries:
+            sim.schedule_at(time, accept, delivery)
+    sim.run()
+    transport = returned(channel.finish_round()).as_dict() if channelled else None
+    dispatcher = None
+    if flow_attached:
+        flow.round_completed("t", 1)
+        sim.run()
+        dispatcher = flow.dispatcher_for("t")
+    if service.pending_updates:
+        service.aggregate_now()
+    if oracle:
+        devices, flow_submits, flow_deliveries = tracer.devices, tracer.flow_submits, tracer.flow_deliveries
+    else:
+        devices = tracer.all_devices()
+        flow_submits, flow_deliveries = _per_device(tracer.flow_submits), _per_device(tracer.flow_deliveries)
+    stored = []
+    for key in storage.keys():
+        head, update = storage.head(key), storage.get(key)
+        stored.append(
+            (key, head.size_bytes, head.stored_at, head.writer,
+             update.device_id, update.weights.tobytes(), update.bias, update.n_samples)
+        )
+    return {
+        "history": service.history,
+        "model": None if model is None else (model.weights.tobytes(), model.bias),
+        "received": (service.messages_received, service.bytes_received),
+        "gate": (sink.delivered, sink.duplicate_drops, sink.late_drops),
+        "storage": (storage.put_count, storage.total_bytes_written, stored),
+        "flow": None if dispatcher is None else (flow.stats("t"), dispatcher.dispatch_log, dispatcher.delivery_log),
+        "transport": transport,
+        "devices": sorted(devices),
+        "uploads": sorted(tracer.uploads, key=lambda upload: upload[:4]),
+        "ingest_drops": sorted(tracer.ingest_drops),
+        "flow_submits": sorted(flow_submits),
+        "flow_deliveries": sorted(flow_deliveries),
+        "end": sim.now,
+    }
+
+
+class TestAnyPartitionEqualsPerUploadOracle:
+    @given(
+        wave_sizes=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+        cuts=st.lists(st.integers(min_value=0, max_value=16), max_size=5),
+        flow_attached=st.booleans(),
+        gate=st.sampled_from(["none", "deadline", "channel"]),
+        deadline=st.sampled_from([2.5, 4.0, 4.6, 7.5, 30.0]),
+        numeric=st.booleans(),
+        seed=st.integers(min_value=0, max_value=7),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_partition_of_a_round_equals_the_whole_block_and_the_oracle(
+        self, wave_sizes, cuts, flow_attached, gate, deadline, numeric, seed
+    ):
+        if gate == "none":
+            deadline = None
+        block = make_round(wave_sizes, numeric, seed)
+        units = delivery_units(block, wave_sizes, flow_attached)
+        config = (flow_attached, gate, deadline, numeric, seed)
+
+        whole = run_round([(time, [unit]) for time, unit in units], *config, oracle=False)
+        for partition in (cuts, None):  # any cut points; one row per block
+            parts = run_round([(time, cut(unit, partition)) for time, unit in units], *config, oracle=False)
+            assert parts == whole
+        want = run_round([(time, materialize(unit)) for time, unit in units], *config, oracle=True)
+        assert whole == want
+
+        # The round did something worth comparing.
+        assert len(whole["devices"]) == len(block)
+        if gate == "deadline" and not flow_attached:
+            delivered, _, late = whole["gate"]
+            assert delivered + late == len(block)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from helpers import CallbackSink
-from reference.tier_reference import ReferenceLogicalSimulation, run_per_event
+from reference.tier_reference import ReferenceLogicalSimulation, all_outcomes, run_per_event
 
 from repro.cluster import (
     DeviceColumns,
@@ -330,8 +330,8 @@ class TestWaveScheduleIdentity:
         legacy, legacy_streamed, _ = run_time_only_round(120, reference=True)
         columnar, streamed, _ = run_time_only_round(120, reference=False, with_callback=False)
         assert streamed == []
-        assert not columnar.outcomes and columnar.columnar
-        materialized = columnar.all_outcomes()
+        assert len(columnar.columnar) == 1
+        materialized = all_outcomes(columnar)
         assert len(materialized) == 120
         for a, b in zip(legacy_streamed, materialized):
             assert a.device_id == b.device_id

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from helpers import one_row
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.deviceflow_reference import (
+    Message,
     ReferenceDeviceFlow,
     ReferenceRealTimeAccumulated,
     ReferenceTimeInterval,
@@ -13,7 +15,6 @@ from reference.deviceflow_reference import (
 
 from repro.deviceflow import (
     DeviceFlow,
-    Message,
     MessageBlock,
     RealTimeAccumulatedStrategy,
     Shelf,
@@ -27,9 +28,10 @@ from repro.simkernel import RandomStreams, Simulator
 
 
 def msg(task="t1", device="d0", round_index=1, n_samples=5):
-    return Message(
+    """One device's message: a block of one row."""
+    return one_row(
+        device,
         task_id=task,
-        device_id=device,
         round_index=round_index,
         payload_ref=f"{task}/{device}/{round_index}",
         size_bytes=1024,
@@ -37,18 +39,24 @@ def msg(task="t1", device="d0", round_index=1, n_samples=5):
     )
 
 
+def ref_msg(task="t1", device="d0", round_index=1):
+    """The same message as the per-message oracle's record."""
+    return Message(
+        task_id=task, device_id=device, round_index=round_index,
+        payload_ref=f"{task}/{device}/{round_index}", size_bytes=1024, n_samples=5,
+    )
+
+
 class TestMessage:
     def test_validation(self):
         with pytest.raises(ValueError):
-            Message(task_id="", device_id="d", round_index=1, payload_ref="x")
+            msg(task="")
         with pytest.raises(ValueError):
             msg(n_samples=0)
-        bad = {"task_id": "t", "device_id": "d", "round_index": 1, "payload_ref": "x", "size_bytes": -1}
         with pytest.raises(ValueError):
-            Message(**bad)
-
-    def test_ids_unique(self):
-        assert msg().message_id != msg().message_id
+            MessageBlock(task_id="t", round_index=1, device_ids=["d"], payload_refs=["x"], size_bytes=-1)
+        with pytest.raises(ValueError):
+            MessageBlock(task_id="t", round_index=1, device_ids=["d"], payload_refs=["x", "y"])
 
 
 class TestShelfAndSorter:
@@ -57,9 +65,9 @@ class TestShelfAndSorter:
         first, second = msg(device="a"), msg(device="b")
         shelf.store(first)
         shelf.store(second)
-        assert shelf.peek_oldest() is first
-        assert [m.device_id for m in shelf.take(1)] == ["a"]
-        assert [m.device_id for m in shelf.take_all()] == ["b"]
+        assert shelf.peek_oldest().device_ids == first.device_ids == ["a"]
+        assert [m.device_ids for m in shelf.take(1)] == [["a"]]
+        assert [m.device_ids for m in shelf.take_all()] == [["b"]]
         assert len(shelf) == 0
         assert shelf.total_stored == 2
 
@@ -97,7 +105,13 @@ def build_flow(strategy, capacity=700.0, seed=0):
     sim = Simulator()
     flow = DeviceFlow(sim, streams=RandomStreams(seed), capacity_per_second=capacity)
     inbox = []
-    flow.register_task("t1", strategy, downstream=lambda m: inbox.append((sim.now, m)))
+
+
+    def downstream(segment):
+        # One inbox entry per delivered message (row), whatever the segment size.
+        inbox.extend((sim.now, segment[row : row + 1]) for row in range(len(segment)))
+
+    flow.register_task("t1", strategy, downstream)
     return sim, flow, inbox
 
 
@@ -106,7 +120,7 @@ class TestRealTimeAccumulated:
         sim, flow, inbox = build_flow(RealTimeAccumulatedStrategy([1]))
         flow.round_started("t1", 1)
         for i in range(5):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         sim.run()
         assert len(inbox) == 5
 
@@ -116,7 +130,7 @@ class TestRealTimeAccumulated:
         flow.round_started("t1", 1)
         dispatcher = flow.dispatcher_for("t1")
         for i in range(10):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         sim.run()
         batch_sizes = [count for _, count in dispatcher.dispatch_log]
         assert batch_sizes == [2, 3, 2, 3]
@@ -125,7 +139,7 @@ class TestRealTimeAccumulated:
         sim, flow, inbox = build_flow(RealTimeAccumulatedStrategy([10]))
         flow.round_started("t1", 1)
         for i in range(4):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         sim.run()
         assert len(inbox) == 0  # below threshold
         flow.round_completed("t1", 1)
@@ -137,7 +151,7 @@ class TestRealTimeAccumulated:
         sim, flow, inbox = build_flow(strategy, seed=3)
         flow.round_started("t1", 1)
         for i in range(400):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         sim.run()
         stats = flow.stats("t1")
         assert stats.dropped_failure > 120
@@ -159,7 +173,7 @@ class TestRateLimiting:
         sim, flow, inbox = build_flow(RealTimeAccumulatedStrategy([1400]), capacity=700.0)
         flow.round_started("t1", 1)
         for i in range(1400):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         sim.run()
         arrival_times = [t for t, _ in inbox]
         assert len(inbox) == 1400
@@ -170,7 +184,7 @@ class TestRateLimiting:
         sim, flow, _ = build_flow(RealTimeAccumulatedStrategy([1]), capacity=10.0)
         dispatcher = flow.dispatcher_for("t1")
         flow.round_started("t1", 1)
-        flow.submit(msg())
+        flow.submit_block(msg())
         assert not dispatcher.idle.fired
         sim.run()
         assert dispatcher.idle.fired
@@ -182,7 +196,7 @@ class TestTimePointStrategy:
         sim, flow, inbox = build_flow(TimePointStrategy(points), capacity=1e9)
         flow.round_started("t1", 1)
         for i in range(4):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         sim.run()
         flow.round_completed("t1", 1)
         end = sim.now
@@ -197,7 +211,7 @@ class TestTimePointStrategy:
         sim, flow, inbox = build_flow(TimePointStrategy(points, relative=False), capacity=1e9)
         flow.round_started("t1", 1)
         for i in range(5):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         flow.round_completed("t1", 1)
         sim.run()
         assert all(t == pytest.approx(50.0, abs=0.1) for t, _ in inbox)
@@ -207,7 +221,7 @@ class TestTimePointStrategy:
         sim, flow, inbox = build_flow(TimePointStrategy(points), seed=1)
         flow.round_started("t1", 1)
         for i in range(10):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         flow.round_completed("t1", 1)
         sim.run()
         assert len(inbox) == 6
@@ -218,7 +232,7 @@ class TestTimePointStrategy:
         sim, flow, inbox = build_flow(TimePointStrategy(points))
         flow.round_started("t1", 1)
         for i in range(3):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         flow.round_completed("t1", 1)
         sim.run()
         assert len(inbox) == 3
@@ -240,7 +254,7 @@ class TestTimeIntervalStrategy:
         sim, flow, inbox = build_flow(strategy, capacity=700.0)
         flow.round_started("t1", 1)
         for i in range(10_000):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         flow.round_completed("t1", 1)
         base = sim.now
         sim.run()
@@ -256,7 +270,7 @@ class TestTimeIntervalStrategy:
         sim, flow, inbox = build_flow(strategy, seed=2)
         flow.round_started("t1", 1)
         for i in range(1000):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         flow.round_completed("t1", 1)
         sim.run()
         assert 550 < len(inbox) < 850
@@ -288,8 +302,8 @@ class TestDeviceFlowFacade:
         flow.register_task("t2", RealTimeAccumulatedStrategy([100]), inbox2.append)
         flow.round_started("t1", 1)
         flow.round_started("t2", 1)
-        flow.submit(msg(task="t1"))
-        flow.submit(msg(task="t2"))
+        flow.submit_block(msg(task="t1"))
+        flow.submit_block(msg(task="t2"))
         sim.run()
         assert len(inbox1) == 1
         assert len(inbox2) == 0  # t2 still accumulating
@@ -305,7 +319,7 @@ class TestDeviceFlowFacade:
         sim = Simulator()
         flow = DeviceFlow(sim, RandomStreams(0))
         with pytest.raises(KeyError):
-            flow.submit(msg(task="ghost"))
+            flow.submit_block(msg(task="ghost"))
         with pytest.raises(KeyError):
             flow.round_started("ghost", 1)
 
@@ -314,7 +328,7 @@ class TestDeviceFlowFacade:
         flow = DeviceFlow(sim, RandomStreams(0))
         flow.register_task("t1", RealTimeAccumulatedStrategy([100]), lambda m: None)
         flow.round_started("t1", 1)
-        flow.submit(msg())
+        flow.submit_block(msg())
         with pytest.raises(RuntimeError):
             flow.unregister_task("t1")
         flow.round_completed("t1", 1)
@@ -327,7 +341,7 @@ class TestDeviceFlowFacade:
         sim, flow, inbox = build_flow(strategy, seed=7)
         flow.round_started("t1", 1)
         for i in range(30):
-            flow.submit(msg(device=f"d{i}"))
+            flow.submit_block(msg(device=f"d{i}"))
         flow.round_completed("t1", 1)
         sim.run()
         stats = flow.stats("t1")
@@ -338,7 +352,7 @@ class TestDeviceFlowFacade:
 
     def test_created_at_stamped(self):
         sim, flow, _ = build_flow(RealTimeAccumulatedStrategy([10]))
-        sim.schedule(5.0, lambda: flow.submit(msg()))
+        sim.schedule(5.0, lambda: flow.submit_block(msg()))
         sim.run()
         assert flow.dispatcher_for("t1").shelf.peek_oldest().created_at == 5.0
 
@@ -351,7 +365,7 @@ class TestDeviceFlowFacade:
             task = f"t{i}"
             flow.register_task(task, RealTimeAccumulatedStrategy([3]), lambda m: None)
             flow.round_started(task, 1)
-            flow.submit(msg(task=task))
+            flow.submit_block(msg(task=task))
             if i % 2:
                 assert flow.force_unregister(task) == 1
             else:
@@ -429,26 +443,34 @@ def build_strategies(recipe):
     )
 
 
-def drive_flow(flow, strategy, script, capacity_event, discard_at, use_blocks):
-    """Replay ``script`` (two rounds) into ``flow``; return everything observable."""
+def drive_flow(flow, strategy, script, capacity_event, discard_at, per_message):
+    """Replay ``script`` (two rounds) into ``flow``; return everything observable.
+
+    ``per_message`` feeds the per-message oracle one ``Message`` a device;
+    production gets each wave as one block or as one block per row.
+    """
     sim = flow.sim
     delivered = []
 
     def downstream(segment):
-        delivered.extend((sim.now, device) for device in segment.device_ids)
+        devices = [segment.device_id] if per_message else segment.device_ids
+        delivered.extend((sim.now, device) for device in devices)
 
     flow.register_task("t", strategy, downstream)
     dispatcher = flow.dispatcher_for("t")
 
     def arrive(round_index, wave, rows, as_block):
         ids = [f"r{round_index}w{wave}d{i}" for i in range(rows)]
-        if use_blocks and as_block:
+        if per_message:
+            for device in ids:
+                flow.submit(ref_msg(task="t", device=device, round_index=round_index))
+        elif as_block:
             flow.submit_block(
                 MessageBlock(task_id="t", round_index=round_index, device_ids=ids, size_bytes=64)
             )
         else:
             for device in ids:
-                flow.submit(msg(task="t", device=device, round_index=round_index))
+                flow.submit_block(msg(task="t", device=device, round_index=round_index))
 
     for round_index, offset in ((1, 0.0), (2, 40.0)):
         sim.schedule_at(offset, flow.round_started, "t", round_index)
@@ -488,11 +510,11 @@ class TestBlocksEqualReference:
         production, reference = build_strategies(recipe)
         got = drive_flow(
             DeviceFlow(Simulator(), RandomStreams(seed), capacity_per_second=capacity),
-            production, script, capacity_event, discard_at, use_blocks=True,
+            production, script, capacity_event, discard_at, per_message=False,
         )
         want = drive_flow(
             ReferenceDeviceFlow(Simulator(), RandomStreams(seed), capacity_per_second=capacity),
-            reference, script, capacity_event, discard_at, use_blocks=False,
+            reference, script, capacity_event, discard_at, per_message=True,
         )
         assert got == want
         stats = got["stats"]
@@ -516,7 +538,7 @@ class TestBlocksEqualReference:
         reference.register_task("t1", ReferenceRealTimeAccumulated([2, 3], 0.4), lambda m: None)
         reference.round_started("t1", 1)
         for device in ids:
-            reference.submit(msg(device=device))
+            reference.submit(ref_msg(device=device))
         assert dispatcher.dispatch_log == reference.dispatcher_for("t1").dispatch_log
         assert (
             dispatcher.rng.bit_generator.state
@@ -537,7 +559,7 @@ class TestSegments:
     def block(self, n=6, **kwargs):
         return MessageBlock(
             task_id="t1", round_index=1, device_ids=[f"d{i}" for i in range(n)],
-            n_samples=np.arange(1, n + 1), finished_at=np.arange(n, dtype=float), **kwargs,
+            n_samples=np.arange(1, n + 1), **kwargs,
         )
 
     def test_shelf_take_splits_blocks_on_row_boundaries(self):
@@ -548,7 +570,7 @@ class TestSegments:
         assert len(shelf) == 8 and shelf.total_stored == 8
         first = shelf.take(3)  # the message + the first two block rows
         assert [list(s.device_ids) for s in first] == [["m0"], ["d0", "d1"]]
-        assert shelf.peek_oldest().device_id == "d2"
+        assert shelf.peek_oldest().device_ids == ["d2"]
         rest = shelf.take_all()
         assert [list(s.device_ids) for s in rest] == [["d2", "d3", "d4", "d5"], ["m1"]]
         assert rest[0].n_samples.tolist() == [3, 4, 5, 6]
@@ -563,8 +585,8 @@ class TestSegments:
         kept = view.compress(np.array([True, False, True]))
         assert kept.device_ids == ["d2", "d4"]
         assert kept.update_weights.tolist() == [[4.0, 5.0], [8.0, 9.0]]
-        assert [m.payload_ref for m in kept.messages()] == ["t1/d2/r1", "t1/d4/r1"]
-        with pytest.raises(TypeError):
+        assert kept.payload_refs is None and kept.n_samples.tolist() == [3, 5]
+        with pytest.raises(TypeError, match=r"one row is block\[i : i \+ 1\]"):
             block[0]
 
     def test_coalesce_joins_only_adjacent_compatible_blocks(self):
@@ -575,6 +597,10 @@ class TestSegments:
         assert [list(s.device_ids) for s in joined] == [
             ["d0", "d1", "d2"], ["m"], ["d3", "d4", "d5"], ["x"],
         ]
-        assert joined[1] is scalar
-        assert joined[0].finished_at.tolist() == [0.0, 1.0, 2.0]
+        assert joined[1] is scalar  # another payload size: not joinable
         assert joined[0].n_samples.tolist() == [1, 2, 3]
+        # One-row uploads of one round coalesce like any other row ranges.
+        rows = [msg(device=f"u{i}") for i in range(4)]
+        (chunk,) = MessageBlock.coalesce(rows)
+        assert chunk.device_ids == ["u0", "u1", "u2", "u3"] and chunk.total_samples == 20
+        assert chunk.payload_refs == [f"t1/u{i}/1" for i in range(4)]

@@ -1,9 +1,11 @@
-"""Property-based tests for FedAvg partial aggregation.
+"""Property-based tests for the exact FedAvg fold.
 
-The sharded logical tier relies on one invariant: folding any partition
-of an update set into per-shard partials and merging them must produce
-*bit-identical* results to the flat :func:`repro.ml.fedavg.fedavg` call —
-for any shard boundaries, any shard order, empty shards, and zero-sample
+Delivery relies on one invariant: however a round's update rows are cut
+into blocks, and in whatever order the blocks reach the aggregation
+service, the fold must produce *bit-identical* results to one flat
+:meth:`FedAvgPartial.from_arrays` call over all the rows — and to the
+per-update oracle, ``reference.cloud_reference.fedavg`` — for any block
+boundaries, any order, empty blocks, one-row blocks and zero-sample
 updates.  Hypothesis hunts for partitions that break it.
 """
 
@@ -11,8 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import cloud_reference
 
-from repro.ml.fedavg import FedAvgAggregator, FedAvgPartial, ModelUpdate, fedavg
+from repro.cloud.aggregation import AggregationService, AggregationTrigger
+from repro.deviceflow import MessageBlock
+from repro.ml import SERVER_BACKEND, LogisticRegressionModel
+from repro.ml.fedavg import FedAvgPartial, ModelUpdate
+from repro.simkernel import Simulator
 
 
 def build_updates(n_updates: int, dim: int, seed: int, with_zero_samples: bool) -> list[ModelUpdate]:
@@ -42,6 +49,38 @@ def partition(items: list, boundaries: list[int]) -> list[list]:
     return [items[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
 
 
+def columns(updates: list[ModelUpdate], dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The updates as stacked ``(weights, biases, n_samples)``."""
+    return (
+        np.array([u.weights for u in updates]).reshape(len(updates), dim),
+        np.array([u.bias for u in updates]),
+        np.array([u.n_samples for u in updates], dtype=np.int64),
+    )
+
+
+def block_of(updates: list[ModelUpdate], dim: int) -> MessageBlock:
+    weights, biases, n_samples = columns(updates, dim)
+    return MessageBlock(
+        task_id="t",
+        round_index=1,
+        device_ids=[u.device_id for u in updates],
+        n_samples=n_samples,
+        update_weights=weights,
+        update_biases=biases,
+    )
+
+
+def fold_blocks(parts: list[list[ModelUpdate]], dim: int) -> tuple[np.ndarray, float, int]:
+    """Deliver each part as one block to a fresh service and fold once."""
+    service = AggregationService(
+        Simulator(), AggregationTrigger(), model=LogisticRegressionModel(dim, SERVER_BACKEND), name="agg"
+    )
+    for part in parts:
+        service.receive_block(block_of(part, dim))
+    record = service.aggregate_now()
+    return service.model.weights, service.model.bias, record.n_updates
+
+
 class TestPartitionInvariance:
     @given(
         n_updates=st.integers(min_value=1, max_value=24),
@@ -49,26 +88,23 @@ class TestPartitionInvariance:
         seed=st.integers(min_value=0, max_value=10_000),
         boundaries=st.lists(st.integers(min_value=0, max_value=24), max_size=6),
         shard_order_seed=st.integers(min_value=0, max_value=1000),
-        with_zero_samples=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_any_partition_merges_to_flat_fedavg(
-        self, n_updates, dim, seed, boundaries, shard_order_seed, with_zero_samples
-    ):
-        updates = build_updates(n_updates, dim, seed, with_zero_samples)
-        flat_weights, flat_bias = fedavg(updates)
+    def test_any_partition_merges_to_flat_fedavg(self, n_updates, dim, seed, boundaries, shard_order_seed):
+        updates = build_updates(n_updates, dim, seed, with_zero_samples=False)
+        flat_weights, flat_bias = FedAvgPartial.from_arrays(*columns(updates, dim)).finalize()
 
-        shards = partition(updates, boundaries)
-        partials = [FedAvgPartial.from_updates(shard) for shard in shards]
-        # Merge order must not matter either.
-        order = np.random.default_rng(shard_order_seed).permutation(len(partials))
-        merged_weights, merged_bias, n_merged = FedAvgAggregator.merge(
-            [partials[i] for i in order]
-        )
+        parts = partition(updates, boundaries)
+        # Arrival order must not matter either.
+        order = np.random.default_rng(shard_order_seed).permutation(len(parts))
+        merged_weights, merged_bias, n_merged = fold_blocks([parts[i] for i in order], dim)
 
         assert n_merged == n_updates
         assert merged_weights.tobytes() == flat_weights.tobytes()
         assert np.float64(merged_bias).tobytes() == np.float64(flat_bias).tobytes()
+        # ...and one row per block is just another partition.
+        row_weights, row_bias, _ = fold_blocks([[u] for u in updates], dim)
+        assert row_weights.tobytes() == flat_weights.tobytes() and row_bias == flat_bias
 
     @given(
         n_updates=st.integers(min_value=1, max_value=16),
@@ -78,12 +114,9 @@ class TestPartitionInvariance:
     )
     @settings(max_examples=40, deadline=None)
     def test_empty_shards_are_identity(self, n_updates, dim, seed, n_empty):
-        updates = build_updates(n_updates, dim, seed, with_zero_samples=True)
-        flat_weights, flat_bias = fedavg(updates)
-        partials = [FedAvgPartial.from_updates(updates)] + [
-            FedAvgPartial.empty() for _ in range(n_empty)
-        ]
-        merged_weights, merged_bias, n_merged = FedAvgAggregator.merge(partials)
+        updates = build_updates(n_updates, dim, seed, with_zero_samples=False)
+        flat_weights, flat_bias = FedAvgPartial.from_arrays(*columns(updates, dim)).finalize()
+        merged_weights, merged_bias, n_merged = fold_blocks([updates] + [[]] * n_empty, dim)
         assert n_merged == n_updates
         assert merged_weights.tobytes() == flat_weights.tobytes()
         assert np.float64(merged_bias).tobytes() == np.float64(flat_bias).tobytes()
@@ -92,66 +125,48 @@ class TestPartitionInvariance:
         n_updates=st.integers(min_value=1, max_value=16),
         dim=st.integers(min_value=1, max_value=32),
         seed=st.integers(min_value=0, max_value=10_000),
+        order_seed=st.integers(min_value=0, max_value=1000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_from_arrays_matches_from_updates(self, n_updates, dim, seed):
+    def test_from_arrays_matches_from_updates(self, n_updates, dim, seed, order_seed):
+        """The stacked fold equals the per-update oracle, in any row order."""
         updates = build_updates(n_updates, dim, seed, with_zero_samples=True)
-        stacked = FedAvgPartial.from_arrays(
-            np.stack([u.weights for u in updates]),
-            np.array([u.bias for u in updates]),
-            np.array([u.n_samples for u in updates]),
-        )
-        object_based = FedAvgPartial.from_updates(updates)
-        assert stacked.finalize()[0].tobytes() == object_based.finalize()[0].tobytes()
-        assert stacked.finalize()[1] == object_based.finalize()[1]
-        assert stacked.total_samples == object_based.total_samples
-        assert stacked.n_updates == object_based.n_updates
-
-    @given(
-        n_updates=st.integers(min_value=1, max_value=12),
-        dim=st.integers(min_value=1, max_value=16),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_aggregator_partial_equals_aggregate(self, n_updates, dim, seed):
-        updates = build_updates(n_updates, dim, seed, with_zero_samples=False)
-        by_aggregate = FedAvgAggregator()
-        by_partial = FedAvgAggregator()
-        for update in updates:
-            by_aggregate.add(update)
-            by_partial.add(update)
-        agg_weights, agg_bias, agg_count = by_aggregate.aggregate()
-        partial = by_partial.partial()
-        assert len(by_partial) == 0  # partial() drains the buffer
-        merged_weights, merged_bias, merged_count = FedAvgAggregator.merge([partial])
-        assert merged_count == agg_count
-        assert merged_weights.tobytes() == agg_weights.tobytes()
-        assert np.float64(merged_bias).tobytes() == np.float64(agg_bias).tobytes()
+        oracle_weights, oracle_bias = cloud_reference.fedavg(updates)
+        order = np.random.default_rng(order_seed).permutation(n_updates)
+        stacked = FedAvgPartial.from_arrays(*columns([updates[i] for i in order], dim))
+        assert stacked.finalize()[0].tobytes() == oracle_weights.tobytes()
+        assert stacked.finalize()[1] == oracle_bias
+        assert stacked.total_samples == sum(u.n_samples for u in updates)
+        assert stacked.n_updates == n_updates
 
 
 class TestEdgeCases:
     def test_merge_of_only_empty_partials_cannot_finalize(self):
-        merged = FedAvgPartial.merge([FedAvgPartial.empty(), FedAvgPartial.empty()])
-        assert merged.n_updates == 0
+        empty = FedAvgPartial.from_arrays(np.empty((0, 4)), np.empty(0), np.empty(0, dtype=np.int64))
+        assert empty.n_updates == 0
         with pytest.raises(ValueError):
-            merged.finalize()
+            empty.finalize()
 
     def test_all_zero_sample_updates_rejected(self):
-        ghost = ModelUpdate("g", 1, np.ones(3), 0.5, n_samples=0)
         with pytest.raises(ValueError):
-            FedAvgPartial.from_updates([ghost]).finalize()
+            FedAvgPartial.from_arrays(np.ones((1, 3)), [0.5], [0]).finalize()
 
     def test_dimension_mismatch_rejected(self):
-        a = FedAvgPartial.from_updates([ModelUpdate("a", 1, np.ones(3), 0.0, 5)])
-        b = FedAvgPartial.from_updates([ModelUpdate("b", 1, np.ones(4), 0.0, 5)])
+        a = ModelUpdate("a", 1, np.ones(3), 0.0, 5)
+        b = ModelUpdate("b", 1, np.ones(4), 0.0, 5)
+        service = AggregationService(
+            Simulator(), AggregationTrigger(), model=LogisticRegressionModel(3, SERVER_BACKEND), name="agg"
+        )
+        service.receive_block(block_of([a], 3))
+        service.receive_block(block_of([b], 4))
         with pytest.raises(ValueError):
-            FedAvgPartial.merge([a, b])
+            service.aggregate_now()
 
     def test_partials_survive_pickling(self):
         import pickle
 
         updates = build_updates(6, 8, seed=1, with_zero_samples=False)
-        partial = FedAvgPartial.from_updates(updates)
+        partial = FedAvgPartial.from_arrays(*columns(updates, 8))
         restored = pickle.loads(pickle.dumps(partial))
         assert restored.finalize()[0].tobytes() == partial.finalize()[0].tobytes()
         assert restored.total_samples == partial.total_samples

@@ -6,21 +6,25 @@ import typing
 import numpy as np
 import pytest
 
+from helpers import one_row
+
 import repro.ml
+from repro.cloud.aggregation import AggregationService, AggregationTrigger
 from repro.data import SyntheticAvazu
 from repro.ml import (
     DEVICE_BACKEND,
     SERVER_BACKEND,
     BlockOperatorContext,
     BlockTrainer,
-    FedAvgAggregator,
+    FedAvgPartial,
+    LogisticRegressionModel,
     ModelUpdate,
     OperatorFlow,
     TrainOp,
-    fedavg,
     standard_fl_flow,
 )
 from repro.ml.operators import DownloadModelOp, EvalOp, UploadUpdateOp
+from repro.simkernel import Simulator
 
 
 def make_update(device_id, weights, bias=0.0, n_samples=10, round_index=1):
@@ -30,6 +34,22 @@ def make_update(device_id, weights, bias=0.0, n_samples=10, round_index=1):
         weights=np.asarray(weights, dtype=np.float64),
         bias=bias,
         n_samples=n_samples,
+    )
+
+
+def fedavg(updates):
+    """The updates stacked into one block and folded by the production primitive."""
+    dim = len(updates[0].weights) if updates else 0
+    return FedAvgPartial.from_arrays(
+        np.array([u.weights for u in updates]).reshape(len(updates), dim),
+        [u.bias for u in updates],
+        [u.n_samples for u in updates],
+    ).finalize()
+
+
+def service_for(dim):
+    return AggregationService(
+        Simulator(), AggregationTrigger(), model=LogisticRegressionModel(dim, SERVER_BACKEND), name="agg"
     )
 
 
@@ -52,8 +72,11 @@ class TestFedAvg:
             fedavg([])
 
     def test_shape_mismatch_rejected(self):
+        service = service_for(1)
+        service.receive_block(one_row("a", update=make_update("a", [1.0])))
+        service.receive_block(one_row("b", update=make_update("b", [1.0, 2.0])))
         with pytest.raises(ValueError):
-            fedavg([make_update("a", [1.0]), make_update("b", [1.0, 2.0])])
+            service.aggregate_now()
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -70,30 +93,26 @@ class TestFedAvg:
             fedavg([ghost])  # zero total samples cannot be averaged
 
     def test_aggregator_lifecycle(self):
-        aggregator = FedAvgAggregator()
-        aggregator.add(make_update("a", [2.0], n_samples=5))
-        aggregator.add(make_update("b", [4.0], n_samples=5))
-        assert len(aggregator) == 2
-        assert aggregator.pending_samples == 10
-        assert aggregator.pending_devices == ["a", "b"]
-        weights, bias, count = aggregator.aggregate()
-        assert count == 2
-        assert np.allclose(weights, [3.0])
-        assert len(aggregator) == 0
-
-    def test_aggregator_type_check(self):
-        aggregator = FedAvgAggregator()
-        with pytest.raises(TypeError):
-            aggregator.add({"weights": [1.0]})
+        # The service's buffer is the aggregator: rows stack up, one fold drains them.
+        service = service_for(1)
+        service.receive_block(one_row("a", update=make_update("a", [2.0], n_samples=5)))
+        service.receive_block(one_row("b", update=make_update("b", [4.0], n_samples=5)))
+        assert service.pending_updates == 2
+        assert service.pending_samples == 10
+        record = service.aggregate_now()
+        assert record.n_updates == 2
+        assert np.allclose(service.model.weights, [3.0])
+        assert service.pending_updates == 0
 
     def test_aggregate_empty_raises(self):
         with pytest.raises(ValueError):
-            FedAvgAggregator().aggregate()
+            fedavg([])
+        with pytest.raises(RuntimeError):
+            service_for(1).aggregate_now()
 
     def test_payload_bytes_scale_with_dim(self):
-        small = make_update("a", np.zeros(10))
-        large = make_update("a", np.zeros(1000))
-        assert large.payload_bytes() > small.payload_bytes()
+        assert ModelUpdate.wire_size(1000) - ModelUpdate.wire_size(10) == 990 * 8
+        assert ModelUpdate.wire_size(0) > 0  # bias + envelope
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,8 @@ import pytest
 from helpers import CallbackSink, WholePlanSink, stream_states
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference.tier_reference import ReferenceLogicalSimulation, run_per_event
+from reference.cloud_reference import fedavg
+from reference.tier_reference import ReferenceLogicalSimulation, all_outcomes, run_per_event
 
 from repro.cluster import (
     DeviceColumns,
@@ -25,7 +26,7 @@ from repro.cluster import (
     ResourceBundle,
 )
 from repro.data.avazu import DeviceDataset
-from repro.ml import fedavg, standard_fl_flow
+from repro.ml import standard_fl_flow
 from repro.simkernel import RandomStreams, Simulator
 
 NODES = [NodeSpec(cpus=10, memory_gb=20)] * 4
@@ -85,7 +86,7 @@ def run_tier(reference: bool, n_rounds: int = N_ROUNDS, collect: bool = True,
             )
             round_result = logical.rounds[-1]
             if not collect:
-                outcomes = round_result.all_outcomes()
+                outcomes = all_outcomes(round_result)
             per_round.append(outcomes)
             weights, bias = fedavg([o.update for o in outcomes])
             weights_history.append((weights, bias))
@@ -133,7 +134,7 @@ class TestBatchedNumericEquivalence:
     def test_columnar_blocks_materialize_identically(self, generator_reference):
         ref_rounds, ref_weights, _, _ = generator_reference
         col_rounds, col_weights, col_results, _ = run_tier(reference=False, collect=False)
-        assert all(result.columnar and not result.outcomes for result in col_results)
+        assert all(len(result.columnar) == 1 for result in col_results)
         for ref, col in zip(ref_rounds, col_rounds):
             assert_outcomes_identical(ref, col)
         for (rw, rb), (cw, cb) in zip(ref_weights, col_weights):
@@ -143,7 +144,7 @@ class TestBatchedNumericEquivalence:
     def test_columnar_fedavg_inputs_match_updates(self):
         _, _, col_results, _ = run_tier(reference=False, collect=False, n_rounds=1)
         weights, biases, n_samples = col_results[0].fedavg_inputs()
-        materialized = col_results[0].all_outcomes()
+        materialized = all_outcomes(col_results[0])
         assert weights.shape == (N_DEVICES, FEATURE_DIM)
         for row, outcome in enumerate(materialized):
             assert weights[row].tobytes() == outcome.update.weights.tobytes()
@@ -228,17 +229,10 @@ class TestMixedPlanRound:
         assert batched.n_devices == reference.n_devices == 20
         # Both plans went columnar, and only the numeric one carries updates.
         assert len(batched.columnar) == 2
-        update_flags = {
-            block.plan.numeric: block.update_weights is not None
-            for block in batched.columnar
-        }
-        assert update_flags == {True: True, False: False}
-        ref_sorted = sorted(
-            reference.all_outcomes(), key=lambda o: (o.finished_at, o.device_id)
-        )
-        bat_sorted = sorted(
-            batched.all_outcomes(), key=lambda o: (o.finished_at, o.device_id)
-        )
+        update_flags = {block.grade: block.update_weights is not None for block in batched.columnar}
+        assert update_flags == {"Std": True, "Bulk": False}
+        ref_sorted = sorted(reference.outcomes, key=lambda o: (o.finished_at, o.device_id))
+        bat_sorted = sorted(all_outcomes(batched), key=lambda o: (o.finished_at, o.device_id))
         for a, b in zip(ref_sorted, bat_sorted):
             assert a.device_id == b.device_id
             assert a.finished_at == b.finished_at

@@ -1,4 +1,4 @@
-"""The OutcomeSink contract and the block-vs-scalar ingestion differential.
+"""The OutcomeSink contract and the block-vs-per-upload ingestion differential.
 
 Two layers of the same guarantee:
 
@@ -6,8 +6,9 @@ Two layers of the same guarantee:
    plan granularity a ``CloudIngestSink`` asks for.
 2. Tier level — a ``LogicalSimulation`` round delivered to a
    ``CloudIngestSink`` as one block leaves storage and the aggregation
-   service bit-identical to the per-device reference tier streaming
-   scalar ``accept`` calls into the same sink.
+   service bit-identical to the per-device reference tier streaming one
+   ``accept`` per device into the per-upload oracle
+   (``reference.cloud_reference``).
 
 (Platform level: the report digests pinned in ``tests/test_scenarios.py``
 were taken where block and scalar ingestion were proven byte-identical.)
@@ -15,9 +16,9 @@ were taken where block and scalar ingestion were proven byte-identical.)
 
 
 import numpy as np
-import pytest
 from helpers import CallbackSink
-from reference.tier_reference import ReferenceLogicalSimulation, run_per_event
+from reference.cloud_reference import ReferenceAggregationService, ReferenceIngestSink, ReferenceStorage
+from reference.tier_reference import ReferenceLogicalSimulation, materialize, run_per_event
 
 from repro.cloud import (
     AggregationService,
@@ -53,9 +54,6 @@ COST = LogicalCostModel(alpha={"Std": 9.0}, actor_startup=0.5, runner_setup=2.0)
 class TestProtocol:
     def test_structural_isinstance(self):
         class Good:
-            def accept(self, outcome):
-                pass
-
             def accept_block(self, block):
                 pass
 
@@ -69,13 +67,13 @@ class TestProtocol:
         sim = Simulator()
         sink = CloudIngestSink(
             sim, "t", ObjectStorage(),
-            AggregationService(sim, ObjectStorage(), AggregationTrigger(), name="agg"),
+            AggregationService(sim, AggregationTrigger(), name="agg"),
         )
         assert isinstance(sink, OutcomeSink)
 
     def test_flow_connected_sink_takes_wave_blocks(self):
         sim = Simulator()
-        service = AggregationService(sim, ObjectStorage(), AggregationTrigger(), name="agg")
+        service = AggregationService(sim, AggregationTrigger(), name="agg")
         flow = DeviceFlow(sim, RandomStreams(0))
         sink = CloudIngestSink(sim, "t", ObjectStorage(), service, deviceflow=flow)
         flow.register_task("t", RealTimeAccumulatedStrategy(thresholds=[1]), sink.flow_receive)
@@ -110,17 +108,22 @@ def make_plan(n_devices=12, n_actors=4, numeric=True):
 def run_tier_round(reference):
     """One numeric round delivered through a CloudIngestSink.
 
-    The production tier hands the sink one block; the per-device
-    reference tier streams one scalar ``accept`` per device.
+    The production tier hands the production sink one block; the
+    per-device reference tier streams one ``accept`` per device into the
+    per-upload oracle.
     """
     sim = Simulator()
     tier = ReferenceLogicalSimulation if reference else LogicalSimulation
     logical = tier(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
-    storage = ObjectStorage()
-    service = AggregationService(
-        sim, storage, AggregationTrigger(), model=LogisticRegressionModel(FEATURE_DIM, SERVER_BACKEND), name="agg"
-    )
-    sink = CloudIngestSink(sim, "t", storage, service)
+    model = LogisticRegressionModel(FEATURE_DIM, SERVER_BACKEND)
+    if reference:
+        storage = ReferenceStorage()
+        service = ReferenceAggregationService(sim, storage, AggregationTrigger(), model=model)
+        sink = ReferenceIngestSink(sim, "t", storage, service)
+    else:
+        storage = ObjectStorage()
+        service = AggregationService(sim, AggregationTrigger(), model=model, name="agg")
+        sink = CloudIngestSink(sim, "t", storage, service)
     plan = make_plan()
 
     def drive():
@@ -171,7 +174,7 @@ class TestTierDifferential:
     def test_callback_sink_materializes_blocks_in_completion_order(self):
         # The CallbackSink helper, handed wave blocks by the production
         # tier, must observe the same per-device stream the reference tier
-        # hands it one scalar at a time.
+        # hands it one device at a time.
         block_seen, scalar_seen = [], []
         for collect, tier in ((block_seen, LogicalSimulation), (scalar_seen, ReferenceLogicalSimulation)):
             sim = Simulator()
@@ -190,16 +193,13 @@ class TestTierDifferential:
         assert [o.finished_at for o in block_seen] == [o.finished_at for o in scalar_seen]
 
     def test_wave_preferring_sink_gets_row_views_at_wave_times(self):
-        """``prefers_waves`` turns one plan block into one zero-copy view per wave."""
+        """``prefers_waves`` turns one plan block into one zero-copy row range per wave."""
 
         class WaveSink:
             prefers_waves = True
 
             def __init__(self, sim):
                 self.sim, self.waves = sim, []
-
-            def accept(self, outcome):  # pragma: no cover - computing plans only
-                raise AssertionError("computing plans deliver blocks")
 
             def accept_block(self, block):
                 self.waves.append((self.sim.now, block))
@@ -221,22 +221,23 @@ class TestTierDifferential:
         logical.teardown()
         (whole,) = holder["result"].columnar
         assert [len(wave) for _, wave in sink.waves] == [4, 4, 2]
-        assert holder["result"].n_devices == 10 and not holder["result"].outcomes
+        assert holder["result"].n_devices == 10
         row = 0
         for time, wave in sink.waves:
             assert np.shares_memory(wave.update_weights, whole.update_weights)
             assert set(wave.finished_at.tolist()) == {time}
             assert wave.device_ids == plan.devices.device_ids[row : row + len(wave)]
-            assert wave.n_samples_array().tolist() == plan.devices.n_samples[row : row + len(wave)].tolist()
-            for position, outcome in enumerate(wave.materialize()):
-                expected = whole.update_at(row + position)
-                assert outcome.device_id == expected.device_id == wave.update_at(position).device_id
-                assert np.array_equal(outcome.update.weights, expected.weights)
+            assert wave.devices.n_samples.tolist() == plan.devices.n_samples[row : row + len(wave)].tolist()
+            for position, outcome in enumerate(materialize(wave)):
+                assert outcome.device_id == whole.device_ids[row + position]
+                assert np.array_equal(outcome.update.weights, whole.update_weights[row + position])
             row += len(wave)
-        # Strided views (the phone tier's per-phone queues) address the same rows.
-        strided = whole.view(slice(1, 10, 4))
+        # Strided row ranges (the phone tier's per-phone queues) address the same
+        # rows, and a range of a range is a range: one row of a wave is a block.
+        strided = whole[1:10:4]
         assert strided.device_ids == ["d0001", "d0005", "d0009"]
-        assert strided.update_at(2).device_id == "d0009"
-        assert np.array_equal(strided.update_at(1).weights, whole.update_weights[5])
-        with pytest.raises(ValueError):
-            strided.view(slice(0, 1))
+        assert np.shares_memory(strided.update_weights, whole.update_weights)
+        one = strided[1:2]
+        assert one.device_ids == ["d0005"] and len(one) == 1
+        assert np.array_equal(one.update_weights[0], whole.update_weights[5])
+        assert one.devices.datasets == [plan.devices.datasets[5]]

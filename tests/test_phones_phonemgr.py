@@ -214,7 +214,8 @@ class TestRoundExecution:
         sim.process(run())
         sim.run()
         assert len(updates) == 4
-        assert all(u is not None and u.metadata["backend"] == "mnn-device" for u in updates)
+        assert all(u is not None and u.weights.shape == (64,) for u in updates)
+        assert plan.backend.name == "mnn-device"
 
     def test_prepare_twice_rejected(self):
         sim, _, mgr, _ = build_rig()

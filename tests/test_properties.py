@@ -8,12 +8,13 @@ algebra, serialization round-trips, and allocation-formula monotonicity.
 
 import numpy as np
 import pytest
+from helpers import one_row
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.deviceflow import Message, RealTimeAccumulatedStrategy, Shelf
+from repro.deviceflow import RealTimeAccumulatedStrategy, Shelf
 from repro.deviceflow.curves import TrafficCurve
-from repro.ml import ModelUpdate, fedavg
+from repro.ml import FedAvgPartial
 from repro.ml.metrics import roc_auc_block
 from repro.phones import BatteryModel
 from repro.scheduler.allocation import (
@@ -86,11 +87,12 @@ class TestDeviceFlowProperties:
         flow = DeviceFlow(sim, streams=RandomStreams(1), capacity_per_second=1e6)
         inbox = []
         flow.register_task(
-            "t", RealTimeAccumulatedStrategy(thresholds, failure_prob=0.3), inbox.append
+            "t", RealTimeAccumulatedStrategy(thresholds, failure_prob=0.3),
+            lambda segment: inbox.extend(segment.device_ids),
         )
         flow.round_started("t", 1)
         for i in range(counts):
-            flow.submit(Message(task_id="t", device_id=f"d{i}", round_index=1, payload_ref="x"))
+            flow.submit_block(one_row(f"d{i}"))
         flow.round_completed("t", 1)
         sim.run()
         stats = flow.stats("t")
@@ -103,9 +105,9 @@ class TestDeviceFlowProperties:
     def test_shelf_take_is_fifo_and_complete(self, count):
         shelf = Shelf("t")
         for i in range(count):
-            shelf.store(Message(task_id="t", device_id=f"d{i}", round_index=1, payload_ref="x"))
+            shelf.store(one_row(f"d{i}"))
         out = shelf.take(count + 10)  # over-asking returns only what exists
-        assert [m.device_id for m in out] == [f"d{i}" for i in range(count)]
+        assert [m.device_ids for m in out] == [[f"d{i}"] for i in range(count)]
         assert len(shelf) == 0
 
     @given(
@@ -150,19 +152,12 @@ class TestFedAvgProperties:
     def test_fedavg_is_convex_combination(self, n_updates, dim, seed):
         """The aggregate lies inside the per-coordinate hull of updates."""
         rng = np.random.default_rng(seed)
-        updates = [
-            ModelUpdate(
-                device_id=f"d{i}", round_index=1, weights=rng.normal(size=dim),
-                bias=float(rng.normal()), n_samples=int(rng.integers(1, 50)),
-            )
-            for i in range(n_updates)
-        ]
-        weights, bias = fedavg(updates)
-        stacked = np.stack([u.weights for u in updates])
+        stacked = rng.normal(size=(n_updates, dim))
+        biases = rng.normal(size=n_updates)
+        weights, bias = FedAvgPartial.from_arrays(stacked, biases, rng.integers(1, 50, size=n_updates)).finalize()
         assert np.all(weights >= stacked.min(axis=0) - 1e-12)
         assert np.all(weights <= stacked.max(axis=0) + 1e-12)
-        biases = [u.bias for u in updates]
-        assert min(biases) - 1e-12 <= bias <= max(biases) + 1e-12
+        assert biases.min() - 1e-12 <= bias <= biases.max() + 1e-12
 
     @given(
         n=st.integers(min_value=2, max_value=200),

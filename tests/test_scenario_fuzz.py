@@ -7,7 +7,8 @@ a round deadline, or abandoned by the channel — the balance
 ``benchmarks/ledger/workloads.py::check_report`` holds the ledger workloads
 to.  Duplicated uploads may be counted on both sides of a deadline, hence
 ``>=``.  The strategy covers every dispatch kind x channel x deadline
-combination, which the library scenarios do not.
+combination, which the library scenarios do not — benchmarking phones
+included, whose one-row uploads ride the same channel, gate and balance.
 """
 
 import json
@@ -42,13 +43,19 @@ dispatches = st.one_of(
     ),
 )
 deadlines = st.one_of(st.none(), st.floats(min_value=1.0, max_value=120.0))
-grades = st.builds(
-    GradeSpec,
-    grade=st.sampled_from(["High", "Low"]),
-    n_devices=st.integers(min_value=1, max_value=30),
-    bundles=st.integers(min_value=1, max_value=12),
-    n_phones=st.integers(min_value=0, max_value=2),
-)
+
+
+@st.composite
+def grades(draw):
+    n_phones = draw(st.integers(min_value=0, max_value=2))
+    return GradeSpec(
+        grade=draw(st.sampled_from(["High", "Low"])),
+        n_devices=draw(st.integers(min_value=1, max_value=30)),
+        bundles=draw(st.integers(min_value=1, max_value=12)),
+        n_phones=n_phones,
+        # A benchmarking phone only where the grade has phones at all.
+        n_benchmark=draw(st.integers(min_value=0, max_value=min(1, n_phones))),
+    )
 
 
 def tenants(name: str):
@@ -59,7 +66,7 @@ def tenants(name: str):
         numeric=st.booleans(),
         feature_dim=st.just(16),
         records_per_device=st.just(4),
-        grades=grades.map(lambda grade: [grade]),
+        grades=grades().map(lambda grade: [grade]),
         arrival=st.lists(st.floats(min_value=0.0, max_value=90.0), min_size=1, max_size=2).map(
             lambda times: ArrivalSpec(kind="trace", times=times)
         ),

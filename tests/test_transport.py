@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.cloud_reference import fedavg
 
 from repro.cloud import (
     AggregationService,
@@ -29,9 +30,10 @@ from repro.cloud import (
     ObjectStorage,
 )
 from repro.cloud.aggregation import AggregationTrigger
-from repro.cluster.actor import DeviceRoundOutcome
+from repro.cluster import ColumnarOutcomes, DeviceColumns
+from repro.deviceflow import MessageBlock
 from repro.ml.backends import SERVER_BACKEND
-from repro.ml.fedavg import ModelUpdate, fedavg
+from repro.ml.fedavg import ModelUpdate
 from repro.ml.model import LogisticRegressionModel
 from repro.observability.sla import known_metrics, metric_value
 from repro.scenarios import (
@@ -192,13 +194,23 @@ class TestChannelModel:
         [
             ({"loss_prob": 1.0}, "loss_prob must be in [0, 1), got 1.0"),
             ({"dup_prob": -0.1}, "dup_prob must be in [0, 1], got -0.1"),
-            ({"max_attempts": 0}, "max_attempts must be >= 1, got 0"),
+            ({"max_attempts": 0}, "max_attempts must be an integer >= 1, got 0"),
             ({"retry_base_s": 0.0}, "retry backoff must be > 0, got base=0.0, cap=60.0"),
+            # Both used to pass construction and die mid-run (a bare TypeError
+            # from ``plan_upload`` inside a pool callback / from ``from_dict``).
+            ({"max_attempts": 2.5}, "max_attempts must be an integer >= 1, got 2.5"),
+            ({"loss_prob": "high"}, "loss_prob must be a number, got 'high'"),
         ],
     )
     def test_validation_errors_carry_the_value(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ChannelModel(**kwargs)
+        if set(kwargs) <= {"max_attempts", "loss_prob"}:
+            # The scenario-file spec rejects the same values, field path first.
+            data = transport_scenario(transport=TransportSpec()).to_dict()
+            data["transport"].update(kwargs)
+            with pytest.raises(ValueError, match=r"^transport[. ]" + re.escape(message)):
+                ScenarioSpec.from_dict(data)
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match=re.escape("unknown channel window kind 'flood'")):
@@ -213,28 +225,33 @@ class TestChannelModel:
 def make_numeric_sink(dedup=True):
     sim = Simulator()
     model = LogisticRegressionModel(4, SERVER_BACKEND)
-    service = AggregationService(sim, ObjectStorage(), AggregationTrigger(), model=model, name="agg")
-    sink = CloudIngestSink(sim, "t", service.storage, service, dedup=dedup)
+    service = AggregationService(sim, AggregationTrigger(), model=model, name="agg")
+    sink = CloudIngestSink(sim, "t", ObjectStorage(), service, dedup=dedup)
     return sim, service, sink, model
 
 
-def outcome(device_id, round_index=1, seed=0, finished_at=0.0):
+def make_update(device_id, round_index=1, seed=0):
     rng = np.random.default_rng(seed)
-    update = ModelUpdate(
+    return ModelUpdate(
         device_id=device_id,
         round_index=round_index,
         weights=rng.normal(size=4),
         bias=float(rng.normal()),
         n_samples=int(rng.integers(1, 9)),
     )
-    return DeviceRoundOutcome(
-        device_id=device_id,
+
+
+def outcome(device_id, round_index=1, seed=0, finished_at=0.0):
+    """One device's upload reaching the cloud at ``finished_at``: a block of one row."""
+    update = make_update(device_id, round_index, seed)
+    return ColumnarOutcomes(
         grade="High",
+        devices=DeviceColumns([device_id], [update.n_samples]),
         round_index=round_index,
-        n_samples=update.n_samples,
         payload_bytes=64,
-        update=update,
-        finished_at=finished_at,
+        finished_at=np.array([finished_at]),
+        update_weights=update.weights[None],
+        update_biases=np.array([update.bias]),
     )
 
 
@@ -242,42 +259,42 @@ class TestIngestionGate:
     def test_duplicate_delivery_folds_exactly_once(self):
         sim, service, sink, _ = make_numeric_sink(dedup=True)
         first = outcome("d0", seed=1)
-        sink.accept(first)
-        sink.accept(first)  # retried/duplicated delivery of the same upload
-        sink.accept(outcome("d1", seed=2))
+        sink.accept_block(first)
+        sink.accept_block(first)  # retried/duplicated delivery of the same upload
+        sink.accept_block(outcome("d1", seed=2))
         assert sink.delivered == 2
         assert sink.duplicate_drops == 1
         assert service.pending_updates == 2
 
     def test_dedup_is_per_round(self):
         sim, service, sink, _ = make_numeric_sink(dedup=True)
-        sink.accept(outcome("d0", round_index=1, seed=1))
-        sink.accept(outcome("d0", round_index=2, seed=1))
+        sink.accept_block(outcome("d0", round_index=1, seed=1))
+        sink.accept_block(outcome("d0", round_index=2, seed=1))
         assert sink.delivered == 2
         assert sink.duplicate_drops == 0
 
     def test_deadline_closed_round_equals_fold_over_on_time_updates(self):
         sim, service, sink, model = make_numeric_sink(dedup=True)
         sink.begin_round(1, deadline=10.0)
-        on_time = [outcome(f"d{i}", seed=i) for i in range(3)]
-        late = [outcome(f"late{i}", seed=10 + i) for i in range(2)]
+        on_time = [outcome(f"d{i}", seed=i, finished_at=5.0) for i in range(3)]
+        late = [outcome(f"late{i}", seed=10 + i, finished_at=12.0) for i in range(2)]
         for o in on_time:
-            sim.schedule(5.0, sink.accept, o)
+            sim.schedule(5.0, sink.accept_block, o)
         for o in late:
-            sim.schedule(12.0, sink.accept, o)
+            sim.schedule(12.0, sink.accept_block, o)
         sim.run()
         assert sink.delivered == 3
         assert sink.late_drops == 2
         record = service.aggregate_now()
         assert record.n_updates == 3
-        weights, bias = fedavg([o.update for o in on_time])
+        weights, bias = fedavg([make_update(f"d{i}", seed=i) for i in range(3)])
         np.testing.assert_array_equal(model.weights, weights)
         assert model.bias == bias
 
     def test_fully_lost_round_degrades_gracefully(self):
         sim, service, sink, _ = make_numeric_sink(dedup=True)
         sink.begin_round(1, deadline=10.0)
-        sim.schedule(12.0, sink.accept, outcome("d0"))
+        sim.schedule(12.0, sink.accept_block, outcome("d0", finished_at=12.0))
         sim.run()
         assert sink.late_drops == 1
         # Nothing reached the buffer, so the runner's round-close fold
@@ -287,7 +304,7 @@ class TestIngestionGate:
 
     def test_ungated_sink_counters_stay_zero(self):
         sim, service, sink, _ = make_numeric_sink(dedup=False)
-        sink.accept(outcome("d0"))
+        sink.accept_block(outcome("d0"))
         assert (sink.delivered, sink.duplicate_drops, sink.late_drops) == (0, 0, 0)
 
 
@@ -361,12 +378,10 @@ class TestTransportDifferential:
 
 
 # ----------------------------------------------------------------------
-# MessageBlock vs scalar stream under duplication + dedup
+# MessageBlock delivery under duplication + dedup
 # ----------------------------------------------------------------------
 class TestMessageBlockDedup:
     def test_block_messages_match_scalar_stream_under_duplication(self):
-        from repro.deviceflow.messages import MessageBlock
-
         block = MessageBlock(
             task_id="t",
             round_index=1,
@@ -374,30 +389,32 @@ class TestMessageBlockDedup:
             payload_refs=[f"t/d{i}/r1" for i in range(5)],
             size_bytes=32,
             n_samples=np.arange(1, 6),
-            finished_at=np.linspace(1.0, 5.0, 5),
         )
-        singles = block.messages()
-        assert [m.device_id for m in singles] == list(block.device_ids)
-        assert [m.n_samples for m in singles] == [1, 2, 3, 4, 5]
-        assert [m.created_at for m in singles] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        singles = [block[row : row + 1] for row in range(len(block))]
+        assert [m.device_ids for m in singles] == [[d] for d in block.device_ids]
+        assert [m.total_samples for m in singles] == [1, 2, 3, 4, 5]
 
         def run(stream):
             sim = Simulator()
-            service = AggregationService(sim, ObjectStorage(), AggregationTrigger(), name="agg")
-            sink = CloudIngestSink(sim, "t", service.storage, service, dedup=True)
-            for message in stream:
-                sink.flow_receive(message)
+            service = AggregationService(sim, AggregationTrigger(), name="agg")
+            sink = CloudIngestSink(sim, "t", ObjectStorage(), service, dedup=True)
+            for segment in stream:
+                sink.flow_receive(segment)
             return service, sink
 
-        # Every message delivered twice (duplication) vs exactly once:
-        # the dedup table makes the buffered work identical.
-        duplicated, dup_sink = run([m for m in singles for _ in range(2)])
-        once, once_sink = run(block.messages())
-        assert dup_sink.duplicate_drops == len(block)
+        # Every message delivered twice (duplication) vs exactly once: the
+        # dedup table makes the buffered work identical — whether the copies
+        # arrive as one-row segments or inside one coalesced chunk.
+        twice = [m for m in singles for _ in range(2)]
+        once, once_sink = run([block])
         assert once_sink.duplicate_drops == 0
-        assert duplicated.pending_updates == once.pending_updates == len(block)
-        assert duplicated.pending_samples == once.pending_samples
-        assert duplicated.messages_received == once.messages_received
+        for stream in (twice, MessageBlock.coalesce(twice)):
+            duplicated, dup_sink = run(stream)
+            assert dup_sink.duplicate_drops == len(block)
+            assert dup_sink.delivered == once_sink.delivered == len(block)
+            assert duplicated.pending_updates == once.pending_updates == len(block)
+            assert duplicated.pending_samples == once.pending_samples
+            assert duplicated.messages_received == once.messages_received
 
 
 # ----------------------------------------------------------------------
