@@ -5,37 +5,25 @@ a simulation one wall-clock second buys (the 100k-device sweeps of Fig. 8
 schedule roughly one million events).
 
 ``schedule_and_drain`` prices heap events drained by the same-timestamp
-batch loop every run rides, ``pooled_timeouts`` the vectorized
-:class:`TimeoutPool` the tiers schedule their waves in.
-``test_drain_throughput_report`` persists the two absolute throughputs
-that the CI regression gate (``benchmarks/ci_gate.py``) checks, calibrated,
-on every push.
+batch loop every run rides; ``test_drain_throughput_report`` persists that
+absolute throughput, which the CI regression gate
+(``benchmarks/ci_gate.py``) checks, calibrated, on every push.  The
+:class:`~repro.simkernel.TimeoutPool`'s load — whole completion waves as
+ascending sequences — is measured in situ by the perf ledger
+(``direct_hybrid``, ``flash_crowd_flow``).
 """
 
 import time
 
 from conftest import full_scale
 
-from repro.simkernel import Simulator, Timeout, TimeoutPool
+from repro.simkernel import Simulator, Timeout
 
 
 def schedule_and_drain(n_events: int) -> None:
     sim = Simulator()
     for i in range(n_events):
         sim.schedule(float(i % 97), lambda: None)
-    sim.run()
-
-
-def pooled_timeouts(n_entries: int) -> None:
-    """The TimeoutPool counterpart of ``schedule_and_drain``."""
-    sim = Simulator()
-    pool = TimeoutPool(sim, name="pool")
-
-    def noop() -> None:
-        return None
-
-    for i in range(n_entries):
-        pool.add(float(i % 97), noop)
     sim.run()
 
 
@@ -56,33 +44,22 @@ def bench_scale() -> int:
 
 
 def measure_throughputs(n_events: int, repeats: int = 3) -> dict:
-    """Events/second for heap events and for pooled timeouts.
+    """Events/second for heap events.
 
     Plain-function form (no pytest-benchmark) so ``ci_gate.py`` can reuse
     it; takes the best of ``repeats`` runs to damp scheduler noise.
     """
 
-    def best(fn) -> float:
-        walls = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn(n_events)
-            walls.append(time.perf_counter() - start)
-        return n_events / min(walls)
-
-    return {
-        "n_events": n_events,
-        "events_per_sec_batched": best(schedule_and_drain),
-        "events_per_sec_pooled": best(pooled_timeouts),
-    }
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        schedule_and_drain(n_events)
+        walls.append(time.perf_counter() - start)
+    return {"n_events": n_events, "events_per_sec_batched": n_events / min(walls)}
 
 
 def test_event_throughput(benchmark):
     benchmark.pedantic(schedule_and_drain, args=(bench_scale(),), rounds=3, iterations=1)
-
-
-def test_timeout_pool_throughput(benchmark):
-    benchmark.pedantic(pooled_timeouts, args=(bench_scale(),), rounds=3, iterations=1)
 
 
 def test_process_switching(benchmark):
@@ -91,12 +68,8 @@ def test_process_switching(benchmark):
 
 def test_drain_throughput_report(persist_result):
     stats = measure_throughputs(bench_scale())
-    # Pooled timeouts must never be slower than the heap events they
-    # replace (~515 events share each of 97 timestamps at CI scale).
-    assert stats["events_per_sec_pooled"] > 0.9 * stats["events_per_sec_batched"]
     persist_result(
         "kernel_throughput",
         "Kernel drain throughput (events/s, higher is better)\n"
-        f"  heap events     : {stats['events_per_sec_batched']:,.0f}\n"
-        f"  pooled timeouts : {stats['events_per_sec_pooled']:,.0f}",
+        f"  heap events     : {stats['events_per_sec_batched']:,.0f}",
     )

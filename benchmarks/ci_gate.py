@@ -44,7 +44,6 @@ from bench_scenarios import (  # noqa: E402
 #: on-machine calibration absorbs runner-speed differences).
 BASELINE_METRICS = (
     "calibrated_events_batched",
-    "calibrated_events_pooled",
     "calibrated_scenario_devices",
 )
 
@@ -105,7 +104,6 @@ def run_benchmarks() -> dict:
         "tracing_overhead": tracing,
         "gated": {
             "calibrated_events_batched": kernel["events_per_sec_batched"] / calibration,
-            "calibrated_events_pooled": kernel["events_per_sec_pooled"] / calibration,
             "calibrated_scenario_devices": scenario["devices_per_sec"] / calibration,
             "alarm_overhead_ratio": alarm["alarm_overhead_ratio"],
             "transport_overhead_ratio": transport["transport_overhead_ratio"],

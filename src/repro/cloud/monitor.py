@@ -10,7 +10,7 @@ counters.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,60 +26,13 @@ class MonitorEvent:
     fields: dict[str, Any] = field(default_factory=dict)
 
 
-class EventsView(Sequence):
-    """A read-only, zero-copy view over one kind's event bucket.
-
-    What :meth:`Monitor.of_kind` returns — hot in KPI extraction and in
-    live alarm evaluation, where the same kinds are queried per event
-    over logs with hundreds of thousands of entries.  Indexing, slicing,
-    iteration and equality against any sequence work, mutation does not.
-    The view is *live* — events logged after it was taken are visible
-    through it.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, events: Sequence[MonitorEvent]) -> None:
-        self._events = events
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            # A slice of a view is a view: callers chain slices and the
-            # trace assembler's time-bounded helpers without paying a
-            # copy (the sliced snapshot is immutable, so the live-bucket
-            # caveat above does not extend to it).
-            return EventsView(self._events[index])
-        return self._events[index]
-
-    def __iter__(self) -> Iterator[MonitorEvent]:
-        return iter(self._events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EventsView):
-            other = other._events
-        if isinstance(other, (list, tuple)):
-            return len(self._events) == len(other) and all(
-                a == b for a, b in zip(self._events, other)
-            )
-        return NotImplemented
-
-    def __hash__(self) -> None:  # pragma: no cover - mutable view
-        raise TypeError("EventsView is unhashable (it reflects a live bucket)")
-
-
-_EMPTY: tuple[MonitorEvent, ...] = ()
-
-
 class Monitor:
     """Chronological event log with per-kind counters and summaries.
 
-    Events are indexed by kind as they arrive, so :meth:`of_kind` is an
-    O(1) view of its bucket instead of a rescan of the whole log —
-    scenario KPI extraction queries a handful of kinds out of logs with
-    hundreds of thousands of entries.
+    Events are indexed by kind as they arrive, so :meth:`of_kind` reads
+    one bucket instead of rescanning the whole log.  Live consumers (the
+    alarm engine) :meth:`subscribe`; :meth:`of_kind` is for after-the-run
+    readers such as the trace assembler.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -132,17 +85,9 @@ class Monitor:
                 self.log("subscriber_failed", event_kind=kind, error=repr(error))
         return event
 
-    def of_kind(self, kind: str) -> Sequence[MonitorEvent]:
-        """All events of one kind, in order, as a read-only live view.
-
-        The view is zero-copy; callers that need an independent
-        snapshot take ``list(monitor.of_kind(kind))`` explicitly.
-        """
-        return EventsView(self._by_kind.get(kind, _EMPTY))
-
-    def count_kind(self, kind: str) -> int:
-        """How many events of one kind were logged — O(1), no view built."""
-        return self.counters.get(kind, 0)
+    def of_kind(self, kind: str) -> tuple[MonitorEvent, ...]:
+        """All events of one kind logged so far, in order."""
+        return tuple(self._by_kind.get(kind, ()))
 
     def summary(self) -> dict[str, int]:
         """Event counts by kind."""

@@ -17,8 +17,9 @@ loop deterministically:
 * :class:`TransportChannel` — the simulation adapter: it fronts any
   :class:`~repro.cloud.sink.OutcomeSink`, plans one upload per device
   round (a block's rows are routed per device, in block order), and
-  delivers each surviving upload as a block of one row through a
-  :class:`~repro.simkernel.TimeoutPool` at its arrival time.
+  delivers each surviving upload as a block of one row: one kernel
+  event (:meth:`~repro.simkernel.Simulator.schedule_at`) at its arrival
+  time, a duplicate one more directly after it.
 
 Determinism contract: every draw comes from a per-``(task, device)``
 stream keyed only on ids, and the number of draws per upload depends
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.simkernel import Signal, TimeoutPool
+from repro.simkernel import Signal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.rounds import ColumnarOutcomes
@@ -243,11 +244,12 @@ class TransportChannel:
 
     Presents the :class:`~repro.cloud.sink.OutcomeSink` protocol to the
     execution tiers; plans each device's upload with a device-keyed rng
-    stream and delivers survivors to ``inner`` through a
-    :class:`TimeoutPool` at their (possibly retried, possibly late)
-    arrival times: each delivery is the upload's row of the block with
-    the arrival as its time column.  A block's rows are routed per device
-    in block order.
+    stream and delivers survivors to ``inner`` as kernel events at
+    their (possibly retried, possibly late) arrival times: each delivery
+    is the upload's row of the block with the arrival as its time column.
+    A block's rows are routed per device in block order, so uploads with
+    equal arrival deliver in block row order, a duplicate directly after
+    its primary.
 
     The runner awaits :meth:`finish_round` after the round barrier so
     in-flight deliveries land before aggregation; deliveries scheduled
@@ -275,7 +277,6 @@ class TransportChannel:
         self.tracer = tracer
         # Ask the tiers for whatever granularity the fronted sink wants.
         self.prefers_waves = bool(getattr(inner, "prefers_waves", False))
-        self.pool = TimeoutPool(sim, name=f"transport.{task_id}")
         self.totals = TransportCounters()
         self.round = TransportCounters()
         self._deadline: float | None = None
@@ -327,11 +328,11 @@ class TransportChannel:
         upload = block[row : row + 1]
         upload.finished_at = np.array([arrival])  # an upload's time column is its arrival
         self._pending += 1
-        self.pool.add_at(arrival, self._deliver, upload)
+        self.sim.schedule_at(arrival, self._deliver, upload)
         if plan.duplicate:
             self.round.duplicates += 1
             self._pending += 1
-            self.pool.add_at(arrival, self._deliver, upload)
+            self.sim.schedule_at(arrival, self._deliver, upload)
 
     def _deliver(self, upload: ColumnarOutcomes) -> None:
         try:

@@ -12,6 +12,7 @@ Durations are seconds of *simulated* time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -56,8 +57,8 @@ class LogicalCostModel:
         if not self.alpha:
             raise ValueError("alpha must define at least one grade")
         for grade, value in self.alpha.items():
-            if value <= 0:
-                raise ValueError(f"alpha[{grade!r}] must be positive")
+            if not 0 < value < math.inf:  # also false for NaN
+                raise ValueError(f"alpha[{grade!r}] must be a positive finite number, got {value!r}")
         if self.download_bandwidth_bps <= 0:
             raise ValueError("download_bandwidth_bps must be positive")
 

@@ -212,14 +212,15 @@ class TierRounds:
     owns everything else about a round.  Numeric plans execute up front as
     stacked blocks; every plan is recorded as one :class:`ColumnarOutcomes`
     block and delivered as :class:`~repro.cloud.sink.OutcomeSink`
-    describes: whole, at its last completion time — a single pooled
-    deadline, no per-device objects or events — or, for a sink that sets
+    describes: whole, at its last completion time — one kernel event, no
+    per-device objects or events — or, for a sink that sets
     ``prefers_waves``, as one row range per completion wave at the wave's
-    time.  ``sink=None`` records the blocks with no delivery at
-    all (the 100k-device sweeps).  An epoch guard voids the pooled
-    callbacks of a torn-down task, and :meth:`_void_rounds` releases the
-    plans-done barrier so a round in flight resolves as ``aborted``
-    instead of leaking.
+    time, each slot queue an ascending sequence in the tier's
+    :class:`~repro.simkernel.TimeoutPool`.  ``sink=None`` records the
+    blocks with no delivery at all (the 100k-device sweeps).  An epoch
+    guard voids the scheduled callbacks of a torn-down task, and
+    :meth:`_void_rounds` releases the plans-done barrier so a round in
+    flight resolves as ``aborted`` instead of leaking.
     """
 
     #: ``str.format`` template of a device's numeric random stream, keyed by
@@ -285,7 +286,7 @@ class TierRounds:
         return result
 
     def _void_rounds(self) -> None:
-        """Void the pooled callbacks of rounds in flight and release their barriers."""
+        """Void the scheduled callbacks of rounds in flight and release their barriers."""
         self._epoch += 1
         for barrier in self._round_barriers:
             barrier.fire()
@@ -345,7 +346,7 @@ class TierRounds:
         sink: OutcomeSink | None,
         plan_done: Callable[[], None],
     ) -> None:
-        """Register one plan's whole round in the timeout pool.
+        """Schedule one plan's whole round on the kernel.
 
         Numeric plans run their ML round here, up front (the upload leg of
         the tier's schedule then carries the model-update payload); the
@@ -386,7 +387,7 @@ class TierRounds:
                 plan_done()
 
         if not getattr(sink, "prefers_waves", False):
-            self._pool.add_at(float(finished.max()), deliver, None, [hook for _, hook in queues])
+            self.sim.schedule_at(float(finished.max()), deliver, None, [hook for _, hook in queues])
             return
         for rows, hook in queues:
             queue = range(total)[rows]

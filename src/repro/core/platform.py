@@ -106,10 +106,9 @@ class SimDC:
         """Queue a task; optional overrides for arrival, allocation and data.
 
         ``fixed_allocation`` maps grade name to the logical-tier device
-        count, bypassing the optimizer (used by the Type 1-5 ratio
-        studies); ``dataset`` supplies a pre-built federated dataset
-        instead of the spec-derived synthetic one.  ``at`` defers the
-        submission to an absolute simulated time (the scenario engine
+        count, bypassing the optimizer; ``dataset`` supplies a pre-built
+        federated dataset instead of the spec-derived synthetic one.  ``at``
+        defers the submission to an absolute simulated time (the scenario engine
         schedules whole task streams this way); ``logical_cost`` /
         ``physical_cost`` replace the platform-wide cost models for this
         task only (straggler injection slows a tenant down with scaled

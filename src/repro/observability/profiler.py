@@ -79,7 +79,8 @@ class RunProfiler:
         self._stats: dict[str, list[float]] = {}
         #: live call stack: [category, accumulated_child_seconds]
         self._stack: list[list] = []
-        self._originals: list[tuple[type, str, Callable]] = []
+        #: (class, method, the class's own definition or None when it inherits one)
+        self._originals: list[tuple[type, str, Callable | None]] = []
 
     # ------------------------------------------------------------------
     def _wrap(self, func: Callable, category: str) -> Callable:
@@ -118,8 +119,9 @@ class RunProfiler:
                         f"{class_name}.{method_name} is already profiled "
                         f"(another RunProfiler is attached)"
                     )
+                own = vars(cls).get(method_name)
                 setattr(cls, method_name, self._wrap(original, category))
-                self._originals.append((cls, method_name, original))
+                self._originals.append((cls, method_name, own))
         except Exception:
             self.detach()
             raise
@@ -127,8 +129,14 @@ class RunProfiler:
 
     def detach(self) -> None:
         """Restore every patched method (safe to call when detached)."""
-        for cls, method_name, original in self._originals:
-            setattr(cls, method_name, original)
+        for cls, method_name, own in self._originals:
+            if own is None:
+                # Inherited (the tiers' engine methods live on ``TierRounds``):
+                # leave no private copy behind, so a later patch of the base
+                # method still reaches this class.
+                delattr(cls, method_name)
+            else:
+                setattr(cls, method_name, own)
         self._originals = []
         self._stack = []
 

@@ -399,12 +399,7 @@ def assemble_trace(
             spans.append(round_span)
 
     # Per-round transport KPIs (monitor events) annotate round spans.
-    # ``count_kind`` is O(1): lossless runs skip the annotation loop
-    # without building a view.
-    transport_events = (
-        monitor.of_kind("transport_round") if monitor.count_kind("transport_round") else ()
-    )
-    for event in transport_events:
+    for event in monitor.of_kind("transport_round"):
         key = (event.fields["task_id"], event.fields["round"])
         round_span = round_spans.get(key)
         if round_span is None:

@@ -12,6 +12,7 @@ training stages are measured over 0.25-minute (15 s) windows each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 #: Table I training durations in seconds.
@@ -53,8 +54,8 @@ class PhysicalCostModel:
             if not mapping:
                 raise ValueError(f"{label} must define at least one grade")
             for grade, value in mapping.items():
-                if value <= 0:
-                    raise ValueError(f"{label}[{grade!r}] must be positive")
+                if not 0 < value < math.inf:  # also false for NaN
+                    raise ValueError(f"{label}[{grade!r}] must be a positive finite number, got {value!r}")
         if self.stage_window <= 0:
             raise ValueError("stage_window must be positive")
 

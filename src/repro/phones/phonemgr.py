@@ -20,8 +20,9 @@ Execution strategy:
   (:meth:`~repro.phones.phone.VirtualPhone.replay_training_sessions`).
   Outcomes, finish times and phone state equal the per-device loops of
   ``tests/reference/tier_reference.py`` bit for bit.
-* **Shared benchmark sampler ticker** — one recurring pooled tick per
-  PhoneMgr samples every active benchmarking phone, with timestamps and
+* **Shared benchmark sampler ticker** — one recurring kernel tick
+  (:meth:`~repro.simkernel.Simulator.schedule_recurring`) per PhoneMgr
+  samples every active benchmarking phone, with timestamps and
   sample contents (including tie-breaking against stage boundaries)
   identical to one polling loop per phone; samples read the virtual
   sensors directly (:func:`~repro.phones.metrics.direct_metric_sample`)
@@ -52,7 +53,7 @@ from repro.phones.metrics import (
     integrate_energy_mah,
 )
 from repro.phones.phone import VirtualPhone
-from repro.simkernel import AllOf, RandomStreams, RecurringTimeout, Signal, Simulator, Timeout, TimeoutPool
+from repro.simkernel import AllOf, RandomStreams, RecurringTimeout, Signal, Simulator, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.tracing import Tracer
@@ -195,7 +196,6 @@ class PhoneMgr(TierRounds):
         self.benchmark_records: list[BenchmarkRecord] = []
         self._busy = busy_registry
         # The shared benchmark sampler ticker.
-        self._sampler_pool = TimeoutPool(sim, name="phone-sampler")
         self._sampler_entries: list[_SampledPhone] = []
         self._sampler_handle: RecurringTimeout | None = None
 
@@ -345,7 +345,7 @@ class PhoneMgr(TierRounds):
 
         Skips control-latency niceties: force-stops any running APK,
         idles every reserved phone and returns it to the pool so sibling
-        and queued tasks are unaffected by the crash.  Pending pooled wave
+        and queued tasks are unaffected by the crash.  Pending wave
         callbacks from the crashed round are voided via the epoch counter.
         """
         for phones in list(self.computing_phones.values()) + list(self.benchmark_phones.values()):
@@ -515,7 +515,7 @@ class PhoneMgr(TierRounds):
         if self._sampler_handle is None:
             # First fire *now*: a phone's opening sample lands at the
             # timestamp it registers.
-            self._sampler_handle = self._sampler_pool.add_recurring(
+            self._sampler_handle = self.sim.schedule_recurring(
                 self.poll_interval, self._sampler_tick, first_at=self.sim.now
             )
         return entry

@@ -3,8 +3,21 @@
 Every SimDC subsystem (the logical Ray-like cluster, the virtual phone
 cluster, DeviceFlow, the cloud services and the task manager) advances a
 single shared simulated clock owned by a :class:`Simulator`.  The kernel is
-deliberately small: an event heap, generator-based processes, a vectorized
-timeout pool, and named deterministic random streams.
+deliberately small: one event heap, generator-based processes, and named
+deterministic random streams.  One deadline is one kernel event
+(:meth:`Simulator.schedule_at`, withdrawn with :meth:`Simulator.cancel`;
+:meth:`Simulator.schedule_recurring` re-arms one per tick).  The only other
+scheduling structure is :class:`TimeoutPool`, which does the one thing a
+per-event push cannot: it takes whole ascending deadline *arrays*
+(``add_sequence``) and merges them behind a single sentinel event.
+
+Ordering convention (what keeps a run a pure function of its inputs):
+events fire by time, and events sharing a timestamp fire in the order they
+were scheduled.  A pool's sentinel is such an event — scheduled when the
+pool's earliest deadline was registered, or when the previous drain
+re-armed it — and all of the pool's chunks due at that timestamp fire
+together at the sentinel's position, ties between chunks in
+chunk-insertion order.
 
 Example
 -------
@@ -24,14 +37,13 @@ Example
 from repro.simkernel.events import Event, EventQueue
 from repro.simkernel.processes import AllOf, Process, ProcessError, Signal, Timeout
 from repro.simkernel.random import RandomStreams, stable_hash
-from repro.simkernel.simulator import Simulator
-from repro.simkernel.timeout_pool import PooledTimeout, RecurringTimeout, TimeoutPool
+from repro.simkernel.simulator import RecurringTimeout, Simulator
+from repro.simkernel.timeout_pool import TimeoutPool
 
 __all__ = [
     "AllOf",
     "Event",
     "EventQueue",
-    "PooledTimeout",
     "Process",
     "ProcessError",
     "RandomStreams",

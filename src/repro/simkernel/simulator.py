@@ -2,11 +2,54 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.simkernel.events import Event, EventQueue
 from repro.simkernel.processes import Process, ProcessError
+
+
+class RecurringTimeout:
+    """Cancellable handle for a recurring tick (:meth:`Simulator.schedule_recurring`).
+
+    Each fire schedules the next tick at ``fire_time + interval`` — the
+    same ``now + delay`` accumulation a generator looping over
+    ``yield Timeout(interval)`` produces, so replacing N lock-step polling
+    processes with one recurring tick leaves every tick timestamp
+    bit-identical.
+    """
+
+    __slots__ = ("_sim", "interval", "_callback", "_args", "_event", "_cancelled")
+
+    def __init__(self, sim: Simulator, interval: float, callback: Callable[..., Any], args: tuple) -> None:
+        self._sim = sim
+        self.interval = float(interval)
+        self._callback = callback
+        self._args = args
+        self._event: Event | None = None
+        self._cancelled = False
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether the recurrence has been stopped."""
+        return self._cancelled
+
+    def cancel(self) -> None:
+        """Stop ticking.  Idempotent; safe to call from inside the callback."""
+        self._cancelled = True
+        if self._event is not None:
+            self._sim.cancel(self._event)
+            self._event = None
+
+    def _arm(self, time: float) -> None:
+        self._event = self._sim.schedule_at(time, self._fire)
+
+    def _fire(self) -> None:
+        self._event = None
+        self._callback(*self._args)
+        if not self._cancelled:
+            self._arm(self._sim.now + self.interval)
 
 
 class Simulator:
@@ -33,15 +76,35 @@ class Simulator:
         The callback and its arguments are stored as a ``(callback, args)``
         pair on the :class:`Event` — no per-event closure is allocated.
         """
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        if not 0 <= delay < math.inf:  # also false for NaN, which would never come due
+            raise ValueError(f"delay must be a finite number >= 0, got {delay!r}")
         return self._queue.push(self.now + delay, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time!r} < now {self.now!r}")
+        """Schedule ``callback(*args)`` at absolute simulated ``time``.
+
+        This is the one way to wait for one deadline; :meth:`cancel` the
+        returned event to withdraw it.
+        """
+        if not self.now <= time < math.inf:  # also false for NaN, which would never come due
+            raise ValueError(f"cannot schedule at {time!r}: need a finite time >= now {self.now!r}")
         return self._queue.push(time, callback, args)
+
+    def schedule_recurring(
+        self, interval: float, callback: Callable[..., Any], *args: Any, first_at: float
+    ) -> RecurringTimeout:
+        """Fire ``callback(*args)`` every ``interval`` until cancelled.
+
+        The first fire is at absolute time ``first_at``; subsequent ticks
+        accumulate as ``fire_time + interval``.  Returns a
+        :class:`RecurringTimeout` handle whose ``cancel()`` stops the
+        recurrence — including from within the callback itself.
+        """
+        if not interval > 0:
+            raise ValueError(f"interval must be positive, got {interval!r}")
+        handle = RecurringTimeout(self, interval, callback, args)
+        handle._arm(float(first_at))
+        return handle
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event."""

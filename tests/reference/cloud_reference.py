@@ -34,7 +34,7 @@ from repro.cloud.storage import StoredObject
 from repro.cloud.transport import TransportCounters
 from repro.deviceflow.messages import payload_ref
 from repro.ml.fedavg import ModelUpdate
-from repro.simkernel import Signal, TimeoutPool
+from repro.simkernel import Signal
 
 from reference.deviceflow_reference import Message
 from reference.tier_reference import DeviceRoundOutcome
@@ -280,7 +280,6 @@ class ReferenceTransportChannel:
         self.task_id = task_id
         self.scope = scope
         self.tracer = tracer
-        self.pool = TimeoutPool(sim, name=f"reference.transport.{task_id}")
         self.totals = TransportCounters()
         self.round = TransportCounters()
         self._deadline: float | None = None
@@ -323,7 +322,7 @@ class ReferenceTransportChannel:
     def _schedule(self, arrival: float, outcome: DeviceRoundOutcome) -> None:
         self._pending += 1
         arrival = max(arrival, self.sim.now)
-        self.pool.add_at(arrival, self._deliver, replace(outcome, finished_at=arrival))
+        self.sim.schedule_at(arrival, self._deliver, replace(outcome, finished_at=arrival))
 
     def _deliver(self, outcome: DeviceRoundOutcome) -> None:
         try:

@@ -9,8 +9,11 @@ operation is *observably equivalent* to the per-upload semantics kept in
 folded model bits.
 """
 
+from itertools import groupby
+
 import numpy as np
 import pytest
+from helpers import CallbackSink
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.cloud_reference import (
@@ -578,3 +581,40 @@ class TestAnyPartitionEqualsPerUploadOracle:
         if gate == "deadline" and not flow_attached:
             delivered, _, late = whole["gate"]
             assert delivered + late == len(block)
+
+
+class TestChannelTieOrder:
+    def test_equal_arrivals_deliver_in_row_order_duplicates_directly_behind(self):
+        """Jitter 0: a wave's uploads share one arrival instant, and every
+        delivery is its own kernel event — so the order the sink sees is the
+        order they were scheduled in: block row order, a duplicate directly
+        after its primary.  A wave arriving exactly at the round deadline is
+        late, whatever else fires at that instant."""
+        tied = ChannelModel(latency_s=0.5, dup_prob=0.5)
+        block = make_round([4, 4], numeric=False, seed=0)  # completes at 2.0 x4, 2.5 x4
+        runs = []
+        for oracle in (False, True):
+            sim, log = Simulator(), []
+            sink = CallbackSink(lambda outcome: log.append((sim.now, outcome.device_id, outcome.finished_at)))
+            channel_type = ReferenceTransportChannel if oracle else TransportChannel
+            channel = channel_type(sim, tied, sink, RandomStreams(3), "t", scope="")
+            channel.begin_round(1, deadline=3.0)  # the second wave arrives at 2.5 + 0.5
+            sim.schedule_at(3.0, log.append, "deadline")
+            if oracle:
+                for outcome in materialize(block):
+                    channel.accept(outcome)
+            else:
+                channel.accept_block(block)
+            sim.run()
+            runs.append((log, returned(channel.finish_round()).as_dict()))
+        assert runs[0] == runs[1]
+        log, counters = runs[0]
+        assert log.pop() == "deadline"
+        assert all(entry[0] == entry[2] == 2.5 for entry in log)
+        copies = [(device_id, len(list(group))) for device_id, group in groupby(entry[1] for entry in log)]
+        assert [device_id for device_id, _ in copies] == block.device_ids[:4]
+        assert sorted({count for _, count in copies}) == [1, 2]  # some duplicated, some not
+        assert counters == {
+            "uploads": 8, "delivered": 4, "retries": 0, "abandoned": 0, "late_drops": 4,
+            "duplicates": sum(count - 1 for _, count in copies),
+        }

@@ -140,6 +140,11 @@ class TestLogicalCostModel:
         with pytest.raises(ValueError):
             LogicalCostModel(alpha={"High": -1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected_naming_grade_and_value(self, bad):
+        with pytest.raises(ValueError, match=rf"alpha\['Low'\] must be a positive finite number, got {bad!r}"):
+            LogicalCostModel(alpha={"High": 12.0, "Low": bad})
+
 
 def paper_cluster():
     """The paper's Ray cluster: 10 nodes of 20 cores / 30 GB."""

@@ -188,7 +188,7 @@ class TestMixedPlanRound:
 
     One numeric plan and one time-only plan share a round; the numeric
     plan must produce updates while the time-only plan stays a bare
-    pooled-deadline block.
+    one-deadline block.
     """
 
     @staticmethod

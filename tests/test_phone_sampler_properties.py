@@ -1,7 +1,7 @@
 """Property suites for the shared benchmark-sampler ticker and the phone wave views.
 
 The shared ticker stands in for N per-phone polling processes with one
-recurring pooled tick; Hypothesis drives full benchmark sessions over
+recurring kernel tick; Hypothesis drives full benchmark sessions over
 arbitrary poll intervals and stage windows (including intervals that
 collide with or exceed the windows, where tie-breaking against stage
 boundaries is subtle) and asserts the sampled series — timestamps,

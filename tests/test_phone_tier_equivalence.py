@@ -1,6 +1,6 @@
 """Differential suite: the wave-scheduled phone tier equals the per-device oracle.
 
-PhoneMgr runs a round as per-phone cumsum wave schedules in a TimeoutPool,
+PhoneMgr runs a round as per-phone cumsum wave schedules put on the kernel,
 one shared sampler ticker and direct sensor sampling;
 ``reference.tier_reference`` keeps the loops that replaced (one generator +
 three heap events per emulated device, one 1 Hz sampler process per
@@ -322,7 +322,7 @@ class TestAbortMidRound:
     def test_both_tiers_unwind_as_aborted(self):
         # One engine, one teardown contract: a round in flight on either
         # tier resolves as ``aborted`` when its tier is torn down, and the
-        # voided pooled callbacks deliver nothing afterwards.
+        # voided scheduled callbacks deliver nothing afterwards.
         sim, mgr, phones, _, _ = build_rig(PRODUCTION, 6)
         logical = LogicalSimulation(
             sim, K8sCluster([NodeSpec(cpus=10, memory_gb=20)]), LogicalCostModel(), RandomStreams(0)

@@ -111,6 +111,12 @@ class TestPhysicalCostModel:
         with pytest.raises(ValueError):
             PhysicalCostModel(stage_window=0)
 
+    @pytest.mark.parametrize("field", ["beta", "framework_startup"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_constant_rejected_naming_field_grade_and_value(self, field, bad):
+        with pytest.raises(ValueError, match=rf"{field}\['High'\] must be a positive finite number, got {bad!r}"):
+            PhysicalCostModel(**{field: {"High": bad, "Low": 20.0}})
+
 
 def make_phone(grade="High", seed=0):
     sim = Simulator()

@@ -1,4 +1,4 @@
-"""Tests for the batched kernel fast path and the vectorized timeout pool."""
+"""Tests for the batched kernel fast path and the sequence timeout pool."""
 
 import numpy as np
 import pytest
@@ -103,13 +103,15 @@ class TestStepBatch:
 
 
 class TestTimeoutPool:
+    """The pool's surviving surface: ascending chunks behind one sentinel,
+    interleaved with the kernel events that single deadlines now are."""
+
     def test_fires_at_deadline_in_insertion_order(self):
         sim = Simulator()
         pool = TimeoutPool(sim, name="pool")
         order = []
-        pool.add(2.0, order.append, "b1")
-        pool.add(1.0, order.append, "a")
-        pool.add(2.0, order.append, "b2")
+        for tag, deadline in [("b1", 2.0), ("a", 1.0), ("b2", 2.0)]:
+            pool.add_sequence(np.array([deadline]), lambda lo, hi, t, tag=tag: order.append(tag))
         sim.run()
         assert order == ["a", "b1", "b2"]
         assert sim.now == 2.0
@@ -119,59 +121,62 @@ class TestTimeoutPool:
         sim = Simulator()
         pool = TimeoutPool(sim, name="pool")
         fired = []
-        keep = pool.add(1.0, fired.append, "keep")
-        drop = pool.add(1.0, fired.append, "drop")
-        drop.cancel()
+        sim.schedule_at(1.0, fired.append, "keep")
+        pool.add_sequence(np.array([1.0]), lambda lo, hi, t: fired.append("chunk"))
+        drop = sim.schedule_at(1.0, fired.append, "drop")
+        sim.cancel(drop)
         assert pool.pending == 1
+        assert sim.pending_events == 2  # keep + the pool's sentinel
         sim.run()
-        assert fired == ["keep"]
-        assert keep.fired and not keep.cancelled
-        assert drop.cancelled and not drop.fired
+        assert fired == ["keep", "chunk"]
+        assert drop.cancelled
 
     def test_cancel_is_idempotent_and_noop_after_fire(self):
         sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
         fired = []
-        handle = pool.add(1.0, fired.append, "x")
+        event = sim.schedule_at(1.0, fired.append, "x")
         sim.run()
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(event)
+        sim.cancel(event)
         assert fired == ["x"]
-        assert handle.fired
+        assert sim.pending_events == 0
 
     def test_callback_can_cancel_sibling_same_deadline(self):
-        sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
-        fired = []
-        handles = {}
+        # A sequence ``fire`` withdraws a kernel event queued behind the
+        # pool's sentinel at the same timestamp; one queued ahead of it has
+        # already run.  Same under batch and one-at-a-time stepping.
+        for per_event in (False, True):
+            sim = Simulator()
+            pool = TimeoutPool(sim, name="pool")
+            fired = []
+            ahead = sim.schedule_at(1.0, fired.append, "ahead")
 
-        def first():
-            fired.append("first")
-            handles["second"].cancel()
+            def fire(lo, hi, t):  # runs inside this iteration's sim
+                fired.append("chunk")
+                sim.cancel(ahead)
+                sim.cancel(behind)
 
-        pool.add(1.0, first)
-        handles["second"] = pool.add(1.0, fired.append, "second")
-        sim.run()
-        assert fired == ["first"]
+            pool.add_sequence(np.array([1.0]), fire)
+            behind = sim.schedule_at(1.0, fired.append, "behind")
+            if per_event:
+                while sim.step():
+                    pass
+            else:
+                sim.run()
+            assert fired == ["ahead", "chunk"]
+            assert sim.pending_events == 0
 
     def test_earlier_add_rearms_sentinel(self):
         sim = Simulator()
         pool = TimeoutPool(sim, name="pool")
         order = []
-        pool.add(5.0, order.append, "late")
-        pool.add(1.0, order.append, "early")
+        pool.add_sequence(np.array([5.0]), lambda lo, hi, t: order.append("late"))
+        pool.add_sequence(np.array([1.0]), lambda lo, hi, t: order.append("early"))
         assert pool.next_deadline() == 1.0
+        assert sim.pending_events == 1  # one sentinel, whatever the pool holds
         sim.run()
         assert order == ["early", "late"]
-
-    def test_rejects_past_and_negative(self):
-        sim = Simulator()
-        sim.run(until=10.0)
-        pool = TimeoutPool(sim, name="pool")
-        with pytest.raises(ValueError):
-            pool.add(-1.0, lambda: None)
-        with pytest.raises(ValueError):
-            pool.add_at(5.0, lambda: None)
+        assert pool.next_deadline() is None
 
     def test_add_sequence_drains_in_slices(self):
         sim = Simulator()
@@ -195,52 +200,48 @@ class TestTimeoutPool:
         pool.add_sequence(np.array([], dtype=float), lambda lo, hi, t: None)
         assert pool.pending == 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_add_sequence_rejects_non_finite_times_naming_the_value(self, bad):
+        # NaN slips past the ascending check (``nan < 0`` is false) and a
+        # sentinel armed at NaN or inf never comes due.
+        sim = Simulator()
+        pool = TimeoutPool(sim, name="pool")
+        with pytest.raises(ValueError, match=f"must be finite, got {bad!r}"):
+            pool.add_sequence(np.array([1.0, bad, 3.0]), lambda lo, hi, t: None)
+        assert pool.pending == 0 and sim.pending_events == 0
+
     def test_interleaves_with_heap_events(self):
+        # Kernel events at one timestamp fire in scheduling order; the
+        # pool's due chunks fire together where its sentinel sits — at the
+        # registration that first made that deadline the pool's earliest.
         sim = Simulator()
         pool = TimeoutPool(sim, name="pool")
         order = []
-        sim.schedule(1.5, order.append, "heap-1.5")
-        pool.add(1.0, order.append, "pool-1.0")
-        pool.add(2.0, order.append, "pool-2.0")
-        sim.schedule(0.5, order.append, "heap-0.5")
-        sim.run()
-        assert order == ["heap-0.5", "pool-1.0", "heap-1.5", "pool-2.0"]
 
-    def test_growth_beyond_initial_capacity(self):
-        sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
-        fired = []
-        for i in range(200):
-            pool.add(float(i % 7) + 1.0, fired.append, i)
-        sim.run()
-        assert len(fired) == 200
+        def chunk(tag):
+            return lambda lo, hi, t: order.append((t, tag))
 
-    def test_compaction_preserves_live_handles(self):
-        # 300 fired entries against 100 live ones crosses the compaction
-        # threshold (count >= 256, half dead); the survivors' handles must
-        # keep working after their slots are remapped.
-        sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
-        fired = []
-        for i in range(300):
-            pool.add(1.0, fired.append, i)
-        late = [pool.add(5.0, fired.append, 1000 + i) for i in range(100)]
-        sim.run(until=2.0)
-        assert len(fired) == 300
-        assert pool.pending == 100
-        for handle in late[:50]:
-            handle.cancel()
-        assert pool.pending == 50
+        sim.schedule_at(1.0, order.append, (1.0, "x"))
+        pool.add_sequence(np.array([1.0, 2.0]), chunk("a"))
+        sim.schedule_at(1.0, order.append, (1.0, "y"))
+        pool.add_sequence(np.array([1.0]), chunk("b"))
+        sim.schedule_at(2.0, order.append, (2.0, "z"))
+        sim.schedule_at(0.5, order.append, (0.5, "w"))
         sim.run()
-        assert len(fired) == 350
-        assert all(h.cancelled and not h.fired for h in late[:50])
-        assert all(h.fired and not h.cancelled for h in late[50:])
+        assert order == [
+            (0.5, "w"),
+            (1.0, "x"), (1.0, "a"), (1.0, "b"), (1.0, "y"),
+            # the sentinel for 2.0 was re-armed by the 1.0 drain, after z was scheduled
+            (2.0, "z"), (2.0, "a"),
+        ]
 
     def test_works_under_batched_stepping(self):
         sim = Simulator()
         pool = TimeoutPool(sim, name="pool")
         fired = []
-        for i in range(50):
-            pool.add(1.0 + (i % 5), fired.append, i)
+        times = np.sort(1.0 + np.arange(50) % 5)
+        pool.add_sequence(times, lambda lo, hi, t: fired.extend(range(lo, hi)))
+        assert sim.step_batch() == 1  # the sentinel; ten entries ride on it
+        assert fired == list(range(10))
         sim.run()
-        assert len(fired) == 50
+        assert fired == list(range(50))

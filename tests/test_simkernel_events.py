@@ -82,6 +82,16 @@ class TestSimulatorScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_deadline_rejected_instead_of_hanging_run(self, bad):
+        # A NaN deadline never compares as due: ``run`` used to spin on it forever.
+        sim = Simulator()
+        with pytest.raises(ValueError, match=repr(bad)):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(ValueError, match=repr(bad)):
+            sim.schedule_at(bad, lambda: None)
+        assert sim.run() == 0.0
+
     def test_run_until_time_boundary(self):
         sim = Simulator()
         seen = []

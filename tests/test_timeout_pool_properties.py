@@ -1,176 +1,143 @@
-"""Property-based tests for the vectorized TimeoutPool.
+"""Property-based tests for the kernel's ordering convention.
 
-Hypothesis generates random interleavings of ``add`` / ``add_sequence`` /
-``cancel`` registrations (with deliberately colliding deadlines, plus a
-compaction threshold low enough to trigger mid-run) and checks the pool's
-fire order and counts against a trivial pure-Python reference model of
-the documented semantics: entries fire at their deadline, sequence chunks
-before singletons, each group in insertion order.
+One deadline is a kernel event; ``TimeoutPool`` merges ascending deadline
+arrays behind one sentinel event.  Hypothesis generates random
+interleavings of ``schedule_at`` events (some cancelled — by another event,
+or from inside a sequence ``fire``) and ``add_sequence`` chunks, with
+deliberately colliding deadlines, and checks the fire log against a sorted
+pure-Python model of the documented convention: events sharing a timestamp
+fire in scheduling order, and a pool's due chunks fire together at its
+sentinel's position, ties between chunks in insertion order.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import Simulator, TimeoutPool
+from repro.simkernel import Simulator, Timeout, TimeoutPool
 
-#: Singleton registration: deadline on an integer grid so collisions with
-#: sequences and other singletons are common.
-singleton_ops = st.tuples(st.just("single"), st.integers(min_value=0, max_value=12))
+#: One kernel event: deadline on an integer grid so collisions with
+#: sequences and other events are common.
+single_ops = st.tuples(st.just("single"), st.integers(min_value=0, max_value=6))
 
-#: Sequence registration: start time plus non-negative increments (zeros
-#: keep several entries on the same timestamp inside one chunk).
+#: One chunk: start time plus non-negative increments (zeros keep several
+#: entries on the same timestamp inside one chunk), and optionally the
+#: rank of a kernel event its ``fire`` cancels.
 sequence_ops = st.tuples(
     st.just("seq"),
-    st.integers(min_value=0, max_value=12),
-    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=24)),
 )
 
-op_lists = st.lists(st.one_of(singleton_ops, sequence_ops), min_size=1, max_size=25)
+op_lists = st.lists(st.one_of(single_ops, sequence_ops), min_size=1, max_size=25)
 
-#: For each singleton (by registration order), an optional cancellation
-#: time on the half-integer grid — strictly between drain timestamps, so
+#: For each kernel event (by registration order), an optional cancellation
+#: time on the half-integer grid — strictly between fire timestamps, so
 #: cancel-vs-fire ordering is never ambiguous.
 cancel_plans = st.lists(
-    st.one_of(st.none(), st.integers(min_value=0, max_value=12)), max_size=25
+    st.one_of(st.none(), st.integers(min_value=0, max_value=6)), max_size=25
 )
+
+_LAST = float("inf")
+
+
+def chunk_times(op):
+    _, start, increments, _victim = op
+    return (float(start) + np.cumsum(increments)).tolist()
 
 
 def build_reference(ops, cancel_plan):
-    """Predict the fire log [(time, tag)] from the documented semantics."""
-    singles = []  # (time, op_index, cancel_time)
-    chunks = []  # (times, op_index)
-    singleton_count = 0
+    """Predict the fire log [(time, tag)] from the documented convention.
+
+    Everything is registered before the run, so a kernel event's position
+    among its timestamp's events is its op index.  The pool's sentinel sits
+    at the op that first made its deadline the pool's earliest; every
+    later sentinel is re-armed by a drain, i.e. behind all of these events.
+    """
+    singles = [op_index for op_index, op in enumerate(ops) if op[0] == "single"]
+    chunks = [(op_index, chunk_times(op), op[3]) for op_index, op in enumerate(ops) if op[0] == "seq"]
+    first_pool_time = min((times[0] for _, times, _ in chunks), default=None)
+    sentinel_op = next((op_index for op_index, times, _ in chunks if times[0] == first_pool_time), None)
+
+    # (time, position in the timestamp, tie order, what happens)
+    agenda = []
+    for rank, op_index in enumerate(singles):
+        agenda.append((float(ops[op_index][1]), op_index, 0, ("single", op_index)))
+        if rank < len(cancel_plan) and cancel_plan[rank] is not None:
+            agenda.append((cancel_plan[rank] + 0.5, op_index, 0, ("cancel", op_index)))
+    for op_index, times, victim in chunks:
+        for t in sorted(set(times)):
+            position = sentinel_op if t == first_pool_time else _LAST
+            due = [i for i, x in enumerate(times) if x == t]
+            agenda.append((t, position, op_index, ("seq", op_index, due, victim)))
+    agenda.sort(key=lambda item: item[:3])
+
+    log, fired, cancelled = [], set(), set()
+    for t, _, _, what in agenda:
+        if what[0] == "single":
+            if what[1] not in cancelled:
+                fired.add(what[1])
+                log.append((t, what))
+        elif what[0] == "cancel":
+            if what[1] not in fired:
+                cancelled.add(what[1])
+        else:
+            _, op_index, due, victim = what
+            log.extend((t, ("seq", op_index, position)) for position in due)
+            if victim is not None and victim < len(singles) and singles[victim] not in fired:
+                cancelled.add(singles[victim])
+    return log
+
+
+def drive(ops, cancel_plan, per_event):
+    """Register everything on a fresh kernel, run it, return what fired."""
+    sim = Simulator()
+    pool = TimeoutPool(sim, name="under-test")
+    log = []
+    events = []  # kernel events by registration rank
     for op_index, op in enumerate(ops):
         if op[0] == "single":
-            cancel_at = None
-            if singleton_count < len(cancel_plan) and cancel_plan[singleton_count] is not None:
-                cancel_at = cancel_plan[singleton_count] + 0.5
-            singles.append((float(op[1]), op_index, cancel_at))
-            singleton_count += 1
+            event = sim.schedule_at(float(op[1]), lambda t=op_index: log.append((sim.now, ("single", t))))
+            rank = len(events)
+            if rank < len(cancel_plan) and cancel_plan[rank] is not None:
+                sim.schedule_at(cancel_plan[rank] + 0.5, sim.cancel, event)
+            events.append(event)
         else:
-            _, start, increments = op
-            times, current = [], float(start)
-            for increment in increments:
-                current += increment
-                times.append(current)
-            chunks.append((times, op_index))
+            times = chunk_times(op)
 
-    timestamps = sorted(
-        {t for t, _, _ in singles}
-        | {t for times, _ in chunks for t in times}
-    )
-    log = []
-    for now in timestamps:
-        # 1. sequence slices, in chunk insertion order.
-        for times, op_index in chunks:
-            due = [i for i, t in enumerate(times) if t == now]
-            for position in due:
-                log.append((now, ("seq", op_index, position)))
-        # 2. singletons in insertion order, unless cancelled earlier.
-        for time, op_index, cancel_at in singles:
-            if time == now and (cancel_at is None or cancel_at > time):
-                log.append((now, ("single", op_index)))
-    return log, singles
+            def fire(lo, hi, t, op_index=op_index, times=times, victim=op[3]):
+                for position in range(lo, hi):
+                    assert times[position] == t  # the slice really is due now
+                    log.append((t, ("seq", op_index, position)))
+                if victim is not None and victim < len(events):
+                    sim.cancel(events[victim])
+
+            pool.add_sequence(np.array(times), fire)
+    if per_event:
+        while sim.step():
+            pass
+    else:
+        sim.run()
+    assert pool.pending == 0 and pool.next_deadline() is None
+    assert sim.pending_events == 0
+    return log
 
 
 @given(ops=op_lists, cancel_plan=cancel_plans)
+# A second chunk tying the pool's earliest deadline must not move the sentinel behind event 2.
+@example(ops=[("single", 3), ("seq", 3, [0], None), ("single", 3), ("seq", 3, [0], None)], cancel_plan=[])
 @settings(max_examples=120, deadline=None)
 def test_fire_order_and_counts_match_reference_model(ops, cancel_plan):
-    sim = Simulator()
-    pool = TimeoutPool(sim, name="under-test")
-    pool._COMPACT_THRESHOLD = 8  # exercise compaction on small runs
-
-    log = []
-    handles = []
-    singleton_count = 0
-    for op_index, op in enumerate(ops):
-        if op[0] == "single":
-            handle = pool.add_at(
-                float(op[1]), lambda t=op_index: log.append((sim.now, ("single", t)))
-            )
-            cancel_slot = singleton_count
-            if cancel_slot < len(cancel_plan) and cancel_plan[cancel_slot] is not None:
-                sim.schedule_at(cancel_plan[cancel_slot] + 0.5, handle.cancel)
-            handles.append((handle, op_index))
-            singleton_count += 1
-        else:
-            _, start, increments = op
-            times, current = [], float(start)
-            for increment in increments:
-                current += increment
-                times.append(current)
-
-            chunk_times = tuple(times)
-
-            def fire(lo, hi, t, op_index=op_index, chunk_times=chunk_times):
-                for position in range(lo, hi):
-                    assert chunk_times[position] == t  # slice really is due now
-                    log.append((t, ("seq", op_index, position)))
-
-            pool.add_sequence(np.array(times), fire)
-
-    sim.run()
-
-    expected_log, singles = build_reference(ops, cancel_plan)
-    assert log == expected_log
-    assert pool.pending == 0
-
-    # Handle terminal states agree with the model.
-    expected_states = {
-        op_index: (cancel_at is None or cancel_at > time)
-        for time, op_index, cancel_at in singles
-    }
-    for handle, op_index in handles:
-        assert handle.fired == expected_states[op_index]
-        assert handle.cancelled == (not expected_states[op_index])
+    assert drive(ops, cancel_plan, per_event=False) == build_reference(ops, cancel_plan)
 
 
-@given(
-    ops=op_lists,
-    cancel_plan=cancel_plans,
-)
+@given(ops=op_lists, cancel_plan=cancel_plans)
 @settings(max_examples=60, deadline=None)
 def test_batch_stepping_is_equivalent(ops, cancel_plan):
     """The fire log is identical under step() and step_batch() draining."""
-
-    def run(per_event):
-        sim = Simulator()
-        pool = TimeoutPool(sim, name="under-test")
-        pool._COMPACT_THRESHOLD = 8
-        log = []
-        singleton_count = 0
-        for op_index, op in enumerate(ops):
-            if op[0] == "single":
-                handle = pool.add_at(
-                    float(op[1]), lambda t=op_index: log.append((sim.now, ("single", t)))
-                )
-                if (
-                    singleton_count < len(cancel_plan)
-                    and cancel_plan[singleton_count] is not None
-                ):
-                    sim.schedule_at(cancel_plan[singleton_count] + 0.5, handle.cancel)
-                singleton_count += 1
-            else:
-                _, start, increments = op
-                times, current = [], float(start)
-                for increment in increments:
-                    current += increment
-                    times.append(current)
-                pool.add_sequence(
-                    np.array(times),
-                    lambda lo, hi, t, op_index=op_index: log.extend(
-                        (t, ("seq", op_index, position)) for position in range(lo, hi)
-                    ),
-                )
-        if per_event:
-            while sim.step():
-                pass
-        else:
-            sim.run()
-        return log
-
-    assert run(per_event=True) == run(per_event=False)
+    assert drive(ops, cancel_plan, per_event=True) == drive(ops, cancel_plan, per_event=False)
 
 
 class TestRecurringTimeout:
@@ -180,9 +147,8 @@ class TestRecurringTimeout:
         # accumulation, NOT first + k * interval).
         interval = 0.1  # not exactly representable -> accumulation matters
         sim = Simulator()
-        pool = TimeoutPool(sim, name="ticker")
         ticks = []
-        handle = pool.add_recurring(interval, lambda: ticks.append(sim.now), first_at=0.0)
+        handle = sim.schedule_recurring(interval, lambda: ticks.append(sim.now), first_at=0.0)
         sim.schedule_at(2.0, handle.cancel)
         sim.run()
 
@@ -190,8 +156,6 @@ class TestRecurringTimeout:
         reference = []
 
         def loop():
-            from repro.simkernel import Timeout
-
             while reference_sim.now <= 2.0:
                 reference.append(reference_sim.now)
                 yield Timeout(interval)
@@ -203,29 +167,26 @@ class TestRecurringTimeout:
 
     def test_cancel_from_inside_callback(self):
         sim = Simulator()
-        pool = TimeoutPool(sim, name="ticker")
         fired = []
-        handle = pool.add_recurring(
+        handle = sim.schedule_recurring(
             1.0, lambda: (fired.append(sim.now), fired and len(fired) >= 3 and handle.cancel()), first_at=1.0
         )
         sim.run(until=10.0)
         assert fired == [1.0, 2.0, 3.0]
         assert handle.cancelled
-        assert pool.pending == 0
+        assert sim.pending_events == 0
 
     def test_default_first_fire_is_one_interval_out(self):
         sim = Simulator()
-        pool = TimeoutPool(sim, name="ticker")
         fired = []
-        handle = pool.add_recurring(2.0, lambda: fired.append(sim.now), first_at=2.0)
+        handle = sim.schedule_recurring(2.0, lambda: fired.append(sim.now), first_at=2.0)
         sim.run(until=5.0)
         handle.cancel()
         assert fired == [2.0, 4.0]
+        assert sim.pending_events == 0
 
     def test_invalid_interval_rejected(self):
-        import pytest
-
         sim = Simulator()
-        pool = TimeoutPool(sim, name="ticker")
-        with pytest.raises(ValueError):
-            pool.add_recurring(0.0, lambda: None, first_at=0.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                sim.schedule_recurring(bad, lambda: None, first_at=0.0)

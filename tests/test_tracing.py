@@ -219,6 +219,32 @@ class TestRunProfiler:
             cls = getattr(importlib.import_module(module_name), class_name)
             assert getattr(cls, method) is originals[(class_name, method)]
 
+    def test_detach_leaves_each_class_namespace_as_it_found_it(self, monkeypatch):
+        # The tiers only inherit ``_register_plan`` / ``_execute_numeric`` from
+        # ``TierRounds``; a detach that re-set them left a private copy behind
+        # that a later patch of the base method no longer reached.
+        import importlib
+
+        from repro.cluster.rounds import TierRounds
+        from repro.cluster.runner import LogicalSimulation
+        from repro.phones.phonemgr import PhoneMgr
+
+        classes = {
+            getattr(importlib.import_module(module_name), class_name)
+            for module_name, class_name, _method, _category in PROFILE_POINTS
+        }
+        before = {cls: set(vars(cls)) for cls in classes}
+        with RunProfiler():
+            assert "_register_plan" in vars(LogicalSimulation)
+        assert {cls: set(vars(cls)) for cls in classes} == before
+
+        def patched(self, *args, **kwargs):
+            raise AssertionError("unreachable")
+
+        monkeypatch.setattr(TierRounds, "_register_plan", patched)
+        assert LogicalSimulation._register_plan is patched
+        assert PhoneMgr._register_plan is patched
+
     def test_double_attach_rejected(self):
         profiler = RunProfiler().attach()
         try:
