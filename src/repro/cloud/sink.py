@@ -2,11 +2,14 @@
 
 SimDC's cloud design treats aggregation as buffer-and-fold over whole
 rounds (§VI-C), and the delivery API mirrors that: an :class:`OutcomeSink`
-receives columnar blocks (``accept_block``) — a whole plan's round for
-direct dispatch, one completion wave at a time when the task is shaped by
-DeviceFlow, and a block of one row for a benchmarking phone or an upload a
-transport channel delivers.  :class:`CloudIngestSink` implements the cloud
-path — storage, messaging, aggregation — for any of them.
+receives :class:`~repro.deviceflow.messages.MessageBlock` blocks
+(``accept_block``) — a whole plan's round for direct dispatch, one
+completion wave at a time when the task is shaped by DeviceFlow, and a
+block of one row for a benchmarking phone or an upload a transport channel
+delivers.  :class:`CloudIngestSink` implements the cloud path — storage,
+messaging, aggregation — for any of them, on the block it was handed: the
+tiers build the block, the sink converts nothing, and the block is the
+single source of the task id.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from repro.ml.fedavg import ModelUpdate
 from repro.simkernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    # cluster.rounds imports this module for the protocol, so a runtime
-    # import here would be circular.
-    from repro.cluster.rounds import ColumnarOutcomes
     from repro.observability.tracing import Tracer
 
 
@@ -34,10 +34,10 @@ class OutcomeSink(Protocol):
     """Receives device-round results from the execution tiers.
 
     The tiers deliver through :meth:`accept_block`, one
-    :class:`ColumnarOutcomes` block a call: a computing plan's whole
-    round, fired once at the block's last completion time; one completion
-    wave of it (a row range), fired at the wave's time; or the one-row
-    block of a benchmarking phone, fired as it finishes training.
+    :class:`MessageBlock` a call: a computing plan's whole round, fired
+    once at the block's last completion time; one completion wave of it
+    (a row range), fired at the wave's time; or the one-row block of a
+    benchmarking phone, fired as it finishes training.
 
     One optional class/instance attribute picks the granularity for
     computing plans: ``prefers_waves`` (default ``False``; ``True`` asks
@@ -46,7 +46,7 @@ class OutcomeSink(Protocol):
     when they happen).
     """
 
-    def accept_block(self, block: ColumnarOutcomes) -> None:
+    def accept_block(self, block: MessageBlock) -> None:
         """Ingest a plan's round, or a row range of it, as one columnar block."""
         ...  # pragma: no cover - protocol
 
@@ -76,24 +76,25 @@ class _BlockUpdateView:
             weights=block.update_weights[position].copy(),
             bias=float(block.update_biases[position]),
             n_samples=int(block.n_samples[position]),
-            metadata=dict(block.metadata),
+            metadata={"grade": block.grade},
         )
 
 
 class CloudIngestSink:
     """The production sink: storage + DeviceFlow/aggregation ingestion.
 
-    A delivery (:meth:`accept_block`) is one :class:`MessageBlock`, one
+    A delivery (:meth:`accept_block`) is trace, gate, one
     ``storage.put_block`` stamped with the block's per-device completion
     times (numeric runs), then one ``deviceflow.submit_block`` or one
-    ``service.receive_block`` — with the global model bit-identical
+    ``service.receive_block`` of the block itself (of its surviving rows,
+    when the gate dropped some) — with the global model bit-identical
     however a round's rows were cut into blocks, by FedAvg partition
     invariance.
 
     Parameters
     ----------
-    sim / task_id / storage / service:
-        Cloud plumbing and the owning task.
+    sim / storage / service:
+        Cloud plumbing; the owning task is whatever the blocks say.
     deviceflow:
         When set, outcomes are submitted to DeviceFlow instead of
         delivered directly, and :meth:`flow_receive` is the endpoint to
@@ -115,7 +116,6 @@ class CloudIngestSink:
     def __init__(
         self,
         sim: Simulator,
-        task_id: str,
         storage: ObjectStorage,
         service: AggregationService,
         deviceflow: DeviceFlow | None = None,
@@ -124,7 +124,6 @@ class CloudIngestSink:
         trace_devices: bool = True,
     ) -> None:
         self.sim = sim
-        self.task_id = task_id
         self.storage = storage
         self.service = service
         self.deviceflow = deviceflow
@@ -156,16 +155,18 @@ class CloudIngestSink:
             self._deadlines[round_index] = float(deadline)
             self._guarded = True
 
-    def _admit_rows(self, device_ids, round_index: int, when: np.ndarray | float) -> np.ndarray | None:
-        """Gate a block's rows; ``None`` means every row was admitted.
+    def _admit(self, block: MessageBlock, when: np.ndarray | float) -> MessageBlock | None:
+        """Gate a block's rows: the block of the survivors, or ``None`` when none survive.
 
         ``when`` holds the rows' arrival times: the per-row completion
         times of a direct block, or the one instant (``sim.now``) a
         DeviceFlow delivery chunk arrives at — so a chunk's late check is
         a single comparison.  Dedup runs per row, in block order, and only
-        when armed.  Otherwise returns the boolean mask of admitted rows.
+        when armed.  A block whose every row is admitted is returned as it
+        came.
         """
-        n = len(device_ids)
+        n = len(block)
+        device_ids, round_index = block.device_ids, block.round_index
         deadline = self._deadlines.get(round_index)
         dropped: dict[int, str] = {}  # row -> reason
         if deadline is not None:
@@ -185,7 +186,7 @@ class CloudIngestSink:
                         seen.add(key)
         self.delivered += n - len(dropped)
         if not dropped:
-            return None
+            return block
         keep = np.ones(n, dtype=bool)
         for position in sorted(dropped):
             reason = dropped[position]
@@ -196,12 +197,12 @@ class CloudIngestSink:
                 self.duplicate_drops += 1
             if self.tracer is not None:
                 time = when if isinstance(when, float) else float(when[position])
-                self.tracer.record_ingest_drop(self.task_id, device_ids[position], round_index, time, reason)
-        return keep
+                self.tracer.record_ingest_drop(block.task_id, device_ids[position], round_index, time, reason)
+        return block.compress(keep) if len(dropped) < n else None
 
     # ------------------------------------------------------------------
-    def accept_block(self, block: ColumnarOutcomes) -> None:
-        """Block ingestion: one message block, one put, one submit or fold.
+    def accept_block(self, block: MessageBlock) -> None:
+        """Block ingestion: one put, one submit or fold, of the block as handed.
 
         ``block`` is a plan's whole round (direct tasks), one completion
         wave of it delivered at the wave's time (tasks shaped by
@@ -211,47 +212,28 @@ class CloudIngestSink:
         if len(block) == 0:
             return
         if self._trace_devices:
-            # O(1): the tracer keeps a reference to the columnar block
-            # and expands it to per-device records at assembly time.
-            self.tracer.record_block(self.task_id, block)
-        round_index = block.round_index
-        device_ids = block.device_ids
+            # O(1): the tracer keeps a reference to the block and expands
+            # it to per-device records at assembly time.
+            self.tracer.record_block(block)
         # Flow-connected sinks gate at dispatcher delivery instead
         # (:meth:`flow_receive`): a submission is not an ingestion yet.
-        keep = None
         if self._guarded and self.deviceflow is None:
-            keep = self._admit_rows(device_ids, round_index, block.finished_at)
-            if keep is not None and not keep.any():
+            block = self._admit(block, block.finished_at)
+            if block is None:
                 return
-        has_updates = block.update_weights is not None and block.update_biases is not None
-        refs = None  # time-only traffic stores nothing: the keys stay implicit
-        if has_updates:
-            refs = [payload_ref(self.task_id, d, round_index) for d in device_ids]
-        message_block = MessageBlock(
-            task_id=self.task_id,
-            round_index=round_index,
-            device_ids=device_ids,
-            payload_refs=refs,
-            size_bytes=block.payload_bytes,
-            n_samples=block.devices.n_samples,
-            metadata={"grade": block.grade},
-            update_weights=block.update_weights if has_updates else None,
-            update_biases=block.update_biases if has_updates else None,
-        )
-        if keep is not None:
-            message_block = message_block.compress(keep)
-        if has_updates:
+        if block.update_weights is not None:  # time-only traffic stores nothing
+            task_id, round_index = block.task_id, block.round_index
             self.storage.put_block(
-                message_block.payload_refs,
-                _BlockUpdateView(message_block),
-                block.payload_bytes,
-                now=block.finished_at if keep is None else block.finished_at[keep],
-                writers=message_block.device_ids,
+                [payload_ref(task_id, device_id, round_index) for device_id in block.device_ids],
+                _BlockUpdateView(block),
+                block.size_bytes,
+                now=block.finished_at,
+                writers=block.device_ids,
             )
         if self.deviceflow is not None:
-            self.deviceflow.submit_block(message_block)
+            self.deviceflow.submit_block(block)
         else:
-            self.service.receive_block(message_block)
+            self.service.receive_block(block)
 
     # ------------------------------------------------------------------
     def flow_receive(self, segment: MessageBlock) -> None:
@@ -264,9 +246,7 @@ class CloudIngestSink:
         whole chunk, whose rows all arrive at this instant.
         """
         if self._guarded:
-            keep = self._admit_rows(segment.device_ids, segment.round_index, self.sim.now)
-            if keep is not None:
-                if not keep.any():
-                    return
-                segment = segment.compress(keep)
+            segment = self._admit(segment, self.sim.now)
+            if segment is None:
+                return
         self.service.receive_block(segment)

@@ -17,9 +17,10 @@ loop deterministically:
 * :class:`TransportChannel` — the simulation adapter: it fronts any
   :class:`~repro.cloud.sink.OutcomeSink`, plans one upload per device
   round (a block's rows are routed per device, in block order), and
-  delivers each surviving upload as a block of one row: one kernel
-  event (:meth:`~repro.simkernel.Simulator.schedule_at`) at its arrival
-  time, a duplicate one more directly after it.
+  delivers each surviving upload as a block of one row — ``block[row :
+  row + 1]``, a view of the tier's block with the arrival as its time
+  column: one kernel event (:meth:`~repro.simkernel.Simulator.schedule_at`)
+  at its arrival time, a duplicate one more directly after it.
 
 Determinism contract: every draw comes from a per-``(task, device)``
 stream keyed only on ids, and the number of draws per upload depends
@@ -43,7 +44,7 @@ import numpy as np
 from repro.simkernel import Signal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.rounds import ColumnarOutcomes
+    from repro.deviceflow.messages import MessageBlock
     from repro.observability.tracing import Tracer
     from repro.simkernel import RandomStreams, Simulator
 
@@ -244,7 +245,8 @@ class TransportChannel:
 
     Presents the :class:`~repro.cloud.sink.OutcomeSink` protocol to the
     execution tiers; plans each device's upload with a device-keyed rng
-    stream and delivers survivors to ``inner`` as kernel events at
+    stream (``transport.{task}.{device}``, the task being the block's) and
+    delivers survivors to ``inner`` as kernel events at
     their (possibly retried, possibly late) arrival times: each delivery
     is the upload's row of the block with the arrival as its time column.
     A block's rows are routed per device in block order, so uploads with
@@ -264,7 +266,6 @@ class TransportChannel:
         model: ChannelModel,
         inner,
         streams: RandomStreams,
-        task_id: str,
         scope: str,
         tracer: Tracer | None = None,
     ) -> None:
@@ -272,7 +273,6 @@ class TransportChannel:
         self.model = model
         self.inner = inner
         self.streams = streams
-        self.task_id = task_id
         self.scope = scope
         self.tracer = tracer
         # Ask the tiers for whatever granularity the fronted sink wants.
@@ -288,7 +288,7 @@ class TransportChannel:
         self.round = TransportCounters()
         self._deadline = deadline
 
-    def accept_block(self, block: ColumnarOutcomes) -> None:
+    def accept_block(self, block: MessageBlock) -> None:
         # Draws are keyed per device; the exact-sum fold downstream makes
         # the delivery order irrelevant to the aggregate.
         if self.tracer is not None:
@@ -296,13 +296,13 @@ class TransportChannel:
             # completions here (the fronted sink skips its own record) and
             # each upload's planned fate.  Pure appends — no draws, no
             # kernel events — so the traced run stays byte-identical.
-            self.tracer.record_block(self.task_id, block)
+            self.tracer.record_block(block)
         for row, (device_id, t0) in enumerate(zip(block.device_ids, block.finished_at.tolist())):
             self._route(block, row, device_id, t0)
 
-    def _route(self, block: ColumnarOutcomes, row: int, device_id: str, t0: float) -> None:
+    def _route(self, block: MessageBlock, row: int, device_id: str, t0: float) -> None:
         self.round.uploads += 1
-        rng = self.streams.get(f"transport.{self.task_id}.{device_id}")
+        rng = self.streams.get(f"transport.{block.task_id}.{device_id}")
         plan = self.model.plan_upload(rng, t0, self.scope)
         self.round.retries += plan.retries
         status = "delivered"
@@ -317,7 +317,7 @@ class TransportChannel:
         delivered = status == "delivered"
         if self.tracer is not None:
             self.tracer.record_upload(
-                self.task_id, device_id, block.round_index,
+                block.task_id, device_id, block.round_index,
                 t0, plan.arrival, plan.retries, delivered and plan.duplicate, status,
             )
         if not delivered:
@@ -334,7 +334,7 @@ class TransportChannel:
             self._pending += 1
             self.sim.schedule_at(arrival, self._deliver, upload)
 
-    def _deliver(self, upload: ColumnarOutcomes) -> None:
+    def _deliver(self, upload: MessageBlock) -> None:
         try:
             self.inner.accept_block(upload)
         finally:
@@ -350,7 +350,7 @@ class TransportChannel:
         finished round's counters.
         """
         if self._pending > 0:
-            self._drained = Signal(name=f"transport.{self.task_id}.drain")
+            self._drained = Signal(name="transport.drain")
             yield self._drained
         counters = self.round
         self.totals.merge(counters)

@@ -16,11 +16,10 @@ from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.placement import PlacementGroup
 from repro.cluster.resources import NodeSpec, ResourceBundle
-from repro.cluster.rounds import ColumnarOutcomes, DeviceColumns, RoundResult
+from repro.cluster.rounds import DeviceColumns, RoundResult
 from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 
 __all__ = [
-    "ColumnarOutcomes",
     "DeviceColumns",
     "GradeExecutionPlan",
     "K8sCluster",

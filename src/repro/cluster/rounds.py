@@ -5,10 +5,12 @@ simulating multiple devices" (§IV-A), computing phones "repeatedly
 emulating simulated devices" (§IV-C): a plan's devices are dealt round-robin
 onto slots and each slot works through its queue.  A plan is therefore a
 struct of per-device columns (:class:`DeviceColumns`) plus what the whole
-grade shares (:class:`TierPlan`), a round's outcomes are columns over the
-same rows (:class:`ColumnarOutcomes`), and :class:`TierRounds` is the one
-engine that executes, schedules, delivers and closes a round.  A tier
-contributes only its completion-time kernel.
+grade shares (:class:`TierPlan`), a round's results are one
+:class:`~repro.deviceflow.messages.MessageBlock` over the same rows — the
+block the sink, DeviceFlow and the fold are handed, never a copy of it —
+and :class:`TierRounds` is the one engine that executes, schedules,
+delivers and closes a round.  A tier contributes only its completion-time
+kernel.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from repro.cloud.sink import OutcomeSink
 from repro.data.avazu import DeviceDataset
+from repro.deviceflow.messages import MessageBlock
 from repro.ml.backends import NumericBackend
 from repro.ml.fedavg import ModelUpdate
 from repro.ml.operators import BlockOperatorContext, OperatorFlow
@@ -110,52 +113,6 @@ class TierPlan:
 
 
 @dataclass
-class ColumnarOutcomes:
-    """Outcomes of one round stored as arrays over a slice of a plan's devices.
-
-    The tiers record a whole plan's round as one block: ``finished_at[pos]``
-    is the upload-completion time of the device in row ``pos`` of
-    ``devices``.  Numeric plans additionally carry the stacked model
-    updates (``update_weights[pos]`` / ``update_biases[pos]``), which is
-    what the cloud's FedAvg fold reads.  No per-device object is ever
-    built — the 100k scalability sweeps stay arrays end to end.
-
-    Everything smaller is a row range of it sharing its arrays
-    (``block[lo:hi]``): a *wave* — the rows of the plan that finish at one
-    simulated instant — one upload a transport channel delivers, and the
-    one-row block a benchmarking phone emits.
-    """
-
-    grade: str
-    devices: DeviceColumns
-    round_index: int
-    payload_bytes: int
-    finished_at: np.ndarray
-    update_weights: np.ndarray | None = None  # (n_devices, feature_dim)
-    update_biases: np.ndarray | None = None  # (n_devices,)
-
-    def __len__(self) -> int:
-        return len(self.finished_at)
-
-    def __getitem__(self, rows: slice) -> ColumnarOutcomes:
-        """The block of the rows ``rows``, sharing this block's arrays."""
-        return ColumnarOutcomes(
-            self.grade,
-            self.devices[rows],
-            self.round_index,
-            self.payload_bytes,
-            self.finished_at[rows],
-            None if self.update_weights is None else self.update_weights[rows],
-            None if self.update_biases is None else self.update_biases[rows],
-        )
-
-    @property
-    def device_ids(self) -> list[str]:
-        """Device ids in block order."""
-        return self.devices.device_ids
-
-
-@dataclass
 class RoundResult:
     """Summary of one tier round.
 
@@ -164,7 +121,7 @@ class RoundResult:
     """
 
     round_index: int
-    columnar: list[ColumnarOutcomes] = field(default_factory=list)
+    columnar: list[MessageBlock] = field(default_factory=list)
     started_at: float = 0.0
     finished_at: float = 0.0
     #: True when the owning tier was torn down mid-round: the recorded
@@ -195,7 +152,7 @@ class RoundResult:
         return (
             np.concatenate([block.update_weights for block in numeric]),
             np.concatenate([block.update_biases for block in numeric]),
-            np.concatenate([block.devices.n_samples for block in numeric]),
+            np.concatenate([block.n_samples for block in numeric]),
         )
 
 
@@ -207,32 +164,36 @@ SlotQueue = tuple[slice, Callable[[], None]]
 class TierRounds:
     """One round engine for both tiers.
 
-    A tier subclass supplies :attr:`rng_stream`, :meth:`_numeric_block_size`
-    and its completion-time kernel :meth:`_completion_times`; the engine
-    owns everything else about a round.  Numeric plans execute up front as
-    stacked blocks; every plan is recorded as one :class:`ColumnarOutcomes`
-    block and delivered as :class:`~repro.cloud.sink.OutcomeSink`
-    describes: whole, at its last completion time — one kernel event, no
-    per-device objects or events — or, for a sink that sets
-    ``prefers_waves``, as one row range per completion wave at the wave's
-    time, each slot queue an ascending sequence in the tier's
-    :class:`~repro.simkernel.TimeoutPool`.  ``sink=None`` records the
+    A tier subclass supplies :attr:`label`, :attr:`rng_stream`,
+    :meth:`_numeric_block_size` and its completion-time kernel
+    :meth:`_completion_times`; the engine owns everything else about a
+    round.  Numeric plans execute up front as stacked blocks; every plan is
+    recorded as one :class:`MessageBlock` and delivered as
+    :class:`~repro.cloud.sink.OutcomeSink` describes: whole, at its last
+    completion time — one kernel event, no per-device objects or events —
+    or, for a sink that sets ``prefers_waves``, as one row range per
+    completion wave at the wave's time, each slot queue an ascending
+    sequence in the tier's :class:`~repro.simkernel.TimeoutPool`.  ``sink=None`` records the
     blocks with no delivery at all (the 100k-device sweeps).  An epoch
     guard voids the scheduled callbacks of a torn-down task, and
     :meth:`_void_rounds` releases the plans-done barrier so a round in
     flight resolves as ``aborted`` instead of leaking.
     """
 
+    #: The tier's name on the signals the engine creates.
+    label: str
     #: ``str.format`` template of a device's numeric random stream, keyed by
     #: device — never by slot — so grouping cannot perturb results.
     rng_stream: str
 
-    def __init__(self, sim: Simulator, streams: RandomStreams, pool_name: str) -> None:
+    def __init__(self, sim: Simulator, streams: RandomStreams) -> None:
         self.sim = sim
         self.streams = streams
+        #: The task whose rounds this tier runs: ``prepare`` sets it, every block carries it.
+        self.task_id = ""
         self.plans: list = []
         self.rounds: list[RoundResult] = []
-        self._pool = TimeoutPool(sim, name=pool_name)
+        self._pool = TimeoutPool(sim)
         self._epoch = 0
         self._round_barriers: list[Signal] = []
 
@@ -265,7 +226,7 @@ class TierRounds:
         epoch = self._epoch
         if self.plans:
             remaining = len(self.plans)
-            plans_done = Signal(name=f"{self._pool.name}.round{result.round_index}.plans-done")
+            plans_done = Signal(name=f"{self.label}.round{result.round_index}.plans-done")
             self._round_barriers.append(plans_done)
 
             def plan_done() -> None:
@@ -367,8 +328,16 @@ class TierRounds:
             if update_weights is not None:
                 upload_bytes = ModelUpdate.wire_size(plan.feature_dim)
         finished, queues = self._completion_times(plan, model_bytes, upload_bytes)
-        block = ColumnarOutcomes(
-            plan.grade, plan.devices, result.round_index, upload_bytes, finished, update_weights, update_biases
+        block = MessageBlock(
+            task_id=self.task_id,
+            round_index=result.round_index,
+            device_ids=plan.devices.device_ids,
+            grade=plan.grade,
+            size_bytes=upload_bytes,
+            n_samples=plan.devices.n_samples,
+            finished_at=finished,
+            update_weights=update_weights,
+            update_biases=update_biases,
         )
         epoch = self._epoch
         pending = len(queues)

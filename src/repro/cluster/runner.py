@@ -61,12 +61,13 @@ class LogicalSimulation(TierRounds):
     by the simulator.
     """
 
+    label = "logical-tier"
     rng_stream = "device.{}.sgd"
 
     def __init__(
         self, sim: Simulator, cluster: K8sCluster, cost_model: LogicalCostModel, streams: RandomStreams
     ) -> None:
-        super().__init__(sim, streams, pool_name="logical-tier")
+        super().__init__(sim, streams)
         self.cluster = cluster
         self.cost_model = cost_model
         self.plans: list[GradeExecutionPlan] = []
@@ -81,6 +82,7 @@ class LogicalSimulation(TierRounds):
         """
         if self.placement_group is not None:
             raise RuntimeError("LogicalSimulation is already prepared")
+        self.task_id = task_id
         self.plans = list(plans)
         bundles: list[ResourceBundle] = []
         for plan in self.plans:

@@ -82,6 +82,7 @@ class SimDC:
         )
         self._busy_registry: set[str] = set()
         self._runner_options: dict[str, dict[str, Any]] = {}
+        self._submitted: dict[str, TaskSpec] = {}
         self.task_manager = TaskManager(
             self.sim,
             self.resource_manager,
@@ -116,12 +117,22 @@ class SimDC:
         transport channel's per-tenant windows match against.
 
         Raises ``ValueError`` for a grade the task's cost models hold no
-        constants for, and for a ``fixed_allocation`` that does not give
-        each of the task's grades a count the grade can host.
+        constants for, for a ``fixed_allocation`` that does not give each
+        of the task's grades a count the grade can host, and for a
+        ``task_id`` the platform has been handed before, whatever state
+        that task is in (``PENDING``: deferred by ``at=``) — its result,
+        random streams and storage keys are keyed by that id.
         """
         logical_cost = logical_cost or self.config.logical_cost
         physical_cost = physical_cost or self.config.physical_cost
         self._check_submission(spec, logical_cost, physical_cost, fixed_allocation)
+        seen = self._submitted.get(spec.task_id)
+        if seen is not None:
+            raise ValueError(
+                f"task_id {spec.task_id!r} of task {spec.name!r} is taken: "
+                f"task {seen.name!r} was submitted with it and is {seen.state.value}"
+            )
+        self._submitted[spec.task_id] = spec
         self._runner_options[spec.task_id] = {
             "fixed_allocation": dict(fixed_allocation) if fixed_allocation is not None else None,
             "dataset": dataset,

@@ -1,4 +1,11 @@
-"""The DeviceFlow facade: wiring Sorter, Shelves, Dispatchers, Strategies."""
+"""The DeviceFlow facade: wiring Sorter, Shelves, Dispatchers, Strategies.
+
+What comes in (:meth:`DeviceFlow.submit_block`) is the
+:class:`~repro.deviceflow.messages.MessageBlock` a tier built — or a row
+range of it — and what goes out to the registered downstream endpoint is
+row ranges of the same blocks: the controller shelves, drops and coalesces
+rows, and writes to no column.
+"""
 
 from __future__ import annotations
 
@@ -176,13 +183,12 @@ class DeviceFlow:
         same shelf order, same dispatch groups, same dropout draws, same
         delivery times (see the conventions in
         :mod:`repro.deviceflow.dispatcher`) — and the rows stay columnar
-        all the way: one arrival stamp, one shelf append, one strategy
-        notification, and the registered downstream endpoint receives
-        them as :class:`MessageBlock` row ranges.  Returns the number of
-        messages shelved.
+        all the way: one shelf append, one strategy notification, and the
+        registered downstream endpoint receives them as
+        :class:`MessageBlock` row ranges.  Returns the number of messages
+        shelved.
         """
         dispatcher = self._require(block.task_id)
-        block.created_at = self.sim.now
         if self.tracer is not None:
             self.tracer.record_flow_submit(block, self.sim.now)
         rows = self.sorter.route(block)

@@ -100,12 +100,14 @@ def _run_setting(
             )
             # ...stored and submitted as one block; the unit threshold
             # dispatches (and draws dropout for) each row on its own.
-            refs = [payload_ref("fig11", device_id, round_index) for device_id in ids]
-            storage.put_block(refs, trained_weights, payload_bytes, now=sim.now, writers=ids)
+            storage.put_block(
+                [payload_ref("fig11", device_id, round_index) for device_id in ids],
+                trained_weights, payload_bytes, now=sim.now, writers=ids,
+            )
             flow.submit_block(
                 MessageBlock(
                     task_id="fig11", round_index=round_index, device_ids=ids,
-                    payload_refs=refs, size_bytes=payload_bytes, n_samples=n_samples,
+                    size_bytes=payload_bytes, n_samples=n_samples,
                     update_weights=trained_weights, update_biases=trained_biases,
                 )
             )

@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable, Sequence
 
     from repro.cloud.monitor import Monitor
-    from repro.cluster.rounds import ColumnarOutcomes
     from repro.deviceflow.messages import MessageBlock
 
 #: Every span kind the assembler can emit, with the tree level it lives
@@ -163,9 +162,9 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        #: (task, block) — a plan's round, a wave of it or one benchmarking
-        #: phone's row, expanded to per-device records at assembly.
-        self.device_blocks: list[tuple[str, ColumnarOutcomes]] = []
+        #: A plan's round, a wave of it or one benchmarking phone's row,
+        #: expanded to per-device records at assembly.
+        self.device_blocks: list[MessageBlock] = []
         #: (task, round, time)
         self.round_starts: list[tuple[str, int, float]] = []
         self.round_ends: list[tuple[str, int, float]] = []
@@ -184,9 +183,9 @@ class Tracer:
         self.bench_stages: list[tuple[str, str, str, int, str, float, float]] = []
 
     # -- hot-path record methods (append one tuple each) ----------------
-    def record_block(self, task_id: str, block: ColumnarOutcomes) -> None:
+    def record_block(self, block: MessageBlock) -> None:
         """O(1) capture of the device rounds a block holds."""
-        self.device_blocks.append((task_id, block))
+        self.device_blocks.append(block)
 
     def record_round_start(self, task_id: str, round_index: int, time: float) -> None:
         self.round_starts.append((task_id, round_index, time))
@@ -254,12 +253,10 @@ class Tracer:
         payload_bytes, finished_at)``.
         """
         records = []
-        for task_id, block in self.device_blocks:
-            grade = block.grade
-            payload = block.payload_bytes
-            round_index = block.round_index
+        for block in self.device_blocks:
+            task_id, grade, round_index, payload = block.task_id, block.grade, block.round_index, block.size_bytes
             for device_id, n_samples, finished in zip(
-                block.device_ids, block.devices.n_samples.tolist(), block.finished_at.tolist()
+                block.device_ids, block.n_samples.tolist(), block.finished_at.tolist()
             ):
                 records.append((task_id, device_id, grade, round_index, n_samples, payload, finished))
         return records

@@ -40,7 +40,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cloud.sink import OutcomeSink
-from repro.cluster.rounds import ColumnarOutcomes, DeviceColumns, RoundResult, SlotQueue, TierPlan, TierRounds
+from repro.cluster.rounds import DeviceColumns, RoundResult, SlotQueue, TierPlan, TierRounds
+from repro.deviceflow.messages import MessageBlock
 from repro.ml.backends import DEVICE_BACKEND, NumericBackend
 from repro.ml.fedavg import ModelUpdate
 from repro.phones.adb import SimulatedAdb
@@ -165,6 +166,7 @@ class PhoneMgr(TierRounds):
     """
 
     # The same cached generator round after round, on whichever phone.
+    label = "phone-tier"
     rng_stream = "phone-exec.{}"
 
     def __init__(
@@ -181,7 +183,7 @@ class PhoneMgr(TierRounds):
     ) -> None:
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
-        super().__init__(sim, streams, pool_name="phone-tier")
+        super().__init__(sim, streams)
         self.adb = adb
         self.phones = list(phones)
         self.cost_model = cost_model
@@ -189,7 +191,6 @@ class PhoneMgr(TierRounds):
         self.poll_interval = float(poll_interval)
         self.on_sample = on_sample
         self.tracer = tracer
-        self._task_id = ""
         self.plans: list[PhoneAssignment] = []
         self.computing_phones: dict[str, list[VirtualPhone]] = {}
         self.benchmark_phones: dict[str, list[VirtualPhone]] = {}
@@ -247,7 +248,7 @@ class PhoneMgr(TierRounds):
         """
         if self.plans:
             raise RuntimeError("PhoneMgr already has a prepared task")
-        self._task_id = task_id
+        self.task_id = task_id
         self.plans = list(plans)
         startup_targets: list[tuple[VirtualPhone, str]] = []
         reserved: list[VirtualPhone] = []
@@ -313,7 +314,7 @@ class PhoneMgr(TierRounds):
         """
         result = RoundResult(round_index=round_index, started_at=self.sim.now)
 
-        def collect(block: ColumnarOutcomes) -> None:
+        def collect(block: MessageBlock) -> None:
             result.columnar.append(block)
             if sink is not None:
                 sink.accept_block(block)
@@ -423,7 +424,7 @@ class PhoneMgr(TierRounds):
         global_weights: np.ndarray | None,
         global_bias: float,
         model_bytes: int,
-        on_outcome: Callable[[ColumnarOutcomes], None],
+        on_outcome: Callable[[MessageBlock], None],
     ) -> Generator:
         """The measured five-stage protocol of Table I on one phone.
 
@@ -445,7 +446,7 @@ class PhoneMgr(TierRounds):
             record.boundaries.append((stage, start, self.sim.now))
             if self.tracer is not None:
                 self.tracer.record_bench_stage(
-                    self._task_id,
+                    self.task_id,
                     phone.serial,
                     device_id,
                     round_index,
@@ -483,8 +484,16 @@ class PhoneMgr(TierRounds):
         yield done
         boundary(ApkStage.TRAINING, start)
         on_outcome(
-            ColumnarOutcomes(
-                plan.grade, device, round_index, payload, np.array([self.sim.now]), weights, biases
+            MessageBlock(
+                task_id=self.task_id,
+                round_index=round_index,
+                device_ids=device.device_ids,
+                grade=plan.grade,
+                size_bytes=payload,
+                n_samples=device.n_samples,
+                finished_at=np.array([self.sim.now]),
+                update_weights=weights,
+                update_biases=biases,
             )
         )
 

@@ -211,7 +211,6 @@ class TaskRunner:
             # completion wave (strategies sample arrivals mid-round).
             self._sink = CloudIngestSink(
                 self.sim,
-                spec.task_id,
                 self.storage,
                 self.service,
                 deviceflow=self.deviceflow if uses_flow else None,
@@ -227,7 +226,6 @@ class TaskRunner:
                     self.channel,
                     self._sink,
                     self.streams,
-                    spec.task_id,
                     scope=self.channel_scope,
                     tracer=self.tracer,
                 )

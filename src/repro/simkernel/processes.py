@@ -20,6 +20,7 @@ describing what the process is waiting for:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Generator, Iterable
 from typing import TYPE_CHECKING, Any
 
@@ -45,8 +46,8 @@ class Timeout(Waitable):
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise ValueError(f"Timeout delay must be >= 0, got {delay!r}")
+        if not 0 <= delay < math.inf:  # also false for NaN
+            raise ValueError(f"Timeout delay must be a finite number >= 0, got {delay!r}")
         self.delay = float(delay)
 
     def subscribe(self, sim: Simulator, callback: Callable[[Any, BaseException | None], None]) -> None:

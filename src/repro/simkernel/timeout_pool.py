@@ -64,13 +64,10 @@ class TimeoutPool:
     ----------
     sim:
         Owning simulator; the pool schedules its sentinel there.
-    name:
-        Label for debugging.
     """
 
-    def __init__(self, sim: Simulator, name: str) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.name = name
         # A small heap keyed by each chunk's next deadline, ties by insertion.
         self._chunk_heap: list[tuple[float, int, _SequenceChunk]] = []
         self._chunk_seq = itertools.count()

@@ -6,7 +6,7 @@ from reference.tier_reference import materialize
 from repro.deviceflow import MessageBlock
 
 
-def one_row(device_id, *, task_id="t", round_index=1, n_samples=1, size_bytes=0, update=None, payload_ref=None):
+def one_row(device_id, *, task_id="t", round_index=1, n_samples=1, size_bytes=0, update=None):
     """One device's message as a block of one row.
 
     ``update`` is a ``ModelUpdate`` whose parameters ride along as the
@@ -16,7 +16,6 @@ def one_row(device_id, *, task_id="t", round_index=1, n_samples=1, size_bytes=0,
         task_id=task_id,
         round_index=round_index,
         device_ids=[device_id],
-        payload_refs=None if payload_ref is None else [payload_ref],
         size_bytes=size_bytes,
         n_samples=[n_samples if update is None else update.n_samples],
         update_weights=None if update is None else update.weights[None],

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any
 
-from repro.cluster.rounds import ColumnarOutcomes, DeviceColumns
+from repro.cluster.rounds import DeviceColumns
+from repro.deviceflow.messages import MessageBlock
 from repro.cluster.runner import LogicalSimulation
 from repro.ml.fedavg import ModelUpdate
 from repro.phones.metrics import parse_metric_sample, parse_pgrep_pid
@@ -73,7 +74,7 @@ class ReferenceRoundResult:
         return len(self.outcomes)
 
 
-def materialize(block: ColumnarOutcomes) -> list[DeviceRoundOutcome]:
+def materialize(block: MessageBlock) -> list[DeviceRoundOutcome]:
     """A production block's rows as outcome records, in block (row) order.
 
     For logical-tier plans this is also chronological (one shared wave
@@ -87,7 +88,7 @@ def materialize(block: ColumnarOutcomes) -> list[DeviceRoundOutcome]:
             grade=block.grade,
             round_index=block.round_index,
             n_samples=n_samples,
-            payload_bytes=block.payload_bytes,
+            payload_bytes=block.size_bytes,
             update=ModelUpdate(
                 device_id=device_id,
                 round_index=block.round_index,
@@ -100,7 +101,7 @@ def materialize(block: ColumnarOutcomes) -> list[DeviceRoundOutcome]:
             finished_at=time,
         )
         for row, (device_id, n_samples, time) in enumerate(
-            zip(block.device_ids, block.devices.n_samples.tolist(), block.finished_at.tolist())
+            zip(block.device_ids, block.n_samples.tolist(), block.finished_at.tolist())
         )
     ]
 
@@ -220,7 +221,7 @@ class ReferencePhoneMgr(PhoneMgr):
             if sink is not None:
                 sink.accept(outcome)
 
-        def collect_block(block: ColumnarOutcomes) -> None:
+        def collect_block(block: MessageBlock) -> None:
             # The shared five-stage protocol emits its device as a one-row block.
             for outcome in materialize(block):
                 collect(outcome)

@@ -167,9 +167,7 @@ class TestAggregationService:
         update = make_update("d0", dim=32)
         model = LogisticRegressionModel(32, SERVER_BACKEND)
         service = AggregationService(sim, SampleThresholdTrigger(5), model=model, name="agg")
-        service.receive_block(
-            one_row("d0", payload_ref="u/d0", size_bytes=ModelUpdate.wire_size(32), update=update)
-        )
+        service.receive_block(one_row("d0", size_bytes=ModelUpdate.wire_size(32), update=update))
         assert service.rounds_completed == 1
         assert service.messages_received == 1
         assert service.bytes_received == ModelUpdate.wire_size(32)
@@ -181,7 +179,7 @@ class TestAggregationService:
             sim, SampleThresholdTrigger(5), model=LogisticRegressionModel(32, SERVER_BACKEND), name="agg"
         )
         with pytest.raises(TypeError):
-            service.receive_block(one_row("d", payload_ref="junk"))
+            service.receive_block(one_row("d"))
 
     def test_fedavg_applied_to_global_model(self):
         sim = Simulator()

@@ -35,8 +35,8 @@ from repro.cloud import (
     TransportChannel,
 )
 from repro.cloud.aggregation import AggregationTrigger
-from repro.cluster import ColumnarOutcomes, DeviceColumns
 from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
+from repro.deviceflow.messages import payload_ref
 from repro.ml.backends import SERVER_BACKEND
 from repro.ml.fedavg import ModelUpdate
 from repro.ml.model import LogisticRegressionModel
@@ -167,10 +167,9 @@ class TestMessageBlock:
             task_id="t",
             round_index=3,
             device_ids=["a", "b"],
-            payload_refs=["t/a/r3", "t/b/r3"],
+            grade="High",
             size_bytes=128,
             n_samples=np.array([5, 7]),
-            metadata={"grade": "High"},
         )
         assert len(block) == 2
         assert block.total_bytes == 256
@@ -185,31 +184,108 @@ class TestMessageBlock:
         for row, message in enumerate(messages):
             one = block[row : row + 1]
             assert len(one) == one.rows == 1
-            assert (one.task_id, one.round_index, one.size_bytes, one.metadata) == (
+            assert (one.task_id, one.round_index, one.size_bytes, {"grade": one.grade}) == (
                 message.task_id, message.round_index, message.size_bytes, message.metadata,
             )
             assert one.device_ids == [message.device_id]
-            assert one.payload_refs == [message.payload_ref]
+            # The storage key is a function of the row, not a column of it.
+            assert payload_ref(one.task_id, one.device_ids[0], one.round_index) == message.payload_ref
             assert one.n_samples.tolist() == [message.n_samples]
             assert one.total_bytes == message.size_bytes
 
     def test_defaults_and_validation(self):
-        block = MessageBlock(task_id="t", round_index=1, device_ids=["a"], payload_refs=["r"])
+        block = MessageBlock(task_id="t", round_index=1, device_ids=["a"])
         assert block.n_samples.tolist() == [1]
-        with pytest.raises(ValueError):
-            MessageBlock(task_id="", round_index=1, device_ids=[], payload_refs=[])
-        with pytest.raises(ValueError):
-            MessageBlock(task_id="t", round_index=1, device_ids=["a", "b"], payload_refs=["r"])
-        with pytest.raises(ValueError):
-            MessageBlock(
-                task_id="t", round_index=1, device_ids=["a"], payload_refs=["r"],
-                n_samples=np.array([0]),
-            )
-        with pytest.raises(ValueError):
-            MessageBlock(
-                task_id="t", round_index=1, device_ids=["a"], payload_refs=["r"],
-                update_weights=np.zeros((2, 4)),
-            )
+        assert (block.grade, block.finished_at, block.update_weights) == ("", None, None)
+        with pytest.raises(ValueError, match="task_id must be non-empty"):
+            MessageBlock(task_id="", round_index=1, device_ids=[])
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            MessageBlock(task_id="t", round_index=1, device_ids=["a"], n_samples=np.array([0]))
+        # Every array column must have one row per device.
+        for column, values in (
+            ("n_samples", np.array([1, 2])),
+            ("finished_at", np.zeros(2)),
+            ("update_weights", np.zeros((2, 4))),
+            ("update_biases", np.zeros(2)),
+        ):
+            with pytest.raises(ValueError, match=f"got 1 device_ids but 2 {column} rows"):
+                MessageBlock(task_id="t", round_index=1, device_ids=["a"], **{column: values})
+
+
+OPTIONAL_COLUMNS = ("finished_at", "update_weights", "update_biases")
+
+
+def indexed_block(index, carried, grade="High"):
+    """One row per entry of ``index``, every column a function of the row's index."""
+    index = np.asarray(index, dtype=np.int64)
+    columns = {
+        "finished_at": index * 0.5,
+        "update_weights": np.stack([index, -index], axis=1) * 1.0,
+        "update_biases": index * 2.0,
+    }
+    return MessageBlock(
+        task_id="t", round_index=1, device_ids=[f"d{i}" for i in index], grade=grade, size_bytes=8,
+        n_samples=index + 1, **{name: columns[name] for name in carried},
+    )
+
+
+def assert_aligned(block, carried, grade="High"):
+    """Every column of ``block`` still describes the device its row names."""
+    assert (block.task_id, block.round_index, block.grade, block.size_bytes) == ("t", 1, grade, 8)
+    assert block.rows == len(block) == len(block.device_ids)
+    want = indexed_block([int(device_id[1:]) for device_id in block.device_ids], carried, grade)
+    assert block.n_samples.tolist() == want.n_samples.tolist()
+    for name in OPTIONAL_COLUMNS:
+        if name in carried:
+            assert getattr(block, name).tolist() == getattr(want, name).tolist()
+        else:
+            assert getattr(block, name) is None
+
+
+ROW_OPS = st.one_of(
+    st.tuples(st.just("slice"), st.integers(0, 12), st.integers(0, 12)),
+    st.tuples(st.just("compress"), st.integers(0, 2**12 - 1)),
+    st.tuples(st.just("coalesce"), st.lists(st.integers(0, 12), max_size=4)),
+)
+
+
+class TestRowAlignment:
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        carried=st.sets(st.sampled_from(OPTIONAL_COLUMNS)),
+        ops=st.lists(ROW_OPS, max_size=6),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_any_chain_of_row_operations_keeps_every_column_aligned(self, n, carried, ops):
+        block = indexed_block(range(n), carried)
+        for op, *args in ops:
+            rows = len(block)
+            if op == "slice":
+                lo, hi = sorted(arg % (rows + 1) for arg in args)
+                block = block[lo:hi]
+            elif op == "compress":
+                block = block.compress(np.array([args[0] >> row & 1 for row in range(rows)], dtype=bool))
+            else:  # cut into adjacent row ranges, join them again
+                (block,) = MessageBlock.coalesce(cut(block, args[0]) or [block])
+                assert len(block) == rows
+            assert_aligned(block, carried)
+
+    @given(
+        sizes=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        carried=st.tuples(st.sets(st.sampled_from(OPTIONAL_COLUMNS)), st.sets(st.sampled_from(OPTIONAL_COLUMNS))),
+        grades=st.tuples(st.sampled_from(["High", "Low"]), st.sampled_from(["High", "Low"])),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_coalesce_only_when_grade_and_carried_columns_agree(self, sizes, carried, grades):
+        head = indexed_block(range(sizes[0]), carried[0], grades[0])
+        tail = indexed_block(range(sizes[0], sizes[0] + sizes[1]), carried[1], grades[1])
+        joined = MessageBlock.coalesce([head, tail])
+        if carried[0] == carried[1] and grades[0] == grades[1]:
+            (block,) = joined
+            assert block.device_ids == [*head.device_ids, *tail.device_ids]
+            assert_aligned(block, carried[0], grades[0])
+        else:
+            assert len(joined) == 2 and joined[0] is head and joined[1] is tail
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +312,7 @@ class TestSubmitBlock:
         def one_block(flow):
             flow.submit_block(
                 MessageBlock(
-                    task_id="t", round_index=1, device_ids=ids,
-                    payload_refs=refs, size_bytes=64,
+                    task_id="t", round_index=1, device_ids=ids, size_bytes=64,
                     n_samples=np.full(6, 3, dtype=np.int64),
                 )
             )
@@ -247,7 +322,7 @@ class TestSubmitBlock:
                 flow.submit_block(
                     MessageBlock(
                         task_id="t", round_index=1, device_ids=ids[row : row + 1],
-                        payload_refs=refs[row : row + 1], size_bytes=64, n_samples=[3],
+                        size_bytes=64, n_samples=[3],
                     )
                 )
 
@@ -270,8 +345,11 @@ class TestSubmitBlock:
             assert flow_b.stats("t") == stats_s
             assert stats_s.received == stats_s.delivered == 6 and stats_s.shelved == 0
             assert [d for segment in delivered_b for d in segment.device_ids] == [m.device_id for m in recv_s]
-            assert [r for segment in delivered_b for r in segment.payload_refs] == [m.payload_ref for m in recv_s]
-            assert all(segment.created_at == 5.0 for segment in delivered_b)
+            assert [
+                payload_ref(segment.task_id, device_id, segment.round_index)
+                for segment in delivered_b
+                for device_id in segment.device_ids
+            ] == [m.payload_ref for m in recv_s]
             assert sim_b.now == sim_s.now
 
     def test_unregistered_task_raises(self):
@@ -279,7 +357,7 @@ class TestSubmitBlock:
         flow = DeviceFlow(sim, RandomStreams(0))
         with pytest.raises(KeyError):
             flow.submit_block(
-                MessageBlock(task_id="ghost", round_index=1, device_ids=["a"], payload_refs=["r"])
+                MessageBlock(task_id="ghost", round_index=1, device_ids=["a"])
             )
 
 
@@ -291,7 +369,6 @@ def make_block(updates, task_id="t", round_index=1, size_bytes=64):
         task_id=task_id,
         round_index=round_index,
         device_ids=[u.device_id for u in updates],
-        payload_refs=[f"{task_id}/{u.device_id}/r{round_index}" for u in updates],
         size_bytes=size_bytes,
         n_samples=np.array([u.n_samples for u in updates], dtype=np.int64),
         update_weights=np.stack([u.weights for u in updates]),
@@ -389,8 +466,7 @@ class TestReceiveBlock:
         sim = Simulator()
         service = block_service(sim, model=False)
         service.receive_block(
-            MessageBlock(task_id="t", round_index=1, device_ids=["a", "b"],
-                         payload_refs=["r1", "r2"], size_bytes=10,
+            MessageBlock(task_id="t", round_index=1, device_ids=["a", "b"], size_bytes=10,
                          n_samples=np.array([4, 6]))
         )
         assert service.pending_updates == 2
@@ -403,14 +479,14 @@ class TestReceiveBlock:
         service = block_service(sim)
         with pytest.raises(TypeError):
             service.receive_block(
-                MessageBlock(task_id="t", round_index=1, device_ids=["a"], payload_refs=["r"])
+                MessageBlock(task_id="t", round_index=1, device_ids=["a"])
             )
 
     def test_empty_block_is_ignored(self):
         sim = Simulator()
         service = block_service(sim)
         service.receive_block(
-            MessageBlock(task_id="t", round_index=1, device_ids=[], payload_refs=[])
+            MessageBlock(task_id="t", round_index=1, device_ids=[])
         )
         assert service.messages_received == 0
         assert service.pending_updates == 0
@@ -431,11 +507,13 @@ def make_round(wave_sizes, numeric, seed):
     """One round's rows as a whole-plan block; rows of a wave share a completion time."""
     rng = np.random.default_rng(seed)
     n = sum(wave_sizes)
-    return ColumnarOutcomes(
-        grade="High",
-        devices=DeviceColumns([f"d{i:02d}" for i in range(n)], rng.integers(1, 10, size=n)),
+    return MessageBlock(
+        task_id="t",
         round_index=1,
-        payload_bytes=96,
+        device_ids=[f"d{i:02d}" for i in range(n)],
+        grade="High",
+        size_bytes=96,
+        n_samples=rng.integers(1, 10, size=n),
         finished_at=np.repeat(WAVE_TIMES[: len(wave_sizes)], wave_sizes),
         update_weights=rng.normal(size=(n, DIM)) * 10.0 ** rng.integers(-6, 7, size=(n, 1)) if numeric else None,
         update_biases=rng.normal(size=n) if numeric else None,
@@ -496,10 +574,10 @@ def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
             flow = DeviceFlow(sim, streams, capacity_per_second=CAPACITY, tracer=tracer)
             strategy = RealTimeAccumulatedStrategy(THRESHOLDS, FAILURE_PROB)
         sink = CloudIngestSink(
-            sim, "t", storage, service, deviceflow=flow, dedup=channelled, tracer=tracer, trace_devices=not channelled
+            sim, storage, service, deviceflow=flow, dedup=channelled, tracer=tracer, trace_devices=not channelled
         )
         if channelled:
-            channel = TransportChannel(sim, CHANNEL, sink, streams, "t", scope="", tracer=tracer)
+            channel = TransportChannel(sim, CHANNEL, sink, streams, scope="", tracer=tracer)
     if flow_attached:
         flow.register_task("t", strategy, sink.flow_receive)
         flow.round_started("t", 1)
@@ -596,8 +674,10 @@ class TestChannelTieOrder:
         for oracle in (False, True):
             sim, log = Simulator(), []
             sink = CallbackSink(lambda outcome: log.append((sim.now, outcome.device_id, outcome.finished_at)))
-            channel_type = ReferenceTransportChannel if oracle else TransportChannel
-            channel = channel_type(sim, tied, sink, RandomStreams(3), "t", scope="")
+            if oracle:
+                channel = ReferenceTransportChannel(sim, tied, sink, RandomStreams(3), "t", scope="")
+            else:
+                channel = TransportChannel(sim, tied, sink, RandomStreams(3), scope="")
             channel.begin_round(1, deadline=3.0)  # the second wave arrives at 2.5 + 0.5
             sim.schedule_at(3.0, log.append, "deadline")
             if oracle:

@@ -33,7 +33,6 @@ def msg(task="t1", device="d0", round_index=1, n_samples=5):
         device,
         task_id=task,
         round_index=round_index,
-        payload_ref=f"{task}/{device}/{round_index}",
         size_bytes=1024,
         n_samples=n_samples,
     )
@@ -54,9 +53,7 @@ class TestMessage:
         with pytest.raises(ValueError):
             msg(n_samples=0)
         with pytest.raises(ValueError):
-            MessageBlock(task_id="t", round_index=1, device_ids=["d"], payload_refs=["x"], size_bytes=-1)
-        with pytest.raises(ValueError):
-            MessageBlock(task_id="t", round_index=1, device_ids=["d"], payload_refs=["x", "y"])
+            MessageBlock(task_id="t", round_index=1, device_ids=["d"], size_bytes=-1)
 
 
 class TestShelfAndSorter:
@@ -350,12 +347,6 @@ class TestDeviceFlowFacade:
         assert stats.delivered + stats.dropped == 30
         assert len(inbox) == stats.delivered
 
-    def test_created_at_stamped(self):
-        sim, flow, _ = build_flow(RealTimeAccumulatedStrategy([10]))
-        sim.schedule(5.0, lambda: flow.submit_block(msg()))
-        sim.run()
-        assert flow.dispatcher_for("t1").shelf.peek_oldest().created_at == 5.0
-
 
     def test_unregister_drops_all_per_task_state(self):
         """A soak of short-lived tasks must not grow the controller."""
@@ -585,7 +576,7 @@ class TestSegments:
         kept = view.compress(np.array([True, False, True]))
         assert kept.device_ids == ["d2", "d4"]
         assert kept.update_weights.tolist() == [[4.0, 5.0], [8.0, 9.0]]
-        assert kept.payload_refs is None and kept.n_samples.tolist() == [3, 5]
+        assert kept.n_samples.tolist() == [3, 5] and kept.finished_at is None
         with pytest.raises(TypeError, match=r"one row is block\[i : i \+ 1\]"):
             block[0]
 
@@ -603,4 +594,3 @@ class TestSegments:
         rows = [msg(device=f"u{i}") for i in range(4)]
         (chunk,) = MessageBlock.coalesce(rows)
         assert chunk.device_ids == ["u0", "u1", "u2", "u3"] and chunk.total_samples == 20
-        assert chunk.payload_refs == [f"t1/u{i}/1" for i in range(4)]

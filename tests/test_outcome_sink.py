@@ -1,6 +1,6 @@
 """The OutcomeSink contract and the block-vs-per-upload ingestion differential.
 
-Two layers of the same guarantee:
+Three layers of the same guarantee:
 
 1. Protocol mechanics — structural ``isinstance`` checks, the wave /
    plan granularity a ``CloudIngestSink`` asks for.
@@ -9,6 +9,8 @@ Two layers of the same guarantee:
    service bit-identical to the per-device reference tier streaming one
    ``accept`` per device into the per-upload oracle
    (``reference.cloud_reference``).
+3. Identity — the block the fold receives *is* the block the tier built
+   (a channel's upload is a view of it): nothing on the way converts.
 
 (Platform level: the report digests pinned in ``tests/test_scenarios.py``
 were taken where block and scalar ingestion were proven byte-identical.)
@@ -22,9 +24,11 @@ from reference.tier_reference import ReferenceLogicalSimulation, materialize, ru
 
 from repro.cloud import (
     AggregationService,
+    ChannelModel,
     CloudIngestSink,
     ObjectStorage,
     OutcomeSink,
+    TransportChannel,
 )
 from repro.cloud.aggregation import AggregationTrigger
 from repro.cluster import (
@@ -65,21 +69,18 @@ class TestProtocol:
         assert not isinstance(Missing(), OutcomeSink)
         assert isinstance(CallbackSink(lambda o: None), OutcomeSink)
         sim = Simulator()
-        sink = CloudIngestSink(
-            sim, "t", ObjectStorage(),
-            AggregationService(sim, AggregationTrigger(), name="agg"),
-        )
+        sink = CloudIngestSink(sim, ObjectStorage(), AggregationService(sim, AggregationTrigger(), name="agg"))
         assert isinstance(sink, OutcomeSink)
 
     def test_flow_connected_sink_takes_wave_blocks(self):
         sim = Simulator()
         service = AggregationService(sim, AggregationTrigger(), name="agg")
         flow = DeviceFlow(sim, RandomStreams(0))
-        sink = CloudIngestSink(sim, "t", ObjectStorage(), service, deviceflow=flow)
+        sink = CloudIngestSink(sim, ObjectStorage(), service, deviceflow=flow)
         flow.register_task("t", RealTimeAccumulatedStrategy(thresholds=[1]), sink.flow_receive)
         # Traffic shaping must see arrivals mid-round: blocks, but per wave.
         assert sink.prefers_waves is True
-        direct = CloudIngestSink(sim, "t", ObjectStorage(), service)
+        direct = CloudIngestSink(sim, ObjectStorage(), service)
         assert direct.prefers_waves is False
 
 
@@ -105,12 +106,13 @@ def make_plan(n_devices=12, n_actors=4, numeric=True):
     )
 
 
-def run_tier_round(reference):
+def run_tier_round(reference, channel=None, received=None):
     """One numeric round delivered through a CloudIngestSink.
 
     The production tier hands the production sink one block; the
     per-device reference tier streams one ``accept`` per device into the
-    per-upload oracle.
+    per-upload oracle.  ``channel`` fronts the production sink with a
+    ``TransportChannel``; ``received`` collects what the fold is handed.
     """
     sim = Simulator()
     tier = ReferenceLogicalSimulation if reference else LogicalSimulation
@@ -123,7 +125,17 @@ def run_tier_round(reference):
     else:
         storage = ObjectStorage()
         service = AggregationService(sim, AggregationTrigger(), model=model, name="agg")
-        sink = CloudIngestSink(sim, "t", storage, service)
+        if received is not None:
+            fold = service.receive_block
+
+            def spy(block):
+                received.append(block)
+                fold(block)
+
+            service.receive_block = spy
+        sink = CloudIngestSink(sim, storage, service, dedup=channel is not None)
+        if channel is not None:
+            sink = TransportChannel(sim, channel, sink, RandomStreams(5), scope="")
     plan = make_plan()
 
     def drive():
@@ -138,14 +150,15 @@ def run_tier_round(reference):
     else:
         sim.run()
     record = service.aggregate_now()
+    (result,) = logical.rounds
     logical.teardown()
-    return storage, service, record
+    return storage, service, record, result
 
 
 class TestTierDifferential:
     def test_block_and_scalar_ingestion_identical(self):
-        storage_s, service_s, record_s = run_tier_round(reference=True)
-        storage_b, service_b, record_b = run_tier_round(reference=False)
+        storage_s, service_s, record_s, _ = run_tier_round(reference=True)
+        storage_b, service_b, record_b, _ = run_tier_round(reference=False)
 
         # Aggregation: same fold, bit-identical model.
         assert np.array_equal(service_b.model.weights, service_s.model.weights)
@@ -170,6 +183,31 @@ class TestTierDifferential:
             assert np.array_equal(update_b.weights, update_s.weights)
             assert update_b.bias == update_s.bias
             assert update_b.n_samples == update_s.n_samples
+
+    def test_the_fold_receives_the_block_the_tier_built(self):
+        # Direct and ungated: one object from TierRounds to receive_block.
+        received = []
+        *_, result = run_tier_round(reference=False, received=received)
+        (plan_block,) = result.columnar
+        assert len(received) == 1 and received[0] is plan_block
+        assert plan_block.task_id == "t" and plan_block.update_weights is not None
+
+    def test_a_channel_upload_is_a_one_row_view_of_the_tier_block(self):
+        # Lossy: each delivery is ``block[row : row + 1]`` with the arrival as
+        # its time column — the update rows are never copied on the way.
+        lossy = ChannelModel(latency_s=0.2, jitter_s=0.5, loss_prob=0.3, dup_prob=0.3, retry_base_s=0.5)
+        received = []
+        *_, record, result = run_tier_round(reference=False, channel=lossy, received=received)
+        (plan_block,) = result.columnar
+        assert 1 < len(received) == record.n_updates <= len(plan_block)
+        for upload in received:
+            assert len(upload) == 1
+            assert np.shares_memory(upload.update_weights, plan_block.update_weights)
+            assert np.shares_memory(upload.n_samples, plan_block.n_samples)
+            row = plan_block.device_ids.index(upload.device_ids[0])
+            assert np.array_equal(upload.update_weights[0], plan_block.update_weights[row])
+            assert upload.finished_at[0] > plan_block.finished_at[row]  # arrival, not completion
+            assert not np.shares_memory(upload.finished_at, plan_block.finished_at)
 
     def test_callback_sink_materializes_blocks_in_completion_order(self):
         # The CallbackSink helper, handed wave blocks by the production
@@ -227,7 +265,7 @@ class TestTierDifferential:
             assert np.shares_memory(wave.update_weights, whole.update_weights)
             assert set(wave.finished_at.tolist()) == {time}
             assert wave.device_ids == plan.devices.device_ids[row : row + len(wave)]
-            assert wave.devices.n_samples.tolist() == plan.devices.n_samples[row : row + len(wave)].tolist()
+            assert wave.n_samples.tolist() == plan.devices.n_samples[row : row + len(wave)].tolist()
             for position, outcome in enumerate(materialize(wave)):
                 assert outcome.device_id == whole.device_ids[row + position]
                 assert np.array_equal(outcome.update.weights, whole.update_weights[row + position])
@@ -240,4 +278,4 @@ class TestTierDifferential:
         one = strided[1:2]
         assert one.device_ids == ["d0005"] and len(one) == 1
         assert np.array_equal(one.update_weights[0], whole.update_weights[5])
-        assert one.devices.datasets == [plan.devices.datasets[5]]
+        assert (one.n_samples[0], one.finished_at[0]) == (plan.devices.n_samples[5], whole.finished_at[5])

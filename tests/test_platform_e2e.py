@@ -160,6 +160,36 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match=re.escape(message)):
             platform.submit(spec, fixed_allocation={"High": 8, "Low": 5})
 
+    @pytest.mark.parametrize("seen", ["PENDING", "QUEUED", "RUNNING", "COMPLETED"])
+    def test_submit_rejects_a_task_id_it_has_seen(self, seen):
+        # A second task under a known id used to die inside a scheduling pass
+        # (a kernel event for ``at=``: every tenant's run aborted) or, after
+        # the first finished, to overwrite its result and reuse its streams.
+        platform = small_platform()  # 40 bundles total
+        first = small_task("first", rounds=1, bundles=30)
+        if seen == "QUEUED":  # behind a task holding the bundles it needs
+            platform.submit(small_task("blocker", rounds=1, bundles=30))
+        platform.submit(first, at=50.0 if seen == "PENDING" else None)  # deferred, not yet arrived
+        if seen == "RUNNING":
+            platform.sim.run(until=1.0)
+        elif seen == "COMPLETED":
+            platform.run_until_idle(max_time=1e7)
+        assert first.state.value == seen
+        finished = platform.results.get(first.task_id)
+        message = (
+            f"task_id {first.task_id!r} of task 'second' is taken: task 'first' was submitted with it and is {seen}"
+        )
+        for at in (None, platform.sim.now + 10.0):
+            second = small_task("second", rounds=1)
+            second.task_id = first.task_id
+            with pytest.raises(ValueError, match=re.escape(message)):
+                platform.submit(second, at=at)
+        # The refusal cost the first task nothing.
+        platform.run_until_idle(max_time=1e7)
+        result = platform.result(first.task_id)
+        assert result.state is TaskState.COMPLETED and finished in (None, result)
+        assert [r.state for r in platform.results.values()] == [TaskState.COMPLETED] * (1 + (seen == "QUEUED"))
+
     def test_time_only_task(self):
         platform = small_platform()
         spec = small_task(numeric=False, rounds=1, n_devices=30, bundles=10, n_phones=3)

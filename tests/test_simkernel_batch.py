@@ -108,7 +108,7 @@ class TestTimeoutPool:
 
     def test_fires_at_deadline_in_insertion_order(self):
         sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
+        pool = TimeoutPool(sim)
         order = []
         for tag, deadline in [("b1", 2.0), ("a", 1.0), ("b2", 2.0)]:
             pool.add_sequence(np.array([deadline]), lambda lo, hi, t, tag=tag: order.append(tag))
@@ -119,7 +119,7 @@ class TestTimeoutPool:
 
     def test_cancellation_before_fire(self):
         sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
+        pool = TimeoutPool(sim)
         fired = []
         sim.schedule_at(1.0, fired.append, "keep")
         pool.add_sequence(np.array([1.0]), lambda lo, hi, t: fired.append("chunk"))
@@ -147,7 +147,7 @@ class TestTimeoutPool:
         # already run.  Same under batch and one-at-a-time stepping.
         for per_event in (False, True):
             sim = Simulator()
-            pool = TimeoutPool(sim, name="pool")
+            pool = TimeoutPool(sim)
             fired = []
             ahead = sim.schedule_at(1.0, fired.append, "ahead")
 
@@ -168,7 +168,7 @@ class TestTimeoutPool:
 
     def test_earlier_add_rearms_sentinel(self):
         sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
+        pool = TimeoutPool(sim)
         order = []
         pool.add_sequence(np.array([5.0]), lambda lo, hi, t: order.append("late"))
         pool.add_sequence(np.array([1.0]), lambda lo, hi, t: order.append("early"))
@@ -180,7 +180,7 @@ class TestTimeoutPool:
 
     def test_add_sequence_drains_in_slices(self):
         sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
+        pool = TimeoutPool(sim)
         times = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 4.0])
         slices = []
         pool.add_sequence(times, lambda lo, hi, t: slices.append((lo, hi, t)))
@@ -192,7 +192,7 @@ class TestTimeoutPool:
     def test_add_sequence_validation(self):
         sim = Simulator()
         sim.run(until=3.0)
-        pool = TimeoutPool(sim, name="pool")
+        pool = TimeoutPool(sim)
         with pytest.raises(ValueError):
             pool.add_sequence(np.array([2.0, 1.0]), lambda lo, hi, t: None)
         with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ class TestTimeoutPool:
         # NaN slips past the ascending check (``nan < 0`` is false) and a
         # sentinel armed at NaN or inf never comes due.
         sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
+        pool = TimeoutPool(sim)
         with pytest.raises(ValueError, match=f"must be finite, got {bad!r}"):
             pool.add_sequence(np.array([1.0, bad, 3.0]), lambda lo, hi, t: None)
         assert pool.pending == 0 and sim.pending_events == 0
@@ -215,7 +215,7 @@ class TestTimeoutPool:
         # pool's due chunks fire together where its sentinel sits — at the
         # registration that first made that deadline the pool's earliest.
         sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
+        pool = TimeoutPool(sim)
         order = []
 
         def chunk(tag):
@@ -237,7 +237,7 @@ class TestTimeoutPool:
 
     def test_works_under_batched_stepping(self):
         sim = Simulator()
-        pool = TimeoutPool(sim, name="pool")
+        pool = TimeoutPool(sim)
         fired = []
         times = np.sort(1.0 + np.arange(50) % 5)
         pool.add_sequence(times, lambda lo, hi, t: fired.extend(range(lo, hi)))

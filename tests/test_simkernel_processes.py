@@ -29,6 +29,13 @@ class TestProcessBasics:
         with pytest.raises(ValueError):
             Timeout(-0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected_at_construction(self, bad):
+        # ``nan < 0`` is false: these used to pass the constructor and fail
+        # one step later, inside the resume of whichever process yielded them.
+        with pytest.raises(ValueError, match=f"Timeout delay must be a finite number >= 0, got {bad!r}"):
+            Timeout(bad)
+
     def test_yielding_non_waitable_is_type_error(self):
         sim = Simulator()
 

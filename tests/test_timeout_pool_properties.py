@@ -94,7 +94,7 @@ def build_reference(ops, cancel_plan):
 def drive(ops, cancel_plan, per_event):
     """Register everything on a fresh kernel, run it, return what fired."""
     sim = Simulator()
-    pool = TimeoutPool(sim, name="under-test")
+    pool = TimeoutPool(sim)
     log = []
     events = []  # kernel events by registration rank
     for op_index, op in enumerate(ops):

@@ -13,6 +13,7 @@ The contracts proved here are the PR's acceptance criteria:
 * the profiler patches and restores subsystem methods exactly.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -29,6 +30,30 @@ from repro.observability.profiler import PROFILE_POINTS, RunProfiler
 from repro.observability.tracing import SPAN_KINDS, Span, Trace, Tracer
 from repro.scenarios import ScenarioRunner, build_scenario
 from repro.scenarios.__main__ import main as scenarios_main
+
+
+#: sha256 of ``Trace.to_json()`` and of the JSONL export by (scenario, scale,
+#: seed) — the ``REPORT_PINS`` scales and seeds of ``tests/test_scenarios.py``
+#: — taken before the tracer started reading the task id off the block it
+#: records.  A change that moves a digest changes what a trace says.
+TRACE_PINS = {
+    ("flash_crowd", 120, 2): (
+        "9cedfe142b767629ea39d8395ccbc02efaa20ac4562720d1ac4a3cd2ddb5aae7",
+        "e0fa317ff527ae807b2719f292b947fa452c585c5539c752dd6aa7219bb0876a",
+    ),
+    ("flash_crowd", 150, 3): (
+        "53609d2a8f71fae2cf8914c7f6a3c68ff2bed16e39076023332c28e9b3307a0a",
+        "a74a6fdea60af582338ddd33e60a148e14e6e9cfaafd9d384cb5df37aa2aeab7",
+    ),
+    ("lossy_uplink", 120, 2): (
+        "c6b1dbff7111035246717640e93f5d53e4bbff98b510772f31d797c61fff7eec",
+        "974101cf021d85874a6ebc7bf5250803445614215825b70c67216e2d7d6ca5ae",
+    ),
+    ("lossy_uplink", 150, 3): (
+        "38906bf93c5a96ef8230ea53c90826227cabec4502ed62bea8e476b0d89fd15e",
+        "74f27ccbd5d995385b9ec3fe755e2a2acd62b3731e9ba0af882c50144aeb5cf4",
+    ),
+}
 
 
 def traced_run(name: str, scale: int = 60, seed: int = 1):
@@ -117,6 +142,14 @@ class TestTracingIsInvisible:
         _, _, first = traced_run(name)
         _, _, repeat = traced_run(name)
         assert first.to_json() == repeat.to_json()
+
+    @pytest.mark.parametrize("name,scale,seed", sorted(TRACE_PINS))
+    def test_trace_pinned(self, name, scale, seed):
+        _, _, trace = traced_run(name, scale, seed)
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest() for text in (trace.to_json(), spans_jsonl(trace))
+        )
+        assert digests == TRACE_PINS[name, scale, seed]
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.cloud import (
     ObjectStorage,
 )
 from repro.cloud.aggregation import AggregationTrigger
-from repro.cluster import ColumnarOutcomes, DeviceColumns
 from repro.deviceflow import MessageBlock
 from repro.ml.backends import SERVER_BACKEND
 from repro.ml.fedavg import ModelUpdate
@@ -226,7 +225,7 @@ def make_numeric_sink(dedup=True):
     sim = Simulator()
     model = LogisticRegressionModel(4, SERVER_BACKEND)
     service = AggregationService(sim, AggregationTrigger(), model=model, name="agg")
-    sink = CloudIngestSink(sim, "t", ObjectStorage(), service, dedup=dedup)
+    sink = CloudIngestSink(sim, ObjectStorage(), service, dedup=dedup)
     return sim, service, sink, model
 
 
@@ -244,11 +243,13 @@ def make_update(device_id, round_index=1, seed=0):
 def outcome(device_id, round_index=1, seed=0, finished_at=0.0):
     """One device's upload reaching the cloud at ``finished_at``: a block of one row."""
     update = make_update(device_id, round_index, seed)
-    return ColumnarOutcomes(
-        grade="High",
-        devices=DeviceColumns([device_id], [update.n_samples]),
+    return MessageBlock(
+        task_id="t",
         round_index=round_index,
-        payload_bytes=64,
+        device_ids=[device_id],
+        grade="High",
+        size_bytes=64,
+        n_samples=[update.n_samples],
         finished_at=np.array([finished_at]),
         update_weights=update.weights[None],
         update_biases=np.array([update.bias]),
@@ -386,7 +387,6 @@ class TestMessageBlockDedup:
             task_id="t",
             round_index=1,
             device_ids=[f"d{i}" for i in range(5)],
-            payload_refs=[f"t/d{i}/r1" for i in range(5)],
             size_bytes=32,
             n_samples=np.arange(1, 6),
         )
@@ -397,7 +397,7 @@ class TestMessageBlockDedup:
         def run(stream):
             sim = Simulator()
             service = AggregationService(sim, AggregationTrigger(), name="agg")
-            sink = CloudIngestSink(sim, "t", ObjectStorage(), service, dedup=True)
+            sink = CloudIngestSink(sim, ObjectStorage(), service, dedup=True)
             for segment in stream:
                 sink.flow_receive(segment)
             return service, sink
