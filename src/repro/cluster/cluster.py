@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Sequence
 
 from repro.cluster.placement import BundlePlacement, PlacementGroup
@@ -26,6 +27,8 @@ class K8sCluster:
     def __init__(self, nodes: Sequence[NodeSpec]) -> None:
         self._node_counter = itertools.count()
         self.nodes: dict[str, WorkerNode] = {}
+        #: Nodes per spec, kept by the two node mutators: capacity queries scan no node.
+        self.spec_counts: Counter[NodeSpec] = Counter()
         self._group_nodes: dict[str, list[tuple[WorkerNode, ResourceBundle]]] = {}
         for spec in nodes:
             self.add_node(spec)
@@ -37,6 +40,7 @@ class K8sCluster:
         """Scale up by one node; returns its id."""
         node_id = f"node-{next(self._node_counter):04d}"
         self.nodes[node_id] = WorkerNode(node_id, spec)
+        self.spec_counts[spec] += 1
         return node_id
 
     def remove_node(self, node_id: str) -> None:
@@ -47,6 +51,7 @@ class K8sCluster:
         if not node.idle:
             raise RuntimeError(f"node {node_id} still hosts allocations")
         del self.nodes[node_id]
+        self.spec_counts[node.spec] -= 1
 
     # ------------------------------------------------------------------
     # capacity queries

@@ -4,18 +4,19 @@ The paper's two tiers are one queueing structure — "each actor sequentially
 simulating multiple devices" (§IV-A), computing phones "repeatedly
 emulating simulated devices" (§IV-C): a plan's devices are dealt round-robin
 onto slots and each slot works through its queue.  A plan is therefore a
-struct of per-device columns (:class:`DeviceColumns`) plus what the whole
-grade shares (:class:`TierPlan`), a round's results are one
-:class:`~repro.deviceflow.messages.MessageBlock` over the same rows — the
-block the sink, DeviceFlow and the fold are handed, never a copy of it —
-and :class:`TierRounds` is the one engine that executes, schedules,
+struct of per-device columns (:class:`DeviceColumns`; the id column of a
+generated plan is a :class:`DeviceIdRange`, which holds no string until one
+is read) plus what the whole grade shares (:class:`TierPlan`), a round's
+results are one :class:`~repro.deviceflow.messages.MessageBlock` over the
+same rows — the block the sink, DeviceFlow and the fold are handed, never a
+copy of it — and :class:`TierRounds` is the one engine that executes, schedules,
 delivers and closes a round.  A tier contributes only its completion-time
 kernel.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Sequence
+from collections.abc import Callable, Generator, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,17 +30,61 @@ from repro.ml.operators import BlockOperatorContext, OperatorFlow
 from repro.simkernel import AllOf, RandomStreams, Signal, Simulator, TimeoutPool
 
 
+class DeviceIdRange(Sequence):
+    """A generated plan's id column: ``f"{prefix}{i:06d}"`` for ``i`` in ``rows``, rendered when read.
+
+    A root (``root is None`` — never ``self``: a plan's ids die with the
+    plan, not at the next cyclic collection) stands for rows ``range(n)``.
+    Until something iterates, a forward slice is another range over the
+    same root and an int index renders one id.  The first iteration of the
+    root or of any slice renders the root's ids **once**; from then on a
+    slice or an iteration is a ``list`` slice of that one list.  A consumer
+    that reads ids every round (a lossy channel, the dedup gate) pays once
+    per plan; a direct time-only round reads none and pays nothing per device.
+    """
+
+    __slots__ = ("prefix", "rows", "root", "rendered")
+
+    def __init__(self, prefix: str, rows: range, root: DeviceIdRange | None = None) -> None:
+        self.prefix, self.rows, self.root = prefix, rows, root
+        #: On a root: every id of the plan, once something has iterated.
+        self.rendered: list[str] | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int | slice) -> str | Sequence[str]:
+        root = self if self.root is None else self.root
+        rows, rendered = self.rows[index], root.rendered
+        if not isinstance(index, slice):
+            return f"{self.prefix}{rows:06d}" if rendered is None else rendered[rows]
+        if rows.step < 0:
+            raise ValueError("an id column is sliced forwards")
+        if rendered is None:
+            return DeviceIdRange(self.prefix, rows, root)
+        return rendered[rows.start : rows.stop : rows.step]
+
+    def __iter__(self) -> Iterator[str]:
+        root = self if self.root is None else self.root
+        if root.rendered is None:
+            prefix = root.prefix
+            root.rendered = [f"{prefix}{i:06d}" for i in root.rows]
+        return iter(self[:])
+
+
 @dataclass
 class DeviceColumns:
     """The devices of a plan, one row each.
 
+    ``device_ids`` is any sequence of ``str``: a dataset's own id list for
+    numeric plans, a :class:`DeviceIdRange` for generated time-only ones.
     ``datasets`` is ``None`` for *time-only* runs (the large-scale
     scalability experiments); ``n_samples`` still feeds the FedAvg weights
     and the staged-bytes estimate so aggregation triggers behave
     realistically.  Plans validate their columns at construction.
     """
 
-    device_ids: list[str]
+    device_ids: Sequence[str]
     n_samples: np.ndarray
     datasets: list[DeviceDataset] | None = None
 

@@ -7,11 +7,14 @@ answers exactly the command set the paper quotes — battery sysfs reads,
 with raw, realistically-formatted text: the paper stresses that "the
 information collected typically contains other non-essential data,
 requiring post-processing to extract valid data", and the fidelity of that
-post-processing is part of what the reproduction exercises.
+post-processing is part of what the reproduction exercises.  A command the
+bridge cannot read is an :class:`AdbError` quoting it, and a command string
+is tokenised once however many phones and polls repeat it.
 """
 
 from __future__ import annotations
 
+import functools
 import shlex
 
 import numpy as np
@@ -22,6 +25,15 @@ from repro.phones.phone import VirtualPhone
 
 class AdbError(RuntimeError):
     """Raised for unknown serials, commands, or device-side failures."""
+
+
+@functools.lru_cache(maxsize=256)
+def _tokens(command: str) -> tuple[str, ...]:
+    """``shlex.split``, once per distinct string (a failure is not kept: it raises again)."""
+    try:
+        return tuple(shlex.split(command))
+    except ValueError as exc:
+        raise AdbError(f"/system/bin/sh: {command!r}: {exc}") from exc
 
 
 class SimulatedAdb:
@@ -107,7 +119,7 @@ class SimulatedAdb:
         if "|" in command:
             base, _, filter_part = command.partition("|")
             output = self._dispatch(phone, base.strip())
-            filter_tokens = shlex.split(filter_part.strip())
+            filter_tokens = _tokens(filter_part.strip())
             if not filter_tokens or filter_tokens[0] != "grep":
                 raise AdbError(f"unsupported pipeline: {filter_part.strip()!r}")
             pattern = filter_tokens[-1]
@@ -117,7 +129,9 @@ class SimulatedAdb:
 
     # ------------------------------------------------------------------
     def _dispatch(self, phone: VirtualPhone, command: str) -> str:
-        tokens = shlex.split(command)
+        tokens = _tokens(command)
+        if not tokens:
+            raise AdbError("empty shell command")
         head = tokens[0]
         if head == "cat":
             return self._cat(phone, tokens)
@@ -133,7 +147,7 @@ class SimulatedAdb:
             return self._am(phone, tokens)
         raise AdbError(f"/system/bin/sh: {head}: inaccessible or not found")
 
-    def _cat(self, phone: VirtualPhone, tokens: list[str]) -> str:
+    def _cat(self, phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
         if len(tokens) != 2:
             raise AdbError("usage: cat <path>")
         path = tokens[1]
@@ -171,10 +185,13 @@ class SimulatedAdb:
         )
         return header + lo + wlan
 
-    def _top(self, phone: VirtualPhone, tokens: list[str]) -> str:
+    def _top(self, phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
         if "-p" not in tokens:
             raise AdbError("top: simulated bridge requires -p <pid>")
-        pid = int(tokens[tokens.index("-p") + 1])
+        try:
+            pid = int(tokens[tokens.index("-p") + 1])
+        except (IndexError, ValueError) as exc:
+            raise AdbError(f"top: -p needs a numeric pid: {shlex.join(tokens)!r}") from exc
         cpu = phone.cpu_percent(pid)
         mem_kb = phone.memory_pss_kb(phone.running_package or "")
         mem_pct = 100.0 * mem_kb / (phone.spec.memory_gb * 1024 * 1024)
@@ -191,13 +208,13 @@ class SimulatedAdb:
         )
         return header + row
 
-    def _pgrep(self, phone: VirtualPhone, tokens: list[str]) -> str:
+    def _pgrep(self, phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
         if len(tokens) < 3 or tokens[1] != "-f":
             raise AdbError("usage: pgrep -f <pattern>")
         pid = phone.pgrep(tokens[2])
         return f"{pid}\n" if pid is not None else ""
 
-    def _dumpsys(self, phone: VirtualPhone, tokens: list[str]) -> str:
+    def _dumpsys(self, phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
         if len(tokens) < 2:
             raise AdbError("usage: dumpsys <service-or-package>")
         package = tokens[-1]
@@ -216,15 +233,15 @@ class SimulatedAdb:
             f"          SwapPss:          0\n"
         )
 
-    def _pm(self, phone: VirtualPhone, tokens: list[str]) -> str:
+    def _pm(self, phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
         if len(tokens) >= 2 and tokens[1] == "clear":
             phone.clear_background()
             return "Success\n"
-        raise AdbError(f"pm: unsupported sub-command {tokens[1:]!r}")
+        raise AdbError(f"pm: unsupported sub-command {list(tokens[1:])!r}")
 
-    def _am(self, phone: VirtualPhone, tokens: list[str]) -> str:
+    def _am(self, phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
         if len(tokens) >= 2 and tokens[1] == "start":
-            if "-n" not in tokens:
+            if "-n" not in tokens[:-1]:
                 raise AdbError("am start: missing -n <component>")
             component = tokens[tokens.index("-n") + 1]
             package = component.split("/")[0]
@@ -235,4 +252,4 @@ class SimulatedAdb:
             return ""
         if len(tokens) >= 2 and tokens[1] == "broadcast":
             return "Broadcasting: Intent { act=... }\nBroadcast completed: result=0\n"
-        raise AdbError(f"am: unsupported sub-command {tokens[1:]!r}")
+        raise AdbError(f"am: unsupported sub-command {list(tokens[1:])!r}")

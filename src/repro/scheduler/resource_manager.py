@@ -7,11 +7,15 @@ synchronizes resource utilization information with the Task Manager."
 
 Reservations are bookkeeping at the granularity the scheduler reasons in —
 logical *unit bundles* and per-grade phone counts; physical placement
-happens later inside the execution tiers against the same capacity.
+happens later inside the execution tiers against the same capacity.  The
+scheduling pass takes a snapshot every tick, so capacity is counted where it
+changes (``add_phones`` / ``remove_phones``, ``K8sCluster.add_node`` /
+``remove_node``) and a snapshot reads the counts: no phone, no node.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.cluster.cluster import K8sCluster
@@ -72,11 +76,13 @@ class ResourceManager:
 
     def __init__(self, cluster: K8sCluster, phones: list[VirtualPhone], unit_bundle: ResourceBundle) -> None:
         self.cluster = cluster
-        self.phones = list(phones)
+        self.phones: list[VirtualPhone] = []
+        self._phones_by_grade: Counter[str] = Counter()
         self.unit_bundle = unit_bundle
         self._frozen_bundles = 0
         self._frozen_phones: dict[str, int] = {}
         self._grants: dict[str, ResourceGrant] = {}
+        self.add_phones(phones)
 
     # ------------------------------------------------------------------
     # capacity queries
@@ -87,24 +93,16 @@ class ResourceManager:
         Per-node capacity is the binding minimum across resource
         dimensions (a 20-core/30-GB node hosts 20 one-CPU/one-GB units).
         """
+        unit = self.unit_bundle
         total = 0
-        for node in self.cluster.nodes.values():
-            per_dim = []
-            if self.unit_bundle.cpus > 0:
-                per_dim.append(node.spec.cpus / self.unit_bundle.cpus)
-            if self.unit_bundle.memory_gb > 0:
-                per_dim.append(node.spec.memory_gb / self.unit_bundle.memory_gb)
-            if self.unit_bundle.gpus > 0:
-                per_dim.append(node.spec.gpus / self.unit_bundle.gpus)
-            total += int(min(per_dim))
+        for spec, count in self.cluster.spec_counts.items():
+            dims = ((spec.cpus, unit.cpus), (spec.memory_gb, unit.memory_gb), (spec.gpus, unit.gpus))
+            total += count * int(min(have / need for have, need in dims if need > 0))
         return total
 
     def phones_by_grade(self) -> dict[str, int]:
         """Total phone counts per grade."""
-        counts: dict[str, int] = {}
-        for phone in self.phones:
-            counts[phone.spec.grade] = counts.get(phone.spec.grade, 0) + 1
-        return counts
+        return dict(self._phones_by_grade)
 
     def snapshot(self) -> ResourceSnapshot:
         """Current free capacity after existing freezes."""
@@ -187,17 +185,27 @@ class ResourceManager:
     def add_phones(self, phones: list[VirtualPhone]) -> None:
         """Grow the physical fleet (e.g. extra MSP provisioning)."""
         self.phones.extend(phones)
+        self._phones_by_grade.update(phone.spec.grade for phone in phones)
 
     def remove_phones(self, phones: list[VirtualPhone]) -> None:
-        """Shrink the fleet (device churn / fault injection).
+        """Shrink the fleet (device churn / fault injection): all of ``phones``, or none.
 
-        Only capacity accounting changes; reservations already frozen
-        against the removed phones stay valid until their tasks release
-        them (free counts may go transiently negative, which simply
-        blocks new freezes).
+        Every phone is validated *before* anything is removed — one that is
+        not in the fleet raises :class:`ValueError` naming its serial and
+        leaves the fleet exactly as it was; a phone named twice is removed
+        once (as :meth:`scale_down` treats node ids).  Only capacity
+        accounting changes; reservations already frozen against the removed
+        phones stay valid until their tasks release them (free counts may go
+        transiently negative, which simply blocks new freezes).
         """
-        for phone in phones:
+        unique, fleet = list(dict.fromkeys(phones)), set(self.phones)
+        unknown = [phone.serial for phone in unique if phone not in fleet]
+        if unknown:
+            raise ValueError(f"phones {unknown!r} are not in the fleet; nothing was removed")
+        for phone in unique:
             self.phones.remove(phone)
+        self._phones_by_grade.subtract(phone.spec.grade for phone in unique)
+        self._phones_by_grade = +self._phones_by_grade  # a grade with no phone left has no entry, as in a recount
 
     @property
     def active_grants(self) -> int:

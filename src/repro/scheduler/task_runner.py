@@ -33,7 +33,7 @@ from repro.cloud.transport import ChannelModel, TransportChannel, TransportCount
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.resources import ResourceBundle
-from repro.cluster.rounds import DeviceColumns
+from repro.cluster.rounds import DeviceColumns, DeviceIdRange
 from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 from repro.data.avazu import FederatedDataset, make_federated_ctr_data
 from repro.deviceflow.controller import DeviceFlow
@@ -335,7 +335,7 @@ class TaskRunner:
                 cursor += n
                 devices = DeviceColumns.of_shards([dataset.shard(d) for d in ids])
             else:
-                ids = [f"{self.spec.task_id}-{grade_req.grade}-{i:06d}" for i in range(n)]
+                ids = DeviceIdRange(f"{self.spec.task_id}-{grade_req.grade}-", range(n))
                 devices = DeviceColumns(ids, np.full(n, self.spec.records_per_device, dtype=np.int64))
             # Rows in order: the benchmarking devices, the logical share, the phones' share.
             n_bench = grade_req.n_benchmark

@@ -35,6 +35,7 @@ from repro.cloud import (
     TransportChannel,
 )
 from repro.cloud.aggregation import AggregationTrigger
+from repro.cluster.rounds import DeviceIdRange
 from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
 from repro.deviceflow.messages import payload_ref
 from repro.ml.backends import SERVER_BACKEND
@@ -254,10 +255,13 @@ class TestRowAlignment:
         n=st.integers(min_value=1, max_value=12),
         carried=st.sets(st.sampled_from(OPTIONAL_COLUMNS)),
         ops=st.lists(ROW_OPS, max_size=6),
+        id_range=st.booleans(),
     )
-    @settings(max_examples=120, deadline=None)
-    def test_any_chain_of_row_operations_keeps_every_column_aligned(self, n, carried, ops):
+    @settings(max_examples=200, deadline=None)
+    def test_any_chain_of_row_operations_keeps_every_column_aligned(self, n, carried, ops, id_range):
         block = indexed_block(range(n), carried)
+        if id_range:  # a generated plan's id column ("d000003"), unrendered until an operation reads it
+            block.device_ids = DeviceIdRange("d", range(n))
         for op, *args in ops:
             rows = len(block)
             if op == "slice":

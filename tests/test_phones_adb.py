@@ -135,6 +135,42 @@ class TestPaperCommandSet:
         with pytest.raises(AdbError, match="unsupported pipeline"):
             adb.shell("serial-1", "cat /sys/class/power_supply/battery/current_now | awk x")
 
+    @pytest.mark.parametrize(
+        ("command", "names"),
+        [
+            ("top -n 1 -p", "top -n 1 -p"),  # was IndexError
+            ("top -n 1 -p abc", "top -n 1 -p abc"),  # was ValueError from int()
+            ("cat 'unterminated", "cat 'unterminated"),  # was ValueError: No closing quotation
+            ("pgrep -f x | grep 'y", "grep 'y"),  # the same, in the filter
+            ("am start -n", "missing -n"),  # was IndexError
+            ("| grep x", "empty shell command"),  # was IndexError on tokens[0]
+        ],
+    )
+    def test_malformed_command_is_an_adb_error_naming_it(self, rig, command, names):
+        """Twice: the token memo must answer a bad string the second time as it did the first."""
+        _, adb, _, _ = rig
+        messages = []
+        for _ in range(2):
+            with pytest.raises(AdbError) as caught:
+                adb.shell("serial-1", command)
+            assert names in str(caught.value)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_a_command_string_is_tokenised_once(self, rig, monkeypatch):
+        import shlex
+
+        from repro.phones import adb as adb_module
+
+        _, adb, _, _ = rig
+        split_calls = []
+        real_split = shlex.split
+        monkeypatch.setattr(shlex, "split", lambda text: split_calls.append(text) or real_split(text))
+        adb_module._tokens.cache_clear()
+        for _ in range(5):
+            assert parse_voltage_mv(adb.shell("serial-1", "cat /sys/class/power_supply/battery/voltage_now")) > 0
+        assert split_calls == ["cat /sys/class/power_supply/battery/voltage_now"]
+
 
 class TestParsers:
     def test_parse_current_magnitude(self):

@@ -1,6 +1,8 @@
 """Tests for task specs, queue, resource manager and greedy scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import K8sCluster, NodeSpec, ResourceBundle
 from repro.phones import VirtualPhone
@@ -9,6 +11,7 @@ from repro.scheduler import (
     GradeRequirement,
     GreedyTaskScheduler,
     ResourceManager,
+    ResourceSnapshot,
     TaskQueue,
     TaskSpec,
     TaskState,
@@ -211,6 +214,101 @@ class TestResourceManager:
         spec = make_spec(n_phones=3)
         with pytest.raises(RuntimeError):
             rm.freeze(spec)
+
+    def test_remove_phones_is_transactional_on_unknown_phone(self):
+        """Regression: ``[a, stranger, b]`` used to remove ``a``, then die in ``list.remove``."""
+        rm = make_rm(n_high=3, n_low=2)
+        stranger = VirtualPhone(Simulator(), "stranger", rm.phones[0].spec, streams=RandomStreams(0))
+        fleet = list(rm.phones)
+        with pytest.raises(ValueError, match=r"\['stranger'\] are not in the fleet; nothing was removed"):
+            rm.remove_phones([fleet[0], stranger, fleet[1]])
+        assert rm.phones == fleet
+        assert rm.snapshot() == recounted_snapshot(rm)
+        assert rm.phones_by_grade() == {"High": 3, "Low": 2}
+
+    def test_remove_phones_dedupes_its_argument(self):
+        rm = make_rm(n_high=3, n_low=2)
+        fleet = list(rm.phones)
+        rm.remove_phones([fleet[0], fleet[4], fleet[0]])
+        assert rm.phones == fleet[1:4]
+        assert rm.phones_by_grade() == {"High": 2, "Low": 1}
+        rm.remove_phones([fleet[3]])  # the last Low phone: the grade leaves the counts, as in a recount
+        assert rm.snapshot() == recounted_snapshot(rm)
+        assert rm.phones_by_grade() == {"High": 2}
+
+
+def recounted_snapshot(rm):
+    """The oracle: ``snapshot()`` as it was computed before the counts were maintained — by scanning."""
+    total = 0
+    for node in rm.cluster.nodes.values():
+        per_dim = []
+        if rm.unit_bundle.cpus > 0:
+            per_dim.append(node.spec.cpus / rm.unit_bundle.cpus)
+        if rm.unit_bundle.memory_gb > 0:
+            per_dim.append(node.spec.memory_gb / rm.unit_bundle.memory_gb)
+        if rm.unit_bundle.gpus > 0:
+            per_dim.append(node.spec.gpus / rm.unit_bundle.gpus)
+        total += int(min(per_dim))
+    free_phones = {}
+    for phone in rm.phones:
+        free_phones[phone.spec.grade] = free_phones.get(phone.spec.grade, 0) + 1
+    for grade, frozen in rm._frozen_phones.items():
+        free_phones[grade] = free_phones.get(grade, 0) - frozen
+    return ResourceSnapshot(free_bundles=total - rm._frozen_bundles, free_phones=free_phones)
+
+
+NODE_SPECS = [NodeSpec(cpus=10, memory_gb=10), NodeSpec(cpus=8, memory_gb=4.5), NodeSpec(cpus=3, memory_gb=16, gpus=1)]
+RM_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add_phones", "remove_phones", "scale_up", "scale_down", "freeze", "release"]),
+        st.integers(0, 2**16),
+    ),
+    max_size=25,
+)
+
+
+class TestCountedSnapshotEqualsRecount:
+    @given(steps=RM_STEPS, unit=st.sampled_from([ResourceBundle(1.0, 1.0), ResourceBundle(2.0, 3.0)]))
+    @settings(max_examples=150, deadline=None)
+    def test_after_any_sequence_of_mutators_accepted_or_rejected(self, steps, unit):
+        rm = make_rm(n_high=3, n_low=2, cores=20)
+        rm.unit_bundle = unit
+        sim, streams = Simulator(), RandomStreams(0)
+        # Phones outside the fleet, nodes scaled up, tasks holding grants.
+        out = [VirtualPhone(sim, f"spare{i}", spec, streams=streams) for i, spec in enumerate(build_fleet(3, 3, "SIM"))]
+        added, held = [], []
+        for step, (op, pick) in enumerate(steps):
+            try:
+                if op == "add_phones":
+                    arriving = out[: pick % 3]
+                    rm.add_phones(arriving)
+                    del out[: len(arriving)]
+                elif op == "remove_phones":
+                    # Sometimes a phone that is not in the fleet (rejected whole), sometimes one twice.
+                    leaving = [rm.phones[i % len(rm.phones)] for i in (pick, pick // 7)] if rm.phones else []
+                    if pick % 5 == 0 and out:
+                        leaving.insert(1, out[0])
+                    rm.remove_phones(leaving)
+                    out.extend(dict.fromkeys(leaving))
+                elif op == "scale_up":
+                    added.extend(rm.scale_up(NODE_SPECS[pick % 3], count=pick % 2 + 1))
+                elif op == "scale_down" and added:
+                    node_id = added[pick % len(added)]
+                    if pick % 4 == 0:  # rejected: a node that still hosts an allocation
+                        rm.cluster.nodes[node_id].allocate(ResourceBundle(cpus=1.0, memory_gb=1.0))
+                    rm.scale_down([node_id, "ghost"] if pick % 9 == 0 else [node_id])
+                    added.remove(node_id)
+                elif op == "freeze":
+                    grade = ("High", "Low")[pick % 2]
+                    spec = make_spec(f"t{step}", bundles=pick % 30, n_phones=pick % 4, grade=grade)
+                    held.append(rm.freeze(spec).task_id)
+                elif op == "release":
+                    rm.release(held.pop(pick % len(held)) if held and pick % 6 else "ghost")
+            except (ValueError, KeyError, RuntimeError):
+                pass  # a rejected call must leave the counts where a recount finds them, too
+            assert rm.snapshot() == recounted_snapshot(rm)
+            assert rm.total_bundles() == recounted_snapshot(rm).free_bundles + rm._frozen_bundles
+            assert sum(rm.phones_by_grade().values()) == len(rm.phones)
 
 
 class TestGreedyScheduler:
