@@ -12,7 +12,7 @@ loop deterministically:
   ``duplication`` / ``outage`` windows driven by the scenario fault
   plan).
 * a device-side retry policy — capped exponential backoff with
-  deterministic jitter drawn from a device-keyed rng stream; after
+  deterministic jitter drawn from the device's own stream; after
   ``max_attempts`` sends the upload is *abandoned*.
 * :class:`TransportChannel` — the simulation adapter: it fronts any
   :class:`~repro.cloud.sink.OutcomeSink`, plans one upload per device
@@ -22,11 +22,15 @@ loop deterministically:
   column: one kernel event (:meth:`~repro.simkernel.Simulator.schedule_at`)
   at its arrival time, a duplicate one more directly after it.
 
-Determinism contract: every draw comes from a per-``(task, device)``
-stream keyed only on ids, and the number of draws per upload depends
-only on the *send* times (never on ``sim.now`` at delivery), so repeat
-runs consume identical random sequences however uploads are grouped
-into blocks.
+Determinism contract: every draw comes from the stream named
+``transport.{task}.{device}`` — a row of the channel's per-task
+:class:`~repro.simkernel.random.StreamBank`, seeded a plan at a time and
+bit-identical to the named ``Generator`` it replaces — and follows the
+draw convention written in :mod:`repro.simkernel.random`: a draw depends
+on ``(seed, name, draw index)`` only.  The number of draws per upload
+depends only on the *send* times (never on ``sim.now`` at delivery), so
+repeat runs consume identical random sequences however uploads are
+grouped into blocks and whichever other devices exist.
 Duplicated deliveries share the primary's arrival time, and the
 downstream :class:`~repro.cloud.sink.CloudIngestSink` dedup table folds
 them exactly once; the FedAvg fold is error-free-transformed, so the
@@ -35,9 +39,11 @@ aggregate is bit-identical no matter the delivery order.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -47,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.deviceflow.messages import MessageBlock
     from repro.observability.tracing import Tracer
     from repro.simkernel import RandomStreams, Simulator
+    from repro.simkernel.random import StreamBank
 
 #: Impairment kinds a window can schedule (mirrors the FaultSpec kinds
 #: ``message_loss`` / ``message_duplication`` / ``service_outage``).
@@ -54,17 +61,20 @@ WINDOW_KINDS = ("loss", "duplication", "outage")
 
 
 def check_channel_numbers(spec, prefix: str = "") -> None:
-    """Reject a non-numeric channel field or a non-integer ``max_attempts``, naming it.
+    """Reject a non-finite channel field or a non-integer ``max_attempts``, naming it.
 
     Shared by :class:`ChannelModel` and the scenario file's ``TransportSpec``
-    (``prefix="transport."``): a string where a probability belongs, or
-    ``max_attempts=2.5``, fails at construction instead of mid-run inside
-    :meth:`ChannelModel.plan_upload`.
+    (``prefix="transport."``): a string where a probability belongs, a NaN
+    latency (NaN passes every range test) or ``max_attempts=2.5`` fails at
+    construction instead of mid-run inside :meth:`ChannelModel.plan_upload`
+    or as the kernel's ``cannot schedule at nan``.
     """
     for name in ("latency_s", "jitter_s", "loss_prob", "dup_prob", "retry_base_s", "retry_cap_s"):
         value = getattr(spec, name)
         if not isinstance(value, Real):
             raise ValueError(f"{prefix}{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{prefix}{name} must be finite, got {value!r}")
     if not isinstance(spec.max_attempts, Integral) or spec.max_attempts < 1:
         raise ValueError(f"{prefix}max_attempts must be an integer >= 1, got {spec.max_attempts!r}")
 
@@ -87,6 +97,12 @@ class ChannelWindow:
     def __post_init__(self) -> None:
         if self.kind not in WINDOW_KINDS:
             raise ValueError(f"unknown channel window kind {self.kind!r}; known: {WINDOW_KINDS}")
+        for name in ("at", "until"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or math.isnan(value):
+                raise ValueError(f"channel window {name} must be a number, got {value!r}")
+        if math.isinf(self.at):
+            raise ValueError(f"channel window at must be finite, got {self.at!r}")
         if self.until <= self.at:
             raise ValueError(
                 f"channel window must end after it starts: until={self.until!r} <= at={self.at!r}"
@@ -94,8 +110,13 @@ class ChannelWindow:
         if not 0.0 < self.prob <= 1.0:
             raise ValueError(f"channel window prob must be in (0, 1], got {self.prob!r}")
 
-    def active(self, time: float, scope: str) -> bool:
-        return self.at <= time < self.until and (not self.tenant or self.tenant == scope)
+
+class ScopeWindows(NamedTuple):
+    """The windows of a model that apply to one scope, by kind, in the model's order."""
+
+    loss: tuple[ChannelWindow, ...]
+    duplication: tuple[ChannelWindow, ...]
+    outage: tuple[ChannelWindow, ...]
 
 
 @dataclass
@@ -178,27 +199,38 @@ class ChannelModel:
                 f"cap={self.retry_cap_s!r}"
             )
 
-    def loss_prob_at(self, time: float, scope: str) -> float:
+    def windows_for(self, scope: str | ScopeWindows) -> ScopeWindows:
+        """The windows applying to ``scope`` (untenanted ones and its own), by kind.
+
+        Wherever a method takes a ``scope``, the tenant's name and the
+        :class:`ScopeWindows` this returned for it mean the same thing; a
+        :class:`TransportChannel` filters once, at construction, and
+        passes the result, so an attempt never re-tests a tenant.
+        """
+        if not isinstance(scope, str):
+            return scope
+        mine = [window for window in self.windows if not window.tenant or window.tenant == scope]
+        return ScopeWindows(*(tuple(w for w in mine if w.kind == kind) for kind in WINDOW_KINDS))
+
+    def loss_prob_at(self, time: float, scope: str | ScopeWindows) -> float:
         """Combined loss probability at ``time`` (independent sources)."""
         keep = 1.0 - self.loss_prob
-        for window in self.windows:
-            if window.kind == "loss" and window.active(time, scope):
+        for window in self.windows_for(scope).loss:
+            if window.at <= time < window.until:
                 keep *= 1.0 - window.prob
         return 1.0 - keep
 
-    def dup_prob_at(self, time: float, scope: str) -> float:
+    def dup_prob_at(self, time: float, scope: str | ScopeWindows) -> float:
         """Combined duplication probability at ``time``."""
         keep = 1.0 - self.dup_prob
-        for window in self.windows:
-            if window.kind == "duplication" and window.active(time, scope):
+        for window in self.windows_for(scope).duplication:
+            if window.at <= time < window.until:
                 keep *= 1.0 - window.prob
         return 1.0 - keep
 
-    def in_outage(self, time: float, scope: str) -> bool:
+    def in_outage(self, time: float, scope: str | ScopeWindows) -> bool:
         """Whether the ingestion service rejects sends at ``time``."""
-        return any(
-            window.kind == "outage" and window.active(time, scope) for window in self.windows
-        )
+        return any(window.at <= time < window.until for window in self.windows_for(scope).outage)
 
     def active_for(self, scope: str) -> bool:
         """Whether this channel can perturb ``scope``'s uploads at all.
@@ -211,15 +243,17 @@ class ChannelModel:
             return True
         if self.loss_prob > 0.0 or self.dup_prob > 0.0:
             return True
-        return any(not window.tenant or window.tenant == scope for window in self.windows)
+        return any(self.windows_for(scope))
 
-    def plan_upload(self, rng, t0: float, scope: str) -> UploadPlan:
+    def plan_upload(self, rng, t0: float, scope: str | ScopeWindows) -> UploadPlan:
         """Plan one upload that first becomes ready at time ``t0``.
 
-        Draw counts depend only on the send times derived from ``t0``,
-        never on the caller's clock, so the plan is identical however
-        the round's rows were cut into blocks.
+        ``rng`` is the device's stream: anything with ``random()``.  Draw
+        counts depend only on the send times derived from ``t0``, never
+        on the caller's clock, so the plan is identical however the
+        round's rows were cut into blocks.
         """
+        scope = self.windows_for(scope)
         t_send = float(t0)
         for attempt in range(1, self.max_attempts + 1):
             if self.in_outage(t_send, scope):
@@ -244,9 +278,10 @@ class TransportChannel:
     """Simulation adapter: runs a :class:`ChannelModel` in front of a sink.
 
     Presents the :class:`~repro.cloud.sink.OutcomeSink` protocol to the
-    execution tiers; plans each device's upload with a device-keyed rng
-    stream (``transport.{task}.{device}``, the task being the block's) and
-    delivers survivors to ``inner`` as kernel events at
+    execution tiers; plans each device's upload with the device's row of a
+    per-task :class:`~repro.simkernel.random.StreamBank` (the stream named
+    ``transport.{task}.{device}``, the task being the block's; see
+    :meth:`seed`) and delivers survivors to ``inner`` as kernel events at
     their (possibly retried, possibly late) arrival times: each delivery
     is the upload's row of the block with the arrival as its time column.
     A block's rows are routed per device in block order, so uploads with
@@ -274,6 +309,10 @@ class TransportChannel:
         self.inner = inner
         self.streams = streams
         self.scope = scope
+        # Windows are baked into the model before the channel exists and
+        # never change: filter them to this scope once, not per attempt.
+        self._windows = model.windows_for(scope)
+        self._banks: dict[str, StreamBank] = {}
         self.tracer = tracer
         # Ask the tiers for whatever granularity the fronted sink wants.
         self.prefers_waves = bool(getattr(inner, "prefers_waves", False))
@@ -288,6 +327,20 @@ class TransportChannel:
         self.round = TransportCounters()
         self._deadline = deadline
 
+    def seed(self, task_id: str, device_ids: Iterable[str]) -> StreamBank:
+        """Seed ``task_id``'s upload streams for whichever ``device_ids`` have none; return its bank.
+
+        One vectorised pass per call, so the unit should be a plan's id
+        column (the runner's call) rather than a 29-row wave; a block
+        whose ids were never announced is seeded here all the same, and
+        to the same streams.
+        """
+        bank = self._banks.get(task_id)
+        if bank is None:
+            bank = self._banks[task_id] = self.streams.bank(f"transport.{task_id}.")
+        bank.seed(device_ids)
+        return bank
+
     def accept_block(self, block: MessageBlock) -> None:
         # Draws are keyed per device; the exact-sum fold downstream makes
         # the delivery order irrelevant to the aggregate.
@@ -297,13 +350,13 @@ class TransportChannel:
             # each upload's planned fate.  Pure appends — no draws, no
             # kernel events — so the traced run stays byte-identical.
             self.tracer.record_block(block)
+        bank = self.seed(block.task_id, block.device_ids)
         for row, (device_id, t0) in enumerate(zip(block.device_ids, block.finished_at.tolist())):
-            self._route(block, row, device_id, t0)
+            self._route(block, row, device_id, t0, bank)
 
-    def _route(self, block: MessageBlock, row: int, device_id: str, t0: float) -> None:
+    def _route(self, block: MessageBlock, row: int, device_id: str, t0: float, bank: StreamBank) -> None:
         self.round.uploads += 1
-        rng = self.streams.get(f"transport.{block.task_id}.{device_id}")
-        plan = self.model.plan_upload(rng, t0, self.scope)
+        plan = self.model.plan_upload(bank.stream(device_id), t0, self._windows)
         self.round.retries += plan.retries
         status = "delivered"
         if plan.arrival is None:

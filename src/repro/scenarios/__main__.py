@@ -35,8 +35,17 @@ from repro.scenarios.engine import ScenarioRunner
 from repro.scenarios.library import SCENARIOS, build_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.scheduler.task import TaskState
+from repro.simkernel.random import check_seed
 
 _FILE_SUFFIXES = (".json", ".yaml", ".yml")
+
+
+def _seed_arg(text: str) -> int:
+    """``--seed`` as argparse sees it: a bad value is a usage error, not a mid-run traceback."""
+    try:
+        return check_seed(int(text), "--seed")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_spec_file(path: Path) -> ScenarioSpec:
@@ -179,13 +188,13 @@ def main(argv: list[str] | None = None) -> int:
     show = sub.add_parser("show", help="print a scenario spec as JSON")
     show.add_argument("name", help=name_help)
     show.add_argument("--scale", type=int, default=None, help="approximate total devices")
-    show.add_argument("--seed", type=int, default=None)
+    show.add_argument("--seed", type=_seed_arg, default=None)
     show.set_defaults(fn=_cmd_show)
 
     run = sub.add_parser("run", help="replay a scenario and print its report")
     run.add_argument("name", help=name_help)
     run.add_argument("--scale", type=int, default=None, help="approximate total devices")
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=_seed_arg, default=None)
     run.add_argument(
         "--report-json",
         type=Path,

@@ -38,7 +38,7 @@ from repro.deviceflow.strategy import (
 from repro.ml.operators import standard_fl_flow
 from repro.observability import AlarmRule, AutoscaleSpec, SLASpec
 from repro.scheduler.task import GradeRequirement, TaskSpec, check_records_per_device
-from repro.simkernel.random import stable_hash
+from repro.simkernel.random import check_seed, stable_hash
 
 #: Named network profiles a :class:`PopulationSpec` can mix.
 NETWORK_PROFILES = {p.name: p for p in (WIFI, LTE, GPRS, FLIGHT_MODE)}
@@ -488,7 +488,8 @@ class ScenarioSpec:
     name / description:
         Identification (the name prefixes every generated task id).
     seed:
-        Master seed: platform streams, arrival draws, dataset seeds.
+        Master seed: platform streams, arrival draws, dataset seeds.  A
+        non-negative integer.
     horizon_s:
         Nominal arrival-window length (documentation + CLI display; the
         run itself ends when every task finishes).
@@ -548,6 +549,7 @@ class ScenarioSpec:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
+        check_seed(self.seed, "seed")
         if self.horizon_s <= 0 or self.max_time <= 0:
             raise ValueError("horizon_s and max_time must be positive")
         if self.cluster_nodes < 1:

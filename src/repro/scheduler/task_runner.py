@@ -229,6 +229,10 @@ class TaskRunner:
                     scope=self.channel_scope,
                     tracer=self.tracer,
                 )
+                # Seeding a stream costs a batch, not a row: announce each
+                # plan's id column now instead of 29 ids a wave.
+                for plan in (*logical_plans, *phone_plans):
+                    self._channel.seed(spec.task_id, plan.devices.device_ids)
             if uses_flow:
                 self.deviceflow.register_task(
                     spec.task_id, spec.deviceflow_strategy, self._sink.flow_receive
