@@ -11,9 +11,8 @@ import numpy as np
 from conftest import full_scale
 
 from repro.data import SyntheticAvazu
-from repro.data.avazu import DeviceDataset
 from repro.experiments.render import format_table
-from repro.ml import DEVICE_BACKEND, SERVER_BACKEND, BlockTrainer, LogisticRegressionModel
+from repro.ml import DEVICE_BACKEND, SERVER_BACKEND, BlockTrainer, LogisticRegressionModel, RaggedShards
 
 
 def backend_divergence(dims=(128, 512, 2048), seed=0):
@@ -22,17 +21,17 @@ def backend_divergence(dims=(128, 512, 2048), seed=0):
         data = SyntheticAvazu(
             n_devices=40, records_per_device=30, feature_dim=dim, base_ctr=0.5, seed=seed
         ).generate(test_records=1500)
-        # The pooled training set as one client: a block of one row.
-        pooled = DeviceDataset(
-            "pooled",
+        # The pooled training set as one client: a one-segment layout.
+        pooled = RaggedShards.from_segments(
             np.concatenate([data.shard(d).features for d in data.device_ids()]),
             np.concatenate([data.shard(d).labels for d in data.device_ids()]),
+            [data.n_records],
         )
         metrics = {}
         params = {}
         for backend in (SERVER_BACKEND, DEVICE_BACKEND):
             trainer = BlockTrainer(dim, backend, epochs=5, learning_rate=0.05, batch_size=64)
-            weights, biases = trainer.train(np.zeros((1, dim)), np.zeros(1), [pooled], None)
+            weights, biases = trainer.train(np.zeros((1, dim)), np.zeros(1), pooled, None)
             model = LogisticRegressionModel(dim, backend)
             model.set_params(weights[0], biases[0])
             metrics[backend.name] = model.evaluate(data.test.features, data.test.labels)

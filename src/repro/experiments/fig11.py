@@ -24,7 +24,7 @@ from repro.data import make_federated_ctr_data
 from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
 from repro.deviceflow.messages import payload_ref
 from repro.experiments.render import format_table
-from repro.ml import SERVER_BACKEND, BlockTrainer, LogisticRegressionModel, ModelUpdate
+from repro.ml import SERVER_BACKEND, BlockTrainer, LogisticRegressionModel, ModelUpdate, RaggedShards
 from repro.simkernel import RandomStreams, Simulator, Timeout
 
 
@@ -85,6 +85,7 @@ def _run_setting(
     )
     ids = dataset.device_ids()
     shards = [dataset.shard(d) for d in ids]
+    stacked = RaggedShards.of(shards)
     rngs = [streams.get(f"client.{d}") for d in ids]
     n_samples = [shard.n_samples for shard in shards]
     payload_bytes = ModelUpdate.wire_size(feature_dim)
@@ -96,7 +97,7 @@ def _run_setting(
             weights, bias = service.model.get_params()
             # Every device trains on the round's global model: one block.
             trained_weights, trained_biases = trainer.train(
-                np.tile(weights, (len(ids), 1)), np.full(len(ids), bias), shards, rngs
+                np.tile(weights, (len(ids), 1)), np.full(len(ids), bias), stacked, rngs
             )
             # ...stored and submitted as one block; the unit threshold
             # dispatches (and draws dropout for) each row on its own.

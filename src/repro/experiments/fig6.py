@@ -28,6 +28,7 @@ from repro.ml import (
     BlockTrainer,
     FedAvgPartial,
     LogisticRegressionModel,
+    RaggedShards,
 )
 
 #: The paper's five allocation ratios (logical-tier fraction).
@@ -83,7 +84,9 @@ def _train_hybrid(
         biases = np.full(len(ids), global_bias)
         for backend, tier in tiers:
             trainer = BlockTrainer(feature_dim, backend, epochs=10, learning_rate=0.05)
-            weights[tier], biases[tier] = trainer.train(weights[tier], biases[tier], shards[tier], rngs[tier])
+            weights[tier], biases[tier] = trainer.train(
+                weights[tier], biases[tier], RaggedShards.of(shards[tier]), rngs[tier]
+            )
         model.set_params(*FedAvgPartial.from_arrays(weights, biases, n_samples).finalize())
     return model.evaluate(dataset.test.features, dataset.test.labels)["accuracy"]
 

@@ -28,7 +28,7 @@ from repro.data import make_federated_ctr_data
 from repro.data.partition import assign_delay_profiles
 from repro.deviceflow import MessageBlock
 from repro.experiments.render import format_table
-from repro.ml import SERVER_BACKEND, BlockTrainer, FedAvgPartial, LogisticRegressionModel
+from repro.ml import SERVER_BACKEND, BlockTrainer, FedAvgPartial, LogisticRegressionModel, RaggedShards
 from repro.simkernel import Simulator
 
 #: Local-training recipe strong enough for visible convergence dynamics on
@@ -103,7 +103,7 @@ def _run_threshold(
         weights, bias = service.model.get_params()
         shard = dataset.shard(device_id)
         trained_weights, trained_biases = trainer.train(
-            weights[None], [bias], [shard], [rngs[device_id]]
+            weights[None], [bias], RaggedShards.of([shard]), [rngs[device_id]]
         )
         service.receive_block(
             MessageBlock(
@@ -161,7 +161,7 @@ def _run_scheduled(
             trained_weights, trained_biases = trainer.train(
                 np.tile(weights, (len(responders), 1)),
                 np.full(len(responders), bias),
-                [shards[d] for d in responders],
+                RaggedShards.of([shards[d] for d in responders]),
                 [rngs[d] for d in responders],
             )
             model.set_params(

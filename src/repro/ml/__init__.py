@@ -8,9 +8,10 @@ backends* that stand in for the paper's PyMNN (server-side) and C++ MNN
 floating-point precision and accumulation order, producing the small
 (<0.5%) accuracy deviations the paper studies in Fig. 6.
 
-There is one numeric kernel: every routine acts on a stacked block of
-devices, and one device is a block of one row.  The per-device oracle the
-kernel equals row by row lives in ``tests/reference/ml_reference.py``.
+There is one numeric kernel: every routine acts on a block of devices whose
+shards are one ragged stack of rows (:class:`RaggedShards`), and one device
+is a one-segment layout.  The per-device oracle the kernel equals row by
+row lives in ``tests/reference/ml_reference.py``.
 """
 
 from repro.ml.backends import DEVICE_BACKEND, SERVER_BACKEND, NumericBackend
@@ -29,6 +30,7 @@ from repro.ml.operators import (
     standard_fl_flow,
 )
 from repro.ml.optimizer import SGD
+from repro.ml.ragged import RaggedShards
 
 __all__ = [
     "BlockOperatorContext",
@@ -42,6 +44,7 @@ __all__ = [
     "NumericBackend",
     "Operator",
     "OperatorFlow",
+    "RaggedShards",
     "SERVER_BACKEND",
     "SGD",
     "TrainOp",

@@ -48,32 +48,28 @@ class NumericBackend:
         """Bring an array into this backend's working precision."""
         return np.asarray(array, dtype=self.dtype)
 
-    def gather_scores_block(
-        self, weights: np.ndarray, biases: np.ndarray, features: np.ndarray
+    def gather_scores(
+        self, weights: np.ndarray, biases: np.ndarray, features: np.ndarray, owners: np.ndarray
     ) -> np.ndarray:
-        """Per-record logits ``sum_f w[features[..., f]] + bias`` of a device block.
+        """Per-record logits ``sum_f w[features[r, f]] + bias`` of ragged block rows.
 
-        ``weights`` is ``(n_devices, dim)``, ``biases`` ``(n_devices,)``
-        and ``features`` ``(n_devices, n_records, n_fields)`` hash indices;
-        the result is ``(n_devices, n_records)``.  The reduction runs
-        field-by-field in this backend's precision and order so rounding
-        behaviour is faithful to the implementation, and every
-        floating-point operation is elementwise over the device axis, so
-        a row does not depend on what it is stacked with (one device is a
-        block of one row).
+        ``weights`` is ``(n_devices, dim)``, ``biases`` ``(n_devices,)``,
+        ``features`` ``(rows, n_fields)`` hash indices and ``owners``
+        ``(rows,)`` the device each row scores against; the result is
+        ``(rows,)``.  The reduction runs field-by-field in this backend's
+        precision and order so rounding behaviour is faithful to the
+        implementation, and every floating-point operation is elementwise
+        over rows, so a row does not depend on what it is stacked with
+        (one device is a one-segment layout).
         """
-        n_devices, n_records, n_fields = features.shape
-        working = self.cast(weights)
-        gathered = np.take_along_axis(
-            working, features.reshape(n_devices, n_records * n_fields), axis=1
-        ).reshape(features.shape)
+        flat = features + (owners * weights.shape[1])[:, None]
+        gathered = self.cast(np.asarray(weights).reshape(-1)[flat])
         if self.reverse_reduction:
-            gathered = gathered[:, :, ::-1]
-        scores = np.zeros((n_devices, n_records), dtype=self.dtype)
-        for column in range(gathered.shape[2]):
-            scores = (scores + gathered[:, :, column]).astype(self.dtype)
-        cast_biases = np.asarray(biases).astype(self.dtype)
-        return (scores + cast_biases[:, None]).astype(self.dtype)
+            gathered = gathered[:, ::-1]
+        scores = np.zeros(len(features), dtype=self.dtype)
+        for column in range(gathered.shape[1]):
+            scores = (scores + gathered[:, column]).astype(self.dtype)
+        return (scores + self.cast(biases)[owners]).astype(self.dtype)
 
     def sigmoid(self, z: np.ndarray) -> np.ndarray:
         """Numerically-stable logistic function in backend precision."""

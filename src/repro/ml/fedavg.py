@@ -78,6 +78,35 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, err
 
 
+def _fold(batch: np.ndarray, components: list[np.ndarray]) -> list[np.ndarray]:
+    """Thread ``batch`` through an expansion with TwoSum; zero errors are dropped."""
+    carry = batch
+    survivors = []
+    for component in components:
+        carry, err = _two_sum(carry, component)
+        if np.any(err):
+            survivors.append(err)
+    survivors.append(carry)
+    return survivors
+
+
+def _compressed(components: list[np.ndarray]) -> list[np.ndarray]:
+    """The expansion, re-folded into itself once it holds more than 8 components.
+
+    With dense random signs every TwoSum leaves a nonzero error somewhere
+    in a lane batch, so without compression an expansion grows by one
+    component per fold (quadratic TwoSums overall).  Re-folding preserves
+    the represented value exactly and collapses it back to a few
+    near-nonoverlapping components.
+    """
+    if len(components) <= 8:
+        return components
+    refolded: list[np.ndarray] = []
+    for component in components:
+        refolded = _fold(component, refolded)
+    return refolded
+
+
 class _ExactVectorSum:
     """Error-free running sum of float64 vectors.
 
@@ -91,7 +120,7 @@ class _ExactVectorSum:
 
     __slots__ = ("components",)
 
-    #: Distill the expansion once it grows past this many components.
+    #: Re-fold the expansion into itself once it grows past this many components.
     _MAX_COMPONENTS = 32
 
     def __init__(self, components: list[np.ndarray] | None = None) -> None:
@@ -99,16 +128,9 @@ class _ExactVectorSum:
 
     def add(self, vector: np.ndarray) -> None:
         """Fold one float64 vector into the exact sum."""
-        carry = vector
-        survivors: list[np.ndarray] = []
-        for component in self.components:
-            carry, err = _two_sum(carry, component)
-            if np.any(err):
-                survivors.append(err)
-        survivors.append(carry)
-        self.components = survivors
+        self.components = _fold(vector, self.components)
         if len(self.components) > self._MAX_COMPONENTS:
-            self._distill()
+            self.components = _compressed(self.components)
 
     def add_rows(self, rows: np.ndarray) -> None:
         """Fold every row of an ``(n, dim)`` array into the exact sum.
@@ -116,10 +138,12 @@ class _ExactVectorSum:
         Equivalent to ``for row in rows: self.add(row)`` but runs the
         accumulation across 64 independent lanes (row ``i`` goes to lane
         ``i % 64``), so the per-row Python loop collapses into
-        ``n / 64`` vectorized TwoSum sweeps.  Lane sums are then folded
-        into the scalar expansion one by one — every step is an exact
-        TwoSum, so the represented value (the only thing rounding ever
-        sees) is independent of the lane layout.
+        ``n / 64`` vectorized TwoSum sweeps.  The lanes then halve as a
+        tree, 64 -> 32 -> ... -> 1, each level folding the upper half of
+        every lane component into the lower half with vectorized TwoSums,
+        and the few one-lane components left join the scalar expansion.
+        Every step is an exact TwoSum, so the represented value (the only
+        thing rounding ever sees) is independent of the lane layout.
         """
         rows = np.asarray(rows, dtype=np.float64)
         n_rows = len(rows)
@@ -132,40 +156,17 @@ class _ExactVectorSum:
         padded = np.zeros((steps * lanes, rows.shape[1]), dtype=np.float64)
         padded[:n_rows] = rows
         stacked = padded.reshape(steps, lanes, rows.shape[1])
-
-        def fold(batch: np.ndarray, components: list[np.ndarray]) -> list[np.ndarray]:
-            carry = batch
-            survivors = []
-            for component in components:
-                carry, err = _two_sum(carry, component)
-                if np.any(err):
-                    survivors.append(err)
-            survivors.append(carry)
-            return survivors
-
         lane_components: list[np.ndarray] = []
         for step in range(steps):
-            lane_components = fold(stacked[step], lane_components)
-            # With dense random signs every TwoSum leaves a nonzero error
-            # somewhere in the (lanes, dim) batch, so without compression
-            # the expansion grows by one component per step (quadratic
-            # TwoSums overall).  Re-folding it into itself preserves the
-            # represented value exactly and collapses it back to a few
-            # near-nonoverlapping components.
-            if len(lane_components) > 8:
-                refolded: list[np.ndarray] = []
-                for component in lane_components:
-                    refolded = fold(component, refolded)
-                lane_components = refolded
+            lane_components = _compressed(_fold(stacked[step], lane_components))
+        while lanes > 1:
+            lanes //= 2
+            halved = [component[:lanes] for component in lane_components]
+            for component in lane_components:
+                halved = _fold(component[lanes:], halved)
+            lane_components = _compressed(halved)
         for component in lane_components:
-            for lane_row in component:
-                self.add(lane_row)
-
-    def _distill(self) -> None:
-        """Re-fold the components into themselves (value-preserving)."""
-        components, self.components = self.components, []
-        for component in components:
-            self.add(component)
+            self.add(component[0])
 
     def round_to_float64(self, dim: int) -> np.ndarray:
         """The correctly-rounded float64 value of the exact sum."""

@@ -37,13 +37,13 @@ class LogisticRegressionModel:
         self.bias = 0.0
 
     # ------------------------------------------------------------------
-    # inference (one model = a one-row block of the stacked kernels)
+    # inference (one model scores a one-segment layout of the ragged kernels)
     # ------------------------------------------------------------------
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
         """Raw logits for an ``(n, n_fields)`` index batch."""
-        return self.backend.gather_scores_block(
-            self.weights[None], np.array([self.bias]), features[None]
-        )[0]
+        return self.backend.gather_scores(
+            self.weights[None], np.array([self.bias]), features, np.zeros(len(features), dtype=np.intp)
+        )
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Click probabilities in ``[0, 1]``."""
@@ -51,7 +51,8 @@ class LogisticRegressionModel:
 
     def evaluate(self, features: np.ndarray, labels: np.ndarray) -> dict[str, float]:
         """Accuracy, log-loss and AUC on a labelled batch."""
-        return block_metrics(np.asarray(labels)[None], self.predict_proba(features)[None])[0]
+        labels = np.asarray(labels)
+        return block_metrics(labels, self.predict_proba(features), [len(labels)])[0]
 
     # ------------------------------------------------------------------
     # parameters

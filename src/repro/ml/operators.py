@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
 from repro.data.avazu import DeviceDataset
 from repro.ml.backends import SERVER_BACKEND, NumericBackend
-from repro.ml.client import BlockTrainer
 from repro.ml.metrics import block_metrics
+from repro.ml.optimizer import SGD, check_count
+from repro.ml.ragged import RaggedShards
 
 
 @dataclass
@@ -31,9 +33,11 @@ class BlockOperatorContext:
     device of a benchmarking phone (a block of one row) — so operators act
     on stacked arrays instead of per-device objects.  ``device_ids``,
     ``datasets`` (the local shards) and ``rngs`` (seeded generators for
-    local shuffling) are aligned per device; ``global_weights`` /
-    ``global_bias`` are the parameters downloaded at the start of round
-    ``round_index`` (1-based).  The built-in operators read and write:
+    local shuffling) are aligned per device, and :attr:`shards` is the
+    shards' ragged row stack, built once for every operator that reads
+    it; ``global_weights`` / ``global_bias`` are the parameters downloaded
+    at the start of round ``round_index`` (1-based).  The built-in
+    operators read and write:
 
     * ``outputs["weights"]`` / ``outputs["biases"]`` — the stacked
       ``(n_devices, feature_dim)`` / ``(n_devices,)`` working parameters;
@@ -56,9 +60,16 @@ class BlockOperatorContext:
     def __post_init__(self) -> None:
         if len(self.device_ids) != len(self.datasets):
             raise ValueError("device_ids and datasets must align")
+        if self.rngs is not None and len(self.rngs) != len(self.datasets):
+            raise ValueError("rngs and datasets must align")
 
     def __len__(self) -> int:
         return len(self.device_ids)
+
+    @cached_property
+    def shards(self) -> RaggedShards:
+        """The block's shards as one ragged row stack, concatenated once."""
+        return RaggedShards.of(self.datasets)
 
 
 class Operator:
@@ -110,26 +121,16 @@ class TrainOp(Operator):
     name = "train"
 
     def __init__(self, epochs: int = 10, learning_rate: float = 1e-3, batch_size: int = 32) -> None:
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        self.epochs = int(epochs)
-        self.learning_rate = float(learning_rate)
-        self.batch_size = int(batch_size)
+        self.epochs = check_count("epochs", epochs)
+        self.optimizer = SGD(learning_rate=learning_rate, batch_size=batch_size)
         self.work = float(epochs)
 
     def apply_block(self, block: BlockOperatorContext) -> None:
         weights = block.outputs.get("weights")
         if weights is None:
             raise RuntimeError("TrainOp requires DownloadModelOp earlier in the flow")
-        trainer = BlockTrainer(
-            block.feature_dim,
-            block.backend,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-        )
-        block.outputs["weights"], block.outputs["biases"] = trainer.train(
-            weights, block.outputs["biases"], block.datasets, block.rngs
+        block.outputs["weights"], block.outputs["biases"] = self.optimizer.run_epochs_block(
+            weights, block.outputs["biases"], block.shards, self.epochs, block.rngs, block.backend
         )
 
 
@@ -143,21 +144,10 @@ class EvalOp(Operator):
         weights = block.outputs.get("weights")
         if weights is None:
             raise RuntimeError("EvalOp requires DownloadModelOp earlier in the flow")
-        biases = block.outputs["biases"]
-        groups: dict[int, list[int]] = {}
-        for position, dataset in enumerate(block.datasets):
-            groups.setdefault(dataset.n_samples, []).append(position)
-        results: list[dict[str, float] | None] = [None] * len(block)
-        for positions in groups.values():
-            features = np.stack([block.datasets[i].features for i in positions])
-            labels = np.stack([block.datasets[i].labels for i in positions])
-            scores = block.backend.gather_scores_block(
-                weights[positions], biases[positions], features
-            )
-            probabilities = block.backend.sigmoid(scores).astype(np.float64)
-            for position, row_metrics in zip(positions, block_metrics(labels, probabilities)):
-                results[position] = row_metrics
-        block.outputs["local_metrics"] = results
+        shards = block.shards
+        scores = block.backend.gather_scores(weights, block.outputs["biases"], shards.features, shards.owners)
+        probabilities = block.backend.sigmoid(scores).astype(np.float64)
+        block.outputs["local_metrics"] = block_metrics(shards.labels, probabilities, shards.lengths)
 
 
 class UploadUpdateOp(Operator):

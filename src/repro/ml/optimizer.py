@@ -2,9 +2,28 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
+from numbers import Integral, Real
+
 import numpy as np
 
 from repro.ml.backends import NumericBackend
+from repro.ml.ragged import RaggedShards, segment_sums
+
+
+def check_count(name: str, value: object) -> int:
+    """``value`` as an ``int`` >= 1, or a ``ValueError`` that opens with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def check_learning_rate(name: str, value: object) -> float:
+    """``value`` as a finite positive ``float``, or a ``ValueError`` that opens with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 class SGD:
@@ -13,90 +32,88 @@ class SGD:
     Parameters
     ----------
     learning_rate:
-        Step size (the paper uses 1e-3).
+        Step size (the paper uses 1e-3); finite and positive.
     batch_size:
-        Mini-batch size; batches beyond the final full one keep the
-        remainder (no records are dropped).
+        Mini-batch size, an integer >= 1; batches beyond the final full
+        one keep the remainder (no records are dropped).
     """
 
     def __init__(self, learning_rate: float, batch_size: int = 32) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.learning_rate = float(learning_rate)
-        self.batch_size = int(batch_size)
+        self.learning_rate = check_learning_rate("learning_rate", learning_rate)
+        self.batch_size = check_count("batch_size", batch_size)
 
     def run_epochs_block(
         self,
         weights: np.ndarray,
         biases: np.ndarray,
-        features: np.ndarray,
-        labels: np.ndarray,
+        shards: RaggedShards,
         epochs: int,
-        rngs: list[np.random.Generator | None] | None,
+        rngs: Sequence[np.random.Generator | None] | None,
         backend: NumericBackend,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Train a stacked block of devices in lock-step.
+        """Train a ragged block of devices in lock-step.
 
-        ``weights`` is ``(n_devices, dim)``, ``biases`` ``(n_devices,)``,
-        ``features`` ``(n_devices, n_records, n_fields)`` and ``labels``
-        ``(n_devices, n_records)`` — every device in the block holds the
-        same number of records, which is what lets the whole mini-batch
-        loop run as a handful of array operations per step instead of a
-        Python loop per device.  One device is a block of one row.
+        ``weights`` is ``(n_devices, dim)`` and ``biases`` ``(n_devices,)``,
+        one row per segment of ``shards``.  Each epoch every device takes
+        its own permutation (:meth:`RaggedShards.shuffled`); step ``s``
+        then trains on every row whose position in its device's order lies
+        in ``[s * batch_size, (s + 1) * batch_size)`` — one step per epoch
+        when no shard exceeds the batch size, whatever mix of shard sizes
+        the block holds.  A device with no rows left at a step is not
+        stepped.
 
         The forward pass (scores, sigmoid) runs in the backend's precision
         so that server/device implementations diverge realistically, while
         the parameter update accumulates in float64 master weights — the
         standard mixed-precision training recipe.
 
-        Device ``d``'s result depends on its own row and ``rngs[d]`` only
-        (``tests/reference/ml_reference.py`` is the per-device oracle it
-        equals bit for bit): shuffles come from the per-device generators,
-        one permutation per epoch, the forward pass reduces field-by-field
-        in the backend's precision, and the scatter-add accumulates each
-        device's gradient contributions in record-then-field order
-        (devices occupy disjoint slices of one flat gradient buffer).
+        Device ``d``'s result depends on its own segment and ``rngs[d]``
+        only (``tests/reference/ml_reference.py`` is the per-device oracle
+        it equals bit for bit): the forward pass reduces field-by-field
+        per row, the gradient accumulates each device's contributions in
+        record-then-field order (devices occupy disjoint slices of one
+        flat buffer, filled by one ``bincount`` in row order), and the
+        bias step's mean is a :func:`~repro.ml.ragged.segment_sums`.
         """
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if features.ndim != 3:
-            raise ValueError("features must be 3-D (devices x records x fields)")
-        if features.shape[:2] != labels.shape:
-            raise ValueError("features and labels must align")
-        n_devices, n_records, n_fields = features.shape
+        n_devices = len(shards)
+        if len(weights) != n_devices or len(biases) != n_devices:
+            raise ValueError("weights, biases and shards must align")
+        if rngs is not None and len(rngs) != n_devices:
+            raise ValueError(f"rngs must hold one generator (or None) per device: {len(rngs)} != {n_devices}")
         weights = np.array(weights, dtype=np.float64, copy=True)
         biases = np.array(biases, dtype=np.float64, copy=True)
-        if n_records == 0 or n_devices == 0:
+        batch_size = self.batch_size
+        n_steps = -(-int(shards.lengths.max(initial=0)) // batch_size)
+        if n_steps == 0:
             return weights, biases
         dim = weights.shape[1]
-        row_offsets = (np.arange(n_devices, dtype=np.intp) * dim)[:, None]
-        for _ in range(epochs):
-            orders = (
-                np.broadcast_to(np.arange(n_records), (n_devices, n_records))
-                if rngs is None
-                else np.stack(
-                    [
-                        rng.permutation(n_records) if rng is not None else np.arange(n_records)
-                        for rng in rngs
-                    ]
-                )
-            )
-            for start in range(0, n_records, self.batch_size):
-                batch = orders[:, start : start + self.batch_size]
-                batch_features = np.take_along_axis(features, batch[:, :, None], axis=1)
-                batch_labels = np.take_along_axis(labels, batch, axis=1).astype(np.float64)
-                scores = backend.gather_scores_block(weights, biases, batch_features)
-                probabilities = backend.sigmoid(scores).astype(np.float64)
-                errors = probabilities - batch_labels  # (n_devices, batch)
-                # One flat scatter-add; device d's contributions land in its
-                # own dim-sized slice, in record-then-field order.
-                gradient = np.zeros(n_devices * dim, dtype=np.float64)
-                flat_indices = (batch_features.reshape(n_devices, -1) + row_offsets).ravel()
-                np.add.at(gradient, flat_indices, np.repeat(errors, n_fields, axis=1).ravel())
-                gradient = gradient.reshape(n_devices, dim)
-                gradient /= batch.shape[1]
+        n_fields = shards.features.shape[1]
+        labels = shards.labels.astype(np.float64)
+        positions = np.arange(len(labels)) - shards.starts[shards.owners]
+        for _ in range(check_count("epochs", epochs)):
+            order = shards.shuffled(rngs)
+            for step in range(n_steps):
+                low = step * batch_size
+                if n_steps == 1:
+                    rows, owners = order, shards.owners
+                else:
+                    selected = (positions >= low) & (positions < low + batch_size)
+                    rows, owners = order[selected], shards.owners[selected]
+                counts = np.clip(shards.lengths - low, 0, batch_size)
+                batch_features = shards.features[rows]
+                scores = backend.gather_scores(weights, biases, batch_features, owners)
+                errors = backend.sigmoid(scores).astype(np.float64) - labels[rows]
+                # Device d's contributions land in its own dim-sized slice,
+                # in record-then-field order; an idle device's slice stays
+                # zero, and w - lr * 0.0 == w, so only its divisor and bias
+                # need guarding.
+                gradient = np.bincount(
+                    (batch_features + (owners * dim)[:, None]).ravel(),
+                    weights=np.repeat(errors, n_fields),
+                    minlength=n_devices * dim,
+                ).reshape(n_devices, dim)
+                gradient /= np.maximum(counts, 1)[:, None]
                 weights -= self.learning_rate * gradient
-                biases -= self.learning_rate * errors.mean(axis=1)
+                active = counts > 0
+                biases[active] -= self.learning_rate * (segment_sums(errors, counts[active]) / counts[active])
         return weights, biases

@@ -36,6 +36,7 @@ from repro.deviceflow.strategy import (
     TimeIntervalStrategy,
 )
 from repro.ml.operators import standard_fl_flow
+from repro.ml.optimizer import check_count, check_learning_rate
 from repro.observability import AlarmRule, AutoscaleSpec, SLASpec
 from repro.scheduler.task import GradeRequirement, TaskSpec, check_records_per_device
 from repro.simkernel.random import check_seed, stable_hash
@@ -295,6 +296,9 @@ class TenantSpec:
         if not self.grades:
             raise ValueError(f"tenant {self.name!r} needs at least one grade")
         check_records_per_device(self.records_per_device, self.numeric)
+        check_count("feature_dim", self.feature_dim)
+        check_count("flow_epochs", self.flow_epochs)
+        check_learning_rate("flow_learning_rate", self.flow_learning_rate)
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(
                 f"tenant {self.name!r} deadline_s must be > 0, got {self.deadline_s!r}"

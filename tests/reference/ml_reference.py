@@ -4,9 +4,9 @@ The scalar ML path as it stood before ``repro.ml`` kept only the stacked
 block kernel: one device's scores, one device's mini-batch SGD, the
 Python tie loop of ``roc_auc``, ``FLClient`` and the four operators'
 per-device ``apply`` bodies.  They define what one row of
-``NumericBackend.gather_scores_block`` / ``SGD.run_epochs_block`` /
+``NumericBackend.gather_scores`` / ``SGD.run_epochs_block`` /
 ``block_metrics`` / ``BlockTrainer.train`` / ``Operator.apply_block`` must
-reproduce bit for bit.  Do not optimise it.
+reproduce bit for bit on each device's segment of a ragged block.  Do not optimise it.
 
 Methods that lived on ``NumericBackend`` / ``SGD`` / ``Operator`` /
 ``OperatorFlow`` are module functions taking that object first; the
@@ -325,8 +325,8 @@ def _apply_train(op: TrainOp, context: OperatorContext) -> None:
         context.dataset.features,
         context.dataset.labels,
         epochs=op.epochs,
-        learning_rate=op.learning_rate,
-        batch_size=op.batch_size,
+        learning_rate=op.optimizer.learning_rate,
+        batch_size=op.optimizer.batch_size,
         rng=context.rng,
     )
 

@@ -9,6 +9,8 @@ boundaries, any order, empty blocks, one-row blocks and zero-sample
 updates.  Hypothesis hunts for partitions that break it.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from reference import cloud_reference
 from repro.cloud.aggregation import AggregationService, AggregationTrigger
 from repro.deviceflow import MessageBlock
 from repro.ml import SERVER_BACKEND, LogisticRegressionModel
-from repro.ml.fedavg import FedAvgPartial, ModelUpdate
+from repro.ml.fedavg import FedAvgPartial, ModelUpdate, _ExactVectorSum
 from repro.simkernel import Simulator
 
 
@@ -138,6 +140,34 @@ class TestPartitionInvariance:
         assert stacked.finalize()[1] == oracle_bias
         assert stacked.total_samples == sum(u.n_samples for u in updates)
         assert stacked.n_updates == n_updates
+
+
+class TestLaneTree:
+    """``add_rows``' 64-lane sweep and halving tree represent the row-by-row sum exactly."""
+
+    @staticmethod
+    def cancellation_rows(n_rows: int, dim: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        magnitudes = rng.choice([1e16, 1.0, 1e-8, 3.0], size=(n_rows, dim))
+        return magnitudes * rng.choice([-1.0, 1.0], size=(n_rows, dim)) * rng.uniform(0.5, 1.5, size=(n_rows, dim))
+
+    @pytest.mark.parametrize("n_rows", [1, 127, 128, 129, 1000, 4801])
+    def test_add_rows_equals_row_by_row(self, n_rows):
+        dim = 9
+        rows = self.cancellation_rows(n_rows, dim, seed=n_rows)
+        swept, serial = _ExactVectorSum(), _ExactVectorSum()
+        swept.add_rows(rows)
+        for row in rows:
+            serial.add(row)
+        assert swept.round_to_float64(dim).tobytes() == serial.round_to_float64(dim).tobytes()
+        exact = [math.fsum(rows[:, column]) for column in range(dim)]
+        assert swept.round_to_float64(dim).tolist() == exact
+
+    def test_component_count_stays_bounded(self):
+        accumulator = _ExactVectorSum()
+        for seed, n_rows in enumerate([130, 4801, 129, 1000, 2, 640]):
+            accumulator.add_rows(self.cancellation_rows(n_rows, 5, seed))
+            assert len(accumulator.components) <= _ExactVectorSum._MAX_COMPONENTS
 
 
 class TestEdgeCases:

@@ -20,6 +20,7 @@ from repro.ml import (
     LogisticRegressionModel,
     ModelUpdate,
     OperatorFlow,
+    RaggedShards,
     TrainOp,
     standard_fl_flow,
 )
@@ -123,12 +124,12 @@ def federated_data():
 
 
 class TestFLClient:
-    """One federated-learning client = a one-row block through :class:`BlockTrainer`."""
+    """One federated-learning client = a one-segment layout through :class:`BlockTrainer`."""
 
     def test_local_train_produces_update(self, federated_data):
         shard = federated_data.shard(federated_data.device_ids()[0])
         trainer = BlockTrainer(256, SERVER_BACKEND, epochs=2, learning_rate=0.05)
-        weights, biases = trainer.train(np.zeros((1, 256)), np.zeros(1), [shard], None)
+        weights, biases = trainer.train(np.zeros((1, 256)), np.zeros(1), RaggedShards.of([shard]), None)
         assert weights.shape == (1, 256) and biases.shape == (1,)
         assert np.abs(weights).sum() > 0
 
@@ -136,7 +137,7 @@ class TestFLClient:
         shard = federated_data.shard(federated_data.device_ids()[0])
         server, device = (
             BlockTrainer(256, backend, epochs=3, learning_rate=0.05).train(
-                np.zeros((1, 256)), np.zeros(1), [shard], None
+                np.zeros((1, 256)), np.zeros(1), RaggedShards.of([shard]), None
             )
             for backend in (SERVER_BACKEND, DEVICE_BACKEND)
         )
@@ -146,6 +147,34 @@ class TestFLClient:
     def test_invalid_epochs(self, federated_data):
         with pytest.raises(ValueError):
             BlockTrainer(256, SERVER_BACKEND, epochs=0, learning_rate=0.05)
+
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: TrainOp(learning_rate=float("nan")), "^learning_rate must be a finite number > 0, got nan$"),
+            (lambda: TrainOp(learning_rate=0), "^learning_rate must be a finite number > 0, got 0$"),
+            (lambda: TrainOp(batch_size=0), "^batch_size must be an integer >= 1, got 0$"),
+            (lambda: TrainOp(epochs=2.0), "^epochs must be an integer >= 1, got 2.0$"),
+            (
+                lambda: BlockTrainer(256, SERVER_BACKEND, epochs=1, learning_rate=float("nan")),
+                "^learning_rate must be a finite number > 0",
+            ),
+            (lambda: BlockTrainer(0, SERVER_BACKEND, epochs=1, learning_rate=0.1), "^feature_dim must be an integer"),
+        ],
+    )
+    def test_flow_numbers_fail_at_construction(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_rngs_must_align_with_shards(self, federated_data):
+        shards = [federated_data.shard(d) for d in federated_data.device_ids()[:3]]
+        trainer = BlockTrainer(256, SERVER_BACKEND, epochs=1, learning_rate=0.05)
+        with pytest.raises(ValueError, match="one generator"):
+            trainer.train(np.zeros((3, 256)), np.zeros(3), RaggedShards.of(shards), [None, None])
+        with pytest.raises(ValueError, match="rngs and datasets must align"):
+            BlockOperatorContext(
+                device_ids=["a", "b", "c"], grade="High", datasets=shards, feature_dim=256, rngs=[None]
+            )
 
 
 class TestOperatorFlow:

@@ -1,7 +1,7 @@
 """Unit tests for the LR model, backends, optimizer and metrics.
 
-``repro.ml`` has one numeric kernel, the stacked block kernel; these
-tests drive it the way a single device does, as a block of one row.
+``repro.ml`` has one numeric kernel, the ragged block kernel; these
+tests drive it the way a single device does, as a one-segment layout.
 ``TestKernelEqualsReference`` holds it, row by row, to the per-device
 oracle in ``reference.ml_reference``.
 """
@@ -20,6 +20,7 @@ from repro.ml import (
     BlockOperatorContext,
     BlockTrainer,
     LogisticRegressionModel,
+    RaggedShards,
     SGD,
     block_metrics,
     standard_fl_flow,
@@ -30,20 +31,25 @@ BACKENDS = st.sampled_from([SERVER_BACKEND, DEVICE_BACKEND])
 
 
 def one_row_metrics(labels, probabilities):
-    return block_metrics(np.asarray(labels)[None], np.asarray(probabilities)[None])[0]
+    return block_metrics(labels, probabilities, [len(labels)])[0]
 
 
 def one_row_auc(labels, scores):
-    return roc_auc_block(np.asarray(labels)[None], np.asarray(scores)[None])[0]
+    return roc_auc_block(labels, scores, [len(labels)])[0]
 
 
 def one_row_scores(backend, weights, bias, features):
-    return backend.gather_scores_block(weights[None], np.array([bias]), features[None])[0]
+    return backend.gather_scores(weights[None], np.array([bias]), features, np.zeros(len(features), dtype=np.intp))
 
 
 def one_row_epochs(optimizer, weights, bias, features, labels, epochs, rng=None, backend=SERVER_BACKEND):
     weights, biases = optimizer.run_epochs_block(
-        weights[None], np.array([bias]), features[None], labels[None], epochs, rngs=[rng], backend=backend
+        weights[None],
+        np.array([bias]),
+        RaggedShards.from_segments(features, labels, [len(labels)]),
+        epochs,
+        rngs=[rng],
+        backend=backend,
     )
     return weights[0], biases[0]
 
@@ -104,7 +110,7 @@ class TestMetrics:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            roc_auc_block(np.array([[1, 0]]), np.array([[0.5]]))
+            roc_auc_block(np.array([1, 0]), np.array([0.5]), [2])
 
 
 class TestBackends:
@@ -247,8 +253,7 @@ class TestKernelEqualsReference:
         trained_weights, trained_biases = optimizer.run_epochs_block(
             weights,
             biases,
-            np.stack([shard.features for shard in shards]),
-            np.stack([shard.labels for shard in shards]),
+            RaggedShards.of(shards),
             epochs,
             rngs=None if seeded == (False,) else block_rngs,
             backend=backend,
@@ -268,7 +273,7 @@ class TestKernelEqualsReference:
     )
     @settings(max_examples=40, deadline=None)
     def test_flow_rows_equal_scalar_flow(self, backend, sizes, seed):
-        # The whole standard flow: BlockTrainer's size grouping, EvalOp's
+        # The whole standard flow: the ragged training pass, EvalOp's
         # local metrics and the packaged upload, against FLClient and the
         # four scalar operator bodies.
         rng = np.random.default_rng(seed)
@@ -292,7 +297,10 @@ class TestKernelEqualsReference:
         client_rngs = shuffle_rngs(seed, len(shards), (True,))[0]
         trainer = BlockTrainer(self.DIM, backend, epochs=2, learning_rate=0.05, batch_size=8)
         client_weights, client_biases = trainer.train(
-            np.tile(global_weights, (len(shards), 1)), np.full(len(shards), global_bias), shards, client_rngs
+            np.tile(global_weights, (len(shards), 1)),
+            np.full(len(shards), global_bias),
+            RaggedShards.of(shards),
+            client_rngs,
         )
         for row, shard in enumerate(shards):
             context = ml_reference.OperatorContext(
@@ -318,7 +326,7 @@ class TestKernelEqualsReference:
         labels = rng.integers(0, 2, size=(n_rows, n_records)).astype(np.int8)
         labels[0] = rng.integers(0, 2)  # a single-class row: AUC 0.5
         probabilities = rng.integers(0, levels, size=(n_rows, n_records)) / (levels - 1)
-        rows = block_metrics(labels, probabilities)
+        rows = block_metrics(labels.ravel(), probabilities.ravel(), [n_records] * n_rows)
         assert rows[0]["auc"] == 0.5
         for row in range(n_rows):
             assert rows[row] == {

@@ -168,7 +168,9 @@ class TestFedAvgProperties:
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 2, n)
         scores = rng.normal(size=n)
-        direct, squashed = roc_auc_block(np.stack([labels, labels]), np.stack([scores, 1.0 / (1.0 + np.exp(-scores))]))
+        direct, squashed = roc_auc_block(
+            np.concatenate([labels, labels]), np.concatenate([scores, 1.0 / (1.0 + np.exp(-scores))]), [n, n]
+        )
         assert direct == pytest.approx(squashed)
 
 

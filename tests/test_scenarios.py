@@ -117,6 +117,28 @@ class TestSpecSerialization:
         with pytest.raises(ValueError):
             tiny_scenario(tenants=[])
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("flow_learning_rate", -1.0, "must be a finite number > 0, got -1.0"),
+            ("flow_learning_rate", float("nan"), "must be a finite number > 0, got nan"),
+            ("flow_learning_rate", float("inf"), "must be a finite number > 0, got inf"),
+            ("flow_epochs", 0, "must be an integer >= 1, got 0"),
+            ("flow_epochs", 1.5, "must be an integer >= 1, got 1.5"),
+            ("feature_dim", 0, "must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_flow_numbers_fail_at_construction_naming_the_field(self, field, value, message):
+        # A negative rate used to build and fail every task mid-run, a NaN
+        # one to publish a NaN global model, and a zero count to raise a
+        # bare ValueError mid-run.
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            TenantSpec(name="t", numeric=True, **{field: value})
+        data = tiny_scenario().to_dict()
+        data["tenants"][1][field] = value
+        with pytest.raises(ValueError, match=rf"^tenants\[1\]\.{field} {message}$"):
+            ScenarioSpec.from_dict(data)
+
     def test_uncalibrated_grade_fails_at_schedule_naming_its_path(self):
         spec = tiny_scenario()
         spec.tenants[1].grades.append(GradeSpec(grade="Mid"))
