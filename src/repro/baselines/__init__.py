@@ -3,7 +3,7 @@
 §VI-B4 compares SimDC's single-round wall time against FedScale and
 FederatedScope across 100-100,000 simulated devices.  Neither framework
 is available offline, so this package re-implements their *execution
-semantics* as calibrated cost models:
+semantics* as calibrated closed-form cost models:
 
 * **FedScale-like** — "does not use device-cloud communication during
   simulations.  Its data and models are stored directly in memory, and
@@ -14,22 +14,11 @@ semantics* as calibrated cost models:
   clients", while still "independently simulat[ing] clients and us[ing]
   device-cloud communication for aggregation": per-client compute plus a
   communication term, bounded by one machine's cores.
-* **SimDC's own round model** is provided for the same sweep: actors
-  distributed across servers, each paying per-round data/model downloads
-  and shared-storage uploads — slower below ~1000 devices, comparable to
-  FederatedScope at scale.
+
+SimDC's own column is not modelled here: :mod:`repro.experiments.fig8`
+measures it by running the logical tier.
 """
 
-from repro.baselines.models import (
-    FedScaleLikeSimulator,
-    FederatedScopeLikeSimulator,
-    RoundCostBreakdown,
-    SimDCRoundModel,
-)
+from repro.baselines.models import FedScaleLikeSimulator, FederatedScopeLikeSimulator
 
-__all__ = [
-    "FedScaleLikeSimulator",
-    "FederatedScopeLikeSimulator",
-    "RoundCostBreakdown",
-    "SimDCRoundModel",
-]
+__all__ = ["FedScaleLikeSimulator", "FederatedScopeLikeSimulator"]

@@ -1,30 +1,14 @@
 """Execution/cost models of FedScale- and FederatedScope-like simulators.
 
 Each baseline offers ``round_time(n_devices)`` — the calibrated
-single-round wall-time model used by the Fig. 8 scalability sweep, with a
-:class:`RoundCostBreakdown` explaining where the time goes (the paper's
-point: FedScale's speed comes from skipping the device-cloud path).
+single-round wall-time formula used by the Fig. 8 scalability sweep.
+FedScale's formula has no communication term: its speed comes from
+skipping the device-cloud path, which is the paper's point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass
-class RoundCostBreakdown:
-    """Where one simulated round's wall time goes."""
-
-    setup: float = 0.0
-    compute: float = 0.0
-    memory_copies: float = 0.0
-    communication: float = 0.0
-    storage: float = 0.0
-
-    @property
-    def total(self) -> float:
-        """Sum of all components."""
-        return self.setup + self.compute + self.memory_copies + self.communication + self.storage
 
 
 @dataclass
@@ -61,19 +45,12 @@ class FedScaleLikeSimulator:
         if self.client_train_s <= 0:
             raise ValueError("client_train_s must be positive")
 
-    def round_breakdown(self, n_devices: int) -> RoundCostBreakdown:
-        """Cost components for one round over ``n_devices`` clients."""
+    def round_time(self, n_devices: int) -> float:
+        """Single-round wall time (seconds): setup, parallel training and per-client memory copies."""
         if n_devices <= 0:
             raise ValueError("n_devices must be positive")
-        return RoundCostBreakdown(
-            setup=self.startup_s,
-            compute=n_devices * self.client_train_s / self.total_cores,
-            memory_copies=n_devices * self.memory_copy_s,
-        )
-
-    def round_time(self, n_devices: int) -> float:
-        """Single-round wall time (seconds)."""
-        return self.round_breakdown(n_devices).total
+        compute = n_devices * self.client_train_s / self.total_cores
+        return self.startup_s + compute + n_devices * self.memory_copy_s
 
 
 @dataclass
@@ -106,67 +83,9 @@ class FederatedScopeLikeSimulator:
         if self.instance_cores <= 0:
             raise ValueError("instance_cores must be positive")
 
-    def round_breakdown(self, n_devices: int) -> RoundCostBreakdown:
-        """Cost components for one round over ``n_devices`` clients."""
+    def round_time(self, n_devices: int) -> float:
+        """Single-round wall time (seconds): setup plus training and communication on one instance."""
         if n_devices <= 0:
             raise ValueError("n_devices must be positive")
-        return RoundCostBreakdown(
-            setup=self.startup_s,
-            compute=n_devices * self.client_train_s / self.instance_cores,
-            communication=n_devices * self.client_comm_s / self.instance_cores,
-        )
-
-    def round_time(self, n_devices: int) -> float:
-        """Single-round wall time (seconds)."""
-        return self.round_breakdown(n_devices).total
-
-
-@dataclass
-class SimDCRoundModel:
-    """SimDC's own round-time model for the same sweep.
-
-    Ray actors spread over physical servers; every actor pays per-round
-    data and model downloads and uploads results to shared storage before
-    messaging the cloud (§VI-B4) — "although SimDC takes longer for fewer
-    devices, its architecture more closely mirrors real-world business
-    applications".
-
-    Attributes
-    ----------
-    total_cores:
-        Actor slots (one single-grade device per 1-core bundle).
-    device_round_s:
-        Per-device operator-flow execution time (alpha at this scale).
-    download_s / upload_s:
-        Per-device data+model download and result upload via shared
-        storage.
-    runner_setup_s:
-        Ray Runner job setup per round.
-    """
-
-    total_cores: int = 200
-    device_round_s: float = 2.5
-    download_s: float = 0.2
-    upload_s: float = 0.1
-    runner_setup_s: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.total_cores <= 0:
-            raise ValueError("total_cores must be positive")
-        if self.device_round_s <= 0:
-            raise ValueError("device_round_s must be positive")
-
-    def round_breakdown(self, n_devices: int) -> RoundCostBreakdown:
-        """Cost components for one round over ``n_devices`` devices."""
-        if n_devices <= 0:
-            raise ValueError("n_devices must be positive")
-        waves = -(-n_devices // self.total_cores)
-        return RoundCostBreakdown(
-            setup=self.runner_setup_s,
-            compute=waves * self.device_round_s,
-            storage=waves * (self.download_s + self.upload_s),
-        )
-
-    def round_time(self, n_devices: int) -> float:
-        """Single-round wall time (seconds)."""
-        return self.round_breakdown(n_devices).total
+        compute = n_devices * self.client_train_s / self.instance_cores
+        return self.startup_s + compute + n_devices * self.client_comm_s / self.instance_cores

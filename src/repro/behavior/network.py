@@ -7,6 +7,7 @@ the physical grounding of DeviceFlow's dropout probabilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -54,11 +55,12 @@ class NetworkMixture:
         mix = list(mix)
         if not mix:
             raise ValueError("at least one network profile is required")
-        if any(w <= 0 for _, w in mix):
-            raise ValueError("weights must be positive")
+        weights = [w for _, w in mix]
+        if not all(0 < w < math.inf for w in weights):  # also false for NaN
+            raise ValueError(f"weights must be positive and finite, got {weights!r}")
         self.profiles = [p for p, _ in mix]
-        weights = np.array([w for _, w in mix], dtype=np.float64)
-        self.weights = weights / weights.sum()
+        array = np.array(weights, dtype=np.float64)
+        self.weights = array / array.sum()
 
     def expected_failure_prob(self) -> float:
         """Population-average upload failure probability.

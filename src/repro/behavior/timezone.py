@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -29,11 +30,12 @@ class TimezoneMixture:
         offset_weights = list(offset_weights)
         if not offset_weights:
             raise ValueError("at least one timezone is required")
-        if any(w <= 0 for _, w in offset_weights):
-            raise ValueError("weights must be positive")
+        weights = [w for _, w in offset_weights]
+        if not all(0 < w < math.inf for w in weights):  # also false for NaN
+            raise ValueError(f"weights must be positive and finite, got {weights!r}")
         self.offsets = np.array([o for o, _ in offset_weights], dtype=np.int32)
-        weights = np.array([w for _, w in offset_weights], dtype=np.float64)
-        self.weights = weights / weights.sum()
+        array = np.array(weights, dtype=np.float64)
+        self.weights = array / array.sum()
 
     def offset_fractions(self) -> dict[int, float]:
         """The normalised population share per UTC offset."""

@@ -4,8 +4,10 @@ The hybrid allocation optimisation (§IV-B) is parameterised by empirically
 measured runtime constants: "the average duration for the completion of the
 scheduled task in Logical Simulation with c grades of devices, denoted as
 {alpha_1..alpha_c}".  This module owns those constants plus the secondary
-overheads (actor startup, per-actor data/model downloads) that explain why
-SimDC is slower than in-memory simulators below ~1000 devices (Fig. 8).
+overheads (actor startup, Runner setup, per-actor data/model downloads)
+that explain why SimDC is slower than in-memory simulators below ~1000
+devices: Fig. 8's SimDC column is a round of the logical tier costed by
+this model (:mod:`repro.experiments.fig8`).
 
 Durations are seconds of *simulated* time.
 """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -19,8 +20,10 @@ class ResourceBundle:
     gpus: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.cpus < 0 or self.memory_gb < 0 or self.gpus < 0:
-            raise ValueError(f"bundle dimensions must be >= 0: {self}")
+        for name in ("cpus", "memory_gb", "gpus"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.cpus == 0 and self.memory_gb == 0 and self.gpus == 0:
             raise ValueError("bundle must request at least one resource")
 
@@ -40,8 +43,6 @@ class ResourceBundle:
                 if theirs <= 0:
                     raise ValueError(f"unit bundle lacks a dimension required by {self}")
                 ratios.append(mine / theirs)
-        import math
-
         return max(1, math.ceil(max(ratios)))
 
 

@@ -19,7 +19,7 @@ def check_count(name: str, value: object) -> int:
     return int(value)
 
 
-def check_learning_rate(name: str, value: object) -> float:
+def check_positive(name: str, value: object) -> float:
     """``value`` as a finite positive ``float``, or a ``ValueError`` that opens with ``name``."""
     if isinstance(value, bool) or not isinstance(value, Real) or not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
@@ -39,7 +39,7 @@ class SGD:
     """
 
     def __init__(self, learning_rate: float, batch_size: int = 32) -> None:
-        self.learning_rate = check_learning_rate("learning_rate", learning_rate)
+        self.learning_rate = check_positive("learning_rate", learning_rate)
         self.batch_size = check_count("batch_size", batch_size)
 
     def run_epochs_block(

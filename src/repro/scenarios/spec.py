@@ -11,7 +11,9 @@ strategy state and deterministic seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Integral
 from typing import Any
 
 import numpy as np
@@ -36,7 +38,7 @@ from repro.deviceflow.strategy import (
     TimeIntervalStrategy,
 )
 from repro.ml.operators import standard_fl_flow
-from repro.ml.optimizer import check_count, check_learning_rate
+from repro.ml.optimizer import check_count, check_positive
 from repro.observability import AlarmRule, AutoscaleSpec, SLASpec
 from repro.scheduler.task import GradeRequirement, TaskSpec, check_records_per_device
 from repro.simkernel.random import check_seed, stable_hash
@@ -101,21 +103,18 @@ class PopulationSpec:
                     f"unknown network profile {name!r}; known: {sorted(NETWORK_PROFILES)}"
                 )
         if not 0.0 <= self.dropout_prob <= 1.0:
-            raise ValueError("dropout_prob must be in [0, 1]")
-
-    # live-object factories -------------------------------------------
-    def timezones(self) -> TimezoneMixture:
-        """The population's timezone mixture."""
-        return TimezoneMixture([(int(o), float(w)) for o, w in self.timezone_offsets])
-
-    def availability(self) -> DiurnalAvailability:
-        """Per-device diurnal availability in local time."""
-        return DiurnalAvailability(self.night_peak, self.evening_peak, self.base_level)
-
-    def networks(self) -> NetworkMixture:
-        """Network-profile assignment for the population."""
-        mix = [(NETWORK_PROFILES[name], float(w)) for name, w in self.network_mix]
-        return NetworkMixture(mix)
+            raise ValueError(f"dropout_prob must be in [0, 1], got {self.dropout_prob!r}")
+        # Built once, so their checks run here whether or not a tenant ever
+        # derives a failure probability or a traffic curve from them.
+        try:
+            self._timezones = TimezoneMixture([(int(o), float(w)) for o, w in self.timezone_offsets])
+        except ValueError as exc:
+            raise ValueError(f"timezone_offsets {exc}") from None
+        try:
+            self._networks = NetworkMixture([(NETWORK_PROFILES[name], float(w)) for name, w in self.network_mix])
+        except ValueError as exc:
+            raise ValueError(f"network_mix {exc}") from None
+        self._availability = DiurnalAvailability(self.night_peak, self.evening_peak, self.base_level)
 
     def upload_failure_prob(self) -> float:
         """Population-average transmission-failure probability.
@@ -124,12 +123,12 @@ class PopulationSpec:
         for DeviceFlow dropout, combined with the explicit
         :attr:`dropout_prob` as independent loss sources.
         """
-        network = self.networks().expected_failure_prob()
+        network = self._networks.expected_failure_prob()
         return 1.0 - (1.0 - network) * (1.0 - self.dropout_prob)
 
     def traffic_curve(self) -> TrafficCurve:
         """Aggregate upload-rate curve over UTC (feeds interval dispatch)."""
-        return population_traffic_curve(self.timezones(), self.availability())
+        return population_traffic_curve(self._timezones, self._availability)
 
 
 # ----------------------------------------------------------------------
@@ -161,16 +160,17 @@ class ArrivalSpec:
             raise ValueError(f"unknown arrival kind {self.kind!r}")
         if self.kind == "trace":
             if not self.times:
-                raise ValueError("trace arrivals need at least one timestamp")
-            if any(t < 0 for t in self.times):
-                raise ValueError("trace timestamps must be >= 0")
+                raise ValueError("times must hold at least one timestamp for trace arrivals")
+            if not all(0 <= t < math.inf for t in self.times):  # also false for NaN
+                raise ValueError(f"times must be finite and >= 0, got {self.times!r}")
         else:
-            if self.count < 1:
-                raise ValueError("count must be >= 1")
-        if self.kind == "periodic" and self.period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if self.kind == "poisson" and self.rate_per_hour <= 0:
-            raise ValueError("rate_per_hour must be positive")
+            check_count("count", self.count)
+        if not 0 <= self.offset_s < math.inf:
+            raise ValueError(f"offset_s must be a finite number >= 0, got {self.offset_s!r}")
+        if self.kind == "periodic":
+            check_positive("period_s", self.period_s)
+        if self.kind == "poisson":
+            check_positive("rate_per_hour", self.rate_per_hour)
 
     def submission_times(self, rng: np.random.Generator) -> list[float]:
         """The sorted submission instants (seconds from scenario start).
@@ -212,10 +212,12 @@ class DispatchSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("direct", "realtime", "interval"):
             raise ValueError(f"unknown dispatch kind {self.kind!r}")
-        if self.kind == "interval" and self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if self.failure_prob > 1.0:
-            raise ValueError("failure_prob must be <= 1")
+        if self.kind == "interval":
+            check_positive("interval_s", self.interval_s)
+        if not -math.inf < self.failure_prob <= 1.0:  # also false for NaN
+            raise ValueError(
+                f"failure_prob must be a finite number <= 1 (< 0 derives it), got {self.failure_prob!r}"
+            )
 
     def resolved_failure_prob(self, population: PopulationSpec) -> float:
         """The dropout probability this tenant's messages experience."""
@@ -250,14 +252,21 @@ class GradeSpec:
     device_cpus: float = 1.0
     device_memory_gb: float = 1.0
 
+    def __post_init__(self) -> None:
+        self.build()  # the requirement's and the bundle's checks, at construction
+
     def build(self) -> GradeRequirement:
+        try:
+            bundle = ResourceBundle(cpus=self.device_cpus, memory_gb=self.device_memory_gb)
+        except ValueError as exc:  # the bundle's cpus / memory_gb are this spec's device_* fields
+            raise ValueError(f"device_{exc}") from None
         return GradeRequirement(
             grade=self.grade,
             n_devices=self.n_devices,
             bundles=self.bundles,
             n_phones=self.n_phones,
             n_benchmark=self.n_benchmark,
-            device_bundle=ResourceBundle(cpus=self.device_cpus, memory_gb=self.device_memory_gb),
+            device_bundle=bundle,
         )
 
 
@@ -295,10 +304,13 @@ class TenantSpec:
             raise ValueError("tenant name must be non-empty")
         if not self.grades:
             raise ValueError(f"tenant {self.name!r} needs at least one grade")
+        if isinstance(self.priority, bool) or not isinstance(self.priority, Integral):
+            raise ValueError(f"priority must be an integer, got {self.priority!r}")
+        check_count("rounds", self.rounds)
         check_records_per_device(self.records_per_device, self.numeric)
         check_count("feature_dim", self.feature_dim)
         check_count("flow_epochs", self.flow_epochs)
-        check_learning_rate("flow_learning_rate", self.flow_learning_rate)
+        check_positive("flow_learning_rate", self.flow_learning_rate)
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(
                 f"tenant {self.name!r} deadline_s must be > 0, got {self.deadline_s!r}"
@@ -554,10 +566,9 @@ class ScenarioSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
         check_seed(self.seed, "seed")
-        if self.horizon_s <= 0 or self.max_time <= 0:
-            raise ValueError("horizon_s and max_time must be positive")
-        if self.cluster_nodes < 1:
-            raise ValueError("cluster_nodes must be >= 1")
+        for name in ("horizon_s", "max_time", "deviceflow_capacity"):
+            check_positive(name, getattr(self, name))
+        check_count("cluster_nodes", self.cluster_nodes)
         if self.extra_high_phones < 0 or self.extra_low_phones < 0:
             raise ValueError("extra phone counts must be >= 0")
         alarm_names = [a.name for a in self.alarms]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from repro.cluster.resources import ResourceBundle
 from repro.deviceflow.strategy import DispatchStrategy
 from repro.ml.operators import OperatorFlow, standard_fl_flow
+from repro.ml.optimizer import check_count
 
 _task_counter = itertools.count()
 
@@ -64,12 +65,12 @@ class GradeRequirement:
     )
 
     def __post_init__(self) -> None:
-        if self.n_devices <= 0:
-            raise ValueError("n_devices must be positive")
-        if self.n_benchmark < 0 or self.n_benchmark > self.n_devices:
-            raise ValueError("n_benchmark must be within [0, n_devices]")
-        if self.bundles < 0 or self.n_phones < 0:
-            raise ValueError("resource requests must be >= 0")
+        check_count("n_devices", self.n_devices)
+        if not 0 <= self.n_benchmark <= self.n_devices:
+            raise ValueError(f"n_benchmark must be within [0, n_devices={self.n_devices}], got {self.n_benchmark!r}")
+        for name in ("bundles", "n_phones"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.n_devices - self.n_benchmark > 0 and self.bundles == 0 and self.n_phones == 0:
             raise ValueError(
                 f"grade {self.grade!r} requests devices but no compute resources"

@@ -26,6 +26,8 @@ class TestResourceBundle:
             ResourceBundle(cpus=-1)
         with pytest.raises(ValueError):
             ResourceBundle(cpus=0, memory_gb=0, gpus=0)
+        with pytest.raises(ValueError, match=r"^memory_gb must be a finite number >= 0, got nan$"):
+            ResourceBundle(cpus=1, memory_gb=float("nan"))
 
     def test_units_relative_to_unit_bundle(self):
         unit = ResourceBundle(cpus=1, memory_gb=1)

@@ -16,16 +16,7 @@ import json
 import pytest
 
 from repro import GradeRequirement, PlatformConfig, SimDC, TaskSpec
-from repro.baselines import SimDCRoundModel
-from repro.cluster import (
-    DeviceColumns,
-    GradeExecutionPlan,
-    K8sCluster,
-    LogicalCostModel,
-    LogicalSimulation,
-    NodeSpec,
-    ResourceBundle,
-)
+from repro.cluster import NodeSpec, ResourceBundle
 from repro.experiments import (
     format_fig5,
     format_fig6,
@@ -46,8 +37,6 @@ from repro.experiments import (
     run_table1_stage_metrics,
     run_table2_curve_fidelity,
 )
-from repro.ml import standard_fl_flow
-from repro.simkernel import RandomStreams, Simulator
 
 
 def _digest(obj) -> str:
@@ -228,44 +217,28 @@ class TestFig8:
     def test_format(self, result):
         assert "FederatedScope" in format_fig8(result)
 
-    def test_event_driven_anchor(self):
-        """The closed-form SimDC model matches the executable logical tier.
+    def test_fig8_shape_small_scale(self, result):
+        """Below 1000 devices SimDC is the slowest of the three."""
+        for scale, ours, fs, fscope in zip(
+            result.scales, result.simdc, result.fedscale, result.federatedscope
+        ):
+            if scale in (100, 316):
+                assert ours > fs
+                assert ours > fscope
 
-        One actual simulated round at a mid scale, so the sweep's numbers
-        are anchored to the platform rather than free-floating constants.
-        """
-        n_devices, total_cores = 2_000, 200
-        model = SimDCRoundModel(total_cores=total_cores)
-        cost = LogicalCostModel(
-            alpha={"Std": model.device_round_s},
-            actor_startup=0.0,
-            runner_setup=model.runner_setup_s,
-            download_latency=model.download_s / 2,
-            download_bandwidth_bps=1e18,
-        )
-        plan = GradeExecutionPlan(
-            grade="Std",
-            devices=DeviceColumns([f"d{i}" for i in range(n_devices)], [10] * n_devices),
-            n_actors=total_cores,
-            bundle=ResourceBundle(cpus=1, memory_gb=1),
-            flow=standard_fl_flow(),
-            numeric=False,
-        )
-        sim = Simulator()
-        nodes = [NodeSpec(cpus=20, memory_gb=30)] * (total_cores // 20)
-        logical = LogicalSimulation(sim, K8sCluster(nodes), cost, RandomStreams(0))
+    def test_fig8_shape_large_scale(self, result):
+        """At >= 10k devices SimDC and FederatedScope are comparable and
+        FedScale stays fastest."""
+        for scale, ours, fs, fscope in zip(
+            result.scales, result.simdc, result.fedscale, result.federatedscope
+        ):
+            if scale >= 10_000:
+                assert 0.5 < ours / fscope < 1.5
+                assert fs < ours
 
-        def run():
-            start = sim.now
-            yield sim.process(logical.prepare([plan], task_id="task"))
-            yield sim.process(logical.run_round(1, None, 0.0, 0, None))
-            return sim.now - start
-
-        proc = sim.process(run())
-        sim.run()
-        logical.teardown()
-        predicted = SimDCRoundModel().round_time(n_devices)
-        assert abs(proc.result - predicted) / predicted < 0.25
+    def test_simdc_column_pinned(self, result):
+        """SimDC's column is a logical-tier round, so a cost-model change moves it here."""
+        assert [round(t, 1) for t in result.simdc] == [12.2, 14.7, 22.4, 50.4, 137.1, 415.1, 1284.6]
 
 
 class TestFig9:

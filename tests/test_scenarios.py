@@ -8,6 +8,7 @@ to the digests pinned below.
 import gc
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -126,6 +127,8 @@ class TestSpecSerialization:
             ("flow_epochs", 0, "must be an integer >= 1, got 0"),
             ("flow_epochs", 1.5, "must be an integer >= 1, got 1.5"),
             ("feature_dim", 0, "must be an integer >= 1, got 0"),
+            ("rounds", 0, "must be an integer >= 1, got 0"),
+            ("priority", 1.5, "must be an integer, got 1.5"),
         ],
     )
     def test_flow_numbers_fail_at_construction_naming_the_field(self, field, value, message):
@@ -137,6 +140,60 @@ class TestSpecSerialization:
         data = tiny_scenario().to_dict()
         data["tenants"][1][field] = value
         with pytest.raises(ValueError, match=rf"^tenants\[1\]\.{field} {message}$"):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        ("path", "update", "message"),
+        [
+            # Used to run "ok" with the NaN silently replaced by the
+            # population-derived probability.
+            (
+                "tenants[0].dispatch",
+                {"failure_prob": float("nan")},
+                "failure_prob must be a finite number <= 1 (< 0 derives it), got nan",
+            ),
+            # Used to build and then fail the task mid-run.
+            (
+                "tenants[0].grades[0]",
+                {"device_cpus": float("nan")},
+                "device_cpus must be a finite number >= 0, got nan",
+            ),
+            (
+                "tenants[0].dispatch",
+                {"kind": "interval", "interval_s": float("nan")},
+                "interval_s must be a finite number > 0, got nan",
+            ),
+            # Used to be accepted, or to fail inside the run without a path.
+            ("", {"horizon_s": float("nan")}, "horizon_s must be a finite number > 0, got nan"),
+            ("", {"max_time": float("nan")}, "max_time must be a finite number > 0, got nan"),
+            ("", {"deviceflow_capacity": float("nan")}, "deviceflow_capacity must be a finite number > 0, got nan"),
+            ("", {"cluster_nodes": 2.5}, "cluster_nodes must be an integer >= 1, got 2.5"),
+            (
+                "tenants[0].arrival",
+                {"kind": "trace", "times": [float("nan")]},
+                "times must be finite and >= 0, got [nan]",
+            ),
+            ("tenants[0].arrival", {"period_s": float("nan")}, "period_s must be a finite number > 0, got nan"),
+            ("tenants[0].arrival", {"offset_s": -5.0}, "offset_s must be a finite number >= 0, got -5.0"),
+            ("tenants[0].arrival", {"count": 2.5}, "count must be an integer >= 1, got 2.5"),
+            ("tenants[0].grades[0]", {"n_devices": 0}, "n_devices must be an integer >= 1, got 0"),
+            # No tenant derives a failure probability here, so the mixture
+            # used to be built (and checked) never.
+            (
+                "population",
+                {"network_mix": [["wifi", -1.0], ["lte", 2.0]]},
+                "network_mix weights must be positive and finite, got [-1.0, 2.0]",
+            ),
+        ],
+    )
+    def test_unrunnable_numbers_fail_at_construction_naming_their_path(self, path, update, message):
+        data = tiny_scenario().to_dict()
+        target = data
+        for key in filter(None, path.replace("[", ".").replace("]", "").split(".")):
+            target = target[int(key)] if key.isdigit() else target.setdefault(key, {})
+        target.update(update)
+        prefix = f"{path}." if path else ""
+        with pytest.raises(ValueError, match="^" + re.escape(prefix + message) + "$"):
             ScenarioSpec.from_dict(data)
 
     def test_uncalibrated_grade_fails_at_schedule_naming_its_path(self):
