@@ -6,12 +6,11 @@ launches placement groups of actors on worker nodes, "with each actor
 sequentially simulating multiple devices" (§IV-A).
 
 This package rebuilds that substrate over the discrete-event kernel: nodes
-with CPU/memory/GPU capacity, placement groups packed onto nodes, actors
-that execute operator flows for a queue of simulated devices while
-advancing simulated time according to a calibrated cost model.
+with CPU/memory/GPU capacity, placement groups packed onto nodes, and a
+per-grade count of actors that work through their queues of simulated
+devices while advancing simulated time by a calibrated cost model.
 """
 
-from repro.cluster.actor import SimActor
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.placement import PlacementGroup
@@ -29,5 +28,4 @@ __all__ = [
     "PlacementGroup",
     "ResourceBundle",
     "RoundResult",
-    "SimActor",
 ]

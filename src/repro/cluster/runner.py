@@ -3,8 +3,9 @@
 "The master node (Ray Runner) is responsible for data downloading,
 distribution, and the configuration of runtime parameters for the simulated
 devices" (§IV-A).  :class:`LogicalSimulation` wraps the whole tier: it
-reserves a placement group on the cluster, starts actors, stages data, and
-fans rounds out across the actors.
+reserves a placement group, starts the actors, stages data, and fans rounds
+out across them.  An actor is a count: a grade's actors move in lockstep,
+so ``prepare`` is three timeouts and a round one wave clock per grade.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cloud.sink import OutcomeSink
-from repro.cluster.actor import SimActor
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.placement import PlacementGroup
 from repro.cluster.resources import ResourceBundle
 from repro.cluster.rounds import RoundResult, SlotQueue, TierPlan, TierRounds
 from repro.ml.backends import SERVER_BACKEND, NumericBackend
-from repro.simkernel import AllOf, RandomStreams, Simulator, Timeout
+from repro.simkernel import RandomStreams, Simulator, Timeout
 
 
 @dataclass(kw_only=True)
@@ -53,7 +53,7 @@ class GradeExecutionPlan(TierPlan):
 
 
 class LogicalSimulation(TierRounds):
-    """Facade over cluster + actors for one task's logical tier.
+    """Facade over the cluster and its actors for one task's logical tier.
 
     Usage: ``prepare`` (allocates resources, starts actors, stages data)
     then ``run_round`` once per collaboration round, then ``teardown``.
@@ -71,7 +71,6 @@ class LogicalSimulation(TierRounds):
         self.cluster = cluster
         self.cost_model = cost_model
         self.plans: list[GradeExecutionPlan] = []
-        self.actors: dict[str, list[SimActor]] = {}
         self.placement_group: PlacementGroup | None = None
 
     def prepare(self, plans: list[GradeExecutionPlan], task_id: str) -> Generator:
@@ -97,27 +96,13 @@ class LogicalSimulation(TierRounds):
         self.placement_group = group
 
         yield Timeout(self.cost_model.runner_setup)
-
-        startups = []
-        for plan in self.plans:
-            actors = [
-                SimActor(self.sim, f"{task_id}.{plan.grade}.{i}", plan.grade, self.cost_model)
-                for i in range(plan.n_actors)
-            ]
-            self.actors[plan.grade] = actors
-            per_actor_bytes = plan.dataset_bytes() // max(1, plan.n_actors)
-            for actor in actors:
-                startups.append(
-                    self.sim.process(
-                        self._start_actor(actor, per_actor_bytes),
-                        name=f"{actor.actor_id}.startup",
-                    )
-                )
-        yield AllOf(startups)
-
-    def _start_actor(self, actor: SimActor, data_bytes: int) -> Generator:
-        yield self.sim.process(actor.startup(), name=f"{actor.actor_id}.boot")
-        yield self.sim.process(actor.download(data_bytes), name=f"{actor.actor_id}.data-dl")
+        # Every actor boots at once and then pulls its grade's per-actor data
+        # share; float addition rounds monotonically, so the last pull ends at
+        # exactly ``boot + max(pull)``.
+        yield Timeout(self.cost_model.actor_startup)
+        yield Timeout(
+            max(self.cost_model.transfer_duration(plan.dataset_bytes() // plan.n_actors) for plan in self.plans)
+        )
 
     def run_round(
         self,
@@ -142,7 +127,7 @@ class LogicalSimulation(TierRounds):
 
     def _numeric_block_size(self, plan: GradeExecutionPlan) -> int:
         """One stacked block per wave: the devices the actors hold at once."""
-        return len(self.actors[plan.grade])
+        return plan.n_actors
 
     def _completion_times(
         self, plan: GradeExecutionPlan, model_bytes: int, upload_bytes: int
@@ -158,8 +143,7 @@ class LogicalSimulation(TierRounds):
         a`` — so the whole plan is one ascending sequence.
         """
         total = len(plan.devices)
-        actors = self.actors[plan.grade]
-        n_actors = len(actors)
+        n_actors = plan.n_actors
         cost = self.cost_model
         waves = -(-total // n_actors)
         steps = np.empty(2 * waves + 2, dtype=np.float64)
@@ -168,12 +152,8 @@ class LogicalSimulation(TierRounds):
         steps[2::2] = cost.device_round_duration(plan.grade, plan.flow.total_work)
         steps[3::2] = cost.transfer_duration(upload_bytes)  # per-device result upload
         wave_times = np.cumsum(steps)[3::2]
-
-        def credit_actors() -> None:
-            for a, actor in enumerate(actors):
-                actor.devices_completed += len(range(a, total, n_actors))
-
-        return np.repeat(wave_times, n_actors)[:total], [(slice(0, total), credit_actors)]
+        # An actor keeps no per-round state: a drained queue settles nothing.
+        return np.repeat(wave_times, n_actors)[:total], [(slice(0, total), lambda: None)]
 
     def teardown(self) -> None:
         """Release the placement group back to the cluster."""
@@ -181,4 +161,3 @@ class LogicalSimulation(TierRounds):
         if self.placement_group is not None:
             self.cluster.release(self.placement_group)
             self.placement_group = None
-        self.actors.clear()

@@ -1,7 +1,11 @@
-"""Platform configuration."""
+"""Platform configuration, every number checked at construction by field name.
+
+The Task Manager has no period to configure: it runs a pass on events.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -9,6 +13,7 @@ from typing import TYPE_CHECKING
 from repro.cloud.transport import ChannelModel
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.resources import NodeSpec, ResourceBundle
+from repro.ml.optimizer import check_positive
 from repro.phones.cost import PhysicalCostModel
 from repro.phones.specs import DEFAULT_LOCAL_FLEET, DEFAULT_MSP_FLEET, PhoneSpec
 
@@ -43,8 +48,6 @@ class PlatformConfig:
         Calibrated runtime constants (alpha / beta / lambda ...).
     poll_interval:
         Benchmarking-device sampling period.
-    scheduling_interval:
-        Task Manager background tick.
     """
 
     seed: int = 0
@@ -62,7 +65,6 @@ class PlatformConfig:
     logical_cost: LogicalCostModel | None = None
     physical_cost: PhysicalCostModel | None = None
     poll_interval: float = 1.0
-    scheduling_interval: float = 5.0
     #: Optional device→cloud transport channel fronting every task's
     #: ingestion (loss, retries, duplication, outages).  ``None`` keeps
     #: the ideal lossless exactly-once uplink.
@@ -75,11 +77,13 @@ class PlatformConfig:
 
     def __post_init__(self) -> None:
         if not self.cluster_nodes:
-            raise ValueError("at least one cluster node is required")
-        if self.deviceflow_capacity <= 0:
-            raise ValueError("deviceflow_capacity must be positive")
-        if self.poll_interval <= 0 or self.scheduling_interval <= 0:
-            raise ValueError("intervals must be positive")
+            raise ValueError("cluster_nodes must hold at least one node")
+        check_positive("deviceflow_capacity", self.deviceflow_capacity)
+        check_positive("poll_interval", self.poll_interval)
+        if not 0 <= self.msp_control_latency < math.inf:  # also false for NaN
+            raise ValueError(f"msp_control_latency must be a finite number >= 0, got {self.msp_control_latency!r}")
+        if not 0 <= self.msp_availability <= 1:
+            raise ValueError(f"msp_availability must be in [0, 1], got {self.msp_availability!r}")
         if self.logical_cost is None:
             self.logical_cost = LogicalCostModel()
         if self.physical_cost is None:

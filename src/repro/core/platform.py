@@ -88,7 +88,6 @@ class SimDC:
             self.resource_manager,
             runner_factory=self._make_runner,
             monitor=self.monitor,
-            scheduling_interval=self.config.scheduling_interval,
         )
 
     # ------------------------------------------------------------------

@@ -5,7 +5,8 @@ An :class:`AutoscaleSpec` names an alarm rule; the live
 that rule's ``alarm_raised`` / ``alarm_cleared`` events by driving
 :meth:`ResourceManager.scale_up` / :meth:`ResourceManager.scale_down`
 and prodding :meth:`TaskManager.notify_resources_changed`, so queued
-tasks grab the new capacity on the same simulated tick.
+tasks grab the new capacity at the same simulated instant (nothing else
+would wake them: the Task Manager does not poll).
 
 Every action runs as its *own* kernel event (``sim.schedule(0.0, ...)``)
 rather than inside the monitor callback that observed the alarm: the

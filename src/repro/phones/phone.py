@@ -18,7 +18,7 @@ import numpy as np
 from repro.phones.apk import ApkStage, TrainingApk
 from repro.phones.battery import BatteryModel
 from repro.phones.specs import PhoneSpec
-from repro.simkernel import RandomStreams, Signal, Simulator
+from repro.simkernel import RandomStreams, Signal, Simulator, stable_hash
 
 #: Control-plane bytes exchanged during a training stage on top of the
 #: model upload (heartbeats, progress RPCs).  Together with the ~32.8 KB
@@ -68,7 +68,7 @@ class VirtualPhone:
         self.installed: dict[str, TrainingApk] = {}
         self.running_pid: int | None = None
         self.running_package: str | None = None
-        self._pid_counter = 4000 + (hash(serial) % 997)
+        self._pid_counter = 4000 + stable_hash(serial)[0] % 997  # not hash(): salted per process
         self._training_started_at: float | None = None
         self._training_duration: float = 0.0
         self._training_upload_bytes: int = 0

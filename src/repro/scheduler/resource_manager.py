@@ -7,10 +7,13 @@ synchronizes resource utilization information with the Task Manager."
 
 Reservations are bookkeeping at the granularity the scheduler reasons in —
 logical *unit bundles* and per-grade phone counts; physical placement
-happens later inside the execution tiers against the same capacity.  The
-scheduling pass takes a snapshot every tick, so capacity is counted where it
-changes (``add_phones`` / ``remove_phones``, ``K8sCluster.add_node`` /
-``remove_node``) and a snapshot reads the counts: no phone, no node.
+happens later inside the execution tiers against the same capacity.  Every
+scheduling pass takes a snapshot, so capacity is counted where it changes
+(``add_phones`` / ``remove_phones``, ``K8sCluster.add_node`` /
+``remove_node``) and a snapshot reads the counts: no phone, no node.  The
+Task Manager is not polled: capacity growth reaches its queue through
+``TaskManager.notify_resources_changed``, which the caller of
+:meth:`ResourceManager.scale_up` / ``add_phones`` invokes afterwards.
 """
 
 from __future__ import annotations

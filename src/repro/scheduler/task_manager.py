@@ -1,10 +1,13 @@
-"""The Task Manager: queue, scheduling loop, and task lifecycle.
+"""The Task Manager: queue, scheduling passes, and task lifecycle.
 
 §III-B: "A micro-service responsible for the maintenance of Task Queue,
 task submission, and status monitoring.  Task Manager periodically selects
-suitable submitted tasks from the Task Queue for scheduling."  The manager
-also reacts immediately to submissions and completions, so idle resources
-never wait for the periodic tick.
+suitable submitted tasks from the Task Queue for scheduling."  A pass is a
+function of the queue and free capacity only, so a periodic one could only
+decide differently after one of them grew — and every growth already runs
+a pass: a submission, a task's completion or failure, and
+:meth:`TaskManager.notify_resources_changed` (autoscaling, a recovered
+phone).  So passes run on those events, never on a timer.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from repro.scheduler.resource_manager import ResourceManager
 from repro.scheduler.task import TaskSpec, TaskState
 from repro.scheduler.task_runner import TaskResult, TaskRunner
 from repro.scheduler.task_scheduler import GreedyTaskScheduler
-from repro.simkernel import Simulator, Timeout
+from repro.simkernel import Simulator
 
 
 class TaskManager:
     """Coordinates queueing, greedy scheduling and concurrent execution.
+
+    Nothing polls: code that grows capacity (``ResourceManager.scale_up`` /
+    ``add_phones``) then calls :meth:`notify_resources_changed`.
 
     Parameters
     ----------
@@ -35,8 +41,6 @@ class TaskManager:
         concurrent processing" — here, concurrent simulation processes).
     monitor:
         The platform's event log.
-    scheduling_interval:
-        Period of the background scheduling tick (seconds, simulated).
     """
 
     def __init__(
@@ -45,20 +49,15 @@ class TaskManager:
         resource_manager: ResourceManager,
         runner_factory: Callable[[TaskSpec], TaskRunner],
         monitor: Monitor,
-        scheduling_interval: float = 5.0,
     ) -> None:
-        if scheduling_interval <= 0:
-            raise ValueError("scheduling_interval must be positive")
         self.sim = sim
         self.resource_manager = resource_manager
         self.runner_factory = runner_factory
         self.monitor = monitor
-        self.scheduling_interval = float(scheduling_interval)
         self.queue = TaskQueue()
         self.scheduler = GreedyTaskScheduler()
         self.results: dict[str, TaskResult] = {}
         self.running: dict[str, TaskRunner] = {}
-        self._tick_scheduled = False
         self._deferred = 0
 
     # ------------------------------------------------------------------
@@ -67,7 +66,6 @@ class TaskManager:
         self.queue.submit(spec)
         self.monitor.log("task_submitted", task_id=spec.task_id, priority=spec.priority)
         self._schedule_pass()
-        self._arm_tick()
         return spec
 
     def submit_at(self, spec: TaskSpec, time: float) -> TaskSpec:
@@ -95,7 +93,7 @@ class TaskManager:
         return self._deferred
 
     def notify_resources_changed(self) -> None:
-        """External capacity change (scaling, churn): retry queued tasks."""
+        """Capacity grew outside a task's lifecycle (scaling, recovery): retry queued tasks."""
         self._schedule_pass()
 
     @property
@@ -138,19 +136,3 @@ class TaskManager:
             self.results[spec.task_id] = result
         # Freed resources may unblock queued work immediately.
         self._schedule_pass()
-
-    def _arm_tick(self) -> None:
-        if self._tick_scheduled:
-            return
-        self._tick_scheduled = True
-        self.sim.process(self._tick_loop(), name="task-manager.tick")
-
-    def _tick_loop(self) -> Generator:
-        # Only queued/running work needs the periodic pass; deferred
-        # submissions re-arm the tick when they land, so an otherwise idle
-        # platform does not spin through a long arrival gap.
-        while self.queue or self.running:
-            yield Timeout(self.scheduling_interval)
-            if self.queue:
-                self._schedule_pass()
-        self._tick_scheduled = False

@@ -1,9 +1,10 @@
 """Per-device reference implementation of the two execution tiers.
 
 The round loops as they stood before the tiers kept only the wave
-schedule: one generator per logical actor paying two timeouts per queued
-device, one generator per computing phone paying push / training / upload
-per device, and one polling process per benchmarking phone that issues the
+schedule: one start-up process per logical actor (boot, then its data
+pull) and one generator per actor paying two timeouts per queued device,
+one generator per computing phone paying push / training / upload per
+device, and one polling process per benchmarking phone that issues the
 five raw ADB commands and parses their text.  They define what the
 columnar rounds in ``repro.cluster.runner`` and ``repro.phones.phonemgr``
 must reproduce exactly — outcomes and their order, finish times, sample
@@ -13,9 +14,9 @@ same plans through both and compare bit for bit.  Do not optimise it.
 
 Drive a simulation holding reference tiers one event at a time
 (:func:`run_per_event`), the loop these generators were written against.
-Shared with ``src/``: the kernel, ``prepare`` / ``teardown`` and the
-five-stage benchmarking protocol.  A device's flow runs through the
-per-device numeric oracle, ``reference.ml_reference``.
+Shared with ``src/``: the kernel, the phone tier's ``prepare``, both
+tiers' ``teardown`` and the five-stage benchmarking protocol.  A device's
+flow runs through the per-device numeric oracle, ``reference.ml_reference``.
 
 The per-device records live here too: :class:`DeviceRoundOutcome` is what
 one device produced in one round, :class:`ReferenceRoundResult` collects
@@ -159,7 +160,43 @@ def _outcome(assignment, plan, round_index, payload, update, now) -> DeviceRound
 
 
 class ReferenceLogicalSimulation(LogicalSimulation):
-    """Logical tier whose actors work through their queues device by device."""
+    """Logical tier whose actors start one by one and work through their queues device by device."""
+
+    def prepare(self, plans, task_id) -> Generator:
+        """Runner setup, then one process per actor: boot, then pull its share of the grade's data."""
+        if self.placement_group is not None:
+            raise RuntimeError("LogicalSimulation is already prepared")
+        self.task_id = task_id
+        self.plans = list(plans)
+        bundles = [plan.bundle for plan in self.plans for _ in range(plan.n_actors)]
+        if not bundles:
+            return
+        group = self.cluster.allocate(bundles)
+        if group is None:
+            raise RuntimeError(f"cluster cannot host {len(bundles)} bundles for task {task_id!r}")
+        self.placement_group = group
+        yield Timeout(self.cost_model.runner_setup)
+        self.actor_ids = {plan.grade: [f"{task_id}.{plan.grade}.{i}" for i in range(plan.n_actors)]
+                          for plan in self.plans}
+        startups = []
+        for plan in self.plans:
+            per_actor_bytes = plan.dataset_bytes() // max(1, plan.n_actors)
+            for actor_id in self.actor_ids[plan.grade]:
+                startups.append(
+                    self.sim.process(self._start_actor(actor_id, per_actor_bytes), name=f"{actor_id}.startup")
+                )
+        yield AllOf(startups)
+
+    def _start_actor(self, actor_id: str, data_bytes: int) -> Generator:
+        yield self.sim.process(self._actor_wait(self.cost_model.actor_startup), name=f"{actor_id}.boot")
+        yield self.sim.process(
+            self._actor_wait(self.cost_model.transfer_duration(data_bytes)), name=f"{actor_id}.data-dl"
+        )
+
+    @staticmethod
+    def _actor_wait(delay: float) -> Generator:
+        """One actor step (start-up or a storage pull), run as its own process."""
+        yield Timeout(delay)
 
     def run_round(self, round_index, global_weights, global_bias, model_bytes, sink=None) -> Generator:
         if self.placement_group is None and self.plans:
@@ -174,13 +211,13 @@ class ReferenceLogicalSimulation(LogicalSimulation):
         processes = [
             self.sim.process(
                 self._actor_round(
-                    actor, rows(plan, plan.devices)[a :: plan.n_actors], plan,
+                    actor_id, rows(plan, plan.devices)[a :: plan.n_actors], plan,
                     round_index, global_weights, global_bias, model_bytes, collect,
                 ),
-                name=f"{actor.actor_id}.round{round_index}",
+                name=f"{actor_id}.round{round_index}",
             )
             for plan in self.plans
-            for a, actor in enumerate(self.actors[plan.grade])
+            for a, actor_id in enumerate(self.actor_ids[plan.grade])
         ]
         if processes:
             yield AllOf(processes)
@@ -189,11 +226,13 @@ class ReferenceLogicalSimulation(LogicalSimulation):
         return result
 
     def _actor_round(
-        self, actor, queue, plan, round_index, global_weights, global_bias, model_bytes, collect
+        self, actor_id, queue, plan, round_index, global_weights, global_bias, model_bytes, collect
     ) -> Generator:
         """Model download once per actor, then alpha + result upload per device (§VI-B4)."""
         if queue:
-            yield self.sim.process(actor.download(model_bytes), name=f"{actor.actor_id}.model-dl")
+            yield self.sim.process(
+                self._actor_wait(self.cost_model.transfer_duration(model_bytes)), name=f"{actor_id}.model-dl"
+            )
         for assignment in queue:
             yield Timeout(self.cost_model.device_round_duration(assignment.grade, plan.flow.total_work))
             update, payload = None, model_bytes
@@ -205,7 +244,6 @@ class ReferenceLogicalSimulation(LogicalSimulation):
                 if update is not None:
                     payload = update.wire_size(update.weights.size)
             yield Timeout(self.cost_model.transfer_duration(payload))
-            actor.devices_completed += 1
             collect(_outcome(assignment, plan, round_index, payload, update, self.sim.now))
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from helpers import CallbackSink
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference.tier_reference import ReferenceLogicalSimulation, all_outcomes, run_per_event
 
 from repro.cluster import (
@@ -262,7 +264,6 @@ class TestLogicalSimulation:
         assert [device for _, device in seen] == ["d0", "d1", "d2", "d3", "d4"]
         assert len({time for time, _ in seen}) == 3
         assert seen[0][0] == seen[1][0] < seen[2][0] == seen[3][0] < seen[4][0]
-        assert [actor.devices_completed for actor in logical.actors["High"]] == [3, 2]
 
     def test_plan_validation(self):
         """One place, at construction, naming the plan's grade and the field."""
@@ -287,6 +288,61 @@ class TestLogicalSimulation:
 
     def test_dataset_bytes_precomputed(self):
         assert build_plan(5, 2).dataset_bytes() == 5 * 64 * 10
+
+
+def prepare_alone(tier, plans, cost):
+    """Drive one ``prepare`` on an otherwise empty kernel: (instant it finished, events fired)."""
+    sim = Simulator()
+    logical = tier(sim, K8sCluster([NodeSpec(cpus=200, memory_gb=200)]), cost, RandomStreams(0))
+    sim.process(logical.prepare(plans, task_id="t"))
+    events = 0
+    while sim.pending_events:
+        events += sim.step_batch()
+    return sim.now, events
+
+
+def staged_plan(grade, n_actors, n_samples):
+    return GradeExecutionPlan(
+        grade=grade, devices=DeviceColumns([f"{grade}.{i}" for i in range(len(n_samples))], n_samples),
+        n_actors=n_actors, bundle=ResourceBundle(cpus=1, memory_gb=1), flow=standard_fl_flow(), numeric=False,
+    )
+
+
+#: Cost constants where float addition does not associate ((0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)).
+COST_SECONDS = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1e-3, 3.0, 1e9 + 0.1]),
+    st.floats(min_value=1e-9, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestPrepare:
+    """``prepare`` is three timeouts; the per-actor start-up processes of the oracle decide its instant."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grades=st.lists(
+            st.tuples(st.integers(1, 64), st.lists(st.integers(1, 10**12), max_size=5)), min_size=1, max_size=3
+        ),
+        runner_setup=COST_SECONDS,
+        actor_startup=COST_SECONDS,
+        latency=COST_SECONDS,
+        bandwidth=st.one_of(st.sampled_from([0.3, 25e6]), st.floats(min_value=1e-3, max_value=1e12)),
+    )
+    def test_completion_instant_equals_per_actor_reference(self, grades, runner_setup, actor_startup, latency,
+                                                           bandwidth):
+        cost = LogicalCostModel(
+            runner_setup=runner_setup, actor_startup=actor_startup,
+            download_latency=latency, download_bandwidth_bps=bandwidth,
+        )
+        plans = [staged_plan(f"G{g}", n_actors, n_samples) for g, (n_actors, n_samples) in enumerate(grades)]
+        finished, _ = prepare_alone(LogicalSimulation, plans, cost)
+        expected, _ = prepare_alone(ReferenceLogicalSimulation, plans, cost)
+        assert finished == expected  # bit for bit
+
+    def test_kernel_events_do_not_depend_on_the_actor_count(self):
+        one = prepare_alone(LogicalSimulation, [staged_plan("Std", 1, [10] * 400)], LogicalCostModel())
+        many = prepare_alone(LogicalSimulation, [staged_plan("Std", 200, [10] * 400)], LogicalCostModel())
+        assert one[1] == many[1] == 4  # the process start, then Runner setup, start-up and the data pull
 
 
 WAVE_NODES = [NodeSpec(cpus=10, memory_gb=20)] * 4

@@ -1,5 +1,10 @@
 """Unit tests for the simulated ADB and raw-output post-processing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.phones import AdbError, SimulatedAdb, TrainingApk, VirtualPhone
@@ -83,6 +88,29 @@ class TestPaperCommandSet:
         top_raw = adb.shell("serial-1", f"top -b -n 1 -p {pid}")
         cpu = parse_top_cpu(top_raw, pid)
         assert 0.0 <= cpu <= 20.0
+
+    def test_pid_does_not_depend_on_the_hash_seed(self):
+        """A phone's pid is a function of its serial, not of the process's ``str`` hash salt."""
+        script = (
+            "from repro.phones import SimulatedAdb, TrainingApk, VirtualPhone\n"
+            "from repro.phones.specs import DEFAULT_LOCAL_FLEET\n"
+            "from repro.simkernel import RandomStreams, Simulator\n"
+            "adb, apk = SimulatedAdb(), TrainingApk()\n"
+            "adb.register(VirtualPhone(Simulator(), 'local-000', DEFAULT_LOCAL_FLEET[0], streams=RandomStreams(0)))\n"
+            "adb.install('local-000', apk)\n"
+            "adb.shell('local-000', f'am start -n {apk.component}')\n"
+            "print(adb.shell('local-000', f'pgrep -f {apk.package}'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = {
+            seed: subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1", "12345")
+        }
+        assert parse_pgrep_pid(outputs["0"]) is not None
+        assert len(set(outputs.values())) == 1, outputs
 
     def test_pgrep_not_running(self, rig):
         _, adb, _, apk = rig

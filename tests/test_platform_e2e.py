@@ -22,7 +22,6 @@ def small_platform(seed=0):
     config = PlatformConfig(
         seed=seed,
         cluster_nodes=[NodeSpec(cpus=20, memory_gb=30)] * 2,
-        scheduling_interval=5.0,
     )
     return SimDC(config)
 

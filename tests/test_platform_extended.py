@@ -1,5 +1,6 @@
 """Extended platform integration: MSP, scaling, strategies, reporting."""
 
+import pytest
 
 from repro import (
     GradeRequirement,
@@ -12,7 +13,8 @@ from repro import (
     TimePoint,
     TimePointStrategy,
 )
-from repro.cluster import NodeSpec
+from repro.cluster import LogicalCostModel, NodeSpec
+from repro.cluster.cost import DEFAULT_ALPHA
 from repro.deviceflow import right_tailed_normal
 from repro.ml import standard_fl_flow
 
@@ -88,8 +90,22 @@ class TestDynamicScaling:
         platform.sim.run(until=50.0)
         assert spec.state is TaskState.QUEUED  # 30 bundles > 10 available
         platform.resource_manager.scale_up(NodeSpec(cpus=20, memory_gb=30), count=2)
+        platform.task_manager.notify_resources_changed()  # growth outside a task's lifecycle
         platform.run_until_idle(max_time=1e7)
         assert platform.result(spec.task_id).state is TaskState.COMPLETED
+
+    def test_a_task_that_can_never_fit_fails_at_once(self):
+        """Nothing polls the queue, so a stuck queue drains at t = 0 instead of spinning to ``max_time``."""
+        platform = SimDC(PlatformConfig(seed=0, cluster_nodes=[NodeSpec(10, 10)]))
+        platform.submit(
+            TaskSpec(
+                name="too-big", rounds=1, flow=standard_fl_flow(epochs=1), numeric=False,
+                grades=[GradeRequirement(grade="High", n_devices=4, bundles=30, n_phones=0)],
+            )
+        )
+        with pytest.raises(TimeoutError, match="event queue drained before predicate became true"):
+            platform.run_until_idle(max_time=1e5)
+        assert platform.sim.now == 0.0
 
     def test_scale_down_idle_nodes_after_completion(self):
         platform = SimDC(PlatformConfig(seed=0, cluster_nodes=[NodeSpec(20, 30)] * 2))
@@ -133,3 +149,50 @@ class TestSkewThroughPlatform:
         platform.submit(spec)
         platform.run_until_idle(max_time=1e7)
         assert platform.result(spec.task_id).state is TaskState.COMPLETED
+
+
+def one_task_run(alpha_scale):
+    """Run one two-tier task to idle: (makespan, kernel events fired).
+
+    The allocation is fixed, so a slower logical tier changes only the instants, not the plans.
+    """
+    platform = SimDC(PlatformConfig(seed=0, cluster_nodes=[NodeSpec(20, 30)] * 2))
+    cost = LogicalCostModel(alpha={grade: alpha * alpha_scale for grade, alpha in DEFAULT_ALPHA.items()})
+    platform.submit(two_grade_task(rounds=2), fixed_allocation={"High": 6, "Low": 6}, logical_cost=cost)
+    events = 0
+    while not platform.task_manager.all_idle:
+        events += platform.sim.step_batch()
+    return platform.sim.now, events
+
+
+class TestKernelEvents:
+    def test_event_count_does_not_grow_with_the_makespan(self):
+        """No platform process polls: a ten-times-slower logical tier schedules no more events."""
+        makespan, events = one_task_run(1.0)
+        slow_makespan, slow_events = one_task_run(10.0)
+        assert slow_makespan > 2 * makespan
+        assert slow_events <= events
+
+
+class TestPlatformConfigValidation:
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            # Used to end a task with a benchmarking phone FAILED mid-run.
+            ("poll_interval", float("nan"), "poll_interval must be a finite number > 0, got nan"),
+            # Used to crash the run ("cannot schedule at inf").
+            ("poll_interval", float("inf"), "poll_interval must be a finite number > 0, got inf"),
+            # Used to kill a flow task's sender with a ProcessError.
+            ("deviceflow_capacity", float("nan"), "deviceflow_capacity must be a finite number > 0, got nan"),
+            ("deviceflow_capacity", 0.0, "deviceflow_capacity must be a finite number > 0, got 0.0"),
+            # Used to be accepted and silently read as no latency.
+            ("msp_control_latency", float("nan"), "msp_control_latency must be a finite number >= 0, got nan"),
+            ("msp_control_latency", -1.0, "msp_control_latency must be a finite number >= 0, got -1.0"),
+            # Used to be rejected only inside SimDC(), without the field name.
+            ("msp_availability", float("nan"), r"msp_availability must be in \[0, 1\], got nan"),
+            ("msp_availability", 1.5, r"msp_availability must be in \[0, 1\], got 1.5"),
+        ],
+    )
+    def test_unusable_numbers_fail_at_construction_naming_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PlatformConfig(**{field: value})

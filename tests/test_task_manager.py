@@ -51,7 +51,7 @@ def build(durations=None, failures=(), bundles_capacity=20):
             fail=spec.name in failures,
         )
 
-    manager = TaskManager(sim, rm, factory, Monitor(sim), scheduling_interval=5.0)
+    manager = TaskManager(sim, rm, factory, Monitor(sim))
     return sim, rm, manager
 
 
@@ -125,13 +125,6 @@ class TestTaskManagerLifecycle:
             manager.result_of(high.task_id).started_at
             < manager.result_of(low.task_id).started_at
         )
-
-    def test_validation(self):
-        sim = Simulator()
-        cluster = K8sCluster([NodeSpec(4, 4)])
-        rm = ResourceManager(cluster, [], ResourceBundle(cpus=1.0, memory_gb=1.0))
-        with pytest.raises(ValueError):
-            TaskManager(sim, rm, lambda s: None, Monitor(sim), scheduling_interval=0)
 
 
 class TestExperimentsCli:
