@@ -38,7 +38,6 @@ def main(n_devices: int = N_DEVICES, window_s: float = WINDOW_S) -> None:
         sim,
         SampleThresholdTrigger(threshold_samples=max(100, n_devices // 10)),
         model=None,  # counting mode: the interest here is load, not ML
-        name="global-agg",
     )
     service.start()
 

@@ -1,14 +1,16 @@
-"""Cloud-side services: storage, metrics database, aggregation, monitoring.
+"""Cloud-side services: metrics database, aggregation, monitoring.
 
 In the paper's architecture the compute tiers upload results to shared
 storage and notify cloud services through DeviceFlow; "cloud services then
 retrieve the corresponding data from storage based on the received
-messages for further processing" (§V-A).  The flagship cloud service is
-model aggregation, triggered either by a sample-count threshold or on a
-schedule — the two conditions §VI-C1 evaluates.  The transport module
-models the imperfect device→cloud uplink in front of ingestion: loss,
-retries with backoff, duplication, outages and deadline-based round
-closure.
+messages for further processing" (§V-A).  Here the message block carries
+its results inline and the cloud folds them as delivered: the storage hop
+cost no simulated time and nothing read it back, so it is not modelled.
+The flagship cloud service is model aggregation, triggered either by a
+sample-count threshold or on a schedule — the two conditions §VI-C1
+evaluates.  The transport module models the imperfect device→cloud uplink
+in front of ingestion: loss, retries with backoff, duplication, outages
+and deadline-based round closure.
 """
 
 from repro.cloud.aggregation import (
@@ -21,7 +23,6 @@ from repro.cloud.aggregation import (
 from repro.cloud.database import MetricsDatabase
 from repro.cloud.monitor import Monitor, MonitorEvent
 from repro.cloud.sink import CloudIngestSink, OutcomeSink
-from repro.cloud.storage import ObjectStorage, StoredObject
 from repro.cloud.transport import (
     ChannelModel,
     ChannelWindow,
@@ -40,11 +41,9 @@ __all__ = [
     "MetricsDatabase",
     "Monitor",
     "MonitorEvent",
-    "ObjectStorage",
     "OutcomeSink",
     "SampleThresholdTrigger",
     "ScheduledTrigger",
-    "StoredObject",
     "TransportChannel",
     "TransportCounters",
     "UploadPlan",

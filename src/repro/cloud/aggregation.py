@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cloud.database import MetricsDatabase
 from repro.data.avazu import DeviceDataset
 from repro.deviceflow.messages import MessageBlock
 from repro.ml.fedavg import FedAvgPartial
@@ -132,10 +131,6 @@ class AggregationService:
         (large-scale scalability sweeps with no numeric training).
     test_set:
         Optional held-out shard evaluated after every aggregation.
-    db:
-        Optional metrics database receiving one row per aggregation.
-    name:
-        Service label on those rows (the task id on the platform).
     """
 
     def __init__(
@@ -145,15 +140,11 @@ class AggregationService:
         *,
         model: LogisticRegressionModel | None = None,
         test_set: DeviceDataset | None = None,
-        db: MetricsDatabase | None = None,
-        name: str,
     ) -> None:
         self.sim = sim
         self.trigger = trigger
         self.model = model
         self.test_set = test_set
-        self.db = db
-        self.name = name
         self.history: list[AggregationRecord] = []
         self.messages_received = 0
         self.bytes_received = 0
@@ -245,17 +236,4 @@ class AggregationService:
                 record.test_accuracy = metrics["accuracy"]
                 record.test_auc = metrics["auc"]
         self.history.append(record)
-        if self.db is not None:
-            self.db.insert(
-                "aggregations",
-                {
-                    "service": self.name,
-                    "round": record.round_index,
-                    "time": record.time,
-                    "n_updates": record.n_updates,
-                    "n_samples": record.n_samples,
-                    "test_loss": record.test_loss,
-                    "test_accuracy": record.test_accuracy,
-                },
-            )
         return record

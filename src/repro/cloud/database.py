@@ -31,7 +31,3 @@ class MetricsDatabase:
         """Records matching every field-equality filter, e.g. ``db.query("device_samples", serial="local-00")``."""
         rows = self._tables.get(table, [])
         return [row for row in rows if all(row.get(k) == v for k, v in equals.items())]
-
-    def count(self, table: str, **equals: Any) -> int:
-        """Number of matching records."""
-        return len(self.query(table, **equals))

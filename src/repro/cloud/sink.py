@@ -6,10 +6,11 @@ receives :class:`~repro.deviceflow.messages.MessageBlock` blocks
 (``accept_block``) — a whole plan's round for direct dispatch, one
 completion wave at a time when the task is shaped by DeviceFlow, and a
 block of one row for a benchmarking phone or an upload a transport channel
-delivers.  :class:`CloudIngestSink` implements the cloud path — storage,
-messaging, aggregation — for any of them, on the block it was handed: the
-tiers build the block, the sink converts nothing, and the block is the
-single source of the task id.
+delivers.  :class:`CloudIngestSink` implements the cloud path — messaging
+and aggregation — for any of them, on the block it was handed: the tiers
+build the block, the sink converts nothing, and the block is the single
+source of the task id.  A block carries its update arrays inline, so there
+is no storage hop to model (see :mod:`repro.deviceflow.messages`).
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 import numpy as np
 
 from repro.cloud.aggregation import AggregationService
-from repro.cloud.storage import ObjectStorage
 from repro.deviceflow.controller import DeviceFlow
-from repro.deviceflow.messages import MessageBlock, payload_ref
-from repro.ml.fedavg import ModelUpdate
+from repro.deviceflow.messages import MessageBlock
 from repro.simkernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,49 +50,18 @@ class OutcomeSink(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class _BlockUpdateView:
-    """Lazy per-device view of a message block's stacked model updates.
-
-    ``ObjectStorage.put_block`` stores the whole sequence behind one
-    shared handle; a :class:`~repro.ml.fedavg.ModelUpdate` object is only
-    built if someone actually ``get``\\ s that device's key — the
-    aggregation fold never does, it reads the stacked arrays directly.
-    """
-
-    __slots__ = ("_block",)
-
-    def __init__(self, block: MessageBlock) -> None:
-        self._block = block
-
-    def __len__(self) -> int:
-        return len(self._block)
-
-    def __getitem__(self, position: int) -> ModelUpdate:
-        block = self._block
-        return ModelUpdate(
-            device_id=block.device_ids[position],
-            round_index=block.round_index,
-            weights=block.update_weights[position].copy(),
-            bias=float(block.update_biases[position]),
-            n_samples=int(block.n_samples[position]),
-            metadata={"grade": block.grade},
-        )
-
-
 class CloudIngestSink:
-    """The production sink: storage + DeviceFlow/aggregation ingestion.
+    """The production sink: DeviceFlow/aggregation ingestion.
 
-    A delivery (:meth:`accept_block`) is trace, gate, one
-    ``storage.put_block`` stamped with the block's per-device completion
-    times (numeric runs), then one ``deviceflow.submit_block`` or one
-    ``service.receive_block`` of the block itself (of its surviving rows,
-    when the gate dropped some) — with the global model bit-identical
-    however a round's rows were cut into blocks, by FedAvg partition
-    invariance.
+    A delivery (:meth:`accept_block`) is trace, gate, then one
+    ``deviceflow.submit_block`` or one ``service.receive_block`` of the
+    block itself (of its surviving rows, when the gate dropped some) —
+    with the global model bit-identical however a round's rows were cut
+    into blocks, by FedAvg partition invariance.
 
     Parameters
     ----------
-    sim / storage / service:
+    sim / service:
         Cloud plumbing; the owning task is whatever the blocks say.
     deviceflow:
         When set, outcomes are submitted to DeviceFlow instead of
@@ -116,7 +84,6 @@ class CloudIngestSink:
     def __init__(
         self,
         sim: Simulator,
-        storage: ObjectStorage,
         service: AggregationService,
         deviceflow: DeviceFlow | None = None,
         dedup: bool = False,
@@ -124,7 +91,6 @@ class CloudIngestSink:
         trace_devices: bool = True,
     ) -> None:
         self.sim = sim
-        self.storage = storage
         self.service = service
         self.deviceflow = deviceflow
         self.prefers_waves = deviceflow is not None
@@ -202,7 +168,7 @@ class CloudIngestSink:
 
     # ------------------------------------------------------------------
     def accept_block(self, block: MessageBlock) -> None:
-        """Block ingestion: one put, one submit or fold, of the block as handed.
+        """Block ingestion: one submit or fold, of the block as handed.
 
         ``block`` is a plan's whole round (direct tasks), one completion
         wave of it delivered at the wave's time (tasks shaped by
@@ -221,15 +187,6 @@ class CloudIngestSink:
             block = self._admit(block, block.finished_at)
             if block is None:
                 return
-        if block.update_weights is not None:  # time-only traffic stores nothing
-            task_id, round_index = block.task_id, block.round_index
-            self.storage.put_block(
-                [payload_ref(task_id, device_id, round_index) for device_id in block.device_ids],
-                _BlockUpdateView(block),
-                block.size_bytes,
-                now=block.finished_at,
-                writers=block.device_ids,
-            )
         if self.deviceflow is not None:
             self.deviceflow.submit_block(block)
         else:

@@ -308,7 +308,6 @@ class TransportChannel:
         self.model = model
         self.inner = inner
         self.streams = streams
-        self.scope = scope
         # Windows are baked into the model before the channel exists and
         # never change: filter them to this scope once, not per attempt.
         self._windows = model.windows_for(scope)

@@ -15,7 +15,7 @@ from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.placement import PlacementGroup
 from repro.cluster.resources import NodeSpec, ResourceBundle
-from repro.cluster.rounds import DeviceColumns, RoundResult
+from repro.cluster.rounds import DeviceColumns
 from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "NodeSpec",
     "PlacementGroup",
     "ResourceBundle",
-    "RoundResult",
 ]

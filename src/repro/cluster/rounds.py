@@ -9,15 +9,15 @@ generated plan is a :class:`DeviceIdRange`, which holds no string until one
 is read) plus what the whole grade shares (:class:`TierPlan`), a round's
 results are one :class:`~repro.deviceflow.messages.MessageBlock` over the
 same rows — the block the sink, DeviceFlow and the fold are handed, never a
-copy of it — and :class:`TierRounds` is the one engine that executes, schedules,
-delivers and closes a round.  A tier contributes only its completion-time
-kernel.
+copy of it, and kept by the tier only until its deliveries have fired — and
+:class:`TierRounds` is the one engine that executes, schedules, delivers and
+closes a round.  A tier contributes only its completion-time kernel.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,50 +157,6 @@ class TierPlan:
             raise ValueError(f"{self.grade!r} plan: numeric=True needs {name}.datasets")
 
 
-@dataclass
-class RoundResult:
-    """Summary of one tier round.
-
-    :attr:`columnar` holds one block per plan plus the one-row block of
-    each benchmarking phone, in completion order.
-    """
-
-    round_index: int
-    columnar: list[MessageBlock] = field(default_factory=list)
-    started_at: float = 0.0
-    finished_at: float = 0.0
-    #: True when the owning tier was torn down mid-round: the recorded
-    #: outcomes are the partial prefix collected before that.
-    aborted: bool = False
-
-    @property
-    def duration(self) -> float:
-        """Simulated seconds from round start to last device completion."""
-        return self.finished_at - self.started_at
-
-    @property
-    def n_devices(self) -> int:
-        """Devices that completed the round."""
-        return sum(len(block) for block in self.columnar)
-
-    def fedavg_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar ``(weights, biases, n_samples)`` of every numeric update.
-
-        The concatenated stacked arrays of the numeric blocks — the input
-        :meth:`repro.ml.fedavg.FedAvgPartial.from_arrays` folds.  Returns
-        empty arrays when the round produced no updates.
-        """
-        numeric = [block for block in self.columnar if block.update_weights is not None]
-        if not numeric:
-            empty = np.empty(0, dtype=np.float64)
-            return np.empty((0, 0), dtype=np.float64), empty, np.empty(0, dtype=np.int64)
-        return (
-            np.concatenate([block.update_weights for block in numeric]),
-            np.concatenate([block.update_biases for block in numeric]),
-            np.concatenate([block.n_samples for block in numeric]),
-        )
-
-
 #: One slot's queue in a plan's schedule: the plan rows it works through, in
 #: completion order, and the tier's hook for when the queue has drained.
 SlotQueue = tuple[slice, Callable[[], None]]
@@ -213,16 +169,17 @@ class TierRounds:
     :meth:`_numeric_block_size` and its completion-time kernel
     :meth:`_completion_times`; the engine owns everything else about a
     round.  Numeric plans execute up front as stacked blocks; every plan is
-    recorded as one :class:`MessageBlock` and delivered as
+    built as one :class:`MessageBlock` and delivered as
     :class:`~repro.cloud.sink.OutcomeSink` describes: whole, at its last
     completion time — one kernel event, no per-device objects or events —
     or, for a sink that sets ``prefers_waves``, as one row range per
     completion wave at the wave's time, each slot queue an ascending
-    sequence in the tier's :class:`~repro.simkernel.TimeoutPool`.  ``sink=None`` records the
-    blocks with no delivery at all (the 100k-device sweeps).  An epoch
-    guard voids the scheduled callbacks of a torn-down task, and
-    :meth:`_void_rounds` releases the plans-done barrier so a round in
-    flight resolves as ``aborted`` instead of leaking.
+    sequence in the tier's :class:`~repro.simkernel.TimeoutPool`.  ``sink=None``
+    delivers nothing (Fig. 8's scalability sweep times the round alone).
+    A round process resolves with one bool, ``True`` when :meth:`teardown`
+    voided it: an epoch guard voids the scheduled callbacks of a torn-down
+    task, and :meth:`_void_rounds` releases the plans-done barrier so a
+    round in flight resolves instead of leaking.
     """
 
     #: The tier's name on the signals the engine creates.
@@ -237,7 +194,6 @@ class TierRounds:
         #: The task whose rounds this tier runs: ``prepare`` sets it, every block carries it.
         self.task_id = ""
         self.plans: list = []
-        self.rounds: list[RoundResult] = []
         self._pool = TimeoutPool(sim)
         self._epoch = 0
         self._round_barriers: list[Signal] = []
@@ -260,18 +216,18 @@ class TierRounds:
     # -- the round --------------------------------------------------------
     def _drive_round(
         self,
-        result: RoundResult,
+        round_index: int,
         barriers: list,
         global_weights: np.ndarray | None,
         global_bias: float,
         model_bytes: int,
         sink: OutcomeSink | None,
     ) -> Generator:
-        """Register every plan, wait for them (and ``barriers``), close ``result``."""
+        """Register every plan, wait for them (and ``barriers``); ``True`` if the round was voided."""
         epoch = self._epoch
         if self.plans:
             remaining = len(self.plans)
-            plans_done = Signal(name=f"{self.label}.round{result.round_index}.plans-done")
+            plans_done = Signal(name=f"{self.label}.round{round_index}.plans-done")
             self._round_barriers.append(plans_done)
 
             def plan_done() -> None:
@@ -282,14 +238,11 @@ class TierRounds:
                     plans_done.fire()
 
             for plan in self.plans:
-                self._register_plan(plan, result, global_weights, global_bias, model_bytes, sink, plan_done)
+                self._register_plan(plan, round_index, global_weights, global_bias, model_bytes, sink, plan_done)
             barriers = [*barriers, plans_done]
         if barriers:
             yield AllOf(barriers)
-        result.finished_at = self.sim.now
-        result.aborted = epoch != self._epoch
-        self.rounds.append(result)
-        return result
+        return epoch != self._epoch
 
     def _void_rounds(self) -> None:
         """Void the scheduled callbacks of rounds in flight and release their barriers."""
@@ -345,7 +298,7 @@ class TierRounds:
     def _register_plan(
         self,
         plan: TierPlan,
-        result: RoundResult,
+        round_index: int,
         global_weights: np.ndarray | None,
         global_bias: float,
         model_bytes: int,
@@ -357,7 +310,7 @@ class TierRounds:
         Numeric plans run their ML round here, up front (the upload leg of
         the tier's schedule then carries the model-update payload); the
         tier's kernel turns the plan into completion times; the block is
-        recorded and delivered when those times come due.
+        delivered when those times come due.
         """
         total = len(plan.devices)
         if total == 0:
@@ -367,7 +320,7 @@ class TierRounds:
         upload_bytes = model_bytes
         if plan.numeric:
             update_weights, update_biases = self._execute_numeric(
-                plan, plan.devices, result.round_index, global_weights, global_bias,
+                plan, plan.devices, round_index, global_weights, global_bias,
                 self._numeric_block_size(plan),
             )
             if update_weights is not None:
@@ -375,7 +328,7 @@ class TierRounds:
         finished, queues = self._completion_times(plan, model_bytes, upload_bytes)
         block = MessageBlock(
             task_id=self.task_id,
-            round_index=result.round_index,
+            round_index=round_index,
             device_ids=plan.devices.device_ids,
             grade=plan.grade,
             size_bytes=upload_bytes,
@@ -397,7 +350,6 @@ class TierRounds:
                 queue_drained()
             pending -= len(drained)
             if pending == 0:
-                result.columnar.append(block)
                 plan_done()
 
         if not getattr(sink, "prefers_waves", False):

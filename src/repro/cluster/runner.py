@@ -20,7 +20,7 @@ from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.placement import PlacementGroup
 from repro.cluster.resources import ResourceBundle
-from repro.cluster.rounds import RoundResult, SlotQueue, TierPlan, TierRounds
+from repro.cluster.rounds import SlotQueue, TierPlan, TierRounds
 from repro.ml.backends import SERVER_BACKEND, NumericBackend
 from repro.simkernel import RandomStreams, Simulator, Timeout
 
@@ -116,14 +116,12 @@ class LogicalSimulation(TierRounds):
 
         Every plan rides the wave schedule; ``sink`` is served per plan or
         per completion wave as :class:`~repro.cluster.rounds.TierRounds`
-        describes.  The returned process resolves with a
-        :class:`RoundResult` once every device has finished — flagged
-        ``aborted`` if :meth:`teardown` cut the round short.
+        describes.  The returned process resolves once every device has
+        finished, with ``True`` if :meth:`teardown` cut the round short.
         """
         if self.placement_group is None and self.plans:
             raise RuntimeError("call prepare() before run_round()")
-        result = RoundResult(round_index=round_index, started_at=self.sim.now)
-        return (yield from self._drive_round(result, [], global_weights, global_bias, model_bytes, sink))
+        return (yield from self._drive_round(round_index, [], global_weights, global_bias, model_bytes, sink))
 
     def _numeric_block_size(self, plan: GradeExecutionPlan) -> int:
         """One stacked block per wave: the devices the actors hold at once."""

@@ -5,7 +5,6 @@ The Task Manager has no period to configure: it runs a pass on events.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -13,7 +12,7 @@ from typing import TYPE_CHECKING
 from repro.cloud.transport import ChannelModel
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.resources import NodeSpec, ResourceBundle
-from repro.ml.optimizer import check_positive
+from repro.ml.optimizer import check_non_negative, check_positive
 from repro.phones.cost import PhysicalCostModel
 from repro.phones.specs import DEFAULT_LOCAL_FLEET, DEFAULT_MSP_FLEET, PhoneSpec
 
@@ -80,8 +79,7 @@ class PlatformConfig:
             raise ValueError("cluster_nodes must hold at least one node")
         check_positive("deviceflow_capacity", self.deviceflow_capacity)
         check_positive("poll_interval", self.poll_interval)
-        if not 0 <= self.msp_control_latency < math.inf:  # also false for NaN
-            raise ValueError(f"msp_control_latency must be a finite number >= 0, got {self.msp_control_latency!r}")
+        check_non_negative("msp_control_latency", self.msp_control_latency)
         if not 0 <= self.msp_availability <= 1:
             raise ValueError(f"msp_availability must be in [0, 1], got {self.msp_availability!r}")
         if self.logical_cost is None:

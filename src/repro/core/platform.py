@@ -22,7 +22,6 @@ from typing import Any
 
 from repro.cloud.database import MetricsDatabase
 from repro.cloud.monitor import Monitor
-from repro.cloud.storage import ObjectStorage
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.core.config import PlatformConfig
@@ -43,7 +42,7 @@ class SimDC:
     """A fully wired SimDC deployment over the discrete-event kernel.
 
     Construction stands up the logical cluster, the local + MSP phone
-    fleet behind a simulated ADB, shared storage, the metrics database,
+    fleet behind a simulated ADB, the metrics database,
     DeviceFlow, the resource manager and the task manager.  Tasks are
     submitted as :class:`~repro.scheduler.task.TaskSpec` objects and the
     whole deployment advances by running the simulator.
@@ -55,7 +54,6 @@ class SimDC:
         self.streams = RandomStreams(self.config.seed)
         self.monitor = Monitor(self.sim)
         self.db = MetricsDatabase()
-        self.storage = ObjectStorage()
         self.cluster = K8sCluster(self.config.cluster_nodes)
         self.adb = SimulatedAdb()
         self.phones: list[VirtualPhone] = []
@@ -119,8 +117,8 @@ class SimDC:
         constants for, for a ``fixed_allocation`` that does not give each
         of the task's grades a count the grade can host, and for a
         ``task_id`` the platform has been handed before, whatever state
-        that task is in (``PENDING``: deferred by ``at=``) — its result,
-        random streams and storage keys are keyed by that id.
+        that task is in (``PENDING``: deferred by ``at=``) — its result
+        and random streams are keyed by that id.
         """
         logical_cost = logical_cost or self.config.logical_cost
         physical_cost = physical_cost or self.config.physical_cost
@@ -195,7 +193,6 @@ class SimDC:
             cluster=self.cluster,
             phones=self.phones,
             adb=self.adb,
-            storage=self.storage,
             deviceflow=self.deviceflow,
             streams=self.streams,
             busy_registry=self._busy_registry,

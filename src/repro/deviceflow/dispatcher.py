@@ -98,7 +98,6 @@ class Dispatcher:
         self.downstream = downstream
         self.capacity_per_second = float(capacity_per_second)
         self.rng = rng
-        self.current_round = 0
         # Counters and logs for monitoring / figure regeneration.
         self.dispatched = 0
         self.delivered = 0
@@ -125,7 +124,6 @@ class Dispatcher:
 
     def round_started(self, round_index: int) -> None:
         """The task opened a new collaboration round."""
-        self.current_round = round_index
         self.strategy.on_round_start(self, round_index)
 
     def round_completed(self, round_index: int) -> None:

@@ -4,10 +4,11 @@
 upon task completion and transmit messages to cloud services.  Cloud
 services then retrieve the corresponding data from storage based on the
 received messages."  A row is that record in all four hands — a device's
-round result, the message that references it (the storage key is
-:func:`payload_ref` of the row), what DeviceFlow shapes, what the cloud
-folds — so a tier builds a :class:`MessageBlock` once per plan and round
-and everything downstream passes row ranges of it along.
+round result, the message announcing it, what DeviceFlow shapes, what the
+cloud folds — so a tier builds a :class:`MessageBlock` once per plan and
+round and everything downstream passes row ranges of it along.  A row
+carries its payload inline: the storage hop charged no simulated time and
+nothing read a stored result back, so it is not modelled.
 
 Segments
 --------
@@ -32,16 +33,11 @@ import numpy as np
 _ARRAY_COLUMNS = ("n_samples", "finished_at", "update_weights", "update_biases")
 
 
-def payload_ref(task_id: str, device_id: str, round_index: int) -> str:
-    """The shared-storage key of one device's round result."""
-    return f"{task_id}/{device_id}/r{round_index}"
-
-
 @dataclass
 class MessageBlock:
     """Device round results as one struct-of-arrays block, one row a device.
 
-    A tier records a whole plan's round as one block (``finished_at[pos]``
+    A tier builds a whole plan's round as one block (``finished_at[pos]``
     is the upload-completion time of the device in row ``pos``), and
     everything smaller is a row range of it: a *wave* — the rows that
     finish at one simulated instant — the single upload a transport channel
@@ -51,12 +47,8 @@ class MessageBlock:
     bump, one dropout draw, one FedAvg fold — without ever building a
     per-device object.
 
-    A row is a *reference* into shared storage (§V-A, :func:`payload_ref`);
-    the block additionally inlines the stacked update arrays
-    (``update_weights`` / ``update_biases``) when the producing plan was
-    numeric — eliding per-device storage round-trips is exactly the point
-    of block ingestion, and the referenced payloads remain stored (one
-    ``put_block``) for any consumer that wants them.
+    When the producing plan was numeric, the block inlines the stacked
+    update arrays (``update_weights`` / ``update_biases``) the cloud folds.
 
     Row ranges (``block[lo:hi]``) share the parent's arrays; survivor
     selections (:meth:`compress`) and delivery chunks (:meth:`coalesce`)

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cloud.aggregation import AggregationService, ScheduledTrigger
-from repro.cloud.storage import ObjectStorage
 from repro.data import make_federated_ctr_data
 from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
-from repro.deviceflow.messages import payload_ref
 from repro.experiments.render import format_table
 from repro.ml import SERVER_BACKEND, BlockTrainer, LogisticRegressionModel, ModelUpdate, RaggedShards
 from repro.simkernel import RandomStreams, Simulator, Timeout
@@ -67,14 +65,12 @@ def _run_setting(
     )
     sim = Simulator()
     streams = RandomStreams(seed)
-    storage = ObjectStorage()
     period = 60.0
     service = AggregationService(
         sim,
         ScheduledTrigger(period, max_rounds=rounds),
         model=LogisticRegressionModel(feature_dim, SERVER_BACKEND),
         test_set=dataset.test,
-        name=f"fig11-p{dropout}",
     )
     service.start()
     flow = DeviceFlow(sim, streams=streams, capacity_per_second=5000.0)
@@ -99,12 +95,8 @@ def _run_setting(
             trained_weights, trained_biases = trainer.train(
                 np.tile(weights, (len(ids), 1)), np.full(len(ids), bias), stacked, rngs
             )
-            # ...stored and submitted as one block; the unit threshold
-            # dispatches (and draws dropout for) each row on its own.
-            storage.put_block(
-                [payload_ref("fig11", device_id, round_index) for device_id in ids],
-                trained_weights, payload_bytes, now=sim.now, writers=ids,
-            )
+            # ...submitted as one block; the unit threshold dispatches (and
+            # draws dropout for) each row on its own.
             flow.submit_block(
                 MessageBlock(
                     task_id="fig11", round_index=round_index, device_ids=ids,

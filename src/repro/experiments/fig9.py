@@ -89,7 +89,6 @@ def _run_threshold(
         SampleThresholdTrigger(max(1, dataset.n_records // 8)),
         model=LogisticRegressionModel(feature_dim, SERVER_BACKEND),
         test_set=dataset.test,
-        name=f"fig9a-sigma{sigma}",
     )
     service.start()
     trainer = BlockTrainer(feature_dim, SERVER_BACKEND, epochs=_EPOCHS, learning_rate=_LEARNING_RATE)

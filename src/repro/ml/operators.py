@@ -153,9 +153,8 @@ class EvalOp(Operator):
 class UploadUpdateOp(Operator):
     """Package the trained parameters for upload.
 
-    The platform layer turns ``outputs["update_weights"]`` /
-    ``outputs["update_biases"]`` into a storage upload plus DeviceFlow
-    messages.
+    The platform layer carries ``outputs["update_weights"]`` /
+    ``outputs["update_biases"]`` inline in the plan's message block.
     """
 
     name = "upload_update"

@@ -26,6 +26,20 @@ def check_positive(name: str, value: object) -> float:
     return float(value)
 
 
+def check_finite(name: str, value: object) -> float:
+    """``value`` as a finite ``float``, or a ``ValueError`` that opens with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def check_non_negative(name: str, value: object) -> float:
+    """``value`` as a finite ``float`` >= 0, or a ``ValueError`` that opens with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 class SGD:
     """Stochastic gradient descent over multi-hot hashed features.
 

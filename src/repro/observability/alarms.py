@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING
 
+from repro.ml.optimizer import check_finite, check_non_negative, check_positive
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.monitor import Monitor, MonitorEvent
 
@@ -133,10 +135,11 @@ class AlarmRule:
             raise ValueError(f"alarm rule {self.name!r} needs a signal")
         if self.direction not in ("above", "below"):
             raise ValueError(f"unknown alarm direction {self.direction!r}")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.min_hold_s < 0:
-            raise ValueError("min_hold_s must be >= 0")
+        for name in ("warn", "critical", "clear"):
+            if getattr(self, name) is not None:
+                check_finite(name, getattr(self, name))
+        check_positive("window_s", self.window_s)
+        check_non_negative("min_hold_s", self.min_hold_s)
         sign = 1.0 if self.direction == "above" else -1.0
         if self.critical is not None and sign * (self.critical - self.warn) < 0:
             raise ValueError(

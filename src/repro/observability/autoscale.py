@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.resources import NodeSpec
+from repro.ml.optimizer import check_count, check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.monitor import Monitor, MonitorEvent
@@ -66,14 +67,11 @@ class AutoscaleSpec:
     def __post_init__(self) -> None:
         if not self.alarm:
             raise ValueError("autoscale policy needs an alarm rule name")
-        if self.node_cpus <= 0 or self.node_memory_gb <= 0:
-            raise ValueError("autoscale node shape must be positive")
-        if self.step < 1:
-            raise ValueError("autoscale step must be >= 1")
-        if self.max_extra_nodes < 1:
-            raise ValueError("max_extra_nodes must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
+        check_positive("node_cpus", self.node_cpus)
+        check_positive("node_memory_gb", self.node_memory_gb)
+        check_count("step", self.step)
+        check_count("max_extra_nodes", self.max_extra_nodes)
+        check_non_negative("cooldown_s", self.cooldown_s)
 
     def node_spec(self) -> NodeSpec:
         return NodeSpec(cpus=self.node_cpus, memory_gb=self.node_memory_gb)

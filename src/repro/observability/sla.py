@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.ml.optimizer import check_finite, check_positive
 from repro.observability.alarms import AlarmEngine, AlarmRule, signal_exists
 
 #: Final-report metrics: ``<kpi>_<stat>`` over the StatSummary KPIs ...
@@ -94,8 +95,8 @@ class SLASpec:
             raise ValueError(
                 f"unknown SLA metric {self.metric!r}; known: {known_metrics()}"
             )
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
+        check_finite("limit", self.limit)
+        check_positive("window_s", self.window_s)
 
     def holds(self, value: float | None) -> bool:
         """Whether ``value`` satisfies the objective (no data = holds)."""

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cloud.sink import OutcomeSink
-from repro.cluster.rounds import DeviceColumns, RoundResult, SlotQueue, TierPlan, TierRounds
+from repro.cluster.rounds import DeviceColumns, SlotQueue, TierPlan, TierRounds
 from repro.deviceflow.messages import MessageBlock
 from repro.ml.backends import DEVICE_BACKEND, NumericBackend
 from repro.ml.fedavg import ModelUpdate
@@ -310,26 +310,20 @@ class PhoneMgr(TierRounds):
         phone completion.  A benchmarking phone always delivers its own
         one-row block as it finishes training — the five-stage protocol
         emits mid-round regardless of sink kind.  The returned process
-        resolves with a :class:`~repro.cluster.rounds.RoundResult`.
+        resolves with ``True`` if :meth:`teardown` voided the round.
         """
-        result = RoundResult(round_index=round_index, started_at=self.sim.now)
-
-        def collect(block: MessageBlock) -> None:
-            result.columnar.append(block)
-            if sink is not None:
-                sink.accept_block(block)
-
+        on_outcome = (lambda block: None) if sink is None else sink.accept_block
         benchmarks = [
             self.sim.process(
                 self._run_benchmark_phone(
-                    phone, plan, row, round_index, global_weights, global_bias, model_bytes, collect
+                    phone, plan, row, round_index, global_weights, global_bias, model_bytes, on_outcome
                 ),
                 name=f"{phone.serial}.bench{round_index}",
             )
             for plan in self.plans
             for row, phone in enumerate(self.benchmark_phones[plan.grade])
         ]
-        return (yield from self._drive_round(result, benchmarks, global_weights, global_bias, model_bytes, sink))
+        return (yield from self._drive_round(round_index, benchmarks, global_weights, global_bias, model_bytes, sink))
 
     def teardown(self) -> Generator:
         """Stop APKs, idle every phone, release reservations."""

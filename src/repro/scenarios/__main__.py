@@ -49,7 +49,11 @@ def _seed_arg(text: str) -> int:
 
 
 def _load_spec_file(path: Path) -> ScenarioSpec:
-    """Parse a YAML/JSON scenario file through ``ScenarioSpec.from_dict``."""
+    """Parse a YAML/JSON scenario file through ``ScenarioSpec.from_dict``.
+
+    A file that does not parse or describes no runnable scenario exits 1
+    with one stderr line, ``<file>: <what is wrong, by path>``.
+    """
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() in (".yaml", ".yml"):
         try:
@@ -61,10 +65,16 @@ def _load_spec_file(path: Path) -> ScenarioSpec:
             ) from exc
         data = yaml.safe_load(text)
     else:
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise SystemExit(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise SystemExit(f"{path} must contain one scenario mapping, got {type(data).__name__}")
-    return ScenarioSpec.from_dict(data)
+    try:
+        return ScenarioSpec.from_dict(data)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
 
 
 def _load_spec(args: argparse.Namespace) -> ScenarioSpec:

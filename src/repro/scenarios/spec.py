@@ -12,8 +12,9 @@ strategy state and deterministic seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
-from numbers import Integral
+from collections.abc import Mapping
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Any
 
 import numpy as np
@@ -38,8 +39,8 @@ from repro.deviceflow.strategy import (
     TimeIntervalStrategy,
 )
 from repro.ml.operators import standard_fl_flow
-from repro.ml.optimizer import check_count, check_positive
-from repro.observability import AlarmRule, AutoscaleSpec, SLASpec
+from repro.ml.optimizer import check_count, check_non_negative, check_positive
+from repro.observability import GAUGE_SIGNALS, SERIES_SIGNALS, AlarmRule, AutoscaleSpec, SLASpec, signal_exists
 from repro.scheduler.task import GradeRequirement, TaskSpec, check_records_per_device
 from repro.simkernel.random import check_seed, stable_hash
 
@@ -47,28 +48,69 @@ from repro.simkernel.random import check_seed, stable_hash
 NETWORK_PROFILES = {p.name: p for p in (WIFI, LTE, GPRS, FLIGHT_MODE)}
 
 
-def _from_fields(cls, data: dict, path: str = ""):
-    """``cls(**data)``, naming an unknown key by its path in the scenario file.
+def _is_number(value: object) -> bool:
+    """Whether ``value`` is what a JSON number parses to (``bool`` is not one)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
-    ``path`` locates ``data`` in the enclosing document (``tenants[0]``);
-    the error lists the fields the class accepts, so a typo or a key
-    from an older dump fails with a message that says what to fix.  A
+
+def _check_numbers(declared: dict, data: dict, prefix: str) -> None:
+    """Raise a ``ValueError`` naming the first ``int`` / ``float`` field of ``data`` that holds no number."""
+    for key, value in data.items():
+        kind = declared[key].type  # a string: every spec module defers its annotations
+        if kind in ("list[float]", "list[int]") and not all(map(_is_number, value)):
+            raise ValueError(f"{prefix}{key} must be a list of numbers, got {value!r}")
+        if kind.removesuffix(" | None") in ("int", "float") and not (
+            _is_number(value) or (value is None and kind.endswith(" | None"))
+        ):
+            raise ValueError(f"{prefix}{key} must be a number, got {value!r}")
+
+
+def _from_fields(cls, data: object, path: str = ""):
+    """``cls(**data)`` with its nested specs built, naming a malformed entry by its path in the file.
+
+    ``path`` locates ``data`` in the enclosing document (``tenants[0]``).
+    ``data`` must be a mapping holding every field without a default; a
+    field annotated with a spec class (or a list of them, see
+    :data:`_NESTED`) is built from its mapping (list) the same way.  An
+    unknown key's error lists the fields the class accepts, so a typo or a
+    key from an older dump fails with a message that says what to fix.  A
     constructor error that opens with a field name gets the path as well
-    (``tenants[0].records_per_device must be >= 1, got 0``).
+    (``tenants[0].records_per_device must be >= 1, got 0``), and so does an
+    ``int`` / ``float`` field (or a list of them) holding no JSON number.
     """
-    allowed = [f.name for f in fields(cls) if f.init]
-    for key in data:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{path or cls.__name__} must be a mapping of fields, got {data!r}")
+    data = dict(data)
+    declared = {f.name: f for f in fields(cls) if f.init}
+    prefix = f"{path}." if path else ""
+    for key, value in data.items():
+        if key not in declared:
             raise ValueError(
-                f"unknown scenario field {where!r}; {cls.__name__} accepts: {', '.join(allowed)}"
+                f"unknown scenario field {prefix + key!r}; {cls.__name__} accepts: {', '.join(declared)}"
             )
+        kind = declared[key].type.removesuffix(" | None")
+        if kind.startswith("list["):
+            if not isinstance(value, list):
+                raise ValueError(f"{prefix}{key} must be a list, got {value!r}")
+            if kind[5:-1] in _NESTED:
+                item = _NESTED[kind[5:-1]]
+                data[key] = [_from_fields(item, v, f"{prefix}{key}[{i}]") for i, v in enumerate(value)]
+        elif kind in _NESTED and not (value is None and declared[key].type.endswith(" | None")):
+            data[key] = _from_fields(_NESTED[kind], value, prefix + key)
+    for name, spec_field in declared.items():
+        if name not in data and spec_field.default is MISSING and spec_field.default_factory is MISSING:
+            raise ValueError(f"{prefix}{name} is required")
     try:
-        return cls(**data)
+        spec = cls(**data)
     except ValueError as exc:
-        if path and str(exc).split(" ", 1)[0] in allowed:
+        if path and str(exc).split(" ", 1)[0] in declared:
             raise ValueError(f"{path}.{exc}") from None
         raise
+    except TypeError:  # a comparison with a string, say: name the field if it is that
+        _check_numbers(declared, data, prefix)
+        raise
+    _check_numbers(declared, data, prefix)
+    return spec
 
 
 # ----------------------------------------------------------------------
@@ -165,8 +207,7 @@ class ArrivalSpec:
                 raise ValueError(f"times must be finite and >= 0, got {self.times!r}")
         else:
             check_count("count", self.count)
-        if not 0 <= self.offset_s < math.inf:
-            raise ValueError(f"offset_s must be a finite number >= 0, got {self.offset_s!r}")
+        check_non_negative("offset_s", self.offset_s)
         if self.kind == "periodic":
             check_positive("period_s", self.period_s)
         if self.kind == "poisson":
@@ -214,6 +255,11 @@ class DispatchSpec:
             raise ValueError(f"unknown dispatch kind {self.kind!r}")
         if self.kind == "interval":
             check_positive("interval_s", self.interval_s)
+        if self.kind == "realtime" and not (
+            self.thresholds
+            and all(isinstance(t, Integral) and not isinstance(t, bool) and t >= 1 for t in self.thresholds)
+        ):
+            raise ValueError(f"thresholds must be a non-empty list of integers >= 1, got {self.thresholds!r}")
         if not -math.inf < self.failure_prob <= 1.0:  # also false for NaN
             raise ValueError(
                 f"failure_prob must be a finite number <= 1 (< 0 derives it), got {self.failure_prob!r}"
@@ -339,26 +385,6 @@ class TenantSpec:
             % (2**31),
             records_per_device=self.records_per_device,
         )
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str) -> TenantSpec:
-        """Build from plain data; ``path`` (``tenants[i]``) locates it for error messages."""
-        data = dict(data)
-        prefix = f"{path}."
-        if "grades" in data:
-            data["grades"] = [
-                _from_fields(GradeSpec, g, f"{prefix}grades[{i}]") for i, g in enumerate(data["grades"])
-            ]
-        if "arrival" in data:
-            data["arrival"] = _from_fields(ArrivalSpec, data["arrival"], f"{prefix}arrival")
-        if "dispatch" in data:
-            data["dispatch"] = _from_fields(DispatchSpec, data["dispatch"], f"{prefix}dispatch")
-        if "slas" in data:
-            data["slas"] = [
-                _from_fields(SLASpec, sla, f"{prefix}slas[{i}]") for i, sla in enumerate(data["slas"])
-            ]
-        return _from_fields(cls, data, path)
-
 
 # ----------------------------------------------------------------------
 # fault plan
@@ -574,10 +600,16 @@ class ScenarioSpec:
         alarm_names = [a.name for a in self.alarms]
         if len(set(alarm_names)) != len(alarm_names):
             raise ValueError(f"duplicate alarm rule names: {alarm_names}")
-        for rule in self.alarms:
+        for i, rule in enumerate(self.alarms):
             if rule.tenant and rule.tenant not in names:
                 raise ValueError(
                     f"alarm {rule.name!r} watches unknown tenant {rule.tenant!r}"
+                )
+            # A scenario feeds only the built-in signals: any other name never fires.
+            if not signal_exists(rule.signal):
+                raise ValueError(
+                    f"alarms[{i}].signal {rule.signal!r} is not a platform signal: use one of "
+                    f"{', '.join(GAUGE_SIGNALS + SERIES_SIGNALS)}, a series optionally suffixed _mean/_p50/_p95/_max"
                 )
         for sla in self.slas:
             if sla.tenant and sla.tenant not in names:
@@ -610,23 +642,15 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> ScenarioSpec:
-        data = dict(data)
-        data["tenants"] = [
-            TenantSpec.from_dict(t, f"tenants[{i}]") for i, t in enumerate(data.get("tenants", []))
-        ]
-        if "population" in data:
-            data["population"] = _from_fields(PopulationSpec, data["population"], "population")
-        data["faults"] = [
-            _from_fields(FaultSpec, f, f"faults[{i}]") for i, f in enumerate(data.get("faults", []))
-        ]
-        if data.get("transport") is not None:
-            data["transport"] = _from_fields(TransportSpec, data["transport"], "transport")
-        if "alarms" in data:
-            data["alarms"] = [
-                _from_fields(AlarmRule, a, f"alarms[{i}]") for i, a in enumerate(data["alarms"])
-            ]
-        if "slas" in data:
-            data["slas"] = [_from_fields(SLASpec, s, f"slas[{i}]") for i, s in enumerate(data["slas"])]
-        if data.get("autoscale") is not None:
-            data["autoscale"] = _from_fields(AutoscaleSpec, data["autoscale"], "autoscale")
+        """Build from plain data; a malformed entry is a ``ValueError`` naming its path."""
         return _from_fields(cls, data)
+
+
+#: The spec classes a scenario file nests, by the name their fields are annotated with.
+_NESTED = {
+    spec.__name__: spec
+    for spec in (
+        PopulationSpec, ArrivalSpec, DispatchSpec, GradeSpec, TenantSpec, FaultSpec, TransportSpec,
+        AlarmRule, SLASpec, AutoscaleSpec,
+    )
+}

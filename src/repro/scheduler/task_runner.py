@@ -9,9 +9,9 @@ number of simulated devices."  Concretely, the runner
 2. solves the §IV-B hybrid allocation problem,
 3. builds the logical-tier and physical-tier execution plans,
 4. registers the task with DeviceFlow (when traffic shaping is on),
-5. drives the configured number of rounds — tiers in parallel, results
-   uploaded to storage, messages through DeviceFlow, aggregation on the
-   cloud — and
+5. drives the configured number of rounds — tiers in parallel, result
+   blocks through the transport channel and DeviceFlow when armed,
+   aggregation on the cloud — and
 6. tears everything down, returning a :class:`TaskResult`.
 """
 
@@ -28,7 +28,6 @@ from repro.cloud.aggregation import AggregationRecord, AggregationService, Aggre
 from repro.cloud.database import MetricsDatabase
 from repro.cloud.monitor import Monitor
 from repro.cloud.sink import CloudIngestSink
-from repro.cloud.storage import ObjectStorage
 from repro.cloud.transport import ChannelModel, TransportChannel, TransportCounters
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
@@ -112,7 +111,7 @@ class TaskRunner:
     phones / adb / physical_cost / busy_registry / poll_interval:
         Physical tier (the busy registry is shared across runners;
         ``poll_interval`` is the benchmarking-phone sampling period).
-    storage / db / monitor:
+    db / monitor:
         Cloud substrates.
     deviceflow:
         Shared traffic controller (used when the spec carries a strategy).
@@ -137,7 +136,6 @@ class TaskRunner:
         cluster: K8sCluster,
         phones: list[VirtualPhone],
         adb: SimulatedAdb,
-        storage: ObjectStorage,
         deviceflow: DeviceFlow,
         logical_cost: LogicalCostModel,
         physical_cost: PhysicalCostModel,
@@ -155,7 +153,6 @@ class TaskRunner:
     ) -> None:
         self.sim = sim
         self.spec = spec
-        self.storage = storage
         self.deviceflow = deviceflow
         self.logical_cost = logical_cost
         self.physical_cost = physical_cost
@@ -211,7 +208,6 @@ class TaskRunner:
             # completion wave (strategies sample arrivals mid-round).
             self._sink = CloudIngestSink(
                 self.sim,
-                self.storage,
                 self.service,
                 deviceflow=self.deviceflow if uses_flow else None,
                 dedup=channel_active,
@@ -380,8 +376,6 @@ class TaskRunner:
             trigger=AggregationTrigger(),  # runner-driven round-end aggregation
             model=model,
             test_set=test_set,
-            db=self.db,
-            name=self.spec.task_id,
         )
 
     # ------------------------------------------------------------------

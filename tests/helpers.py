@@ -28,19 +28,22 @@ class CallbackSink:
 
     It asks the tiers for one block per completion wave and materialises
     whatever it is handed, so the callback observes devices in completion
-    order, at their completion times.  ``accept`` is what the per-device
+    order, at their completion times; :attr:`blocks` keeps the blocks
+    themselves, in delivery order.  ``accept`` is what the per-device
     reference tiers call.
     """
 
     prefers_waves = True
 
-    def __init__(self, callback) -> None:
+    def __init__(self, callback=lambda outcome: None) -> None:
         self.callback = callback
+        self.blocks: list[MessageBlock] = []
 
     def accept(self, outcome) -> None:
         self.callback(outcome)
 
     def accept_block(self, block) -> None:
+        self.blocks.append(block)
         for outcome in materialize(block):
             self.callback(outcome)
 

@@ -17,22 +17,23 @@ on what it delivers); flow-dispatched traffic is gated at dispatcher
 delivery, against ``sim.now``.
 
 Shared with ``src/``: the kernel, the ``ChannelModel`` draw logic and its
-counters, the aggregation triggers, and the ``StoredObject`` /
-``AggregationRecord`` / ``ModelUpdate`` records.  DeviceFlow is the
-per-message one in ``reference.deviceflow_reference``.
+counters, the aggregation triggers, and the ``AggregationRecord`` /
+``ModelUpdate`` records.  DeviceFlow is the per-message one in
+``reference.deviceflow_reference``.  The storage hop is this oracle's own
+(``src/`` folds the updates a block carries inline and stores nothing):
+its fold reads each update back from :class:`ReferenceStorage`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
 from repro.cloud.aggregation import AggregationRecord
-from repro.cloud.storage import StoredObject
 from repro.cloud.transport import TransportCounters
-from repro.deviceflow.messages import payload_ref
 from repro.ml.fedavg import ModelUpdate
 from repro.simkernel import Signal
 
@@ -62,6 +63,22 @@ def fedavg(updates) -> tuple[np.ndarray, float]:
     summed = np.array([math.fsum(column) for column in zip(*rows)], dtype=np.float64)
     averaged = summed / float(total)
     return averaged[:-1], float(averaged[-1])
+
+
+def payload_ref(task_id: str, device_id: str, round_index: int) -> str:
+    """The storage key of one device's round result."""
+    return f"{task_id}/{device_id}/r{round_index}"
+
+
+@dataclass
+class StoredObject:
+    """One stored payload with accounting metadata."""
+
+    key: str
+    value: Any
+    size_bytes: int
+    stored_at: float
+    writer: str = ""
 
 
 class ReferenceStorage:

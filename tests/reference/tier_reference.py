@@ -107,9 +107,9 @@ def materialize(block: MessageBlock) -> list[DeviceRoundOutcome]:
     ]
 
 
-def all_outcomes(result) -> list[DeviceRoundOutcome]:
-    """Every device of a production ``RoundResult``, block after block."""
-    return [outcome for block in result.columnar for outcome in materialize(block)]
+def all_outcomes(blocks) -> list[DeviceRoundOutcome]:
+    """Every device of a sequence of production blocks, block after block."""
+    return [outcome for block in blocks for outcome in materialize(block)]
 
 
 def run_per_event(sim: Simulator) -> float:
@@ -159,7 +159,15 @@ def _outcome(assignment, plan, round_index, payload, update, now) -> DeviceRound
     )
 
 
-class ReferenceLogicalSimulation(LogicalSimulation):
+class _RecordsRounds:
+    """A reference tier keeps a :class:`ReferenceRoundResult` per round (production keeps none)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.rounds: list[ReferenceRoundResult] = []
+
+
+class ReferenceLogicalSimulation(_RecordsRounds, LogicalSimulation):
     """Logical tier whose actors start one by one and work through their queues device by device."""
 
     def prepare(self, plans, task_id) -> Generator:
@@ -223,7 +231,7 @@ class ReferenceLogicalSimulation(LogicalSimulation):
             yield AllOf(processes)
         result.finished_at = self.sim.now
         self.rounds.append(result)
-        return result
+        return result.aborted
 
     def _actor_round(
         self, actor_id, queue, plan, round_index, global_weights, global_bias, model_bytes, collect
@@ -247,7 +255,7 @@ class ReferenceLogicalSimulation(LogicalSimulation):
             collect(_outcome(assignment, plan, round_index, payload, update, self.sim.now))
 
 
-class ReferencePhoneMgr(PhoneMgr):
+class ReferencePhoneMgr(_RecordsRounds, PhoneMgr):
     """Phone tier with per-device emulation loops and per-phone ADB-text samplers."""
 
     def run_round(self, round_index, global_weights, global_bias, model_bytes, sink=None) -> Generator:
@@ -291,7 +299,7 @@ class ReferencePhoneMgr(PhoneMgr):
         result.finished_at = self.sim.now
         result.aborted = epoch != self._epoch
         self.rounds.append(result)
-        return result
+        return result.aborted
 
     def _computing_phone_round(
         self, phone, queue, plan, round_index, global_weights, global_bias, model_bytes, collect

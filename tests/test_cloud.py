@@ -1,4 +1,4 @@
-"""Tests for cloud storage, database, aggregation service and monitor."""
+"""Tests for the cloud database, aggregation service and monitor."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.cloud import (
     AggregationService,
     MetricsDatabase,
     Monitor,
-    ObjectStorage,
     SampleThresholdTrigger,
     ScheduledTrigger,
 )
@@ -17,49 +16,12 @@ from repro.ml import SERVER_BACKEND, LogisticRegressionModel, ModelUpdate
 from repro.simkernel import Simulator
 
 
-class TestObjectStorage:
-    def test_put_get_round_trip(self):
-        storage = ObjectStorage()
-        storage.put_block(["k"], [{"a": 1}], 100, now=5.0, writers="w")
-        assert storage.get("k") == {"a": 1}
-        assert storage.head("k").stored_at == 5.0
-        assert "k" in storage
-        assert len(storage) == 1
-
-    def test_accounting(self):
-        storage = ObjectStorage()
-        storage.put_block(["a"], [b"x"], 10, now=0.0, writers="")
-        storage.put_block(["b"], [b"y"], 20, now=0.0, writers="")
-        storage.get("a")
-        assert storage.total_bytes_written == 30
-        assert storage.total_bytes_read == 10
-        assert storage.put_count == 2
-        assert storage.get_count == 1
-
-    def test_missing_key(self):
-        storage = ObjectStorage()
-        with pytest.raises(KeyError):
-            storage.get("ghost")
-
-    def test_overwrite(self):
-        storage = ObjectStorage()
-        storage.put_block(["k"], [1], 8, now=0.0, writers="")
-        storage.put_block(["k"], [2], 8, now=0.0, writers="")
-        assert storage.get("k") == 2
-        assert len(storage) == 1
-
-    def test_validation(self):
-        storage = ObjectStorage()
-        with pytest.raises(ValueError):
-            storage.put_block(["k"], [1], -1, now=0.0, writers="")
-
-
 class TestMetricsDatabase:
     def test_insert_and_query_equality(self):
         db = MetricsDatabase()
         db.insert("samples", {"serial": "a", "cpu": 5.0})
         db.insert("samples", {"serial": "b", "cpu": 9.0})
-        assert db.count("samples") == 2
+        assert len(db.query("samples")) == 2
         assert db.query("samples", serial="a")[0]["cpu"] == 5.0
 
     def test_records_copied_on_insert(self):
@@ -96,7 +58,7 @@ class TestSampleThresholdTrigger:
     def test_aggregates_at_threshold(self):
         sim = Simulator()
         service = AggregationService(
-            sim, SampleThresholdTrigger(25), model=LogisticRegressionModel(64, SERVER_BACKEND), name="agg"
+            sim, SampleThresholdTrigger(25), model=LogisticRegressionModel(64, SERVER_BACKEND)
         )
         service.start()
         for i in range(5):
@@ -118,7 +80,6 @@ class TestScheduledTrigger:
         service = AggregationService(
             sim, ScheduledTrigger(60.0, max_rounds=3),
             model=LogisticRegressionModel(16, SERVER_BACKEND),
-            name="agg",
         )
         service.start()
         for t, device in ((10.0, "a"), (70.0, "b"), (130.0, "c")):
@@ -133,7 +94,6 @@ class TestScheduledTrigger:
         service = AggregationService(
             sim, ScheduledTrigger(30.0, max_rounds=4),
             model=LogisticRegressionModel(16, SERVER_BACKEND),
-            name="agg",
         )
         service.start()
         sim.schedule(100.0, service.receive_block, update_row("only", dim=16))
@@ -144,7 +104,7 @@ class TestScheduledTrigger:
         sim = Simulator()
         service = AggregationService(
             sim, ScheduledTrigger(10.0, max_rounds=3),
-            model=LogisticRegressionModel(16, SERVER_BACKEND), name="agg",
+            model=LogisticRegressionModel(16, SERVER_BACKEND),
         )
         service.start()
         service.receive_block(update_row("a", dim=16))
@@ -166,7 +126,7 @@ class TestAggregationService:
         sim = Simulator()
         update = make_update("d0", dim=32)
         model = LogisticRegressionModel(32, SERVER_BACKEND)
-        service = AggregationService(sim, SampleThresholdTrigger(5), model=model, name="agg")
+        service = AggregationService(sim, SampleThresholdTrigger(5), model=model)
         service.receive_block(one_row("d0", size_bytes=ModelUpdate.wire_size(32), update=update))
         assert service.rounds_completed == 1
         assert service.messages_received == 1
@@ -176,7 +136,7 @@ class TestAggregationService:
     def test_message_with_non_update_payload_rejected(self):
         sim = Simulator()
         service = AggregationService(
-            sim, SampleThresholdTrigger(5), model=LogisticRegressionModel(32, SERVER_BACKEND), name="agg"
+            sim, SampleThresholdTrigger(5), model=LogisticRegressionModel(32, SERVER_BACKEND)
         )
         with pytest.raises(TypeError):
             service.receive_block(one_row("d"))
@@ -184,7 +144,7 @@ class TestAggregationService:
     def test_fedavg_applied_to_global_model(self):
         sim = Simulator()
         model = LogisticRegressionModel(8, SERVER_BACKEND)
-        service = AggregationService(sim, SampleThresholdTrigger(20), model=model, name="agg")
+        service = AggregationService(sim, SampleThresholdTrigger(20), model=model)
         service.receive_block(update_row("a", dim=8, n_samples=10, value=1.0))
         service.receive_block(update_row("b", dim=8, n_samples=10, value=3.0))
         assert np.allclose(model.weights, 2.0)
@@ -192,7 +152,7 @@ class TestAggregationService:
 
     def test_counting_mode_without_model(self):
         sim = Simulator()
-        service = AggregationService(sim, SampleThresholdTrigger(30), model=None, name="agg")
+        service = AggregationService(sim, SampleThresholdTrigger(30), model=None)
         for i in range(6):
             service.receive_block(one_row(f"d{i}", n_samples=10))
         assert service.rounds_completed == 2
@@ -206,7 +166,6 @@ class TestAggregationService:
         service = AggregationService(
             sim, SampleThresholdTrigger(5),
             model=LogisticRegressionModel(32, SERVER_BACKEND), test_set=data.test,
-            name="agg",
         )
         service.receive_block(update_row("a", dim=32, value=0.0))
         record = service.history[0]
@@ -217,22 +176,10 @@ class TestAggregationService:
         sim = Simulator()
         service = AggregationService(
             sim, SampleThresholdTrigger(5),
-            model=LogisticRegressionModel(8, SERVER_BACKEND), name="agg",
+            model=LogisticRegressionModel(8, SERVER_BACKEND),
         )
         with pytest.raises(RuntimeError):
             service.aggregate_now()
-
-    def test_db_row_per_aggregation(self):
-        sim = Simulator()
-        db = MetricsDatabase()
-        service = AggregationService(
-            sim, SampleThresholdTrigger(10),
-            model=LogisticRegressionModel(8, SERVER_BACKEND), db=db,
-            name="agg",
-        )
-        service.receive_block(update_row("a", dim=8))
-        assert db.count("aggregations") == 1
-        assert db.query("aggregations")[0]["n_updates"] == 1
 
 
 class TestMonitor:

@@ -1,5 +1,5 @@
-"""Unit tests for the cloud delivery path: put_block, MessageBlock,
-submit_block and receive_block — and the differential that holds all of
+"""Unit tests for the cloud delivery path: MessageBlock, submit_block and
+receive_block — and the differential that holds all of
 it, end to end through ``CloudIngestSink``, to the per-upload oracle.
 
 The contract under test everywhere: however a round's rows are cut into
@@ -22,6 +22,7 @@ from reference.cloud_reference import (
     ReferenceStorage,
     ReferenceTracer,
     ReferenceTransportChannel,
+    payload_ref,
 )
 from reference.deviceflow_reference import Message, ReferenceDeviceFlow, ReferenceRealTimeAccumulated
 from reference.tier_reference import materialize
@@ -30,14 +31,12 @@ from repro.cloud import (
     AggregationService,
     ChannelModel,
     CloudIngestSink,
-    ObjectStorage,
     SampleThresholdTrigger,
     TransportChannel,
 )
 from repro.cloud.aggregation import AggregationTrigger
 from repro.cluster.rounds import DeviceIdRange
 from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
-from repro.deviceflow.messages import payload_ref
 from repro.ml.backends import SERVER_BACKEND
 from repro.ml.fedavg import ModelUpdate
 from repro.ml.model import LogisticRegressionModel
@@ -53,110 +52,6 @@ def make_update(device_id, dim=8, value=1.0, n_samples=10, round_index=1):
         bias=float(value),
         n_samples=n_samples,
     )
-
-
-# ----------------------------------------------------------------------
-# ObjectStorage.put_block
-# ----------------------------------------------------------------------
-class TestPutBlock:
-    def test_accounting_equivalent_to_scalar_puts(self):
-        scalar, block, rows = ReferenceStorage(), ObjectStorage(), ObjectStorage()
-        keys = [f"t/d{i}/r1" for i in range(7)]
-        values = [{"i": i} for i in range(7)]
-        sizes = [100 + i for i in range(7)]
-        times = [float(10 + i) for i in range(7)]
-        writers = [f"d{i}" for i in range(7)]
-        for k, v, s, t, w in zip(keys, values, sizes, times, writers):
-            scalar.put(k, v, s, now=t, writer=w)
-            rows.put_block([k], [v], s, now=t, writers=w)  # one upload: a block of one key
-        block.put_block(keys, values, np.array(sizes), now=np.array(times), writers=writers)
-
-        for storage in (block, rows):
-            assert storage.put_count == scalar.put_count == 7
-            assert storage.total_bytes_written == scalar.total_bytes_written
-            assert len(storage) == len(scalar) == 7
-            assert storage.keys() == scalar.keys()
-            assert [storage.head(k) for k in keys] == [scalar.head(k) for k in keys]
-
-    def test_reads_and_heads_indistinguishable_from_scalar(self):
-        scalar, block = ReferenceStorage(), ObjectStorage()
-        keys = [f"k{i}" for i in range(5)]
-        values = list(range(5))
-        for i, key in enumerate(keys):
-            scalar.put(key, values[i], 64, now=float(i), writer=f"w{i}")
-        block.put_block(keys, values, 64, now=np.arange(5.0), writers=[f"w{i}" for i in range(5)])
-
-        for key in keys:
-            assert block.get(key) == scalar.get(key)
-            bh, sh = block.head(key), scalar.head(key)
-            assert (bh.key, bh.value, bh.size_bytes, bh.stored_at, bh.writer) == (
-                sh.key, sh.value, sh.size_bytes, sh.stored_at, sh.writer,
-            )
-        assert block.get_count == scalar.get_count
-        assert block.total_bytes_read == scalar.total_bytes_read
-
-    def test_broadcast_scalars_for_size_time_writer(self):
-        storage = ObjectStorage()
-        storage.put_block(["a", "b"], [1, 2], 50, now=3.0, writers="shared")
-        assert storage.total_bytes_written == 100
-        head = storage.head("b")
-        assert head.size_bytes == 50 and head.stored_at == 3.0 and head.writer == "shared"
-
-    def test_block_keys_support_overwrite(self):
-        storage = ObjectStorage()
-        storage.put_block(["a", "b"], [1, 2], 10, now=0.0, writers="")
-        storage.put_block(["b"], [99], 20, now=7.0, writers="")
-        assert storage.get("b") == 99
-        assert storage.head("b").stored_at == 7.0
-
-    def test_validation(self):
-        storage = ObjectStorage()
-        with pytest.raises(ValueError):
-            storage.put_block(["a"], [1, 2], 10, now=0.0, writers="")
-        with pytest.raises(ValueError):
-            storage.put_block(["a", "b"], [1, 2], 10, now=0.0, writers=["only-one"])
-        with pytest.raises(ValueError):
-            storage.put_block(["a"], [1], -5, now=0.0, writers="")
-        assert storage.put_block([], [], 10, now=0.0, writers="") == 0
-        assert len(storage) == 0 and storage.put_count == 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(min_value=0, max_value=12),
-        scalar_size=st.booleans(),
-        scalar_time=st.booleans(),
-        shared_writer=st.booleans(),
-    )
-    def test_property_block_equals_scalar_for_any_shape(
-        self, n, scalar_size, scalar_time, shared_writer
-    ):
-        keys = [f"k{i}" for i in range(n)]
-        values = [i * 2 for i in range(n)]
-        sizes = 32 if scalar_size else np.arange(n, dtype=np.int64) * 8
-        times = 1.5 if scalar_time else np.arange(n, dtype=np.float64) / 2
-        writers = "w" if shared_writer else [f"w{i}" for i in range(n)]
-
-        scalar, block = ReferenceStorage(), ObjectStorage()
-        for i, key in enumerate(keys):
-            scalar.put(
-                key,
-                values[i],
-                int(sizes) if scalar_size else int(sizes[i]),
-                now=float(times) if scalar_time else float(times[i]),
-                writer=writers if shared_writer else writers[i],
-            )
-        assert block.put_block(keys, values, sizes, now=times, writers=writers) == n
-
-        assert block.put_count == scalar.put_count
-        assert block.total_bytes_written == scalar.total_bytes_written
-        assert block.keys() == scalar.keys()
-        for key in keys:
-            assert block.get(key) == scalar.get(key)
-            bh, sh = block.head(key), scalar.head(key)
-            assert (bh.value, bh.size_bytes, bh.stored_at, bh.writer) == (
-                sh.value, sh.size_bytes, sh.stored_at, sh.writer,
-            )
-        assert block.total_bytes_read == scalar.total_bytes_read
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +84,7 @@ class TestMessageBlock:
                 message.task_id, message.round_index, message.size_bytes, message.metadata,
             )
             assert one.device_ids == [message.device_id]
-            # The storage key is a function of the row, not a column of it.
+            # The oracle's storage key is a function of the row, not a column of it.
             assert payload_ref(one.task_id, one.device_ids[0], one.round_index) == message.payload_ref
             assert one.n_samples.tolist() == [message.n_samples]
             assert one.total_bytes == message.size_bytes
@@ -399,7 +294,7 @@ def scalar_service(sim, updates, trigger=None):
 def block_service(sim, trigger=None, model=True):
     return AggregationService(
         sim, trigger or AggregationTrigger(),
-        model=LogisticRegressionModel(8, SERVER_BACKEND) if model else None, name="agg",
+        model=LogisticRegressionModel(8, SERVER_BACKEND) if model else None,
     )
 
 
@@ -572,13 +467,13 @@ def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
         if channelled:
             channel = ReferenceTransportChannel(sim, CHANNEL, sink, streams, "t", scope="", tracer=tracer)
     else:
-        tracer, storage = Tracer(), ObjectStorage()
-        service = AggregationService(sim, AggregationTrigger(), model=model, name="agg")
+        tracer = Tracer()
+        service = AggregationService(sim, AggregationTrigger(), model=model)
         if flow_attached:
             flow = DeviceFlow(sim, streams, capacity_per_second=CAPACITY, tracer=tracer)
             strategy = RealTimeAccumulatedStrategy(THRESHOLDS, FAILURE_PROB)
         sink = CloudIngestSink(
-            sim, storage, service, deviceflow=flow, dedup=channelled, tracer=tracer, trace_devices=not channelled
+            sim, service, deviceflow=flow, dedup=channelled, tracer=tracer, trace_devices=not channelled
         )
         if channelled:
             channel = TransportChannel(sim, CHANNEL, sink, streams, scope="", tracer=tracer)
@@ -607,19 +502,11 @@ def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
     else:
         devices = tracer.all_devices()
         flow_submits, flow_deliveries = _per_device(tracer.flow_submits), _per_device(tracer.flow_deliveries)
-    stored = []
-    for key in storage.keys():
-        head, update = storage.head(key), storage.get(key)
-        stored.append(
-            (key, head.size_bytes, head.stored_at, head.writer,
-             update.device_id, update.weights.tobytes(), update.bias, update.n_samples)
-        )
     return {
         "history": service.history,
         "model": None if model is None else (model.weights.tobytes(), model.bias),
         "received": (service.messages_received, service.bytes_received),
         "gate": (sink.delivered, sink.duplicate_drops, sink.late_drops),
-        "storage": (storage.put_count, storage.total_bytes_written, stored),
         "flow": None if dispatcher is None else (flow.stats("t"), dispatcher.dispatch_log, dispatcher.delivery_log),
         "transport": transport,
         "devices": sorted(devices),

@@ -1,8 +1,10 @@
 """Unit tests for the logical-simulation cluster substrate."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from helpers import CallbackSink
+from helpers import CallbackSink, WholePlanSink
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.tier_reference import ReferenceLogicalSimulation, all_outcomes, run_per_event
@@ -179,17 +181,18 @@ class TestLogicalSimulation:
 
         def run():
             yield sim.process(logical.prepare([plan], task_id="t"))
-            result = yield sim.process(
+            started = sim.now
+            aborted = yield sim.process(
                 logical.run_round(1, None, 0.0, model_bytes=0, sink=CallbackSink(outcomes.append))
             )
-            return result
+            return aborted, sim.now - started
 
         proc = sim.process(run())
         sim.run()
-        result = proc.result
+        aborted, duration = proc.result
         # 25 devices over 10 actors -> 3 waves of 10 s.
-        assert result.duration == pytest.approx(30.0)
-        assert result.n_devices == 25
+        assert duration == pytest.approx(30.0)
+        assert aborted is False
         assert len(outcomes) == 25
         logical.teardown()
         assert cluster.free_cpus == cluster.total_cpus
@@ -349,10 +352,11 @@ WAVE_NODES = [NodeSpec(cpus=10, memory_gb=20)] * 4
 WAVE_COST = LogicalCostModel(alpha={"Std": 11.0}, actor_startup=0.5, runner_setup=4.0)
 
 
-def run_time_only_round(n_devices: int, reference: bool, with_callback: bool = True):
-    """One prepare + time-only round over 40 actors; returns (round, streamed outcomes).
+def run_time_only_round(n_devices: int, reference: bool, sink=None):
+    """One prepare + time-only round over 40 actors; returns (round span, streamed outcomes, plan).
 
-    ``reference`` runs the per-device oracle, stepped one event at a time.
+    ``reference`` runs the per-device oracle, stepped one event at a time;
+    ``sink`` defaults to a :class:`CallbackSink` streaming every outcome.
     """
     sim = Simulator()
     tier = ReferenceLogicalSimulation if reference else LogicalSimulation
@@ -361,12 +365,13 @@ def run_time_only_round(n_devices: int, reference: bool, with_callback: bool = T
         n_devices, 40, grade="Std", flow=standard_fl_flow(), bundle=ResourceBundle(cpus=1, memory_gb=1)
     )
     streamed = []
+    span = SimpleNamespace()
 
     def driver():
         yield sim.process(logical.prepare([plan], task_id="task"))
-        yield sim.process(
-            logical.run_round(1, None, 0.0, 4096, CallbackSink(streamed.append) if with_callback else None)
-        )
+        span.started_at = sim.now
+        yield sim.process(logical.run_round(1, None, 0.0, 4096, sink or CallbackSink(streamed.append)))
+        span.finished_at = sim.now
 
     sim.process(driver())
     if reference:
@@ -374,7 +379,7 @@ def run_time_only_round(n_devices: int, reference: bool, with_callback: bool = T
     else:
         sim.run()
     logical.teardown()
-    return logical.rounds[0], streamed, plan
+    return span, streamed, plan
 
 
 class TestWaveScheduleIdentity:
@@ -386,21 +391,21 @@ class TestWaveScheduleIdentity:
             assert a.device_id == b.device_id
             assert a.finished_at == b.finished_at  # bit-identical floats
             assert a.payload_bytes == b.payload_bytes
-        assert legacy.duration == batched.duration
+        assert legacy.started_at == batched.started_at
         assert legacy.finished_at == batched.finished_at
 
     def test_columnar_materialization_matches_reference(self):
         legacy, legacy_streamed, _ = run_time_only_round(120, reference=True)
-        columnar, streamed, _ = run_time_only_round(120, reference=False, with_callback=False)
+        whole = WholePlanSink()
+        columnar, streamed, _ = run_time_only_round(120, reference=False, sink=whole)
         assert streamed == []
-        assert len(columnar.columnar) == 1
-        materialized = all_outcomes(columnar)
+        assert len(whole.blocks) == 1
+        materialized = all_outcomes(whole.blocks)
         assert len(materialized) == 120
         for a, b in zip(legacy_streamed, materialized):
             assert a.device_id == b.device_id
             assert a.finished_at == b.finished_at
-        assert columnar.n_devices == 120
-        assert legacy.duration == columnar.duration
+        assert legacy.finished_at - legacy.started_at == columnar.finished_at - columnar.started_at
 
     def test_scalar_reference_times_match_wave_schedule(self):
         """A plain-float re-derivation reproduces the broadcast wave times.

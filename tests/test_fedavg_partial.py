@@ -75,7 +75,7 @@ def block_of(updates: list[ModelUpdate], dim: int) -> MessageBlock:
 def fold_blocks(parts: list[list[ModelUpdate]], dim: int) -> tuple[np.ndarray, float, int]:
     """Deliver each part as one block to a fresh service and fold once."""
     service = AggregationService(
-        Simulator(), AggregationTrigger(), model=LogisticRegressionModel(dim, SERVER_BACKEND), name="agg"
+        Simulator(), AggregationTrigger(), model=LogisticRegressionModel(dim, SERVER_BACKEND)
     )
     for part in parts:
         service.receive_block(block_of(part, dim))
@@ -185,7 +185,7 @@ class TestEdgeCases:
         a = ModelUpdate("a", 1, np.ones(3), 0.0, 5)
         b = ModelUpdate("b", 1, np.ones(4), 0.0, 5)
         service = AggregationService(
-            Simulator(), AggregationTrigger(), model=LogisticRegressionModel(3, SERVER_BACKEND), name="agg"
+            Simulator(), AggregationTrigger(), model=LogisticRegressionModel(3, SERVER_BACKEND)
         )
         service.receive_block(block_of([a], 3))
         service.receive_block(block_of([b], 4))

@@ -50,7 +50,7 @@ def fedavg(updates):
 
 def service_for(dim):
     return AggregationService(
-        Simulator(), AggregationTrigger(), model=LogisticRegressionModel(dim, SERVER_BACKEND), name="agg"
+        Simulator(), AggregationTrigger(), model=LogisticRegressionModel(dim, SERVER_BACKEND)
     )
 
 

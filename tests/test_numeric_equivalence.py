@@ -14,7 +14,7 @@ from helpers import CallbackSink, WholePlanSink, stream_states
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.cloud_reference import fedavg
-from reference.tier_reference import ReferenceLogicalSimulation, all_outcomes, run_per_event
+from reference.tier_reference import ReferenceLogicalSimulation, run_per_event
 
 from repro.cluster import (
     DeviceColumns,
@@ -57,38 +57,36 @@ def make_numeric_plan(n_devices: int = N_DEVICES, n_actors: int = N_ACTORS) -> G
     )
 
 
-def run_tier(reference: bool, n_rounds: int = N_ROUNDS, collect: bool = True,
-             n_devices: int = N_DEVICES, n_actors: int = N_ACTORS, sink_class=CallbackSink):
+def run_tier(reference: bool, n_rounds: int = N_ROUNDS, n_devices: int = N_DEVICES,
+             n_actors: int = N_ACTORS, sink_class=CallbackSink):
     """Drive ``n_rounds`` with FedAvg feedback on one logical tier.
 
     ``reference`` picks the per-device oracle (stepped one event at a
     time) over the production tier.  Returns ``(per_round_outcomes,
-    weights_history, round_results, stream_states)`` where outcomes are in
-    emission order.  ``collect=False`` runs with ``sink=None`` and reads
-    the recorded blocks instead.
+    weights_history, round_spans, stream_states)`` where outcomes are in
+    emission order and a span is a round's ``(started_at, finished_at,
+    aborted)``.  ``sink_class=None`` runs with ``sink=None``: nothing is
+    delivered, so no outcome is seen and the global model stays at zero.
     """
     sim = Simulator()
     tier = ReferenceLogicalSimulation if reference else LogicalSimulation
     streams = RandomStreams(SEED)
     logical = tier(sim, K8sCluster(NODES), COST, streams=streams)
     plan = make_numeric_plan(n_devices, n_actors)
-    per_round, weights_history = [], []
+    per_round, weights_history, spans = [], [], []
 
     def driver():
         yield sim.process(logical.prepare([plan], task_id="task"))
         weights, bias = np.zeros(FEATURE_DIM), 0.0
         for round_index in range(1, n_rounds + 1):
             outcomes = []
-            yield sim.process(
-                logical.run_round(
-                    round_index, weights, bias, MODEL_BYTES, sink_class(outcomes.append) if collect else None
-                )
-            )
-            round_result = logical.rounds[-1]
-            if not collect:
-                outcomes = all_outcomes(round_result)
+            sink = None if sink_class is None else sink_class(outcomes.append)
+            started = sim.now
+            aborted = yield sim.process(logical.run_round(round_index, weights, bias, MODEL_BYTES, sink))
+            spans.append((started, sim.now, aborted))
             per_round.append(outcomes)
-            weights, bias = fedavg([o.update for o in outcomes])
+            if outcomes:
+                weights, bias = fedavg([o.update for o in outcomes])
             weights_history.append((weights, bias))
 
     sim.process(driver())
@@ -97,7 +95,7 @@ def run_tier(reference: bool, n_rounds: int = N_ROUNDS, collect: bool = True,
     else:
         sim.run()
     logical.teardown()
-    return per_round, weights_history, logical.rounds, stream_states(streams)
+    return per_round, weights_history, spans, stream_states(streams)
 
 
 def assert_outcomes_identical(reference, candidate):
@@ -119,37 +117,31 @@ def generator_reference():
 
 class TestBatchedNumericEquivalence:
     def test_batched_path_bit_identical(self, generator_reference):
-        ref_rounds, ref_weights, ref_results, ref_streams = generator_reference
-        bat_rounds, bat_weights, bat_results, bat_streams = run_tier(reference=False)
+        ref_rounds, ref_weights, ref_spans, ref_streams = generator_reference
+        bat_rounds, bat_weights, bat_spans, bat_streams = run_tier(reference=False)
         for ref, bat in zip(ref_rounds, bat_rounds):
             assert_outcomes_identical(ref, bat)
         for (rw, rb), (bw, bb) in zip(ref_weights, bat_weights):
             assert rw.tobytes() == bw.tobytes()
             assert np.float64(rb).tobytes() == np.float64(bb).tobytes()
-        for ref, bat in zip(ref_results, bat_results):
-            assert ref.started_at == bat.started_at
-            assert ref.finished_at == bat.finished_at
+        assert ref_spans == bat_spans
         assert ref_streams == bat_streams
 
     def test_columnar_blocks_materialize_identically(self, generator_reference):
         ref_rounds, ref_weights, _, _ = generator_reference
-        col_rounds, col_weights, col_results, _ = run_tier(reference=False, collect=False)
-        assert all(len(result.columnar) == 1 for result in col_results)
+        sinks = []
+
+        def whole_plan(callback):
+            sinks.append(WholePlanSink(callback))
+            return sinks[-1]
+
+        col_rounds, col_weights, _, _ = run_tier(reference=False, sink_class=whole_plan)
+        assert [len(sink.blocks) for sink in sinks] == [1] * N_ROUNDS
         for ref, col in zip(ref_rounds, col_rounds):
             assert_outcomes_identical(ref, col)
         for (rw, rb), (cw, cb) in zip(ref_weights, col_weights):
             assert rw.tobytes() == cw.tobytes()
             assert rb == cb
-
-    def test_columnar_fedavg_inputs_match_updates(self):
-        _, _, col_results, _ = run_tier(reference=False, collect=False, n_rounds=1)
-        weights, biases, n_samples = col_results[0].fedavg_inputs()
-        materialized = all_outcomes(col_results[0])
-        assert weights.shape == (N_DEVICES, FEATURE_DIM)
-        for row, outcome in enumerate(materialized):
-            assert weights[row].tobytes() == outcome.update.weights.tobytes()
-            assert float(biases[row]) == outcome.update.bias
-            assert int(n_samples[row]) == outcome.n_samples
 
 
 class TestOneEngineAnyShape:
@@ -167,19 +159,18 @@ class TestOneEngineAnyShape:
     )
     def test_logical_rounds_equal_the_oracle(self, n_devices, n_actors, delivery):
         shape = {"n_rounds": 2, "n_devices": n_devices, "n_actors": n_actors}
-        ref_rounds, ref_weights, ref_results, ref_streams = run_tier(reference=True, **shape)
-        got_rounds, got_weights, got_results, got_streams = run_tier(
-            reference=False, collect=delivery is not None, sink_class=delivery, **shape
-        )
-        for ref, got in zip(ref_rounds, got_rounds):
-            assert_outcomes_identical(ref, got)
-        for (rw, rb), (gw, gb) in zip(ref_weights, got_weights):
-            assert rw.tobytes() == gw.tobytes() and rb == gb
-        for ref, got in zip(ref_results, got_results):
-            assert (ref.started_at, ref.finished_at, ref.n_devices) == (
-                got.started_at, got.finished_at, got.n_devices
-            )
-            assert not got.aborted
+        ref_rounds, ref_weights, ref_spans, ref_streams = run_tier(reference=True, **shape)
+        got_rounds, got_weights, got_spans, got_streams = run_tier(reference=False, sink_class=delivery, **shape)
+        if delivery is None:
+            assert got_rounds == [[], []]
+        else:
+            for ref, got in zip(ref_rounds, got_rounds):
+                assert_outcomes_identical(ref, got)
+            for (rw, rb), (gw, gb) in zip(ref_weights, got_weights):
+                assert rw.tobytes() == gw.tobytes() and rb == gb
+        # Delivered or not, a round takes the same time and the same draws.
+        assert ref_spans == got_spans
+        assert not any(aborted for _, _, aborted in got_spans)
         assert ref_streams == got_streams
 
 
@@ -208,11 +199,13 @@ class TestMixedPlanRound:
         sim = Simulator()
         tier = ReferenceLogicalSimulation if reference else LogicalSimulation
         logical = tier(sim, K8sCluster(NODES), COST, streams=RandomStreams(SEED))
+        outcomes = []
+        sink = WholePlanSink(outcomes.append)
 
         def driver():
             yield sim.process(logical.prepare(self._mixed_plans(), task_id="task"))
             yield sim.process(
-                logical.run_round(1, np.zeros(FEATURE_DIM), 0.0, MODEL_BYTES, None)
+                logical.run_round(1, np.zeros(FEATURE_DIM), 0.0, MODEL_BYTES, sink)
             )
 
         sim.process(driver())
@@ -221,22 +214,22 @@ class TestMixedPlanRound:
         else:
             sim.run()
         logical.teardown()
-        return logical.rounds[0]
+        return outcomes, sink.blocks, sim.now
 
     def test_unsharded_mixed_round_matches_generator(self):
-        reference = self._run(reference=True)
-        batched = self._run(reference=False)
-        assert batched.n_devices == reference.n_devices == 20
+        reference, _, reference_end = self._run(reference=True)
+        batched, blocks, batched_end = self._run(reference=False)
+        assert len(batched) == len(reference) == 20
         # Both plans went columnar, and only the numeric one carries updates.
-        assert len(batched.columnar) == 2
-        update_flags = {block.grade: block.update_weights is not None for block in batched.columnar}
+        assert len(blocks) == 2
+        update_flags = {block.grade: block.update_weights is not None for block in blocks}
         assert update_flags == {"Std": True, "Bulk": False}
-        ref_sorted = sorted(reference.outcomes, key=lambda o: (o.finished_at, o.device_id))
-        bat_sorted = sorted(all_outcomes(batched), key=lambda o: (o.finished_at, o.device_id))
+        ref_sorted = sorted(reference, key=lambda o: (o.finished_at, o.device_id))
+        bat_sorted = sorted(batched, key=lambda o: (o.finished_at, o.device_id))
         for a, b in zip(ref_sorted, bat_sorted):
             assert a.device_id == b.device_id
             assert a.finished_at == b.finished_at
             assert (a.update is None) == (b.update is None)
             if a.update is not None:
                 assert a.update.weights.tobytes() == b.update.weights.tobytes()
-        assert reference.finished_at == batched.finished_at
+        assert reference_end == batched_end

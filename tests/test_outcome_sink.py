@@ -5,10 +5,9 @@ Three layers of the same guarantee:
 1. Protocol mechanics — structural ``isinstance`` checks, the wave /
    plan granularity a ``CloudIngestSink`` asks for.
 2. Tier level — a ``LogicalSimulation`` round delivered to a
-   ``CloudIngestSink`` as one block leaves storage and the aggregation
-   service bit-identical to the per-device reference tier streaming one
-   ``accept`` per device into the per-upload oracle
-   (``reference.cloud_reference``).
+   ``CloudIngestSink`` as one block leaves the aggregation service
+   bit-identical to the per-device reference tier streaming one ``accept``
+   per device into the per-upload oracle (``reference.cloud_reference``).
 3. Identity — the block the fold receives *is* the block the tier built
    (a channel's upload is a view of it): nothing on the way converts.
 
@@ -26,7 +25,6 @@ from repro.cloud import (
     AggregationService,
     ChannelModel,
     CloudIngestSink,
-    ObjectStorage,
     OutcomeSink,
     TransportChannel,
 )
@@ -40,8 +38,9 @@ from repro.cluster import (
     NodeSpec,
     ResourceBundle,
 )
+from repro.cluster import rounds
 from repro.data.avazu import DeviceDataset
-from repro.deviceflow import DeviceFlow, RealTimeAccumulatedStrategy
+from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
 from repro.ml import SERVER_BACKEND, standard_fl_flow
 from repro.ml.model import LogisticRegressionModel
 from repro.simkernel import RandomStreams, Simulator
@@ -69,18 +68,18 @@ class TestProtocol:
         assert not isinstance(Missing(), OutcomeSink)
         assert isinstance(CallbackSink(lambda o: None), OutcomeSink)
         sim = Simulator()
-        sink = CloudIngestSink(sim, ObjectStorage(), AggregationService(sim, AggregationTrigger(), name="agg"))
+        sink = CloudIngestSink(sim, AggregationService(sim, AggregationTrigger()))
         assert isinstance(sink, OutcomeSink)
 
     def test_flow_connected_sink_takes_wave_blocks(self):
         sim = Simulator()
-        service = AggregationService(sim, AggregationTrigger(), name="agg")
+        service = AggregationService(sim, AggregationTrigger())
         flow = DeviceFlow(sim, RandomStreams(0))
-        sink = CloudIngestSink(sim, ObjectStorage(), service, deviceflow=flow)
+        sink = CloudIngestSink(sim, service, deviceflow=flow)
         flow.register_task("t", RealTimeAccumulatedStrategy(thresholds=[1]), sink.flow_receive)
         # Traffic shaping must see arrivals mid-round: blocks, but per wave.
         assert sink.prefers_waves is True
-        direct = CloudIngestSink(sim, ObjectStorage(), service)
+        direct = CloudIngestSink(sim, service)
         assert direct.prefers_waves is False
 
 
@@ -107,12 +106,13 @@ def make_plan(n_devices=12, n_actors=4, numeric=True):
 
 
 def run_tier_round(reference, channel=None, received=None):
-    """One numeric round delivered through a CloudIngestSink.
+    """One numeric round delivered through a CloudIngestSink; returns ``(service, record, handed)``.
 
     The production tier hands the production sink one block; the
     per-device reference tier streams one ``accept`` per device into the
     per-upload oracle.  ``channel`` fronts the production sink with a
-    ``TransportChannel``; ``received`` collects what the fold is handed.
+    ``TransportChannel``; ``received`` collects what the fold is handed;
+    ``handed`` lists what the tier handed the outermost sink.
     """
     sim = Simulator()
     tier = ReferenceLogicalSimulation if reference else LogicalSimulation
@@ -123,8 +123,7 @@ def run_tier_round(reference, channel=None, received=None):
         service = ReferenceAggregationService(sim, storage, AggregationTrigger(), model=model)
         sink = ReferenceIngestSink(sim, "t", storage, service)
     else:
-        storage = ObjectStorage()
-        service = AggregationService(sim, AggregationTrigger(), model=model, name="agg")
+        service = AggregationService(sim, AggregationTrigger(), model=model)
         if received is not None:
             fold = service.receive_block
 
@@ -133,9 +132,18 @@ def run_tier_round(reference, channel=None, received=None):
                 fold(block)
 
             service.receive_block = spy
-        sink = CloudIngestSink(sim, storage, service, dedup=channel is not None)
+        sink = CloudIngestSink(sim, service, dedup=channel is not None)
         if channel is not None:
             sink = TransportChannel(sim, channel, sink, RandomStreams(5), scope="")
+    handed = []
+    if not reference:
+        accept = sink.accept_block
+
+        def hand(block):
+            handed.append(block)
+            accept(block)
+
+        sink.accept_block = hand
     plan = make_plan()
 
     def drive():
@@ -150,15 +158,14 @@ def run_tier_round(reference, channel=None, received=None):
     else:
         sim.run()
     record = service.aggregate_now()
-    (result,) = logical.rounds
     logical.teardown()
-    return storage, service, record, result
+    return service, record, handed
 
 
 class TestTierDifferential:
     def test_block_and_scalar_ingestion_identical(self):
-        storage_s, service_s, record_s, _ = run_tier_round(reference=True)
-        storage_b, service_b, record_b, _ = run_tier_round(reference=False)
+        service_s, record_s, _ = run_tier_round(reference=True)
+        service_b, record_b, _ = run_tier_round(reference=False)
 
         # Aggregation: same fold, bit-identical model.
         assert np.array_equal(service_b.model.weights, service_s.model.weights)
@@ -169,26 +176,11 @@ class TestTierDifferential:
         assert service_b.messages_received == service_s.messages_received
         assert service_b.bytes_received == service_s.bytes_received
 
-        # Storage: same keys, same payload bits, same metadata.
-        shared_keys = storage_s.keys()
-        assert storage_b.keys() == shared_keys
-        assert storage_b.put_count == storage_s.put_count
-        assert storage_b.total_bytes_written == storage_s.total_bytes_written
-        for key in shared_keys:
-            head_b, head_s = storage_b.head(key), storage_s.head(key)
-            assert head_b.size_bytes == head_s.size_bytes
-            assert head_b.stored_at == head_s.stored_at
-            assert head_b.writer == head_s.writer
-            update_b, update_s = storage_b.get(key), storage_s.get(key)
-            assert np.array_equal(update_b.weights, update_s.weights)
-            assert update_b.bias == update_s.bias
-            assert update_b.n_samples == update_s.n_samples
-
     def test_the_fold_receives_the_block_the_tier_built(self):
         # Direct and ungated: one object from TierRounds to receive_block.
         received = []
-        *_, result = run_tier_round(reference=False, received=received)
-        (plan_block,) = result.columnar
+        *_, handed = run_tier_round(reference=False, received=received)
+        (plan_block,) = handed
         assert len(received) == 1 and received[0] is plan_block
         assert plan_block.task_id == "t" and plan_block.update_weights is not None
 
@@ -197,8 +189,8 @@ class TestTierDifferential:
         # its time column — the update rows are never copied on the way.
         lossy = ChannelModel(latency_s=0.2, jitter_s=0.5, loss_prob=0.3, dup_prob=0.3, retry_base_s=0.5)
         received = []
-        *_, record, result = run_tier_round(reference=False, channel=lossy, received=received)
-        (plan_block,) = result.columnar
+        _, record, handed = run_tier_round(reference=False, channel=lossy, received=received)
+        (plan_block,) = handed
         assert 1 < len(received) == record.n_updates <= len(plan_block)
         for upload in received:
             assert len(upload) == 1
@@ -230,8 +222,15 @@ class TestTierDifferential:
         assert [o.device_id for o in block_seen] == [o.device_id for o in scalar_seen]
         assert [o.finished_at for o in block_seen] == [o.finished_at for o in scalar_seen]
 
-    def test_wave_preferring_sink_gets_row_views_at_wave_times(self):
+    def test_wave_preferring_sink_gets_row_views_at_wave_times(self, monkeypatch):
         """``prefers_waves`` turns one plan block into one zero-copy row range per wave."""
+        built = []
+
+        def build(**columns):
+            built.append(MessageBlock(**columns))
+            return built[-1]
+
+        monkeypatch.setattr(rounds, "MessageBlock", build)
 
         class WaveSink:
             prefers_waves = True
@@ -246,20 +245,16 @@ class TestTierDifferential:
         logical = LogicalSimulation(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
         sink = WaveSink(sim)
         plan = make_plan(n_devices=10, n_actors=4)
-        holder = {}
 
         def drive():
             yield sim.process(logical.prepare([plan], task_id="t"))
-            holder["result"] = yield sim.process(
-                logical.run_round(1, np.zeros(FEATURE_DIM), 0.0, MODEL_BYTES, sink)
-            )
+            yield sim.process(logical.run_round(1, np.zeros(FEATURE_DIM), 0.0, MODEL_BYTES, sink))
 
         sim.process(drive())
         sim.run()
         logical.teardown()
-        (whole,) = holder["result"].columnar
+        (whole,) = built
         assert [len(wave) for _, wave in sink.waves] == [4, 4, 2]
-        assert holder["result"].n_devices == 10
         row = 0
         for time, wave in sink.waves:
             assert np.shares_memory(wave.update_weights, whole.update_weights)

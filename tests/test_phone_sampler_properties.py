@@ -126,10 +126,11 @@ def test_partition_round_robin_exactly_once(n_assignments, n_phones):
         numeric=False,
     )
     seen = []
+    sink = CallbackSink(seen.append)
 
     def drive():
         yield sim.process(mgr.prepare([plan], task_id="t"))
-        yield sim.process(mgr.run_round(1, None, 0.0, 33000, CallbackSink(seen.append)))
+        yield sim.process(mgr.run_round(1, None, 0.0, 33000, sink))
 
     sim.process(drive())
     sim.run()
@@ -139,4 +140,4 @@ def test_partition_round_robin_exactly_once(n_assignments, n_phones):
         queue = [row for row in rows if row % n_phones == p]
         assert queue == list(range(p, n_assignments, n_phones))
     assert [o.finished_at for o in seen] == sorted(o.finished_at for o in seen)
-    assert mgr.rounds[0].n_devices == n_assignments
+    assert sum(len(block) for block in sink.blocks) == n_assignments

@@ -1,5 +1,6 @@
 """End-to-end platform tests: SimDC tasks through every substrate."""
 
+import gc
 import re
 
 import pytest
@@ -15,6 +16,7 @@ from repro import (
 )
 from repro.cluster import NodeSpec
 from repro.data import make_federated_ctr_data
+from repro.deviceflow import MessageBlock
 from repro.ml import standard_fl_flow
 
 
@@ -254,3 +256,32 @@ class TestEndToEnd:
             return (result.makespan, result.rounds[-1].test_loss)
 
         assert run_once() == run_once()
+
+
+class TestNothingRetained:
+    def test_a_finished_run_holds_no_message_block(self):
+        # A block lives as long as its round's deliveries: nothing on the
+        # platform keeps a finished round's results (or its update matrix).
+        platform = small_platform()
+        spec = TaskSpec(
+            name="retained",
+            grades=[
+                GradeRequirement(
+                    grade=grade, n_devices=12, bundles=8, n_phones=2, n_benchmark=1,
+                    device_bundle=ResourceBundle(cpus=2, memory_gb=2),
+                )
+                for grade in ("High", "Low")
+            ],
+            rounds=3,
+            flow=standard_fl_flow(epochs=1),
+            numeric=True,
+            feature_dim=64,
+            records_per_device=10,
+        )
+        platform.submit(spec)
+        platform.run_until_idle(max_time=1e7)
+        result = platform.result(spec.task_id)
+        assert result.state is TaskState.COMPLETED
+        assert [record.n_updates for record in result.rounds] == [24, 24, 24]
+        gc.collect()
+        assert sum(isinstance(obj, MessageBlock) for obj in gc.get_objects()) == 0

@@ -8,13 +8,19 @@ to the digests pinned below.
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import GradeRequirement, PlatformConfig, ResourceBundle, SimDC, TaskSpec, TaskState
 from repro.cluster import NodeSpec
 from repro.ml import standard_fl_flow
+from repro.observability import AlarmRule, AutoscaleSpec, SLASpec
 from repro.scenarios import (
     SCENARIOS,
     ArrivalSpec,
@@ -48,6 +54,14 @@ REPORT_PINS = {
     ("flaky_fleet", 150, 3): "faf6a32897e91c3470bef1a6f2133a1696660cb8121b869ad3305153df1f75fc",
     ("lossy_uplink", 150, 3): "eeb08dfa46ce951ee20c27c75a24690ce67f6f9ea583a2657ae3cfe8c650baf1",
 }
+
+
+def set_at_path(data: dict, path: str, value) -> None:
+    """Set ``value`` at ``path`` (``tenants[0].arrival``) inside a spec dict."""
+    *parents, last = path.replace("[", ".").replace("]", "").split(".")
+    for key in parents:
+        data = data[int(key)] if key.isdigit() else data[key]
+    data[int(last) if last.isdigit() else last] = value
 
 
 def report_digest(report) -> str:
@@ -196,6 +210,75 @@ class TestSpecSerialization:
         with pytest.raises(ValueError, match="^" + re.escape(prefix + message) + "$"):
             ScenarioSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        ("path", "update", "message"),
+        [
+            # Each used to be accepted: NaN passes every range test, and the
+            # bounds read ``>= 1`` where an integer belongs.
+            ("autoscale", {"cooldown_s": float("nan")}, "cooldown_s must be a finite number >= 0, got nan"),
+            ("autoscale", {"node_cpus": float("nan")}, "node_cpus must be a finite number > 0, got nan"),
+            ("autoscale", {"step": 1.5}, "step must be an integer >= 1, got 1.5"),
+            ("autoscale", {"max_extra_nodes": 2.5}, "max_extra_nodes must be an integer >= 1, got 2.5"),
+            ("slas[0]", {"limit": float("nan")}, "limit must be a finite number, got nan"),
+            ("slas[0]", {"window_s": float("nan")}, "window_s must be a finite number > 0, got nan"),
+            ("alarms[0]", {"warn": float("nan")}, "warn must be a finite number, got nan"),
+            ("alarms[0]", {"window_s": float("nan")}, "window_s must be a finite number > 0, got nan"),
+            ("alarms[0]", {"min_hold_s": float("nan")}, "min_hold_s must be a finite number >= 0, got nan"),
+            ("alarms[0]", {"min_hold_s": float("inf")}, "min_hold_s must be a finite number >= 0, got inf"),
+            # [2.5] used to be truncated to [2] when the strategy was built.
+            *(
+                ("tenants[0].dispatch", {"thresholds": thresholds},
+                 f"thresholds must be a non-empty list of integers >= 1, got {thresholds!r}")
+                for thresholds in ([0], [], [2.5])
+            ),
+            # An alarm on a signal the platform never feeds never fires.
+            ("alarms[0]", {"signal": "queue_wait_p99"}, "signal 'queue_wait_p99' is not a platform signal"),
+        ],
+    )
+    def test_scenario_numbers_that_cannot_run_fail_at_construction(self, path, update, message):
+        data = tiny_scenario(
+            alarms=[AlarmRule(name="deep", signal="queue_depth", warn=4.0)],
+            slas=[SLASpec(metric="queue_wait_p95", limit=600.0)],
+            autoscale=AutoscaleSpec(alarm="deep"),
+        ).to_dict()
+        target = data
+        for key in path.replace("[", ".").replace("]", "").split("."):
+            target = target[int(key)] if key.isdigit() else target[key]
+        target.update(update)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}.{message}")):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        ("path", "value", "message"),
+        [
+            # Each used to surface as a bare or misleading error.
+            ("tenants[0].arrival", 5, "tenants[0].arrival must be a mapping of fields, got 5"),
+            ("tenants", "abc", "tenants must be a list, got 'abc'"),
+            ("tenants[0].grades", {"grade": "High"}, "tenants[0].grades must be a list, got {'grade': 'High'}"),
+            ("tenants[0].deadline_s", "10", "tenants[0].deadline_s must be a number, got '10'"),
+            ("population.dropout_prob", "0.1", "population.dropout_prob must be a number, got '0.1'"),
+        ],
+    )
+    def test_a_malformed_scenario_file_fails_naming_its_path(self, path, value, message):
+        data = tiny_scenario().to_dict()
+        set_at_path(data, path, value)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ScenarioSpec.from_dict(data)
+
+    def test_the_cli_reports_a_malformed_scenario_file_in_one_line(self, tmp_path):
+        data = tiny_scenario().to_dict()
+        set_at_path(data, "tenants[0].arrival", 5)
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(data))
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.scenarios", "run", str(spec_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"{spec_path}: tenants[0].arrival must be a mapping of fields, got 5\n"
+
     def test_uncalibrated_grade_fails_at_schedule_naming_its_path(self):
         spec = tiny_scenario()
         spec.tenants[1].grades.append(GradeSpec(grade="Mid"))
@@ -216,7 +299,7 @@ class TestSpecSerialization:
         assert 30.0 < times[-1] / 50 < 120.0
 
     def test_from_dict_respects_field_defaults(self):
-        tenant = TenantSpec.from_dict({"name": "defaults-only"}, "tenants[0]")
+        (tenant,) = ScenarioSpec.from_dict({"name": "s", "tenants": [{"name": "defaults-only"}]}).tenants
         assert len(tenant.grades) == 1  # the documented default grade
 
     def test_same_length_tenant_names_get_distinct_datasets(self):

@@ -27,7 +27,6 @@ from repro.cloud import (
     ChannelModel,
     ChannelWindow,
     CloudIngestSink,
-    ObjectStorage,
 )
 from repro.cloud.aggregation import AggregationTrigger
 from repro.deviceflow import MessageBlock
@@ -224,8 +223,8 @@ class TestChannelModel:
 def make_numeric_sink(dedup=True):
     sim = Simulator()
     model = LogisticRegressionModel(4, SERVER_BACKEND)
-    service = AggregationService(sim, AggregationTrigger(), model=model, name="agg")
-    sink = CloudIngestSink(sim, ObjectStorage(), service, dedup=dedup)
+    service = AggregationService(sim, AggregationTrigger(), model=model)
+    sink = CloudIngestSink(sim, service, dedup=dedup)
     return sim, service, sink, model
 
 
@@ -396,8 +395,8 @@ class TestMessageBlockDedup:
 
         def run(stream):
             sim = Simulator()
-            service = AggregationService(sim, AggregationTrigger(), name="agg")
-            sink = CloudIngestSink(sim, ObjectStorage(), service, dedup=True)
+            service = AggregationService(sim, AggregationTrigger())
+            sink = CloudIngestSink(sim, service, dedup=True)
             for segment in stream:
                 sink.flow_receive(segment)
             return service, sink
