@@ -251,27 +251,40 @@ class ChannelModel:
         ``rng`` is the device's stream: anything with ``random()``.  Draw
         counts depend only on the send times derived from ``t0``, never
         on the caller's clock, so the plan is identical however the
-        round's rows were cut into blocks.
+        round's rows were cut into blocks.  Each attempt tests the scope's
+        windows inline, combining them exactly as :meth:`in_outage`,
+        :meth:`loss_prob_at` and :meth:`dup_prob_at` do.
         """
-        scope = self.windows_for(scope)
+        loss, duplication, outage = self.windows_for(scope)
+        random = rng.random
+        last = self.max_attempts
         t_send = float(t0)
-        for attempt in range(1, self.max_attempts + 1):
-            if self.in_outage(t_send, scope):
-                lost = True  # the service rejects the send outright
+        for attempt in range(1, last + 1):
+            for window in outage:
+                if window.at <= t_send < window.until:
+                    lost = True  # the service rejects the send outright
+                    break
             else:
-                p = self.loss_prob_at(t_send, scope)
-                lost = p > 0.0 and rng.random() < p
+                keep = 1.0 - self.loss_prob
+                for window in loss:
+                    if window.at <= t_send < window.until:
+                        keep *= 1.0 - window.prob
+                p = 1.0 - keep
+                lost = p > 0.0 and random() < p
             if not lost:
                 arrival = t_send + self.latency_s
                 if self.jitter_s > 0.0:
-                    arrival += rng.random() * self.jitter_s
-                q = self.dup_prob_at(t_send, scope)
-                duplicate = q > 0.0 and rng.random() < q
-                return UploadPlan(arrival=arrival, retries=attempt - 1, duplicate=duplicate)
-            if attempt < self.max_attempts:
+                    arrival += random() * self.jitter_s
+                keep = 1.0 - self.dup_prob
+                for window in duplication:
+                    if window.at <= t_send < window.until:
+                        keep *= 1.0 - window.prob
+                q = 1.0 - keep
+                return UploadPlan(arrival=arrival, retries=attempt - 1, duplicate=q > 0.0 and random() < q)
+            if attempt < last:
                 backoff = min(self.retry_cap_s, self.retry_base_s * (2.0 ** (attempt - 1)))
-                t_send += backoff * (0.5 + 0.5 * rng.random())
-        return UploadPlan(arrival=None, retries=self.max_attempts - 1, duplicate=False)
+                t_send += backoff * (0.5 + 0.5 * random())
+        return UploadPlan(arrival=None, retries=last - 1, duplicate=False)
 
 
 class TransportChannel:

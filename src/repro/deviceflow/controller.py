@@ -18,6 +18,7 @@ from repro.deviceflow.messages import MessageBlock
 from repro.deviceflow.shelf import Shelf
 from repro.deviceflow.sorter import Sorter
 from repro.deviceflow.strategy import DispatchStrategy
+from repro.ml.optimizer import check_positive
 from repro.simkernel import RandomStreams, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,7 +80,7 @@ class DeviceFlow:
     ) -> None:
         self.sim = sim
         self.streams = streams
-        self.capacity_per_second = float(capacity_per_second)
+        self.capacity_per_second = check_positive("capacity_per_second", capacity_per_second)
         self.tracer = tracer
         self.sorter = Sorter()
         self._dispatchers: dict[str, Dispatcher] = {}
@@ -210,10 +211,8 @@ class DeviceFlow:
         drift), and dispatchers registered while the window is open start
         degraded.  Returns the previous scale.
         """
-        if scale <= 0:
-            raise ValueError("capacity scale must be positive")
         previous = self._capacity_scale
-        self._capacity_scale = float(scale)
+        self._capacity_scale = check_positive("scale", scale)
         for dispatcher in self._dispatchers.values():
             dispatcher.capacity_per_second = self.capacity_per_second * self._capacity_scale
         return previous

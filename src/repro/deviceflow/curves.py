@@ -31,6 +31,9 @@ class TrafficCurve:
         Display name (appears in Table II).
     validation_points:
         Grid resolution used to check non-negativity and boundedness.
+
+    ``fn`` must be pure: the curve memoises what discretisation reads
+    (:meth:`grid_area_peak`, :meth:`segment_areas`) for its own lifetime.
     """
 
     def __init__(
@@ -49,6 +52,8 @@ class TrafficCurve:
         self.domain = (low, high)
         self.name = name
         self._validate(validation_points)
+        self._grid_area_peak: tuple[float, float] | None = None
+        self._segment_areas: dict[tuple[float, int], np.ndarray] = {}
 
     def _validate(self, n_points: int) -> None:
         grid = np.linspace(self.domain[0], self.domain[1], n_points)
@@ -74,6 +79,32 @@ class TrafficCurve:
         """Trapezoidal area under the curve over its whole domain."""
         grid = np.linspace(self.domain[0], self.domain[1], n_points)
         return float(np.trapezoid(self(grid), grid))
+
+    def grid_area_peak(self) -> tuple[float, float]:
+        """Trapezoidal area and peak value on a 4,096-point domain grid, computed once."""
+        if self._grid_area_peak is None:
+            grid = np.linspace(self.domain[0], self.domain[1], 4096)
+            values = self(grid)
+            self._grid_area_peak = (float(np.trapezoid(values, grid)), float(values.max()))
+        return self._grid_area_peak
+
+    def segment_areas(self, interval_seconds: float, n_ticks: int) -> np.ndarray:
+        """Per-tick areas of the curve scaled onto ``[0, interval_seconds]``, computed once per pair.
+
+        Window edges map onto the domain and each tick integrates a
+        16-point trapezoid sub-grid, so narrow spikes are not lost between
+        edges.  The array is read-only: it is the memo itself.
+        """
+        key = (interval_seconds, n_ticks)
+        areas = self._segment_areas.get(key)
+        if areas is None:
+            sub = 16
+            fine = np.linspace(0.0, interval_seconds, n_ticks * sub + 1)
+            v = self(self.domain[0] + self.width * fine / interval_seconds)
+            areas = (np.diff(fine) * (v[1:] + v[:-1]) / 2.0).reshape(n_ticks, sub).sum(axis=1)
+            areas.flags.writeable = False
+            self._segment_areas[key] = areas
+        return areas
 
     def to_actual_time(self, interval_seconds: float) -> Callable[[np.ndarray], np.ndarray]:
         """Rate as a function of actual elapsed seconds in ``[0, T]``.

@@ -12,6 +12,12 @@
 3. "the corresponding dispatching quantity is calculated for each discrete
    interval based on the AUC ratios with total AUC, and the starting point
    of the interval is taken as the transmission time point."
+
+Only step 3 depends on the message total.  The curve's grid area and peak
+(step 2's input) and its per-tick AUC for each ``(window, tick count)``
+are pure functions of the curve, memoised on the :class:`TrafficCurve`
+itself, so a strategy that discretises the same curve every round
+evaluates it once per distinct tick count, not once per round.
 """
 
 from __future__ import annotations
@@ -61,10 +67,7 @@ def choose_tick_width(
         raise ValueError("total_messages must be positive")
     if capacity_per_second <= 0:
         raise ValueError("capacity_per_second must be positive")
-    grid = np.linspace(curve.domain[0], curve.domain[1], 4096)
-    values = curve(grid)
-    area = float(np.trapezoid(values, grid))
-    peak = float(values.max())
+    area, peak = curve.grid_area_peak()
     # Peak dispatch rate in messages per actual second after scaling the
     # AUC to total_messages and the domain to the window.
     peak_rate = total_messages * peak * curve.width / (area * interval_seconds)
@@ -91,7 +94,9 @@ def discretize_curve(
     Message conservation is exact: tick counts are produced by cumulative
     rounding of the scaled AUC, so ``sum(counts) == total_messages``
     regardless of tick width or curve shape.  Ticks with a zero quantity
-    are dropped (no empty transmissions).
+    are dropped (no empty transmissions).  The per-tick areas come from
+    :meth:`TrafficCurve.segment_areas`, so a repeat call for the same
+    window and tick count only redoes the rounding.
     """
     if tick_width is None:
         tick_width = choose_tick_width(curve, interval_seconds, total_messages, capacity_per_second)
@@ -99,17 +104,7 @@ def discretize_curve(
         raise ValueError("tick_width must be positive")
     n_ticks = max(1, int(np.ceil(interval_seconds / tick_width)))
     edges = np.linspace(0.0, interval_seconds, n_ticks + 1)
-
-    # Map window edges onto the curve domain and integrate per tick with a
-    # fine sub-grid so narrow spikes are not lost between edges.
-    low, width = curve.domain[0], curve.width
-    sub = 16
-    fine = np.linspace(0.0, interval_seconds, n_ticks * sub + 1)
-    values = curve(low + width * fine / interval_seconds)
-    segment_area = np.zeros(n_ticks)
-    for i in range(n_ticks):
-        chunk = slice(i * sub, (i + 1) * sub + 1)
-        segment_area[i] = np.trapezoid(values[chunk], fine[chunk])
+    segment_area = curve.segment_areas(interval_seconds, n_ticks)
     total_area = float(segment_area.sum())
     if total_area <= 0:
         raise ValueError("curve has zero area over the dispatch window")

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.deviceflow.messages import MessageBlock
 from repro.deviceflow.shelf import SegmentQueue, Shelf
+from repro.ml.optimizer import check_positive
 from repro.simkernel import Signal, Simulator, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,13 +91,11 @@ class Dispatcher:
         capacity_per_second: float,
         rng: np.random.Generator,
     ) -> None:
-        if capacity_per_second <= 0:
-            raise ValueError("capacity_per_second must be positive")
         self.sim = sim
         self.shelf = shelf
         self.strategy = strategy
         self.downstream = downstream
-        self.capacity_per_second = float(capacity_per_second)
+        self.capacity_per_second = check_positive("capacity_per_second", capacity_per_second)
         self.rng = rng
         # Counters and logs for monitoring / figure regeneration.
         self.dispatched = 0

@@ -23,6 +23,7 @@ from collections.abc import Sequence
 from repro.deviceflow.curves import TrafficCurve
 from repro.deviceflow.discretize import DispatchTick, discretize_curve
 from repro.deviceflow.dispatcher import Dispatcher
+from repro.ml.optimizer import check_finite, check_positive
 
 
 class DispatchStrategy:
@@ -206,16 +207,19 @@ class TimeIntervalStrategy(DispatchStrategy):
         discard_per_tick: int = 0,
         tick_width: float | None = None,
     ) -> None:
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
+        interval_seconds = check_positive("interval_seconds", interval_seconds)
         if not relative and start_time is None:
             raise ValueError("absolute mode requires start_time")
+        if start_time is not None:
+            start_time = check_finite("start_time", start_time)
+        if tick_width is not None:
+            tick_width = check_positive("tick_width", tick_width)
         if not 0.0 <= failure_prob <= 1.0:
             raise ValueError("failure_prob must be in [0, 1]")
         if discard_per_tick < 0:
             raise ValueError("discard_per_tick must be >= 0")
         self.curve = curve
-        self.interval_seconds = float(interval_seconds)
+        self.interval_seconds = interval_seconds
         self.relative = relative
         self.start_time = start_time
         self.failure_prob = float(failure_prob)

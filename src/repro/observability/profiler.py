@@ -4,7 +4,7 @@ The ROADMAP's next scaling steps (whole-platform sharding, the 1M-device
 milestone) need the *measured* bottleneck, not the guessed one.  This
 profiler patches a fixed set of synchronous hot-path methods — the
 kernel's ``step_batch`` loop, dataset synthesis, wave scheduling, numeric block execution,
-DeviceFlow submission and dispatch, transport routing, cloud ingestion,
+DeviceFlow submission, interval scheduling and dispatch, transport routing, cloud ingestion,
 aggregation folds, alarm evaluation —
 and accounts real ``perf_counter`` time to each, with *self time* (a
 method's elapsed time minus the profiled calls it made) attributed via an
@@ -45,6 +45,7 @@ PROFILE_POINTS: tuple[tuple[str, str, str, str], ...] = (
     ("repro.phones.phonemgr", "PhoneMgr", "_sampler_tick", "phones.sampler"),
     ("repro.deviceflow.controller", "DeviceFlow", "submit_block", "deviceflow.submit"),
     ("repro.deviceflow.dispatcher", "Dispatcher", "dispatch", "deviceflow.dispatch"),
+    ("repro.deviceflow.strategy", "TimeIntervalStrategy", "on_round_complete", "deviceflow.interval_schedule"),
     ("repro.cloud.transport", "TransportChannel", "_route", "transport.route"),
     ("repro.cloud.sink", "CloudIngestSink", "accept_block", "cloud.ingest_block"),
     ("repro.cloud.sink", "CloudIngestSink", "flow_receive", "cloud.flow_receive"),
@@ -161,14 +162,14 @@ class RunProfiler:
         rows = self.rows()
         accounted = sum(row.self_s for row in rows)
         lines = [
-            f"{'#':>3} {'subsystem':<26} {'calls':>9} {'total s':>9} "
+            f"{'#':>3} {'subsystem':<28} {'calls':>9} {'total s':>9} "
             f"{'self s':>9} {'self %':>7}"
         ]
         for rank, row in enumerate(rows, start=1):
             share = (row.self_s / wall_s * 100.0) if wall_s > 0 else 0.0
             lines.append(
-                f"{rank:>3} {row.category:<26} {row.calls:>9} {row.total_s:>9.3f} "
+                f"{rank:>3} {row.category:<28} {row.calls:>9} {row.total_s:>9.3f} "
                 f"{row.self_s:>9.3f} {share:>6.1f}%"
             )
-        lines.append(f"    {'accounted':<26} {'':>9} {'':>9} {accounted:>9.3f} of {wall_s:.3f}s wall")
+        lines.append(f"    {'accounted':<28} {'':>9} {'':>9} {accounted:>9.3f} of {wall_s:.3f}s wall")
         return "\n".join(lines)

@@ -157,6 +157,7 @@ class PopulationSpec:
         except ValueError as exc:
             raise ValueError(f"network_mix {exc}") from None
         self._availability = DiurnalAvailability(self.night_peak, self.evening_peak, self.base_level)
+        self._traffic_curve: TrafficCurve | None = None
 
     def upload_failure_prob(self) -> float:
         """Population-average transmission-failure probability.
@@ -169,8 +170,15 @@ class PopulationSpec:
         return 1.0 - (1.0 - network) * (1.0 - self.dropout_prob)
 
     def traffic_curve(self) -> TrafficCurve:
-        """Aggregate upload-rate curve over UTC (feeds interval dispatch)."""
-        return population_traffic_curve(self._timezones, self._availability)
+        """Aggregate upload-rate curve over UTC (feeds interval dispatch).
+
+        One curve per population, built on first call and kept: every
+        interval tenant's task shares it, so the AUC tables the curve
+        memoises (one per window and tick count) are computed once per run.
+        """
+        if self._traffic_curve is None:
+            self._traffic_curve = population_traffic_curve(self._timezones, self._availability)
+        return self._traffic_curve
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,12 @@ completion time of a row delivered directly; the arrival a channel stamps
 on what it delivers); flow-dispatched traffic is gated at dispatcher
 delivery, against ``sim.now``.
 
-Shared with ``src/``: the kernel, the ``ChannelModel`` draw logic and its
-counters, the aggregation triggers, and the ``AggregationRecord`` /
-``ModelUpdate`` records.  DeviceFlow is the per-message one in
+Shared with ``src/``: the kernel, the ``ChannelModel`` window queries
+(``windows_for`` / ``in_outage`` / ``loss_prob_at`` / ``dup_prob_at``) and the
+transport counters, the aggregation triggers, and the ``AggregationRecord`` /
+``ModelUpdate`` records.  The per-attempt upload planner is this oracle's
+own (:func:`plan_upload`); ``ChannelModel.plan_upload`` must equal it plan
+for plan and draw for draw.  DeviceFlow is the per-message one in
 ``reference.deviceflow_reference``.  The storage hop is this oracle's own
 (``src/`` folds the updates a block carries inline and stores nothing):
 its fold reads each update back from :class:`ReferenceStorage`.
@@ -33,12 +36,35 @@ from typing import Any
 import numpy as np
 
 from repro.cloud.aggregation import AggregationRecord
-from repro.cloud.transport import TransportCounters
+from repro.cloud.transport import TransportCounters, UploadPlan
 from repro.ml.fedavg import ModelUpdate
 from repro.simkernel import Signal
 
 from reference.deviceflow_reference import Message
 from reference.tier_reference import DeviceRoundOutcome
+
+
+def plan_upload(model, rng, t0: float, scope) -> UploadPlan:
+    """Plan one upload the per-attempt way: one window query per attempt and kind."""
+    scope = model.windows_for(scope)
+    t_send = float(t0)
+    for attempt in range(1, model.max_attempts + 1):
+        if model.in_outage(t_send, scope):
+            lost = True  # the service rejects the send outright
+        else:
+            p = model.loss_prob_at(t_send, scope)
+            lost = p > 0.0 and rng.random() < p
+        if not lost:
+            arrival = t_send + model.latency_s
+            if model.jitter_s > 0.0:
+                arrival += rng.random() * model.jitter_s
+            q = model.dup_prob_at(t_send, scope)
+            duplicate = q > 0.0 and rng.random() < q
+            return UploadPlan(arrival=arrival, retries=attempt - 1, duplicate=duplicate)
+        if attempt < model.max_attempts:
+            backoff = min(model.retry_cap_s, model.retry_base_s * (2.0 ** (attempt - 1)))
+            t_send += backoff * (0.5 + 0.5 * rng.random())
+    return UploadPlan(arrival=None, retries=model.max_attempts - 1, duplicate=False)
 
 
 def fedavg(updates) -> tuple[np.ndarray, float]:
@@ -311,7 +337,7 @@ class ReferenceTransportChannel:
         self.round.uploads += 1
         rng = self.streams.get(f"transport.{self.task_id}.{outcome.device_id}")
         t0 = float(outcome.finished_at)
-        plan = self.model.plan_upload(rng, t0, self.scope)
+        plan = plan_upload(self.model, rng, t0, self.scope)
         self.round.retries += plan.retries
         tracer = self.tracer
         if tracer is not None:

@@ -15,7 +15,9 @@ final random state against it.  Do not optimise it.
 Only the kernel (``Simulator`` / ``Signal`` / ``Timeout`` / ``RandomStreams``),
 the ``TimePoint`` / ``TaskFlowStats`` records and the pure
 ``discretize_curve`` function are shared with ``src/``; the per-device
-:class:`Message` lives here.
+:class:`Message` lives here, and so does the per-tick trapezoid loop
+(:func:`segment_areas`) that ``TrafficCurve.segment_areas`` must equal bit
+for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,19 @@ from repro.deviceflow.strategy import TimePoint
 from repro.simkernel import RandomStreams, Signal, Simulator, Timeout
 
 _message_counter = itertools.count()
+
+
+def segment_areas(curve: TrafficCurve, interval_seconds: float, n_ticks: int) -> np.ndarray:
+    """Per-tick AUC of ``curve`` scaled onto the window, one ``np.trapezoid`` per tick."""
+    low, width = curve.domain[0], curve.width
+    sub = 16
+    fine = np.linspace(0.0, interval_seconds, n_ticks * sub + 1)
+    values = curve(low + width * fine / interval_seconds)
+    segment_area = np.zeros(n_ticks)
+    for i in range(n_ticks):
+        chunk = slice(i * sub, (i + 1) * sub + 1)
+        segment_area[i] = np.trapezoid(values[chunk], fine[chunk])
+    return segment_area
 
 
 @dataclass

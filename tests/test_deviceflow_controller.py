@@ -15,6 +15,7 @@ from reference.deviceflow_reference import (
 
 from repro.deviceflow import (
     DeviceFlow,
+    Dispatcher,
     MessageBlock,
     RealTimeAccumulatedStrategy,
     Shelf,
@@ -289,6 +290,24 @@ class TestTimeIntervalStrategy:
         with pytest.raises(ValueError):
             TimeIntervalStrategy(curve, 10.0, failure_prob=2.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"interval_seconds": float("nan")}, "interval_seconds"),
+            ({"interval_seconds": float("inf")}, "interval_seconds"),
+            ({"tick_width": 0.0}, "tick_width"),
+            ({"tick_width": -1.0}, "tick_width"),
+            ({"tick_width": float("nan")}, "tick_width"),
+            ({"relative": False, "start_time": float("nan")}, "start_time"),
+        ],
+    )
+    def test_non_finite_numbers_rejected_at_construction(self, kwargs, field):
+        # Each used to pass construction and fail only at round completion
+        # (float NaN to integer, tick_width must be positive, cannot schedule at nan).
+        kwargs = {"interval_seconds": 10.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            TimeIntervalStrategy(right_tailed_normal(1.0), **kwargs)
+
 
 class TestDeviceFlowFacade:
     def test_task_isolation(self):
@@ -332,6 +351,21 @@ class TestDeviceFlowFacade:
         sim.run()
         flow.unregister_task("t1")
         assert flow.task_ids == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_capacity_must_be_finite_and_positive(self, bad):
+        # A NaN / inf capacity used to be accepted and crash the sender on int(round(...)).
+        with pytest.raises(ValueError, match="^capacity_per_second must be a finite number > 0"):
+            DeviceFlow(Simulator(), RandomStreams(0), capacity_per_second=bad)
+        with pytest.raises(ValueError, match="^capacity_per_second must be a finite number > 0"):
+            Dispatcher(
+                Simulator(), Shelf("t1"), RealTimeAccumulatedStrategy([1]), lambda segment: None,
+                capacity_per_second=bad, rng=np.random.default_rng(0),
+            )
+        flow = DeviceFlow(Simulator(), RandomStreams(0))
+        with pytest.raises(ValueError, match="^scale must be a finite number > 0"):
+            flow.set_capacity_scale(bad)
+        assert flow.capacity_scale == 1.0
 
     def test_stats_accounting_identity(self):
         strategy = RealTimeAccumulatedStrategy([3], failure_prob=0.2)

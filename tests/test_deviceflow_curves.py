@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.deviceflow_reference import segment_areas as reference_segment_areas
 
 from repro.deviceflow import (
     TABLE2_CURVES,
@@ -17,6 +18,16 @@ from repro.deviceflow import (
     sin_plus_one,
 )
 from repro.deviceflow.discretize import DispatchTick, choose_tick_width, schedule_correlation
+from repro.scenarios import (
+    ArrivalSpec,
+    DispatchSpec,
+    GradeSpec,
+    PopulationSpec,
+    ScenarioRunner,
+    ScenarioSpec,
+    TenantSpec,
+)
+from repro.scenarios import spec as spec_module
 
 
 class TestTrafficCurveValidation:
@@ -147,3 +158,91 @@ class TestDiscretization:
         counts = [t.count for t in ticks]
         # Allow rounding jitter of one message between adjacent ticks.
         assert all(b >= a - 1 for a, b in zip(counts, counts[1:]))
+
+
+def population_curve() -> TrafficCurve:
+    return PopulationSpec().traffic_curve()
+
+
+class TestDiscretisationMemo:
+    """The curve memoises its pure discretisation inputs; the results never change."""
+
+    def test_segment_areas_equal_the_per_tick_loop_bit_for_bit(self):
+        for curve in (*TABLE2_CURVES, right_tailed_normal(2.0), population_curve()):
+            for interval in (1.0, 30.0, 60.0, 300.0, 3600.0):
+                for n_ticks in (1, 2, 24, 60, 300, 1000):
+                    got = curve.segment_areas(interval, n_ticks)
+                    want = reference_segment_areas(curve, interval, n_ticks)
+                    assert got.tobytes() == want.tobytes(), (curve.name, interval, n_ticks)
+
+    def test_memoised_tables_give_the_same_ticks_as_a_fresh_curve(self):
+        for make in (lambda: gaussian_pdf(1.0), sin_plus_one, population_curve):
+            warm = make()
+            for total in (7, 700, 70_000):  # tables for other totals, other tick counts
+                discretize_curve(warm, 60.0, total, 700.0, None)
+                discretize_curve(warm, 300.0, total, 35.0, None)
+            for total in (1, 500, 9_999, 123_456):
+                for interval, capacity, tick in ((60.0, 700.0, None), (300.0, 35.0, None), (60.0, 700.0, 2.0)):
+                    assert discretize_curve(warm, interval, total, capacity, tick) == discretize_curve(
+                        make(), interval, total, capacity, tick
+                    )
+
+    def test_grid_statistics_and_areas_are_computed_once(self):
+        calls = []
+        base = gaussian_pdf(1.0)
+        curve = TrafficCurve(lambda t: calls.append(len(t)) or base.fn(t), base.domain)
+        calls.clear()  # construction validated the curve
+        for total in (100, 100, 101):
+            discretize_curve(curve, 60.0, total, 700.0, None)
+        assert calls == [4096, 60 * 16 + 1]
+        areas = curve.segment_areas(60.0, 60)
+        assert not areas.flags.writeable
+        assert curve.grid_area_peak() is curve.grid_area_peak()
+
+    def test_a_population_keeps_one_curve(self):
+        population = PopulationSpec()
+        assert population.traffic_curve() is population.traffic_curve()
+        assert PopulationSpec().traffic_curve() is not population.traffic_curve()
+
+    def test_interval_tenant_evaluates_its_curve_a_fixed_number_of_times(self, monkeypatch):
+        # Tripwire: k tasks x r rounds of one interval tenant cost the same
+        # curve evaluations as one round of one task (construction, grid,
+        # one AUC table), however many curves the spec is asked for.
+        calls = [0]
+        real = spec_module.population_traffic_curve
+
+        def counting_curve(timezones, availability):
+            curve = real(timezones, availability)
+
+            def counted(t):
+                calls[0] += 1
+                return curve.fn(t)
+
+            return TrafficCurve(counted, curve.domain, name=curve.name)
+
+        monkeypatch.setattr(spec_module, "population_traffic_curve", counting_curve)
+
+        def evaluations(tasks: int, rounds: int) -> int:
+            calls[0] = 0
+            spec = ScenarioSpec(
+                name="interval-tripwire",
+                seed=0,
+                horizon_s=100_000.0,
+                tenants=[
+                    TenantSpec(
+                        name="interval",
+                        rounds=rounds,
+                        grades=[GradeSpec(grade="High", n_devices=40, bundles=4)],
+                        arrival=ArrivalSpec(kind="periodic", count=tasks, period_s=2000.0),
+                        dispatch=DispatchSpec(kind="interval", interval_s=120.0),
+                    )
+                ],
+            )
+            report = ScenarioRunner(spec).run()
+            assert report.tenants["interval"].completed == tasks
+            return calls[0]
+
+        assert evaluations(1, 1) == 3
+        assert evaluations(3, 1) == 3
+        assert evaluations(1, 3) == 3
+        assert evaluations(3, 2) == 3

@@ -298,6 +298,9 @@ class TestRunProfiler:
         # ...and flow-attached ones: the traffic controller is named, from
         # submission (scalar and block share one routine) to cloud delivery.
         assert {"deviceflow.submit", "deviceflow.dispatch", "cloud.flow_receive"} <= categories
+        # Its uplink tenant dispatches over an interval: the per-round
+        # discretisation is named, not folded into kernel.step_batch.
+        assert "deviceflow.interval_schedule" in categories
         assert not hasattr(SyntheticAvazu.generate, "__profiled_original__")
         for row in rows:
             assert row.calls > 0

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.cloud_reference import fedavg
+from reference.cloud_reference import plan_upload as reference_plan_upload
 
 from repro.cloud import (
     AggregationService,
@@ -29,6 +30,7 @@ from repro.cloud import (
     CloudIngestSink,
 )
 from repro.cloud.aggregation import AggregationTrigger
+from repro.cloud.transport import WINDOW_KINDS
 from repro.deviceflow import MessageBlock
 from repro.ml.backends import SERVER_BACKEND
 from repro.ml.fedavg import ModelUpdate
@@ -215,6 +217,59 @@ class TestChannelModel:
             ChannelWindow(kind="flood", at=0.0, until=1.0)
         with pytest.raises(ValueError, match=re.escape("until=1.0 <= at=2.0")):
             ChannelWindow(kind="loss", at=2.0, until=1.0)
+
+
+# ----------------------------------------------------------------------
+# planner vs the per-attempt oracle
+# ----------------------------------------------------------------------
+# Whole-second times alongside arbitrary ones, so sends land exactly on window edges.
+def times(low: float, high: float):
+    return st.one_of(st.integers(int(low), int(high)).map(float), st.floats(low, high))
+
+
+channel_windows = st.builds(
+    lambda kind, at, length, prob, tenant: ChannelWindow(
+        kind=kind, at=at, until=at + length, prob=prob, tenant=tenant
+    ),
+    kind=st.sampled_from(WINDOW_KINDS),
+    at=times(0.0, 300.0),
+    length=times(1.0, 200.0),
+    prob=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    tenant=st.sampled_from(["", "a", "b"]),
+)
+channel_models = st.builds(
+    ChannelModel,
+    latency_s=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    jitter_s=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    loss_prob=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+    dup_prob=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    retry_base_s=st.floats(0.5, 10.0),
+    retry_cap_s=st.floats(1.0, 60.0),
+    max_attempts=st.integers(1, 6),
+    windows=st.lists(channel_windows, max_size=8),
+)
+
+
+class TestPlannerMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=channel_models,
+        scope=st.sampled_from(["", "a", "b"]),
+        resolved=st.booleans(),
+        t0s=st.lists(times(0.0, 400.0), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_plans_and_same_draw_count(self, model, scope, resolved, t0s, seed):
+        # A tenant's name and the ScopeWindows resolved for it are the same scope.
+        scope_arg = model.windows_for(scope) if resolved else scope
+        mine = RandomStreams(seed).fresh("transport.t.dev")
+        oracle = RandomStreams(seed).fresh("transport.t.dev")
+        for t0 in t0s:
+            assert model.plan_upload(mine, t0, scope_arg) == reference_plan_upload(
+                model, oracle, t0, scope
+            )
+        # Equal next draws: both planners consumed the same number of draws.
+        assert mine.random() == oracle.random()
 
 
 # ----------------------------------------------------------------------
