@@ -246,6 +246,13 @@ class DeviceFlow:
             dropped_discard=dispatcher.dropped_discard,
         )
 
+    def drained(self, task_id: str) -> bool:
+        """Nothing shelved, and every message received was delivered or dropped."""
+        dispatcher = self._require(task_id)
+        return not len(dispatcher.shelf) and (
+            dispatcher.delivered + dispatcher.dropped_failure + dispatcher.dropped_discard >= self._received[task_id]
+        )
+
     def _require(self, task_id: str) -> Dispatcher:
         if task_id not in self._dispatchers:
             raise KeyError(f"task {task_id!r} is not registered with DeviceFlow")

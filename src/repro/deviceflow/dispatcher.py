@@ -39,11 +39,17 @@ and a differential test holds this module to them.
 * **Delivery.**  The downstream endpoint is called once per segment of a
   delivered chunk, in FIFO order, after adjacent compatible blocks were
   coalesced: one ``MessageBlock`` per run of joinable rows.
+* **Transmission.**  The sender is a chain of kernel callbacks, one event
+  per chunk, woken one event after the enqueue that found it idle.  The
+  chunk size (``capacity * CHUNK_SECONDS`` rows) is fixed at that wake-up
+  for the whole busy period; the rate is read per chunk, so a capacity
+  change between enqueue and wake-up resizes the chunks, and one
+  mid-burst only retimes them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
+from collections.abc import Callable
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -52,7 +58,7 @@ import numpy as np
 from repro.deviceflow.messages import MessageBlock
 from repro.deviceflow.shelf import SegmentQueue, Shelf
 from repro.ml.optimizer import check_positive
-from repro.simkernel import Signal, Simulator, Timeout
+from repro.simkernel import Signal, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.deviceflow.strategy import DispatchStrategy
@@ -105,9 +111,9 @@ class Dispatcher:
         self.dispatch_log: list[tuple[float, int]] = []
         self.delivery_log: list[tuple[float, int]] = []
         self._send_queue = SegmentQueue()
-        self._sender_busy = False
+        # Fired while the sender is idle, so it starts fired.
         self.idle = Signal(name=f"dispatcher.{shelf.task_id}.idle")
-        self.idle.fire()  # starts idle
+        self.idle.fire()
         strategy.bind(self)
 
     # ------------------------------------------------------------------
@@ -241,29 +247,36 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def _enqueue(self, segments: list[MessageBlock], rows: int) -> None:
         self._send_queue.extend(segments, rows)
-        if not self._sender_busy:
-            self._sender_busy = True
+        if self.idle.fired:
             self.idle = Signal(name=f"dispatcher.{self.shelf.task_id}.idle")
-            self.sim.process(self._sender(), name=f"dispatcher.{self.shelf.task_id}.sender")
+            self.sim.schedule(0.0, self._send_next, 0)
 
-    def _sender(self) -> Generator:
-        """Rate-limited transmission loop, one chunk per simulated hop.
+    def _send_next(self, chunk_rows: int) -> None:
+        """Start the next chunk, or go idle; ``chunk_rows == 0`` is the wake-up ("Transmission").
 
-        Each chunk is extracted as row ranges — batch-aware in the DCSim
-        sense — while keeping the seed semantics exactly: a chunk's
-        membership is decided when its transmission *starts*, so messages
-        dispatched while a chunk is in flight join the stream right behind
-        it.
+        A chunk's membership is decided when its transmission *starts*, so
+        messages dispatched while a chunk is in flight join the stream
+        right behind it.  A failure aborts the run as a failing process would.
         """
-        chunk_capacity = max(1, int(round(self.capacity_per_second * self.CHUNK_SECONDS)))
-        queue = self._send_queue
-        while len(queue):
-            rows = min(chunk_capacity, len(queue))
-            chunk = queue.take(rows)
-            yield Timeout(rows / self.capacity_per_second)
+        try:
+            chunk_rows = chunk_rows or max(1, int(round(self.capacity_per_second * self.CHUNK_SECONDS)))
+            rows = min(chunk_rows, len(self._send_queue))
+            if rows:
+                chunk = self._send_queue.take(rows)
+                self.sim.schedule(rows / self.capacity_per_second, self._chunk_sent, chunk, rows, chunk_rows)
+            else:
+                self.idle.fire()
+        except Exception as exc:
+            self.sim._report_orphan_failure(f"dispatcher.{self.shelf.task_id}.sender", exc)
+
+    def _chunk_sent(self, chunk: list[MessageBlock], rows: int, chunk_rows: int) -> None:
+        """A chunk finished transmitting: hand it downstream, then send the next."""
+        try:
             for segment in MessageBlock.coalesce(chunk):
                 self.downstream(segment)
             self.delivered += rows
             self.delivery_log.append((self.sim.now, rows))
-        self._sender_busy = False
-        self.idle.fire()
+        except Exception as exc:
+            self.sim._report_orphan_failure(f"dispatcher.{self.shelf.task_id}.sender", exc)
+        else:
+            self._send_next(chunk_rows)

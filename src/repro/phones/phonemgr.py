@@ -271,22 +271,31 @@ class PhoneMgr(TierRounds):
             raise
         # Framework startups launch only after *every* plan has selected
         # and installed — a mid-prepare failure must not leave orphaned
-        # startup processes driving phones that were just released.
-        startups = [
-            self.sim.process(
-                self._start_framework(phone, grade),
-                name=f"{task_id}.{phone.serial}.startup",
-            )
-            for phone, grade in startup_targets
-        ]
+        # startup callbacks driving phones that were just released.
+        startups = []
+        for phone, grade in startup_targets:
+            startups.append(Signal(name=f"{task_id}.{phone.serial}.startup"))
+            self.sim.schedule(0.0, self._start_framework, phone, grade, startups[-1], False)
         if startups:
             yield AllOf(startups)
 
-    def _start_framework(self, phone: VirtualPhone, grade: str) -> Generator:
-        yield from self._control_latency(phone)
-        self.adb.shell(phone.serial, f"pm clear {self.apk.package}")
-        self.adb.shell(phone.serial, f"am start -n {self.apk.component}")
-        yield Timeout(self.cost_model.startup_duration(grade))
+    def _start_framework(self, phone: VirtualPhone, grade: str, started: Signal, latency_paid: bool) -> None:
+        """Kernel callbacks starting one phone's framework; ``started`` fires once it is up.
+
+        Control latency (MSP phones), ``pm clear`` + ``am start``, then the
+        lambda startup.  A failure fails ``started``: this task's
+        ``prepare`` fails, and nothing else.
+        """
+        try:
+            latency = self.cost_model.msp_control_latency
+            if not latency_paid and phone.is_msp and latency > 0:
+                self.sim.schedule(latency, self._start_framework, phone, grade, started, True)
+                return
+            self.adb.shell(phone.serial, f"pm clear {self.apk.package}")
+            self.adb.shell(phone.serial, f"am start -n {self.apk.component}")
+            self.sim.schedule(self.cost_model.startup_duration(grade), started.fire)
+        except Exception as exc:
+            started.fail(exc)
 
     def _control_latency(self, phone: VirtualPhone) -> Generator:
         if phone.is_msp and self.cost_model.msp_control_latency > 0:

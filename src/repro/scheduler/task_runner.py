@@ -50,7 +50,7 @@ from repro.scheduler.allocation import (
     solve_allocation,
 )
 from repro.scheduler.task import TaskSpec, TaskState
-from repro.simkernel import AllOf, RandomStreams, Simulator, Timeout
+from repro.simkernel import AllOf, RandomStreams, RecurringTimeout, Signal, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.tracing import Tracer
@@ -169,6 +169,7 @@ class TaskRunner:
         self._channel: TransportChannel | None = None
         self._open_round: int | None = None
         self._flow_registered = False
+        self._drain_tick: RecurringTimeout | None = None
         self.logical = LogicalSimulation(sim, cluster, self.logical_cost, self.streams)
         self.phonemgr = PhoneMgr(
             sim,
@@ -425,7 +426,7 @@ class TaskRunner:
             counters = yield from self._channel.finish_round()
         if uses_flow:
             self.deviceflow.round_completed(spec.task_id, round_index)
-            yield self.sim.process(self._await_deliveries(), name=f"{spec.task_id}.drain")
+            yield self._await_deliveries()
         if counters is not None:
             self.monitor.log(
                 "transport_round",
@@ -461,18 +462,30 @@ class TaskRunner:
         if self.tracer is not None:
             self.tracer.record_round_end(spec.task_id, round_index, self.sim.now)
 
-    def _await_deliveries(self) -> Generator:
-        """Block until DeviceFlow has delivered or dropped everything.
+    def _await_deliveries(self) -> Signal:
+        """A signal that fires once DeviceFlow has delivered or dropped everything.
 
-        ``received`` is frozen once the round's computation is done, so
-        the drain condition is monotone and this loop terminates for any
-        bounded strategy schedule.
+        A 1-s tick from now on (:meth:`_poll_drain`), at the instants and
+        same-time places of the polling process it replaced.  ``received``
+        is frozen once the round's computation is done, so the drain
+        condition is monotone and the tick stops for any bounded strategy
+        schedule.
         """
-        while True:
-            stats = self.deviceflow.stats(self.spec.task_id)
-            if stats.shelved == 0 and stats.delivered + stats.dropped >= stats.received:
+        drained = Signal(name=f"{self.spec.task_id}.drain")
+        self._drain_tick = self.sim.schedule_recurring(1.0, self._poll_drain, drained, first_at=self.sim.now)
+        return drained
+
+    def _poll_drain(self, drained: Signal) -> None:
+        """One drain poll; an error fails ``drained``, so it reaches the round."""
+        try:
+            if not self.deviceflow.drained(self.spec.task_id):
                 return
-            yield Timeout(1.0)
+        except Exception as exc:
+            drained.fail(exc)
+        else:
+            drained.fire()
+        self._drain_tick.cancel()
+        self._drain_tick = None
 
     def _close_flow_round(self, round_index: int) -> None:
         """Deadline closure for flow rounds: drop undispatched messages.

@@ -17,7 +17,11 @@ were scheduled.  A pool's sentinel is such an event — scheduled when the
 pool's earliest deadline was registered, or when the previous drain
 re-armed it — and all of the pool's chunks due at that timestamp fire
 together at the sentinel's position, ties between chunks in
-chunk-insertion order.
+chunk-insertion order.  A process's events are scheduled at fixed points
+(its start at ``sim.process``, a ``Timeout`` at the ``yield``, its
+waiters' wake-up when it finishes), so a chain of callbacks that
+schedules at the same points — a ``Signal`` wakes waiters where a
+finished process did — fires at the same instants in the same order.
 
 Example
 -------

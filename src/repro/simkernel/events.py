@@ -17,7 +17,7 @@ Two hot-path design points:
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 import itertools
 from collections.abc import Callable
 from typing import Any
@@ -56,7 +56,11 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects."""
+    """A deterministic priority queue of :class:`Event` objects.
+
+    ``Simulator.step_batch`` drains same-time runs straight off ``_heap``,
+    keeping ``popped`` and the live count as :meth:`pop` does.
+    """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Event]] = []
@@ -69,7 +73,7 @@ class EventQueue:
     def push(self, time: float, callback: Callable[..., Any], args: tuple) -> Event:
         """Insert ``callback(*args)`` to fire at absolute ``time``; return its handle."""
         event = Event(time, callback, args)
-        heapq.heappush(self._heap, (time, next(self._counter), event))
+        heappush(self._heap, (time, next(self._counter), event))
         self._live += 1
         return event
 
@@ -77,7 +81,7 @@ class EventQueue:
         """Remove and return the earliest non-cancelled event, or ``None``."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[2]
+            event = heappop(heap)[2]
             event.popped = True
             if event.cancelled:
                 continue
@@ -85,39 +89,11 @@ class EventQueue:
             return event
         return None
 
-    def pop_batch(self) -> list[Event]:
-        """Drain the maximal run of events sharing the head's time.
-
-        Returns the events in deterministic ``seq`` order (which equals
-        insertion order).  Returns an empty list when the queue is empty.
-
-        Semantics note: a callback that fires during the batch may cancel a
-        later event of the same batch — callers must re-check
-        ``event.cancelled`` before firing each event (``Simulator.step_batch``
-        does).  A callback that schedules a *new* event at the current
-        timestamp sees it land in a subsequent batch, which matches
-        one-at-a-time ordering.
-        """
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)[2].popped = True
-        if not heap:
-            return []
-        head_time = heap[0][0]
-        batch: list[Event] = []
-        while heap and heap[0][0] == head_time:
-            event = heapq.heappop(heap)[2]
-            event.popped = True
-            if not event.cancelled:
-                batch.append(event)
-        self._live -= len(batch)
-        return batch
-
     def peek_time(self) -> float | None:
         """Time of the earliest pending event without removing it."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)[2].popped = True
+            heappop(heap)[2].popped = True
         if not heap:
             return None
         return heap[0][0]

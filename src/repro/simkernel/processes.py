@@ -141,9 +141,6 @@ class Process(Waitable):
         """Exception that terminated the process, if any."""
         return self._error
 
-    def _start(self) -> None:
-        self._advance(None, None)
-
     def _advance(self, value: Any, error: BaseException | None) -> None:
         if self._done:
             return
@@ -175,7 +172,7 @@ class Process(Waitable):
         for callback in waiters:
             self.sim.schedule(0.0, callback, result, error)
         if error is not None and not waiters:
-            self.sim._report_orphan_failure(self, error)
+            self.sim._report_orphan_failure(self.name, error)
 
     def subscribe(self, sim: Simulator, callback: Callable[[Any, BaseException | None], None]) -> None:
         if self._done:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Generator
+from heapq import heappop
 from typing import Any
 
 from repro.simkernel.events import Event, EventQueue
@@ -113,7 +114,7 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a generator as a process on the next event-loop step."""
         proc = Process(self, generator, name=name)
-        self.schedule(0.0, proc._start)
+        self.schedule(0.0, proc._advance, None, None)
         return proc
 
     # ------------------------------------------------------------------
@@ -139,15 +140,33 @@ class Simulator:
         calls; events cancelled by an earlier callback of the same batch
         are skipped.  Events that a callback schedules at the current
         timestamp land in the *next* batch, which preserves one-at-a-time
-        ordering.
+        ordering.  A batch of one event — most of them — fires without
+        building a batch list.
         """
-        batch = self._queue.pop_batch()
-        if not batch:
+        queue = self._queue
+        heap = queue._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)[2].popped = True
+        if not heap:
             return 0
-        time = batch[0].time
+        time, _, event = heappop(heap)
+        event.popped = True
         if time < self.now:
             raise RuntimeError("event queue produced an event in the past")
         self.now = time
+        if not heap or heap[0][0] != time:
+            queue._live -= 1
+            event.callback(*event.args)
+            if self._pending_error is not None:
+                self._raise_pending()
+            return 1
+        batch = [event]
+        while heap and heap[0][0] == time:
+            event = heappop(heap)[2]
+            event.popped = True
+            if not event.cancelled:
+                batch.append(event)
+        queue._live -= len(batch)
         fired = 0
         for event in batch:
             if event.cancelled:
@@ -169,8 +188,8 @@ class Simulator:
         (:meth:`step_batch`); firing order is the one repeated
         :meth:`step` calls produce.
         """
-        if until is not None and until < self.now:
-            raise ValueError(f"until={until!r} is in the past (now={self.now!r})")
+        if until is not None and not self.now <= until < math.inf:  # also false for NaN
+            raise ValueError(f"until must be a finite time >= now {self.now!r}, got {until!r}")
         queue = self._queue
         while True:
             next_time = queue.peek_time()
@@ -189,8 +208,11 @@ class Simulator:
         Raises ``TimeoutError`` if ``max_time`` is exceeded or the queue
         drains before the predicate holds.  The predicate is evaluated at
         :meth:`step_batch` boundaries, never between events that were
-        queued for the same timestamp together.
+        queued for the same timestamp together.  ``max_time=inf`` is no
+        bound; NaN is refused rather than read as one.
         """
+        if max_time is not None and math.isnan(max_time):
+            raise ValueError(f"max_time must be a time or None, got {max_time!r}")
         while not predicate():
             next_time = self._queue.peek_time()
             if next_time is None:
@@ -208,8 +230,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # failure handling
     # ------------------------------------------------------------------
-    def _report_orphan_failure(self, process: Process, error: BaseException) -> None:
-        wrapped = ProcessError(f"process {process.name!r} failed with {error!r}")
+    def _report_orphan_failure(self, name: str, error: BaseException) -> None:
+        """End the run after this batch: an unawaited process or callback loop ``name`` failed."""
+        wrapped = ProcessError(f"process {name!r} failed with {error!r}")
         wrapped.__cause__ = error
         self._pending_error = wrapped
 

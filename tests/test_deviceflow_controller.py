@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from helpers import one_row
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference.deviceflow_reference import (
     Message,
@@ -527,6 +527,17 @@ class TestBlocksEqualReference:
         ),
         discard_at=st.sampled_from([None, None, 1.0, 8.5, 47.0]),
         seed=st.integers(min_value=0, max_value=5),
+    )
+    # The sender fixes its chunk size when it wakes, one event after the
+    # enqueue: here the capacity drops (35 -> 7 msg/s) between the two, so
+    # the chunks are one row, not two.
+    @example(
+        recipe={"kind": "realtime", "thresholds": [1], "failure_prob": 0.0, "flush": False},
+        script=[(1.0, 2, True)],
+        capacity=35.0,
+        capacity_event=(1.0, 0.2),
+        discard_at=None,
+        seed=0,
     )
     @settings(max_examples=120, deadline=None)
     def test_mixed_block_and_scalar_traffic_equals_per_message_oracle(

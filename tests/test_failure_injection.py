@@ -19,9 +19,12 @@ from repro import (
     TaskState,
 )
 from repro.cluster import NodeSpec
+from repro.deviceflow import DeviceFlow, MessageBlock
 from repro.ml import Operator, OperatorFlow, standard_fl_flow
 from repro.ml.operators import DownloadModelOp, TrainOp, UploadUpdateOp
+from repro.phones.adb import AdbError, SimulatedAdb
 from repro.scenarios import ScenarioRunner, build_scenario
+from repro.simkernel import ProcessError, RandomStreams, Simulator
 
 
 class ExplodingOperator(Operator):
@@ -263,3 +266,91 @@ class TestSubscriberContainment:
         # Same run: the one extra event is the only difference.
         assert len(monitor.events) == len(plain.platform.monitor.events) + 1
         assert report.to_json() == baseline.to_json()
+
+
+class TestCallbackLoopFailures:
+    """Failures inside kernel-callback loops surface where a process's would.
+
+    Framework start-up and the round's drain poll fail the signal their
+    awaiting process yields; the DeviceFlow sender, which nobody awaits,
+    ends the run with the ``ProcessError`` an unawaited process raises.
+    """
+
+    def test_startup_adb_error_fails_only_its_task(self, monkeypatch):
+        shell = SimulatedAdb.shell
+        failures = []
+
+        def flaky_shell(adb, serial, command):
+            if command.startswith("am start") and not failures:
+                failures.append((serial, command))
+                raise AdbError(f"{serial}: device offline")
+            return shell(adb, serial, command)
+
+        monkeypatch.setattr(SimulatedAdb, "shell", flaky_shell)
+        platform = small_platform()
+        handsets = [task_with_flow(standard_fl_flow(epochs=1), name=f"handsets{i}", n_devices=6) for i in range(2)]
+        bulk = task_with_flow(standard_fl_flow(epochs=1), name="bulk")
+        bulk.grades[0].n_phones = 0
+        platform.submit(handsets[0], fixed_allocation={"High": 3})
+        platform.submit(bulk, fixed_allocation={"High": 4})
+        platform.submit(handsets[1], fixed_allocation={"High": 3})
+        platform.run_until_idle(max_time=1e7)
+
+        failed = platform.result(handsets[0].task_id)
+        assert failed.state is TaskState.FAILED
+        assert failed.error == repr(AdbError(f"{failures[0][0]}: device offline"))
+        assert failed.finished_at == 0.0  # start-up, before any round
+        assert platform.result(bulk.task_id).state is TaskState.COMPLETED
+        assert platform.result(handsets[1].task_id).state is TaskState.COMPLETED
+        assert len(platform._busy_registry) == 0
+        assert platform.resource_manager.active_grants == 0
+
+    def test_raising_downstream_aborts_the_run_naming_the_sender(self):
+        sim = Simulator()
+        flow = DeviceFlow(sim, RandomStreams(0))
+        boom = RuntimeError("cloud endpoint down")
+
+        def downstream(segment):
+            raise boom
+
+        flow.register_task("t", RealTimeAccumulatedStrategy([1]), downstream)
+        flow.round_started("t", 1)
+        flow.submit_block(MessageBlock(task_id="t", round_index=1, device_ids=["a", "b"]))
+        same_instant = []
+        sim.schedule_at(2 / 700, same_instant.append, "fired")
+        with pytest.raises(ProcessError, match=r"^process 'dispatcher\.t\.sender' failed with ") as caught:
+            sim.run()
+        assert caught.value.__cause__ is boom
+        # The run ends once the first chunk's batch has fired, not mid-batch.
+        assert sim.now == 2 / 700
+        assert same_instant == ["fired"]
+        assert flow.dispatcher_for("t").delivered == 0
+
+    def test_drain_poll_error_reaches_the_round(self):
+        platform = small_platform()
+        spec = task_with_flow(standard_fl_flow(epochs=1), name="flowing", n_devices=6)
+        spec.deviceflow_strategy = RealTimeAccumulatedStrategy([2])
+        platform.submit(spec, fixed_allocation={"High": 3})
+        flow = platform.deviceflow
+        round_completed = flow.round_completed
+        completed_at = []
+
+        def poison_after_compute(task_id, round_index):
+            # Nothing writes the discard counter after this; the drain poll
+            # reads it, so the poll is what fails.
+            round_completed(task_id, round_index)
+            flow.dispatcher_for(task_id).dropped_discard = None
+            completed_at.append(platform.sim.now)
+
+        flow.round_completed = poison_after_compute
+        platform.run_until_idle(max_time=1e7)
+
+        result = platform.result(spec.task_id)
+        assert result.state is TaskState.FAILED
+        assert result.error == repr(TypeError("unsupported operand type(s) for +: 'int' and 'NoneType'"))
+        # The first poll, at the instant the round computed, fails the task:
+        # the error went through the round process, not around it.
+        assert result.finished_at == completed_at[0]
+        assert platform.deviceflow.task_ids == []
+        assert len(platform._busy_registry) == 0
+        assert platform.resource_manager.active_grants == 0

@@ -17,6 +17,8 @@ from repro.cluster import LogicalCostModel, NodeSpec
 from repro.cluster.cost import DEFAULT_ALPHA
 from repro.deviceflow import right_tailed_normal
 from repro.ml import standard_fl_flow
+from repro.scenarios import SCENARIOS, ScenarioRunner, build_scenario
+from repro.simkernel import Process
 
 
 def two_grade_task(name="multi", rounds=1, strategy=None, skew=None):
@@ -196,3 +198,29 @@ class TestPlatformConfigValidation:
     def test_unusable_numbers_fail_at_construction_naming_the_field(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             PlatformConfig(**{field: value})
+
+
+class TestProcessCount:
+    """Per-device and per-chunk work runs as kernel callbacks, not generator processes.
+
+    Framework start-up (one per computing phone), the DeviceFlow sender (one
+    per idle-to-busy transition) and the round's drain poll are callback
+    loops; as processes their count would grow with the fleet and the traffic.
+    """
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_processes_per_run_do_not_depend_on_device_count(self, name, monkeypatch):
+        created = [0]
+        init = Process.__init__
+
+        def counting_init(process, *args, **kwargs):
+            created[0] += 1
+            init(process, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting_init)
+        counts = []
+        for scale in (200, 800):
+            created[0] = 0
+            ScenarioRunner(build_scenario(name, scale=scale)).run()
+            counts.append(created[0])
+        assert counts[0] == counts[1], counts

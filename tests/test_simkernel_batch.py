@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.simkernel import Simulator, TimeoutPool
-from repro.simkernel.events import EventQueue
 
 
 class TestEventArgs:
@@ -19,30 +18,69 @@ class TestEventArgs:
 
 
 class TestPopBatch:
+    """Batch membership: exactly the events one ``Simulator.step_batch`` call drains."""
+
     def test_drains_one_timestamp_run(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, ())
-        queue.push(1.0, lambda: None, ())
-        queue.push(2.0, lambda: None, ())
-        batch = queue.pop_batch()
-        assert [e.time for e in batch] == [1.0, 1.0]
-        assert len(queue) == 1
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1.0)
+        sim.schedule(1.0, fired.append, 1.0)
+        sim.schedule(2.0, fired.append, 2.0)
+        assert sim.step_batch() == 2
+        assert fired == [1.0, 1.0]
+        assert sim.pending_events == 1
 
     def test_insertion_order_within_batch(self):
-        queue = EventQueue()
-        events = [queue.push(3.0, lambda: None, ()) for _ in range(5)]
-        assert queue.pop_batch() == events
+        sim = Simulator()
+        fired = []
+        for i in range(5):
+            sim.schedule(3.0, fired.append, i)
+        assert sim.step_batch() == 5
+        assert fired == [0, 1, 2, 3, 4]
 
     def test_skips_cancelled(self):
-        queue = EventQueue()
-        keep = queue.push(1.0, lambda: None, ())
-        drop = queue.push(1.0, lambda: None, ())
-        queue.cancel(drop)
-        assert queue.pop_batch() == [keep]
-        assert len(queue) == 0
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "keep")
+        drop = sim.schedule(1.0, fired.append, "drop")
+        sim.cancel(drop)
+        assert sim.step_batch() == 1
+        assert fired == ["keep"]
+        assert sim.pending_events == 0
 
     def test_empty_queue(self):
-        assert EventQueue().pop_batch() == []
+        assert Simulator().step_batch() == 0
+
+
+class TestOneEventBatch:
+    def test_same_time_event_scheduled_by_a_lone_event_fires_in_the_next_batch(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("first") or sim.schedule(0.0, fired.append, "second"))
+        sim.schedule(2.0, fired.append, "later")
+        assert sim.step_batch() == 1
+        assert fired == ["first"] and sim.now == 1.0
+        assert sim.pending_events == 2
+        assert sim.step_batch() == 1
+        assert fired == ["first", "second"] and sim.now == 1.0
+
+    def test_live_count_and_popped_flag_match_a_batch_drain(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        assert sim.step_batch() == 1
+        assert event.popped and sim.pending_events == 0
+        sim.cancel(event)  # cancelling a fired event leaves the count alone
+        assert sim.pending_events == 0
+
+    def test_error_in_a_lone_event_propagates(self):
+        sim = Simulator()
+
+        def boom():
+            raise ValueError("bang")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(ValueError, match="bang"):
+            sim.step_batch()
 
 
 class TestStepBatch:

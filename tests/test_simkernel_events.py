@@ -133,6 +133,39 @@ class TestSimulatorScheduling:
             sim.run_until(lambda: False, max_time=10.0)
         assert sim.now <= 10.0
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 4.0])
+    def test_run_until_must_be_a_finite_time_not_in_the_past(self, bad):
+        # ``until=inf`` used to park the clock at inf, after which every
+        # ``schedule`` failed; ``until=nan`` used to run with no bound.
+        sim = Simulator()
+        sim.run(until=5.0)
+        seen = []
+        sim.schedule(1.0, seen.append, "next")
+        with pytest.raises(ValueError, match=rf"^until must be a finite time >= now 5\.0, got {bad!r}$"):
+            sim.run(until=bad)
+        assert sim.now == 5.0 and seen == []
+        sim.run(until=6.0)
+        assert seen == ["next"]
+
+    def test_run_until_max_time_nan_rejected_instead_of_unbounded(self):
+        # NaN compares false with every time, so it used to be no bound at all.
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match=r"^max_time must be a time or None, got nan$"):
+            sim.run_until(lambda: sim.now >= 1.0, max_time=float("nan"))
+        assert sim.now == 0.0 and sim.pending_events == 1
+
+    def test_run_until_max_time_inf_is_no_bound(self):
+        sim = Simulator()
+        box = {"n": 0}
+
+        def bump():
+            box["n"] += 1
+            sim.schedule(1.0, bump)
+
+        sim.schedule(1.0, bump)
+        assert sim.run_until(lambda: box["n"] >= 3, max_time=float("inf")) == 3.0
+
     def test_cancel_scheduled_event(self):
         sim = Simulator()
         seen = []
