@@ -201,13 +201,13 @@ class FederatedDataset:
         )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    expz = np.exp(z[~positive])
-    out[~positive] = expz / (1.0 + expz)
-    return out
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Numerically-stable logistic function in ``z``'s precision, branch-free.
+
+    ``exp`` only ever sees ``-|z|``, so it cannot overflow.
+    """
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class SyntheticAvazu:
@@ -343,7 +343,7 @@ class SyntheticAvazu:
         low, high = -15.0, 15.0
         for _ in range(60):
             mid = (low + high) / 2.0
-            if float(_sigmoid(scores + mid).mean()) < self.base_ctr:
+            if float(sigmoid(scores + mid).mean()) < self.base_ctr:
                 low = mid
             else:
                 high = mid
@@ -401,7 +401,7 @@ class SyntheticAvazu:
                 block[:, f] = buckets[cdf.searchsorted(uniforms[index], side="right")]
                 index += stride
             logits = true_weights[block].sum(axis=1) + np.repeat(biases[lo:hi], n)
-            labels[rows] = uniforms[index] < _sigmoid(logits)
+            labels[rows] = uniforms[index] < sigmoid(logits)
             lo = hi
         features.setflags(write=False)
         labels.setflags(write=False)

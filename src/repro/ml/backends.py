@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.avazu import sigmoid
+
 
 @dataclass(frozen=True)
 class NumericBackend:
@@ -68,18 +70,13 @@ class NumericBackend:
             gathered = gathered[:, ::-1]
         scores = np.zeros(len(features), dtype=self.dtype)
         for column in range(gathered.shape[1]):
-            scores = (scores + gathered[:, column]).astype(self.dtype)
-        return (scores + self.cast(biases)[owners]).astype(self.dtype)
+            scores += gathered[:, column]
+        scores += self.cast(biases)[owners]
+        return scores
 
     def sigmoid(self, z: np.ndarray) -> np.ndarray:
         """Numerically-stable logistic function in backend precision."""
-        z = self.cast(z)
-        out = np.empty_like(z)
-        positive = z >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-        expz = np.exp(z[~positive])
-        out[~positive] = expz / (1.0 + expz)
-        return out.astype(self.dtype)
+        return sigmoid(self.cast(z))
 
 
 SERVER_BACKEND = NumericBackend(name="pymnn-server", dtype=np.dtype(np.float64))

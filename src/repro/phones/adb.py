@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import shlex
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -89,19 +90,19 @@ class SimulatedAdb:
         phone = self.phone(serial)
         return n_bytes / phone.spec.network_bandwidth_bps
 
-    def push_durations(self, serial: str, byte_counts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`push_duration` over an array of payload sizes.
+    def push_durations(self, serials: Sequence[str], byte_counts: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`push_duration`: row ``i`` of ``byte_counts`` is pushed to ``serials[i]``.
 
-        Element ``i`` equals ``push_duration(serial, byte_counts[i])``
-        bit-for-bit (one float64 division either way) — the wave-scheduled
-        phone tier stages a whole emulation queue with one array op instead
-        of one bridge call per queued device.
+        Element ``[i, j]`` equals ``push_duration(serials[i], byte_counts[i, j])``
+        bit-for-bit (one float64 division either way) — the phone tier
+        stages every queue of a plan with one array op instead of one
+        bridge call per queued device.
         """
         byte_counts = np.asarray(byte_counts, dtype=np.float64)
         if byte_counts.size and float(byte_counts.min()) < 0:
             raise AdbError("cannot push a negative payload")
-        phone = self.phone(serial)
-        return byte_counts / phone.spec.network_bandwidth_bps
+        bandwidth = [self.phone(serial).spec.network_bandwidth_bps for serial in serials]
+        return byte_counts / np.array(bandwidth, dtype=np.float64)[:, None]
 
     # ------------------------------------------------------------------
     # shell

@@ -8,8 +8,9 @@ exact internal integral too, so tests can bound the sampling error.
 
 from __future__ import annotations
 
-
 import numpy as np
+
+from repro.simkernel.random import NormalReader
 
 
 class BatteryModel:
@@ -23,7 +24,8 @@ class BatteryModel:
         Voltage at mid charge; the terminal voltage sags linearly toward
         ~92% of nominal as the pack empties and with load.
     rng:
-        Seeded generator for sensor noise.
+        Seeded generator for sensor noise, read through a
+        :class:`~repro.simkernel.random.NormalReader`: its only consumer.
     """
 
     #: Relative standard deviation of current readings (sensor ripple).
@@ -37,7 +39,7 @@ class BatteryModel:
         self.capacity_mah = float(capacity_mah)
         self.nominal_voltage_mv = float(nominal_voltage_mv)
         self.consumed_mah = 0.0
-        self._rng = rng
+        self._rng = NormalReader(rng)
 
     @property
     def state_of_charge(self) -> float:

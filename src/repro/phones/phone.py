@@ -19,6 +19,7 @@ from repro.phones.apk import ApkStage, TrainingApk
 from repro.phones.battery import BatteryModel
 from repro.phones.specs import PhoneSpec
 from repro.simkernel import RandomStreams, Signal, Simulator, stable_hash
+from repro.simkernel.random import NormalReader
 
 #: Control-plane bytes exchanged during a training stage on top of the
 #: model upload (heartbeats, progress RPCs).  Together with the ~32.8 KB
@@ -55,7 +56,7 @@ class VirtualPhone:
         self.serial = serial
         self.spec = spec
         self.is_msp = is_msp
-        self._noise = streams.get(f"phone.{serial}.noise")
+        self._noise = NormalReader(streams.get(f"phone.{serial}.noise"))
         self.battery = BatteryModel(
             spec.battery_mah,
             spec.nominal_voltage_mv,
@@ -165,82 +166,49 @@ class VirtualPhone:
         self.training_complete.fire(self.serial)
 
     def replay_training_sessions(
-        self, start_times: Sequence[float], duration: float, upload_bytes: int
+        self, first_start: float, last_start: float, duration: float, upload_bytes: int, accounts: np.ndarray
     ) -> None:
-        """Apply the state effects of a batch of back-to-back training runs.
+        """Apply the state effects of ``k`` back-to-back training runs at once.
 
-        The wave-scheduled phone tier computes every session's start time
-        up front (one cumsum per phone) and calls this once per round
-        instead of driving :meth:`start_training` / ``_finish_training``
-        through per-device events.  The resulting battery accounts, WLAN
-        counters, stage bookkeeping and session counter are bit-identical
-        to the event-driven sequence at the same timestamps: each entry
-        enters TRAINING at ``t`` and POST_TRAINING at ``t + duration``
-        (the same float add the kernel's ``now + delay`` scheduling does).
+        ``accounts`` is this phone's ``(2, 2k + 1)`` slice of
+        :func:`session_accounts` for sessions starting ``first_start`` ..
+        ``last_start``.  Battery, stage, WLAN and session accounts end
+        bit-identical to driving :meth:`start_training` through per-device
+        events.
         """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
         if upload_bytes < 0:
             raise ValueError("upload_bytes must be >= 0")
         if self.running_pid is None:
             raise RuntimeError(f"{self.serial}: no running APK to train in")
-        starts = np.asarray(start_times, dtype=np.float64).tolist()
-        if not starts:
-            return
-        duration = float(duration)
-        upload_bytes = int(upload_bytes)
+        sessions = accounts.shape[1] // 2
         # Close whatever stage the phone is in and enter the first session
         # through the generic accounting path ...
-        self._enter_stage(ApkStage.TRAINING, at=starts[0])
-        # ... then run the strict TRAINING/POST_TRAINING alternation with
-        # the running sums held in locals.  Every addition happens in the
-        # same order, on the same values, as per-event _enter_stage calls
-        # would produce (elapsed is `(start + duration) - start`, NOT
-        # `duration` — float subtraction does not invert addition), so the
-        # battery and stage accounts stay bit-identical.
-        training_draw = self.spec.stage_current(ApkStage.TRAINING)
-        post_draw = self.spec.stage_current(ApkStage.POST_TRAINING)
-        battery = self.battery
-        consumed_total = battery.consumed_mah
-        energy = self.stage_energy_mah
-        stage_durations = self.stage_durations
-        training_energy = energy.get(ApkStage.TRAINING, 0.0)
-        training_time = stage_durations.get(ApkStage.TRAINING, 0.0)
-        post_energy = energy.get(ApkStage.POST_TRAINING, 0.0)
-        post_time = stage_durations.get(ApkStage.POST_TRAINING, 0.0)
-        post_touched = False
-        finish = starts[0]  # overwritten before first use below
-        for index, start in enumerate(starts):
-            if index:
-                gap = start - finish
-                if gap > 0:
-                    consumed = post_draw * gap / 3600.0
-                    consumed_total += consumed
-                    post_energy += consumed
-                    post_time += gap
-                    post_touched = True
-            finish = start + duration
-            elapsed = finish - start
-            if elapsed > 0:
-                consumed = training_draw * elapsed / 3600.0
-                consumed_total += consumed
-                training_energy += consumed
-                training_time += elapsed
+        self._enter_stage(ApkStage.TRAINING, at=first_start)
+        # ... then each running sum is one sequential pass (np.add.accumulate,
+        # never a pairwise reduce: float addition is not associative) seeded
+        # with the phone's value through the row's seed slots.
+        energy, seconds = accounts
+        stage_energy, stage_durations = self.stage_energy_mah, self.stage_durations
+        energy[1] = self.battery.consumed_mah
+        self.battery.consumed_mah = float(np.add.accumulate(energy[1:])[-1])
+        energy[0] = stage_energy.get(ApkStage.TRAINING, 0.0)
+        seconds[0] = stage_durations.get(ApkStage.TRAINING, 0.0)
+        stage_energy[ApkStage.TRAINING] = float(np.add.accumulate(energy[::2])[-1])
+        stage_durations[ApkStage.TRAINING] = float(np.add.accumulate(seconds[::2])[-1])
+        if seconds[3::2].any():  # some gap > 0 opened a post-training account
+            energy[1] = stage_energy.get(ApkStage.POST_TRAINING, 0.0)
+            seconds[1] = stage_durations.get(ApkStage.POST_TRAINING, 0.0)
+            stage_energy[ApkStage.POST_TRAINING] = float(np.add.accumulate(energy[1::2])[-1])
+            stage_durations[ApkStage.POST_TRAINING] = float(np.add.accumulate(seconds[1::2])[-1])
         # Integer counters are order-free; apply the whole batch at once.
-        self._net_tx_base += len(starts) * (upload_bytes + TRAINING_CONTROL_BYTES // 2)
-        self._net_rx_base += len(starts) * (TRAINING_CONTROL_BYTES - TRAINING_CONTROL_BYTES // 2)
-        battery.consumed_mah = consumed_total
-        energy[ApkStage.TRAINING] = training_energy
-        stage_durations[ApkStage.TRAINING] = training_time
-        if post_touched:
-            energy[ApkStage.POST_TRAINING] = post_energy
-            stage_durations[ApkStage.POST_TRAINING] = post_time
-        self.sessions_completed += len(starts)
-        self._training_started_at = starts[-1]
-        self._training_duration = duration
-        self._training_upload_bytes = upload_bytes
+        self._net_tx_base += sessions * (upload_bytes + TRAINING_CONTROL_BYTES // 2)
+        self._net_rx_base += sessions * (TRAINING_CONTROL_BYTES - TRAINING_CONTROL_BYTES // 2)
+        self.sessions_completed += sessions
+        self._training_started_at = last_start
+        self._training_duration = float(duration)
+        self._training_upload_bytes = int(upload_bytes)
         self.stage = ApkStage.POST_TRAINING
-        self._stage_entered_at = finish
+        self._stage_entered_at = last_start + duration
 
     def stop_apk(self) -> None:
         """Stage 5: force-stop the APK and clear background tasks."""
@@ -330,3 +298,29 @@ class VirtualPhone:
     def exact_stage_energy(self, stage: ApkStage) -> float:
         """Ground-truth mAh consumed in ``stage`` (for measurement tests)."""
         return self.stage_energy_mah.get(stage, 0.0)
+
+
+def session_accounts(phones: Sequence[VirtualPhone], starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Account increments of back-to-back training sessions, one row per phone.
+
+    ``phones[p]`` trains from ``starts[p, i]`` to ``ends[p, i]`` and is
+    post-training until its next start.  The result is ``(2, phones,
+    2 * sessions + 1)``, mAh in ``[0]`` and seconds in ``[1]``: column
+    ``2i + 2`` is session ``i``'s training, column ``2i + 1`` (``i >= 1``)
+    the gap before it (``0.0`` for a gap ``<= 0``, which changes no sum) and
+    columns 0 and 1 are seed slots.  A phone with ``k`` sessions owns the
+    first ``2k + 1`` columns of its row.  Computed in place, so the result
+    is the only array the size of the plan.
+    """
+    draws = np.array(
+        [[phone.spec.stage_current(stage) for stage in (ApkStage.TRAINING, ApkStage.POST_TRAINING)] for phone in phones]
+    )
+    accounts = np.zeros((2, len(phones), 2 * starts.shape[1] + 1))
+    energy, seconds = accounts
+    np.subtract(ends, starts, out=seconds[:, 2::2])
+    np.subtract(starts[:, 1:], ends[:, :-1], out=seconds[:, 3::2])
+    seconds[:, 3::2][seconds[:, 3::2] <= 0] = 0.0
+    np.multiply(draws[:, :1], seconds[:, 2::2], out=energy[:, 2::2])
+    np.multiply(draws[:, 1:], seconds[:, 3::2], out=energy[:, 3::2])
+    energy[:, 2:] /= 3600.0
+    return accounts

@@ -10,23 +10,28 @@ uploads it to the cloud database".
 
 Execution strategy:
 
-* **Wave-scheduled computing phones** — the round is the shared engine's
-  (:class:`~repro.cluster.rounds.TierRounds`, the one the logical tier
-  runs); this tier supplies the completion-time kernel: per-phone push /
-  training / upload legs become one interleaved cumsum per phone instead
-  of one generator plus three heap events per emulated device, and
-  phone-side state (battery accounts, WLAN counters, session counts) is
-  replayed from the precomputed wave times
+* **One clock pass per plan** — the round is the shared engine's
+  (:class:`~repro.cluster.rounds.TierRounds`); this tier supplies the
+  completion-time kernel: every computing phone's push / training /
+  upload queue is a row of one matrix and one ``cumsum(axis=1)`` gives
+  every finish time, instead of a generator and three heap events per
+  emulated device.
+* **Drain-time replay** — the same pass computes every session's account
+  increments (:func:`~repro.phones.phone.session_accounts`); once a
+  phone's queue drains, its battery, stage, WLAN and session accounts are
+  ``np.add.accumulate`` passes seeded with its state then
   (:meth:`~repro.phones.phone.VirtualPhone.replay_training_sessions`).
-  Outcomes, finish times and phone state equal the per-device loops of
-  ``tests/reference/tier_reference.py`` bit for bit.
+  Both equal the per-device loops of ``tests/reference/tier_reference.py``
+  and the scalar ones of ``tests/reference/phone_reference.py`` bit for bit.
 * **Shared benchmark sampler ticker** — one recurring kernel tick
   (:meth:`~repro.simkernel.Simulator.schedule_recurring`) per PhoneMgr
   samples every active benchmarking phone, with timestamps and
   sample contents (including tie-breaking against stage boundaries)
   identical to one polling loop per phone; samples read the virtual
   sensors directly (:func:`~repro.phones.metrics.direct_metric_sample`)
-  instead of round-tripping ADB strings.
+  instead of round-tripping ADB strings, and the sensors' noise comes in
+  blocks (:class:`~repro.simkernel.random.NormalReader`), value for value
+  the scalar draws.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from repro.phones.metrics import (
     direct_metric_sample,
     integrate_energy_mah,
 )
-from repro.phones.phone import VirtualPhone
+from repro.phones.phone import VirtualPhone, session_accounts
 from repro.simkernel import AllOf, RandomStreams, RecurringTimeout, Signal, Simulator, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -383,37 +388,38 @@ class PhoneMgr(TierRounds):
     def _completion_times(
         self, plan: PhoneAssignment, model_bytes: int, upload_bytes: int
     ) -> tuple[np.ndarray, list[SlotQueue]]:
-        """One clock per computing phone.
+        """One clock pass per plan.
 
-        Each phone's queue (round-robin: wave ``w`` on phone ``p`` holds
-        row ``w * n_phones + p``) reduces to one interleaved cumsum
-        ``((now + push) + training) + upload`` — the float-add chain of
-        one phone working through its queue with ``now + delay``
-        scheduling.  Pushes vary per device (dataset size), so the chain
-        is per phone rather than per plan; phone state (battery, WLAN
-        counters, session counts) is replayed from the same precomputed
-        times once the phone's queue drains.
+        Phone ``p``'s round-robin queue (rows ``p, p + n_phones, ...``) is
+        row ``p`` of a (phones x waves) layout, short queues padded at the
+        end; one ``cumsum(axis=1)`` runs every row's float-add chain
+        ``((now + push) + training) + upload`` — the kernel's ``now + delay``
+        scheduling, in place.  A phone's state is replayed from the same
+        clock's :func:`session_accounts` once its queue drains.
         """
         total = len(plan.devices)
-        phones = self.computing_phones[plan.grade]
-        n_phones = len(phones)
+        n_phones = len(self.computing_phones[plan.grade])
+        phones = self.computing_phones[plan.grade][:total]
+        waves = -(-total // n_phones)
         duration = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
-        data_bytes = plan.devices.staged_bytes()
-        now = self.sim.now
-        finished = np.empty(total, dtype=np.float64)
+        payloads = np.zeros(waves * len(phones))
+        payloads[:total] = plan.devices.staged_bytes() + model_bytes
+        bandwidth = np.array([phone.spec.network_bandwidth_bps for phone in phones], dtype=np.float64)
+        clock = np.empty((len(phones), 3 * waves + 1))
+        clock[:, 0] = self.sim.now
+        clock[:, 1::3] = self.adb.push_durations([phone.serial for phone in phones], payloads.reshape(waves, -1).T)
+        clock[:, 2::3] = duration
+        clock[:, 3::3] = (upload_bytes / bandwidth)[:, None]
+        np.cumsum(clock, axis=1, out=clock)
+        starts = clock[:, 1::3]
+        accounts = session_accounts(phones, starts, clock[:, 2::3])
         queues: list[SlotQueue] = []
-        for p, phone in enumerate(phones[:total]):
-            pushes = self.adb.push_durations(phone.serial, data_bytes[p::n_phones] + model_bytes)
-            steps = np.empty(3 * len(pushes) + 1, dtype=np.float64)
-            steps[0] = now
-            steps[1::3] = pushes
-            steps[2::3] = duration
-            steps[3::3] = upload_bytes / phone.spec.network_bandwidth_bps
-            times = np.cumsum(steps)
-            finished[p::n_phones] = times[3::3]
-            replay = partial(phone.replay_training_sessions, times[1::3], duration, upload_bytes)
+        for p, phone in enumerate(phones):
+            k = len(range(p, total, n_phones))
+            replay = partial(phone.replay_training_sessions, float(starts[p, 0]), float(starts[p, k - 1]),
+                             duration, upload_bytes, accounts[:, p, : 2 * k + 1])
             queues.append((slice(p, total, n_phones), replay))
-        return finished, queues
+        return clock[:, 3::3].T.ravel()[:total], queues
 
     # ------------------------------------------------------------------
     # benchmarking phones (Table I five-stage protocol)

@@ -15,6 +15,10 @@ stream is a ``numpy`` generator (:meth:`RandomStreams.get`) or a row of a
 one vectorised pass and steps them as plain integers, and both are bit for
 bit the ``default_rng(SeedSequence((seed words, four SHA-256 words)))`` of
 the name.  ``tests/test_keyed_streams.py`` holds the bank to the generator.
+
+A :class:`NormalReader` draws a block of ``standard_normal`` ahead of its
+caller, so it must be its stream's only consumer; then its ``i``-th value
+is the stream's ``i``-th ``normal(loc, scale)`` draw.
 """
 
 from __future__ import annotations
@@ -223,3 +227,27 @@ class StreamCursor:
         state = states[row] = (states[row] * _PCG_MULT + self._inc[row]) & _M128
         folded, rotation = (state >> 64) ^ (state & _M64), state >> 122
         return (((folded >> rotation) | (folded << (64 - rotation) & _M64)) >> 11) * _TO_DOUBLE
+
+
+class NormalReader:
+    """Successive ``Generator.normal(loc, scale)`` draws of one stream, read in blocks.
+
+    ``normal`` returns ``loc + scale * z`` — NumPy's own formula for a
+    scalar draw — for the stream's next standard normal ``z``, taken from
+    one ``standard_normal(BLOCK)`` call per :attr:`BLOCK` draws.
+    """
+
+    __slots__ = ("_rng", "_block")
+
+    #: Draws per ``standard_normal`` call.
+    BLOCK = 64
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._block: list[float] = []  # the block's unread draws, last-to-read first
+
+    def normal(self, loc: float, scale: float) -> float:
+        """The stream's next draw from ``N(loc, scale**2)``."""
+        if not self._block:
+            self._block = self._rng.standard_normal(self.BLOCK)[::-1].tolist()
+        return loc + scale * self._block.pop()

@@ -23,6 +23,7 @@ from repro.observability.tracing import Tracer
 from repro.scenarios import ScenarioRunner, ScenarioSpec, TransportSpec, build_scenario
 from repro.scenarios.__main__ import main as scenarios_main
 from repro.simkernel import RandomStreams, Simulator
+from repro.simkernel.random import NormalReader
 
 SEEDS = st.sampled_from([0, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64, 2**100 + 3]) | st.integers(0, 2**130)
 NAMES = st.lists(st.text(max_size=12), min_size=1, max_size=40, unique=True)
@@ -76,6 +77,38 @@ class TestBankEqualsNamedGenerator:
 # ----------------------------------------------------------------------
 # (ii) batches are invisible
 # ----------------------------------------------------------------------
+class TestNormalReader:
+    """Block-drawn normals are the scalar draws, across block boundaries.
+
+    NumPy computes a scalar ``normal(loc, scale)`` as ``loc + scale * z``
+    with two roundings; on a build that fused it into one FMA the reader's
+    Python-float ``loc + scale * z`` would differ in the last bit, and this
+    test would say so.
+    """
+
+    PARAMS = st.tuples(
+        st.sampled_from([0.0, 3.0, -2.5, 1e6, 6.02e23]) | st.floats(-1e9, 1e9),
+        st.sampled_from([0.0, 1.0, 0.05, 500.0]) | st.floats(0.0, 1e6),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, name=st.text(max_size=12), params=st.lists(PARAMS, min_size=1, max_size=8))
+    def test_reader_returns_successive_generator_normals(self, seed, name, params):
+        streams = RandomStreams(seed)
+        reader, scalar = NormalReader(streams.fresh(name)), streams.fresh(name)
+        n_draws = 3 * NormalReader.BLOCK + 5  # three block boundaries and then some
+        for i in range(n_draws):
+            loc, scale = params[i % len(params)]
+            got, want = reader.normal(loc, scale), scalar.normal(loc, scale)
+            assert type(got) is float and got.hex() == want.hex()
+
+    def test_zero_scale_and_zero_loc(self):
+        reader, scalar = NormalReader(np.random.default_rng(5)), np.random.default_rng(5)
+        for _ in range(2 * NormalReader.BLOCK + 1):
+            assert reader.normal(4.0, 0.0) == scalar.normal(4.0, 0.0) == 4.0
+            assert reader.normal(0.0, 2.0).hex() == scalar.normal(0.0, 2.0).hex()
+
+
 class TestSeedingIsOrderFree:
     @given(seed=SEEDS, names=NAMES, split=st.integers(0, 40), extra=NAMES)
     @settings(max_examples=40, deadline=None)

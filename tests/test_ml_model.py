@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ml_reference
+from reference import avazu_reference, ml_reference
 
 from repro.data import SyntheticAvazu
 from repro.data.avazu import DeviceDataset
@@ -143,6 +143,15 @@ class TestBackends:
         assert probs[0] == pytest.approx(0.0)
         assert probs[1] == pytest.approx(0.5)
         assert probs[2] == pytest.approx(1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        backend=BACKENDS,
+        z=st.lists(st.floats(allow_nan=False, width=32) | st.sampled_from([0.0, -0.0, 88.7, -103.9]), max_size=64),
+    )
+    def test_branch_free_sigmoid_equals_the_masked_kernel(self, backend, z):
+        z = backend.cast(np.array(z, dtype=np.float64))
+        assert backend.sigmoid(z).tobytes() == avazu_reference._sigmoid(z).astype(backend.dtype).tobytes()
 
 
 class TestSGD:
