@@ -16,6 +16,7 @@ closes a round.  A tier contributes only its completion-time kernel.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Generator, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -34,18 +35,22 @@ class DeviceIdRange(Sequence):
     """A generated plan's id column: ``f"{prefix}{i:06d}"`` for ``i`` in ``rows``, rendered when read.
 
     A root (``root is None`` — never ``self``: a plan's ids die with the
-    plan, not at the next cyclic collection) stands for rows ``range(n)``.
-    Until something iterates, a forward slice is another range over the
+    plan, not at the next cyclic collection) stands for rows ``range(n)``;
+    any other column is a selection of its root's rows, a ``range`` (a
+    forward slice) or a ``list`` of row numbers (dropout survivors,
+    :meth:`select`, and delivery chunks, :meth:`concat`).  Until something
+    iterates, selecting, joining and slicing make another column over the
     same root and an int index renders one id.  The first iteration of the
-    root or of any slice renders the root's ids **once**; from then on a
-    slice or an iteration is a ``list`` slice of that one list.  A consumer
-    that reads ids every round (a lossy channel, the dedup gate) pays once
-    per plan; a direct time-only round reads none and pays nothing per device.
+    root or of any column renders the root's ids **once**; from then on a
+    slice, a selection or an iteration is a ``list`` of strings from that
+    one list.  A consumer that reads ids every round (a lossy channel, the
+    dedup gate) pays once per plan; a time-only round through DeviceFlow
+    reads none and pays nothing per device.
     """
 
     __slots__ = ("prefix", "rows", "root", "rendered")
 
-    def __init__(self, prefix: str, rows: range, root: DeviceIdRange | None = None) -> None:
+    def __init__(self, prefix: str, rows: range | list[int], root: DeviceIdRange | None = None) -> None:
         self.prefix, self.rows, self.root = prefix, rows, root
         #: On a root: every id of the plan, once something has iterated.
         self.rendered: list[str] | None = None
@@ -58,11 +63,18 @@ class DeviceIdRange(Sequence):
         rows, rendered = self.rows[index], root.rendered
         if not isinstance(index, slice):
             return f"{self.prefix}{rows:06d}" if rendered is None else rendered[rows]
-        if rows.step < 0:
+        if (index.step or 1) < 0:
             raise ValueError("an id column is sliced forwards")
+        return self._column(rows, root)
+
+    def _column(self, rows: range | list[int], root: DeviceIdRange) -> Sequence[str]:
+        """Root rows ``rows`` as a column: unrendered, another selection; rendered, a list."""
+        rendered = root.rendered
         if rendered is None:
             return DeviceIdRange(self.prefix, rows, root)
-        return rendered[rows.start : rows.stop : rows.step]
+        if isinstance(rows, range):
+            return rendered[rows.start : rows.stop : rows.step]
+        return [rendered[row] for row in rows]
 
     def __iter__(self) -> Iterator[str]:
         root = self if self.root is None else self.root
@@ -70,6 +82,17 @@ class DeviceIdRange(Sequence):
             prefix = root.prefix
             root.rendered = [f"{prefix}{i:06d}" for i in root.rows]
         return iter(self[:])
+
+    def select(self, flags: list[bool]) -> Sequence[str]:
+        """The ids where ``flags`` is set (``itertools.compress``), as a selection of the root."""
+        return self._column(list(itertools.compress(self.rows, flags)), self if self.root is None else self.root)
+
+    def concat(self, columns: list[Sequence[str]]) -> Sequence[str]:
+        """``columns`` (this one first) end to end: one selection while all share this unrendered root."""
+        root = self if self.root is None else self.root
+        if root.rendered is None and all(c is root or getattr(c, "root", None) is root for c in columns):
+            return DeviceIdRange(self.prefix, list(itertools.chain.from_iterable(c.rows for c in columns)), root)
+        return list(itertools.chain.from_iterable(columns))
 
 
 @dataclass

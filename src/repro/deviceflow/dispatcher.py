@@ -35,7 +35,8 @@ and a differential test holds this module to them.
   ``n`` successive single draws, so a burst that crosses ``k``
   thresholds draws once for the concatenated rows, logs ``k``
   ``dispatch_log`` rows and is enqueued once (:meth:`Dispatcher.dispatch`
-  with ``group_sizes``).
+  with ``group_sizes``).  Counting draws nothing: the survivors, each
+  segment's and each group's are differences of the mask's prefix sums.
 * **Delivery.**  The downstream endpoint is called once per segment of a
   delivered chunk, in FIFO order, after adjacent compatible blocks were
   coalesced: one ``MessageBlock`` per run of joinable rows.
@@ -50,7 +51,7 @@ and a differential test holds this module to them.
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import repeat
+from itertools import accumulate, pairwise, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -203,43 +204,39 @@ class Dispatcher:
                 keep = delivered
             else:
                 keep[keep] = delivered
-            survivors = int(np.count_nonzero(delivered))
-            self.dropped_failure += sent - survivors
-            sent = survivors
+        kept: list[int] | None = None  # survivors among the first i rows, for i in 0..total
         if keep is not None:
-            batch = self._select(batch, sizes, keep)
+            kept = list(accumulate(keep.tolist(), initial=0))
+            self.dropped_failure += sent - kept[-1]
+            sent = kept[-1]
+            batch = self._select(batch, sizes, keep, kept)
         if sent:
             now = self.sim.now
             if group_sizes is None or len(group_sizes) == 1:
                 self.dispatch_log.append((now, sent))
             else:
                 counts = group_sizes
-                if keep is not None:
-                    ends = np.array(group_sizes).cumsum()
-                    counts = np.add.reduceat(keep, ends - group_sizes, dtype=np.intp).tolist()
+                if kept is not None:
+                    ends = accumulate(group_sizes, initial=0)
+                    counts = [kept[hi] - kept[lo] for lo, hi in pairwise(ends)]
                 self.dispatch_log.extend(zip(repeat(now), filter(None, counts)))
             self.dispatched += sent
             self._enqueue(batch, sent)
         return (sent, total - sent)
 
     @staticmethod
-    def _select(batch: list[MessageBlock], sizes: list[int], keep: np.ndarray) -> list[MessageBlock]:
-        """The segments of ``batch`` reduced to the rows ``keep`` marks."""
+    def _select(batch: list[MessageBlock], sizes: list[int], keep: np.ndarray, kept: list[int]) -> list[MessageBlock]:
+        """The segments of ``batch`` reduced to the rows ``keep`` marks (``kept``: its prefix sums)."""
         survivors: list[MessageBlock] = []
-        flags = keep.tolist()
         start = 0
         for segment, rows in zip(batch, sizes):
-            if rows == 1:  # a single upload survives whole or not at all
-                if flags[start]:
-                    survivors.append(segment)
-            else:
-                mask = keep[start : start + rows]
-                kept = int(np.count_nonzero(mask))
-                if kept == rows:
-                    survivors.append(segment)
-                elif kept:
-                    survivors.append(segment.compress(mask))
-            start += rows
+            end = start + rows
+            count = kept[end] - kept[start]
+            if count == rows:
+                survivors.append(segment)
+            elif count:
+                survivors.append(segment.compress(keep[start:end]))
+            start = end
         return survivors
 
     # ------------------------------------------------------------------

@@ -142,9 +142,10 @@ class MessageBlock:
 
     def compress(self, keep: np.ndarray) -> MessageBlock:
         """The rows where the boolean mask ``keep`` is set (dropout survivors)."""
-        return self._derive(
-            list(itertools.compress(self.device_ids, keep.tolist())), lambda _, values: values[keep]
-        )
+        ids, flags = self.device_ids, keep.tolist()
+        select = getattr(ids, "select", None)  # a generated id column selects rows, renders nothing
+        ids = list(itertools.compress(ids, flags)) if select is None else select(flags)
+        return self._derive(ids, lambda _, values: values[keep])
 
     def _layout(self) -> tuple:
         """What two blocks must share for their rows to sit in one block's columns."""
@@ -174,8 +175,10 @@ class MessageBlock:
             run = list(group)
             head = run[0]
             if len(run) > 1:
+                columns = [part.device_ids for part in run]
+                concat = getattr(columns[0], "concat", None)  # parts of one generated id column stay one
                 head = head._derive(
-                    list(itertools.chain.from_iterable(part.device_ids for part in run)),
+                    list(itertools.chain.from_iterable(columns)) if concat is None else concat(columns),
                     lambda column, _, run=run: np.concatenate([part.__dict__[column] for part in run]),
                 )
             joined.append(head)

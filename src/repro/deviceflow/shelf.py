@@ -21,6 +21,8 @@ class SegmentQueue:
     def __init__(self) -> None:
         self._segments: deque[MessageBlock] = deque()
         self._rows = 0
+        #: Rows of the head segment already taken (a split leaves the head whole).
+        self._offset = 0
 
     def __len__(self) -> int:
         return self._rows
@@ -38,16 +40,20 @@ class SegmentQueue:
         need = min(count, self._rows)
         self._rows -= need
         taken: list[MessageBlock] = []
+        offset = self._offset
         while need:
             head = segments[0]
-            rows = head.rows
-            if rows <= need:
-                taken.append(segments.popleft())
-                need -= rows
+            left = head.rows - offset
+            if left <= need:
+                segments.popleft()
+                taken.append(head[offset:] if offset else head)
+                need -= left
+                offset = 0
             else:
-                taken.append(head[:need])
-                segments[0] = head[need:]
+                taken.append(head[offset : offset + need])
+                offset += need
                 need = 0
+        self._offset = offset
         return taken
 
     def take_all(self) -> list[MessageBlock]:
@@ -89,4 +95,4 @@ class Shelf(SegmentQueue):
 
     def peek_oldest(self) -> MessageBlock | None:
         """Oldest buffered message (a one-row block) without removing it."""
-        return self._segments[0][:1] if self._segments else None
+        return self._segments[0][self._offset : self._offset + 1] if self._segments else None

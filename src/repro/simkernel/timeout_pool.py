@@ -7,12 +7,15 @@ ascending run of thousands of timestamps, many of them equal, and pushing
 each through the heap costs a push, a pop and O(log n) tuple comparisons
 per device.
 
-:class:`TimeoutPool` keeps such runs as the caller's NumPy arrays
-(:meth:`TimeoutPool.add_sequence`), merges any number of them through a
-small heap keyed by each run's next deadline, and holds exactly *one*
-sentinel event in the owning simulator's heap — armed at the earliest
-pooled deadline.  When the sentinel fires, every run with entries due at
-that timestamp is handed its contiguous slice in one call.
+:class:`TimeoutPool` takes such a run as one NumPy array
+(:meth:`TimeoutPool.add_sequence`) and splits it, once, into its
+equal-time runs: one ``(end index, instant)`` entry per distinct
+deadline.  It merges any number of sequences through a small heap keyed
+by each sequence's next instant, and holds exactly *one* sentinel event in
+the owning simulator's heap — armed at the earliest pooled deadline.  When
+the sentinel fires, every sequence with entries due at that timestamp is
+handed its contiguous slice in one call, read off its next entry: a drain
+does no array search.
 
 Determinism: within one drain, due chunks fire in chunk insertion order.
 Entries never fire before their deadline, and the pool never holds the
@@ -39,22 +42,15 @@ SequenceFire = Callable[[int, int, float], None]
 
 
 class _SequenceChunk:
-    """One bulk-registered ascending run of deadlines."""
+    """One bulk-registered ascending run of deadlines, as its equal-time runs."""
 
-    __slots__ = ("times", "fire", "cursor")
+    __slots__ = ("fire", "ends", "instants", "run", "cursor")
 
-    def __init__(self, times: np.ndarray, fire: SequenceFire) -> None:
-        self.times = times
+    def __init__(self, fire: SequenceFire, ends: list[int], instants: list[float]) -> None:
         self.fire = fire
-        self.cursor = 0
-
-    @property
-    def next_time(self) -> float:
-        return float(self.times[self.cursor])
-
-    @property
-    def remaining(self) -> int:
-        return len(self.times) - self.cursor
+        #: Per distinct instant, in order: the end of its entries and the instant.
+        self.ends, self.instants = ends, instants
+        self.run = self.cursor = 0  # the next run due, and where its entries start
 
 
 class TimeoutPool:
@@ -89,14 +85,17 @@ class TimeoutPool:
         finite = np.isfinite(times)
         if not finite.all():
             raise ValueError(f"sequence times must be finite, got {float(times[~finite][0])!r}")
-        if np.any(np.diff(times) < 0):
+        steps = np.diff(times)
+        if np.any(steps < 0):
             raise ValueError("sequence times must be non-decreasing")
         if times[0] < self.sim.now:
             raise ValueError(f"sequence starts in the past: {times[0]!r} < {self.sim.now!r}")
-        chunk = _SequenceChunk(times, fire)
-        heapq.heappush(self._chunk_heap, (chunk.next_time, next(self._chunk_seq), chunk))
+        ends = np.append(np.flatnonzero(steps) + 1, times.size)
+        chunk = _SequenceChunk(fire, ends.tolist(), times[ends - 1].tolist())
+        first = chunk.instants[0]
+        heapq.heappush(self._chunk_heap, (first, next(self._chunk_seq), chunk))
         self._live += times.size
-        self._arm(chunk.next_time)
+        self._arm(first)
 
     @property
     def pending(self) -> int:
@@ -122,13 +121,13 @@ class TimeoutPool:
         heap = self._chunk_heap
         while heap and heap[0][0] == now:
             _, seq, chunk = heapq.heappop(heap)
-            lo = chunk.cursor
-            hi = lo + int(np.searchsorted(chunk.times[lo:], now, side="right"))
-            chunk.cursor = hi
+            run = chunk.run
+            lo, hi = chunk.cursor, chunk.ends[run]
+            chunk.run, chunk.cursor = run + 1, hi
             self._live -= hi - lo
             chunk.fire(lo, hi, now)
-            if chunk.remaining:
-                heapq.heappush(heap, (chunk.next_time, seq, chunk))
+            if hi < chunk.ends[-1]:
+                heapq.heappush(heap, (chunk.instants[run + 1], seq, chunk))
         next_deadline = self.next_deadline()
         if next_deadline is not None:
             self._arm(next_deadline)

@@ -1,7 +1,9 @@
 """The id column of a time-only plan: the list it replaces, rendered only when read."""
 
 import gc
+import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from repro import GradeRequirement, PlatformConfig, ResourceBundle, SimDC, TaskS
 from repro.cloud.transport import ChannelModel
 from repro.cluster import NodeSpec
 from repro.cluster.rounds import DeviceIdRange
+from repro.deviceflow import RealTimeAccumulatedStrategy, TimeIntervalStrategy, right_tailed_normal
+from repro.deviceflow.messages import MessageBlock
 from repro.ml import standard_fl_flow
 from repro.observability.tracing import Tracer
 from repro.scheduler.task_runner import TaskRunner
@@ -90,11 +94,89 @@ class TestEqualsTheListItReplaces:
             gc.enable()
 
 
+STRIDES = st.sampled_from([None, 1, 2, 3])
+#: What DeviceFlow does to a segment's id column: a row range, a dropout mask, a join with another range.
+column_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("slice"), BOUNDS, BOUNDS, STRIDES),
+        st.tuples(st.just("mask"), st.integers(0, 2**14 - 1)),
+        st.tuples(st.just("join"), BOUNDS, BOUNDS, STRIDES),
+    ),
+    max_size=5,
+)
+
+
+class TestSelectionsEqualTheListOperations:
+    @given(
+        prefix=st.text(max_size=4),
+        n=st.integers(0, 12),
+        ops=column_ops,
+        render_at=st.integers(0, 6),
+        probe=st.tuples(BOUNDS, BOUNDS, STRIDES),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_sliced_selected_and_joined_columns_read_like_the_rendered_list(self, prefix, n, ops, render_at, probe):
+        """Blocks cut, thinned and coalesced as DeviceFlow does; ``render_at`` past the ops renders after them."""
+        root = DeviceIdRange(prefix, range(n))
+        block, rows = MessageBlock(task_id="t", round_index=0, device_ids=root), list(range(n))
+        for step, (kind, *args) in enumerate(ops):
+            if step == render_at:
+                list(root)
+            if kind == "slice":
+                block, rows = block[args[0] : args[1] : args[2]], rows[args[0] : args[1] : args[2]]
+            elif kind == "mask":
+                flags = [bool(args[0] >> row & 1) for row in range(len(rows))]
+                block, rows = block.compress(np.array(flags, dtype=bool)), list(itertools.compress(rows, flags))
+            else:
+                part = MessageBlock(task_id="t", round_index=0, device_ids=root[args[0] : args[1] : args[2]])
+                (block,) = MessageBlock.coalesce([block, part])
+                rows += range(n)[args[0] : args[1] : args[2]]
+        ids, want = block.device_ids, [f"{prefix}{row:06d}" for row in rows]
+        assert isinstance(ids, DeviceIdRange) == (root.rendered is None)
+        if isinstance(ids, DeviceIdRange):
+            with pytest.raises(ValueError, match="forwards"):
+                ids[::-1]
+        lo, hi, stride = probe
+        for _ in range(2):  # unrendered reads first when nothing rendered yet, then the rendered column
+            assert len(ids) == len(want)
+            for index in range(-len(want) - 2, len(want) + 2):
+                assert outcome(lambda: ids[index]) == outcome(lambda: want[index])
+            assert by_index(ids[lo:hi:stride]) == want[lo:hi:stride]
+            assert list(ids[lo:hi:stride]) == want[lo:hi:stride]
+            assert list(ids) == want
+        # Every string handed out after rendering is the root's own object.
+        own = [root.rendered[row] for row in rows]
+        for read in (list(ids), by_index(ids), list(ids[:])):
+            assert all(got is mine for got, mine in zip(read, own, strict=True))
+
+    def test_a_join_across_roots_or_with_a_list_renders_a_list(self):
+        first, second = DeviceIdRange("a", range(3)), DeviceIdRange("b", range(2))
+        assert first.concat([first[1:], second]) == ["a000001", "a000002", "b000000", "b000001"]
+        assert first.concat([first[:1], ["x"]]) == ["a000000", "x"]
+        (joined,) = MessageBlock.coalesce(
+            [MessageBlock(task_id="t", round_index=0, device_ids=ids) for ids in (["x"], second)]
+        )
+        assert joined.device_ids == ["x", "b000000", "b000001"]
+
+    def test_a_selection_of_an_unrendered_root_is_one_column_over_it(self):
+        root = DeviceIdRange("d", range(6))
+        survivors = root[1:].select([True, False, True, True, False])
+        assert isinstance(survivors, DeviceIdRange) and survivors.rows == [1, 3, 4]
+        chunk = survivors.concat([survivors, root[5:]])
+        assert chunk.root is root and chunk.rows == [1, 3, 4, 5] and root.rendered is None
+        with pytest.raises(ValueError, match="forwards"):
+            chunk[::-2]
+        assert list(chunk[1:]) == ["d000003", "d000004", "d000005"]
+
+
 # ----------------------------------------------------------------------
 # the tripwire: a direct time-only round reads no id
 # ----------------------------------------------------------------------
-def run_time_only_task(monkeypatch, channel=None, tracer=None):
-    """One direct, time-only task on both tiers with a benchmarking phone; returns its plans."""
+def run_time_only_task(monkeypatch, channel=None, tracer=None, strategy=None):
+    """One time-only task on both tiers with a benchmarking phone; returns its plans.
+
+    Direct unless ``strategy`` routes it through DeviceFlow.
+    """
     built = []
     build_plans = TaskRunner._build_plans
 
@@ -120,12 +202,13 @@ def run_time_only_task(monkeypatch, channel=None, tracer=None):
         flow=standard_fl_flow(epochs=1),
         numeric=False,
         records_per_device=10,
+        deviceflow_strategy=strategy,
     )
     platform.submit(spec, fixed_allocation={"High": 25})
     platform.run_until_idle(max_time=1e7)
     result = platform.result(spec.task_id)
     assert result.state is TaskState.COMPLETED
-    if channel is None:
+    if channel is None and strategy is None:
         assert [record.n_updates for record in result.rounds] == [40] * 3
     ((logical_plans, phone_plans),) = built
     assert len(logical_plans) == 1 and len(phone_plans) == 1
@@ -135,6 +218,37 @@ def run_time_only_task(monkeypatch, channel=None, tracer=None):
 
 def test_a_direct_time_only_task_renders_no_id_column(monkeypatch):
     _, columns = run_time_only_task(monkeypatch)
+    for devices in columns:
+        assert isinstance(devices.device_ids, DeviceIdRange)
+        assert root_of(devices.device_ids).rendered is None
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        lambda: RealTimeAccumulatedStrategy([3, 5], failure_prob=0.3),
+        lambda: TimeIntervalStrategy(right_tailed_normal(1.0), 20.0, failure_prob=0.3),
+    ],
+    ids=["threshold", "interval"],
+)
+def test_dropout_and_delivery_through_deviceflow_render_no_id_column(monkeypatch, strategy):
+    """Survivor selections and delivery chunks stay selections of the plan's unrendered root."""
+    calls = {"compress": 0, "coalesce": 0}
+    compress, coalesce = MessageBlock.compress, MessageBlock.coalesce
+
+    def counted_compress(self, keep):
+        calls["compress"] += 1
+        return compress(self, keep)
+
+    def counted_coalesce(segments):
+        joined = coalesce(segments)
+        calls["coalesce"] += len(segments) - len(joined)
+        return joined
+
+    monkeypatch.setattr(MessageBlock, "compress", counted_compress)
+    monkeypatch.setattr(MessageBlock, "coalesce", staticmethod(counted_coalesce))
+    _, columns = run_time_only_task(monkeypatch, strategy=strategy())
+    assert calls["compress"] > 0 and calls["coalesce"] > 0  # dropout thinned blocks, chunks joined parts
     for devices in columns:
         assert isinstance(devices.device_ids, DeviceIdRange)
         assert root_of(devices.device_ids).rendered is None

@@ -1,5 +1,7 @@
 """Tests for DeviceFlow's sorter, shelf, dispatcher and strategies."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from helpers import one_row
@@ -13,6 +15,7 @@ from reference.deviceflow_reference import (
     ReferenceTimePoints,
 )
 
+from repro.cluster.rounds import DeviceIdRange
 from repro.deviceflow import (
     DeviceFlow,
     Dispatcher,
@@ -468,24 +471,43 @@ def build_strategies(recipe):
     )
 
 
-def drive_flow(flow, strategy, script, capacity_event, discard_at, per_message):
+def wave_ids(round_index, wave, rows):
+    """A wave's device ids, as a plain list."""
+    return [f"r{round_index}w{wave}d{i}" for i in range(rows)]
+
+
+def generated_ids(script):
+    """Wave ids cut from one generated column per round, as a time-only plan's are."""
+    starts = list(accumulate((rows for _, rows, _ in script), initial=0))
+    roots = {}
+
+    def ids_of(round_index, wave, rows):
+        if round_index not in roots:
+            roots[round_index] = DeviceIdRange(f"r{round_index}-", range(starts[-1]))
+        return roots[round_index][starts[wave] : starts[wave] + rows]
+
+    return ids_of
+
+
+def drive_flow(flow, strategy, script, capacity_event, discard_at, per_message, ids_of=wave_ids):
     """Replay ``script`` (two rounds) into ``flow``; return everything observable.
 
     ``per_message`` feeds the per-message oracle one ``Message`` a device;
     production gets each wave as one block or as one block per row.
+    Delivered id columns are read only once the run is over, so a
+    generated column (``ids_of``) stays unrendered through the whole flow.
     """
     sim = flow.sim
     delivered = []
 
     def downstream(segment):
-        devices = [segment.device_id] if per_message else segment.device_ids
-        delivered.extend((sim.now, device) for device in devices)
+        delivered.append((sim.now, [segment.device_id] if per_message else segment.device_ids))
 
     flow.register_task("t", strategy, downstream)
     dispatcher = flow.dispatcher_for("t")
 
     def arrive(round_index, wave, rows, as_block):
-        ids = [f"r{round_index}w{wave}d{i}" for i in range(rows)]
+        ids = ids_of(round_index, wave, rows)
         if per_message:
             for device in ids:
                 flow.submit(ref_msg(task="t", device=device, round_index=round_index))
@@ -494,8 +516,8 @@ def drive_flow(flow, strategy, script, capacity_event, discard_at, per_message):
                 MessageBlock(task_id="t", round_index=round_index, device_ids=ids, size_bytes=64)
             )
         else:
-            for device in ids:
-                flow.submit_block(msg(task="t", device=device, round_index=round_index))
+            for row in range(rows):
+                flow.submit_block(msg(task="t", device=ids[row], round_index=round_index))
 
     for round_index, offset in ((1, 0.0), (2, 40.0)):
         sim.schedule_at(offset, flow.round_started, "t", round_index)
@@ -509,7 +531,7 @@ def drive_flow(flow, strategy, script, capacity_event, discard_at, per_message):
     return {
         "dispatch_log": dispatcher.dispatch_log,
         "delivery_log": dispatcher.delivery_log,
-        "delivered": delivered,
+        "delivered": [(time, device) for time, column in delivered for device in column],
         "stats": flow.stats("t"),
         "rng": dispatcher.rng.bit_generator.state,
         "idle": dispatcher.idle.fired,
@@ -517,17 +539,18 @@ def drive_flow(flow, strategy, script, capacity_event, discard_at, per_message):
     }
 
 
+flow_cases = {
+    "recipe": st.one_of(realtime, points, interval),
+    "script": waves,
+    "capacity": st.sampled_from([35.0, 700.0, 1e6]),
+    "capacity_event": st.tuples(st.sampled_from([0.7, 1.0, 9.0, 41.0]), st.sampled_from([0.2, 1.0, 3.0])),
+    "discard_at": st.sampled_from([None, None, 1.0, 8.5, 47.0]),
+    "seed": st.integers(min_value=0, max_value=5),
+}
+
+
 class TestBlocksEqualReference:
-    @given(
-        recipe=st.one_of(realtime, points, interval),
-        script=waves,
-        capacity=st.sampled_from([35.0, 700.0, 1e6]),
-        capacity_event=st.tuples(
-            st.sampled_from([0.7, 1.0, 9.0, 41.0]), st.sampled_from([0.2, 1.0, 3.0])
-        ),
-        discard_at=st.sampled_from([None, None, 1.0, 8.5, 47.0]),
-        seed=st.integers(min_value=0, max_value=5),
-    )
+    @given(**flow_cases)
     # The sender fixes its chunk size when it wakes, one event after the
     # enqueue: here the capacity drops (35 -> 7 msg/s) between the two, so
     # the chunks are one row, not two.
@@ -555,6 +578,23 @@ class TestBlocksEqualReference:
         assert got == want
         stats = got["stats"]
         assert stats.received == stats.delivered + stats.dropped + stats.shelved
+
+    @given(**flow_cases)
+    @settings(max_examples=80, deadline=None)
+    def test_waves_cut_from_one_generated_column_deliver_the_oracle_ids(
+        self, recipe, script, capacity, capacity_event, discard_at, seed
+    ):
+        """Dropout survivors and delivery chunks select rows of the plan's column: same ids delivered."""
+        production, reference = build_strategies(recipe)
+        got = drive_flow(
+            DeviceFlow(Simulator(), RandomStreams(seed), capacity_per_second=capacity),
+            production, script, capacity_event, discard_at, per_message=False, ids_of=generated_ids(script),
+        )
+        want = drive_flow(
+            ReferenceDeviceFlow(Simulator(), RandomStreams(seed), capacity_per_second=capacity),
+            reference, script, capacity_event, discard_at, per_message=True, ids_of=generated_ids(script),
+        )
+        assert got == want
 
     def test_burst_over_k_thresholds_is_one_dispatch(self):
         """One take, one draw, k log rows, one enqueue — and the oracle's numbers."""

@@ -140,6 +140,69 @@ def test_batch_stepping_is_equivalent(ops, cancel_plan):
     assert drive(ops, cancel_plan, per_event=True) == drive(ops, cancel_plan, per_event=False)
 
 
+#: Heavy ties: long equal runs over three instants, interleaved across sequences.  Each sequence is
+#: registered up front (``None``) or from inside the k-th ``fire`` call, shifted to that call's time.
+tied_sequences = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12).map(sorted),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class SearchsortedPool:
+    """The pool's contract, drained by one ``searchsorted`` per due sequence, first registered first."""
+
+    def __init__(self, sim):
+        self.sim, self.sequences = sim, []
+
+    def add_sequence(self, times, fire):
+        self.sequences.append([times, 0, fire])
+        for t in np.unique(times):
+            self.sim.schedule_at(float(t), self._drain)
+
+    def _drain(self):
+        now = self.sim.now
+        while due := next((seq for seq in self.sequences if seq[1] < len(seq[0]) and seq[0][seq[1]] == now), None):
+            times, lo, fire = due
+            due[1] = hi = lo + int(np.searchsorted(times[lo:], now, side="right"))
+            fire(lo, hi, now)
+
+
+def fire_calls(pool_type, sequences):
+    """Every ``fire(lo, hi, t)`` call, tagged with its sequence, in call order."""
+    sim = Simulator()
+    pool = pool_type(sim)
+    calls = []
+
+    def register(index, now):
+        times = now + np.array(sequences[index][0], dtype=float)
+        pool.add_sequence(times, lambda lo, hi, t: on_fire(index, lo, hi, t))
+
+    def on_fire(index, lo, hi, t):
+        calls.append((index, lo, hi, t))
+        for other, (_, trigger) in enumerate(sequences):
+            if trigger == len(calls) - 1:
+                register(other, t)
+
+    for index, (_, trigger) in enumerate(sequences):
+        if trigger is None:
+            register(index, 0.0)
+    sim.run()
+    return calls, pool
+
+
+@given(sequences=tied_sequences)
+@settings(max_examples=200, deadline=None)
+def test_equal_time_runs_fire_the_calls_of_a_searchsorted_drain(sequences):
+    got, pool = fire_calls(TimeoutPool, sequences)
+    want, _ = fire_calls(SearchsortedPool, sequences)
+    assert got == want
+    assert pool.pending == 0 and pool.next_deadline() is None
+
+
 class TestRecurringTimeout:
     def test_tick_schedule_accumulates_like_a_generator_loop(self):
         # A recurring tick must land on the same float timestamps as a
