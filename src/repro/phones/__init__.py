@@ -8,17 +8,20 @@ bandwidth are polled during training (§IV-C).
 No physical phones exist in this environment, so this package provides
 virtual phones whose battery, CPU, memory and network counters evolve in
 simulated time, plus a :class:`~repro.phones.adb.SimulatedAdb` that answers
-the *exact* shell commands quoted in the paper with realistic raw output
-(sysfs microamp/microvolt readings, ``top`` tables, ``dumpsys`` PSS lines,
-``/proc/net/dev`` rows).  PhoneMgr's staging, polling and post-processing
-logic therefore runs unchanged against the simulation.
+the control commands PhoneMgr sends (``pm clear``, ``am start -n``,
+``am force-stop``).  The benchmarking sampler reads the virtual sensors
+directly (:func:`~repro.phones.metrics.direct_metric_sample`); the paper's
+text read protocol (sysfs microamp/microvolt readings, ``top`` tables,
+``dumpsys`` PSS lines, ``/proc/net/dev`` rows) and its post-processing
+parsers are the test oracle that read is held to, in
+``tests/reference/adb_reference.py``.
 """
 
 from repro.phones.adb import AdbError, SimulatedAdb
 from repro.phones.apk import ApkStage, TrainingApk
 from repro.phones.battery import BatteryModel
 from repro.phones.cost import PhysicalCostModel
-from repro.phones.metrics import DeviceMetricSample, StageSummary, parse_metric_sample
+from repro.phones.metrics import DeviceMetricSample, StageSummary
 from repro.phones.msp import MobileServicePlatform
 from repro.phones.phone import VirtualPhone
 from repro.phones.phonemgr import PhoneAssignment, PhoneMgr
@@ -46,5 +49,4 @@ __all__ = [
     "TrainingApk",
     "VirtualPhone",
     "build_fleet",
-    "parse_metric_sample",
 ]

@@ -1,15 +1,17 @@
-"""Post-processing of raw ADB output into device metric samples.
+"""Device metric samples taken from a benchmarking phone.
 
 §IV-C: "The information collected typically contains other non-essential
-data, requiring post-processing to extract valid data."  The parsers here
-implement that extraction over the simulated ADB's realistic raw text —
+data, requiring post-processing to extract valid data."  Production reads
+a sample straight off the virtual sensors (:func:`direct_metric_sample`),
+reproducing what that post-processing extracts from raw ADB text.  The
+text pipeline itself — the read commands and the parsers that take the
 magnitude of the signed microamp reading, the TOTAL-PSS line among heap
-breakdowns, receive+transmit summation over the wlan row, and so on.
+breakdowns, the receive+transmit sum over the wlan row — is the test
+oracle in ``tests/reference/adb_reference.py``.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 
@@ -52,121 +54,12 @@ class StageSummary:
     comm_kb: float
 
 
-# ----------------------------------------------------------------------
-# raw-output parsers
-# ----------------------------------------------------------------------
-def parse_current_ua(raw: str) -> float:
-    """Magnitude of the sysfs ``current_now`` reading.
-
-    Android kernels commonly report discharge as a negative number; the
-    measurement pipeline wants the draw's magnitude.
-    """
-    text = raw.strip()
-    if not text:
-        raise ValueError("empty current_now output")
-    return abs(float(text))
-
-
-def parse_voltage_mv(raw: str) -> float:
-    """``voltage_now`` is exposed in microvolts; the paper logs mV."""
-    text = raw.strip()
-    if not text:
-        raise ValueError("empty voltage_now output")
-    return float(text) / 1000.0
-
-
-def parse_pgrep_pid(raw: str) -> int | None:
-    """First pid from ``pgrep -f`` output, or None when not running."""
-    for line in raw.splitlines():
-        line = line.strip()
-        if line.isdigit():
-            return int(line)
-    return None
-
-
-def parse_top_cpu(raw: str, pid: int) -> float:
-    """%CPU of ``pid`` from a batch-mode ``top`` table.
-
-    Returns 0.0 when the pid's row is absent (process exited between the
-    pgrep and the top call — a real race the pipeline tolerates).
-    """
-    for line in raw.splitlines():
-        tokens = line.split()
-        if tokens and tokens[0] == str(pid):
-            # Row: PID USER PR NI VIRT RES SHR S %CPU %MEM TIME+ ARGS
-            for index, token in enumerate(tokens):
-                if token == "S" and index + 1 < len(tokens):
-                    return float(tokens[index + 1])
-            raise ValueError(f"unrecognised top row: {line!r}")
-    return 0.0
-
-
-_PSS_PATTERN = re.compile(r"TOTAL\s+PSS:\s*(\d+)")
-
-
-def parse_pss_kb(raw: str) -> int:
-    """TOTAL PSS (kB) from ``dumpsys`` output filtered by grep.
-
-    Heap-breakdown lines also mention PSS; only the TOTAL line counts.
-    Returns 0 when no process was found.
-    """
-    match = _PSS_PATTERN.search(raw)
-    if match is None:
-        return 0
-    return int(match.group(1))
-
-
-def parse_net_dev(raw: str) -> tuple[int, int]:
-    """Sum (rx_bytes, tx_bytes) over wlan interfaces in ``/proc/net/dev``.
-
-    The paper: bandwidth "encompasses both received and transmitted data
-    that need to be extracted and summed".  Format per interface row:
-    ``iface: rx_bytes rx_packets ... (8 cols) tx_bytes tx_packets ...``.
-    """
-    rx_total = 0
-    tx_total = 0
-    for line in raw.splitlines():
-        if "wlan" not in line:
-            continue
-        _, _, counters = line.partition(":")
-        fields = counters.split()
-        if len(fields) < 9:
-            raise ValueError(f"malformed /proc/net/dev row: {line!r}")
-        rx_total += int(fields[0])
-        tx_total += int(fields[8])
-    return rx_total, tx_total
-
-
-def parse_metric_sample(
-    timestamp: float,
-    serial: str,
-    current_raw: str,
-    voltage_raw: str,
-    top_raw: str,
-    pid: int,
-    dumpsys_raw: str,
-    net_dev_raw: str,
-) -> DeviceMetricSample:
-    """Assemble one sample from the five raw command outputs."""
-    rx, tx = parse_net_dev(net_dev_raw)
-    return DeviceMetricSample(
-        timestamp=timestamp,
-        serial=serial,
-        current_ua=parse_current_ua(current_raw),
-        voltage_mv=parse_voltage_mv(voltage_raw),
-        cpu_percent=parse_top_cpu(top_raw, pid),
-        memory_kb=parse_pss_kb(dumpsys_raw),
-        rx_bytes=rx,
-        tx_bytes=tx,
-    )
-
-
 def direct_metric_sample(timestamp: float, phone, package: str) -> DeviceMetricSample:
     """One sample read straight off a virtual phone's sensors.
 
-    Fast path for simulated fleets: skips the five ADB string round-trips
-    of :meth:`PhoneMgr._record_sample` but reproduces their result
-    bit-for-bit, including the lossy steps real post-processing performs —
+    What the benchmarking sampler runs.  It equals, bit for bit, issuing
+    the five raw ADB read commands and parsing their text (the oracle in
+    ``tests/reference/adb_reference.py``), including the lossy steps real post-processing performs —
     ``top`` prints %CPU with one decimal (so the parsed value is the
     ``%.1f`` round-trip, not the raw float) — and the exact sensor read
     order, so the phone's noise streams advance identically: ``top``

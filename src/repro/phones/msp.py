@@ -65,9 +65,3 @@ class MobileServicePlatform:
             self.adb.register(phone)
             self.phones.append(phone)
         return self.phones
-
-    def release_all(self) -> None:
-        """Return every leased phone to the platform."""
-        for phone in self.phones:
-            self.adb.unregister(phone.serial)
-        self.phones.clear()

@@ -563,7 +563,8 @@ class PhoneMgr(TierRounds):
 
         Reads the virtual sensors directly (:func:`direct_metric_sample`
         — bit-identical to issuing the five raw ADB commands and parsing
-        their text, including the parse round-trips).
+        their text, including the parse round-trips; that pipeline is the
+        oracle in ``tests/reference/adb_reference.py``).
         """
         sample = direct_metric_sample(self.sim.now, phone, self.apk.package)
         record.samples.append(sample)

@@ -20,6 +20,8 @@ from repro.phones import PhoneMgr
 from repro.phones.apk import ApkStage
 from repro.phones.phone import TRAINING_CONTROL_BYTES
 
+from reference.adb_reference import push_duration
+
 
 def replay_training_sessions(phone, start_times, duration: float, upload_bytes: int) -> None:
     """Apply back-to-back training sessions starting at ``start_times`` to ``phone``.
@@ -88,8 +90,9 @@ def completion_times(mgr: PhoneMgr, plan, model_bytes: int, upload_bytes: int):
     """``PhoneMgr._completion_times`` as one clock per computing phone.
 
     Phone ``p``'s queue holds plan rows ``p, p + n_phones, ...``; its pushes
-    are one ``adb.push_duration`` per queued device and its clock one
-    interleaved cumsum ``((now + push) + training) + upload``.
+    are one scalar ``reference.adb_reference.push_duration`` per queued
+    device and its clock one interleaved cumsum
+    ``((now + push) + training) + upload``.
     """
     total = len(plan.devices)
     phones = mgr.computing_phones[plan.grade]
@@ -99,7 +102,7 @@ def completion_times(mgr: PhoneMgr, plan, model_bytes: int, upload_bytes: int):
     finished = np.empty(total, dtype=np.float64)
     queues = []
     for p, phone in enumerate(phones[:total]):
-        pushes = [mgr.adb.push_duration(phone.serial, n_bytes) for n_bytes in data_bytes[p::n_phones] + model_bytes]
+        pushes = [push_duration(mgr.adb, phone.serial, n_bytes) for n_bytes in data_bytes[p::n_phones] + model_bytes]
         steps = np.empty(3 * len(pushes) + 1, dtype=np.float64)
         steps[0] = mgr.sim.now
         steps[1::3] = pushes

@@ -5,12 +5,13 @@ schedule: one start-up process per logical actor (boot, then its data
 pull) and one generator per actor paying two timeouts per queued device,
 one generator per computing phone paying push / training / upload per
 device, and one polling process per benchmarking phone that issues the
-five raw ADB commands and parses their text.  They define what the
-columnar rounds in ``repro.cluster.runner`` and ``repro.phones.phonemgr``
-must reproduce exactly — outcomes and their order, finish times, sample
-series, Table-I summaries, phone battery / WLAN / session state and the
-final state of every random stream — so the differential suites drive the
-same plans through both and compare bit for bit.  Do not optimise it.
+five raw ADB commands and parses their text (``reference.adb_reference``).
+They define what the columnar rounds in ``repro.cluster.runner`` and
+``repro.phones.phonemgr`` must reproduce exactly — outcomes and their
+order, finish times, sample series, Table-I summaries, phone battery /
+WLAN / session state and the final state of every random stream — so the
+differential suites drive the same plans through both and compare bit for
+bit.  Do not optimise it.
 
 Drive a simulation holding reference tiers one event at a time
 (:func:`run_per_event`), the loop these generators were written against.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 from dataclasses import dataclass, field
+from functools import partial
 from types import SimpleNamespace
 from typing import Any
 
@@ -36,10 +38,10 @@ from repro.cluster.rounds import DeviceColumns
 from repro.deviceflow.messages import MessageBlock
 from repro.cluster.runner import LogicalSimulation
 from repro.ml.fedavg import ModelUpdate
-from repro.phones.metrics import parse_metric_sample, parse_pgrep_pid
 from repro.phones.phonemgr import PhoneMgr, _SampledPhone
 from repro.simkernel import AllOf, Simulator, Timeout
 
+from reference.adb_reference import parse_metric_sample, parse_pgrep_pid, push_duration, text_shell
 from reference.ml_reference import OperatorContext, execute
 
 
@@ -308,7 +310,7 @@ class ReferencePhoneMgr(_RecordsRounds, PhoneMgr):
         for assignment in queue:
             # `is not None`, not truthiness: a zero-record dataset stages its (zero) real bytes.
             data_bytes = assignment.dataset.nbytes() if assignment.dataset is not None else 64 * assignment.n_samples
-            yield Timeout(self.adb.push_duration(phone.serial, data_bytes + model_bytes))
+            yield Timeout(push_duration(self.adb, phone.serial, data_bytes + model_bytes))
             duration = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
             update, payload = None, model_bytes
             if plan.numeric:
@@ -334,7 +336,7 @@ class ReferencePhoneMgr(_RecordsRounds, PhoneMgr):
 
     def _record_sample(self, phone, record) -> None:
         package = self.apk.package
-        shell = self.adb.shell
+        shell = partial(text_shell, self.adb)
         current_raw = shell(phone.serial, "cat /sys/class/power_supply/battery/current_now")
         voltage_raw = shell(phone.serial, "cat /sys/class/power_supply/battery/voltage_now")
         pid = parse_pgrep_pid(shell(phone.serial, f"pgrep -f {package}")) or 0

@@ -1,4 +1,10 @@
-"""Unit tests for the simulated ADB and raw-output post-processing."""
+"""Unit tests for the simulated ADB and raw-output post-processing.
+
+Production's bridge answers only the control commands PhoneMgr sends
+(:class:`TestControlCommands`); the paper's read protocol and its parsers
+are the oracle ``reference.adb_reference`` (:class:`TestPaperCommandSet`,
+:class:`TestParsers`).
+"""
 
 import os
 import subprocess
@@ -7,10 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.phones import AdbError, SimulatedAdb, TrainingApk, VirtualPhone
-from repro.phones.metrics import (
-    integrate_energy_mah,
-    DeviceMetricSample,
+from repro.phones import AdbError, ApkStage, SimulatedAdb, TrainingApk, VirtualPhone
+from repro.phones.metrics import DeviceMetricSample, integrate_energy_mah
+from repro.phones.specs import DEFAULT_LOCAL_FLEET
+from repro.simkernel import RandomStreams, Simulator
+
+from reference import adb_reference
+from reference.adb_reference import (
     parse_current_ua,
     parse_metric_sample,
     parse_net_dev,
@@ -18,9 +27,9 @@ from repro.phones.metrics import (
     parse_pss_kb,
     parse_top_cpu,
     parse_voltage_mv,
+    push_duration,
+    text_shell,
 )
-from repro.phones.specs import DEFAULT_LOCAL_FLEET
-from repro.simkernel import RandomStreams, Simulator
 
 
 @pytest.fixture()
@@ -35,11 +44,9 @@ def rig():
 
 
 class TestFleetManagement:
-    def test_register_and_devices_listing(self, rig):
-        _, adb, _, _ = rig
-        listing = adb.devices()
-        assert "List of devices attached" in listing
-        assert "serial-1\tdevice" in listing
+    def test_register_resolves_the_serial(self, rig):
+        _, adb, phone, _ = rig
+        assert adb.phone("serial-1") is phone
 
     def test_duplicate_serial_rejected(self, rig):
         sim, adb, phone, _ = rig
@@ -50,16 +57,51 @@ class TestFleetManagement:
         _, adb, _, _ = rig
         with pytest.raises(AdbError):
             adb.shell("nope", "cat /sys/class/power_supply/battery/current_now")
-        with pytest.raises(AdbError):
-            adb.unregister("nope")
 
     def test_push_duration_scales(self, rig):
         _, adb, phone, _ = rig
-        assert adb.push_duration("serial-1", 0) == 0.0
-        one_mb = adb.push_duration("serial-1", 10**6)
+        assert push_duration(adb, "serial-1", 0) == 0.0
+        one_mb = push_duration(adb, "serial-1", 10**6)
         assert one_mb == pytest.approx(10**6 / phone.spec.network_bandwidth_bps)
         with pytest.raises(AdbError):
-            adb.push_duration("serial-1", -1)
+            push_duration(adb, "serial-1", -1)
+
+
+class TestControlCommands:
+    """Production's shell answers the three commands PhoneMgr sends, and nothing else."""
+
+    def test_the_three_verbs(self, rig):
+        _, adb, phone, apk = rig
+        assert adb.shell("serial-1", f"am start -n {apk.component}") == f"Starting: Intent {{ cmp={apk.component} }}\n"
+        assert phone.running_package == apk.package
+        assert phone.running_pid is not None
+        assert adb.shell("serial-1", f"pm clear {apk.package}") == "Success\n"
+        assert phone.running_pid is None and phone.running_package is None
+        assert phone.stage is ApkStage.NO_APK
+        adb.shell("serial-1", f"am start -n {apk.component}")
+        assert adb.shell("serial-1", f"am force-stop {apk.package}") == ""
+        assert phone.running_pid is None and phone.running_package is None
+        assert phone.stage is ApkStage.APK_CLOSURE
+
+    @pytest.mark.parametrize(
+        ("command", "message"),
+        [
+            ("cat /sys/class/power_supply/battery/current_now", "/system/bin/sh: cat: inaccessible or not found"),
+            ("am broadcast -a x.START", "am: unsupported sub-command ['broadcast', '-a', 'x.START']"),
+            ("", "empty shell command"),
+            ("   ", "empty shell command"),
+            ("frobnicate --now", "/system/bin/sh: frobnicate: inaccessible or not found"),
+            ("pm install x.apk", "pm: unsupported sub-command ['install', 'x.apk']"),
+            ("am start -n", "am start: missing -n <component>"),
+        ],
+    )
+    def test_anything_else_is_an_adb_error_quoting_it(self, rig, command, message):
+        _, adb, phone, _ = rig
+        stage = phone.stage
+        with pytest.raises(AdbError) as caught:
+            adb.shell("serial-1", command)
+        assert str(caught.value) == message
+        assert phone.stage is stage
 
 
 class TestPaperCommandSet:
@@ -67,25 +109,25 @@ class TestPaperCommandSet:
 
     def test_current_now(self, rig):
         _, adb, phone, _ = rig
-        raw = adb.shell("serial-1", "cat /sys/class/power_supply/battery/current_now")
+        raw = text_shell(adb, "serial-1", "cat /sys/class/power_supply/battery/current_now")
         value = parse_current_ua(raw)
         assert value > 0  # magnitude of the negative sysfs reading
         assert raw.strip().startswith("-")
 
     def test_voltage_now(self, rig):
         _, adb, _, _ = rig
-        raw = adb.shell("serial-1", "cat /sys/class/power_supply/battery/voltage_now")
+        raw = text_shell(adb, "serial-1", "cat /sys/class/power_supply/battery/voltage_now")
         mv = parse_voltage_mv(raw)
         assert 3000 < mv < 4500
 
     def test_pgrep_then_top(self, rig):
         sim, adb, phone, apk = rig
-        adb.shell("serial-1", f"pm clear {apk.package}")
-        adb.shell("serial-1", f"am start -n {apk.component}")
-        pid_raw = adb.shell("serial-1", f"pgrep -f {apk.package}")
+        text_shell(adb, "serial-1", f"pm clear {apk.package}")
+        text_shell(adb, "serial-1", f"am start -n {apk.component}")
+        pid_raw = text_shell(adb, "serial-1", f"pgrep -f {apk.package}")
         pid = parse_pgrep_pid(pid_raw)
         assert pid == phone.running_pid
-        top_raw = adb.shell("serial-1", f"top -b -n 1 -p {pid}")
+        top_raw = text_shell(adb, "serial-1", f"top -b -n 1 -p {pid}")
         cpu = parse_top_cpu(top_raw, pid)
         assert 0.0 <= cpu <= 20.0
 
@@ -95,17 +137,19 @@ class TestPaperCommandSet:
             "from repro.phones import SimulatedAdb, TrainingApk, VirtualPhone\n"
             "from repro.phones.specs import DEFAULT_LOCAL_FLEET\n"
             "from repro.simkernel import RandomStreams, Simulator\n"
+            "from reference.adb_reference import text_shell\n"
             "adb, apk = SimulatedAdb(), TrainingApk()\n"
             "adb.register(VirtualPhone(Simulator(), 'local-000', DEFAULT_LOCAL_FLEET[0], streams=RandomStreams(0)))\n"
             "adb.install('local-000', apk)\n"
             "adb.shell('local-000', f'am start -n {apk.component}')\n"
-            "print(adb.shell('local-000', f'pgrep -f {apk.package}'))\n"
+            "print(text_shell(adb, 'local-000', f'pgrep -f {apk.package}'))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
         outputs = {
             seed: subprocess.run(
                 [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
             ).stdout
             for seed in ("0", "1", "12345")
         }
@@ -114,13 +158,13 @@ class TestPaperCommandSet:
 
     def test_pgrep_not_running(self, rig):
         _, adb, _, apk = rig
-        raw = adb.shell("serial-1", f"pgrep -f {apk.package}")
+        raw = text_shell(adb, "serial-1", f"pgrep -f {apk.package}")
         assert parse_pgrep_pid(raw) is None
 
     def test_dumpsys_grep_pss(self, rig):
         _, adb, phone, apk = rig
-        adb.shell("serial-1", f"am start -n {apk.component}")
-        raw = adb.shell("serial-1", f"dumpsys meminfo {apk.package} | grep PSS")
+        text_shell(adb, "serial-1", f"am start -n {apk.component}")
+        raw = text_shell(adb, "serial-1", f"dumpsys meminfo {apk.package} | grep PSS")
         # grep keeps only PSS-bearing lines; parser must isolate TOTAL PSS.
         assert "TOTAL PSS" in raw
         assert "Java Heap" not in raw
@@ -129,39 +173,36 @@ class TestPaperCommandSet:
 
     def test_net_dev_grep_wlan(self, rig):
         sim, adb, phone, apk = rig
-        adb.shell("serial-1", f"am start -n {apk.component}")
+        text_shell(adb, "serial-1", f"am start -n {apk.component}")
         pid = phone.running_pid
         phone.start_training(5.0, upload_bytes=10_000)
         sim.run()
-        raw = adb.shell("serial-1", f"cat /proc/{pid}/net/dev | grep wlan")
+        raw = text_shell(adb, "serial-1", f"cat /proc/{pid}/net/dev | grep wlan")
         rx, tx = parse_net_dev(raw)
         assert "lo:" not in raw
         assert rx + tx > 10_000
 
     def test_lifecycle_commands(self, rig):
         _, adb, phone, apk = rig
-        assert "Success" in adb.shell("serial-1", f"pm clear {apk.package}")
-        assert "Starting" in adb.shell("serial-1", f"am start -n {apk.component}")
-        assert "Broadcast completed" in adb.shell(
-            "serial-1", f"am broadcast -a {apk.package}.START"
-        )
-        adb.shell("serial-1", f"am force-stop {apk.package}")
+        assert "Success" in text_shell(adb, "serial-1", f"pm clear {apk.package}")
+        assert "Starting" in text_shell(adb, "serial-1", f"am start -n {apk.component}")
+        text_shell(adb, "serial-1", f"am force-stop {apk.package}")
         assert phone.running_pid is None
 
     def test_unknown_command_is_shell_error(self, rig):
         _, adb, _, _ = rig
         with pytest.raises(AdbError, match="not found"):
-            adb.shell("serial-1", "frobnicate --now")
+            text_shell(adb, "serial-1", "frobnicate --now")
 
     def test_unknown_path(self, rig):
         _, adb, _, _ = rig
         with pytest.raises(AdbError, match="No such file"):
-            adb.shell("serial-1", "cat /sys/does/not/exist")
+            text_shell(adb, "serial-1", "cat /sys/does/not/exist")
 
     def test_unsupported_pipeline(self, rig):
         _, adb, _, _ = rig
         with pytest.raises(AdbError, match="unsupported pipeline"):
-            adb.shell("serial-1", "cat /sys/class/power_supply/battery/current_now | awk x")
+            text_shell(adb, "serial-1", "cat /sys/class/power_supply/battery/current_now | awk x")
 
     @pytest.mark.parametrize(
         ("command", "names"),
@@ -180,7 +221,7 @@ class TestPaperCommandSet:
         messages = []
         for _ in range(2):
             with pytest.raises(AdbError) as caught:
-                adb.shell("serial-1", command)
+                text_shell(adb, "serial-1", command)
             assert names in str(caught.value)
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
@@ -188,15 +229,13 @@ class TestPaperCommandSet:
     def test_a_command_string_is_tokenised_once(self, rig, monkeypatch):
         import shlex
 
-        from repro.phones import adb as adb_module
-
         _, adb, _, _ = rig
         split_calls = []
         real_split = shlex.split
         monkeypatch.setattr(shlex, "split", lambda text: split_calls.append(text) or real_split(text))
-        adb_module._tokens.cache_clear()
+        adb_reference._tokens.cache_clear()
         for _ in range(5):
-            assert parse_voltage_mv(adb.shell("serial-1", "cat /sys/class/power_supply/battery/voltage_now")) > 0
+            assert parse_voltage_mv(text_shell(adb, "serial-1", "cat /sys/class/power_supply/battery/voltage_now")) > 0
         assert split_calls == ["cat /sys/class/power_supply/battery/voltage_now"]
 
 

@@ -345,8 +345,6 @@ class TestMsp:
         assert sum(phone.spec.grade == "High" for phone in phones) == 13
         with pytest.raises(RuntimeError):
             msp.provision()
-        msp.release_all()
-        assert msp.phones == []
 
     def test_partial_availability(self):
         sim = Simulator()
