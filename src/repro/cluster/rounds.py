@@ -11,8 +11,7 @@ results are one :class:`~repro.deviceflow.messages.MessageBlock` over the
 same rows — the block the sink, DeviceFlow and the fold are handed, never a
 copy of it, and kept by the tier only until its deliveries have fired — and
 :class:`TierRounds` is the one engine that executes, schedules, delivers and
-closes a round.  A tier contributes its completion-time kernel (and, where
-its same-instant ties do not follow slot order, the queues that order them).
+closes a round.  A tier contributes only its completion-time kernel.
 """
 
 from __future__ import annotations
@@ -181,9 +180,8 @@ class TierPlan:
             raise ValueError(f"{self.grade!r} plan: numeric=True needs {name}.datasets")
 
 
-#: One slot's queue in a plan's schedule (or a stretch of it): the plan rows it
-#: works through, in completion order, and the tier's hook for when the queue
-#: has drained.
+#: One slot's queue in a plan's schedule: the plan rows it works through, in
+#: completion order, and the tier's hook for when the queue has drained.
 SlotQueue = tuple[slice, Callable[[], None]]
 
 
@@ -237,16 +235,6 @@ class TierRounds:
         queues must partition the plan.
         """
         raise NotImplementedError
-
-    def _wave_queues(
-        self, plan: TierPlan, finished: np.ndarray, queues: list[SlotQueue], model_bytes: int, upload_bytes: int
-    ) -> list[SlotQueue]:
-        """The queues a wave-delivered round registers: rows of different queues due together deliver in list order.
-
-        A tier whose ties follow another order than its slots' splits its
-        queues here.
-        """
-        return queues
 
     # -- the round --------------------------------------------------------
     def _drive_round(
@@ -361,9 +349,6 @@ class TierRounds:
             if update_weights is not None:
                 upload_bytes = ModelUpdate.wire_size(plan.feature_dim)
         finished, queues = self._completion_times(plan, model_bytes, upload_bytes)
-        waves = getattr(sink, "prefers_waves", False)
-        if waves:
-            queues = self._wave_queues(plan, finished, queues, model_bytes, upload_bytes)
         block = MessageBlock(
             task_id=self.task_id,
             round_index=round_index,
@@ -390,14 +375,14 @@ class TierRounds:
             if pending == 0:
                 plan_done()
 
-        if not waves:
+        if not getattr(sink, "prefers_waves", False):
             self.sim.schedule_at(float(finished.max()), deliver, None, [hook for _, hook in queues])
             return
         for rows, hook in queues:
             queue = range(total)[rows]
 
             # Entries lo..hi of a queue are the plan rows queue[lo:hi]; queues
-            # drain chronologically, ties in list order.
+            # drain chronologically across slots, ties in slot order.
             def fire(lo: int, hi: int, _t: float, queue=queue, hook=hook) -> None:
                 wave = slice(queue[lo], queue[hi - 1] + 1, queue.step)
                 deliver(wave, [hook] if hi == len(queue) else [])

@@ -148,30 +148,6 @@ class _SampledPhone:
         self.stopped = Signal(name=f"{phone.serial}.sampler")
 
 
-def _chain_ranks(clock: np.ndarray) -> np.ndarray:
-    """Where each cell of a :meth:`PhoneMgr._clock` fires among them all, were each an event.
-
-    Cell ``(p, j)`` stands for the event phone ``p`` schedules when
-    ``(p, j - 1)`` fires; column 0 is the round's start, phone by phone.
-    The kernel fires equal times in scheduling order, so a cell ranks by
-    its time, then by its predecessor's rank.  Each pass settles one more
-    link of a chain of equal times.
-    """
-    times = clock.ravel()
-    cells = np.arange(times.size)
-    rank = np.empty_like(cells)
-    rank[np.argsort(times, kind="stable")] = cells
-    before = np.empty(clock.shape, dtype=cells.dtype)
-    before[:, 0] = np.arange(clock.shape[0])
-    while True:
-        before[:, 1:] = rank.reshape(clock.shape)[:, :-1]
-        settled = np.empty_like(cells)
-        settled[np.lexsort((before.ravel(), times))] = cells
-        if np.array_equal(settled, rank):
-            return rank.reshape(clock.shape)
-        rank = settled
-
-
 class PhoneMgr(TierRounds):
     """Manages the physical devices cluster for one SimDC deployment.
 
@@ -403,46 +379,38 @@ class PhoneMgr(TierRounds):
         self.benchmark_phones.clear()
 
     # ------------------------------------------------------------------
-    # wave-scheduled computing phones (the engine's tier hooks)
+    # wave-scheduled computing phones (the engine's two tier hooks)
     # ------------------------------------------------------------------
     def _numeric_block_size(self, plan: PhoneAssignment) -> int:
         """ONE stacked block across every device queued on the plan's phones."""
         return len(plan.devices)
 
-    def _clock(self, plan: PhoneAssignment, model_bytes: int, upload_bytes: int) -> np.ndarray:
-        """The (phones x (3 waves + 1)) clock of a plan: each row ``now`` then its phone's leg ends.
+    def _completion_times(
+        self, plan: PhoneAssignment, model_bytes: int, upload_bytes: int
+    ) -> tuple[np.ndarray, list[SlotQueue]]:
+        """One clock pass per plan.
 
         Phone ``p``'s round-robin queue (rows ``p, p + n_phones, ...``) is
-        row ``p``, short queues padded at the end; one ``cumsum(axis=1)``
-        runs every row's float-add chain ``((now + push) + training) +
-        upload`` — the kernel's ``now + delay`` scheduling, in place.
+        row ``p`` of a (phones x waves) layout, short queues padded at the
+        end; one ``cumsum(axis=1)`` runs every row's float-add chain
+        ``((now + push) + training) + upload`` — the kernel's ``now + delay``
+        scheduling, in place.  A phone's state is replayed from the same
+        clock's :func:`session_accounts` once its queue drains.
         """
         total = len(plan.devices)
+        n_phones = len(self.computing_phones[plan.grade])
         phones = self.computing_phones[plan.grade][:total]
-        waves = -(-total // len(self.computing_phones[plan.grade]))
+        waves = -(-total // n_phones)
+        duration = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
         payloads = np.zeros(waves * len(phones))
         payloads[:total] = plan.devices.staged_bytes() + model_bytes
         bandwidth = np.array([phone.spec.network_bandwidth_bps for phone in phones], dtype=np.float64)
         clock = np.empty((len(phones), 3 * waves + 1))
         clock[:, 0] = self.sim.now
         clock[:, 1::3] = self.adb.push_durations([phone.serial for phone in phones], payloads.reshape(waves, -1).T)
-        clock[:, 2::3] = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
+        clock[:, 2::3] = duration
         clock[:, 3::3] = (upload_bytes / bandwidth)[:, None]
-        return np.cumsum(clock, axis=1, out=clock)
-
-    def _completion_times(
-        self, plan: PhoneAssignment, model_bytes: int, upload_bytes: int
-    ) -> tuple[np.ndarray, list[SlotQueue]]:
-        """One clock pass per plan (:meth:`_clock`), one slot queue per phone.
-
-        A phone's state is replayed from the same clock's
-        :func:`session_accounts` once its queue drains.
-        """
-        total = len(plan.devices)
-        n_phones = len(self.computing_phones[plan.grade])
-        phones = self.computing_phones[plan.grade][:total]
-        duration = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
-        clock = self._clock(plan, model_bytes, upload_bytes)
+        np.cumsum(clock, axis=1, out=clock)
         starts = clock[:, 1::3]
         accounts = session_accounts(phones, starts, clock[:, 2::3])
         queues: list[SlotQueue] = []
@@ -452,25 +420,6 @@ class PhoneMgr(TierRounds):
                              duration, upload_bytes, accounts[:, p, : 2 * k + 1])
             queues.append((slice(p, total, n_phones), replay))
         return clock[:, 3::3].T.ravel()[:total], queues
-
-    def _wave_queues(
-        self, plan: PhoneAssignment, finished: np.ndarray, queues: list[SlotQueue], model_bytes: int,
-        upload_bytes: int,
-    ) -> list[SlotQueue]:
-        """The phone queues, or one queue per device where phones finish together out of phone order.
-
-        Devices finishing at one instant deliver in the order per-device
-        events would fire (:func:`_chain_ranks`): the device whose upload,
-        training, push ... was scheduled first, down to the round's start
-        in phone order.  The pool fires a tie queue by queue.
-        """
-        total = len(finished)
-        rank = _chain_ranks(self._clock(plan, model_bytes, upload_bytes))[:, 3::3].T.ravel()[:total]
-        by_time = np.lexsort((np.arange(total) % len(queues), finished))
-        if (rank[by_time[1:]] > rank[by_time[:-1]]).all():
-            return queues
-        hooks = {range(total)[rows][-1]: drained for rows, drained in queues}
-        return [(slice(row, row + 1), hooks.get(row, lambda: None)) for row in np.argsort(rank).tolist()]
 
     # ------------------------------------------------------------------
     # benchmarking phones (Table I five-stage protocol)

@@ -23,7 +23,6 @@ from repro.phones import PhoneAssignment, PhoneMgr, PhysicalCostModel, Simulated
 from repro.phones.adb import AdbError
 from repro.phones.apk import ApkStage, TrainingApk
 from repro.phones.phone import session_accounts
-from repro.phones.phonemgr import _chain_ranks
 from repro.simkernel import RandomStreams, Simulator, Timeout
 
 
@@ -185,40 +184,6 @@ class TestPlanClock:
             mgr, _ = prepared(PhoneMgr, plan_of([3, 1, 4, 1, 5], 2))
             with pytest.raises(AdbError, match="cannot push a negative payload"):
                 kernel(mgr, mgr.plans[0], -200, 0)
-
-
-class TestChainRanks:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        legs=st.integers(1, 5).flatmap(
-            lambda n_phones: st.lists(
-                st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]), min_size=6, max_size=6),
-                min_size=n_phones, max_size=n_phones,
-            )
-        ),
-        origin=st.sampled_from([0.0, 109.0]),
-    )
-    def test_ranks_are_the_kernels_firing_order(self, legs, origin):
-        # Legs drawn from a few tenths make float sums tie across phones,
-        # often after chains that diverged; each cell is fired as a Timeout.
-        clock = np.cumsum(np.column_stack([np.full(len(legs), origin), np.array(legs)]), axis=1)
-        sim, fired = Simulator(), []
-
-        def chain(p):
-            for j, leg in enumerate(legs[p], start=1):
-                yield Timeout(leg)
-                fired.append((p, j))
-
-        def start():
-            yield Timeout(origin)
-            for p in range(len(legs)):
-                fired.append((p, 0))
-                sim.process(chain(p))
-
-        sim.process(start())
-        sim.run()
-        rank = _chain_ranks(clock)
-        assert sorted(fired, key=lambda cell: rank[cell]) == fired
 
 
 class TestAbortMidRound:

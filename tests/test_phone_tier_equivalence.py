@@ -15,7 +15,7 @@ numeric and time-only plans, mixed grades and MSP control latency.
 import numpy as np
 import pytest
 from helpers import CallbackSink, WholePlanSink, stream_states
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.tier_reference import ReferencePhoneMgr, all_outcomes, run_per_event
 
@@ -275,9 +275,6 @@ class TestOneEngineAnyShape:
         numeric=st.booleans(),
         delivery=st.sampled_from([CallbackSink, WholePlanSink, None]),
     )
-    # Two phones finish round 2 at one instant, the later-started phone's
-    # device first: per-device events deliver it first, not phone order.
-    @example(n_devices=6, n_phones=3, n_bench=1, numeric=True, delivery=CallbackSink)
     def test_phone_rounds_equal_the_oracle(self, n_devices, n_phones, n_bench, numeric, delivery):
         def plans():
             make = numeric_plan if numeric else time_only_plan
@@ -290,25 +287,6 @@ class TestOneEngineAnyShape:
                 session["outcomes"].sort(key=lambda o: (o.round_index, o.finished_at, o.device_id))
         assert_equivalent(oracle, engine, delivered=delivery is not None)
         assert not any(aborted for _, _, aborted in engine["rounds"])
-
-
-class TestSameInstantFinishers:
-    """Phones whose devices finish at one instant out of phone order, no benchmarking phone to mask the round's end.
-
-    Each plan's data makes two computing phones' float chains meet: the
-    device on the phone that started its chain later finishes at the same
-    instant and is delivered after the other, as per-device events fire.
-    """
-
-    @pytest.mark.parametrize("n_devices, n_phones, seed", [(6, 3, 8), (9, 2, 4), (10, 5, 10), (11, 6, 10)])
-    def test_wave_delivery_equals_the_oracle(self, n_devices, n_phones, seed):
-        def plans():
-            return [numeric_plan("High", n_devices, n_phones, 0, seed=seed)]
-
-        assert_equivalent(
-            run_session(ORACLE, plans(), 8, rounds=3, numeric=True),
-            run_session(PRODUCTION, plans(), 8, rounds=3, numeric=True),
-        )
 
 
 class TestAbortMidRound:
