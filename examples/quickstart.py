@@ -60,9 +60,10 @@ def main(n_devices: int = 30, rounds: int = 3, feature_dim: int = 512) -> None:
             f"  round {record.round_index}: {record.n_updates} updates, "
             f"loss={record.test_loss:.4f}, accuracy={record.test_accuracy:.4f}"
         )
-    samples = platform.db.query("device_samples", task_id=task.task_id)
-    serials = sorted({s["serial"] for s in samples})
-    print(f"benchmarking phones sampled: {serials} ({len(samples)} samples)")
+    # PhoneMgr's upload: each benchmarking phone's samples and stage boundaries, per round.
+    serials = sorted({record.serial for record in result.benchmark_records})
+    n_samples = sum(len(record.samples) for record in result.benchmark_records)
+    print(f"benchmarking phones sampled: {serials} ({n_samples} samples)")
     for record in result.benchmark_records[:2]:
         for summary in record.stage_summaries():
             print(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from numbers import Real
 
 import numpy as np
 
@@ -30,10 +31,13 @@ class TimezoneMixture:
         offset_weights = list(offset_weights)
         if not offset_weights:
             raise ValueError("at least one timezone is required")
+        offsets = [o for o, _ in offset_weights]
+        if not all(isinstance(o, Real) and not isinstance(o, bool) and float(o).is_integer() for o in offsets):
+            raise ValueError(f"offsets must be whole hours, got {offsets!r}")
         weights = [w for _, w in offset_weights]
         if not all(0 < w < math.inf for w in weights):  # also false for NaN
             raise ValueError(f"weights must be positive and finite, got {weights!r}")
-        self.offsets = np.array([o for o, _ in offset_weights], dtype=np.int32)
+        self.offsets = np.array(offsets, dtype=np.int32)
         array = np.array(weights, dtype=np.float64)
         self.weights = array / array.sum()
 

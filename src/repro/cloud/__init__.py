@@ -1,4 +1,4 @@
-"""Cloud-side services: metrics database, aggregation, monitoring.
+"""Cloud-side services: ingestion, aggregation, monitoring.
 
 In the paper's architecture the compute tiers upload results to shared
 storage and notify cloud services through DeviceFlow; "cloud services then
@@ -20,7 +20,6 @@ from repro.cloud.aggregation import (
     SampleThresholdTrigger,
     ScheduledTrigger,
 )
-from repro.cloud.database import MetricsDatabase
 from repro.cloud.monitor import Monitor, MonitorEvent
 from repro.cloud.sink import CloudIngestSink, OutcomeSink
 from repro.cloud.transport import (
@@ -38,7 +37,6 @@ __all__ = [
     "ChannelModel",
     "ChannelWindow",
     "CloudIngestSink",
-    "MetricsDatabase",
     "Monitor",
     "MonitorEvent",
     "OutcomeSink",

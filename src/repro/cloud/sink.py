@@ -53,7 +53,7 @@ class OutcomeSink(Protocol):
 class CloudIngestSink:
     """The production sink: DeviceFlow/aggregation ingestion.
 
-    A delivery (:meth:`accept_block`) is trace, gate, then one
+    A delivery (:meth:`accept_block`) is gate, then one
     ``deviceflow.submit_block`` or one ``service.receive_block`` of the
     block itself (of its surviving rows, when the gate dropped some) —
     with the global model bit-identical however a round's rows were cut
@@ -75,6 +75,10 @@ class CloudIngestSink:
         upload folds exactly once, duplicated/retried deliveries are
         counted in ``duplicate_drops`` and discarded.  Armed whenever a
         lossy transport channel fronts the sink.
+    tracer:
+        When set, every row the gate drops is recorded as an ingest drop
+        (the task runner records the blocks themselves, as the tiers hand
+        them over).
 
     When neither dedup nor a round deadline is armed, every ingestion
     path is byte-for-byte the ungated fast path — the gate costs nothing
@@ -88,19 +92,13 @@ class CloudIngestSink:
         deviceflow: DeviceFlow | None = None,
         dedup: bool = False,
         tracer: Tracer | None = None,
-        trace_devices: bool = True,
     ) -> None:
         self.sim = sim
         self.service = service
         self.deviceflow = deviceflow
         self.prefers_waves = deviceflow is not None
         self.dedup = bool(dedup)
-        # ``trace_devices`` is False when a TransportChannel fronts this
-        # sink — the channel records each device completion instead
-        # (deliveries here would otherwise double-record, once per retry
-        # duplicate).  Ingest-gate drops are always recorded here.
         self.tracer = tracer
-        self._trace_devices = tracer is not None and trace_devices
         #: Uploads admitted / dropped by the ingestion gate.
         self.delivered = 0
         self.duplicate_drops = 0
@@ -177,10 +175,6 @@ class CloudIngestSink:
         """
         if len(block) == 0:
             return
-        if self._trace_devices:
-            # O(1): the tracer keeps a reference to the block and expands
-            # it to per-device records at assembly time.
-            self.tracer.record_block(block)
         # Flow-connected sinks gate at dispatcher delivery instead
         # (:meth:`flow_receive`): a submission is not an ingestion yet.
         if self._guarded and self.deviceflow is None:

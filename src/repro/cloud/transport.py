@@ -356,12 +356,6 @@ class TransportChannel:
     def accept_block(self, block: MessageBlock) -> None:
         # Draws are keyed per device; the exact-sum fold downstream makes
         # the delivery order irrelevant to the aggregate.
-        if self.tracer is not None:
-            # The channel is the transport boundary: record the devices'
-            # completions here (the fronted sink skips its own record) and
-            # each upload's planned fate.  Pure appends — no draws, no
-            # kernel events — so the traced run stays byte-identical.
-            self.tracer.record_block(block)
         bank = self.seed(block.task_id, block.device_ids)
         for row, (device_id, t0) in enumerate(zip(block.device_ids, block.finished_at.tolist())):
             self._route(block, row, device_id, t0, bank)

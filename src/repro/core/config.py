@@ -69,9 +69,12 @@ class PlatformConfig:
     #: the ideal lossless exactly-once uplink.
     channel: ChannelModel | None = None
     #: Optional :class:`~repro.observability.tracing.Tracer` capturing
-    #: span records from every task, sink, channel, flow and phone tier.
-    #: ``None`` (default) compiles every instrumentation point down to a
-    #: skipped ``if`` — zero cost, byte-identical runs.
+    #: the span records nothing else keeps: rounds and handed-over blocks
+    #: (task runner), upload fates (channel), gate drops (sink) and flow
+    #: traffic (DeviceFlow); folds and bench stages come from the Monitor
+    #: and the task results at assembly.  ``None`` (default) compiles
+    #: every instrumentation point down to a skipped ``if`` — zero cost,
+    #: byte-identical runs.
     tracer: Tracer | None = None
 
     def __post_init__(self) -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.cloud.database import MetricsDatabase
 from repro.cloud.monitor import Monitor
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
@@ -42,10 +41,10 @@ class SimDC:
     """A fully wired SimDC deployment over the discrete-event kernel.
 
     Construction stands up the logical cluster, the local + MSP phone
-    fleet behind a simulated ADB, the metrics database,
-    DeviceFlow, the resource manager and the task manager.  Tasks are
-    submitted as :class:`~repro.scheduler.task.TaskSpec` objects and the
-    whole deployment advances by running the simulator.
+    fleet behind a simulated ADB, DeviceFlow, the resource manager and
+    the task manager.  Tasks are submitted as
+    :class:`~repro.scheduler.task.TaskSpec` objects and the whole
+    deployment advances by running the simulator.
     """
 
     def __init__(self, config: PlatformConfig | None = None) -> None:
@@ -53,7 +52,6 @@ class SimDC:
         self.sim = Simulator()
         self.streams = RandomStreams(self.config.seed)
         self.monitor = Monitor(self.sim)
-        self.db = MetricsDatabase()
         self.cluster = K8sCluster(self.config.cluster_nodes)
         self.adb = SimulatedAdb()
         self.phones: list[VirtualPhone] = []
@@ -196,7 +194,6 @@ class SimDC:
             deviceflow=self.deviceflow,
             streams=self.streams,
             busy_registry=self._busy_registry,
-            db=self.db,
             monitor=self.monitor,
             unit_bundle=self.config.unit_bundle,
             poll_interval=self.config.poll_interval,

@@ -2,8 +2,8 @@
 
 "Performance measurement starts with the APK launch, and no data is
 recorded during the device's wait for global aggregation to complete."
-The trace comes straight out of the cloud metrics database that PhoneMgr
-uploads samples to.
+The trace comes straight out of the benchmark records PhoneMgr uploads
+with the task's result.
 """
 
 from __future__ import annotations
@@ -63,19 +63,16 @@ def run_fig5_device_trace(rounds: int = 3, seed: int = 0) -> DeviceTraceResult:
     platform.submit(spec)
     platform.run_until_idle(max_time=1e8)
     result = platform.result(spec.task_id)
-    serial = result.benchmark_records[0].serial
-    samples = platform.db.query("device_samples", task_id=spec.task_id, serial=serial)
-    samples.sort(key=lambda r: r["time"])
-    trace = DeviceTraceResult(serial=serial)
-    for row in samples:
-        trace.times.append(row["time"])
-        trace.cpu_percent.append(row["cpu_percent"])
-        trace.memory_mb.append(row["memory_kb"] / 1024.0)
-    for record in result.benchmark_records:
-        if record.serial == serial:
-            start = min(s for _, s, _ in record.boundaries)
-            end = max(e for _, _, e in record.boundaries)
-            trace.round_windows.append((start, end))
+    records = result.benchmark_records  # the task's one benchmarking phone, once a round
+    trace = DeviceTraceResult(serial=records[0].serial)
+    for sample in sorted((s for record in records for s in record.samples), key=lambda s: s.timestamp):
+        trace.times.append(sample.timestamp)
+        trace.cpu_percent.append(sample.cpu_percent)
+        trace.memory_mb.append(sample.memory_kb / 1024.0)
+    for record in records:
+        start = min(s for _, s, _ in record.boundaries)
+        end = max(e for _, _, e in record.boundaries)
+        trace.round_windows.append((start, end))
     trace.round_windows.sort()
     return trace
 

@@ -20,25 +20,28 @@ This module assembles that journey as a span tree per task:
 
 Spans live entirely on the *simulated* clock and every span id is a
 deterministic function of ``(task, round, device, kind)``, so two runs
-of the same spec and seed produce byte-identical traces.  Recording is
-two-phase to keep the simulation hot path clean:
+of the same spec and seed produce byte-identical traces.  Each fact is
+recorded once, by whoever owns it, and the trace is derived afterwards:
 
-* :class:`Tracer` — append-only capture.  Instrumentation points in the
-  task runner, transport channel, ingestion sink, DeviceFlow and the
-  phone manager call ``record_*`` methods that append plain tuples (or,
-  for device rounds and DeviceFlow traffic, one reference to the
-  columnar block / message segment); nothing is formatted, sorted or
-  allocated per span while the simulation runs.
+* :class:`Tracer` — append-only capture of what nothing else keeps.  The
+  task runner records round starts / ends and each block a tier hands to
+  the cloud side (one reference to the columnar block), the transport
+  channel each upload's fate, the ingestion sink its gate drops, and
+  DeviceFlow its submissions and deliveries (one reference to each
+  message segment); nothing is formatted, sorted or allocated per span
+  while the simulation runs.
   Every instrumentation point is guarded by ``tracer is not None``, so
   an untraced run executes exactly the code it executed before tracing
   existed — zero cost when off, and byte-identical reports when on
   (recording never touches a random stream or the event queue).
-* :func:`assemble_trace` — post-run distillation of the Tracer's capture
-  plus the :class:`~repro.cloud.monitor.Monitor` event log (task
-  lifecycle, per-round transport KPIs) into a sorted :class:`Trace`.
+* :func:`assemble_trace` — post-run distillation of the Tracer's capture,
+  the :class:`~repro.cloud.monitor.Monitor` event log (task lifecycle,
+  per-round transport KPIs, the ``round_aggregated`` folds) and the task
+  results' :class:`~repro.phones.phonemgr.BenchmarkRecord` stage
+  boundaries into a sorted :class:`Trace`.
 
-Wave spans are *derived*, not recorded: a wave is the set of a round's
-devices sharing ``(grade, finished_at)``.
+Wave, aggregate and bench-stage spans are *derived*, not recorded: a wave
+is the set of a round's devices sharing ``(grade, finished_at)``.
 """
 
 from __future__ import annotations
@@ -49,10 +52,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable, Sequence
+    from collections.abc import Callable, Iterable, Sequence
 
     from repro.cloud.monitor import Monitor
     from repro.deviceflow.messages import MessageBlock
+    from repro.scheduler.task_runner import TaskResult
 
 #: Every span kind the assembler can emit, with the tree level it lives
 #: at (documentation + the README reference table; exporters use it to
@@ -168,8 +172,6 @@ class Tracer:
         #: (task, round, time)
         self.round_starts: list[tuple[str, int, float]] = []
         self.round_ends: list[tuple[str, int, float]] = []
-        #: (task, round, time, n_updates, test_accuracy)
-        self.folds: list[tuple[str, int, float, int, float | None]] = []
         #: (task, device, round, t0, arrival-or-None, retries, duplicate, status)
         self.uploads: list[tuple[str, str, int, float, float | None, int, bool, str]] = []
         #: (task, device, round, time, reason) — reason: duplicate | late
@@ -179,8 +181,6 @@ class Tracer:
         #: at assembly.
         self.flow_submits: list[tuple[str, int, Sequence[str], float]] = []
         self.flow_deliveries: list[tuple[str, int, Sequence[str], float]] = []
-        #: (task, serial, device, round, stage, start, end)
-        self.bench_stages: list[tuple[str, str, str, int, str, float, float]] = []
 
     # -- hot-path record methods (append one tuple each) ----------------
     def record_block(self, block: MessageBlock) -> None:
@@ -192,16 +192,6 @@ class Tracer:
 
     def record_round_end(self, task_id: str, round_index: int, time: float) -> None:
         self.round_ends.append((task_id, round_index, time))
-
-    def record_fold(
-        self,
-        task_id: str,
-        round_index: int,
-        time: float,
-        n_updates: int,
-        test_accuracy: float | None,
-    ) -> None:
-        self.folds.append((task_id, round_index, time, n_updates, test_accuracy))
 
     def record_upload(
         self,
@@ -232,18 +222,6 @@ class Tracer:
         self.flow_deliveries.append(
             (segment.task_id, segment.round_index, segment.device_ids, time)
         )
-
-    def record_bench_stage(
-        self,
-        task_id: str,
-        serial: str,
-        device_id: str,
-        round_index: int,
-        stage: str,
-        start: float,
-        end: float,
-    ) -> None:
-        self.bench_stages.append((task_id, serial, device_id, round_index, stage, start, end))
 
     # ------------------------------------------------------------------
     def all_devices(self) -> list[tuple[str, str, str, int, int, int, float]]:
@@ -283,17 +261,20 @@ def _span_id(task_id: str, *parts: Any) -> str:
 def assemble_trace(
     monitor: Monitor,
     tracer: Tracer,
+    results: Iterable[TaskResult],
     name: str,
     tenant_of: Callable[[str], str],
 ) -> Trace:
     """Distil a finished run's capture into a :class:`Trace`.
 
     ``monitor`` supplies the task lifecycle (submitted / scheduled /
-    started / completed / failed) and the per-round ``transport_round``
-    KPI events that annotate round spans; ``tracer`` supplies everything
-    device-level.  ``tenant_of`` maps a task id to its tenant (the
-    scenario runner's convention) — the tenant lands in the task span's
-    attrs so span identity is effectively ``(tenant, task, round,
+    started / completed / failed), the per-round ``transport_round``
+    KPI events that annotate round spans and the ``round_aggregated``
+    folds; ``tracer`` supplies everything device-level; ``results`` (the
+    finished tasks', failed ones included) supply the benchmarking phones'
+    Table-I stage boundaries.  ``tenant_of`` maps a task id to its tenant
+    (the scenario runner's convention) — the tenant lands in the task
+    span's attrs so span identity is effectively ``(tenant, task, round,
     device, kind)``.
     """
     spans: list[Span] = []
@@ -313,53 +294,38 @@ def assemble_trace(
     }
     devices = tracer.all_devices()
 
-    # Tasks come from every source that can name one: traced tasks with
-    # no monitor (a bare TaskRunner) still get a root span.
-    task_ids = sorted(
-        set(submitted)
-        | set(started)
-        | {task for task, _index, _time in tracer.round_starts}
-        | {record[0] for record in devices}
-    )
-
     device_end_by_task: dict[str, float] = defaultdict(float)
     for record in devices:
         task = record[0]
         device_end_by_task[task] = max(device_end_by_task[task], record[6])
 
-    task_span_ids: dict[str, str] = {}
     round_span_ids: dict[tuple[str, int], str] = {}
     round_spans: dict[tuple[str, int], Span] = {}
-    for task in task_ids:
-        t_submit = submitted.get(task)
+    # Every task the platform was handed logged ``task_submitted``, before it started.
+    for task, first in sorted(submitted.items()):
         t_sched = scheduled.get(task)
         t_start = started.get(task)
         t_end = completed.get(task, failed.get(task))
         rounds_of_task = sorted(k[1] for k in round_starts if k[0] == task)
-        first = min(
-            (t for t in (t_submit, t_start) if t is not None),
-            default=round_starts.get((task, rounds_of_task[0])) if rounds_of_task else 0.0,
-        )
         if t_end is None:
             t_end = max(
                 device_end_by_task.get(task, first),
                 max((round_ends.get((task, r), first) for r in rounds_of_task), default=first),
             )
         root_id = _span_id(task)
-        task_span_ids[task] = root_id
         status = "failed" if task in failed else ("completed" if task in completed else "open")
         attrs: dict[str, Any] = {"task": task, "status": status, "tenant": tenant_of(task)}
         spans.append(
             Span(root_id, None, task, "task", first, t_end, attrs)
         )
-        if t_submit is not None and t_sched is not None:
+        if t_sched is not None:
             spans.append(
                 Span(
                     _span_id(task, "queue"),
                     root_id,
                     "queue wait",
                     "queue_wait",
-                    t_submit,
+                    first,
                     t_sched,
                     {"task": task},
                 )
@@ -407,19 +373,19 @@ def assemble_trace(
         }
 
     # -- aggregation folds ----------------------------------------------
-    for task, round_index, time, n_updates, accuracy in tracer.folds:
-        round_id = round_span_ids.get((task, round_index))
-        attrs = {"task": task, "round": round_index, "n_updates": n_updates}
+    for event in monitor.of_kind("round_aggregated"):
+        task, round_index, accuracy = event.fields["task_id"], event.fields["round"], event.fields["test_accuracy"]
+        attrs = {"task": task, "round": round_index, "n_updates": event.fields["n_updates"]}
         if accuracy is not None:
             attrs["test_accuracy"] = accuracy
         spans.append(
             Span(
                 _span_id(task, f"r{round_index}", "aggregate"),
-                round_id,
+                round_span_ids.get((task, round_index)),
                 "aggregate",
                 "aggregate",
-                time,
-                time,
+                event.time,
+                event.time,
                 attrs,
             )
         )
@@ -557,8 +523,15 @@ def assemble_trace(
             )
         )
 
-    # -- benchmark-phone stages -----------------------------------------
-    for task, serial, device, round_index, stage, start, end in sorted(tracer.bench_stages):
+    # -- benchmark-phone stages (the task results' records) -------------
+    stages = [
+        (result.task_id, record, stage.label, start, end)
+        for result in results
+        for record in result.benchmark_records
+        for stage, start, end in record.boundaries
+    ]
+    for task, record, stage, start, end in stages:
+        serial, round_index = record.serial, record.round_index
         spans.append(
             Span(
                 _span_id(task, f"r{round_index}", f"bench:{serial}", stage),
@@ -567,13 +540,7 @@ def assemble_trace(
                 "bench_stage",
                 start,
                 end,
-                {
-                    "task": task,
-                    "round": round_index,
-                    "device": device,
-                    "serial": serial,
-                    "stage": stage,
-                },
+                {"task": task, "round": round_index, "device": record.device_id, "serial": serial, "stage": stage},
             )
         )
 

@@ -6,7 +6,10 @@ execution process of phone devices".  It also distinguishes *Computing
 Devices* (repeatedly emulating simulated devices) from *Benchmarking
 Devices* (running the five-stage measured protocol of Table I), polls the
 latter "at a certain frequency, organizes [the data] in real-time, and
-uploads it to the cloud database".
+uploads it to the cloud database".  Here a benchmarking phone's round is
+one :class:`BenchmarkRecord` (its samples and its stage boundaries), and
+the task's result carries the records: that is the upload, and every
+reader — Table I, Fig. 5, the trace's ``bench_stage`` spans — reads them.
 
 Execution strategy:
 
@@ -40,7 +43,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from collections.abc import Callable, Generator
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,9 +62,6 @@ from repro.phones.metrics import (
 )
 from repro.phones.phone import VirtualPhone, session_accounts
 from repro.simkernel import AllOf, RandomStreams, RecurringTimeout, Signal, Simulator, Timeout
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.tracing import Tracer
 
 
 @dataclass(kw_only=True)
@@ -96,9 +95,13 @@ class PhoneAssignment(TierPlan):
 
 @dataclass
 class BenchmarkRecord:
-    """Everything measured on one benchmarking phone in one round."""
+    """Everything measured on one benchmarking phone in one round.
+
+    ``device_id`` is the simulated device the phone emulated that round.
+    """
 
     serial: str
+    device_id: str
     round_index: int
     samples: list[DeviceMetricSample] = field(default_factory=list)
     boundaries: list[tuple[ApkStage, float, float]] = field(default_factory=list)
@@ -161,10 +164,8 @@ class PhoneMgr(TierRounds):
         beta/lambda/stage-window constants.
     poll_interval:
         Benchmarking sampling period in seconds (1 Hz default;
-        ``PlatformConfig.poll_interval``).
-    on_sample:
-        Hook invoked per collected sample — the platform wires this to
-        the cloud metrics database upload.
+        ``PlatformConfig.poll_interval``); each sample lands in its
+        phone's :class:`BenchmarkRecord` of the round.
     busy_registry:
         Reservation registry, shared by the PhoneMgr sessions of
         concurrent tasks so they never double-book a phone.
@@ -181,10 +182,8 @@ class PhoneMgr(TierRounds):
         phones: list[VirtualPhone],
         cost_model: PhysicalCostModel,
         streams: RandomStreams,
-        on_sample: Callable[[DeviceMetricSample], None],
         busy_registry: set[str],
         poll_interval: float = 1.0,
-        tracer: Tracer | None = None,
     ) -> None:
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
@@ -194,8 +193,6 @@ class PhoneMgr(TierRounds):
         self.cost_model = cost_model
         self.apk = TrainingApk()
         self.poll_interval = float(poll_interval)
-        self.on_sample = on_sample
-        self.tracer = tracer
         self.plans: list[PhoneAssignment] = []
         self.computing_phones: dict[str, list[VirtualPhone]] = {}
         self.benchmark_phones: dict[str, list[VirtualPhone]] = {}
@@ -441,8 +438,7 @@ class PhoneMgr(TierRounds):
         ``on_outcome`` that device's round as a one-row block.
         """
         device = plan.benchmarking[row : row + 1]
-        device_id = device.device_ids[0]
-        record = BenchmarkRecord(serial=phone.serial, round_index=round_index)
+        record = BenchmarkRecord(serial=phone.serial, device_id=device.device_ids[0], round_index=round_index)
         self.benchmark_records.append(record)
         window = self.cost_model.stage_window
         entry = self._register_sampled_phone(phone, record)
@@ -453,16 +449,6 @@ class PhoneMgr(TierRounds):
             # boundary instead of at the nearest polling tick.
             self._record_sample(phone, record)
             record.boundaries.append((stage, start, self.sim.now))
-            if self.tracer is not None:
-                self.tracer.record_bench_stage(
-                    self.task_id,
-                    phone.serial,
-                    device_id,
-                    round_index,
-                    stage.label,
-                    start,
-                    self.sim.now,
-                )
 
         # Stage 1: clear background, APK not running.
         yield from self._control_latency(phone)
@@ -559,13 +545,11 @@ class PhoneMgr(TierRounds):
             self._sampler_handle = None
 
     def _record_sample(self, phone: VirtualPhone, record: BenchmarkRecord) -> None:
-        """Collect one sample and forward it to the upload hook.
+        """Collect one sample into the phone's record of the round.
 
         Reads the virtual sensors directly (:func:`direct_metric_sample`
         — bit-identical to issuing the five raw ADB commands and parsing
         their text, including the parse round-trips; that pipeline is the
         oracle in ``tests/reference/adb_reference.py``).
         """
-        sample = direct_metric_sample(self.sim.now, phone, self.apk.package)
-        record.samples.append(sample)
-        self.on_sample(sample)
+        record.samples.append(direct_metric_sample(self.sim.now, phone, self.apk.package))

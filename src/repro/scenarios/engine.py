@@ -328,6 +328,7 @@ class ScenarioRunner:
         return assemble_trace(
             self.platform.monitor,
             self.tracer,
+            self.platform.results.values(),
             name=self.spec.name,
             tenant_of=self._tenant_of_task,
         )

@@ -39,7 +39,7 @@ from repro.deviceflow.strategy import (
     TimeIntervalStrategy,
 )
 from repro.ml.operators import standard_fl_flow
-from repro.ml.optimizer import check_count, check_non_negative, check_positive
+from repro.ml.optimizer import check_count, check_finite, check_non_negative, check_positive
 from repro.observability import GAUGE_SIGNALS, SERIES_SIGNALS, AlarmRule, AutoscaleSpec, SLASpec, signal_exists
 from repro.scheduler.task import GradeRequirement, TaskSpec, check_records_per_device
 from repro.simkernel.random import check_seed, stable_hash
@@ -149,7 +149,7 @@ class PopulationSpec:
         # Built once, so their checks run here whether or not a tenant ever
         # derives a failure probability or a traffic curve from them.
         try:
-            self._timezones = TimezoneMixture([(int(o), float(w)) for o, w in self.timezone_offsets])
+            self._timezones = TimezoneMixture([(o, float(w)) for o, w in self.timezone_offsets])
         except ValueError as exc:
             raise ValueError(f"timezone_offsets {exc}") from None
         try:
@@ -369,6 +369,8 @@ class TenantSpec:
             raise ValueError(
                 f"tenant {self.name!r} deadline_s must be > 0, got {self.deadline_s!r}"
             )
+        if self.deadline_s is not None:
+            check_finite("deadline_s", self.deadline_s)
 
     @property
     def devices_per_task(self) -> int:
@@ -422,6 +424,10 @@ class FaultSpec:
     * ``"service_outage"`` — between ``at`` and ``until`` the cloud
       ingestion service rejects every upload; devices back off and retry
       past the window (or abandon after max attempts).
+
+    ``at`` is a finite time.  A crash's recovery and a degradation's end
+    are kernel events, so their ``until`` is finite too; a straggler or
+    transport window may stay open for the rest of the run (``until=inf``).
     """
 
     #: Fault kinds routed to the transport channel as impairment windows.
@@ -441,11 +447,18 @@ class FaultSpec:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.at < 0:
             raise ValueError(f"fault time must be >= 0, got {self.at!r}")
+        check_finite("at", self.at)
         if self.until is not None and self.until <= self.at:
             raise ValueError(
                 f"fault recovery must come after the fault: "
                 f"until={self.until!r} <= at={self.at!r}"
             )
+        if self.kind in ("phone_crash", "network_degradation") and self.until is not None:
+            check_finite("until", self.until)  # the kernel schedules the recovery
+        elif self.until is not None and math.isnan(self.until):  # inf: the window never closes
+            raise ValueError(f"until must be a number (inf: no end), got {self.until!r}")
+        if isinstance(self.count, bool) or not isinstance(self.count, Integral):
+            raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.kind == "phone_crash" and self.count < 1:
             raise ValueError(f"phone_crash needs count >= 1, got {self.count!r}")
         if self.kind == "network_degradation":
@@ -460,6 +473,7 @@ class FaultSpec:
                 raise ValueError(f"straggler injection needs a window end, got until={self.until!r}")
             if self.factor <= 1.0:
                 raise ValueError(f"straggler slowdown factor must be > 1, got {self.factor!r}")
+            check_finite("factor", self.factor)
         if self.kind in self.TRANSPORT_KINDS and self.until is None:
             raise ValueError(f"{self.kind} needs an end time, got until={self.until!r}")
         if self.kind in ("message_loss", "message_duplication") and not 0.0 < self.factor <= 1.0:
@@ -524,6 +538,8 @@ class TransportSpec:
             )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(f"transport deadline_s must be > 0, got {self.deadline_s!r}")
+        if self.deadline_s is not None:
+            check_finite("deadline_s", self.deadline_s)
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.cluster.resources import ResourceBundle
 from repro.deviceflow.strategy import DispatchStrategy
 from repro.ml.operators import OperatorFlow, standard_fl_flow
-from repro.ml.optimizer import check_count
+from repro.ml.optimizer import check_count, check_finite
 
 _task_counter = itertools.count()
 
@@ -66,11 +67,12 @@ class GradeRequirement:
 
     def __post_init__(self) -> None:
         check_count("n_devices", self.n_devices)
-        if not 0 <= self.n_benchmark <= self.n_devices:
+        for name in ("bundles", "n_phones", "n_benchmark"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        if self.n_benchmark > self.n_devices:
             raise ValueError(f"n_benchmark must be within [0, n_devices={self.n_devices}], got {self.n_benchmark!r}")
-        for name in ("bundles", "n_phones"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.n_devices - self.n_benchmark > 0 and self.bundles == 0 and self.n_phones == 0:
             raise ValueError(
                 f"grade {self.grade!r} requests devices but no compute resources"
@@ -145,7 +147,7 @@ class TaskSpec:
         if self.feature_dim <= 0:
             raise ValueError("feature_dim must be positive")
         check_records_per_device(self.records_per_device, self.numeric)
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and check_finite("deadline_s", self.deadline_s) <= 0:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s!r}")
         if not self.task_id:
             self.task_id = f"task-{next(_task_counter):05d}"

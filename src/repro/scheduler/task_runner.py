@@ -12,22 +12,22 @@ number of simulated devices."  Concretely, the runner
 5. drives the configured number of rounds — tiers in parallel, result
    blocks through the transport channel and DeviceFlow when armed,
    aggregation on the cloud — and
-6. tears everything down, returning a :class:`TaskResult`.
+6. tears everything down, returning a :class:`TaskResult`, which also
+   carries the benchmarking phones' records: PhoneMgr's upload of its
+   measurements to the cloud (§IV-C).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Generator
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cloud.aggregation import AggregationRecord, AggregationService, AggregationTrigger
-from repro.cloud.database import MetricsDatabase
 from repro.cloud.monitor import Monitor
-from repro.cloud.sink import CloudIngestSink
+from repro.cloud.sink import CloudIngestSink, OutcomeSink
 from repro.cloud.transport import ChannelModel, TransportChannel, TransportCounters
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
@@ -36,12 +36,13 @@ from repro.cluster.rounds import DeviceColumns, DeviceIdRange
 from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 from repro.data.avazu import FederatedDataset, make_federated_ctr_data
 from repro.deviceflow.controller import DeviceFlow
+from repro.deviceflow.messages import MessageBlock
 from repro.ml.backends import SERVER_BACKEND
 from repro.ml.model import LogisticRegressionModel
 from repro.phones.adb import SimulatedAdb
 from repro.phones.cost import PhysicalCostModel
 from repro.phones.phone import VirtualPhone
-from repro.phones.phonemgr import PhoneAssignment, PhoneMgr
+from repro.phones.phonemgr import BenchmarkRecord, PhoneAssignment, PhoneMgr
 from repro.scheduler.allocation import (
     AllocationProblem,
     AllocationResult,
@@ -67,7 +68,10 @@ class TaskResult:
     finished_at: float
     rounds: list[AggregationRecord] = field(default_factory=list)
     flow_stats: object | None = None
-    benchmark_records: list = field(default_factory=list)
+    #: The benchmarking phones' per-round records (samples and Table-I
+    #: stage boundaries) — PhoneMgr's upload to the cloud (§IV-C); a
+    #: failed task carries the records it measured before it failed.
+    benchmark_records: list[BenchmarkRecord] = field(default_factory=list)
     #: Transport totals (uploads/retries/duplicate_drops/late_drops/...)
     #: when a lossy channel or round deadline was armed, else ``None``.
     transport: dict | None = None
@@ -79,22 +83,15 @@ class TaskResult:
         return self.finished_at - self.started_at
 
 
-def _store_sample(db: MetricsDatabase, task_id: str, sample) -> None:
-    """Upload one benchmarking sample to the cloud metrics database."""
-    db.insert(
-        "device_samples",
-        {
-            "task_id": task_id,
-            "serial": sample.serial,
-            "time": sample.timestamp,
-            "current_ua": sample.current_ua,
-            "voltage_mv": sample.voltage_mv,
-            "cpu_percent": sample.cpu_percent,
-            "memory_kb": sample.memory_kb,
-            "rx_bytes": sample.rx_bytes,
-            "tx_bytes": sample.tx_bytes,
-        },
-    )
+class _TracedHandoff:
+    """A traced task's cloud side as its tiers see it: where a device round enters the trace, once."""
+
+    def __init__(self, inner: OutcomeSink, tracer: Tracer) -> None:
+        self.inner, self.tracer, self.prefers_waves = inner, tracer, inner.prefers_waves
+
+    def accept_block(self, block: MessageBlock) -> None:
+        self.tracer.record_block(block)
+        self.inner.accept_block(block)
 
 
 class TaskRunner:
@@ -111,8 +108,8 @@ class TaskRunner:
     phones / adb / physical_cost / busy_registry / poll_interval:
         Physical tier (the busy registry is shared across runners;
         ``poll_interval`` is the benchmarking-phone sampling period).
-    db / monitor:
-        Cloud substrates.
+    monitor:
+        The platform's event log.
     deviceflow:
         Shared traffic controller (used when the spec carries a strategy).
     unit_bundle:
@@ -141,7 +138,6 @@ class TaskRunner:
         physical_cost: PhysicalCostModel,
         streams: RandomStreams,
         busy_registry: set,
-        db: MetricsDatabase,
         monitor: Monitor,
         unit_bundle: ResourceBundle,
         poll_interval: float,
@@ -157,7 +153,6 @@ class TaskRunner:
         self.logical_cost = logical_cost
         self.physical_cost = physical_cost
         self.streams = streams
-        self.db = db
         self.monitor = monitor
         self.fixed_allocation = fixed_allocation
         self.unit_bundle = unit_bundle
@@ -167,6 +162,7 @@ class TaskRunner:
         self.tracer = tracer
         self._sink: CloudIngestSink | None = None
         self._channel: TransportChannel | None = None
+        self._handoff: OutcomeSink | None = None
         self._open_round: int | None = None
         self._flow_registered = False
         self._drain_tick: RecurringTimeout | None = None
@@ -177,12 +173,8 @@ class TaskRunner:
             phones,
             cost_model=self.physical_cost,
             streams=self.streams,
-            # Not a bound method: the runner must not sit in a reference cycle with
-            # its tier, or a finished task's plans wait for the cyclic collector.
-            on_sample=partial(_store_sample, db, spec.task_id),
             busy_registry=busy_registry,
             poll_interval=poll_interval,
-            tracer=tracer,
         )
         self.service: AggregationService | None = None
         self.result: TaskResult | None = None
@@ -213,9 +205,6 @@ class TaskRunner:
                 deviceflow=self.deviceflow if uses_flow else None,
                 dedup=channel_active,
                 tracer=self.tracer,
-                # With a channel fronting the sink, device completions
-                # are recorded at the transport boundary instead.
-                trace_devices=not channel_active,
             )
             if channel_active:
                 self._channel = TransportChannel(
@@ -230,6 +219,10 @@ class TaskRunner:
                 # plan's id column now instead of 29 ids a wave.
                 for plan in (*logical_plans, *phone_plans):
                     self._channel.seed(spec.task_id, plan.devices.device_ids)
+            # What the tiers deliver to: the channel when one is armed, else the sink.
+            self._handoff = self._channel if self._channel is not None else self._sink
+            if self.tracer is not None:
+                self._handoff = _TracedHandoff(self._handoff, self.tracer)
             if uses_flow:
                 self.deviceflow.register_task(
                     spec.task_id, spec.deviceflow_strategy, self._sink.flow_receive
@@ -273,6 +266,7 @@ class TaskRunner:
                 allocation=None,
                 started_at=started,
                 finished_at=self.sim.now,
+                benchmark_records=list(self.phonemgr.benchmark_records),
                 error=repr(exc),
             )
             self.monitor.log("task_failed", task_id=spec.task_id, error=repr(exc))
@@ -413,9 +407,8 @@ class TaskRunner:
         if uses_flow and round_deadline is not None:
             self.sim.schedule_at(round_deadline, self._close_flow_round, round_index)
 
-        sink = self._channel if self._channel is not None else self._sink
         tier_processes = [
-            self.sim.process(tier.run_round(round_index, weights, bias, model_bytes, sink))
+            self.sim.process(tier.run_round(round_index, weights, bias, model_bytes, self._handoff))
             for tier in (self.logical, self.phonemgr)
             if tier.plans
         ]
@@ -451,14 +444,6 @@ class TaskRunner:
                 n_devices=spec.total_devices,
                 test_accuracy=record.test_accuracy,
             )
-            if self.tracer is not None:
-                self.tracer.record_fold(
-                    spec.task_id,
-                    round_index,
-                    self.sim.now,
-                    record.n_updates,
-                    record.test_accuracy,
-                )
         if self.tracer is not None:
             self.tracer.record_round_end(spec.task_id, round_index, self.sim.now)
 

@@ -226,7 +226,7 @@ class ReferenceIngestSink:
     """Storage + DeviceFlow/aggregation ingestion, one upload at a time."""
 
     def __init__(
-        self, sim, task_id, storage, service, deviceflow=None, dedup=False, tracer=None, trace_devices=True
+        self, sim, task_id, storage, service, deviceflow=None, dedup=False, tracer=None
     ) -> None:
         self.sim = sim
         self.task_id = task_id
@@ -235,7 +235,6 @@ class ReferenceIngestSink:
         self.deviceflow = deviceflow
         self.dedup = bool(dedup)
         self.tracer = tracer
-        self._trace_devices = tracer is not None and trace_devices
         self.delivered = 0
         self.duplicate_drops = 0
         self.late_drops = 0
@@ -268,8 +267,6 @@ class ReferenceIngestSink:
         return True
 
     def accept(self, outcome: DeviceRoundOutcome) -> None:
-        if self._trace_devices:
-            self.tracer.record_device(self.task_id, outcome)
         # Flow-connected sinks gate at dispatcher delivery instead: a
         # submission is not an ingestion yet.
         if (
@@ -340,8 +337,6 @@ class ReferenceTransportChannel:
         plan = plan_upload(self.model, rng, t0, self.scope)
         self.round.retries += plan.retries
         tracer = self.tracer
-        if tracer is not None:
-            tracer.record_device(self.task_id, outcome)
         upload = (self.task_id, outcome.device_id, outcome.round_index, t0)
         if plan.arrival is None:
             self.round.abandoned += 1

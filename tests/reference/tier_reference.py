@@ -356,5 +356,3 @@ class ReferencePhoneMgr(_RecordsRounds, PhoneMgr):
             net_dev_raw=net_raw,
         )
         record.samples.append(sample)
-        if self.on_sample is not None:
-            self.on_sample(sample)

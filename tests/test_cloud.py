@@ -1,4 +1,4 @@
-"""Tests for the cloud database, aggregation service and monitor."""
+"""Tests for the cloud aggregation service and monitor."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from helpers import one_row
 
 from repro.cloud import (
     AggregationService,
-    MetricsDatabase,
     Monitor,
     SampleThresholdTrigger,
     ScheduledTrigger,
@@ -14,29 +13,6 @@ from repro.cloud import (
 from repro.data import SyntheticAvazu
 from repro.ml import SERVER_BACKEND, LogisticRegressionModel, ModelUpdate
 from repro.simkernel import Simulator
-
-
-class TestMetricsDatabase:
-    def test_insert_and_query_equality(self):
-        db = MetricsDatabase()
-        db.insert("samples", {"serial": "a", "cpu": 5.0})
-        db.insert("samples", {"serial": "b", "cpu": 9.0})
-        assert len(db.query("samples")) == 2
-        assert db.query("samples", serial="a")[0]["cpu"] == 5.0
-
-    def test_records_copied_on_insert(self):
-        db = MetricsDatabase()
-        record = {"x": 1}
-        db.insert("t", record)
-        record["x"] = 99
-        assert db.query("t")[0]["x"] == 1
-
-    def test_validation(self):
-        db = MetricsDatabase()
-        with pytest.raises(ValueError):
-            db.insert("", {"x": 1})
-        with pytest.raises(TypeError):
-            db.insert("t", [1, 2])
 
 
 def make_update(device_id, dim=64, n_samples=10, value=1.0):

@@ -461,9 +461,7 @@ def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
         if flow_attached:
             flow = ReferenceDeviceFlow(sim, streams, capacity_per_second=CAPACITY)
             strategy = ReferenceRealTimeAccumulated(THRESHOLDS, FAILURE_PROB)
-        sink = ReferenceIngestSink(
-            sim, "t", storage, service, deviceflow=flow, dedup=channelled, tracer=tracer, trace_devices=not channelled
-        )
+        sink = ReferenceIngestSink(sim, "t", storage, service, deviceflow=flow, dedup=channelled, tracer=tracer)
         if channelled:
             channel = ReferenceTransportChannel(sim, CHANNEL, sink, streams, "t", scope="", tracer=tracer)
     else:
@@ -472,9 +470,7 @@ def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
         if flow_attached:
             flow = DeviceFlow(sim, streams, capacity_per_second=CAPACITY, tracer=tracer)
             strategy = RealTimeAccumulatedStrategy(THRESHOLDS, FAILURE_PROB)
-        sink = CloudIngestSink(
-            sim, service, deviceflow=flow, dedup=channelled, tracer=tracer, trace_devices=not channelled
-        )
+        sink = CloudIngestSink(sim, service, deviceflow=flow, dedup=channelled, tracer=tracer)
         if channelled:
             channel = TransportChannel(sim, CHANNEL, sink, streams, scope="", tracer=tracer)
     if flow_attached:
@@ -484,7 +480,16 @@ def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
         channel.begin_round(1, deadline=None if flow_attached else deadline)
     sink.begin_round(1, deadline=deadline if (flow_attached or not channelled) else None)
     front = channel or sink
-    accept = front.accept if oracle else front.accept_block
+
+    def accept(delivery):
+        # The runner's hand-over: a delivery enters the trace once, as the tier hands it to the cloud side.
+        if oracle:
+            tracer.record_device("t", delivery)
+            front.accept(delivery)
+        else:
+            tracer.record_block(delivery)
+            front.accept_block(delivery)
+
     for time, deliveries in units:
         for delivery in deliveries:
             sim.schedule_at(time, accept, delivery)

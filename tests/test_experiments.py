@@ -127,7 +127,8 @@ class TestFig5:
         spec = TaskSpec(name="fig5", grades=[benchmarked], rounds=3, numeric=False)
         platform.submit(spec)
         platform.run_until_idle(max_time=1e8)
-        samples = len(platform.db.query("device_samples", task_id=spec.task_id))
+        records = platform.result(spec.task_id).benchmark_records
+        samples = sum(len(record.samples) for record in records)
         assert samples == pytest.approx(2 * trace.n_samples, rel=0.05)
 
     def test_trace_pinned(self, trace):

@@ -129,8 +129,7 @@ def rig(manager, n_phones: int):
         adb.register(phone)
         phones.append(phone)
     mgr = manager(
-        sim, adb, phones, cost_model=PhysicalCostModel(stage_window=15.0), streams=streams,
-        on_sample=lambda sample: None, busy_registry=set(),
+        sim, adb, phones, cost_model=PhysicalCostModel(stage_window=15.0), streams=streams, busy_registry=set(),
     )
     return sim, mgr, phones
 

@@ -4,9 +4,9 @@ The shared ticker stands in for N per-phone polling processes with one
 recurring kernel tick; Hypothesis drives full benchmark sessions over
 arbitrary poll intervals and stage windows (including intervals that
 collide with or exceed the windows, where tie-breaking against stage
-boundaries is subtle) and asserts the sampled series — timestamps,
-contents, and session end times — is identical to the per-phone ADB-text
-loops of ``reference.tier_reference``.  The strided wave views the
+boundaries is subtle) and asserts each phone's round record — sample
+timestamps, contents and stage boundaries — and the session end time are
+identical to the per-phone ADB-text loops of ``reference.tier_reference``.  The strided wave views the
 computing phones deliver are checked for exactly-once, in-order coverage
 of the round-robin queues.
 """
@@ -39,12 +39,10 @@ def run_benchmark_session(reference: bool, poll: float, window: float, n_bench: 
         phone = VirtualPhone(sim, f"ph-{i:02d}", spec, streams=streams)
         adb.register(phone)
         phones.append(phone)
-    samples = []
     mgr = (ReferencePhoneMgr if reference else PhoneMgr)(
         sim, adb, phones,
         cost_model=PhysicalCostModel(stage_window=window),
-        streams=streams, poll_interval=poll,
-        on_sample=samples.append, busy_registry=set(),
+        streams=streams, poll_interval=poll, busy_registry=set(),
     )
     plan = PhoneAssignment(
         grade="High",
@@ -65,7 +63,7 @@ def run_benchmark_session(reference: bool, poll: float, window: float, n_bench: 
         run_per_event(sim)
     else:
         sim.run()
-    return samples, mgr.benchmark_records, sim.now
+    return mgr.benchmark_records, sim.now
 
 
 @given(
@@ -77,20 +75,14 @@ def run_benchmark_session(reference: bool, poll: float, window: float, n_bench: 
 )
 @settings(max_examples=25, deadline=None)
 def test_shared_ticker_matches_per_phone_loops(poll, window, n_bench, rounds, seed):
-    legacy_samples, legacy_records, legacy_end = run_benchmark_session(
-        True, poll, window, n_bench, rounds, seed
-    )
-    ticker_samples, ticker_records, ticker_end = run_benchmark_session(
-        False, poll, window, n_bench, rounds, seed
-    )
+    legacy_records, legacy_end = run_benchmark_session(True, poll, window, n_bench, rounds, seed)
+    ticker_records, ticker_end = run_benchmark_session(False, poll, window, n_bench, rounds, seed)
     assert ticker_end == legacy_end
-    assert len(ticker_samples) == len(legacy_samples)
-    for a, b in zip(legacy_samples, ticker_samples):
-        # Dataclass equality covers timestamp, serial and every metric.
-        assert a == b
+    assert len(ticker_records) == len(legacy_records)
     for rec_a, rec_b in zip(legacy_records, ticker_records):
-        assert rec_a.serial == rec_b.serial
+        assert (rec_a.serial, rec_a.device_id, rec_a.round_index) == (rec_b.serial, rec_b.device_id, rec_b.round_index)
         assert rec_a.boundaries == rec_b.boundaries
+        # Dataclass equality covers timestamp, serial and every metric.
         assert rec_a.samples == rec_b.samples
 
 
@@ -114,7 +106,7 @@ def test_partition_round_robin_exactly_once(n_assignments, n_phones):
         phone = VirtualPhone(sim, f"ph-{i:02d}", spec, streams=streams)
         adb.register(phone)
         phones.append(phone)
-    mgr = PhoneMgr(sim, adb, phones, PhysicalCostModel(), streams, on_sample=lambda sample: None, busy_registry=set())
+    mgr = PhoneMgr(sim, adb, phones, PhysicalCostModel(), streams, busy_registry=set())
     plan = PhoneAssignment(
         grade="High",
         devices=DeviceColumns(

@@ -63,15 +63,14 @@ def build_rig(reference: bool, n_phones: int, seed: int = SEED, poll: float = 1.
             phone = VirtualPhone(sim, f"ph-{i:03d}", spec, streams=streams)
             adb.register(phone)
             phones.append(phone)
-    samples = []
     cost = PhysicalCostModel(
         stage_window=window, msp_control_latency=0.8 if msp else 0.0
     )
     mgr = (ReferencePhoneMgr if reference else PhoneMgr)(
         sim, adb, phones, cost_model=cost, streams=streams,
-        poll_interval=poll, on_sample=samples.append, busy_registry=set(),
+        poll_interval=poll, busy_registry=set(),
     )
-    return sim, mgr, phones, samples, streams
+    return sim, mgr, phones, streams
 
 
 def time_only_plan(grade: str, n_devices: int, n_phones: int, n_bench: int) -> PhoneAssignment:
@@ -115,7 +114,7 @@ def run_session(reference: bool, plans, n_phones: int, rounds: int = 2, numeric:
     no outcome is seen.  ``rounds`` holds each round's ``(started_at,
     finished_at, aborted)``.
     """
-    sim, mgr, phones, samples, streams = build_rig(reference, n_phones, seed=seed, poll=poll,
+    sim, mgr, phones, streams = build_rig(reference, n_phones, seed=seed, poll=poll,
                                                    window=window, msp=msp)
     outcomes, spans = [], []
     weights = np.zeros(FEATURE_DIM) if numeric else None
@@ -139,7 +138,6 @@ def run_session(reference: bool, plans, n_phones: int, rounds: int = 2, numeric:
         "mgr": mgr,
         "phones": phones,
         "outcomes": outcomes,
-        "samples": samples,
         "end": sim.now,
         "rounds": spans,
         "streams": stream_states(streams),
@@ -167,14 +165,11 @@ def assert_equivalent(legacy: dict, batched: dict, delivered: bool = True) -> No
             assert a.update.n_samples == b.update.n_samples
     # Round spans and their voided flags.
     assert legacy["rounds"] == batched["rounds"]
-    # Benchmark sample series (timestamps AND contents) and Table-I rows.
-    assert len(legacy["samples"]) == len(batched["samples"])
-    for a, b in zip(legacy["samples"], batched["samples"]):
-        assert a == b
+    # Each benchmarking phone's round record: samples (timestamps AND contents), stages, Table-I rows.
     records_a, records_b = legacy["mgr"].benchmark_records, batched["mgr"].benchmark_records
     assert len(records_a) == len(records_b)
     for rec_a, rec_b in zip(records_a, records_b):
-        assert rec_a.serial == rec_b.serial
+        assert (rec_a.serial, rec_a.device_id, rec_a.round_index) == (rec_b.serial, rec_b.device_id, rec_b.round_index)
         assert rec_a.boundaries == rec_b.boundaries
         assert rec_a.samples == rec_b.samples
         assert rec_a.stage_summaries() == rec_b.stage_summaries()
@@ -296,7 +291,7 @@ class TestAbortMidRound:
         # in the pool.  The voided callbacks must not leak the round
         # process: its barrier fires at abort time and the simulation
         # drains without touching the released phones further.
-        sim, mgr, phones, _, _ = build_rig(PRODUCTION, 6)
+        sim, mgr, phones, _ = build_rig(PRODUCTION, 6)
         plan = time_only_plan("High", 12, 3, 0)
         sessions_at_abort = {}
 
@@ -326,7 +321,7 @@ class TestAbortMidRound:
         # One engine, one teardown contract: a round in flight on either
         # tier resolves as ``aborted`` when its tier is torn down, and the
         # voided scheduled callbacks deliver nothing afterwards.
-        sim, mgr, phones, _, _ = build_rig(PRODUCTION, 6)
+        sim, mgr, phones, _ = build_rig(PRODUCTION, 6)
         logical = LogicalSimulation(
             sim, K8sCluster([NodeSpec(cpus=10, memory_gb=20)]), LogicalCostModel(), RandomStreams(0)
         )
@@ -368,7 +363,7 @@ class TestColumnarRounds:
     def test_columnar_blocks_match_eager_outcomes(self):
         # A whole-plan sink is handed one columnar block per plan;
         # materializing it must reproduce the wave-by-wave outcome stream.
-        sim, mgr, phones, _, _ = build_rig(PRODUCTION, 6)
+        sim, mgr, phones, _ = build_rig(PRODUCTION, 6)
         plan = time_only_plan("High", 11, 3, 0)
         whole = WholePlanSink()
 
@@ -395,7 +390,7 @@ class TestColumnarRounds:
         assert float(whole.blocks[0].finished_at.max()) == eager["rounds"][0][1]
 
     def test_columnar_numeric_fedavg_inputs(self):
-        sim, mgr, phones, _, _ = build_rig(PRODUCTION, 6)
+        sim, mgr, phones, _ = build_rig(PRODUCTION, 6)
         plan = numeric_plan("High", 8, 3, 0)
         whole = WholePlanSink()
 

@@ -20,7 +20,7 @@ from repro.phones.specs import DEFAULT_LOCAL_FLEET, DEFAULT_MSP_FLEET
 from repro.simkernel import ProcessError, RandomStreams, Simulator
 
 
-def build_rig(n_local=10, poll_interval=1.0, on_sample=None, cost_model=None):
+def build_rig(n_local=10, poll_interval=1.0, cost_model=None):
     sim = Simulator()
     adb = SimulatedAdb()
     streams = RandomStreams(5)
@@ -36,7 +36,6 @@ def build_rig(n_local=10, poll_interval=1.0, on_sample=None, cost_model=None):
         cost_model=cost_model or PhysicalCostModel(),
         streams=streams,
         poll_interval=poll_interval,
-        on_sample=on_sample or (lambda sample: None),
         busy_registry=set(),
     )
     return sim, adb, mgr, phones
@@ -135,8 +134,7 @@ class TestPrepareReservationLeak:
     def test_failed_prepare_leaves_shared_registry_clean(self):
         sim, adb, mgr, phones = build_rig(n_local=10)
         sibling = PhoneMgr(
-            sim, adb, phones, PhysicalCostModel(), RandomStreams(6),
-            on_sample=lambda sample: None, busy_registry=mgr._busy,
+            sim, adb, phones, PhysicalCostModel(), RandomStreams(6), busy_registry=mgr._busy,
         )
         with pytest.raises(RuntimeError):
             list(mgr.prepare(self.plans_with_failing_second(), task_id="task"))
@@ -246,11 +244,8 @@ class TestRoundExecution:
 
 class TestBenchmarking:
     def run_benchmark(self, poll_interval=1.0, n_rounds=1):
-        samples_seen = []
         cost = PhysicalCostModel()
-        sim, adb, mgr, phones = build_rig(
-            poll_interval=poll_interval, on_sample=samples_seen.append, cost_model=cost
-        )
+        sim, adb, mgr, phones = build_rig(poll_interval=poll_interval, cost_model=cost)
         plan = time_only_plan("High", n_devices=0, n_phones=0, n_bench=1)
 
         def run():
@@ -260,7 +255,7 @@ class TestBenchmarking:
 
         sim.process(run())
         sim.run()
-        return mgr, samples_seen
+        return mgr, [sample for record in mgr.benchmark_records for sample in record.samples]
 
     def test_five_stages_recorded(self):
         mgr, _ = self.run_benchmark()
@@ -293,7 +288,7 @@ class TestBenchmarking:
         summaries = {s.stage: s for s in mgr.benchmark_records[0].stage_summaries()}
         assert summaries[3].comm_kb == pytest.approx(33.1, rel=0.15)
 
-    def test_samples_stream_to_hook(self):
+    def test_samples_land_in_the_round_record(self):
         _, samples = self.run_benchmark()
         # Session lasts ~4*15s + 16.2s ~= 76 s at 1 Hz.
         assert len(samples) > 60
@@ -368,7 +363,7 @@ class TestMsp:
         msp = MobileServicePlatform(sim, adb, DEFAULT_MSP_FLEET[:2], streams=streams)
         phones = msp.provision()
         cost = PhysicalCostModel(msp_control_latency=0.8)
-        mgr = PhoneMgr(sim, adb, phones, cost, streams, on_sample=lambda sample: None, busy_registry=set())
+        mgr = PhoneMgr(sim, adb, phones, cost, streams, busy_registry=set())
         plan = time_only_plan("High", n_devices=2, n_phones=2)
 
         def run():

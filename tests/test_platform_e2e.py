@@ -124,9 +124,9 @@ class TestEndToEnd:
         spec = small_task(n_benchmark=1, rounds=1)
         platform.submit(spec)
         platform.run_until_idle(max_time=1e7)
-        samples = platform.db.query("device_samples", task_id=spec.task_id)
-        assert len(samples) > 30  # ~76 s session at 1 Hz
-        assert {"current_ua", "cpu_percent", "memory_kb"} <= set(samples[0])
+        (record,) = platform.result(spec.task_id).benchmark_records
+        assert len(record.samples) > 30  # ~76 s session at 1 Hz
+        assert len(record.boundaries) == 5  # the Table-I stages
 
     def test_fixed_allocation_override(self):
         platform = small_platform()

@@ -31,6 +31,7 @@ from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
     TenantSpec,
+    TransportSpec,
     build_scenario,
     run_scenario,
 )
@@ -198,10 +199,35 @@ class TestSpecSerialization:
                 {"network_mix": [["wifi", -1.0], ["lte", 2.0]]},
                 "network_mix weights must be positive and finite, got [-1.0, 2.0]",
             ),
+            # Each used to be accepted, then failed every task (or died
+            # mid-run, or was truncated) with no error naming the field.
+            ("tenants[0].grades[0]", {"bundles": 8.5}, "bundles must be an integer >= 0, got 8.5"),
+            ("tenants[0].grades[0]", {"n_phones": 1.5}, "n_phones must be an integer >= 0, got 1.5"),
+            ("tenants[0].grades[0]", {"n_benchmark": 0.5}, "n_benchmark must be an integer >= 0, got 0.5"),
+            ("faults[0]", {"kind": "phone_crash", "count": 2.5}, "count must be an integer, got 2.5"),
+            (
+                "population",
+                {"timezone_offsets": [[2.5, 1.0], [8, 1.0]]},
+                "timezone_offsets offsets must be whole hours, got [2.5, 8]",
+            ),
+            ("tenants[0]", {"deadline_s": float("nan")}, "deadline_s must be a finite number, got nan"),
+            ("tenants[0]", {"deadline_s": float("inf")}, "deadline_s must be a finite number, got inf"),
+            ("transport", {"deadline_s": float("nan")}, "deadline_s must be a finite number, got nan"),
+            ("faults[0]", {"at": float("nan")}, "at must be a finite number, got nan"),
+            ("faults[0]", {"kind": "phone_crash", "until": float("inf")}, "until must be a finite number, got inf"),
+            (
+                "faults[0]",
+                {"kind": "network_degradation", "until": float("inf"), "factor": 0.5},
+                "until must be a finite number, got inf",
+            ),
+            ("faults[0]", {"until": float("nan")}, "until must be a number (inf: no end), got nan"),
+            ("faults[0]", {"factor": float("nan")}, "factor must be a finite number, got nan"),
         ],
     )
     def test_unrunnable_numbers_fail_at_construction_naming_their_path(self, path, update, message):
-        data = tiny_scenario().to_dict()
+        data = tiny_scenario(
+            faults=[FaultSpec(kind="straggler", at=10.0, until=100.0, factor=2.0)], transport=TransportSpec()
+        ).to_dict()
         target = data
         for key in filter(None, path.replace("[", ".").replace("]", "").split(".")):
             target = target[int(key)] if key.isdigit() else target.setdefault(key, {})
@@ -209,6 +235,23 @@ class TestSpecSerialization:
         prefix = f"{path}." if path else ""
         with pytest.raises(ValueError, match="^" + re.escape(prefix + message) + "$"):
             ScenarioSpec.from_dict(data)
+
+    def test_only_faults_the_kernel_ends_need_a_finite_until(self):
+        # A crash's recovery and a degradation's end are scheduled, so they
+        # need a time; a straggler or transport window is only compared
+        # against, so it may stay open, and the run still finishes.
+        for kind in ("phone_crash", "network_degradation"):
+            with pytest.raises(ValueError, match=r"^until must be a finite number, got inf$"):
+                FaultSpec(kind=kind, at=0.0, until=float("inf"), factor=0.5)
+        open_ended = [
+            FaultSpec(kind="straggler", at=0.0, until=float("inf"), factor=2.0),
+            FaultSpec(kind="message_loss", at=0.0, until=float("inf"), factor=0.5),
+            FaultSpec(kind="message_duplication", at=0.0, until=float("inf"), factor=0.5),
+            FaultSpec(kind="service_outage", at=100.0, until=float("inf")),
+        ]
+        runner = ScenarioRunner(tiny_scenario(faults=open_ended))
+        runner.run()
+        assert [result.state for result in runner.platform.results.values()] == [TaskState.COMPLETED] * 4
 
     @pytest.mark.parametrize(
         ("path", "update", "message"),

@@ -1,5 +1,7 @@
 """Tests for task specs, queue, resource manager and greedy scheduler."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,13 @@ class TestTaskSpec:
         with pytest.raises(ValueError, match=rf"records_per_device must be >= {floor} .*got {records}"):
             TaskSpec(name="x", grades=grades, numeric=numeric, records_per_device=records)
         TaskSpec(name="x", grades=grades, numeric=numeric, records_per_device=floor)
+
+
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_deadline_must_be_finite(self, deadline):
+        grades = [GradeRequirement("High", n_devices=4, bundles=4)]
+        with pytest.raises(ValueError, match="^" + re.escape(f"deadline_s must be a finite number, got {deadline!r}")):
+            TaskSpec(name="x", grades=grades, deadline_s=deadline)
 
 
 class TestTaskQueue:

@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro import TaskState
 from repro.data import SyntheticAvazu
 from repro.observability.export import (
     chrome_trace,
@@ -28,15 +29,27 @@ from repro.observability.export import (
 )
 from repro.observability.profiler import PROFILE_POINTS, RunProfiler
 from repro.observability.tracing import SPAN_KINDS, Span, Trace, Tracer
-from repro.scenarios import ScenarioRunner, build_scenario
+from repro.phones.apk import ApkStage
+from repro.phones.phone import VirtualPhone
+from repro.scenarios import ArrivalSpec, GradeSpec, ScenarioRunner, ScenarioSpec, TenantSpec, build_scenario
 from repro.scenarios.__main__ import main as scenarios_main
 
 
 #: sha256 of ``Trace.to_json()`` and of the JSONL export by (scenario, scale,
 #: seed) — the ``REPORT_PINS`` scales and seeds of ``tests/test_scenarios.py``
 #: — taken before the tracer started reading the task id off the block it
-#: records.  A change that moves a digest changes what a trace says.
+#: records.  ``flash_crowd`` and ``lossy_uplink`` hold no ``bench_stage``
+#: span; the ``diurnal_multitenant`` (15) and ``flaky_fleet`` (50) rows do.
+#: A change that moves a digest changes what a trace says.
 TRACE_PINS = {
+    ("diurnal_multitenant", 120, 2): (
+        "050bcb9b1f53d672bd38a3c8619e2de1c6fd27b940fd78dbfab1f8c9436b6c2a",
+        "7e5a205cab83cbea9b07dd068ca21ae1a74ee737487fa68d1ef57f65583345fa",
+    ),
+    ("flaky_fleet", 120, 2): (
+        "19df62a39e02370ec17541e6bb3d15cdbef5e7f59fa00ab8a1b7d89c83ed2225",
+        "bb9069c25c5b3eb923c10df1db4d6b399c19da518418d71f198fadf6d7dcfedb",
+    ),
     ("flash_crowd", 120, 2): (
         "9cedfe142b767629ea39d8395ccbc02efaa20ac4562720d1ac4a3cd2ddb5aae7",
         "e0fa317ff527ae807b2719f292b947fa452c585c5539c752dd6aa7219bb0876a",
@@ -115,6 +128,37 @@ class TestTraceStructure:
         clone = Span("t:x", None, "x", "task", 0.0, 2.0, {})
         with pytest.raises(ValueError, match="duplicate span id"):
             Trace("bad", [span, clone])
+
+    def test_failed_task_keeps_its_finished_bench_stages(self, monkeypatch):
+        # The benchmarking phone finishes stages 1-2, then training raises:
+        # the task fails, and the stages it measured stay in its trace.
+        def broken_training(phone, duration, upload_bytes):
+            raise RuntimeError(f"{phone.serial}: training crashed")
+
+        monkeypatch.setattr(VirtualPhone, "start_training", broken_training)
+        spec = ScenarioSpec(
+            name="bench-crash",
+            seed=0,
+            horizon_s=600.0,
+            cluster_nodes=1,
+            tenants=[
+                TenantSpec(
+                    name="solo",
+                    grades=[GradeSpec(grade="High", n_devices=4, bundles=4, n_phones=1, n_benchmark=1)],
+                    arrival=ArrivalSpec(kind="periodic", count=1, period_s=100.0),
+                )
+            ],
+        )
+        runner = ScenarioRunner(spec, tracer=Tracer())
+        runner.run()
+        (result,) = runner.platform.results.values()
+        assert result.state is TaskState.FAILED and "training crashed" in result.error
+        trace = runner.trace()
+        (task,) = trace.of_kind("task")
+        assert task.attrs["status"] == "failed"
+        stages = trace.of_kind("bench_stage")
+        assert [span.attrs["stage"] for span in stages] == [ApkStage.NO_APK.label, ApkStage.APK_LAUNCH.label]
+        assert all(span.parent_id == f"{task.span_id}/r1" and span.end <= task.end for span in stages)
 
     def test_trace_without_tracer_raises(self):
         spec = build_scenario("lossy_uplink", scale=60, seed=1)
