@@ -6,9 +6,9 @@ arbitrary poll intervals and stage windows (including intervals that
 collide with or exceed the windows, where tie-breaking against stage
 boundaries is subtle) and asserts each phone's round record — sample
 timestamps, contents and stage boundaries — and the session end time are
-identical to the per-phone ADB-text loops of ``reference.tier_reference``.  The strided wave views the
-computing phones deliver are checked for exactly-once, in-order coverage
-of the round-robin queues.
+identical to the per-phone ADB-text loops of ``reference.tier_reference``.
+The strided wave views the computing phones deliver are checked for
+exactly-once, in-order coverage of the round-robin queues.
 """
 
 from helpers import CallbackSink

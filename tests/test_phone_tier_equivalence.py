@@ -114,8 +114,7 @@ def run_session(reference: bool, plans, n_phones: int, rounds: int = 2, numeric:
     no outcome is seen.  ``rounds`` holds each round's ``(started_at,
     finished_at, aborted)``.
     """
-    sim, mgr, phones, streams = build_rig(reference, n_phones, seed=seed, poll=poll,
-                                                   window=window, msp=msp)
+    sim, mgr, phones, streams = build_rig(reference, n_phones, seed=seed, poll=poll, window=window, msp=msp)
     outcomes, spans = [], []
     weights = np.zeros(FEATURE_DIM) if numeric else None
     model_bytes = MODEL_BYTES if numeric else 33000
