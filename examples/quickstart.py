@@ -8,7 +8,7 @@ devices across tiers, and prints what the platform measured.
 Run:  python examples/quickstart.py
 """
 
-from repro import GradeRequirement, ResourceBundle, SimDC, TaskSpec
+from repro import GradeRequirement, SimDC, TaskSpec
 from repro.ml import standard_fl_flow
 
 
@@ -25,7 +25,8 @@ def main(n_devices: int = 30, rounds: int = 3, feature_dim: int = 512) -> None:
                 n_benchmark=1,          # one phone measured while training
                 bundles=40,             # 40 unit bundles -> 10 concurrent actors
                 n_phones=3,
-                device_bundle=ResourceBundle(cpus=4, memory_gb=12),
+                device_cpus=4,          # one simulated device: 4 CPUs + 12 GB
+                device_memory_gb=12,
             ),
             GradeRequirement(
                 grade="Low",
@@ -33,7 +34,8 @@ def main(n_devices: int = 30, rounds: int = 3, feature_dim: int = 512) -> None:
                 n_benchmark=1,
                 bundles=60,
                 n_phones=3,
-                device_bundle=ResourceBundle(cpus=1, memory_gb=6),
+                device_cpus=1,
+                device_memory_gb=6,
             ),
         ],
         rounds=rounds,

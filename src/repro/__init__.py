@@ -17,14 +17,14 @@ Device-Cloud Collaborative Computing* (ICDCS 2025).  The platform combines
 
 Quickstart::
 
-    from repro import SimDC, TaskSpec, GradeRequirement, ResourceBundle
+    from repro import SimDC, TaskSpec, GradeRequirement
 
     platform = SimDC()
     task = TaskSpec(
         name="demo",
         grades=[GradeRequirement(grade="High", n_devices=20, bundles=40,
                                  n_phones=2,
-                                 device_bundle=ResourceBundle(4, 12))],
+                                 device_cpus=4, device_memory_gb=12)],
         rounds=3,
         feature_dim=512,
     )

@@ -60,25 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 WINDOW_KINDS = ("loss", "duplication", "outage")
 
 
-def check_channel_numbers(spec, prefix: str = "") -> None:
-    """Reject a non-finite channel field or a non-integer ``max_attempts``, naming it.
-
-    Shared by :class:`ChannelModel` and the scenario file's ``TransportSpec``
-    (``prefix="transport."``): a string where a probability belongs, a NaN
-    latency (NaN passes every range test) or ``max_attempts=2.5`` fails at
-    construction instead of mid-run inside :meth:`ChannelModel.plan_upload`
-    or as the kernel's ``cannot schedule at nan``.
-    """
-    for name in ("latency_s", "jitter_s", "loss_prob", "dup_prob", "retry_base_s", "retry_cap_s"):
-        value = getattr(spec, name)
-        if not isinstance(value, Real):
-            raise ValueError(f"{prefix}{name} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{prefix}{name} must be finite, got {value!r}")
-    if not isinstance(spec.max_attempts, Integral) or spec.max_attempts < 1:
-        raise ValueError(f"{prefix}max_attempts must be an integer >= 1, got {spec.max_attempts!r}")
-
-
 @dataclass
 class ChannelWindow:
     """One scheduled impairment interval on the channel.
@@ -183,7 +164,17 @@ class ChannelModel:
     windows: list[ChannelWindow] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        check_channel_numbers(self)
+        # A string where a probability belongs, a NaN latency (NaN passes every
+        # range test) or max_attempts=2.5 fails here, not mid-run inside
+        # plan_upload or as the kernel's "cannot schedule at nan".
+        for name in ("latency_s", "jitter_s", "loss_prob", "dup_prob", "retry_base_s", "retry_cap_s"):
+            value = getattr(self, name)
+            if not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.max_attempts, Integral) or self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be an integer >= 1, got {self.max_attempts!r}")
         if self.latency_s < 0.0 or self.jitter_s < 0.0:
             raise ValueError(
                 f"channel latency/jitter must be >= 0, got "

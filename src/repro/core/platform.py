@@ -8,7 +8,7 @@ Typical usage::
     spec = TaskSpec(
         name="quickstart",
         grades=[GradeRequirement(grade="High", n_devices=20, bundles=40,
-                                 n_phones=2, device_bundle=ResourceBundle(4, 12))],
+                                 n_phones=2, device_cpus=4, device_memory_gb=12)],
         rounds=3,
     )
     platform.submit(spec)

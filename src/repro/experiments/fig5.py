@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster import NodeSpec
-from repro.cluster.resources import ResourceBundle
 from repro.core import PlatformConfig, SimDC
 from repro.experiments.render import format_table
 from repro.scheduler.task import GradeRequirement, TaskSpec
@@ -53,7 +52,7 @@ def run_fig5_device_trace(rounds: int = 3, seed: int = 0) -> DeviceTraceResult:
                 n_benchmark=1,
                 bundles=8,
                 n_phones=2,
-                device_bundle=ResourceBundle(cpus=4, memory_gb=12),
+                device_cpus=4, device_memory_gb=12,
             )
         ],
         rounds=rounds,

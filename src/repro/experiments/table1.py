@@ -17,7 +17,6 @@ from repro.cluster import NodeSpec
 from repro.core import PlatformConfig, SimDC
 from repro.experiments.render import format_table
 from repro.scheduler.task import GradeRequirement, TaskSpec
-from repro.cluster.resources import ResourceBundle
 
 #: Paper values for EXPERIMENTS.md comparison: (grade, stage) -> (mAh, min).
 PAPER_TABLE1 = {
@@ -65,7 +64,7 @@ def run_table1_stage_metrics(
                 n_benchmark=n_benchmark_per_grade,
                 bundles=40,
                 n_phones=8,
-                device_bundle=ResourceBundle(cpus=4, memory_gb=12),
+                device_cpus=4, device_memory_gb=12,
             ),
             GradeRequirement(
                 grade="Low",
@@ -73,7 +72,7 @@ def run_table1_stage_metrics(
                 n_benchmark=n_benchmark_per_grade,
                 bundles=60,
                 n_phones=6,
-                device_bundle=ResourceBundle(cpus=1, memory_gb=6),
+                device_cpus=1, device_memory_gb=6,
             ),
         ],
         rounds=1,

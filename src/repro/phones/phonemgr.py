@@ -151,6 +151,44 @@ class _SampledPhone:
         self.stopped = Signal(name=f"{phone.serial}.sampler")
 
 
+def _tie_order(clock: np.ndarray, finished: np.ndarray) -> list[int] | None:
+    """Plan rows in the order per-device events would deliver them; ``None`` when that is phone order.
+
+    ``clock`` is a plan's (phones x (3 waves + 1)) clock and ``finished``
+    its completion cells by plan row (``wave * phones + phone``).  Per
+    device, each leg's event is scheduled when the one before it fires, and
+    the kernel fires equal times in scheduling order, so an event ranks by
+    (time, predecessor's rank), back to the round's start in phone order.
+    A tie between neighbouring phones whose clocks agree up to it keeps
+    phone order; any other tie ranks every cell until nothing changes.
+    """
+    n = clock.shape[0]
+    by_time = np.argsort(finished, kind="stable")
+    tied = np.flatnonzero(np.diff(finished[by_time]) == 0)
+    first, second = by_time[tied], by_time[tied + 1]
+    differs = clock[1:] != clock[:-1]
+    agree = np.where(differs.any(axis=1), differs.argmax(axis=1), clock.shape[1])  # phone p + 1 with phone p
+    phone = second % n
+    if ((second == first + 1) & (phone > 0) & (agree[phone - 1] > 3 * (second // n) + 2)).all():
+        return None
+    # A training end resumes its device through a zero-delay event of its own.
+    chain = np.repeat(clock, [1] + [1, 2, 1] * (clock.shape[1] // 3), axis=1)
+    times = chain.ravel()
+    rank = np.argsort(np.argsort(times, kind="stable"))
+    before = np.empty(chain.shape, dtype=rank.dtype)
+    before[:, 0] = np.arange(n)
+    while True:
+        before[:, 1:] = rank.reshape(chain.shape)[:, :-1]
+        settled = np.argsort(np.lexsort((before.ravel(), times)))
+        if np.array_equal(settled, rank):
+            break
+        rank = settled
+    order = np.argsort(rank.reshape(chain.shape)[:, 4::4].T.ravel()[: finished.size])
+    if np.array_equal(order, np.lexsort((np.arange(finished.size) % n, finished))):
+        return None
+    return order.tolist()
+
+
 class PhoneMgr(TierRounds):
     """Manages the physical devices cluster for one SimDC deployment.
 
@@ -393,6 +431,10 @@ class PhoneMgr(TierRounds):
         ``((now + push) + training) + upload`` — the kernel's ``now + delay``
         scheduling, in place.  A phone's state is replayed from the same
         clock's :func:`session_accounts` once its queue drains.
+
+        Devices finishing at one instant deliver in the order per-device
+        events would (:func:`_tie_order`), each in a queue of its own where
+        that is not phone order.  Ties across plans deliver in plan order.
         """
         total = len(plan.devices)
         n_phones = len(self.computing_phones[plan.grade])
@@ -416,7 +458,12 @@ class PhoneMgr(TierRounds):
             replay = partial(phone.replay_training_sessions, float(starts[p, 0]), float(starts[p, k - 1]),
                              duration, upload_bytes, accounts[:, p, : 2 * k + 1])
             queues.append((slice(p, total, n_phones), replay))
-        return clock[:, 3::3].T.ravel()[:total], queues
+        finished = clock[:, 3::3].T.ravel()[:total]
+        order = _tie_order(clock, finished)
+        if order is not None:
+            hooks = {range(total)[rows][-1]: replay for rows, replay in queues}
+            queues = [(slice(row, row + 1), hooks.get(row, lambda: None)) for row in order]
+        return finished, queues
 
     # ------------------------------------------------------------------
     # benchmarking phones (Table I five-stage protocol)

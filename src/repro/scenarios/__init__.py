@@ -8,8 +8,11 @@ a plain-data description of "a day of traffic on a real deployment" —
 * a **device-population recipe** (timezone / network / availability /
   dropout mixtures drawn from :mod:`repro.behavior`),
 * a set of **tenants**, each a :class:`~repro.scheduler.task.TaskSpec`
-  template plus an arrival process (Poisson, deterministic cadence, or a
-  trace of timestamps) and a declarative DeviceFlow dispatch recipe, and
+  template (its grades are :class:`~repro.scheduler.task.GradeRequirement`
+  objects, ``GradeSpec`` being their former name, and its fields are checked
+  by building the task) plus an arrival process (Poisson, deterministic
+  cadence, or a trace of timestamps) and a declarative DeviceFlow dispatch
+  recipe, and
 * a **fault plan** (timed phone crashes/recoveries, network-tier
   degradation windows, straggler injection, plus transport-level
   message-loss / duplication / service-outage windows), and

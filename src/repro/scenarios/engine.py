@@ -218,17 +218,7 @@ class ScenarioRunner:
         ]
         if spec.transport is None and not windows:
             return None
-        transport = spec.transport or TransportSpec()
-        return ChannelModel(
-            latency_s=transport.latency_s,
-            jitter_s=transport.jitter_s,
-            loss_prob=transport.loss_prob,
-            dup_prob=transport.dup_prob,
-            retry_base_s=transport.retry_base_s,
-            retry_cap_s=transport.retry_cap_s,
-            max_attempts=transport.max_attempts,
-            windows=windows,
-        )
+        return (spec.transport or TransportSpec()).channel(windows)
 
     def _build_platform(self) -> SimDC:
         spec = self.spec

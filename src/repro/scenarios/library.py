@@ -27,12 +27,12 @@ from repro.scenarios.spec import (
     ArrivalSpec,
     DispatchSpec,
     FaultSpec,
-    GradeSpec,
     PopulationSpec,
     ScenarioSpec,
     TenantSpec,
     TransportSpec,
 )
+from repro.scheduler.task import GradeRequirement
 
 
 def _unit(scale: int, reference: int) -> int:
@@ -64,8 +64,8 @@ def diurnal_multitenant(scale: int = 2000, seed: int = 0) -> ScenarioSpec:
                 priority=8,
                 rounds=2,
                 grades=[
-                    GradeSpec(grade="High", n_devices=8 * u, bundles=min(60, max(8, 2 * u))),
-                    GradeSpec(
+                    GradeRequirement(grade="High", n_devices=8 * u, bundles=min(60, max(8, 2 * u))),
+                    GradeRequirement(
                         grade="Low", n_devices=4 * u, bundles=min(40, max(6, u)), n_phones=1
                     ),
                 ],
@@ -79,7 +79,7 @@ def diurnal_multitenant(scale: int = 2000, seed: int = 0) -> ScenarioSpec:
                 numeric=True,
                 feature_dim=64,
                 records_per_device=8,
-                grades=[GradeSpec(grade="High", n_devices=6 * u, bundles=min(48, max(6, 2 * u)))],
+                grades=[GradeRequirement(grade="High", n_devices=6 * u, bundles=min(48, max(6, 2 * u)))],
                 arrival=ArrivalSpec(kind="poisson", count=4, rate_per_hour=8.0),
                 dispatch=DispatchSpec(kind="realtime", thresholds=[20, 50]),
             ),
@@ -87,8 +87,8 @@ def diurnal_multitenant(scale: int = 2000, seed: int = 0) -> ScenarioSpec:
                 name="amer-nightly",
                 priority=5,
                 grades=[
-                    GradeSpec(grade="Low", n_devices=10 * u, bundles=min(50, max(8, 2 * u))),
-                    GradeSpec(grade="High", n_devices=4 * u, bundles=min(20, max(4, u))),
+                    GradeRequirement(grade="Low", n_devices=10 * u, bundles=min(50, max(8, 2 * u))),
+                    GradeRequirement(grade="High", n_devices=4 * u, bundles=min(20, max(4, u))),
                 ],
                 arrival=ArrivalSpec(kind="trace", times=[120.0, 1800.0]),
                 dispatch=DispatchSpec(kind="realtime", thresholds=[50]),
@@ -97,7 +97,7 @@ def diurnal_multitenant(scale: int = 2000, seed: int = 0) -> ScenarioSpec:
                 name="mobile-bench",
                 priority=1,
                 grades=[
-                    GradeSpec(grade="High", n_devices=4 * u, bundles=min(20, max(4, u)), n_phones=1, n_benchmark=1)
+                    GradeRequirement("High", n_devices=4 * u, bundles=min(20, max(4, u)), n_phones=1, n_benchmark=1)
                 ],
                 arrival=ArrivalSpec(kind="periodic", count=3, period_s=1100.0, offset_s=300.0),
             ),
@@ -125,14 +125,14 @@ def flash_crowd(scale: int = 2000, seed: int = 0) -> ScenarioSpec:
                 name="steady",
                 priority=6,
                 rounds=2,
-                grades=[GradeSpec(grade="Low", n_devices=8 * u, bundles=min(40, max(8, 2 * u)))],
+                grades=[GradeRequirement(grade="Low", n_devices=8 * u, bundles=min(40, max(8, 2 * u)))],
                 arrival=ArrivalSpec(kind="periodic", count=6, period_s=240.0, offset_s=30.0),
                 dispatch=DispatchSpec(kind="realtime", thresholds=[25]),
             ),
             TenantSpec(
                 name="crowd",
                 priority=2,
-                grades=[GradeSpec(grade="High", n_devices=4 * u, bundles=min(16, max(4, u)))],
+                grades=[GradeRequirement(grade="High", n_devices=4 * u, bundles=min(16, max(4, u)))],
                 arrival=ArrivalSpec(
                     kind="trace", times=[300.0 + 2.0 * i for i in range(10)]
                 ),
@@ -172,7 +172,7 @@ def flaky_fleet(scale: int = 1000, seed: int = 0) -> ScenarioSpec:
                 feature_dim=64,
                 records_per_device=8,
                 grades=[
-                    GradeSpec(
+                    GradeRequirement(
                         grade="High",
                         n_devices=6 * u,
                         bundles=min(48, max(6, 2 * u)),
@@ -186,7 +186,7 @@ def flaky_fleet(scale: int = 1000, seed: int = 0) -> ScenarioSpec:
             TenantSpec(
                 name="telemetry",
                 priority=2,
-                grades=[GradeSpec(grade="Low", n_devices=4 * u, bundles=min(20, max(4, u)), n_phones=1)],
+                grades=[GradeRequirement(grade="Low", n_devices=4 * u, bundles=min(20, max(4, u)), n_phones=1)],
                 arrival=ArrivalSpec(kind="periodic", count=6, period_s=360.0, offset_s=45.0),
                 dispatch=DispatchSpec(kind="realtime", thresholds=[10]),
             ),
@@ -220,8 +220,8 @@ def steady_state_soak(scale: int = 2000, seed: int = 0) -> ScenarioSpec:
                 priority=5,
                 rounds=2,
                 grades=[
-                    GradeSpec(grade="High", n_devices=5 * u, bundles=min(50, max(5, 2 * u))),
-                    GradeSpec(grade="Low", n_devices=3 * u, bundles=min(30, max(4, u))),
+                    GradeRequirement(grade="High", n_devices=5 * u, bundles=min(50, max(5, 2 * u))),
+                    GradeRequirement(grade="Low", n_devices=3 * u, bundles=min(30, max(4, u))),
                 ],
                 arrival=ArrivalSpec(kind="periodic", count=10, period_s=420.0, offset_s=0.0),
                 dispatch=DispatchSpec(kind="realtime", thresholds=[40]),
@@ -232,7 +232,7 @@ def steady_state_soak(scale: int = 2000, seed: int = 0) -> ScenarioSpec:
                 numeric=True,
                 feature_dim=32,
                 records_per_device=6,
-                grades=[GradeSpec(grade="High", n_devices=2 * u, bundles=min(12, max(2, u)))],
+                grades=[GradeRequirement(grade="High", n_devices=2 * u, bundles=min(12, max(2, u)))],
                 arrival=ArrivalSpec(kind="poisson", count=4, rate_per_hour=6.0),
             ),
         ],
@@ -265,14 +265,14 @@ def autoscale_flash_crowd(scale: int = 1000, seed: int = 0) -> ScenarioSpec:
             TenantSpec(
                 name="steady",
                 priority=6,
-                grades=[GradeSpec(grade="Low", n_devices=4 * u, bundles=min(20, max(6, u)))],
+                grades=[GradeRequirement(grade="Low", n_devices=4 * u, bundles=min(20, max(6, u)))],
                 arrival=ArrivalSpec(kind="periodic", count=4, period_s=300.0, offset_s=30.0),
                 dispatch=DispatchSpec(kind="realtime", thresholds=[20]),
             ),
             TenantSpec(
                 name="crowd",
                 priority=2,
-                grades=[GradeSpec(grade="High", n_devices=4 * u, bundles=min(16, max(8, 2 * u)))],
+                grades=[GradeRequirement(grade="High", n_devices=4 * u, bundles=min(16, max(8, 2 * u)))],
                 arrival=ArrivalSpec(kind="trace", times=[240.0 + 2.0 * i for i in range(10)]),
                 dispatch=DispatchSpec(kind="realtime", thresholds=[1]),
                 slas=[SLASpec(metric="completion_rate", limit=0.99, direction="min")],
@@ -334,8 +334,8 @@ def lossy_uplink(scale: int = 1000, seed: int = 0) -> ScenarioSpec:
                 feature_dim=32,
                 records_per_device=6,
                 grades=[
-                    GradeSpec(grade="High", n_devices=6 * u, bundles=min(48, max(6, 2 * u))),
-                    GradeSpec(grade="Low", n_devices=3 * u, bundles=min(24, max(4, u))),
+                    GradeRequirement(grade="High", n_devices=6 * u, bundles=min(48, max(6, 2 * u))),
+                    GradeRequirement(grade="Low", n_devices=3 * u, bundles=min(24, max(4, u))),
                 ],
                 arrival=ArrivalSpec(kind="periodic", count=3, period_s=1000.0, offset_s=60.0),
                 dispatch=DispatchSpec(kind="interval", interval_s=300.0),
@@ -347,7 +347,7 @@ def lossy_uplink(scale: int = 1000, seed: int = 0) -> ScenarioSpec:
             TenantSpec(
                 name="telemetry",
                 priority=2,
-                grades=[GradeSpec(grade="Low", n_devices=3 * u, bundles=min(16, max(4, u)))],
+                grades=[GradeRequirement(grade="Low", n_devices=3 * u, bundles=min(16, max(4, u)))],
                 arrival=ArrivalSpec(kind="periodic", count=4, period_s=800.0, offset_s=200.0),
                 dispatch=DispatchSpec(kind="realtime", thresholds=[10]),
             ),

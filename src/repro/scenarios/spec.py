@@ -30,8 +30,7 @@ from repro.behavior import (
     population_traffic_curve,
 )
 from repro.behavior.timezone import DEFAULT_OFFSET_WEIGHTS
-from repro.cloud.transport import check_channel_numbers
-from repro.cluster.resources import ResourceBundle
+from repro.cloud.transport import ChannelModel, ChannelWindow
 from repro.deviceflow.curves import TrafficCurve
 from repro.deviceflow.strategy import (
     DispatchStrategy,
@@ -41,7 +40,7 @@ from repro.deviceflow.strategy import (
 from repro.ml.operators import standard_fl_flow
 from repro.ml.optimizer import check_count, check_finite, check_non_negative, check_positive
 from repro.observability import GAUGE_SIGNALS, SERIES_SIGNALS, AlarmRule, AutoscaleSpec, SLASpec, signal_exists
-from repro.scheduler.task import GradeRequirement, TaskSpec, check_records_per_device
+from repro.scheduler.task import GradeRequirement, TaskSpec
 from repro.simkernel.random import check_seed, stable_hash
 
 #: Named network profiles a :class:`PopulationSpec` can mix.
@@ -54,9 +53,11 @@ def _is_number(value: object) -> bool:
 
 
 def _check_numbers(declared: dict, data: dict, prefix: str) -> None:
-    """Raise a ``ValueError`` naming the first ``int`` / ``float`` field of ``data`` that holds no number."""
+    """Raise a ``ValueError`` naming the first ``int`` / ``float`` / ``bool`` field of ``data`` holding another type."""
     for key, value in data.items():
         kind = declared[key].type  # a string: every spec module defers its annotations
+        if kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{prefix}{key} must be true or false, got {value!r}")
         if kind in ("list[float]", "list[int]") and not all(map(_is_number, value)):
             raise ValueError(f"{prefix}{key} must be a list of numbers, got {value!r}")
         if kind.removesuffix(" | None") in ("int", "float") and not (
@@ -294,34 +295,8 @@ class DispatchSpec:
 # ----------------------------------------------------------------------
 # tenants
 # ----------------------------------------------------------------------
-@dataclass
-class GradeSpec:
-    """One device grade's demand inside a tenant's task template."""
-
-    grade: str = "High"
-    n_devices: int = 10
-    bundles: int = 10
-    n_phones: int = 0
-    n_benchmark: int = 0
-    device_cpus: float = 1.0
-    device_memory_gb: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.build()  # the requirement's and the bundle's checks, at construction
-
-    def build(self) -> GradeRequirement:
-        try:
-            bundle = ResourceBundle(cpus=self.device_cpus, memory_gb=self.device_memory_gb)
-        except ValueError as exc:  # the bundle's cpus / memory_gb are this spec's device_* fields
-            raise ValueError(f"device_{exc}") from None
-        return GradeRequirement(
-            grade=self.grade,
-            n_devices=self.n_devices,
-            bundles=self.bundles,
-            n_phones=self.n_phones,
-            n_benchmark=self.n_benchmark,
-            device_bundle=bundle,
-        )
+#: The former name of a tenant's grade; the benchmark ledger's workloads still import it.
+GradeSpec = GradeRequirement
 
 
 @dataclass
@@ -335,7 +310,7 @@ class TenantSpec:
     """
 
     name: str
-    grades: list[GradeSpec] = field(default_factory=lambda: [GradeSpec()])
+    grades: list[GradeRequirement] = field(default_factory=lambda: [GradeRequirement("High", 10, bundles=10)])
     arrival: ArrivalSpec = field(default_factory=lambda: ArrivalSpec(times=[0.0]))
     dispatch: DispatchSpec = field(default_factory=DispatchSpec)
     priority: int = 0
@@ -356,45 +331,39 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if not self.grades:
-            raise ValueError(f"tenant {self.name!r} needs at least one grade")
-        if isinstance(self.priority, bool) or not isinstance(self.priority, Integral):
-            raise ValueError(f"priority must be an integer, got {self.priority!r}")
-        check_count("rounds", self.rounds)
-        check_records_per_device(self.records_per_device, self.numeric)
-        check_count("feature_dim", self.feature_dim)
         check_count("flow_epochs", self.flow_epochs)
         check_positive("flow_learning_rate", self.flow_learning_rate)
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(
-                f"tenant {self.name!r} deadline_s must be > 0, got {self.deadline_s!r}"
-            )
-        if self.deadline_s is not None:
-            check_finite("deadline_s", self.deadline_s)
+        self._task(name=self.name, task_id=self.name)  # the task's own checks, at construction
 
     @property
     def devices_per_task(self) -> int:
         return sum(g.n_devices for g in self.grades)
 
+    def _task(self, **identity: Any) -> TaskSpec:
+        """This tenant's task template, with ``identity`` (name, ids, seed, strategy) filled in."""
+        return TaskSpec(
+            grades=list(self.grades),
+            rounds=self.rounds,
+            flow=standard_fl_flow(epochs=self.flow_epochs, learning_rate=self.flow_learning_rate),
+            priority=self.priority,
+            numeric=self.numeric,
+            feature_dim=self.feature_dim,
+            deadline_s=self.deadline_s,
+            records_per_device=self.records_per_device,
+            **identity,
+        )
+
     def build_task(
         self, scenario: str, index: int, seed: int, population: PopulationSpec
     ) -> TaskSpec:
         """Instantiate submission ``index`` of this tenant's stream."""
-        return TaskSpec(
+        return self._task(
             name=f"{self.name}-{index:03d}",
             task_id=f"{scenario}.{self.name}.{index:04d}",
-            grades=[g.build() for g in self.grades],
-            rounds=self.rounds,
-            flow=standard_fl_flow(epochs=self.flow_epochs, learning_rate=self.flow_learning_rate),
-            priority=self.priority,
             deviceflow_strategy=self.dispatch.build(population),
-            numeric=self.numeric,
-            feature_dim=self.feature_dim,
-            deadline_s=self.deadline_s,
-            dataset_seed=(seed * 1_000_003 + index * 9_176 + stable_hash(self.name)[0])
-            % (2**31),
-            records_per_device=self.records_per_device,
+            dataset_seed=(seed * 1_000_003 + index * 9_176 + stable_hash(self.name)[0]) % (2**31),
         )
+
 
 # ----------------------------------------------------------------------
 # fault plan
@@ -498,11 +467,10 @@ class FaultSpec:
 class TransportSpec:
     """Device→cloud channel behaviour for the whole scenario.
 
-    Describes the :class:`~repro.cloud.transport.ChannelModel` every
-    task's uploads traverse: base delivery latency plus uniform jitter,
-    steady-state loss/duplication probabilities, and the device-side
-    retry policy (capped exponential backoff, ``max_attempts`` sends,
-    then the upload is abandoned).  Scheduled impairments come from the
+    Every field but ``deadline_s`` is the
+    :class:`~repro.cloud.transport.ChannelModel` field of that name (base
+    latency and jitter, loss / duplication probabilities, retry policy),
+    checked by building the model.  Scheduled impairments come from the
     fault plan (``message_loss`` / ``message_duplication`` /
     ``service_outage`` kinds) and stack on top of the base rates.
 
@@ -521,25 +489,20 @@ class TransportSpec:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        check_channel_numbers(self, "transport.")
-        if self.latency_s < 0 or self.jitter_s < 0:
-            raise ValueError(
-                f"transport latency/jitter must be >= 0, got "
-                f"latency_s={self.latency_s!r}, jitter_s={self.jitter_s!r}"
-            )
-        if not 0.0 <= self.loss_prob < 1.0:
-            raise ValueError(f"transport loss_prob must be in [0, 1), got {self.loss_prob!r}")
-        if not 0.0 <= self.dup_prob <= 1.0:
-            raise ValueError(f"transport dup_prob must be in [0, 1], got {self.dup_prob!r}")
-        if self.retry_base_s <= 0 or self.retry_cap_s <= 0:
-            raise ValueError(
-                f"transport retry backoff must be > 0, got "
-                f"retry_base_s={self.retry_base_s!r}, retry_cap_s={self.retry_cap_s!r}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"transport deadline_s must be > 0, got {self.deadline_s!r}")
+        try:
+            self.channel([])
+        except ValueError as exc:  # the channel's fields are this spec's
+            raise ValueError(f"transport.{exc}") from None
         if self.deadline_s is not None:
+            if self.deadline_s <= 0:
+                raise ValueError(f"deadline_s must be > 0, got {self.deadline_s!r}")
             check_finite("deadline_s", self.deadline_s)
+
+    def channel(self, windows: list[ChannelWindow]) -> ChannelModel:
+        """The channel this spec describes (every field but ``deadline_s``), carrying ``windows``."""
+        params = asdict(self)
+        del params["deadline_s"]
+        return ChannelModel(**params, windows=windows)
 
 
 # ----------------------------------------------------------------------
@@ -674,7 +637,7 @@ class ScenarioSpec:
 _NESTED = {
     spec.__name__: spec
     for spec in (
-        PopulationSpec, ArrivalSpec, DispatchSpec, GradeSpec, TenantSpec, FaultSpec, TransportSpec,
+        PopulationSpec, ArrivalSpec, DispatchSpec, GradeRequirement, TenantSpec, FaultSpec, TransportSpec,
         AlarmRule, SLASpec, AutoscaleSpec,
     )
 }

@@ -51,8 +51,9 @@ class GradeRequirement:
         Requested logical unit bundles (f_i).
     n_phones:
         Requested physical computing phones (m_i).
-    device_bundle:
-        Composite resource shape of one simulated device (determines k_i
+    device_cpus / device_memory_gb:
+        Composite resource shape of one simulated device, kept as
+        :attr:`device_bundle` (a :class:`ResourceBundle`; it determines k_i
         against the platform's unit bundle).
     """
 
@@ -61,11 +62,14 @@ class GradeRequirement:
     bundles: int = 0
     n_phones: int = 0
     n_benchmark: int = 0
-    device_bundle: ResourceBundle = field(
-        default_factory=lambda: ResourceBundle(cpus=1.0, memory_gb=1.0)
-    )
+    device_cpus: float = 1.0
+    device_memory_gb: float = 1.0
 
     def __post_init__(self) -> None:
+        try:
+            self.device_bundle = ResourceBundle(cpus=self.device_cpus, memory_gb=self.device_memory_gb)
+        except ValueError as exc:  # the bundle's cpus / memory_gb are this requirement's device_* fields
+            raise ValueError(f"device_{exc}") from None
         check_count("n_devices", self.n_devices)
         for name in ("bundles", "n_phones", "n_benchmark"):
             value = getattr(self, name)
@@ -77,13 +81,6 @@ class GradeRequirement:
             raise ValueError(
                 f"grade {self.grade!r} requests devices but no compute resources"
             )
-
-
-def check_records_per_device(records_per_device: int, numeric: bool) -> None:
-    """A shard needs a record; dataset synthesis needs two to train on."""
-    floor = 2 if numeric else 1
-    if records_per_device < floor:
-        raise ValueError(f"records_per_device must be >= {floor} (numeric={numeric}), got {records_per_device!r}")
 
 
 @dataclass
@@ -142,13 +139,20 @@ class TaskSpec:
         names = [g.grade for g in self.grades]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate grades in task: {names}")
-        if self.rounds <= 0:
-            raise ValueError("rounds must be positive")
-        if self.feature_dim <= 0:
-            raise ValueError("feature_dim must be positive")
-        check_records_per_device(self.records_per_device, self.numeric)
-        if self.deadline_s is not None and check_finite("deadline_s", self.deadline_s) <= 0:
-            raise ValueError(f"deadline_s must be positive, got {self.deadline_s!r}")
+        if isinstance(self.priority, bool) or not isinstance(self.priority, Integral):
+            raise ValueError(f"priority must be an integer, got {self.priority!r}")
+        check_count("rounds", self.rounds)
+        # A shard needs a record; dataset synthesis needs two to train on.
+        floor, records = (2 if self.numeric else 1), self.records_per_device
+        if isinstance(records, bool) or not isinstance(records, Integral) or records < floor:
+            raise ValueError(
+                f"records_per_device must be >= {floor} (numeric={self.numeric}) and an integer, got {records!r}"
+            )
+        check_count("feature_dim", self.feature_dim)
+        if self.deadline_s is not None:
+            if self.deadline_s <= 0:  # first: a file's string raises the TypeError it reports as not a number
+                raise ValueError(f"deadline_s must be > 0, got {self.deadline_s!r}")
+            check_finite("deadline_s", self.deadline_s)
         if not self.task_id:
             self.task_id = f"task-{next(_task_counter):05d}"
         if self.flow is None:

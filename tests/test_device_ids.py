@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import GradeRequirement, PlatformConfig, ResourceBundle, SimDC, TaskSpec, TaskState
+from repro import GradeRequirement, PlatformConfig, SimDC, TaskSpec, TaskState
 from repro.cloud.transport import ChannelModel
 from repro.cluster import NodeSpec
 from repro.cluster.rounds import DeviceIdRange
@@ -195,7 +195,7 @@ def run_time_only_task(monkeypatch, channel=None, tracer=None, strategy=None):
         grades=[
             GradeRequirement(
                 grade="High", n_devices=40, bundles=8, n_phones=2, n_benchmark=1,
-                device_bundle=ResourceBundle(cpus=2, memory_gb=2),
+                device_cpus=2, device_memory_gb=2,
             )
         ],
         rounds=3,

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro import GradeRequirement, PlatformConfig, SimDC, TaskSpec
-from repro.cluster import NodeSpec, ResourceBundle
+from repro.cluster import NodeSpec
 from repro.experiments import (
     format_fig5,
     format_fig6,
@@ -122,7 +122,7 @@ class TestFig5:
         platform = SimDC(PlatformConfig(seed=0, cluster_nodes=[NodeSpec(20, 30)] * 2, poll_interval=0.5))
         benchmarked = GradeRequirement(
             grade="High", n_devices=8, n_benchmark=1, bundles=8, n_phones=2,
-            device_bundle=ResourceBundle(cpus=4, memory_gb=12),
+            device_cpus=4, device_memory_gb=12,
         )
         spec = TaskSpec(name="fig5", grades=[benchmarked], rounds=3, numeric=False)
         platform.submit(spec)

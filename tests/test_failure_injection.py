@@ -13,7 +13,6 @@ from repro import (
     GradeRequirement,
     PlatformConfig,
     RealTimeAccumulatedStrategy,
-    ResourceBundle,
     SimDC,
     TaskSpec,
     TaskState,
@@ -51,7 +50,7 @@ def task_with_flow(flow, name="crashy", n_devices=4, rounds=1):
         grades=[
             GradeRequirement(
                 grade="High", n_devices=n_devices, bundles=8, n_phones=1,
-                device_bundle=ResourceBundle(cpus=2, memory_gb=2),
+                device_cpus=2, device_memory_gb=2,
             )
         ],
         rounds=rounds,
@@ -99,7 +98,7 @@ class TestOperatorCrash:
             grades=[
                 GradeRequirement(
                     grade="High", n_devices=4, bundles=30, n_phones=1,
-                    device_bundle=ResourceBundle(cpus=2, memory_gb=2),
+                    device_cpus=2, device_memory_gb=2,
                 )
             ],
             flow=OperatorFlow([DownloadModelOp(), ExplodingOperator("dev-000000")]),
@@ -112,7 +111,7 @@ class TestOperatorCrash:
             grades=[
                 GradeRequirement(
                     grade="High", n_devices=2, bundles=30, n_phones=1,
-                    device_bundle=ResourceBundle(cpus=2, memory_gb=2),
+                    device_cpus=2, device_memory_gb=2,
                 )
             ],
             flow=standard_fl_flow(epochs=1),
@@ -171,7 +170,7 @@ class TestImpossibleRequests:
             grades=[
                 GradeRequirement(
                     grade="High", n_devices=10, bundles=4000, n_phones=0,
-                    device_bundle=ResourceBundle(cpus=1, memory_gb=1),
+                    device_cpus=1, device_memory_gb=1,
                 )
             ],
             feature_dim=64,
@@ -189,7 +188,7 @@ class TestImpossibleRequests:
             grades=[
                 GradeRequirement(
                     grade="Quantum", n_devices=2, bundles=4, n_phones=0,
-                    device_bundle=ResourceBundle(cpus=1, memory_gb=1),
+                    device_cpus=1, device_memory_gb=1,
                 )
             ],
             feature_dim=64,
@@ -207,7 +206,7 @@ class TestImpossibleRequests:
             grades=[
                 GradeRequirement(
                     grade="High", n_devices=4, bundles=4, n_phones=18,
-                    device_bundle=ResourceBundle(cpus=1, memory_gb=1),
+                    device_cpus=1, device_memory_gb=1,
                 )
             ],
             feature_dim=64,

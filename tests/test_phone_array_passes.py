@@ -13,7 +13,7 @@ leaves the phone as the oracle leaves it).
 import numpy as np
 import pytest
 from helpers import CallbackSink
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference.phone_reference import ClockReferencePhoneMgr, completion_times, replay_training_sessions
 
@@ -23,7 +23,8 @@ from repro.phones import PhoneAssignment, PhoneMgr, PhysicalCostModel, Simulated
 from repro.phones.adb import AdbError
 from repro.phones.apk import ApkStage, TrainingApk
 from repro.phones.phone import session_accounts
-from repro.simkernel import RandomStreams, Simulator, Timeout
+from repro.phones.phonemgr import _tie_order
+from repro.simkernel import RandomStreams, Signal, Simulator, Timeout
 
 
 def accounts(phone: VirtualPhone) -> tuple:
@@ -163,6 +164,7 @@ def clock_cases(draw):
 class TestPlanClock:
     @settings(max_examples=120, deadline=None)
     @given(clock_cases())
+    @example(case=([2, 1, 1, 2], 2, 0, 0))  # both phones finish wave 2 together, phone 1's chain first
     def test_one_pass_per_plan_equals_one_clock_per_phone(self, case):
         n_samples, n_phones, model_bytes, upload_bytes = case
         mgr, phones = prepared(PhoneMgr, plan_of(n_samples, n_phones))
@@ -171,9 +173,13 @@ class TestPlanClock:
         finished, queues = mgr._completion_times(mgr.plans[0], model_bytes, upload_bytes)
         expected, ref_queues = completion_times(ref_mgr, ref_mgr.plans[0], model_bytes, upload_bytes)
         assert finished.dtype == expected.dtype and finished.tobytes() == expected.tobytes()
-        assert [rows for rows, _ in queues] == [rows for rows, _ in ref_queues]
-        for (_, drained), (_, ref_drained) in zip(queues, ref_queues):
+        if len(queues) == len(ref_queues):
+            assert [rows for rows, _ in queues] == [rows for rows, _ in ref_queues]
+        else:  # a tie out of phone order: one queue per device (TestSameInstantFinishers checks the order)
+            assert sorted(rows.start for rows, _ in queues) == list(range(len(n_samples)))
+        for _, drained in queues:
             drained()
+        for _, ref_drained in ref_queues:
             ref_drained()
         for phone, expected_phone in zip(phones, ref_phones):
             assert accounts(phone) == accounts(expected_phone)
@@ -183,6 +189,51 @@ class TestPlanClock:
             mgr, _ = prepared(PhoneMgr, plan_of([3, 1, 4, 1, 5], 2))
             with pytest.raises(AdbError, match="cannot push a negative payload"):
                 kernel(mgr, mgr.plans[0], -200, 0)
+
+
+class TestSameInstantFinishers:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_phones=st.integers(2, 4),
+        waves=st.integers(1, 3),
+        short=st.integers(0, 3),
+        legs=st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7]), min_size=16, max_size=16),
+        training=st.sampled_from([0.1, 0.2, 0.3]),
+        origin=st.sampled_from([0.0, 109.0]),
+    )
+    def test_ties_deliver_in_the_per_device_event_order(self, n_phones, waves, short, legs, training, origin):
+        # Legs of a few tenths make float chains meet, often after they diverged
+        # and across waves.  Each device runs as the oracle runs it: a push
+        # timeout, a training signal fired by a scheduled callback, an upload.
+        total = n_phones * waves - (short % n_phones if waves > 1 else 0)
+        pushes = np.array(legs[: n_phones * waves]).reshape(n_phones, waves)
+        uploads = np.array(legs[12 : 12 + n_phones])
+        clock = np.empty((n_phones, 3 * waves + 1))
+        clock[:, 0] = origin
+        clock[:, 1::3] = pushes
+        clock[:, 2::3] = training
+        clock[:, 3::3] = uploads[:, None]
+        np.cumsum(clock, axis=1, out=clock)
+        finished = clock[:, 3::3].T.ravel()[:total]
+        sim, fired = Simulator(), []
+
+        def device_chain(p):
+            yield Timeout(origin)
+            for wave, row in enumerate(range(p, total, n_phones)):
+                yield Timeout(pushes[p, wave])
+                trained = Signal(name="trained")
+                sim.schedule(training, trained.fire)
+                yield trained
+                yield Timeout(uploads[p])
+                fired.append(row)
+
+        for p in range(n_phones):
+            sim.process(device_chain(p))
+        sim.run()
+        order = _tie_order(clock, finished)
+        if order is None:
+            order = np.lexsort((np.arange(total) % n_phones, finished)).tolist()
+        assert fired == order
 
 
 class TestAbortMidRound:

@@ -15,7 +15,7 @@ numeric and time-only plans, mixed grades and MSP control latency.
 import numpy as np
 import pytest
 from helpers import CallbackSink, WholePlanSink, stream_states
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference.tier_reference import ReferencePhoneMgr, all_outcomes, run_per_event
 
@@ -269,6 +269,8 @@ class TestOneEngineAnyShape:
         numeric=st.booleans(),
         delivery=st.sampled_from([CallbackSink, WholePlanSink, None]),
     )
+    # Two phones finish round 2's second wave at one instant, the later phone's chain scheduled first.
+    @example(n_devices=6, n_phones=3, n_bench=1, numeric=True, delivery=CallbackSink)
     def test_phone_rounds_equal_the_oracle(self, n_devices, n_phones, n_bench, numeric, delivery):
         def plans():
             make = numeric_plan if numeric else time_only_plan

@@ -9,7 +9,6 @@ from repro import (
     GradeRequirement,
     PlatformConfig,
     RealTimeAccumulatedStrategy,
-    ResourceBundle,
     SimDC,
     TaskSpec,
     TaskState,
@@ -40,7 +39,7 @@ def small_task(name="e2e", rounds=2, n_devices=8, bundles=8, n_phones=2, n_bench
                 bundles=bundles,
                 n_phones=n_phones,
                 n_benchmark=n_benchmark,
-                device_bundle=ResourceBundle(cpus=2, memory_gb=2),
+                device_cpus=2, device_memory_gb=2,
             )
         ],
         rounds=rounds,
@@ -149,7 +148,7 @@ class TestEndToEnd:
 
     def test_submit_rejects_a_fixed_allocation_that_misses_the_grades(self):
         low = GradeRequirement(
-            grade="Low", n_devices=4, bundles=4, n_phones=1, device_bundle=ResourceBundle(cpus=2, memory_gb=2)
+            grade="Low", n_devices=4, bundles=4, n_phones=1, device_cpus=2, device_memory_gb=2
         )
         spec = small_task()
         spec.grades.append(low)
@@ -268,7 +267,7 @@ class TestNothingRetained:
             grades=[
                 GradeRequirement(
                     grade=grade, n_devices=12, bundles=8, n_phones=2, n_benchmark=1,
-                    device_bundle=ResourceBundle(cpus=2, memory_gb=2),
+                    device_cpus=2, device_memory_gb=2,
                 )
                 for grade in ("High", "Low")
             ],

@@ -5,7 +5,6 @@ import pytest
 from repro import (
     GradeRequirement,
     PlatformConfig,
-    ResourceBundle,
     SimDC,
     TaskSpec,
     TaskState,
@@ -27,11 +26,11 @@ def two_grade_task(name="multi", rounds=1, strategy=None, skew=None):
         grades=[
             GradeRequirement(
                 grade="High", n_devices=10, bundles=8, n_phones=2,
-                device_bundle=ResourceBundle(cpus=2, memory_gb=2),
+                device_cpus=2, device_memory_gb=2,
             ),
             GradeRequirement(
                 grade="Low", n_devices=10, bundles=6, n_phones=2,
-                device_bundle=ResourceBundle(cpus=1, memory_gb=2),
+                device_cpus=1, device_memory_gb=2,
             ),
         ],
         rounds=rounds,
@@ -59,7 +58,7 @@ class TestMspIntegration:
             grades=[
                 GradeRequirement(
                     grade="High", n_devices=12, bundles=4, n_phones=8,  # > 4 local High
-                    device_bundle=ResourceBundle(cpus=2, memory_gb=2),
+                    device_cpus=2, device_memory_gb=2,
                 )
             ],
             rounds=1,
@@ -80,7 +79,7 @@ class TestDynamicScaling:
             grades=[
                 GradeRequirement(
                     grade="High", n_devices=4, bundles=30, n_phones=0,
-                    device_bundle=ResourceBundle(cpus=1, memory_gb=1),
+                    device_cpus=1, device_memory_gb=1,
                 )
             ],
             rounds=1,

@@ -5,6 +5,7 @@ same spec + seed must produce byte-identical reports across runs, equal
 to the digests pinned below.
 """
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -15,9 +16,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
-from repro import GradeRequirement, PlatformConfig, ResourceBundle, SimDC, TaskSpec, TaskState
+from repro import GradeRequirement, PlatformConfig, SimDC, TaskSpec, TaskState
 from repro.cluster import NodeSpec
 from repro.ml import standard_fl_flow
 from repro.observability import AlarmRule, AutoscaleSpec, SLASpec
@@ -144,6 +147,12 @@ class TestSpecSerialization:
             ("feature_dim", 0, "must be an integer >= 1, got 0"),
             ("rounds", 0, "must be an integer >= 1, got 0"),
             ("priority", 1.5, "must be an integer, got 1.5"),
+            # A TaskSpec built directly used to accept these four and then fail
+            # mid-run (a TypeError, a weight-shape mismatch) or run (priority).
+            ("rounds", 1.5, "must be an integer >= 1, got 1.5"),
+            ("rounds", float("nan"), "must be an integer >= 1, got nan"),
+            ("feature_dim", 8.5, "must be an integer >= 1, got 8.5"),
+            ("priority", 0.5, "must be an integer, got 0.5"),
         ],
     )
     def test_flow_numbers_fail_at_construction_naming_the_field(self, field, value, message):
@@ -156,6 +165,38 @@ class TestSpecSerialization:
         data["tenants"][1][field] = value
         with pytest.raises(ValueError, match=rf"^tenants\[1\]\.{field} {message}$"):
             ScenarioSpec.from_dict(data)
+        if field in {spec_field.name for spec_field in dataclasses.fields(TaskSpec)}:
+            # The runtime spec is where the check lives: the imperative path says the same.
+            grades = [GradeRequirement("High", n_devices=4, bundles=4)]
+            with pytest.raises(ValueError, match=f"^{field} {message}$"):
+                TaskSpec(name="t", grades=grades, numeric=True, **{field: value})
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grades=st.lists(st.sampled_from(["High", "Low"]), min_size=1, max_size=2),
+        rounds=st.one_of(st.integers(-1, 3), st.sampled_from([1.0, 1.5, float("nan")])),
+        priority=st.one_of(st.integers(-2, 2), st.sampled_from([0.5, True])),
+        numeric=st.booleans(),
+        feature_dim=st.one_of(st.integers(0, 3), st.sampled_from([8.5, float("inf")])),
+        records_per_device=st.one_of(st.integers(0, 3), st.sampled_from([2.5, float("nan"), False])),
+        deadline_s=st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
+    )
+    def test_a_tenant_is_refused_iff_its_tasks_would_be(self, grades, **values):
+        values["grades"] = [GradeRequirement(grade, n_devices=4, bundles=4) for grade in grades]
+
+        def refusal(build):
+            try:
+                build()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        tenant = TenantSpec(name="t")
+        for field, value in values.items():
+            setattr(tenant, field, value)  # past TenantSpec's own checks, as a task's inputs
+        assert refusal(lambda: TenantSpec(name="t", **values)) == refusal(
+            lambda: tenant.build_task("s", 0, 0, PopulationSpec())
+        )
 
     @pytest.mark.parametrize(
         ("path", "update", "message"),
@@ -211,6 +252,19 @@ class TestSpecSerialization:
                 "timezone_offsets offsets must be whole hours, got [2.5, 8]",
             ),
             ("tenants[0]", {"deadline_s": float("nan")}, "deadline_s must be a finite number, got nan"),
+            # NaN used to fail every task mid-run; 2.5 was truncated to 2 records.
+            (
+                "tenants[0]",
+                {"records_per_device": float("nan")},
+                "records_per_device must be >= 1 (numeric=False) and an integer, got nan",
+            ),
+            (
+                "tenants[0]",
+                {"records_per_device": 2.5},
+                "records_per_device must be >= 1 (numeric=False) and an integer, got 2.5",
+            ),
+            # The string is truthy: it used to run numeric FL.
+            ("tenants[0]", {"numeric": "false"}, "numeric must be true or false, got 'false'"),
             ("tenants[0]", {"deadline_s": float("inf")}, "deadline_s must be a finite number, got inf"),
             ("transport", {"deadline_s": float("nan")}, "deadline_s must be a finite number, got nan"),
             ("faults[0]", {"at": float("nan")}, "at must be a finite number, got nan"),
@@ -324,7 +378,7 @@ class TestSpecSerialization:
 
     def test_uncalibrated_grade_fails_at_schedule_naming_its_path(self):
         spec = tiny_scenario()
-        spec.tenants[1].grades.append(GradeSpec(grade="Mid"))
+        spec.tenants[1].grades.append(GradeSpec(grade="Mid", n_devices=10, bundles=10))
         message = r"^tenants\[1\]\.grades\[1\]\.grade 'Mid' of task .* known grades: \['High', 'Low'\]$"
         with pytest.raises(ValueError, match=message):
             ScenarioRunner(spec).schedule()
@@ -370,7 +424,7 @@ def _small_task(name="deferred"):
         grades=[
             GradeRequirement(
                 grade="High", n_devices=4, bundles=4,
-                device_bundle=ResourceBundle(cpus=1, memory_gb=1),
+                device_cpus=1, device_memory_gb=1,
             )
         ],
         flow=standard_fl_flow(epochs=1),

@@ -31,7 +31,7 @@ def make_spec(name="t", priority=0, bundles=10, n_phones=2, n_devices=20, grade=
                 n_devices=n_devices,
                 bundles=bundles,
                 n_phones=n_phones,
-                device_bundle=ResourceBundle(cpus=1, memory_gb=1),
+                device_cpus=1, device_memory_gb=1,
             )
         ],
     )
@@ -77,7 +77,10 @@ class TestTaskSpec:
             )
 
 
-    @pytest.mark.parametrize(("numeric", "records", "floor"), [(False, 0, 1), (True, 1, 2), (True, 0, 2)])
+    @pytest.mark.parametrize(
+        ("numeric", "records", "floor"),
+        [(False, 0, 1), (True, 1, 2), (True, 0, 2), (False, float("nan"), 1), (True, 2.5, 2)],
+    )
     def test_records_per_device_fails_at_construction_naming_the_field(self, numeric, records, floor):
         # It used to be accepted, scheduled, and fail mid-run inside plan
         # building (time-only) or dataset synthesis (numeric).

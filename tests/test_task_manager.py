@@ -62,7 +62,7 @@ def make_spec(name, bundles=5, priority=0):
         grades=[
             GradeRequirement(
                 grade="High", n_devices=2, bundles=bundles, n_phones=0,
-                device_bundle=ResourceBundle(cpus=1, memory_gb=1),
+                device_cpus=1, device_memory_gb=1,
             )
         ],
     )
