@@ -15,13 +15,13 @@ runner's Python speed by ``ci_gate.py``) and repeat-run report identity.
 
 import time
 
+from repro import GradeRequirement
 from repro.observability.tracing import Tracer
 from repro.scenarios import (
     AlarmRule,
     ArrivalSpec,
     DispatchSpec,
     FaultSpec,
-    GradeSpec,
     PopulationSpec,
     ScenarioRunner,
     ScenarioSpec,
@@ -91,7 +91,7 @@ def build_grid_scenario(
                 feature_dim=32,
                 records_per_device=6,
                 grades=[
-                    GradeSpec(
+                    GradeRequirement(
                         grade=grade,
                         n_devices=48 if numeric else per_task,
                         bundles=min(24, max(4, per_task // 40)),

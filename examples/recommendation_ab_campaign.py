@@ -20,10 +20,10 @@ Things to watch in the output:
 Run:  python examples/recommendation_ab_campaign.py
 """
 
+from repro import GradeRequirement
 from repro.scenarios import (
     ArrivalSpec,
     DispatchSpec,
-    GradeSpec,
     ScenarioSpec,
     TenantSpec,
     run_scenario,
@@ -52,11 +52,11 @@ def campaign_scenario(device_scale: float = 1.0, feature_dim: int = 512) -> Scen
                 flow_epochs=5,
                 flow_learning_rate=0.05,
                 grades=[
-                    GradeSpec(
+                    GradeRequirement(
                         grade="High", n_devices=n(60), bundles=32, n_phones=3,
                         device_cpus=4, device_memory_gb=12,
                     ),
-                    GradeSpec(
+                    GradeRequirement(
                         grade="Low", n_devices=n(40), bundles=30, n_phones=3,
                         device_cpus=1, device_memory_gb=6,
                     ),
@@ -74,7 +74,7 @@ def campaign_scenario(device_scale: float = 1.0, feature_dim: int = 512) -> Scen
                 flow_epochs=5,
                 flow_learning_rate=0.05,
                 grades=[
-                    GradeSpec(
+                    GradeRequirement(
                         grade="High", n_devices=n(40), bundles=160, n_phones=2,
                         device_cpus=4, device_memory_gb=12,
                     ),

@@ -159,17 +159,19 @@ def _tie_order(clock: np.ndarray, finished: np.ndarray) -> list[int] | None:
     device, each leg's event is scheduled when the one before it fires, and
     the kernel fires equal times in scheduling order, so an event ranks by
     (time, predecessor's rank), back to the round's start in phone order.
-    A tie between neighbouring phones whose clocks agree up to it keeps
-    phone order; any other tie ranks every cell until nothing changes.
+    Ties that are all runs of neighbouring phones in one wave, with clocks
+    that agree up to it, keep phone order; any other tie ranks every cell
+    until nothing changes.
     """
     n = clock.shape[0]
-    by_time = np.argsort(finished, kind="stable")
-    tied = np.flatnonzero(np.diff(finished[by_time]) == 0)
-    first, second = by_time[tied], by_time[tied + 1]
+    grid = clock[:, 3::3].T  # (waves, phones); the last wave's cells past ``finished`` are padding
+    together = grid[:, 1:] == grid[:, :-1]
+    together[-1, finished.size - (len(grid) - 1) * n - 1 :] = False
     differs = clock[1:] != clock[:-1]
     agree = np.where(differs.any(axis=1), differs.argmax(axis=1), clock.shape[1])  # phone p + 1 with phone p
-    phone = second % n
-    if ((second == first + 1) & (phone > 0) & (agree[phone - 1] > 3 * (second // n) + 2)).all():
+    ties = np.count_nonzero(np.diff(np.sort(finished, kind="stable")) == 0)
+    # Wave w's cell is column 3w + 3: the clocks must agree on every column before it.
+    if ties == np.count_nonzero(together) and not (together & (np.arange(len(grid))[:, None] >= agree // 3)).any():
         return None
     # A training end resumes its device through a zero-delay event of its own.
     chain = np.repeat(clock, [1] + [1, 2, 1] * (clock.shape[1] // 3), axis=1)
