@@ -10,6 +10,9 @@ Three studies around the §IV-B design choice:
   (the scheduler runs it on every task submission).
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from conftest import full_scale
@@ -22,8 +25,10 @@ from repro.scheduler.allocation import (
     GradeAllocationParams,
     fixed_ratio_allocation,
     solve_allocation,
-    solve_allocation_milp,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # the MILP encoding is a test oracle
+from reference.allocation_reference import solve_allocation_milp  # noqa: E402
 
 
 def optimizer_saving_sweep():

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster import NodeSpec
 from repro.core import PlatformConfig, SimDC
 from repro.experiments.render import format_table
@@ -64,10 +66,11 @@ def run_fig5_device_trace(rounds: int = 3, seed: int = 0) -> DeviceTraceResult:
     result = platform.result(spec.task_id)
     records = result.benchmark_records  # the task's one benchmarking phone, once a round
     trace = DeviceTraceResult(serial=records[0].serial)
-    for sample in sorted((s for record in records for s in record.samples), key=lambda s: s.timestamp):
-        trace.times.append(sample.timestamp)
-        trace.cpu_percent.append(sample.cpu_percent)
-        trace.memory_mb.append(sample.memory_kb / 1024.0)
+    times = np.concatenate([record.columns.timestamp for record in records])
+    order = np.argsort(times, kind="stable")
+    trace.times = times[order].tolist()
+    trace.cpu_percent = np.concatenate([record.columns.cpu_percent for record in records])[order].tolist()
+    trace.memory_mb = (np.concatenate([record.columns.memory_kb for record in records])[order] / 1024.0).tolist()
     for record in records:
         start = min(s for _, s, _ in record.boundaries)
         end = max(e for _, _, e in record.boundaries)

@@ -42,7 +42,7 @@ PROFILE_POINTS: tuple[tuple[str, str, str, str], ...] = (
     ("repro.cluster.runner", "LogicalSimulation", "_register_plan", "logical.wave_schedule"),
     ("repro.cluster.runner", "LogicalSimulation", "_execute_numeric", "logical.numeric_block"),
     ("repro.phones.phonemgr", "PhoneMgr", "_register_plan", "phones.wave_schedule"),
-    ("repro.phones.phonemgr", "PhoneMgr", "_sampler_tick", "phones.sampler"),
+    ("repro.phones.phonemgr", "PhoneMgr", "_record_samples", "phones.sampler"),
     ("repro.deviceflow.controller", "DeviceFlow", "submit_block", "deviceflow.submit"),
     ("repro.deviceflow.dispatcher", "Dispatcher", "dispatch", "deviceflow.dispatch"),
     ("repro.deviceflow.strategy", "TimeIntervalStrategy", "on_round_complete", "deviceflow.interval_schedule"),

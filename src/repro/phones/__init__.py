@@ -10,7 +10,8 @@ virtual phones whose battery, CPU, memory and network counters evolve in
 simulated time, plus a :class:`~repro.phones.adb.SimulatedAdb` that answers
 the control commands PhoneMgr sends (``pm clear``, ``am start -n``,
 ``am force-stop``).  The benchmarking sampler reads the virtual sensors
-directly (:func:`~repro.phones.metrics.direct_metric_sample`); the paper's
+directly, a record's samples in one pass
+(:meth:`~repro.phones.phone.VirtualPhone.read_sensors`); the paper's
 text read protocol (sysfs microamp/microvolt readings, ``top`` tables,
 ``dumpsys`` PSS lines, ``/proc/net/dev`` rows) and its post-processing
 parsers are the test oracle that read is held to, in

@@ -8,7 +8,7 @@ exactly those, besides ``install`` and the staging push times.  Any other
 command is an :class:`AdbError` quoting it.
 
 The benchmarking sampler reads the virtual sensors directly
-(:func:`~repro.phones.metrics.direct_metric_sample`).  The text read
+(:meth:`~repro.phones.phone.VirtualPhone.read_sensors`).  The text read
 protocol that read stands for — battery sysfs, ``top``, ``pgrep``,
 ``dumpsys``, ``/proc/<pid>/net/dev``, a trailing ``| grep`` — and its
 post-processing parsers live in ``tests/reference/adb_reference.py``, the

@@ -56,23 +56,20 @@ class BatteryModel:
         self.consumed_mah += consumed
         return consumed
 
-    def current_now_ua(self, mean_current_ma: float) -> int:
-        """Instantaneous sysfs ``current_now`` reading in microamps.
+    def mean_voltage_mv(self) -> float:
+        """The terminal voltage ``voltage_now`` reads around: nominal, sagging by up to 8% as charge depletes."""
+        return self.nominal_voltage_mv - 0.08 * self.nominal_voltage_mv * (1.0 - self.state_of_charge)
 
-        Negative by Android convention: most kernels report discharge
-        current as a negative value — the post-processing in PhoneMgr must
-        take the magnitude, exactly as real pipelines do.
+    def read_columns(self, mean_current_ma: np.ndarray, mean_voltage_mv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` sysfs ``current_now`` then ``voltage_now`` reads, as parsed: µA magnitudes and mV.
+
+        Read ``i`` sees means ``mean_current_ma[i]`` / ``mean_voltage_mv[i]`` and draws 5% current noise and
+        ~2 mV ripple, the stream's next two draws (as the scalar reads in ``tests/reference/sampler_reference.py``,
+        whose ``0.0 + 2.0 * z`` adds to a nonzero mean as ``2.0 * z`` does).  Discharge current reads negative:
+        post-processing takes the magnitude, as real pipelines do.
         """
-        if mean_current_ma < 0:
-            raise ValueError("mean_current_ma must be >= 0")
-        noisy = self._rng.normal(mean_current_ma, self.NOISE_FRACTION * mean_current_ma)
-        return -int(round(max(0.0, noisy) * 1000.0))
-
-    def voltage_now_uv(self) -> int:
-        """Instantaneous sysfs ``voltage_now`` reading in microvolts.
-
-        Sags by up to 8% of nominal as charge depletes, plus ~2 mV ripple.
-        """
-        sag = 0.08 * self.nominal_voltage_mv * (1.0 - self.state_of_charge)
-        ripple = self._rng.normal(0.0, 2.0)
-        return int(round((self.nominal_voltage_mv - sag + ripple) * 1000.0))
+        z = self._rng.take(2 * len(mean_current_ma))
+        noisy = mean_current_ma + (self.NOISE_FRACTION * mean_current_ma) * z[0::2]
+        current_ua = np.abs(np.rint(np.maximum(noisy, 0.0) * 1000.0))
+        voltage_mv = np.rint((mean_voltage_mv + 2.0 * z[1::2]) * 1000.0) / 1000.0
+        return current_ua, voltage_mv

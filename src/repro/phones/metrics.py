@@ -1,8 +1,9 @@
 """Device metric samples taken from a benchmarking phone.
 
 §IV-C: "The information collected typically contains other non-essential
-data, requiring post-processing to extract valid data."  Production reads
-a sample straight off the virtual sensors (:func:`direct_metric_sample`),
+data, requiring post-processing to extract valid data."  Production
+computes a record's samples as columns in one pass over the virtual
+sensors (:meth:`~repro.phones.phone.VirtualPhone.read_sensors`),
 reproducing what that post-processing extracts from raw ADB text.  The
 text pipeline itself — the read commands and the parsers that take the
 magnitude of the signed microamp reading, the TOTAL-PSS line among heap
@@ -12,7 +13,9 @@ oracle in ``tests/reference/adb_reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 
 @dataclass
@@ -34,13 +37,44 @@ class DeviceMetricSample:
 
     @property
     def current_ma(self) -> float:
-        """Current in milliamps (for energy integration)."""
+        """Current in milliamps."""
         return self.current_ua / 1000.0
 
     @property
     def total_bytes(self) -> int:
         """Received plus transmitted bytes, the paper's bandwidth usage."""
         return self.rx_bytes + self.tx_bytes
+
+
+@dataclass
+class SampleColumns:
+    """A run of :class:`DeviceMetricSample` s of one phone as one array per field."""
+
+    timestamp: np.ndarray
+    current_ua: np.ndarray
+    voltage_mv: np.ndarray
+    cpu_percent: np.ndarray
+    memory_kb: np.ndarray
+    rx_bytes: np.ndarray
+    tx_bytes: np.ndarray
+
+    @classmethod
+    def empty(cls) -> SampleColumns:
+        """No samples yet."""
+        floats, ints = np.empty(0), np.empty(0, dtype=np.int64)
+        return cls(floats, floats, floats, floats, ints, ints, ints)
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def extended(self, later: SampleColumns) -> SampleColumns:
+        """These samples followed by ``later``'s."""
+        return SampleColumns(*(np.concatenate((getattr(self, f.name), getattr(later, f.name))) for f in fields(self)))
+
+    def rows(self, serial: str) -> list[DeviceMetricSample]:
+        """The samples one object each, taken on phone ``serial``."""
+        columns = [getattr(self, f.name).tolist() for f in fields(self)]
+        return [DeviceMetricSample(t, serial, *values) for t, *values in zip(*columns)]
 
 
 @dataclass
@@ -54,52 +88,18 @@ class StageSummary:
     comm_kb: float
 
 
-def direct_metric_sample(timestamp: float, phone, package: str) -> DeviceMetricSample:
-    """One sample read straight off a virtual phone's sensors.
-
-    What the benchmarking sampler runs.  It equals, bit for bit, issuing
-    the five raw ADB read commands and parsing their text (the oracle in
-    ``tests/reference/adb_reference.py``), including the lossy steps real post-processing performs —
-    ``top`` prints %CPU with one decimal (so the parsed value is the
-    ``%.1f`` round-trip, not the raw float) — and the exact sensor read
-    order, so the phone's noise streams advance identically: ``top``
-    consults both CPU and PSS for its table even though the pipeline takes
-    memory from ``dumpsys``.
-    """
-    current_ua = abs(float(phone.current_now_ua()))
-    voltage_mv = float(phone.voltage_now_uv()) / 1000.0
-    pid = phone.pgrep(package) or 0
-    if pid:
-        cpu_percent = float(format(phone.cpu_percent(pid), ".1f"))
-        phone.memory_pss_kb(phone.running_package or "")  # top's %MEM column
-        memory_kb = phone.memory_pss_kb(package)
-        rx_bytes, tx_bytes = phone.net_dev_bytes(pid)
-    else:
-        cpu_percent, memory_kb, rx_bytes, tx_bytes = 0.0, 0, 0, 0
-    return DeviceMetricSample(
-        timestamp=timestamp,
-        serial=phone.serial,
-        current_ua=current_ua,
-        voltage_mv=voltage_mv,
-        cpu_percent=cpu_percent,
-        memory_kb=memory_kb,
-        rx_bytes=rx_bytes,
-        tx_bytes=tx_bytes,
-    )
-
-
-def integrate_energy_mah(samples: list[DeviceMetricSample]) -> float:
+def integrate_energy_mah(timestamps: np.ndarray, current_ua: np.ndarray) -> float:
     """Trapezoidal mAh estimate from sampled currents.
 
     This is the cloud-side reconstruction of stage energy: the exact
-    integral lives only on the (real or virtual) phone.
+    integral lives only on the (real or virtual) phone.  The trapezoids
+    are summed left to right (``np.add.accumulate``, never a pairwise
+    reduce: float addition is not associative).
     """
-    if len(samples) < 2:
+    if len(timestamps) < 2:
         return 0.0
-    total = 0.0
-    for earlier, later in zip(samples, samples[1:]):
-        dt_hours = (later.timestamp - earlier.timestamp) / 3600.0
-        if dt_hours < 0:
-            raise ValueError("samples must be time-ordered")
-        total += 0.5 * (earlier.current_ma + later.current_ma) * dt_hours
-    return total
+    dt_hours = np.diff(timestamps) / 3600.0
+    if (dt_hours < 0).any():
+        raise ValueError("samples must be time-ordered")
+    current_ma = current_ua / 1000.0
+    return float(np.add.accumulate(0.5 * (current_ma[:-1] + current_ma[1:]) * dt_hours)[-1])

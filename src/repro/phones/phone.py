@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.phones.apk import ApkStage, TrainingApk
 from repro.phones.battery import BatteryModel
+from repro.phones.metrics import SampleColumns
 from repro.phones.specs import PhoneSpec
 from repro.simkernel import RandomStreams, Signal, Simulator, stable_hash
 from repro.simkernel.random import NormalReader
@@ -25,6 +26,20 @@ from repro.simkernel.random import NormalReader
 #: model upload (heartbeats, progress RPCs).  Together with the ~32.8 KB
 #: serialized update this lands on Table I's 33.10 KB per round.
 TRAINING_CONTROL_BYTES = 1084
+
+#: The scalar CPU and PSS reads' constants, one column per stage, for :meth:`VirtualPhone.read_sensors`.
+_STAGE_READS = np.array([
+    # none, NO_APK, APK_LAUNCH, TRAINING, POST_TRAINING, APK_CLOSURE
+    [0, 1, 1, 1, 1, 1],  # CPU draws
+    [0, 0, 1, 1, 1, 0],  # PSS draws (top's, and dumpsys' where it finds the package)
+    [0.0, 1.0, 3.0, 8.0, 3.0, 1.0],  # CPU mean (training: the batch wave's)
+    [0.0, 0.5, 1.0, 1.2, 1.0, 0.5],  # CPU noise scale
+    [0.0, 0.0, 0.1, 0.3, 0.1, 0.0],  # CPU floor
+    [0.0, np.inf, np.inf, 15.0, np.inf, np.inf],  # CPU ceiling
+    [0.0, 5120.0, 10240.0, 10240.0, 35840.0, 5120.0],  # PSS mean (training: before the load ramp)
+    [0.0, 0.0, 300.0, 500.0, 500.0, 0.0],  # PSS noise scale
+    [0.0, 1024.0, 1024.0, 1024.0, 1024.0, 1024.0],  # PSS floor
+])
 
 
 class VirtualPhone:
@@ -223,76 +238,72 @@ class VirtualPhone:
     # ------------------------------------------------------------------
     # observable sensors (what the ADB commands read)
     # ------------------------------------------------------------------
-    def current_now_ua(self) -> int:
-        """Instantaneous battery current (µA, negative = discharging)."""
-        return self.battery.current_now_ua(self._current_draw_ma())
+    def sensor_state(self, package: str) -> tuple[float, ...]:
+        """What a sensor read of ``package`` depends on besides the clock and the noise, as floats.
 
-    def voltage_now_uv(self) -> int:
-        """Instantaneous battery voltage (µV)."""
-        return self.battery.voltage_now_uv()
-
-    def pgrep(self, name: str) -> int | None:
-        """Pid of the process matching ``name``, if running."""
-        if self.running_package is not None and name in self.running_package:
-            return self.running_pid
-        return None
-
-    def cpu_percent(self, pid: int) -> float:
-        """Per-process CPU utilisation as ``top`` would report it.
-
-        During training the trace oscillates with the mini-batch cycle
-        (Fig. 5 shows ~0-14%); launch and post-training stages hover low.
+        Stage (0: none), whether ``pgrep`` finds the training process and
+        ``dumpsys`` its package, the mean current and voltage the battery
+        reads around, the training session's start (NaN: none) and length
+        and the WLAN bases; :meth:`read_sensors` reads it.
         """
-        if pid != self.running_pid or self.stage is None:
-            return 0.0
-        if self.stage is ApkStage.TRAINING:
-            t = self.sim.now - (self._training_started_at or self.sim.now)
-            wave = 8.0 + 4.0 * math.sin(2.0 * math.pi * t / 20.0)
-            value = wave + self._noise.normal(0.0, 1.2)
-            return float(min(15.0, max(0.3, value)))
-        if self.stage in (ApkStage.APK_LAUNCH, ApkStage.POST_TRAINING):
-            return float(max(0.1, 3.0 + self._noise.normal(0.0, 1.0)))
-        return float(max(0.0, 1.0 + self._noise.normal(0.0, 0.5)))
+        running = self.running_package
+        started = self._training_started_at
+        return (
+            0.0 if self.stage is None else float(self.stage),
+            float(running is not None and package in running),
+            float(running == package),
+            self._current_draw_ma(),
+            self.battery.mean_voltage_mv(),
+            np.nan if started is None else started,
+            self._training_duration,
+            float(self._net_rx_base),
+            float(self._net_tx_base),
+        )
 
-    def memory_pss_kb(self, package: str) -> int:
-        """Proportional-set-size of the training process in kB.
+    def read_sensors(self, times: np.ndarray, states: list[float], which: np.ndarray) -> SampleColumns:
+        """Samples at ``times``, sample ``i`` seeing state ``which[i]`` of ``states``, in one pass.
 
-        Ramps from ~10 MB at launch toward ~50 MB as training data and
-        the optimiser state load, then plateaus (the Fig. 5 shape).
+        ``states`` is :meth:`sensor_state` tuples laid end to end.  Equal, value for value, to what
+        post-processing extracts from the five ADB reads issued at each time in turn (the scalar reads and
+        the text pipeline are the oracles in ``tests/reference/``): the noise comes from the same streams
+        in the same order — battery current then voltage; then, while the process runs, CPU, ``top``'s PSS
+        and ``dumpsys``' PSS — the current is the magnitude of the signed microamp reading and the CPU is
+        ``top``'s one-decimal text.  The scalar reads' ``loc + (0.0 + scale * z)`` add to nonzero means,
+        where ``0.0 +`` changes nothing.
         """
-        if package != self.running_package or self.stage is None:
-            return 0
-        base_kb = 10 * 1024
-        if self.stage is ApkStage.APK_LAUNCH:
-            value = base_kb + self._noise.normal(0.0, 300.0)
-        elif self.stage is ApkStage.TRAINING:
-            t = self.sim.now - (self._training_started_at or self.sim.now)
-            progress = min(1.0, t / max(1e-9, 0.6 * self._training_duration))
-            value = base_kb + progress * 40 * 1024 + self._noise.normal(0.0, 500.0)
-        elif self.stage is ApkStage.POST_TRAINING:
-            value = base_kb + 25 * 1024 + self._noise.normal(0.0, 500.0)
-        else:
-            value = base_kb * 0.5
-        return int(max(1024, value))
+        sample = np.array(states).reshape(-1, 9).T[:, which]
+        stage, found, own, mean_ma, mean_mv, start, span, rx, tx = sample
+        stage = stage.astype(np.intp)
+        reads = _STAGE_READS[:, stage]
+        _, _, cpu_mean, cpu_scale, cpu_floor, cpu_ceiling, pss_mean, pss_scale, pss_floor = reads
+        current_ua, voltage_mv = self.battery.read_columns(mean_ma, mean_mv)
+        # Phone noise, sample by sample: CPU and top's PSS where pgrep finds the process, dumpsys' PSS where
+        # it finds the package, each where its stage draws (a transposed mask fills sample-major).
+        z = np.zeros((3, len(times)))
+        drawn = (reads[[0, 1, 1]] * sample[[1, 1, 2]]).T > 0
+        z.T[drawn] = self._noise.take(np.count_nonzero(drawn))
+        # Training: CPU rides the batch wave, PSS ramps as data loads, WLAN drips control traffic.
+        training = np.flatnonzero(found * (stage == ApkStage.TRAINING.value))
+        elapsed = times[training] - start[training]
+        ramp = np.where(start[training] == 0.0, 0.0, elapsed)  # ``now - (started or now)``
+        cpu_mean[training] = [8.0 + 4.0 * math.sin(2.0 * math.pi * t / 20.0) for t in ramp.tolist()]
+        pss_mean[training] += np.minimum(1.0, ramp / np.maximum(1e-9, 0.6 * span[training])) * 40 * 1024
 
-    def net_dev_bytes(self, pid: int) -> tuple[int, int]:
-        """Cumulative WLAN (rx, tx) bytes attributed to ``pid``.
+        cpu = found * np.minimum(cpu_ceiling, np.maximum(cpu_floor, cpu_mean + cpu_scale * z[0]))
+        tenths = cpu * 10.0
+        # top's one-decimal text rounds the exact value; ``rint(10 * v)`` agrees unless the rounded product
+        # lies within an ulp of a half, so those few ask the text.
+        near = np.abs(tenths - np.floor(tenths) - 0.5) < 1e-9
+        cpu[near] = [float(format(v, ".1f")) for v in cpu[near].tolist()]
+        cpu[~near] = np.rint(tenths[~near]) / 10.0
+        memory = (own * np.maximum(pss_floor, pss_mean + pss_scale * z[2])).astype(np.int64)
 
-        Mid-training the counters drip control traffic linearly; the model
-        upload lands when training finishes.
-        """
-        if pid != self.running_pid:
-            return (0, 0)
-        rx = self._net_rx_base
-        tx = self._net_tx_base
-        if self.stage is ApkStage.TRAINING and self._training_started_at is not None:
-            progress = min(
-                1.0, (self.sim.now - self._training_started_at) / max(1e-9, self._training_duration)
-            )
-            drip = int(progress * TRAINING_CONTROL_BYTES)
-            rx += drip - drip // 2
-            tx += drip // 2
-        return (rx, tx)
+        rx_bytes = (found * rx).astype(np.int64)
+        tx_bytes = (found * tx).astype(np.int64)
+        drip = (np.minimum(1.0, elapsed / np.maximum(1e-9, span[training])) * TRAINING_CONTROL_BYTES).astype(np.int64)
+        rx_bytes[training] += drip - drip // 2
+        tx_bytes[training] += drip // 2
+        return SampleColumns(times, current_ua, voltage_mv, cpu, memory, rx_bytes, tx_bytes)
 
     # ------------------------------------------------------------------
     def exact_stage_energy(self, stage: ApkStage) -> float:

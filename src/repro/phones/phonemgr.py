@@ -26,20 +26,20 @@ Execution strategy:
   (:meth:`~repro.phones.phone.VirtualPhone.replay_training_sessions`).
   Both equal the per-device loops of ``tests/reference/tier_reference.py``
   and the scalar ones of ``tests/reference/phone_reference.py`` bit for bit.
-* **Shared benchmark sampler ticker** — one recurring kernel tick
-  (:meth:`~repro.simkernel.Simulator.schedule_recurring`) per PhoneMgr
-  samples every active benchmarking phone, with timestamps and
-  sample contents (including tie-breaking against stage boundaries)
-  identical to one polling loop per phone; samples read the virtual
-  sensors directly (:func:`~repro.phones.metrics.direct_metric_sample`)
-  instead of round-tripping ADB strings, and the sensors' noise comes in
-  blocks (:class:`~repro.simkernel.random.NormalReader`), value for value
-  the scalar draws.
+* **One sampling pass per record** — nothing polls while a round runs.
+  A benchmarking phone's state changes only at its protocol's own
+  commands; the protocol notes it there and, when it closes (or
+  :meth:`PhoneMgr.abort` cuts it short), computes its record's samples in
+  one array pass (:meth:`~repro.phones.phone.VirtualPhone.read_sensors`):
+  the ticks of a lattice ``first, first + poll_interval, ...`` shared by
+  the phones registered while it runs, plus the stage-boundary snaps, in
+  the order a recurring kernel tick would have fired them and equal to
+  one (``tests/reference/sampler_reference.py`` keeps that ticker).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from collections.abc import Callable, Generator
@@ -54,14 +54,10 @@ from repro.ml.fedavg import ModelUpdate
 from repro.phones.adb import SimulatedAdb
 from repro.phones.apk import ApkStage, TrainingApk
 from repro.phones.cost import PhysicalCostModel
-from repro.phones.metrics import (
-    DeviceMetricSample,
-    StageSummary,
-    direct_metric_sample,
-    integrate_energy_mah,
-)
+from repro.phones.metrics import DeviceMetricSample, SampleColumns, StageSummary, integrate_energy_mah
 from repro.phones.phone import VirtualPhone, session_accounts
-from repro.simkernel import AllOf, RandomStreams, RecurringTimeout, Signal, Simulator, Timeout
+from repro.simkernel import AllOf, Event, RandomStreams, Signal, Simulator, Timeout
+from repro.simkernel.processes import Waitable
 
 
 @dataclass(kw_only=True)
@@ -98,40 +94,36 @@ class BenchmarkRecord:
     """Everything measured on one benchmarking phone in one round.
 
     ``device_id`` is the simulated device the phone emulated that round.
+    The samples are ``columns``, in time order; they land when the
+    round's protocol closes (or an abort cuts it short).
     """
 
     serial: str
     device_id: str
     round_index: int
-    samples: list[DeviceMetricSample] = field(default_factory=list)
+    columns: SampleColumns = field(default_factory=SampleColumns.empty)
     boundaries: list[tuple[ApkStage, float, float]] = field(default_factory=list)
 
-    def stage_summaries(self) -> list[StageSummary]:
-        """Table-I rows reconstructed from the sampled series.
+    @property
+    def samples(self) -> list[DeviceMetricSample]:
+        """The samples one object each (built from :attr:`columns` on every access)."""
+        return self.columns.rows(self.serial)
 
-        Samples are appended in time order (the polling tick plus the
-        synchronous boundary snaps), so each stage window is located by
-        bisection over the timestamps instead of rescanning every sample
-        per stage — O(stages·log n + n) instead of O(stages·n), which
-        matters at high poll rates.
-        """
-        timestamps = [sample.timestamp for sample in self.samples]
+    def stage_summaries(self) -> list[StageSummary]:
+        """Table-I rows reconstructed from the sampled series (each stage window found by bisection)."""
+        columns = self.columns
+        timestamps = columns.timestamp
+        total_bytes = columns.rx_bytes + columns.tx_bytes
         summaries = []
         for stage, start, end in self.boundaries:
-            lo = bisect_left(timestamps, start - 1e-9)
-            hi = bisect_right(timestamps, end + 1e-9)
-            window = self.samples[lo:hi]
-            energy = integrate_energy_mah(window)
-            comm_kb = (
-                (window[-1].total_bytes - window[0].total_bytes) / 1024.0
-                if len(window) >= 2
-                else 0.0
-            )
+            lo = int(np.searchsorted(timestamps, start - 1e-9, side="left"))
+            hi = int(np.searchsorted(timestamps, end + 1e-9, side="right"))
+            comm_kb = float(total_bytes[hi - 1] - total_bytes[lo]) / 1024.0 if hi - lo >= 2 else 0.0
             summaries.append(
                 StageSummary(
                     stage=int(stage),
                     label=stage.label,
-                    power_mah=energy,
+                    power_mah=integrate_energy_mah(timestamps[lo:hi], columns.current_ua[lo:hi]),
                     duration_min=(end - start) / 60.0,
                     comm_kb=comm_kb,
                 )
@@ -139,16 +131,92 @@ class BenchmarkRecord:
         return summaries
 
 
-class _SampledPhone:
-    """One benchmarking phone's registration with the shared sampler ticker."""
+class _Lattice:
+    """The benchmark sampler's tick times, ``first``, ``first + interval``, ... by repeated addition.
 
-    __slots__ = ("phone", "record", "active", "stopped")
+    A lattice starts at the registration that finds none running and ends
+    at the first tick that finds none of its phones active: ``stop`` is
+    that tick's index once the last active phone has deactivated.
+    """
 
-    def __init__(self, phone: VirtualPhone, record: BenchmarkRecord) -> None:
+    __slots__ = ("ticks", "interval", "active", "stop")
+
+    def __init__(self, first: float, interval: float) -> None:
+        self.ticks = [first]
+        self.interval = interval
+        self.active = 0
+        self.stop: int | None = None
+
+    def count_before(self, time: float) -> int:
+        """Ticks earlier than ``time``; :attr:`ticks` then runs past ``time``."""
+        ticks = self.ticks
+        while ticks[-1] <= time:
+            steps = np.full(int((time - ticks[-1]) / self.interval) + 2, self.interval)
+            steps[0] = ticks[-1]
+            ticks += np.cumsum(steps)[1:].tolist()  # a recurring tick's ``now + interval``, in order
+        return bisect_left(ticks, time)
+
+    def count_through(self, time: float) -> int:
+        """Ticks at or before ``time``."""
+        k = self.count_before(time)
+        return k + (self.ticks[k] == time)
+
+
+class _Sampling(Waitable):
+    """One benchmarking protocol's place on its lattice, and what its samples will read.
+
+    ``seen`` counts the ticks that fired before the protocol's latest
+    event: the kernel fires equal times in scheduling order, so a tick at
+    that event's instant fired first iff the tick before it fired before
+    the event's predecessor.  Tick ``k`` in ``[first, end)`` samples the
+    phone in the state of the last capture with ``seen <= k``; a boundary
+    snap follows the ticks counted at its event.  The closed protocol
+    waits on it for the tick after its close (one event, :meth:`wake`).
+    """
+
+    __slots__ = ("phone", "record", "lattice", "first", "end", "seen", "states", "state_seen", "snaps", "resume",
+                 "waiter", "woken")
+
+    def __init__(self, phone: VirtualPhone, record: BenchmarkRecord, lattice: _Lattice, first: int) -> None:
         self.phone = phone
         self.record = record
-        self.active = True
-        self.stopped = Signal(name=f"{phone.serial}.sampler")
+        self.lattice: _Lattice | None = lattice
+        self.first = self.end = self.seen = first
+        self.states: list[float] = []  # the captures' sensor states, end to end
+        self.state_seen: list[int] = []
+        self.snaps: list[tuple[int, int, float]] = []  # (ticks before, state, time)
+        self.resume: Event | None = None
+        self.waiter: Callable | None = None
+        self.woken = False
+
+    def step(self, now: float) -> None:
+        """Enter the protocol's next event, at ``now``."""
+        lattice = self.lattice
+        if lattice is not None:
+            k = lattice.count_before(now)
+            self.seen = k + 1 if k and lattice.ticks[k] == now and self.seen >= k else k
+
+    def capture(self, package: str) -> None:
+        """Note the phone's state: the ticks from here until the next capture read it."""
+        self.states += self.phone.sensor_state(package)
+        self.state_seen.append(self.seen)
+
+    def snap(self, package: str, now: float) -> None:
+        """A synchronous sample now (a stage boundary)."""
+        self.capture(package)
+        self.snaps.append((self.seen, len(self.state_seen) - 1, now))
+
+    def subscribe(self, sim: Simulator, callback: Callable) -> None:
+        self.waiter = callback
+        if self.lattice is None:  # an abort cut the protocol short: resume one hop from now
+            sim.schedule(0.0, self.wake)
+        else:
+            self.resume = sim.schedule_at(self.lattice.ticks[self.end], self.wake)
+
+    def wake(self) -> None:
+        """Resume the closed protocol."""
+        self.woken = True
+        self.waiter(self.phone.serial, None)
 
 
 def _tie_order(clock: np.ndarray, finished: np.ndarray) -> list[int] | None:
@@ -238,9 +306,9 @@ class PhoneMgr(TierRounds):
         self.benchmark_phones: dict[str, list[VirtualPhone]] = {}
         self.benchmark_records: list[BenchmarkRecord] = []
         self._busy = busy_registry
-        # The shared benchmark sampler ticker.
-        self._sampler_entries: list[_SampledPhone] = []
-        self._sampler_handle: RecurringTimeout | None = None
+        # The benchmark sampler: its tick lattice and the protocols on it.
+        self._lattice: _Lattice | None = None
+        self._samplings: list[_Sampling] = []
 
     # ------------------------------------------------------------------
     # device selection
@@ -400,13 +468,18 @@ class PhoneMgr(TierRounds):
                     self.adb.shell(phone.serial, f"am force-stop {self.apk.package}")
                 phone.set_idle()
                 self.release_phones([phone])
-        for entry in self._sampler_entries:
-            if not entry.stopped.fired:
-                entry.stopped.fire(entry.phone.serial)
-        self._sampler_entries = []
-        if self._sampler_handle is not None:
-            self._sampler_handle.cancel()
-            self._sampler_handle = None
+        for sampling in self._samplings:
+            if sampling.resume is not None and not sampling.woken:  # closed, waiting for its tick
+                self.sim.cancel(sampling.resume)
+                self.sim.schedule(0.0, sampling.wake)
+            elif sampling.resume is None:
+                # Cut short.  A tick at this instant counts as fired: an abort
+                # runs a zero-delay hop after the failure it handles.
+                sampling.end = max(sampling.first, sampling.lattice.count_through(self.sim.now))
+                self._record_samples(sampling)
+                sampling.lattice = None
+        self._samplings = []
+        self._lattice = None
         self._forget_task()
 
     def _forget_task(self) -> None:
@@ -490,27 +563,40 @@ class PhoneMgr(TierRounds):
         record = BenchmarkRecord(serial=phone.serial, device_id=device.device_ids[0], round_index=round_index)
         self.benchmark_records.append(record)
         window = self.cost_model.stage_window
-        entry = self._register_sampled_phone(phone, record)
+        latency = self.cost_model.msp_control_latency if phone.is_msp else 0.0
+        package = self.apk.package
+        sampling = self._join_sampler(phone, record)
+
+        def pause(delay: float) -> Generator:
+            if delay > 0:
+                yield Timeout(delay)
+                sampling.step(self.sim.now)
+
+        def command(text: str) -> None:
+            self.adb.shell(phone.serial, text)
+            sampling.capture(package)
 
         def boundary(stage: ApkStage, start: float) -> None:
             # Snap a synchronous sample at the transition so per-stage
             # deltas (energy, communication) are anchored exactly at the
             # boundary instead of at the nearest polling tick.
-            self._record_sample(phone, record)
+            sampling.snap(package, self.sim.now)
             record.boundaries.append((stage, start, self.sim.now))
+            if sampling.lattice is None:  # cut short by an abort: no tick left to wait for
+                self._record_samples(sampling)
 
         # Stage 1: clear background, APK not running.
-        yield from self._control_latency(phone)
-        self.adb.shell(phone.serial, f"pm clear {self.apk.package}")
+        yield from pause(latency)
+        command(f"pm clear {package}")
         start = self.sim.now
-        yield Timeout(window)
+        yield from pause(window)
         boundary(ApkStage.NO_APK, start)
 
         # Stage 2: launch the APK, do not train yet.
-        yield from self._control_latency(phone)
-        self.adb.shell(phone.serial, f"am start -n {self.apk.component}")
+        yield from pause(latency)
+        command(f"am start -n {self.apk.component}")
         start = self.sim.now
-        yield Timeout(window)
+        yield from pause(window)
         boundary(ApkStage.APK_LAUNCH, start)
 
         # Stage 3: training.
@@ -525,7 +611,11 @@ class PhoneMgr(TierRounds):
                 payload = ModelUpdate.wire_size(plan.feature_dim)
         start = self.sim.now
         done = phone.start_training(duration, upload_bytes=payload)
+        sampling.capture(package)
         yield done
+        sampling.step(self.sim.now)  # the phone's own finish event, which resumed this one
+        sampling.capture(package)
+        sampling.step(self.sim.now)
         boundary(ApkStage.TRAINING, start)
         on_outcome(
             MessageBlock(
@@ -543,62 +633,65 @@ class PhoneMgr(TierRounds):
 
         # Stage 4: post-training, APK still in the foreground.
         start = self.sim.now
-        yield Timeout(window)
+        yield from pause(window)
         boundary(ApkStage.POST_TRAINING, start)
 
         # Stage 5: exit the APK and clear background tasks.
-        yield from self._control_latency(phone)
-        self.adb.shell(phone.serial, f"am force-stop {self.apk.package}")
+        yield from pause(latency)
+        command(f"am force-stop {package}")
         start = self.sim.now
-        yield Timeout(window)
+        yield from pause(window)
         boundary(ApkStage.APK_CLOSURE, start)
-        entry.active = False
+        self._leave_sampler(sampling)
         phone.set_idle()
-        # Resume at the tick after deactivation, when the shared ticker
-        # fires ``stopped``.
-        yield entry.stopped
+        yield sampling
 
     # ------------------------------------------------------------------
-    # benchmark sampling (shared ticker)
+    # benchmark sampling
     # ------------------------------------------------------------------
-    def _register_sampled_phone(self, phone: VirtualPhone, record: BenchmarkRecord) -> _SampledPhone:
-        """Join the shared sampler ticker (starting it on first use)."""
-        entry = _SampledPhone(phone, record)
-        self._sampler_entries.append(entry)
-        if self._sampler_handle is None:
-            # First fire *now*: a phone's opening sample lands at the
-            # timestamp it registers.
-            self._sampler_handle = self.sim.schedule_recurring(
-                self.poll_interval, self._sampler_tick, first_at=self.sim.now
-            )
-        return entry
+    def _join_sampler(self, phone: VirtualPhone, record: BenchmarkRecord) -> _Sampling:
+        """Put a protocol starting now on the sampler's lattice (starting one if none runs).
 
-    def _sampler_tick(self) -> None:
-        """One shared tick: sample every active phone, in registration order.
-
-        Deactivated phones get their ``stopped`` signal fired instead, one
-        tick after deactivation.  The ticker cancels itself once nobody is
-        registered, so no samples land between rounds (the Fig. 5 no-data
-        windows).
+        A lattice's first tick fires after the registrations of its instant (one :meth:`run_round` starts
+        them together); a later tick at this instant was scheduled before this registration and fired first.
         """
-        survivors = []
-        for entry in self._sampler_entries:
-            if entry.active:
-                self._record_sample(entry.phone, entry.record)
-                survivors.append(entry)
-            else:
-                entry.stopped.fire(entry.phone.serial)
-        self._sampler_entries = survivors
-        if not survivors and self._sampler_handle is not None:
-            self._sampler_handle.cancel()
-            self._sampler_handle = None
+        now = self.sim.now
+        lattice = self._lattice
+        if lattice is None or (lattice.stop is not None and now >= lattice.ticks[lattice.stop]):
+            lattice = self._lattice = _Lattice(now, self.poll_interval)
+            self._samplings = [s for s in self._samplings if not s.woken]
+        first = lattice.count_through(now) - (now == lattice.ticks[0])
+        lattice.active += 1
+        lattice.stop = None
+        sampling = _Sampling(phone, record, lattice, first)
+        self._samplings.append(sampling)
+        sampling.capture(self.apk.package)
+        return sampling
 
-    def _record_sample(self, phone: VirtualPhone, record: BenchmarkRecord) -> None:
-        """Collect one sample into the phone's record of the round.
+    def _leave_sampler(self, sampling: _Sampling) -> None:
+        """The protocol closed: record the ticks before now and its snaps (it resumes at the next one).
 
-        Reads the virtual sensors directly (:func:`direct_metric_sample`
-        — bit-identical to issuing the five raw ADB commands and parsing
-        their text, including the parse round-trips; that pipeline is the
-        oracle in ``tests/reference/adb_reference.py``).
+        The lattice stops at that tick if no phone is active.
         """
-        record.samples.append(direct_metric_sample(self.sim.now, phone, self.apk.package))
+        lattice = sampling.lattice
+        if lattice is None:
+            return
+        sampling.end = sampling.seen
+        lattice.active -= 1
+        if not lattice.active:
+            lattice.stop = sampling.seen
+        self._record_samples(sampling)
+
+    def _record_samples(self, sampling: _Sampling) -> None:
+        """Record the samples a protocol owes its record in one array pass: ticks ``[first, end)`` and the snaps."""
+        first = sampling.first
+        times = sampling.lattice.ticks[first : sampling.end] if sampling.end > first else []
+        which = (np.searchsorted(sampling.state_seen, np.arange(first, sampling.end), side="right") - 1).tolist()
+        for offset, (seen, state, at) in enumerate(sampling.snaps):  # after the ticks counted at its event
+            times.insert(max(seen - first, 0) + offset, at)
+            which.insert(max(seen - first, 0) + offset, state)
+        columns = sampling.phone.read_sensors(np.array(times), sampling.states, np.array(which, dtype=np.intp))
+        record = sampling.record
+        record.columns = record.columns.extended(columns) if len(record.columns) else columns
+        sampling.first = sampling.end
+        sampling.snaps = []

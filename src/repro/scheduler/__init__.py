@@ -15,8 +15,6 @@ from repro.scheduler.allocation import (
     evaluate_allocation,
     fixed_ratio_allocation,
     solve_allocation,
-    solve_allocation_brute,
-    solve_allocation_milp,
 )
 from repro.scheduler.queue import TaskQueue
 from repro.scheduler.resource_manager import ResourceManager, ResourceSnapshot
@@ -44,6 +42,4 @@ __all__ = [
     "evaluate_allocation",
     "fixed_ratio_allocation",
     "solve_allocation",
-    "solve_allocation_brute",
-    "solve_allocation_milp",
 ]

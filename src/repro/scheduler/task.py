@@ -66,6 +66,8 @@ class GradeRequirement:
     device_memory_gb: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.grade, str):
+            raise ValueError(f"grade must be a string, got {self.grade!r}")
         try:
             self.device_bundle = ResourceBundle(cpus=self.device_cpus, memory_gb=self.device_memory_gb)
         except ValueError as exc:  # the bundle's cpus / memory_gb are this requirement's device_* fields
@@ -134,6 +136,10 @@ class TaskSpec:
     state: TaskState = field(default=TaskState.PENDING, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        if not isinstance(self.numeric, bool):  # a truthy string would run numeric FL
+            raise ValueError(f"numeric must be true or false, got {self.numeric!r}")
         if not self.grades:
             raise ValueError("a task needs at least one grade requirement")
         names = [g.grade for g in self.grades]

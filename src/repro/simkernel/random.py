@@ -234,20 +234,34 @@ class NormalReader:
 
     ``normal`` returns ``loc + scale * z`` — NumPy's own formula for a
     scalar draw — for the stream's next standard normal ``z``, taken from
-    one ``standard_normal(BLOCK)`` call per :attr:`BLOCK` draws.
+    one ``standard_normal(BLOCK)`` call per :attr:`BLOCK` draws; ``take``
+    hands out the next ``n`` of those ``z`` at once.
     """
 
-    __slots__ = ("_rng", "_block")
+    __slots__ = ("_rng", "_block", "_read")
 
     #: Draws per ``standard_normal`` call.
     BLOCK = 64
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        self._block: list[float] = []  # the block's unread draws, last-to-read first
+        self._block = np.empty(0)
+        self._read = 0  # draws of ``_block`` already handed out
 
     def normal(self, loc: float, scale: float) -> float:
         """The stream's next draw from ``N(loc, scale**2)``."""
-        if not self._block:
-            self._block = self._rng.standard_normal(self.BLOCK)[::-1].tolist()
-        return loc + scale * self._block.pop()
+        if self._read == len(self._block):
+            self._block, self._read = self._rng.standard_normal(self.BLOCK), 0
+        self._read += 1
+        return loc + scale * float(self._block[self._read - 1])
+
+    def take(self, n: int) -> np.ndarray:
+        """The stream's next ``n`` standard normals, the ``z`` of ``n`` :meth:`normal` calls."""
+        parts = [self._block[self._read :]]
+        unread = len(parts[0])
+        while unread < n:
+            self._block = self._rng.standard_normal(self.BLOCK)
+            parts.append(self._block)
+            unread += self.BLOCK
+        self._read = len(self._block) - (unread - n)
+        return np.concatenate(parts)[:n]

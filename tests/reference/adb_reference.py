@@ -10,11 +10,12 @@ realistically-formatted text, a trailing ``| grep`` filter, a ``shlex``
 tokeniser that splits each distinct command string once, and the seven
 ``parse_*`` functions that extract a sample from the text.
 
-:func:`text_shell` answers those reads and hands every other command to
-the production :meth:`SimulatedAdb.shell`.  ``tier_reference.py``'s
+:func:`text_shell` answers those reads from the scalar sensor reads of
+``reference.sampler_reference`` and hands every other command to the
+production :meth:`SimulatedAdb.shell`.  ``tier_reference.py``'s
 ``ReferencePhoneMgr`` samples through it, and
 ``tests/test_phone_sampler_properties.py`` / ``test_phone_tier_equivalence.py``
-hold ``repro.phones.metrics.direct_metric_sample`` to it bit for bit.
+hold ``repro.phones.PhoneMgr``'s one-pass samples to it bit for bit.
 :func:`push_duration` is the scalar staging push the per-phone clock
 oracles pay.  Do not optimise it.
 """
@@ -26,6 +27,8 @@ import re
 import shlex
 
 from repro.phones import AdbError, DeviceMetricSample, SimulatedAdb, VirtualPhone
+
+from reference import sampler_reference as sensors
 
 
 @functools.lru_cache(maxsize=256)
@@ -81,9 +84,9 @@ def _cat(phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
         raise AdbError("usage: cat <path>")
     path = tokens[1]
     if path == "/sys/class/power_supply/battery/current_now":
-        return f"{phone.current_now_ua()}\n"
+        return f"{sensors.current_now_ua(phone)}\n"
     if path == "/sys/class/power_supply/battery/voltage_now":
-        return f"{phone.voltage_now_uv()}\n"
+        return f"{sensors.voltage_now_uv(phone)}\n"
     if path.startswith("/proc/") and path.endswith("/net/dev"):
         pid_text = path.split("/")[2]
         try:
@@ -95,7 +98,7 @@ def _cat(phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
 
 
 def _net_dev(phone: VirtualPhone, pid: int) -> str:
-    rx, tx = phone.net_dev_bytes(pid)
+    rx, tx = sensors.net_dev_bytes(phone, pid)
     header = (
         "Inter-|   Receive                                                "
         "|  Transmit\n"
@@ -122,8 +125,8 @@ def _top(phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
         pid = int(tokens[tokens.index("-p") + 1])
     except (IndexError, ValueError) as exc:
         raise AdbError(f"top: -p needs a numeric pid: {shlex.join(tokens)!r}") from exc
-    cpu = phone.cpu_percent(pid)
-    mem_kb = phone.memory_pss_kb(phone.running_package or "")
+    cpu = sensors.cpu_percent(phone, pid)
+    mem_kb = sensors.memory_pss_kb(phone, phone.running_package or "")
     mem_pct = 100.0 * mem_kb / (phone.spec.memory_gb * 1024 * 1024)
     header = (
         f"Tasks: 1 total,   1 running,   0 sleeping,   0 stopped,   0 zombie\n"
@@ -142,7 +145,7 @@ def _top(phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
 def _pgrep(phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
     if len(tokens) < 3 or tokens[1] != "-f":
         raise AdbError("usage: pgrep -f <pattern>")
-    pid = phone.pgrep(tokens[2])
+    pid = sensors.pgrep(phone, tokens[2])
     return f"{pid}\n" if pid is not None else ""
 
 
@@ -150,7 +153,7 @@ def _dumpsys(phone: VirtualPhone, tokens: tuple[str, ...]) -> str:
     if len(tokens) < 2:
         raise AdbError("usage: dumpsys <service-or-package>")
     package = tokens[-1]
-    pss = phone.memory_pss_kb(package)
+    pss = sensors.memory_pss_kb(phone, package)
     if pss == 0:
         return f"No process found for: {package}\n"
     # Realistic dumpsys meminfo shape: multiple PSS-bearing lines; the

@@ -15,8 +15,9 @@ bit.  Do not optimise it.
 
 Drive a simulation holding reference tiers one event at a time
 (:func:`run_per_event`), the loop these generators were written against.
-Shared with ``src/``: the kernel, the phone tier's ``prepare``, both
-tiers' ``teardown`` and the five-stage benchmarking protocol.  A device's
+Shared with ``src/``: the kernel, the phone tier's ``prepare`` and both
+tiers' ``teardown``; the five-stage benchmarking protocol is the ticker
+oracle's (``reference.sampler_reference``).  A device's
 flow runs through the per-device numeric oracle, ``reference.ml_reference``.
 
 The per-device records live here too: :class:`DeviceRoundOutcome` is what
@@ -38,10 +39,10 @@ from repro.cluster.rounds import DeviceColumns
 from repro.deviceflow.messages import MessageBlock
 from repro.cluster.runner import LogicalSimulation
 from repro.ml.fedavg import ModelUpdate
-from repro.phones.phonemgr import PhoneMgr, _SampledPhone
 from repro.simkernel import AllOf, Simulator, Timeout
 
 from reference.adb_reference import parse_metric_sample, parse_pgrep_pid, push_duration, text_shell
+from reference.sampler_reference import TickerPhoneMgr, _SampledPhone
 from reference.ml_reference import OperatorContext, execute
 
 
@@ -257,7 +258,7 @@ class ReferenceLogicalSimulation(_RecordsRounds, LogicalSimulation):
             collect(_outcome(assignment, plan, round_index, payload, update, self.sim.now))
 
 
-class ReferencePhoneMgr(_RecordsRounds, PhoneMgr):
+class ReferencePhoneMgr(_RecordsRounds, TickerPhoneMgr):
     """Phone tier with per-device emulation loops and per-phone ADB-text samplers."""
 
     def run_round(self, round_index, global_weights, global_bias, model_bytes, sink=None) -> Generator:

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.allocation_reference import solve_allocation_brute, solve_allocation_milp
+
 from repro.scheduler import (
     AllocationProblem,
     GradeAllocationParams,
     evaluate_allocation,
     fixed_ratio_allocation,
     solve_allocation,
-    solve_allocation_brute,
-    solve_allocation_milp,
 )
 
 

@@ -11,14 +11,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.phones import AdbError, ApkStage, SimulatedAdb, TrainingApk, VirtualPhone
-from repro.phones.metrics import DeviceMetricSample, integrate_energy_mah
+from repro.phones.metrics import integrate_energy_mah
 from repro.phones.specs import DEFAULT_LOCAL_FLEET
 from repro.simkernel import RandomStreams, Simulator
 
 from reference import adb_reference
+from reference import sampler_reference as sensors
 from reference.adb_reference import (
     parse_current_ua,
     parse_metric_sample,
@@ -169,7 +171,7 @@ class TestPaperCommandSet:
         assert "TOTAL PSS" in raw
         assert "Java Heap" not in raw
         kb = parse_pss_kb(raw)
-        assert kb == pytest.approx(phone.memory_pss_kb(apk.package), rel=0.2)
+        assert kb == pytest.approx(sensors.memory_pss_kb(phone, apk.package), rel=0.2)
 
     def test_net_dev_grep_wlan(self, rig):
         sim, adb, phone, apk = rig
@@ -273,20 +275,14 @@ class TestParsers:
             parse_net_dev(" wlan0: 1 2 3\n")
 
     def test_integrate_energy_trapezoid(self):
-        def sample(t, ma):
-            return DeviceMetricSample(t, "s", ma * 1000.0, 3850.0, 0.0, 0, 0, 0)
-
-        # Constant 100 mA for one hour -> 100 mAh.
-        samples = [sample(0.0, 100.0), sample(1800.0, 100.0), sample(3600.0, 100.0)]
-        assert integrate_energy_mah(samples) == pytest.approx(100.0)
-        assert integrate_energy_mah(samples[:1]) == 0.0
+        # Constant 100 mA (in µA) for one hour -> 100 mAh.
+        times, current_ua = np.array([0.0, 1800.0, 3600.0]), np.full(3, 100.0 * 1000.0)
+        assert integrate_energy_mah(times, current_ua) == pytest.approx(100.0)
+        assert integrate_energy_mah(times[:1], current_ua[:1]) == 0.0
 
     def test_integrate_energy_unordered_rejected(self):
-        def sample(t):
-            return DeviceMetricSample(t, "s", 1000.0, 3850.0, 0.0, 0, 0, 0)
-
         with pytest.raises(ValueError):
-            integrate_energy_mah([sample(10.0), sample(5.0)])
+            integrate_energy_mah(np.array([10.0, 5.0]), np.full(2, 1000.0))
 
     def test_parse_metric_sample_assembly(self):
         sample = parse_metric_sample(

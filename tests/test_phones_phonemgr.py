@@ -309,7 +309,7 @@ class TestBenchmarking:
 
     def test_stage_summaries_at_high_poll_rate(self):
         """The bisect window selection matches a full rescan at 50 Hz."""
-        from repro.phones.metrics import integrate_energy_mah
+        from reference.sampler_reference import integrate_energy_mah
 
         mgr, _ = self.run_benchmark(poll_interval=0.02)
         record = mgr.benchmark_records[0]

@@ -90,6 +90,22 @@ class TestTaskSpec:
         TaskSpec(name="x", grades=grades, numeric=numeric, records_per_device=floor)
 
 
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda grades: TaskSpec(name="x", grades=grades, numeric="false"),
+             "numeric must be true or false, got 'false'"),
+            (lambda grades: TaskSpec(name=7, grades=grades), "name must be a string, got 7"),
+            (lambda grades: TaskSpec(name="x", grades=[GradeRequirement(5, 4, bundles=4)]),
+             "grade must be a string, got 5"),
+        ],
+    )
+    def test_mistyped_fields_fail_at_construction_naming_the_field(self, build, message):
+        # Each used to be accepted: the string "false" is truthy (numeric FL ran), and a
+        # numeric name or grade label only failed, if at all, far from the spec.
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build([GradeRequirement("High", n_devices=4, bundles=4)])
+
     @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
     def test_deadline_must_be_finite(self, deadline):
         grades = [GradeRequirement("High", n_devices=4, bundles=4)]
