@@ -103,7 +103,7 @@ class CloudIngestSink:
         self.delivered = 0
         self.duplicate_drops = 0
         self.late_drops = 0
-        self._seen: set[tuple[str, int]] = set()
+        self._seen: dict[int, set[str]] = {}  # round -> devices whose upload folded
         self._deadlines: dict[int, float] = {}
         self._guarded = self.dedup
 
@@ -129,7 +129,7 @@ class CloudIngestSink:
         when armed.  A block whose every row is admitted is returned as it
         came.
         """
-        n = len(block)
+        n = block.rows
         device_ids, round_index = block.device_ids, block.round_index
         deadline = self._deadlines.get(round_index)
         dropped: dict[int, str] = {}  # row -> reason
@@ -140,14 +140,18 @@ class CloudIngestSink:
                 late = np.flatnonzero(when >= deadline).tolist()
             dropped = dict.fromkeys(late, "late")
         if self.dedup:
-            seen = self._seen
-            for position, device_id in enumerate(device_ids):
-                if position not in dropped:
-                    key = (device_id, round_index)
-                    if key in seen:
-                        dropped[position] = "duplicate"
-                    else:
-                        seen.add(key)
+            seen = self._seen.get(round_index)
+            if seen is None:
+                seen = self._seen[round_index] = set()
+            if not dropped and seen.isdisjoint(device_ids) and len(fresh := set(device_ids)) == n:
+                seen |= fresh  # every row is a first upload: no per-row pass
+            else:
+                for position, device_id in enumerate(device_ids):
+                    if position not in dropped:
+                        if device_id in seen:
+                            dropped[position] = "duplicate"
+                        else:
+                            seen.add(device_id)
         self.delivered += n - len(dropped)
         if not dropped:
             return block
@@ -173,7 +177,7 @@ class CloudIngestSink:
         DeviceFlow), or a single upload (a benchmarking phone; a channel
         delivery, whose time column is its arrival).
         """
-        if len(block) == 0:
+        if not block.rows:
             return
         # Flow-connected sinks gate at dispatcher delivery instead
         # (:meth:`flow_receive`): a submission is not an ingestion yet.

@@ -15,12 +15,14 @@ loop deterministically:
   deterministic jitter drawn from the device's own stream; after
   ``max_attempts`` sends the upload is *abandoned*.
 * :class:`TransportChannel` — the simulation adapter: it fronts any
-  :class:`~repro.cloud.sink.OutcomeSink`, plans one upload per device
-  round (a block's rows are routed per device, in block order), and
-  delivers each surviving upload as a block of one row — ``block[row :
-  row + 1]``, a view of the tier's block with the arrival as its time
-  column: one kernel event (:meth:`~repro.simkernel.Simulator.schedule_at`)
-  at its arrival time, a duplicate one more directly after it.
+  :class:`~repro.cloud.sink.OutcomeSink` and plans one upload per device
+  round in one pass over each block it is handed, in block order.  A
+  surviving upload is delivered as a block of one row — a row range of a
+  copy of the tier's block whose time column holds the arrivals — in one
+  kernel event (:meth:`~repro.simkernel.Simulator.schedule_at`) at its
+  arrival time, a duplicate one more directly after it.  An upload costs
+  its plan's draws, that event and one row slice; the round's counters
+  move once per block.
 
 Determinism contract: every draw comes from the stream named
 ``transport.{task}.{device}`` — a row of the channel's per-task
@@ -42,6 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import count
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -54,6 +57,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.tracing import Tracer
     from repro.simkernel import RandomStreams, Simulator
     from repro.simkernel.random import StreamBank
+
+
+def _is_number(value: object) -> bool:
+    """Whether ``value`` is a real number (``True`` is not a probability or a time)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
 
 #: Impairment kinds a window can schedule (mirrors the FaultSpec kinds
 #: ``message_loss`` / ``message_duplication`` / ``service_outage``).
@@ -78,9 +87,9 @@ class ChannelWindow:
     def __post_init__(self) -> None:
         if self.kind not in WINDOW_KINDS:
             raise ValueError(f"unknown channel window kind {self.kind!r}; known: {WINDOW_KINDS}")
-        for name in ("at", "until"):
+        for name in ("at", "until", "prob"):
             value = getattr(self, name)
-            if not isinstance(value, Real) or math.isnan(value):
+            if not _is_number(value) or math.isnan(value):
                 raise ValueError(f"channel window {name} must be a number, got {value!r}")
         if math.isinf(self.at):
             raise ValueError(f"channel window at must be finite, got {self.at!r}")
@@ -100,8 +109,7 @@ class ScopeWindows(NamedTuple):
     outage: tuple[ChannelWindow, ...]
 
 
-@dataclass
-class UploadPlan:
+class UploadPlan(NamedTuple):
     """The planned fate of one device-round upload.
 
     ``arrival`` is the simulated delivery time of the surviving send, or
@@ -111,6 +119,11 @@ class UploadPlan:
     arrival: float | None
     retries: int
     duplicate: bool
+
+
+#: Builds an :class:`UploadPlan` from a tuple without the Python-level
+#: ``__new__`` a NamedTuple call goes through (about a quarter of a plan's own cost).
+_new_tuple = tuple.__new__
 
 
 @dataclass
@@ -167,9 +180,9 @@ class ChannelModel:
         # A string where a probability belongs, a NaN latency (NaN passes every
         # range test) or max_attempts=2.5 fails here, not mid-run inside
         # plan_upload or as the kernel's "cannot schedule at nan".
-        for name in ("latency_s", "jitter_s", "loss_prob", "dup_prob", "retry_base_s", "retry_cap_s"):
+        for name in ("latency_s", "jitter_s", "loss_prob", "dup_prob", "retry_base_s", "retry_cap_s", "max_attempts"):
             value = getattr(self, name)
-            if not isinstance(value, Real):
+            if not _is_number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -246,36 +259,36 @@ class ChannelModel:
         windows inline, combining them exactly as :meth:`in_outage`,
         :meth:`loss_prob_at` and :meth:`dup_prob_at` do.
         """
-        loss, duplication, outage = self.windows_for(scope)
+        loss, duplication, outage = self.windows_for(scope) if isinstance(scope, str) else scope
         random = rng.random
         last = self.max_attempts
         t_send = float(t0)
-        for attempt in range(1, last + 1):
+        attempt = 0
+        while attempt < last:
+            attempt += 1
             for window in outage:
                 if window.at <= t_send < window.until:
-                    lost = True  # the service rejects the send outright
-                    break
+                    break  # the service rejects the send outright
             else:
                 keep = 1.0 - self.loss_prob
                 for window in loss:
                     if window.at <= t_send < window.until:
                         keep *= 1.0 - window.prob
                 p = 1.0 - keep
-                lost = p > 0.0 and random() < p
-            if not lost:
-                arrival = t_send + self.latency_s
-                if self.jitter_s > 0.0:
-                    arrival += random() * self.jitter_s
-                keep = 1.0 - self.dup_prob
-                for window in duplication:
-                    if window.at <= t_send < window.until:
-                        keep *= 1.0 - window.prob
-                q = 1.0 - keep
-                return UploadPlan(arrival=arrival, retries=attempt - 1, duplicate=q > 0.0 and random() < q)
+                if not (p > 0.0 and random() < p):
+                    arrival = t_send + self.latency_s
+                    if self.jitter_s > 0.0:
+                        arrival += random() * self.jitter_s
+                    keep = 1.0 - self.dup_prob
+                    for window in duplication:
+                        if window.at <= t_send < window.until:
+                            keep *= 1.0 - window.prob
+                    q = 1.0 - keep
+                    return _new_tuple(UploadPlan, (arrival, attempt - 1, q > 0.0 and random() < q))
             if attempt < last:
                 backoff = min(self.retry_cap_s, self.retry_base_s * (2.0 ** (attempt - 1)))
                 t_send += backoff * (0.5 + 0.5 * random())
-        return UploadPlan(arrival=None, retries=last - 1, duplicate=False)
+        return _new_tuple(UploadPlan, (None, last - 1, False))
 
 
 class TransportChannel:
@@ -288,9 +301,9 @@ class TransportChannel:
     :meth:`seed`) and delivers survivors to ``inner`` as kernel events at
     their (possibly retried, possibly late) arrival times: each delivery
     is the upload's row of the block with the arrival as its time column.
-    A block's rows are routed per device in block order, so uploads with
-    equal arrival deliver in block row order, a duplicate directly after
-    its primary.
+    :meth:`accept_block` plans a block's rows in one loop, in block order,
+    so uploads with equal arrival deliver in block row order, a duplicate
+    directly after its primary.
 
     The runner awaits :meth:`finish_round` after the round barrier so
     in-flight deliveries land before aggregation; deliveries scheduled
@@ -345,44 +358,57 @@ class TransportChannel:
         return bank
 
     def accept_block(self, block: MessageBlock) -> None:
-        # Draws are keyed per device; the exact-sum fold downstream makes
-        # the delivery order irrelevant to the aggregate.
-        bank = self.seed(block.task_id, block.device_ids)
-        for row, (device_id, t0) in enumerate(zip(block.device_ids, block.finished_at.tolist())):
-            self._route(block, row, device_id, t0, bank)
+        """Plan every row's upload in block order; schedule each survivor's delivery.
 
-    def _route(self, block: MessageBlock, row: int, device_id: str, t0: float, bank: StreamBank) -> None:
-        self.round.uploads += 1
-        plan = self.model.plan_upload(bank.stream(device_id), t0, self._windows)
-        self.round.retries += plan.retries
-        status = "delivered"
-        if plan.arrival is None:
-            self.round.abandoned += 1
-            status = "abandoned"
-        elif self._deadline is not None and plan.arrival >= self._deadline:
-            # Late primaries are dropped before duplication: a copy of a
-            # late upload would be deduplicated against nothing.
-            self.round.late_drops += 1
-            status = "late"
-        delivered = status == "delivered"
-        if self.tracer is not None:
-            self.tracer.record_upload(
-                block.task_id, device_id, block.round_index,
-                t0, plan.arrival, plan.retries, delivered and plan.duplicate, status,
-            )
-        if not delivered:
-            return
-        self.round.delivered += 1
-        # Arrivals in the past (rows whose wave already completed) land now.
-        arrival = max(plan.arrival, self.sim.now)
-        upload = block[row : row + 1]
-        upload.finished_at = np.array([arrival])  # an upload's time column is its arrival
-        self._pending += 1
-        self.sim.schedule_at(arrival, self._deliver, upload)
-        if plan.duplicate:
-            self.round.duplicates += 1
-            self._pending += 1
-            self.sim.schedule_at(arrival, self._deliver, upload)
+        One pass over the block: a row costs its plan's draws and one
+        kernel event (two when duplicated, the copy directly behind its
+        primary), and the round's counters are bumped once per block.
+        """
+        task_id, round_index = block.task_id, block.round_index
+        stream = self.seed(task_id, block.device_ids).stream
+        plan_upload, windows = self.model.plan_upload, self._windows
+        deadline = math.inf if self._deadline is None else self._deadline
+        now, schedule_at, deliver = self.sim.now, self.sim.schedule_at, self._deliver
+        tracer = self.tracer
+        # An upload's time column is its arrival: each delivery is a one-row
+        # view of this copy of the block, its row set to the arrival first.
+        arrivals = block.finished_at.astype(np.float64)
+        timed = block[:]
+        timed.finished_at = arrivals
+        retries = abandoned = late = delivered = duplicates = 0
+        for row, device_id, t0 in zip(count(), timed.device_ids, block.finished_at.tolist()):
+            arrival, tries, duplicate = plan_upload(stream(device_id), t0, windows)
+            retries += tries
+            if arrival is None:
+                abandoned += 1
+                status = "abandoned"
+            elif arrival >= deadline:
+                # Late primaries are dropped before duplication: a copy of a
+                # late upload would be deduplicated against nothing.
+                late += 1
+                status = "late"
+            else:
+                delivered += 1
+                status = "delivered"
+                # Arrivals in the past (rows whose wave already completed) land now.
+                at = arrivals[row] = arrival if arrival >= now else now
+                upload = timed[row : row + 1]
+                schedule_at(at, deliver, upload)
+                if duplicate:
+                    duplicates += 1
+                    schedule_at(at, deliver, upload)
+            if tracer is not None:
+                tracer.record_upload(
+                    task_id, device_id, round_index, t0, arrival, tries, status == "delivered" and duplicate, status,
+                )
+        counters = self.round
+        counters.uploads += len(block)
+        counters.retries += retries
+        counters.abandoned += abandoned
+        counters.late_drops += late
+        counters.delivered += delivered
+        counters.duplicates += duplicates
+        self._pending += delivered + duplicates
 
     def _deliver(self, upload: MessageBlock) -> None:
         try:

@@ -6,9 +6,10 @@ perspective of edge devices, DeviceFlow functions as a proxy for the
 cloud, while from the viewpoint of cloud services, it serves as a
 representation of the edge devices."
 
-Four modules cooperate (Fig. 4): the **Sorter** routes incoming messages
-to per-task **Shelves**; per-shelf **Dispatchers** release buffered
-messages downstream according to the user-defined **Strategy** — real-time
+Four modules cooperate (Fig. 4): the **Sorter** (the task-id lookup in
+``DeviceFlow.submit_block``) routes incoming messages to per-task
+**Shelves**; per-shelf **Dispatchers** release buffered messages
+downstream according to the user-defined **Strategy** — real-time
 accumulated dispatching, specific time-point dispatching, or specific
 time-interval dispatching over an arbitrary bounded non-negative rate
 curve, each with dropout simulation (per-message failure probability and
@@ -29,7 +30,6 @@ from repro.deviceflow.discretize import DispatchTick, discretize_curve
 from repro.deviceflow.dispatcher import Dispatcher
 from repro.deviceflow.messages import MessageBlock
 from repro.deviceflow.shelf import Shelf
-from repro.deviceflow.sorter import Sorter
 from repro.deviceflow.strategy import (
     DispatchStrategy,
     RealTimeAccumulatedStrategy,
@@ -46,7 +46,6 @@ __all__ = [
     "MessageBlock",
     "RealTimeAccumulatedStrategy",
     "Shelf",
-    "Sorter",
     "TABLE2_CURVES",
     "TaskFlowStats",
     "TimeIntervalStrategy",

@@ -1,4 +1,4 @@
-"""The DeviceFlow facade: wiring Sorter, Shelves, Dispatchers, Strategies.
+"""The DeviceFlow facade: routing by task id to Shelves, Dispatchers, Strategies.
 
 What comes in (:meth:`DeviceFlow.submit_block`) is the
 :class:`~repro.deviceflow.messages.MessageBlock` a tier built — or a row
@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 from repro.deviceflow.dispatcher import Dispatcher
 from repro.deviceflow.messages import MessageBlock
 from repro.deviceflow.shelf import Shelf
-from repro.deviceflow.sorter import Sorter
 from repro.deviceflow.strategy import DispatchStrategy
 from repro.ml.optimizer import check_positive
 from repro.simkernel import RandomStreams, Simulator
@@ -82,7 +81,6 @@ class DeviceFlow:
         self.streams = streams
         self.capacity_per_second = check_positive("capacity_per_second", capacity_per_second)
         self.tracer = tracer
-        self.sorter = Sorter()
         self._dispatchers: dict[str, Dispatcher] = {}
         self._received: dict[str, int] = {}
         self._capacity_scale = 1.0
@@ -112,7 +110,6 @@ class DeviceFlow:
 
             downstream = traced_downstream
         shelf = Shelf(task_id)
-        self.sorter.register_shelf(shelf)
         dispatcher = Dispatcher(
             self.sim,
             shelf,
@@ -148,7 +145,6 @@ class DeviceFlow:
 
     def _forget(self, task_id: str) -> None:
         """Drop every piece of per-task state the controller holds."""
-        self.sorter.unregister_shelf(task_id)
         del self._dispatchers[task_id]
         del self._received[task_id]
 
@@ -189,13 +185,19 @@ class DeviceFlow:
         :class:`MessageBlock` row ranges.  Returns the number of messages
         shelved.
         """
-        dispatcher = self._require(block.task_id)
+        # The Sorter of §V-A: the task id picks the shelf (the task's dispatcher owns it).
+        task_id = block.task_id
+        dispatcher = self._dispatchers.get(task_id)
+        if dispatcher is None:
+            raise KeyError(f"task {task_id!r} is not registered with DeviceFlow")
         if self.tracer is not None:
             self.tracer.record_flow_submit(block, self.sim.now)
-        rows = self.sorter.route(block)
+        rows = dispatcher.shelf.store(block)
         if rows:
-            self._received[block.task_id] += rows
-            dispatcher.on_message(block)
+            self._received[task_id] += rows
+            # Strategies are notified once per arrival, whatever its row count
+            # (see "Wave-atomic arrival" in repro.deviceflow.dispatcher).
+            dispatcher.strategy.on_message(dispatcher)
         return rows
 
     # ------------------------------------------------------------------

@@ -120,14 +120,6 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # controller-facing lifecycle
     # ------------------------------------------------------------------
-    def on_message(self, segment: MessageBlock) -> None:
-        """A block just landed on the shelf.
-
-        Strategies are notified once per arrival, whatever its row
-        count (see "Wave-atomic arrival" in the module docstring).
-        """
-        self.strategy.on_message(self)
-
     def round_started(self, round_index: int) -> None:
         """The task opened a new collaboration round."""
         self.strategy.on_round_start(self, round_index)

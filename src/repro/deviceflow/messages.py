@@ -24,13 +24,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 #: The per-row array columns of a :class:`MessageBlock`; all but
 #: ``n_samples`` are optional.
 _ARRAY_COLUMNS = ("n_samples", "finished_at", "update_weights", "update_biases")
+_OPTIONAL_COLUMNS = _ARRAY_COLUMNS[1:]
+
+_new = object.__new__
 
 
 @dataclass
@@ -121,31 +124,33 @@ class MessageBlock:
     # ------------------------------------------------------------------
     # row selection (validated columns are reused, never re-validated)
     # ------------------------------------------------------------------
-    def _derive(self, device_ids: Sequence[str], select: Callable[[str, np.ndarray], np.ndarray]) -> MessageBlock:
-        """A block sharing this one's scalar fields, each array column it carries mapped by ``select``."""
-        block = MessageBlock.__new__(MessageBlock)
-        fields = block.__dict__
-        fields.update(self.__dict__)
+    def _derive(self, device_ids: Sequence[str], index: slice | np.ndarray) -> MessageBlock:
+        """A block sharing this one's scalar fields: ``device_ids``, and each array column it carries at ``index``."""
+        parent = self.__dict__
+        fields = parent.copy()
         fields["device_ids"] = device_ids
         fields["rows"] = len(device_ids)
-        for column in _ARRAY_COLUMNS:
-            values = fields[column]
+        fields["n_samples"] = parent["n_samples"][index]
+        for column in _OPTIONAL_COLUMNS:
+            values = parent[column]
             if values is not None:
-                fields[column] = select(column, values)
+                fields[column] = values[index]
+        block = _new(MessageBlock)
+        block.__dict__ = fields
         return block
 
     def __getitem__(self, rows: slice) -> MessageBlock:
         """Zero-copy row range: array columns are views of this block's."""
-        if not isinstance(rows, slice):
+        if rows.__class__ is not slice:
             raise TypeError("a MessageBlock is sliced by row range; one row is block[i : i + 1]")
-        return self._derive(self.device_ids[rows], lambda _, values: values[rows])
+        return self._derive(self.device_ids[rows], rows)
 
     def compress(self, keep: np.ndarray) -> MessageBlock:
         """The rows where the boolean mask ``keep`` is set (dropout survivors)."""
         ids, flags = self.device_ids, keep.tolist()
         select = getattr(ids, "select", None)  # a generated id column selects rows, renders nothing
         ids = list(itertools.compress(ids, flags)) if select is None else select(flags)
-        return self._derive(ids, lambda _, values: values[keep])
+        return self._derive(ids, keep)
 
     def _layout(self) -> tuple:
         """What two blocks must share for their rows to sit in one block's columns."""
@@ -170,16 +175,23 @@ class MessageBlock:
         """
         if len(segments) < 2:
             return segments
-        joined: list[MessageBlock] = []
-        for _, group in itertools.groupby(segments, key=MessageBlock._layout):
-            run = list(group)
-            head = run[0]
-            if len(run) > 1:
-                columns = [part.device_ids for part in run]
-                concat = getattr(columns[0], "concat", None)  # parts of one generated id column stay one
-                head = head._derive(
-                    list(itertools.chain.from_iterable(columns)) if concat is None else concat(columns),
-                    lambda column, _, run=run: np.concatenate([part.__dict__[column] for part in run]),
-                )
-            joined.append(head)
-        return joined
+        return [MessageBlock._join(list(run)) for _, run in itertools.groupby(segments, key=MessageBlock._layout)]
+
+    @staticmethod
+    def _join(run: list[MessageBlock]) -> MessageBlock:
+        """The rows of compatible blocks ``run`` in one block (the one block itself when alone)."""
+        head = run[0]
+        if len(run) == 1:
+            return head
+        columns = [part.device_ids for part in run]
+        concat = getattr(columns[0], "concat", None)  # parts of one generated id column stay one
+        ids = list(itertools.chain.from_iterable(columns)) if concat is None else concat(columns)
+        block = _new(MessageBlock)
+        fields = block.__dict__
+        fields.update(head.__dict__)
+        fields["device_ids"] = ids
+        fields["rows"] = len(ids)
+        for column in _ARRAY_COLUMNS:
+            if fields[column] is not None:
+                fields[column] = np.concatenate([part.__dict__[column] for part in run])
+        return block

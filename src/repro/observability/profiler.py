@@ -46,7 +46,7 @@ PROFILE_POINTS: tuple[tuple[str, str, str, str], ...] = (
     ("repro.deviceflow.controller", "DeviceFlow", "submit_block", "deviceflow.submit"),
     ("repro.deviceflow.dispatcher", "Dispatcher", "dispatch", "deviceflow.dispatch"),
     ("repro.deviceflow.strategy", "TimeIntervalStrategy", "on_round_complete", "deviceflow.interval_schedule"),
-    ("repro.cloud.transport", "TransportChannel", "_route", "transport.route"),
+    ("repro.cloud.transport", "TransportChannel", "accept_block", "transport.route"),
     ("repro.cloud.sink", "CloudIngestSink", "accept_block", "cloud.ingest_block"),
     ("repro.cloud.sink", "CloudIngestSink", "flow_receive", "cloud.flow_receive"),
     ("repro.cloud.aggregation", "AggregationService", "receive_block", "cloud.receive_block"),

@@ -180,7 +180,7 @@ class _Sampling(Waitable):
     def __init__(self, phone: VirtualPhone, record: BenchmarkRecord, lattice: _Lattice, first: int) -> None:
         self.phone = phone
         self.record = record
-        self.lattice: _Lattice | None = lattice
+        self.lattice = lattice
         self.first = self.end = self.seen = first
         self.states: list[float] = []  # the captures' sensor states, end to end
         self.state_seen: list[int] = []
@@ -192,9 +192,8 @@ class _Sampling(Waitable):
     def step(self, now: float) -> None:
         """Enter the protocol's next event, at ``now``."""
         lattice = self.lattice
-        if lattice is not None:
-            k = lattice.count_before(now)
-            self.seen = k + 1 if k and lattice.ticks[k] == now and self.seen >= k else k
+        k = lattice.count_before(now)
+        self.seen = k + 1 if k and lattice.ticks[k] == now and self.seen >= k else k
 
     def capture(self, package: str) -> None:
         """Note the phone's state: the ticks from here until the next capture read it."""
@@ -208,15 +207,16 @@ class _Sampling(Waitable):
 
     def subscribe(self, sim: Simulator, callback: Callable) -> None:
         self.waiter = callback
-        if self.lattice is None:  # an abort cut the protocol short: resume one hop from now
-            sim.schedule(0.0, self.wake)
-        else:
-            self.resume = sim.schedule_at(self.lattice.ticks[self.end], self.wake)
+        self.resume = sim.schedule_at(self.lattice.ticks[self.end], self.wake)
 
     def wake(self) -> None:
         """Resume the closed protocol."""
         self.woken = True
         self.waiter(self.phone.serial, None)
+
+
+class _Aborted(Exception):
+    """Raised inside a benchmarking protocol that resumes after :meth:`PhoneMgr.abort` voided its round."""
 
 
 def _tie_order(clock: np.ndarray, finished: np.ndarray) -> list[int] | None:
@@ -435,7 +435,7 @@ class PhoneMgr(TierRounds):
         benchmarks = [
             self.sim.process(
                 self._run_benchmark_phone(
-                    phone, plan, row, round_index, global_weights, global_bias, model_bytes, on_outcome
+                    phone, plan, row, round_index, global_weights, global_bias, model_bytes, on_outcome, self._epoch
                 ),
                 name=f"{phone.serial}.bench{round_index}",
             )
@@ -460,7 +460,9 @@ class PhoneMgr(TierRounds):
         Skips control-latency niceties: force-stops any running APK,
         idles every reserved phone and returns it to the pool so sibling
         and queued tasks are unaffected by the crash.  Pending wave
-        callbacks from the crashed round are voided via the epoch counter.
+        callbacks from the crashed round are voided via the epoch counter,
+        and so is every benchmarking protocol in flight: it returns at its
+        next resume, so a record closed here stays as this closed it.
         """
         for phones in list(self.computing_phones.values()) + list(self.benchmark_phones.values()):
             for phone in phones:
@@ -477,7 +479,6 @@ class PhoneMgr(TierRounds):
                 # runs a zero-delay hop after the failure it handles.
                 sampling.end = max(sampling.first, sampling.lattice.count_through(self.sim.now))
                 self._record_samples(sampling)
-                sampling.lattice = None
         self._samplings = []
         self._lattice = None
         self._forget_task()
@@ -553,12 +554,18 @@ class PhoneMgr(TierRounds):
         global_bias: float,
         model_bytes: int,
         on_outcome: Callable[[MessageBlock], None],
+        epoch: int,
     ) -> Generator:
         """The measured five-stage protocol of Table I on one phone.
 
         The phone emulates row ``row`` of ``plan.benchmarking`` and hands
-        ``on_outcome`` that device's round as a one-row block.
+        ``on_outcome`` that device's round as a one-row block.  The
+        protocol belongs to round ``epoch`` (:meth:`run_round`'s): at its
+        first resume after :meth:`abort` voided it, it returns, sending the
+        released phone nothing and handing over no outcome.
         """
+        if epoch != self._epoch:
+            return
         device = plan.benchmarking[row : row + 1]
         record = BenchmarkRecord(serial=phone.serial, device_id=device.device_ids[0], round_index=round_index)
         self.benchmark_records.append(record)
@@ -570,6 +577,8 @@ class PhoneMgr(TierRounds):
         def pause(delay: float) -> Generator:
             if delay > 0:
                 yield Timeout(delay)
+                if epoch != self._epoch:
+                    raise _Aborted
                 sampling.step(self.sim.now)
 
         def command(text: str) -> None:
@@ -582,66 +591,72 @@ class PhoneMgr(TierRounds):
             # boundary instead of at the nearest polling tick.
             sampling.snap(package, self.sim.now)
             record.boundaries.append((stage, start, self.sim.now))
-            if sampling.lattice is None:  # cut short by an abort: no tick left to wait for
-                self._record_samples(sampling)
 
-        # Stage 1: clear background, APK not running.
-        yield from pause(latency)
-        command(f"pm clear {package}")
-        start = self.sim.now
-        yield from pause(window)
-        boundary(ApkStage.NO_APK, start)
+        def stages() -> Generator:
+            # Stage 1: clear background, APK not running.
+            yield from pause(latency)
+            command(f"pm clear {package}")
+            start = self.sim.now
+            yield from pause(window)
+            boundary(ApkStage.NO_APK, start)
 
-        # Stage 2: launch the APK, do not train yet.
-        yield from pause(latency)
-        command(f"am start -n {self.apk.component}")
-        start = self.sim.now
-        yield from pause(window)
-        boundary(ApkStage.APK_LAUNCH, start)
+            # Stage 2: launch the APK, do not train yet.
+            yield from pause(latency)
+            command(f"am start -n {self.apk.component}")
+            start = self.sim.now
+            yield from pause(window)
+            boundary(ApkStage.APK_LAUNCH, start)
 
-        # Stage 3: training.
-        duration = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
-        weights = biases = None
-        payload = model_bytes
-        if plan.numeric:
-            weights, biases = self._execute_numeric(
-                plan, device, round_index, global_weights, global_bias, block_size=1
+            # Stage 3: training.
+            duration = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
+            weights = biases = None
+            payload = model_bytes
+            if plan.numeric:
+                weights, biases = self._execute_numeric(
+                    plan, device, round_index, global_weights, global_bias, block_size=1
+                )
+                if weights is not None:
+                    payload = ModelUpdate.wire_size(plan.feature_dim)
+            start = self.sim.now
+            done = phone.start_training(duration, upload_bytes=payload)
+            sampling.capture(package)
+            yield done
+            if epoch != self._epoch:
+                raise _Aborted
+            sampling.step(self.sim.now)  # the phone's own finish event, which resumed this one
+            sampling.capture(package)
+            sampling.step(self.sim.now)
+            boundary(ApkStage.TRAINING, start)
+            on_outcome(
+                MessageBlock(
+                    task_id=self.task_id,
+                    round_index=round_index,
+                    device_ids=device.device_ids,
+                    grade=plan.grade,
+                    size_bytes=payload,
+                    n_samples=device.n_samples,
+                    finished_at=np.array([self.sim.now]),
+                    update_weights=weights,
+                    update_biases=biases,
+                )
             )
-            if weights is not None:
-                payload = ModelUpdate.wire_size(plan.feature_dim)
-        start = self.sim.now
-        done = phone.start_training(duration, upload_bytes=payload)
-        sampling.capture(package)
-        yield done
-        sampling.step(self.sim.now)  # the phone's own finish event, which resumed this one
-        sampling.capture(package)
-        sampling.step(self.sim.now)
-        boundary(ApkStage.TRAINING, start)
-        on_outcome(
-            MessageBlock(
-                task_id=self.task_id,
-                round_index=round_index,
-                device_ids=device.device_ids,
-                grade=plan.grade,
-                size_bytes=payload,
-                n_samples=device.n_samples,
-                finished_at=np.array([self.sim.now]),
-                update_weights=weights,
-                update_biases=biases,
-            )
-        )
 
-        # Stage 4: post-training, APK still in the foreground.
-        start = self.sim.now
-        yield from pause(window)
-        boundary(ApkStage.POST_TRAINING, start)
+            # Stage 4: post-training, APK still in the foreground.
+            start = self.sim.now
+            yield from pause(window)
+            boundary(ApkStage.POST_TRAINING, start)
 
-        # Stage 5: exit the APK and clear background tasks.
-        yield from pause(latency)
-        command(f"am force-stop {package}")
-        start = self.sim.now
-        yield from pause(window)
-        boundary(ApkStage.APK_CLOSURE, start)
+            # Stage 5: exit the APK and clear background tasks.
+            yield from pause(latency)
+            command(f"am force-stop {package}")
+            start = self.sim.now
+            yield from pause(window)
+            boundary(ApkStage.APK_CLOSURE, start)
+
+        try:
+            yield from stages()
+        except _Aborted:  # the abort closed the record and released the phone
+            return
         self._leave_sampler(sampling)
         phone.set_idle()
         yield sampling
@@ -674,8 +689,6 @@ class PhoneMgr(TierRounds):
         The lattice stops at that tick if no phone is active.
         """
         lattice = sampling.lattice
-        if lattice is None:
-            return
         sampling.end = sampling.seen
         lattice.active -= 1
         if not lattice.active:

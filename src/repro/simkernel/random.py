@@ -33,6 +33,7 @@ _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 #: PCG64's 128-bit LCG multiplier.
 _PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
 _TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53
+_M53 = (1 << 53) - 1
 _SHIFT = np.uint32(16)
 _MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 #: Words of a name's SHA-256 that enter its stream's entropy.
@@ -225,8 +226,9 @@ class StreamCursor:
         """The stream's next double in ``[0, 1)``: one LCG step, XSL-RR output, top 53 bits."""
         states, row = self._state, self._row
         state = states[row] = (states[row] * _PCG_MULT + self._inc[row]) & _M128
-        folded, rotation = (state >> 64) ^ (state & _M64), state >> 122
-        return (((folded >> rotation) | (folded << (64 - rotation) & _M64)) >> 11) * _TO_DOUBLE
+        folded = (state >> 64) ^ (state & _M64)
+        # The top 53 bits of ``folded`` rotated right by ``state >> 122``, read off its doubled copy.
+        return (((folded << 64 | folded) >> ((state >> 122) + 11)) & _M53) * _TO_DOUBLE
 
 
 class NormalReader:

@@ -252,8 +252,15 @@ class TickerPhoneMgr(PhoneMgr):
         global_bias: float,
         model_bytes: int,
         on_outcome: Callable[[MessageBlock], None],
+        epoch: int,
     ) -> Generator:
-        """The measured five-stage protocol of Table I on one phone, sampled by the ticker."""
+        """The measured five-stage protocol of Table I on one phone, sampled by the ticker.
+
+        Like production's, it returns at its first resume after ``abort``
+        voided round ``epoch``: no command, no boundary, no outcome.
+        """
+        if epoch != self._epoch:
+            return
         device = plan.benchmarking[row : row + 1]
         record = TickerRecord(serial=phone.serial, device_id=device.device_ids[0], round_index=round_index)
         self.benchmark_records.append(record)
@@ -266,16 +273,24 @@ class TickerPhoneMgr(PhoneMgr):
 
         # Stage 1: clear background, APK not running.
         yield from self._control_latency(phone)
+        if epoch != self._epoch:
+            return
         self.adb.shell(phone.serial, f"pm clear {self.apk.package}")
         start = self.sim.now
         yield Timeout(window)
+        if epoch != self._epoch:
+            return
         boundary(ApkStage.NO_APK, start)
 
         # Stage 2: launch the APK, do not train yet.
         yield from self._control_latency(phone)
+        if epoch != self._epoch:
+            return
         self.adb.shell(phone.serial, f"am start -n {self.apk.component}")
         start = self.sim.now
         yield Timeout(window)
+        if epoch != self._epoch:
+            return
         boundary(ApkStage.APK_LAUNCH, start)
 
         # Stage 3: training.
@@ -291,6 +306,8 @@ class TickerPhoneMgr(PhoneMgr):
         start = self.sim.now
         done = phone.start_training(duration, upload_bytes=payload)
         yield done
+        if epoch != self._epoch:
+            return
         boundary(ApkStage.TRAINING, start)
         on_outcome(
             MessageBlock(
@@ -309,13 +326,19 @@ class TickerPhoneMgr(PhoneMgr):
         # Stage 4: post-training, APK still in the foreground.
         start = self.sim.now
         yield Timeout(window)
+        if epoch != self._epoch:
+            return
         boundary(ApkStage.POST_TRAINING, start)
 
         # Stage 5: exit the APK and clear background tasks.
         yield from self._control_latency(phone)
+        if epoch != self._epoch:
+            return
         self.adb.shell(phone.serial, f"am force-stop {self.apk.package}")
         start = self.sim.now
         yield Timeout(window)
+        if epoch != self._epoch:
+            return
         boundary(ApkStage.APK_CLOSURE, start)
         entry.active = False
         phone.set_idle()

@@ -292,7 +292,8 @@ class ReferencePhoneMgr(_RecordsRounds, TickerPhoneMgr):
                 processes.append(
                     self.sim.process(
                         self._run_benchmark_phone(
-                            phone, plan, row, round_index, global_weights, global_bias, model_bytes, collect_block
+                            phone, plan, row, round_index, global_weights, global_bias, model_bytes, collect_block,
+                            epoch,
                         ),
                         name=f"{phone.serial}.bench{round_index}",
                     )

@@ -22,7 +22,6 @@ from repro.deviceflow import (
     MessageBlock,
     RealTimeAccumulatedStrategy,
     Shelf,
-    Sorter,
     TimeIntervalStrategy,
     TimePoint,
     TimePointStrategy,
@@ -78,28 +77,24 @@ class TestShelfAndSorter:
             shelf.store(msg(task="t2"))
 
     def test_sorter_routes_by_task(self):
-        sorter = Sorter()
-        s1, s2 = Shelf("t1"), Shelf("t2")
-        sorter.register_shelf(s1)
-        sorter.register_shelf(s2)
-        sorter.route(msg(task="t1"))
-        sorter.route(msg(task="t2"))
-        sorter.route(msg(task="t2"))
-        assert len(s1) == 1
-        assert len(s2) == 2
-        assert sorter.total_routed == 3
-        assert sorter.task_ids == ["t1", "t2"]
+        # The Sorter is DeviceFlow.submit_block's task-id lookup: each block lands on its task's shelf.
+        flow = DeviceFlow(Simulator(), RandomStreams(0))
+        for task in ("t1", "t2"):
+            flow.register_task(task, TimePointStrategy([TimePoint(1.0, 1)]), lambda segment: None)
+        assert [flow.submit_block(msg(task=task)) for task in ("t1", "t2", "t2")] == [1, 1, 1]
+        assert [len(flow.dispatcher_for(task).shelf) for task in ("t1", "t2")] == [1, 2]
+        assert flow.task_ids == ["t1", "t2"]
 
     def test_sorter_unknown_task(self):
-        sorter = Sorter()
-        with pytest.raises(KeyError):
-            sorter.route(msg(task="ghost"))
+        flow = DeviceFlow(Simulator(), RandomStreams(0))
+        with pytest.raises(KeyError, match="'ghost' is not registered"):
+            flow.submit_block(msg(task="ghost"))
 
     def test_sorter_duplicate_shelf(self):
-        sorter = Sorter()
-        sorter.register_shelf(Shelf("t1"))
-        with pytest.raises(ValueError):
-            sorter.register_shelf(Shelf("t1"))
+        flow = DeviceFlow(Simulator(), RandomStreams(0))
+        flow.register_task("t1", TimePointStrategy([TimePoint(1.0, 1)]), lambda segment: None)
+        with pytest.raises(ValueError, match="already registered"):
+            flow.register_task("t1", TimePointStrategy([TimePoint(1.0, 1)]), lambda segment: None)
 
 
 def build_flow(strategy, capacity=700.0, seed=0):
@@ -401,7 +396,7 @@ class TestDeviceFlowFacade:
                 sim.run()
                 flow.unregister_task(task)
         assert flow.task_ids == []
-        assert flow.sorter.task_ids == []
+        assert flow.task_ids == []
         assert flow._dispatchers == {} and flow._received == {}
 
 

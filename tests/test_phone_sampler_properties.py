@@ -20,6 +20,7 @@ queues.
 import struct
 import sys
 from importlib import util
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -163,12 +164,9 @@ def run_offsets(manager, poll, window, latency, beta, groups, abort_after, seed)
     ends, chosen = {}, []
 
     def protocol(phone, row):
-        run = mgr._run_benchmark_phone(phone, plan, row, 1, None, 0.0, MODEL_BYTES, lambda block: None)
-        try:
-            yield sim.process(run)
-            ends[row] = sim.now
-        except RuntimeError as exc:  # aborted after ``am start``: stage 3 finds no running APK
-            ends[row] = (sim.now, str(exc))
+        yield sim.process(mgr._run_benchmark_phone(phone, plan, row, 1, None, 0.0, MODEL_BYTES, lambda block: None,
+                                                   mgr._epoch))
+        ends[row] = sim.now
 
     def start_group(rows):
         for row in rows:
@@ -236,6 +234,44 @@ GROUPS = st.lists(
 def test_any_registration_offset_matches_the_ticker(poll, window, latency, beta, groups, abort_after, seed):
     args = (poll, window, latency, beta, groups, abort_after, seed)
     assert_same(run_offsets(TickerPhoneMgr, *args), run_offsets(PhoneMgr, *args))
+
+
+@pytest.mark.parametrize("manager", [PhoneMgr, TickerPhoneMgr])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
+def test_an_aborted_protocol_sends_the_released_phone_nothing(manager, stage):
+    sim, mgr, phones, _, plan = rig(manager, 2, poll=1.0, window=5.0, seed=4, latency=0.75)
+    training = mgr.cost_model.training_duration("High", plan.flow.total_work)
+    # Stage k of a protocol started at 0 spans (ends[k - 1], ends[k]]; the abort lands in its middle.
+    ends = list(accumulate([0.0, 5.75, 5.75, training, 5.0, 5.75]))
+    commands, outcomes, at_abort = [], [], {}
+    shell = mgr.adb.shell
+
+    def logged_shell(serial, command):
+        commands.append((sim.now, serial, command))
+        return shell(serial, command)
+
+    mgr.adb.shell = logged_shell
+
+    def abort():
+        mgr.abort()
+        at_abort.update(commands=len(commands), outcomes=len(outcomes),
+                        records=[(list(r.boundaries), len(r.samples)) for r in mgr.benchmark_records])
+
+    def drive():
+        yield sim.process(mgr.prepare([plan], task_id="t"))
+        origin = sim.now
+        sim.schedule_at(origin + (ends[stage - 1] + ends[stage]) / 2, abort)
+        voided = yield sim.process(mgr.run_round(1, None, 0.0, MODEL_BYTES, CallbackSink(outcomes.append)))
+        assert voided
+
+    sim.process(drive())
+    sim.run()
+    assert at_abort, "the abort never ran"
+    assert commands[at_abort["commands"]:] == []  # the released phones hear nothing more
+    assert len(outcomes) == at_abort["outcomes"] == (0 if stage <= 3 else 2)
+    assert [(list(r.boundaries), len(r.samples)) for r in mgr.benchmark_records] == at_abort["records"]
+    assert [len(r.boundaries) for r in mgr.benchmark_records] == [stage - 1] * 2
+    assert all(phone.running_pid is None for phone in phones)
 
 
 # ----------------------------------------------------------------------

@@ -18,16 +18,19 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from helpers import CallbackSink
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference.cloud_reference import fedavg
+from reference.cloud_reference import ReferenceTransportChannel, fedavg
 from reference.cloud_reference import plan_upload as reference_plan_upload
+from reference.tier_reference import materialize
 
 from repro.cloud import (
     AggregationService,
     ChannelModel,
     ChannelWindow,
     CloudIngestSink,
+    TransportChannel,
 )
 from repro.cloud.aggregation import AggregationTrigger
 from repro.cloud.transport import WINDOW_KINDS
@@ -212,6 +215,25 @@ class TestChannelModel:
             with pytest.raises(ValueError, match=r"^transport[. ]" + re.escape(message)):
                 ScenarioSpec.from_dict(data)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "field", ["latency_s", "jitter_s", "loss_prob", "dup_prob", "retry_base_s", "retry_cap_s", "max_attempts"]
+    )
+    def test_a_bool_is_not_a_number(self, field, flag):
+        # True used to build a one-attempt channel or a 1 s latency.
+        message = f"{field} must be a number, got {flag}"
+        with pytest.raises(ValueError, match=r"^" + re.escape(message) + r"$"):
+            ChannelModel(**{field: flag})
+        with pytest.raises(ValueError, match=r"^transport\." + re.escape(message) + r"$"):
+            TransportSpec(**{field: flag})
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("field", ["at", "until", "prob"])
+    def test_a_bool_is_not_a_window_number(self, field, flag):
+        fields = {"at": 0.0, "until": 5.0, "prob": 0.5, field: flag}
+        with pytest.raises(ValueError, match=r"^" + re.escape(f"channel window {field} must be a number, got {flag}")):
+            ChannelWindow(kind="loss", **fields)
+
     def test_window_validation(self):
         with pytest.raises(ValueError, match=re.escape("unknown channel window kind 'flood'")):
             ChannelWindow(kind="flood", at=0.0, until=1.0)
@@ -270,6 +292,115 @@ class TestPlannerMatchesOracle:
             )
         # Equal next draws: both planners consumed the same number of draws.
         assert mine.random() == oracle.random()
+
+
+# ----------------------------------------------------------------------
+# the channel moved no event and no draw: block loop vs the per-upload oracle
+# ----------------------------------------------------------------------
+def window_of(kind):
+    return st.builds(
+        lambda at, length, prob, tenant: ChannelWindow(kind=kind, at=at, until=at + length, prob=prob, tenant=tenant),
+        at=times(0.0, 40.0), length=times(1.0, 30.0), prob=st.floats(0.05, 1.0), tenant=st.sampled_from(["", "t"]),
+    )
+
+
+def one_of_each_kind():
+    """A loss, a duplication and an outage window, in a drawn order, plus up to three more of any kind."""
+    kinds = st.tuples(st.permutations(WINDOW_KINDS), st.lists(st.sampled_from(WINDOW_KINDS), max_size=3))
+    return kinds.flatmap(lambda picked: st.tuples(*map(window_of, [*picked[0], *picked[1]])).map(list))
+
+
+lossy_models = st.builds(
+    ChannelModel,
+    latency_s=st.floats(0.0, 4.0),
+    jitter_s=st.floats(0.05, 3.0),
+    loss_prob=st.floats(0.0, 0.7),
+    dup_prob=st.floats(0.05, 0.9),
+    retry_base_s=st.floats(0.5, 6.0),
+    retry_cap_s=st.floats(1.0, 20.0),
+    max_attempts=st.integers(1, 5),
+    windows=one_of_each_kind(),
+)
+
+
+def lossy_round(model, waves, deadline, seed, oracle, whole=False):
+    """One round's waves through a channel at their completion times (``whole``: as one block at the
+    last one's, so earlier rows arrive in the past and land at once); everything the channel leaves behind."""
+    sim, streams, log = Simulator(), RandomStreams(seed), []
+    sink = CallbackSink(lambda o: log.append((sim.now, o.device_id, o.round_index, o.finished_at)))
+    if oracle:
+        channel = ReferenceTransportChannel(sim, model, sink, streams, "t", scope="t")
+    else:
+        channel = TransportChannel(sim, model, sink, streams, scope="t")
+    channel.begin_round(1, deadline=deadline)
+    growth = []
+
+    def accept(block):
+        if oracle:
+            for outcome in materialize(block):
+                channel.accept(outcome)
+            return
+        before, counted = sim.pending_events, channel.round.delivered + channel.round.duplicates
+        channel.accept_block(block)
+        growth.append((sim.pending_events - before, channel.round.delivered + channel.round.duplicates - counted))
+
+    start = 0
+    blocks = []
+    for time, size in waves:
+        ids = [f"d{i:03d}" for i in range(start, start + size)]
+        blocks.append(MessageBlock(task_id="t", round_index=1, device_ids=ids, grade="High", size_bytes=8,
+                                   finished_at=np.full(size, time)))
+        start += size
+    if whole:
+        blocks = MessageBlock.coalesce(blocks)
+    for block in blocks:
+        sim.schedule_at(float(block.finished_at.max()), accept, block)
+    sim.run()
+    counters = returned(channel.finish_round())
+    ids = [f"d{i:03d}" for i in range(start)]
+    if oracle:
+        generators = [streams._cache[f"transport.t.{i}"].bit_generator.state["state"] for i in ids]
+        states = [(state["state"], state["inc"]) for state in generators]
+    else:
+        bank = channel.seed("t", ())
+        states = [(cursor._state[cursor._row], cursor._inc[cursor._row]) for cursor in map(bank.stream, ids)]
+        assert all(events == scheduled for events, scheduled in growth), growth
+    return log, counters, states
+
+
+def returned(generator):
+    """The return value of a generator that has nothing left to wait for."""
+    try:
+        next(generator)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("the round still had deliveries in flight")
+
+
+class TestChannelMovesNoEventAndNoDraw:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=lossy_models,
+        waves=st.lists(st.tuples(times(0.0, 60.0), st.integers(1, 8)), min_size=1, max_size=5).map(sorted),
+        deadline=st.none() | times(5.0, 90.0),
+        seed=st.integers(0, 2**40),
+        whole=st.booleans(),
+    )
+    def test_block_loop_equals_the_per_upload_oracle(self, model, waves, deadline, seed, whole):
+        log, counters, states = lossy_round(model, waves, deadline, seed, oracle=False, whole=whole)
+        assert (log, counters, states) == lossy_round(model, waves, deadline, seed, oracle=True, whole=whole)
+        assert counters.uploads == sum(size for _, size in waves)
+        assert len(log) == counters.delivered + counters.duplicates
+
+    def test_the_strategies_reach_every_fate(self):
+        """Duplicates, retries, abandons and late drops all occur under the drawn models."""
+        model = ChannelModel(latency_s=1.0, jitter_s=2.0, loss_prob=0.3, dup_prob=0.5, retry_base_s=1.0,
+                             retry_cap_s=4.0, max_attempts=3, windows=[
+                                 ChannelWindow(kind="loss", at=3.0, until=9.0, prob=0.5),
+                                 ChannelWindow(kind="duplication", at=0.0, until=20.0, prob=0.5, tenant="t"),
+                                 ChannelWindow(kind="outage", at=10.0, until=12.0)])
+        _, counters, _ = lossy_round(model, [(2.0, 8), (4.0, 8), (13.0, 8)], 15.0, 5, oracle=False)
+        assert min(counters.duplicates, counters.retries, counters.abandoned, counters.late_drops) > 0, counters
 
 
 # ----------------------------------------------------------------------
