@@ -150,6 +150,8 @@ class AggregationService:
         self.bytes_received = 0
         self.receive_log: list[tuple[float, int]] = []
         self._pending_sample_count = 0
+        #: ``n_samples`` columns received since ``_pending_sample_count`` was last brought up to date.
+        self._sample_columns: list[np.ndarray] = []
         self._pending_update_count = 0
         #: The stacked ``(weights, biases, n_samples)`` rows of every
         #: received block, folded in one exact pass at fold time.
@@ -165,7 +167,11 @@ class AggregationService:
 
     @property
     def pending_samples(self) -> int:
-        """Training samples represented by the buffer."""
+        """Training samples represented by the buffer (the columns received since the last read, summed once)."""
+        columns = self._sample_columns
+        if columns:
+            self._pending_sample_count += int((columns[0] if len(columns) == 1 else np.concatenate(columns)).sum())
+            columns.clear()
         return self._pending_sample_count
 
     @property
@@ -198,7 +204,7 @@ class AggregationService:
         global model is bit-identical however the rows were cut into
         blocks.  Empty blocks are ignored.
         """
-        n = len(block)
+        n = block.rows
         if n == 0:
             return
         self.messages_received += n
@@ -212,7 +218,7 @@ class AggregationService:
                 )
             self._stacked.append((block.update_weights, block.update_biases, block.n_samples))
         self._pending_update_count += n
-        self._pending_sample_count += block.total_samples
+        self._sample_columns.append(block.n_samples)
         self.trigger.on_update(self)
 
     # ------------------------------------------------------------------
@@ -224,7 +230,7 @@ class AggregationService:
             raise RuntimeError("nothing buffered to aggregate")
         self._round += 1
         n_updates, self._pending_update_count = self._pending_update_count, 0
-        n_samples, self._pending_sample_count = self._pending_sample_count, 0
+        n_samples, self._pending_sample_count = self.pending_samples, 0
         record = AggregationRecord(round_index=self._round, time=self.sim.now, n_updates=n_updates, n_samples=n_samples)
         if self.model is not None:
             stacked, self._stacked = self._stacked, []

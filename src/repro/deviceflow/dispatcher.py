@@ -33,10 +33,12 @@ and a differential test holds this module to them.
   group's row indices (``discard_count``), then one uniform per
   remaining row (``failure_prob``).  ``Generator.random(n)`` equals
   ``n`` successive single draws, so a burst that crosses ``k``
-  thresholds draws once for the concatenated rows, logs ``k``
-  ``dispatch_log`` rows and is enqueued once (:meth:`Dispatcher.dispatch`
-  with ``group_sizes``).  Counting draws nothing: the survivors, each
-  segment's and each group's are differences of the mask's prefix sums.
+  thresholds draws once for the concatenated rows and is enqueued once
+  (:meth:`Dispatcher.dispatch` with ``group_sizes``).  Counting draws
+  nothing.  The dispatcher logs one entry per call — the time, the group
+  sizes and the survivor mask — and ``dispatch_log`` builds the ``k``
+  ``(time, survivors)`` rows from it when read: each group's survivors
+  are differences of the mask's prefix sums.
 * **Delivery.**  The downstream endpoint is called once per segment of a
   delivered chunk, in FIFO order, after adjacent compatible blocks were
   coalesced: one ``MessageBlock`` per run of joinable rows.
@@ -59,7 +61,7 @@ import numpy as np
 from repro.deviceflow.messages import MessageBlock
 from repro.deviceflow.shelf import SegmentQueue, Shelf
 from repro.ml.optimizer import check_positive
-from repro.simkernel import Signal, Simulator
+from repro.simkernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.deviceflow.strategy import DispatchStrategy
@@ -109,12 +111,12 @@ class Dispatcher:
         self.delivered = 0
         self.dropped_failure = 0
         self.dropped_discard = 0
-        self.dispatch_log: list[tuple[float, int]] = []
+        #: One entry per dispatch that sent anything: (time, survivors, group sizes or None, survivor mask or None).
+        self._dispatches: list[tuple[float, int, tuple[int, ...] | None, np.ndarray | None]] = []
         self.delivery_log: list[tuple[float, int]] = []
         self._send_queue = SegmentQueue()
-        # Fired while the sender is idle, so it starts fired.
-        self.idle = Signal(name=f"dispatcher.{shelf.task_id}.idle")
-        self.idle.fire()
+        #: True while the sender has nothing in flight.
+        self.idle = True
         strategy.bind(self)
 
     # ------------------------------------------------------------------
@@ -152,6 +154,21 @@ class Dispatcher:
         """Run ``callback`` at an absolute simulated time."""
         self.sim.schedule_at(max(time, self.sim.now), callback)
 
+    @property
+    def dispatch_log(self) -> list[tuple[float, int]]:
+        """``(time, messages sent)`` per dispatch group that sent any, built from the per-call log."""
+        log: list[tuple[float, int]] = []
+        for now, sent, groups, keep in self._dispatches:
+            if groups is None:
+                log.append((now, sent))
+                continue
+            counts = groups
+            if keep is not None:
+                kept = list(accumulate(keep.tolist(), initial=0))
+                counts = [kept[hi] - kept[lo] for lo, hi in pairwise(accumulate(groups, initial=0))]
+            log.extend(zip(repeat(now), filter(None, counts)))
+        return log
+
     def dispatch(
         self,
         batch: list[MessageBlock],
@@ -166,9 +183,9 @@ class Dispatcher:
         messages is discarded, then each remaining message independently
         fails with ``failure_prob``.
 
-        ``group_sizes`` splits the batch (in FIFO order) into consecutive
-        dispatch groups that share this instant: each group is logged as
-        its own ``dispatch_log`` row, exactly as if it had been
+        ``group_sizes`` (ints >= 1) splits the batch (in FIFO order) into
+        consecutive dispatch groups that share this instant: each group is
+        logged as its own ``dispatch_log`` row, exactly as if it had been
         dispatched by its own call, while the failure draws and the
         enqueue happen once for all of them.
         """
@@ -178,14 +195,21 @@ class Dispatcher:
             raise ValueError("discard_count must be >= 0")
         if not batch:
             return (0, 0)
-        sizes = [segment.rows for segment in batch]
-        total = sent = sum(sizes)
-        if group_sizes is not None and sum(group_sizes) != total:
-            raise ValueError(f"group_sizes cover {sum(group_sizes)} of the batch's {total} messages")
+        total = sent = batch[0].rows if len(batch) == 1 else sum(segment.rows for segment in batch)
+        groups = None
+        if group_sizes is not None:
+            groups = tuple(group_sizes)  # the log's snapshot
+            covered = sum(groups)  # not an int when an entry is not one
+            if not groups or type(covered) is not int or min(groups) < 1:
+                raise ValueError(f"group_sizes must be ints >= 1, got {group_sizes!r}")
+            if covered != total:
+                raise ValueError(f"group_sizes cover {covered} of the batch's {total} messages")
+            if discard_count > 0:
+                raise ValueError("discard_count applies to one dispatch group at a time")
+            if len(groups) == 1:
+                groups = None
         keep: np.ndarray | None = None  # per-row survivor mask; None = all survive
         if discard_count > 0:
-            if group_sizes is not None:
-                raise ValueError("discard_count applies to one dispatch group at a time")
             sent = max(0, total - discard_count)
             keep = np.zeros(total, dtype=bool)
             keep[self.rng.choice(total, size=sent, replace=False)] = True
@@ -196,48 +220,43 @@ class Dispatcher:
                 keep = delivered
             else:
                 keep[keep] = delivered
-        kept: list[int] | None = None  # survivors among the first i rows, for i in 0..total
         if keep is not None:
-            kept = list(accumulate(keep.tolist(), initial=0))
-            self.dropped_failure += sent - kept[-1]
-            sent = kept[-1]
-            batch = self._select(batch, sizes, keep, kept)
+            drawn = sent
+            batch, sent = self._select(batch, keep)
+            self.dropped_failure += drawn - sent
         if sent:
-            now = self.sim.now
-            if group_sizes is None or len(group_sizes) == 1:
-                self.dispatch_log.append((now, sent))
-            else:
-                counts = group_sizes
-                if kept is not None:
-                    ends = accumulate(group_sizes, initial=0)
-                    counts = [kept[hi] - kept[lo] for lo, hi in pairwise(ends)]
-                self.dispatch_log.extend(zip(repeat(now), filter(None, counts)))
+            self._dispatches.append((self.sim.now, sent, groups, keep))
             self.dispatched += sent
             self._enqueue(batch, sent)
         return (sent, total - sent)
 
     @staticmethod
-    def _select(batch: list[MessageBlock], sizes: list[int], keep: np.ndarray, kept: list[int]) -> list[MessageBlock]:
-        """The segments of ``batch`` reduced to the rows ``keep`` marks (``kept``: its prefix sums)."""
+    def _select(batch: list[MessageBlock], keep: np.ndarray) -> tuple[list[MessageBlock], int]:
+        """The segments of ``batch`` reduced to the rows ``keep`` marks, and how many rows that is."""
+        if len(batch) == 1:
+            (segment,) = batch
+            count = int(np.count_nonzero(keep))
+            return [segment if count == segment.rows else segment.compress(keep)] if count else [], count
+        kept = list(accumulate(keep.tolist(), initial=0))  # survivors among the first i rows
         survivors: list[MessageBlock] = []
         start = 0
-        for segment, rows in zip(batch, sizes):
-            end = start + rows
+        for segment in batch:
+            end = start + segment.rows
             count = kept[end] - kept[start]
-            if count == rows:
+            if count == segment.rows:
                 survivors.append(segment)
             elif count:
                 survivors.append(segment.compress(keep[start:end]))
             start = end
-        return survivors
+        return survivors, kept[-1]
 
     # ------------------------------------------------------------------
     # rate-limited transmission
     # ------------------------------------------------------------------
     def _enqueue(self, segments: list[MessageBlock], rows: int) -> None:
         self._send_queue.extend(segments, rows)
-        if self.idle.fired:
-            self.idle = Signal(name=f"dispatcher.{self.shelf.task_id}.idle")
+        if self.idle:
+            self.idle = False
             self.sim.schedule(0.0, self._send_next, 0)
 
     def _send_next(self, chunk_rows: int) -> None:
@@ -254,7 +273,7 @@ class Dispatcher:
                 chunk = self._send_queue.take(rows)
                 self.sim.schedule(rows / self.capacity_per_second, self._chunk_sent, chunk, rows, chunk_rows)
             else:
-                self.idle.fire()
+                self.idle = True
         except Exception as exc:
             self.sim._report_orphan_failure(f"dispatcher.{self.shelf.task_id}.sender", exc)
 

@@ -116,11 +116,6 @@ class MessageBlock:
         """Bytes represented by the whole block (bulk accounting)."""
         return self.size_bytes * self.rows
 
-    @property
-    def total_samples(self) -> int:
-        """Training samples represented by the whole block."""
-        return int(self.n_samples.sum()) if self.rows else 0
-
     # ------------------------------------------------------------------
     # row selection (validated columns are reused, never re-validated)
     # ------------------------------------------------------------------
@@ -186,12 +181,12 @@ class MessageBlock:
         columns = [part.device_ids for part in run]
         concat = getattr(columns[0], "concat", None)  # parts of one generated id column stay one
         ids = list(itertools.chain.from_iterable(columns)) if concat is None else concat(columns)
-        block = _new(MessageBlock)
-        fields = block.__dict__
-        fields.update(head.__dict__)
+        fields = head.__dict__.copy()
         fields["device_ids"] = ids
         fields["rows"] = len(ids)
         for column in _ARRAY_COLUMNS:
             if fields[column] is not None:
                 fields[column] = np.concatenate([part.__dict__[column] for part in run])
+        block = _new(MessageBlock)
+        block.__dict__ = fields
         return block

@@ -4,7 +4,7 @@ The ROADMAP's next scaling steps (whole-platform sharding, the 1M-device
 milestone) need the *measured* bottleneck, not the guessed one.  This
 profiler patches a fixed set of synchronous hot-path methods — the
 kernel's ``step_batch`` loop, dataset synthesis, wave scheduling, numeric block execution,
-DeviceFlow submission, interval scheduling and dispatch, transport routing, cloud ingestion,
+DeviceFlow submission, interval scheduling, dispatch and chunk delivery, transport routing, cloud ingestion,
 aggregation folds, alarm evaluation —
 and accounts real ``perf_counter`` time to each, with *self time* (a
 method's elapsed time minus the profiled calls it made) attributed via an
@@ -45,6 +45,7 @@ PROFILE_POINTS: tuple[tuple[str, str, str, str], ...] = (
     ("repro.phones.phonemgr", "PhoneMgr", "_record_samples", "phones.sampler"),
     ("repro.deviceflow.controller", "DeviceFlow", "submit_block", "deviceflow.submit"),
     ("repro.deviceflow.dispatcher", "Dispatcher", "dispatch", "deviceflow.dispatch"),
+    ("repro.deviceflow.dispatcher", "Dispatcher", "_chunk_sent", "deviceflow.deliver"),
     ("repro.deviceflow.strategy", "TimeIntervalStrategy", "on_round_complete", "deviceflow.interval_schedule"),
     ("repro.cloud.transport", "TransportChannel", "accept_block", "transport.route"),
     ("repro.cloud.sink", "CloudIngestSink", "accept_block", "cloud.ingest_block"),

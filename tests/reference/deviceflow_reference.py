@@ -34,7 +34,7 @@ from repro.deviceflow.controller import TaskFlowStats
 from repro.deviceflow.curves import TrafficCurve
 from repro.deviceflow.discretize import DispatchTick, discretize_curve
 from repro.deviceflow.strategy import TimePoint
-from repro.simkernel import RandomStreams, Signal, Simulator, Timeout
+from repro.simkernel import RandomStreams, Simulator, Timeout
 
 _message_counter = itertools.count()
 
@@ -131,8 +131,11 @@ class ReferenceDispatcher:
         self._send_queue: list[Message] = []
         self._send_head = 0
         self._sender_busy = False
-        self.idle = Signal(name=f"reference.{shelf.task_id}.idle")
-        self.idle.fire()
+
+    @property
+    def idle(self) -> bool:
+        """The sender has nothing in flight."""
+        return not self._sender_busy
 
     # -- strategy-facing primitives ------------------------------------
     @property
@@ -178,7 +181,6 @@ class ReferenceDispatcher:
         self._send_queue.extend(messages)
         if not self._sender_busy:
             self._sender_busy = True
-            self.idle = Signal(name=f"reference.{self.shelf.task_id}.idle")
             self.sim.process(self._sender(), name=f"reference.{self.shelf.task_id}.sender")
 
     def _sender(self) -> Generator:
@@ -195,7 +197,6 @@ class ReferenceDispatcher:
         self._send_queue.clear()
         self._send_head = 0
         self._sender_busy = False
-        self.idle.fire()
 
 
 class ReferenceDeviceFlow:

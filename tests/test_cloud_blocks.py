@@ -69,7 +69,7 @@ class TestMessageBlock:
         )
         assert len(block) == 2
         assert block.total_bytes == 256
-        assert block.total_samples == 12
+        assert block.n_samples.sum() == 12
         # One message is a block of one row: each row range carries exactly
         # what the per-message record of the oracle carries.
         messages = [

@@ -180,10 +180,17 @@ class TestRateLimiting:
         sim, flow, _ = build_flow(RealTimeAccumulatedStrategy([1]), capacity=10.0)
         dispatcher = flow.dispatcher_for("t1")
         flow.round_started("t1", 1)
+        assert dispatcher.idle
         flow.submit_block(msg())
-        assert not dispatcher.idle.fired
+        assert not dispatcher.idle
+        sim.run(until=0.05)  # the one message is in flight for 0.1 s
+        assert not dispatcher.idle
         sim.run()
-        assert dispatcher.idle.fired
+        assert dispatcher.idle and flow.stats("t1").delivered == 1
+        flow.submit_block(msg(device="d1"))  # a second busy period starts from the flag
+        assert not dispatcher.idle
+        sim.run()
+        assert dispatcher.idle and flow.stats("t1").delivered == 2
 
 
 class TestTimePointStrategy:
@@ -484,19 +491,64 @@ def generated_ids(script):
     return ids_of
 
 
-def drive_flow(flow, strategy, script, capacity_event, discard_at, per_message, ids_of=wave_ids):
+def row_values(round_index, wave, row, numeric):
+    """What a submitted row carries: distinct ``n_samples`` / ``finished_at`` (and update) values.
+
+    Returns ``(n_samples, finished_at, weights, bias)``, a function of the
+    row's place in the script only, so production and the oracle submit the
+    same values without reading an id.
+    """
+    key = 10_000 * round_index + 100 * wave + row
+    if not numeric:
+        return key + 1, key / 8.0, None, None
+    return key + 1, key / 8.0, (key * 0.5, -key * 0.25), key * 0.125
+
+
+def wave_block(round_index, wave, ids, rows, size_bytes, numeric, first=0):
+    """Rows ``first .. first + rows`` of a wave as a block carrying their :func:`row_values` columns."""
+    values = [row_values(round_index, wave, first + row, numeric) for row in range(rows)]
+    return MessageBlock(
+        task_id="t", round_index=round_index, device_ids=ids, size_bytes=size_bytes,
+        n_samples=np.array([value[0] for value in values], dtype=np.int64),
+        finished_at=np.array([value[1] for value in values], dtype=float),
+        update_weights=np.array([value[2] for value in values], dtype=float).reshape(rows, 2) if numeric else None,
+        update_biases=np.array([value[3] for value in values], dtype=float) if numeric else None,
+    )
+
+
+def delivered_rows(time, segment):
+    """``(time, device, n_samples, finished_at, weights, bias)`` per row of a delivered block."""
+    weights, biases = segment.update_weights, segment.update_biases
+    return [
+        (
+            time,
+            device,
+            int(segment.n_samples[row]),
+            float(segment.finished_at[row]),
+            None if weights is None else tuple(weights[row].tolist()),
+            None if biases is None else float(biases[row]),
+        )
+        for row, device in enumerate(segment.device_ids)
+    ]
+
+
+def drive_flow(flow, strategy, script, capacity_event, discard_at, per_message, numeric=False, ids_of=wave_ids):
     """Replay ``script`` (two rounds) into ``flow``; return everything observable.
 
     ``per_message`` feeds the per-message oracle one ``Message`` a device;
-    production gets each wave as one block or as one block per row.
-    Delivered id columns are read only once the run is over, so a
-    generated column (``ids_of``) stays unrendered through the whole flow.
+    production gets each wave as one block or as one block per row.  Every
+    row carries distinct column values (:func:`row_values`; update arrays
+    too when ``numeric``), and ``delivered`` lists each delivered row with
+    the values it arrived with, so a selection that picked the wrong rows of
+    a column shows.  Delivered columns are read only once the run is over,
+    so a generated id column (``ids_of``) stays unrendered through the
+    whole flow.
     """
     sim = flow.sim
     delivered = []
 
     def downstream(segment):
-        delivered.append((sim.now, [segment.device_id] if per_message else segment.device_ids))
+        delivered.append((sim.now, segment))
 
     flow.register_task("t", strategy, downstream)
     dispatcher = flow.dispatcher_for("t")
@@ -504,15 +556,20 @@ def drive_flow(flow, strategy, script, capacity_event, discard_at, per_message, 
     def arrive(round_index, wave, rows, as_block):
         ids = ids_of(round_index, wave, rows)
         if per_message:
-            for device in ids:
-                flow.submit(ref_msg(task="t", device=device, round_index=round_index))
+            for row, device in enumerate(ids):
+                n_samples, finished_at, weights, bias = row_values(round_index, wave, row, numeric)
+                flow.submit(
+                    Message(
+                        task_id="t", device_id=device, round_index=round_index, payload_ref=device,
+                        size_bytes=1024, n_samples=n_samples,
+                        metadata={"finished_at": finished_at, "weights": weights, "bias": bias},
+                    )
+                )
         elif as_block:
-            flow.submit_block(
-                MessageBlock(task_id="t", round_index=round_index, device_ids=ids, size_bytes=64)
-            )
+            flow.submit_block(wave_block(round_index, wave, ids, rows, 64, numeric))
         else:
             for row in range(rows):
-                flow.submit_block(msg(task="t", device=ids[row], round_index=round_index))
+                flow.submit_block(wave_block(round_index, wave, [ids[row]], 1, 1024, numeric, first=row))
 
     for round_index, offset in ((1, 0.0), (2, 40.0)):
         sim.schedule_at(offset, flow.round_started, "t", round_index)
@@ -523,13 +580,20 @@ def drive_flow(flow, strategy, script, capacity_event, discard_at, per_message, 
     if discard_at is not None:
         sim.schedule_at(discard_at, flow.discard_shelved, "t")
     sim.run()
+    if per_message:
+        rows = [
+            (time, m.device_id, m.n_samples, m.metadata["finished_at"], m.metadata["weights"], m.metadata["bias"])
+            for time, m in delivered
+        ]
+    else:
+        rows = [row for time, segment in delivered for row in delivered_rows(time, segment)]
     return {
         "dispatch_log": dispatcher.dispatch_log,
         "delivery_log": dispatcher.delivery_log,
-        "delivered": [(time, device) for time, column in delivered for device in column],
+        "delivered": rows,
         "stats": flow.stats("t"),
         "rng": dispatcher.rng.bit_generator.state,
-        "idle": dispatcher.idle.fired,
+        "idle": dispatcher.idle,
         "end": sim.now,
     }
 
@@ -541,6 +605,7 @@ flow_cases = {
     "capacity_event": st.tuples(st.sampled_from([0.7, 1.0, 9.0, 41.0]), st.sampled_from([0.2, 1.0, 3.0])),
     "discard_at": st.sampled_from([None, None, 1.0, 8.5, 47.0]),
     "seed": st.integers(min_value=0, max_value=5),
+    "numeric": st.booleans(),
 }
 
 
@@ -556,19 +621,20 @@ class TestBlocksEqualReference:
         capacity_event=(1.0, 0.2),
         discard_at=None,
         seed=0,
+        numeric=False,
     )
     @settings(max_examples=120, deadline=None)
     def test_mixed_block_and_scalar_traffic_equals_per_message_oracle(
-        self, recipe, script, capacity, capacity_event, discard_at, seed
+        self, recipe, script, capacity, capacity_event, discard_at, seed, numeric
     ):
         production, reference = build_strategies(recipe)
         got = drive_flow(
             DeviceFlow(Simulator(), RandomStreams(seed), capacity_per_second=capacity),
-            production, script, capacity_event, discard_at, per_message=False,
+            production, script, capacity_event, discard_at, per_message=False, numeric=numeric,
         )
         want = drive_flow(
             ReferenceDeviceFlow(Simulator(), RandomStreams(seed), capacity_per_second=capacity),
-            reference, script, capacity_event, discard_at, per_message=True,
+            reference, script, capacity_event, discard_at, per_message=True, numeric=numeric,
         )
         assert got == want
         stats = got["stats"]
@@ -577,17 +643,19 @@ class TestBlocksEqualReference:
     @given(**flow_cases)
     @settings(max_examples=80, deadline=None)
     def test_waves_cut_from_one_generated_column_deliver_the_oracle_ids(
-        self, recipe, script, capacity, capacity_event, discard_at, seed
+        self, recipe, script, capacity, capacity_event, discard_at, seed, numeric
     ):
-        """Dropout survivors and delivery chunks select rows of the plan's column: same ids delivered."""
+        """Dropout survivors and delivery chunks select rows of the plan's column: same ids and columns delivered."""
         production, reference = build_strategies(recipe)
         got = drive_flow(
             DeviceFlow(Simulator(), RandomStreams(seed), capacity_per_second=capacity),
-            production, script, capacity_event, discard_at, per_message=False, ids_of=generated_ids(script),
+            production, script, capacity_event, discard_at, per_message=False, numeric=numeric,
+            ids_of=generated_ids(script),
         )
         want = drive_flow(
             ReferenceDeviceFlow(Simulator(), RandomStreams(seed), capacity_per_second=capacity),
-            reference, script, capacity_event, discard_at, per_message=True, ids_of=generated_ids(script),
+            reference, script, capacity_event, discard_at, per_message=True, numeric=numeric,
+            ids_of=generated_ids(script),
         )
         assert got == want
 
@@ -624,6 +692,13 @@ class TestBlocksEqualReference:
             dispatcher.dispatch(batch, discard_count=1, group_sizes=[1, 1])
         with pytest.raises(ValueError, match="group_sizes cover"):
             dispatcher.dispatch(batch, group_sizes=[1])
+        # Entries must each be an int >= 1, even when they sum to the batch.
+        five = [MessageBlock(task_id="t1", round_index=1, device_ids=[f"d{i}" for i in range(5)])]
+        for bad in ([-2, 7], [0, 5], [2.5, 2.5], [np.int64(5)], []):
+            with pytest.raises(ValueError, match="group_sizes"):
+                dispatcher.dispatch(five, group_sizes=bad)
+        assert dispatcher.dispatch_log == [] and dispatcher.dispatched == 0
+        assert len(dispatcher.shelf) == 0 and dispatcher.idle
 
 
 class TestSegments:
@@ -652,7 +727,7 @@ class TestSegments:
         block = self.block(6, update_weights=weights, update_biases=np.zeros(6))
         view = block[2:5]
         assert np.shares_memory(view.update_weights, weights)
-        assert view.device_ids == ["d2", "d3", "d4"] and view.total_samples == 12
+        assert view.device_ids == ["d2", "d3", "d4"] and view.n_samples.sum() == 12
         kept = view.compress(np.array([True, False, True]))
         assert kept.device_ids == ["d2", "d4"]
         assert kept.update_weights.tolist() == [[4.0, 5.0], [8.0, 9.0]]
@@ -673,4 +748,4 @@ class TestSegments:
         # One-row uploads of one round coalesce like any other row ranges.
         rows = [msg(device=f"u{i}") for i in range(4)]
         (chunk,) = MessageBlock.coalesce(rows)
-        assert chunk.device_ids == ["u0", "u1", "u2", "u3"] and chunk.total_samples == 20
+        assert chunk.device_ids == ["u0", "u1", "u2", "u3"] and chunk.n_samples.sum() == 20

@@ -342,6 +342,8 @@ class TestRunProfiler:
         # ...and flow-attached ones: the traffic controller is named, from
         # submission (scalar and block share one routine) to cloud delivery.
         assert {"deviceflow.submit", "deviceflow.dispatch", "cloud.flow_receive"} <= categories
+        # The sender's chunk callbacks are named too, not charged to the kernel loop.
+        assert "deviceflow.deliver" in categories
         # Its uplink tenant dispatches over an interval: the per-round
         # discretisation is named, not folded into kernel.step_batch.
         assert "deviceflow.interval_schedule" in categories

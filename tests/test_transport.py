@@ -577,7 +577,7 @@ class TestMessageBlockDedup:
         )
         singles = [block[row : row + 1] for row in range(len(block))]
         assert [m.device_ids for m in singles] == [[d] for d in block.device_ids]
-        assert [m.total_samples for m in singles] == [1, 2, 3, 4, 5]
+        assert [m.n_samples.tolist() for m in singles] == [[1], [2], [3], [4], [5]]
 
         def run(stream):
             sim = Simulator()
