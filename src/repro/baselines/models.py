@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.checks import check_count, check_positive
+
 
 @dataclass
 class FedScaleLikeSimulator:
@@ -40,15 +42,12 @@ class FedScaleLikeSimulator:
     startup_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.total_cores <= 0:
-            raise ValueError("total_cores must be positive")
-        if self.client_train_s <= 0:
-            raise ValueError("client_train_s must be positive")
+        check_count("total_cores", self.total_cores)
+        check_positive("client_train_s", self.client_train_s)
 
     def round_time(self, n_devices: int) -> float:
         """Single-round wall time (seconds): setup, parallel training and per-client memory copies."""
-        if n_devices <= 0:
-            raise ValueError("n_devices must be positive")
+        check_count("n_devices", n_devices)
         compute = n_devices * self.client_train_s / self.total_cores
         return self.startup_s + compute + n_devices * self.memory_copy_s
 
@@ -80,12 +79,10 @@ class FederatedScopeLikeSimulator:
     startup_s: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.instance_cores <= 0:
-            raise ValueError("instance_cores must be positive")
+        check_count("instance_cores", self.instance_cores)
 
     def round_time(self, n_devices: int) -> float:
         """Single-round wall time (seconds): setup plus training and communication on one instance."""
-        if n_devices <= 0:
-            raise ValueError("n_devices must be positive")
+        check_count("n_devices", n_devices)
         compute = n_devices * self.client_train_s / self.instance_cores
         return self.startup_s + compute + n_devices * self.client_comm_s / self.instance_cores

@@ -9,10 +9,10 @@ which feeds directly into DeviceFlow's time-interval strategy.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.behavior.timezone import TimezoneMixture
+from repro.checks import is_number
 from repro.deviceflow.curves import TrafficCurve
 
 
@@ -36,10 +36,11 @@ class DiurnalAvailability:
         evening_peak: float = 21.0,
         base_level: float = 0.05,
     ) -> None:
-        if not 0 <= night_peak < 24 or not 0 <= evening_peak < 24:
-            raise ValueError("peak hours must be within [0, 24)")
-        if not 0.0 <= base_level < 1.0:
-            raise ValueError("base_level must be in [0, 1)")
+        for name, hour in (("night_peak", night_peak), ("evening_peak", evening_peak)):
+            if not (is_number(hour) and 0 <= hour < 24):  # also false for NaN
+                raise ValueError(f"{name} must be an hour in [0, 24), got {hour!r}")
+        if not (is_number(base_level) and 0.0 <= base_level < 1.0):  # 1: a flat curve, no diurnal shape
+            raise ValueError(f"base_level must be in [0, 1), got {base_level!r}")
         self.night_peak = float(night_peak)
         self.evening_peak = float(evening_peak)
         self.base_level = float(base_level)

@@ -13,6 +13,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.checks import check_non_negative, check_probability
+
 
 @dataclass(frozen=True)
 class NetworkProfile:
@@ -36,10 +38,9 @@ class NetworkProfile:
     failure_prob: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps < 0 or self.latency_s < 0:
-            raise ValueError(f"invalid network profile {self.name!r}")
-        if not 0.0 <= self.failure_prob <= 1.0:
-            raise ValueError("failure_prob must be in [0, 1]")
+        check_non_negative("bandwidth_bps", self.bandwidth_bps)
+        check_non_negative("latency_s", self.latency_s)
+        check_probability("failure_prob", self.failure_prob)
 
 
 WIFI = NetworkProfile("wifi", bandwidth_bps=40e6 / 8, latency_s=0.02, failure_prob=0.01)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from numbers import Real
 
 import numpy as np
+
+from repro.checks import is_number
 
 #: A coarse population-weighted UTC-offset distribution (hour offsets and
 #: relative weights): Asia-heavy, with European and American clusters —
@@ -32,7 +33,7 @@ class TimezoneMixture:
         if not offset_weights:
             raise ValueError("at least one timezone is required")
         offsets = [o for o, _ in offset_weights]
-        if not all(isinstance(o, Real) and not isinstance(o, bool) and float(o).is_integer() for o in offsets):
+        if not all(is_number(o) and float(o).is_integer() for o in offsets):
             raise ValueError(f"offsets must be whole hours, got {offsets!r}")
         weights = [w for _, w in offset_weights]
         if not all(0 < w < math.inf for w in weights):  # also false for NaN

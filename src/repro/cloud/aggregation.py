@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import check_count, check_positive
 from repro.data.avazu import DeviceDataset
 from repro.deviceflow.messages import MessageBlock
 from repro.ml.fedavg import FedAvgPartial
@@ -51,9 +52,7 @@ class SampleThresholdTrigger(AggregationTrigger):
     """Aggregate as soon as buffered training samples reach a threshold."""
 
     def __init__(self, threshold_samples: int) -> None:
-        if threshold_samples <= 0:
-            raise ValueError("threshold_samples must be positive")
-        self.threshold_samples = int(threshold_samples)
+        self.threshold_samples = check_count("threshold_samples", threshold_samples)
 
     def on_update(self, service: AggregationService) -> None:
         while service.pending_samples >= self.threshold_samples:
@@ -69,12 +68,8 @@ class ScheduledTrigger(AggregationTrigger):
     """
 
     def __init__(self, period_s: float, max_rounds: int) -> None:
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if max_rounds <= 0:
-            raise ValueError("max_rounds must be positive")
-        self.period_s = float(period_s)
-        self.max_rounds = max_rounds
+        self.period_s = check_positive("period_s", period_s)
+        self.max_rounds = check_count("max_rounds", max_rounds)
         self._fired = 0
         self._stopped = False
 

@@ -9,7 +9,6 @@ counters.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
@@ -38,7 +37,6 @@ class Monitor:
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.events: list[MonitorEvent] = []
-        self.counters: Counter = Counter()
         self._by_kind: dict[str, list[MonitorEvent]] = {}
         self._subscribers: list[Callable[[MonitorEvent], None]] = []
 
@@ -68,7 +66,6 @@ class Monitor:
         event = MonitorEvent(time=self.sim.now, kind=kind, fields=fields)
         self.events.append(event)
         self._by_kind.setdefault(kind, []).append(event)
-        self.counters[kind] += 1
         # Dispatch over a snapshot: a subscriber that subscribes or
         # unsubscribes while being dispatched (tear-down on a terminal
         # alarm, say) must not shift the live list under this loop.
@@ -90,5 +87,5 @@ class Monitor:
         return tuple(self._by_kind.get(kind, ()))
 
     def summary(self) -> dict[str, int]:
-        """Event counts by kind."""
-        return dict(self.counters)
+        """Event counts by kind, in order of each kind's first event."""
+        return {kind: len(events) for kind, events in self._by_kind.items()}

@@ -45,11 +45,11 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import count
-from numbers import Integral, Real
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from repro.checks import check_count, check_finite, check_non_negative, check_positive, check_probability, is_number
 from repro.simkernel import Signal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,11 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.tracing import Tracer
     from repro.simkernel import RandomStreams, Simulator
     from repro.simkernel.random import StreamBank
-
-
-def _is_number(value: object) -> bool:
-    """Whether ``value`` is a real number (``True`` is not a probability or a time)."""
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 #: Impairment kinds a window can schedule (mirrors the FaultSpec kinds
@@ -87,18 +82,13 @@ class ChannelWindow:
     def __post_init__(self) -> None:
         if self.kind not in WINDOW_KINDS:
             raise ValueError(f"unknown channel window kind {self.kind!r}; known: {WINDOW_KINDS}")
-        for name in ("at", "until", "prob"):
-            value = getattr(self, name)
-            if not _is_number(value) or math.isnan(value):
-                raise ValueError(f"channel window {name} must be a number, got {value!r}")
-        if math.isinf(self.at):
-            raise ValueError(f"channel window at must be finite, got {self.at!r}")
+        check_finite("at", self.at)
+        if not is_number(self.until) or math.isnan(self.until):  # inf: the window never closes
+            raise ValueError(f"until must be a number (inf: no end), got {self.until!r}")
         if self.until <= self.at:
-            raise ValueError(
-                f"channel window must end after it starts: until={self.until!r} <= at={self.at!r}"
-            )
-        if not 0.0 < self.prob <= 1.0:
-            raise ValueError(f"channel window prob must be in (0, 1], got {self.prob!r}")
+            raise ValueError(f"channel window must end after it starts: until={self.until!r} <= at={self.at!r}")
+        if not (is_number(self.prob) and 0.0 < self.prob <= 1.0):  # a zero-probability window is a typo
+            raise ValueError(f"prob must be in (0, 1], got {self.prob!r}")
 
 
 class ScopeWindows(NamedTuple):
@@ -177,31 +167,17 @@ class ChannelModel:
     windows: list[ChannelWindow] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        # A string where a probability belongs, a NaN latency (NaN passes every
-        # range test) or max_attempts=2.5 fails here, not mid-run inside
-        # plan_upload or as the kernel's "cannot schedule at nan".
-        for name in ("latency_s", "jitter_s", "loss_prob", "dup_prob", "retry_base_s", "retry_cap_s", "max_attempts"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not isinstance(self.max_attempts, Integral) or self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be an integer >= 1, got {self.max_attempts!r}")
-        if self.latency_s < 0.0 or self.jitter_s < 0.0:
-            raise ValueError(
-                f"channel latency/jitter must be >= 0, got "
-                f"latency_s={self.latency_s!r}, jitter_s={self.jitter_s!r}"
-            )
-        if not 0.0 <= self.loss_prob < 1.0:
+        # A string where a probability belongs, a NaN latency or max_attempts=2.5
+        # fails here, not mid-run inside plan_upload or as the kernel's
+        # "cannot schedule at nan".
+        check_non_negative("latency_s", self.latency_s)
+        check_non_negative("jitter_s", self.jitter_s)
+        if not (is_number(self.loss_prob) and 0.0 <= self.loss_prob < 1.0):  # 1: no upload ever lands
             raise ValueError(f"loss_prob must be in [0, 1), got {self.loss_prob!r}")
-        if not 0.0 <= self.dup_prob <= 1.0:
-            raise ValueError(f"dup_prob must be in [0, 1], got {self.dup_prob!r}")
-        if self.retry_base_s <= 0.0 or self.retry_cap_s <= 0.0:
-            raise ValueError(
-                f"retry backoff must be > 0, got base={self.retry_base_s!r}, "
-                f"cap={self.retry_cap_s!r}"
-            )
+        check_probability("dup_prob", self.dup_prob)
+        check_positive("retry_base_s", self.retry_base_s)
+        check_positive("retry_cap_s", self.retry_cap_s)
+        check_count("max_attempts", self.max_attempts)
 
     def windows_for(self, scope: str | ScopeWindows) -> ScopeWindows:
         """The windows applying to ``scope`` (untenanted ones and its own), by kind.

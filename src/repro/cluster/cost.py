@@ -14,8 +14,9 @@ Durations are seconds of *simulated* time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+from repro.checks import check_non_negative, check_positive
 
 
 #: Defaults calibrated against the paper's figures: logical per-device
@@ -59,10 +60,11 @@ class LogicalCostModel:
         if not self.alpha:
             raise ValueError("alpha must define at least one grade")
         for grade, value in self.alpha.items():
-            if not 0 < value < math.inf:  # also false for NaN
-                raise ValueError(f"alpha[{grade!r}] must be a positive finite number, got {value!r}")
-        if self.download_bandwidth_bps <= 0:
-            raise ValueError("download_bandwidth_bps must be positive")
+            check_positive(f"alpha[{grade!r}]", value)
+        for name in ("actor_startup", "runner_setup", "download_latency"):
+            check_non_negative(name, getattr(self, name))
+        check_positive("download_bandwidth_bps", self.download_bandwidth_bps)
+        check_positive("flow_reference_work", self.flow_reference_work)
 
     def device_round_duration(self, grade: str, flow_work: float) -> float:
         """Seconds one actor spends simulating one device's round of ``flow_work`` units."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.checks import check_non_negative, check_positive
+
 
 @dataclass(frozen=True)
 class ResourceBundle:
@@ -21,9 +23,7 @@ class ResourceBundle:
 
     def __post_init__(self) -> None:
         for name in ("cpus", "memory_gb", "gpus"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:  # also false for NaN
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            check_non_negative(name, getattr(self, name))
         if self.cpus == 0 and self.memory_gb == 0 and self.gpus == 0:
             raise ValueError("bundle must request at least one resource")
 
@@ -55,8 +55,9 @@ class NodeSpec:
     gpus: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.cpus <= 0 or self.memory_gb <= 0 or self.gpus < 0:
-            raise ValueError(f"invalid node spec: {self}")
+        check_positive("cpus", self.cpus)
+        check_positive("memory_gb", self.memory_gb)
+        check_non_negative("gpus", self.gpus)
 
 
 class WorkerNode:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import check_count
 from repro.cloud.sink import OutcomeSink
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
@@ -43,8 +44,7 @@ class GradeExecutionPlan(TierPlan):
     backend: NumericBackend = SERVER_BACKEND
 
     def __post_init__(self) -> None:
-        if self.n_actors <= 0:
-            raise ValueError(f"{self.grade!r} plan: n_actors must be positive")
+        check_count(f"{self.grade!r} plan: n_actors", self.n_actors)
         super().__post_init__()
 
     def dataset_bytes(self) -> int:

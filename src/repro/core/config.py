@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from repro.checks import check_non_negative, check_positive, check_probability
 from repro.cloud.transport import ChannelModel
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.resources import NodeSpec, ResourceBundle
-from repro.ml.optimizer import check_non_negative, check_positive
 from repro.phones.cost import PhysicalCostModel
 from repro.phones.specs import DEFAULT_LOCAL_FLEET, DEFAULT_MSP_FLEET, PhoneSpec
 
@@ -83,8 +83,7 @@ class PlatformConfig:
         check_positive("deviceflow_capacity", self.deviceflow_capacity)
         check_positive("poll_interval", self.poll_interval)
         check_non_negative("msp_control_latency", self.msp_control_latency)
-        if not 0 <= self.msp_availability <= 1:
-            raise ValueError(f"msp_availability must be in [0, 1], got {self.msp_availability!r}")
+        check_probability("msp_availability", self.msp_availability)
         if self.logical_cost is None:
             self.logical_cost = LogicalCostModel()
         if self.physical_cost is None:

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checks import check_count, is_number
 from repro.data.features import HashingEncoder
 
 #: Categorical fields modelled after the public Avazu schema.
@@ -253,14 +254,12 @@ class SyntheticAvazu:
         base_ctr: float = 0.17,
         seed: int = 0,
     ) -> None:
-        if n_devices <= 0:
-            raise ValueError("n_devices must be positive")
-        if records_per_device < 2:
-            raise ValueError("records_per_device must be >= 2")
-        if not 0.0 < base_ctr < 1.0:
-            raise ValueError("base_ctr must be in (0, 1)")
-        self.n_devices = int(n_devices)
-        self.records_per_device = int(records_per_device)
+        self.n_devices = check_count("n_devices", n_devices)
+        self.records_per_device = check_count("records_per_device", records_per_device)
+        if self.records_per_device < 2:  # the mean of shard sizes that are floored at 2
+            raise ValueError(f"records_per_device must be >= 2, got {records_per_device!r}")
+        if not (is_number(base_ctr) and 0.0 < base_ctr < 1.0):  # a rate of 0 or 1 has no finite intercept
+            raise ValueError(f"base_ctr must be in (0, 1), got {base_ctr!r}")
         self.feature_dim = int(feature_dim)
         self.base_ctr = float(base_ctr)
         self.seed = int(seed)

@@ -14,6 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.checks import check_count
 from repro.simkernel.random import stable_hash
 
 
@@ -35,11 +36,9 @@ class HashingEncoder:
     """
 
     def __init__(self, dim: int, fields: Sequence[str]) -> None:
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim!r}")
+        self.dim = check_count("dim", dim)
         if not fields:
             raise ValueError("at least one field is required")
-        self.dim = int(dim)
         self.fields = tuple(fields)
         self._cache: dict[tuple[str, str], int] = {}
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.checks import check_non_negative, check_positive, check_probability
+
 
 def label_skew_device_biases(
     n_devices: int,
@@ -28,10 +30,8 @@ def label_skew_device_biases(
 
     Returns an array aligned with generator device index ``i``.
     """
-    if not 0.0 <= positive_fraction <= 1.0:
-        raise ValueError("positive_fraction must be within [0, 1]")
-    if spread < 0:
-        raise ValueError("spread must be >= 0")
+    check_probability("positive_fraction", positive_fraction)
+    check_non_negative("spread", spread)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
     n_positive = int(round(positive_fraction * n_devices))
     biases = np.full(n_devices, -spread)
@@ -55,10 +55,8 @@ def assign_delay_profiles(
 
     Returns ``device_id -> delay_seconds``.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if max_delay <= 0:
-        raise ValueError("max_delay must be positive")
+    check_positive("sigma", sigma)
+    check_positive("max_delay", max_delay)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDE1A)))
     ids = sorted(device_biases)
     jitter = rng.normal(0.0, 1e-6, len(ids))

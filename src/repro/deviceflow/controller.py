@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
+from repro.checks import check_positive
 from repro.deviceflow.dispatcher import Dispatcher
 from repro.deviceflow.messages import MessageBlock
 from repro.deviceflow.shelf import Shelf
 from repro.deviceflow.strategy import DispatchStrategy
-from repro.ml.optimizer import check_positive
 from repro.simkernel import RandomStreams, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,7 +82,6 @@ class DeviceFlow:
         self.capacity_per_second = check_positive("capacity_per_second", capacity_per_second)
         self.tracer = tracer
         self._dispatchers: dict[str, Dispatcher] = {}
-        self._received: dict[str, int] = {}
         self._capacity_scale = 1.0
 
     # ------------------------------------------------------------------
@@ -119,7 +118,6 @@ class DeviceFlow:
             rng=self.streams.get(f"deviceflow.{task_id}"),
         )
         self._dispatchers[task_id] = dispatcher
-        self._received[task_id] = 0
         return dispatcher
 
     def unregister_task(self, task_id: str) -> None:
@@ -129,7 +127,7 @@ class DeviceFlow:
             raise RuntimeError(
                 f"task {task_id!r} still has {len(dispatcher.shelf)} shelved messages"
             )
-        self._forget(task_id)
+        del self._dispatchers[task_id]
 
     def force_unregister(self, task_id: str) -> int:
         """Detach a crashed task, discarding shelved messages.
@@ -140,13 +138,8 @@ class DeviceFlow:
         shelf = self._require(task_id).shelf
         discarded = len(shelf)
         shelf.take_all()
-        self._forget(task_id)
-        return discarded
-
-    def _forget(self, task_id: str) -> None:
-        """Drop every piece of per-task state the controller holds."""
         del self._dispatchers[task_id]
-        del self._received[task_id]
+        return discarded
 
     def discard_shelved(self, task_id: str) -> int:
         """Drop a task's shelved messages (deadline-based round closure).
@@ -194,7 +187,6 @@ class DeviceFlow:
             self.tracer.record_flow_submit(block, self.sim.now)
         rows = dispatcher.shelf.store(block)
         if rows:
-            self._received[task_id] += rows
             # Strategies are notified once per arrival, whatever its row count
             # (see "Wave-atomic arrival" in repro.deviceflow.dispatcher).
             dispatcher.strategy.on_message(dispatcher)
@@ -240,7 +232,7 @@ class DeviceFlow:
         dispatcher = self._require(task_id)
         return TaskFlowStats(
             task_id=task_id,
-            received=self._received[task_id],
+            received=dispatcher.shelf.total_stored,
             shelved=len(dispatcher.shelf),
             dispatched=dispatcher.dispatched,
             delivered=dispatcher.delivered,
@@ -251,9 +243,8 @@ class DeviceFlow:
     def drained(self, task_id: str) -> bool:
         """Nothing shelved, and every message received was delivered or dropped."""
         dispatcher = self._require(task_id)
-        return not len(dispatcher.shelf) and (
-            dispatcher.delivered + dispatcher.dropped_failure + dispatcher.dropped_discard >= self._received[task_id]
-        )
+        settled = dispatcher.delivered + dispatcher.dropped_failure + dispatcher.dropped_discard
+        return not len(dispatcher.shelf) and settled >= dispatcher.shelf.total_stored
 
     def _require(self, task_id: str) -> Dispatcher:
         if task_id not in self._dispatchers:

@@ -15,6 +15,8 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.checks import check_finite, check_positive
+
 
 class TrafficCurve:
     """A validated transmission-rate function ``y = f(t)`` on ``[a, b]``.
@@ -43,9 +45,7 @@ class TrafficCurve:
         name: str = "custom",
         validation_points: int = 2048,
     ) -> None:
-        low, high = float(domain[0]), float(domain[1])
-        if not math.isfinite(low) or not math.isfinite(high):
-            raise ValueError("domain endpoints must be finite")
+        low, high = check_finite("domain", domain[0]), check_finite("domain", domain[1])
         if high <= low:
             raise ValueError(f"domain must satisfy a < b, got [{low}, {high}]")
         self.fn = fn
@@ -112,8 +112,7 @@ class TrafficCurve:
         Linearly rescales the domain onto the dispatch window; the *shape*
         is preserved, message totals handle amplitude separately.
         """
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
+        check_positive("interval_seconds", interval_seconds)
         low, width = self.domain[0], self.width
 
         def rate(tau: np.ndarray) -> np.ndarray:
@@ -128,8 +127,7 @@ class TrafficCurve:
 # ----------------------------------------------------------------------
 def gaussian_pdf(sigma: float, domain: tuple[float, float] = (-4.0, 4.0)) -> TrafficCurve:
     """``N(0, sigma)`` density on ``domain`` (Table II rows 1-2)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    check_positive("sigma", sigma)
 
     def fn(t: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * (t / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
@@ -143,8 +141,7 @@ def right_tailed_normal(sigma: float, tail_sigmas: float = 4.0) -> TrafficCurve:
     Models devices whose responses peak immediately after a round opens
     and decay with timezone/network spread controlled by ``sigma``.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    check_positive("sigma", sigma)
 
     def fn(t: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * (t / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
@@ -164,8 +161,7 @@ def cos_plus_one(domain: tuple[float, float] = (0.0, 6.0 * math.pi)) -> TrafficC
 
 def exponential_curve(base: float, domain: tuple[float, float] = (0.0, 3.0)) -> TrafficCurve:
     """``base ** t`` on ``[0, 3]`` (Table II rows 5-6)."""
-    if base <= 0:
-        raise ValueError("base must be positive")
+    check_positive("base", base)
     return TrafficCurve(lambda t: np.power(base, t), domain, name=f"{base:g}^t")
 
 

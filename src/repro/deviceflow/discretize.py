@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import check_count, check_positive
 from repro.deviceflow.curves import TrafficCurve
 
 
@@ -61,12 +62,9 @@ def choose_tick_width(
     least 24 ticks per window), but not so small that every tick rounds
     to zero messages.
     """
-    if interval_seconds <= 0:
-        raise ValueError("interval_seconds must be positive")
-    if total_messages <= 0:
-        raise ValueError("total_messages must be positive")
-    if capacity_per_second <= 0:
-        raise ValueError("capacity_per_second must be positive")
+    check_positive("interval_seconds", interval_seconds)
+    check_count("total_messages", total_messages)
+    check_positive("capacity_per_second", capacity_per_second)
     area, peak = curve.grid_area_peak()
     # Peak dispatch rate in messages per actual second after scaling the
     # AUC to total_messages and the domain to the window.
@@ -100,8 +98,7 @@ def discretize_curve(
     """
     if tick_width is None:
         tick_width = choose_tick_width(curve, interval_seconds, total_messages, capacity_per_second)
-    if tick_width <= 0:
-        raise ValueError("tick_width must be positive")
+    check_positive("tick_width", tick_width)
     n_ticks = max(1, int(np.ceil(interval_seconds / tick_width)))
     edges = np.linspace(0.0, interval_seconds, n_ticks + 1)
     segment_area = curve.segment_areas(interval_seconds, n_ticks)

@@ -58,9 +58,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.checks import check_positive
 from repro.deviceflow.messages import MessageBlock
 from repro.deviceflow.shelf import SegmentQueue, Shelf
-from repro.ml.optimizer import check_positive
 from repro.simkernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

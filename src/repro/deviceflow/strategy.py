@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+from repro.checks import check_count, check_finite, check_non_negative_int, check_positive, check_probability
 from repro.deviceflow.curves import TrafficCurve
 from repro.deviceflow.discretize import DispatchTick, discretize_curve
 from repro.deviceflow.dispatcher import Dispatcher
-from repro.ml.optimizer import check_finite, check_positive
 
 
 class DispatchStrategy:
@@ -64,15 +64,10 @@ class RealTimeAccumulatedStrategy(DispatchStrategy):
         failure_prob: float = 0.0,
         flush_on_round_complete: bool = True,
     ) -> None:
-        thresholds = list(thresholds)
-        if not thresholds:
+        self.thresholds = [check_count("thresholds", t) for t in thresholds]
+        if not self.thresholds:
             raise ValueError("thresholds must be non-empty")
-        if any(int(t) != t or t < 1 for t in thresholds):
-            raise ValueError(f"thresholds must be integers >= 1, got {thresholds}")
-        if not 0.0 <= failure_prob <= 1.0:
-            raise ValueError("failure_prob must be in [0, 1]")
-        self.thresholds = [int(t) for t in thresholds]
-        self.failure_prob = float(failure_prob)
+        self.failure_prob = check_probability("failure_prob", failure_prob)
         self.flush_on_round_complete = flush_on_round_complete
         self._cycle = 0
 
@@ -126,12 +121,10 @@ class TimePoint:
     discard_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if not 0.0 <= self.failure_prob <= 1.0:
-            raise ValueError("failure_prob must be in [0, 1]")
-        if self.discard_count < 0:
-            raise ValueError("discard_count must be >= 0")
+        check_finite("time", self.time)
+        check_count("count", self.count)
+        check_probability("failure_prob", self.failure_prob)
+        check_non_negative_int("discard_count", self.discard_count)
 
 
 class TimePointStrategy(DispatchStrategy):
@@ -214,16 +207,12 @@ class TimeIntervalStrategy(DispatchStrategy):
             start_time = check_finite("start_time", start_time)
         if tick_width is not None:
             tick_width = check_positive("tick_width", tick_width)
-        if not 0.0 <= failure_prob <= 1.0:
-            raise ValueError("failure_prob must be in [0, 1]")
-        if discard_per_tick < 0:
-            raise ValueError("discard_per_tick must be >= 0")
         self.curve = curve
         self.interval_seconds = interval_seconds
         self.relative = relative
         self.start_time = start_time
-        self.failure_prob = float(failure_prob)
-        self.discard_per_tick = int(discard_per_tick)
+        self.failure_prob = check_probability("failure_prob", failure_prob)
+        self.discard_per_tick = check_non_negative_int("discard_per_tick", discard_per_tick)
         self.tick_width = tick_width
         self.last_schedule: list[DispatchTick] = []
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines import FedScaleLikeSimulator, FederatedScopeLikeSimulator
+from repro.checks import check_count
 from repro.cluster import (
     DeviceColumns,
     GradeExecutionPlan,
@@ -91,12 +92,9 @@ def run_fig8_scalability(
     total_cores: int = 200,
 ) -> ScalabilityResult:
     """Run SimDC's logical tier and the two baseline models over the device scales."""
-    if total_cores < 1:
-        raise ValueError(f"total_cores must be >= 1, got {total_cores}")
+    fedscale = FedScaleLikeSimulator(total_cores=total_cores)  # checks total_cores
     for scale in scales:
-        if scale < 1:
-            raise ValueError(f"scales must each be >= 1, got {scale}")
-    fedscale = FedScaleLikeSimulator(total_cores=total_cores)
+        check_count("scales", scale)
     federatedscope = FederatedScopeLikeSimulator()
     result = ScalabilityResult(scales=list(scales))
     for scale in scales:

@@ -11,8 +11,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.checks import check_count
 from repro.ml.backends import NumericBackend
-from repro.ml.optimizer import SGD, check_count
+from repro.ml.optimizer import SGD
 from repro.ml.ragged import RaggedShards
 
 

@@ -25,6 +25,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.checks import check_non_negative_int
+
 
 @dataclass
 class ModelUpdate:
@@ -54,8 +56,7 @@ class ModelUpdate:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n_samples < 0:
-            raise ValueError("n_samples must be >= 0")
+        check_non_negative_int("n_samples", self.n_samples)
         self.weights = np.asarray(self.weights, dtype=np.float64)
 
     @staticmethod

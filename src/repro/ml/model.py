@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.checks import check_count
 from repro.ml.backends import NumericBackend
 from repro.ml.metrics import block_metrics
 
@@ -29,9 +30,7 @@ class LogisticRegressionModel:
     """
 
     def __init__(self, feature_dim: int, backend: NumericBackend) -> None:
-        if feature_dim <= 0:
-            raise ValueError("feature_dim must be positive")
-        self.feature_dim = int(feature_dim)
+        self.feature_dim = check_count("feature_dim", feature_dim)
         self.backend = backend
         self.weights = np.zeros(self.feature_dim, dtype=np.float64)
         self.bias = 0.0

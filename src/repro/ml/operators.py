@@ -17,10 +17,11 @@ from typing import Any
 
 import numpy as np
 
+from repro.checks import check_count
 from repro.data.avazu import DeviceDataset
 from repro.ml.backends import SERVER_BACKEND, NumericBackend
 from repro.ml.metrics import block_metrics
-from repro.ml.optimizer import SGD, check_count
+from repro.ml.optimizer import SGD
 from repro.ml.ragged import RaggedShards
 
 

@@ -2,42 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
-from numbers import Integral, Real
 
 import numpy as np
 
+from repro.checks import check_count, check_positive
 from repro.ml.backends import NumericBackend
 from repro.ml.ragged import RaggedShards, segment_sums
-
-
-def check_count(name: str, value: object) -> int:
-    """``value`` as an ``int`` >= 1, or a ``ValueError`` that opens with ``name``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def check_positive(name: str, value: object) -> float:
-    """``value`` as a finite positive ``float``, or a ``ValueError`` that opens with ``name``."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-    return float(value)
-
-
-def check_finite(name: str, value: object) -> float:
-    """``value`` as a finite ``float``, or a ``ValueError`` that opens with ``name``."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def check_non_negative(name: str, value: object) -> float:
-    """``value`` as a finite ``float`` >= 0, or a ``ValueError`` that opens with ``name``."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-    return float(value)
 
 
 class SGD:

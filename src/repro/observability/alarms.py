@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING
 
-from repro.ml.optimizer import check_finite, check_non_negative, check_positive
+from repro.checks import check_finite, check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.monitor import Monitor, MonitorEvent

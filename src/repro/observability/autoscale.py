@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.checks import check_count, check_non_negative, check_positive
 from repro.cluster.resources import NodeSpec
-from repro.ml.optimizer import check_count, check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.monitor import Monitor, MonitorEvent

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ml.optimizer import check_finite, check_positive
+from repro.checks import check_finite, check_positive
 from repro.observability.alarms import AlarmEngine, AlarmRule, signal_exists
 
 #: Final-report metrics: ``<kpi>_<stat>`` over the StatSummary KPIs ...

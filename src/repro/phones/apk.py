@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.checks import check_count
+
 
 class ApkStage(enum.IntEnum):
     """The five measurement stages of one training session (§VI-B1).
@@ -57,5 +59,4 @@ class TrainingApk:
     def __post_init__(self) -> None:
         if not self.package or "/" in self.package:
             raise ValueError(f"invalid package name {self.package!r}")
-        if self.size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
+        check_count("size_bytes", self.size_bytes)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.checks import check_positive
 from repro.simkernel.random import NormalReader
 
 
@@ -32,12 +33,8 @@ class BatteryModel:
     NOISE_FRACTION = 0.05
 
     def __init__(self, capacity_mah: float, nominal_voltage_mv: float, rng: np.random.Generator) -> None:
-        if capacity_mah <= 0:
-            raise ValueError("capacity_mah must be positive")
-        if nominal_voltage_mv <= 0:
-            raise ValueError("nominal_voltage_mv must be positive")
-        self.capacity_mah = float(capacity_mah)
-        self.nominal_voltage_mv = float(nominal_voltage_mv)
+        self.capacity_mah = check_positive("capacity_mah", capacity_mah)
+        self.nominal_voltage_mv = check_positive("nominal_voltage_mv", nominal_voltage_mv)
         self.consumed_mah = 0.0
         self._rng = NormalReader(rng)
 

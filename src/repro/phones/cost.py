@@ -12,8 +12,9 @@ training stages are measured over 0.25-minute (15 s) windows each.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+from repro.checks import check_non_negative, check_positive
 
 #: Table I training durations in seconds.
 DEFAULT_BETA = {"High": 16.2, "Low": 21.6}
@@ -54,10 +55,10 @@ class PhysicalCostModel:
             if not mapping:
                 raise ValueError(f"{label} must define at least one grade")
             for grade, value in mapping.items():
-                if not 0 < value < math.inf:  # also false for NaN
-                    raise ValueError(f"{label}[{grade!r}] must be a positive finite number, got {value!r}")
-        if self.stage_window <= 0:
-            raise ValueError("stage_window must be positive")
+                check_positive(f"{label}[{grade!r}]", value)
+        check_positive("stage_window", self.stage_window)
+        check_non_negative("msp_control_latency", self.msp_control_latency)
+        check_positive("flow_reference_work", self.flow_reference_work)
 
     def training_duration(self, grade: str, flow_work: float) -> float:
         """Seconds one phone spends in the training stage per device, for a flow of ``flow_work`` units."""

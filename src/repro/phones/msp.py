@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.checks import check_probability
 from repro.phones.adb import SimulatedAdb
 from repro.phones.phone import VirtualPhone
 from repro.phones.specs import PhoneSpec
@@ -39,8 +40,7 @@ class MobileServicePlatform:
         streams: RandomStreams,
         availability: float = 1.0,
     ) -> None:
-        if not 0.0 <= availability <= 1.0:
-            raise ValueError("availability must be in [0, 1]")
+        check_probability("availability", availability)
         self.sim = sim
         self.adb = adb
         self.specs = list(specs)

@@ -46,6 +46,7 @@ from collections.abc import Callable, Generator
 
 import numpy as np
 
+from repro.checks import check_non_negative_int, check_positive
 from repro.cloud.sink import OutcomeSink
 from repro.cluster.rounds import DeviceColumns, SlotQueue, TierPlan, TierRounds
 from repro.deviceflow.messages import MessageBlock
@@ -81,8 +82,7 @@ class PhoneAssignment(TierPlan):
     backend: NumericBackend = DEVICE_BACKEND
 
     def __post_init__(self) -> None:
-        if self.n_phones < 0:
-            raise ValueError(f"{self.grade!r} plan: n_phones must be >= 0")
+        check_non_negative_int(f"{self.grade!r} plan: n_phones", self.n_phones)
         if len(self.devices) and self.n_phones == 0:
             raise ValueError(f"{self.grade!r} plan: computing devices require at least one phone")
         super().__post_init__()
@@ -293,14 +293,12 @@ class PhoneMgr(TierRounds):
         busy_registry: set[str],
         poll_interval: float = 1.0,
     ) -> None:
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         super().__init__(sim, streams)
         self.adb = adb
         self.phones = list(phones)
         self.cost_model = cost_model
         self.apk = TrainingApk()
-        self.poll_interval = float(poll_interval)
+        self.poll_interval = check_positive("poll_interval", poll_interval)
         self.plans: list[PhoneAssignment] = []
         self.computing_phones: dict[str, list[VirtualPhone]] = {}
         self.benchmark_phones: dict[str, list[VirtualPhone]] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.checks import check_count, check_non_negative_int, check_positive
 from repro.phones.apk import ApkStage
 
 #: Average discharge current (mA) per Table-I stage, by grade.
@@ -75,15 +76,12 @@ class PhoneSpec:
     idle_current_ma: float = 25.0
 
     def __post_init__(self) -> None:
-        if self.cpu_cores <= 0 or self.cpu_freq_ghz <= 0 or self.memory_gb <= 0:
-            raise ValueError(f"invalid SoC shape for {self.model!r}")
-        if self.battery_mah <= 0 or self.nominal_voltage_mv <= 0:
-            raise ValueError(f"invalid battery for {self.model!r}")
+        check_count("cpu_cores", self.cpu_cores)
+        for name in ("cpu_freq_ghz", "memory_gb", "battery_mah", "nominal_voltage_mv", "idle_current_ma"):
+            check_positive(name, getattr(self, name))
         if not self.stage_current_ma:
             defaults = _HIGH_STAGE_CURRENT_MA if self.grade == "High" else _LOW_STAGE_CURRENT_MA
             object.__setattr__(self, "stage_current_ma", dict(defaults))
-        if self.idle_current_ma <= 0:
-            raise ValueError("idle_current_ma must be positive")
 
     def stage_current(self, stage: ApkStage) -> float:
         """Mean current (mA) drawn in a lifecycle stage."""
@@ -139,8 +137,8 @@ DEFAULT_MSP_FLEET: tuple[PhoneSpec, ...] = tuple(
 
 def build_fleet(n_high: int, n_low: int, prefix: str) -> list[PhoneSpec]:
     """Synthesize an arbitrary fleet (for scaled-up cluster experiments)."""
-    if n_high < 0 or n_low < 0:
-        raise ValueError("fleet sizes must be >= 0")
+    check_non_negative_int("n_high", n_high)
+    check_non_negative_int("n_low", n_low)
     fleet = [_high(f"{prefix}-H{i:03d}", 8, 3.0, 12.0, i % 2 == 0, 4800) for i in range(n_high)]
     fleet += [_low(f"{prefix}-L{i:03d}", 8, 2.0, 6.0, 4600) for i in range(n_low)]
     return fleet

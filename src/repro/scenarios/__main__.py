@@ -31,11 +31,11 @@ import sys
 import time
 from pathlib import Path
 
+from repro.checks import check_non_negative_int
 from repro.scenarios.engine import ScenarioRunner
 from repro.scenarios.library import SCENARIOS, build_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.scheduler.task import TaskState
-from repro.simkernel.random import check_seed
 
 _FILE_SUFFIXES = (".json", ".yaml", ".yml")
 
@@ -43,7 +43,7 @@ _FILE_SUFFIXES = (".json", ".yaml", ".yml")
 def _seed_arg(text: str) -> int:
     """``--seed`` as argparse sees it: a bad value is a usage error, not a mid-run traceback."""
     try:
-        return check_seed(int(text), "--seed")
+        return check_non_negative_int("--seed", int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

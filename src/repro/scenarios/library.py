@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+from repro.checks import check_count
 from repro.observability import AlarmRule, AutoscaleSpec, SLASpec
 from repro.scenarios.spec import (
     ArrivalSpec,
@@ -37,8 +38,7 @@ from repro.scheduler.task import GradeRequirement
 
 def _unit(scale: int, reference: int) -> int:
     """Scale factor: devices-per-unit against the builder's reference sum."""
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
+    check_count("scale", scale)
     return max(1, round(scale / reference))
 
 

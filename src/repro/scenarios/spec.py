@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Any
 
 import numpy as np
@@ -30,6 +30,15 @@ from repro.behavior import (
     population_traffic_curve,
 )
 from repro.behavior.timezone import DEFAULT_OFFSET_WEIGHTS
+from repro.checks import (
+    check_count,
+    check_finite,
+    check_non_negative,
+    check_non_negative_int,
+    check_positive,
+    check_probability,
+    is_number,
+)
 from repro.cloud.transport import ChannelModel, ChannelWindow
 from repro.deviceflow.curves import TrafficCurve
 from repro.deviceflow.strategy import (
@@ -38,18 +47,12 @@ from repro.deviceflow.strategy import (
     TimeIntervalStrategy,
 )
 from repro.ml.operators import standard_fl_flow
-from repro.ml.optimizer import check_count, check_finite, check_non_negative, check_positive
 from repro.observability import GAUGE_SIGNALS, SERIES_SIGNALS, AlarmRule, AutoscaleSpec, SLASpec, signal_exists
 from repro.scheduler.task import GradeRequirement, TaskSpec
-from repro.simkernel.random import check_seed, stable_hash
+from repro.simkernel.random import stable_hash
 
 #: Named network profiles a :class:`PopulationSpec` can mix.
 NETWORK_PROFILES = {p.name: p for p in (WIFI, LTE, GPRS, FLIGHT_MODE)}
-
-
-def _is_number(value: object) -> bool:
-    """Whether ``value`` is what a JSON number parses to (``bool`` is not one)."""
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _check_numbers(declared: dict, data: dict, prefix: str) -> None:
@@ -58,10 +61,10 @@ def _check_numbers(declared: dict, data: dict, prefix: str) -> None:
         kind = declared[key].type  # a string: every spec module defers its annotations
         if kind == "bool" and not isinstance(value, bool):
             raise ValueError(f"{prefix}{key} must be true or false, got {value!r}")
-        if kind in ("list[float]", "list[int]") and not all(map(_is_number, value)):
+        if kind in ("list[float]", "list[int]") and not all(map(is_number, value)):
             raise ValueError(f"{prefix}{key} must be a list of numbers, got {value!r}")
         if kind.removesuffix(" | None") in ("int", "float") and not (
-            _is_number(value) or (value is None and kind.endswith(" | None"))
+            is_number(value) or (value is None and kind.endswith(" | None"))
         ):
             raise ValueError(f"{prefix}{key} must be a number, got {value!r}")
 
@@ -101,17 +104,13 @@ def _from_fields(cls, data: object, path: str = ""):
     for name, spec_field in declared.items():
         if name not in data and spec_field.default is MISSING and spec_field.default_factory is MISSING:
             raise ValueError(f"{prefix}{name} is required")
+    _check_numbers(declared, data, prefix)
     try:
-        spec = cls(**data)
+        return cls(**data)
     except ValueError as exc:
         if path and str(exc).split(" ", 1)[0] in declared:
             raise ValueError(f"{path}.{exc}") from None
         raise
-    except TypeError:  # a comparison with a string, say: name the field if it is that
-        _check_numbers(declared, data, prefix)
-        raise
-    _check_numbers(declared, data, prefix)
-    return spec
 
 
 # ----------------------------------------------------------------------
@@ -140,13 +139,12 @@ class PopulationSpec:
     dropout_prob: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(isinstance(pair, list | tuple) and len(pair) == 2 for pair in self.network_mix):
+            raise ValueError(f"network_mix must be a list of [profile, weight] pairs, got {self.network_mix!r}")
         for name, _weight in self.network_mix:
             if name not in NETWORK_PROFILES:
-                raise ValueError(
-                    f"unknown network profile {name!r}; known: {sorted(NETWORK_PROFILES)}"
-                )
-        if not 0.0 <= self.dropout_prob <= 1.0:
-            raise ValueError(f"dropout_prob must be in [0, 1], got {self.dropout_prob!r}")
+                raise ValueError(f"unknown network profile {name!r}; known: {sorted(NETWORK_PROFILES)}")
+        check_probability("dropout_prob", self.dropout_prob)
         # Built once, so their checks run here whether or not a tenant ever
         # derives a failure probability or a traffic curve from them.
         try:
@@ -414,14 +412,10 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.at < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.at!r}")
-        check_finite("at", self.at)
+        check_finite("at", self.at)  # NaN and inf first: a finite number, then one >= 0
+        check_non_negative("at", self.at)
         if self.until is not None and self.until <= self.at:
-            raise ValueError(
-                f"fault recovery must come after the fault: "
-                f"until={self.until!r} <= at={self.at!r}"
-            )
+            raise ValueError(f"fault recovery must come after the fault: until={self.until!r} <= at={self.at!r}")
         if self.kind in ("phone_crash", "network_degradation") and self.until is not None:
             check_finite("until", self.until)  # the kernel schedules the recovery
         elif self.until is not None and math.isnan(self.until):  # inf: the window never closes
@@ -430,25 +424,18 @@ class FaultSpec:
             raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.kind == "phone_crash" and self.count < 1:
             raise ValueError(f"phone_crash needs count >= 1, got {self.count!r}")
-        if self.kind == "network_degradation":
-            if self.until is None:
-                raise ValueError(
-                    f"network_degradation needs an end time, got until={self.until!r}"
-                )
-            if not 0.0 < self.factor <= 1.0:
-                raise ValueError(f"degradation factor must be in (0, 1], got {self.factor!r}")
+        check_finite("factor", self.factor)  # first: the per-kind ranges below compare it
         if self.kind == "straggler":
             if self.until is None:
                 raise ValueError(f"straggler injection needs a window end, got until={self.until!r}")
             if self.factor <= 1.0:
                 raise ValueError(f"straggler slowdown factor must be > 1, got {self.factor!r}")
-            check_finite("factor", self.factor)
-        if self.kind in self.TRANSPORT_KINDS and self.until is None:
+        elif self.kind != "phone_crash" and self.until is None:
             raise ValueError(f"{self.kind} needs an end time, got until={self.until!r}")
+        if self.kind == "network_degradation" and not 0.0 < self.factor <= 1.0:
+            raise ValueError(f"degradation factor must be in (0, 1], got {self.factor!r}")
         if self.kind in ("message_loss", "message_duplication") and not 0.0 < self.factor <= 1.0:
-            raise ValueError(
-                f"{self.kind} probability (factor) must be in (0, 1], got {self.factor!r}"
-            )
+            raise ValueError(f"{self.kind} probability (factor) must be in (0, 1], got {self.factor!r}")
 
     def covers_submission(self, tenant: str, time: float) -> bool:
         """Whether a straggler window applies to a tenant submission."""
@@ -494,9 +481,8 @@ class TransportSpec:
         except ValueError as exc:  # the channel's fields are this spec's
             raise ValueError(f"transport.{exc}") from None
         if self.deadline_s is not None:
-            if self.deadline_s <= 0:
-                raise ValueError(f"deadline_s must be > 0, got {self.deadline_s!r}")
-            check_finite("deadline_s", self.deadline_s)
+            check_finite("deadline_s", self.deadline_s)  # NaN and inf first: a finite number, then one > 0
+            check_positive("deadline_s", self.deadline_s)
 
     def channel(self, windows: list[ChannelWindow]) -> ChannelModel:
         """The channel this spec describes (every field but ``deadline_s``), carrying ``windows``."""
@@ -578,20 +564,17 @@ class ScenarioSpec:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-        check_seed(self.seed, "seed")
+        for name in ("seed", "extra_high_phones", "extra_low_phones"):
+            check_non_negative_int(name, getattr(self, name))
         for name in ("horizon_s", "max_time", "deviceflow_capacity"):
             check_positive(name, getattr(self, name))
         check_count("cluster_nodes", self.cluster_nodes)
-        if self.extra_high_phones < 0 or self.extra_low_phones < 0:
-            raise ValueError("extra phone counts must be >= 0")
         alarm_names = [a.name for a in self.alarms]
         if len(set(alarm_names)) != len(alarm_names):
             raise ValueError(f"duplicate alarm rule names: {alarm_names}")
         for i, rule in enumerate(self.alarms):
             if rule.tenant and rule.tenant not in names:
-                raise ValueError(
-                    f"alarm {rule.name!r} watches unknown tenant {rule.tenant!r}"
-                )
+                raise ValueError(f"alarm {rule.name!r} watches unknown tenant {rule.tenant!r}")
             # A scenario feeds only the built-in signals: any other name never fires.
             if not signal_exists(rule.signal):
                 raise ValueError(
@@ -600,13 +583,9 @@ class ScenarioSpec:
                 )
         for sla in self.slas:
             if sla.tenant and sla.tenant not in names:
-                raise ValueError(
-                    f"SLA on {sla.metric!r} names unknown tenant {sla.tenant!r}"
-                )
+                raise ValueError(f"SLA on {sla.metric!r} names unknown tenant {sla.tenant!r}")
         if self.autoscale is not None and self.autoscale.alarm not in alarm_names:
-            raise ValueError(
-                f"autoscale policy references unknown alarm {self.autoscale.alarm!r}"
-            )
+            raise ValueError(f"autoscale policy references unknown alarm {self.autoscale.alarm!r}")
 
     def all_slas(self) -> list[SLASpec]:
         """Scenario-wide SLAs plus every tenant's own, tenant pinned."""

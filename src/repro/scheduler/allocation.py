@@ -30,6 +30,13 @@ import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+from repro.checks import (
+    check_count,
+    check_non_negative,
+    check_non_negative_int,
+    check_positive,
+    check_probability,
+)
 
 
 @dataclass(frozen=True)
@@ -53,16 +60,14 @@ class GradeAllocationParams:
     n_benchmark: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_devices < 0 or self.n_benchmark < 0:
-            raise ValueError("device counts must be >= 0")
+        for name in ("n_devices", "n_benchmark", "bundles", "n_phones"):
+            check_non_negative_int(name, getattr(self, name))
         if self.n_benchmark > self.n_devices:
             raise ValueError("n_benchmark cannot exceed n_devices")
-        if self.bundles < 0 or self.n_phones < 0:
-            raise ValueError("resource counts must be >= 0")
-        if self.units_per_device <= 0:
-            raise ValueError("units_per_device must be positive")
-        if self.alpha <= 0 or self.beta <= 0 or self.lam < 0:
-            raise ValueError("alpha/beta must be positive, lam >= 0")
+        check_count("units_per_device", self.units_per_device)
+        check_positive("alpha", self.alpha)
+        check_positive("beta", self.beta)
+        check_non_negative("lam", self.lam)
         if self.computable == 0:
             return
         if self.bundles == 0 and self.n_phones == 0:
@@ -261,8 +266,7 @@ def fixed_ratio_allocation(
     Type 1 = 100% logical, Type 2 = 75%, Type 3 = 50%, Type 4 = 25%,
     Type 5 = 0% (all physical).
     """
-    if not 0.0 <= logical_fraction <= 1.0:
-        raise ValueError("logical_fraction must be in [0, 1]")
+    check_probability("logical_fraction", logical_fraction)
     x = [int(round(logical_fraction * g.computable)) for g in problem.grades]
     result = evaluate_allocation(problem, x)
     result.solver = f"fixed({logical_fraction:.2f})"

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.checks import check_count
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.resources import NodeSpec, ResourceBundle
 from repro.phones.phone import VirtualPhone
@@ -157,8 +158,7 @@ class ResourceManager:
     # ------------------------------------------------------------------
     def scale_up(self, spec: NodeSpec, count: int) -> list[str]:
         """Add cluster nodes; returns their ids."""
-        if count <= 0:
-            raise ValueError("count must be positive")
+        check_count("count", count)
         return [self.cluster.add_node(spec) for _ in range(count)]
 
     def scale_down(self, node_ids: list[str]) -> None:

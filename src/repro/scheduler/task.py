@@ -16,10 +16,10 @@ import itertools
 from dataclasses import dataclass, field
 from numbers import Integral
 
+from repro.checks import check_count, check_finite, check_non_negative_int, check_positive
 from repro.cluster.resources import ResourceBundle
 from repro.deviceflow.strategy import DispatchStrategy
 from repro.ml.operators import OperatorFlow, standard_fl_flow
-from repro.ml.optimizer import check_count, check_finite
 
 _task_counter = itertools.count()
 
@@ -74,15 +74,11 @@ class GradeRequirement:
             raise ValueError(f"device_{exc}") from None
         check_count("n_devices", self.n_devices)
         for name in ("bundles", "n_phones", "n_benchmark"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+            check_non_negative_int(name, getattr(self, name))
         if self.n_benchmark > self.n_devices:
             raise ValueError(f"n_benchmark must be within [0, n_devices={self.n_devices}], got {self.n_benchmark!r}")
         if self.n_devices - self.n_benchmark > 0 and self.bundles == 0 and self.n_phones == 0:
-            raise ValueError(
-                f"grade {self.grade!r} requests devices but no compute resources"
-            )
+            raise ValueError(f"grade {self.grade!r} requests devices but no compute resources")
 
 
 @dataclass
@@ -155,10 +151,10 @@ class TaskSpec:
                 f"records_per_device must be >= {floor} (numeric={self.numeric}) and an integer, got {records!r}"
             )
         check_count("feature_dim", self.feature_dim)
+        check_non_negative_int("dataset_seed", self.dataset_seed)  # else data synthesis fails mid-run
         if self.deadline_s is not None:
-            if self.deadline_s <= 0:  # first: a file's string raises the TypeError it reports as not a number
-                raise ValueError(f"deadline_s must be > 0, got {self.deadline_s!r}")
-            check_finite("deadline_s", self.deadline_s)
+            check_finite("deadline_s", self.deadline_s)  # NaN and inf first: a finite number, then one > 0
+            check_positive("deadline_s", self.deadline_s)
         if not self.task_id:
             self.task_id = f"task-{next(_task_counter):05d}"
         if self.flow is None:

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Sequence
-from numbers import Integral
 
 import numpy as np
+
+from repro.checks import check_non_negative_int
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 #: PCG64's 128-bit LCG multiplier.
@@ -54,18 +55,6 @@ def stable_hash(text: str) -> tuple[int, int, int, int]:
     for reproducible stream derivation; SHA-256 is used instead.
     """
     return tuple(np.frombuffer(_name_bytes(text), "<u4").tolist())  # type: ignore[return-value]
-
-
-def check_seed(seed, name: str) -> int:
-    """``seed`` as an ``int``, or a ``ValueError`` naming the field and the value.
-
-    A master seed is a non-negative integer: ``SeedSequence`` refuses a
-    negative one mid-run, a float would silently truncate, and ``True``
-    is almost certainly a bug.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
-    return int(seed)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
@@ -141,7 +130,7 @@ class RandomStreams:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self.seed = check_seed(seed, "seed")
+        self.seed = check_non_negative_int("seed", seed)
         # The seed as SeedSequence coerces it: little-endian uint32 words, at least one.
         self._seed_bytes = self.seed.to_bytes(4 * max(-(-self.seed.bit_length() // 32), 1), "little")
         self._cache: dict[str, np.random.Generator] = {}

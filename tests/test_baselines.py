@@ -19,9 +19,9 @@ class TestCostModels:
             FederatedScopeLikeSimulator(instance_cores=0)
         with pytest.raises(ValueError):
             FedScaleLikeSimulator().round_time(0)
-        with pytest.raises(ValueError, match=r"total_cores must be >= 1, got 0"):
+        with pytest.raises(ValueError, match=r"^total_cores must be an integer >= 1, got 0$"):
             run_fig8_scalability(total_cores=0)
-        with pytest.raises(ValueError, match=r"scales must each be >= 1, got 0"):
+        with pytest.raises(ValueError, match=r"^scales must be an integer >= 1, got 0$"):
             run_fig8_scalability(scales=(100, 0))
-        with pytest.raises(ValueError, match=r"scales must each be >= 1, got -5"):
+        with pytest.raises(ValueError, match=r"^scales must be an integer >= 1, got -5$"):
             run_fig8_scalability(scales=(-5,))

@@ -216,7 +216,7 @@ class TestMonitor:
         monitor.subscribe(echo)
         monitor.log("ping")
         assert [k for k, _ in seen] == ["a", "b", "ping", "pong"]
-        assert monitor.counters["pong"] == 1
+        assert monitor.summary()["pong"] == 1
 
     def test_unsubscribe_detaches(self):
         monitor = Monitor(Simulator())

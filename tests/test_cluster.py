@@ -148,7 +148,7 @@ class TestLogicalCostModel:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_alpha_rejected_naming_grade_and_value(self, bad):
-        with pytest.raises(ValueError, match=rf"alpha\['Low'\] must be a positive finite number, got {bad!r}"):
+        with pytest.raises(ValueError, match=rf"^alpha\['Low'\] must be a finite number > 0, got {bad!r}$"):
             LogicalCostModel(alpha={"High": 12.0, "Low": bad})
 
 

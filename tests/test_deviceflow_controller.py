@@ -404,7 +404,7 @@ class TestDeviceFlowFacade:
                 flow.unregister_task(task)
         assert flow.task_ids == []
         assert flow.task_ids == []
-        assert flow._dispatchers == {} and flow._received == {}
+        assert flow._dispatchers == {}
 
 
 # ----------------------------------------------------------------------

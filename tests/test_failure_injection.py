@@ -261,7 +261,7 @@ class TestSubscriberContainment:
         ]
         # The other subscribers (the alarm engine among them) were served
         # every event, the failure notice included.
-        assert Counter(steady_saw) == monitor.counters
+        assert Counter(steady_saw) == monitor.summary()
         # Same run: the one extra event is the only difference.
         assert len(monitor.events) == len(plain.platform.monitor.events) + 1
         assert report.to_json() == baseline.to_json()

@@ -266,7 +266,7 @@ class TestNoPerDeviceGenerator:
 class TestRejectedValues:
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None, np.float64(2.0)])
     def test_random_streams_rejects_anything_but_a_non_negative_integer(self, seed):
-        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
             RandomStreams(seed)
 
     def test_integer_like_seeds_are_accepted_as_ints(self):
@@ -278,9 +278,10 @@ class TestRejectedValues:
     def test_scenario_spec_rejects_a_bad_seed_at_construction(self, seed):
         data = build_scenario("lossy_uplink", scale=120).to_dict()
         data["seed"] = seed
-        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+        # A file's bool or string is refused as not a number before any range is read.
+        with pytest.raises(ValueError, match=r"^seed must be (an integer >= 0|a number), got "):
             ScenarioSpec.from_dict(data)
-        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
             build_scenario("lossy_uplink", scale=120, seed=seed)
 
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
@@ -293,12 +294,12 @@ class TestRejectedValues:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"latency_s": math.nan}, "latency_s must be finite, got nan"),
-            ({"jitter_s": math.inf}, "jitter_s must be finite, got inf"),
-            ({"retry_base_s": math.nan}, "retry_base_s must be finite, got nan"),
-            ({"retry_cap_s": math.inf}, "retry_cap_s must be finite, got inf"),
-            ({"loss_prob": math.nan}, "loss_prob must be finite, got nan"),
-            ({"dup_prob": -math.inf}, "dup_prob must be finite, got -inf"),
+            ({"latency_s": math.nan}, "latency_s must be a finite number >= 0, got nan"),
+            ({"jitter_s": math.inf}, "jitter_s must be a finite number >= 0, got inf"),
+            ({"retry_base_s": math.nan}, "retry_base_s must be a finite number > 0, got nan"),
+            ({"retry_cap_s": math.inf}, "retry_cap_s must be a finite number > 0, got inf"),
+            ({"loss_prob": math.nan}, r"loss_prob must be in \[0, 1\), got nan"),
+            ({"dup_prob": -math.inf}, r"dup_prob must be in \[0, 1\], got -inf"),
         ],
     )
     def test_non_finite_channel_numbers(self, kwargs, message):
@@ -310,11 +311,11 @@ class TestRejectedValues:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"at": math.nan, "until": 1.0}, "channel window at must be a number, got nan"),
-            ({"at": 0.0, "until": math.nan}, "channel window until must be a number, got nan"),
-            ({"at": "0", "until": 1.0}, "channel window at must be a number, got '0'"),
-            ({"at": 0.0, "until": None}, "channel window until must be a number, got None"),
-            ({"at": -math.inf, "until": 1.0}, "channel window at must be finite, got -inf"),
+            ({"at": math.nan, "until": 1.0}, "at must be a finite number, got nan"),
+            ({"at": 0.0, "until": math.nan}, r"until must be a number \(inf: no end\), got nan"),
+            ({"at": "0", "until": 1.0}, "at must be a finite number, got '0'"),
+            ({"at": 0.0, "until": None}, r"until must be a number \(inf: no end\), got None"),
+            ({"at": -math.inf, "until": 1.0}, "at must be a finite number, got -inf"),
         ],
     )
     def test_channel_window_times(self, kwargs, message):

@@ -116,7 +116,7 @@ class TestPhysicalCostModel:
     @pytest.mark.parametrize("field", ["beta", "framework_startup"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_constant_rejected_naming_field_grade_and_value(self, field, bad):
-        with pytest.raises(ValueError, match=rf"{field}\['High'\] must be a positive finite number, got {bad!r}"):
+        with pytest.raises(ValueError, match=rf"^{field}\['High'\] must be a finite number > 0, got {bad!r}$"):
             PhysicalCostModel(**{field: {"High": bad, "Low": 20.0}})
 
 

@@ -354,6 +354,17 @@ class TestSpecSerialization:
             ("tenants[0].grades", {"grade": "High"}, "tenants[0].grades must be a list, got {'grade': 'High'}"),
             ("tenants[0].deadline_s", "10", "tenants[0].deadline_s must be a number, got '10'"),
             ("population.dropout_prob", "0.1", "population.dropout_prob must be a number, got '0.1'"),
+            # Each used to surface without the field's path: a bare unpacking
+            # error, or "peak hours must be within [0, 24)".
+            (
+                "population.network_mix",
+                [["wifi"]],
+                "population.network_mix must be a list of [profile, weight] pairs, got [['wifi']]",
+            ),
+            ("population.night_peak", float("nan"), "population.night_peak must be an hour in [0, 24), got nan"),
+            ("population.night_peak", 25, "population.night_peak must be an hour in [0, 24), got 25"),
+            ("population.evening_peak", float("nan"), "population.evening_peak must be an hour in [0, 24), got nan"),
+            ("population.evening_peak", 25, "population.evening_peak must be an hour in [0, 24), got 25"),
         ],
     )
     def test_a_malformed_scenario_file_fails_naming_its_path(self, path, value, message):
