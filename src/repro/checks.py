@@ -15,19 +15,20 @@ from numbers import Integral, Real
 
 def is_number(value: object) -> bool:
     """Whether ``value`` is a real number, as a JSON number parses to (``bool`` is not one)."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    # A plain float or int first: the ABC check costs more than the rest of a check.
+    return value.__class__ in (float, int) or (isinstance(value, Real) and not isinstance(value, bool))
 
 
 def check_count(name: str, value: object) -> int:
     """``value`` as an ``int`` >= 1, or a ``ValueError`` that opens with ``name``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+    if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, Integral)) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
 
 
 def check_non_negative_int(name: str, value: object) -> int:
     """``value`` as an ``int`` >= 0 (a seed, a count that may be zero), or a ``ValueError`` that opens with ``name``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+    if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, Integral)) or value < 0:
         raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
     return int(value)
 

@@ -143,7 +143,7 @@ class CloudIngestSink:
             seen = self._seen.get(round_index)
             if seen is None:
                 seen = self._seen[round_index] = set()
-            if not dropped and seen.isdisjoint(device_ids) and len(fresh := set(device_ids)) == n:
+            if not dropped and len(fresh := set(device_ids)) == n and seen.isdisjoint(fresh):
                 seen |= fresh  # every row is a first upload: no per-row pass
             else:
                 for position, device_id in enumerate(device_ids):

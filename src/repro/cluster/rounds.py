@@ -4,9 +4,9 @@ The paper's two tiers are one queueing structure — "each actor sequentially
 simulating multiple devices" (§IV-A), computing phones "repeatedly
 emulating simulated devices" (§IV-C): a plan's devices are dealt round-robin
 onto slots and each slot works through its queue.  A plan is therefore a
-struct of per-device columns (:class:`DeviceColumns`; the id column of a
-generated plan is a :class:`DeviceIdRange`, which holds no string until one
-is read) plus what the whole grade shares (:class:`TierPlan`), a round's
+struct of per-device columns (:class:`DeviceColumns`; every id column is an
+:class:`IdColumn`, rows of one :class:`IdTable`, and a generated table holds
+no string until one is read) plus what the whole grade shares (:class:`TierPlan`), a round's
 results are one :class:`~repro.deviceflow.messages.MessageBlock` over the
 same rows — the block the sink, DeviceFlow and the fold are handed, never a
 copy of it, and kept by the tier only until its deliveries have fired — and
@@ -16,7 +16,6 @@ closes a round.  A tier contributes only its completion-time kernel.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Generator, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -31,92 +30,102 @@ from repro.ml.operators import BlockOperatorContext, OperatorFlow
 from repro.simkernel import AllOf, RandomStreams, Signal, Simulator, TimeoutPool
 
 
-class DeviceIdRange(Sequence):
-    """A generated plan's id column: ``f"{prefix}{i:06d}"`` for ``i`` in ``rows``, rendered when read.
+@dataclass(eq=False, slots=True)
+class IdTable:
+    """A dataset's ids, or ``f"{prefix}{i:06d}"`` for ``i < n``: an index formats one, a first iteration renders all."""
 
-    A root (``root is None`` — never ``self``: a plan's ids die with the
-    plan, not at the next cyclic collection) stands for rows ``range(n)``;
-    any other column is a selection of its root's rows, a ``range`` (a
-    forward slice) or a ``list`` of row numbers (dropout survivors,
-    :meth:`select`, and delivery chunks, :meth:`concat`).  Until something
-    iterates, selecting, joining and slicing make another column over the
-    same root and an int index renders one id.  The first iteration of the
-    root or of any column renders the root's ids **once**; from then on a
-    slice, a selection or an iteration is a ``list`` of strings from that
-    one list.  A consumer that reads ids every round (a lossy channel, the
-    dedup gate) pays once per plan; a time-only round through DeviceFlow
-    reads none and pays nothing per device.
+    prefix: str
+    n: int
+    names: Sequence[str] | None = None
+
+
+class IdColumn(Sequence):
+    """A device-id column: the ``rows`` it selects of one :class:`IdTable`, a ``range`` while contiguous.
+
+    A selection's rows are an int64 array.  Cuts, selections and joins of one
+    table stay columns of it; only a join of different tables makes a table.
     """
 
-    __slots__ = ("prefix", "rows", "root", "rendered")
+    __slots__ = ("table", "rows")
 
-    def __init__(self, prefix: str, rows: range | list[int], root: DeviceIdRange | None = None) -> None:
-        self.prefix, self.rows, self.root = prefix, rows, root
-        #: On a root: every id of the plan, once something has iterated.
-        self.rendered: list[str] | None = None
+    def __init__(self, table: IdTable, rows: range | np.ndarray) -> None:
+        self.table, self.rows = table, rows
+
+    @classmethod
+    def of(cls, ids: Sequence[str]) -> IdColumn:
+        """``ids`` itself when it is a column, else every row of a fresh table over it."""
+        return ids if ids.__class__ is cls else cls(IdTable("", len(ids), ids), range(len(ids)))
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, index: int | slice) -> str | Sequence[str]:
-        root = self if self.root is None else self.root
-        rows, rendered = self.rows[index], root.rendered
-        if not isinstance(index, slice):
-            return f"{self.prefix}{rows:06d}" if rendered is None else rendered[rows]
-        if (index.step or 1) < 0:
-            raise ValueError("an id column is sliced forwards")
-        return self._column(rows, root)
-
-    def _column(self, rows: range | list[int], root: DeviceIdRange) -> Sequence[str]:
-        """Root rows ``rows`` as a column: unrendered, another selection; rendered, a list."""
-        rendered = root.rendered
-        if rendered is None:
-            return DeviceIdRange(self.prefix, rows, root)
-        if isinstance(rows, range):
-            return rendered[rows.start : rows.stop : rows.step]
-        return [rendered[row] for row in rows]
+    def __getitem__(self, index: int | slice) -> str | IdColumn:
+        if index.__class__ is slice:
+            if (index.step or 1) < 0:
+                raise ValueError("an id column is sliced forwards")
+            return IdColumn(self.table, self.rows[index])
+        row, table = self.rows[index], self.table
+        return f"{table.prefix}{row:06d}" if table.names is None else table.names[row]
 
     def __iter__(self) -> Iterator[str]:
-        root = self if self.root is None else self.root
-        if root.rendered is None:
-            prefix = root.prefix
-            root.rendered = [f"{prefix}{i:06d}" for i in root.rows]
-        return iter(self[:])
+        table, rows = self.table, self.rows
+        if table.names is None:
+            table.names = [f"{table.prefix}{i:06d}" for i in range(table.n)]
+        if rows.__class__ is range:
+            return iter(table.names[rows.start : rows.stop : rows.step])
+        return map(table.names.__getitem__, rows.tolist())
 
-    def select(self, flags: list[bool]) -> Sequence[str]:
-        """The ids where ``flags`` is set (``itertools.compress``), as a selection of the root."""
-        return self._column(list(itertools.compress(self.rows, flags)), self if self.root is None else self.root)
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (IdColumn, list)) else NotImplemented
 
-    def concat(self, columns: list[Sequence[str]]) -> Sequence[str]:
-        """``columns`` (this one first) end to end: one selection while all share this unrendered root."""
-        root = self if self.root is None else self.root
-        if root.rendered is None and all(c is root or getattr(c, "root", None) is root for c in columns):
-            return DeviceIdRange(self.prefix, list(itertools.chain.from_iterable(c.rows for c in columns)), root)
-        return list(itertools.chain.from_iterable(columns))
+    def select(self, keep: np.ndarray) -> IdColumn:
+        """The rows where the boolean mask ``keep`` is set."""
+        r = self.rows
+        return IdColumn(self.table, (np.arange(r.start, r.stop, r.step) if r.__class__ is range else r)[keep])
+
+    def join(self, others: list[IdColumn]) -> IdColumn:
+        """This column and ``others`` end to end, over this column's table unless a part is of another."""
+        table, pieces = self.table, [self.rows]
+        for column in others:
+            rows, last = column.rows, pieces[-1]
+            if column.table is not table:
+                return IdColumn.of([name for part in (self, *others) for name in part])
+            if not len(rows):
+                continue
+            if not len(last):
+                pieces[-1] = rows
+            elif rows.__class__ is last.__class__ is range and rows.step == last.step == rows.start - last[-1]:
+                pieces[-1] = range(last.start, rows.stop, rows.step)  # adjacent ranges stay one range
+            else:
+                pieces.append(rows)
+        if len(pieces) > 1:  # few rows a piece, mostly: one list of ints, then one array
+            pieces = [np.array([row for r in pieces for row in (r if r.__class__ is range else r.tolist())])]
+        return IdColumn(table, pieces[0])
 
 
 @dataclass
 class DeviceColumns:
     """The devices of a plan, one row each.
 
-    ``device_ids`` is any sequence of ``str``: a dataset's own id list for
-    numeric plans, a :class:`DeviceIdRange` for generated time-only ones.
-    ``datasets`` is ``None`` for *time-only* runs (the large-scale
-    scalability experiments); ``n_samples`` still feeds the FedAvg weights
-    and the staged-bytes estimate so aggregation triggers behave
-    realistically.  Plans validate their columns at construction.
+    ``device_ids`` is an :class:`IdColumn` (a list is wrapped into one): rows
+    of a dataset's own id table for numeric plans, of a generated table for
+    time-only ones.  ``datasets`` is ``None`` for *time-only* runs (the
+    large-scale scalability experiments); ``n_samples`` still feeds the
+    FedAvg weights and the staged-bytes estimate so aggregation triggers
+    behave realistically.  Plans validate their columns at construction.
     """
 
-    device_ids: Sequence[str]
+    device_ids: IdColumn
     n_samples: np.ndarray
     datasets: list[DeviceDataset] | None = None
 
     def __post_init__(self) -> None:
+        self.device_ids = IdColumn.of(self.device_ids)
         self.n_samples = np.asarray(self.n_samples, dtype=np.int64)
 
     @classmethod
     def of_shards(cls, shards: Sequence[DeviceDataset]) -> DeviceColumns:
-        """Columns of devices that each hold one local dataset shard."""
+        """Columns of devices that each hold one local dataset shard, over one table of their ids."""
         return cls([s.device_id for s in shards], [len(s) for s in shards], list(shards))
 
     def __len__(self) -> int:

@@ -17,7 +17,8 @@ wave, a whole round, or one upload as a block of one row — and DeviceFlow's
 shelves and send queues hold *segments*: row ranges of those blocks.  All
 the traffic controller needs of a segment is ``task_id``, ``round_index``,
 ``rows`` (how many messages it stands for), ``device_ids``, slicing
-(``segment[lo:hi]``) and :meth:`MessageBlock.compress`.
+(``segment[lo:hi]``) and :meth:`MessageBlock.compress`.  However a block is
+cut, its ids are rows of its plan's id table, and no cut renders a name.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 #: The per-row array columns of a :class:`MessageBlock`; all but
 #: ``n_samples`` are optional.
 _ARRAY_COLUMNS = ("n_samples", "finished_at", "update_weights", "update_biases")
-_OPTIONAL_COLUMNS = _ARRAY_COLUMNS[1:]
 
 _new = object.__new__
 
@@ -63,7 +63,7 @@ class MessageBlock:
         Owning task and collaboration round (one block never spans
         rounds — plans emit per round).
     device_ids:
-        Producing devices, in block (assignment) order.
+        Producing devices, in block order, as an :class:`~repro.cluster.rounds.IdColumn` (a list is wrapped).
     grade:
         Device grade of every row (a plan has one grade, so a block does).
     size_bytes:
@@ -96,6 +96,8 @@ class MessageBlock:
             raise ValueError("task_id must be non-empty")
         if self.size_bytes < 0:
             raise ValueError("size_bytes must be >= 0")
+        from repro.cluster.rounds import IdColumn  # not at the top: the rounds module imports this one
+        self.device_ids = IdColumn.of(self.device_ids)
         n = self.rows = len(self.device_ids)
         if self.n_samples is None:
             self.n_samples = np.ones(n, dtype=np.int64)
@@ -121,13 +123,11 @@ class MessageBlock:
     # ------------------------------------------------------------------
     def _derive(self, device_ids: Sequence[str], index: slice | np.ndarray) -> MessageBlock:
         """A block sharing this one's scalar fields: ``device_ids``, and each array column it carries at ``index``."""
-        parent = self.__dict__
-        fields = parent.copy()
+        fields = self.__dict__.copy()
         fields["device_ids"] = device_ids
         fields["rows"] = len(device_ids)
-        fields["n_samples"] = parent["n_samples"][index]
-        for column in _OPTIONAL_COLUMNS:
-            values = parent[column]
+        for column in _ARRAY_COLUMNS:
+            values = fields[column]
             if values is not None:
                 fields[column] = values[index]
         block = _new(MessageBlock)
@@ -142,10 +142,7 @@ class MessageBlock:
 
     def compress(self, keep: np.ndarray) -> MessageBlock:
         """The rows where the boolean mask ``keep`` is set (dropout survivors)."""
-        ids, flags = self.device_ids, keep.tolist()
-        select = getattr(ids, "select", None)  # a generated id column selects rows, renders nothing
-        ids = list(itertools.compress(ids, flags)) if select is None else select(flags)
-        return self._derive(ids, keep)
+        return self._derive(self.device_ids.select(keep), keep)
 
     def _layout(self) -> tuple:
         """What two blocks must share for their rows to sit in one block's columns."""
@@ -178,15 +175,8 @@ class MessageBlock:
         head = run[0]
         if len(run) == 1:
             return head
-        columns = [part.device_ids for part in run]
-        concat = getattr(columns[0], "concat", None)  # parts of one generated id column stay one
-        ids = list(itertools.chain.from_iterable(columns)) if concat is None else concat(columns)
-        fields = head.__dict__.copy()
-        fields["device_ids"] = ids
-        fields["rows"] = len(ids)
+        block = head._derive(head.device_ids.join([part.device_ids for part in run[1:]]), slice(None))
         for column in _ARRAY_COLUMNS:
-            if fields[column] is not None:
-                fields[column] = np.concatenate([part.__dict__[column] for part in run])
-        block = _new(MessageBlock)
-        block.__dict__ = fields
+            if block.__dict__[column] is not None:
+                block.__dict__[column] = np.concatenate([part.__dict__[column] for part in run])
         return block

@@ -33,7 +33,7 @@ from repro.cluster import (
     NodeSpec,
     ResourceBundle,
 )
-from repro.cluster.rounds import DeviceIdRange
+from repro.cluster.rounds import IdColumn, IdTable
 from repro.experiments.render import format_table
 from repro.ml import standard_fl_flow
 from repro.simkernel import RandomStreams, Simulator
@@ -65,7 +65,7 @@ def _simdc_round_time(n_devices: int, total_cores: int) -> float:
     """Simulated seconds of one time-only logical round: ``prepare`` + ``run_round``."""
     plan = GradeExecutionPlan(
         grade="Std",
-        devices=DeviceColumns(DeviceIdRange("d", range(n_devices)), np.full(n_devices, 10)),
+        devices=DeviceColumns(IdColumn(IdTable("d", n_devices), range(n_devices)), np.full(n_devices, 10)),
         n_actors=total_cores,
         bundle=ResourceBundle(cpus=1, memory_gb=1),
         flow=standard_fl_flow(),

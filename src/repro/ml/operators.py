@@ -47,7 +47,7 @@ class BlockOperatorContext:
     * ``outputs["local_metrics"]`` — per-device metric dicts in block order.
     """
 
-    device_ids: list[str]
+    device_ids: Sequence[str]
     grade: str
     datasets: list[DeviceDataset]
     feature_dim: int

@@ -95,8 +95,8 @@ class SLASpec:
             raise ValueError(
                 f"unknown SLA metric {self.metric!r}; known: {known_metrics()}"
             )
-        check_finite("limit", self.limit)
-        check_positive("window_s", self.window_s)
+        self.limit = check_finite("limit", self.limit)
+        self.window_s = check_positive("window_s", self.window_s)
 
     def holds(self, value: float | None) -> bool:
         """Whether ``value`` satisfies the objective (no data = holds)."""

@@ -214,11 +214,11 @@ class ArrivalSpec:
                 raise ValueError(f"times must be finite and >= 0, got {self.times!r}")
         else:
             check_count("count", self.count)
-        check_non_negative("offset_s", self.offset_s)
+        self.offset_s = check_non_negative("offset_s", self.offset_s)
         if self.kind == "periodic":
-            check_positive("period_s", self.period_s)
+            self.period_s = check_positive("period_s", self.period_s)
         if self.kind == "poisson":
-            check_positive("rate_per_hour", self.rate_per_hour)
+            self.rate_per_hour = check_positive("rate_per_hour", self.rate_per_hour)
 
     def submission_times(self, rng: np.random.Generator) -> list[float]:
         """The sorted submission instants (seconds from scenario start).
@@ -412,19 +412,19 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        check_finite("at", self.at)  # NaN and inf first: a finite number, then one >= 0
-        check_non_negative("at", self.at)
+        self.at = check_non_negative("at", check_finite("at", self.at))  # NaN and inf first: a finite number, then >= 0
         if self.until is not None and self.until <= self.at:
             raise ValueError(f"fault recovery must come after the fault: until={self.until!r} <= at={self.at!r}")
         if self.kind in ("phone_crash", "network_degradation") and self.until is not None:
             check_finite("until", self.until)  # the kernel schedules the recovery
         elif self.until is not None and math.isnan(self.until):  # inf: the window never closes
             raise ValueError(f"until must be a number (inf: no end), got {self.until!r}")
+        self.until = None if self.until is None else float(self.until)  # a Monitor event carries it
         if isinstance(self.count, bool) or not isinstance(self.count, Integral):
             raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.kind == "phone_crash" and self.count < 1:
             raise ValueError(f"phone_crash needs count >= 1, got {self.count!r}")
-        check_finite("factor", self.factor)  # first: the per-kind ranges below compare it
+        self.factor = check_finite("factor", self.factor)  # first: the per-kind ranges below compare it
         if self.kind == "straggler":
             if self.until is None:
                 raise ValueError(f"straggler injection needs a window end, got until={self.until!r}")

@@ -32,7 +32,7 @@ from repro.cloud.transport import ChannelModel, TransportChannel, TransportCount
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
 from repro.cluster.resources import ResourceBundle
-from repro.cluster.rounds import DeviceColumns, DeviceIdRange
+from repro.cluster.rounds import DeviceColumns, IdColumn, IdTable
 from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 from repro.data.avazu import FederatedDataset, make_federated_ctr_data
 from repro.deviceflow.controller import DeviceFlow
@@ -318,19 +318,18 @@ class TaskRunner:
     def _build_plans(
         self, dataset: FederatedDataset | None, allocation: AllocationResult
     ) -> tuple[list[GradeExecutionPlan], list[PhoneAssignment]]:
-        """Split each grade's device ids across tiers per the allocation."""
-        available_ids = dataset.device_ids() if dataset is not None else None
+        """Split each grade's device ids across tiers per the allocation: rows of one id table per dataset or grade."""
+        shards = None if dataset is None else DeviceColumns.of_shards([dataset.shard(d) for d in dataset.device_ids()])
         cursor = 0
         logical_plans: list[GradeExecutionPlan] = []
         phone_plans: list[PhoneAssignment] = []
         for grade_req, grade_alloc in zip(self.spec.grades, allocation.grades):
             n = grade_req.n_devices
-            if available_ids is not None:
-                ids = available_ids[cursor : cursor + n]
+            if shards is not None:
+                devices = shards[cursor : cursor + n]
                 cursor += n
-                devices = DeviceColumns.of_shards([dataset.shard(d) for d in ids])
             else:
-                ids = DeviceIdRange(f"{self.spec.task_id}-{grade_req.grade}-", range(n))
+                ids = IdColumn(IdTable(f"{self.spec.task_id}-{grade_req.grade}-", n), range(n))
                 devices = DeviceColumns(ids, np.full(n, self.spec.records_per_device, dtype=np.int64))
             # Rows in order: the benchmarking devices, the logical share, the phones' share.
             n_bench = grade_req.n_benchmark

@@ -35,7 +35,7 @@ from repro.cloud import (
     TransportChannel,
 )
 from repro.cloud.aggregation import AggregationTrigger
-from repro.cluster.rounds import DeviceIdRange
+from repro.cluster.rounds import IdColumn, IdTable
 from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
 from repro.ml.backends import SERVER_BACKEND
 from repro.ml.fedavg import ModelUpdate
@@ -156,7 +156,7 @@ class TestRowAlignment:
     def test_any_chain_of_row_operations_keeps_every_column_aligned(self, n, carried, ops, id_range):
         block = indexed_block(range(n), carried)
         if id_range:  # a generated plan's id column ("d000003"), unrendered until an operation reads it
-            block.device_ids = DeviceIdRange("d", range(n))
+            block.device_ids = IdColumn(IdTable("d", n), range(n))
         for op, *args in ops:
             rows = len(block)
             if op == "slice":

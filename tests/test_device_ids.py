@@ -1,4 +1,4 @@
-"""The id column of a time-only plan: the list it replaces, rendered only when read."""
+"""The one id column: rows of an id table, a generated table rendered only when read."""
 
 import gc
 import itertools
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro import GradeRequirement, PlatformConfig, SimDC, TaskSpec, TaskState
 from repro.cloud.transport import ChannelModel
 from repro.cluster import NodeSpec
-from repro.cluster.rounds import DeviceIdRange
+from repro.cluster.rounds import IdColumn, IdTable
 from repro.deviceflow import RealTimeAccumulatedStrategy, TimeIntervalStrategy, right_tailed_normal
 from repro.deviceflow.messages import MessageBlock
 from repro.ml import standard_fl_flow
@@ -21,8 +21,14 @@ from repro.scheduler.task_runner import TaskRunner
 BOUNDS = st.one_of(st.none(), st.integers(-14, 14))
 
 
-def root_of(ids):
-    return ids if ids.root is None else ids.root
+def generated(prefix, n):
+    return IdColumn(IdTable(prefix, n), range(n))
+
+
+def table(prefix, n, dataset):
+    """A plan's whole column: over a dataset's own id list, or over a generated table."""
+    names = [f"{prefix}{i:06d}" for i in range(n)]
+    return IdColumn.of(list(names)) if dataset else generated(prefix, n)
 
 
 def by_index(ids):
@@ -41,51 +47,52 @@ class TestEqualsTheListItReplaces:
     @given(
         prefix=st.text(max_size=6),
         n=st.integers(0, 12),
+        dataset=st.booleans(),
         chain=st.lists(st.tuples(BOUNDS, BOUNDS, st.sampled_from([None, 1, 2, 3])), max_size=4),
         probe=st.tuples(BOUNDS, BOUNDS),
         render_first=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
     def test_len_index_slice_and_iteration_agree_before_and_after_rendering(
-        self, prefix, n, chain, probe, render_first
+        self, prefix, n, dataset, chain, probe, render_first
     ):
         want = [f"{prefix}{i:06d}" for i in range(n)]
-        ids = root = DeviceIdRange(prefix, range(n))
+        ids = root = table(prefix, n, dataset)
         if render_first:
             assert list(root) == want
         for lo, hi, step in chain:
             ids, want = ids[lo:hi:step], want[lo:hi:step]
+            assert isinstance(ids, IdColumn) and ids.table is root.table and isinstance(ids.rows, range)
         # First pass reads by length, index and slice only, which renders nothing; iterating then
-        # renders the root, and the second pass reads the same column rendered.
-        for rendered in (render_first, True):
+        # renders a generated table, and the second pass reads the same column rendered.
+        for rendered in (render_first or dataset, True):
             assert len(ids) == len(want)
             for index in range(-len(want) - 2, len(want) + 2):
                 assert outcome(lambda: ids[index]) == outcome(lambda: want[index])
             assert by_index(ids[probe[0] : probe[1]]) == want[probe[0] : probe[1]]
-            assert (root.rendered is not None) == rendered
+            assert (root.table.names is not None) == rendered
             assert list(ids) == want
-        assert root.rendered == [f"{prefix}{i:06d}" for i in range(n)]
+        assert list(root.table.names) == [f"{prefix}{i:06d}" for i in range(n)]
 
     def test_a_rendered_column_hands_out_lists_of_the_one_rendering(self):
-        root = DeviceIdRange("t-High-", range(6))
+        root = generated("t-High-", 6)
         early = root[1:5]  # cut before anything rendered
-        assert isinstance(early, DeviceIdRange) and root.rendered is None
+        assert isinstance(early, IdColumn) and root.table.names is None
         first = list(early)
-        assert type(root[1:5]) is list and type(early[::2]) is list
         # One rendering: every later read hands out the same str objects.
         for again, once in zip([*early[:], *root[1:5], early[0]], [*first, *first, first[0]]):
             assert again is once
 
     def test_backward_slices_are_refused_not_misread(self):
         with pytest.raises(ValueError, match="forwards"):
-            DeviceIdRange("d", range(4))[::-1]
+            generated("d", 4)[::-1]
 
     def test_a_column_dies_with_its_last_reference(self):
         """A root that pointed at itself kept every plan's ids alive until the cyclic collector ran."""
         gc.collect()
         gc.disable()
         try:
-            root = DeviceIdRange("d", range(50))
+            root = generated("d", 50)
             child = root[10:20]
             assert len(list(child)) == 10
             del root, child
@@ -95,12 +102,13 @@ class TestEqualsTheListItReplaces:
 
 
 STRIDES = st.sampled_from([None, 1, 2, 3])
-#: What DeviceFlow does to a segment's id column: a row range, a dropout mask, a join with another range.
+#: What DeviceFlow does to a segment's id column: a row range, a dropout mask, a join with another
+#: range of the plan's table or of a second table.
 column_ops = st.lists(
     st.one_of(
         st.tuples(st.just("slice"), BOUNDS, BOUNDS, STRIDES),
         st.tuples(st.just("mask"), st.integers(0, 2**14 - 1)),
-        st.tuples(st.just("join"), BOUNDS, BOUNDS, STRIDES),
+        st.tuples(st.just("join"), st.booleans(), BOUNDS, BOUNDS, STRIDES),
     ),
     max_size=5,
 )
@@ -110,32 +118,44 @@ class TestSelectionsEqualTheListOperations:
     @given(
         prefix=st.text(max_size=4),
         n=st.integers(0, 12),
+        datasets=st.tuples(st.booleans(), st.booleans()),
         ops=column_ops,
         render_at=st.integers(0, 6),
         probe=st.tuples(BOUNDS, BOUNDS, STRIDES),
     )
     @settings(max_examples=400, deadline=None)
-    def test_sliced_selected_and_joined_columns_read_like_the_rendered_list(self, prefix, n, ops, render_at, probe):
+    def test_sliced_selected_and_joined_columns_read_like_the_rendered_list(
+        self, prefix, n, datasets, ops, render_at, probe
+    ):
         """Blocks cut, thinned and coalesced as DeviceFlow does; ``render_at`` past the ops renders after them."""
-        root = DeviceIdRange(prefix, range(n))
-        block, rows = MessageBlock(task_id="t", round_index=0, device_ids=root), list(range(n))
+        roots = [table(prefix, n, datasets[0]), table(prefix + "b", 5, datasets[1])]
+        block, rows = MessageBlock(task_id="t", round_index=0, device_ids=roots[0]), [(0, row) for row in range(n)]
         for step, (kind, *args) in enumerate(ops):
             if step == render_at:
-                list(root)
+                list(roots[0])
+            before = block.device_ids
             if kind == "slice":
                 block, rows = block[args[0] : args[1] : args[2]], rows[args[0] : args[1] : args[2]]
+                if isinstance(before.rows, range):  # a contiguous cut holds no row array
+                    assert isinstance(block.device_ids.rows, range)
             elif kind == "mask":
                 flags = [bool(args[0] >> row & 1) for row in range(len(rows))]
                 block, rows = block.compress(np.array(flags, dtype=bool)), list(itertools.compress(rows, flags))
             else:
-                part = MessageBlock(task_id="t", round_index=0, device_ids=root[args[0] : args[1] : args[2]])
-                (block,) = MessageBlock.coalesce([block, part])
-                rows += range(n)[args[0] : args[1] : args[2]]
-        ids, want = block.device_ids, [f"{prefix}{row:06d}" for row in rows]
-        assert isinstance(ids, DeviceIdRange) == (root.rendered is None)
-        if isinstance(ids, DeviceIdRange):
-            with pytest.raises(ValueError, match="forwards"):
-                ids[::-1]
+                other, lo, hi, stride = args
+                part = roots[other][lo:hi:stride]
+                (block,) = MessageBlock.coalesce([block, MessageBlock(task_id="t", round_index=0, device_ids=part)])
+                rows += [(other, row) for row in range(len(roots[other].rows))[lo:hi:stride]]
+                if part.table is before.table:
+                    assert block.device_ids.table is before.table
+                else:  # only parts of different tables build a new table
+                    assert block.device_ids.table not in (before.table, part.table)
+            assert block.device_ids.table is before.table or kind == "join"
+        ids = block.device_ids
+        want = [f"{prefix}{'b' if other else ''}{row:06d}" for other, row in rows]
+        assert isinstance(ids, IdColumn)
+        with pytest.raises(ValueError, match="forwards"):
+            ids[::-1]
         lo, hi, stride = probe
         for _ in range(2):  # unrendered reads first when nothing rendered yet, then the rendered column
             assert len(ids) == len(want)
@@ -144,29 +164,42 @@ class TestSelectionsEqualTheListOperations:
             assert by_index(ids[lo:hi:stride]) == want[lo:hi:stride]
             assert list(ids[lo:hi:stride]) == want[lo:hi:stride]
             assert list(ids) == want
-        # Every string handed out after rendering is the root's own object.
-        own = [root.rendered[row] for row in rows]
+        # Every string handed out after rendering is its table's own object.
+        list(roots[1])
+        own = [roots[other].table.names[row] for other, row in rows]
         for read in (list(ids), by_index(ids), list(ids[:])):
             assert all(got is mine for got, mine in zip(read, own, strict=True))
 
     def test_a_join_across_roots_or_with_a_list_renders_a_list(self):
-        first, second = DeviceIdRange("a", range(3)), DeviceIdRange("b", range(2))
-        assert first.concat([first[1:], second]) == ["a000001", "a000002", "b000000", "b000001"]
-        assert first.concat([first[:1], ["x"]]) == ["a000000", "x"]
+        """Parts of different tables join into a fresh table of their names."""
+        first, second = generated("a", 3), generated("b", 2)
+        across = first[1:].join([second])
+        assert across == ["a000001", "a000002", "b000000", "b000001"]
+        assert across.table not in (first.table, second.table) and isinstance(across.rows, range)
         (joined,) = MessageBlock.coalesce(
             [MessageBlock(task_id="t", round_index=0, device_ids=ids) for ids in (["x"], second)]
         )
         assert joined.device_ids == ["x", "b000000", "b000001"]
 
     def test_a_selection_of_an_unrendered_root_is_one_column_over_it(self):
-        root = DeviceIdRange("d", range(6))
-        survivors = root[1:].select([True, False, True, True, False])
-        assert isinstance(survivors, DeviceIdRange) and survivors.rows == [1, 3, 4]
-        chunk = survivors.concat([survivors, root[5:]])
-        assert chunk.root is root and chunk.rows == [1, 3, 4, 5] and root.rendered is None
+        root = generated("d", 6)
+        survivors = root[1:].select(np.array([True, False, True, True, False]))
+        assert survivors.table is root.table and survivors.rows.tolist() == [1, 3, 4]
+        chunk = survivors.join([root[5:]])
+        assert chunk.table is root.table and chunk.rows.tolist() == [1, 3, 4, 5] and root.table.names is None
         with pytest.raises(ValueError, match="forwards"):
             chunk[::-2]
         assert list(chunk[1:]) == ["d000003", "d000004", "d000005"]
+
+    def test_adjacent_cuts_of_one_table_join_into_one_range(self):
+        root = generated("d", 10)
+        assert root[2:5].join([root[5:7], root[7:7], root[7:9]]).rows == range(2, 9)
+        assert list(root[0:1].join([root[1:0]]).rows) == [0]  # an empty part starting where the range ends
+        strided = root[::3][:2].join([root[6::3]])
+        assert isinstance(strided.rows, range) and list(strided.rows) == [0, 3, 6, 9]
+        gap = root[2:4].join([root[5:6]])  # a gap, or a change of stride, selects rows by array
+        assert gap.rows.tolist() == [2, 3, 5] and root[0:4:2].join([root[5:7]]).rows.tolist() == [0, 2, 5, 6]
+        assert root.table.names is None
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +252,8 @@ def run_time_only_task(monkeypatch, channel=None, tracer=None, strategy=None):
 def test_a_direct_time_only_task_renders_no_id_column(monkeypatch):
     _, columns = run_time_only_task(monkeypatch)
     for devices in columns:
-        assert isinstance(devices.device_ids, DeviceIdRange)
-        assert root_of(devices.device_ids).rendered is None
+        assert isinstance(devices.device_ids, IdColumn) and isinstance(devices.device_ids.rows, range)
+        assert devices.device_ids.table.names is None
 
 
 @pytest.mark.parametrize(
@@ -250,20 +283,20 @@ def test_dropout_and_delivery_through_deviceflow_render_no_id_column(monkeypatch
     _, columns = run_time_only_task(monkeypatch, strategy=strategy())
     assert calls["compress"] > 0 and calls["coalesce"] > 0  # dropout thinned blocks, chunks joined parts
     for devices in columns:
-        assert isinstance(devices.device_ids, DeviceIdRange)
-        assert root_of(devices.device_ids).rendered is None
+        assert isinstance(devices.device_ids, IdColumn) and isinstance(devices.device_ids.rows, range)
+        assert devices.device_ids.table.names is None
 
 
 def test_behind_a_lossy_channel_each_plan_renders_once_for_all_its_rounds(monkeypatch):
     tracer = Tracer()
     spec, columns = run_time_only_task(monkeypatch, channel=ChannelModel(loss_prob=0.3, dup_prob=0.2), tracer=tracer)
-    (root,) = {id(root_of(devices.device_ids)): root_of(devices.device_ids) for devices in columns}.values()
-    assert root.rendered == [f"{spec.task_id}-High-{i:06d}" for i in range(40)]
+    (table,) = {devices.device_ids.table for devices in columns}
+    assert table.names == [f"{spec.task_id}-High-{i:06d}" for i in range(40)]
     # Three rounds of uploads, one str object per device: nothing re-rendered an id.
     uploads = {}
     for _, device_id, *_ in tracer.uploads:
         uploads.setdefault(device_id, []).append(device_id)
     assert len(uploads) == 40 and all(len(seen) == 3 for seen in uploads.values())
-    rendered = {device_id: device_id for device_id in root.rendered}
+    rendered = {device_id: device_id for device_id in table.names}
     for device_id, seen in uploads.items():
         assert all(one is rendered[device_id] for one in seen)

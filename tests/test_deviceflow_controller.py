@@ -15,7 +15,7 @@ from reference.deviceflow_reference import (
     ReferenceTimePoints,
 )
 
-from repro.cluster.rounds import DeviceIdRange
+from repro.cluster.rounds import IdColumn, IdTable
 from repro.deviceflow import (
     DeviceFlow,
     Dispatcher,
@@ -485,7 +485,7 @@ def generated_ids(script):
 
     def ids_of(round_index, wave, rows):
         if round_index not in roots:
-            roots[round_index] = DeviceIdRange(f"r{round_index}-", range(starts[-1]))
+            roots[round_index] = IdColumn(IdTable(f"r{round_index}-", starts[-1]), range(starts[-1]))
         return roots[round_index][starts[wave] : starts[wave] + rows]
 
     return ids_of

@@ -23,7 +23,7 @@ import repro
 from repro import GradeRequirement, PlatformConfig, SimDC, TaskSpec, TaskState
 from repro.cluster import NodeSpec
 from repro.ml import standard_fl_flow
-from repro.observability import AlarmRule, AutoscaleSpec, SLASpec
+from repro.observability import AlarmRule, AutoscaleSpec, SLASpec, Tracer, spans_jsonl
 from repro.scenarios import (
     SCENARIOS,
     ArrivalSpec,
@@ -500,6 +500,30 @@ class TestScenarioDeterminism:
         second = run_scenario(build_scenario(name, scale=120, seed=2))
         assert first.to_json() == second.to_json()
         assert report_digest(first) == REPORT_PINS[name, 120, 2]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_integer_valued_numbers_written_as_ints_leave_the_run_unchanged(self, name):
+        """``1500`` and ``1500.0`` make one spec, so one run: report, trace and Monitor times alike."""
+        as_is = build_scenario(name, scale=60, seed=1).to_dict()
+        as_ints = ints_for_integral_floats(as_is)
+        assert repr(as_ints) != repr(as_is) and ScenarioSpec.from_dict(as_ints) == ScenarioSpec.from_dict(as_is)
+        runs = []
+        for data in (as_is, as_ints):
+            runner = ScenarioRunner(ScenarioSpec.from_dict(data), tracer=Tracer())
+            report = runner.run()
+            trace = runner.trace()
+            times = [(event.kind, repr(event.time)) for event in runner.platform.monitor.events]
+            runs.append((report.to_json(), trace.to_json(), spans_jsonl(trace), times))
+        assert runs[0] == runs[1]
+
+
+def ints_for_integral_floats(value):
+    """``value`` with every integer-valued float rewritten as an int."""
+    if isinstance(value, dict):
+        return {key: ints_for_integral_floats(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [ints_for_integral_floats(item) for item in value]
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 class TestFlowConservation:
