@@ -47,6 +47,13 @@ def check_finite(name: str, value: object) -> float:
     return float(value)
 
 
+def check_end(name: str, value: object) -> float:
+    """``value`` as a ``float`` that may be ``inf`` (no end), or a ``ValueError`` that opens with ``name``."""
+    if not is_number(value) or math.isnan(value):
+        raise ValueError(f"{name} must be a number (inf: no end), got {value!r}")
+    return float(value)
+
+
 def check_non_negative(name: str, value: object) -> float:
     """``value`` as a finite ``float`` >= 0, or a ``ValueError`` that opens with ``name``."""
     if not is_number(value) or not (math.isfinite(value) and value >= 0):

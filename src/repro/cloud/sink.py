@@ -2,15 +2,15 @@
 
 SimDC's cloud design treats aggregation as buffer-and-fold over whole
 rounds (§VI-C), and the delivery API mirrors that: an :class:`OutcomeSink`
-receives :class:`~repro.deviceflow.messages.MessageBlock` blocks
-(``accept_block``) — a whole plan's round for direct dispatch, one
-completion wave at a time when the task is shaped by DeviceFlow, and a
-block of one row for a benchmarking phone or an upload a transport channel
-delivers.  :class:`CloudIngestSink` implements the cloud path — messaging
-and aggregation — for any of them, on the block it was handed: the tiers
-build the block, the sink converts nothing, and the block is the single
-source of the task id.  A block carries its update arrays inline, so there
-is no storage hop to model (see :mod:`repro.deviceflow.messages`).
+receives segments of :class:`~repro.deviceflow.messages.MessageBlock`
+blocks (``accept_block``) — a whole plan's round for direct dispatch, one
+completion wave at a time when the task is shaped by DeviceFlow, a block of
+one row for a benchmarking phone, one row of a channel's copy of a block for
+an upload.  :class:`CloudIngestSink` implements the cloud path — messaging
+and aggregation — for any of them: DeviceFlow shelves the segment as handed,
+the fold gathers its rows once, and the block is the single source of the
+task id.  A block carries its update arrays inline, so there is no storage
+hop to model (see :mod:`repro.deviceflow.messages`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.cloud.aggregation import AggregationService
 from repro.deviceflow.controller import DeviceFlow
-from repro.deviceflow.messages import MessageBlock
+from repro.deviceflow.messages import MessageBlock, Segment
 from repro.simkernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,11 +32,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class OutcomeSink(Protocol):
     """Receives device-round results from the execution tiers.
 
-    The tiers deliver through :meth:`accept_block`, one
-    :class:`MessageBlock` a call: a computing plan's whole round, fired
-    once at the block's last completion time; one completion wave of it
-    (a row range), fired at the wave's time; or the one-row block of a
-    benchmarking phone, fired as it finishes training.
+    The tiers deliver through :meth:`accept_block`, one segment a call:
+    a computing plan's whole round (the :class:`MessageBlock` itself),
+    fired at its last completion time; one completion wave of it (a
+    :class:`~repro.deviceflow.messages.Segment`: the plan block and the
+    wave's rows), fired at the wave's time; or the one-row block of a
+    benchmarking phone.  A channel delivers an upload as one row of its
+    copy of the plan block, whose time column holds the arrivals.
 
     One optional class/instance attribute picks the granularity for
     computing plans: ``prefers_waves`` (default ``False``; ``True`` asks
@@ -45,17 +47,18 @@ class OutcomeSink(Protocol):
     when they happen).
     """
 
-    def accept_block(self, block: MessageBlock) -> None:
-        """Ingest a plan's round, or a row range of it, as one columnar block."""
+    def accept_block(self, block: Segment) -> None:
+        """Ingest a plan's round, or a segment of it."""
         ...  # pragma: no cover - protocol
 
 
 class CloudIngestSink:
     """The production sink: DeviceFlow/aggregation ingestion.
 
-    A delivery (:meth:`accept_block`) is gate, then one
-    ``deviceflow.submit_block`` or one ``service.receive_block`` of the
-    block itself (of its surviving rows, when the gate dropped some) —
+    A delivery (:meth:`accept_block`) is one ``deviceflow.submit_block``
+    of the segment as handed, or gate, then one ``service.receive_block``
+    of the block its rows gather into (of its surviving rows, when the
+    gate dropped some) —
     with the global model bit-identical however a round's rows were cut
     into blocks, by FedAvg partition invariance.
 
@@ -169,8 +172,8 @@ class CloudIngestSink:
         return block.compress(keep) if len(dropped) < n else None
 
     # ------------------------------------------------------------------
-    def accept_block(self, block: MessageBlock) -> None:
-        """Block ingestion: one submit or fold, of the block as handed.
+    def accept_block(self, block: Segment) -> None:
+        """Segment ingestion: one submit of the segment, or one fold of its rows.
 
         ``block`` is a plan's whole round (direct tasks), one completion
         wave of it delivered at the wave's time (tasks shaped by
@@ -181,24 +184,26 @@ class CloudIngestSink:
             return
         # Flow-connected sinks gate at dispatcher delivery instead
         # (:meth:`flow_receive`): a submission is not an ingestion yet.
-        if self._guarded and self.deviceflow is None:
+        if self.deviceflow is not None:
+            self.deviceflow.submit_block(block)
+            return
+        block = block.gather()
+        if self._guarded:
             block = self._admit(block, block.finished_at)
             if block is None:
                 return
-        if self.deviceflow is not None:
-            self.deviceflow.submit_block(block)
-        else:
-            self.service.receive_block(block)
+        self.service.receive_block(block)
 
     # ------------------------------------------------------------------
     def flow_receive(self, segment: MessageBlock) -> None:
         """DeviceFlow downstream endpoint with the ingestion gate applied.
 
-        Receives what the dispatcher delivers: :class:`MessageBlock` row
-        ranges.  Flow-dispatched traffic reaches the cloud at dispatcher
-        delivery time, so the late/duplicate check runs against
-        ``sim.now`` here rather than at outcome production — once for a
-        whole chunk, whose rows all arrive at this instant.
+        Receives what the dispatcher delivers: one :class:`MessageBlock`
+        per coalesced run of a chunk's rows.  Flow-dispatched traffic
+        reaches the cloud at dispatcher delivery time, so the late/duplicate
+        check runs against ``sim.now`` here rather than at outcome
+        production — once for a whole chunk, whose rows all arrive at this
+        instant.
         """
         if self._guarded:
             segment = self._admit(segment, self.sim.now)

@@ -16,13 +16,13 @@ loop deterministically:
   ``max_attempts`` sends the upload is *abandoned*.
 * :class:`TransportChannel` — the simulation adapter: it fronts any
   :class:`~repro.cloud.sink.OutcomeSink` and plans one upload per device
-  round in one pass over each block it is handed, in block order.  A
-  surviving upload is delivered as a block of one row — a row range of a
-  copy of the tier's block whose time column holds the arrivals — in one
-  kernel event (:meth:`~repro.simkernel.Simulator.schedule_at`) at its
-  arrival time, a duplicate one more directly after it.  An upload costs
-  its plan's draws, that event and one row slice; the round's counters
-  move once per block.
+  round in one pass over each segment it is handed, in row order.  A
+  surviving upload is delivered as a one-row segment of the round's copy
+  of its plan block, whose time column holds the arrivals, in one kernel
+  event (:meth:`~repro.simkernel.Simulator.schedule_at`) at its arrival
+  time, a duplicate one more directly after it.  An upload costs its
+  plan's draws, that event and one segment object; the round's counters
+  move once per segment.
 
 Determinism contract: every draw comes from the stream named
 ``transport.{task}.{device}`` — a row of the channel's per-task
@@ -43,13 +43,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.checks import check_count, check_finite, check_non_negative, check_positive, check_probability, is_number
+from repro.checks import (
+    check_count, check_end, check_finite, check_non_negative, check_positive, check_probability, is_number,
+)
+from repro.deviceflow.messages import Segment, row_key
 from repro.simkernel import Signal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,8 +85,7 @@ class ChannelWindow:
         if self.kind not in WINDOW_KINDS:
             raise ValueError(f"unknown channel window kind {self.kind!r}; known: {WINDOW_KINDS}")
         check_finite("at", self.at)
-        if not is_number(self.until) or math.isnan(self.until):  # inf: the window never closes
-            raise ValueError(f"until must be a number (inf: no end), got {self.until!r}")
+        check_end("until", self.until)  # inf: the window never closes
         if self.until <= self.at:
             raise ValueError(f"channel window must end after it starts: until={self.until!r} <= at={self.at!r}")
         if not (is_number(self.prob) and 0.0 < self.prob <= 1.0):  # a zero-probability window is a typo
@@ -276,16 +277,17 @@ class TransportChannel:
     ``transport.{task}.{device}``, the task being the block's; see
     :meth:`seed`) and delivers survivors to ``inner`` as kernel events at
     their (possibly retried, possibly late) arrival times: each delivery
-    is the upload's row of the block with the arrival as its time column.
-    :meth:`accept_block` plans a block's rows in one loop, in block order,
-    so uploads with equal arrival deliver in block row order, a duplicate
+    is the upload's row of a float64 copy of its plan block, one per
+    block and round, whose time column is filled with the arrivals row by
+    row.  :meth:`accept_block` plans a segment's rows in one loop, in row
+    order, so uploads with equal arrival deliver in row order, a duplicate
     directly after its primary.
 
     The runner awaits :meth:`finish_round` after the round barrier so
-    in-flight deliveries land before aggregation; deliveries scheduled
-    in the past (block rows whose wave already completed) are clamped to
-    *now*, which never changes the round-end time because the barrier
-    already dominates every block timestamp.
+    in-flight deliveries land before aggregation (and the copies go);
+    deliveries scheduled in the past (block rows whose wave already
+    completed) are clamped to *now*, which never changes the round-end
+    time because the barrier already dominates every block timestamp.
     """
 
     def __init__(
@@ -305,6 +307,9 @@ class TransportChannel:
         # never change: filter them to this scope once, not per attempt.
         self._windows = model.windows_for(scope)
         self._banks: dict[str, StreamBank] = {}
+        #: This round's copies by id(plan block): (the block, held so no other takes its id, and its copy
+        #: whose time column holds the arrivals).
+        self._arrivals: dict[int, tuple[MessageBlock, MessageBlock]] = {}
         self.tracer = tracer
         # Ask the tiers for whatever granularity the fronted sink wants.
         self.prefers_waves = bool(getattr(inner, "prefers_waves", False))
@@ -333,26 +338,28 @@ class TransportChannel:
         bank.seed(device_ids)
         return bank
 
-    def accept_block(self, block: MessageBlock) -> None:
-        """Plan every row's upload in block order; schedule each survivor's delivery.
+    def accept_block(self, block: Segment) -> None:
+        """Plan every row's upload in row order; schedule each survivor's delivery.
 
-        One pass over the block: a row costs its plan's draws and one
+        One pass over the segment: a row costs its plan's draws and one
         kernel event (two when duplicated, the copy directly behind its
-        primary), and the round's counters are bumped once per block.
+        primary), and the round's counters are bumped once per segment.
         """
-        task_id, round_index = block.task_id, block.round_index
+        parent, index = block.parent, block.index
+        task_id, round_index = parent.task_id, parent.round_index
         stream = self.seed(task_id, block.device_ids).stream
         plan_upload, windows = self.model.plan_upload, self._windows
         deadline = math.inf if self._deadline is None else self._deadline
         now, schedule_at, deliver = self.sim.now, self.sim.schedule_at, self._deliver
         tracer = self.tracer
         # An upload's time column is its arrival: each delivery is a one-row
-        # view of this copy of the block, its row set to the arrival first.
-        arrivals = block.finished_at.astype(np.float64)
-        timed = block[:]
-        timed.finished_at = arrivals
+        # segment of this round's copy of the plan block, its row set to the arrival first.
+        if id(parent) not in self._arrivals:
+            self._arrivals[id(parent)] = (parent, replace(parent, finished_at=parent.finished_at.astype(np.float64)))
+        timed = self._arrivals[id(parent)][1]
+        arrivals = timed.finished_at
         retries = abandoned = late = delivered = duplicates = 0
-        for row, device_id, t0 in zip(count(), timed.device_ids, block.finished_at.tolist()):
+        for row, device_id, t0 in zip(index, block.device_ids, parent.finished_at[row_key(index)].tolist()):
             arrival, tries, duplicate = plan_upload(stream(device_id), t0, windows)
             retries += tries
             if arrival is None:
@@ -368,7 +375,7 @@ class TransportChannel:
                 status = "delivered"
                 # Arrivals in the past (rows whose wave already completed) land now.
                 at = arrivals[row] = arrival if arrival >= now else now
-                upload = timed[row : row + 1]
+                upload = Segment(timed, range(row, row + 1))
                 schedule_at(at, deliver, upload)
                 if duplicate:
                     duplicates += 1
@@ -386,7 +393,7 @@ class TransportChannel:
         counters.duplicates += duplicates
         self._pending += delivered + duplicates
 
-    def _deliver(self, upload: MessageBlock) -> None:
+    def _deliver(self, upload: Segment) -> None:
         try:
             self.inner.accept_block(upload)
         finally:
@@ -404,6 +411,7 @@ class TransportChannel:
         if self._pending > 0:
             self._drained = Signal(name="transport.drain")
             yield self._drained
+        self._arrivals.clear()
         counters = self.round
         self.totals.merge(counters)
         return counters

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cloud.sink import OutcomeSink
 from repro.data.avazu import DeviceDataset
-from repro.deviceflow.messages import MessageBlock
+from repro.deviceflow.messages import MessageBlock, Segment, join_rows
 from repro.ml.backends import NumericBackend
 from repro.ml.fedavg import ModelUpdate
 from repro.ml.operators import BlockOperatorContext, OperatorFlow
@@ -78,29 +78,20 @@ class IdColumn(Sequence):
     def __eq__(self, other: object) -> bool:
         return list(self) == list(other) if isinstance(other, (IdColumn, list)) else NotImplemented
 
-    def select(self, keep: np.ndarray) -> IdColumn:
-        """The rows where the boolean mask ``keep`` is set."""
-        r = self.rows
-        return IdColumn(self.table, (np.arange(r.start, r.stop, r.step) if r.__class__ is range else r)[keep])
+    def take(self, index: range | np.ndarray) -> IdColumn:
+        """The rows at positions ``index`` (a forward ``range`` or an int64 array) of this column."""
+        rows = self.rows
+        if index.__class__ is range:
+            return IdColumn(self.table, rows[index.start : index.stop : index.step])
+        if rows.__class__ is not range:
+            return IdColumn(self.table, rows[index])
+        return IdColumn(self.table, index + rows.start if rows.step == 1 else rows.start + rows.step * index)
 
     def join(self, others: list[IdColumn]) -> IdColumn:
         """This column and ``others`` end to end, over this column's table unless a part is of another."""
-        table, pieces = self.table, [self.rows]
-        for column in others:
-            rows, last = column.rows, pieces[-1]
-            if column.table is not table:
-                return IdColumn.of([name for part in (self, *others) for name in part])
-            if not len(rows):
-                continue
-            if not len(last):
-                pieces[-1] = rows
-            elif rows.__class__ is last.__class__ is range and rows.step == last.step == rows.start - last[-1]:
-                pieces[-1] = range(last.start, rows.stop, rows.step)  # adjacent ranges stay one range
-            else:
-                pieces.append(rows)
-        if len(pieces) > 1:  # few rows a piece, mostly: one list of ints, then one array
-            pieces = [np.array([row for r in pieces for row in (r if r.__class__ is range else r.tolist())])]
-        return IdColumn(table, pieces[0])
+        if any(column.table is not self.table for column in others):
+            return IdColumn.of([name for part in (self, *others) for name in part])
+        return IdColumn(self.table, join_rows([self.rows, *(column.rows for column in others)]))
 
 
 @dataclass
@@ -204,8 +195,9 @@ class TierRounds:
     built as one :class:`MessageBlock` and delivered as
     :class:`~repro.cloud.sink.OutcomeSink` describes: whole, at its last
     completion time — one kernel event, no per-device objects or events —
-    or, for a sink that sets ``prefers_waves``, as one row range per
-    completion wave at the wave's time, each slot queue an ascending
+    or, for a sink that sets ``prefers_waves``, as one
+    :class:`~repro.deviceflow.messages.Segment` per completion wave (the
+    plan block and the wave's rows) at the wave's time, each slot queue an ascending
     sequence in the tier's :class:`~repro.simkernel.TimeoutPool`.  ``sink=None``
     delivers nothing (Fig. 8's scalability sweep times the round alone).
     A round process resolves with one bool, ``True`` when :meth:`teardown`
@@ -372,12 +364,12 @@ class TierRounds:
         epoch = self._epoch
         pending = len(queues)
 
-        def deliver(rows: slice | None, drained: list[Callable[[], None]]) -> None:
+        def deliver(rows: range | None, drained: list[Callable[[], None]]) -> None:
             nonlocal pending
             if epoch != self._epoch:
                 return
             if sink is not None:
-                sink.accept_block(block if rows is None else block[rows])
+                sink.accept_block(block if rows is None else Segment(block, rows))
             for queue_drained in drained:
                 queue_drained()
             pending -= len(drained)
@@ -393,7 +385,6 @@ class TierRounds:
             # Entries lo..hi of a queue are the plan rows queue[lo:hi]; queues
             # drain chronologically across slots, ties in slot order.
             def fire(lo: int, hi: int, _t: float, queue=queue, hook=hook) -> None:
-                wave = slice(queue[lo], queue[hi - 1] + 1, queue.step)
-                deliver(wave, [hook] if hi == len(queue) else [])
+                deliver(queue[lo:hi], [hook] if hi == len(queue) else [])
 
             self._pool.add_sequence(finished[rows], fire)

@@ -173,7 +173,8 @@ class SimDC:
 
     def run_until_idle(self, max_time: float | None = None) -> float:
         """Run until every submitted task reaches a terminal state."""
-        return self.sim.run_until(lambda: self.task_manager.all_idle, max_time=max_time)
+        manager = self.task_manager  # all_idle is a flag the manager flips: a batch boundary reads one attribute
+        return self.sim.run_until(lambda: manager.all_idle, max_time=max_time)
 
     def result(self, task_id: str) -> TaskResult:
         """Result of a completed task."""

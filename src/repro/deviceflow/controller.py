@@ -1,10 +1,11 @@
 """The DeviceFlow facade: routing by task id to Shelves, Dispatchers, Strategies.
 
 What comes in (:meth:`DeviceFlow.submit_block`) is the
-:class:`~repro.deviceflow.messages.MessageBlock` a tier built — or a row
-range of it — and what goes out to the registered downstream endpoint is
-row ranges of the same blocks: the controller shelves, drops and coalesces
-rows, and writes to no column.
+:class:`~repro.deviceflow.messages.MessageBlock` a tier built — or a
+:class:`~repro.deviceflow.messages.Segment` of it — and what goes out to
+the registered downstream endpoint is blocks gathered from the rows of the
+same parents: the controller shelves, drops and coalesces rows, and writes
+to no column.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.checks import check_positive
 from repro.deviceflow.dispatcher import Dispatcher
-from repro.deviceflow.messages import MessageBlock
+from repro.deviceflow.messages import MessageBlock, Segment
 from repro.deviceflow.shelf import Shelf
 from repro.deviceflow.strategy import DispatchStrategy
 from repro.simkernel import RandomStreams, Simulator
@@ -46,8 +47,8 @@ class DeviceFlow:
     """The device behaviour traffic controller.
 
     Tasks register a strategy plus a downstream endpoint; the compute
-    tiers submit messages a block at a time (:meth:`submit_block`: a
-    completion wave, or one upload as a block of one row); the platform
+    tiers submit messages a segment at a time (:meth:`submit_block`: a
+    completion wave, or one upload as a one-row segment); the platform
     signals round boundaries.  Every
     task gets an isolated shelf + dispatcher pair, so "the dispatch
     processes of different tasks remain isolated and do not interfere".
@@ -166,17 +167,16 @@ class DeviceFlow:
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def submit_block(self, block: MessageBlock) -> int:
-        """Accept a completion wave (or a single upload) as one columnar block.
+    def submit_block(self, block: Segment) -> int:
+        """Accept a completion wave (or a single upload) as one segment.
 
-        Exactly the block's rows submitted back to back at this instant —
+        Exactly the segment's rows submitted back to back at this instant —
         same shelf order, same dispatch groups, same dropout draws, same
         delivery times (see the conventions in
         :mod:`repro.deviceflow.dispatcher`) — and the rows stay columnar
         all the way: one shelf append, one strategy notification, and the
-        registered downstream endpoint receives them as
-        :class:`MessageBlock` row ranges.  Returns the number of messages
-        shelved.
+        registered downstream endpoint receives them as blocks gathered
+        per delivered run.  Returns the number of messages shelved.
         """
         # The Sorter of §V-A: the task id picks the shelf (the task's dispatcher owns it).
         task_id = block.task_id

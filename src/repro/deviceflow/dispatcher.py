@@ -13,8 +13,9 @@ effect visible in Fig. 10(b).
 
 Conventions (what makes block traffic equal message-by-message traffic)
 -----------------------------------------------------------------------
-The shelf and the send queue hold *segments* — row ranges of
-:class:`~repro.deviceflow.messages.MessageBlock` — and every operation
+The shelf and the send queue hold *segments* — a parent
+:class:`~repro.deviceflow.messages.MessageBlock` plus the rows they stand
+for (:class:`~repro.deviceflow.messages.Segment`) — and every operation
 below is defined on rows, so a block of ``n`` rows behaves exactly like
 ``n`` one-row blocks submitted back to back.  The per-message
 semantics are kept executable in ``tests/reference/deviceflow_reference.py``
@@ -39,9 +40,11 @@ and a differential test holds this module to them.
   sizes and the survivor mask — and ``dispatch_log`` builds the ``k``
   ``(time, survivors)`` rows from it when read: each group's survivors
   are differences of the mask's prefix sums.
-* **Delivery.**  The downstream endpoint is called once per segment of a
-  delivered chunk, in FIFO order, after adjacent compatible blocks were
-  coalesced: one ``MessageBlock`` per run of joinable rows.
+* **Delivery.**  Taking and dropout narrow only a segment's index; the
+  downstream endpoint is called once per run of joinable rows of a
+  delivered chunk, in FIFO order, with one ``MessageBlock`` that
+  :meth:`~repro.deviceflow.messages.MessageBlock.coalesce` gathered: one
+  index per column for rows of one parent, a join only across parents.
 * **Transmission.**  The sender is a chain of kernel callbacks, one event
   per chunk, woken one event after the enqueue that found it idle.  The
   chunk size (``capacity * CHUNK_SECONDS`` rows) is fixed at that wake-up
@@ -59,7 +62,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.checks import check_positive
-from repro.deviceflow.messages import MessageBlock
+from repro.deviceflow.messages import MessageBlock, Segment, select
 from repro.deviceflow.shelf import SegmentQueue, Shelf
 from repro.simkernel import Simulator
 
@@ -79,8 +82,8 @@ class Dispatcher:
     strategy:
         User-defined dispatch behaviour.
     downstream:
-        The cloud service endpoint, called with each delivered segment:
-        a :class:`MessageBlock` per coalesced run of rows.
+        The cloud service endpoint, called with a :class:`MessageBlock`
+        per coalesced run of a delivered chunk's rows.
     capacity_per_second:
         Single-threaded transmission capacity.
     rng:
@@ -142,11 +145,11 @@ class Dispatcher:
         """Messages currently buffered."""
         return len(self.shelf)
 
-    def take(self, count: int) -> list[MessageBlock]:
+    def take(self, count: int) -> list[Segment]:
         """Pull up to ``count`` oldest messages off the shelf, as segments."""
         return self.shelf.take(count)
 
-    def take_all(self) -> list[MessageBlock]:
+    def take_all(self) -> list[Segment]:
         """Drain the shelf."""
         return self.shelf.take_all()
 
@@ -171,7 +174,7 @@ class Dispatcher:
 
     def dispatch(
         self,
-        batch: list[MessageBlock],
+        batch: list[Segment],
         failure_prob: float = 0.0,
         discard_count: int = 0,
         group_sizes: list[int] | None = None,
@@ -231,14 +234,14 @@ class Dispatcher:
         return (sent, total - sent)
 
     @staticmethod
-    def _select(batch: list[MessageBlock], keep: np.ndarray) -> tuple[list[MessageBlock], int]:
-        """The segments of ``batch`` reduced to the rows ``keep`` marks, and how many rows that is."""
+    def _select(batch: list[Segment], keep: np.ndarray) -> tuple[list[Segment], int]:
+        """The segments of ``batch`` narrowed to the rows ``keep`` marks, and how many rows that is."""
         if len(batch) == 1:
             (segment,) = batch
             count = int(np.count_nonzero(keep))
-            return [segment if count == segment.rows else segment.compress(keep)] if count else [], count
+            return [segment if count == segment.rows else select(segment, keep)] if count else [], count
         kept = list(accumulate(keep.tolist(), initial=0))  # survivors among the first i rows
-        survivors: list[MessageBlock] = []
+        survivors: list[Segment] = []
         start = 0
         for segment in batch:
             end = start + segment.rows
@@ -246,14 +249,14 @@ class Dispatcher:
             if count == segment.rows:
                 survivors.append(segment)
             elif count:
-                survivors.append(segment.compress(keep[start:end]))
+                survivors.append(select(segment, keep[start:end]))
             start = end
         return survivors, kept[-1]
 
     # ------------------------------------------------------------------
     # rate-limited transmission
     # ------------------------------------------------------------------
-    def _enqueue(self, segments: list[MessageBlock], rows: int) -> None:
+    def _enqueue(self, segments: list[Segment], rows: int) -> None:
         self._send_queue.extend(segments, rows)
         if self.idle:
             self.idle = False
@@ -277,7 +280,7 @@ class Dispatcher:
         except Exception as exc:
             self.sim._report_orphan_failure(f"dispatcher.{self.shelf.task_id}.sender", exc)
 
-    def _chunk_sent(self, chunk: list[MessageBlock], rows: int, chunk_rows: int) -> None:
+    def _chunk_sent(self, chunk: list[Segment], rows: int, chunk_rows: int) -> None:
         """A chunk finished transmitting: hand it downstream, then send the next."""
         try:
             for segment in MessageBlock.coalesce(chunk):

@@ -12,13 +12,14 @@ nothing read a stored result back, so it is not modelled.
 
 Segments
 --------
-The compute tiers submit a :class:`MessageBlock` at a time — a completion
-wave, a whole round, or one upload as a block of one row — and DeviceFlow's
-shelves and send queues hold *segments*: row ranges of those blocks.  All
-the traffic controller needs of a segment is ``task_id``, ``round_index``,
-``rows`` (how many messages it stands for), ``device_ids``, slicing
-(``segment[lo:hi]``) and :meth:`MessageBlock.compress`.  However a block is
-cut, its ids are rows of its plan's id table, and no cut renders a name.
+DeviceFlow's shelves and send queues hold *segments*: a :class:`Segment`
+is a parent block plus its rows (a ``range``, possibly stepped, or an int64
+index), and a :class:`MessageBlock` is the segment of all its rows.  A tier
+hands over a wave as (plan block, wave rows), a transport channel an upload
+as one row of its per-plan copy.  Cuts and dropout narrow only the index,
+and :meth:`MessageBlock.coalesce` gathers each delivered run with one index
+per column.  However a block is cut, its ids are rows of its plan's id
+table, and no cut renders a name.
 """
 
 from __future__ import annotations
@@ -36,26 +37,45 @@ _ARRAY_COLUMNS = ("n_samples", "finished_at", "update_weights", "update_biases")
 _new = object.__new__
 
 
+def join_rows(pieces: Sequence[range | np.ndarray]) -> range | np.ndarray:
+    """Row indices ``pieces`` end to end: one ``range`` while ranges continue each other, else one int64 array."""
+    merged = []
+    for rows in filter(len, pieces):
+        last = merged[-1] if merged else None
+        if last.__class__ is rows.__class__ is range and rows.step == last.step == rows.start - last[-1]:
+            merged[-1] = range(last.start, rows.stop, rows.step)  # adjacent ranges stay one range
+        else:
+            merged.append(rows)
+    if len(merged) < 2:
+        return merged[0] if merged else pieces[0]
+    # Few rows a piece, mostly: one list of ints, then one array.
+    return np.array([row for r in merged for row in (r if r.__class__ is range else r.tolist())])
+
+
+def row_key(index: range | np.ndarray) -> slice | np.ndarray:
+    """``index`` as a NumPy key: a ``range`` is a slice (its rows are a view), an array a fancy index (a copy)."""
+    return slice(index.start, index.stop, index.step) if index.__class__ is range else index
+
+
 @dataclass
 class MessageBlock:
     """Device round results as one struct-of-arrays block, one row a device.
 
     A tier builds a whole plan's round as one block (``finished_at[pos]``
     is the upload-completion time of the device in row ``pos``), and
-    everything smaller is a row range of it: a *wave* — the rows that
-    finish at one simulated instant — the single upload a transport channel
-    delivers (its time column is the arrival), the one-row block of a
-    benchmarking phone.  DeviceFlow and the cloud services shelve,
-    dispatch, transmit and fold the traffic as row ranges — one counter
-    bump, one dropout draw, one FedAvg fold — without ever building a
-    per-device object.
+    everything smaller is a :class:`Segment` of it: a *wave* — the rows
+    that finish at one simulated instant — or the upload a transport
+    channel delivers (a row of its copy, whose time column is the arrival).
+    DeviceFlow and the cloud services shelve, dispatch, transmit and fold
+    the traffic as rows — one counter bump, one dropout draw, one FedAvg
+    fold — without ever building a per-device object.
 
     When the producing plan was numeric, the block inlines the stacked
     update arrays (``update_weights`` / ``update_biases``) the cloud folds.
 
     Row ranges (``block[lo:hi]``) share the parent's arrays; survivor
-    selections (:meth:`compress`) and delivery chunks (:meth:`coalesce`)
-    copy only the rows they keep.
+    selections (:meth:`compress`) and scattered rows a delivery chunk
+    gathers (:meth:`coalesce`) copy only the rows they keep.
 
     Attributes
     ----------
@@ -87,7 +107,7 @@ class MessageBlock:
     finished_at: np.ndarray | None = None
     update_weights: np.ndarray | None = None
     update_biases: np.ndarray | None = None
-    #: Messages this segment stands for (``len(device_ids)``, kept as a plain
+    #: Messages this block stands for (``len(device_ids)``, kept as a plain
     #: attribute: the shelf and the dispatcher read it per segment).
     rows: int = field(init=False)
 
@@ -118,6 +138,13 @@ class MessageBlock:
         """Bytes represented by the whole block (bulk accounting)."""
         return self.size_bytes * self.rows
 
+    #: A block is the segment of all its own rows.
+    parent = property(lambda self: self)
+    index = property(lambda self: range(self.rows))
+
+    def gather(self) -> MessageBlock:
+        return self
+
     # ------------------------------------------------------------------
     # row selection (validated columns are reused, never re-validated)
     # ------------------------------------------------------------------
@@ -134,6 +161,10 @@ class MessageBlock:
         block.__dict__ = fields
         return block
 
+    def _take(self, index: range | np.ndarray) -> MessageBlock:
+        """The rows at ``index``: a view for a ``range``, one fancy index per column for an array."""
+        return self._derive(self.device_ids.take(index), row_key(index))
+
     def __getitem__(self, rows: slice) -> MessageBlock:
         """Zero-copy row range: array columns are views of this block's."""
         if rows.__class__ is not slice:
@@ -142,7 +173,7 @@ class MessageBlock:
 
     def compress(self, keep: np.ndarray) -> MessageBlock:
         """The rows where the boolean mask ``keep`` is set (dropout survivors)."""
-        return self._derive(self.device_ids.select(keep), keep)
+        return self._take(np.flatnonzero(keep))
 
     def _layout(self) -> tuple:
         """What two blocks must share for their rows to sit in one block's columns."""
@@ -157,17 +188,23 @@ class MessageBlock:
         )
 
     @staticmethod
-    def coalesce(segments: list[MessageBlock]) -> list[MessageBlock]:
-        """Join each run of adjacent compatible blocks into one block.
+    def coalesce(segments: Sequence[Segment]) -> list[MessageBlock]:
+        """One block per run of adjacent compatible segments, in FIFO order.
 
-        FIFO order is preserved: blocks that differ in round, grade,
-        payload size or column layout pass through where they stand.
-        This is what lets a rate-limited delivery chunk that spans several
-        waves (or many one-row uploads) reach the cloud as ONE block.
+        Adjacent segments of one parent are gathered with one index per
+        column (one ``range`` of rows stays a view); only blocks of
+        different parents are joined, and those that differ in round,
+        grade, payload size or column layout pass through where they stand.
         """
-        if len(segments) < 2:
-            return segments
-        return [MessageBlock._join(list(run)) for _, run in itertools.groupby(segments, key=MessageBlock._layout)]
+        if len(segments) == 1:
+            return [segments[0].gather()]
+        blocks = []
+        for _, run in itertools.groupby(segments, key=lambda segment: id(segment.parent)):
+            run = list(run)
+            blocks.append(run[0].parent._take(join_rows([s.index for s in run])) if len(run) > 1 else run[0].gather())
+        if len(blocks) < 2:
+            return blocks
+        return [MessageBlock._join(list(run)) for _, run in itertools.groupby(blocks, key=MessageBlock._layout)]
 
     @staticmethod
     def _join(run: list[MessageBlock]) -> MessageBlock:
@@ -180,3 +217,39 @@ class MessageBlock:
             if block.__dict__[column] is not None:
                 block.__dict__[column] = np.concatenate([part.__dict__[column] for part in run])
         return block
+
+
+class Segment:
+    """Rows of a parent :class:`MessageBlock`: ``index`` is a ``range`` (possibly stepped) or an int64 array.
+
+    Nothing is copied until :meth:`gather` (or :meth:`MessageBlock.coalesce`)
+    builds a block; wherever a segment is taken, a block stands for all its rows.
+    """
+
+    __slots__ = ("parent", "index", "rows", "task_id")
+
+    def __init__(self, parent: MessageBlock, index: range | np.ndarray) -> None:
+        self.parent, self.index, self.rows, self.task_id = parent, index, len(index), parent.task_id
+
+    def __len__(self) -> int:
+        return self.rows
+
+    round_index = property(lambda self: self.parent.round_index)
+    device_ids = property(lambda self: self.parent.device_ids.take(self.index))
+
+    def __getattr__(self, name: str):
+        """Any other field, read off the block the rows gather into (on each read)."""
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.gather(), name)
+
+    def gather(self) -> MessageBlock:
+        """The rows as one block: array columns are views of the parent's for a ``range``, copies for an array."""
+        return self.parent._take(self.index)
+
+
+def select(segment: Segment, keep: np.ndarray) -> Segment:
+    """The rows of ``segment`` where the boolean mask ``keep`` is set: its parent, a narrower index."""
+    index = segment.index
+    positions = np.arange(index.start, index.stop, index.step) if index.__class__ is range else index
+    return Segment(segment.parent, positions[keep])

@@ -5,21 +5,21 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 
-from repro.deviceflow.messages import MessageBlock
+from repro.deviceflow.messages import Segment
 
 
 class SegmentQueue:
-    """A row-counted FIFO of segments (:class:`MessageBlock` row ranges).
+    """A row-counted FIFO of segments (:class:`Segment`; a whole block is one).
 
     The one storage representation behind both the :class:`Shelf` and
     the Dispatcher's send queue.  ``len`` is the number of *rows*
     (messages) buffered; :meth:`take` removes the oldest rows as whole
-    segments, splitting a block only where the requested count ends
-    inside it.
+    segments, cutting a segment's index only where the requested count
+    ends inside it.
     """
 
     def __init__(self) -> None:
-        self._segments: deque[MessageBlock] = deque()
+        self._segments: deque[Segment] = deque()
         self._rows = 0
         #: Rows of the head segment already taken (a split leaves the head whole).
         self._offset = 0
@@ -27,36 +27,36 @@ class SegmentQueue:
     def __len__(self) -> int:
         return self._rows
 
-    def extend(self, segments: Iterable[MessageBlock], rows: int) -> None:
+    def extend(self, segments: Iterable[Segment], rows: int) -> None:
         """Buffer several segments totalling ``rows`` rows."""
         self._segments.extend(segments)
         self._rows += rows
 
-    def take(self, count: int) -> list[MessageBlock]:
+    def take(self, count: int) -> list[Segment]:
         """Remove and return up to ``count`` oldest rows, as segments."""
         if count < 0:
             raise ValueError("count must be >= 0")
         segments = self._segments
         need = min(count, self._rows)
         self._rows -= need
-        taken: list[MessageBlock] = []
+        taken: list[Segment] = []
         offset = self._offset
         while need:
             head = segments[0]
             left = head.rows - offset
             if left <= need:
                 segments.popleft()
-                taken.append(head[offset:] if offset else head)
+                taken.append(Segment(head.parent, head.index[offset:]) if offset else head)
                 need -= left
                 offset = 0
             else:
-                taken.append(head[offset : offset + need])
+                taken.append(Segment(head.parent, head.index[offset : offset + need]))
                 offset += need
                 need = 0
         self._offset = offset
         return taken
 
-    def take_all(self) -> list[MessageBlock]:
+    def take_all(self) -> list[Segment]:
         """Drain the queue."""
         return self.take(self._rows)
 
@@ -77,10 +77,10 @@ class Shelf(SegmentQueue):
         self.task_id = task_id
         self.total_stored = 0
 
-    def store(self, segment: MessageBlock) -> int:
-        """Append a block (validated against the shelf's task).
+    def store(self, segment: Segment) -> int:
+        """Append a segment (validated against the shelf's task).
 
-        Returns the number of messages stored (an empty block stores nothing).
+        Returns the number of messages stored (an empty segment stores nothing).
         """
         if segment.task_id != self.task_id:
             raise ValueError(
@@ -93,6 +93,7 @@ class Shelf(SegmentQueue):
             self.total_stored += rows
         return rows
 
-    def peek_oldest(self) -> MessageBlock | None:
-        """Oldest buffered message (a one-row block) without removing it."""
-        return self._segments[0][self._offset : self._offset + 1] if self._segments else None
+    def peek_oldest(self) -> Segment | None:
+        """Oldest buffered message (a one-row segment) without removing it."""
+        head = self._segments[0] if self._segments else None
+        return None if head is None else Segment(head.parent, head.index[self._offset : self._offset + 1])

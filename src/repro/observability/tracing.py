@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable, Iterable, Sequence
 
     from repro.cloud.monitor import Monitor
-    from repro.deviceflow.messages import MessageBlock
+    from repro.deviceflow.messages import MessageBlock, Segment
     from repro.scheduler.task_runner import TaskResult
 
 #: Every span kind the assembler can emit, with the tree level it lives
@@ -166,9 +166,9 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        #: A plan's round, a wave of it or one benchmarking phone's row,
-        #: expanded to per-device records at assembly.
-        self.device_blocks: list[MessageBlock] = []
+        #: A plan's round, a wave of it (a segment) or one benchmarking
+        #: phone's row, expanded to per-device records at assembly.
+        self.device_blocks: list[Segment] = []
         #: (task, round, time)
         self.round_starts: list[tuple[str, int, float]] = []
         self.round_ends: list[tuple[str, int, float]] = []
@@ -177,14 +177,14 @@ class Tracer:
         #: (task, device, round, time, reason) — reason: duplicate | late
         self.ingest_drops: list[tuple[str, str, int, float, str]] = []
         #: (task, round, devices, time) — one row per submitted / delivered
-        #: segment (a block row range), expanded to one record per device
+        #: segment (or delivered block), expanded to one record per device
         #: at assembly.
         self.flow_submits: list[tuple[str, int, Sequence[str], float]] = []
         self.flow_deliveries: list[tuple[str, int, Sequence[str], float]] = []
 
     # -- hot-path record methods (append one tuple each) ----------------
-    def record_block(self, block: MessageBlock) -> None:
-        """O(1) capture of the device rounds a block holds."""
+    def record_block(self, block: Segment) -> None:
+        """O(1) capture of the device rounds a block (or a segment of one) holds."""
         self.device_blocks.append(block)
 
     def record_round_start(self, task_id: str, round_index: int, time: float) -> None:
@@ -213,7 +213,7 @@ class Tracer:
     ) -> None:
         self.ingest_drops.append((task_id, device_id, round_index, time, reason))
 
-    def record_flow_submit(self, segment: MessageBlock, time: float) -> None:
+    def record_flow_submit(self, segment: Segment, time: float) -> None:
         """O(1) capture of one DeviceFlow submission (a wave, or one upload)."""
         self.flow_submits.append((segment.task_id, segment.round_index, segment.device_ids, time))
 
@@ -231,7 +231,8 @@ class Tracer:
         payload_bytes, finished_at)``.
         """
         records = []
-        for block in self.device_blocks:
+        for recorded in self.device_blocks:
+            block = recorded.gather()
             task_id, grade, round_index, payload = block.task_id, block.grade, block.round_index, block.size_bytes
             for device_id, n_samples, finished in zip(
                 block.device_ids, block.n_samples.tolist(), block.finished_at.tolist()

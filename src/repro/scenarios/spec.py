@@ -32,6 +32,7 @@ from repro.behavior import (
 from repro.behavior.timezone import DEFAULT_OFFSET_WEIGHTS
 from repro.checks import (
     check_count,
+    check_end,
     check_finite,
     check_non_negative,
     check_non_negative_int,
@@ -413,13 +414,12 @@ class FaultSpec:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         self.at = check_non_negative("at", check_finite("at", self.at))  # NaN and inf first: a finite number, then >= 0
-        if self.until is not None and self.until <= self.at:
-            raise ValueError(f"fault recovery must come after the fault: until={self.until!r} <= at={self.at!r}")
-        if self.kind in ("phone_crash", "network_degradation") and self.until is not None:
-            check_finite("until", self.until)  # the kernel schedules the recovery
-        elif self.until is not None and math.isnan(self.until):  # inf: the window never closes
-            raise ValueError(f"until must be a number (inf: no end), got {self.until!r}")
-        self.until = None if self.until is None else float(self.until)  # a Monitor event carries it
+        if self.until is not None:
+            self.until = check_end("until", self.until)  # first: a number to compare; a Monitor event carries it
+            if self.until <= self.at:
+                raise ValueError(f"fault recovery must come after the fault: until={self.until!r} <= at={self.at!r}")
+            if self.kind in ("phone_crash", "network_degradation"):
+                check_finite("until", self.until)  # the kernel schedules the recovery
         if isinstance(self.count, bool) or not isinstance(self.count, Integral):
             raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.kind == "phone_crash" and self.count < 1:

@@ -59,11 +59,15 @@ class TaskManager:
         self.results: dict[str, TaskResult] = {}
         self.running: dict[str, TaskRunner] = {}
         self._deferred = 0
+        #: True when nothing is queued, running, or awaiting arrival: a plain
+        #: attribute, set where a task is queued, deferred or ends.
+        self.all_idle = True
 
     # ------------------------------------------------------------------
     def submit(self, spec: TaskSpec) -> TaskSpec:
         """Queue a task and trigger an immediate scheduling pass."""
         self.queue.submit(spec)
+        self.all_idle = False
         self.monitor.log("task_submitted", task_id=spec.task_id, priority=spec.priority)
         self._schedule_pass()
         return spec
@@ -79,6 +83,7 @@ class TaskManager:
         if time < self.sim.now:
             raise ValueError(f"cannot submit in the past: {time!r} < now {self.sim.now!r}")
         self._deferred += 1
+        self.all_idle = False
         self.monitor.log("task_deferred", task_id=spec.task_id, submit_at=time)
         self.sim.schedule_at(time, self._submit_deferred, spec)
         return spec
@@ -100,11 +105,6 @@ class TaskManager:
     def active_tasks(self) -> int:
         """Tasks currently executing."""
         return len(self.running)
-
-    @property
-    def all_idle(self) -> bool:
-        """True when nothing is queued, running, or awaiting arrival."""
-        return not self.queue and not self.running and self._deferred == 0
 
     def result_of(self, task_id: str) -> TaskResult:
         """Result of a finished task."""
@@ -132,6 +132,7 @@ class TaskManager:
         finally:
             self.resource_manager.release(spec.task_id)
             del self.running[spec.task_id]
+            self.all_idle = not self.queue and not self.running and self._deferred == 0
         if result is not None:
             self.results[spec.task_id] = result
         # Freed resources may unblock queued work immediately.

@@ -36,7 +36,7 @@ from repro.cluster.rounds import DeviceColumns, IdColumn, IdTable
 from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 from repro.data.avazu import FederatedDataset, make_federated_ctr_data
 from repro.deviceflow.controller import DeviceFlow
-from repro.deviceflow.messages import MessageBlock
+from repro.deviceflow.messages import Segment
 from repro.ml.backends import SERVER_BACKEND
 from repro.ml.model import LogisticRegressionModel
 from repro.phones.adb import SimulatedAdb
@@ -89,7 +89,7 @@ class _TracedHandoff:
     def __init__(self, inner: OutcomeSink, tracer: Tracer) -> None:
         self.inner, self.tracer, self.prefers_waves = inner, tracer, inner.prefers_waves
 
-    def accept_block(self, block: MessageBlock) -> None:
+    def accept_block(self, block: Segment) -> None:
         self.tracer.record_block(block)
         self.inner.accept_block(block)
 

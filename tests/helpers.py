@@ -28,8 +28,8 @@ class CallbackSink:
 
     It asks the tiers for one block per completion wave and materialises
     whatever it is handed, so the callback observes devices in completion
-    order, at their completion times; :attr:`blocks` keeps the blocks
-    themselves, in delivery order.  ``accept`` is what the per-device
+    order, at their completion times; :attr:`blocks` keeps what it was
+    handed (a block, or a segment of one), in delivery order.  ``accept`` is what the per-device
     reference tiers call.
     """
 

@@ -20,6 +20,7 @@ from repro.baselines import FederatedScopeLikeSimulator, FedScaleLikeSimulator
 from repro.behavior import DiurnalAvailability, NetworkProfile
 from repro.checks import (
     check_count,
+    check_end,
     check_finite,
     check_non_negative,
     check_non_negative_int,
@@ -81,6 +82,15 @@ def test_the_values_that_used_to_construct_now_fail_naming_their_field():
         assert str(caught.value) == message
 
 
+def test_a_fault_end_is_checked_before_it_is_compared_with_the_start():
+    """A string or bool ``until`` used to reach ``until <= at``: a bare TypeError, or ``True`` read as 1.0."""
+    for until in ("5", True):
+        with pytest.raises(ValueError) as caught:
+            FaultSpec(kind="message_loss", at=0.0, until=until, factor=0.5)
+        assert str(caught.value) == f"until must be a number (inf: no end), got {until!r}"
+    assert FaultSpec(kind="message_loss", at=0.0, until=5, factor=0.5).until == 5.0
+
+
 # ----------------------------------------------------------------------
 # the probe table
 # ----------------------------------------------------------------------
@@ -130,6 +140,8 @@ CASES = [
     ("PopulationSpec", PopulationSpec, "base_level", "base_level", FINITE),
     ("FaultSpec", partial(FaultSpec, kind="phone_crash"), "at", "at", FINITE),
     ("FaultSpec", partial(FaultSpec, kind="network_degradation", until=5.0), "factor", "factor", FINITE),
+    ("FaultSpec", partial(FaultSpec, kind="message_loss", factor=0.5), "until", "until", MAY_BE_INF),
+    ("FaultSpec", partial(FaultSpec, kind="phone_crash"), "until", "until", FINITE),
     ("TransportSpec", TransportSpec, "deadline_s", "deadline_s", FINITE),
     ("TransportSpec", TransportSpec, "loss_prob", "transport.loss_prob", FINITE),
     ("TransportSpec", TransportSpec, "max_attempts", "transport.max_attempts", INTEGER),
@@ -306,6 +318,7 @@ def test_a_bad_number_fails_at_construction_naming_its_field(build, field, name,
         (check_finite, [-1.0, 0, 5], [NAN, INF, -INF, False, "1"]),
         (check_non_negative, [0, 0.0, 5], [-1e-9, NAN, INF, True, "0"]),
         (check_probability, [0, 0.5, 1, np.float64(1.0)], [-0.1, 1.1, NAN, INF, True, "0.5"]),
+        (check_end, [-1.0, 0, 5, INF, -INF], [NAN, True, "5", None]),
     ],
 )
 def test_each_helper_returns_the_value_or_names_the_field(check, good, bad):

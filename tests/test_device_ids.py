@@ -13,6 +13,7 @@ from repro.cloud.transport import ChannelModel
 from repro.cluster import NodeSpec
 from repro.cluster.rounds import IdColumn, IdTable
 from repro.deviceflow import RealTimeAccumulatedStrategy, TimeIntervalStrategy, right_tailed_normal
+from repro.deviceflow import dispatcher
 from repro.deviceflow.messages import MessageBlock
 from repro.ml import standard_fl_flow
 from repro.observability.tracing import Tracer
@@ -183,7 +184,7 @@ class TestSelectionsEqualTheListOperations:
 
     def test_a_selection_of_an_unrendered_root_is_one_column_over_it(self):
         root = generated("d", 6)
-        survivors = root[1:].select(np.array([True, False, True, True, False]))
+        survivors = root[1:].take(np.flatnonzero([True, False, True, True, False]))
         assert survivors.table is root.table and survivors.rows.tolist() == [1, 3, 4]
         chunk = survivors.join([root[5:]])
         assert chunk.table is root.table and chunk.rows.tolist() == [1, 3, 4, 5] and root.table.names is None
@@ -266,22 +267,22 @@ def test_a_direct_time_only_task_renders_no_id_column(monkeypatch):
 )
 def test_dropout_and_delivery_through_deviceflow_render_no_id_column(monkeypatch, strategy):
     """Survivor selections and delivery chunks stay selections of the plan's unrendered root."""
-    calls = {"compress": 0, "coalesce": 0}
-    compress, coalesce = MessageBlock.compress, MessageBlock.coalesce
+    calls = {"select": 0, "coalesce": 0}
+    select, coalesce = dispatcher.select, MessageBlock.coalesce
 
-    def counted_compress(self, keep):
-        calls["compress"] += 1
-        return compress(self, keep)
+    def counted_select(segment, keep):
+        calls["select"] += 1
+        return select(segment, keep)
 
     def counted_coalesce(segments):
         joined = coalesce(segments)
         calls["coalesce"] += len(segments) - len(joined)
         return joined
 
-    monkeypatch.setattr(MessageBlock, "compress", counted_compress)
+    monkeypatch.setattr(dispatcher, "select", counted_select)
     monkeypatch.setattr(MessageBlock, "coalesce", staticmethod(counted_coalesce))
     _, columns = run_time_only_task(monkeypatch, strategy=strategy())
-    assert calls["compress"] > 0 and calls["coalesce"] > 0  # dropout thinned blocks, chunks joined parts
+    assert calls["select"] > 0 and calls["coalesce"] > 0  # dropout thinned segments, chunks joined parts
     for devices in columns:
         assert isinstance(devices.device_ids, IdColumn) and isinstance(devices.device_ids.rows, range)
         assert devices.device_ids.table.names is None

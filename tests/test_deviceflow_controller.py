@@ -1,6 +1,6 @@
 """Tests for DeviceFlow's sorter, shelf, dispatcher and strategies."""
 
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 import pytest
@@ -27,6 +27,8 @@ from repro.deviceflow import (
     TimePointStrategy,
     right_tailed_normal,
 )
+from repro.deviceflow.messages import Segment, select
+from repro.deviceflow.shelf import SegmentQueue
 from repro.simkernel import RandomStreams, Simulator
 
 
@@ -710,42 +712,154 @@ class TestSegments:
 
     def test_shelf_take_splits_blocks_on_row_boundaries(self):
         shelf = Shelf("t1")
+        block = self.block(6)
         shelf.store(msg(device="m0"))
-        shelf.store(self.block(6))
+        shelf.store(block)
         shelf.store(msg(device="m1"))
         assert len(shelf) == 8 and shelf.total_stored == 8
         first = shelf.take(3)  # the message + the first two block rows
         assert [list(s.device_ids) for s in first] == [["m0"], ["d0", "d1"]]
+        assert first[1].parent is block and first[1].index == range(0, 2)
         assert shelf.peek_oldest().device_ids == ["d2"]
         rest = shelf.take_all()
         assert [list(s.device_ids) for s in rest] == [["d2", "d3", "d4", "d5"], ["m1"]]
+        assert rest[0].parent is block and rest[0].index == range(2, 6)
         assert rest[0].n_samples.tolist() == [3, 4, 5, 6]
         assert len(shelf) == 0
 
     def test_row_ranges_are_views_and_compress_copies_survivors(self):
         weights = np.arange(12, dtype=float).reshape(6, 2)
         block = self.block(6, update_weights=weights, update_biases=np.zeros(6))
-        view = block[2:5]
-        assert np.shares_memory(view.update_weights, weights)
+        view = Segment(block, range(2, 5))
+        assert np.shares_memory(view.gather().update_weights, weights)
         assert view.device_ids == ["d2", "d3", "d4"] and view.n_samples.sum() == 12
-        kept = view.compress(np.array([True, False, True]))
-        assert kept.device_ids == ["d2", "d4"]
-        assert kept.update_weights.tolist() == [[4.0, 5.0], [8.0, 9.0]]
-        assert kept.n_samples.tolist() == [3, 5] and kept.finished_at is None
+        kept = select(view, np.array([True, False, True]))
+        assert kept.parent is block and kept.index.tolist() == [2, 4]
+        gathered = kept.gather()
+        assert gathered.device_ids == ["d2", "d4"] and not np.shares_memory(gathered.update_weights, weights)
+        assert gathered.update_weights.tolist() == [[4.0, 5.0], [8.0, 9.0]]
+        assert gathered.n_samples.tolist() == [3, 5] and gathered.finished_at is None
+        eager = block[2:5].compress(np.array([True, False, True]))  # the block-level selection copies the same rows
+        assert eager.device_ids == gathered.device_ids and eager.update_weights.tolist() == [[4.0, 5.0], [8.0, 9.0]]
+        assert block.parent is block and block.index == range(6) and block.gather() is block
         with pytest.raises(TypeError, match=r"one row is block\[i : i \+ 1\]"):
             block[0]
 
-    def test_coalesce_joins_only_adjacent_compatible_blocks(self):
+    def test_coalesce_joins_only_adjacent_compatible_blocks(self, monkeypatch):
         block = self.block(6)
         other_round = MessageBlock(task_id="t1", round_index=2, device_ids=["x"])
         scalar = msg(device="m")
-        joined = MessageBlock.coalesce([block[:2], block[2:3], scalar, block[3:], other_round])
-        assert [list(s.device_ids) for s in joined] == [
-            ["d0", "d1", "d2"], ["m"], ["d3", "d4", "d5"], ["x"],
-        ]
+        joins = []
+        join = MessageBlock._join
+        monkeypatch.setattr(MessageBlock, "_join", staticmethod(lambda run: joins.append(len(run)) or join(run)))
+        joined = MessageBlock.coalesce(
+            [Segment(block, range(0, 2)), Segment(block, range(2, 3)), scalar, Segment(block, range(3, 6)), other_round]
+        )
+        assert [list(s.device_ids) for s in joined] == [["d0", "d1", "d2"], ["m"], ["d3", "d4", "d5"], ["x"]]
         assert joined[1] is scalar  # another payload size: not joinable
         assert joined[0].n_samples.tolist() == [1, 2, 3]
-        # One-row uploads of one round coalesce like any other row ranges.
+        assert np.shares_memory(joined[0].n_samples, block.n_samples)  # adjacent ranges: one view
+        assert joins == [1, 1, 1, 1]  # nothing to join: each run is one parent's
+        # One-row uploads of one parent gather with one index per column, in FIFO order.
+        (chunk,) = MessageBlock.coalesce([Segment(block, range(row, row + 1)) for row in (4, 1, 2, 5)])
+        assert chunk.device_ids == ["d4", "d1", "d2", "d5"] and chunk.n_samples.tolist() == [5, 2, 3, 6]
+        # Blocks of different parents are joined.
         rows = [msg(device=f"u{i}") for i in range(4)]
         (chunk,) = MessageBlock.coalesce(rows)
         assert chunk.device_ids == ["u0", "u1", "u2", "u3"] and chunk.n_samples.sum() == 20
+
+    @given(
+        parents=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=12),  # rows
+                st.sampled_from(["list", "generated", "shared"]),  # id table
+                st.booleans(),  # numeric
+                st.booleans(),  # time column
+                st.sampled_from(["High", "High", "Low"]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 11), st.integers(1, 12), st.integers(1, 3),
+                                 st.booleans(), st.randoms(use_true_random=False)), min_size=1, max_size=6),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("take"), st.integers(0, 40)),
+                st.tuples(st.just("compress"), st.lists(st.booleans(), min_size=72, max_size=72)),  # 6 picks x 12 rows
+                st.tuples(st.just("coalesce")),
+            ),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_segment_ops_equal_eager_cuts_and_joins(self, parents, picks, ops):
+        """take / compress / coalesce over segments of 1-3 parents equal the eager ``block[lo:hi]`` / ``_join``."""
+        shared = IdTable("s-", 40)
+        blocks = []
+        for k, (n, ids, numeric, timed, grade) in enumerate(parents):
+            if ids == "list":
+                column = [f"p{k}-{i}" for i in range(n)]
+            else:
+                table = shared if ids == "shared" else IdTable(f"g{k}-", k * 13 + n)
+                column = IdColumn(table, range(k * 13, k * 13 + n))
+            blocks.append(MessageBlock(
+                task_id="t", round_index=1, device_ids=column, grade=grade, size_bytes=8,
+                n_samples=np.arange(100 * k + 1, 100 * k + n + 1),
+                finished_at=np.arange(n) + 0.5 * k if timed else None,
+                update_weights=np.arange(2 * n, dtype=float).reshape(n, 2) + 1000 * k if numeric else None,
+                update_biases=np.arange(n, dtype=float) - 1000 * k if numeric else None,
+            ))
+        # Production holds segments; the oracle the eager blocks they stand for.  A shelf holds no empty one.
+        segments, eager = [], []
+        for which, lo, length, step, as_index, rng in picks:
+            parent = blocks[which % len(blocks)]
+            lo = lo % parent.rows
+            rows = range(lo, min(parent.rows, lo + length), step)
+            if as_index:  # scattered rows, in any order
+                index = [*rows]
+                rng.shuffle(index)
+                segments.append(Segment(parent, np.array(index, dtype=np.int64)))
+                eager.append(MessageBlock._join([parent[i : i + 1] for i in index]))
+            elif rows == range(parent.rows):
+                segments.append(parent)
+                eager.append(parent)
+            else:
+                segments.append(Segment(parent, rows))
+                eager.append(parent[rows.start : rows.stop : rows.step])
+
+        def columns(block):
+            return (
+                list(block.device_ids), block.grade, block.n_samples.tolist(),
+                None if block.finished_at is None else block.finished_at.tolist(),
+                None if block.update_weights is None else block.update_weights.tolist(),
+                None if block.update_biases is None else block.update_biases.tolist(),
+            )
+
+        def rows_of(parts):
+            return [row for part in parts for row in zip(*(
+                [value] * len(part) if not isinstance(value, list) else value for value in columns(part.gather())
+            ))]
+
+        for op in ops:
+            if op[0] == "take":  # split at a row count, as a shelf take does
+                queue = SegmentQueue()
+                queue.extend(segments, sum(segment.rows for segment in segments))
+                segments = queue.take(op[1]) + queue.take_all()
+                cut_eager, need = [], op[1]
+                for block in eager:
+                    head = min(need, block.rows)
+                    need -= head
+                    cut_eager += [part for part in (block[:head], block[head:]) if part.rows]
+                eager = cut_eager
+            elif op[0] == "compress":  # dropout survivors
+                keep = np.array(op[1][: sum(segment.rows for segment in segments)], dtype=bool)
+                segments, _ = Dispatcher._select(segments, keep) if len(keep) else ([], 0)
+                starts = list(accumulate((block.rows for block in eager), initial=0))
+                eager = [
+                    block.compress(keep[lo:hi]) for block, lo, hi in zip(eager, starts, starts[1:]) if keep[lo:hi].any()
+                ]
+            else:
+                segments = MessageBlock.coalesce(segments)
+                eager = [MessageBlock._join(list(run)) for _, run in groupby(eager, key=MessageBlock._layout)]
+                assert [columns(block) for block in segments] == [columns(block) for block in eager]
+            assert rows_of(segments) == rows_of(eager)

@@ -15,6 +15,8 @@ Three layers of the same guarantee:
 were taken where block and scalar ingestion were proven byte-identical.)
 """
 
+import gc
+import weakref
 
 import numpy as np
 from helpers import CallbackSink
@@ -274,3 +276,91 @@ class TestTierDifferential:
         assert one.device_ids == ["d0005"] and len(one) == 1
         assert np.array_equal(one.update_weights[0], whole.update_weights[5])
         assert (one.n_samples[0], one.finished_at[0]) == (plan.devices.n_samples[5], whole.finished_at[5])
+
+
+# ----------------------------------------------------------------------
+# a channel upload is a one-row segment of the round's copy of the plan block
+# ----------------------------------------------------------------------
+def returned(generator):
+    """The return value of a generator that has nothing left to wait for."""
+    try:
+        next(generator)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("the round still had deliveries in flight")
+
+
+class TestChannelSegments:
+    def run_flow_round(self, monkeypatch):
+        """One numeric round through a lossy channel in front of a flow-connected sink.
+
+        Returns the channel, the rows of each delivered run, the blocks
+        derived (and, of those, the gate's survivor selections) and weak
+        references to every block the channel delivered rows of.
+        """
+        counts = {"derived": 0, "compressed": 0}
+        derive, compress = MessageBlock._derive, MessageBlock.compress
+
+        def counted_derive(self, *args):
+            counts["derived"] += 1
+            return derive(self, *args)
+
+        def counted_compress(self, keep):
+            counts["compressed"] += 1
+            return compress(self, keep)
+
+        monkeypatch.setattr(MessageBlock, "_derive", counted_derive)
+        monkeypatch.setattr(MessageBlock, "compress", counted_compress)
+        sim = Simulator()
+        logical = LogicalSimulation(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
+        model = LogisticRegressionModel(FEATURE_DIM, SERVER_BACKEND)
+        service = AggregationService(sim, AggregationTrigger(), model=model)
+        flow = DeviceFlow(sim, RandomStreams(0), capacity_per_second=200.0)
+        sink = CloudIngestSink(sim, service, deviceflow=flow, dedup=True)
+        runs = []
+
+        def downstream(block):
+            runs.append(len(block))
+            sink.flow_receive(block)
+
+        flow.register_task("t", RealTimeAccumulatedStrategy(thresholds=[4]), downstream)
+        lossy = ChannelModel(latency_s=0.2, jitter_s=0.5, loss_prob=0.2, dup_prob=0.3, retry_base_s=0.5)
+        channel = TransportChannel(sim, lossy, sink, RandomStreams(5), scope="")
+        parents = {}
+        accept = sink.accept_block
+
+        def spy(upload):
+            parents[id(upload.parent)] = weakref.ref(upload.parent)
+            accept(upload)
+
+        sink.accept_block = spy
+        plan = make_plan(n_devices=40, n_actors=4)
+
+        def drive():
+            yield sim.process(logical.prepare([plan], task_id="t"))
+            flow.round_started("t", 1)
+            channel.begin_round(1)
+            yield sim.process(logical.run_round(1, np.zeros(FEATURE_DIM), 0.0, MODEL_BYTES, channel))
+
+        sim.process(drive())
+        sim.run()
+        flow.round_completed("t", 1)
+        sim.run()
+        logical.teardown()
+        return channel, runs, counts, list(parents.values())
+
+    def test_a_flow_connected_lossy_round_derives_one_block_per_delivered_run(self, monkeypatch):
+        channel, runs, counts, _ = self.run_flow_round(monkeypatch)
+        uploads = channel.round.delivered + channel.round.duplicates
+        assert sum(runs) <= uploads and 2 * len(runs) < uploads  # runs of several uploads each
+        # One gather per delivered run, the round's one copy of the plan block,
+        # and a survivor selection where the gate dropped a duplicate: no block per upload.
+        assert counts["derived"] <= len(runs) + 1 + counts["compressed"]
+
+    def test_the_channel_holds_no_arrivals_copy_after_finish_round(self, monkeypatch):
+        channel, _, _, copies = self.run_flow_round(monkeypatch)
+        assert len(channel._arrivals) == len(copies) == 1  # one copy for the plan's every wave
+        returned(channel.finish_round())
+        assert channel._arrivals == {}
+        gc.collect()
+        assert [copy() for copy in copies] == [None]

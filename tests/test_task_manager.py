@@ -126,6 +126,21 @@ class TestTaskManagerLifecycle:
             < manager.result_of(low.task_id).started_at
         )
 
+    def test_all_idle_is_a_flag_set_where_a_task_is_queued_deferred_or_ends(self):
+        """The flag ``run_until_idle`` reads each batch tracks the queue, the runners and the deferrals."""
+        sim, _, manager = build(durations={"a": 4.0, "b": 4.0, "late": 2.0})
+        assert "all_idle" in vars(manager) and manager.all_idle  # a plain attribute, not a property
+        manager.submit_at(make_spec("late", bundles=5), 20.0)
+        assert not manager.all_idle  # a deferred arrival counts
+        manager.submit(make_spec("a", bundles=15))
+        manager.submit(make_spec("b", bundles=15))
+        idle_at = []
+        sim.schedule_at(6.0, lambda: idle_at.append(manager.all_idle))  # b queued behind a, then running
+        sim.schedule_at(10.0, lambda: idle_at.append(manager.all_idle))  # both done, late not yet arrived
+        sim.run_until(lambda: manager.all_idle, max_time=1e6)
+        assert idle_at == [False, False] and sim.now == 22.0
+        assert manager.all_idle == (not manager.queue and not manager.running and manager.pending_submissions == 0)
+
 
 class TestExperimentsCli:
     def test_list_names(self, capsys):
