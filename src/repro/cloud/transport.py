@@ -1,49 +1,39 @@
 """Fault-tolerant device→cloud transport: a seedable lossy channel.
 
-Real device-cloud deployments never enjoy the lossless, exactly-once,
-zero-latency uplink the simulator's ingestion path assumed: uploads are
-lost, retried with backoff, occasionally duplicated, and rejected
-wholesale while the ingestion service is down.  This module models that
-loop deterministically:
+Real uplinks lose uploads, retry them with backoff, duplicate some and
+reject all of them while the ingestion service is down.  This module
+models that loop deterministically:
 
-* :class:`ChannelModel` — declarative channel behaviour: base delivery
-  latency plus uniform jitter, loss/duplication probabilities, and
-  scheduled :class:`ChannelWindow` impairments (per-tenant ``loss`` /
-  ``duplication`` / ``outage`` windows driven by the scenario fault
-  plan).
-* a device-side retry policy — capped exponential backoff with
-  deterministic jitter drawn from the device's own stream; after
-  ``max_attempts`` sends the upload is *abandoned*.
-* :class:`TransportChannel` — the simulation adapter: it fronts any
-  :class:`~repro.cloud.sink.OutcomeSink` and plans one upload per device
-  round in one pass over each segment it is handed, in row order.  A
-  surviving upload is delivered as a one-row segment of the round's copy
-  of its plan block, whose time column holds the arrivals, in one kernel
-  event (:meth:`~repro.simkernel.Simulator.schedule_at`) at its arrival
-  time, a duplicate one more directly after it.  An upload costs its
-  plan's draws, that event and one segment object; the round's counters
-  move once per segment.
+* :class:`ChannelModel` — latency plus uniform jitter, loss/duplication
+  probabilities and per-tenant :class:`ChannelWindow` impairments
+  (``loss`` / ``duplication`` / ``outage``, from the scenario fault plan);
+  retries back off exponentially (capped), jittered by the device's own
+  stream, and after ``max_attempts`` sends an upload is *abandoned*.
+* :class:`TransportChannel` — fronts any :class:`~repro.cloud.sink.OutcomeSink`
+  and plans each segment it is handed in one pass, in row order.  A survivor
+  is a row of the round's copy of its plan block, whose time column holds
+  the arrivals.  A rule-based DeviceFlow task's sink takes a segment's
+  survivors at once, dated ahead (:class:`~repro.deviceflow.messages.Arrivals`);
+  any other gets each in its own kernel event at its arrival, a duplicate
+  directly after its primary.
 
-Determinism contract: every draw comes from the stream named
-``transport.{task}.{device}`` — a row of the channel's per-task
+Determinism contract: every draw comes from the stream
+``transport.{task}.{device}`` (a row of the channel's per-task
 :class:`~repro.simkernel.random.StreamBank`, seeded a plan at a time and
-bit-identical to the named ``Generator`` it replaces — and follows the
-draw convention written in :mod:`repro.simkernel.random`: a draw depends
-on ``(seed, name, draw index)`` only.  The number of draws per upload
-depends only on the *send* times (never on ``sim.now`` at delivery), so
-repeat runs consume identical random sequences however uploads are
-grouped into blocks and whichever other devices exist.
-Duplicated deliveries share the primary's arrival time, and the
-downstream :class:`~repro.cloud.sink.CloudIngestSink` dedup table folds
-them exactly once; the FedAvg fold is error-free-transformed, so the
-aggregate is bit-identical no matter the delivery order.
+bit-identical to the named ``Generator``) and depends on ``(seed, name,
+draw index)`` only (:mod:`repro.simkernel.random`).  Draw counts depend
+only on the *send* times, never on ``sim.now`` at delivery, so runs draw
+alike however uploads are grouped into blocks and whichever other devices
+exist.  Duplicates share the primary's arrival; the
+:class:`~repro.cloud.sink.CloudIngestSink` dedup table folds them once,
+and the error-free FedAvg fold is bit-identical in any delivery order.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -51,10 +41,11 @@ import numpy as np
 from repro.checks import (
     check_count, check_end, check_finite, check_non_negative, check_positive, check_probability, is_number,
 )
-from repro.deviceflow.messages import Segment, row_key
+from repro.deviceflow.messages import Arrivals, Segment, row_key
 from repro.simkernel import Signal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.deviceflow.controller import DeviceFlow
     from repro.deviceflow.messages import MessageBlock
     from repro.observability.tracing import Tracer
     from repro.simkernel import RandomStreams, Simulator
@@ -129,22 +120,11 @@ class TransportCounters:
     late_drops: int = 0
 
     def merge(self, other: TransportCounters) -> None:
-        self.uploads += other.uploads
-        self.delivered += other.delivered
-        self.retries += other.retries
-        self.duplicates += other.duplicates
-        self.abandoned += other.abandoned
-        self.late_drops += other.late_drops
+        for name, count in asdict(other).items():
+            setattr(self, name, getattr(self, name) + count)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "uploads": self.uploads,
-            "delivered": self.delivered,
-            "retries": self.retries,
-            "duplicates": self.duplicates,
-            "abandoned": self.abandoned,
-            "late_drops": self.late_drops,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -271,23 +251,14 @@ class ChannelModel:
 class TransportChannel:
     """Simulation adapter: runs a :class:`ChannelModel` in front of a sink.
 
-    Presents the :class:`~repro.cloud.sink.OutcomeSink` protocol to the
-    execution tiers; plans each device's upload with the device's row of a
-    per-task :class:`~repro.simkernel.random.StreamBank` (the stream named
-    ``transport.{task}.{device}``, the task being the block's; see
-    :meth:`seed`) and delivers survivors to ``inner`` as kernel events at
-    their (possibly retried, possibly late) arrival times: each delivery
-    is the upload's row of a float64 copy of its plan block, one per
-    block and round, whose time column is filled with the arrivals row by
-    row.  :meth:`accept_block` plans a segment's rows in one loop, in row
-    order, so uploads with equal arrival deliver in row order, a duplicate
-    directly after its primary.
-
-    The runner awaits :meth:`finish_round` after the round barrier so
-    in-flight deliveries land before aggregation (and the copies go);
-    deliveries scheduled in the past (block rows whose wave already
-    completed) are clamped to *now*, which never changes the round-end
-    time because the barrier already dominates every block timestamp.
+    Presents the :class:`~repro.cloud.sink.OutcomeSink` protocol to the tiers and plans each upload with
+    the device's stream ``transport.{task}.{device}`` (a row of a per-task
+    :class:`~repro.simkernel.random.StreamBank`; see :meth:`seed`).  Arrivals in the past (rows whose
+    wave already completed) are clamped to *now*, which the round barrier dominates anyway.  Each
+    delivery is keyed where one event per upload, scheduled in row order, fires; rows handed over
+    ahead take reserved keys (:meth:`~repro.simkernel.Simulator.reserve`) and one sentinel event sits
+    at the latest.  The runner awaits :meth:`finish_round` after the round barrier so in-flight
+    deliveries land before aggregation (and the copies go).
     """
 
     def __init__(
@@ -318,6 +289,9 @@ class TransportChannel:
         self._deadline: float | None = None
         self._pending = 0
         self._drained: Signal | None = None
+        self._flow: DeviceFlow | None = getattr(inner, "deviceflow", None)
+        #: Deliveries handed over ahead and not yet due, and the event at the latest of their keys.
+        self._ahead, self._sentinel = 0, None
 
     def begin_round(self, round_index: int, deadline: float | None = None) -> None:
         """Reset per-round counters; drop deliveries at/after ``deadline``."""
@@ -339,11 +313,10 @@ class TransportChannel:
         return bank
 
     def accept_block(self, block: Segment) -> None:
-        """Plan every row's upload in row order; schedule each survivor's delivery.
+        """Plan every row's upload in row order; deliver the survivors (see the class docstring).
 
-        One pass over the segment: a row costs its plan's draws and one
-        kernel event (two when duplicated, the copy directly behind its
-        primary), and the round's counters are bumped once per segment.
+        One pass over the segment: a row costs its plan's draws, plus one kernel event (two when
+        duplicated) unless the sink takes it ahead; the round's counters move once per segment.
         """
         parent, index = block.parent, block.index
         task_id, round_index = parent.task_id, parent.round_index
@@ -352,8 +325,10 @@ class TransportChannel:
         deadline = math.inf if self._deadline is None else self._deadline
         now, schedule_at, deliver = self.sim.now, self.sim.schedule_at, self._deliver
         tracer = self.tracer
-        # An upload's time column is its arrival: each delivery is a one-row
-        # segment of this round's copy of the plan block, its row set to the arrival first.
+        # The survivors' rows, each duplicate directly behind its primary, when the sink shelves them ahead.
+        ahead: list[int] | None = [] if self._flow is not None and self._flow.defers_arrivals(task_id) else None
+        # An upload's time column is its arrival: each delivery is a row of this
+        # round's copy of the plan block, its row set to the arrival first.
         if id(parent) not in self._arrivals:
             self._arrivals[id(parent)] = (parent, replace(parent, finished_at=parent.finished_at.astype(np.float64)))
         timed = self._arrivals[id(parent)][1]
@@ -375,11 +350,14 @@ class TransportChannel:
                 status = "delivered"
                 # Arrivals in the past (rows whose wave already completed) land now.
                 at = arrivals[row] = arrival if arrival >= now else now
-                upload = Segment(timed, range(row, row + 1))
-                schedule_at(at, deliver, upload)
-                if duplicate:
-                    duplicates += 1
+                duplicates += duplicate
+                if ahead is not None:
+                    ahead += (row, row) if duplicate else (row,)
+                else:
+                    upload = Segment(timed, range(row, row + 1))
                     schedule_at(at, deliver, upload)
+                    if duplicate:
+                        schedule_at(at, deliver, upload)
             if tracer is not None:
                 tracer.record_upload(
                     task_id, device_id, round_index, t0, arrival, tries, status == "delivered" and duplicate, status,
@@ -392,12 +370,30 @@ class TransportChannel:
         counters.delivered += delivered
         counters.duplicates += duplicates
         self._pending += delivered + duplicates
+        if ahead:
+            self._hand_ahead(timed, np.array(ahead, dtype=np.int64))
 
-    def _deliver(self, upload: Segment) -> None:
+    def _hand_ahead(self, timed: MessageBlock, index: np.ndarray) -> None:
+        """Hand ``index``'s rows over as :class:`Arrivals`; re-arm the sentinel if the latest key moved."""
+        seq, times = self.sim.reserve(len(index)), timed.finished_at[index]
+        last = int(np.flatnonzero(times == times.max())[-1])  # the row of the latest key
+        if self._sentinel is None or times[last] >= self._sentinel.time:
+            if self._sentinel is not None:
+                self.sim.cancel(self._sentinel)
+            self._sentinel = self.sim.schedule_at(float(times[last]), self._deliver, None, seq=seq + last)
+        self._ahead += len(index)
+        self.inner.accept_block(Arrivals(timed, index, seq))
+
+    def _deliver(self, upload: Segment | None) -> None:
+        """One upload's delivery event, or (``None``) the sentinel: every row handed over ahead has arrived."""
+        settled = 1
         try:
-            self.inner.accept_block(upload)
+            if upload is None:
+                self._sentinel, settled, self._ahead = None, self._ahead, 0
+            else:
+                self.inner.accept_block(upload)
         finally:
-            self._pending -= 1
+            self._pending -= settled
             if self._pending == 0 and self._drained is not None:
                 self._drained.fire(None)
                 self._drained = None

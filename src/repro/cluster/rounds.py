@@ -42,19 +42,30 @@ class IdTable:
 class IdColumn(Sequence):
     """A device-id column: the ``rows`` it selects of one :class:`IdTable`, a ``range`` while contiguous.
 
-    A selection's rows are an int64 array.  Cuts, selections and joins of one
-    table stay columns of it; only a join of different tables makes a table.
+    A selection's rows are an int64 array, and construction refuses rows outside ``[0, table.n)``.  Cuts,
+    selections and joins of one table stay columns of it; only a join of different tables makes a table.
     """
 
     __slots__ = ("table", "rows")
 
     def __init__(self, table: IdTable, rows: range | np.ndarray) -> None:
+        if len(rows):  # a range is checked by its ends, an array by its min and max
+            ends = (rows[0], rows[-1]) if rows.__class__ is range else (rows.min(), rows.max())
+            if min(ends) < 0 or max(ends) >= table.n:
+                raise ValueError(f"rows {rows!r} fall outside an id table of {table.n} rows")
         self.table, self.rows = table, rows
+
+    @classmethod
+    def _cut(cls, table: IdTable, rows: range | np.ndarray) -> IdColumn:
+        """A column whose rows narrow rows already checked, built unchecked."""
+        column = object.__new__(cls)
+        column.table, column.rows = table, rows
+        return column
 
     @classmethod
     def of(cls, ids: Sequence[str]) -> IdColumn:
         """``ids`` itself when it is a column, else every row of a fresh table over it."""
-        return ids if ids.__class__ is cls else cls(IdTable("", len(ids), ids), range(len(ids)))
+        return ids if ids.__class__ is cls else cls._cut(IdTable("", len(ids), ids), range(len(ids)))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -63,7 +74,7 @@ class IdColumn(Sequence):
         if index.__class__ is slice:
             if (index.step or 1) < 0:
                 raise ValueError("an id column is sliced forwards")
-            return IdColumn(self.table, self.rows[index])
+            return IdColumn._cut(self.table, self.rows[index])
         row, table = self.rows[index], self.table
         return f"{table.prefix}{row:06d}" if table.names is None else table.names[row]
 
@@ -82,16 +93,16 @@ class IdColumn(Sequence):
         """The rows at positions ``index`` (a forward ``range`` or an int64 array) of this column."""
         rows = self.rows
         if index.__class__ is range:
-            return IdColumn(self.table, rows[index.start : index.stop : index.step])
+            return IdColumn._cut(self.table, rows[index.start : index.stop : index.step])
         if rows.__class__ is not range:
-            return IdColumn(self.table, rows[index])
-        return IdColumn(self.table, index + rows.start if rows.step == 1 else rows.start + rows.step * index)
+            return IdColumn._cut(self.table, rows[index])
+        return IdColumn._cut(self.table, index + rows.start if rows.step == 1 else rows.start + rows.step * index)
 
     def join(self, others: list[IdColumn]) -> IdColumn:
         """This column and ``others`` end to end, over this column's table unless a part is of another."""
         if any(column.table is not self.table for column in others):
             return IdColumn.of([name for part in (self, *others) for name in part])
-        return IdColumn(self.table, join_rows([self.rows, *(column.rows for column in others)]))
+        return IdColumn._cut(self.table, join_rows([self.rows, *(column.rows for column in others)]))
 
 
 @dataclass

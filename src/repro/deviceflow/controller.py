@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.checks import check_positive
 from repro.deviceflow.dispatcher import Dispatcher
-from repro.deviceflow.messages import MessageBlock, Segment
+from repro.deviceflow.messages import Arrivals, MessageBlock, Segment
 from repro.deviceflow.shelf import Shelf
 from repro.deviceflow.strategy import DispatchStrategy
 from repro.simkernel import RandomStreams, Simulator
@@ -109,7 +109,7 @@ class DeviceFlow:
                 inner(segment)
 
             downstream = traced_downstream
-        shelf = Shelf(task_id)
+        shelf = Shelf(task_id, self.sim)
         dispatcher = Dispatcher(
             self.sim,
             shelf,
@@ -133,7 +133,8 @@ class DeviceFlow:
     def force_unregister(self, task_id: str) -> int:
         """Detach a crashed task, discarding shelved messages.
 
-        Returns the number of messages discarded.  Already-scheduled
+        Returns the number of messages discarded (those landed by now; rows
+        still on their way are dropped with the shelf).  Already-scheduled
         dispatch callbacks become no-ops (the shelf is empty).
         """
         shelf = self._require(task_id).shelf
@@ -159,6 +160,11 @@ class DeviceFlow:
         """The task's dispatcher (for inspection / monitoring)."""
         return self._require(task_id)
 
+    def defers_arrivals(self, task_id: str) -> bool:
+        """Whether the task's strategy never reacts to an arrival (rule-based, §V-B): its shelf may take rows ahead."""
+        dispatcher = self._dispatchers.get(task_id)
+        return dispatcher is not None and type(dispatcher.strategy).on_message is DispatchStrategy.on_message
+
     @property
     def task_ids(self) -> list[str]:
         """Registered task ids."""
@@ -168,23 +174,22 @@ class DeviceFlow:
     # data plane
     # ------------------------------------------------------------------
     def submit_block(self, block: Segment) -> int:
-        """Accept a completion wave (or a single upload) as one segment.
+        """Accept a completion wave, an upload, or a wave's uploads ahead of arrival, as one segment.
 
-        Exactly the segment's rows submitted back to back at this instant —
-        same shelf order, same dispatch groups, same dropout draws, same
-        delivery times (see the conventions in
-        :mod:`repro.deviceflow.dispatcher`) — and the rows stay columnar
-        all the way: one shelf append, one strategy notification, and the
-        registered downstream endpoint receives them as blocks gathered
-        per delivered run.  Returns the number of messages shelved.
+        Exactly the segment's rows submitted back to back at this instant (rows ahead: each at its
+        arrival) — same shelf order, dispatch groups, dropout draws and delivery times (see the
+        conventions in :mod:`repro.deviceflow.dispatcher`) — with one shelf append and one strategy
+        notification; the downstream endpoint receives blocks gathered per delivered run.  Returns
+        the number of messages shelved.
         """
         # The Sorter of §V-A: the task id picks the shelf (the task's dispatcher owns it).
         task_id = block.task_id
         dispatcher = self._dispatchers.get(task_id)
         if dispatcher is None:
             raise KeyError(f"task {task_id!r} is not registered with DeviceFlow")
-        if self.tracer is not None:
-            self.tracer.record_flow_submit(block, self.sim.now)
+        if self.tracer is not None:  # rows handed over ahead are shelved at their arrivals
+            times = block.parent.finished_at[block.index].tolist() if type(block) is Arrivals else self.sim.now
+            self.tracer.record_flow_submit(block, times)
         rows = dispatcher.shelf.store(block)
         if rows:
             # Strategies are notified once per arrival, whatever its row count

@@ -21,14 +21,14 @@ below is defined on rows, so a block of ``n`` rows behaves exactly like
 semantics are kept executable in ``tests/reference/deviceflow_reference.py``
 and a differential test holds this module to them.
 
-* **Wave-atomic arrival.**  Everything submitted at one simulated
-  instant has arrived before anything else happens at that instant: a
-  strategy that reacts to arrivals sees the post-wave shelf once.  FIFO
-  dispatch groups depend only on shelf order and the strategy's own
-  state, so reacting once after ``n`` rows selects the same groups as
-  reacting after each row; and a transmission chunk's membership is
-  fixed when the sender *starts* it, which is a later kernel event than
-  the arrival callback either way.
+* **Wave-atomic arrival.**  A strategy that reacts to arrivals sees the
+  shelf once after a submitted segment: FIFO dispatch groups depend only
+  on shelf order and the strategy's own state, so reacting once after
+  ``n`` rows selects the groups reacting after each row would, and a
+  chunk's membership is fixed when the sender *starts* it, a later kernel
+  event either way.  A rule-based strategy never reacts, so its rows may
+  be submitted ahead, dated with the key of the event that would have
+  delivered each; the shelf lands them, in key order, when it is read.
 * **Draw order.**  Dropout consumes the dispatcher's generator in FIFO
   row order: per dispatch group, first one ``rng.choice`` over the
   group's row indices (``discard_count``), then one uniform per
@@ -40,9 +40,9 @@ and a differential test holds this module to them.
   sizes and the survivor mask — and ``dispatch_log`` builds the ``k``
   ``(time, survivors)`` rows from it when read: each group's survivors
   are differences of the mask's prefix sums.
-* **Delivery.**  Taking and dropout narrow only a segment's index; the
-  downstream endpoint is called once per run of joinable rows of a
-  delivered chunk, in FIFO order, with one ``MessageBlock`` that
+* **Delivery.**  Landing, taking and dropout narrow only a segment's index;
+  the downstream endpoint gets one ``MessageBlock`` per run of joinable rows
+  of a delivered chunk, in FIFO order, that
   :meth:`~repro.deviceflow.messages.MessageBlock.coalesce` gathered: one
   index per column for rows of one parent, a join only across parents.
 * **Transmission.**  The sender is a chain of kernel callbacks, one event

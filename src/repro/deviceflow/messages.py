@@ -16,10 +16,10 @@ DeviceFlow's shelves and send queues hold *segments*: a :class:`Segment`
 is a parent block plus its rows (a ``range``, possibly stepped, or an int64
 index), and a :class:`MessageBlock` is the segment of all its rows.  A tier
 hands over a wave as (plan block, wave rows), a transport channel an upload
-as one row of its per-plan copy.  Cuts and dropout narrow only the index,
-and :meth:`MessageBlock.coalesce` gathers each delivered run with one index
-per column.  However a block is cut, its ids are rows of its plan's id
-table, and no cut renders a name.
+as one row of its per-plan copy (a wave's as :class:`Arrivals`, dated ahead).
+Cuts and dropout narrow only the index, and :meth:`MessageBlock.coalesce`
+gathers each delivered run with one index per column.  However a block is
+cut, its ids are rows of its plan's id table, and no cut renders a name.
 """
 
 from __future__ import annotations
@@ -246,6 +246,17 @@ class Segment:
     def gather(self) -> MessageBlock:
         """The rows as one block: array columns are views of the parent's for a ``range``, copies for an array."""
         return self.parent._take(self.index)
+
+
+class Arrivals(Segment):
+    """Rows on their way: the parent's time column holds their arrivals, and ``seq`` is the first of the kernel
+    sequence numbers reserved for them in row order (a :class:`~repro.deviceflow.shelf.Shelf` lands them by key)."""
+
+    __slots__ = ("seq",)
+
+    def __init__(self, parent: MessageBlock, index: np.ndarray, seq: int) -> None:
+        super().__init__(parent, index)
+        self.seq = seq
 
 
 def select(segment: Segment, keep: np.ndarray) -> Segment:

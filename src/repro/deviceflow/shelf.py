@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
+from itertools import pairwise
 
-from repro.deviceflow.messages import Segment
+import numpy as np
+
+from repro.deviceflow.messages import Arrivals, MessageBlock, Segment
+from repro.simkernel import Simulator
 
 
 class SegmentQueue:
@@ -37,7 +41,7 @@ class SegmentQueue:
         if count < 0:
             raise ValueError("count must be >= 0")
         segments = self._segments
-        need = min(count, self._rows)
+        need = min(count, len(self))
         self._rows -= need
         taken: list[Segment] = []
         offset = self._offset
@@ -58,7 +62,7 @@ class SegmentQueue:
 
     def take_all(self) -> list[Segment]:
         """Drain the queue."""
-        return self.take(self._rows)
+        return self.take(len(self))
 
 
 class Shelf(SegmentQueue):
@@ -68,17 +72,30 @@ class Shelf(SegmentQueue):
     independently, ensuring that the dispatch processes of different tasks
     remain isolated and do not interfere" (§V-A) — isolation falls out of
     one shelf (and one dispatcher) per task id.
+
+    Rows handed over ahead (:class:`~repro.deviceflow.messages.Arrivals`) wait as
+    columns: every read and store first lands, in key order, those whose
+    ``(arrival, seq)`` the kernel's ``(now, seq)`` has reached — the shelf one
+    store per arrival event would have built, ties included.
     """
 
-    def __init__(self, task_id: str) -> None:
+    def __init__(self, task_id: str, sim: Simulator) -> None:
         if not task_id:
             raise ValueError("task_id must be non-empty")
         super().__init__()
-        self.task_id = task_id
-        self.total_stored = 0
+        self.task_id, self.sim, self._stored = task_id, sim, 0
+        #: Rows ahead, as (id of parent, row, arrival, seq) columns a hand-over, and their parents by id.
+        self._ahead: list[tuple[np.ndarray, ...]] = []
+        self._parents: dict[int, MessageBlock] = {}
+
+    def __len__(self) -> int:
+        self._land()
+        return self._rows
+
+    total_stored = property(lambda self: self._land() or self._stored, doc="Messages received (landed) so far.")
 
     def store(self, segment: Segment) -> int:
-        """Append a segment (validated against the shelf's task).
+        """Append a segment (validated against the shelf's task), or keep :class:`Arrivals` until they land.
 
         Returns the number of messages stored (an empty segment stores nothing).
         """
@@ -86,14 +103,36 @@ class Shelf(SegmentQueue):
             raise ValueError(
                 f"message for task {segment.task_id!r} stored on shelf {self.task_id!r}"
             )
-        rows = segment.rows
-        if rows:
+        rows, parent, index = segment.rows, segment.parent, segment.index
+        if rows and segment.__class__ is Arrivals:
+            self._parents[id(parent)] = parent
+            seqs = segment.seq + np.arange(rows)
+            self._ahead.append((np.full(rows, id(parent)), index, parent.finished_at[index], seqs))
+        elif rows:
+            self._land()
             self._segments.append(segment)
             self._rows += rows
-            self.total_stored += rows
+            self._stored += rows
         return rows
+
+    def _land(self) -> None:
+        """Shelve the rows ahead whose key the kernel's has reached, in key order."""
+        if not self._ahead:
+            return
+        owners, index, times, seqs = (np.concatenate(column) for column in zip(*self._ahead))
+        order = np.lexsort((seqs, times))
+        owners, index, times, seqs = (column[order] for column in (owners, index, times, seqs))
+        due = int(np.count_nonzero((times < self.sim.now) | ((times == self.sim.now) & (seqs <= self.sim.seq))))
+        self._ahead = [(owners[due:], index[due:], times[due:], seqs[due:])] if due < len(index) else []
+        if due:  # one segment a run of one parent
+            cuts = (np.flatnonzero(owners[1:due] != owners[: due - 1]) + 1).tolist()
+            self._segments.extend(Segment(self._parents[owners[i]], index[i:j]) for i, j in pairwise([0, *cuts, due]))
+            self._rows += due
+            self._stored += due
+        if not self._ahead:
+            self._parents = {}
 
     def peek_oldest(self) -> Segment | None:
         """Oldest buffered message (a one-row segment) without removing it."""
-        head = self._segments[0] if self._segments else None
+        head = self._segments[0] if len(self) else None
         return None if head is None else Segment(head.parent, head.index[self._offset : self._offset + 1])

@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -178,8 +179,8 @@ class Tracer:
         self.ingest_drops: list[tuple[str, str, int, float, str]] = []
         #: (task, round, devices, time) — one row per submitted / delivered
         #: segment (or delivered block), expanded to one record per device
-        #: at assembly.
-        self.flow_submits: list[tuple[str, int, Sequence[str], float]] = []
+        #: at assembly; uploads shelved ahead carry their arrivals as the time.
+        self.flow_submits: list[tuple[str, int, Sequence[str], float | list[float]]] = []
         self.flow_deliveries: list[tuple[str, int, Sequence[str], float]] = []
 
     # -- hot-path record methods (append one tuple each) ----------------
@@ -213,8 +214,8 @@ class Tracer:
     ) -> None:
         self.ingest_drops.append((task_id, device_id, round_index, time, reason))
 
-    def record_flow_submit(self, segment: Segment, time: float) -> None:
-        """O(1) capture of one DeviceFlow submission (a wave, or one upload)."""
+    def record_flow_submit(self, segment: Segment, time: float | list[float]) -> None:
+        """O(1) capture of one DeviceFlow submission (a wave, one upload, or rows ahead with their arrivals)."""
         self.flow_submits.append((segment.task_id, segment.round_index, segment.device_ids, time))
 
     def record_flow_delivery(self, segment: MessageBlock, time: float) -> None:
@@ -247,11 +248,11 @@ class Tracer:
 def _per_device(
     records: list[tuple[str, int, Sequence[str], float]],
 ) -> list[tuple[str, str, int, float]]:
-    """Expand flow segment records to ``(task, device, round, time)``."""
+    """Expand flow segment records to ``(task, device, round, time)``; a record's time is one, or one a device."""
     return [
         (task, device, round_index, time)
-        for task, round_index, devices, time in records
-        for device in devices
+        for task, round_index, devices, times in records
+        for device, time in zip(devices, times if isinstance(times, list) else repeat(times))
     ]
 
 

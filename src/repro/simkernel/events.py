@@ -28,8 +28,8 @@ class Event:
 
     Attributes
     ----------
-    time:
-        Absolute simulated time at which the callback fires.
+    time / seq:
+        Absolute simulated time at which the callback fires; its key's tie-breaker.
     callback / args:
         The callable and the positional arguments it fires with.
     cancelled:
@@ -41,10 +41,11 @@ class Event:
         marks it skipped but no longer affects the queue's live count.
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "popped")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "popped")
 
-    def __init__(self, time: float, callback: Callable[..., Any], args: tuple) -> None:
+    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple) -> None:
         self.time = time
+        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -70,12 +71,20 @@ class EventQueue:
     def __len__(self) -> int:
         return self._live
 
-    def push(self, time: float, callback: Callable[..., Any], args: tuple) -> Event:
-        """Insert ``callback(*args)`` to fire at absolute ``time``; return its handle."""
-        event = Event(time, callback, args)
-        heappush(self._heap, (time, next(self._counter), event))
+    def push(self, time: float, callback: Callable[..., Any], args: tuple, seq: int | None = None) -> Event:
+        """Insert ``callback(*args)`` to fire at ``time``, under ``seq`` (one :meth:`reserve` took) or the next."""
+        if seq is None:
+            seq = next(self._counter)
+        event = Event(time, seq, callback, args)
+        heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
+
+    def reserve(self, n: int) -> int:
+        """Take the next ``n`` (>= 1) sequence numbers; return the first."""
+        first = next(self._counter)
+        self._counter = itertools.count(first + n)
+        return first
 
     def pop(self) -> Event | None:
         """Remove and return the earliest non-cancelled event, or ``None``."""

@@ -65,6 +65,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
+        #: With ``now``, the key of the event firing or last fired (infinite once :meth:`run` stops at ``until``).
+        self.seq: float = -1
         self._queue = EventQueue()
         self._pending_error: ProcessError | None = None
 
@@ -81,7 +83,7 @@ class Simulator:
             raise ValueError(f"delay must be a finite number >= 0, got {delay!r}")
         return self._queue.push(self.now + delay, callback, args)
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, seq: int | None = None) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
         This is the one way to wait for one deadline; :meth:`cancel` the
@@ -89,7 +91,11 @@ class Simulator:
         """
         if not self.now <= time < math.inf:  # also false for NaN, which would never come due
             raise ValueError(f"cannot schedule at {time!r}: need a finite time >= now {self.now!r}")
-        return self._queue.push(time, callback, args)
+        return self._queue.push(time, callback, args, seq)
+
+    def reserve(self, n: int) -> int:
+        """Hold the sequence numbers of ``n`` (>= 1) events scheduled now; return the first (for ``seq=``)."""
+        return self._queue.reserve(n)
 
     def schedule_recurring(
         self, interval: float, callback: Callable[..., Any], *args: Any, first_at: float
@@ -127,7 +133,7 @@ class Simulator:
             return False
         if event.time < self.now:
             raise RuntimeError("event queue produced an event in the past")
-        self.now = event.time
+        self.now, self.seq = event.time, event.seq
         event.callback(*event.args)
         self._raise_pending()
         return True
@@ -149,7 +155,7 @@ class Simulator:
             heappop(heap)[2].popped = True
         if not heap:
             return 0
-        time, _, event = heappop(heap)
+        time, self.seq, event = heappop(heap)
         event.popped = True
         if time < self.now:
             raise RuntimeError("event queue produced an event in the past")
@@ -171,6 +177,7 @@ class Simulator:
         for event in batch:
             if event.cancelled:
                 continue
+            self.seq = event.seq
             event.callback(*event.args)
             fired += 1
         self._raise_pending()
@@ -199,7 +206,7 @@ class Simulator:
                 break
             self.step_batch()
         if until is not None:
-            self.now = max(self.now, until)
+            self.now, self.seq = max(self.now, until), math.inf
         return self.now
 
     def run_until(self, predicate: Callable[[], bool], max_time: float | None = None) -> float:

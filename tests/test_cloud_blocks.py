@@ -9,6 +9,7 @@ operation is *observably equivalent* to the per-upload semantics kept in
 folded model bits.
 """
 
+from dataclasses import replace
 from itertools import groupby
 
 import numpy as np
@@ -24,7 +25,12 @@ from reference.cloud_reference import (
     ReferenceTransportChannel,
     payload_ref,
 )
-from reference.deviceflow_reference import Message, ReferenceDeviceFlow, ReferenceRealTimeAccumulated
+from reference.deviceflow_reference import (
+    Message,
+    ReferenceDeviceFlow,
+    ReferenceRealTimeAccumulated,
+    ReferenceTimePoints,
+)
 from reference.tier_reference import materialize
 
 from repro.cloud import (
@@ -36,7 +42,7 @@ from repro.cloud import (
 )
 from repro.cloud.aggregation import AggregationTrigger
 from repro.cluster.rounds import IdColumn, IdTable
-from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
+from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy, TimePoint, TimePointStrategy
 from repro.ml.backends import SERVER_BACKEND
 from repro.ml.fedavg import ModelUpdate
 from repro.ml.model import LogisticRegressionModel
@@ -399,7 +405,13 @@ WAVE_TIMES = (2.0, 2.5, 4.0, 7.0)
 CHANNEL = ChannelModel(
     latency_s=0.4, jitter_s=0.8, loss_prob=0.25, dup_prob=0.5, retry_base_s=0.5, retry_cap_s=2.0, max_attempts=3
 )
+#: No jitter: a wave's first-try uploads share one arrival instant, ``wave time + latency``.
+TIED = replace(CHANNEL, jitter_s=0.0)
+#: A deadline exactly on the second wave's tied arrival instant.
+ON_ARRIVAL = WAVE_TIMES[1] + TIED.latency_s
 THRESHOLDS, FAILURE_PROB, CAPACITY = [3, 1, 2], 0.2, 20.0
+#: A rule-based schedule: it never reacts to an arrival, so a channel shelves its uploads ahead.
+POINTS = [TimePoint(0.0, 3), TimePoint(0.5, 2, failure_prob=0.3), TimePoint(1.5, 40, discard_count=1)]
 
 
 def make_round(wave_sizes, numeric, seed):
@@ -444,16 +456,23 @@ def returned(generator):
     raise AssertionError("the round still had deliveries in flight")
 
 
-def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
+def run_round(units, flow_attached, gate, deadline, numeric, seed, rule_based, tied, oracle):
     """Deliver ``units`` through the cloud path; return everything observable.
 
     ``units`` holds ``(time, deliveries)``: blocks for production, one
     outcome record per upload for the ``oracle``.  The gates are armed the
-    way ``TaskRunner._run_round`` arms them.
+    way ``TaskRunner._run_round`` arms them, a flow deadline discarding the
+    shelf as ``TaskRunner._close_flow_round`` does.  A flow-attached round
+    also reads the task's stats at each wave's first-try arrival instant,
+    once from an event scheduled before the round's uploads were planned and
+    once from one scheduled after: the reads land on either side of the
+    arrivals that share the instant.  ``rule_based`` dispatches at
+    :data:`POINTS`, and ``tied`` runs the channel without jitter.
     """
     sim, streams = Simulator(), RandomStreams(seed)
     model = LogisticRegressionModel(DIM, SERVER_BACKEND) if numeric else None
     channelled = gate == "channel"
+    channel_model = TIED if tied else CHANNEL
     flow = channel = None
     if oracle:
         tracer, storage = ReferenceTracer(), ReferenceStorage()
@@ -461,21 +480,32 @@ def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
         if flow_attached:
             flow = ReferenceDeviceFlow(sim, streams, capacity_per_second=CAPACITY)
             strategy = ReferenceRealTimeAccumulated(THRESHOLDS, FAILURE_PROB)
+            if rule_based:
+                strategy = ReferenceTimePoints(POINTS)
         sink = ReferenceIngestSink(sim, "t", storage, service, deviceflow=flow, dedup=channelled, tracer=tracer)
         if channelled:
-            channel = ReferenceTransportChannel(sim, CHANNEL, sink, streams, "t", scope="", tracer=tracer)
+            channel = ReferenceTransportChannel(sim, channel_model, sink, streams, "t", scope="", tracer=tracer)
     else:
         tracer = Tracer()
         service = AggregationService(sim, AggregationTrigger(), model=model)
         if flow_attached:
             flow = DeviceFlow(sim, streams, capacity_per_second=CAPACITY, tracer=tracer)
             strategy = RealTimeAccumulatedStrategy(THRESHOLDS, FAILURE_PROB)
+            if rule_based:
+                strategy = TimePointStrategy(POINTS)
         sink = CloudIngestSink(sim, service, deviceflow=flow, dedup=channelled, tracer=tracer)
         if channelled:
-            channel = TransportChannel(sim, CHANNEL, sink, streams, scope="", tracer=tracer)
+            channel = TransportChannel(sim, channel_model, sink, streams, scope="", tracer=tracer)
+    reads = []
     if flow_attached:
         flow.register_task("t", strategy, sink.flow_receive)
         flow.round_started("t", 1)
+        if deadline is not None:
+            sim.schedule_at(deadline, lambda: reads.append((sim.now, "discarded", flow.discard_shelved("t"))))
+
+    def read():
+        reads.append((sim.now, flow.stats("t")))
+
     if channelled:
         channel.begin_round(1, deadline=None if flow_attached else deadline)
     sink.begin_round(1, deadline=deadline if (flow_attached or not channelled) else None)
@@ -491,9 +521,15 @@ def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
             front.accept_block(delivery)
 
     for time, deliveries in units:
+        if flow_attached:
+            sim.schedule_at(time + channel_model.latency_s, read)
         for delivery in deliveries:
             sim.schedule_at(time, accept, delivery)
+        if flow_attached:  # once the wave's uploads are planned
+            sim.schedule_at(time, sim.schedule_at, time + channel_model.latency_s, read)
     sim.run()
+    if flow_attached:  # the kernel's last key may be the last arrival's own
+        read()
     transport = returned(channel.finish_round()).as_dict() if channelled else None
     dispatcher = None
     if flow_attached:
@@ -519,6 +555,7 @@ def run_round(units, flow_attached, gate, deadline, numeric, seed, oracle):
         "ingest_drops": sorted(tracer.ingest_drops),
         "flow_submits": sorted(flow_submits),
         "flow_deliveries": sorted(flow_deliveries),
+        "reads": reads,
         "end": sim.now,
     }
 
@@ -529,19 +566,21 @@ class TestAnyPartitionEqualsPerUploadOracle:
         cuts=st.lists(st.integers(min_value=0, max_value=16), max_size=5),
         flow_attached=st.booleans(),
         gate=st.sampled_from(["none", "deadline", "channel"]),
-        deadline=st.sampled_from([2.5, 4.0, 4.6, 7.5, 30.0]),
+        deadline=st.sampled_from([2.5, ON_ARRIVAL, 4.0, 4.6, 7.5, 30.0]),
         numeric=st.booleans(),
         seed=st.integers(min_value=0, max_value=7),
+        rule_based=st.booleans(),
+        tied=st.booleans(),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_any_partition_of_a_round_equals_the_whole_block_and_the_oracle(
-        self, wave_sizes, cuts, flow_attached, gate, deadline, numeric, seed
+        self, wave_sizes, cuts, flow_attached, gate, deadline, numeric, seed, rule_based, tied
     ):
         if gate == "none":
             deadline = None
         block = make_round(wave_sizes, numeric, seed)
         units = delivery_units(block, wave_sizes, flow_attached)
-        config = (flow_attached, gate, deadline, numeric, seed)
+        config = (flow_attached, gate, deadline, numeric, seed, rule_based, tied)
 
         whole = run_round([(time, [unit]) for time, unit in units], *config, oracle=False)
         for partition in (cuts, None):  # any cut points; one row per block
@@ -555,6 +594,29 @@ class TestAnyPartitionEqualsPerUploadOracle:
         if gate == "deadline" and not flow_attached:
             delivered, _, late = whole["gate"]
             assert delivered + late == len(block)
+
+
+class TestShelvedAheadEqualsPerUploadOracle:
+    """A rule-based task's channel shelves a wave's uploads ahead, as future-dated rows, and schedules no
+    event per upload: every read of the shelf, at an arrival instant from either side of it, at a deadline
+    that discards there, or after the round, sees what one delivery event per upload would have built."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("deadline", [None, ON_ARRIVAL, 4.6])
+    def test_a_tied_lossy_round_under_time_points_equals_the_oracle(self, deadline, seed):
+        wave_sizes = [3, 4, 2, 3]
+        block = make_round(wave_sizes, numeric=True, seed=seed)
+        units = delivery_units(block, wave_sizes, flow_attached=True)
+        config = (True, "channel", deadline, True, seed, True, True)
+        whole = run_round([(time, [unit]) for time, unit in units], *config, oracle=False)
+        assert run_round([(time, cut(unit, None)) for time, unit in units], *config, oracle=False) == whole
+        assert whole == run_round([(time, materialize(unit)) for time, unit in units], *config, oracle=True)
+        # The two reads at some arrival instant fall on either side of the uploads arriving there.
+        received = {}
+        for time, *read in whole["reads"]:
+            if read[0] != "discarded":
+                received.setdefault(time, []).append(read[0].received)
+        assert any(len(set(counts)) > 1 for counts in received.values())
 
 
 class TestChannelTieOrder:

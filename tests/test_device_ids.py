@@ -88,6 +88,13 @@ class TestEqualsTheListItReplaces:
         with pytest.raises(ValueError, match="forwards"):
             generated("d", 4)[::-1]
 
+    def test_rows_outside_the_table_are_refused_at_construction(self):
+        for rows in (range(13, 14), range(-1, 2), range(0, 4), np.array([0, 3]), np.array([2, -1])):
+            with pytest.raises(ValueError, match=r"outside an id table of 3 rows"):
+                IdColumn(IdTable("g1-", 3), rows)
+        for rows in (range(0, 3), range(0, 3, 2), range(5, 5), np.array([2, 0, 1]), np.array([], dtype=np.int64)):
+            assert list(IdColumn(IdTable("g1-", 3), rows)) == [f"g1-{i:06d}" for i in rows]
+
     def test_a_column_dies_with_its_last_reference(self):
         """A root that pointed at itself kept every plan's ids alive until the cyclic collector ran."""
         gc.collect()

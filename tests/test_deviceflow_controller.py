@@ -63,7 +63,7 @@ class TestMessage:
 
 class TestShelfAndSorter:
     def test_shelf_fifo(self):
-        shelf = Shelf("t1")
+        shelf = Shelf("t1", Simulator())
         first, second = msg(device="a"), msg(device="b")
         shelf.store(first)
         shelf.store(second)
@@ -74,7 +74,7 @@ class TestShelfAndSorter:
         assert shelf.total_stored == 2
 
     def test_shelf_rejects_foreign_task(self):
-        shelf = Shelf("t1")
+        shelf = Shelf("t1", Simulator())
         with pytest.raises(ValueError):
             shelf.store(msg(task="t2"))
 
@@ -366,7 +366,7 @@ class TestDeviceFlowFacade:
             DeviceFlow(Simulator(), RandomStreams(0), capacity_per_second=bad)
         with pytest.raises(ValueError, match="^capacity_per_second must be a finite number > 0"):
             Dispatcher(
-                Simulator(), Shelf("t1"), RealTimeAccumulatedStrategy([1]), lambda segment: None,
+                Simulator(), Shelf("t1", Simulator()), RealTimeAccumulatedStrategy([1]), lambda segment: None,
                 capacity_per_second=bad, rng=np.random.default_rng(0),
             )
         flow = DeviceFlow(Simulator(), RandomStreams(0))
@@ -711,7 +711,7 @@ class TestSegments:
         )
 
     def test_shelf_take_splits_blocks_on_row_boundaries(self):
-        shelf = Shelf("t1")
+        shelf = Shelf("t1", Simulator())
         block = self.block(6)
         shelf.store(msg(device="m0"))
         shelf.store(block)

@@ -10,6 +10,9 @@ Three layers of the same guarantee:
    per device into the per-upload oracle (``reference.cloud_reference``).
 3. Identity — the block the fold receives *is* the block the tier built
    (a channel's upload is a view of it): nothing on the way converts.
+4. Shelved ahead — a rule-based task's channel hands its uploads to the
+   shelf as dated rows, with no kernel event per upload, and a realtime
+   task's still gets one.
 
 (Platform level: the report digests pinned in ``tests/test_scenarios.py``
 were taken where block and scalar ingestion were proven byte-identical.)
@@ -23,6 +26,7 @@ from helpers import CallbackSink
 from reference.cloud_reference import ReferenceAggregationService, ReferenceIngestSink, ReferenceStorage
 from reference.tier_reference import ReferenceLogicalSimulation, materialize, run_per_event
 
+from repro import GradeRequirement, PlatformConfig, SimDC, TaskSpec, TaskState
 from repro.cloud import (
     AggregationService,
     ChannelModel,
@@ -42,8 +46,9 @@ from repro.cluster import (
 )
 from repro.cluster import rounds
 from repro.data.avazu import DeviceDataset
-from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy
-from repro.ml import SERVER_BACKEND, standard_fl_flow
+from repro.deviceflow import DeviceFlow, MessageBlock, RealTimeAccumulatedStrategy, TimePoint, TimePointStrategy
+from repro.ml import SERVER_BACKEND, Operator, OperatorFlow, standard_fl_flow
+from repro.ml.operators import DownloadModelOp, TrainOp, UploadUpdateOp
 from repro.ml.model import LogisticRegressionModel
 from repro.simkernel import RandomStreams, Simulator
 
@@ -364,3 +369,132 @@ class TestChannelSegments:
         assert channel._arrivals == {}
         gc.collect()
         assert [copy() for copy in copies] == [None]
+
+
+# ----------------------------------------------------------------------
+# a rule-based task's uploads are shelved ahead: no kernel event per upload
+# ----------------------------------------------------------------------
+class TestShelvedAhead:
+    LOSSY = ChannelModel(latency_s=0.2, jitter_s=0.5, loss_prob=0.2, dup_prob=0.3, retry_base_s=0.5)
+
+    def run_round(self, strategy):
+        """One numeric round through a lossy channel into a flow-connected sink, pushes counted.
+
+        Returns the channel, the shelf, the counts and what held after ``finish_round``.
+        """
+        sim = Simulator()
+        counts = {"deliver": 0, "sentinel": 0, "accept_block": 0}
+        schedule_at = sim.schedule_at
+
+        def counted_at(time, callback, *args, seq=None):
+            if getattr(callback, "__name__", "") == "_deliver":
+                counts["deliver" if seq is None else "sentinel"] += 1
+            return schedule_at(time, callback, *args, seq=seq)
+
+        sim.schedule_at = counted_at
+        logical = LogicalSimulation(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
+        model = LogisticRegressionModel(FEATURE_DIM, SERVER_BACKEND)
+        service = AggregationService(sim, AggregationTrigger(), model=model)
+        flow = DeviceFlow(sim, RandomStreams(0), capacity_per_second=200.0)
+        sink = CloudIngestSink(sim, service, deviceflow=flow, dedup=True)
+        flow.register_task("t", strategy, sink.flow_receive)
+        channel = TransportChannel(sim, self.LOSSY, sink, RandomStreams(5), scope="")
+        accept = channel.accept_block
+
+        def counted_accept(block):
+            counts["accept_block"] += 1
+            accept(block)
+
+        channel.accept_block = counted_accept
+        after = {}
+
+        def drive():
+            yield sim.process(logical.prepare([make_plan(n_devices=40, n_actors=4)], task_id="t"))
+            flow.round_started("t", 1)
+            channel.begin_round(1)
+            yield sim.process(logical.run_round(1, np.zeros(FEATURE_DIM), 0.0, MODEL_BYTES, channel))
+            yield from channel.finish_round()
+            after.update(copies=dict(channel._arrivals), received=flow.stats("t").received)
+            flow.round_completed("t", 1)
+
+        sim.process(drive())
+        sim.run()
+        logical.teardown()
+        return channel, flow.dispatcher_for("t").shelf, counts, after
+
+    def test_a_time_point_round_pushes_no_delivery_event_and_one_sentinel_at_most_per_hand_over(self):
+        channel, shelf, counts, after = self.run_round(TimePointStrategy([TimePoint(0.0, 15), TimePoint(1.0, 100)]))
+        uploads = channel.round.delivered + channel.round.duplicates
+        assert uploads > counts["accept_block"] > 1
+        assert counts["deliver"] == 0
+        assert 1 <= counts["sentinel"] <= counts["accept_block"]
+        # Once the round's uploads are in, every one has landed on the first read and the copies are gone.
+        assert after == {"copies": {}, "received": uploads}
+        assert shelf._ahead == [] and shelf.total_stored == uploads
+
+    def test_a_realtime_round_still_gets_one_event_per_upload(self):
+        channel, shelf, counts, after = self.run_round(RealTimeAccumulatedStrategy(thresholds=[4]))
+        uploads = channel.round.delivered + channel.round.duplicates
+        assert counts["deliver"] == uploads and counts["sentinel"] == 0
+        assert after == {"copies": {}, "received": uploads}
+
+    def test_rows_still_on_their_way_go_with_a_force_unregistered_task(self):
+        """Rows handed over ahead go with the shelf: nothing of theirs reaches ``submit_block`` after unregistering."""
+        sim = Simulator()
+        flow = DeviceFlow(sim, RandomStreams(0))
+        sink = CloudIngestSink(sim, AggregationService(sim, AggregationTrigger()), deviceflow=flow, dedup=True)
+        flow.register_task("t", TimePointStrategy([TimePoint(0.0, 10)]), sink.flow_receive)
+        channel = TransportChannel(sim, ChannelModel(latency_s=5.0, jitter_s=1.0), sink, RandomStreams(1), scope="")
+        channel.begin_round(1)
+        block = MessageBlock(task_id="t", round_index=1, device_ids=["a", "b", "c"], finished_at=np.arange(3.0))
+        sim.schedule_at(1.0, channel.accept_block, block)
+        sim.schedule_at(3.0, flow.force_unregister, "t")
+        sim.run()
+        assert flow.task_ids == [] and sim.now > 6.0
+        assert returned(channel.finish_round()).delivered == 3
+
+    def test_a_failing_task_that_shelves_ahead_leaves_nothing_harmful_scheduled(self):
+        platform = SimDC(PlatformConfig(seed=0, cluster_nodes=[NodeSpec(20, 30)] * 2, channel=self.LOSSY))
+        specs = []
+        for name, victim in (("crashy", "dev-000004"), ("healthy", None)):
+            operators = [DownloadModelOp(), TrainOp(epochs=1), UploadUpdateOp()]
+            if victim is not None:
+                operators.insert(1, CrashInRound(victim, 2))
+            spec = TaskSpec(
+                name=name,
+                grades=[
+                    GradeRequirement(
+                        grade="High", n_devices=6, bundles=8, n_phones=1, device_cpus=2, device_memory_gb=2
+                    )
+                ],
+                rounds=2,
+                flow=OperatorFlow(operators),
+                feature_dim=64,
+                records_per_device=8,
+                deviceflow_strategy=TimePointStrategy([TimePoint(0.0, 100)]),
+            )
+            platform.submit(spec, fixed_allocation={"High": 3})
+            specs.append(spec)
+        platform.run_until_idle(max_time=1e7)
+        platform.run()  # whatever the dead task left scheduled must be harmless
+        crashed, healthy = (platform.result(spec.task_id) for spec in specs)
+        assert crashed.state is TaskState.FAILED and "crashed in round 2" in crashed.error
+        assert len(crashed.rounds) == 0 and crashed.finished_at > 0.0
+        assert healthy.state is TaskState.COMPLETED and [r.n_updates for r in healthy.rounds] == [6, 6]
+        assert platform.deviceflow.task_ids == []
+
+
+class CrashInRound(Operator):
+    """Crashes the round-``round_index`` block that holds ``victim``."""
+
+    name = "crash"
+    work = 0.1
+
+    def __init__(self, victim: str, round_index: int) -> None:
+        self.victim, self.round_index, self.seen = victim, round_index, 0
+
+    def apply_block(self, block) -> None:
+        if self.victim in block.device_ids:
+            self.seen += 1
+            if self.seen == self.round_index:
+                raise RuntimeError(f"operator crashed in round {self.round_index}")

@@ -103,7 +103,7 @@ class TestDeviceFlowProperties:
     @given(count=st.integers(min_value=0, max_value=100))
     @settings(max_examples=30, deadline=None)
     def test_shelf_take_is_fifo_and_complete(self, count):
-        shelf = Shelf("t")
+        shelf = Shelf("t", Simulator())
         for i in range(count):
             shelf.store(one_row(f"d{i}"))
         out = shelf.take(count + 10)  # over-asking returns only what exists
