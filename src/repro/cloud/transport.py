@@ -390,7 +390,7 @@ class TransportChannel:
         try:
             if upload is None:
                 self._sentinel, settled, self._ahead = None, self._ahead, 0
-            else:
+            elif self._flow is None or self._flow.registered(upload.task_id):  # else gone with its task's shelf
                 self.inner.accept_block(upload)
         finally:
             self._pending -= settled

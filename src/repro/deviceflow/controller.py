@@ -134,8 +134,9 @@ class DeviceFlow:
         """Detach a crashed task, discarding shelved messages.
 
         Returns the number of messages discarded (those landed by now; rows
-        still on their way are dropped with the shelf).  Already-scheduled
-        dispatch callbacks become no-ops (the shelf is empty).
+        still on their way, handed over ahead or in a channel's flight, are
+        dropped with the shelf).  Already-scheduled dispatch callbacks become
+        no-ops (the shelf is empty).
         """
         shelf = self._require(task_id).shelf
         discarded = len(shelf)
@@ -154,11 +155,17 @@ class DeviceFlow:
         discarded = len(dispatcher.shelf)
         dispatcher.shelf.take_all()
         dispatcher.dropped_discard += discarded
+        if dispatcher.settle is not None:
+            dispatcher.settle()
         return discarded
 
     def dispatcher_for(self, task_id: str) -> Dispatcher:
         """The task's dispatcher (for inspection / monitoring)."""
         return self._require(task_id)
+
+    def registered(self, task_id: str) -> bool:
+        """Whether the task has a shelf here (registered, and not unregistered since)."""
+        return task_id in self._dispatchers
 
     def defers_arrivals(self, task_id: str) -> bool:
         """Whether the task's strategy never reacts to an arrival (rule-based, §V-B): its shelf may take rows ahead."""

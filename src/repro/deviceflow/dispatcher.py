@@ -51,6 +51,12 @@ and a differential test holds this module to them.
   for the whole busy period; the rate is read per chunk, so a capacity
   change between enqueue and wake-up resizes the chunks, and one
   mid-burst only retimes them.
+* **Settling.**  Everything received is delivered or dropped (the
+  controller's ``drained``) only once the sender is idle, so the optional
+  ``settle`` callback is called exactly where that can newly hold: when the
+  sender goes idle, when a dispatch enqueues nothing while it is idle, and
+  when :meth:`~repro.deviceflow.controller.DeviceFlow.discard_shelved`
+  empties the shelf.  It costs no kernel event.
 """
 
 from __future__ import annotations
@@ -120,6 +126,8 @@ class Dispatcher:
         self._send_queue = SegmentQueue()
         #: True while the sender has nothing in flight.
         self.idle = True
+        #: Called where the flow can newly be drained ("Settling"); None when nobody waits.
+        self.settle: Callable[[], None] | None = None
         strategy.bind(self)
 
     # ------------------------------------------------------------------
@@ -153,9 +161,9 @@ class Dispatcher:
         """Drain the shelf."""
         return self.shelf.take_all()
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at an absolute simulated time."""
-        self.sim.schedule_at(max(time, self.sim.now), callback)
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: object) -> None:
+        """Run ``callback(*args)`` at an absolute simulated time (now, if it has passed)."""
+        self.sim.schedule_at(max(time, self.sim.now), callback, *args)
 
     @property
     def dispatch_log(self) -> list[tuple[float, int]]:
@@ -231,6 +239,8 @@ class Dispatcher:
             self._dispatches.append((self.sim.now, sent, groups, keep))
             self.dispatched += sent
             self._enqueue(batch, sent)
+        elif self.idle and self.settle is not None:
+            self.settle()
         return (sent, total - sent)
 
     @staticmethod
@@ -277,6 +287,8 @@ class Dispatcher:
                 self.sim.schedule(rows / self.capacity_per_second, self._chunk_sent, chunk, rows, chunk_rows)
             else:
                 self.idle = True
+                if self.settle is not None:
+                    self.settle()
         except Exception as exc:
             self.sim._report_orphan_failure(f"dispatcher.{self.shelf.task_id}.sender", exc)
 

@@ -104,6 +104,15 @@ class RealTimeAccumulatedStrategy(DispatchStrategy):
             dispatcher.dispatch(dispatcher.take_all(), failure_prob=self.failure_prob)
 
 
+def _dispatch_point(dispatcher: Dispatcher, count: int, failure_prob: float, discard_count: int) -> None:
+    """A rule-based time point (or an interval's tick) fires: dispatch up to ``count`` shelved messages."""
+    available = dispatcher.shelf_size()
+    if available:
+        dispatcher.dispatch(
+            dispatcher.take(min(count, available)), failure_prob=failure_prob, discard_count=discard_count
+        )
+
+
 @dataclass(frozen=True)
 class TimePoint:
     """One rule-based transmission instant.
@@ -151,16 +160,9 @@ class TimePointStrategy(DispatchStrategy):
     def on_round_complete(self, dispatcher: Dispatcher, round_index: int) -> None:
         base = dispatcher.now if self.relative else 0.0
         for point in self.points:
-            fire_at = base + point.time
-
-            def fire(p: TimePoint = point) -> None:
-                available = dispatcher.shelf_size()
-                if available == 0:
-                    return
-                batch = dispatcher.take(min(p.count, available))
-                dispatcher.dispatch(batch, failure_prob=p.failure_prob, discard_count=p.discard_count)
-
-            dispatcher.schedule_at(fire_at, fire)
+            dispatcher.schedule_at(
+                base + point.time, _dispatch_point, dispatcher, point.count, point.failure_prob, point.discard_count
+            )
 
 
 class TimeIntervalStrategy(DispatchStrategy):
@@ -230,14 +232,6 @@ class TimeIntervalStrategy(DispatchStrategy):
         self.last_schedule = ticks
         base = dispatcher.now if self.relative else float(self.start_time)  # type: ignore[arg-type]
         for tick in ticks:
-
-            def fire(t: DispatchTick = tick) -> None:
-                available = dispatcher.shelf_size()
-                if available == 0:
-                    return
-                batch = dispatcher.take(min(t.count, available))
-                dispatcher.dispatch(
-                    batch, failure_prob=self.failure_prob, discard_count=self.discard_per_tick
-                )
-
-            dispatcher.schedule_at(base + tick.offset, fire)
+            dispatcher.schedule_at(
+                base + tick.offset, _dispatch_point, dispatcher, tick.count, self.failure_prob, self.discard_per_tick
+            )

@@ -20,6 +20,7 @@ number of simulated devices."  Concretely, the runner
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from collections.abc import Generator
 from typing import TYPE_CHECKING
 
@@ -36,6 +37,7 @@ from repro.cluster.rounds import DeviceColumns, IdColumn, IdTable
 from repro.cluster.runner import GradeExecutionPlan, LogicalSimulation
 from repro.data.avazu import FederatedDataset, make_federated_ctr_data
 from repro.deviceflow.controller import DeviceFlow
+from repro.deviceflow.dispatcher import Dispatcher
 from repro.deviceflow.messages import Segment
 from repro.ml.backends import SERVER_BACKEND
 from repro.ml.model import LogisticRegressionModel
@@ -51,7 +53,7 @@ from repro.scheduler.allocation import (
     solve_allocation,
 )
 from repro.scheduler.task import TaskSpec, TaskState
-from repro.simkernel import AllOf, RandomStreams, RecurringTimeout, Signal, Simulator
+from repro.simkernel import AllOf, RandomStreams, Signal, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.tracing import Tracer
@@ -165,7 +167,6 @@ class TaskRunner:
         self._handoff: OutcomeSink | None = None
         self._open_round: int | None = None
         self._flow_registered = False
-        self._drain_tick: RecurringTimeout | None = None
         self.logical = LogicalSimulation(sim, cluster, self.logical_cost, self.streams)
         self.phonemgr = PhoneMgr(
             sim,
@@ -449,27 +450,32 @@ class TaskRunner:
     def _await_deliveries(self) -> Signal:
         """A signal that fires once DeviceFlow has delivered or dropped everything.
 
-        A 1-s tick from now on (:meth:`_poll_drain`), at the instants and
-        same-time places of the polling process it replaced.  ``received``
-        is frozen once the round's computation is done, so the drain
-        condition is monotone and the tick stops for any bounded strategy
-        schedule.
+        ``received`` is frozen once the round's computation is done, so the
+        drain condition is monotone: it is checked now and then only where
+        it can newly hold (the dispatcher's ``settle`` hook, see "Settling"
+        in :mod:`repro.deviceflow.dispatcher`).  The signal fires at the
+        first instant of the 1-s lattice ``now, now + 1.0, now + 1.0 + 1.0,
+        ...`` at or after the drain, the instants a 1-s poll would have read.
         """
         drained = Signal(name=f"{self.spec.task_id}.drain")
-        self._drain_tick = self.sim.schedule_recurring(1.0, self._poll_drain, drained, first_at=self.sim.now)
+        dispatcher = self.deviceflow.dispatcher_for(self.spec.task_id)
+        dispatcher.settle = partial(self._settle, dispatcher, drained, self.sim.now)
+        self._settle(dispatcher, drained, self.sim.now)
         return drained
 
-    def _poll_drain(self, drained: Signal) -> None:
-        """One drain poll; an error fails ``drained``, so it reaches the round."""
+    def _settle(self, dispatcher: Dispatcher, drained: Signal, start: float) -> None:
+        """Schedule ``drained`` on the lattice from ``start`` once the flow is drained; an error fails it."""
         try:
             if not self.deviceflow.drained(self.spec.task_id):
                 return
         except Exception as exc:
             drained.fail(exc)
         else:
-            drained.fire()
-        self._drain_tick.cancel()
-        self._drain_tick = None
+            close = start
+            while close < self.sim.now:  # repeated addition, as a 1-s poll's clock sums it
+                close += 1.0
+            self.sim.schedule_at(close, drained.fire)
+        dispatcher.settle = None
 
     def _close_flow_round(self, round_index: int) -> None:
         """Deadline closure for flow rounds: drop undispatched messages.

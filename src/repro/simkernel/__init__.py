@@ -5,8 +5,9 @@ cluster, DeviceFlow, the cloud services and the task manager) advances a
 single shared simulated clock owned by a :class:`Simulator`.  The kernel is
 deliberately small: one event heap, generator-based processes, and named
 deterministic random streams.  One deadline is one kernel event
-(:meth:`Simulator.schedule_at`, withdrawn with :meth:`Simulator.cancel`;
-:meth:`Simulator.schedule_recurring` re-arms one per tick).  The only other
+(:meth:`Simulator.schedule_at`, withdrawn with :meth:`Simulator.cancel`);
+there is no recurring tick: a component that waits for a condition is
+called where the condition can newly hold.  The only other
 scheduling structure is :class:`TimeoutPool`, which does the one thing a
 per-event push cannot: it takes whole ascending deadline *arrays*
 (``add_sequence``) and merges them behind a single sentinel event.
@@ -41,7 +42,7 @@ Example
 from repro.simkernel.events import Event, EventQueue
 from repro.simkernel.processes import AllOf, Process, ProcessError, Signal, Timeout
 from repro.simkernel.random import RandomStreams, stable_hash
-from repro.simkernel.simulator import RecurringTimeout, Simulator
+from repro.simkernel.simulator import Simulator
 from repro.simkernel.timeout_pool import TimeoutPool
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "Process",
     "ProcessError",
     "RandomStreams",
-    "RecurringTimeout",
     "Signal",
     "Simulator",
     "Timeout",

@@ -3,7 +3,7 @@
 As it stood before a benchmarking protocol computed its record's samples
 in one array pass when it closed: :class:`TickerPhoneMgr` registers each
 benchmarking phone with one shared recurring tick
-(``Simulator.schedule_recurring``, first fire at the registration that
+(:func:`schedule_recurring`, first fire at the registration that
 finds none running) that samples every active phone, in registration
 order, with :func:`direct_metric_sample` (on the scalar sensor reads, one
 noise draw at a time, kept here too); it fires a phone's ``stopped``
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Generator
+from typing import Any
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.deviceflow.messages import MessageBlock
 from repro.ml.fedavg import ModelUpdate
 from repro.phones import ApkStage, DeviceMetricSample, PhoneMgr, StageSummary, VirtualPhone
 from repro.phones.phone import TRAINING_CONTROL_BYTES
-from repro.simkernel import RecurringTimeout, Signal, Timeout
+from repro.simkernel import Event, Signal, Simulator, Timeout
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +174,69 @@ def integrate_energy_mah(samples: list[DeviceMetricSample]) -> float:
             raise ValueError("samples must be time-ordered")
         total += 0.5 * (earlier.current_ma + later.current_ma) * dt_hours
     return total
+
+
+# ----------------------------------------------------------------------
+# the recurring tick the ticker runs on (once ``Simulator.schedule_recurring``;
+# ``tests/test_deviceflow_controller.py`` drives a flow round's old 1-s drain poll with it too)
+# ----------------------------------------------------------------------
+class RecurringTimeout:
+    """Cancellable handle for a recurring tick (:func:`schedule_recurring`).
+
+    Each fire schedules the next tick at ``fire_time + interval`` — the
+    same ``now + delay`` accumulation a generator looping over
+    ``yield Timeout(interval)`` produces, so replacing N lock-step polling
+    processes with one recurring tick leaves every tick timestamp
+    bit-identical.
+    """
+
+    __slots__ = ("_sim", "interval", "_callback", "_args", "_event", "_cancelled")
+
+    def __init__(self, sim: Simulator, interval: float, callback: Callable[..., Any], args: tuple) -> None:
+        self._sim = sim
+        self.interval = float(interval)
+        self._callback = callback
+        self._args = args
+        self._event: Event | None = None
+        self._cancelled = False
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether the recurrence has been stopped."""
+        return self._cancelled
+
+    def cancel(self) -> None:
+        """Stop ticking.  Idempotent; safe to call from inside the callback."""
+        self._cancelled = True
+        if self._event is not None:
+            self._sim.cancel(self._event)
+            self._event = None
+
+    def _arm(self, time: float) -> None:
+        self._event = self._sim.schedule_at(time, self._fire)
+
+    def _fire(self) -> None:
+        self._event = None
+        self._callback(*self._args)
+        if not self._cancelled:
+            self._arm(self._sim.now + self.interval)
+
+
+def schedule_recurring(
+    sim: Simulator, interval: float, callback: Callable[..., Any], *args: Any, first_at: float
+) -> RecurringTimeout:
+    """Fire ``callback(*args)`` every ``interval`` until cancelled.
+
+    The first fire is at absolute time ``first_at``; subsequent ticks
+    accumulate as ``fire_time + interval``.  Returns a
+    :class:`RecurringTimeout` handle whose ``cancel()`` stops the
+    recurrence — including from within the callback itself.
+    """
+    if not interval > 0:
+        raise ValueError(f"interval must be positive, got {interval!r}")
+    handle = RecurringTimeout(sim, interval, callback, args)
+    handle._arm(float(first_at))
+    return handle
 
 
 @dataclass
@@ -350,8 +414,8 @@ class TickerPhoneMgr(PhoneMgr):
         entry = _SampledPhone(phone, record)
         self._sampler_entries.append(entry)
         if self._sampler_handle is None:
-            self._sampler_handle = self.sim.schedule_recurring(
-                self.poll_interval, self._sampler_tick, first_at=self.sim.now
+            self._sampler_handle = schedule_recurring(
+                self.sim, self.poll_interval, self._sampler_tick, first_at=self.sim.now
             )
         return entry
 

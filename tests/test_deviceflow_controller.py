@@ -1,6 +1,7 @@
-"""Tests for DeviceFlow's sorter, shelf, dispatcher and strategies."""
+"""Tests for DeviceFlow's sorter, shelf, dispatcher and strategies, and for a flow round's close."""
 
 from itertools import accumulate, groupby
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from reference.deviceflow_reference import (
     ReferenceTimeInterval,
     ReferenceTimePoints,
 )
+from reference.sampler_reference import schedule_recurring
 
+from repro import GradeRequirement, PlatformConfig, SimDC, TaskSpec, TaskState
+from repro.cluster import NodeSpec
 from repro.cluster.rounds import IdColumn, IdTable
 from repro.deviceflow import (
     DeviceFlow,
@@ -29,7 +33,8 @@ from repro.deviceflow import (
 )
 from repro.deviceflow.messages import Segment, select
 from repro.deviceflow.shelf import SegmentQueue
-from repro.simkernel import RandomStreams, Simulator
+from repro.scheduler.task_runner import TaskRunner
+from repro.simkernel import EventQueue, RandomStreams, Signal, Simulator
 
 
 def msg(task="t1", device="d0", round_index=1, n_samples=5):
@@ -863,3 +868,163 @@ class TestSegments:
                 eager = [MessageBlock._join(list(run)) for _, run in groupby(eager, key=MessageBlock._layout)]
                 assert [columns(block) for block in segments] == [columns(block) for block in eager]
             assert rows_of(segments) == rows_of(eager)
+
+
+# ----------------------------------------------------------------------
+# a flow round's close: the drain, read on the 1-s lattice from completion
+# ----------------------------------------------------------------------
+def polled_deliveries(runner):
+    """A round's drain as a 1-s recurring poll from completion on: the close before the settle hook."""
+    drained = Signal(name=f"{runner.spec.task_id}.drain")
+
+    def poll():
+        try:
+            if not runner.deviceflow.drained(runner.spec.task_id):
+                return
+        except Exception as exc:
+            drained.fail(exc)
+        else:
+            drained.fire()
+        tick.cancel()
+
+    tick = schedule_recurring(runner.sim, 1.0, poll, first_at=runner.sim.now)
+    return drained
+
+
+def close_round(strategy, capacity, deadline_s=None, n_devices=6, rounds=1, await_deliveries=None):
+    """Run one flow task on a small platform; the times its rounds completed, drained and closed.
+
+    ``await_deliveries`` replaces ``TaskRunner._await_deliveries`` (the old poll).  Also returned:
+    the times of the kernel events that fire a round's drain signal.
+    """
+    platform = SimDC(PlatformConfig(seed=0, cluster_nodes=[NodeSpec(20, 30)] * 2, deviceflow_capacity=capacity))
+    grade = GradeRequirement("High", n_devices, bundles=8, n_phones=1, device_cpus=2, device_memory_gb=2)
+    # A fixed id: the dispatcher's dropout stream is named after it.
+    spec = TaskSpec("t", [grade], rounds, deviceflow_strategy=strategy, deadline_s=deadline_s, task_id="t")
+    platform.submit(spec, fixed_allocation={"High": n_devices})
+    sim, flow = platform.sim, platform.deviceflow
+    times = {"completed": [], "drained": [], "closed": [], "drain_events": []}
+    round_completed, drained = flow.round_completed, DeviceFlow.drained
+    await_deliveries = await_deliveries or TaskRunner._await_deliveries
+
+    def completing(task_id, round_index):
+        round_completed(task_id, round_index)
+        times["completed"].append(sim.now)
+
+    def reading(flow, task_id):
+        done = drained(flow, task_id)
+        if done and len(times["drained"]) < len(times["completed"]):  # a round's first read that holds
+            times["drained"].append(sim.now)
+        return done
+
+    def awaiting(runner):
+        signal = await_deliveries(runner)
+        signal.subscribe(sim, lambda value, error: times["closed"].append(sim.now))
+        return signal
+
+    def pushing(queue, time, callback, args, seq=None):
+        owner = getattr(callback, "__self__", None)
+        if isinstance(owner, Signal) and owner.name.endswith(".drain"):
+            times["drain_events"].append(time)
+        return push(queue, time, callback, args, seq)
+
+    flow.round_completed = completing
+    push = EventQueue.push
+    with (
+        patch.object(DeviceFlow, "drained", reading),
+        patch.object(TaskRunner, "_await_deliveries", awaiting),
+        patch.object(EventQueue, "push", pushing),
+    ):
+        platform.run_until_idle(max_time=1e7)
+    assert platform.result(spec.task_id).state is TaskState.COMPLETED
+    return times
+
+
+def lattice(start, end):
+    """``start, start + 1.0, start + 1.0 + 1.0, ...`` up to the first instant at or after ``end``."""
+    instants = [start]
+    while instants[-1] < end:
+        instants.append(instants[-1] + 1.0)
+    return instants
+
+
+class TestRoundCloseLattice:
+    """A flow round closes at the first instant of the 1-s lattice from its completion at or after the drain.
+
+    The drain is read where it can newly hold (the dispatcher's settle hook),
+    not polled: one kernel event per flow round fires the round's signal.
+    """
+
+    def test_a_drain_between_lattice_instants_closes_at_the_next_one(self):
+        # Six rows at 10 a second drain 0.6 s after completion, as a poll read it.
+        times = close_round(TimePointStrategy([TimePoint(0.0, 100)]), capacity=10.0)
+        assert times["completed"] == [33.70398707999999]
+        assert times["closed"] == [34.70398707999999] == times["drain_events"]
+        assert lattice(times["completed"][0], times["drained"][0])[-1] == times["closed"][0] > times["drained"][0]
+
+    def test_a_drain_on_a_lattice_instant_closes_on_it(self):
+        # One row a second: the last chunk lands on completion + 1.0 summed six times.
+        times = close_round(TimePointStrategy([TimePoint(0.0, 100)]), capacity=1.0)
+        assert times["drained"] == times["closed"] == times["drain_events"] == [39.70398707999999]
+        assert times["closed"][0] == lattice(times["completed"][0], times["drained"][0])[6]
+        # The poll read it one tick later: its tick had been queued before the last chunk.
+        polled = close_round(TimePointStrategy([TimePoint(0.0, 100)]), 1.0, await_deliveries=polled_deliveries)
+        assert polled["closed"] == [40.70398707999999]
+
+    def test_nothing_to_deliver_at_completion_closes_at_completion(self):
+        times = close_round(RealTimeAccumulatedStrategy([1], failure_prob=1.0), capacity=10.0, rounds=2)
+        assert times["drained"] == times["completed"] == times["closed"] == times["drain_events"]
+        assert len(times["closed"]) == 2
+
+    def test_a_deadline_discard_that_drains_closes_at_the_lattice_instant_after_it(self):
+        # Nothing is dispatched before the deadline (9.55 + 30 s): its discard drains the flow.
+        times = close_round(TimePointStrategy([TimePoint(20.0, 100)]), capacity=10.0, deadline_s=30.0)
+        (completed,), (drained,), (closed,) = times["completed"], times["drained"], times["closed"]
+        assert completed < drained < completed + 20.0
+        assert closed == lattice(completed, drained)[-1] > drained
+        assert times["drain_events"] == [closed]
+        polled = close_round(TimePointStrategy([TimePoint(20.0, 100)]), 10.0, 30.0, await_deliveries=polled_deliveries)
+        assert polled["closed"] == [closed]
+
+    def test_the_settle_hook_runs_where_the_drain_can_newly_hold(self):
+        sim = Simulator()
+        flow = DeviceFlow(sim, RandomStreams(0), capacity_per_second=10.0)
+        strategy = TimePointStrategy([TimePoint(0.0, 2), TimePoint(5.0, 1, failure_prob=1.0)])
+        dispatcher = flow.register_task("t", strategy, lambda segment: None)
+        calls = []
+        dispatcher.settle = lambda: calls.append((sim.now, dispatcher.idle, flow.drained("t")))
+        for device in ("a", "b", "c", "d"):
+            flow.submit_block(msg(task="t", device=device))
+        flow.round_completed("t", 1)
+        sim.schedule_at(7.0, flow.discard_shelved, "t")
+        sim.run()
+        # The sender goes idle at 0.2 s; the failed point at 5 s enqueues nothing while idle; the discard drains.
+        assert calls == [(0.2, True, False), (5.0, True, False), (7.0, True, True)]
+
+    @given(
+        recipe=st.one_of(realtime, points, interval),
+        capacity=st.sampled_from([0.5, 1.0, 2.0, 10.0, 700.0]),
+        deadline_s=st.sampled_from([30.0, 40.0, 55.0]),
+        n_devices=st.sampled_from([3, 6, 8]),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(recipe={"kind": "points", "points": [(0.0, 100, 0.0, 0)]}, capacity=10.0, deadline_s=55.0, n_devices=6)
+    def test_round_closes_equal_the_poll_unless_the_drain_is_a_lattice_instant(
+        self, recipe, capacity, deadline_s, n_devices
+    ):
+        def run(await_deliveries=None):
+            strategy = build_strategies(recipe)[0]
+            return close_round(strategy, capacity, deadline_s, n_devices, rounds=2, await_deliveries=await_deliveries)
+
+        times, polled = run(), run(polled_deliveries)
+        assert times["drain_events"] == times["closed"]
+        rounds = zip(times["completed"], times["drained"], times["closed"], polled["closed"])
+        for completed, drained, closed, was in rounds:
+            assert closed == lattice(completed, drained)[-1]
+            if closed != drained:
+                assert closed == was
+                continue
+            # On a lattice instant the poll read it then or one tick later; later rounds start from there.
+            assert was in (closed, closed + 1.0)
+            if was != closed:
+                break

@@ -270,7 +270,7 @@ class TestSubscriberContainment:
 class TestCallbackLoopFailures:
     """Failures inside kernel-callback loops surface where a process's would.
 
-    Framework start-up and the round's drain poll fail the signal their
+    Framework start-up and the round's drain check fail the signal their
     awaiting process yields; the DeviceFlow sender, which nobody awaits,
     ends the run with the ``ProcessError`` an unawaited process raises.
     """
@@ -335,8 +335,8 @@ class TestCallbackLoopFailures:
         completed_at = []
 
         def poison_after_compute(task_id, round_index):
-            # Nothing writes the discard counter after this; the drain poll
-            # reads it, so the poll is what fails.
+            # Nothing writes the discard counter after this; the drain check
+            # reads it, so the check is what fails.
             round_completed(task_id, round_index)
             flow.dispatcher_for(task_id).dropped_discard = None
             completed_at.append(platform.sim.now)
@@ -347,7 +347,7 @@ class TestCallbackLoopFailures:
         result = platform.result(spec.task_id)
         assert result.state is TaskState.FAILED
         assert result.error == repr(TypeError("unsupported operand type(s) for +: 'int' and 'NoneType'"))
-        # The first poll, at the instant the round computed, fails the task:
+        # The check at the instant the round computed fails the task:
         # the error went through the round process, not around it.
         assert result.finished_at == completed_at[0]
         assert platform.deviceflow.task_ids == []

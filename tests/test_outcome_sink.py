@@ -22,6 +22,7 @@ import gc
 import weakref
 
 import numpy as np
+import pytest
 from helpers import CallbackSink
 from reference.cloud_reference import ReferenceAggregationService, ReferenceIngestSink, ReferenceStorage
 from reference.tier_reference import ReferenceLogicalSimulation, materialize, run_per_event
@@ -438,12 +439,21 @@ class TestShelvedAhead:
         assert counts["deliver"] == uploads and counts["sentinel"] == 0
         assert after == {"copies": {}, "received": uploads}
 
-    def test_rows_still_on_their_way_go_with_a_force_unregistered_task(self):
-        """Rows handed over ahead go with the shelf: nothing of theirs reaches ``submit_block`` after unregistering."""
+    @pytest.mark.parametrize(
+        "strategy",
+        [lambda: TimePointStrategy([TimePoint(0.0, 10)]), lambda: RealTimeAccumulatedStrategy([10])],
+        ids=["time_points", "realtime"],
+    )
+    def test_rows_still_on_their_way_go_with_a_force_unregistered_task(self, strategy):
+        """Rows in flight go with the shelf: nothing of theirs reaches ``submit_block`` after unregistering.
+
+        A rule-based shelf holds them ahead; a realtime task's arrive as channel
+        deliveries, which are dropped and settled instead of raising ``KeyError``.
+        """
         sim = Simulator()
         flow = DeviceFlow(sim, RandomStreams(0))
         sink = CloudIngestSink(sim, AggregationService(sim, AggregationTrigger()), deviceflow=flow, dedup=True)
-        flow.register_task("t", TimePointStrategy([TimePoint(0.0, 10)]), sink.flow_receive)
+        flow.register_task("t", strategy(), sink.flow_receive)
         channel = TransportChannel(sim, ChannelModel(latency_s=5.0, jitter_s=1.0), sink, RandomStreams(1), scope="")
         channel.begin_round(1)
         block = MessageBlock(task_id="t", round_index=1, device_ids=["a", "b", "c"], finished_at=np.arange(3.0))

@@ -27,7 +27,7 @@ import pytest
 from helpers import CallbackSink, stream_states
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference.sampler_reference import TickerPhoneMgr
+from reference.sampler_reference import TickerPhoneMgr, schedule_recurring
 from reference.tier_reference import ReferencePhoneMgr, run_per_event
 
 from repro.cluster import DeviceColumns
@@ -356,3 +356,55 @@ def test_partition_round_robin_exactly_once(n_assignments, n_phones):
         assert queue == list(range(p, n_assignments, n_phones))
     assert [o.finished_at for o in seen] == sorted(o.finished_at for o in seen)
     assert sum(len(block) for block in sink.blocks) == n_assignments
+
+
+class TestRecurringTimeout:
+    def test_tick_schedule_accumulates_like_a_generator_loop(self):
+        # A recurring tick must land on the same float timestamps as a
+        # process looping over `yield Timeout(interval)` (now + delay
+        # accumulation, NOT first + k * interval).
+        interval = 0.1  # not exactly representable -> accumulation matters
+        sim = Simulator()
+        ticks = []
+        handle = schedule_recurring(sim, interval, lambda: ticks.append(sim.now), first_at=0.0)
+        sim.schedule_at(2.0, handle.cancel)
+        sim.run()
+
+        reference_sim = Simulator()
+        reference = []
+
+        def loop():
+            while reference_sim.now <= 2.0:
+                reference.append(reference_sim.now)
+                yield Timeout(interval)
+
+        reference_sim.process(loop())
+        reference_sim.run()
+        assert ticks == reference[: len(ticks)]
+        assert len(ticks) >= 20
+
+    def test_cancel_from_inside_callback(self):
+        sim = Simulator()
+        fired = []
+        handle = schedule_recurring(
+            sim, 1.0, lambda: (fired.append(sim.now), fired and len(fired) >= 3 and handle.cancel()), first_at=1.0
+        )
+        sim.run(until=10.0)
+        assert fired == [1.0, 2.0, 3.0]
+        assert handle.cancelled
+        assert sim.pending_events == 0
+
+    def test_default_first_fire_is_one_interval_out(self):
+        sim = Simulator()
+        fired = []
+        handle = schedule_recurring(sim, 2.0, lambda: fired.append(sim.now), first_at=2.0)
+        sim.run(until=5.0)
+        handle.cancel()
+        assert fired == [2.0, 4.0]
+        assert sim.pending_events == 0
+
+    def test_invalid_interval_rejected(self):
+        sim = Simulator()
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                schedule_recurring(sim, bad, lambda: None, first_at=0.0)

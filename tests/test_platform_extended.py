@@ -202,9 +202,10 @@ class TestPlatformConfigValidation:
 class TestProcessCount:
     """Per-device and per-chunk work runs as kernel callbacks, not generator processes.
 
-    Framework start-up (one per computing phone), the DeviceFlow sender (one
-    per idle-to-busy transition) and the round's drain poll are callback
-    loops; as processes their count would grow with the fleet and the traffic.
+    Framework start-up (one per computing phone) and the DeviceFlow sender
+    (one per idle-to-busy transition) are callback loops, and a round's drain
+    is read from the sender's; as processes their count would grow with the
+    fleet and the traffic.
     """
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -11,11 +11,10 @@ sentinel's position, ties between chunks in insertion order.
 """
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import Simulator, Timeout, TimeoutPool
+from repro.simkernel import Simulator, TimeoutPool
 
 #: One kernel event: deadline on an integer grid so collisions with
 #: sequences and other events are common.
@@ -201,55 +200,3 @@ def test_equal_time_runs_fire_the_calls_of_a_searchsorted_drain(sequences):
     want, _ = fire_calls(SearchsortedPool, sequences)
     assert got == want
     assert pool.pending == 0 and pool.next_deadline() is None
-
-
-class TestRecurringTimeout:
-    def test_tick_schedule_accumulates_like_a_generator_loop(self):
-        # A recurring tick must land on the same float timestamps as a
-        # process looping over `yield Timeout(interval)` (now + delay
-        # accumulation, NOT first + k * interval).
-        interval = 0.1  # not exactly representable -> accumulation matters
-        sim = Simulator()
-        ticks = []
-        handle = sim.schedule_recurring(interval, lambda: ticks.append(sim.now), first_at=0.0)
-        sim.schedule_at(2.0, handle.cancel)
-        sim.run()
-
-        reference_sim = Simulator()
-        reference = []
-
-        def loop():
-            while reference_sim.now <= 2.0:
-                reference.append(reference_sim.now)
-                yield Timeout(interval)
-
-        reference_sim.process(loop())
-        reference_sim.run()
-        assert ticks == reference[: len(ticks)]
-        assert len(ticks) >= 20
-
-    def test_cancel_from_inside_callback(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule_recurring(
-            1.0, lambda: (fired.append(sim.now), fired and len(fired) >= 3 and handle.cancel()), first_at=1.0
-        )
-        sim.run(until=10.0)
-        assert fired == [1.0, 2.0, 3.0]
-        assert handle.cancelled
-        assert sim.pending_events == 0
-
-    def test_default_first_fire_is_one_interval_out(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule_recurring(2.0, lambda: fired.append(sim.now), first_at=2.0)
-        sim.run(until=5.0)
-        handle.cancel()
-        assert fired == [2.0, 4.0]
-        assert sim.pending_events == 0
-
-    def test_invalid_interval_rejected(self):
-        sim = Simulator()
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError):
-                sim.schedule_recurring(bad, lambda: None, first_at=0.0)
